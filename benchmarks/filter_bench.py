@@ -100,7 +100,7 @@ def baseline_prep(index, query, with_locations):
     unions = []
     for gid in candidates:
         census = index.query_census(query)  # the seed's re-extraction
-        vertices = set()
+        vertices = 0  # location sets are vertex bitmasks
         for seq in census.counts:
             coded = index.interner.encode_sequence(seq)
             if coded is None:
@@ -108,7 +108,7 @@ def baseline_prep(index, query, with_locations):
             posting = index.trie.lookup(coded).get(gid)
             if posting is not None:
                 vertices |= posting.locations
-        unions.append(frozenset(vertices))
+        unions.append(vertices)
     return candidates, unions
 
 

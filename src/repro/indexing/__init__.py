@@ -26,6 +26,7 @@ from .features import (
     canonical_sequence,
     coded_path_census,
     label_path_census,
+    location_vertices,
 )
 from .ggsx import GGSXIndex
 from .grapes import GrapesIndex
@@ -45,6 +46,7 @@ __all__ = [
     "canonical_sequence",
     "coded_path_census",
     "label_path_census",
+    "location_vertices",
     "GGSXIndex",
     "GrapesIndex",
     "PathTrie",

@@ -160,8 +160,8 @@ class FTVIndex(ABC):
     def _restore(self, postings: list) -> None:
         """Rebuild the trie from dumped postings (store boot path).
 
-        Each row is ``(coded path, [(graph_id, count, locations)])``
-        exactly as :func:`repro.store.codec.dump_postings` emitted it.
+        Each row is ``(coded path, [(graph_id, count, location mask)])``
+        as :func:`repro.store.codec.decode_index` read it back.
         Re-insertion is pinned to the **raw** :meth:`PathTrie.insert`
         (bound explicitly): a :class:`~repro.indexing.trie.SuffixTrie`'s
         own ``insert`` expands suffixes, and the dump already contains
@@ -172,7 +172,7 @@ class FTVIndex(ABC):
         for seq, rows in postings:
             key = tuple(seq)
             for gid, count, locations in rows:
-                insert(key, gid, count, frozenset(locations))
+                insert(key, gid, count, locations)
 
     def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
         """Insert one graph's features (the incremental-add unit).

@@ -13,10 +13,14 @@ manner" (§3.1.1).  This module provides the shared census machinery:
 * :func:`coded_path_census` is the same census in **interned-int
   space**: labels are first mapped to dense codes by a shared
   :class:`LabelInterner`, so the census keys are small-int tuples
-  (cheap to hash, compare, and reverse) instead of arbitrary label
-  tuples.  This is the filter fast path's census; the label-space
-  census remains as the reference implementation the equivalence suite
-  checks against.
+  instead of arbitrary label tuples.  The walk itself never builds a
+  tuple: a path in flight is two packed ints (its code sequence read
+  in either direction) and a vertex bitmask, and a location set is a
+  vertex **bitmask** (bit ``v`` = vertex ``v``) from here to the store
+  codec — :func:`location_vertices` is the one decoder, used at the
+  two places that need vertex ids.  This is the census every index,
+  sketch and filter runs on; the label-space census remains as the
+  reference implementation the equivalence suite checks against.
 
 A label sequence and its reverse denote the same undirected feature, so
 sequences are canonicalised to the lexicographically smaller direction.
@@ -32,12 +36,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from ..graphs import LabeledGraph
+from ..graphs import LabeledGraph, bits_ascending
 
 __all__ = [
     "canonical_sequence",
     "label_path_census",
     "coded_path_census",
+    "location_vertices",
     "PathCensus",
     "LabelInterner",
 ]
@@ -59,6 +64,16 @@ def canonical_sequence(labels: LabelSeq) -> LabelSeq:
         return labels if repr(labels) <= repr(rev) else rev
 
 
+def location_vertices(mask: int) -> list[int]:
+    """Ascending vertex ids of a location bitmask.
+
+    The only mask -> vertices decoder: the store codec dumps locations
+    through it and Grapes extracts relevant components through it;
+    everywhere else a location set stays one int.
+    """
+    return list(bits_ascending(mask))
+
+
 class PathCensus:
     """Census of label paths in one graph.
 
@@ -67,8 +82,11 @@ class PathCensus:
     counts:
         Canonical label sequence -> number of directed occurrences.
     locations:
-        Canonical label sequence -> frozenset of vertices appearing in
-        any occurrence (only populated when ``with_locations``).
+        Canonical label sequence -> the vertices appearing in any
+        occurrence (only populated when ``with_locations``):
+        a vertex bitmask from :func:`coded_path_census` (decode with
+        :func:`location_vertices`), a frozenset from the reference
+        :func:`label_path_census`.
     candidates:
         Memoized filter output against one index's trie (set by
         :meth:`repro.indexing.base.FTVIndex._bitset_filter`).  Sound to
@@ -78,8 +96,8 @@ class PathCensus:
         invariant, so it transfers to every instance sharing this
         census.
     location_unions:
-        Memoized per-stored-graph unions of the query features'
-        location sets (set by
+        Memoized per-stored-graph unions (bitmasks) of the query
+        features' location sets (set by
         :meth:`repro.indexing.grapes.GrapesIndex.feature_locations`) —
         isomorphism-invariant for the same reason as ``candidates``.
     """
@@ -89,12 +107,12 @@ class PathCensus:
     def __init__(
         self,
         counts: dict[LabelSeq, int],
-        locations: dict[LabelSeq, frozenset[int]],
+        locations: dict,
     ) -> None:
         self.counts = counts
         self.locations = locations
         self.candidates: list[int] | None = None
-        self.location_unions: dict[int, frozenset[int]] | None = None
+        self.location_unions: dict[int, int] | None = None
 
     def features(self) -> tuple[LabelSeq, ...]:
         """All canonical label sequences, deterministic order."""
@@ -251,54 +269,94 @@ def coded_path_census(
     """The path census of :func:`label_path_census` in interned space.
 
     ``codes`` is the per-vertex label-code sequence (see
-    :class:`LabelInterner`).  The enumeration order and the doubled
-    occurrence counts are identical to the label-space census; only the
-    key space changes, so the feature *classes* — and therefore every
-    count/lookup pruning decision — match the reference bit for bit.
+    :class:`LabelInterner`).  The doubled occurrence counts and the
+    feature *classes* — and therefore every count/lookup pruning
+    decision — match the reference bit for bit; locations come back as
+    vertex bitmasks.
+
+    A DFS frame is ``(tail, depth, forward key, reverse key, visited
+    mask)``.  The keys pack the path's codes, offset to ``>= 1``, into
+    fixed-width fields — first vertex most significant in the forward
+    key, last vertex in the reverse key — so comparing the two ints
+    picks the same canonical direction comparing the code tuples
+    would, and keys of different lengths never collide.  A path is
+    counted as it is pushed (once for its two directed discoveries,
+    from the lower endpoint); paths of ``max_length`` edges are counted
+    and never pushed.  Packed keys are decoded to code tuples once per
+    distinct feature at the end.
     """
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
-    counts: dict[LabelSeq, int] = {}
-    locs: dict[LabelSeq, set[int]] = {}
-    adjacency = graph.adjacency()
+    counts: dict[int, int] = {}
+    locs: dict[int, int] = {}
+    if not codes:
+        return PathCensus(counts, locs)
+    low = min(codes) - 1
+    width = (max(codes) - low).bit_length()
+    field = [code - low for code in codes]
     get = counts.get
-    for start in range(graph.order):
-        # the single-vertex path, counted once
-        key0 = (codes[start],)
-        counts[key0] = get(key0, 0) + 1
+    lget = locs.get
+    # the single-vertex paths, counted once each
+    for key in field:
+        counts[key] = get(key, 0) + 1
+    if with_locations:
+        for v, key in enumerate(field):
+            locs[key] = lget(key, 0) | (1 << v)
+    if max_length:
+        adjacency = graph.adjacency()
+        bit = [1 << v for v in range(len(field))]
+        stack: list[tuple[int, int, int, int, int]] = []
+        pop = stack.pop
+        push = stack.append
+        for start, key in enumerate(field):
+            push((start, 1, key, key, bit[start]))
+            while stack:
+                tail, depth, fwd, rev, visited = pop()
+                shift = width * depth
+                fwd <<= width
+                if depth < max_length:
+                    # extensions can grow further: count and push
+                    depth += 1
+                    for w in adjacency[tail]:
+                        b = bit[w]
+                        if visited & b:
+                            continue
+                        code = field[w]
+                        f = fwd | code
+                        r = rev | (code << shift)
+                        b |= visited
+                        push((w, depth, f, r, b))
+                        if w > start:
+                            if r < f:
+                                f = r
+                            counts[f] = get(f, 0) + 2
+                            if with_locations:
+                                locs[f] = lget(f, 0) | b
+                else:
+                    # extensions are full length: count, never push
+                    for w in adjacency[tail]:
+                        if w > start:
+                            b = bit[w]
+                            if not visited & b:
+                                code = field[w]
+                                f = fwd | code
+                                r = rev | (code << shift)
+                                if r < f:
+                                    f = r
+                                counts[f] = get(f, 0) + 2
+                                if with_locations:
+                                    locs[f] = lget(f, 0) | visited | b
+    top = (1 << width) - 1
+    seq_counts: dict[LabelSeq, int] = {}
+    seq_locs: dict[LabelSeq, int] = {}
+    for key, count in counts.items():
+        rev_codes = []
+        packed = key
+        while packed:
+            rev_codes.append((packed & top) + low)
+            packed >>= width
+        seq = tuple(rev_codes[::-1])
+        seq_counts[seq] = count
         if with_locations:
-            seen = locs.get(key0)
-            if seen is None:
-                seen = locs[key0] = set()
-            seen.add(start)
-        if max_length == 0:
-            continue
-        stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-            ((start,), (codes[start],))
-        ]
-        while stack:
-            path, labels = stack.pop()
-            tail = path[-1]
-            # every simple path is walked from both endpoints; count
-            # the pair of directed discoveries once, from the lower
-            # endpoint, halving the dict and canonicalisation work
-            if path[0] < tail:
-                rev = labels[::-1]
-                key = labels if labels <= rev else rev
-                counts[key] = get(key, 0) + 2
-                if with_locations:
-                    seen = locs.get(key)
-                    if seen is None:
-                        seen = locs[key] = set()
-                    seen.update(path)
-            if len(path) - 1 == max_length:
-                continue
-            # paths are short (<= max_length + 1 vertices): tuple
-            # membership beats building a set per pop
-            for w in adjacency[tail]:
-                if w not in path:
-                    stack.append((path + (w,), labels + (codes[w],)))
-    return PathCensus(
-        counts,
-        {k: frozenset(v) for k, v in locs.items()},
-    )
+            seq_locs[seq] = locs[key]
+    return PathCensus(seq_counts, seq_locs)

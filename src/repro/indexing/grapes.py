@@ -37,7 +37,7 @@ from ..graphs import LabeledGraph
 from ..matching import Budget, GraphIndex, drive
 from ..scheduling import TaskResult, first_match_schedule
 from .base import FTVIndex, VerificationReport
-from .features import coded_path_census
+from .features import coded_path_census, location_vertices
 from .trie import PathTrie
 
 __all__ = ["GrapesIndex", "DEFAULT_ROOT_SLICES"]
@@ -107,13 +107,9 @@ class GrapesIndex(FTVIndex):
             self.interner.encode_vertices(graph.labels),
             with_locations=True,
         )
+        locations = census.locations
         for seq, count in census.counts.items():
-            self.trie.insert(
-                seq,
-                graph_id,
-                count,
-                census.locations.get(seq, frozenset()),
-            )
+            self.trie.insert(seq, graph_id, count, locations[seq])
 
     # ------------------------------------------------------------------
     # online stage
@@ -130,8 +126,9 @@ class GrapesIndex(FTVIndex):
 
     def feature_locations(
         self, query: LabeledGraph, graph_id: int
-    ) -> frozenset[int]:
-        """Union of the query features' locations in one stored graph.
+    ) -> int:
+        """Union of the query features' locations in one stored graph,
+        as a vertex bitmask.
 
         Computed for *every* stored graph in a single pass over the
         query's features (one trie walk per feature, not one per
@@ -142,26 +139,17 @@ class GrapesIndex(FTVIndex):
         census = self.coded_query_census(query)
         unions = census.location_unions
         if unions is None:
-            building: dict[int, set] = {}
+            unions = {}
             find = self.trie._find
-            get = building.get
+            get = unions.get
             for seq in census.counts:
                 node = find(seq)
                 if node is None:
                     continue
                 for gid, posting in node.postings.items():
-                    locs = posting.locations
-                    if locs:
-                        got = get(gid)
-                        if got is None:
-                            building[gid] = set(locs)
-                        else:
-                            got.update(locs)
-            unions = {
-                gid: frozenset(s) for gid, s in building.items()
-            }
+                    unions[gid] = get(gid, 0) | posting.locations
             census.location_unions = unions
-        return unions.get(graph_id, frozenset())
+        return unions.get(graph_id, 0)
 
     def relevant_components(
         self, query: LabeledGraph, graph_id: int
@@ -178,7 +166,9 @@ class GrapesIndex(FTVIndex):
         if not vertices:
             return []
         graph = self.graphs[graph_id]
-        region, mapping = graph.induced_subgraph(sorted(vertices))
+        region, mapping = graph.induced_subgraph(
+            location_vertices(vertices)
+        )
         need: dict[object, int] = {}
         for u in query.vertices():
             lab = query.label(u)

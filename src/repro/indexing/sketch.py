@@ -146,33 +146,27 @@ class FeatureSketch:
             ) - 1
         return cls(tuple(buckets), graph_count, features)
 
-    def patched(self, counts: Mapping[tuple, int]) -> "FeatureSketch":
-        """A new sketch with one graph's census OR-ed in (adds only).
+    def merged(self, other: "FeatureSketch") -> "FeatureSketch":
+        """The sketch of this shard grown by ``other``'s graphs.
 
-        ``counts`` is the newcomer's census **already in the sketch's
-        collection-wide code space** (canonical coded seq → count).
         Sketches are monotone under adds — bucket bits only ever gain
-        members — so patching is sound without revisiting the shard's
-        posting lists: every bit set by :meth:`from_postings` over the
-        grown shard is set here too (the newcomer's own features set
-        theirs, all others were set before).  Removes are *not*
-        patched: stale bits are a sound over-approximation (the shard
-        is merely routed to when it could have been pruned), and a
+        members — so OR-ing in a newcomer's own sketch is sound
+        without revisiting the shard's posting lists: every bit
+        :meth:`from_postings` would set over the grown shard is set
+        here too (the newcomer's features set theirs, all others were
+        set before).  ``feature_count`` becomes an upper bound (shared
+        features count twice).  Removes are *not* patched: stale bits
+        are a sound over-approximation (the shard is merely routed to
+        when it could have been pruned), and a
         :meth:`~repro.service.routing.ShardRouter.refresh` tightens
         them back whenever the owner chooses.
         """
-        buckets = list(self.buckets)
-        num_buckets = self.num_buckets
-        fresh = 0
-        for seq, count in counts.items():
-            fresh += 1
-            buckets[bucket_of(seq, num_buckets)] |= (
-                1 << (tier_index(count) + 1)
-            ) - 1
+        if other.num_buckets != self.num_buckets:
+            raise ValueError("sketches differ in bucket count")
         return FeatureSketch(
-            tuple(buckets),
-            self.graph_count + 1,
-            self.feature_count + fresh,
+            tuple(a | b for a, b in zip(self.buckets, other.buckets)),
+            self.graph_count + other.graph_count,
+            self.feature_count + other.feature_count,
         )
 
     def score(self, counts: Mapping[tuple, int]) -> Optional[tuple[int, int]]:

@@ -4,7 +4,7 @@ Grapes indexes its DFS paths in a **trie**; GGSX in a **suffix tree**
 (§3.1.1).  Both are provided here:
 
 * :class:`PathTrie` — plain trie keyed by label; each terminal node
-  carries a posting map ``graph_id -> (count, locations)``.
+  carries a posting map ``graph_id -> (count, location bitmask)``.
 * :class:`SuffixTrie` — a trie over every suffix of the inserted
   sequences, which is the uncompressed equivalent of GGSX's suffix tree
   and supports containment lookups of arbitrary sub-paths.
@@ -41,22 +41,29 @@ LabelSeq = tuple
 
 
 class Posting:
-    """Occurrence record of a feature in one graph."""
+    """Occurrence record of a feature in one graph.
+
+    ``locations`` is a vertex bitmask (bit ``v`` set = vertex ``v`` of
+    the stored graph lies on some occurrence); ``0`` for indexes that
+    keep no location information.
+    """
 
     __slots__ = ("count", "locations")
 
-    def __init__(self, count: int = 0, locations: frozenset[int] = frozenset()):
+    def __init__(self, count: int = 0, locations: int = 0):
         self.count = count
         self.locations = locations
 
-    def merge(self, count: int, locations: frozenset[int]) -> None:
+    def merge(self, count: int, locations: int) -> None:
         """Accumulate another batch of occurrences."""
         self.count += count
-        if locations:
-            self.locations = self.locations | locations
+        self.locations |= locations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Posting(count={self.count}, |loc|={len(self.locations)})"
+        return (
+            f"Posting(count={self.count}, "
+            f"|loc|={self.locations.bit_count()})"
+        )
 
 
 class _Node:
@@ -102,7 +109,7 @@ class PathTrie:
         seq: LabelSeq,
         graph_id: int,
         count: int,
-        locations: frozenset[int] = frozenset(),
+        locations: int = 0,
     ) -> None:
         """Record ``count`` occurrences of ``seq`` in ``graph_id``.
 
@@ -244,7 +251,7 @@ class SuffixTrie(PathTrie):
         seq: LabelSeq,
         graph_id: int,
         count: int,
-        locations: frozenset[int] = frozenset(),
+        locations: int = 0,
     ) -> None:
         for start in range(len(seq)):
             super().insert(seq[start:], graph_id, count, locations)

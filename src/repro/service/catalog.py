@@ -108,9 +108,9 @@ class DatasetEntry:
     mutated: bool = False
     #: (order, size) checksums taken at load time (freeze witness)
     _shape: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    #: bytes of the frozen graphs / FTV index, computed once at freeze
-    _graph_bytes: int = 0
-    _ftv_bytes: int = 0
+    #: (graph bytes, FTV index bytes) of the frozen state; None until
+    #: a :meth:`memory_report` asks, and again after every freeze
+    _frozen_bytes: Optional[tuple[int, int]] = None
 
     @property
     def graph(self) -> LabeledGraph:
@@ -122,19 +122,13 @@ class DatasetEntry:
     def freeze(self) -> None:
         """Record the loaded graphs' shapes as the frozen baseline.
 
-        The graph/FTV-index byte estimates are taken here, once —
-        frozen data never changes, so :meth:`memory_report` must not
-        re-walk it per stats poll.
+        Shapes only: the graph/FTV-index byte estimates of the state
+        frozen here are *invalidated*, not taken — loads, store boots
+        and mutation acks never pay the accounting walk; the next
+        :meth:`memory_report` does.
         """
         self._shape = tuple((g.order, g.size) for g in self.graphs)
-        self._graph_bytes = sum(
-            approx_deep_bytes(g.kernel()) for g in self.graphs
-        )
-        self._ftv_bytes = (
-            approx_deep_bytes(self.ftv_index)
-            if self.ftv_index is not None
-            else 0
-        )
+        self._frozen_bytes = None
 
     def verify_frozen(self) -> None:
         """Raise if any graph mutated since :meth:`freeze`.
@@ -166,10 +160,20 @@ class DatasetEntry:
     def memory_report(self) -> dict:
         """Approximate bytes held by graphs and prepared indexes.
 
-        Frozen parts (graphs, FTV index) use the freeze-time estimate;
-        only the per-graph index memos — which can still grow as new
-        matchers prepare — are re-walked.
+        The frozen parts (graphs, FTV index) are walked by the first
+        report after a :meth:`freeze` and memoised until the next one —
+        frozen data never changes, so a stats poll must not re-walk
+        it; only the per-graph index memos, which can still grow as
+        new matchers prepare, are re-walked every time.
         """
+        if self._frozen_bytes is None:
+            self._frozen_bytes = (
+                sum(approx_deep_bytes(g.kernel()) for g in self.graphs),
+                approx_deep_bytes(self.ftv_index)
+                if self.ftv_index is not None
+                else 0,
+            )
+        graph_bytes, ftv_bytes = self._frozen_bytes
         index_bytes = 0
         index_entries = 0
         for g in self.graphs:
@@ -181,13 +185,11 @@ class DatasetEntry:
             "graphs": len(self.graphs),
             "vertices": sum(g.order for g in self.graphs),
             "edges": sum(g.size for g in self.graphs),
-            "graph_bytes": self._graph_bytes,
+            "graph_bytes": graph_bytes,
             "prepared_indexes": index_entries,
             "index_bytes": index_bytes,
-            "ftv_index_bytes": self._ftv_bytes,
-            "total_bytes": (
-                self._graph_bytes + index_bytes + self._ftv_bytes
-            ),
+            "ftv_index_bytes": ftv_bytes,
+            "total_bytes": graph_bytes + index_bytes + ftv_bytes,
         }
         if self.ftv_index is not None:
             report["ftv_warm"] = dict(self.warm_stats)
@@ -718,7 +720,9 @@ class DatasetCatalog:
 
         Entry footprints are measured once up front — an eviction only
         removes whole entries, so the survivors' sizes don't change and
-        re-walking the catalog per victim would be pure waste.
+        re-walking the catalog per victim would be pure waste.  With a
+        watermark set this is what demands the just-installed entry's
+        accounting walk; without one, nothing on the load path does.
         """
         if self.max_bytes is None:
             return

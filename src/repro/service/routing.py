@@ -105,55 +105,66 @@ class ShardRouter:
         if index is None:
             self.sketches.pop(shard, None)
             return
-        # a store-restored partition of a mutated collection may intern
-        # labels no live graph carries (interners never shrink through
-        # remove/re-add); extend — never rebuild — so the recode below
-        # stays total and existing router codes never move
-        if self.interner.extend([list(index.interner.code_of)]):
-            self._census_token = object()
-        recode = {
-            code: self.interner.code_of[label]
-            for label, code in index.interner.code_of.items()
-        }
         self.sketches[shard] = FeatureSketch.from_postings(
             index.trie.iter_postings(),
-            recode,
+            self._recode(index),
             graph_count=len(index.graphs),
             num_buckets=self.num_buckets,
         )
+
+    def _recode(self, index: FTVIndex) -> dict[int, int]:
+        """``index``'s shard-local label codes -> collection-wide ones.
+
+        A store-restored partition of a mutated collection may intern
+        labels no live graph carries (interners never shrink through
+        remove/re-add), and an added graph may carry labels the
+        collection has never seen; extend — never rebuild — so the map
+        stays total and existing router codes never move.  Every
+        memoized route census is dropped when that happens: a stale
+        one still holds *negative* codes for the new labels and
+        :meth:`plan` would unsoundly collapse the fan-out to a single
+        witness shard.
+        """
+        if self.interner.extend([list(index.interner.code_of)]):
+            self._census_token = object()
+        return {
+            code: self.interner.code_of[label]
+            for label, code in index.interner.code_of.items()
+        }
 
     def bump(self) -> int:
         """Advance the routing-table epoch (rebalance bookkeeping)."""
         self.epoch += 1
         return self.epoch
 
-    def note_add(self, shard: int, graph: LabeledGraph) -> None:
-        """Patch routing state for a graph added to ``shard``.
+    def note_add(
+        self, shard: int, index: FTVIndex, graph_id: int
+    ) -> None:
+        """Patch routing state for the graph ``shard``'s filter
+        ``index`` just took in as its local ``graph_id``.
 
-        Two hazards make this mandatory (not an optimization):
-
-        * a newcomer may carry labels the collection has never seen —
-          the router's interner must extend (appended codes) and every
-          memoized route census must be dropped, because a stale
-          census still holds *negative* codes for those labels and
-          :meth:`plan` would unsoundly collapse the fan-out to a
-          single witness shard;
-        * the shard's sketch must admit the newcomer's features, or a
-          stale veto would prune the only shard that can answer.
-          Sketches are monotone under adds, so a cheap
-          :meth:`FeatureSketch.patched` OR-in is sound — no posting
-          re-fold needed.
+        The shard's sketch must admit the newcomer's features, or a
+        stale veto would prune the only shard that can answer.
+        Sketches are monotone under adds, so OR-ing in the newcomer's
+        own postings — the counts the index censused a moment ago,
+        folded exactly as :meth:`refresh` folds a whole shard — is
+        sound without re-folding the other graphs', and without
+        walking the newcomer's paths a second time.
         """
-        self.interner.extend([graph.labels])
-        census = coded_path_census(
-            graph,
-            self.max_path_length,
-            self.interner.encode_vertices(graph.labels),
+        newcomer = FeatureSketch.from_postings(
+            (
+                (seq, {graph_id: postings[graph_id]})
+                for seq, postings in index.trie.iter_postings()
+                if graph_id in postings
+            ),
+            self._recode(index),
+            graph_count=1,
+            num_buckets=self.num_buckets,
         )
         sketch = self.sketches.get(shard)
-        if sketch is None:
-            sketch = FeatureSketch((0,) * self.num_buckets, 0, 0)
-        self.sketches[shard] = sketch.patched(census.counts)
+        self.sketches[shard] = (
+            newcomer if sketch is None else sketch.merged(newcomer)
+        )
         self._census_token = object()
         self.epoch += 1
 

@@ -870,7 +870,8 @@ class ShardedCatalog:
                 f"graph id {graph_id} out of range for "
                 f"{len(entry.graphs)} slots"
             )
-        for catalog, sub in self._distinct_shard_entries(entry, shard):
+        subs = self._distinct_shard_entries(entry, shard)
+        for catalog, sub in subs:
             if (
                 local < len(sub.graphs)
                 and sub.graphs[local] is graph
@@ -884,7 +885,9 @@ class ShardedCatalog:
             catalog.add_graph(name, graph, local)
         self._after_mutation(entry)
         if entry.router is not None:
-            entry.router.note_add(shard, graph)
+            # every distinct partition now indexes the newcomer at
+            # ``local``; any one of them has its counts
+            entry.router.note_add(shard, subs[0][1].ftv_index, local)
         return graph_id
 
     def remove_graph(self, name: str, graph_id: int) -> None:

@@ -27,6 +27,7 @@ import json
 import zlib
 
 from ..graphs.io import graph_from_json, graph_to_json
+from ..indexing.features import location_vertices
 from .blobs import StoreError
 
 __all__ = [
@@ -105,7 +106,7 @@ def dump_postings(trie) -> list:
         rows.append([
             list(seq),
             [
-                [gid, p.count, sorted(p.locations)]
+                [gid, p.count, location_vertices(p.locations)]
                 for gid, p in sorted(postings.items())
             ],
         ])
@@ -153,6 +154,18 @@ def encode_index(index) -> bytes:
     return _pack(payload)
 
 
+def _location_mask(vertices) -> int:
+    """A dumped location list as the vertex bitmask postings hold.
+
+    A repeated id sets its bit once; a negative one raises
+    ``ValueError`` (a malformed payload to the caller).
+    """
+    mask = 0
+    for v in vertices:
+        mask |= 1 << int(v)
+    return mask
+
+
 def decode_index(
     data: bytes, graphs, ftv_method: str, max_path_length: int
 ):
@@ -181,9 +194,7 @@ def decode_index(
             (
                 tuple(int(c) for c in seq),
                 [
-                    (int(gid), int(count), frozenset(
-                        int(v) for v in locations
-                    ))
+                    (int(gid), int(count), _location_mask(locations))
                     for gid, count, locations in rows
                 ],
             )

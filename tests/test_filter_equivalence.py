@@ -35,6 +35,7 @@ from repro.indexing import (
     SuffixTrie,
     coded_path_census,
     label_path_census,
+    location_vertices,
 )
 from repro.matching import Budget
 from repro.workload import extract_query, permuted_instance
@@ -91,9 +92,10 @@ class TestCensusEquivalence:
         ref = label_path_census(g, 2, with_locations=True)
         codes = index.interner.encode_vertices(g.labels)
         fast = coded_path_census(g, 2, codes, with_locations=True)
+        assert len(fast.locations) == len(ref.locations)
         for seq, locs in ref.locations.items():
             coded = index.interner.encode_sequence(seq)
-            assert fast.locations[coded] == locs
+            assert location_vertices(fast.locations[coded]) == sorted(locs)
 
     def test_unknown_labels_get_fresh_negative_codes(self):
         graphs = collection(num_graphs=2)
@@ -168,6 +170,28 @@ def seed_ftv_filter(trie_cls, graphs, query, max_length):
         if not alive:
             return []
     return sorted(alive) if alive else []
+
+
+def test_filter_bench_quick_digest_is_the_committed_one(tmp_path):
+    """``benchmarks/filter_bench.py --quick`` checks fast == reference
+    on candidates *and* location unions before it writes; its digest
+    is the constant CI's filter-smoke job pins."""
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / (
+        "filter_bench.py"
+    )
+    spec = importlib.util.spec_from_file_location("filter_bench", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "BENCH_filter.json"
+    assert bench.main(
+        ["--quick", "--skip-serve", "--repetitions", "1", "--out", str(out)]
+    ) == 0
+    digest = json.loads(out.read_text())["filter"]["equivalence_digest"]
+    assert digest == "168056a0420dd2b5"
 
 
 class TestLabelOrderEquivalence:

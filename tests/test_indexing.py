@@ -86,11 +86,11 @@ class TestTries:
 
     def test_path_trie_merge(self):
         t = PathTrie()
-        t.insert(("A",), 0, 2, frozenset({1}))
-        t.insert(("A",), 0, 3, frozenset({2}))
+        t.insert(("A",), 0, 2, 0b010)
+        t.insert(("A",), 0, 3, 0b100)
         posting = t.lookup(("A",))[0]
         assert posting.count == 5
-        assert posting.locations == frozenset({1, 2})
+        assert posting.locations == 0b110
 
     def test_path_trie_iter_features(self):
         t = PathTrie()

@@ -6,7 +6,9 @@ grown from them, then assert the library's fundamental contracts:
 * node-ID permutation yields isomorphic graphs (invariants preserved);
 * every matcher agrees with brute force on found/count;
 * rewritings are valid permutations and preserve answers;
-* the path census is permutation-invariant and prefix-closed;
+* the path census is permutation-invariant and prefix-closed, and the
+  packed-key coded census equals the label-space reference on counts
+  and on decoded locations;
 * race outcomes equal the per-variant minimum.
 """
 
@@ -15,7 +17,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import LabeledGraph
-from repro.indexing import label_path_census
+from repro.indexing import (
+    LabelInterner,
+    canonical_sequence,
+    coded_path_census,
+    label_path_census,
+    location_vertices,
+)
 from repro.matching import make_matcher
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
@@ -150,6 +158,65 @@ def test_census_query_counts_dominated_by_store(data):
     gc = label_path_census(g, 2)
     for seq, needed in qc.counts.items():
         assert gc.counts.get(seq, 0) >= needed
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A sparse labeled graph, connected or not: empty, a handful of
+    vertices, or more than 64 so vertex masks span machine words;
+    few enough edges that isolated vertices are the common case."""
+    n = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=65, max_value=90),
+        )
+    )
+    labels = draw(
+        st.lists(st.sampled_from("ABCDE"), min_size=n, max_size=n)
+    )
+    g = LabeledGraph(n, labels)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    for _ in range(draw(st.integers(min_value=0, max_value=n + n // 2))):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v)
+    return g
+
+
+@given(
+    g=sparse_graphs(),
+    known=st.sets(st.sampled_from("ABCDE")),
+    max_length=st.integers(min_value=0, max_value=4),
+    with_locations=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_coded_census_equals_label_reference(
+    g, known, max_length, with_locations
+):
+    """``known`` is what the interner has seen: the graph's other
+    labels take fresh negative codes, which do not sort like the
+    labels, so the expected key is re-canonicalised in code space."""
+    codes = LabelInterner([known]).encode_vertices(g.labels)
+    code_of = dict(zip(g.labels, codes))
+    assert all((code < 0) == (lab not in known)
+               for lab, code in code_of.items())
+
+    def coded(seq):
+        return canonical_sequence(tuple(code_of[lab] for lab in seq))
+
+    ref = label_path_census(g, max_length, with_locations)
+    fast = coded_path_census(g, max_length, codes, with_locations)
+    assert fast.counts == {
+        coded(seq): count for seq, count in ref.counts.items()
+    }
+    assert {
+        seq: location_vertices(mask)
+        for seq, mask in fast.locations.items()
+    } == {
+        coded(seq): sorted(vertices)
+        for seq, vertices in ref.locations.items()
+    }
 
 
 @given(

@@ -164,3 +164,110 @@ class TestCatalogReload:
         cat.unload("yeast")
         entry = cat.load("yeast", scale="tiny", algorithms=("GQL",))
         assert entry.prepared_algorithms == ("GQL",)
+
+
+class TestWarmUpWork:
+    """Counts, not seconds: which of the two expensive walks — the
+    stored-graph path census and the ``approx_deep_bytes`` accounting
+    walk — each catalog operation performs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every census / accounting call made anywhere in ``src``,
+        recorded by what it walked."""
+        from repro.indexing import base, ggsx, grapes
+        from repro.service import catalog, routing
+
+        calls = {"census": [], "bytes": []}
+        census = grapes.coded_path_census
+        walk = catalog.approx_deep_bytes
+
+        def counted_census(graph, *args, **kwargs):
+            calls["census"].append(graph)
+            return census(graph, *args, **kwargs)
+
+        def counted_walk(obj, *args, **kwargs):
+            calls["bytes"].append(obj)
+            return walk(obj, *args, **kwargs)
+
+        for module in (base, ggsx, grapes, routing):
+            monkeypatch.setattr(
+                module, "coded_path_census", counted_census
+            )
+        monkeypatch.setattr(catalog, "approx_deep_bytes", counted_walk)
+        calls["uncounted_walk"] = walk
+        return calls
+
+    @staticmethod
+    def _partitions(service):
+        return [
+            catalog.get("ppi")
+            for catalog in service.catalog.pool_catalogs
+            if "ppi" in catalog.datasets()
+        ]
+
+    def _first_report_is_the_eager_walk(self, service, calls):
+        for entry in self._partitions(service):
+            report = entry.memory_report()
+            walk = calls["uncounted_walk"]
+            assert report["graph_bytes"] == sum(
+                walk(g.kernel()) for g in entry.graphs
+            )
+            assert report["ftv_index_bytes"] == walk(entry.ftv_index)
+            # and it is memoised: a second read walks no frozen part
+            walked = len(calls["bytes"])
+            assert entry.memory_report() == report
+            assert not any(
+                obj is entry.ftv_index for obj in calls["bytes"][walked:]
+            )
+        calls["bytes"].clear()
+
+    def test_no_accounting_and_one_census_per_indexed_graph(
+        self, calls, tmp_path
+    ):
+        from repro.service import Service
+        from repro.store import StoreWriter
+
+        def censused():
+            done, calls["census"][:] = list(calls["census"]), []
+            return done
+
+        service = Service(shards=2, routing=True)
+        service.load_dataset("ppi", scale="tiny")
+        graphs = list(service.catalog.get("ppi").graphs)
+        assert sorted(map(id, censused())) == sorted(map(id, graphs))
+        assert calls["bytes"] == []
+        self._first_report_is_the_eager_walk(service, calls)
+
+        newcomer = graphs[0].permuted(
+            list(reversed(range(graphs[0].order)))
+        )
+        added = service.add_graph("ppi", newcomer)
+        service.pump()
+        assert added.applied
+        assert censused() == [newcomer]
+        assert calls["bytes"] == []
+        self._first_report_is_the_eager_walk(service, calls)
+
+        removed = service.remove_graph("ppi", 1)
+        service.pump()
+        assert removed.applied
+        assert censused() == []
+        assert calls["bytes"] == []
+        self._first_report_is_the_eager_walk(service, calls)
+
+        StoreWriter(str(tmp_path)).write_catalog(service.catalog)
+        booted = Service(shards=2, routing=True, store=str(tmp_path))
+        booted.load_dataset("ppi", scale="tiny")
+        assert booted.store_metrics()["rebuilds"] == 0
+        assert censused() == []
+        assert calls["bytes"] == []
+        self._first_report_is_the_eager_walk(booted, calls)
+
+    def test_watermark_still_evicts_at_load_time(self, calls):
+        cat = DatasetCatalog(max_bytes=1)
+        cat.load("ppi", scale="tiny")
+        assert calls["bytes"]  # the watermark demanded the walk
+        cat.load("yeast", scale="tiny", algorithms=("GQL",))
+        assert cat.datasets() == ["yeast"]
+        assert cat.evicted == ["ppi"]

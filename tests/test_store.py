@@ -29,6 +29,7 @@ import os
 import pytest
 
 from repro.harness import build_ftv_graphs
+from repro.indexing import GGSXIndex, GrapesIndex
 from repro.service import (
     AdmissionController,
     FaultEvent,
@@ -56,6 +57,14 @@ from repro.store import (
     load_manifest,
     sha256_hex,
     write_manifest,
+)
+from repro.store.codec import (
+    CODEC,
+    CodecError,
+    _pack,
+    decode_index,
+    encode_index,
+    index_method,
 )
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
@@ -473,6 +482,54 @@ class TestElasticDrill:
 # ----------------------------------------------------------------------
 # writer behavior
 # ----------------------------------------------------------------------
+
+class TestIndexBlobFormat:
+    """The index codec's bytes are a compatibility surface: stores
+    written before a change must keep booting after it."""
+
+    #: sha256 of ``encode_index`` over ppi/tiny as PR 11 wrote it
+    #: (postings held frozenset locations then; the bytes must not
+    #: know the difference)
+    PINNED = {
+        GrapesIndex: (
+            "5e6d4b1d1dd21abd7423f488c6ebde31"
+            "ebfa79f5eee55359cb47c32de596a896"
+        ),
+        GGSXIndex: (
+            "7b476ab1b60b402bba90c5560367e2ac"
+            "c3e9030a8e8b771ab53bf92aee4f55d9"
+        ),
+    }
+
+    @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
+    def test_encoded_bytes_are_pinned_and_round_trip(
+        self, cls, ppi_graphs
+    ):
+        built = cls(list(ppi_graphs))
+        blob = encode_index(built)
+        assert sha256_hex(blob) == self.PINNED[cls]
+        restored = decode_index(
+            blob, list(ppi_graphs), index_method(built),
+            built.max_path_length,
+        )
+        assert encode_index(restored) == blob
+
+    def test_repeated_location_ids_decode_as_a_set_would(
+        self, ppi_graphs
+    ):
+        graphs = list(ppi_graphs)
+        payload = {
+            "kind": "index", "codec": CODEC, "method": "Grapes",
+            "max_path_length": 3,
+            "postings": [[[0], [[0, 2, [5, 1, 5, 1]]]]],
+        }
+        index = decode_index(_pack(payload), graphs, "Grapes", 3)
+        posting = index.trie.lookup((0,))[0]
+        assert (posting.count, posting.locations) == (2, 0b100010)
+        payload["postings"] = [[[0], [[0, 2, [-1]]]]]
+        with pytest.raises(CodecError):
+            decode_index(_pack(payload), graphs, "Grapes", 3)
+
 
 class TestWriter:
     def test_epoch_bumps_on_rewrite(self, tmp_path):
