@@ -325,7 +325,8 @@ def measure_ftv_matrix(
                 # Grapes thread counts via an allowance-aware cache: a
                 # chunk is (re-)evaluated only when a schedule needs it
                 # under a larger step allowance than any previous run
-                raw_tasks = grapes.verification_tasks(rq.graph, gid)
+                plan = grapes.verify_plan(rq.graph)
+                raw_tasks = grapes.verification_tasks(rq.graph, gid, plan)
                 tasks = [_caching_task(t) for t in raw_tasks]
                 for threads in grapes_threads:
                     sched = first_match_schedule(
@@ -340,7 +341,7 @@ def measure_ftv_matrix(
                     )
                 if ggsx is not None:
                     report = ggsx.verify(
-                        rq.graph, gid, Budget(max_steps=budget_steps)
+                        rq.graph, gid, Budget(max_steps=budget_steps), plan
                     )
                     matrix.records[(unit, "GGSX", name)] = CostRecord(
                         steps=report.steps,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..graphs import LabeledGraph, bits_ascending
-from ..matching import Budget, GraphIndex, MatchOutcome, VF2Matcher
+from ..matching import Budget, GraphIndex, VF2Matcher, VF2Plan
 from .features import (
     LabelInterner,
     PathCensus,
@@ -468,14 +468,26 @@ class FTVIndex(ABC):
     def filter(self, query: LabeledGraph) -> list[int]:
         """Candidate graph IDs after feature + frequency pruning."""
 
+    def verify_plan(self, query: LabeledGraph) -> Optional[VF2Plan]:
+        """The verifier's search plan of ``query`` (see
+        :meth:`repro.matching.VF2Matcher.plan`): a function of the
+        query alone, so whoever verifies one query against several
+        graphs builds it once and passes it to each :meth:`verify`."""
+        return self._verifier.plan(query)
+
     @abstractmethod
     def verify(
         self,
         query: LabeledGraph,
         graph_id: int,
         budget: Optional[Budget] = None,
+        plan: Optional[VF2Plan] = None,
     ) -> VerificationReport:
-        """Sub-iso decision test of ``query`` against one stored graph."""
+        """Sub-iso decision test of ``query`` against one stored graph.
+
+        ``plan`` is the caller's shared :meth:`verify_plan` of
+        ``query``; without one the verification plans for itself.
+        """
 
     def query(
         self,
@@ -491,8 +503,9 @@ class FTVIndex(ABC):
         """
         candidates = self.filter(query)
         result = FTVQueryResult(candidate_ids=candidates)
+        plan = self.verify_plan(query) if candidates else None
         for gid in candidates:
-            result.reports.append(self.verify(query, gid, budget))
+            result.reports.append(self.verify(query, gid, budget, plan))
         return result
 
     # ------------------------------------------------------------------
@@ -509,13 +522,3 @@ class FTVIndex(ABC):
         frees the index instead of leaving a shadow copy here.
         """
         return self._verifier.prepare(self.graphs[graph_id])
-
-    def _decision_outcome(
-        self,
-        index: GraphIndex,
-        query: LabeledGraph,
-        max_steps: int,
-    ) -> MatchOutcome:
-        """First-match VF2 run capped at ``max_steps``."""
-        budget = Budget(max_steps=max_steps) if max_steps < (1 << 62) else None
-        return self._verifier.decide(index, query, budget=budget)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..graphs import LabeledGraph
-from ..matching import Budget
+from ..matching import Budget, VF2Plan, drive
 from .base import FTVIndex, VerificationReport
 from .features import coded_path_census
 from .trie import SuffixTrie
@@ -72,10 +72,13 @@ class GGSXIndex(FTVIndex):
         query: LabeledGraph,
         graph_id: int,
         budget: Optional[Budget] = None,
+        plan: Optional[VF2Plan] = None,
     ) -> VerificationReport:
         """First-match VF2 against the whole stored graph."""
-        index = self.graph_index(graph_id)
-        outcome = self._verifier.decide(index, query, budget=budget)
+        gen = self._verifier.engine(
+            self.graph_index(graph_id), query, max_embeddings=1, plan=plan
+        )
+        outcome = drive(gen, budget)
         return VerificationReport(
             graph_id=graph_id,
             matched=outcome.found,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..graphs import LabeledGraph
-from ..matching import Budget, GraphIndex, drive
+from ..matching import Budget, GraphIndex, VF2Plan, drive
 from ..scheduling import TaskResult, first_match_schedule
 from .base import FTVIndex, VerificationReport
 from .features import coded_path_census, location_vertices
@@ -221,7 +221,10 @@ class GrapesIndex(FTVIndex):
         return [s for s in slices if s]
 
     def verification_tasks(
-        self, query: LabeledGraph, graph_id: int
+        self,
+        query: LabeledGraph,
+        graph_id: int,
+        plan: Optional[VF2Plan] = None,
     ):
         """Work chunks for one (query, graph) verification.
 
@@ -229,14 +232,20 @@ class GrapesIndex(FTVIndex):
         one per (relevant component, root slice); scheduling them over
         ``threads`` workers with first-match early termination is the
         Grapes/T verification.  Exposed so harnesses can share chunk
-        costs between thread counts.
+        costs between thread counts.  Every chunk (and every re-run of
+        one under a larger allowance) searches by one plan: the
+        caller's, or one built here.
         """
         components = self.relevant_components(query, graph_id)
+        if components and plan is None:
+            plan = self.verify_plan(query)
         tasks = []
         for sub, _ in components:
             comp_index = GraphIndex(sub)
             for roots in self.root_slices(comp_index, query):
-                tasks.append(self._make_task(comp_index, query, roots))
+                tasks.append(
+                    self._make_task(comp_index, query, roots, plan)
+                )
         return tasks
 
     def _make_task(
@@ -244,12 +253,14 @@ class GrapesIndex(FTVIndex):
         comp_index: GraphIndex,
         query: LabeledGraph,
         roots: tuple[int, ...],
+        plan: Optional[VF2Plan],
     ):
         verifier = self._verifier
 
         def run(allowance: int) -> TaskResult:
             gen = verifier.engine(
-                comp_index, query, max_embeddings=1, root_candidates=roots
+                comp_index, query, max_embeddings=1,
+                root_candidates=roots, plan=plan,
             )
             outcome = drive(gen, Budget(max_steps=max(1, allowance)))
             return TaskResult(
@@ -265,6 +276,7 @@ class GrapesIndex(FTVIndex):
         query: LabeledGraph,
         graph_id: int,
         budget: Optional[Budget] = None,
+        plan: Optional[VF2Plan] = None,
     ) -> VerificationReport:
         """Decision test over the relevant components, ``threads``-wide.
 
@@ -273,7 +285,7 @@ class GrapesIndex(FTVIndex):
         termination); with ``threads=1`` this is exactly the sequential
         VF2 cost over the components in order.
         """
-        tasks = self.verification_tasks(query, graph_id)
+        tasks = self.verification_tasks(query, graph_id, plan)
         if not tasks:
             return VerificationReport(
                 graph_id=graph_id, matched=False, steps=0, killed=False,

@@ -22,7 +22,7 @@ from .registry import MATCHER_FACTORIES, available_matchers, make_matcher
 from .spath import SPathIndex, SPathMatcher, distance_signature
 from .turbo import TurboISOMatcher
 from .ullmann import UllmannMatcher
-from .vf2 import SELECTION_POLICIES, VF2Matcher
+from .vf2 import SELECTION_POLICIES, VF2Matcher, VF2Plan
 
 __all__ = [
     "DEFAULT_MAX_EMBEDDINGS",
@@ -47,5 +47,6 @@ __all__ = [
     "TurboISOMatcher",
     "UllmannMatcher",
     "VF2Matcher",
+    "VF2Plan",
     "SELECTION_POLICIES",
 ]

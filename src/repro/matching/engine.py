@@ -257,6 +257,16 @@ class Matcher(ABC):
 
         Yields after each unit of work; returns a :class:`MatchOutcome`
         (with ``steps`` unset — the driver fills it in).
+
+        The four arguments above are the whole contract.  A subclass
+        may add optional keyword arguments that narrow or pre-compute
+        the same search and never change its answer — VF2 takes
+        ``root_candidates`` (a slice of level 0's candidate pool) and
+        ``plan`` (the per-query search plan a sweep shares between
+        engines); callers that hold a plain :class:`Matcher` pass
+        neither.  The *sequence* of yielded batches, not just their
+        sum, is observable (a race charges a round what it actually
+        advanced), so a rewrite of an engine must keep it.
         """
 
     def run(

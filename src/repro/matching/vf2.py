@@ -26,9 +26,34 @@ The engine charges one step per candidate-pair feasibility probe
 (batched: consecutive probes are yielded as one int — see
 :mod:`repro.matching.engine`), probing adjacency through the stored
 graph's bitmask kernel.
+
+Plan once, search without recursion
+-----------------------------------
+
+Under every selection policy the next query vertex is chosen from the
+*matched set* alone, and the matched set at depth ``d`` is the first
+``d`` vertices of the order itself — so the order is a pure function of
+the query (plus, for ``rarity``, the stored graph's label frequencies)
+and never of the stored-graph vertices tried so far.  :class:`VF2Plan`
+computes it once, together with everything else the search reads from
+the query per level; a filter-then-verify sweep builds one plan per
+rewritten query and hands it to the engine of every candidate graph.
+
+The search itself is one explicit-stack loop in a single generator
+frame (one image slot and one candidate iterator per level), so a
+yield costs one resume whatever the depth and the query size is not
+bounded by the interpreter's recursion limit — a 1 500-vertex path
+query is 1 500 steps, not a ``RecursionError``.  The sequence of
+yielded step batches is part of the contract (the race executors feed
+each round's batch to the dispatcher's virtual clock) and is identical,
+value for value, to the recursive search kept as the test oracle in
+``tests/_vf2_recursive.py``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from typing import Optional
 
 from ..graphs import LabeledGraph
 from .engine import (
@@ -39,18 +64,7 @@ from .engine import (
     SearchEngine,
 )
 
-__all__ = ["VF2Matcher", "SELECTION_POLICIES"]
-
-
-def _label_multiset_feasible(index: GraphIndex, query: LabeledGraph) -> bool:
-    """Necessary condition: the stored graph has enough of each label."""
-    need: dict[object, int] = {}
-    for v in query.vertices():
-        lab = query.label(v)
-        need[lab] = need.get(lab, 0) + 1
-    return all(
-        index.label_frequencies.get(lab, 0) >= k for lab, k in need.items()
-    )
+__all__ = ["VF2Matcher", "VF2Plan", "SELECTION_POLICIES"]
 
 
 #: Vertex-selection policies: how the "any order" of the original VF2
@@ -60,6 +74,76 @@ def _label_multiset_feasible(index: GraphIndex, query: LabeledGraph) -> bool:
 #: the ID sensitivity — at the price of picking *one* heuristic for all
 #: queries, exactly the trade-off the paper's Ψ-framework sidesteps.
 SELECTION_POLICIES = ("id", "degree", "rarity")
+
+
+class VF2Plan:
+    """Everything one VF2 search reads from the query, per match level.
+
+    ``selection`` names the policy and ``keys[u]`` is its key for
+    query vertex ``u`` (smaller is picked first; the vertex ID is
+    always the last component, so keys are totally ordered).  Level
+    ``d`` matches query vertex ``order[d]``:
+
+    * ``labels[d]`` — its label (label *codes* are per stored graph,
+      so the engine resolves them);
+    * ``back[d]`` — the levels of its already-matched neighbours, in
+      adjacency (ascending ID) order; empty for a root — level 0, or
+      the first vertex of a further component of a disconnected query;
+    * ``q_frontier[d]`` / ``q_total[d]`` — lookahead rules 2/3, query
+      side: its unmatched neighbours adjacent to the matched set, and
+      all of its unmatched neighbours;
+    * ``need`` — the query's label histogram (the stored graph must
+      hold at least as many of each label).
+
+    A plan is read-only once built, so any number of engines — one per
+    candidate graph of a sweep, live at the same time or not — may share
+    it.
+    """
+
+    __slots__ = (
+        "query", "selection", "order", "labels", "back", "q_frontier",
+        "q_total", "need",
+    )
+
+    def __init__(
+        self, query: LabeledGraph, selection: str, keys: list[tuple]
+    ) -> None:
+        nq = query.order
+        if nq == 0:
+            raise ValueError("empty query graph")
+        q_adj = query.adjacency()
+        self.query = query
+        self.selection = selection
+        order: list[int] = []
+        back = []
+        q_frontier = []
+        q_total = []
+        level_of = [-1] * nq  # -1: not matched yet
+        remaining = set(range(nq))
+        frontier: set[int] = set()  # unmatched, adjacent to a matched one
+        for level in range(nq):
+            # best unmatched frontier vertex under the policy; the best
+            # unmatched vertex overall when the frontier is empty
+            # (search start, or a disconnected query)
+            u = min(frontier or remaining, key=keys.__getitem__)
+            back.append(
+                tuple(level_of[w] for w in q_adj[u] if level_of[w] >= 0)
+            )
+            ahead = [w for w in q_adj[u] if level_of[w] < 0]
+            q_total.append(len(ahead))
+            q_frontier.append(sum(w in frontier for w in ahead))
+            order.append(u)
+            level_of[u] = level
+            remaining.discard(u)
+            frontier.discard(u)
+            frontier.update(ahead)
+        q_labels = query.labels
+        self.order = tuple(order)
+        self.labels = tuple(q_labels[u] for u in order)
+        self.back = tuple(back)
+        self.q_frontier = tuple(q_frontier)
+        self.q_total = tuple(q_total)
+        self.need = Counter(q_labels)
 
 
 class VF2Matcher(Matcher):
@@ -85,6 +169,35 @@ class VF2Matcher(Matcher):
         if selection != "id":
             self.name = f"VF2[{selection}]"
 
+    def plan(self, query: LabeledGraph) -> Optional[VF2Plan]:
+        """The search plan of ``query`` that every stored graph shares.
+
+        ``id`` and ``degree`` read the query alone, so a sweep calls
+        this once and passes the result to each :meth:`engine`.
+        ``rarity`` ranks by the stored graph's label frequencies:
+        there is nothing to share and the answer is None, which
+        :meth:`engine` takes as "plan for this graph yourself".
+        """
+        if self.selection == "rarity":
+            return None
+        return self._plan(query, None)
+
+    def _plan(
+        self, query: LabeledGraph, index: Optional[GraphIndex]
+    ) -> VF2Plan:
+        if self.selection == "id":
+            keys = [(u,) for u in query.vertices()]
+        elif self.selection == "degree":
+            keys = [
+                (-len(nbrs), u) for u, nbrs in enumerate(query.adjacency())
+            ]
+        else:  # rarity
+            freq = index.label_frequencies
+            keys = [
+                (freq.get(lab, 0), u) for u, lab in enumerate(query.labels)
+            ]
+        return VF2Plan(query, self.selection, keys)
+
     def engine(
         self,
         index: GraphIndex,
@@ -92,25 +205,41 @@ class VF2Matcher(Matcher):
         max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
         count_only: bool = False,
         root_candidates: tuple[int, ...] | None = None,
+        plan: Optional[VF2Plan] = None,
     ) -> SearchEngine:
         """See :meth:`Matcher.engine`.
 
-        ``root_candidates`` optionally restricts the stored-graph
-        candidates of the *first* matched query vertex.  Grapes'
-        multithreaded verification partitions the root candidate set
-        into contiguous slices, one per thread — the union of slices
-        explores exactly the full search space, so racing slices is a
-        sound parallelisation of a single VF2 run.
+        ``root_candidates`` optionally replaces level 0's candidate
+        pool — the stored-graph vertices tried for the *first* matched
+        query vertex (still filtered by label).  Grapes' multithreaded
+        verification partitions the root candidate set into contiguous
+        slices, one per thread — the union of slices explores exactly
+        the full search space, so racing slices is a sound
+        parallelisation of a single VF2 run.
+
+        ``plan`` is the shared :meth:`plan` of ``query`` when the
+        caller verifies it against many graphs; left out (or None, as
+        ``rarity`` plans are per graph) the engine plans for itself.
+        Either way the search, its yields and its outcome are the same.
         """
+        if plan is None:
+            plan = self._plan(query, index)
+        elif plan.query is not query or plan.selection != self.selection:
+            raise ValueError(
+                "plan was built for a different query or selection policy"
+            )
         graph = index.graph
         outcome = MatchOutcome(algorithm=self.name)
         nq = query.order
-        if nq == 0:
-            raise ValueError("empty query graph")
+        label_frequencies = index.label_frequencies
         if (
             nq > graph.order
             or query.size > graph.size
-            or not _label_multiset_feasible(index, query)
+            # necessary condition: enough of each label in the store
+            or any(
+                label_frequencies.get(lab, 0) < k
+                for lab, k in plan.need.items()
+            )
         ):
             outcome.exhausted = True
             return outcome
@@ -120,121 +249,41 @@ class VF2Matcher(Matcher):
         adj = index.adjacency
         masks = index.adj_masks
         g_codes = index.label_codes
-        q_adj = query.adjacency()
-        q_masks = query.adjacency_masks()
-        q_labels = query.labels
+        label_index = index.label_index
         # feasibility passed, so every query label exists in the store
-        q_codes = tuple(index.code_of[lab] for lab in q_labels)
-        q_degrees = tuple(len(nbrs) for nbrs in q_adj)
+        code_of = index.code_of
+        labels = plan.labels
+        codes = [code_of[lab] for lab in labels]
+        order = plan.order
+        back = plan.back
+        q_frontiers = plan.q_frontier
+        q_totals = plan.q_total
 
-        q_to_g: dict[int, int] = {}
+        image = [0] * nq  # image[d]: stored-graph vertex of level d
+        pools: list = [None] * nq  # one candidate iterator per level
         matched_mask = 0  # stored-graph vertices in the partial map
-        q_matched_mask = 0  # query vertices in the partial map
-
-        if self.selection == "id":
-            def selection_key(u: int) -> tuple:
-                return (u,)
-        elif self.selection == "degree":
-            def selection_key(u: int) -> tuple:
-                return (-q_degrees[u], u)
-        else:  # rarity
-            def selection_key(u: int) -> tuple:
-                return (
-                    index.label_frequencies.get(q_labels[u], 0), u
-                )
-
-        def next_query_vertex() -> int:
-            """Best unmatched frontier vertex under the policy.
-
-            Falls back to the best unmatched vertex overall when the
-            frontier is empty (search start, or disconnected queries).
-            """
-            best_frontier = -1
-            best_any = -1
-            for u in range(nq):
-                if (q_matched_mask >> u) & 1:
-                    continue
-                if best_any < 0 or selection_key(u) < selection_key(
-                    best_any
-                ):
-                    best_any = u
-                if q_masks[u] & q_matched_mask and (
-                    best_frontier < 0
-                    or selection_key(u) < selection_key(best_frontier)
-                ):
-                    best_frontier = u
-            return best_frontier if best_frontier >= 0 else best_any
-
-        def candidates(u: int) -> list[int]:
-            """Feasible stored-graph candidates for query vertex ``u``.
-
-            Consistency (label match + adjacency to all matched
-            neighbours' images, one bitmask intersection) is checked
-            here; the caller charges one step per candidate and applies
-            the lookahead rules.
-            """
-            lab_code = q_codes[u]
-            imgs = [q_to_g[w] for w in q_adj[u] if (q_matched_mask >> w) & 1]
-            if imgs:
-                # iterate the image neighbourhood of the first matched
-                # neighbour (ID order); require adjacency to the rest
-                # via a single mask intersection
-                first = imgs[0]
-                need = 0
-                for img in imgs[1:]:
-                    need |= 1 << img
-                return [
-                    c
-                    for c in adj[first]
-                    if not (matched_mask >> c) & 1
-                    and g_codes[c] == lab_code
-                    and masks[c] & need == need
-                ]
-            pool = (
-                root_candidates
-                if root_candidates is not None and not q_to_g
-                else index.candidates_by_label(q_labels[u])
+        found = 0
+        level = 0
+        leaf = nq - 1
+        if root_candidates is None:
+            pool = iter(label_index[labels[0]])
+        else:
+            root_code = codes[0]
+            pool = iter(
+                [c for c in root_candidates if g_codes[c] == root_code]
             )
-            return [
-                c
-                for c in pool
-                if not (matched_mask >> c) & 1 and g_codes[c] == lab_code
-            ]
-
-        def record() -> None:
-            outcome.found = True
-            outcome.num_embeddings += 1
-            if not count_only:
-                outcome.embeddings.append(dict(q_to_g))
-
-        def search() -> SearchEngine:
-            nonlocal matched_mask, q_matched_mask
-            if len(q_to_g) == nq:
-                record()
-                return None
-            u = next_query_vertex()
-            # lookahead rules 2/3, query side: constant across the
-            # candidate loop (the partial map is frame-invariant)
-            q_frontier = 0
-            q_rest = 0
-            for w in q_adj[u]:
-                if (q_matched_mask >> w) & 1:
-                    continue
-                if q_masks[w] & q_matched_mask:
-                    q_frontier += 1
-                else:
-                    q_rest += 1
-            q_total = q_frontier + q_rest
-            u_bit = 1 << u
-            pending = 0  # batched candidate-probe steps
-            for c in candidates(u):
+        pools[0] = pool
+        q_frontier = q_frontiers[0]
+        q_total = q_totals[0]
+        pending = 0  # batched candidate-probe steps
+        while level >= 0:
+            for c in pool:
                 pending += 1
                 # lookahead, graph side; counts only grow, so stop as
                 # soon as both dominance conditions hold
-                g_frontier = 0
-                g_rest = 0
-                ok = q_total == 0
-                if not ok:
+                if q_total:
+                    g_frontier = 0
+                    g_rest = 0
                     for d in adj[c]:
                         if (matched_mask >> d) & 1:
                             continue
@@ -246,27 +295,67 @@ class VF2Matcher(Matcher):
                             g_frontier >= q_frontier
                             and g_frontier + g_rest >= q_total
                         ):
-                            ok = True
                             break
-                if not ok:
-                    continue
+                    else:
+                        continue
                 yield pending
                 pending = 0
-                q_to_g[u] = c
+                image[level] = c
+                if level == leaf:
+                    found += 1
+                    if not count_only:
+                        outcome.embeddings.append(dict(zip(order, image)))
+                    if found >= max_embeddings:
+                        level = -1
+                        break
+                    continue
+                # descend: the next level's candidates are consistent
+                # by construction (label match + adjacency to all
+                # matched neighbours' images, one mask intersection)
                 matched_mask |= 1 << c
-                q_matched_mask |= u_bit
-                yield from search()
-                del q_to_g[u]
-                matched_mask &= ~(1 << c)
-                q_matched_mask &= ~u_bit
-                if outcome.num_embeddings >= max_embeddings:
-                    return None
-            if pending:
-                yield pending
-            return None
-
-        yield from search()
+                level += 1
+                levels = back[level]
+                if levels:
+                    # walk the image neighbourhood of the first matched
+                    # neighbour (ID order); the rest must all be
+                    # adjacent too (so is the first, trivially)
+                    lab_code = codes[level]
+                    need = 0
+                    for lv in levels:
+                        need |= 1 << image[lv]
+                    pool = iter([
+                        c
+                        for c in adj[image[levels[0]]]
+                        if not (matched_mask >> c) & 1
+                        and g_codes[c] == lab_code
+                        and masks[c] & need == need
+                    ])
+                else:
+                    # a further component of a disconnected query
+                    pool = iter([
+                        c
+                        for c in label_index[labels[level]]
+                        if not (matched_mask >> c) & 1
+                    ])
+                pools[level] = pool
+                q_frontier = q_frontiers[level]
+                q_total = q_totals[level]
+                break
+            else:
+                # this level's candidates are spent: back up one
+                if pending:
+                    yield pending
+                    pending = 0
+                level -= 1
+                if level < 0 or found >= max_embeddings:
+                    break
+                matched_mask &= ~(1 << image[level])
+                pool = pools[level]
+                q_frontier = q_frontiers[level]
+                q_total = q_totals[level]
         # the search ended on its own (space exhausted or embedding cap
         # reached) — either way this attempt completed, it was not killed
+        outcome.found = found > 0
+        outcome.num_embeddings = found
         outcome.exhausted = True
         return outcome

@@ -289,6 +289,11 @@ class PsiFTV:
     ) -> tuple[VerificationReport, RaceOutcome]:
         """Race the rewritings on one candidate graph's verification."""
         rewritten = self.rewritten_queries(query, graph_id)
+        # one search plan per rewriting, shared by every doubling stage
+        plans = {
+            name: self.index.verify_plan(rq.graph)
+            for name, rq in rewritten.items()
+        }
         cap = budget.max_steps if budget and budget.max_steps else None
         over = self.overhead.cost(len(rewritten))
 
@@ -300,7 +305,9 @@ class PsiFTV:
             stage_budget = Budget(max_steps=stage_cap)
             completions: dict[str, AttemptCost] = {}
             for name, rq in rewritten.items():
-                report = self.index.verify(rq.graph, graph_id, stage_budget)
+                report = self.index.verify(
+                    rq.graph, graph_id, stage_budget, plans[name]
+                )
                 cost = AttemptCost(
                     steps=report.steps,
                     found=report.matched,

@@ -951,16 +951,23 @@ class Service:
         graph's global id in :attr:`graph_bills` (the rebalancer's
         per-graph load signal); the forwarding loop yields exactly what
         ``yield from`` would, so step semantics are untouched.
+
+        The VF2 search plan is a function of the rewritten query alone,
+        so it is built here, once, and shared by the engine of every
+        candidate; it lives as long as the sweep and no longer.
         """
         matched: list[int] = []
         bills = self.graph_bills
+        verifier = self._verifier
+        plan = verifier.plan(query_graph) if candidates else None
         for gid in candidates:
             key = (dataset, gid if id_map is None else id_map[gid])
-            gen = self._verifier.engine(
+            gen = verifier.engine(
                 index.graph_index(gid),
                 query_graph,
                 max_embeddings=1,
                 count_only=True,
+                plan=plan,
             )
             consumed = 0
             try:

@@ -9,6 +9,9 @@ grown from them, then assert the library's fundamental contracts:
 * the path census is permutation-invariant and prefix-closed, and the
   packed-key coded census equals the label-space reference on counts
   and on decoded locations;
+* the plan-driven explicit-stack VF2 yields, batch for batch, what the
+  recursive search it replaced yields (``tests/_vf2_recursive.py``),
+  also when one plan is shared between engines;
 * race outcomes equal the per-variant minimum.
 """
 
@@ -24,11 +27,17 @@ from repro.indexing import (
     label_path_census,
     location_vertices,
 )
-from repro.matching import make_matcher
+from repro.matching import (
+    SELECTION_POLICIES,
+    GraphIndex,
+    VF2Matcher,
+    make_matcher,
+)
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.workload import extract_query
 
+from ._vf2_recursive import RecursiveVF2Matcher
 from .conftest import canonical_embeddings
 
 ALGORITHMS = ("VF2", "QSI", "GQL", "SPA", "ULL", "TUR")
@@ -217,6 +226,128 @@ def test_coded_census_equals_label_reference(
         coded(seq): sorted(vertices)
         for seq, vertices in ref.locations.items()
     }
+
+
+@st.composite
+def vf2_cases(draw):
+    """A stored graph and a query for the VF2 differential: the query
+    is cut out of the store (so it embeds) or drawn on its own, over an
+    alphabet with a label the store may lack; both may be disconnected
+    and hold isolated vertices, and the query may be a single vertex."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+
+    def scatter(n, labels, edges):
+        g = LabeledGraph(n, [rng.choice(labels) for _ in range(n)])
+        for _ in range(edges):
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u != v and not g.has_edge(u, v):
+                g.add_edge(u, v)
+        return g
+
+    n = draw(st.integers(min_value=1, max_value=14))
+    g = scatter(
+        n,
+        "ABC"[:draw(st.integers(min_value=1, max_value=3))],
+        draw(st.integers(min_value=0, max_value=2 * n)),
+    )
+    nq = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        sub, _ = g.induced_subgraph(rng.sample(range(n), min(n, nq)))
+        perm = list(range(sub.order))
+        rng.shuffle(perm)
+        q = sub.permuted(perm)
+    else:
+        q = scatter(
+            nq,
+            "ABCZ"[:draw(st.integers(min_value=1, max_value=4))],
+            draw(st.integers(min_value=0, max_value=nq + 2)),
+        )
+    roots = tuple(
+        sorted(rng.sample(range(n), draw(st.integers(0, n))))
+    )
+    return g, q, roots
+
+
+def _drain(gen, limit=None):
+    """``(yielded values, outcome)``; closed after ``limit`` yields
+    (outcome None) when the engine has more to give."""
+    yielded = []
+    try:
+        while limit is None or len(yielded) < limit:
+            yielded.append(next(gen))
+    except StopIteration as stop:
+        return yielded, stop.value
+    gen.close()
+    return yielded, None
+
+
+def _outcome_fields(outcome):
+    return (
+        outcome.found,
+        outcome.num_embeddings,
+        # item lists: dict equality would forgive a changed key order
+        [list(e.items()) for e in outcome.embeddings],
+        outcome.exhausted,
+        outcome.killed,
+        outcome.algorithm,
+    )
+
+
+@given(case=vf2_cases())
+@settings(max_examples=150, deadline=None)
+def test_vf2_yields_what_the_recursive_search_yields(case):
+    g, q, roots = case
+    index = GraphIndex(g)
+    for policy in SELECTION_POLICIES:
+        new = VF2Matcher(policy)
+        old = RecursiveVF2Matcher(policy)
+        shared = new.plan(q)  # None under rarity: planned per engine
+        for options in (
+            {},
+            {"max_embeddings": 1},
+            {"max_embeddings": 3, "count_only": True},
+            {"root_candidates": roots},
+            {"root_candidates": roots[: len(roots) // 2],
+             "max_embeddings": 2},
+        ):
+            want, want_out = _drain(old.engine(index, q, **options))
+            for plan in (None, shared):
+                got, got_out = _drain(
+                    new.engine(index, q, plan=plan, **options)
+                )
+                assert got == want
+                assert _outcome_fields(got_out) == _outcome_fields(want_out)
+
+
+@given(case=vf2_cases(), k=st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_vf2_engines_leak_nothing_into_a_shared_plan(case, k):
+    """Close both searches after ``k`` yields: the prefixes agree, and
+    a second engine on the same plan — started while the first is
+    suspended mid-search, finished after it is closed — still runs the
+    whole search as if it were alone."""
+    g, q, _ = case
+    index = GraphIndex(g)
+    for policy in ("id", "degree"):
+        new = VF2Matcher(policy)
+        plan = new.plan(q)
+        want, want_out = _drain(
+            RecursiveVF2Matcher(policy).engine(index, q)
+        )
+        first = new.engine(index, q, plan=plan)
+        head = [next(first) for _ in range(min(k, len(want)))]
+        assert head == want[: len(head)]
+        second = new.engine(index, q, plan=plan)
+        got = [next(second) for _ in range(min(1, len(want)))]
+        first.close()
+        rest, got_out = _drain(second)
+        assert got + rest == want
+        assert _outcome_fields(got_out) == _outcome_fields(want_out)
+        killed, _ = _drain(
+            RecursiveVF2Matcher(policy).engine(index, q), limit=k
+        )
+        assert killed == head
 
 
 @given(

@@ -1,11 +1,23 @@
-"""VF2-specific tests: pruning soundness, ID sensitivity, root slicing."""
+"""VF2-specific tests: pruning soundness, ID sensitivity, root slicing,
+pinned step bills and plan sharing."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.graphs import LabeledGraph, gnm_graph, uniform_labels
-from repro.matching import GraphIndex, VF2Matcher, drive, make_matcher
+from repro.harness import build_ftv_graphs
+from repro.matching import (
+    SELECTION_POLICIES,
+    Budget,
+    VF2Matcher,
+    VF2Plan,
+    drive,
+    make_matcher,
+)
+from repro.service import Service
+from repro.workload import extract_query
 
 from .conftest import canonical_embeddings, random_query_from
 
@@ -45,6 +57,54 @@ def test_query_larger_than_graph_refuted_for_free():
     out = VF2Matcher().run(g, q)
     assert not out.found
     assert out.steps == 0
+
+
+def test_deep_query_needs_no_recursion():
+    """A query as deep as the interpreter's recursion limit: the
+    recursive search died with RecursionError (one generator frame per
+    matched vertex); the explicit-stack loop walks the path."""
+    n = 1500
+    path = LabeledGraph.from_edges(
+        ["A"] * n, [(i, i + 1) for i in range(n - 1)]
+    )
+    out = VF2Matcher().decide(path, path)
+    assert out.found
+    assert out.steps == n
+    assert out.exhausted and not out.killed
+
+
+#: sha256 over "query,graph,policy,steps,embeddings;" of the sweep
+#: below, computed with the recursive search at the parent of the
+#: commit that introduced the plan (PR 13)
+PPI_TINY_BILLS = (
+    "39d84c8932bccd6af19d2975ce1186744349aaee95e2fa4e747d2821457c55fc"
+)
+
+
+def test_step_bills_pinned_on_ppi_tiny():
+    """The bills, not just the answers: every (query, graph, policy)
+    step total of a seeded sweep is what the recursive search charged."""
+    graphs = build_ftv_graphs("ppi", "tiny")
+    rng = random.Random(1304)
+    queries = [
+        extract_query(graphs[i % len(graphs)], 5 + i % 6, rng)
+        for i in range(24)
+    ]
+    digest = hashlib.sha256()
+    total = 0
+    for qi, q in enumerate(queries):
+        for gi, g in enumerate(graphs):
+            for policy in SELECTION_POLICIES:
+                out = VF2Matcher(policy).run(
+                    g, q, budget=Budget(max_steps=50_000)
+                )
+                total += out.steps
+                digest.update(
+                    f"{qi},{gi},{policy},{out.steps},"
+                    f"{out.num_embeddings};".encode()
+                )
+    assert total == 46_592
+    assert digest.hexdigest() == PPI_TINY_BILLS
 
 
 def test_node_id_order_changes_cost(small_store):
@@ -96,6 +156,40 @@ class TestRootSlicing:
         )
         assert total_steps == full.steps
 
+    def test_slices_sharing_one_plan_reproduce_the_single_run(self):
+        """Grapes' chunks: contiguous root slices, one shared plan.
+        Run in sequence they visit what the single run visits, in its
+        order, and every prefix of slices costs exactly the single
+        run's steps over those roots (only the batching differs: a
+        slice end flushes failed root probes the single run carries
+        into its next batch)."""
+        g, q = self._setup()
+        m = VF2Matcher()
+        ix = m.prepare(g)
+        plan = m.plan(q)
+        full = m.run(ix, q, max_embeddings=10**6)
+        roots = ix.candidates_by_label(q.label(0))
+        assert len(roots) >= 4
+        cuts = [0, 1, len(roots) // 3, len(roots) // 2, len(roots)]
+        steps = []
+        embeddings = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            out = drive(m.engine(
+                ix, q, max_embeddings=10**6,
+                root_candidates=tuple(roots[lo:hi]), plan=plan,
+            ))
+            steps.append(out.steps)
+            embeddings.extend(out.embeddings)
+            # the slices so far == one unsliced run over their roots
+            prefix = drive(m.engine(
+                ix, q, max_embeddings=10**6,
+                root_candidates=tuple(roots[:hi]),
+            ))
+            assert prefix.steps == sum(steps)
+            assert prefix.embeddings == embeddings
+        assert sum(steps) == full.steps
+        assert embeddings == full.embeddings
+
     def test_empty_slice_is_cheap(self):
         g, q = self._setup()
         m = VF2Matcher()
@@ -132,10 +226,93 @@ def test_lookahead_never_false_dismisses(medium_store):
     )
 
 
+class TestPlanSharing:
+    """One plan per rewritten query, not one per candidate graph."""
+
+    @pytest.fixture()
+    def plans_built(self, monkeypatch):
+        built = []
+        init = VF2Plan.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VF2Plan, "__init__", counting)
+        return built
+
+    def _sweep_inputs(self):
+        svc = Service(workers=2)
+        svc.load_dataset("ppi", scale="tiny")
+        index = svc.catalog.get("ppi").ftv_index
+        graphs = build_ftv_graphs("ppi", "tiny")
+        rng = random.Random(5)
+        for _ in range(50):
+            q = extract_query(graphs[0], 2, rng)
+            candidates = index.filter(q)
+            if len(candidates) >= 2:
+                return svc, index, q, candidates
+        raise AssertionError("no query with two candidates")
+
+    def test_one_sweep_builds_one_plan(self, plans_built):
+        svc, index, q, candidates = self._sweep_inputs()
+        out = drive(svc._ftv_sweep(index, q, candidates, False, "ppi"))
+        assert len(plans_built) == 1
+        # and the shared plan bills each graph what a solo run costs
+        solo = {
+            gid: VF2Matcher().run(
+                index.graph_index(gid), q, max_embeddings=1
+            )
+            for gid in candidates
+        }
+        assert out.steps == sum(o.steps for o in solo.values())
+        assert out.matching_ids == tuple(
+            gid for gid in candidates if solo[gid].found
+        )
+        assert svc.graph_bills == {
+            ("ppi", gid): o.steps for gid, o in solo.items() if o.steps
+        }
+
+    def test_an_empty_sweep_builds_none(self, plans_built):
+        svc, index, q, _ = self._sweep_inputs()
+        out = drive(svc._ftv_sweep(index, q, [], False, "ppi"))
+        assert not out.found and out.steps == 0
+        assert plans_built == []
+
+    def test_index_query_builds_one_plan(self, plans_built):
+        _, index, q, candidates = self._sweep_inputs()
+        result = index.query(q)
+        assert result.candidate_ids == candidates
+        assert len(plans_built) == 1
+
+    def test_rarity_has_no_shared_plan(self, small_store):
+        m = VF2Matcher(selection="rarity")
+        q = random_query_from(small_store, 5, 3)
+        assert m.plan(q) is None
+
+    def test_rarity_plans_per_stored_graph_inside_the_engine(
+        self, small_store, plans_built
+    ):
+        m = VF2Matcher(selection="rarity")
+        q = random_query_from(small_store, 5, 3)
+        ix = m.prepare(small_store)
+        for _ in range(3):
+            drive(m.engine(ix, q, max_embeddings=1, plan=m.plan(q)))
+        assert len(plans_built) == 3
+
+    def test_a_foreign_plan_is_refused(self, small_store):
+        m = VF2Matcher()
+        ix = m.prepare(small_store)
+        q = random_query_from(small_store, 5, 3)
+        other = random_query_from(small_store, 5, 4)
+        with pytest.raises(ValueError):
+            next(m.engine(ix, q, plan=m.plan(other)))
+        with pytest.raises(ValueError):
+            next(m.engine(ix, q, plan=VF2Matcher("degree").plan(q)))
+
+
 class TestSelectionPolicies:
     def test_all_policies_agree_on_answers(self, small_store):
-        from repro.matching import SELECTION_POLICIES
-
         query = random_query_from(small_store, 6, 51)
         base = None
         for policy in SELECTION_POLICIES:
@@ -148,8 +325,6 @@ class TestSelectionPolicies:
             assert embs == base
 
     def test_policies_change_cost(self, medium_store):
-        from repro.matching import SELECTION_POLICIES
-
         query = random_query_from(medium_store, 8, 61)
         steps = {
             policy: VF2Matcher(selection=policy)
