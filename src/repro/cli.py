@@ -9,15 +9,19 @@ Everyday entry points::
                                --algorithms GQL,SPA --rewritings Orig,DND
     python -m repro experiment --name fig2 [--scale tiny]
     python -m repro serve      --dataset yeast --scale tiny
-    python -m repro bench-serve --dataset yeast --scale tiny \
-                               --out BENCH_service.json
+    python -m repro warm       --dataset ppi --scale tiny --store DIR
+    python -m repro scenario   verify scenarios
 
 ``experiment`` regenerates a paper figure/table by name (the same
 drivers the benchmark suite uses); at ``--scale tiny`` it answers in
 seconds, at the default scale it reproduces the benchmark numbers.
 ``serve`` boots the serving layer and replays a multi-tenant workload
-through it; ``bench-serve`` runs the closed-loop load generator and
-writes throughput + latency percentiles as JSON.
+through the closed-loop load generator (or, with ``--listen``, serves
+queries over a socket); ``warm`` persists a warmed catalog for
+``serve --store`` to boot from.  Both map their flags onto one
+:class:`repro.service.spec.ServiceSpec` (:func:`_service_spec`), the
+same value a scenario YAML loads into, and build through it;
+``scenario run --json`` is the machine-readable form of a run.
 """
 
 from __future__ import annotations
@@ -345,155 +349,88 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # serving layer
 # ----------------------------------------------------------------------
 
-def _build_service(args: argparse.Namespace, with_streams: bool = True):
-    """A Service + per-tenant streams for serve/bench-serve.
+def _service_spec(args: argparse.Namespace):
+    """The :class:`~repro.service.spec.ServiceSpec` the parsed
+    ``serve``/``warm`` flags denote; a flag the spec rejects ends the
+    process with the one-line diagnostic, here and nowhere else.
 
-    ``with_streams=False`` (the ``serve --listen`` network path) boots
-    the warmed service without generating a synthetic workload —
-    queries arrive over the socket instead.
+    ``warm`` has only the dataset, layout and ``--algorithms`` flags:
+    it races nothing, so its pool is sized to its algorithm list and
+    the spec checks the names and the layout alone.
     """
-    from .service import Service
-    from .service.admission import AdmissionController, TenantPolicy
-    from .workload import default_tenant_mixes, generate_tenant_stream
+    from .service.spec import (
+        EngineSpec,
+        FaultSpec,
+        PersistenceSpec,
+        ServiceSpec,
+        SpecError,
+        TopologySpec,
+        WorkloadSpec,
+    )
 
-    if args.queries < 1:
-        raise SystemExit("--queries must be >= 1")
-    if args.tenants < 1:
-        raise SystemExit("--tenants must be >= 1")
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    if args.concurrency < 1:
-        raise SystemExit("--concurrency must be >= 1")
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.replicas < 1:
-        raise SystemExit("--replicas must be >= 1")
-    width = (
-        len(args.rewritings.split(","))
-        if args.dataset in FTV_DATASETS
-        else len(args.algorithms.split(","))
-        * len(args.rewritings.split(","))
-    )
-    if width > args.workers:
-        raise SystemExit(
-            f"the race is {width} variants wide but the pool has only "
-            f"{args.workers} workers; raise --workers or shrink "
-            "--algorithms/--rewritings"
-        )
-    policy = TenantPolicy(
-        max_in_flight=args.max_in_flight,
-        step_budget=args.budget,
-    )
-    service = Service(
-        workers=args.workers,
-        admission=AdmissionController(default_policy=policy),
-        plan_seeding=args.plan_seeding,
-        coalesce=not args.no_coalesce,
-        shards=args.shards,
-        replicas=args.replicas,
-        routing=args.routing,
-        assignment=args.assignment,
-        store=getattr(args, "store", None),
-    )
-    service.load_dataset(
-        args.dataset,
-        scale=args.scale,
-        **(
-            {"algorithms": tuple(args.algorithms.split(","))}
-            if args.dataset in NFV_DATASETS
-            else {}
-        ),
-    )
-    if not with_streams:
-        return service, {}
-    # the catalog already built + froze the graphs: grow the workload
-    # streams from them instead of re-building the dataset
-    graphs = service.catalog.get(args.dataset).graphs
-    # more tenants than queries: surplus tenants would have nothing
-    args.tenants = min(args.tenants, args.queries)
-    tenants = args.tenants
-    per_tenant = (args.queries + tenants - 1) // tenants
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    mixes = default_tenant_mixes(
-        tenants,
-        per_tenant,
-        sizes=sizes,
-        repeat_fraction=args.repeat_fraction,
-    )
-    for mix in mixes:
-        service.admission.set_policy(
-            mix.tenant,
-            TenantPolicy(
+    algorithms = tuple(args.algorithms.split(","))
+    topology = {
+        "shards": args.shards,
+        "replicas": args.replicas,
+        "assignment": args.assignment,
+    }
+    try:
+        if args.command == "warm":
+            return ServiceSpec(
+                dataset=args.dataset,
+                scale=args.scale,
+                engine=EngineSpec(
+                    workers=len(algorithms),
+                    algorithms=algorithms,
+                    rewritings=("Orig",),
+                ),
+                topology=TopologySpec(**topology),
+            )
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise SpecError(
+                "workload.sizes",
+                f"expected comma-separated integers, got {args.sizes!r}",
+            ) from None
+        return ServiceSpec(
+            dataset=args.dataset,
+            scale=args.scale,
+            workload=WorkloadSpec(
+                queries=args.queries,
+                tenants=args.tenants,
+                sizes=sizes,
+                repeat_fraction=args.repeat_fraction,
+                seed=args.seed,
+                concurrency=args.concurrency,
+                decision_only=args.decision_only,
+                budget=args.budget,
                 max_in_flight=args.max_in_flight,
-                step_budget=args.budget,
-                weight=mix.weight,
+            ),
+            engine=EngineSpec(
+                workers=args.workers,
+                algorithms=algorithms,
+                rewritings=tuple(args.rewritings.split(",")),
+                plan_seeding=args.plan_seeding,
+                coalesce=not args.no_coalesce,
+            ),
+            topology=TopologySpec(
+                routing=args.routing,
+                rebalance=args.rebalance,
+                rebalance_every=args.rebalance_every,
+                **topology,
+            ),
+            faults=FaultSpec(
+                chaos=args.chaos,
+                seed=args.chaos_seed,
+                horizon=args.chaos_horizon,
+            ),
+            persistence=PersistenceSpec(
+                store=args.store is not None, regrow=args.regrow
             ),
         )
-    streams = {
-        m.tenant: generate_tenant_stream(graphs, m, seed=args.seed)
-        for m in mixes
-    }
-    # trim to exactly the requested query count, preserving tenant order
-    total = sum(len(s) for s in streams.values())
-    excess = total - args.queries
-    for tenant in sorted(streams, reverse=True):
-        while excess > 0 and len(streams[tenant]) > 1:
-            streams[tenant].pop()
-            excess -= 1
-    return service, streams
-
-
-def _serve_options(args: argparse.Namespace):
-    from .service import QueryOptions
-
-    return QueryOptions(
-        algorithms=tuple(args.algorithms.split(",")),
-        rewritings=tuple(args.rewritings.split(",")),
-        decision_only=args.decision_only,
-    )
-
-
-def _build_rebalancer(service, args: argparse.Namespace):
-    """The Rebalancer + quiesce cadence for ``--rebalance`` runs."""
-    from .service import Rebalancer
-
-    if args.rebalance_every < 0:
-        raise SystemExit("--rebalance-every must be >= 0")
-    if not args.rebalance:
-        if args.rebalance_every:
-            raise SystemExit(
-                "--rebalance-every needs --rebalance"
-            )
-        return None, 0
-    if args.shards < 2:
-        raise SystemExit("--rebalance needs --shards >= 2")
-    every = args.rebalance_every or max(1, args.queries // 4)
-    return Rebalancer(service, min_window_steps=512), every
-
-
-def _build_faults(args: argparse.Namespace):
-    """The chaos-mode FaultInjector for ``--chaos`` runs (or None).
-
-    Chaos needs somewhere for rerouted legs to land: each shard must
-    keep a surviving replica, so ``--chaos`` requires ``--replicas``
-    of at least 2.
-    """
-    from .service import chaos_plan
-
-    if not args.chaos:
-        return None
-    if args.shards < 2 or args.replicas < 2:
-        raise SystemExit(
-            "--chaos needs --shards >= 2 and --replicas >= 2 (a kill "
-            "must leave a surviving replica to reroute onto)"
-        )
-    return chaos_plan(
-        args.chaos_seed,
-        num_shards=args.shards,
-        replicas=args.replicas,
-        queries=args.queries,
-        horizon=args.chaos_horizon,
-    )
+    except SpecError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 def cmd_warm(args: argparse.Namespace) -> int:
@@ -505,31 +442,7 @@ def cmd_warm(args: argparse.Namespace) -> int:
     """
     from .store import StoreReader, StoreWriter
 
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.replicas < 1:
-        raise SystemExit("--replicas must be >= 1")
-    if args.shards > 1 or args.replicas > 1:
-        from .service.sharding import ShardedCatalog
-
-        catalog = ShardedCatalog(
-            num_shards=args.shards,
-            assignment=args.assignment,
-            replicas=args.replicas,
-        )
-    else:
-        from .service.catalog import DatasetCatalog
-
-        catalog = DatasetCatalog()
-    catalog.load(
-        args.dataset,
-        scale=args.scale,
-        **(
-            {"algorithms": tuple(args.algorithms.split(","))}
-            if args.dataset in NFV_DATASETS
-            else {}
-        ),
-    )
+    catalog = _service_spec(args).warm_catalog()
     summary = StoreWriter(args.store).write_catalog(catalog)
     layout = (
         f"{args.shards} shard(s) x {args.replicas} replica(s)"
@@ -570,18 +483,20 @@ def _parse_listen(spec: str) -> tuple[str, int]:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the serving layer and replay a multi-tenant workload,
     or (with ``--listen HOST:PORT``) run the asyncio front door."""
-    from .service import run_closed_loop
-
-    if args.listen:
+    spec = _service_spec(args)
+    # a malformed address fails before the warm-up, not after it
+    listen = _parse_listen(args.listen) if args.listen else None
+    service = spec.build_service(store=args.store)
+    if listen:
+        # no synthetic workload: queries arrive over the socket
         from .obs.server import DEFAULT_STEPS_PER_SECOND, run_front_door
 
-        host, port = _parse_listen(args.listen)
+        host, port = listen
         steps_per_second = (
             args.steps_per_second
             if args.steps_per_second is not None
             else DEFAULT_STEPS_PER_SECOND
         )
-        service, _ = _build_service(args, with_streams=False)
 
         def ready(bound_host: str, bound_port: int) -> None:
             _print(f"listening on {bound_host}:{bound_port}")
@@ -601,20 +516,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         return 0
 
-    service, streams = _build_service(args)
-    rebalancer, every = _build_rebalancer(service, args)
-    faults = _build_faults(args)
-    report = run_closed_loop(
-        service,
-        args.dataset,
-        streams,
-        options=_serve_options(args),
-        concurrency=args.concurrency,
-        rebalancer=rebalancer,
-        rebalance_every=every,
-        faults=faults,
-        regrow=args.regrow,
-    )
+    streams = spec.tenant_streams(service)
+    report = spec.drive(service, streams)
     payload = report.as_json()
     shard_note = (
         f", {args.shards} shards"
@@ -625,7 +528,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     table = Table(
         f"serve: {sum(len(s) for s in streams.values())} queries on "
-        f"{args.dataset} ({args.scale}), {args.tenants} tenants, "
+        f"{args.dataset} ({args.scale}), {spec.tenants} tenants, "
         f"{args.workers} workers{shard_note}",
         ["tenant", "submitted", "completed", "cache hits", "rejected"],
     )
@@ -771,60 +674,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
             continue
         # clean end of stream (server drained, or --frames satisfied)
         return 0
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Closed-loop load generation; writes BENCH_service.json."""
-    import json
-
-    from .service import run_closed_loop
-
-    service, streams = _build_service(args)
-    rebalancer, every = _build_rebalancer(service, args)
-    faults = _build_faults(args)
-    report = run_closed_loop(
-        service,
-        args.dataset,
-        streams,
-        options=_serve_options(args),
-        concurrency=args.concurrency,
-        rebalancer=rebalancer,
-        rebalance_every=every,
-        faults=faults,
-        regrow=args.regrow,
-        config={
-            "dataset": args.dataset,
-            "scale": args.scale,
-            "queries": sum(len(s) for s in streams.values()),
-            "tenants": args.tenants,
-            "workers": args.workers,
-            "shards": args.shards,
-            "replicas": args.replicas,
-            "chaos": args.chaos,
-            "chaos_seed": args.chaos_seed,
-            "routing": args.routing,
-            "assignment": args.assignment,
-            "decision_only": args.decision_only,
-            "rebalance": args.rebalance,
-            "concurrency": args.concurrency,
-            "budget": args.budget,
-            "seed": args.seed,
-            "plan_seeding": args.plan_seeding,
-            "coalesce": not args.no_coalesce,
-            "store": args.store,
-            "regrow": args.regrow,
-        },
-    )
-    payload = report.as_json()
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-    tp = payload["throughput"]
-    _print(
-        f"{tp['queries']} queries in {tp['virtual_steps']} virtual "
-        f"steps ({tp['queries_per_mstep']:.2f} q/Mstep, "
-        f"{tp['queries_per_second']:.1f} q/s wall); wrote {args.out}"
-    )
-    return 0
 
 
 NFV_EXPERIMENTS = (
@@ -1043,80 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tiny")
     p.set_defaults(fn=cmd_experiment)
 
-    def add_serve_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", default="yeast",
-                       choices=NFV_DATASETS + FTV_DATASETS)
-        p.add_argument("--scale", choices=("default", "tiny"),
-                       default="default")
-        p.add_argument("--queries", type=int, default=50,
-                       help="total queries across all tenants")
-        p.add_argument("--tenants", type=int, default=3)
-        p.add_argument("--workers", type=int, default=4,
-                       help="simulated worker pool size (per shard)")
-        p.add_argument("--shards", type=int, default=1,
-                       help="catalog shards; each gets its own worker "
-                            "pool and queries fan out across them")
-        p.add_argument("--replicas", type=int, default=1,
-                       help="warm replicas per shard; each gets its "
-                            "own worker pool and legs land on the "
-                            "least-loaded live one")
-        p.add_argument("--chaos", action="store_true",
-                       help="inject a seeded deterministic fault plan "
-                            "(replica kills, pool wedges, task "
-                            "failures); needs --replicas >= 2")
-        p.add_argument("--chaos-seed", type=int, default=1337,
-                       help="seed for the chaos fault plan")
-        p.add_argument("--chaos-horizon", type=int, default=0,
-                       help="schedule faults on the virtual clock up "
-                            "to this step (0 = schedule on query "
-                            "completions instead)")
-        p.add_argument("--routing", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="sketch-routed fan-outs: prune provably-"
-                            "empty shards and stage decision queries "
-                            "in expected-first-true wave order "
-                            "(--no-routing = the PR 4 full fan-out)")
-        p.add_argument("--assignment", default="size_balanced",
-                       choices=("size_balanced", "hash"),
-                       help="initial shard assignment strategy")
-        p.add_argument("--decision-only", action="store_true",
-                       help="existence answers only: sweeps stop at "
-                            "the first match and the first true shard "
-                            "settles the query")
-        p.add_argument("--rebalance", action="store_true",
-                       help="migrate graphs off hot shards at quiesce "
-                            "points when per-shard step bills skew")
-        p.add_argument("--rebalance-every", type=int, default=0,
-                       help="completions between quiesce checks "
-                            "(0 = queries/4)")
-        p.add_argument("--concurrency", type=int, default=1,
-                       help="closed-loop in-flight queries per tenant")
-        p.add_argument("--max-in-flight", type=int, default=4,
-                       help="admission cap per tenant")
-        p.add_argument("--algorithms", default="GQL,SPA")
-        p.add_argument("--rewritings", default="Orig,DND")
-        p.add_argument("--sizes", default="4,8,12",
-                       help="query-size strata (edges)")
-        p.add_argument("--repeat-fraction", type=float, default=0.35,
-                       help="fraction of repeated (isomorphic) queries")
-        p.add_argument("--budget", type=int, default=200_000)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--plan-seeding", action="store_true",
-                       help="seed near-miss races from the plan cache "
-                            "(cached winner + one challenger)")
-        p.add_argument("--no-coalesce", action="store_true",
-                       help="disable in-flight request coalescing")
-        p.add_argument("--store", metavar="DIR", default=None,
-                       help="boot warm state from a persisted artifact "
-                            "store (written by `repro warm --store`); "
-                            "corrupt or absent artifacts fall back to "
-                            "an in-process rebuild")
-        p.add_argument("--regrow", action="store_true",
-                       help="heal permanent replica losses mid-load: "
-                            "each killed replica is replaced via "
-                            "Service.add_replica (booting from --store "
-                            "when one is attached)")
-
     p = sub.add_parser(
         "warm",
         help="warm a catalog and persist it to an artifact store",
@@ -1144,7 +919,78 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="boot the serving layer and replay a multi-tenant workload",
     )
-    add_serve_args(p)
+    p.add_argument("--dataset", default="yeast",
+                   choices=NFV_DATASETS + FTV_DATASETS)
+    p.add_argument("--scale", choices=("default", "tiny"),
+                   default="default")
+    p.add_argument("--queries", type=int, default=50,
+                   help="total queries across all tenants")
+    p.add_argument("--tenants", type=int, default=3)
+    p.add_argument("--workers", type=int, default=4,
+                   help="simulated worker pool size (per shard)")
+    p.add_argument("--shards", type=int, default=1,
+                   help="catalog shards; each gets its own worker "
+                        "pool and queries fan out across them")
+    p.add_argument("--replicas", type=int, default=1,
+                   help="warm replicas per shard; each gets its "
+                        "own worker pool and legs land on the "
+                        "least-loaded live one")
+    p.add_argument("--chaos", action="store_true",
+                   help="inject a seeded deterministic fault plan "
+                        "(replica kills, pool wedges, task "
+                        "failures); needs --replicas >= 2")
+    p.add_argument("--chaos-seed", type=int, default=1337,
+                   help="seed for the chaos fault plan")
+    p.add_argument("--chaos-horizon", type=int, default=0,
+                   help="schedule faults on the virtual clock up "
+                        "to this step (0 = schedule on query "
+                        "completions instead)")
+    p.add_argument("--routing", default=True,
+                   action=argparse.BooleanOptionalAction,
+                   help="sketch-routed fan-outs: prune provably-"
+                        "empty shards and stage decision queries "
+                        "in expected-first-true wave order "
+                        "(--no-routing = the PR 4 full fan-out)")
+    p.add_argument("--assignment", default="size_balanced",
+                   choices=("size_balanced", "hash"),
+                   help="initial shard assignment strategy")
+    p.add_argument("--decision-only", action="store_true",
+                   help="existence answers only: sweeps stop at "
+                        "the first match and the first true shard "
+                        "settles the query")
+    p.add_argument("--rebalance", action="store_true",
+                   help="migrate graphs off hot shards at quiesce "
+                        "points when per-shard step bills skew")
+    p.add_argument("--rebalance-every", type=int, default=0,
+                   help="completions between quiesce checks "
+                        "(0 = queries/4)")
+    p.add_argument("--concurrency", type=int, default=1,
+                   help="closed-loop in-flight queries per tenant")
+    p.add_argument("--max-in-flight", type=int, default=4,
+                   help="admission cap per tenant")
+    p.add_argument("--algorithms", default="GQL,SPA")
+    p.add_argument("--rewritings", default="Orig,DND")
+    p.add_argument("--sizes", default="4,8,12",
+                   help="query-size strata (edges)")
+    p.add_argument("--repeat-fraction", type=float, default=0.35,
+                   help="fraction of repeated (isomorphic) queries")
+    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--plan-seeding", action="store_true",
+                   help="seed near-miss races from the plan cache "
+                        "(cached winner + one challenger)")
+    p.add_argument("--no-coalesce", action="store_true",
+                   help="disable in-flight request coalescing")
+    p.add_argument("--store", metavar="DIR", default=None,
+                   help="boot warm state from a persisted artifact "
+                        "store (written by `repro warm --store`); "
+                        "corrupt or absent artifacts fall back to "
+                        "an in-process rebuild")
+    p.add_argument("--regrow", action="store_true",
+                   help="heal permanent replica losses mid-load: "
+                        "each killed replica is replaced via "
+                        "Service.add_replica (booting from --store "
+                        "when one is attached)")
     p.add_argument("--verbose", action="store_true",
                    help="print one line per completed query")
     p.add_argument("--listen", metavar="HOST:PORT", default=None,
@@ -1180,14 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-frame read timeout in seconds (default: "
                         "10x --interval)")
     p.set_defaults(fn=cmd_tail)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="closed-loop service load generator (writes JSON)",
-    )
-    add_serve_args(p)
-    p.add_argument("--out", default="BENCH_service.json")
-    p.set_defaults(fn=cmd_bench_serve)
 
     p = sub.add_parser(
         "scenario",

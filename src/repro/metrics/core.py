@@ -265,7 +265,7 @@ class LatencySummary:
     maximum: float
 
     def as_dict(self) -> dict:
-        """JSON-friendly form (BENCH_service.json, service stats)."""
+        """JSON-friendly form (load reports, service stats)."""
         return {
             "count": self.count,
             "mean": self.mean,

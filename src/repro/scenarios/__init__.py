@@ -8,9 +8,10 @@ experiment instead of a hand-wired flag spelling.  Three layers:
 
 * :mod:`repro.scenarios.yamlite` — the strict stdlib YAML-subset
   parser the configs are written in;
-* :mod:`repro.scenarios.config` — the schema
-  (:class:`ScenarioConfig` and its section dataclasses), validated
-  with full dotted error paths and losslessly round-trippable;
+* :mod:`repro.scenarios.config` — the schema (:class:`ScenarioConfig`:
+  a :class:`repro.service.spec.ServiceSpec` plus the ``mutations``
+  and ``expect`` sections), validated with full dotted error paths
+  and losslessly round-trippable;
 * :mod:`repro.scenarios.runner` — the generic conformance runner
   (:class:`ScenarioRunner` -> :class:`ScenarioResult`) plus the
   ``expect``-block evaluator and the directory-level
@@ -22,15 +23,10 @@ schema reference.
 """
 
 from .config import (
-    EngineSpec,
     ExpectSpec,
-    FaultSpec,
     MutationSpec,
-    PersistenceSpec,
     ScenarioConfig,
     ScenarioConfigError,
-    TopologySpec,
-    WorkloadSpec,
     load_scenario_dir,
     load_scenario_file,
 )
@@ -46,18 +42,13 @@ from .runner import (
 from .yamlite import YamliteError, dumps, loads
 
 __all__ = [
-    "EngineSpec",
     "ExpectSpec",
-    "FaultSpec",
     "MutationSpec",
-    "PersistenceSpec",
     "ScenarioConfig",
     "ScenarioConfigError",
     "ScenarioError",
     "ScenarioResult",
     "ScenarioRunner",
-    "TopologySpec",
-    "WorkloadSpec",
     "YamliteError",
     "dumps",
     "evaluate_expect",

@@ -1,19 +1,20 @@
 """The declarative scenario schema: dataclasses + strict loader.
 
 A :class:`ScenarioConfig` is one serving experiment expressed as data:
-the workload (tenant mix, streams, decision/full mode, budgets), the
-topology (shards, replicas, assignment, routing, rebalance cadence),
-the fault plan (chaos seed/horizon, store corruption classes), the
-persistence mode (warm-to-store cold boot, mid-run regrow), and an
+a :class:`repro.service.spec.ServiceSpec` — the workload, engine,
+topology, fault plan and persistence mode that say which service the
+experiment means, and the code that builds it — extended with a name,
+the ``mutations`` update stream driven beside the queries, and an
 ``expect`` block of assertions evaluated against the run's
 :class:`~repro.scenarios.runner.ScenarioResult`.
 
-Loading is strict by construction:
+Loading is strict by construction (the machinery is the spec's):
 
 * every key is checked against the schema — an unknown or misspelled
   key fails with its **full dotted path** (``topology.replica: unknown
   key``), never a silent default;
-* every value is type- and range-checked with the same dotted paths;
+* every value is type- and range-checked with the same dotted paths,
+  and every algorithm and rewriting name must resolve;
 * cross-section rules (chaos needs a replicated topology, corruption
   classes need a store, the race must fit the worker pool) are
   validated at load time so a config that parses is a config that runs.
@@ -26,364 +27,55 @@ output back as parseable YAML — the round-trip contract
 
 from __future__ import annotations
 
-import argparse
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..harness import FTV_DATASETS
+from ..service.faults import StoreFaultInjector
+from ..service.spec import (
+    Section,
+    ServiceSpec,
+    SpecError,
+    check_bool,
+    check_fraction,
+    check_int,
+    check_optional,
+    check_section,
+    check_str,
+    check_tuple,
+)
 from .yamlite import YamliteError, loads
 
 __all__ = [
-    "EngineSpec",
     "ExpectSpec",
-    "FaultSpec",
     "MutationSpec",
-    "PersistenceSpec",
     "ScenarioConfig",
     "ScenarioConfigError",
-    "TopologySpec",
-    "WorkloadSpec",
     "load_scenario_file",
     "load_scenario_dir",
 ]
 
-#: corruption taxonomy accepted by ``faults.store_corruption`` — must
-#: stay a subset of ``StoreFaultInjector.CORRUPTIONS`` (asserted in
-#: tests); restated here so loading a config never imports the
-#: service stack
-STORE_CORRUPTIONS = (
-    "torn_write",
-    "truncate",
-    "bit_flip",
-    "delete_blob",
-    "version_skew",
-    "stale_manifest",
-    "duplicate_manifest",
-)
+#: the schema's names for the injector's corruption taxonomies:
+#: ``faults.store_corruption`` draws from the first,
+#: ``mutations.corrupt`` from the second
+STORE_CORRUPTIONS = StoreFaultInjector.CORRUPTIONS
+JOURNAL_CORRUPTIONS = StoreFaultInjector.JOURNAL_CORRUPTIONS
 
-#: journal corruption taxonomy accepted by ``mutations.corrupt`` —
-#: must stay a subset of ``StoreFaultInjector.JOURNAL_CORRUPTIONS``
-#: (asserted in tests); restated here for the same no-import reason
-JOURNAL_CORRUPTIONS = (
-    "journal_torn_tail",
-    "journal_truncate",
-    "journal_bit_flip",
-    "journal_duplicate_record",
-    "journal_reorder_records",
-)
+#: what the scenario surface has always called a schema violation
+ScenarioConfigError = SpecError
 
 _NAME = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
 _DIGEST = re.compile(r"^[0-9a-f]{16}$")
-
-
-class ScenarioConfigError(ValueError):
-    """A schema violation, carrying the full dotted key path."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        super().__init__(f"{path}: {message}")
+_SIBLING = check_str(pattern=_NAME, nonempty=True)
 
 
 # ----------------------------------------------------------------------
-# strict mapping readers (every helper speaks dotted paths)
-# ----------------------------------------------------------------------
-
-def _mapping(value, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ScenarioConfigError(
-            path, f"expected a mapping, got {type(value).__name__}"
-        )
-    return value
-
-
-def _reject_unknown(mapping: dict, allowed, path: str) -> None:
-    for key in sorted(set(mapping) - set(allowed)):
-        full = f"{path}.{key}" if path else str(key)
-        raise ScenarioConfigError(full, "unknown key")
-
-
-def _path(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _get_int(m, key, path, default, minimum=None, maximum=None) -> int:
-    value = m.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioConfigError(
-            _path(path, key),
-            f"expected an integer, got {value!r}",
-        )
-    if minimum is not None and value < minimum:
-        raise ScenarioConfigError(
-            _path(path, key), f"must be >= {minimum}, got {value}"
-        )
-    if maximum is not None and value > maximum:
-        raise ScenarioConfigError(
-            _path(path, key), f"must be <= {maximum}, got {value}"
-        )
-    return value
-
-
-def _get_opt_int(m, key, path, minimum=0):
-    if key not in m or m[key] is None:
-        return None
-    return _get_int(m, key, path, 0, minimum=minimum)
-
-
-def _get_bool(m, key, path, default) -> bool:
-    value = m.get(key, default)
-    if not isinstance(value, bool):
-        raise ScenarioConfigError(
-            _path(path, key), f"expected true/false, got {value!r}"
-        )
-    return value
-
-
-def _get_float(m, key, path, default, lo=None, hi=None) -> float:
-    value = m.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioConfigError(
-            _path(path, key), f"expected a number, got {value!r}"
-        )
-    value = float(value)
-    if lo is not None and value < lo:
-        raise ScenarioConfigError(
-            _path(path, key), f"must be >= {lo}, got {value}"
-        )
-    if hi is not None and value >= hi:
-        raise ScenarioConfigError(
-            _path(path, key), f"must be < {hi}, got {value}"
-        )
-    return value
-
-
-def _get_str(m, key, path, default, choices=None, pattern=None) -> str:
-    value = m.get(key, default)
-    if not isinstance(value, str):
-        raise ScenarioConfigError(
-            _path(path, key), f"expected a string, got {value!r}"
-        )
-    if choices is not None and value not in choices:
-        raise ScenarioConfigError(
-            _path(path, key),
-            f"must be one of {', '.join(choices)}; got {value!r}",
-        )
-    if pattern is not None and value and not pattern.match(value):
-        raise ScenarioConfigError(
-            _path(path, key), f"malformed value {value!r}"
-        )
-    return value
-
-
-def _get_tuple(m, key, path, default, item_check, nonempty=False) -> tuple:
-    value = m.get(key)
-    if value is None and key not in m:
-        return tuple(default)
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioConfigError(
-            _path(path, key), f"expected a list, got {value!r}"
-        )
-    if nonempty and not value:
-        raise ScenarioConfigError(
-            _path(path, key), "must not be empty"
-        )
-    out = []
-    for i, item in enumerate(value):
-        out.append(item_check(item, f"{_path(path, key)}[{i}]"))
-    return tuple(out)
-
-
-def _item_int(value, path, minimum=1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioConfigError(
-            path, f"expected an integer, got {value!r}"
-        )
-    if value < minimum:
-        raise ScenarioConfigError(
-            path, f"must be >= {minimum}, got {value}"
-        )
-    return value
-
-
-def _item_str(value, path, choices=None, pattern=None) -> str:
-    if not isinstance(value, str) or not value:
-        raise ScenarioConfigError(
-            path, f"expected a non-empty string, got {value!r}"
-        )
-    if choices is not None and value not in choices:
-        raise ScenarioConfigError(
-            path, f"must be one of {', '.join(choices)}; got {value!r}"
-        )
-    if pattern is not None and not pattern.match(value):
-        raise ScenarioConfigError(path, f"malformed value {value!r}")
-    return value
-
-
-# ----------------------------------------------------------------------
-# sections
+# the scenario-only sections
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """The multi-tenant stream: what arrives, how hard, how fast."""
-
-    queries: int = 30
-    tenants: int = 3
-    sizes: tuple[int, ...] = (4, 8, 12)
-    repeat_fraction: float = 0.35
-    seed: int = 42
-    concurrency: int = 1
-    decision_only: bool = False
-    budget: int = 200_000
-    max_in_flight: int = 4
-
-    _KEYS = (
-        "queries", "tenants", "sizes", "repeat_fraction", "seed",
-        "concurrency", "decision_only", "budget", "max_in_flight",
-    )
-
-    @classmethod
-    def from_dict(cls, data, path="workload") -> "WorkloadSpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        return cls(
-            queries=_get_int(m, "queries", path, 30, minimum=1),
-            tenants=_get_int(m, "tenants", path, 3, minimum=1),
-            sizes=_get_tuple(
-                m, "sizes", path, (4, 8, 12),
-                lambda v, p: _item_int(v, p, minimum=1),
-                nonempty=True,
-            ),
-            repeat_fraction=_get_float(
-                m, "repeat_fraction", path, 0.35, lo=0.0, hi=1.0
-            ),
-            seed=_get_int(m, "seed", path, 42, minimum=0),
-            concurrency=_get_int(m, "concurrency", path, 1, minimum=1),
-            decision_only=_get_bool(m, "decision_only", path, False),
-            budget=_get_int(m, "budget", path, 200_000, minimum=1),
-            max_in_flight=_get_int(
-                m, "max_in_flight", path, 4, minimum=1
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """The racing engine: pool width, variant set, cache behaviour."""
-
-    workers: int = 4
-    algorithms: tuple[str, ...] = ("GQL", "SPA")
-    rewritings: tuple[str, ...] = ("Orig", "DND")
-    plan_seeding: bool = False
-    coalesce: bool = True
-
-    _KEYS = (
-        "workers", "algorithms", "rewritings", "plan_seeding", "coalesce",
-    )
-
-    @classmethod
-    def from_dict(cls, data, path="engine") -> "EngineSpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        return cls(
-            workers=_get_int(m, "workers", path, 4, minimum=1),
-            algorithms=_get_tuple(
-                m, "algorithms", path, ("GQL", "SPA"), _item_str,
-                nonempty=True,
-            ),
-            rewritings=_get_tuple(
-                m, "rewritings", path, ("Orig", "DND"), _item_str,
-                nonempty=True,
-            ),
-            plan_seeding=_get_bool(m, "plan_seeding", path, False),
-            coalesce=_get_bool(m, "coalesce", path, True),
-        )
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Shard/replica layout and the routing/rebalance switches."""
-
-    shards: int = 1
-    replicas: int = 1
-    routing: bool = True
-    assignment: str = "size_balanced"
-    rebalance: bool = False
-    rebalance_every: int = 0
-
-    _KEYS = (
-        "shards", "replicas", "routing", "assignment", "rebalance",
-        "rebalance_every",
-    )
-
-    @classmethod
-    def from_dict(cls, data, path="topology") -> "TopologySpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        return cls(
-            shards=_get_int(m, "shards", path, 1, minimum=1),
-            replicas=_get_int(m, "replicas", path, 1, minimum=1),
-            routing=_get_bool(m, "routing", path, True),
-            assignment=_get_str(
-                m, "assignment", path, "size_balanced",
-                choices=("size_balanced", "hash"),
-            ),
-            rebalance=_get_bool(m, "rebalance", path, False),
-            rebalance_every=_get_int(
-                m, "rebalance_every", path, 0, minimum=0
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Deterministic injections: runtime chaos + store corruption."""
-
-    chaos: bool = False
-    seed: int = 1337
-    horizon: int = 0
-    store_corruption: tuple[str, ...] = ()
-
-    _KEYS = ("chaos", "seed", "horizon", "store_corruption")
-
-    @classmethod
-    def from_dict(cls, data, path="faults") -> "FaultSpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        return cls(
-            chaos=_get_bool(m, "chaos", path, False),
-            seed=_get_int(m, "seed", path, 1337, minimum=0),
-            horizon=_get_int(m, "horizon", path, 0, minimum=0),
-            store_corruption=_get_tuple(
-                m, "store_corruption", path, (),
-                lambda v, p: _item_str(v, p, choices=STORE_CORRUPTIONS),
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class PersistenceSpec:
-    """Artifact-store mode: warm-to-disk cold boot and mid-run regrow."""
-
-    store: bool = False
-    regrow: bool = False
-
-    _KEYS = ("store", "regrow")
-
-    @classmethod
-    def from_dict(cls, data, path="persistence") -> "PersistenceSpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        return cls(
-            store=_get_bool(m, "store", path, False),
-            regrow=_get_bool(m, "regrow", path, False),
-        )
-
-
-@dataclass(frozen=True)
-class MutationSpec:
+class MutationSpec(Section):
     """The update stream: journaled add/remove mutations interleaved
     with queries at quiesce points (``count: 0`` = static collection).
 
@@ -405,35 +97,24 @@ class MutationSpec:
     crash_replay: bool = False
     corrupt: tuple[str, ...] = ()
 
-    _KEYS = (
-        "count", "batch", "every", "seed", "add_fraction",
-        "verify_oracle", "journal", "crash_replay", "corrupt",
-    )
-
-    @classmethod
-    def from_dict(cls, data, path="mutations") -> "MutationSpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        return cls(
-            count=_get_int(m, "count", path, 0, minimum=0),
-            batch=_get_int(m, "batch", path, 2, minimum=1),
-            every=_get_int(m, "every", path, 8, minimum=1),
-            seed=_get_int(m, "seed", path, 7, minimum=0),
-            add_fraction=_get_float(
-                m, "add_fraction", path, 0.6, lo=0.0, hi=1.0
-            ),
-            verify_oracle=_get_bool(m, "verify_oracle", path, True),
-            journal=_get_bool(m, "journal", path, False),
-            crash_replay=_get_bool(m, "crash_replay", path, False),
-            corrupt=_get_tuple(
-                m, "corrupt", path, (),
-                lambda v, p: _item_str(v, p, choices=JOURNAL_CORRUPTIONS),
-            ),
-        )
+    _PATH = "mutations"
+    _CHECKS = {
+        "count": check_int(0),
+        "batch": check_int(1),
+        "every": check_int(1),
+        "seed": check_int(0),
+        "add_fraction": check_fraction,
+        "verify_oracle": check_bool,
+        "journal": check_bool,
+        "crash_replay": check_bool,
+        "corrupt": check_tuple(
+            check_str(choices=JOURNAL_CORRUPTIONS, nonempty=True)
+        ),
+    }
 
 
 @dataclass(frozen=True)
-class ExpectSpec:
+class ExpectSpec(Section):
     """Assertions evaluated against the scenario's result.
 
     Digest pins are exact (``answers_digest``/``decisions_digest``);
@@ -471,60 +152,30 @@ class ExpectSpec:
     waste_below: str = ""
     p95_within: str = ""
 
-    _KEYS = (
-        "answers_digest", "decisions_digest", "answers_match",
-        "decisions_match", "lost", "killed", "degraded", "rerouted_min",
-        "injected_min", "migrations_min", "cache_hits_min",
-        "restores_min", "corrupt_min", "regrown_min",
-        "mutations_applied", "oracle_mismatches", "replayed_min",
-        "journal_corrupt_min", "replay_match", "waste_below",
-        "p95_within",
-    )
-
-    @classmethod
-    def from_dict(cls, data, path="expect") -> "ExpectSpec":
-        m = _mapping(data, path)
-        _reject_unknown(m, cls._KEYS, path)
-        sib = lambda v, p: _item_str(v, p, pattern=_NAME)  # noqa: E731
-        return cls(
-            answers_digest=_get_str(
-                m, "answers_digest", path, "", pattern=_DIGEST
-            ),
-            decisions_digest=_get_str(
-                m, "decisions_digest", path, "", pattern=_DIGEST
-            ),
-            answers_match=_get_tuple(m, "answers_match", path, (), sib),
-            decisions_match=_get_tuple(
-                m, "decisions_match", path, (), sib
-            ),
-            lost=_get_opt_int(m, "lost", path),
-            killed=_get_opt_int(m, "killed", path),
-            degraded=_get_opt_int(m, "degraded", path),
-            rerouted_min=_get_int(m, "rerouted_min", path, 0, minimum=0),
-            injected_min=_get_int(m, "injected_min", path, 0, minimum=0),
-            migrations_min=_get_int(
-                m, "migrations_min", path, 0, minimum=0
-            ),
-            cache_hits_min=_get_int(
-                m, "cache_hits_min", path, 0, minimum=0
-            ),
-            restores_min=_get_int(m, "restores_min", path, 0, minimum=0),
-            corrupt_min=_get_int(m, "corrupt_min", path, 0, minimum=0),
-            regrown_min=_get_int(m, "regrown_min", path, 0, minimum=0),
-            mutations_applied=_get_opt_int(m, "mutations_applied", path),
-            oracle_mismatches=_get_opt_int(m, "oracle_mismatches", path),
-            replayed_min=_get_int(m, "replayed_min", path, 0, minimum=0),
-            journal_corrupt_min=_get_int(
-                m, "journal_corrupt_min", path, 0, minimum=0
-            ),
-            replay_match=_get_bool(m, "replay_match", path, False),
-            waste_below=_get_str(
-                m, "waste_below", path, "", pattern=_NAME
-            ),
-            p95_within=_get_str(
-                m, "p95_within", path, "", pattern=_NAME
-            ),
-        )
+    _PATH = "expect"
+    _CHECKS = {
+        "answers_digest": check_str(pattern=_DIGEST),
+        "decisions_digest": check_str(pattern=_DIGEST),
+        "answers_match": check_tuple(_SIBLING),
+        "decisions_match": check_tuple(_SIBLING),
+        "lost": check_optional(check_int(0)),
+        "killed": check_optional(check_int(0)),
+        "degraded": check_optional(check_int(0)),
+        "rerouted_min": check_int(0),
+        "injected_min": check_int(0),
+        "migrations_min": check_int(0),
+        "cache_hits_min": check_int(0),
+        "restores_min": check_int(0),
+        "corrupt_min": check_int(0),
+        "regrown_min": check_int(0),
+        "mutations_applied": check_optional(check_int(0)),
+        "oracle_mismatches": check_optional(check_int(0)),
+        "replayed_min": check_int(0),
+        "journal_corrupt_min": check_int(0),
+        "replay_match": check_bool,
+        "waste_below": check_str(pattern=_NAME),
+        "p95_within": check_str(pattern=_NAME),
+    }
 
     def siblings(self) -> tuple[str, ...]:
         """Every sibling scenario name this block references."""
@@ -544,94 +195,33 @@ class ExpectSpec:
 # the config
 # ----------------------------------------------------------------------
 
-_TOP_KEYS = (
-    "name", "description", "dataset", "scale", "workload", "engine",
-    "topology", "faults", "persistence", "mutations", "expect",
-)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(ServiceSpec):
     """One declarative serving experiment (see module docstring)."""
 
     name: str
-    dataset: str
     description: str = ""
-    scale: str = "tiny"
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    engine: EngineSpec = field(default_factory=EngineSpec)
-    topology: TopologySpec = field(default_factory=TopologySpec)
-    faults: FaultSpec = field(default_factory=FaultSpec)
-    persistence: PersistenceSpec = field(default_factory=PersistenceSpec)
     mutations: MutationSpec = field(default_factory=MutationSpec)
     expect: ExpectSpec = field(default_factory=ExpectSpec)
 
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Build + validate a config; rejects unknown keys with their
-        full dotted path."""
-        from ..harness import FTV_DATASETS, NFV_DATASETS
-
-        m = _mapping(data, "<config>")
-        _reject_unknown(m, _TOP_KEYS, "")
-        name = _get_str(m, "name", "", "", pattern=_NAME)
-        if not name:
-            raise ScenarioConfigError("name", "required")
-        dataset = _get_str(
-            m, "dataset", "", "",
-            choices=NFV_DATASETS + FTV_DATASETS,
-        )
-        cfg = cls(
-            name=name,
-            dataset=dataset,
-            description=_get_str(m, "description", "", ""),
-            scale=_get_str(
-                m, "scale", "", "tiny", choices=("tiny", "default")
-            ),
-            workload=WorkloadSpec.from_dict(m.get("workload")),
-            engine=EngineSpec.from_dict(m.get("engine")),
-            topology=TopologySpec.from_dict(m.get("topology")),
-            faults=FaultSpec.from_dict(m.get("faults")),
-            persistence=PersistenceSpec.from_dict(m.get("persistence")),
-            mutations=MutationSpec.from_dict(m.get("mutations")),
-            expect=ExpectSpec.from_dict(m.get("expect")),
-        )
-        cfg._validate_cross()
-        return cfg
+    _CHECKS = {
+        "name": check_str(pattern=_NAME, nonempty=True),
+        "description": check_str(),
+        **ServiceSpec._CHECKS,
+        "mutations": check_section(MutationSpec),
+        "expect": check_section(ExpectSpec),
+    }
 
     def _validate_cross(self) -> None:
-        """Cross-section rules: a config that loads is one that runs."""
-        from ..harness import FTV_DATASETS
-
-        t, f, e, w, p, mu = (
-            self.topology, self.faults, self.engine, self.workload,
-            self.persistence, self.mutations,
+        """The service's cross-section rules, then the experiment's."""
+        super()._validate_cross()
+        f, p, mu, ex = (
+            self.faults, self.persistence, self.mutations, self.expect,
         )
-        if f.chaos and (t.shards < 2 or t.replicas < 2):
-            raise ScenarioConfigError(
-                "faults.chaos",
-                "needs topology.shards >= 2 and topology.replicas >= 2 "
-                "(a kill must leave a surviving replica)",
-            )
         if f.store_corruption and not p.store:
             raise ScenarioConfigError(
                 "faults.store_corruption",
                 "needs persistence.store: true (nothing to corrupt)",
-            )
-        if t.rebalance and t.shards < 2:
-            raise ScenarioConfigError(
-                "topology.rebalance", "needs topology.shards >= 2"
-            )
-        if t.rebalance_every and not t.rebalance:
-            raise ScenarioConfigError(
-                "topology.rebalance_every",
-                "needs topology.rebalance: true",
-            )
-        if p.regrow and t.shards < 2:
-            raise ScenarioConfigError(
-                "persistence.regrow", "needs topology.shards >= 2"
             )
         if mu.count and self.dataset not in FTV_DATASETS:
             raise ScenarioConfigError(
@@ -665,7 +255,6 @@ class ScenarioConfig:
                 "persistence.regrow",
                 "not supported alongside a mutation stream",
             )
-        ex = self.expect
         if ex.replay_match or ex.replayed_min or ex.journal_corrupt_min:
             if not mu.crash_replay:
                 raise ScenarioConfigError(
@@ -690,103 +279,16 @@ class ScenarioConfig:
                 "expect.oracle_mismatches",
                 "needs a mutation stream with verify_oracle: true",
             )
-        width = (
-            len(e.rewritings)
-            if self.dataset in FTV_DATASETS
-            else len(e.algorithms) * len(e.rewritings)
-        )
-        if width > e.workers:
+        if self.name in ex.siblings():
             raise ScenarioConfigError(
-                "engine.workers",
-                f"the race is {width} variants wide but the pool has "
-                f"only {e.workers} workers",
+                "expect", f"scenario {self.name!r} references itself"
             )
-        for sib in self.expect.siblings():
-            if sib == self.name:
-                raise ScenarioConfigError(
-                    "expect", f"scenario {self.name!r} references itself"
-                )
-        if w.decision_only and self.expect.answers_match:
+        if self.workload.decision_only and ex.answers_match:
             raise ScenarioConfigError(
                 "expect.answers_match",
                 "decision-only witness sets are layout-dependent; pin "
                 "expect.decisions_match instead",
             )
-
-    # -- round trip ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A fully-populated nested dict; lossless inverse of
-        :meth:`from_dict` (tuples emitted as lists)."""
-
-        def section(spec) -> dict:
-            out = {}
-            for fld in fields(spec):
-                value = getattr(spec, fld.name)
-                out[fld.name] = (
-                    list(value) if isinstance(value, tuple) else value
-                )
-            return out
-
-        return {
-            "name": self.name,
-            "description": self.description,
-            "dataset": self.dataset,
-            "scale": self.scale,
-            "workload": section(self.workload),
-            "engine": section(self.engine),
-            "topology": section(self.topology),
-            "faults": section(self.faults),
-            "persistence": section(self.persistence),
-            "mutations": section(self.mutations),
-            "expect": {
-                k: v
-                for k, v in section(self.expect).items()
-                # None = "not asserted": dropped so the emitted YAML
-                # stays in the dialect (and reloads identically)
-                if v is not None
-            },
-        }
-
-    # -- the _build_service seam ---------------------------------------
-
-    def to_namespace(self) -> argparse.Namespace:
-        """The ``repro serve`` argument namespace this config denotes —
-        the seam through which :class:`ScenarioRunner` reuses
-        ``src/repro/cli.py:_build_service`` and friends unchanged."""
-        w, e, t, f, p = (
-            self.workload, self.engine, self.topology, self.faults,
-            self.persistence,
-        )
-        return argparse.Namespace(
-            dataset=self.dataset,
-            scale=self.scale,
-            queries=w.queries,
-            tenants=w.tenants,
-            concurrency=w.concurrency,
-            sizes=",".join(str(s) for s in w.sizes),
-            repeat_fraction=w.repeat_fraction,
-            seed=w.seed,
-            budget=w.budget,
-            max_in_flight=w.max_in_flight,
-            decision_only=w.decision_only,
-            workers=e.workers,
-            algorithms=",".join(e.algorithms),
-            rewritings=",".join(e.rewritings),
-            plan_seeding=e.plan_seeding,
-            no_coalesce=not e.coalesce,
-            shards=t.shards,
-            replicas=t.replicas,
-            routing=t.routing,
-            assignment=t.assignment,
-            rebalance=t.rebalance,
-            rebalance_every=t.rebalance_every,
-            chaos=f.chaos,
-            chaos_seed=f.seed,
-            chaos_horizon=f.horizon,
-            store=None,
-            regrow=p.regrow,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import random
 
-from .config import (
+from ..service.spec import (
     EngineSpec,
     FaultSpec,
-    MutationSpec,
     PersistenceSpec,
-    ScenarioConfig,
     TopologySpec,
     WorkloadSpec,
 )
+from .config import MutationSpec, ScenarioConfig
 
 __all__ = ["random_scenario"]
 

@@ -2,12 +2,13 @@
 
 :class:`ScenarioRunner` turns a :class:`~repro.scenarios.config.
 ScenarioConfig` into a live :class:`~repro.service.Service` through the
-*same* code path the CLI uses (``src/repro/cli.py:_build_service`` and
-friends, via ``ScenarioConfig.to_namespace``), drives it with
-:func:`~repro.service.loadgen.run_closed_loop` (or, when the config
-has a ``mutations:`` section, :func:`~repro.service.loadgen.
-run_update_stream` plus the optional crash-replay drill — corrupt the
-journal, reboot cold, replay, compare), and distils the run into a
+*same* code the CLI uses — a config is a
+:class:`~repro.service.spec.ServiceSpec`, and the spec's builders are
+the only ones there are — drives it with :meth:`~repro.service.spec.
+ServiceSpec.drive` (or, when the config has a ``mutations:`` section,
+:func:`~repro.service.loadgen.run_update_stream` plus the optional
+crash-replay drill — corrupt the journal, reboot cold, replay,
+compare), and distils the run into a
 typed :class:`ScenarioResult` — digests, latency summary, and every
 chaos/store/routing/mutation counter the ``expect`` vocabulary can
 assert on.
@@ -143,85 +144,53 @@ class ScenarioRunner:
 
     def _run_in(self, config: ScenarioConfig, tmp: str) -> ScenarioResult:
         from ..caching import CacheStats, prepare_cache
-        from ..cli import (
-            _build_faults,
-            _build_rebalancer,
-            _build_service,
-            _serve_options,
-        )
-        from ..service import run_closed_loop
 
         # hermeticity: scenario counters must not depend on what else
         # ran in this process (see module docstring); clear() bills
         # its drops as evictions, so the stats reset must come second
         prepare_cache.clear()
         prepare_cache.stats = CacheStats()
-        ns = config.to_namespace()
-        if config.persistence.store:
-            ns.store = self._warm_store(config, tmp)
-        try:
-            service, streams = _build_service(ns)
-            rebalancer, every = _build_rebalancer(service, ns)
-            faults = _build_faults(ns)
-            if config.mutations.count:
-                report, drill = self._run_mutated(
-                    config, ns, tmp, service, streams,
-                    options=_serve_options(ns),
-                    rebalancer=rebalancer,
-                    faults=faults,
-                )
-            else:
-                drill = None
-                report = run_closed_loop(
-                    service,
-                    config.dataset,
-                    streams,
-                    options=_serve_options(ns),
-                    concurrency=config.workload.concurrency,
-                    rebalancer=rebalancer,
-                    rebalance_every=every,
-                    faults=faults,
-                    regrow=config.persistence.regrow,
-                )
-        except (SystemExit, KeyError, ValueError) as exc:
-            # the CLI helpers reject with SystemExit; the engine
-            # rejects unknown algorithm/rewriting names (free-form in
-            # the schema, resolved lazily mid-run) with KeyError or
-            # ValueError.  Re-raise all three as a scenario error so
-            # callers can render one diagnostic line
-            message = (
-                exc.args[0] if exc.args else exc
-            ) if isinstance(exc, KeyError) else exc
-            raise ScenarioError(
-                f"scenario {config.name!r} cannot run: {message}"
-            ) from exc
+        store = (
+            self._warm_store(config, tmp)
+            if config.persistence.store
+            else None
+        )
+        m = config.mutations
+        journal = f"{tmp}/journal" if m.journal else None
+        service = config.build_service(store=store, journal=journal)
+        streams = config.tenant_streams(service)
+        if not m.count:
+            report = config.drive(service, streams)
+            return self._distil(config, service, report)
+        report = self._run_mutated(config, service, streams)
+        drill = (
+            self._crash_replay(config, store, journal, service)
+            if m.crash_replay
+            else None
+        )
         return self._distil(config, service, report, drill)
 
-    def _run_mutated(
-        self, config, ns, tmp, service, streams, *,
-        options, rebalancer, faults,
-    ):
-        """Drive the update-stream path (+ the optional crash drill)."""
+    def _run_mutated(self, config, service, streams):
+        """Drive the update-stream path."""
         from ..service.loadgen import (
             plan_update_stream,
             run_update_stream,
         )
 
         m = config.mutations
-        journal_root = f"{tmp}/journal"
-        if m.journal:
-            service.attach_journal(journal_root)
+        rebalancer, _ = config.rebalancer(service)
+        faults = config.chaos_faults()
         entry = service.catalog.get(config.dataset)
         base = [entry.graphs[g] for g in entry.live_graph_ids()]
         ops = plan_update_stream(
             base, m.count, seed=m.seed, add_fraction=m.add_fraction
         )
-        report = run_update_stream(
+        return run_update_stream(
             service,
             config.dataset,
             streams,
             ops,
-            options=options,
+            options=config.query_options(),
             concurrency=config.workload.concurrency,
             mutate_every=m.every,
             batch=m.batch,
@@ -230,36 +199,28 @@ class ScenarioRunner:
             rebalancer=rebalancer,
             faults=faults,
         )
-        drill = None
-        if m.crash_replay:
-            drill = self._crash_replay(config, ns, journal_root, service)
-        return report, drill
 
-    def _crash_replay(self, config, ns, journal_root, live) -> dict:
+    def _crash_replay(self, config, store, journal, live) -> dict:
         """The cold-boot drill: corrupt (optionally), reboot, replay.
 
-        A second service is built from the *same* namespace — the same
-        warm store if the scenario has one, the same builders if not —
+        A second service is built from the *same* spec — the same
+        warm store if the scenario has one, the same builder if not —
         so the only state that survives the simulated crash is the
         checkpoint plus the journal.  After replay both services must
         answer an identical probe set identically (unless the journal
         was deliberately corrupted, in which case the drill instead
         counts the defect classes recovery detected + quarantined).
         """
-        from ..cli import _build_service
         from ..service.faults import StoreFaultInjector
         from ..service.loadgen import collection_digest
         from ..workload import generate_workload
 
         m = config.mutations
         if m.corrupt:
-            injector = StoreFaultInjector(
-                journal_root, seed=config.faults.seed
-            )
+            injector = StoreFaultInjector(journal, seed=config.faults.seed)
             for kind in m.corrupt:
                 getattr(injector, kind)()
-        reborn, _ = _build_service(ns)
-        reborn.attach_journal(journal_root)
+        reborn = config.build_service(store=store, journal=journal)
         recovery = reborn.replay_journal()
         entry = reborn.catalog.get(config.dataset)
         base = [entry.graphs[g] for g in entry.live_graph_ids()]
@@ -279,34 +240,11 @@ class ScenarioRunner:
     def _warm_store(self, config: ScenarioConfig, tmp: str) -> str:
         """Warm a catalog of the configured layout, persist it, apply
         the configured corruption classes, return the store dir."""
-        from ..harness import NFV_DATASETS
         from ..service.faults import StoreFaultInjector
         from ..store import StoreWriter
 
-        t = config.topology
-        if t.shards > 1 or t.replicas > 1:
-            from ..service.sharding import ShardedCatalog
-
-            catalog = ShardedCatalog(
-                num_shards=t.shards,
-                assignment=t.assignment,
-                replicas=t.replicas,
-            )
-        else:
-            from ..service.catalog import DatasetCatalog
-
-            catalog = DatasetCatalog()
-        catalog.load(
-            config.dataset,
-            scale=config.scale,
-            **(
-                {"algorithms": config.engine.algorithms}
-                if config.dataset in NFV_DATASETS
-                else {}
-            ),
-        )
         store_dir = f"{tmp}/store"
-        StoreWriter(store_dir).write_catalog(catalog)
+        StoreWriter(store_dir).write_catalog(config.warm_catalog())
         if config.faults.store_corruption:
             injector = StoreFaultInjector(
                 store_dir, seed=config.faults.seed

@@ -5,16 +5,17 @@ Two drivers:
 * :func:`run_closed_loop` — each tenant keeps ``concurrency`` queries
   in flight, submitting its next query the tick its previous one
   completes: the classic closed-loop generator whose throughput is
-  capacity, not arrival-rate, limited.  Both ``repro serve`` and
-  ``repro bench-serve`` replay their workloads through this driver.
+  capacity, not arrival-rate, limited.  ``repro serve`` and the
+  scenario runner replay their workloads through this driver
+  (:meth:`repro.service.spec.ServiceSpec.drive`).
 * :func:`replay` — submit a prebuilt multi-tenant arrival stream up
   front and drain the service; the open-loop flood that exercises
   queueing and load shedding (library/test use).
 
 Both return a :class:`LoadReport` whose :meth:`LoadReport.as_json` is
-the ``BENCH_service.json`` payload: throughput (queries per million
-simulated steps and per wall second) plus p50/p95/p99 simulated-step
-latency and cache/admission counters.
+the JSON-ready summary: throughput (queries per million simulated
+steps and per wall second) plus p50/p95/p99 simulated-step latency
+and cache/admission counters.
 
 Determinism contract: everything except ``wall_seconds`` is a pure
 function of (service configuration, streams) — the report carries two
@@ -69,7 +70,6 @@ class LoadReport:
     wall_seconds: float
     digest: str
     service_stats: dict
-    config: dict = field(default_factory=dict)
     #: digest over decision answers only (sharding-invariant — equal
     #: for sharded and unsharded runs of the same workload)
     answers: str = ""
@@ -98,7 +98,7 @@ class LoadReport:
         ]
 
     def as_json(self) -> dict:
-        """The BENCH_service.json payload.
+        """The JSON-ready summary of the run.
 
         Measured sections come straight from the service's metrics
         registry snapshot (``service_stats``) — including
@@ -126,7 +126,6 @@ class LoadReport:
         killed = sum(1 for t in done if t.result.killed)
         return {
             "bench": "service",
-            "config": self.config,
             "digest": self.digest,
             "answers_digest": self.answers,
             "decisions_digest": self.decisions,
@@ -168,7 +167,7 @@ class LoadReport:
 def _chaos_summary(
     service: Service, tickets: list[Ticket], faults
 ) -> dict:
-    """The ``chaos`` section of the bench payload.
+    """The ``chaos`` section of the report payload.
 
     ``lost`` counts tickets that never reached a terminal state —
     the zero-lost-tickets invariant of the failure model — and the
@@ -200,7 +199,7 @@ def _chaos_summary(
 
 
 def _store_summary(service: Service, regrown) -> dict:
-    """The ``store`` section of the bench payload (empty without a
+    """The ``store`` section of the report payload (empty without a
     persisted store and without regrow activity)."""
     metrics = service.store_metrics()
     if not metrics and not regrown:
@@ -216,7 +215,6 @@ def _report(
     service: Service,
     tickets: list[Ticket],
     wall_seconds: float,
-    config: dict,
     rebalancer=None,
     faults=None,
     regrown=None,
@@ -228,7 +226,6 @@ def _report(
         wall_seconds=wall_seconds,
         digest=results_digest(done),
         service_stats=service.stats(),
-        config=config,
         answers=answers_digest(done),
         decisions=decisions_digest(done),
         rebalance=(
@@ -248,7 +245,6 @@ def replay(
     dataset: str,
     stream: list[MixedQuery],
     options: QueryOptions | None = None,
-    config: dict | None = None,
     faults=None,
 ) -> LoadReport:
     """Open-loop flood: submit the whole stream up front, then drain.
@@ -269,7 +265,7 @@ def replay(
     ]
     service.run_until_idle()
     wall = time.perf_counter() - start
-    return _report(service, tickets, wall, config or {}, faults=faults)
+    return _report(service, tickets, wall, faults=faults)
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +463,6 @@ def run_update_stream(
     probes: Optional[list[LabeledGraph]] = None,
     probe_seed: int = 0,
     verify_oracle: bool = True,
-    config: dict | None = None,
     rebalancer=None,
     faults=None,
 ) -> LoadReport:
@@ -568,9 +563,7 @@ def run_update_stream(
     if verify_oracle:
         checks.append(_oracle_check(service, dataset, probes))
     wall = time.perf_counter() - start
-    report = _report(
-        service, tickets, wall, config or {}, rebalancer, faults
-    )
+    report = _report(service, tickets, wall, rebalancer, faults)
     report.mutations = {
         "enabled": True,
         "planned": len(mutations),
@@ -593,7 +586,6 @@ def run_closed_loop(
     streams: dict[str, list[MixedQuery]],
     options: QueryOptions | None = None,
     concurrency: int = 1,
-    config: dict | None = None,
     rebalancer=None,
     rebalance_every: int = 0,
     faults=None,
@@ -703,6 +695,6 @@ def run_closed_loop(
             break
     wall = time.perf_counter() - start
     return _report(
-        service, tickets, wall, config or {}, rebalancer, faults,
+        service, tickets, wall, rebalancer, faults,
         regrown=regrown if regrow else None,
     )

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import os
+import re
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def repro_env():
+    return dict(
+        os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUNBUFFERED="1"
+    )
+
+
+def repro_process(*argv):
+    """``python -m repro ARGV`` as a real process: exit code, stdout,
+    stderr — the contract in-process ``main()`` calls cannot pin."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=repro_env(), cwd=REPO,
+        timeout=300,
+    )
 
 
 class TestDatasets:
@@ -169,23 +188,6 @@ class TestServe:
         assert code == 0
         assert " in " in out  # per-query lines present
 
-    def test_bench_serve_writes_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_service.json"
-        code, out = run_cli(
-            capsys, "bench-serve", *self.SERVE_ARGS,
-            "--out", str(out_path),
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["bench"] == "service"
-        assert payload["throughput"]["queries"] > 0
-        for pct in ("p50", "p95", "p99"):
-            assert pct in payload["latency_steps"]
-        assert payload["result_cache"]["lookups"] > 0
-        assert payload["config"]["dataset"] == "yeast"
-
     def test_serve_validates_tenant_count(self, capsys):
         with pytest.raises(SystemExit, match="tenants"):
             main([
@@ -223,6 +225,150 @@ class TestServe:
             ])
 
 
+class TestServeProcess:
+    """``repro serve`` / ``repro warm`` as processes: diagnostics,
+    the socket front door, and the store round trip."""
+
+    PPI = ("--dataset", "ppi", "--scale", "tiny")
+
+    @pytest.mark.parametrize("flags, field", [
+        (("--budget", "0"), "workload.budget"),
+        (("--max-in-flight", "0"), "workload.max_in_flight"),
+        (("--repeat-fraction", "2"), "workload.repeat_fraction"),
+        (("--sizes", "4,x"), "workload.sizes"),
+        (("--algorithms", "GQL,NOPE"), "engine.algorithms[1]"),
+        (("--rewritings", "Orig,NOPE"), "engine.rewritings[1]"),
+        (("--regrow", "--shards", "1"), "persistence.regrow"),
+    ])
+    def test_bad_flag_is_one_line_naming_the_field(self, flags, field):
+        proc = repro_process(
+            "serve", "--dataset", "yeast", "--scale", "tiny",
+            "--queries", "4", *flags,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        diagnostic = proc.stderr.strip().splitlines()
+        assert len(diagnostic) == 1
+        assert diagnostic[0].startswith(f"repro serve: {field}: ")
+
+    def test_warm_checks_algorithm_names(self, tmp_path):
+        proc = repro_process(
+            "warm", "--store", str(tmp_path / "store"),
+            "--dataset", "yeast", "--scale", "tiny",
+            "--algorithms", "GQL,NOPE",
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.strip().splitlines() == [
+            "repro warm: engine.algorithms[1]: unknown algorithm "
+            "'NOPE'; known: GQL, QSI, REF, SPA, TUR, ULL, VF2"
+        ]
+        assert not (tmp_path / "store").exists()
+
+    def test_listen_serves_what_the_spec_builds(self):
+        """The socket front door of ``serve --listen`` answers exactly
+        as an in-process service built from the same flags, and drains
+        cleanly on SIGINT."""
+        from repro.cli import _service_spec
+        from repro.obs.client import ObsClient
+        from repro.workload import generate_workload
+
+        flags = ["serve", *self.PPI, "--shards", "2", "--replicas", "2"]
+        spec = _service_spec(build_parser().parse_args(flags))
+        local = spec.build_service()
+        queries = [
+            q.graph for q in generate_workload(
+                local.catalog.get("ppi").graphs, 5, 5, seed=9
+            )
+        ]
+        expected = []
+        for graph in queries:
+            ticket = local.submit(
+                "ppi", graph, "alice", spec.query_options()
+            )
+            local.run_until_idle()
+            r = ticket.result
+            expected.append((
+                r.found, r.steps, r.winner_label, ticket.latency,
+                sorted(r.matching_ids),
+            ))
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *flags,
+             "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=repro_env(), cwd=REPO,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no output within 60 s of starting the server"
+            bound = re.search(
+                r"listening on ([\d.]+):(\d+)", proc.stdout.readline()
+            )
+            assert bound, proc.stderr.read()
+            client = ObsClient(bound.group(1), int(bound.group(2)))
+            served = []
+            for graph in queries:
+                status, payload, _ = client.submit(
+                    "ppi", graph, tenant="alice",
+                    options={"rewritings": list(spec.engine.rewritings)},
+                )
+                assert status == 200, payload
+                r = payload["result"]
+                served.append((
+                    r["found"], r["steps"], r["winner"],
+                    payload["latency_steps"], sorted(r["matching_ids"]),
+                ))
+            assert served == expected
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                code = proc.wait(timeout=15)
+            finally:
+                proc.kill()
+                proc.stdout.close()
+                proc.stderr.close()
+        assert code == 0
+
+    def test_warm_then_serve_from_store(self, tmp_path):
+        store = str(tmp_path / "store")
+        warm = repro_process(
+            "warm", "--store", store, *self.PPI, "--shards", "2",
+            "--verify",
+        )
+        assert warm.returncode == 0, warm.stderr
+        assert ", 0 bad" in warm.stdout
+        serve = ("serve", *self.PPI, "--shards", "2")
+        cold = repro_process(*serve, "--store", store)
+        fresh = repro_process(*serve)
+        assert cold.returncode == fresh.returncode == 0, cold.stderr
+        digest = re.compile(r"results digest (\w+)")
+        assert (
+            digest.search(cold.stdout).group(1)
+            == digest.search(fresh.stdout).group(1)
+        )
+        line = re.search(
+            r"store: (\d+) restores, (\d+) rebuilds", cold.stdout
+        )
+        assert int(line.group(1)) > 0 and line.group(2) == "0"
+        assert "store:" not in fresh.stdout
+
+    def test_chaos_regrow_from_store(self, tmp_path):
+        store = str(tmp_path / "store")
+        layout = (*self.PPI, "--shards", "2", "--replicas", "2")
+        warm = repro_process("warm", "--store", store, *layout)
+        assert warm.returncode == 0, warm.stderr
+        proc = repro_process(
+            "serve", *layout, "--chaos", "--regrow", "--store", store,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(r"chaos: .* 0 lost", proc.stdout)
+        line = re.search(
+            r"regrew (\d+) replica\(s\), (\d+) from store", proc.stdout
+        )
+        assert int(line.group(2)) >= 1
+        assert line.group(1) == line.group(2)
+
+
 QUICK_SCENARIO = (
     "name: quick\n"
     "dataset: ppi\n"
@@ -244,11 +390,7 @@ class TestScenario:
     """
 
     def scenario_cli(self, *argv):
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "repro.cli", "scenario", *argv],
-            capture_output=True, text=True, env=env, cwd=REPO,
-        )
+        return repro_process("scenario", *argv)
 
     def test_list_committed_matrix(self, capsys):
         code, out = run_cli(
@@ -291,6 +433,22 @@ class TestScenario:
         proc = self.scenario_cli("verify", str(tmp_path))
         assert proc.returncode == 2
         assert "topology.replica: unknown key" in proc.stderr
+
+    @pytest.mark.parametrize("action", ["list", "verify"])
+    def test_unknown_rewriting_fails_at_load(self, tmp_path, action):
+        # a config that loads is a config that runs: the name is
+        # resolved by the schema, not mid-run by the engine
+        (tmp_path / "probe.yaml").write_text(
+            QUICK_SCENARIO + "engine:\n  rewritings: [Orig, NOPE]\n"
+        )
+        proc = self.scenario_cli(action, str(tmp_path))
+        assert proc.returncode == 2
+        diagnostic = proc.stderr.strip().splitlines()
+        assert len(diagnostic) == 1
+        assert "engine.rewritings[1]: unknown rewriting 'NOPE'" in (
+            diagnostic[0]
+        )
+        assert "running" not in proc.stdout
 
     def test_failed_expect_exits_1(self, tmp_path):
         (tmp_path / "quick.yaml").write_text(

@@ -391,12 +391,12 @@ class TestRebalance:
     def test_cli_rebalance_flag_validation(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="rebalance-every"):
+        with pytest.raises(SystemExit, match="topology.rebalance_every"):
             main(
                 "serve --dataset ppi --scale tiny --queries 2 "
                 "--shards 2 --rebalance --rebalance-every -1".split()
             )
-        with pytest.raises(SystemExit, match="needs --rebalance"):
+        with pytest.raises(SystemExit, match="needs topology.rebalance"):
             main(
                 "serve --dataset ppi --scale tiny --queries 2 "
                 "--shards 2 --rebalance-every 5".split()

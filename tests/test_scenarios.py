@@ -161,6 +161,11 @@ class TestSchemaRejections:
         (minimal(expect={"answers_digest": "xyz"}),
          "expect.answers_digest", "malformed"),
         (minimal(expect={"lost": -1}), "expect.lost", ">= 0"),
+        (minimal(engine={"algorithms": ["GQL", "NOPE"]}),
+         "engine.algorithms[1]", "unknown algorithm 'NOPE'; known: GQL"),
+        (minimal(engine={"rewritings": ["Orig", "RNDx"]}),
+         "engine.rewritings[1]", "unknown rewriting 'RNDx'; known: DND"),
+        ({"name": "probe"}, "dataset", "required"),
     ])
     def test_bad_values_fail_with_dotted_path(self, data, path, fragment):
         with pytest.raises(ScenarioConfigError) as err:
@@ -389,12 +394,15 @@ class TestScenarioMatrix:
             run_with_siblings(configs, ["ghost"])
 
     def test_unbuildable_scenario_raises_scenario_error(self):
-        # valid schema (names are free-form there), but the engine
-        # rejects the unknown rewriting when it resolves variants
-        cfg = ScenarioConfig.from_dict(minimal(
-            engine={"rewritings": ["Orig", "NoSuchRewriting"]},
-        ))
-        from repro.scenarios import ScenarioRunner
-
-        with pytest.raises(ScenarioError, match="cannot run"):
-            ScenarioRunner().run(cfg)
+        # a config that loads is a config that runs: variant names are
+        # resolved by the schema, so the unknown rewriting never
+        # reaches the runner (it used to die mid-run)
+        with pytest.raises(ScenarioConfigError) as err:
+            ScenarioConfig.from_dict(minimal(
+                engine={"rewritings": ["Orig", "NoSuchRewriting"]},
+            ))
+        assert err.value.path == "engine.rewritings[1]"
+        # the seeded-random family is a form, not a registry entry
+        ScenarioConfig.from_dict(
+            minimal(engine={"rewritings": ["Orig", "RND3"]})
+        )
