@@ -237,9 +237,12 @@ class Matcher(ABC):
         that builds a plain :class:`GraphIndex` (VF2, QuickSI, Ullmann,
         TurboISO, the reference oracle) shares one index per stored
         graph, while matchers with their own index type (GraphQL,
-        sPath) stay distinct.
+        sPath) stay distinct — by module as well as by name, so a
+        same-named class elsewhere (a test oracle, a plug-in) is never
+        handed an index of the wrong type.
         """
-        return (type(self)._build_index.__qualname__,)
+        build = type(self)._build_index
+        return (build.__module__, build.__qualname__)
 
     def _build_index(self, graph: LabeledGraph) -> GraphIndex:
         """Actually construct the index (subclass hook)."""
@@ -266,7 +269,10 @@ class Matcher(ABC):
         engines); callers that hold a plain :class:`Matcher` pass
         neither.  The *sequence* of yielded batches, not just their
         sum, is observable (a race charges a round what it actually
-        advanced), so a rewrite of an engine must keep it.
+        advanced), so a rewrite of an engine must keep it: VF2,
+        GraphQL and sPath are held, yield for yield, to the recursive
+        engines they replaced, kept as test oracles in
+        ``tests/_vf2_recursive.py`` and ``tests/_nfv_recursive.py``.
         """
 
     def run(

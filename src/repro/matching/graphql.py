@@ -15,15 +15,43 @@ Per the paper's §3.1.2 description, GraphQL:
 * finally executes the sub-iso test as a series of joins over the
   candidate lists.
 
-The pseudo sub-iso test uses bipartite matching (Kuhn's augmenting-path
-algorithm) between query-vertex neighbourhoods and candidate-vertex
-neighbourhoods.  Tie-breaks in plan selection are by node ID — the
-paper's results show GraphQL is the *least* rewriting-sensitive NFV
-method because this plan logic is relatively ID-insensitive, and the
-same holds here (the estimates dominate; IDs only break ties).
+Tie-breaks in plan selection are by node ID — the paper's results show
+GraphQL is the *least* rewriting-sensitive NFV method because this plan
+logic is relatively ID-insensitive, and the same holds here (the
+estimates dominate; IDs only break ties).
 
 One engine step is charged per filter probe, per pseudo-iso pair test
 and per join candidate probe.
+
+Candidate sets are bitmasks
+---------------------------
+
+Every candidate set in the engine is one int over stored-graph vertex
+IDs (:mod:`repro.matching.masks`), a "list" is that int read in
+ascending bit order, and the bill is what walking the lists would cost.
+
+* **Rule 1.**  The index keeps, per label, *threshold masks* over the
+  number of neighbours carrying that label.  A stored vertex's
+  signature contains a query vertex's iff for each label the query
+  vertex sees ``k`` times the stored vertex sees it at least ``k``
+  times, so the survivors are the label's vertices ANDed with one
+  ``mask_ge`` per distinct neighbour label — billed, as ever, one step
+  per vertex of the label.
+* **Rule 2.**  ``c`` survives for ``u`` iff ``u``'s neighbours can pick
+  distinct representatives from ``adj_masks[c] & candidates(w)``; an
+  empty intersection rejects at once, and Kuhn's augmenting paths only
+  ever walk those bits.  Which matching is found does not matter, only
+  whether one exists.
+* **Joins.**  The plan fixes, per level, the query vertex, its
+  candidates and the levels of its already-bound neighbours;
+  :func:`repro.matching.masks.mask_join` backtracks over those tables
+  in one explicit-stack loop, so the query size is not bounded by the
+  interpreter's recursion limit.
+
+The sequence of yielded step batches is part of the contract (see
+:meth:`repro.matching.engine.Matcher.engine`) and is identical, value
+for value, to the ``Counter``-signature recursive engine kept as the
+test oracle in ``tests/_nfv_recursive.py``.
 """
 
 from __future__ import annotations
@@ -38,24 +66,81 @@ from .engine import (
     MatchOutcome,
     SearchEngine,
 )
+from .masks import (
+    Thresholds,
+    label_masks,
+    mask_ge,
+    mask_join,
+    threshold_masks,
+)
 
 __all__ = ["GraphQLMatcher", "GraphQLIndex"]
 
 
 class GraphQLIndex(GraphIndex):
-    """GraphIndex plus per-vertex neighbour-label signatures."""
+    """GraphIndex plus neighbour-label signatures as threshold masks.
+
+    ``mask_ge(neighbour_thresholds.get(lab), k)`` is the set of stored
+    vertices with at least ``k`` neighbours labelled ``lab``.
+    """
 
     def __init__(self, graph: LabeledGraph) -> None:
         super().__init__(graph)
-        self.signatures: list[Counter] = [
-            Counter(graph.label(w) for w in graph.neighbors(v))
-            for v in graph.vertices()
-        ]
+        self.label_masks = label_masks(self.label_index)
+        labels = self.labels
+        by_count: dict[object, dict[int, int]] = {}
+        for v, nbrs in enumerate(self.adjacency):
+            bit = 1 << v
+            for lab, k in Counter([labels[w] for w in nbrs]).items():
+                row = by_count.setdefault(lab, {})
+                row[k] = row.get(k, 0) | bit
+        self.neighbour_thresholds: dict[object, Thresholds] = {
+            lab: threshold_masks(row) for lab, row in by_count.items()
+        }
 
 
-def _signature_contains(big: Counter, small: Counter) -> bool:
-    """Multiset containment ``small <= big``."""
-    return all(big.get(lab, 0) >= k for lab, k in small.items())
+def _distinct_representatives(avail: list[int]) -> bool:
+    """Whether one bit can be picked from every mask, all different.
+
+    Kuhn's algorithm: masks take a free bit while there is one, and
+    otherwise look for an augmenting path (depth-first, on an explicit
+    stack) that re-seats earlier masks.
+    """
+    owner: dict[int, int] = {}  # picked bit -> the mask it stands for
+    used = 0
+    for start, a in enumerate(avail):
+        free = a & ~used
+        if free:
+            low = free & -free
+            owner[low] = start
+            used |= low
+            continue
+        visited = 0
+        path = [start]  # masks along the alternating path
+        via: list[int] = []  # via[k]: the bit path[k + 1] gives up
+        while path:
+            a = avail[path[-1]] & ~visited
+            free = a & ~used
+            if free:
+                low = free & -free
+                used |= low
+                for k in range(len(path) - 1, -1, -1):
+                    owner[low] = path[k]
+                    if k:
+                        low = via[k - 1]
+                break
+            if a:
+                low = a & -a
+                visited |= low
+                via.append(low)
+                path.append(owner[low])
+            else:
+                path.pop()
+                if via:
+                    via.pop()
+        else:
+            return False
+    return True
 
 
 class GraphQLMatcher(Matcher):
@@ -98,72 +183,59 @@ class GraphQLMatcher(Matcher):
             yield  # pragma: no cover - makes this a generator
 
         # fast-path kernel views
-        adj = index.adjacency
         masks = index.adj_masks
-        sigs = index.signatures
         q_adj = query.adjacency()
         q_labels = query.labels
 
-        q_sigs = [
-            Counter(q_labels[w] for w in q_adj[u])
-            for u in query.vertices()
-        ]
-
         # ---- rule 1: label + signature containment filter -------------
-        cand: list[list[int]] = []
-        for u in query.vertices():
-            pool = index.candidates_by_label(q_labels[u])
-            q_sig = q_sigs[u]
-            lst = [
-                c for c in pool if _signature_contains(sigs[c], q_sig)
-            ]
-            if len(pool):
-                yield len(pool)  # one step per filter probe, batched
-            if not lst:
+        thresholds = index.neighbour_thresholds
+        label_frequencies = index.label_frequencies
+        cand: list[int] = []  # per query vertex, its candidates' bitmask
+        for u in range(nq):
+            lab = q_labels[u]
+            mask = index.label_masks.get(lab, 0)
+            for nbr_lab, k in Counter(
+                [q_labels[w] for w in q_adj[u]]
+            ).items():
+                mask &= mask_ge(thresholds.get(nbr_lab), k)
+            pool_size = label_frequencies.get(lab)
+            if pool_size:
+                yield pool_size  # one step per filter probe, batched
+            if not mask:
                 outcome.exhausted = True
                 return outcome
-            cand.append(lst)
-
-        cand_sets = [set(lst) for lst in cand]
+            cand.append(mask)
 
         # ---- rule 2: iterative pseudo subgraph isomorphism -------------
-        def pseudo_iso_ok(u: int, c: int) -> bool:
-            """Bipartite test: distinct candidate neighbours for all of
-            u's neighbours (Kuhn's algorithm)."""
-            q_nbrs = q_adj[u]
-            c_nbrs = adj[c]
-            if len(q_nbrs) > len(c_nbrs):
-                return False
-            match_of: dict[int, int] = {}  # graph nbr -> query nbr
-
-            def try_assign(w: int, visited: set[int]) -> bool:
-                cand_w = cand_sets[w]
-                for d in c_nbrs:
-                    if d in visited or d not in cand_w:
-                        continue
-                    visited.add(d)
-                    if d not in match_of or try_assign(
-                        match_of[d], visited
-                    ):
-                        match_of[d] = w
-                        return True
-                return False
-
-            return all(try_assign(w, set()) for w in q_nbrs)
-
         for _ in range(self.refine_level):
             changed = False
-            for u in query.vertices():
-                lst = cand[u]
-                survivors = [c for c in lst if pseudo_iso_ok(u, c)]
-                yield len(lst)  # one step per pair test, batched
-                if len(survivors) != len(lst):
+            for u in range(nq):
+                mask = cand[u]
+                nbr_cands = [cand[w] for w in q_adj[u]]
+                survivors = 0
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c_nbrs = masks[low.bit_length() - 1]
+                    avail = []
+                    for nbr_cand in nbr_cands:
+                        a = c_nbrs & nbr_cand
+                        if not a:
+                            break
+                        avail.append(a)
+                    else:
+                        if len(avail) < 2 or _distinct_representatives(
+                            avail
+                        ):
+                            survivors |= low
+                yield mask.bit_count()  # one step per pair test, batched
+                if survivors != mask:
                     changed = True
                     if not survivors:
                         outcome.exhausted = True
                         return outcome
                     cand[u] = survivors
-                    cand_sets[u] = set(survivors)
             if not changed:
                 break
 
@@ -172,69 +244,48 @@ class GraphQLMatcher(Matcher):
         # the connected vertex minimising the estimated intermediate
         # result size |cand| * gamma^(#join edges).  Ties break by ID.
         gamma = 0.5
-        order: list[int] = []
-        chosen: set[int] = set()
-        first = min(query.vertices(), key=lambda u: (len(cand[u]), u))
-        order.append(first)
-        chosen.add(first)
+        sizes = [mask.bit_count() for mask in cand]
+        first = min(range(nq), key=lambda u: (sizes[u], u))
+        order = [first]
+        level_of = {first: 0}
         while len(order) < nq:
             best_u = -1
             best_cost = float("inf")
-            for u in query.vertices():
-                if u in chosen:
+            for u in range(nq):
+                if u in level_of:
                     continue
-                links = sum(1 for w in query.neighbors(u) if w in chosen)
+                links = sum(1 for w in q_adj[u] if w in level_of)
                 if links == 0:
                     continue
-                cost = len(cand[u]) * (gamma ** links)
+                cost = sizes[u] * (gamma ** links)
                 if cost < best_cost or (cost == best_cost and u < best_u):
                     best_cost = cost
                     best_u = u
             if best_u < 0:
                 # disconnected query: pick the globally cheapest remaining
                 best_u = min(
-                    (u for u in query.vertices() if u not in chosen),
-                    key=lambda u: (len(cand[u]), u),
+                    (u for u in range(nq) if u not in level_of),
+                    key=lambda u: (sizes[u], u),
                 )
+            level_of[best_u] = len(order)
             order.append(best_u)
-            chosen.add(best_u)
 
         # ---- joins (backtracking along the plan) -----------------------
-        q_to_g: dict[int, int] = {}
-        used_mask = 0
-
-        def search(pos: int) -> SearchEngine:
-            nonlocal used_mask
-            if pos == nq:
-                outcome.found = True
-                outcome.num_embeddings += 1
-                if not count_only:
-                    outcome.embeddings.append(dict(q_to_g))
-                return None
-            u = order[pos]
-            need = 0
-            for w in q_adj[u]:
-                if w in q_to_g:
-                    need |= 1 << q_to_g[w]
-            pending = 0  # batched join-candidate probes
-            for c in cand[u]:
-                pending += 1
-                if (used_mask >> c) & 1:
-                    continue
-                if masks[c] & need == need:
-                    yield pending
-                    pending = 0
-                    q_to_g[u] = c
-                    used_mask |= 1 << c
-                    yield from search(pos + 1)
-                    del q_to_g[u]
-                    used_mask &= ~(1 << c)
-                    if outcome.num_embeddings >= max_embeddings:
-                        return None
-            if pending:
-                yield pending
-            return None
-
-        yield from search(0)
+        # per level: its candidates (which it scans itself, no opener,
+        # nothing to re-check) and its vertex's already-bound neighbours
+        yield from mask_join(
+            masks,
+            order,
+            cands=[cand[u] for u in order],
+            back=[
+                [level_of[w] for w in q_adj[u] if level_of[w] < level]
+                for level, u in enumerate(order)
+            ],
+            opener=[-1] * nq,
+            checks=[()] * nq,
+            outcome=outcome,
+            max_embeddings=max_embeddings,
+            count_only=count_only,
+        )
         outcome.exhausted = True
         return outcome

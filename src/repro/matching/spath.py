@@ -24,13 +24,41 @@ tie-breaks, which is what makes sPath strongly rewriting-sensitive
 
 One engine step is charged per filter probe and per join candidate
 probe.
+
+Vertex sets are bitmasks
+------------------------
+
+Every vertex set in the index and the engine is one int over vertex
+IDs (:mod:`repro.matching.masks`).
+
+* **Signatures.**  One breadth-first search whose frontier and visited
+  set are ints (:func:`_balls`) serves the index, the query side of
+  the filter and :func:`distance_signature`.  The index keeps, per
+  distance and label, *threshold masks* over how many vertices of that
+  label lie within that distance; a stored vertex dominates a query
+  vertex iff it passes ``mask_ge`` for every (distance, label, count)
+  the query vertex shows, so the survivors are the label's vertices
+  ANDed with those masks — billed, as ever, one step per vertex of the
+  label.
+* **Joins.**  The path cover fixes the slots, and with them, per
+  level of the search: the vertex bound there, the level whose image's
+  neighbourhood it scans (its path predecessor), its already-bound
+  neighbours, and the junction revisits that follow it.
+  :func:`repro.matching.masks.mask_join` backtracks over those tables
+  in one explicit-stack loop, so the query size is not bounded by the
+  interpreter's recursion limit.
+
+The sequence of yielded step batches is part of the contract (see
+:meth:`repro.matching.engine.Matcher.engine`) and is identical, value
+for value, to the ``Counter``-signature recursive engine kept as the
+test oracle in ``tests/_nfv_recursive.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
-from ..graphs import LabeledGraph
+from ..graphs import LabeledGraph, bits_ascending
 from .engine import (
     DEFAULT_MAX_EMBEDDINGS,
     GraphIndex,
@@ -38,8 +66,35 @@ from .engine import (
     MatchOutcome,
     SearchEngine,
 )
+from .masks import (
+    Thresholds,
+    label_masks,
+    mask_ge,
+    mask_join,
+    threshold_masks,
+)
 
 __all__ = ["SPathMatcher", "SPathIndex", "distance_signature"]
+
+
+def _balls(adj_masks: tuple[int, ...], v: int, radius: int) -> list[int]:
+    """``result[d - 1]``: bitmask of the vertices at shortest-path
+    distance ``1 .. d`` from ``v`` — a breadth-first search whose
+    frontier, like its visited set, is one int."""
+    origin = 1 << v
+    seen = origin
+    frontier = origin
+    balls = []
+    for _ in range(radius):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj_masks[low.bit_length() - 1]
+        frontier = reach & ~seen
+        seen |= frontier
+        balls.append(seen ^ origin)
+    return balls
 
 
 def distance_signature(
@@ -50,34 +105,24 @@ def distance_signature(
     ``result[d - 1]`` counts labels of vertices at shortest-path distance
     exactly ``d`` (``1 <= d <= radius``) from ``v``.
     """
-    sig: list[Counter] = [Counter() for _ in range(radius)]
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        d = dist[u]
-        if d == radius:
-            continue
-        for w in graph.neighbors(u):
-            if w not in dist:
-                dist[w] = d + 1
-                sig[d][graph.label(w)] += 1
-                queue.append(w)
+    labels = graph.labels
+    sig = []
+    inner = 0
+    for ball in _balls(graph.adjacency_masks(), v, radius):
+        sig.append(
+            Counter(labels[w] for w in bits_ascending(ball ^ inner))
+        )
+        inner = ball
     return sig
 
 
-def _cumulative(sig: list[Counter]) -> list[Counter]:
-    """Prefix sums over distance: labels within distance ``<= d``."""
-    out: list[Counter] = []
-    acc: Counter = Counter()
-    for layer in sig:
-        acc = acc + layer
-        out.append(acc)
-    return out
-
-
 class SPathIndex(GraphIndex):
-    """GraphIndex plus cumulative distance-wise signatures.
+    """GraphIndex plus cumulative distance-wise signatures, stored as
+    threshold masks.
+
+    ``mask_ge(ball_thresholds[d - 1].get(lab), k)`` is the set of stored
+    vertices with at least ``k`` vertices labelled ``lab`` within
+    distance ``d``.
 
     Parameters
     ----------
@@ -90,25 +135,24 @@ class SPathIndex(GraphIndex):
     def __init__(self, graph: LabeledGraph, radius: int = 3) -> None:
         super().__init__(graph)
         self.radius = radius
-        self.cum_signatures: list[list[Counter]] = [
-            _cumulative(distance_signature(graph, v, radius))
-            for v in graph.vertices()
+        self.label_masks = label_masks(self.label_index)
+        by_label = list(self.label_masks.items())
+        adj_masks = self.adj_masks
+        by_count: list[dict[object, dict[int, int]]] = [
+            {lab: {} for lab, _ in by_label} for _ in range(radius)
         ]
-
-
-def _signature_dominates(
-    g_cum: list[Counter], q_cum: list[Counter]
-) -> bool:
-    """Sound filter: for every distance d and label, the stored vertex
-    must see at least as many label occurrences within distance d as the
-    query vertex does (images of distance-d query vertices lie within
-    distance d)."""
-    for d, q_layer in enumerate(q_cum):
-        g_layer = g_cum[d]
-        for lab, k in q_layer.items():
-            if g_layer.get(lab, 0) < k:
-                return False
-    return True
+        for v in range(graph.order):
+            bit = 1 << v
+            for rows, ball in zip(by_count, _balls(adj_masks, v, radius)):
+                for lab, lab_mask in by_label:
+                    k = (ball & lab_mask).bit_count()
+                    if k:
+                        row = rows[lab]
+                        row[k] = row.get(k, 0) | bit
+        self.ball_thresholds: list[dict[object, Thresholds]] = [
+            {lab: threshold_masks(row) for lab, row in rows.items() if row}
+            for rows in by_count
+        ]
 
 
 class SPathMatcher(Matcher):
@@ -134,7 +178,7 @@ class SPathMatcher(Matcher):
 
     def prepare_key(self) -> tuple:
         # the distance signatures depend on the radius
-        return (type(self).__name__, self.radius)
+        return (*super().prepare_key(), self.radius)
 
     def _build_index(self, graph: LabeledGraph) -> SPathIndex:
         return SPathIndex(graph, radius=self.radius)
@@ -235,103 +279,89 @@ class SPathMatcher(Matcher):
             yield  # pragma: no cover - makes this a generator
 
         # fast-path kernel views
-        adj = index.adjacency
         masks = index.adj_masks
-        g_cum = index.cum_signatures
         q_adj = query.adjacency()
         q_labels = query.labels
 
         # ---- vertex filtering via distance-wise signatures ------------
-        q_cums = [
-            _cumulative(distance_signature(query, u, index.radius))
-            for u in query.vertices()
-        ]
-        cand: list[list[int]] = []
-        for u in query.vertices():
-            pool = index.candidates_by_label(q_labels[u])
-            q_cum = q_cums[u]
-            lst = [
-                c for c in pool if _signature_dominates(g_cum[c], q_cum)
-            ]
-            if len(pool):
-                yield len(pool)  # one step per filter probe, batched
-            if not lst:
+        # sound filter: for every distance d and label, the stored
+        # vertex must see at least as many label occurrences within
+        # distance d as the query vertex does (images of distance-d
+        # query vertices lie within distance d)
+        q_adj_masks = query.adjacency_masks()
+        q_label_masks = list(
+            label_masks(query.kernel().label_buckets).items()
+        )
+        ball_thresholds = index.ball_thresholds
+        label_frequencies = index.label_frequencies
+        cand: list[int] = []  # per query vertex, its candidates' bitmask
+        for u in range(nq):
+            lab = q_labels[u]
+            mask = index.label_masks.get(lab, 0)
+            for thresholds, ball in zip(
+                ball_thresholds, _balls(q_adj_masks, u, index.radius)
+            ):
+                for ball_lab, lab_mask in q_label_masks:
+                    k = (ball & lab_mask).bit_count()
+                    if k:
+                        mask &= mask_ge(thresholds.get(ball_lab), k)
+            pool_size = label_frequencies.get(lab)
+            if pool_size:
+                yield pool_size  # one step per filter probe, batched
+            if not mask:
                 outcome.exhausted = True
                 return outcome
-            cand.append(lst)
-        cand_sets = [set(lst) for lst in cand]
+            cand.append(mask)
 
         # ---- path cover + flattened matching slots ---------------------
-        paths = self._path_cover(query, [len(lst) for lst in cand])
-        # slots: (query vertex, predecessor in its path or None)
-        slots: list[tuple[int, int | None]] = []
-        slotted: set[int] = set()
+        paths = self._path_cover(query, [mask.bit_count() for mask in cand])
+        # a slot is (query vertex, predecessor in its path or None); the
+        # first slot of a vertex binds it and is a level of the search,
+        # a later one is a junction revisit, checked at the level it
+        # follows.  Per level, functions of the cover alone:
+        order: list[int] = []  # the query vertex bound there
+        opener: list[int] = []  # level of its path predecessor, or -1
+        back: list[list[int]] = []  # levels of its bound neighbours
+        checks: list[list[tuple[int, int]]] = []  # (opener, level) revisits
+        level_of: dict[int, int] = {}
+
+        def add_slot(w: int, prev: int | None) -> None:
+            before = -1 if prev is None else level_of[prev]
+            if w in level_of:
+                checks[-1].append((before, level_of[w]))
+                return
+            back.append([level_of[x] for x in q_adj[w] if x in level_of])
+            level_of[w] = len(order)
+            order.append(w)
+            opener.append(before)
+            checks.append([])
+
         for path in paths:
             # a candidate path can be matched from either end; start at
             # the end already bound by previous joins when possible
-            if path[-1] in slotted and path[0] not in slotted:
+            if path[-1] in level_of and path[0] not in level_of:
                 path = path[::-1]
             prev: int | None = None
             for w in path:
-                slots.append((w, prev))
+                add_slot(w, prev)
                 prev = w
-                slotted.add(w)
         # isolated query vertices (no edges) still need slots
-        for u in query.vertices():
-            if query.degree(u) == 0:
-                slots.append((u, None))
-                slotted.add(u)
-        assert slotted == set(query.vertices())
+        for u in range(nq):
+            if not q_adj[u]:
+                add_slot(u, None)
+        assert len(order) == nq
 
-        q_to_g: dict[int, int] = {}
-        used_mask = 0
-        n_slots = len(slots)
-
-        def search(pos: int) -> SearchEngine:
-            nonlocal used_mask
-            if pos == n_slots:
-                outcome.found = True
-                outcome.num_embeddings += 1
-                if not count_only:
-                    outcome.embeddings.append(dict(q_to_g))
-                return None
-            u, prev = slots[pos]
-            if u in q_to_g:
-                # revisited path junction: edge-by-edge verification only
-                yield
-                if prev is not None and not (
-                    masks[q_to_g[prev]] >> q_to_g[u]
-                ) & 1:
-                    return None
-                yield from search(pos + 1)
-                return None
-            need = 0
-            for w in q_adj[u]:
-                if w in q_to_g:
-                    need |= 1 << q_to_g[w]
-            pool = (
-                adj[q_to_g[prev]] if prev is not None else cand[u]
-            )
-            cand_u = cand_sets[u]
-            pending = 0  # batched join-candidate probes
-            for c in pool:
-                pending += 1
-                if (used_mask >> c) & 1 or c not in cand_u:
-                    continue
-                if masks[c] & need == need:
-                    yield pending
-                    pending = 0
-                    q_to_g[u] = c
-                    used_mask |= 1 << c
-                    yield from search(pos + 1)
-                    del q_to_g[u]
-                    used_mask &= ~(1 << c)
-                    if outcome.num_embeddings >= max_embeddings:
-                        return None
-            if pending:
-                yield pending
-            return None
-
-        yield from search(0)
+        # ---- joins (backtracking along the slots) -----------------------
+        yield from mask_join(
+            masks,
+            order,
+            cands=[cand[u] for u in order],
+            back=back,
+            opener=opener,
+            checks=checks,
+            outcome=outcome,
+            max_embeddings=max_embeddings,
+            count_only=count_only,
+        )
         outcome.exhausted = True
         return outcome

@@ -144,6 +144,44 @@ class TestPrepareCache:
             is not SPathMatcher(radius=3).prepare(g)
         )
 
+    def test_same_named_matchers_of_two_modules_do_not_share(self):
+        """The key names the module: a class that reuses a matcher's
+        name elsewhere (a test oracle, a plug-in) and builds its own
+        index type gets that type, and the original keeps its own."""
+        from repro.matching import (
+            GraphIndex,
+            GraphQLIndex,
+            GraphQLMatcher,
+            SPathIndex,
+            SPathMatcher,
+        )
+
+        class ElsewhereIndex(GraphIndex):
+            pass
+
+        def namesake(base):
+            """``base``'s name and qualname, as if at the top level of
+            another module."""
+            def _build_index(self, graph):
+                return ElsewhereIndex(graph)
+
+            _build_index.__module__ = "elsewhere"
+            _build_index.__qualname__ = f"{base.__name__}._build_index"
+            return type(
+                base.__name__,
+                (base,),
+                {"__module__": "elsewhere", "_build_index": _build_index},
+            )
+
+        g = small_graph()
+        for base, own in (
+            (GraphQLMatcher, GraphQLIndex),
+            (SPathMatcher, SPathIndex),
+        ):
+            assert isinstance(namesake(base)().prepare(g), ElsewhereIndex)
+            assert isinstance(base().prepare(g), own)
+            assert base().run(g, g).found
+
     def test_stats_and_clear(self):
         cache = PrepareCache()
         g = small_graph()

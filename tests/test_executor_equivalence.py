@@ -8,7 +8,10 @@ random query/graph pairs, that
 * ``interleaved_race`` returns identical winners, steps and
   ``per_variant_steps`` for every scheduling quantum;
 * batched ``drive()`` matches unbatched step totals and kill behavior
-  exactly, including at budget boundaries.
+  exactly, including at budget boundaries;
+* the paper's GQL,SPA x Orig,DND race, stepped a round at a time,
+  advances what a race of the recursive oracles
+  (``tests/_nfv_recursive.py``) advances, round for round.
 """
 
 import random
@@ -18,8 +21,11 @@ import pytest
 from repro.graphs import gnm_graph, uniform_labels
 from repro.matching import Budget, make_matcher
 from repro.matching.engine import MatchOutcome, drive
-from repro.psi import OverheadModel, interleaved_race
+from repro.psi import OverheadModel, RaceTask, interleaved_race
+from repro.rewriting import LabelStats, make_rewriting
 from repro.workload import extract_query
+
+from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
 
 RACE_ALGOS = ("VF2", "QSI", "GQL", "SPA")
 ALL_ALGOS = RACE_ALGOS + ("ULL", "TUR", "REF")
@@ -110,6 +116,39 @@ class TestQuantumEquivalence:
             interleaved_race(
                 {"a": iter([None])}, quantum=0
             )
+
+
+class TestNfvRaceMatchesTheOracle:
+    @pytest.mark.parametrize("quantum", [1, 64])
+    def test_round_for_round(self, quantum):
+        """A dispatcher charges a round what it advanced
+        (``last_round_steps``), so the engines' yield granularity — not
+        only their totals — reaches the serving layer's clock."""
+        def rounds(matchers, g, q):
+            stats = LabelStats.of_graph(g)
+            engines = {}
+            for m in matchers:
+                index = m.prepare(g)
+                for rw in ("Orig", "DND"):
+                    rewritten = make_rewriting(rw).apply(q, stats).graph
+                    engines[m.name, rw] = m.engine(
+                        index, rewritten, max_embeddings=5
+                    )
+            race = RaceTask(
+                engines, budget=Budget(max_steps=5000), quantum=quantum
+            )
+            advanced = []
+            while not race.finished:
+                race.round()
+                advanced.append(race.last_round_steps)
+            return advanced, race_signature(race.outcome)
+
+        for g, q in corpus():
+            got = rounds((make_matcher("GQL"), make_matcher("SPA")), g, q)
+            want = rounds(
+                (RecursiveGraphQLMatcher(), RecursiveSPathMatcher()), g, q
+            )
+            assert got == want
 
 
 class TestBatchedDriveEquivalence:

@@ -12,6 +12,9 @@ grown from them, then assert the library's fundamental contracts:
 * the plan-driven explicit-stack VF2 yields, batch for batch, what the
   recursive search it replaced yields (``tests/_vf2_recursive.py``),
   also when one plan is shared between engines;
+* the bitmask GraphQL and sPath engines yield, batch for batch, what
+  the ``Counter``-signature recursive engines they replaced yield
+  (``tests/_nfv_recursive.py``), and are killed where those are;
 * race outcomes equal the per-variant minimum.
 """
 
@@ -29,14 +32,19 @@ from repro.indexing import (
 )
 from repro.matching import (
     SELECTION_POLICIES,
+    Budget,
     GraphIndex,
+    GraphQLMatcher,
+    SPathMatcher,
     VF2Matcher,
+    drive,
     make_matcher,
 )
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.workload import extract_query
 
+from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
 from ._vf2_recursive import RecursiveVF2Matcher
 from .conftest import canonical_embeddings
 
@@ -348,6 +356,61 @@ def test_vf2_engines_leak_nothing_into_a_shared_plan(case, k):
             RecursiveVF2Matcher(policy).engine(index, q), limit=k
         )
         assert killed == head
+
+
+#: (production matcher, its recursive oracle), two configs each
+NFV_PAIRS = (
+    (GraphQLMatcher(refine_level=0), RecursiveGraphQLMatcher(refine_level=0)),
+    (GraphQLMatcher(refine_level=4), RecursiveGraphQLMatcher(refine_level=4)),
+    (
+        SPathMatcher(radius=3, max_path_length=4),
+        RecursiveSPathMatcher(radius=3, max_path_length=4),
+    ),
+    (
+        SPathMatcher(radius=2, max_path_length=2),
+        RecursiveSPathMatcher(radius=2, max_path_length=2),
+    ),
+)
+
+
+@given(case=vf2_cases())
+@settings(max_examples=150, deadline=None)
+def test_gql_and_spa_yield_what_the_recursive_engines_yield(case):
+    g, q, _ = case
+    for new, old in NFV_PAIRS:
+        index = new.prepare(g)
+        old_index = old.prepare(g)
+        assert type(index) is not type(old_index)
+        for max_embeddings in (1, 7, 1000):
+            for count_only in (False, True):
+                options = {
+                    "max_embeddings": max_embeddings,
+                    "count_only": count_only,
+                }
+                want, want_out = _drain(old.engine(old_index, q, **options))
+                got, got_out = _drain(new.engine(index, q, **options))
+                assert got == want
+                assert _outcome_fields(got_out) == _outcome_fields(want_out)
+
+
+@given(case=vf2_cases())
+@settings(max_examples=60, deadline=None)
+def test_gql_and_spa_are_killed_where_the_recursive_engines_are(case):
+    """``drive`` under every kill cap up to the solo cost and one past
+    it, where the search completes (of a search longer than 200 steps:
+    the first 200 caps and the last three — the sweep is quadratic)."""
+    g, q, _ = case
+    for new, old in NFV_PAIRS:
+        index = new.prepare(g)
+        old_index = old.prepare(g)
+        solo = drive(old.engine(old_index, q)).steps
+        caps = {*range(1, min(solo, 200) + 1), solo - 1, solo, solo + 1}
+        for cap in sorted(cap for cap in caps if cap >= 1):
+            budget = Budget(max_steps=cap)
+            got_out = drive(new.engine(index, q), budget)
+            want_out = drive(old.engine(old_index, q), budget)
+            assert got_out.killed == want_out.killed == (cap <= solo)
+            assert got_out.steps == want_out.steps
 
 
 @given(

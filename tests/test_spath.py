@@ -39,6 +39,33 @@ class TestDistanceSignature:
         assert sig[0] == {"B": 2}
 
 
+def test_distance_signature_is_what_the_counter_bfs_returned(small_store):
+    """The exported signature is rebuilt over the bitmask BFS; its
+    value is the dict/deque BFS's, kept with the oracle."""
+    from ._nfv_recursive import distance_signature as counter_bfs
+
+    for radius in (1, 2, 3, 5):
+        for v in small_store.vertices():
+            assert distance_signature(small_store, v, radius) == (
+                counter_bfs(small_store, v, radius)
+            )
+
+
+def test_deep_query_needs_no_recursion():
+    """A query deeper than the interpreter's recursion limit: the
+    recursive join died with RecursionError (one generator frame per
+    slot); the explicit-stack loop walks the path.  The bill is the
+    recursive engine's at a raised limit."""
+    n = 1200
+    path = LabeledGraph.from_edges(
+        ["A"] * n, [(i, i + 1) for i in range(n - 1)]
+    )
+    out = SPathMatcher().decide(path, path)
+    assert out.found
+    assert out.steps == 1_442_695
+    assert out.exhausted and not out.killed
+
+
 class TestPathCover:
     def _cover(self, query, matcher=None):
         matcher = matcher or SPathMatcher()
