@@ -20,9 +20,12 @@ postings as **bitmask posting lists** over stored-graph ids.
 least ``needed`` times" as a single int — the per-node *threshold
 masks* are the distinct posting counts in ascending order with
 suffix-OR'd graph masks, so one bisect plus one list index replaces a
-per-graph dict scan.  Threshold masks are built lazily on first probe
-(or eagerly via :meth:`PathTrie.seal`, which warm catalogs call) and
-invalidated by insertion.
+per-graph dict scan (the tables and the probe are
+:func:`repro.matching.masks.threshold_masks` and
+:func:`repro.matching.masks.mask_ge`, shared with the GraphQL and
+sPath signature filters).  Threshold masks are built lazily on first
+probe (or eagerly via :meth:`PathTrie.seal`, which warm catalogs call)
+and invalidated by insertion.
 
 Invariant: ``mask_ge(seq, needed)`` must equal the brute force "OR of
 ``1 << gid`` over postings with count >= needed" for every node and
@@ -32,8 +35,9 @@ answer identically (the equivalence suite probes all three states).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
+
+from ..matching.masks import Thresholds, mask_ge, threshold_masks
 
 __all__ = ["PathTrie", "SuffixTrie", "Posting"]
 
@@ -74,28 +78,17 @@ class _Node:
         self.postings: dict[int, Posting] = {}
         #: (ascending distinct counts, suffix-OR graph masks); None
         #: until sealed, reset by insertion
-        self.thresholds: tuple[list[int], list[int]] | None = None
+        self.thresholds: Thresholds | None = None
 
-    def seal(self) -> tuple[list[int], list[int]]:
+    def seal(self) -> Thresholds:
         """Build the threshold masks from the posting map."""
-        pairs = sorted(
-            (posting.count, gid)
-            for gid, posting in self.postings.items()
-        )
-        counts: list[int] = []
-        masks: list[int] = []
-        mask = 0
-        for count, gid in reversed(pairs):
-            mask |= 1 << gid
-            if counts and counts[-1] == count:
-                masks[-1] = mask
-            else:
-                counts.append(count)
-                masks.append(mask)
-        counts.reverse()
-        masks.reverse()
-        self.thresholds = (counts, masks)
+        by_count: dict[int, int] = {}
+        for gid, posting in self.postings.items():
+            count = posting.count
+            by_count[count] = by_count.get(count, 0) | 1 << gid
+        self.thresholds = threshold_masks(by_count)
         return self.thresholds
+
 
 class PathTrie:
     """Trie over label sequences with per-graph postings."""
@@ -186,9 +179,7 @@ class PathTrie:
             if not node.postings:
                 return 0
             thresholds = node.seal()
-        counts, masks = thresholds
-        i = bisect_left(counts, needed)
-        return masks[i] if i < len(masks) else 0
+        return mask_ge(thresholds, needed)
 
     def seal(self) -> int:
         """Eagerly build every node's threshold masks (catalog warmup).

@@ -57,6 +57,7 @@ __all__ = [
     "MatcherError",
     "SearchEngine",
     "drive",
+    "label_masks",
     "DEFAULT_MAX_EMBEDDINGS",
 ]
 
@@ -170,6 +171,9 @@ class GraphIndex:
         self.label_frequencies = {
             lab: len(vs) for lab, vs in self.label_index.items()
         }
+        # the same lists as bitmasks over vertex IDs: a candidate pool
+        # is an AND against these (VF2, GraphQL, sPath)
+        self.label_masks: dict[object, int] = label_masks(self.label_index)
         self.degrees = tuple(len(nbrs) for nbrs in kern.neighbors)
         # fast-path aliases used by the matcher inner loops
         self.adjacency = kern.neighbors
@@ -195,6 +199,13 @@ class GraphIndex:
         return self.edge_label_frequencies.get(
             _label_pair(label_a, label_b), 0
         )
+
+
+def label_masks(label_index: Mapping[object, tuple[int, ...]]) -> dict:
+    """Vertex label lists as bitmasks: label -> its vertices."""
+    return {
+        lab: sum(1 << v for v in vs) for lab, vs in label_index.items()
+    }
 
 
 def _label_pair(a: object, b: object) -> tuple:

@@ -66,13 +66,7 @@ from .engine import (
     MatchOutcome,
     SearchEngine,
 )
-from .masks import (
-    Thresholds,
-    label_masks,
-    mask_ge,
-    mask_join,
-    threshold_masks,
-)
+from .masks import Thresholds, mask_ge, mask_join, threshold_masks
 
 __all__ = ["GraphQLMatcher", "GraphQLIndex"]
 
@@ -86,7 +80,6 @@ class GraphQLIndex(GraphIndex):
 
     def __init__(self, graph: LabeledGraph) -> None:
         super().__init__(graph)
-        self.label_masks = label_masks(self.label_index)
         labels = self.labels
         by_count: dict[object, dict[int, int]] = {}
         for v, nbrs in enumerate(self.adjacency):

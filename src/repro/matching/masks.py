@@ -1,17 +1,18 @@
 """The bitmask tier GraphQL and sPath share.
 
-Both matchers keep every vertex set — a label's vertices, a query
-vertex's candidates, the partial map's images — as one int over
-stored-graph vertex IDs (bit ``v`` means vertex ``v``, as in
-``adj_masks``), and read a "list" as that int in ascending bit order.
+Both matchers keep every vertex set — a label's vertices
+(``GraphIndex.label_masks``), a query vertex's candidates, the partial
+map's images — as one int over stored-graph vertex IDs (bit ``v`` means
+vertex ``v``, as in ``adj_masks``), and read a "list" as that int in
+ascending bit order.
 Two pieces are common to them:
 
 * **threshold masks** turn "which stored vertices count at least ``k``
   of something" (neighbours with a label, vertices with a label within
   a distance) into one bisect and one lookup, so a signature filter is
-  an AND of a few masks instead of a walk over the label's vertices —
-  the shape ``PathTrie`` seals its postings into, over vertices instead
-  of graph IDs;
+  an AND of a few masks instead of a walk over the label's vertices
+  (:class:`repro.indexing.PathTrie` seals its postings through the
+  same two functions, over graph IDs instead of vertices);
 * **the join** backtracks over per-level tables that are functions of
   the matcher's plan alone, in one explicit-stack loop: the candidates
   consistent with the partial map are a mask expression, and the step
@@ -28,18 +29,10 @@ from .engine import MatchOutcome
 
 __all__ = [
     "Thresholds",
-    "label_masks",
     "mask_ge",
     "mask_join",
     "threshold_masks",
 ]
-
-
-def label_masks(label_index: Mapping[object, tuple[int, ...]]) -> dict:
-    """The vertex label lists as bitmasks: label -> its vertices."""
-    return {
-        lab: sum(1 << v for v in vs) for lab, vs in label_index.items()
-    }
 
 
 #: ascending distinct counts, and per count the bitmask of the vertices

@@ -65,14 +65,9 @@ from .engine import (
     Matcher,
     MatchOutcome,
     SearchEngine,
-)
-from .masks import (
-    Thresholds,
     label_masks,
-    mask_ge,
-    mask_join,
-    threshold_masks,
 )
+from .masks import Thresholds, mask_ge, mask_join, threshold_masks
 
 __all__ = ["SPathMatcher", "SPathIndex", "distance_signature"]
 
@@ -135,7 +130,6 @@ class SPathIndex(GraphIndex):
     def __init__(self, graph: LabeledGraph, radius: int = 3) -> None:
         super().__init__(graph)
         self.radius = radius
-        self.label_masks = label_masks(self.label_index)
         by_label = list(self.label_masks.items())
         adj_masks = self.adj_masks
         by_count: list[dict[object, dict[int, int]]] = [

@@ -40,14 +40,30 @@ the query per level; a filter-then-verify sweep builds one plan per
 rewritten query and hands it to the engine of every candidate graph.
 
 The search itself is one explicit-stack loop in a single generator
-frame (one image slot and one candidate iterator per level), so a
-yield costs one resume whatever the depth and the query size is not
+frame (one image slot and one remaining-candidates mask per level), so
+a yield costs one resume whatever the depth and the query size is not
 bounded by the interpreter's recursion limit — a 1 500-vertex path
 query is 1 500 steps, not a ``RecursionError``.  The sequence of
 yielded step batches is part of the contract (the race executors feed
 each round's batch to the dispatcher's virtual clock) and is identical,
 value for value, to the recursive search kept as the test oracle in
 ``tests/_vf2_recursive.py``.
+
+Pools and lookahead are mask expressions
+----------------------------------------
+
+Every vertex set of the search is one int over stored-graph vertex IDs
+(bit ``v`` means vertex ``v``, as in ``adj_masks``).  A level's pool is
+``label_masks[label] & unmatched & adj_masks[image[lv]] …`` over the
+levels ``lv`` of the query vertex's matched neighbours (none for a
+root), read lowest bit first — so candidates come in ascending ID order
+by construction.  Lookahead rules 2/3 are two popcounts: with ``free =
+adj_masks[c] & unmatched`` and ``front`` the OR of the matched images'
+neighbourhoods, ``c`` is rejected iff ``free`` holds fewer than
+``q_total`` vertices or ``free & front`` fewer than ``q_frontier``.
+Nothing walks an adjacency list.  A step is still one pool member — the
+pool holds exactly the vertices the scanning search found consistent —
+so the bill needs no reconstruction.
 """
 
 from __future__ import annotations
@@ -84,8 +100,8 @@ class VF2Plan:
     always the last component, so keys are totally ordered).  Level
     ``d`` matches query vertex ``order[d]``:
 
-    * ``labels[d]`` — its label (label *codes* are per stored graph,
-      so the engine resolves them);
+    * ``labels[d]`` — its label (the engine looks up the stored
+      graph's mask of it);
     * ``back[d]`` — the levels of its already-matched neighbours, in
       adjacency (ascending ID) order; empty for a root — level 0, or
       the first vertex of a further component of a disconnected query;
@@ -209,9 +225,12 @@ class VF2Matcher(Matcher):
     ) -> SearchEngine:
         """See :meth:`Matcher.engine`.
 
-        ``root_candidates`` optionally replaces level 0's candidate
+        ``root_candidates`` optionally narrows level 0's candidate
         pool — the stored-graph vertices tried for the *first* matched
-        query vertex (still filtered by label).  Grapes' multithreaded
+        query vertex — to the given vertices that carry its label.  It
+        is read as a *set*: like every pool of the search the roots are
+        tried in ascending ID order and once each, whatever order the
+        tuple lists them in and however often.  Grapes' multithreaded
         verification partitions the root candidate set into contiguous
         slices, one per thread — the union of slices explores exactly
         the full search space, so racing slices is a sound
@@ -245,58 +264,51 @@ class VF2Matcher(Matcher):
             return outcome
             yield  # pragma: no cover - makes this a generator
 
-        # fast-path kernel views (hoisted out of every inner loop)
-        adj = index.adjacency
-        masks = index.adj_masks
-        g_codes = index.label_codes
-        label_index = index.label_index
-        # feasibility passed, so every query label exists in the store
-        code_of = index.code_of
+        # every vertex set below is one int over stored-graph vertex
+        # IDs; feasibility passed, so every query label has a mask
+        adj_masks = index.adj_masks
+        label_masks = index.label_masks
         labels = plan.labels
-        codes = [code_of[lab] for lab in labels]
         order = plan.order
         back = plan.back
         q_frontiers = plan.q_frontier
         q_totals = plan.q_total
 
         image = [0] * nq  # image[d]: stored-graph vertex of level d
-        pools: list = [None] * nq  # one candidate iterator per level
-        matched_mask = 0  # stored-graph vertices in the partial map
+        # per level, saved while the search is below it
+        todo = [0] * nq  # the level's candidates not tried yet
+        fronts = [0] * nq  # ``front`` as the level found it
+        # stored-graph vertices outside the partial map (kept as the
+        # complement so "and not matched" is one AND)
+        unmatched = (1 << graph.order) - 1
+        front = 0  # OR of the matched images' neighbourhoods
         found = 0
         level = 0
         leaf = nq - 1
-        if root_candidates is None:
-            pool = iter(label_index[labels[0]])
-        else:
-            root_code = codes[0]
-            pool = iter(
-                [c for c in root_candidates if g_codes[c] == root_code]
-            )
-        pools[0] = pool
+        rest = label_masks[labels[0]]
+        if root_candidates is not None:
+            roots = 0
+            for c in root_candidates:
+                roots |= 1 << c
+            rest &= roots
         q_frontier = q_frontiers[0]
         q_total = q_totals[0]
         pending = 0  # batched candidate-probe steps
-        while level >= 0:
-            for c in pool:
+        while True:
+            if rest:
+                # lowest bit first: candidates in ascending ID order
+                low = rest & -rest
+                rest ^= low
                 pending += 1
-                # lookahead, graph side; counts only grow, so stop as
-                # soon as both dominance conditions hold
+                c = low.bit_length() - 1
+                # lookahead, graph side: the candidate's unmatched
+                # neighbours, and those of them next to a matched vertex
                 if q_total:
-                    g_frontier = 0
-                    g_rest = 0
-                    for d in adj[c]:
-                        if (matched_mask >> d) & 1:
-                            continue
-                        if masks[d] & matched_mask:
-                            g_frontier += 1
-                        else:
-                            g_rest += 1
-                        if (
-                            g_frontier >= q_frontier
-                            and g_frontier + g_rest >= q_total
-                        ):
-                            break
-                    else:
+                    free = adj_masks[c] & unmatched
+                    if (
+                        free.bit_count() < q_total
+                        or (free & front).bit_count() < q_frontier
+                    ):
                         continue
                 yield pending
                 pending = 0
@@ -306,41 +318,20 @@ class VF2Matcher(Matcher):
                     if not count_only:
                         outcome.embeddings.append(dict(zip(order, image)))
                     if found >= max_embeddings:
-                        level = -1
                         break
                     continue
                 # descend: the next level's candidates are consistent
-                # by construction (label match + adjacency to all
-                # matched neighbours' images, one mask intersection)
-                matched_mask |= 1 << c
+                # by construction (label match, unmatched, adjacent to
+                # the images of all matched neighbours — none for the
+                # root of a further component of a disconnected query)
+                todo[level] = rest
+                fronts[level] = front
+                unmatched ^= low
+                front |= adj_masks[c]
                 level += 1
-                levels = back[level]
-                if levels:
-                    # walk the image neighbourhood of the first matched
-                    # neighbour (ID order); the rest must all be
-                    # adjacent too (so is the first, trivially)
-                    lab_code = codes[level]
-                    need = 0
-                    for lv in levels:
-                        need |= 1 << image[lv]
-                    pool = iter([
-                        c
-                        for c in adj[image[levels[0]]]
-                        if not (matched_mask >> c) & 1
-                        and g_codes[c] == lab_code
-                        and masks[c] & need == need
-                    ])
-                else:
-                    # a further component of a disconnected query
-                    pool = iter([
-                        c
-                        for c in label_index[labels[level]]
-                        if not (matched_mask >> c) & 1
-                    ])
-                pools[level] = pool
-                q_frontier = q_frontiers[level]
-                q_total = q_totals[level]
-                break
+                rest = label_masks[labels[level]] & unmatched
+                for lv in back[level]:
+                    rest &= adj_masks[image[lv]]
             else:
                 # this level's candidates are spent: back up one
                 if pending:
@@ -349,10 +340,11 @@ class VF2Matcher(Matcher):
                 level -= 1
                 if level < 0 or found >= max_embeddings:
                     break
-                matched_mask &= ~(1 << image[level])
-                pool = pools[level]
-                q_frontier = q_frontiers[level]
-                q_total = q_totals[level]
+                unmatched |= 1 << image[level]
+                rest = todo[level]
+                front = fronts[level]
+            q_frontier = q_frontiers[level]
+            q_total = q_totals[level]
         # the search ended on its own (space exhausted or embedding cap
         # reached) — either way this attempt completed, it was not killed
         outcome.found = found > 0

@@ -6,7 +6,10 @@ here verbatim: ``next_query_vertex`` re-derives the match order with a
 scan over the query at every search node, and ``search`` is a recursive
 generator, one frame per matched vertex (so it raises
 ``RecursionError`` on queries about as deep as the interpreter's
-recursion limit).  It is slow and it is the definition of correct:
+recursion limit); pools are list comprehensions over adjacency tuples
+and lookahead walks ``adj[c]``.  It tries ``root_candidates`` as
+listed, so callers hand it the sorted set the production engine reads
+the tuple as.  It is slow and it is the definition of correct:
 ``tests/test_properties.py`` requires the production engine to yield
 the same step batches, in the same order, and to return the same
 outcome.  Nothing under ``src/`` imports it.

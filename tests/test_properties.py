@@ -9,9 +9,11 @@ grown from them, then assert the library's fundamental contracts:
 * the path census is permutation-invariant and prefix-closed, and the
   packed-key coded census equals the label-space reference on counts
   and on decoded locations;
-* the plan-driven explicit-stack VF2 yields, batch for batch, what the
-  recursive search it replaced yields (``tests/_vf2_recursive.py``),
-  also when one plan is shared between engines;
+* the plan-driven explicit-stack VF2, whose pools and lookahead are
+  bitmask expressions, yields batch for batch what the recursive,
+  list-scanning search it replaced yields
+  (``tests/_vf2_recursive.py``), also when one plan is shared between
+  engines, and has consumed the same batches at every kill cap;
 * the bitmask GraphQL and sPath engines yield, batch for batch, what
   the ``Counter``-signature recursive engines they replaced yield
   (``tests/_nfv_recursive.py``), and are killed where those are;
@@ -22,7 +24,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import LabeledGraph
+from repro.graphs import LabeledGraph, disjoint_union
 from repro.indexing import (
     LabelInterner,
     canonical_sequence,
@@ -241,7 +243,8 @@ def vf2_cases(draw):
     """A stored graph and a query for the VF2 differential: the query
     is cut out of the store (so it embeds) or drawn on its own, over an
     alphabet with a label the store may lack; both may be disconnected
-    and hold isolated vertices, and the query may be a single vertex."""
+    and hold isolated vertices, and the query may be a single vertex.
+    The third member is a root-candidate tuple for level 0."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
 
     def scatter(n, labels, edges):
@@ -253,28 +256,58 @@ def vf2_cases(draw):
                 g.add_edge(u, v)
         return g
 
-    n = draw(st.integers(min_value=1, max_value=14))
-    g = scatter(
-        n,
-        "ABC"[:draw(st.integers(min_value=1, max_value=3))],
-        draw(st.integers(min_value=0, max_value=2 * n)),
-    )
-    nq = draw(st.integers(min_value=1, max_value=6))
-    if draw(st.booleans()):
-        sub, _ = g.induced_subgraph(rng.sample(range(n), min(n, nq)))
+    # sizes come from ``rng``, not from ``draw``: hypothesis leans
+    # towards the smallest values (a third of the stores it draws are
+    # single vertices)
+    n = rng.randint(1, 14)
+    g = scatter(n, "ABC"[:rng.randint(1, 3)], rng.randint(0, 3 * n))
+    adj = g.adjacency()
+    nq = rng.randint(1, 6)
+    shape = draw(st.sampled_from(["cut", "ball", "pieces", "scatter"]))
+    if shape in ("cut", "ball"):
+        picked = rng.sample(range(n), min(n, nq))
+        if shape == "ball":
+            # grown from one vertex through neighbours: a connected cut
+            # keeps the store's cycles, the queries on which lookahead
+            # rule 2 (frontier) rejects what rule 3 alone lets through
+            picked = picked[:1]
+            while len(picked) < min(n, nq):
+                fringe = sorted(
+                    {w for v in picked for w in adj[v]} - set(picked)
+                )
+                if not fringe:
+                    break
+                picked.append(rng.choice(fringe))
+        sub, _ = g.induced_subgraph(picked)
         perm = list(range(sub.order))
         rng.shuffle(perm)
         q = sub.permuted(perm)
+    elif shape == "pieces":
+        # two or three pieces cut from disjoint parts of the store and
+        # laid side by side: the query embeds, every piece after the
+        # first opens a root level whose label pool holds vertices the
+        # earlier pieces already took, and lone vertices make levels
+        # with no unmatched neighbour (``q_total == 0``)
+        picked = rng.sample(range(n), min(n, nq))
+        cuts = sorted(rng.sample(range(len(picked) + 1), 2))
+        q = disjoint_union([
+            g.induced_subgraph(part)[0]
+            for part in (
+                picked[: cuts[0]], picked[cuts[0]: cuts[1]],
+                picked[cuts[1]:],
+            )
+            if part
+        ])
+        perm = list(range(q.order))
+        rng.shuffle(perm)
+        q = q.permuted(perm)
     else:
-        q = scatter(
-            nq,
-            "ABCZ"[:draw(st.integers(min_value=1, max_value=4))],
-            draw(st.integers(min_value=0, max_value=nq + 2)),
-        )
-    roots = tuple(
-        sorted(rng.sample(range(n), draw(st.integers(0, n))))
-    )
-    return g, q, roots
+        q = scatter(nq, "ABCZ"[:rng.randint(1, 4)], rng.randint(0, nq + 2))
+    # in no order and with repeats: the engine reads them as a set
+    roots = rng.sample(range(n), rng.randint(0, n))
+    roots += rng.choices(roots, k=rng.randint(0, 2)) if roots else []
+    rng.shuffle(roots)
+    return g, q, tuple(roots)
 
 
 def _drain(gen, limit=None):
@@ -315,16 +348,70 @@ def test_vf2_yields_what_the_recursive_search_yields(case):
             {},
             {"max_embeddings": 1},
             {"max_embeddings": 3, "count_only": True},
+            {"max_embeddings": 0},
             {"root_candidates": roots},
             {"root_candidates": roots[: len(roots) // 2],
              "max_embeddings": 2},
         ):
-            want, want_out = _drain(old.engine(index, q, **options))
+            # the oracle walks the tuple as given; the engine's
+            # contract is the tuple's set in ascending ID order
+            oracle_options = dict(options)
+            if "root_candidates" in options:
+                oracle_options["root_candidates"] = tuple(
+                    sorted(set(options["root_candidates"]))
+                )
+            want, want_out = _drain(old.engine(index, q, **oracle_options))
             for plan in (None, shared):
                 got, got_out = _drain(
                     new.engine(index, q, plan=plan, **options)
                 )
                 assert got == want
+                assert _outcome_fields(got_out) == _outcome_fields(want_out)
+
+
+def _consume(gen, cap):
+    """Pull batches until ``cap`` steps are consumed, then close — what
+    a budget kill does.  ``(batches pulled, outcome or None if the
+    engine had more to give)``; a closed engine must stay closed."""
+    pulled = []
+    consumed = 0
+    outcome = None
+    try:
+        while consumed < cap:
+            inc = next(gen)
+            pulled.append(inc)
+            consumed += 1 if inc is None else inc
+    except StopIteration as stop:
+        outcome = stop.value
+    gen.close()
+    assert next(gen, "closed") == "closed"
+    return pulled, outcome
+
+
+@given(case=vf2_cases())
+@settings(max_examples=60, deadline=None)
+def test_vf2_is_killed_where_the_recursive_search_is(case):
+    """A kill at every cap from 0 to the solo cost (of a search longer
+    than 150 steps: the first 150 caps and the last three — the sweep
+    is quadratic): what was consumed before the kill is what the
+    recursive search had yielded by then, and closing mid-search
+    raises nothing and leaves the engine closed."""
+    g, q, _ = case
+    index = GraphIndex(g)
+    for policy in SELECTION_POLICIES:
+        new = VF2Matcher(policy)
+        old = RecursiveVF2Matcher(policy)
+        shared = new.plan(q)
+        total = sum(_drain(old.engine(index, q))[0])
+        caps = {*range(min(total, 150) + 1), total - 1, total, total + 1}
+        for cap in sorted(cap for cap in caps if cap >= 0):
+            want, want_out = _consume(old.engine(index, q), cap)
+            got, got_out = _consume(
+                new.engine(index, q, plan=shared), cap
+            )
+            assert got == want
+            assert (got_out is None) == (want_out is None)
+            if got_out is not None:
                 assert _outcome_fields(got_out) == _outcome_fields(want_out)
 
 

@@ -11,6 +11,7 @@ from repro.harness import build_ftv_graphs
 from repro.matching import (
     SELECTION_POLICIES,
     Budget,
+    GraphIndex,
     VF2Matcher,
     VF2Plan,
     drive,
@@ -190,6 +191,25 @@ class TestRootSlicing:
         assert sum(steps) == full.steps
         assert embeddings == full.embeddings
 
+    def test_roots_are_a_set_tried_in_ascending_id_order(self):
+        """Listing the roots backwards, or some of them twice, changes
+        nothing: the candidate order is ascending ID at every level and
+        no root is tried (or billed) twice."""
+        g, q = self._setup()
+        m = VF2Matcher()
+        ix = m.prepare(g)
+        roots = ix.candidates_by_label(q.label(0))
+        assert len(roots) >= 4
+        want = drive(m.engine(
+            ix, q, max_embeddings=10**6, root_candidates=roots
+        ))
+        muddled = list(roots[::-1]) + list(roots[:3])
+        got = drive(m.engine(
+            ix, q, max_embeddings=10**6, root_candidates=tuple(muddled)
+        ))
+        assert got.steps == want.steps
+        assert got.embeddings == want.embeddings
+
     def test_empty_slice_is_cheap(self):
         g, q = self._setup()
         m = VF2Matcher()
@@ -224,6 +244,46 @@ def test_lookahead_never_false_dismisses(medium_store):
     assert canonical_embeddings(out.embeddings) == canonical_embeddings(
         ref.embeddings
     )
+
+
+def test_popcount_lookahead_is_the_adjacency_walk():
+    """Lookahead rules 2/3, graph side, two ways on generated (graph,
+    matched set, candidate) triples: the walk over ``adj[c]`` the
+    scanning search did (and ``tests/_vf2_recursive.py`` does), and the
+    two popcounts the engine takes against ``front``, the OR of the
+    matched vertices' neighbourhoods.  Same counts, so the same verdict
+    for every ``(q_frontier, q_total)`` a query level can ask for."""
+    rng = random.Random(2004)
+    seen_frontier = seen_rest = 0
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        g = gnm_graph(
+            n, rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)),
+            uniform_labels(n, ["A", "B"], rng), rng,
+        )
+        index = GraphIndex(g)
+        adj = index.adjacency
+        adj_masks = index.adj_masks
+        matched = rng.sample(range(n), rng.randint(0, n - 1))
+        matched_mask = sum(1 << v for v in matched)
+        front = 0
+        for v in matched:
+            front |= adj_masks[v]
+        for c in set(range(n)) - set(matched):
+            g_frontier = g_rest = 0
+            for d in adj[c]:
+                if (matched_mask >> d) & 1:
+                    continue
+                if adj_masks[d] & matched_mask:
+                    g_frontier += 1
+                else:
+                    g_rest += 1
+            free = adj_masks[c] & ~matched_mask
+            assert (free & front).bit_count() == g_frontier
+            assert free.bit_count() == g_frontier + g_rest
+            seen_frontier += g_frontier
+            seen_rest += g_rest
+    assert seen_frontier and seen_rest
 
 
 class TestPlanSharing:
