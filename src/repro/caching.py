@@ -184,8 +184,8 @@ class PrepareCache:
     def evict_graph(self, graph: LabeledGraph) -> int:
         """Drop one graph's memoized indexes, counting the evictions.
 
-        The catalog's watermark eviction uses this: unloading a dataset
-        through the garbage collector would drop the entries silently,
+        The catalogs' ``remove_graph`` uses this: leaving a removed
+        graph to the garbage collector would drop the entries silently,
         while an explicit evict shows up in the cache-efficacy counters
         operators watch.  Returns the number of entries dropped.
         """

@@ -2,7 +2,6 @@
 
 from .core import GraphError, LabeledGraph, bits_ascending
 from .generators import (
-    connect_components,
     disjoint_union,
     gnm_graph,
     mutate_graph,
@@ -28,7 +27,6 @@ __all__ = [
     "LabeledGraph",
     "are_isomorphic",
     "isomorphism_invariant_key",
-    "connect_components",
     "disjoint_union",
     "mutate_graph",
     "gnm_graph",

@@ -19,7 +19,7 @@ rewriting in :mod:`repro.rewriting` is built.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import Optional
 
 Label = Hashable
@@ -260,10 +260,6 @@ class LabeledGraph:
     def label_codes(self) -> tuple[int, ...]:
         """Per-vertex labels interned to dense int codes."""
         return self.kernel().label_codes
-
-    def label_code_of(self) -> Mapping[Label, int]:
-        """Label -> dense code mapping matching :meth:`label_codes`."""
-        return self.kernel().code_of
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""

@@ -37,7 +37,6 @@ __all__ = [
     "sparse_tree_like_graph",
     "disjoint_union",
     "mutate_graph",
-    "connect_components",
 ]
 
 
@@ -255,21 +254,3 @@ def mutate_graph(
         out.add_edge(u, v)
         removed -= 1
     return out
-
-
-def connect_components(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
-    """Return a connected copy of ``g`` by bridging its components.
-
-    One random vertex of each non-first component is wired to a random
-    vertex of the first.  Utility for dataset assembly.
-    """
-    comps = g.connected_components()
-    if len(comps) <= 1:
-        return g
-    bridged = LabeledGraph(g.order, g.labels, name=g.name)
-    for u, v in g.edges():
-        bridged.add_edge(u, v, g.edge_label(u, v))
-    anchor = comps[0]
-    for comp in comps[1:]:
-        bridged.add_edge(rng.choice(anchor), rng.choice(comp))
-    return bridged

@@ -7,7 +7,6 @@ figure series as text.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["Table"]
@@ -74,8 +73,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
-
-
-def format_tables(tables: Sequence[Table]) -> str:
-    """Join several rendered tables with blank lines."""
-    return "\n\n".join(t.render() for t in tables)

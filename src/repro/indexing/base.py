@@ -13,9 +13,10 @@ Equivalence invariants: :meth:`FTVIndex.filter` is deterministic (same
 graphs + query -> same ascending candidate ids on any machine) and
 per-graph (a graph's membership never depends on the rest of the
 collection — the property sharded catalogs rely on); the bitset fast
-path must return exactly what :meth:`FTVIndex.filter_reference`'s seed
-set algebra returns, and the census memo layers must never change a
-candidate set, only skip recomputing it.
+path must return exactly what the seed's set algebra returns (the
+oracle ``tests/test_filter_equivalence.py`` compares it with), and the
+census memo layers must never change a candidate set, only skip
+recomputing it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import Optional
 
 from ..graphs import LabeledGraph, bits_ascending
 from ..matching import Budget, GraphIndex, VF2Matcher, VF2Plan
-from .features import (
-    LabelInterner,
-    PathCensus,
-    coded_path_census,
-    label_path_census,
-)
+from .features import LabelInterner, PathCensus, coded_path_census
 from .trie import PathTrie
 
 __all__ = ["FTVIndex", "VerificationReport", "FTVQueryResult"]
@@ -271,16 +267,6 @@ class FTVIndex(ABC):
     # online stage
     # ------------------------------------------------------------------
 
-    def query_census(self, query: LabeledGraph) -> PathCensus:
-        """The query's label-space path features (reference census).
-
-        This is the seed implementation, kept as the equivalence
-        baseline; the serving path uses :meth:`coded_query_census`.
-        """
-        return label_path_census(
-            query, self.max_path_length, with_locations=False
-        )
-
     def coded_query_census(self, query: LabeledGraph) -> PathCensus:
         """The query's interned-int census, memoized two ways.
 
@@ -423,28 +409,6 @@ class FTVIndex(ABC):
                 return []
         return list(bits_ascending(alive))
 
-    def filter_reference(self, query: LabeledGraph) -> list[int]:
-        """The seed filter: label census + posting-dict set algebra.
-
-        Kept verbatim (modulo the label->code translation the int-keyed
-        trie requires) as the equivalence baseline and the filter
-        benchmark's pre-fast-path cost model.
-        """
-        census = self.query_census(query)
-        alive: Optional[set[int]] = None
-        for seq, needed in census.counts.items():
-            coded = self.interner.encode_sequence(seq)
-            postings = (
-                self.trie.lookup(coded) if coded is not None else {}
-            )
-            ok = {
-                gid for gid, p in postings.items() if p.count >= needed
-            }
-            alive = ok if alive is None else (alive & ok)
-            if not alive:
-                return []
-        return sorted(alive) if alive else []
-
     def warm(self) -> dict:
         """Eagerly build the trie's threshold masks (catalog warmup).
 
@@ -518,7 +482,7 @@ class FTVIndex(ABC):
         Memoized solely through :data:`repro.caching.prepare_cache`
         (graph-side storage): reuse shows up in the cache's hit
         counters instead of being swallowed by a private dict, and a
-        catalog eviction that drops the graph's memo entries actually
+        ``remove_graph`` that drops the graph's memo entries actually
         frees the index instead of leaving a shadow copy here.
         """
         return self._verifier.prepare(self.graphs[graph_id])

@@ -15,7 +15,8 @@ Determinism/equivalence: like every FTV index, GGSX filtering is a
 pure per-graph predicate over (graph features, query census) — see the
 invariants in :mod:`repro.indexing.base` — so candidate sets are
 machine-independent and shard-decomposable, and the suffix-trie bitset
-path must agree bit-for-bit with ``filter_reference``.
+path must agree bit-for-bit with the seed filter
+(``tests/test_filter_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class GGSXIndex(FTVIndex):
         all their counts), which keeps the filter sound — it can only
         under-prune relative to Grapes, consistent with GGSX forming
         larger candidate sets.  Runs on the shared bitset fast path
-        (see :meth:`FTVIndex.filter_reference` for the seed algebra).
+        (``tests/test_filter_equivalence.py`` pins it to the seed
+        algebra).
         """
         return self._bitset_filter(query)
 

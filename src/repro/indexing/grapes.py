@@ -24,7 +24,8 @@ termination) — see :mod:`repro.scheduling` and DESIGN.md §2.
 Determinism/equivalence: filtering is a per-graph predicate (candidate
 membership never depends on the rest of the collection, which is what
 lets a catalog shard's Grapes index agree with the global one), the
-trie's bitset fast path must match ``filter_reference`` bit-for-bit,
+trie's bitset fast path must match the seed filter bit-for-bit (the
+oracle ``tests/test_filter_equivalence.py`` holds it to),
 and per-graph feature-location unions are isomorphism invariants safe
 to memoize per canonical query form.
 """
@@ -120,7 +121,7 @@ class GrapesIndex(FTVIndex):
 
         Bitset fast path: threshold masks per feature, intersected
         rarest-first — provably the same sorted candidate ids as the
-        seed's set algebra (see :meth:`FTVIndex.filter_reference`).
+        seed's set algebra (``tests/test_filter_equivalence.py``).
         """
         return self._bitset_filter(query)
 

@@ -11,7 +11,6 @@ from .engine import (
     Budget,
     GraphIndex,
     Matcher,
-    MatcherError,
     MatchOutcome,
     drive,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Budget",
     "GraphIndex",
     "Matcher",
-    "MatcherError",
     "MatchOutcome",
     "drive",
     "GraphQLIndex",

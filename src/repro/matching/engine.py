@@ -54,7 +54,6 @@ __all__ = [
     "MatchOutcome",
     "GraphIndex",
     "Matcher",
-    "MatcherError",
     "SearchEngine",
     "drive",
     "label_masks",
@@ -67,10 +66,6 @@ DEFAULT_MAX_EMBEDDINGS = 1000
 Embedding = dict[int, int]
 # engines yield None (one step) or an int batch of steps
 SearchEngine = Generator[Optional[int], None, "MatchOutcome"]
-
-
-class MatcherError(RuntimeError):
-    """Raised on matcher misuse (e.g., query larger than stored graph)."""
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ Three pieces, layered strictly *outside* the deterministic core:
 * :mod:`repro.obs.registry` — a unified metrics registry.  Counters,
   gauges, and fixed-bucket histograms are standalone publisher
   primitives; the registry is the namespace view over them, and
-  ``Service.stats()`` is now a registry read (key-for-key identical to
-  the pre-registry dict, pinned by ``tests/test_obs.py``).
+  ``Service.stats()`` is a registry read (keys, order and composite
+  sections pinned by ``tests/test_obs.py``).
 * :mod:`repro.obs.trace` — per-ticket trace spans on the virtual
   clock, kept in a bounded ring buffer with a ``Service.trace(id)``
   accessor and JSONL export.
@@ -29,7 +29,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counter_property,
 )
 from .trace import Span, TicketTrace, Tracer
 
@@ -42,5 +41,4 @@ __all__ = [
     "Span",
     "TicketTrace",
     "Tracer",
-    "counter_property",
 ]

@@ -1,9 +1,10 @@
 """Blocking HTTP client for the observability front door.
 
 Stdlib-only (``http.client``) helpers used by the ``repro tail`` CLI,
-the server tests, and the CI ``obs-smoke`` driver.  Deliberately
-synchronous: callers that drive deterministic comparisons submit one
-query at a time and want the response before the next submit.
+the server tests, and the ``serve --listen`` process drills in
+``tests/test_cli.py``.  Deliberately synchronous: callers that drive
+deterministic comparisons submit one query at a time and want the
+response before the next submit.
 
 Every read is bounded: one-shot requests and ``/watch`` frames both
 carry a read timeout, so a dead socket (server killed mid-stream, a

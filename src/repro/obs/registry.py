@@ -17,10 +17,9 @@ Two rules keep the registry digest-stable:
 * histograms use *fixed* bucket bounds chosen at construction time
   (power-of-two step bounds by default), never adaptive resizing.
 
-Legacy attribute compatibility: components that historically exposed
-plain ``int`` counters (``service.retries += 1`` and friends) keep
-that surface via :func:`counter_property`, which forwards attribute
-reads/writes to an underlying :class:`Counter`.
+There is one object per counter: a component's attribute *is* the
+registered :class:`Counter` (``service.retries.inc()``), and readers
+say ``service.retries.value`` or ``registry.value("service.retries")``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter_property",
 ]
 
 #: Fixed power-of-two virtual-step bounds (1 .. 2**21).  Values above
@@ -44,8 +42,8 @@ DEFAULT_LATENCY_BUCKETS: Tuple[int, ...] = tuple(1 << k for k in range(22))
 
 
 class Counter:
-    """A monotonically *usable* integer cell (writes are allowed so the
-    legacy ``obj.counter = 0`` reset idiom keeps working)."""
+    """An integer cell: ``inc()`` to count, ``value`` (or ``read()``,
+    the registry's protocol) to look."""
 
     __slots__ = ("value",)
 
@@ -121,23 +119,6 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram(count={self.count}, sum={self.total})"
-
-
-def counter_property(attr: str) -> property:
-    """Expose ``self.<attr>`` (a :class:`Counter`) as a plain int.
-
-    Keeps the historical public surface — ``service.retries += 1``,
-    ``admission.rejected = 0`` in tests — while the value lives in a
-    registry-visible :class:`Counter`.
-    """
-
-    def fget(self: Any) -> int:
-        return getattr(self, attr).value
-
-    def fset(self: Any, value: int) -> None:
-        getattr(self, attr).value = value
-
-    return property(fget, fset)
 
 
 class MetricsRegistry:

@@ -6,8 +6,9 @@ and wall-clock timers live exclusively in this layer, while every
 query answer, step bill, and latency is produced by the same
 deterministic ``submit``/``pump`` machinery the tests and benches
 digest-pin.  Serving the same submission sequence over sockets or
-in-process therefore yields identical stats — the property the CI
-``obs-smoke`` job asserts.
+in-process therefore yields identical stats — the property
+``tests/test_obs_server.py`` and the ``serve --listen`` process drills
+in ``tests/test_cli.py`` assert.
 
 Endpoints
 ---------
@@ -373,7 +374,7 @@ class FrontDoor:
         exactly the completions of this interval.
         """
         svc = self.service
-        completed = svc.completed_count
+        completed = svc.completed_count.value
         delta = completed - prev_completed
         recent = list(svc._latencies)[-delta:] if delta else []
         latency = (
@@ -387,17 +388,17 @@ class FrontDoor:
             "delta_completed": delta,
             "latency_steps": latency,
             "per_shard_work": svc.metrics.value("service.per_shard_work"),
-            "fanout_waste": svc.fanout_waste,
+            "fanout_waste": svc.fanout_waste.value,
             "cache_hit_rate": svc.cache.as_metrics()["hit_rate"],
             "replicas_live": sum(replicas["live"]),
             "replica_states": replicas["states"],
             "queued": svc.admission.queued(),
             "active": svc.dispatcher.active,
-            "degraded": svc.degraded,
-            "retries": svc.retries,
+            "degraded": svc.degraded.value,
+            "retries": svc.retries.value,
             # dynamic collections: applied-mutation throughput and the
             # replay-recovery signal (journaled-but-unapplied records)
-            "mutations_applied": svc.mutations_applied,
+            "mutations_applied": svc.mutations_applied.value,
             "mutations_pending": len(svc._mutations),
             "journal_lag": svc.journal_lag(),
             "collection_epoch": svc.metrics.value(
@@ -422,7 +423,7 @@ class FrontDoor:
         writer.write(head.encode())
         await writer.drain()
         seq = 0
-        prev_completed = self.service.completed_count
+        prev_completed = self.service.completed_count.value
         token = object()
         self._watchers.add(token)
         try:

@@ -5,8 +5,8 @@ ScenarioConfig` into a live :class:`~repro.service.Service` through the
 *same* code the CLI uses — a config is a
 :class:`~repro.service.spec.ServiceSpec`, and the spec's builders are
 the only ones there are — drives it with :meth:`~repro.service.spec.
-ServiceSpec.drive` (or, when the config has a ``mutations:`` section,
-:func:`~repro.service.loadgen.run_update_stream` plus the optional
+ServiceSpec.drive` (handing it the planned update stream when the
+config has a ``mutations:`` section, and following it with the optional
 crash-replay drill — corrupt the journal, reboot cold, replay,
 compare), and distils the run into a
 typed :class:`ScenarioResult` — digests, latency summary, and every
@@ -159,10 +159,9 @@ class ScenarioRunner:
         journal = f"{tmp}/journal" if m.journal else None
         service = config.build_service(store=store, journal=journal)
         streams = config.tenant_streams(service)
-        if not m.count:
-            report = config.drive(service, streams)
-            return self._distil(config, service, report)
-        report = self._run_mutated(config, service, streams)
+        report = config.drive(
+            service, streams, **self._update_stream(config, service)
+        )
         drill = (
             self._crash_replay(config, store, journal, service)
             if m.crash_replay
@@ -170,35 +169,25 @@ class ScenarioRunner:
         )
         return self._distil(config, service, report, drill)
 
-    def _run_mutated(self, config, service, streams):
-        """Drive the update-stream path."""
-        from ..service.loadgen import (
-            plan_update_stream,
-            run_update_stream,
-        )
+    def _update_stream(self, config, service) -> dict:
+        """The ``mutations:`` section as the closed loop's update-stream
+        arguments ({} = static collection)."""
+        from ..service.loadgen import plan_update_stream
 
         m = config.mutations
-        rebalancer, _ = config.rebalancer(service)
-        faults = config.chaos_faults()
+        if not m.count:
+            return {}
         entry = service.catalog.get(config.dataset)
         base = [entry.graphs[g] for g in entry.live_graph_ids()]
-        ops = plan_update_stream(
-            base, m.count, seed=m.seed, add_fraction=m.add_fraction
-        )
-        return run_update_stream(
-            service,
-            config.dataset,
-            streams,
-            ops,
-            options=config.query_options(),
-            concurrency=config.workload.concurrency,
-            mutate_every=m.every,
-            batch=m.batch,
-            probe_seed=m.seed,
-            verify_oracle=m.verify_oracle,
-            rebalancer=rebalancer,
-            faults=faults,
-        )
+        return {
+            "mutations": plan_update_stream(
+                base, m.count, seed=m.seed, add_fraction=m.add_fraction
+            ),
+            "mutate_every": m.every,
+            "batch": m.batch,
+            "probe_seed": m.seed,
+            "verify_oracle": m.verify_oracle,
+        }
 
     def _crash_replay(self, config, store, journal, live) -> dict:
         """The cold-boot drill: corrupt (optionally), reboot, replay.
@@ -229,7 +218,7 @@ class ScenarioRunner:
             for q in generate_workload(base, 6, 3, seed=m.seed + 101)
         ]
         return {
-            "replayed": reborn.mutations_replayed,
+            "replayed": reborn.mutations_replayed.value,
             "journal_corrupt_detected": len(recovery.detected),
             "replay_digest_match": (
                 collection_digest(reborn, config.dataset, probes)

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from ..graphs import LabeledGraph
-from ..obs import Counter, MetricsRegistry, counter_property
+from ..obs import Counter, MetricsRegistry
 from ..scheduling import FairShareLedger
 
 __all__ = ["TicketState", "TenantPolicy", "Ticket", "AdmissionController"]
@@ -88,7 +88,7 @@ class Ticket:
     cache_hit: bool = False
     #: attached to an identical in-flight query's race (no own race)
     coalesced: bool = False
-    #: raced a plan-cache/advisor-seeded variant subset, not the full set
+    #: raced a plan-cache-seeded variant subset, not the full set
     plan_seeded: bool = False
     #: shard races this ticket fanned out into (0 until dispatched;
     #: 1 on an unsharded catalog).  With routing on this counts only
@@ -129,12 +129,6 @@ class Ticket:
 class AdmissionController:
     """Queue + fair-share gate in front of the dispatcher."""
 
-    #: legacy int surface over the registry-visible counters
-    rejected = counter_property("_m_rejected")
-    admitted = counter_property("_m_admitted")
-    coalesced = counter_property("_m_coalesced")
-    plan_seeded = counter_property("_m_plan_seeded")
-
     def __init__(
         self,
         default_policy: TenantPolicy = TenantPolicy(),
@@ -150,10 +144,10 @@ class AdmissionController:
         self._queues: dict[str, list[Ticket]] = {}
         self._in_flight: dict[str, int] = {}
         self._ids = itertools.count()
-        self._m_rejected = Counter()
-        self._m_admitted = Counter()
-        self._m_coalesced = Counter()
-        self._m_plan_seeded = Counter()
+        self.rejected = Counter()
+        self.admitted = Counter()
+        self.coalesced = Counter()
+        self.plan_seeded = Counter()
         #: per-tenant count of followers currently riding a leader
         self._coalesced_backlog: dict[str, int] = {}
 
@@ -161,10 +155,10 @@ class AdmissionController:
         self, registry: MetricsRegistry, prefix: str = "admission"
     ) -> None:
         """Publish this controller's counters + gauges into ``registry``."""
-        registry.register(f"{prefix}.admitted", self._m_admitted)
-        registry.register(f"{prefix}.rejected", self._m_rejected)
-        registry.register(f"{prefix}.coalesced", self._m_coalesced)
-        registry.register(f"{prefix}.plan_seeded", self._m_plan_seeded)
+        registry.register(f"{prefix}.admitted", self.admitted)
+        registry.register(f"{prefix}.rejected", self.rejected)
+        registry.register(f"{prefix}.coalesced", self.coalesced)
+        registry.register(f"{prefix}.plan_seeded", self.plan_seeded)
         registry.gauge(f"{prefix}.queued", lambda: self.queued())
         registry.gauge(f"{prefix}.in_flight", lambda: self.in_flight())
         registry.gauge(
@@ -224,7 +218,7 @@ class AdmissionController:
             )
             ticket.retry_after = ticket.submit_time + self.backoff_steps
             ticket.finish_time = ticket.submit_time
-            self.rejected += 1
+            self.rejected.inc()
             return ticket
         queue.append(ticket)
         return ticket
@@ -262,10 +256,10 @@ class AdmissionController:
             )
             ticket.retry_after = ticket.submit_time + self.backoff_steps
             ticket.finish_time = ticket.submit_time
-            self.rejected += 1
+            self.rejected.inc()
             return ticket
         ticket.coalesced = True
-        self.coalesced += 1
+        self.coalesced.inc()
         self._coalesced_backlog[ticket.tenant] = backlog + 1
         return ticket
 
@@ -299,7 +293,7 @@ class AdmissionController:
         ticket = self._queues[tenant].pop(0)
         ticket.state = TicketState.RUNNING
         self._in_flight[tenant] = self._in_flight.get(tenant, 0) + 1
-        self.admitted += 1
+        self.admitted.inc()
         return ticket
 
     def charge(self, tenant: str, steps: int) -> None:
@@ -331,10 +325,10 @@ class AdmissionController:
     def stats(self) -> dict:
         """Counters + per-tenant charged steps."""
         return {
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "coalesced": self.coalesced,
-            "plan_seeded": self.plan_seeded,
+            "admitted": self.admitted.value,
+            "rejected": self.rejected.value,
+            "coalesced": self.coalesced.value,
+            "plan_seeded": self.plan_seeded.value,
             "queued": self.queued(),
             "in_flight": self.in_flight(),
             "charged_steps": {

@@ -18,11 +18,10 @@ Entries wrap:
 Besides the named builders, :meth:`DatasetCatalog.register` accepts a
 pre-built list of graphs under any name — that is how
 :class:`repro.service.sharding.ShardedCatalog` places one partition of
-a collection on each shard catalog.  Registered entries are warmed,
-frozen, and watermark-evicted exactly like loaded ones, but the catalog
-cannot rebuild them on its own: a watermark-evicted registered entry
-raises from :meth:`DatasetCatalog.get` instead of silently reloading,
-and the owner (the sharded catalog) re-registers it.
+a collection on each shard catalog.  Registered entries are warmed
+and frozen exactly like loaded ones.  A catalog holds what it was told
+to load until it is told to :meth:`~DatasetCatalog.unload` it: nothing
+is evicted behind the caller's back.
 
 Invariant: loading/registering is deterministic — the same name, scale,
 and configuration always produce the same frozen graphs and warm
@@ -44,7 +43,6 @@ from ..harness import (
 )
 from ..indexing import FTVIndex, GGSXIndex, GrapesIndex
 from ..psi import PsiNFV
-from ..psi.executors import OverheadModel
 from ..rewriting import LabelStats
 
 __all__ = ["DatasetEntry", "DatasetCatalog", "approx_deep_bytes"]
@@ -101,11 +99,6 @@ class DatasetEntry:
     load_config: tuple = ()
     #: FTVIndex.warm() statistics (sealed posting-mask nodes etc.)
     warm_stats: dict = field(default_factory=dict)
-    #: the entry diverged from its named builder via add/remove: a
-    #: builder reload would silently discard those mutations, so the
-    #: watermark never evicts a mutated entry (checkpoint + journal
-    #: replay is the only way its state survives a drop)
-    mutated: bool = False
     #: (order, size) checksums taken at load time (freeze witness)
     _shape: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     #: (graph bytes, FTV index bytes) of the frozen state; None until
@@ -200,56 +193,20 @@ class DatasetEntry:
 
 
 class DatasetCatalog:
-    """Named, load-once registry of warm datasets.
+    """Named, load-once registry of warm datasets."""
 
-    ``overhead`` is the race overhead model handed to each dataset's
-    :class:`PsiNFV` (the service charges it per race).
-
-    ``max_bytes`` is an optional memory watermark: when the approximate
-    total footprint exceeds it after a load, least-recently-used
-    datasets are unloaded (never the one just loaded) until the total
-    fits or nothing evictable remains.  Evicted graphs' prepared-index
-    memos are dropped through
-    :meth:`repro.caching.PrepareCache.evict_graph`, so the unload shows
-    up in the cache eviction counters operators watch instead of
-    vanishing with the garbage collector.
-    """
-
-    def __init__(
-        self,
-        overhead: OverheadModel = OverheadModel(),
-        max_bytes: Optional[int] = None,
-        store=None,
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        self.overhead = overhead
-        self.max_bytes = max_bytes
+    def __init__(self, store=None) -> None:
         #: attached StoreReader (boot-from-store path); None = always
         #: warm fresh
         self.store = None
         if store is not None:
             self.attach_store(store)
-        self.evictions = 0
-        #: transparent re-loads of watermark-evicted datasets
-        self.reloads = 0
         #: monotone collection-state version: bumped by every applied
         #: ``add_graph``/``remove_graph``.  Result-cache and plan-cache
         #: keys embed it, so a mutation implicitly drops every cached
         #: answer computed against the previous collection state.
         self.mutation_epoch = 0
-        #: dataset names evicted over the catalog's lifetime, in order
-        self.evicted: list[str] = []
         self._entries: dict[str, DatasetEntry] = {}
-        #: evicted name -> its load configuration (reload-on-demand)
-        self._evicted_configs: dict[str, tuple] = {}
-        #: name -> monotone access stamp (LRU order for eviction)
-        self._access: dict[str, int] = {}
-        self._access_clock = 0
-
-    def _touch(self, name: str) -> None:
-        self._access_clock += 1
-        self._access[name] = self._access_clock
 
     def attach_store(self, store):
         """Attach a warmed-artifact store (path or ``StoreReader``).
@@ -451,7 +408,6 @@ class DatasetCatalog:
                 f"re-loading with {config}"
             )
         existing.verify_frozen()
-        self._touch(name)
         return existing
 
     def _install(
@@ -473,7 +429,7 @@ class DatasetCatalog:
         warmed (sealed) and frozen exactly like a fresh one.
         """
         if kind == "nfv":
-            psi = PsiNFV(graphs[0], overhead=self.overhead)
+            psi = PsiNFV(graphs[0])
             for alg in algorithms:
                 psi.prepared(alg)  # warm the matcher indexes now
             entry = DatasetEntry(
@@ -513,9 +469,6 @@ class DatasetCatalog:
             )
         entry.freeze()
         self._entries[name] = entry
-        self._evicted_configs.pop(name, None)
-        self._touch(name)
-        self._maybe_evict(protect=name)
         return entry
 
     def register(
@@ -535,11 +488,10 @@ class DatasetCatalog:
         a collection and registers each partition on its own shard
         catalog, which warms per-shard matcher indexes and Grapes/GGSX
         filters exactly as :meth:`load` would for the full set.  The
-        entry's ``load_config`` is marked ``"registered"`` so the
-        watermark-eviction reload path knows the catalog cannot rebuild
-        it alone (see :meth:`get`).  Re-registering the same name with
-        the same graph shapes and configuration is idempotent; a
-        mismatch raises, like a conflicting re-load.
+        entry's ``load_config`` is marked ``"registered"`` and carries
+        the graph shapes, so re-registering the same name with the same
+        graph shapes and configuration is idempotent; a mismatch
+        raises, like a conflicting re-load.
         """
         if kind not in ("nfv", "ftv"):
             raise ValueError(f"unknown dataset kind {kind!r}")
@@ -587,47 +539,17 @@ class DatasetCatalog:
             return existing
         entry.verify_frozen()
         self._entries[entry.name] = entry
-        self._evicted_configs.pop(entry.name, None)
-        self._touch(entry.name)
-        self._maybe_evict(protect=entry.name)
         return entry
 
     def get(self, name: str) -> DatasetEntry:
-        """The loaded entry for ``name`` (KeyError when never loaded).
-
-        A dataset unloaded by the *watermark* (not by an explicit
-        :meth:`unload`) is transparently re-loaded with its original
-        configuration: eviction trades latency for memory, it must not
-        turn a still-configured dataset into an error.  Registered
-        entries (see :meth:`register`) are the exception — the catalog
-        has no builder for them, so a watermark-evicted registered
-        entry raises and its owner must re-register it.
-        """
+        """The loaded entry for ``name`` (KeyError when not loaded)."""
         entry = self._entries.get(name)
         if entry is None:
-            config = self._evicted_configs.get(name)
-            if config is not None:
-                if config[0] == "registered":
-                    raise KeyError(
-                        f"registered dataset {name!r} was evicted by "
-                        "the memory watermark; its owner must "
-                        "re-register it"
-                    )
-                self.reloads += 1
-                scale, algorithms, ftv_method, max_path_length = config
-                return self.load(
-                    name,
-                    scale=scale,
-                    algorithms=algorithms,
-                    ftv_method=ftv_method,
-                    max_path_length=max_path_length,
-                )
             raise KeyError(
                 f"dataset {name!r} not loaded; catalog holds "
                 f"{sorted(self._entries)}"
             )
         entry.verify_frozen()
-        self._touch(name)
         return entry
 
     # ------------------------------------------------------------------
@@ -702,58 +624,12 @@ class DatasetCatalog:
             shapes = tuple((g.order, g.size) for g in entry.graphs)
             entry.load_config = entry.load_config[:6] + (shapes,)
         entry.freeze()
-        entry.mutated = True
         self.mutation_epoch += 1
 
     def unload(self, name: str) -> None:
-        """Drop a dataset (its graphs take their index memos with them).
-
-        Explicit unloads are final: unlike watermark eviction, a later
-        :meth:`get` raises instead of silently re-loading.
-        """
+        """Drop a dataset (its graphs take their index memos with
+        them); a later :meth:`get` raises."""
         self._entries.pop(name, None)
-        self._access.pop(name, None)
-        self._evicted_configs.pop(name, None)
-
-    def _maybe_evict(self, protect: str) -> None:
-        """Watermark eviction: unload LRU datasets until under budget.
-
-        Entry footprints are measured once up front — an eviction only
-        removes whole entries, so the survivors' sizes don't change and
-        re-walking the catalog per victim would be pure waste.  With a
-        watermark set this is what demands the just-installed entry's
-        accounting walk; without one, nothing on the load path does.
-        """
-        if self.max_bytes is None:
-            return
-        totals = {
-            name: entry.memory_report()["total_bytes"]
-            for name, entry in self._entries.items()
-        }
-        total = sum(totals.values())
-        while total > self.max_bytes:
-            victims = [
-                name
-                for name, entry in self._entries.items()
-                if name != protect and not entry.mutated
-            ]
-            if not victims:
-                return  # the protected entry alone exceeds the budget
-            victim = min(victims, key=lambda n: self._access[n])
-            total -= totals.pop(victim)
-            self._evict(victim)
-
-    def _evict(self, name: str) -> None:
-        """Unload ``name``, dropping its prepared-index memos loudly."""
-        from ..caching import prepare_cache
-
-        entry = self._entries.pop(name)
-        self._access.pop(name, None)
-        self._evicted_configs[name] = entry.load_config
-        for graph in entry.graphs:
-            prepare_cache.evict_graph(graph)
-        self.evictions += 1
-        self.evicted.append(name)
 
     def datasets(self) -> list[str]:
         """Names of the loaded datasets."""
@@ -768,10 +644,6 @@ class DatasetCatalog:
         report = {
             "datasets": per,
             "total_bytes": sum(r["total_bytes"] for r in per.values()),
-            "watermark_bytes": self.max_bytes,
-            "evictions": self.evictions,
-            "reloads": self.reloads,
-            "evicted": list(self.evicted),
         }
         if self.store is not None:
             report["store"] = self.store.as_metrics()

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs import Counter, MetricsRegistry, counter_property
+from ..obs import Counter, MetricsRegistry
 from ..psi.executors import (
     DEFAULT_RACE_QUANTUM,
     RaceOutcome,
@@ -42,10 +42,6 @@ __all__ = ["RaceTask", "Dispatcher"]
 
 class Dispatcher:
     """Bounded worker pools interleaving many :class:`RaceTask`\\ s."""
-
-    #: legacy int surface over the registry-visible counters
-    ticks = counter_property("_m_ticks")
-    work_steps = counter_property("_m_work_steps")
 
     def __init__(
         self,
@@ -61,9 +57,9 @@ class Dispatcher:
         self.quantum = quantum
         self.pools = pools
         self.clock = 0
-        self._m_ticks = Counter()
+        self.ticks = Counter()
         #: total engine-steps executed across all races (work, not time)
-        self._m_work_steps = Counter()
+        self.work_steps = Counter()
         #: per-pool engine-step bills — the per-shard load signal the
         #: rebalancer watches (pool_work[p] sums over the races pool p ran)
         self.pool_work = [0] * pools
@@ -75,8 +71,8 @@ class Dispatcher:
         self, registry: MetricsRegistry, prefix: str = "dispatcher"
     ) -> None:
         """Publish this dispatcher's counters + gauges into ``registry``."""
-        registry.register(f"{prefix}.ticks", self._m_ticks)
-        registry.register(f"{prefix}.work_steps", self._m_work_steps)
+        registry.register(f"{prefix}.ticks", self.ticks)
+        registry.register(f"{prefix}.work_steps", self.work_steps)
         registry.gauge(f"{prefix}.clock", lambda: self.clock)
         registry.gauge(f"{prefix}.active", lambda: self.active)
         registry.gauge(f"{prefix}.pools", lambda: self.pools)
@@ -160,14 +156,14 @@ class Dispatcher:
                 continue
             slots[pool] -= need
             outcome = race.round()
-            self.work_steps += race.last_round_steps
+            self.work_steps.inc(race.last_round_steps)
             self.pool_work[pool] += race.last_round_steps
             if outcome is not None:
                 del self._active[token]
                 del self._pool_of[token]
             events.append((token, race.last_round_steps, outcome))
         self.clock += self.quantum
-        self.ticks += 1
+        self.ticks.inc()
         return events
 
     def cancel(self, token: object) -> None:

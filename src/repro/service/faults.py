@@ -23,9 +23,9 @@ Three injection kinds, all driven off the service's **virtual clock**
   least-loaded live replica, which may be the same one.
 
 The invariant that makes chaos testable (pinned by
-``tests/test_faults.py`` and the CI ``chaos-smoke`` job): because
-engines are deterministic generators and a restarted leg re-runs its
-race from step zero with the ticket's full budget, **every
+``tests/test_faults.py`` and ``scenarios/replicated-chaos.yaml``):
+because engines are deterministic generators and a restarted leg
+re-runs its race from step zero with the ticket's full budget, **every
 budget-completed query of a chaos run answers bit-for-bit what the
 healthy run answers** (``answers_digest`` equality).  Only the
 historical side — step bills, latencies, which replica did the work —
@@ -194,9 +194,10 @@ class StoreFaultInjector:
     PR 6 made *runtime* failure first-class; this extends the same
     discipline to the storage layer (:mod:`repro.store`): every way
     disk can lie about a persisted warm artifact is one deterministic
-    method here, and the ``store-smoke`` corruption matrix asserts each
-    class is detected on load, quarantined, and recovered from with
-    answers digest-equal to a healthy never-persisted run.
+    method here, and the corruption matrix (``tests/test_store.py``,
+    ``scenarios/store-corrupt-bitflip.yaml``) asserts each class is
+    detected on load, quarantined, and recovered from with answers
+    digest-equal to a healthy never-persisted run.
 
     Victim selection is deterministic: blobs are addressed by their
     sorted on-disk order (``index`` parameter), byte/bit offsets default

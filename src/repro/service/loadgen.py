@@ -5,9 +5,12 @@ Two drivers:
 * :func:`run_closed_loop` — each tenant keeps ``concurrency`` queries
   in flight, submitting its next query the tick its previous one
   completes: the classic closed-loop generator whose throughput is
-  capacity, not arrival-rate, limited.  ``repro serve`` and the
-  scenario runner replay their workloads through this driver
-  (:meth:`repro.service.spec.ServiceSpec.drive`).
+  capacity, not arrival-rate, limited.  It is the one loop there is:
+  the rebalance cadence, the chaos plan, mid-load regrow and a
+  journaled update stream woven through the queries
+  (:func:`plan_update_stream`) are all arguments of it.  ``repro
+  serve`` and the scenario runner replay their workloads through this
+  driver (:meth:`repro.service.spec.ServiceSpec.drive`).
 * :func:`replay` — submit a prebuilt multi-tenant arrival stream up
   front and drain the service; the open-loop flood that exercises
   queueing and load shedding (library/test use).
@@ -57,7 +60,6 @@ __all__ = [
     "plan_update_stream",
     "replay",
     "run_closed_loop",
-    "run_update_stream",
 ]
 
 
@@ -125,7 +127,6 @@ class LoadReport:
         msteps = self.virtual_steps / 1e6 if self.virtual_steps else 0.0
         killed = sum(1 for t in done if t.result.killed)
         return {
-            "bench": "service",
             "digest": self.digest,
             "answers_digest": self.answers,
             "decisions_digest": self.decisions,
@@ -451,133 +452,22 @@ def _oracle_check(
     }
 
 
-def run_update_stream(
-    service: Service,
-    dataset: str,
-    streams: dict[str, list[MixedQuery]],
-    mutations: list[MutationOp],
-    options: QueryOptions | None = None,
-    concurrency: int = 1,
-    mutate_every: int = 8,
-    batch: int = 2,
-    probes: Optional[list[LabeledGraph]] = None,
-    probe_seed: int = 0,
-    verify_oracle: bool = True,
-    rebalancer=None,
-    faults=None,
-) -> LoadReport:
-    """Closed-loop queries with a mutation stream woven through.
+def _default_probes(
+    service: Service, dataset: str, ops, seed: int
+) -> list[LabeledGraph]:
+    """Seeded probes over the initial live graphs plus the planned
+    newcomers, so both are probed positively."""
+    from ..workload import generate_workload
 
-    Every ``mutate_every`` completions the generator withholds new
-    submissions, lets in-flight work drain to the quiesce point, and
-    submits the next ``batch`` mutations; the following pump applies
-    them (journal-ack first), after which the served collection is
-    digest-compared against the rebuild-from-scratch oracle (when
-    ``verify_oracle``), the rebalancer gets its chance, and the closed
-    loop resumes.  Remaining mutations drain the same way once the
-    query streams are exhausted, and a final oracle check runs at the
-    end — so *every* quiesce point is verified, exactly the acceptance
-    contract.
-
-    ``probes`` defaults to a seeded workload drawn from the initial
-    live graphs plus the planned newcomers, so both pre-existing and
-    added graphs are probed positively.
-    """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    if faults is not None:
-        service.install_faults(faults)
     entry = service.catalog.get(dataset)
-    if probes is None and verify_oracle:
-        from ..workload import generate_workload
-
-        base = [entry.graphs[g] for g in entry.live_graph_ids()]
-        added = [op.graph for op in mutations if op.graph is not None]
-        probes = [
-            q.graph
-            for q in generate_workload(base, 6, 3, seed=probe_seed)
+    base = [entry.graphs[g] for g in entry.live_graph_ids()]
+    added = [op.graph for op in ops if op.graph is not None]
+    probes = [q.graph for q in generate_workload(base, 6, 3, seed=seed)]
+    if added:
+        probes += [
+            q.graph for q in generate_workload(added, 4, 3, seed=seed + 1)
         ]
-        if added:
-            probes += [
-                q.graph
-                for q in generate_workload(
-                    added, 4, 3, seed=probe_seed + 1
-                )
-            ]
-    probes = probes or []
-    ops = deque(mutations)
-    pending = {t: list(s) for t, s in streams.items()}
-    outstanding = {t: 0 for t in streams}
-    tickets: list[Ticket] = []
-    mutation_tickets = []
-    checks: list[dict] = []
-    start = time.perf_counter()
-
-    def feed() -> None:
-        for tenant in sorted(pending):
-            while pending[tenant] and outstanding[tenant] < concurrency:
-                mq = pending[tenant].pop(0)
-                ticket = service.submit(
-                    dataset,
-                    mq.query.graph,
-                    tenant=tenant,
-                    options=options,
-                )
-                tickets.append(ticket)
-                if ticket.done:
-                    continue
-                outstanding[tenant] += 1
-
-    since = 0
-    feed()
-    while True:
-        finished = service.pump()
-        for t in finished:
-            outstanding[t.tenant] -= 1
-        since += len(finished)
-        due = bool(ops) and (
-            since >= mutate_every or not any(pending.values())
-        )
-        if due and service.idle:
-            for _ in range(min(batch, len(ops))):
-                op = ops.popleft()
-                mutation_tickets.append(
-                    service.submit_mutation(
-                        dataset, op.op,
-                        graph=op.graph, graph_id=op.graph_id,
-                    )
-                )
-            service.pump()  # the quiesce point: mutations apply here
-            if verify_oracle:
-                checks.append(_oracle_check(service, dataset, probes))
-            if rebalancer is not None:
-                rebalancer.maybe_rebalance()
-            since = 0
-            feed()
-        elif finished:
-            feed()
-        if service.idle and not any(pending.values()) and not ops:
-            break
-    if verify_oracle:
-        checks.append(_oracle_check(service, dataset, probes))
-    wall = time.perf_counter() - start
-    report = _report(service, tickets, wall, rebalancer, faults)
-    report.mutations = {
-        "enabled": True,
-        "planned": len(mutations),
-        "applied": sum(1 for m in mutation_tickets if m.applied),
-        "rejected": sum(1 for m in mutation_tickets if m.rejected),
-        "service": service._mutation_report(),
-        "oracle": {
-            "verified": verify_oracle,
-            "checks": len(checks),
-            "mismatches": sum(1 for c in checks if not c["ok"]),
-            "points": checks,
-        },
-    }
-    return report
+    return probes
 
 
 def run_closed_loop(
@@ -590,6 +480,12 @@ def run_closed_loop(
     rebalance_every: int = 0,
     faults=None,
     regrow: bool = False,
+    mutations: Optional[list[MutationOp]] = None,
+    mutate_every: int = 8,
+    batch: int = 2,
+    probes: Optional[list[LabeledGraph]] = None,
+    probe_seed: int = 0,
+    verify_oracle: bool = True,
 ) -> LoadReport:
     """Closed-loop load: each tenant keeps ``concurrency`` in flight.
 
@@ -597,11 +493,27 @@ def run_closed_loop(
     one completes — so measured throughput reflects service capacity,
     the number the ROADMAP's "heavy traffic" goal cares about.
 
-    With a :class:`~repro.service.rebalance.Rebalancer` and
-    ``rebalance_every > 0``, every ``rebalance_every`` completions the
-    generator stops feeding, lets the in-flight queries drain (the
-    quiesce point migrations require), invokes the rebalancer, and
-    resumes — deterministic, like everything else on the virtual clock.
+    The loop stops at **quiesce points** — the service fully idle — for
+    the two things that are only sound there, and a
+    :class:`~repro.service.rebalance.Rebalancer`, when given, gets its
+    chance at every one of them:
+
+    * with ``rebalance_every > 0``, every ``rebalance_every``
+      completions the generator stops feeding and lets the in-flight
+      queries drain;
+    * with a ``mutations`` plan (:func:`plan_update_stream`), every
+      ``mutate_every`` completions — or once the streams run dry — the
+      next ``batch`` mutations are due.  A due batch does not withhold
+      submissions; it lands at the first point the loop is idle of its
+      own accord (or was drained by the rebalance cadence), is
+      submitted there, and the following pump applies it (journal-ack
+      first).  With ``verify_oracle`` the served collection is then
+      digest-compared against the rebuild-from-scratch oracle, and
+      once more after the loop, so *every* quiesce point that changed
+      the collection is verified.  ``probes`` defaults to a seeded
+      workload drawn from the initial live graphs plus the planned
+      newcomers, so both pre-existing and added graphs are probed
+      positively.  The report then carries a ``mutations`` section.
 
     With a :class:`~repro.service.faults.FaultInjector`, its events are
     installed on the service before the first submission and fire on
@@ -617,15 +529,25 @@ def run_closed_loop(
     exists for).  Each regrow is recorded in the report's ``store``
     section with the virtual clock it happened at and whether it came
     from the store.
+
+    Deterministic, like everything else on the virtual clock.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     if faults is not None:
         service.install_faults(faults)
     regrow = regrow and service.sharded
+    ops = deque(mutations or ())
+    verify_oracle = verify_oracle and bool(ops)
+    if verify_oracle and probes is None:
+        probes = _default_probes(service, dataset, ops, probe_seed)
     pending = {t: list(s) for t, s in streams.items()}
     outstanding = {t: 0 for t in streams}
     tickets: list[Ticket] = []
+    mutation_tickets: list = []
+    checks: list[dict] = []
     regrown: list[dict] = []
     healed: dict[int, int] = {}
     start = time.perf_counter()
@@ -672,8 +594,20 @@ def run_closed_loop(
                     continue  # cache hit or rejection: slot still free
                 outstanding[tenant] += 1
 
-    check = rebalancer is not None and rebalance_every > 0
-    since_check = 0
+    def apply_batch() -> None:
+        for _ in range(min(batch, len(ops))):
+            op = ops.popleft()
+            mutation_tickets.append(
+                service.submit_mutation(
+                    dataset, op.op, graph=op.graph, graph_id=op.graph_id
+                )
+            )
+        service.pump()  # idle, so this pump applies them
+        if verify_oracle:
+            checks.append(_oracle_check(service, dataset, probes))
+
+    cadence = rebalancer is not None and rebalance_every > 0
+    since_rebalance = since_batch = 0
     feed()
     while True:
         finished = service.pump()
@@ -681,20 +615,45 @@ def run_closed_loop(
             outstanding[t.tenant] -= 1
         if regrow:
             regrow_dead()
-        since_check += len(finished)
-        if check and since_check >= rebalance_every:
-            # quiesce: withhold new submissions until in-flight work
-            # drains, then rebalance and resume the closed loop
-            if service.idle:
+        since_rebalance += len(finished)
+        since_batch += len(finished)
+        rebalance_due = cadence and since_rebalance >= rebalance_every
+        batch_due = bool(ops) and (
+            since_batch >= mutate_every or not any(pending.values())
+        )
+        if (rebalance_due or batch_due) and service.idle:
+            if batch_due:
+                apply_batch()
+                since_batch = 0
+            if rebalancer is not None:
                 rebalancer.maybe_rebalance()
-                since_check = 0
-                feed()
-        elif finished:
+                since_rebalance = 0
             feed()
-        if service.idle and not any(pending.values()):
+        elif finished and not rebalance_due:
+            # only the rebalance cadence withholds new submissions
+            # until in-flight work drains
+            feed()
+        if service.idle and not any(pending.values()) and not ops:
             break
+    if verify_oracle:
+        checks.append(_oracle_check(service, dataset, probes))
     wall = time.perf_counter() - start
-    return _report(
+    report = _report(
         service, tickets, wall, rebalancer, faults,
         regrown=regrown if regrow else None,
     )
+    if mutations:
+        report.mutations = {
+            "enabled": True,
+            "planned": len(mutations),
+            "applied": sum(1 for m in mutation_tickets if m.applied),
+            "rejected": sum(1 for m in mutation_tickets if m.rejected),
+            "service": service._mutation_report(),
+            "oracle": {
+                "verified": verify_oracle,
+                "checks": len(checks),
+                "mismatches": sum(1 for c in checks if not c["ok"]),
+                "points": checks,
+            },
+        }
+    return report

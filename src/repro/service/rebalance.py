@@ -18,7 +18,8 @@ Answer invariance: a migration changes *where* graphs live, never
 maps shard-local ids back to global ids, so ``found`` /
 ``num_embeddings`` / ``matching_ids`` of every budget-completed query
 are bit-for-bit identical before and after any sequence of migrations
-(pinned by ``tests/test_routing.py`` and the CI rebalance smoke).
+(pinned by ``tests/test_routing.py`` and
+``scenarios/shard2-rebalance.yaml``).
 Bills and latencies are historical and legitimately shift — that is
 the point.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import Counter, counter_property
+from ..obs import Counter
 from ..scheduling import skew_ratio
 from .sharding import ShardedCatalog
 
@@ -151,14 +152,14 @@ class Rebalancer:
         #: every migration applied, in order
         self.migrations: list[Migration] = []
         #: quiesce checks that actually moved at least one graph
-        self._m_rebalances = Counter()
+        self.rebalances = Counter()
         #: quiesce checks that found no actionable skew
-        self._m_skipped = Counter()
+        self.skipped = Counter()
         #: quiesce checks no-opped by a degenerate topology
-        self._m_degenerate = Counter()
+        self.degenerate = Counter()
         #: replica scale-out/-in events applied
-        self._m_replicas_grown = Counter()
-        self._m_replicas_shrunk = Counter()
+        self.replicas_grown = Counter()
+        self.replicas_shrunk = Counter()
         self.replica_changes: list[dict] = []
         registry = getattr(service, "metrics", None)
         if registry is not None:
@@ -166,28 +167,21 @@ class Rebalancer:
             # life (benches re-wrap the same service), so re-register
             self._register_metrics(registry)
 
-    #: legacy int surface over the registry-visible counters
-    rebalances = counter_property("_m_rebalances")
-    skipped = counter_property("_m_skipped")
-    degenerate = counter_property("_m_degenerate")
-    replicas_grown = counter_property("_m_replicas_grown")
-    replicas_shrunk = counter_property("_m_replicas_shrunk")
-
     def _register_metrics(self, registry, prefix: str = "rebalance") -> None:
         registry.register(
-            f"{prefix}.rebalances", self._m_rebalances, replace=True
+            f"{prefix}.rebalances", self.rebalances, replace=True
         )
         registry.register(
-            f"{prefix}.skipped_checks", self._m_skipped, replace=True
+            f"{prefix}.skipped_checks", self.skipped, replace=True
         )
         registry.register(
-            f"{prefix}.degenerate_checks", self._m_degenerate, replace=True
+            f"{prefix}.degenerate_checks", self.degenerate, replace=True
         )
         registry.register(
-            f"{prefix}.replicas_grown", self._m_replicas_grown, replace=True
+            f"{prefix}.replicas_grown", self.replicas_grown, replace=True
         )
         registry.register(
-            f"{prefix}.replicas_shrunk", self._m_replicas_shrunk, replace=True
+            f"{prefix}.replicas_shrunk", self.replicas_shrunk, replace=True
         )
         registry.gauge(
             f"{prefix}.migrations", lambda: len(self.migrations), replace=True
@@ -261,11 +255,11 @@ class Rebalancer:
             # degenerate topology: nothing to migrate between — no-op,
             # never an exception (satellite of the failure model: a
             # rebalancer must survive any layout it is pointed at)
-            self.degenerate += 1
+            self.degenerate.inc()
             return []
         loads = self.window_loads()
         if sum(loads) < self.min_window_steps:
-            self.skipped += 1
+            self.skipped.inc()
             return []
         applied: list[Migration] = []
         # only shards with a serving replica can give or take graphs
@@ -275,7 +269,7 @@ class Rebalancer:
             if catalog.replica_ids(s)
         ]
         if len(serving) < 2:
-            self.degenerate += 1
+            self.degenerate.inc()
         elif skew_ratio([loads[s] for s in serving]) >= (
             self.skew_threshold
         ):
@@ -285,11 +279,11 @@ class Rebalancer:
         scaled = self._scale_replicas(loads, serving)
         if applied or scaled:
             if applied:
-                self.rebalances += 1
+                self.rebalances.inc()
             self._baseline = list(service.dispatcher.pool_work)
             self._graph_baseline = dict(service.graph_bills)
         else:
-            self.skipped += 1
+            self.skipped.inc()
         return applied
 
     def _scale_replicas(
@@ -321,7 +315,7 @@ class Rebalancer:
             and len(service.live_replicas(hot)) < self.max_replicas
         ):
             replica = service.add_replica(hot)
-            self.replicas_grown += 1
+            self.replicas_grown.inc()
             changes.append(
                 {"action": "grow", "shard": hot, "replica": replica,
                  "clock": service.clock}
@@ -334,7 +328,7 @@ class Rebalancer:
         ):
             replica = service.retire_replica(cold)
             if replica is not None:
-                self.replicas_shrunk += 1
+                self.replicas_shrunk.inc()
                 changes.append(
                     {"action": "shrink", "shard": cold,
                      "replica": replica, "clock": service.clock}
@@ -406,11 +400,11 @@ class Rebalancer:
     def summary(self) -> dict:
         """JSON-ready counters for bench payloads and stats."""
         return {
-            "rebalances": self.rebalances,
-            "skipped_checks": self.skipped,
-            "degenerate_checks": self.degenerate,
-            "replicas_grown": self.replicas_grown,
-            "replicas_shrunk": self.replicas_shrunk,
+            "rebalances": self.rebalances.value,
+            "skipped_checks": self.skipped.value,
+            "degenerate_checks": self.degenerate.value,
+            "replicas_grown": self.replicas_grown.value,
+            "replicas_shrunk": self.replicas_shrunk.value,
             "replica_changes": list(self.replica_changes),
             "migrations": [
                 {

@@ -73,8 +73,8 @@ class ShardRouter:
 
     Built by :class:`~repro.service.sharding.ShardedCatalog` when an
     FTV entry is loaded; :meth:`refresh` re-folds one shard's sketch
-    whenever that shard's partition is (re-)registered, so eviction
-    reloads and rebalance migrations keep the sketches honest.
+    whenever that shard's partition is (re-)registered, so rebalance
+    migrations keep the sketches honest.
     """
 
     def __init__(

@@ -17,10 +17,11 @@ and concurrency never changes any query's winner or step bill — only
 its latency.  Everything is virtual-time deterministic: two runs of the
 same submission history give identical results, latencies included.
 
-With a :class:`~repro.service.sharding.ShardedCatalog` (or
-``Service(shards=N)``) the submit path fans each query out into one
-race per involved shard, runs them on per-shard worker pools, and
-merges the outcomes (:func:`repro.service.sharding.merge_shard_outcomes`)
+With ``Service(shards=N)`` (a
+:class:`~repro.service.sharding.ShardedCatalog`) the submit path fans
+each query out into one race per involved shard, runs them on
+per-shard worker pools, and merges the outcomes
+(:func:`repro.service.sharding.merge_shard_outcomes`)
 — decision answers stay bit-for-bit identical to unsharded serving,
 and the result cache keys on (query, collection) so both layouts share
 hits.  Internally the unsharded service is just the one-shard case of
@@ -37,13 +38,8 @@ from typing import Optional
 
 from ..graphs import LabeledGraph
 from ..matching import Budget, MatchOutcome, VF2Matcher
-from ..obs import MetricsRegistry, Tracer, counter_property
-from ..psi.advisor import VariantAdvisor, query_features
-from ..psi.executors import (
-    DEFAULT_RACE_QUANTUM,
-    OverheadModel,
-    RaceOutcome,
-)
+from ..obs import MetricsRegistry, Tracer
+from ..psi.executors import RaceOutcome
 from ..psi.variants import Variant, variants_from_spec
 from ..rewriting import make_rewriting
 from .admission import AdmissionController, Ticket, TicketState
@@ -63,6 +59,20 @@ __all__ = [
     "answers_digest",
     "decisions_digest",
 ]
+
+#: ticks a routed decision wave races alone before the next wave
+#: hedge-launches anyway: the fast common case (the expected-first-true
+#: shard settles within the hedge) never pays sibling work, while a
+#: slow first wave falls back to near-parallel racing instead of
+#: serialising the tail
+HEDGE_TICKS = 1
+#: retry-after hint (virtual steps) handed to degraded tickets and to
+#: retryably rejected mutations
+DEGRADED_RETRY_AFTER = 4_096
+#: safety limits, not deployment settings: each initialises the
+#: instance attribute of the same name
+MAX_RETRIES = 3
+MAX_PENDING_MUTATIONS = 256
 
 
 @dataclass(frozen=True)
@@ -274,118 +284,57 @@ class _ShardsDark(Exception):
 
 
 class Service:
-    """A concurrent graph-query serving layer over the Ψ machinery."""
+    """A concurrent graph-query serving layer over the Ψ machinery.
 
-    #: legacy int surface over the registry-visible counters — code
-    #: (and tests) keep writing ``service.retries += 1`` while the
-    #: value lives in a :class:`~repro.obs.registry.Counter`
-    shard_cancelled = counter_property("_m_shard_cancelled")
-    routed_queries = counter_property("_m_routed_queries")
-    shards_pruned = counter_property("_m_shards_pruned")
-    waves_skipped = counter_property("_m_waves_skipped")
-    fanout_waste = counter_property("_m_fanout_waste")
-    completed_count = counter_property("_m_completed")
-    retries = counter_property("_m_retries")
-    rerouted = counter_property("_m_rerouted")
-    degraded = counter_property("_m_degraded")
-    replicas_killed = counter_property("_m_replicas_killed")
-    replicas_wedged = counter_property("_m_replicas_wedged")
-    tasks_failed = counter_property("_m_tasks_failed")
-    replicas_retired = counter_property("_m_replicas_retired")
-    faults_noop = counter_property("_m_faults_noop")
-    mutations_applied = counter_property("_m_mutations_applied")
-    mutations_replayed = counter_property("_m_mutations_replayed")
-    mutations_rejected = counter_property("_m_mutations_rejected")
+    The constructor takes what a :class:`~repro.service.spec.ServiceSpec`
+    can say (plus its two deployment paths) and nothing else — what a
+    deployment can configure is what a spec can express.
+    """
 
     def __init__(
         self,
-        catalog: Optional[DatasetCatalog | ShardedCatalog] = None,
-        admission: Optional[AdmissionController] = None,
-        cache: Optional[ResultCache] = None,
         workers: int = 4,
-        quantum: int = DEFAULT_RACE_QUANTUM,
-        overhead: OverheadModel = OverheadModel(),
+        admission: Optional[AdmissionController] = None,
         plan_seeding: bool = False,
         coalesce: bool = True,
-        advisor: Optional[VariantAdvisor] = None,
         shards: int = 1,
+        replicas: int = 1,
         routing: bool = True,
         assignment: str = "size_balanced",
-        hedge_ticks: int = 1,
-        replicas: int = 1,
-        max_retries: int = 3,
-        degraded_retry_after: int = 4_096,
-        faults: Optional[FaultInjector] = None,
-        trace_capacity: int = 512,
         store=None,
         journal=None,
-        max_pending_mutations: int = 256,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if catalog is not None:
-            self.catalog = catalog
-            if store is not None:
-                self.catalog.attach_store(store)
-        elif shards > 1 or replicas > 1:
+        if shards > 1 or replicas > 1:
             self.catalog = ShardedCatalog(
                 num_shards=shards,
-                overhead=overhead,
                 assignment=assignment,
                 replicas=replicas,
                 store=store,
             )
         else:
-            self.catalog = DatasetCatalog(overhead=overhead, store=store)
+            self.catalog = DatasetCatalog(store=store)
         #: fan queries out across catalog shards (each shard gets its
         #: own worker pool of ``workers`` slots per replica)
         self.sharded = isinstance(self.catalog, ShardedCatalog)
-        if replicas > 1 and (
-            not self.sharded or self.catalog.replicas != replicas
-        ):
-            raise ValueError(
-                f"replicas={replicas} conflicts with the provided "
-                "catalog's replica layout"
-            )
         #: consult per-shard feature sketches before fanning out:
         #: provably-empty shards are pruned from the fan-out and
         #: decision-only fan-outs race in expected-first-true wave
         #: order.  Off = bit-for-bit the unrouted fan-out.
         self.routing = routing and self.sharded
-        #: ticks a routed decision wave races alone before the next
-        #: wave hedge-launches anyway: the fast common case (the
-        #: expected-first-true shard settles within the hedge) never
-        #: pays sibling work, while a slow first wave falls back to
-        #: near-parallel racing instead of serialising the tail
-        if hedge_ticks < 1:
-            raise ValueError("hedge_ticks must be >= 1")
-        self.hedge_ticks = hedge_ticks
         pools = self.catalog.pool_count if self.sharded else 1
-        if shards > 1 and (
-            not self.sharded or self.catalog.num_shards != shards
-        ):
-            raise ValueError(
-                f"shards={shards} conflicts with the provided "
-                "catalog's shard layout"
-            )
         self.admission = admission or AdmissionController()
-        self.cache = cache or ResultCache()
-        self.dispatcher = Dispatcher(
-            workers=workers, quantum=quantum, pools=pools
-        )
-        self.overhead = overhead
+        self.cache = ResultCache()
+        self.dispatcher = Dispatcher(workers=workers, pools=pools)
         #: race the plan cache's winning variant plus one challenger
-        #: (advisor fallback) instead of the full variant set on
-        #: near-miss canonical hits
+        #: instead of the full variant set on near-miss canonical hits
         self.plan_seeding = plan_seeding
         #: attach identical in-flight canonical keys to the running
         #: race's ticket instead of racing twice
         self.coalesce = coalesce
-        self.advisor = advisor
         self._verifier = VF2Matcher()
         #: ticket.id -> (ticket, entry, options, cache key, variants)
         self._open: dict[
@@ -408,28 +357,28 @@ class Service:
         self.metrics = MetricsRegistry()
         #: per-ticket trace spans, bounded ring buffer
         #: (:meth:`trace` / :meth:`export_traces` read it)
-        self.tracer = Tracer(capacity=trace_capacity)
+        self.tracer = Tracer()
         #: ticket.id -> open "queue" span id (closed at dispatch)
         self._queue_spans: dict[int, int] = {}
         _c = self.metrics.counter
         #: sibling shard races cancelled by a first-true decision
-        self._m_shard_cancelled = _c("service.shard_cancelled")
+        self.shard_cancelled = _c("service.shard_cancelled")
         #: queries whose fan-out went through the shard router
-        self._m_routed_queries = _c("service.routed_queries")
+        self.routed_queries = _c("service.routed_queries")
         #: shard races never built because a sketch proved them empty
-        self._m_shards_pruned = _c("service.shards_pruned")
+        self.shards_pruned = _c("service.shards_pruned")
         #: shard races never built because an earlier wave settled the
         #: decision first (routed decision-only fan-outs)
-        self._m_waves_skipped = _c("service.waves_skipped")
+        self.waves_skipped = _c("service.waves_skipped")
         #: virtual steps billed to shard races that contributed nothing
         #: to their merged outcome (fan-outs of >= 2 raced shards only)
-        self._m_fanout_waste = _c("service.fanout_waste")
+        self.fanout_waste = _c("service.fanout_waste")
         #: (dataset, global graph id) -> verification steps billed to
         #: that stored graph across every FTV sweep — the per-graph
         #: load attribution the rebalancer migrates on (a size proxy
         #: cannot see that one graph of a balanced shard is hot)
         self.graph_bills: dict[tuple, int] = {}
-        self._m_completed = _c("service.completed")
+        self.completed_count = _c("service.completed")
         # sliding window: stats() reports the most recent completions,
         # so a long-lived service doesn't grow (or re-sort) its whole
         # history per stats call
@@ -441,11 +390,10 @@ class Service:
         #: bounded retries per ticket before it degrades: a leg lost to
         #: a dead replica (or a failed task) re-admits at most this
         #: many times across the ticket's whole fan-out
-        self.max_retries = max_retries
-        #: retry-after hint (virtual steps) handed to degraded tickets
-        self.degraded_retry_after = degraded_retry_after
-        #: scheduled fault injections (None = healthy run)
-        self.faults = faults
+        self.max_retries = MAX_RETRIES
+        #: scheduled fault injections (None = healthy run; armed
+        #: through :meth:`install_faults`)
+        self.faults: Optional[FaultInjector] = None
         #: (shard, replica) -> state; absent = LIVE
         self.replica_states: dict[tuple[int, int], ReplicaState] = {}
         #: (shard, replica) -> virtual clock at which a wedge expires
@@ -454,18 +402,16 @@ class Service:
         #: pump's completed list so closed loops see them finish)
         self._degraded_now: list[Ticket] = []
         #: chaos-path counters (surfaced in :meth:`stats`)
-        self._m_retries = _c("service.retries")
-        self._m_rerouted = _c("service.rerouted")
-        self._m_degraded = _c("service.degraded")
-        self._m_replicas_killed = _c("service.replicas_killed")
-        self._m_replicas_wedged = _c("service.replicas_wedged")
-        self._m_tasks_failed = _c("service.tasks_failed")
-        self._m_replicas_retired = _c("service.replicas_retired")
+        self.retries = _c("service.retries")
+        self.rerouted = _c("service.rerouted")
+        self.degraded = _c("service.degraded")
+        self.replicas_killed = _c("service.replicas_killed")
+        self.replicas_wedged = _c("service.replicas_wedged")
+        self.tasks_failed = _c("service.tasks_failed")
+        self.replicas_retired = _c("service.replicas_retired")
         #: injected events that found nothing to act on
-        self._m_faults_noop = _c("service.faults_noop")
+        self.faults_noop = _c("service.faults_noop")
         # ---- dynamic collections (journaled mutation path) ----
-        if max_pending_mutations < 1:
-            raise ValueError("max_pending_mutations must be >= 1")
         #: write-ahead journal mutations ack through (path or
         #: MutationJournal; None = mutations apply unjournaled and a
         #: crash loses everything since the last store checkpoint)
@@ -480,7 +426,7 @@ class Service:
             )
         #: pending-mutation backlog cap; beyond it submissions reject
         #: with a retry_after hint (the quiesce-backpressure answer)
-        self.max_pending_mutations = max_pending_mutations
+        self.max_pending_mutations = MAX_PENDING_MUTATIONS
         #: submitted mutations awaiting the next quiesce point
         self._mutations: deque[MutationTicket] = deque()
         self._next_mutation_id = 1
@@ -495,9 +441,9 @@ class Service:
             self.journal.tail_seq() + 1 if self.journal else 0,
             self._applied_seq + 1,
         )
-        self._m_mutations_applied = _c("mutations.applied")
-        self._m_mutations_replayed = _c("mutations.replayed")
-        self._m_mutations_rejected = _c("mutations.rejected")
+        self.mutations_applied = _c("mutations.applied")
+        self.mutations_replayed = _c("mutations.replayed")
+        self.mutations_rejected = _c("mutations.rejected")
         #: next synthetic ticket id for non-query trace records (store
         #: boots, replica grows); counts down so it can never collide
         #: with real ticket ids, which are positive
@@ -505,8 +451,6 @@ class Service:
         self._register_stats_metrics()
         self.admission.register_metrics(self.metrics)
         self.dispatcher.register_metrics(self.metrics)
-        if faults is not None:
-            faults.register_metrics(self.metrics)
         if self.catalog.store is not None:
             self.catalog.store.register_metrics(self.metrics)
 
@@ -565,7 +509,7 @@ class Service:
                 f"{self.dispatcher.workers}-worker pool"
             )
             ticket.finish_time = ticket.submit_time
-            self.admission.rejected += 1
+            self.admission.rejected.inc()
             self.tracer.finish(
                 ticket.id,
                 self.clock,
@@ -602,7 +546,7 @@ class Service:
                 from_cache=True,
                 matching_ids=cached.matching_ids,
             )
-            self.completed_count += 1
+            self.completed_count.inc()
             self._observe_latency(0)
             self.tracer.event(ticket.id, "cache_hit", self.clock)
             self.tracer.finish(
@@ -699,11 +643,12 @@ class Service:
         With ``plan_seeding`` on and a plan-cache hit, the race shrinks
         to (cached winner, one challenger) — the winner declared first,
         so it keeps ties, mirroring the warm thread the paper's
-        framework would reuse.  Without a plan, a trained advisor
-        recommends a two-variant subset (the fallback); otherwise the
-        full set races.  The seeded race's winner and per-variant
-        charges are bit-for-bit what :func:`interleaved_race` produces
-        for that subset — seeding changes membership, never mechanics.
+        framework would reuse; the challenger, which keeps the seeded
+        race honest, is the first other variant in declaration order.
+        Without a plan the full set races.  The seeded race's winner
+        and per-variant charges are bit-for-bit what
+        :func:`interleaved_race` produces for that subset — seeding
+        changes membership, never mechanics.
         """
         full = options.variants(entry.kind)
         if not self.plan_seeding or len(full) <= 2:
@@ -711,64 +656,12 @@ class Service:
         plan = self.cache.plan_for(
             self._plan_key(ticket, entry, options, key)
         )
-        if plan is not None and plan in full:
-            challenger = self._challenger(ticket, entry, full, plan)
-            ticket.plan_seeded = True
-            self.admission.plan_seeded += 1
-            if challenger is None:
-                return (plan,)
-            return (plan, challenger)
-        advised = self._advised_variants(ticket, entry, full)
-        if advised is not None:
-            ticket.plan_seeded = True
-            self.admission.plan_seeded += 1
-            return advised
-        return full
-
-    def _challenger(
-        self,
-        ticket: Ticket,
-        entry: DatasetEntry,
-        full: tuple,
-        plan,
-    ):
-        """One challenger to keep the seeded race honest.
-
-        A trained advisor nominates its top non-plan recommendation;
-        otherwise the first non-plan variant in declaration order runs
-        (deterministic either way).
-        """
-        if (
-            self.advisor is not None
-            and entry.kind == "nfv"
-            and self.advisor.observations
-            and entry.stats is not None
-        ):
-            feats = query_features(ticket.query, entry.stats)
-            for variant in self.advisor.recommend(feats, k=len(full)):
-                if variant != plan and variant in full:
-                    return variant
-        for variant in full:
-            if variant != plan:
-                return variant
-        return None
-
-    def _advised_variants(
-        self, ticket: Ticket, entry: DatasetEntry, full: tuple
-    ) -> Optional[tuple]:
-        """Advisor fallback when the plan cache has no near-miss."""
-        if (
-            self.advisor is None
-            or entry.kind != "nfv"
-            or not self.advisor.observations
-            or entry.stats is None
-        ):
-            return None
-        feats = query_features(ticket.query, entry.stats)
-        advised = tuple(
-            v for v in self.advisor.recommend(feats, k=2) if v in full
-        )
-        return advised or None
+        if plan is None or plan not in full:
+            return full
+        ticket.plan_seeded = True
+        self.admission.plan_seeded.inc()
+        challengers = [v for v in full if v != plan]
+        return (plan, *challengers[:1])
 
     # ------------------------------------------------------------------
     # engines
@@ -785,7 +678,7 @@ class Service:
         """Engines + RaceTask for one admitted ticket.
 
         ``variants`` is the set chosen at submit time — the full
-        portfolio, or a plan/advisor-seeded subset.  ``id_map``
+        portfolio, or a plan-seeded subset.  ``id_map``
         translates shard-local graph ids to global ids (None =
         identity) so the FTV sweep can bill verification steps to the
         right global graph.
@@ -816,10 +709,7 @@ class Service:
                 dataset=ticket.dataset, id_map=id_map,
             )
         race = RaceTask(
-            engines,
-            budget=budget,
-            overhead=self.overhead,
-            quantum=self.dispatcher.quantum,
+            engines, budget=budget, quantum=self.dispatcher.quantum
         )
         return race, engines
 
@@ -860,8 +750,8 @@ class Service:
             plan = entry.router.plan(
                 ticket.query, involved, options.decision_only
             )
-            self.routed_queries += 1
-            self.shards_pruned += len(plan.pruned)
+            self.routed_queries.inc()
+            self.shards_pruned.inc(len(plan.pruned))
             ticket.pruned = len(plan.pruned)
             first = plan.order
             if plan.staged:
@@ -1125,7 +1015,7 @@ class Service:
             leg_spans=leg_spans,
             waves=list(waves),
             hedge_at=(
-                self.clock + self.hedge_ticks * self.dispatcher.quantum
+                self.clock + HEDGE_TICKS * self.dispatcher.quantum
                 if waves
                 else None
             ),
@@ -1274,7 +1164,7 @@ class Service:
             )
         ticket.fanout += len(group)
         state.hedge_at = (
-            self.clock + self.hedge_ticks * self.dispatcher.quantum
+            self.clock + HEDGE_TICKS * self.dispatcher.quantum
             if state.waves
             else None
         )
@@ -1309,7 +1199,7 @@ class Service:
                 for sibling in sorted(state.pending):
                     self.dispatcher.cancel((tid, sibling))
                     state.cancelled.append(sibling)
-                    self.shard_cancelled += 1
+                    self.shard_cancelled.inc()
                     self.tracer.end(
                         tid,
                         state.leg_spans.pop(sibling, None),
@@ -1321,7 +1211,7 @@ class Service:
                 skipped = [s for group in state.waves for s in group]
                 state.skipped.extend(skipped)
                 state.waves.clear()
-                self.waves_skipped += len(skipped)
+                self.waves_skipped.inc(len(skipped))
                 ticket = self._open[tid][0]
                 ticket.skipped = len(state.skipped)
                 self.tracer.event(
@@ -1360,7 +1250,7 @@ class Service:
         for s, work in state.work.items():
             race = state.outcomes.get(s)
             if race is None or not race.found:
-                self.fanout_waste += work
+                self.fanout_waste.inc(work)
 
     # ------------------------------------------------------------------
     # replica health, fault injection, reroute, degradation
@@ -1376,7 +1266,9 @@ class Service:
         """Fire every scheduled fault whose threshold has been crossed."""
         if self.faults is None:
             return
-        for event in self.faults.due(self.clock, self.completed_count):
+        for event in self.faults.due(
+            self.clock, self.completed_count.value
+        ):
             self._apply_fault(event)
 
     def _apply_fault(self, event: FaultEvent) -> None:
@@ -1385,7 +1277,7 @@ class Service:
             if replica < 0:
                 replica = self._busiest_replica(event.shard)
             if replica is None:
-                self.faults_noop += 1
+                self.faults_noop.inc()
                 return
             self.kill_replica(event.shard, replica)
         elif event.kind == "wedge":
@@ -1438,11 +1330,11 @@ class Service:
         if self.replica_states.get(key) in (
             ReplicaState.DEAD, ReplicaState.RETIRED,
         ):
-            self.faults_noop += 1
+            self.faults_noop.inc()
             return
         self.replica_states[key] = ReplicaState.DEAD
         self._suspect_until.pop(key, None)
-        self.replicas_killed += 1
+        self.replicas_killed.inc()
         self.catalog.release_replica(shard, replica)
         for tid in sorted(self._fanout):
             state = self._fanout.get(tid)
@@ -1476,13 +1368,13 @@ class Service:
             or self.replica_states.get(key)
             in (ReplicaState.DEAD, ReplicaState.RETIRED)
         ):
-            self.faults_noop += 1
+            self.faults_noop.inc()
             return
         self.replica_states[key] = ReplicaState.SUSPECT
         self._suspect_until[key] = (
             self.clock + max(1, ticks) * self.dispatcher.quantum
         )
-        self.replicas_wedged += 1
+        self.replicas_wedged.inc()
 
     def _unwedge_expired(self) -> None:
         """Return SUSPECT replicas whose wedge ran out to LIVE."""
@@ -1523,10 +1415,10 @@ class Service:
             and (shard < 0 or t[1] == shard)
         )
         if not tokens:
-            self.faults_noop += 1
+            self.faults_noop.inc()
             return
         tid, s = tokens[0]
-        self.tasks_failed += 1
+        self.tasks_failed.inc()
         self.tracer.event(tid, "fault_task", self.clock, shard=s)
         self._reroute_leg(tid, s, lost=False)
 
@@ -1548,7 +1440,7 @@ class Service:
         state = self._fanout[tid]
         self.dispatcher.cancel((tid, shard))
         ticket.retries += 1
-        self.retries += 1
+        self.retries.inc()
         self.tracer.end(
             tid,
             state.leg_spans.pop(shard, None),
@@ -1593,7 +1485,7 @@ class Service:
             retry=ticket.retries,
         )
         if lost or replica != old_replica:
-            self.rerouted += 1
+            self.rerouted.inc()
 
     def _degrade(self, tid: int, reason: str) -> None:
         """Refuse a ticket the topology can no longer answer fully.
@@ -1624,7 +1516,7 @@ class Service:
         if key is not None and self._inflight_keys.get(key) == tid:
             del self._inflight_keys[key]
         self.tracer.end(tid, self._queue_spans.pop(tid, None), self.clock)
-        retry_after = self.clock + self.degraded_retry_after
+        retry_after = self.clock + DEGRADED_RETRY_AFTER
         self._reject_degraded(ticket, reason, retry_after)
         self.tracer.event(tid, "degraded", self.clock, reason=reason)
         self.tracer.finish(
@@ -1658,7 +1550,7 @@ class Service:
         ticket.reject_reason = f"degraded: {reason}"
         ticket.retry_after = retry_after
         ticket.finish_time = self.clock
-        self.degraded += 1
+        self.degraded.inc()
         self._degraded_now.append(ticket)
 
     def _drain_degraded(self) -> list[Ticket]:
@@ -1761,7 +1653,7 @@ class Service:
         self.replica_states[key] = ReplicaState.RETIRED
         self._suspect_until.pop(key, None)
         self.catalog.release_replica(shard, replica)
-        self.replicas_retired += 1
+        self.replicas_retired.inc()
         return replica
 
     # ------------------------------------------------------------------
@@ -1793,27 +1685,6 @@ class Service:
         if self.journal is None:
             return 0
         return max(0, self.journal.tail_seq() - self._applied_seq)
-
-    def attach_journal(self, journal):
-        """Attach (or swap) the write-ahead journal post-construction.
-
-        Same semantics as the ``journal=`` constructor argument: the
-        sequence counters are re-derived from the journal tail and the
-        store checkpoint, so attaching a journal that already holds
-        records leaves them visible to :meth:`replay_journal`.
-        """
-        from ..store.journal import MutationJournal
-
-        self.journal = (
-            journal
-            if isinstance(journal, MutationJournal)
-            else MutationJournal(journal)
-        )
-        self._applied_seq = self._checkpoint_seq()
-        self._next_seq = max(
-            self.journal.tail_seq() + 1, self._applied_seq + 1
-        )
-        return self.journal
 
     def submit_mutation(
         self,
@@ -1887,8 +1758,8 @@ class Service:
             # same backpressure contract as degraded query tickets:
             # the condition is environmental (backlog, dark shard) and
             # a later re-submission may succeed
-            mutation.retry_after = self.clock + self.degraded_retry_after
-        self.mutations_rejected += 1
+            mutation.retry_after = self.clock + DEGRADED_RETRY_AFTER
+        self.mutations_rejected.inc()
 
     def _apply_mutations(self) -> None:
         """Apply every pending mutation (caller guarantees quiesce)."""
@@ -2029,9 +1900,9 @@ class Service:
         mutation.state = "applied"
         mutation.apply_time = self.clock
         if replay:
-            self.mutations_replayed += 1
+            self.mutations_replayed.inc()
         else:
-            self.mutations_applied += 1
+            self.mutations_applied.inc()
 
     def replay_journal(self):
         """Recover the journal and re-apply its surviving suffix.
@@ -2100,9 +1971,9 @@ class Service:
 
     def _mutation_report(self) -> dict:
         report = {
-            "applied": self.mutations_applied,
-            "replayed": self.mutations_replayed,
-            "rejected": self.mutations_rejected,
+            "applied": self.mutations_applied.value,
+            "replayed": self.mutations_replayed.value,
+            "rejected": self.mutations_rejected.value,
             "pending": len(self._mutations),
             "epoch": self._collection_epoch(),
             "journal_lag": self.journal_lag(),
@@ -2124,7 +1995,7 @@ class Service:
         if self._mutations and not self._open:
             self._apply_mutations()
         # hedge overdue routed waves before admitting new work: a
-        # first wave that has raced ``hedge_ticks`` without settling
+        # first wave that has raced ``HEDGE_TICKS`` without settling
         # forfeits its head start and the remaining shards join in
         for tid in sorted(self._fanout):
             state = self._fanout.get(tid)
@@ -2206,7 +2077,7 @@ class Service:
         ticket.finish_time = self.clock
         ticket.result = result
         self.admission.on_complete(ticket)
-        self.completed_count += 1
+        self.completed_count.inc()
         self._observe_latency(ticket.latency or 0)
         if key is not None and self._inflight_keys.get(key) == ticket.id:
             del self._inflight_keys[key]
@@ -2226,7 +2097,6 @@ class Service:
             self.cache.store_plan(
                 self._plan_key(ticket, entry, options, key), race.winner
             )
-            self._observe_race(ticket, entry, race)
             self.tracer.event(ticket.id, "cache_store", self.clock)
         self.tracer.finish(
             ticket.id,
@@ -2236,23 +2106,6 @@ class Service:
             found=result.found,
             killed=result.killed,
             steps=result.steps,
-        )
-
-    def _observe_race(
-        self, ticket: Ticket, entry: DatasetEntry, race: RaceOutcome
-    ) -> None:
-        """Feed a completed full-width NFV race to the advisor."""
-        if (
-            self.advisor is None
-            or entry.kind != "nfv"
-            or entry.stats is None
-            or ticket.plan_seeded
-            or not set(race.per_variant_steps) <= set(self.advisor.variants)
-        ):
-            return
-        self.advisor.observe(
-            query_features(ticket.query, entry.stats),
-            race.per_variant_steps,
         )
 
     def _resolve_followers(
@@ -2271,7 +2124,7 @@ class Service:
             ticket.finish_time = self.clock
             ticket.result = resolved
             self.admission.release_coalesced(ticket)
-            self.completed_count += 1
+            self.completed_count.inc()
             self._observe_latency(ticket.latency or 0)
             self.tracer.event(
                 ticket.id, "coalesced_result", self.clock, leader=leader_id
@@ -2312,8 +2165,8 @@ class Service:
     # ------------------------------------------------------------------
 
     #: the stats() dict, key for key: every entry is the registry
-    #: metric ``service.<key>`` (pinned against the pre-registry dict
-    #: by ``tests/test_obs.py``)
+    #: metric ``service.<key>`` (keys, order and the flat counters
+    #: behind each composite view are pinned by ``tests/test_obs.py``)
     _STATS_KEYS = (
         "clock_steps",
         "ticks",
@@ -2345,9 +2198,9 @@ class Service:
         """
         g = self.metrics.gauge
         g("service.clock_steps", lambda: self.clock)
-        self.metrics.register("service.ticks", self.dispatcher._m_ticks)
+        self.metrics.register("service.ticks", self.dispatcher.ticks)
         self.metrics.register(
-            "service.work_steps", self.dispatcher._m_work_steps
+            "service.work_steps", self.dispatcher.work_steps
         )
         g("service.active", lambda: self.dispatcher.active)
         g(
@@ -2410,9 +2263,9 @@ class Service:
                 f"{s}/{r}": state.value
                 for (s, r), state in sorted(self.replica_states.items())
             },
-            "killed": self.replicas_killed,
-            "wedged": self.replicas_wedged,
-            "retired": self.replicas_retired,
+            "killed": self.replicas_killed.value,
+            "wedged": self.replicas_wedged.value,
+            "retired": self.replicas_retired.value,
         }
 
     def _fault_report(self) -> dict:
@@ -2420,20 +2273,20 @@ class Service:
             "injected": (
                 len(self.faults.applied) if self.faults is not None else 0
             ),
-            "retries": self.retries,
-            "rerouted": self.rerouted,
-            "degraded": self.degraded,
-            "tasks_failed": self.tasks_failed,
-            "noop": self.faults_noop,
+            "retries": self.retries.value,
+            "rerouted": self.rerouted.value,
+            "degraded": self.degraded.value,
+            "tasks_failed": self.tasks_failed.value,
+            "noop": self.faults_noop.value,
         }
 
     def _routing_report(self) -> dict:
         return {
             "enabled": self.routing,
-            "routed": self.routed_queries,
-            "shards_pruned": self.shards_pruned,
-            "waves_skipped": self.waves_skipped,
-            "shard_cancelled": self.shard_cancelled,
+            "routed": self.routed_queries.value,
+            "shards_pruned": self.shards_pruned.value,
+            "waves_skipped": self.waves_skipped.value,
+            "shard_cancelled": self.shard_cancelled.value,
         }
 
     def _latency_report(self) -> Optional[dict]:

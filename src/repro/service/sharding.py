@@ -72,7 +72,7 @@ from ..harness import (
     build_nfv_graph,
 )
 from ..matching import MatchOutcome
-from ..psi.executors import OverheadModel, RaceOutcome
+from ..psi.executors import RaceOutcome
 from ..rewriting import LabelStats
 from .catalog import DatasetCatalog, DatasetEntry
 from .routing import ShardRouter
@@ -227,7 +227,7 @@ class ShardedEntry:
     def shard_entry(
         self, shard: int, replica: Optional[int] = None
     ) -> DatasetEntry:
-        """The shard's warm :class:`DatasetEntry` (reload-transparent).
+        """The shard's warm :class:`DatasetEntry`.
 
         Any serving replica answers equivalently; ``None`` picks the
         shard's first serving replica.
@@ -267,20 +267,11 @@ class ShardedCatalog:
     the same frozen entry object — sound because entries are immutable
     after freeze and the prepare cache keys per graph object
     (``shared_warm`` counts the builds saved).
-
-    ``max_bytes`` is split evenly across replica pools: each replica
-    catalog enforces its own watermark and evicts independently, so
-    memory accounting — like work — is per pool.  A watermark-evicted
-    partition is transparently re-registered on next access (the
-    ``reloads`` counter ticks), because the sharded catalog retains the
-    built collection and assignment.
     """
 
     def __init__(
         self,
         num_shards: int = 2,
-        overhead: OverheadModel = OverheadModel(),
-        max_bytes: Optional[int] = None,
         assignment: str = "size_balanced",
         replicas: int = 1,
         store=None,
@@ -289,11 +280,8 @@ class ShardedCatalog:
             raise ValueError("num_shards must be >= 1")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if max_bytes is not None and max_bytes < num_shards * replicas:
-            raise ValueError("max_bytes must be >= num_shards * replicas")
         self.num_shards = num_shards
         self.replicas = replicas
-        self.overhead = overhead
         self.assignment_strategy = assignment
         #: attached StoreReader (boot-from-store path); None = always
         #: warm fresh.  Per-shard index blobs restore through
@@ -306,11 +294,6 @@ class ShardedCatalog:
         self._store_records: dict[str, dict] = {}
         if store is not None:
             self.attach_store(store)
-        self._per_replica_bytes = (
-            max_bytes // (num_shards * replicas)
-            if max_bytes is not None
-            else None
-        )
         #: one DatasetCatalog per (shard, replica), in pool order
         self.pool_catalogs: list[DatasetCatalog] = []
         #: (shard, replica) -> pool index; retained for released
@@ -326,8 +309,6 @@ class ShardedCatalog:
         for shard in range(num_shards):
             for _ in range(replicas):
                 self._materialize_replica(shard)
-        #: transparent re-registrations of watermark-evicted partitions
-        self.reloads = 0
         #: completed :meth:`reassign` calls (rebalance bookkeeping)
         self.reassignments = 0
         #: whole stored graphs moved between shards across all reassigns
@@ -362,12 +343,7 @@ class ShardedCatalog:
         replica = self._next_replica_id[shard]
         self._next_replica_id[shard] += 1
         pool = len(self.pool_catalogs)
-        self.pool_catalogs.append(
-            DatasetCatalog(
-                overhead=self.overhead,
-                max_bytes=self._per_replica_bytes,
-            )
-        )
+        self.pool_catalogs.append(DatasetCatalog())
         self._pool_of[(shard, replica)] = pool
         self._replicas_of[shard].append(replica)
         return replica
@@ -652,10 +628,10 @@ class ShardedCatalog:
         siblings adopt the same frozen object (see
         :meth:`_register_replica`).  Every (re-)registration also
         re-folds the shard's routing sketch from the fresh filter
-        index, so watermark-eviction reloads and rebalance migrations
-        can never leave a stale sketch behind.  A shard with no
-        serving replica (all killed/retired) registers nothing and
-        returns ``None`` — the service degrades queries needing it.
+        index, so a rebalance migration can never leave a stale sketch
+        behind.  A shard with no serving replica (all killed/retired)
+        registers nothing and returns ``None`` — the service degrades
+        queries needing it.
         """
         sub: Optional[DatasetEntry] = None
         for replica in self.replica_ids(shard):
@@ -754,11 +730,11 @@ class ShardedCatalog:
     ) -> None:
         """Re-tombstone removed graphs on a freshly (re-)built partition.
 
-        A partition rebuilt from scratch (eviction reload, replica
-        scale-out, rebalance migration) indexes every graph object in
-        the assignment — including slots a ``remove_graph`` already
-        retired.  Tombstones are collection state, not index state, so
-        they are re-applied here before the entry can serve.
+        A partition rebuilt from scratch (replica scale-out, rebalance
+        migration) indexes every graph object in the assignment —
+        including slots a ``remove_graph`` already retired.  Tombstones
+        are collection state, not index state, so they are re-applied
+        here before the entry can serve.
         """
         if entry.kind != "ftv" or not entry.tombstones:
             return
@@ -786,13 +762,9 @@ class ShardedCatalog:
 
         ``replica`` defaults to the shard's first serving replica; any
         serving replica returns an equivalent (usually the identical,
-        adopted) entry.  A partition the replica catalog
-        watermark-evicted is transparently re-registered here (the
-        sharded catalog still holds the graphs and the assignment), so
-        eviction trades latency for memory without ever turning a
-        loaded dataset into an error.  A shard with no serving replica
-        raises KeyError — that is the "dark shard" the service turns
-        into a degraded ticket.
+        adopted) entry.  A shard with no serving replica raises
+        KeyError — that is the "dark shard" the service turns into a
+        degraded ticket.
         """
         entry = self.get(name)
         if not entry.assignment[shard]:
@@ -808,11 +780,7 @@ class ShardedCatalog:
             raise KeyError(
                 f"replica {shard}/{replica} is not serving {name!r}"
             )
-        try:
-            return self.catalog_of(shard, replica).get(name)
-        except KeyError:
-            self.reloads += 1
-            return self._register_replica(entry, shard, replica)
+        return self.catalog_of(shard, replica).get(name)
 
     # ------------------------------------------------------------------
     # dynamic collections (incremental index maintenance)
@@ -877,10 +845,10 @@ class ShardedCatalog:
                 and sub.graphs[local] is graph
                 and local not in sub.ftv_index.tombstones
             ):
-                # this sub was (re-)registered from the already-updated
-                # assignment (eviction reload, previously-empty shard):
-                # it holds the newcomer natively — inserting again would
-                # double-index it
+                # this sub was registered from the already-updated
+                # assignment (previously-empty shard): it holds the
+                # newcomer natively — inserting again would double-index
+                # it
                 continue
             catalog.add_graph(name, graph, local)
         self._after_mutation(entry)
@@ -925,7 +893,8 @@ class ShardedCatalog:
             try:
                 sub = catalog.get(entry.name)
             except KeyError:
-                self.reloads += 1
+                # the shard held no graph of this dataset until now, so
+                # no partition was ever registered on it
                 sub = self._register_replica(entry, shard, replica)
             if id(sub) not in seen:
                 seen.add(id(sub))
@@ -1050,12 +1019,10 @@ class ShardedCatalog:
         """Per-shard memory accounting plus catalog-wide totals.
 
         ``shards`` reports the primary (replica-0) catalogs — the
-        pre-replication view — while totals and eviction counters sum
-        over every replica pool.  ``total_bytes`` deliberately counts
-        an adopted (shared) entry once per replica holding it: that is
-        the watermark each replica catalog enforces, so the report and
-        the eviction behaviour agree even though shared objects make
-        the true resident set smaller.
+        pre-replication view — while ``total_bytes`` sums over every
+        replica pool and so counts an adopted (shared) entry once per
+        replica holding it: per-pool accounting, like per-pool work,
+        even though shared objects make the true resident set smaller.
         """
         per_pool = [c.memory_report() for c in self.pool_catalogs]
         primaries = [
@@ -1080,10 +1047,6 @@ class ShardedCatalog:
                 for (s, r), pool in sorted(self._pool_of.items())
             },
             "total_bytes": sum(r["total_bytes"] for r in per_pool),
-            "evictions": sum(r["evictions"] for r in per_pool),
-            "reloads": (
-                self.reloads + sum(r["reloads"] for r in per_pool)
-            ),
             "shared_warm": self.shared_warm,
             "rollbacks": self.rollbacks,
             "replicas_added": self.replicas_added,

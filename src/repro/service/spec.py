@@ -525,10 +525,15 @@ class ServiceSpec(Section):
             horizon=f.horizon,
         )
 
-    def drive(self, service: Service, streams: dict) -> LoadReport:
+    def drive(
+        self, service: Service, streams: dict, **update_stream
+    ) -> LoadReport:
         """Run ``streams`` through ``service`` as the spec says: closed
         loop at ``workload.concurrency``, with the rebalance cadence,
-        chaos plan and regrow switch."""
+        chaos plan and regrow switch.  ``update_stream`` is
+        :func:`~repro.service.loadgen.run_closed_loop`'s mutation plan
+        (``mutations``, ``mutate_every``, ...) when the caller weaves
+        one through the queries; the spec itself has none."""
         rebalancer, every = self.rebalancer(service)
         return run_closed_loop(
             service,
@@ -540,4 +545,5 @@ class ServiceSpec(Section):
             rebalance_every=every,
             faults=self.chaos_faults(),
             regrow=self.persistence.regrow,
+            **update_stream,
         )

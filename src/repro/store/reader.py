@@ -263,7 +263,7 @@ class StoreReader:
         )
 
     # ------------------------------------------------------------------
-    # offline verification (repro warm --verify, store-smoke)
+    # offline verification (repro warm --verify)
     # ------------------------------------------------------------------
 
     def verify_all(self) -> dict:

@@ -4,7 +4,10 @@
 ``path/to/file.py:Symbol.sub`` references.  This suite fails on any
 reference to a file that does not exist or a symbol that is not
 defined in it — which is what keeps the architecture docs honest as
-the code moves.  The CI ``docs`` job runs exactly this file.
+the code moves.  The docs and the ``src/`` docstrings also cite CI jobs
+by name (``scenario-matrix``, the ``*-smoke`` jobs); a cited job must be
+a job of ``.github/workflows/ci.yml``.  The CI ``docs`` job runs
+exactly this file.
 """
 
 import re
@@ -71,3 +74,22 @@ def test_reference_resolves(doc, path, symbol):
             re.MULTILINE,
         )
         assert defined, f"{doc}: {path} does not define {part!r}"
+
+
+#: a CI job cited by name: ``scenario-matrix`` or any ``<word>-smoke``
+JOB = re.compile(r"\b(?:[a-z0-9]+-)+smoke\b|\bscenario-matrix\b")
+
+
+def test_cited_ci_jobs_exist():
+    """A drill that moved out of CI must take its citations with it."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    jobs = set(re.findall(r"^  ([a-z0-9-]+):$", workflow, re.MULTILINE))
+    assert "scenario-matrix" in jobs, "ci.yml job names not recognised"
+    sources = DOC_FILES + sorted((REPO / "src").rglob("*.py"))
+    dangling = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in sources
+        for name in sorted(set(JOB.findall(path.read_text())))
+        if name not in jobs
+    ]
+    assert dangling == []

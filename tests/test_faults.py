@@ -195,7 +195,7 @@ class TestKillDrills:
         _, report = run(ppi_graphs, service=svc)
         assert report.answers == healthy.answers
         assert svc.replica_state(0, 0) is ReplicaState.DEAD
-        assert svc.rerouted == 0  # nothing was in flight to lose
+        assert svc.rerouted.value == 0  # nothing was in flight to lose
         assert all(t.done for t in report.tickets)
 
     def test_kill_mid_flight_reroutes_and_answers_hold(
@@ -209,7 +209,7 @@ class TestKillDrills:
         assert report.chaos["rerouted"] >= 1
         assert report.chaos["lost"] == 0
         assert report.chaos["degraded"] == 0
-        assert svc.replicas_killed == 2
+        assert svc.replicas_killed.value == 2
         assert all(
             t.retries <= svc.max_retries for t in report.tickets
         )
@@ -250,7 +250,7 @@ class TestKillDrills:
         assert "degraded" in ticket.reject_reason
         assert ticket.retry_after is not None
         assert ticket.retry_after > ticket.submit_time
-        assert svc.degraded == 1
+        assert svc.degraded.value == 1
         # recovery: a new warm replica brings the shard back
         replica = svc.add_replica(0)
         assert svc.live_replicas(0) == [replica]
@@ -260,11 +260,12 @@ class TestKillDrills:
     def test_retry_exhaustion_degrades_not_loops(self, ppi_graphs):
         """max_retries=0: the first reroute attempt exhausts the retry
         budget and the ticket degrades instead of looping."""
-        svc = ftv_service(max_retries=0)
+        svc = ftv_service()
+        svc.max_retries = 0
         _, report = run(
             ppi_graphs, faults=kill_each_shard(), service=svc
         )
-        assert svc.degraded >= 1
+        assert svc.degraded.value >= 1
         assert report.chaos["lost"] == 0  # refused, never stranded
         degraded = [t for t in report.tickets if t.degraded]
         assert degraded
@@ -301,7 +302,7 @@ class TestWedgeDrill:
         ])
         svc, report = run(ppi_graphs, faults=inj)
         assert report.answers == healthy.answers
-        assert svc.replicas_wedged == 1
+        assert svc.replicas_wedged.value == 1
         # the wedge expired: the replica is LIVE again (state entry
         # dropped — LIVE is the default)
         assert svc.replica_state(0, 0) is ReplicaState.LIVE
@@ -311,7 +312,7 @@ class TestWedgeDrill:
     def test_wedge_unknown_replica_is_noop(self, ppi_graphs):
         svc = ftv_service()
         svc.wedge_replica(0, 99, ticks=3)
-        assert svc.faults_noop == 1
+        assert svc.faults_noop.value == 1
         assert svc.replica_state(0, 99) is ReplicaState.LIVE
 
 
@@ -322,16 +323,16 @@ class TestFailTaskDrill:
         ])
         svc, report = run(ppi_graphs, faults=inj)
         assert report.answers == healthy.answers
-        assert svc.tasks_failed == 1
-        assert svc.retries >= 1
+        assert svc.tasks_failed.value == 1
+        assert svc.retries.value >= 1
         assert report.chaos["lost"] == 0
         assert report.chaos["degraded"] == 0
 
     def test_fail_task_with_nothing_active_is_noop(self, ppi_graphs):
         svc = ftv_service()
         svc._fail_one_task()
-        assert svc.faults_noop == 1
-        assert svc.tasks_failed == 0
+        assert svc.faults_noop.value == 1
+        assert svc.tasks_failed.value == 0
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +371,7 @@ class TestInteractionDrills:
         )
         assert report.answers == healthy.answers
         assert report.chaos["lost"] == 0
-        assert svc.replicas_killed == 2
+        assert svc.replicas_killed.value == 2
 
     def test_chaos_run_is_deterministic(self, ppi_graphs):
         """Two identical chaos runs agree on the *full* digest — bills,
@@ -434,12 +435,12 @@ class TestStatsAndScaling:
         flat.load_dataset("ppi", scale="tiny")
         reb = Rebalancer(flat, min_window_steps=1)
         assert reb.maybe_rebalance() == []
-        assert reb.degenerate == 1
+        assert reb.degenerate.value == 1
         one = Service(workers=4, shards=1, replicas=2)
         one.load_dataset("ppi", scale="tiny")
         reb1 = Rebalancer(one, min_window_steps=1)
         assert reb1.maybe_rebalance() == []
-        assert reb1.degenerate == 1
+        assert reb1.degenerate.value == 1
         assert reb1.summary()["degenerate_checks"] == 1
 
     def test_replica_scaling_grows_hot_shrinks_cold(self, ppi_graphs):
@@ -455,7 +456,7 @@ class TestStatsAndScaling:
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
             concurrency=2, rebalancer=reb, rebalance_every=4,
         )
-        assert reb.replicas_grown >= 1
+        assert reb.replicas_grown.value >= 1
         grown = [
             c for c in reb.replica_changes if c["action"] == "grow"
         ]

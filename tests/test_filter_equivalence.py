@@ -16,10 +16,10 @@ collections and queries, that
 * plan-seeded races are bit-for-bit the interleaved race of the seeded
   variant subset, and coalesced followers inherit their leader's race
   verbatim;
-* catalog watermark eviction unloads LRU datasets through the
-  PrepareCache eviction counters.
+* a catalog holds what it loaded until it is told to unload it.
 """
 
+import hashlib
 import random
 import weakref
 
@@ -27,7 +27,7 @@ import pytest
 
 from repro.caching import prepare_cache
 from repro.datasets import ppi_like
-from repro.graphs import LabeledGraph
+from repro.graphs import GraphError, LabeledGraph
 from repro.indexing import (
     GGSXIndex,
     GrapesIndex,
@@ -39,6 +39,11 @@ from repro.indexing import (
 )
 from repro.matching import Budget
 from repro.workload import extract_query, permuted_instance
+
+from ._filter_reference import (
+    feature_locations_reference,
+    filter_reference,
+)
 
 
 def collection(seed=5, num_graphs=5, avg_nodes=50, num_labels=8):
@@ -116,7 +121,7 @@ class TestFilterEquivalence:
         ):
             for q in query_corpus(graphs):
                 fast = index.filter(q)
-                ref = index.filter_reference(q)
+                ref = filter_reference(index, q)
                 assert fast == ref, (index.method_name, q.name)
 
     def test_sorted_and_duplicate_free(self):
@@ -172,26 +177,60 @@ def seed_ftv_filter(trie_cls, graphs, query, max_length):
     return sorted(alive) if alive else []
 
 
-def test_filter_bench_quick_digest_is_the_committed_one(tmp_path):
-    """``benchmarks/filter_bench.py --quick`` checks fast == reference
-    on candidates *and* location unions before it writes; its digest
-    is the constant CI's filter-smoke job pins."""
-    import importlib.util
-    import json
-    from pathlib import Path
+def quick_filter_stream(graphs):
+    """60 queries, half of them permuted isomorphic repeats (serving
+    shape): the stream the committed digest was taken over."""
+    rng = random.Random(43)
+    base = []
+    stream = []
+    for i in range(60):
+        if base and rng.random() < 0.5:
+            original = base[rng.randrange(len(base))]
+            stream.append(permuted_instance(original, rng))
+            continue
+        while True:
+            gid = rng.randrange(len(graphs))
+            try:
+                q = extract_query(
+                    graphs[gid], 3 + rng.randrange(5), rng, name=f"q{i}"
+                )
+                break
+            except GraphError:
+                continue
+        base.append(q)
+        stream.append(q)
+    return stream
 
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / (
-        "filter_bench.py"
+
+def candidates_digest(rows):
+    """Order-sensitive digest over (method, query index, candidates)."""
+    payload = "\n".join(
+        f"{method}:{i}:{','.join(map(str, cands))}"
+        for method, i, cands in rows
     )
-    spec = importlib.util.spec_from_file_location("filter_bench", script)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    out = tmp_path / "BENCH_filter.json"
-    assert bench.main(
-        ["--quick", "--skip-serve", "--repetitions", "1", "--out", str(out)]
-    ) == 0
-    digest = json.loads(out.read_text())["filter"]["equivalence_digest"]
-    assert digest == "168056a0420dd2b5"
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_quick_filter_digest_is_the_committed_one():
+    """Fast == reference on candidates *and* (Grapes) per-candidate
+    location unions over the quick stream, and the candidates hash to
+    the digest committed when the fast path landed."""
+    graphs = collection(seed=42, num_graphs=8, avg_nodes=40)
+    stream = quick_filter_stream(graphs)
+    rows = []
+    for name, cls in (("Grapes", GrapesIndex), ("GGSX", GGSXIndex)):
+        index = cls(graphs, max_path_length=2)
+        index.warm()
+        for i, q in enumerate(stream):
+            candidates = index.filter(q)
+            assert candidates == filter_reference(index, q), (name, i)
+            if name == "Grapes":
+                for gid in candidates:
+                    assert index.feature_locations(q, gid) == (
+                        feature_locations_reference(index, q, gid)
+                    ), (i, gid)
+            rows.append((name, i, candidates))
+    assert candidates_digest(rows) == "168056a0420dd2b5"
 
 
 class TestLabelOrderEquivalence:
@@ -300,7 +339,7 @@ class TestCensusMemo:
         twin = permuted_instance(q, random.Random(3))
         index.filter(q)
         hits = index.census_stats.hits
-        assert index.filter(twin) == index.filter_reference(twin)
+        assert index.filter(twin) == filter_reference(index, twin)
         assert index.census_stats.hits == hits + 1
         metrics = index.census_cache_metrics()
         assert metrics["hits"] == index.census_stats.hits
@@ -338,7 +377,7 @@ class TestCensusMemo:
         # under the *cycle* canonical key of the mutated graph
         index.filter(self._path(6))
         for probe in (self._cycle(6), self._path(6)):
-            assert index.filter(probe) == index.filter_reference(probe)
+            assert index.filter(probe) == filter_reference(index, probe)
 
     def test_stash_does_not_pin_query_graphs(self):
         import gc
@@ -355,9 +394,9 @@ class TestCensusMemo:
         assert ref() is None, "stash must not keep the query alive"
         # dead stash forfeits promotion; the class still converges to
         # canonical sharing via the next instance
-        assert index.filter(twin1) == index.filter_reference(twin1)
+        assert index.filter(twin1) == filter_reference(index, twin1)
         hits = index.census_stats.hits
-        assert index.filter(twin2) == index.filter_reference(twin2)
+        assert index.filter(twin2) == filter_reference(index, twin2)
         assert index.census_stats.hits == hits + 1
 
     def test_memoized_verify_matches_reference_components(self):
@@ -596,46 +635,13 @@ class TestCoalescing:
 
 
 class TestCatalogEviction:
-    def test_watermark_evicts_lru(self):
-        from repro.service import DatasetCatalog
-
-        cat = DatasetCatalog(max_bytes=1)
-        cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        before = prepare_cache.stats.evictions
-        cat.load("ppi", scale="tiny")
-        assert cat.datasets() == ["ppi"]  # newest load is protected
-        assert cat.evicted == ["yeast"]
-        assert cat.evictions == 1
-        assert prepare_cache.stats.evictions > before
-        report = cat.memory_report()
-        assert report["watermark_bytes"] == 1
-        assert report["evictions"] == 1
-        assert report["evicted"] == ["yeast"]
-
-    def test_watermark_evicted_dataset_reloads_on_demand(self):
-        from repro.service import DatasetCatalog
-
-        cat = DatasetCatalog(max_bytes=1)
-        cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        cat.load("ppi", scale="tiny")  # evicts yeast
-        assert cat.evicted == ["yeast"]
-        # eviction trades latency for memory — it must not turn a
-        # still-configured dataset into an error
-        entry = cat.get("yeast")
-        assert entry.name == "yeast"
-        assert entry.load_config[0] == "tiny"
-        assert cat.reloads == 1
-        assert cat.memory_report()["reloads"] == 1
-
     def test_explicit_unload_stays_final(self):
-        import pytest as _pytest
-
         from repro.service import DatasetCatalog
 
-        cat = DatasetCatalog(max_bytes=1)
+        cat = DatasetCatalog()
         cat.load("yeast", scale="tiny", algorithms=("GQL",))
         cat.unload("yeast")
-        with _pytest.raises(KeyError):
+        with pytest.raises(KeyError):
             cat.get("yeast")
 
     def test_no_watermark_no_eviction(self):
@@ -645,26 +651,6 @@ class TestCatalogEviction:
         cat.load("yeast", scale="tiny", algorithms=("GQL",))
         cat.load("ppi", scale="tiny")
         assert cat.datasets() == ["ppi", "yeast"]
-        assert cat.evictions == 0
-
-    def test_access_refreshes_lru_rank(self):
-        from repro.service import DatasetCatalog
-
-        # generous watermark: both fit until the third arrives
-        cat = DatasetCatalog(max_bytes=1)
-        cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        assert cat.datasets() == ["yeast"]  # sole entry is protected
-        cat.get("yeast")  # touch: yeast is now most recent
-        cat.load("human", scale="tiny", algorithms=("GQL",))
-        # yeast was LRU anyway; with only two entries the non-protected
-        # one goes — the protected (just-loaded) entry always survives
-        assert "human" in cat.datasets()
-
-    def test_invalid_watermark_rejected(self):
-        from repro.service import DatasetCatalog
-
-        with pytest.raises(ValueError):
-            DatasetCatalog(max_bytes=0)
 
     def test_ftv_warmup_reported(self):
         from repro.service import DatasetCatalog

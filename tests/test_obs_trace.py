@@ -165,7 +165,8 @@ class TestTracerRing:
     def test_service_trace_returns_none_not_keyerror(self, ppi_graphs):
         """``Service.trace`` on an evicted or never-issued ticket id is
         None — callers (the /trace endpoint's 404 path) rely on it."""
-        svc = ftv_service(shards=1, replicas=1, trace_capacity=1)
+        svc = ftv_service(shards=1, replicas=1)
+        svc.tracer.capacity = 1
         tickets = []
         for seed in (9, 11):
             t = svc.submit(
@@ -179,7 +180,8 @@ class TestTracerRing:
         assert svc.trace(-999) is None  # synthetic range, never started
 
     def test_service_ring_is_bounded(self, ppi_graphs):
-        svc = ftv_service(shards=1, replicas=1, trace_capacity=4)
+        svc = ftv_service(shards=1, replicas=1)
+        svc.tracer.capacity = 4
         run_closed_loop(
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
             concurrency=2,
@@ -337,7 +339,8 @@ class TestTerminalStates:
         assert trace.find("degraded")
 
     def test_retry_exhausted_degraded(self, ppi_graphs):
-        svc = ftv_service(max_retries=0)
+        svc = ftv_service()
+        svc.max_retries = 0
         faults = FaultInjector([
             FaultEvent(at=3 + s, kind="kill", shard=s, replica=-1,
                        unit="completions", seq=s)
@@ -405,7 +408,7 @@ class TestChaosTraces:
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
             concurrency=2, faults=faults,
         )
-        assert svc.rerouted >= 1
+        assert svc.rerouted.value >= 1
         touched = [
             t for t in report.completed
             if t.retries > 0 and svc.trace(t.id) is not None

@@ -6,8 +6,8 @@ bit-for-bit invariant across {1 shard, N shards unrouted, N shards
 routed, N shards post-rebalance} in full mode, and ``decisions_digest``
 is invariant in decision mode (where witness subsets legitimately
 differ).  The sketch tests are adversarial on purpose: forced bucket
-collisions, labels the collection has never seen, NFV home shards, and
-evictions mid-flight must all leave pruning sound.
+collisions, labels the collection has never seen and NFV home shards
+must all leave pruning sound.
 """
 
 import pytest
@@ -221,7 +221,7 @@ class TestSketchSoundness:
         report = run_closed_loop(
             svc, "yeast", streams, options=QueryOptions(), concurrency=1
         )
-        assert svc.routed_queries == 0
+        assert svc.routed_queries.value == 0
         assert all(t.fanout <= 1 for t in report.completed)
 
 
@@ -245,8 +245,8 @@ class TestRoutedServing:
         assert d1.decisions == d2u.decisions == d2r.decisions
         # staged waves actually deferred sibling work, and the routed
         # run never wastes more fanned steps than the unrouted one
-        assert svc.waves_skipped > 0
-        assert svc.fanout_waste <= d2u.service_stats["fanout_waste"]
+        assert svc.waves_skipped.value > 0
+        assert svc.fanout_waste.value <= d2u.service_stats["fanout_waste"]
 
     def test_routed_run_deterministic(self, ppi_graphs):
         _, a = run(2, True, ppi_graphs, options=DEC_OPTS)
@@ -272,27 +272,7 @@ class TestRoutedServing:
         assert ticket.result.found is False
         assert ticket.fanout == 1
         assert ticket.pruned == 1
-        assert svc.shards_pruned == 1
-
-    def test_eviction_then_reroute_mid_service(self, ppi_graphs):
-        """A watermark-evicted shard partition transparently re-registers
-        (and re-folds its sketch) when a routed query lands on it."""
-        svc = ftv_service(2, True)
-        cat = svc.catalog
-        entry = cat.get("ppi")
-        epoch_before = entry.router.epoch
-        # evict shard 0's partition behind the catalog's back
-        cat.shards[0]._evict("ppi")
-        streams = ftv_streams(ppi_graphs)
-        report = run_closed_loop(
-            svc, "ppi", streams, options=FTV_OPTS, concurrency=2
-        )
-        _, clean = run(2, True, ppi_graphs, seed=9)
-        assert report.answers == clean.answers
-        # eviction reloads refresh sketches without bumping the epoch
-        # (the assignment never changed)
-        assert entry.router.epoch == epoch_before
-        assert cat.reloads >= 1
+        assert svc.shards_pruned.value == 1
 
     def test_missing_sketch_fails_closed(self, ppi_graphs):
         """A shard without a sketch must race, never be pruned —
@@ -434,7 +414,7 @@ class TestRebalance:
             rebalance_every=4,
         )
         assert report.answers == base.answers
-        assert reb.rebalances >= 1
+        assert reb.rebalances.value >= 1
         assert reb.migrations
         assert svc.catalog.reassignments >= 1
         # migrated layout still answers correctly after the run too

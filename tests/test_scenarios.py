@@ -406,3 +406,41 @@ class TestScenarioMatrix:
         ScenarioConfig.from_dict(
             minimal(engine={"rewritings": ["Orig", "RND3"]})
         )
+
+
+def test_mutated_scenario_honours_the_rebalance_cadence(monkeypatch):
+    """``topology.rebalance_every`` means the same thing with and
+    without a ``mutations:`` stream: the loop drains and consults the
+    rebalancer every that-many completions.  (The update stream used to
+    run through a second loop that dropped the cadence, so the
+    rebalancer was reached only after each applied batch — here, only
+    once the query streams had run dry.)"""
+    from repro.scenarios import ScenarioRunner
+    from repro.service.rebalance import Rebalancer
+
+    queries, every = 12, 3
+    config = ScenarioConfig.from_dict(minimal(
+        workload={"queries": queries, "tenants": 2, "sizes": [4, 6]},
+        topology={
+            "shards": 2, "rebalance": True, "rebalance_every": every,
+        },
+        # never due by completion count: batches land once streams dry
+        mutations={"count": 2, "batch": 2, "every": 100},
+    ))
+    consulted_at = []
+    maybe_rebalance = Rebalancer.maybe_rebalance
+
+    def spy(self):
+        consulted_at.append(self.service.completed_count.value)
+        return maybe_rebalance(self)
+
+    monkeypatch.setattr(Rebalancer, "maybe_rebalance", spy)
+    result = ScenarioRunner().run(config)
+    assert result.completed == queries and result.mutations_applied == 2
+    mid_stream = [done for done in consulted_at if done < queries]
+    assert mid_stream, consulted_at
+    assert mid_stream[0] >= every
+    assert all(
+        later - earlier >= every
+        for earlier, later in zip(mid_stream, mid_stream[1:])
+    )

@@ -47,7 +47,7 @@ class TestQueueing:
         tickets = [adm.submit("a", "ds", q(), now=0) for _ in range(3)]
         states = [t.state for t in tickets]
         assert states.count(TicketState.REJECTED) == 1
-        assert adm.rejected == 1
+        assert adm.rejected.value == 1
         rejected = tickets[-1]
         assert "queue full" in rejected.reject_reason
         assert rejected.latency == 0

@@ -263,11 +263,3 @@ class TestWarmUpWork:
         assert censused() == []
         assert calls["bytes"] == []
         self._first_report_is_the_eager_walk(booted, calls)
-
-    def test_watermark_still_evicts_at_load_time(self, calls):
-        cat = DatasetCatalog(max_bytes=1)
-        cat.load("ppi", scale="tiny")
-        assert calls["bytes"]  # the watermark demanded the walk
-        cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        assert cat.datasets() == ["yeast"]
-        assert cat.evicted == ["ppi"]

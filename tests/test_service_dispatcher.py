@@ -152,7 +152,7 @@ class TestDispatcher:
         ))
         disp.tick([0])
         assert disp.clock == 32
-        assert disp.ticks == 1
+        assert disp.ticks.value == 1
 
     def test_cancel(self, psi, store):
         disp = Dispatcher(workers=4)

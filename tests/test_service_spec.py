@@ -1,14 +1,16 @@
 """The one service definition: ``repro.service.spec.ServiceSpec``.
 
-Three claims: the CLI front end and a hand-built spec denote the same
+Four claims: the CLI front end and a hand-built spec denote the same
 value; a scenario config *is* such a spec (so its round trip goes
-through the spec's own validation); and nothing in the library reaches
-back into the CLI.
+through the spec's own validation); ``Service`` can be configured with
+exactly what a spec can say; and nothing in the library reaches back
+into the CLI.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from repro.scenarios import (
     load_scenario_dir,
     random_scenario,
 )
+from repro.service import Service, spec as spec_module
 from repro.service.spec import (
     EngineSpec,
     FaultSpec,
@@ -90,6 +93,34 @@ class TestValidatesAtConstruction:
             with pytest.raises(SpecError) as err:
                 build()
             assert err.value.path == path
+
+
+class TestTheConstructorIsTheSpec:
+    """A ``Service`` keyword no spec can set is a knob no deployment
+    can reach: adding one fails here until ``build_service`` passes it."""
+
+    KEYWORDS = [
+        "workers", "admission", "plan_seeding", "coalesce", "shards",
+        "replicas", "routing", "assignment", "store", "journal",
+    ]
+
+    def test_service_takes_exactly_the_ten_keywords(self):
+        parameters = list(inspect.signature(Service.__init__).parameters)
+        assert parameters == ["self", *self.KEYWORDS]
+
+    def test_build_service_passes_every_keyword(self, monkeypatch):
+        passed = {}
+
+        class Recorder:
+            def __init__(self, **keywords):
+                passed.update(keywords)
+
+            def load_dataset(self, *args, **keywords):
+                pass
+
+        monkeypatch.setattr(spec_module, "Service", Recorder)
+        ServiceSpec(dataset="ppi").build_service()
+        assert sorted(passed) == sorted(self.KEYWORDS)
 
 
 class TestScenarioIsASpec:
