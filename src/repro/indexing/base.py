@@ -94,7 +94,7 @@ class FTVIndex(ABC):
         to length 4; the scaled default here is 3 — see DESIGN.md §2).
     restore:
         Dumped trie postings (``repro.store`` boot path).  When given,
-        the trie is reconstructed by raw re-insertion of the dump
+        the trie is reconstructed by installing the dump's rows
         instead of running the path-census ``_build`` — O(read)
         instead of O(DFS), and bit-identical because label codes are a
         pure function of the graphs' sorted label set.
@@ -153,22 +153,22 @@ class FTVIndex(ABC):
     def _build(self) -> None:
         """Construct the feature index (un-budgeted, per the paper)."""
 
-    def _restore(self, postings: list) -> None:
+    def _restore(self, rows: list) -> None:
         """Rebuild the trie from dumped postings (store boot path).
 
-        Each row is ``(coded path, [(graph_id, count, location mask)])``
-        as :func:`repro.store.codec.decode_index` read it back.
-        Re-insertion is pinned to the **raw** :meth:`PathTrie.insert`
-        (bound explicitly): a :class:`~repro.indexing.trie.SuffixTrie`'s
-        own ``insert`` expands suffixes, and the dump already contains
-        every expansion — routing rows through it would double count.
+        Each row is ``(coded path, {graph_id: Posting})`` — what
+        :meth:`PathTrie.iter_postings` yields and
+        :func:`repro.store.codec.decode_index` read back — installed
+        with one :meth:`PathTrie.install` walk.  That is the **raw**
+        entry on every trie class: a
+        :class:`~repro.indexing.trie.SuffixTrie`'s ``insert`` expands
+        suffixes, and the dump already contains every expansion —
+        routing rows through it would double count.
         """
         self.trie = self.trie_class()
-        insert = PathTrie.insert.__get__(self.trie, type(self.trie))
-        for seq, rows in postings:
-            key = tuple(seq)
-            for gid, count, locations in rows:
-                insert(key, gid, count, locations)
+        install = self.trie.install
+        for seq, postings in rows:
+            install(seq, postings)
 
     def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
         """Insert one graph's features (the incremental-add unit).

@@ -37,8 +37,8 @@ class GGSXIndex(FTVIndex):
 
     method_name = "GGSX"
 
-    #: store-restore instantiates this, but re-inserts dumped postings
-    #: through the raw ``PathTrie.insert`` — the dump already holds
+    #: store-restore instantiates this, but puts dumped rows back
+    #: through the raw ``PathTrie.install`` — the dump already holds
     #: every expanded suffix (see :meth:`FTVIndex._restore`)
     trie_class = SuffixTrie
 

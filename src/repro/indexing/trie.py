@@ -125,6 +125,25 @@ class PathTrie:
             posting.merge(count, locations)
         node.thresholds = None
 
+    def install(self, seq: LabelSeq, postings: dict[int, Posting]) -> None:
+        """Make ``postings`` the posting map of ``seq``'s node.
+
+        The store-restore unit, the inverse of one
+        :meth:`iter_postings` row: one walk per node instead of one
+        :meth:`insert` per posting, and deliberately *not* overridden
+        by :class:`SuffixTrie` — a dump already lists every expanded
+        suffix as a row of its own.
+        """
+        node = self._root
+        for lab in seq:
+            nxt = node.children.get(lab)
+            if nxt is None:
+                nxt = node.children[lab] = _Node()
+                self._size += 1
+            node = nxt
+        node.postings = postings
+        node.thresholds = None
+
     def remove_graph(self, graph_id: int) -> int:
         """Delete every posting of ``graph_id`` (dynamic-collection
         removes).
@@ -182,17 +201,23 @@ class PathTrie:
         return mask_ge(thresholds, needed)
 
     def seal(self) -> int:
-        """Eagerly build every node's threshold masks (catalog warmup).
+        """Eagerly build every unsealed node's threshold masks (catalog
+        warmup, and the reseal after a mutation).
 
-        Returns the number of posting-carrying nodes sealed.  Purely a
-        warm-start: lazy per-probe sealing produces identical masks.
+        :meth:`insert`, :meth:`install` and :meth:`remove_graph` unseal
+        exactly the nodes they touch, so a node that still holds its
+        table is skipped: resealing after a mutation costs the touched
+        nodes, not the trie.  Returns the number of posting-carrying
+        nodes, sealed now or before.  Purely a warm-start: lazy
+        per-probe sealing produces identical masks.
         """
         sealed = 0
         stack = [self._root]
         while stack:
             node = stack.pop()
             if node.postings:
-                node.seal()
+                if node.thresholds is None:
+                    node.seal()
                 sealed += 1
             stack.extend(node.children.values())
         return sealed

@@ -32,7 +32,7 @@ from .blobs import (
     atomic_write_bytes,
     sha256_hex,
 )
-from .codec import CODEC, CodecError
+from .codec import CODEC, INDEX_CODEC, CodecError
 from .journal import (
     JOURNAL_NAME,
     JournalCorrupt,
@@ -62,6 +62,7 @@ __all__ = [
     "BlobStore",
     "CODEC",
     "CodecError",
+    "INDEX_CODEC",
     "JOURNAL_NAME",
     "JournalCorrupt",
     "JournalCrash",

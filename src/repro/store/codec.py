@@ -1,73 +1,118 @@
 """Blob payload codecs: frozen graphs and warm FTV indexes ↔ bytes.
 
-Everything is canonical JSON (sorted keys, no float ambiguity — the
-payloads are ints and strings only) compressed with zlib, so the same
-warm state always encodes to the same bytes and therefore the same
-content address.  That determinism is what makes "same config → same
-store" testable.
+Both payloads are deterministic — the same warm state always encodes
+to the same bytes and therefore the same content address — which is
+what makes "same config → same store" testable.  Neither depends on
+the host: JSON is canonical (sorted keys, ints and strings only) and
+every binary column states its byte order.
 
 Graphs round-trip through :func:`repro.graphs.io.graph_to_json`, the
-faithful shape (edge labels and int/str label types preserved).
+faithful shape (edge labels and int/str label types preserved) the
+mutation journal's records share, as canonical JSON under zlib
+(:data:`CODEC`).
 
-Warm FTV indexes serialize as their trie's posting dump: a sorted list
-of ``[coded path, [[graph_id, count, [locations...]], ...]]`` rows.
-Restoring re-inserts the rows through the **raw** ``PathTrie.insert``
-(see :meth:`repro.indexing.base.FTVIndex._restore`) — crucially *not*
+A warm FTV index is its trie's postings in columns
+(:data:`INDEX_CODEC`): one line of canonical JSON (``kind``,
+``codec``, ``method``, ``max_path_length``, the byte length of each
+column, and ``labels``/``tombstones`` when the collection was mutated)
+followed by the columns of :data:`INDEX_COLUMNS` back to back, the
+whole under zlib.  Rows are sorted by coded path and postings by graph
+id; a location set is written as the little-endian bytes of the vertex
+bitmask the posting already holds, never as a list of vertex ids.
+Restoring installs each row on its trie node directly
+(:meth:`repro.indexing.base.FTVIndex._restore`) — crucially *not*
 through ``SuffixTrie.insert``, whose suffix expansion would double
-count rows the dump already enumerates.  Label codes are not stored:
-the :class:`~repro.indexing.features.LabelInterner` assigns codes
+count rows the dump already enumerates.  Label codes are not stored
+for an unmutated collection: the
+:class:`~repro.indexing.features.LabelInterner` assigns codes
 deterministically from the sorted label set of the restored graphs,
 so a coded dump made against the same graphs decodes against the
 freshly derived interner bit-for-bit.
+
+Compatibility is per payload tag.  A blob whose tag this module does
+not write fails :func:`decode_index` as :class:`CodecError`, which the
+reader treats like any corrupt blob: quarantine, rebuild the index in
+process over the restored graphs, and let the next checkpoint write
+the current format.  There is one decoder per payload, never two.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import zlib
+from itertools import accumulate, chain, repeat
+from operator import lt
 
 from ..graphs.io import graph_from_json, graph_to_json
-from ..indexing.features import location_vertices
+from ..indexing import GGSXIndex, GrapesIndex, LabelInterner, Posting
 from .blobs import StoreError
 
 __all__ = [
     "CODEC",
+    "INDEX_CODEC",
+    "INDEX_COLUMNS",
     "CodecError",
     "encode_graphs",
     "decode_graphs",
     "encode_index",
     "decode_index",
-    "dump_postings",
 ]
 
-#: payload format tag, embedded in every blob for self-description
+#: graphs payload format tag, embedded in the blob for self-description
 CODEC = "json+zlib/1"
+
+#: warm-index payload format tag
+INDEX_CODEC = "columns+zlib/2"
+
+#: The index body, in order: ``(column, struct item code)``, every item
+#: little-endian and unsigned.  Per row (one trie node that carries
+#: postings): the path's length in labels, then its label codes, and
+#: how many postings follow; per posting: the graph id, the occurrence
+#: count and the byte length of its location mask; last, the masks
+#: themselves back to back.  A value that does not fit its item raises
+#: at encode — nothing wraps.
+INDEX_COLUMNS = (
+    ("path_len", "B"),
+    ("code", "I"),
+    ("row_postings", "I"),
+    ("graph_id", "I"),
+    ("count", "I"),
+    ("mask_len", "I"),
+    ("mask", "s"),
+)
+
+#: zlib level of the index payload, a constant chosen from one
+#: measurement (the table in docs/STORE.md): the location masks are
+#: close to incompressible, level 4 is both faster and smaller than 3,
+#: it is the lowest level at which every default-scale index blob is
+#: smaller than the JSON codec wrote it, and 6 triples the time for
+#: 6 % of the size.
+_INDEX_ZLIB_LEVEL = 4
 
 
 class CodecError(StoreError):
-    """A checksummed blob failed to decode (treated as corruption)."""
+    """A payload the codec cannot read back or cannot represent.
+
+    Raised over checksummed bytes it means the manifest pins a blob
+    this codec never wrote, and is treated as corruption.
+    """
 
 
-def _pack(obj: dict) -> bytes:
-    raw = json.dumps(
-        obj, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return zlib.compress(raw, 6)
-
-
-def _unpack(data: bytes, kind: str) -> dict:
-    try:
-        obj = json.loads(zlib.decompress(data).decode("utf-8"))
-    except (zlib.error, ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"{kind} blob undecodable: {exc}") from exc
+def _check_envelope(obj, kind: str, codec: str) -> None:
     if not isinstance(obj, dict) or obj.get("kind") != kind:
         raise CodecError(
             f"blob is not a {kind} payload: "
             f"{obj.get('kind') if isinstance(obj, dict) else type(obj)}"
         )
-    if obj.get("codec") != CODEC:
+    if obj.get("codec") != codec:
         raise CodecError(f"unknown payload codec {obj.get('codec')!r}")
-    return obj
+
+
+def _canonical_json(obj: dict) -> bytes:
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -75,15 +120,19 @@ def _unpack(data: bytes, kind: str) -> dict:
 # ----------------------------------------------------------------------
 
 def encode_graphs(graphs) -> bytes:
-    return _pack({
+    return zlib.compress(_canonical_json({
         "kind": "graphs",
         "codec": CODEC,
         "graphs": [graph_to_json(g) for g in graphs],
-    })
+    }), 6)
 
 
 def decode_graphs(data: bytes) -> list:
-    obj = _unpack(data, "graphs")
+    try:
+        obj = json.loads(zlib.decompress(data).decode("utf-8"))
+    except (zlib.error, ValueError) as exc:
+        raise CodecError(f"graphs blob undecodable: {exc}") from exc
+    _check_envelope(obj, "graphs", CODEC)
     try:
         return [graph_from_json(doc) for doc in obj["graphs"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -93,26 +142,6 @@ def decode_graphs(data: bytes) -> list:
 # ----------------------------------------------------------------------
 # warm FTV indexes
 # ----------------------------------------------------------------------
-
-def dump_postings(trie) -> list:
-    """The trie's live postings as a deterministic nested list.
-
-    Rows are sorted by coded path, then graph id; locations ascending.
-    For a ``SuffixTrie`` this dump already contains every expanded
-    suffix — which is why restore must re-insert raw.
-    """
-    rows = []
-    for seq, postings in trie.iter_postings():
-        rows.append([
-            list(seq),
-            [
-                [gid, p.count, location_vertices(p.locations)]
-                for gid, p in sorted(postings.items())
-            ],
-        ])
-    rows.sort(key=lambda row: row[0])
-    return rows
-
 
 _METHOD_OF_CLASS = {"GrapesIndex": "Grapes", "GGSXIndex": "GGSX"}
 
@@ -126,44 +155,152 @@ def index_method(index) -> str:
         raise StoreError(f"unsupported FTV index class {name}") from None
 
 
+def _pack_column(name: str, code: str, values: list) -> bytes:
+    try:
+        return struct.pack(f"<{len(values)}{code}", *values)
+    except struct.error as exc:
+        raise CodecError(
+            f"index column {name!r} cannot hold its values: {exc}"
+        ) from exc
+
+
 def encode_index(index) -> bytes:
-    payload = {
+    # flat int lists and per-row temporaries only: a checkpoint runs
+    # inside a serving process, and thousands of containers kept alive
+    # to the end of the call would push its heap into a full collection
+    nodes = dict(index.trie.iter_postings())
+    paths = sorted(nodes)
+    row_postings: list[int] = []
+    gids: list[int] = []
+    counts: list[int] = []
+    masks: list[int] = []
+    for path in paths:
+        row = sorted(nodes[path].items())
+        row_postings.append(len(row))
+        gids += [gid for gid, _ in row]
+        counts += [posting.count for _, posting in row]
+        masks += [posting.locations for _, posting in row]
+    mask_lens = [(mask.bit_length() + 7) >> 3 for mask in masks]
+    values = (
+        list(map(len, paths)),
+        list(chain.from_iterable(paths)),
+        row_postings,
+        gids,
+        counts,
+        mask_lens,
+        b"".join(map(int.to_bytes, masks, mask_lens, repeat("little"))),
+    )
+    columns = [
+        column if code == "s" else _pack_column(name, code, column)
+        for (name, code), column in zip(INDEX_COLUMNS, values)
+    ]
+    header = {
         "kind": "index",
-        "codec": CODEC,
+        "codec": INDEX_CODEC,
         "method": index_method(index),
         "max_path_length": index.max_path_length,
-        "postings": dump_postings(index.trie),
+        "columns": {
+            name: len(column)
+            for (name, _), column in zip(INDEX_COLUMNS, columns)
+        },
     }
     # mutated-collection state, emitted only when it diverges from
     # what a fresh restore would derive — an unmutated index encodes
-    # to the exact same bytes (and content address) as before
+    # to the exact same bytes (and content address) either way
     if index.tombstones:
-        payload["tombstones"] = sorted(index.tombstones)
-    from ..indexing import LabelInterner  # deferred: indexing imports us
-
+        header["tombstones"] = sorted(index.tombstones)
     fresh = LabelInterner(g.labels for g in index.graphs)
     if fresh.code_of != index.interner.code_of:
         # incremental adds *append* codes for novel labels; a restore
         # that re-derived codes from the sorted label set would decode
         # the coded postings against the wrong assignment, so the
         # dump pins the live code order explicitly
-        payload["labels"] = sorted(
+        header["labels"] = sorted(
             index.interner.code_of,
             key=index.interner.code_of.get,
         )
-    return _pack(payload)
+    return zlib.compress(
+        b"".join([_canonical_json(header), b"\n", *columns]),
+        _INDEX_ZLIB_LEVEL,
+    )
 
 
-def _location_mask(vertices) -> int:
-    """A dumped location list as the vertex bitmask postings hold.
+def _split_columns(header: dict, body: bytes) -> list:
+    """The body cut into :data:`INDEX_COLUMNS` and unpacked.
 
-    A repeated id sets its bit once; a negative one raises
-    ``ValueError`` (a malformed payload to the caller).
+    Every disagreement between the header's byte lengths, the item
+    sizes and the body is a :class:`CodecError`.
     """
-    mask = 0
-    for v in vertices:
-        mask |= 1 << int(v)
-    return mask
+    lengths = header.get("columns")
+    if (
+        not isinstance(lengths, dict)
+        or sorted(lengths) != sorted(name for name, _ in INDEX_COLUMNS)
+        or not all(type(n) is int and n >= 0 for n in lengths.values())
+        or sum(lengths.values()) != len(body)
+    ):
+        raise CodecError(
+            f"index columns {lengths!r} do not describe a "
+            f"{len(body)}-byte body"
+        )
+    out = []
+    start = 0
+    for name, code in INDEX_COLUMNS:
+        chunk = body[start:start + lengths[name]]
+        start += lengths[name]
+        if code != "s":
+            items, torn = divmod(len(chunk), struct.calcsize(f"<{code}"))
+            if torn:
+                raise CodecError(
+                    f"index column {name!r} ends {torn} bytes into an item"
+                )
+            chunk = struct.unpack(f"<{items}{code}", chunk)
+        out.append(chunk)
+    return out
+
+
+def _slices(lengths) -> zip:
+    """``(start, end)`` of consecutive runs of the given lengths."""
+    return zip(accumulate(lengths, initial=0), accumulate(lengths))
+
+
+def _decode_rows(header: dict, body: bytes, num_graphs: int) -> list:
+    """The payload's ``(coded path, {graph_id: Posting})`` rows, in
+    the shape :meth:`repro.indexing.trie.PathTrie.iter_postings`
+    yields them, after every cross-column check."""
+    (
+        path_lens, codes, row_postings, gids, counts, mask_lens, mask_bytes,
+    ) = _split_columns(header, body)
+    if not (
+        len(path_lens) == len(row_postings)
+        and sum(path_lens) == len(codes)
+        and sum(row_postings) == len(gids) == len(counts) == len(mask_lens)
+        and sum(mask_lens) == len(mask_bytes)
+    ):
+        raise CodecError(
+            f"index columns disagree on their item counts: "
+            f"{header['columns']}"
+        )
+    if gids and max(gids) >= num_graphs:
+        raise CodecError(
+            f"index blob posts graph {max(gids)}; the partition holds "
+            f"{num_graphs}"
+        )
+    paths = [codes[a:b] for a, b in _slices(path_lens)]
+    if not all(map(lt, paths, paths[1:])):
+        raise CodecError("index rows are not in ascending path order")
+    from_bytes = int.from_bytes
+    masks = [
+        from_bytes(mask_bytes[a:b], "little") for a, b in _slices(mask_lens)
+    ]
+    rows = []
+    for path, (a, b) in zip(paths, _slices(row_postings)):
+        postings = dict(
+            zip(gids[a:b], map(Posting, counts[a:b], masks[a:b]))
+        )
+        if len(postings) != b - a:
+            raise CodecError(f"index row {path} repeats a graph id")
+        rows.append((path, postings))
+    return rows
 
 
 def decode_index(
@@ -174,47 +311,40 @@ def decode_index(
     The payload's method and path length must match the requested
     configuration — a mismatch means the manifest lied about this blob
     (or the blob was swapped), so it surfaces as :class:`CodecError`
-    and the caller quarantines + rebuilds.
+    and the caller quarantines + rebuilds.  So does a blob of any other
+    format generation, a column that disagrees with its neighbours,
+    and a posting for a graph the partition does not hold.
     """
-    from ..indexing import GGSXIndex, GrapesIndex
-
-    obj = _unpack(data, "index")
-    if obj.get("method") != ftv_method:
+    try:
+        head, _, body = zlib.decompress(data).partition(b"\n")
+        header = json.loads(head.decode("utf-8"))
+    except (zlib.error, ValueError) as exc:
+        raise CodecError(f"index blob undecodable: {exc}") from exc
+    _check_envelope(header, "index", INDEX_CODEC)
+    if header.get("method") != ftv_method:
         raise CodecError(
-            f"index blob is {obj.get('method')!r}, requested "
+            f"index blob is {header.get('method')!r}, requested "
             f"{ftv_method!r}"
         )
-    if obj.get("max_path_length") != max_path_length:
+    if header.get("max_path_length") != max_path_length:
         raise CodecError(
-            f"index blob max_path_length {obj.get('max_path_length')!r}"
+            f"index blob max_path_length "
+            f"{header.get('max_path_length')!r}"
             f" != requested {max_path_length}"
         )
-    try:
-        postings = [
-            (
-                tuple(int(c) for c in seq),
-                [
-                    (int(gid), int(count), _location_mask(locations))
-                    for gid, count, locations in rows
-                ],
-            )
-            for seq, rows in obj["postings"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodecError(f"index payload malformed: {exc}") from exc
     cls = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}.get(ftv_method)
     if cls is None:
         raise CodecError(f"unknown FTV method {ftv_method!r}")
     index = cls(
-        graphs, max_path_length=max_path_length, restore=postings
+        graphs,
+        max_path_length=max_path_length,
+        restore=_decode_rows(header, body, len(graphs)),
     )
-    labels = obj.get("labels")
+    labels = header.get("labels")
     if labels is not None:
         # the dump was coded against an incrementally extended
         # interner; install its exact code order (restore itself never
         # consults the interner, so a post-construction swap is safe)
-        from ..indexing import LabelInterner
-
         try:
             interner = LabelInterner([])
             interner.code_of = {
@@ -226,7 +356,7 @@ def decode_index(
             ) from exc
         index.interner = interner
         index._invalidate_censuses()
-    tombstones = obj.get("tombstones")
+    tombstones = header.get("tombstones")
     if tombstones:
         try:
             index.tombstones = {int(gid) for gid in tombstones}

@@ -11,6 +11,9 @@ torn blob write      length/sha mismatch         quarantine + rebuild
 truncated blob       length mismatch             quarantine + rebuild
 single-bit flip      sha mismatch                quarantine + rebuild
 deleted blob         :class:`BlobMissing`        rebuild
+undecodable blob,    :class:`CodecError` over    quarantine + rebuild
+or one of another    checksummed bytes
+format generation
 manifest torn        :class:`ManifestError`      quarantine; store
                                                  reads as absent
 manifest version     :class:`StoreVersionSkew`   quarantine; store

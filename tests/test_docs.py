@@ -6,8 +6,9 @@ reference to a file that does not exist or a symbol that is not
 defined in it — which is what keeps the architecture docs honest as
 the code moves.  The docs and the ``src/`` docstrings also cite CI jobs
 by name (``scenario-matrix``, the ``*-smoke`` jobs); a cited job must be
-a job of ``.github/workflows/ci.yml``.  The CI ``docs`` job runs
-exactly this file.
+a job of ``.github/workflows/ci.yml``, and a store payload tag quoted
+in ``docs/STORE.md`` must be one ``repro.store.codec`` writes.  The CI
+``docs`` job runs exactly this file.
 """
 
 import re
@@ -93,3 +94,27 @@ def test_cited_ci_jobs_exist():
         if name not in jobs
     ]
     assert dangling == []
+
+
+#: a store payload format tag: ``json+zlib/1``, ``columns+zlib/2``, ...
+PAYLOAD_TAG = re.compile(r"\b\w+\+zlib/\d+")
+
+
+def test_store_doc_quotes_only_payload_tags_the_codec_writes():
+    """The format contract names each payload's tag; a tag the codec
+    does not export means the doc describes a format that is gone —
+    or one payload under another's tag."""
+    from repro.store import codec
+
+    exported = {
+        value
+        for value in (getattr(codec, name) for name in codec.__all__)
+        if isinstance(value, str)
+    }
+    quoted = set(
+        PAYLOAD_TAG.findall((REPO / "docs" / "STORE.md").read_text())
+    )
+    assert quoted == exported, (
+        f"only in docs/STORE.md {sorted(quoted - exported)}, "
+        f"only in the codec {sorted(exported - quoted)}"
+    )

@@ -17,7 +17,13 @@ grown from them, then assert the library's fundamental contracts:
 * the bitmask GraphQL and sPath engines yield, batch for batch, what
   the ``Counter``-signature recursive engines they replaced yield
   (``tests/_nfv_recursive.py``), and are killed where those are;
-* race outcomes equal the per-variant minimum.
+* race outcomes equal the per-variant minimum;
+* a Grapes or GGSX index that lived through a random add / remove /
+  re-add sequence comes back from ``decode_index(encode_index(ix))``
+  with the same postings, tombstones and label code order, re-encodes
+  to the same bytes and filters to the same candidates; and its trie,
+  resealed only where a mutation unsealed it, answers ``mask_ge`` as
+  the posting maps say at every node and threshold.
 """
 
 import random
@@ -26,6 +32,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import LabeledGraph, disjoint_union
 from repro.indexing import (
+    GGSXIndex,
+    GrapesIndex,
     LabelInterner,
     canonical_sequence,
     coded_path_census,
@@ -44,6 +52,7 @@ from repro.matching import (
 )
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
+from repro.store.codec import decode_index, encode_index, index_method
 from repro.workload import extract_query
 
 from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
@@ -532,3 +541,85 @@ def test_race_from_costs_is_min_of_completions(costs, overhead):
     else:
         assert race.killed
         assert race.steps == 10**6 + overhead * len(table)
+
+
+@st.composite
+def mutated_indexes(draw):
+    """A Grapes or GGSX index after a random add / remove / re-add
+    sequence, warmed (sealed) at random points on the way.  Base
+    graphs and newcomers are small connected ``ABC`` graphs or sparse
+    ``ABCDE`` ones of up to 90 vertices, so newcomers bring labels the
+    interner has to append and location masks span several bytes."""
+    cls = draw(st.sampled_from([GrapesIndex, GGSXIndex]))
+    graph = st.one_of(stores(), sparse_graphs())
+    index = cls(
+        draw(st.lists(graph, min_size=1, max_size=3)),
+        max_path_length=draw(st.integers(min_value=1, max_value=3)),
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        live, dead = index.live_ids(), sorted(index.tombstones)
+        op = draw(st.sampled_from(
+            ["add"] + ["remove"] * bool(live) + ["readd"] * bool(dead)
+        ))
+        if op == "add":
+            index.add_graph(draw(graph))
+        elif op == "remove":
+            index.remove_graph(draw(st.sampled_from(live)))
+        else:
+            index.add_graph(draw(graph), draw(st.sampled_from(dead)))
+        if draw(st.booleans()):
+            index.warm()
+    return index
+
+
+def _postings(index):
+    return {
+        seq: {gid: (p.count, p.locations) for gid, p in postings.items()}
+        for seq, postings in index.trie.iter_postings()
+    }
+
+
+@given(
+    index=mutated_indexes(),
+    queries=st.lists(store_and_query(), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_index_codec_round_trips_a_mutated_index(index, queries):
+    blob = encode_index(index)
+    restored = decode_index(
+        blob, list(index.graphs), index_method(index),
+        index.max_path_length,
+    )
+    assert _postings(restored) == _postings(index)
+    assert restored.tombstones == index.tombstones
+    assert list(restored.interner.code_of.items()) == list(
+        index.interner.code_of.items()
+    )
+    assert encode_index(restored) == blob
+    for _, query in queries:
+        assert restored.filter(query) == index.filter(query)
+
+
+@given(index=mutated_indexes())
+@settings(max_examples=60, deadline=None)
+def test_reseal_after_mutation_equals_a_fresh_seal(index):
+    """``seal`` skips nodes that still hold a threshold table, so a
+    stale table would survive it: every node must answer as the brute
+    force over its posting map does, at, between and past each count."""
+    rows = list(index.trie.iter_postings())
+    assert index.warm()["sealed_nodes"] == len(rows)
+    fresh = type(index.trie)()
+    for seq, postings in rows:
+        fresh.install(seq, dict(postings))
+    fresh.seal()
+    for seq, postings in rows:
+        assert index.trie._find(seq).thresholds == (
+            fresh._find(seq).thresholds
+        )
+        counts = {p.count for p in postings.values()}
+        for needed in {1} | counts | {c + 1 for c in counts}:
+            want = 0
+            for gid, posting in postings.items():
+                if posting.count >= needed:
+                    want |= 1 << gid
+            assert index.trie.mask_ge(seq, needed) == want

@@ -25,6 +25,8 @@ The contracts under test, in dependency order:
 
 import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -58,15 +60,23 @@ from repro.store import (
     sha256_hex,
     write_manifest,
 )
+from repro.service.loadgen import collection_digest
 from repro.store.codec import (
     CODEC,
+    INDEX_CODEC,
+    INDEX_COLUMNS,
     CodecError,
-    _pack,
     decode_index,
     encode_index,
     index_method,
 )
-from repro.workload import default_tenant_mixes, generate_tenant_stream
+from repro.workload import (
+    default_tenant_mixes,
+    generate_tenant_stream,
+    generate_workload,
+)
+
+from ._index_codec_v1 import encode_index_v1
 
 BUDGET = 60_000
 FTV_OPTS = QueryOptions(rewritings=("Orig", "DND"))
@@ -480,17 +490,59 @@ class TestElasticDrill:
 
 
 # ----------------------------------------------------------------------
-# writer behavior
+# the index payload format, and upgrading a store from the one before
 # ----------------------------------------------------------------------
 
-class TestIndexBlobFormat:
-    """The index codec's bytes are a compatibility surface: stores
-    written before a change must keep booting after it."""
+def index_payload(blob: bytes) -> tuple[dict, dict]:
+    """An index blob taken apart: (header, column name -> bytes)."""
+    head, _, body = zlib.decompress(blob).partition(b"\n")
+    header = json.loads(head)
+    columns, at = {}, 0
+    for name, _ in INDEX_COLUMNS:
+        columns[name] = body[at:at + header["columns"][name]]
+        at += header["columns"][name]
+    assert at == len(body)
+    return header, columns
 
-    #: sha256 of ``encode_index`` over ppi/tiny as PR 11 wrote it
-    #: (postings held frozenset locations then; the bytes must not
-    #: know the difference)
+
+def index_blob(header: dict, columns: dict) -> bytes:
+    """The inverse of :func:`index_payload`; ``header["columns"]`` is
+    written as given, so a test can make it lie."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    body = b"".join(columns[name] for name, _ in INDEX_COLUMNS)
+    return zlib.compress(head.encode() + b"\n" + body, 4)
+
+
+def recut_blob(header: dict, columns: dict, **changed) -> bytes:
+    """An index blob with some columns replaced and the header's byte
+    lengths brought back in line — the damage is then between the
+    columns, not between the header and the body."""
+    columns = {**columns, **changed}
+    lengths = {name: len(col) for name, col in columns.items()}
+    return index_blob({**header, "columns": lengths}, columns)
+
+
+class TestIndexBlobFormat:
+    """The index codec's bytes are a compatibility surface: the same
+    warm state must keep encoding to the same content address, and a
+    blob of any other shape must fail as :class:`CodecError` (which
+    the reader turns into quarantine + rebuild), never decode wrong."""
+
+    #: sha256 of ``encode_index`` over ppi/tiny, ``columns+zlib/2``
     PINNED = {
+        GrapesIndex: (
+            "00220cbbe10c9804dc6531079b5ee130"
+            "129c2ab80dc525c2fd26ca0a48ba3d5f"
+        ),
+        GGSXIndex: (
+            "aa2c28d4871864c45a9c7d78ea83767c"
+            "87fbf923fdc545bba04b4b45b9373342"
+        ),
+    }
+
+    #: the same indexes as ``json+zlib/1`` spelled them up to PR 17 —
+    #: pinned so the upgrade drill's old blobs are the real old bytes
+    PINNED_V1 = {
         GrapesIndex: (
             "5e6d4b1d1dd21abd7423f488c6ebde31"
             "ebfa79f5eee55359cb47c32de596a896"
@@ -500,6 +552,10 @@ class TestIndexBlobFormat:
             "c3e9030a8e8b771ab53bf92aee4f55d9"
         ),
     }
+
+    @pytest.fixture(scope="class")
+    def grapes_blob(self, ppi_graphs):
+        return encode_index(GrapesIndex(list(ppi_graphs)))
 
     @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
     def test_encoded_bytes_are_pinned_and_round_trip(
@@ -513,23 +569,217 @@ class TestIndexBlobFormat:
             built.max_path_length,
         )
         assert encode_index(restored) == blob
+        assert sha256_hex(encode_index_v1(built)) == self.PINNED_V1[cls]
 
-    def test_repeated_location_ids_decode_as_a_set_would(
-        self, ppi_graphs
+    def test_header_is_one_json_line_and_tags_differ(self, grapes_blob):
+        header, columns = index_payload(grapes_blob)
+        assert header["kind"] == "index"
+        assert header["codec"] == INDEX_CODEC != CODEC
+        assert (header["method"], header["max_path_length"]) == (
+            "Grapes", 3
+        )
+        assert list(header["columns"]) == sorted(
+            name for name, _ in INDEX_COLUMNS
+        )
+        # a mask is the posting's int, little-endian, minimal length
+        lens = struct.unpack(
+            f"<{len(columns['mask_len']) // 4}I", columns["mask_len"]
+        )
+        assert sum(lens) == len(columns["mask"])
+        assert columns["mask"][lens[0] - 1] != 0
+
+    def test_a_restored_suffix_trie_does_not_re_expand(self, ppi_graphs):
+        built = GGSXIndex(list(ppi_graphs))
+        restored = decode_index(
+            encode_index(built), list(ppi_graphs), "GGSX", 3
+        )
+        assert restored.trie.node_count == built.trie.node_count
+        for seq, postings in built.trie.iter_postings():
+            assert {
+                gid: p.count
+                for gid, p in restored.trie.lookup(seq).items()
+            } == {gid: p.count for gid, p in postings.items()}
+
+    def test_healthy_payload_survives_the_test_helpers(
+        self, ppi_graphs, grapes_blob
     ):
-        graphs = list(ppi_graphs)
-        payload = {
-            "kind": "index", "codec": CODEC, "method": "Grapes",
-            "max_path_length": 3,
-            "postings": [[[0], [[0, 2, [5, 1, 5, 1]]]]],
-        }
-        index = decode_index(_pack(payload), graphs, "Grapes", 3)
-        posting = index.trie.lookup((0,))[0]
-        assert (posting.count, posting.locations) == (2, 0b100010)
-        payload["postings"] = [[[0], [[0, 2, [-1]]]]]
-        with pytest.raises(CodecError):
-            decode_index(_pack(payload), graphs, "Grapes", 3)
+        """The matrix below damages what these helpers rebuild; first
+        prove an undamaged rebuild decodes (and is the same bytes)."""
+        header, columns = index_payload(grapes_blob)
+        assert index_blob(header, columns) == grapes_blob
+        decode_index(grapes_blob, list(ppi_graphs), "Grapes", 3)
 
+    MALFORMED = {
+        "not_zlib": lambda h, c: b"RJL1 not a zlib stream",
+        "truncated_zlib_stream": lambda h, c: index_blob(h, c)[:-40],
+        "no_header_line": lambda h, c: zlib.compress(b"\x00" * 64),
+        "header_not_an_object": lambda h, c: zlib.compress(b"[1]\n"),
+        "graphs_kind": lambda h, c: index_blob({**h, "kind": "graphs"}, c),
+        "previous_tag": lambda h, c: index_blob({**h, "codec": CODEC}, c),
+        "unknown_tag": lambda h, c: index_blob(
+            {**h, "codec": "columns+zlib/3"}, c
+        ),
+        "wrong_method": lambda h, c: index_blob({**h, "method": "GGSX"}, c),
+        "wrong_max_path_length": lambda h, c: index_blob(
+            {**h, "max_path_length": 4}, c
+        ),
+        "truncated_body": lambda h, c: index_blob(
+            h, {**c, "mask": c["mask"][:-7]}
+        ),
+        "trailing_bytes": lambda h, c: index_blob(
+            h, {**c, "mask": c["mask"] + b"\x01"}
+        ),
+        "columns_not_a_mapping": lambda h, c: index_blob(
+            {**h, "columns": [1, 2, 3]}, c
+        ),
+        "column_missing": lambda h, c: index_blob({**h, "columns": {
+            k: v for k, v in h["columns"].items() if k != "count"
+        }}, c),
+        "column_length_negative": lambda h, c: index_blob({**h, "columns": {
+            **h["columns"], "path_len": -1,
+            "mask": h["columns"]["mask"] + h["columns"]["path_len"] + 1,
+        }}, c),
+        "column_length_not_an_int": lambda h, c: index_blob(
+            {**h, "columns": {**h["columns"], "mask": "12"}}, c
+        ),
+        "column_splits_an_item": lambda h, c: index_blob({**h, "columns": {
+            **h["columns"],
+            "graph_id": h["columns"]["graph_id"] - 1,
+            "count": h["columns"]["count"] + 1,
+        }}, c),
+        "count_column_one_short": lambda h, c: recut_blob(
+            h, c, count=c["count"][:-4]
+        ),
+        "row_column_one_short": lambda h, c: recut_blob(
+            h, c, row_postings=c["row_postings"][:-4]
+        ),
+        "path_codes_one_short": lambda h, c: recut_blob(
+            h, c, code=c["code"][:-4]
+        ),
+        "mask_bytes_disagree_with_mask_lens": lambda h, c: recut_blob(
+            h, c, mask=c["mask"][:-1]
+        ),
+        "graph_id_outside_the_partition": lambda h, c: index_blob(
+            h, {**c, "graph_id": struct.pack("<I", 10**6) + c["graph_id"][4:]}
+        ),
+        "graph_id_repeated_in_a_row": lambda h, c: index_blob(
+            h, {**c, "graph_id": c["graph_id"][:4] * 2 + c["graph_id"][8:]}
+        ),
+        # the first two rows are (0,) and (0, 0): trade their lengths
+        "rows_out_of_order": lambda h, c: index_blob(h, {
+            **c, "path_len": c["path_len"][1::-1] + c["path_len"][2:],
+        }),
+        "labels_unhashable": lambda h, c: index_blob(
+            {**h, "labels": [["a"], ["b"]]}, c
+        ),
+        "tombstones_not_ints": lambda h, c: index_blob(
+            {**h, "tombstones": ["x"]}, c
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_malformed_payload_is_a_codec_error(
+        self, damage, ppi_graphs, grapes_blob
+    ):
+        header, columns = index_payload(grapes_blob)
+        blob = self.MALFORMED[damage](header, columns)
+        with pytest.raises(CodecError):
+            decode_index(blob, list(ppi_graphs), "Grapes", 3)
+
+    def test_partition_size_is_checked_against_the_graphs_given(
+        self, ppi_graphs, grapes_blob
+    ):
+        """The satellite fix: the same healthy blob, offered a smaller
+        partition, is refused by the decoder — before this it decoded
+        and raised ``IndexError`` at the first verify."""
+        with pytest.raises(CodecError, match="partition holds"):
+            decode_index(grapes_blob, list(ppi_graphs)[:-1], "Grapes", 3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 1 << 32),
+        ("count", -1),
+        ("graph_id", 1 << 32),
+    ])
+    def test_a_value_too_wide_for_its_column_raises_at_encode(
+        self, field, value, ppi_graphs
+    ):
+        index = GrapesIndex(list(ppi_graphs))
+        seq, postings = next(index.trie.iter_postings())
+        gid = min(postings)
+        if field == "count":
+            postings[gid].count = value
+        else:
+            postings[value] = postings.pop(gid)
+        with pytest.raises(CodecError, match=field):
+            encode_index(index)
+
+
+class TestFormatUpgrade:
+    """A store whose index blobs predate ``columns+zlib/2``: the
+    manifest, graphs, assignment, tombstones and journal high-water
+    restore as before; the index blobs fail the tag check, are
+    quarantined and rebuilt once, loudly; the next checkpoint writes
+    the new format and the boot after it rebuilds nothing."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_v1_index_blobs_rebuild_once_then_restore(
+        self, shards, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "store")
+        live = ftv_service(shards=shards, journal=root)
+        entry = live.catalog.get("ppi")
+        base = len(entry.graphs)
+        live.add_graph("ppi", entry.graphs[1])
+        live.pump()
+        live.remove_graph("ppi", 0)
+        live.pump()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.store.writer.encode_index", encode_index_v1
+            )
+            summary = live.checkpoint_store(root)
+        assert summary["journal_seq"] == 1
+
+        booted = ftv_service(shards=shards, store=root, journal=root)
+        booted.replay_journal()
+        reader = booted.catalog.store
+        undecodable = [
+            e for e in reader.events if e["event"] == "blob_undecodable"
+        ]
+        assert len(undecodable) == shards
+        assert all("json+zlib/1" in e["error"] for e in undecodable)
+        assert reader.rebuilds == shards  # the indexes, and only they
+        assert reader.restores == 1  # the graphs blob
+        assert booted.mutations_replayed.value == 0
+        restored = booted.catalog.get("ppi")
+        assert len(restored.graphs) == base + 1  # the add came off disk
+        assert 0 not in restored.live_graph_ids()
+        assert sorted(restored.live_graph_ids()) == sorted(
+            entry.live_graph_ids()
+        )
+        probes = [
+            q.graph for q in generate_workload(
+                [entry.graphs[g] for g in entry.live_graph_ids()],
+                5, 3, seed=11,
+            )
+        ]
+        assert collection_digest(booted, "ppi", probes) == (
+            collection_digest(live, "ppi", probes)
+        )
+
+        booted.checkpoint_store(root)
+        again = ftv_service(shards=shards, store=root, journal=root)
+        assert again.catalog.store.rebuilds == 0
+        assert again.catalog.store.corrupt_detected == 0
+        assert again.catalog.store.restores == 1 + shards
+        assert collection_digest(again, "ppi", probes) == (
+            collection_digest(live, "ppi", probes)
+        )
+
+
+# ----------------------------------------------------------------------
+# writer behavior
+# ----------------------------------------------------------------------
 
 class TestWriter:
     def test_epoch_bumps_on_rewrite(self, tmp_path):
