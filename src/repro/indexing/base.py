@@ -170,12 +170,18 @@ class FTVIndex(ABC):
         for seq, postings in rows:
             install(seq, postings)
 
-    def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
+    def _index_graph(
+        self,
+        graph_id: int,
+        graph: LabeledGraph,
+        rows: Optional[list] = None,
+    ) -> None:
         """Insert one graph's features (the incremental-add unit).
 
         Subclasses implement this as the body of their ``_build`` loop;
         :meth:`add_graph` calls it for newcomers so a mutation costs
-        one census DFS, not a collection rewarm.
+        one census DFS, not a collection rewarm.  ``rows`` goes to
+        every :meth:`PathTrie.insert` as is.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support incremental adds"
@@ -193,7 +199,10 @@ class FTVIndex(ABC):
         ]
 
     def add_graph(
-        self, graph: LabeledGraph, graph_id: Optional[int] = None
+        self,
+        graph: LabeledGraph,
+        graph_id: Optional[int] = None,
+        rows: Optional[list] = None,
     ) -> int:
         """Index ``graph`` incrementally; returns its stable id.
 
@@ -201,11 +210,20 @@ class FTVIndex(ABC):
         a tombstoned slot *revives* it (the add→remove→re-add drill).
         Novel labels extend the interner with appended codes — probe
         keys are canonicalized in code space, so existing trie nodes
-        and sealed masks stay valid.  Touched trie nodes unseal on
-        insert and reseal on the next :meth:`warm` (or lazily on first
-        probe); the census memo layers are invalidated because stale
-        entries hold negative codes for now-known labels and stale
-        ``candidates`` sets.
+        and sealed masks stay valid.  Sealed trie nodes take the
+        newcomer's postings into their tables in place (see
+        :meth:`PathTrie.insert`; the few that unseal instead reseal on
+        the next :meth:`warm` or lazily on first probe); the census
+        memo layers are invalidated because stale entries hold
+        negative codes for now-known labels and stale ``candidates``
+        sets.
+
+        ``rows`` is an output: a list passed here receives the
+        newcomer's ``(coded path, Posting)`` rows — one per trie node
+        it now has a posting on, the final merged postings — which is
+        what the census that just ran has to say to anyone downstream
+        (the shard router folds them into its sketch).  The index keeps
+        no copy.
         """
         if graph_id is None:
             graph_id = len(self.graphs)
@@ -226,7 +244,7 @@ class FTVIndex(ABC):
                 f"{len(self.graphs)} slots"
             )
         self.interner.extend([graph.labels])
-        self._index_graph(graph_id, graph)
+        self._index_graph(graph_id, graph, rows)
         self._invalidate_censuses()
         return graph_id
 

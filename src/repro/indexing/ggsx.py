@@ -47,14 +47,19 @@ class GGSXIndex(FTVIndex):
         for gid, graph in enumerate(self.graphs):
             self._index_graph(gid, graph)
 
-    def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
+    def _index_graph(
+        self,
+        graph_id: int,
+        graph: LabeledGraph,
+        rows: Optional[list] = None,
+    ) -> None:
         census = coded_path_census(
             graph,
             self.max_path_length,
             self.interner.encode_vertices(graph.labels),
         )
         for seq, count in census.counts.items():
-            self.trie.insert(seq, graph_id, count)
+            self.trie.insert(seq, graph_id, count, 0, rows)
 
     def filter(self, query: LabeledGraph) -> list[int]:
         """Candidates containing every query feature often enough.

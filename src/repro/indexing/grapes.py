@@ -101,7 +101,12 @@ class GrapesIndex(FTVIndex):
         for gid, graph in enumerate(self.graphs):
             self._index_graph(gid, graph)
 
-    def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
+    def _index_graph(
+        self,
+        graph_id: int,
+        graph: LabeledGraph,
+        rows: Optional[list] = None,
+    ) -> None:
         census = coded_path_census(
             graph,
             self.max_path_length,
@@ -110,7 +115,7 @@ class GrapesIndex(FTVIndex):
         )
         locations = census.locations
         for seq, count in census.counts.items():
-            self.trie.insert(seq, graph_id, count, locations[seq])
+            self.trie.insert(seq, graph_id, count, locations[seq], rows)
 
     # ------------------------------------------------------------------
     # online stage

@@ -97,6 +97,30 @@ def bucket_of(seq: tuple, num_buckets: int) -> int:
     return h % num_buckets
 
 
+def _fold(
+    buckets: list[int],
+    pairs: Iterable[tuple[tuple, int]],
+    recode: Mapping[int, int],
+) -> int:
+    """OR ``(shard-coded seq, max per-graph count)`` pairs into
+    ``buckets``, in place — the one sketch fold; returns how many.
+
+    ``recode`` maps the shard's label codes to the collection-wide
+    codes the router's query census uses; the count is the quantity
+    ``mask_ge`` thresholds on, so a pair sets its bucket's tiers
+    ``0..tier_index(count)``.
+    """
+    num_buckets = len(buckets)
+    folded = 0
+    for seq, best in pairs:
+        folded += 1
+        coded = canonical_sequence(tuple([recode[code] for code in seq]))
+        buckets[bucket_of(coded, num_buckets)] |= (
+            1 << (tier_index(best) + 1)
+        ) - 1
+    return folded
+
+
 class FeatureSketch:
     """Count-threshold bitmask summary of one shard's posting lists."""
 
@@ -124,50 +148,55 @@ class FeatureSketch:
         """Fold ``(shard-coded seq, posting map)`` pairs into a sketch.
 
         ``items`` is what :meth:`repro.indexing.trie.PathTrie.iter_postings`
-        yields; ``recode`` maps the shard's label codes to the
-        collection-wide codes the router's query census uses.  Each
-        feature contributes its **maximum per-graph count** — the
-        quantity ``mask_ge`` thresholds on.
+        yields; each feature contributes its **maximum per-graph
+        count** to the fold.
         """
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
         buckets = [0] * num_buckets
-        features = 0
-        for seq, postings in items:
-            if not postings:
-                continue
-            features += 1
-            coded = canonical_sequence(
-                tuple(recode[code] for code in seq)
-            )
-            best = max(p.count for p in postings.values())
-            buckets[bucket_of(coded, num_buckets)] |= (
-                1 << (tier_index(best) + 1)
-            ) - 1
+        features = _fold(
+            buckets,
+            (
+                (seq, max(p.count for p in postings.values()))
+                for seq, postings in items
+                if postings
+            ),
+            recode,
+        )
         return cls(tuple(buckets), graph_count, features)
 
-    def merged(self, other: "FeatureSketch") -> "FeatureSketch":
-        """The sketch of this shard grown by ``other``'s graphs.
+    def with_graph(
+        self,
+        rows: Iterable[tuple[tuple, object]],
+        recode: Mapping[int, int],
+        graph_count: int,
+        feature_count: int,
+    ) -> "FeatureSketch":
+        """The sketch of this shard grown by one graph.
 
-        Sketches are monotone under adds — bucket bits only ever gain
-        members — so OR-ing in a newcomer's own sketch is sound
+        ``rows`` are the newcomer's ``(shard-coded seq, Posting)``
+        rows, as :meth:`repro.indexing.trie.PathTrie.insert` reported
+        them.  Sketches are monotone under adds — bucket bits only ever
+        gain members — so folding in the newcomer's own counts is sound
         without revisiting the shard's posting lists: every bit
         :meth:`from_postings` would set over the grown shard is set
         here too (the newcomer's features set theirs, all others were
-        set before).  ``feature_count`` becomes an upper bound (shared
-        features count twice).  Removes are *not* patched: stale bits
-        are a sound over-approximation (the shard is merely routed to
-        when it could have been pruned), and a
+        set before).  The two counts are the grown shard's, read off
+        its index by the caller — the trie counts the rows that gave a
+        node its first posting — so after any run of adds the
+        ``features`` stat is the number of posting-carrying nodes, not
+        the sum of every newcomer's.
+
+        Removes are *not* patched: stale bits are a sound
+        over-approximation (the shard is merely routed to when it could
+        have been pruned), ``features`` is an upper bound until the
+        next add, and a
         :meth:`~repro.service.routing.ShardRouter.refresh` tightens
-        them back whenever the owner chooses.
+        both back whenever the owner chooses.
         """
-        if other.num_buckets != self.num_buckets:
-            raise ValueError("sketches differ in bucket count")
-        return FeatureSketch(
-            tuple(a | b for a, b in zip(self.buckets, other.buckets)),
-            self.graph_count + other.graph_count,
-            self.feature_count + other.feature_count,
-        )
+        buckets = list(self.buckets)
+        _fold(buckets, ((seq, p.count) for seq, p in rows), recode)
+        return FeatureSketch(tuple(buckets), graph_count, feature_count)
 
     def score(self, counts: Mapping[tuple, int]) -> Optional[tuple[int, int]]:
         """Expected-hit score of a query census, or None when pruned.

@@ -24,18 +24,29 @@ per-graph dict scan (the tables and the probe are
 :func:`repro.matching.masks.threshold_masks` and
 :func:`repro.matching.masks.mask_ge`, shared with the GraphQL and
 sPath signature filters).  Threshold masks are built lazily on first
-probe (or eagerly via :meth:`PathTrie.seal`, which warm catalogs call)
-and invalidated by insertion.
+probe (or eagerly via :meth:`PathTrie.seal`, which warm catalogs call).
+A sealed node that takes a *new graph's* posting keeps its table:
+:meth:`PathTrie.insert` patches the count and the graph's bit in where
+the table stands, so an incremental add costs the newcomer's own rows.
+Only what changes a count the table already holds — a merge into an
+existing posting (GGSX's suffix expansion), a :meth:`remove_graph
+<PathTrie.remove_graph>`, an :meth:`install <PathTrie.install>` —
+unseals the node, and the trie remembers which nodes those are, so
+resealing never walks it.
 
 Invariant: ``mask_ge(seq, needed)`` must equal the brute force "OR of
 ``1 << gid`` over postings with count >= needed" for every node and
-threshold — lazily sealed, eagerly sealed, and re-sealed tries all
-answer identically (the equivalence suite probes all three states).
+threshold — lazily sealed, eagerly sealed, patched and re-sealed tries
+all answer identically, and a patched table equals a fresh
+``_Node.seal()`` of the grown posting map value for value (the
+generated sequences in ``tests/test_properties.py`` probe every state).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
+from typing import Optional
 
 from ..matching.masks import Thresholds, mask_ge, threshold_masks
 
@@ -77,7 +88,7 @@ class _Node:
         self.children: dict[object, _Node] = {}
         self.postings: dict[int, Posting] = {}
         #: (ascending distinct counts, suffix-OR graph masks); None
-        #: until sealed, reset by insertion
+        #: until sealed, patched in place by a new graph's posting
         self.thresholds: Thresholds | None = None
 
     def seal(self) -> Thresholds:
@@ -91,11 +102,24 @@ class _Node:
 
 
 class PathTrie:
-    """Trie over label sequences with per-graph postings."""
+    """Trie over label sequences with per-graph postings.
+
+    Besides the nodes the trie keeps two pieces of running state, both
+    maintained by the three mutators (:meth:`insert`, :meth:`install`,
+    :meth:`remove_graph`) so that nothing ever walks the trie to
+    recover them: the number of nodes that carry postings
+    (:attr:`feature_count`), and the set of posting-carrying nodes
+    whose threshold table is missing (what :meth:`seal` has to do).
+    """
 
     def __init__(self) -> None:
         self._root = _Node()
         self._size = 0
+        self._features = 0
+        #: every node with postings and no table is in here (a node
+        #: sealed lazily or emptied since may linger until the next
+        #: :meth:`seal`, which skips it)
+        self._unsealed: set[_Node] = set()
 
     def insert(
         self,
@@ -103,6 +127,7 @@ class PathTrie:
         graph_id: int,
         count: int,
         locations: int = 0,
+        rows: Optional[list] = None,
     ) -> None:
         """Record ``count`` occurrences of ``seq`` in ``graph_id``.
 
@@ -110,6 +135,19 @@ class PathTrie:
         nodes exist structurally (their own occurrences are inserted
         separately by the census, which emits every prefix as a path in
         its own right).
+
+        A posting of a graph the node has not seen is **patched into a
+        sealed table where it stands**: the count is bisected in
+        (inheriting the next-higher count's mask when it is new) and
+        the graph's bit is OR'd into every mask at or below it — value
+        for value what ``_Node.seal()`` builds from the grown posting
+        map, without reading the other graphs' postings.  Occurrences
+        that merge into a posting the graph already has change a count
+        the table holds, so the node unseals instead.
+
+        ``rows`` is an output: when a list is passed, each posting
+        *created* here is appended to it as ``(seq, Posting)`` — the
+        live object, so merges that follow show in it.
         """
         node = self._root
         for lab in seq:
@@ -118,12 +156,31 @@ class PathTrie:
                 nxt = node.children[lab] = _Node()
                 self._size += 1
             node = nxt
-        posting = node.postings.get(graph_id)
-        if posting is None:
-            node.postings[graph_id] = Posting(count, locations)
-        else:
+        postings = node.postings
+        posting = postings.get(graph_id)
+        if posting is not None:
             posting.merge(count, locations)
-        node.thresholds = None
+            if node.thresholds is not None:
+                node.thresholds = None
+                self._unsealed.add(node)
+            return
+        postings[graph_id] = posting = Posting(count, locations)
+        if rows is not None:
+            rows.append((seq, posting))
+        thresholds = node.thresholds
+        if thresholds is None:
+            if len(postings) == 1:
+                self._features += 1
+                self._unsealed.add(node)
+            return
+        counts, masks = thresholds
+        at = bisect_left(counts, count)
+        if at == len(counts) or counts[at] != count:
+            counts.insert(at, count)
+            masks.insert(at, masks[at] if at < len(masks) else 0)
+        bit = 1 << graph_id
+        for i in range(at + 1):
+            masks[i] |= bit
 
     def install(self, seq: LabelSeq, postings: dict[int, Posting]) -> None:
         """Make ``postings`` the posting map of ``seq``'s node.
@@ -141,19 +198,22 @@ class PathTrie:
                 nxt = node.children[lab] = _Node()
                 self._size += 1
             node = nxt
+        self._features += bool(postings) - bool(node.postings)
         node.postings = postings
         node.thresholds = None
+        if postings:
+            self._unsealed.add(node)
 
     def remove_graph(self, graph_id: int) -> int:
         """Delete every posting of ``graph_id`` (dynamic-collection
         removes).
 
-        Touched nodes drop their threshold masks — the same
-        unseal-on-mutation rule :meth:`insert` applies — so lazy or
-        eager resealing rebuilds them without the departed graph's
-        bit.  Empty nodes are kept: structure is cheap, and a later
-        re-add of the same paths reuses them.  Returns the number of
-        postings deleted.
+        Touched nodes drop their threshold masks — a departed bit
+        cannot be patched out of the masks above its count without
+        the other postings — so lazy or eager resealing rebuilds them
+        without it.  Empty nodes are kept: structure is cheap, and a
+        later re-add of the same paths reuses them.  Returns the
+        number of postings deleted.
         """
         removed = 0
         stack = [self._root]
@@ -162,6 +222,10 @@ class PathTrie:
             if graph_id in node.postings:
                 del node.postings[graph_id]
                 node.thresholds = None
+                if node.postings:
+                    self._unsealed.add(node)
+                else:
+                    self._features -= 1
                 removed += 1
             stack.extend(node.children.values())
         return removed
@@ -201,26 +265,21 @@ class PathTrie:
         return mask_ge(thresholds, needed)
 
     def seal(self) -> int:
-        """Eagerly build every unsealed node's threshold masks (catalog
+        """Eagerly build every missing threshold table (catalog
         warmup, and the reseal after a mutation).
 
-        :meth:`insert`, :meth:`install` and :meth:`remove_graph` unseal
-        exactly the nodes they touch, so a node that still holds its
-        table is skipped: resealing after a mutation costs the touched
-        nodes, not the trie.  Returns the number of posting-carrying
-        nodes, sealed now or before.  Purely a warm-start: lazy
-        per-probe sealing produces identical masks.
+        The mutators record exactly the nodes they leave without a
+        table, so this drains that record instead of walking the trie:
+        resealing after an add that only patched costs nothing, after
+        a remove it costs the nodes the graph was on.  Returns
+        :attr:`feature_count`.  Purely a warm-start: lazy per-probe
+        sealing produces identical masks.
         """
-        sealed = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.postings:
-                if node.thresholds is None:
-                    node.seal()
-                sealed += 1
-            stack.extend(node.children.values())
-        return sealed
+        for node in self._unsealed:
+            if node.thresholds is None and node.postings:
+                node.seal()
+        self._unsealed.clear()
+        return self._features
 
     def contains(self, seq: LabelSeq) -> bool:
         """Whether ``seq`` is a node in the trie."""
@@ -231,6 +290,12 @@ class PathTrie:
     def node_count(self) -> int:
         """Number of non-root trie nodes (index-size statistic)."""
         return self._size
+
+    @property
+    def feature_count(self) -> int:
+        """Number of nodes that carry postings — the rows
+        :meth:`iter_postings` would yield, kept as a running count."""
+        return self._features
 
     def iter_features(self) -> Iterator[LabelSeq]:
         """All indexed sequences that carry postings."""
@@ -268,6 +333,7 @@ class SuffixTrie(PathTrie):
         graph_id: int,
         count: int,
         locations: int = 0,
+        rows: Optional[list] = None,
     ) -> None:
         for start in range(len(seq)):
-            super().insert(seq[start:], graph_id, count, locations)
+            super().insert(seq[start:], graph_id, count, locations, rows)

@@ -561,19 +561,22 @@ class DatasetCatalog:
         name: str,
         graph: LabeledGraph,
         graph_id: Optional[int] = None,
+        rows: Optional[list] = None,
     ) -> int:
         """Add ``graph`` to a live FTV collection; returns its stable id.
 
         Incremental maintenance, not a rewarm: the newcomer's census is
-        inserted into the existing trie (touched nodes unseal/reseal),
-        novel labels extend the interner with appended codes, and the
-        census memo layers are invalidated.  ``graph_id`` may name a
-        tombstoned slot to revive (journal replay and the
-        add→remove→re-add drill); ``None`` appends.
+        inserted into the existing trie (sealed nodes take its postings
+        into their tables in place), novel labels extend the interner
+        with appended codes, and the census memo layers are
+        invalidated.  ``graph_id`` may name a tombstoned slot to revive
+        (journal replay and the add→remove→re-add drill); ``None``
+        appends.  ``rows`` is :meth:`FTVIndex.add_graph`'s output list,
+        passed through.
         """
         entry = self._mutable_entry(name)
         index = entry.ftv_index
-        gid = index.add_graph(graph, graph_id)
+        gid = index.add_graph(graph, graph_id, rows)
         if gid == len(entry.graphs):
             entry.graphs.append(graph)
         else:

@@ -137,34 +137,33 @@ class ShardRouter:
         self.epoch += 1
         return self.epoch
 
-    def note_add(
-        self, shard: int, index: FTVIndex, graph_id: int
-    ) -> None:
+    def note_add(self, shard: int, index: FTVIndex, rows: list) -> None:
         """Patch routing state for the graph ``shard``'s filter
-        ``index`` just took in as its local ``graph_id``.
+        ``index`` just took in, from the ``(coded path, Posting)``
+        ``rows`` its :meth:`~repro.indexing.FTVIndex.add_graph`
+        reported.
 
         The shard's sketch must admit the newcomer's features, or a
         stale veto would prune the only shard that can answer.
-        Sketches are monotone under adds, so OR-ing in the newcomer's
-        own postings — the counts the index censused a moment ago,
-        folded exactly as :meth:`refresh` folds a whole shard — is
-        sound without re-folding the other graphs', and without
-        walking the newcomer's paths a second time.
+        Sketches are monotone under adds, so folding in the newcomer's
+        own rows — the postings the index censused a moment ago,
+        through the fold :meth:`refresh` puts a whole shard through —
+        is sound without re-folding the other graphs', and costs the
+        newcomer, not the shard: nothing here walks the trie.  A
+        partition that was *registered* holding the newcomer (the
+        first graph on an empty shard) reports no rows and has no
+        sketch yet; that one is :meth:`refresh`'s to fold.
         """
-        newcomer = FeatureSketch.from_postings(
-            (
-                (seq, {graph_id: postings[graph_id]})
-                for seq, postings in index.trie.iter_postings()
-                if graph_id in postings
-            ),
-            self._recode(index),
-            graph_count=1,
-            num_buckets=self.num_buckets,
-        )
         sketch = self.sketches.get(shard)
-        self.sketches[shard] = (
-            newcomer if sketch is None else sketch.merged(newcomer)
-        )
+        if sketch is None or not rows:
+            self.refresh(shard, index)
+        else:
+            self.sketches[shard] = sketch.with_graph(
+                rows,
+                self._recode(index),
+                graph_count=len(index.graphs),
+                feature_count=index.trie.feature_count,
+            )
         self._census_token = object()
         self.epoch += 1
 

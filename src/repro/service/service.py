@@ -274,6 +274,17 @@ class _FanoutState:
     epoch: Optional[int] = None
 
 
+class _Rewrite:
+    """One rewritten form of a ticket's query, and the VF2 plan its
+    sweeps search by (built by the first sweep that has a candidate)."""
+
+    __slots__ = ("graph", "plan")
+
+    def __init__(self, graph: LabeledGraph) -> None:
+        self.graph = graph
+        self.plan = None
+
+
 class _ShardsDark(Exception):
     """Raised while building a fan-out whose plan needs a shard that
     has no serving replica left — the service degrades the ticket."""
@@ -336,10 +347,14 @@ class Service:
         #: race's ticket instead of racing twice
         self.coalesce = coalesce
         self._verifier = VF2Matcher()
-        #: ticket.id -> (ticket, entry, options, cache key, variants)
+        #: ticket.id -> (ticket, entry, options, cache key, variants,
+        #: permutation -> _Rewrite of the races built so far)
         self._open: dict[
             int,
-            tuple[Ticket, DatasetEntry, QueryOptions, Optional[tuple], tuple],
+            tuple[
+                Ticket, DatasetEntry, QueryOptions, Optional[tuple],
+                tuple, dict,
+            ],
         ] = {}
         #: cache key -> leader ticket.id of the in-flight race
         self._inflight_keys: dict[tuple, int] = {}
@@ -582,7 +597,7 @@ class Service:
                 ticket, entry, options, key
             )
             self._open[ticket.id] = (
-                ticket, entry, options, key, race_variants
+                ticket, entry, options, key, race_variants, {}
             )
             if key is not None:
                 self._inflight_keys[key] = ticket.id
@@ -681,7 +696,10 @@ class Service:
         portfolio, or a plan-seeded subset.  ``id_map``
         translates shard-local graph ids to global ids (None =
         identity) so the FTV sweep can bill verification steps to the
-        right global graph.
+        right global graph.  Every FTV race of one ticket — each shard
+        of the first wave, a deferred wave, a rerouted leg — is built
+        over the open ticket's one dict of rewritten queries (see
+        :meth:`_ftv_engines`).
         """
         budget = Budget(max_steps=ticket.budget_steps)
         if entry.kind == "nfv":
@@ -706,6 +724,7 @@ class Service:
         else:
             engines = self._ftv_engines(
                 entry, ticket.query, options, variants,
+                self._open[ticket.id][5],
                 dataset=ticket.dataset, id_map=id_map,
             )
         race = RaceTask(
@@ -806,6 +825,7 @@ class Service:
         query: LabeledGraph,
         options: QueryOptions,
         variants: tuple,
+        rewrites: dict,
         dataset: Optional[str] = None,
         id_map: Optional[tuple] = None,
     ) -> dict:
@@ -814,23 +834,40 @@ class Service:
         The paper's PsiFTV races per candidate pair; the service races
         whole decision sweeps (filter once, verify candidates in ID
         order) so a query is one schedulable race like any other.
+
+        ``rewrites`` maps a permutation to the ticket's
+        :class:`_Rewrite` under it.  A rewriting is a function of the
+        query and this partition's label statistics, so across a
+        ticket's shards (and between variants) it mostly lands on a
+        permutation already taken: that rewritten graph, its frozen
+        kernel and its VF2 plan are then shared instead of rebuilt.
+        The dict lives and dies with the open ticket — hung on the
+        query through the prepare cache, the plans would outlive the
+        race inside every cached query and feed the collector.
         """
         index = entry.ftv_index
         assert index is not None
         candidates = index.filter(query)
         engines = {}
         for variant in variants:
-            rq = make_rewriting(variant.rewriting).apply(
+            perm = make_rewriting(variant.rewriting).permutation(
                 query, entry.stats
             )
+            rewrite = rewrites.get(perm)
+            if rewrite is None:
+                rewrite = rewrites[perm] = _Rewrite(
+                    query.permuted(
+                        perm, name=f"{query.name}:{variant.rewriting}"
+                    )
+                )
             engines[variant] = self._ftv_sweep(
-                index, rq.graph, list(candidates),
+                index, rewrite, list(candidates),
                 options.decision_only, dataset, id_map,
             )
         return engines
 
     def _ftv_sweep(
-        self, index, query_graph, candidates, decision_only,
+        self, index, rewrite, candidates, decision_only,
         dataset=None, id_map=None,
     ):
         """Generator engine: first-match VF2 over each candidate.
@@ -843,13 +880,17 @@ class Service:
         ``yield from`` would, so step semantics are untouched.
 
         The VF2 search plan is a function of the rewritten query alone,
-        so it is built here, once, and shared by the engine of every
-        candidate; it lives as long as the sweep and no longer.
+        so the first sweep of ``rewrite`` that has a candidate builds
+        it and every engine of every sweep of it searches by that one;
+        it lives as long as the ticket is open and no longer.
         """
         matched: list[int] = []
         bills = self.graph_bills
         verifier = self._verifier
-        plan = verifier.plan(query_graph) if candidates else None
+        query_graph = rewrite.graph
+        plan = rewrite.plan
+        if plan is None and candidates:
+            plan = rewrite.plan = verifier.plan(query_graph)
         for gid in candidates:
             key = (dataset, gid if id_map is None else id_map[gid])
             gen = verifier.engine(
@@ -1069,7 +1110,7 @@ class Service:
                 if ticket is None:
                     return
                 tid = ticket.id
-                _, entry, options, _, variants = self._open[tid]
+                _, entry, options, _, variants, _ = self._open[tid]
                 try:
                     races, id_maps, waves = self._build_races(
                         ticket, entry, options, variants
@@ -1126,7 +1167,7 @@ class Service:
         error instead.
         """
         group = state.waves.pop(0)
-        ticket, entry, options, _key, variants = self._open[tid]
+        ticket, entry, options, _key, variants, _ = self._open[tid]
         if (
             entry.router is not None
             and state.epoch is not None
@@ -1436,7 +1477,7 @@ class Service:
         ticket; exhaustion (or a shard with no replica left) degrades
         the ticket instead of looping.
         """
-        ticket, entry, options, _key, variants = self._open[tid]
+        ticket, entry, options, _key, variants, _ = self._open[tid]
         state = self._fanout[tid]
         self.dispatcher.cancel((tid, shard))
         ticket.retries += 1
@@ -1497,7 +1538,7 @@ class Service:
         protocol-style backpressure answer — while the service keeps
         serving everything that doesn't need the dark shard.
         """
-        ticket, _entry, _options, key, _variants = self._open.pop(tid)
+        ticket, _entry, _options, key, _variants, _ = self._open.pop(tid)
         state = self._fanout.pop(tid, None)
         if state is not None:
             for shard in sorted(state.pending):
@@ -2036,7 +2077,7 @@ class Service:
                 # a sibling shard's first-true decision already settled
                 # this ticket earlier in the tick; drop the late outcome
                 continue
-            ticket, entry, options, key, variants = self._open[tid]
+            ticket, entry, options, key, _, _ = self._open[tid]
             merged = self._on_shard_done(tid, shard, outcome, options)
             if merged is None:
                 continue

@@ -839,6 +839,11 @@ class ShardedCatalog:
                 f"{len(entry.graphs)} slots"
             )
         subs = self._distinct_shard_entries(entry, shard)
+        # the newcomer's trie rows, as the first partition to index it
+        # reports them: every distinct partition indexes the same
+        # graphs in the same code space, so any one has its counts
+        source = subs[0][1].ftv_index
+        rows: list = []
         for catalog, sub in subs:
             if (
                 local < len(sub.graphs)
@@ -850,12 +855,14 @@ class ShardedCatalog:
                 # newcomer natively — inserting again would double-index
                 # it
                 continue
-            catalog.add_graph(name, graph, local)
+            if rows:
+                catalog.add_graph(name, graph, local)
+            else:
+                source = sub.ftv_index
+                catalog.add_graph(name, graph, local, rows)
         self._after_mutation(entry)
         if entry.router is not None:
-            # every distinct partition now indexes the newcomer at
-            # ``local``; any one of them has its counts
-            entry.router.note_add(shard, subs[0][1].ftv_index, local)
+            entry.router.note_add(shard, source, rows)
         return graph_id
 
     def remove_graph(self, name: str, graph_id: int) -> None:

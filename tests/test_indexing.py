@@ -106,6 +106,86 @@ class TestTries:
         assert t.contains(("C",))
         assert not t.contains(("A", "C"))
 
+    def test_a_new_graphs_posting_patches_the_sealed_table_in_place(self):
+        """A count below, between, equal to and above the sealed ones,
+        then an id revived after a remove: the table object survives
+        each add and reads as a fresh seal of the grown map would."""
+        t = PathTrie()
+        t.insert(("A",), 0, 4)
+        t.insert(("A",), 1, 8)
+        assert t.seal() == 1
+        node = t._find(("A",))
+        table = node.thresholds
+        assert table == ([4, 8], [0b11, 0b10])
+        for gid, count, want in [
+            (2, 2, ([2, 4, 8], [0b111, 0b011, 0b010])),       # below
+            (3, 6, ([2, 4, 6, 8], [0b1111, 0b1011, 0b1010, 0b0010])),
+            (4, 6, ([2, 4, 6, 8], [0b11111, 0b11011, 0b11010, 0b00010])),
+            (5, 9, (
+                [2, 4, 6, 8, 9],
+                [0b111111, 0b111011, 0b111010, 0b100010, 0b100000],
+            )),                                               # above
+        ]:
+            t.insert(("A",), gid, count)
+            assert node.thresholds is table and table == want
+            assert t.mask_ge(("A",), count) == want[1][
+                want[0].index(count)
+            ]
+        assert t.seal() == 1 and node.thresholds is table
+        t.remove_graph(3)
+        assert node.thresholds is None
+        assert t.seal() == 1
+        resealed = node.thresholds
+        assert resealed == (
+            [2, 4, 6, 8, 9],
+            [0b110111, 0b110011, 0b110010, 0b100010, 0b100000],
+        )
+        t.insert(("A",), 3, 4)  # the revived id, at an existing count
+        assert node.thresholds is resealed
+        assert t.mask_ge(("A",), 4) == 0b111011
+        assert t.mask_ge(("A",), 5) == 0b110010
+
+    def test_a_merge_unseals_and_seal_drains_without_a_walk(self):
+        t = SuffixTrie()
+        t.insert(("A", "B"), 0, 2)
+        t.insert(("B",), 1, 1)
+        assert t.seal() == t.feature_count == 2 and not t._unsealed
+        # graph 2's ("A", "B") lands on ("B",) as a suffix, then its
+        # own ("B",) merges into that posting: a count the table holds
+        # changed, so that node — and only that node — unseals
+        t.insert(("A", "B"), 2, 3)
+        assert t._find(("A", "B")).thresholds == ([2, 3], [0b101, 0b100])
+        assert t._find(("B",)).thresholds == ([1, 2, 3], [0b111, 0b101, 0b100])
+        t.insert(("B",), 2, 4)
+        assert t._unsealed == {t._find(("B",))}
+        assert t.mask_ge(("B",), 7) == 0b100  # lazily, as before
+        assert t.seal() == 2 and not t._unsealed
+        assert t._find(("B",)).thresholds == ([1, 2, 7], [0b111, 0b101, 0b100])
+
+    def test_insert_reports_each_created_posting_as_a_row(self):
+        t = SuffixTrie()
+        t.insert(("A", "B"), 0, 1)
+        rows: list = []
+        t.insert(("A", "B"), 1, 2, 0, rows)
+        t.insert(("B",), 1, 5, 0, rows)  # merges: no second row
+        assert [(seq, p.count) for seq, p in rows] == [
+            (("A", "B"), 2), (("B",), 7),
+        ]
+        assert all(p is t.lookup(seq)[1] for seq, p in rows)
+
+    def test_feature_count_follows_install_and_remove(self):
+        t = PathTrie()
+        t.insert(("A", "B"), 0, 1)
+        t.insert(("A",), 0, 1)
+        t.insert(("A",), 1, 1)
+        assert t.feature_count == 2
+        assert t.remove_graph(0) == 2
+        assert t.feature_count == 1 == sum(1 for _ in t.iter_postings())
+        t.install(("C",), {4: t.lookup(("A",))[1]})
+        t.install(("A",), {})
+        assert t.feature_count == 1 == sum(1 for _ in t.iter_postings())
+        assert t.seal() == 1 and not t._unsealed
+
     def test_node_count_grows(self):
         t = PathTrie()
         assert t.node_count == 0

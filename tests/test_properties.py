@@ -23,10 +23,21 @@ grown from them, then assert the library's fundamental contracts:
   with the same postings, tombstones and label code order, re-encodes
   to the same bytes and filters to the same candidates; and its trie,
   resealed only where a mutation unsealed it, answers ``mask_ge`` as
-  the posting maps say at every node and threshold.
+  the posting maps say at every node and threshold;
+* along such a sequence, after every step: each threshold table a
+  trie node holds — patched in place by an add, sealed lazily by a
+  probe, or built when ``seal`` drained the unsealed nodes — is the
+  fresh seal of its posting map, and ``seal`` returns the number of
+  posting-carrying nodes and leaves nothing unsealed;
+* the routing sketch ``note_add`` folds from the rows an add reported
+  has bucket for bucket the bits of a fold off a walk of the trie, its
+  ``features`` is the trie's, and a ``refresh`` only tightens it;
+* the mutated index filters generated queries to the candidates an
+  index rebuilt from the live graphs does.
 """
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +51,8 @@ from repro.indexing import (
     label_path_census,
     location_vertices,
 )
+from repro.indexing.sketch import FeatureSketch
+from repro.indexing.trie import _Node
 from repro.matching import (
     SELECTION_POLICIES,
     Budget,
@@ -50,8 +63,10 @@ from repro.matching import (
     drive,
     make_matcher,
 )
+from repro.matching.masks import mask_ge
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
+from repro.service.routing import ShardRouter
 from repro.store.codec import decode_index, encode_index, index_method
 from repro.workload import extract_query
 
@@ -543,32 +558,63 @@ def test_race_from_costs_is_min_of_completions(costs, overhead):
         assert race.steps == 10**6 + overhead * len(table)
 
 
+def _mutate(draw, index, graph):
+    """Put ``index`` through a random add / remove / re-add sequence,
+    warming (draining the reseal) or probing (sealing lazily) at
+    random points on the way, so newcomers meet sealed, patched and
+    unsealed nodes alike.  Yields ``(op, graph id, rows)`` after every
+    step; ``rows`` is what an add reported, None for a remove."""
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        live, dead = index.live_ids(), sorted(index.tombstones)
+        op = draw(st.sampled_from(
+            ["add"] + ["remove"] * bool(live) + ["readd"] * bool(dead)
+        ))
+        rows = None
+        if op == "add":
+            rows = []
+            gid = index.add_graph(draw(graph), None, rows)
+        elif op == "remove":
+            gid = draw(st.sampled_from(live))
+            index.remove_graph(gid)
+        else:
+            rows = []
+            gid = index.add_graph(
+                draw(graph), draw(st.sampled_from(dead)), rows
+            )
+        yield op, gid, rows
+        after = draw(st.sampled_from(["warm", "probe", "leave"]))
+        if after == "warm":
+            index.warm()
+        elif after == "probe":
+            for seq, _ in list(index.trie.iter_postings()):
+                index.trie.mask_ge(seq, 1)
+
+
 @st.composite
-def mutated_indexes(draw):
-    """A Grapes or GGSX index after a random add / remove / re-add
-    sequence, warmed (sealed) at random points on the way.  Base
-    graphs and newcomers are small connected ``ABC`` graphs or sparse
-    ``ABCDE`` ones of up to 90 vertices, so newcomers bring labels the
-    interner has to append and location masks span several bytes."""
+def base_indexes(draw):
+    """A fresh Grapes or GGSX index and the strategy its newcomers
+    come from.  Base graphs and newcomers are small connected ``ABC``
+    graphs or sparse ``ABCDE`` ones of up to 90 vertices, so newcomers
+    bring labels the interner has to append and location masks span
+    several bytes."""
     cls = draw(st.sampled_from([GrapesIndex, GGSXIndex]))
     graph = st.one_of(stores(), sparse_graphs())
     index = cls(
         draw(st.lists(graph, min_size=1, max_size=3)),
         max_path_length=draw(st.integers(min_value=1, max_value=3)),
     )
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        live, dead = index.live_ids(), sorted(index.tombstones)
-        op = draw(st.sampled_from(
-            ["add"] + ["remove"] * bool(live) + ["readd"] * bool(dead)
-        ))
-        if op == "add":
-            index.add_graph(draw(graph))
-        elif op == "remove":
-            index.remove_graph(draw(st.sampled_from(live)))
-        else:
-            index.add_graph(draw(graph), draw(st.sampled_from(dead)))
-        if draw(st.booleans()):
-            index.warm()
+    if draw(st.booleans()):
+        index.warm()
+    return index, graph
+
+
+@st.composite
+def mutated_indexes(draw):
+    """A Grapes or GGSX index after a random :func:`_mutate`
+    sequence."""
+    index, graph = draw(base_indexes())
+    for _ in _mutate(draw, index, graph):
+        pass
     return index
 
 
@@ -623,3 +669,176 @@ def test_reseal_after_mutation_equals_a_fresh_seal(index):
                 if posting.count >= needed:
                     want |= 1 << gid
             assert index.trie.mask_ge(seq, needed) == want
+
+
+def _brute_mask_ge(postings, needed):
+    want = 0
+    for gid, posting in postings.items():
+        if posting.count >= needed:
+            want |= 1 << gid
+    return want
+
+
+def _check_tables(trie):
+    """Every table the trie holds right now — built by a drain, a lazy
+    probe or an in-place patch — is the fresh seal of its posting map
+    and answers every threshold as the brute force does.  Reads the
+    tables where they stand: nothing here seals a node."""
+    carrying = 0
+    for seq, postings in trie.iter_postings():
+        carrying += 1
+        node = trie._find(seq)
+        if node.thresholds is None:
+            assert node in trie._unsealed
+            continue
+        fresh = _Node()
+        fresh.postings = postings
+        assert node.thresholds == fresh.seal()
+        counts = {p.count for p in postings.values()}
+        for needed in {1} | counts | {c + 1 for c in counts} | {
+            c - 1 for c in counts if c > 1
+        }:
+            assert mask_ge(node.thresholds, needed) == _brute_mask_ge(
+                postings, needed
+            )
+    assert trie.feature_count == carrying
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tables_patched_in_place_equal_a_fresh_seal_at_every_step(data):
+    """An add patches the tables of the sealed nodes it lands on, a
+    GGSX merge, a remove and a revive unseal theirs: after every step
+    whatever table a node holds is the one a fresh seal would build,
+    ``seal`` returns the number of posting-carrying nodes and leaves
+    nothing unsealed, and the lazily sealed rest agrees too."""
+    index, graph = data.draw(base_indexes())
+    trie = index.trie
+    _check_tables(trie)
+    for _ in _mutate(data.draw, index, graph):
+        _check_tables(trie)
+    rows = list(trie.iter_postings())
+    for seq, postings in rows:
+        for needed in {1} | {p.count for p in postings.values()}:
+            assert trie.mask_ge(seq, needed) == _brute_mask_ge(
+                postings, needed
+            )
+    assert trie.seal() == len(rows) == index.warm()["sealed_nodes"]
+    assert not trie._unsealed
+    assert all(trie._find(seq).thresholds for seq, _ in rows)
+    _check_tables(trie)
+
+
+def _walk_fold(router, index, gid=None):
+    """The sketch of one graph's postings — or of all of them — folded
+    off a walk of the shard trie."""
+    return FeatureSketch.from_postings(
+        (
+            (seq, postings if gid is None else {gid: postings[gid]})
+            for seq, postings in index.trie.iter_postings()
+            if gid is None or gid in postings
+        ),
+        router._recode(index),
+        graph_count=1,
+        num_buckets=router.num_buckets,
+    )
+
+
+@given(data=st.data(), elsewhere=st.lists(sparse_graphs(), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_sketch_folded_from_rows_equals_the_trie_walk_fold(data, elsewhere):
+    """``note_add`` folds the rows the insert reported; what it used to
+    do — walk the shard trie, pick the newcomer's postings back out,
+    fold those — sets the same bits bucket for bucket.  ``features``
+    is the trie's posting-carrying node count after every add (an
+    upper bound after a remove), and a ``refresh`` after any sequence
+    only ever tightens the sketch."""
+    index, graph = data.draw(base_indexes())
+    # graphs "on other shards" give the router's code space labels in
+    # an order the shard's interner does not have
+    router = ShardRouter(
+        SimpleNamespace(
+            graphs=elsewhere + list(index.graphs),
+            max_path_length=index.max_path_length,
+        ),
+        num_buckets=data.draw(st.sampled_from([1, 7, 256])),
+    )
+    router.refresh(0, index)
+    for op, gid, rows in _mutate(data.draw, index, graph):
+        before = router.sketches[0]
+        if op == "remove":
+            router.note_remove()
+            assert router.sketches[0] is before
+            assert before.feature_count >= index.trie.feature_count
+            continue
+        router.note_add(0, index, rows)
+        after = router.sketches[0]
+        assert after.feature_count == sum(
+            1 for _ in index.trie.iter_postings()
+        )
+        assert after.graph_count == len(index.graphs)
+        if not rows:
+            # a featureless newcomer: nothing to fold, so the router
+            # takes the fold it uses for a partition it has no sketch of
+            assert after.buckets == _walk_fold(router, index).buckets
+            continue
+        assert sorted(seq for seq, _ in rows) == sorted(
+            seq
+            for seq, postings in index.trie.iter_postings()
+            if gid in postings
+        )
+        walked = _walk_fold(router, index, gid)
+        assert after.buckets == tuple(
+            a | b for a, b in zip(before.buckets, walked.buckets)
+        )
+    grown = router.sketches[0]
+    router.refresh(0, index)
+    assert all(
+        fresh & ~kept == 0
+        for fresh, kept in zip(router.sketches[0].buckets, grown.buckets)
+    )
+
+
+def _rebuilt(index):
+    """``(live ids, an index built from scratch over those graphs)``.
+    Labels a newcomer appended sit after the older ones whatever their
+    sort order, and a code order picks the canonical direction whose
+    suffixes GGSX counts, so where the two orders disagree the rebuild
+    is given the mutated index's."""
+    live = index.live_ids()
+    fresh = type(index)(
+        [index.graphs[gid] for gid in live], index.max_path_length
+    )
+    order = [
+        lab for lab in index.interner.code_of
+        if lab in fresh.interner.code_of
+    ]
+    if order != list(fresh.interner.code_of):
+        fresh.interner.code_of = {
+            lab: code for code, lab in enumerate(order)
+        }
+        fresh._build()
+    return live, fresh
+
+
+@given(
+    index=mutated_indexes(),
+    queries=st.lists(store_and_query(), min_size=1, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_mutated_index_filters_as_a_rebuilt_one(index, queries):
+    """Incremental postings, tombstones and patched tables against a
+    from-scratch build of the live graphs: the same candidates, before
+    and after the mutated index drains its reseal."""
+    if not index.live_ids():
+        for _, query in queries:
+            assert index.filter(query) == []
+        return
+    live, fresh = _rebuilt(index)
+    for warmed in (False, True):
+        for _, query in queries:
+            assert index.filter(query) == [
+                live[local] for local in fresh.filter(query)
+            ]
+        index.warm()
+        index._invalidate_censuses()

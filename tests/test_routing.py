@@ -226,6 +226,61 @@ class TestSketchSoundness:
 
 
 # ----------------------------------------------------------------------
+# sketch maintenance under adds (the rows hand-off)
+# ----------------------------------------------------------------------
+
+class TestSketchUnderAdds:
+    def _grown(self, ppi_graphs, monkeypatch=None):
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        trie = entry.shard_entry(0).ftv_index.trie
+        if monkeypatch is not None:
+            # from here on nothing may walk the shard trie
+            monkeypatch.setattr(
+                type(trie), "iter_postings",
+                lambda self: pytest.fail("note_add walked the trie"),
+            )
+        for seed in range(3):
+            g = ppi_graphs[seed % len(ppi_graphs)]
+            order = list(range(g.order))
+            order = order[seed + 1:] + order[:seed + 1]
+            cat.add_graph("ppi", g.permuted(order), shard=0)
+        return cat, entry
+
+    def test_features_stat_counts_posting_carrying_nodes(self, ppi_graphs):
+        """Three adds of graphs the shard mostly shares its features
+        with: ``features`` is the trie's node count, not the sum of
+        every newcomer's feature count on top of the first fold."""
+        cat, entry = self._grown(ppi_graphs)
+        index = entry.shard_entry(0).ftv_index
+        stats = entry.router.as_metrics()["sketches"]["0"]
+        assert stats["features"] == sum(
+            1 for _ in index.trie.iter_postings()
+        )
+        assert stats["graphs"] == len(index.graphs)
+        # a remove tightens nothing: the stat stays, now an upper bound
+        cat.remove_graph("ppi", entry.assignment[0][-1])
+        assert entry.router.as_metrics()["sketches"]["0"] == stats
+        assert stats["features"] >= index.trie.feature_count
+
+    def test_note_add_never_walks_the_trie(self, ppi_graphs, monkeypatch):
+        _, entry = self._grown(ppi_graphs, monkeypatch)
+        monkeypatch.undo()
+        # and what it folded from the rows admits whatever a fold of
+        # the grown shard admits
+        index = entry.shard_entry(0).ftv_index
+        grown = entry.router.sketches[0]
+        entry.router.refresh(0, index)
+        fresh = entry.router.sketches[0]
+        assert all(
+            f & ~g == 0 for f, g in zip(fresh.buckets, grown.buckets)
+        )
+        assert fresh.as_metrics()["features"] == (
+            grown.as_metrics()["features"]
+        )
+
+
+# ----------------------------------------------------------------------
 # service-level digest invariance
 # ----------------------------------------------------------------------
 

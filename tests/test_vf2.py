@@ -18,6 +18,7 @@ from repro.matching import (
     make_matcher,
 )
 from repro.service import Service
+from repro.service.service import _Rewrite
 from repro.workload import extract_query
 
 from .conftest import canonical_embeddings, random_query_from
@@ -316,7 +317,9 @@ class TestPlanSharing:
 
     def test_one_sweep_builds_one_plan(self, plans_built):
         svc, index, q, candidates = self._sweep_inputs()
-        out = drive(svc._ftv_sweep(index, q, candidates, False, "ppi"))
+        out = drive(
+            svc._ftv_sweep(index, _Rewrite(q), candidates, False, "ppi")
+        )
         assert len(plans_built) == 1
         # and the shared plan bills each graph what a solo run costs
         solo = {
@@ -335,9 +338,65 @@ class TestPlanSharing:
 
     def test_an_empty_sweep_builds_none(self, plans_built):
         svc, index, q, _ = self._sweep_inputs()
-        out = drive(svc._ftv_sweep(index, q, [], False, "ppi"))
+        out = drive(svc._ftv_sweep(index, _Rewrite(q), [], False, "ppi"))
         assert not out.found and out.steps == 0
         assert plans_built == []
+
+    def _sharded_ticket(self, hits: bool):
+        """A 2-shard ``Orig,DND`` service and a query both shards have
+        candidates for (``hits``) or neither has."""
+        svc = Service(workers=2, shards=2, routing=False)
+        svc.load_dataset("ppi", scale="tiny")
+        entry = svc.catalog.get("ppi")
+        indexes = [
+            entry.shard_entry(s).ftv_index
+            for s in entry.involved_shards()
+        ]
+        assert len(indexes) == 2
+        if not hits:
+            return svc, LabeledGraph.from_edges(
+                ["no-such-label"] * 2, [(0, 1)]
+            )
+        graphs = build_ftv_graphs("ppi", "tiny")
+        rng = random.Random(11)
+        for _ in range(200):
+            q = extract_query(graphs[rng.randrange(len(graphs))], 3, rng)
+            if all(index.filter(q) for index in indexes):
+                return svc, q
+        raise AssertionError("no query with candidates on both shards")
+
+    def test_a_sharded_ticket_plans_once_per_rewritten_query(
+        self, plans_built
+    ):
+        """Two shards x two variants are four sweeps; what they search
+        by is one plan per *distinct* rewritten query."""
+        svc, q = self._sharded_ticket(hits=True)
+        ticket = svc.submit("ppi", q)
+        rewrites = svc._open[ticket.id][5]
+        svc.run_until_idle()
+        assert ticket.done and ticket.fanout == 2
+        assert 1 <= len(rewrites) <= 2
+        assert len(plans_built) == len(rewrites)
+        assert {id(r.plan) for r in rewrites.values()} == {
+            id(plan) for plan in plans_built
+        }
+        # shared plans answer what per-sweep plans answered
+        solo = Service(workers=2)
+        solo.load_dataset("ppi", scale="tiny")
+        other = solo.submit("ppi", q)
+        solo.run_until_idle()
+        assert ticket.result.matching_ids == other.result.matching_ids
+
+    def test_a_sharded_ticket_with_empty_sweeps_builds_none(
+        self, plans_built
+    ):
+        svc, q = self._sharded_ticket(hits=False)
+        ticket = svc.submit("ppi", q)
+        rewrites = svc._open[ticket.id][5]
+        svc.run_until_idle()
+        assert ticket.done and ticket.fanout == 2
+        assert not ticket.result.found
+        assert rewrites and plans_built == []
 
     def test_index_query_builds_one_plan(self, plans_built):
         _, index, q, candidates = self._sweep_inputs()
