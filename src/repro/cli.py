@@ -411,7 +411,6 @@ def _service_spec(args: argparse.Namespace):
                 workers=args.workers,
                 algorithms=algorithms,
                 rewritings=tuple(args.rewritings.split(",")),
-                plan_seeding=args.plan_seeding,
                 coalesce=not args.no_coalesce,
             ),
             topology=TopologySpec(
@@ -976,9 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of repeated (isomorphic) queries")
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--plan-seeding", action="store_true",
-                   help="seed near-miss races from the plan cache "
-                        "(cached winner + one challenger)")
     p.add_argument("--no-coalesce", action="store_true",
                    help="disable in-flight request coalescing")
     p.add_argument("--store", metavar="DIR", default=None,

@@ -33,7 +33,11 @@ from .grapes import GrapesIndex
 from .sketch import SKETCH_TIERS, FeatureSketch, bucket_of, tier_index
 from .trie import PathTrie, Posting, SuffixTrie
 
+#: catalog / store method token -> index class
+FTV_INDEX_CLASSES = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}
+
 __all__ = [
+    "FTV_INDEX_CLASSES",
     "FeatureSketch",
     "SKETCH_TIERS",
     "bucket_of",

@@ -96,8 +96,16 @@ class FTVIndex(ABC):
         Dumped trie postings (``repro.store`` boot path).  When given,
         the trie is reconstructed by installing the dump's rows
         instead of running the path-census ``_build`` — O(read)
-        instead of O(DFS), and bit-identical because label codes are a
-        pure function of the graphs' sorted label set.
+        instead of O(DFS), and bit-identical as long as ``interner``
+        is the code space the rows were dumped in.
+    interner:
+        The label code space to index in.  A collection served as
+        several indexes (catalog shards, replicas, a store restore)
+        hands every one of them its single
+        :class:`~repro.indexing.features.LabelInterner`, so one query
+        census probes them all; labels of ``graphs`` it does not hold
+        yet are appended.  Without one the index interns the sorted
+        label set of ``graphs`` for itself.
     """
 
     method_name: str = "FTV"
@@ -110,6 +118,7 @@ class FTVIndex(ABC):
         graphs: list[LabeledGraph],
         max_path_length: int = 3,
         restore: Optional[list] = None,
+        interner: Optional[LabelInterner] = None,
     ) -> None:
         if not graphs:
             raise ValueError("empty dataset")
@@ -124,8 +133,13 @@ class FTVIndex(ABC):
         #: assignments, id maps, and step bills stay valid.
         self.tombstones: set[int] = set()
         self._verifier = VF2Matcher()
-        #: shared label interner: the trie and every census speak codes
-        self.interner = LabelInterner(g.labels for g in graphs)
+        #: label code space the trie and every census speak — the
+        #: collection's own when one was handed over
+        if interner is None:
+            interner = LabelInterner(g.labels for g in graphs)
+        else:
+            interner.extend(g.labels for g in graphs)
+        self.interner = interner
         #: namespace token for this index's query-census memo entries
         #: in the process-wide PrepareCache (unique per index, so two
         #: indexes over the same graphs never cross-hit)
@@ -215,8 +229,7 @@ class FTVIndex(ABC):
         :meth:`PathTrie.insert`; the few that unseal instead reseal on
         the next :meth:`warm` or lazily on first probe); the census
         memo layers are invalidated because stale entries hold
-        negative codes for now-known labels and stale ``candidates``
-        sets.
+        negative codes for now-known labels.
 
         ``rows`` is an output: a list passed here receives the
         newcomer's ``(coded path, Posting)`` rows — one per trie node
@@ -273,9 +286,9 @@ class FTVIndex(ABC):
 
         Stale censuses are dangerous two ways: they hold *negative*
         codes for labels the collection may now intern, and their
-        ``candidates`` memo may include removed ids.  A fresh token
-        orphans the prepare-cache namespace; the canonical-form LRU
-        and the shape gate are cleared outright.
+        ``location_unions`` memo may include removed ids.  A fresh
+        token orphans the prepare-cache namespace; the canonical-form
+        LRU and the shape gate are cleared outright.
         """
         self._census_token = object()
         self._canon_census.clear()
@@ -391,8 +404,19 @@ class FTVIndex(ABC):
             self._canon_census.popitem(last=False)
             self.census_stats.evictions += 1
 
-    def _bitset_filter(self, query: LabeledGraph) -> list[int]:
-        """Shared filter fast path: a fold of bitwise ANDs.
+    def filter(self, query: LabeledGraph) -> list[int]:
+        """Candidate graph IDs after feature + frequency pruning.
+
+        Census-then-probe, for a caller that holds a query and no
+        census of it (the harness, whose repeated and isomorphic
+        queries the memo layers of :meth:`coded_query_census` serve).
+        """
+        return self.probe(self.coded_query_census(query).counts)
+
+    def probe(self, counts: dict) -> list[int]:
+        """Candidate graph ids for a query census already taken in this
+        index's code space — the filter fast path, a fold of bitwise
+        ANDs.
 
         Each query feature contributes one threshold mask (graphs
         holding the feature often enough); masks are intersected
@@ -400,16 +424,9 @@ class FTVIndex(ABC):
         as early as possible.  Intersection is commutative, so the
         surviving set — and the ascending-bit extraction below — is
         identical to the reference set-based filter for every probe
-        order, and always sorted and duplicate-free.
+        order, and always sorted and duplicate-free.  A served ticket
+        takes its census once and probes every shard's index with it.
         """
-        census = self.coded_query_census(query)
-        cached = census.candidates
-        if cached is not None:
-            return list(cached)
-        census.candidates = out = self._fold_masks(census.counts)
-        return list(out)
-
-    def _fold_masks(self, counts: dict) -> list[int]:
         if not counts:
             return []
         trie_mask_ge = self.trie.mask_ge
@@ -445,10 +462,6 @@ class FTVIndex(ABC):
         out = self.census_stats.as_metrics()
         out["entries"] = len(self._canon_census)
         return out
-
-    @abstractmethod
-    def filter(self, query: LabeledGraph) -> list[int]:
-        """Candidate graph IDs after feature + frequency pruning."""
 
     def verify_plan(self, query: LabeledGraph) -> Optional[VF2Plan]:
         """The verifier's search plan of ``query`` (see

@@ -87,22 +87,22 @@ class PathCensus:
         a vertex bitmask from :func:`coded_path_census` (decode with
         :func:`location_vertices`), a frozenset from the reference
         :func:`label_path_census`.
-    candidates:
-        Memoized filter output against one index's trie (set by
-        :meth:`repro.indexing.base.FTVIndex._bitset_filter`).  Sound to
-        cache here because query censuses live in exactly one index's
-        census cache and FTV tries are immutable after ``_build`` — and
-        the candidate set, like the census, is an isomorphism
-        invariant, so it transfers to every instance sharing this
-        census.
     location_unions:
         Memoized per-stored-graph unions (bitmasks) of the query
         features' location sets (set by
-        :meth:`repro.indexing.grapes.GrapesIndex.feature_locations`) —
-        isomorphism-invariant for the same reason as ``candidates``.
+        :meth:`repro.indexing.grapes.GrapesIndex.feature_locations`,
+        which takes the census from that index's own memo, so the
+        unions are always against one trie) — an isomorphism invariant,
+        like the census, so they transfer to every instance sharing it.
+
+    ``counts`` is all a filter needs, and it is not tied to any one
+    index: every index (and routing sketch) of a collection speaks the
+    collection's one label code space, so one query census probes them
+    all (:meth:`repro.indexing.base.FTVIndex.probe`,
+    :meth:`repro.indexing.sketch.FeatureSketch.score`).
     """
 
-    __slots__ = ("counts", "locations", "candidates", "location_unions")
+    __slots__ = ("counts", "locations", "location_unions")
 
     def __init__(
         self,
@@ -111,7 +111,6 @@ class PathCensus:
     ) -> None:
         self.counts = counts
         self.locations = locations
-        self.candidates: list[int] | None = None
         self.location_unions: dict[int, int] | None = None
 
     def features(self) -> tuple[LabelSeq, ...]:
@@ -199,6 +198,20 @@ class LabelInterner:
 
     def __len__(self) -> int:
         return len(self.code_of)
+
+    @classmethod
+    def from_code_order(cls, labels: Sequence) -> "LabelInterner":
+        """The interner whose code ``i`` is ``labels[i]`` — how a
+        stored collection gets back the code space its index rows were
+        written in (:meth:`labels` is the inverse).  The caller vouches
+        that the labels are pairwise distinct."""
+        interner = cls(())
+        interner.code_of = {lab: code for code, lab in enumerate(labels)}
+        return interner
+
+    def labels(self) -> list:
+        """Every interned label, in code order."""
+        return list(self.code_of)
 
     def extend(self, label_sets: Iterable[Iterable]) -> int:
         """Append codes for labels the collection has not seen yet.

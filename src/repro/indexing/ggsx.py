@@ -33,7 +33,14 @@ __all__ = ["GGSXIndex"]
 
 
 class GGSXIndex(FTVIndex):
-    """GGSX: suffix-trie path index, whole-graph verification."""
+    """GGSX: suffix-trie path index, whole-graph verification.
+
+    Suffix postings make counts over-estimates for sub-paths (a
+    feature inserted as a suffix of several longer paths accumulates
+    all their counts), which keeps the filter sound — it can only
+    under-prune relative to Grapes, consistent with GGSX forming
+    larger candidate sets.
+    """
 
     method_name = "GGSX"
 
@@ -60,19 +67,6 @@ class GGSXIndex(FTVIndex):
         )
         for seq, count in census.counts.items():
             self.trie.insert(seq, graph_id, count, 0, rows)
-
-    def filter(self, query: LabeledGraph) -> list[int]:
-        """Candidates containing every query feature often enough.
-
-        Suffix postings make counts over-estimates for sub-paths (a
-        feature inserted as a suffix of several longer paths accumulates
-        all their counts), which keeps the filter sound — it can only
-        under-prune relative to Grapes, consistent with GGSX forming
-        larger candidate sets.  Runs on the shared bitset fast path
-        (``tests/test_filter_equivalence.py`` pins it to the seed
-        algebra).
-        """
-        return self._bitset_filter(query)
 
     def verify(
         self,

@@ -38,7 +38,7 @@ from ..graphs import LabeledGraph
 from ..matching import Budget, GraphIndex, VF2Plan, drive
 from ..scheduling import TaskResult, first_match_schedule
 from .base import FTVIndex, VerificationReport
-from .features import coded_path_census, location_vertices
+from .features import LabelInterner, coded_path_census, location_vertices
 from .trie import PathTrie
 
 __all__ = ["GrapesIndex", "DEFAULT_ROOT_SLICES"]
@@ -55,7 +55,7 @@ class GrapesIndex(FTVIndex):
 
     Parameters
     ----------
-    graphs, max_path_length:
+    graphs, max_path_length, restore, interner:
         See :class:`FTVIndex`.
     threads:
         Simulated verification threads (paper: Grapes/1 and Grapes/4).
@@ -69,11 +69,14 @@ class GrapesIndex(FTVIndex):
         max_path_length: int = 3,
         threads: int = 1,
         restore: Optional[list] = None,
+        interner: Optional[LabelInterner] = None,
     ) -> None:
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.threads = threads
-        super().__init__(graphs, max_path_length, restore=restore)
+        super().__init__(
+            graphs, max_path_length, restore=restore, interner=interner
+        )
         self.method_name = f"Grapes/{threads}"
 
     def with_threads(self, threads: int) -> "GrapesIndex":
@@ -120,15 +123,6 @@ class GrapesIndex(FTVIndex):
     # ------------------------------------------------------------------
     # online stage
     # ------------------------------------------------------------------
-
-    def filter(self, query: LabeledGraph) -> list[int]:
-        """Candidates containing every query feature often enough.
-
-        Bitset fast path: threshold masks per feature, intersected
-        rarest-first — provably the same sorted candidate ids as the
-        seed's set algebra (``tests/test_filter_equivalence.py``).
-        """
-        return self._bitset_filter(query)
 
     def feature_locations(
         self, query: LabeledGraph, graph_id: int

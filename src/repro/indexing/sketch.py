@@ -32,19 +32,19 @@ pruning the shard cannot change any answer.  If the bit is set the
 shard *may* answer (a colliding feature or a count between tiers can
 set it spuriously), so collisions and tier gaps only ever weaken
 pruning, never its soundness.  ``tests/test_routing.py`` drives this
-adversarially (one-bucket sketches, unknown labels, cross-shard code
-spaces).
+adversarially (one-bucket sketches, unknown labels, an index in a
+foreign code space).
 
 Code spaces
 -----------
-Each shard's :class:`~repro.indexing.features.LabelInterner` codes only
-its own labels, so shard-local feature codes are not comparable across
-shards.  Sketches are therefore built in a **collection-wide** code
-space: the builder recodes each shard feature through a label-preserving
-``recode`` map before hashing.  Both interners assign codes in the same
-natural label sort order, so recoding is monotone and the canonical
-path direction is preserved; :func:`canonical_sequence` is re-applied
-anyway as cheap insurance for exotic label sets.
+There is one: the collection's
+:class:`~repro.indexing.features.LabelInterner`, which every shard
+index is built in and the query's census is taken in.  A shard trie's
+coded features therefore hash to the buckets the query's do, as they
+stand — the sketch folds trie rows and scores query censuses without
+translating either.  A sketch folded from an index that codes some
+label differently would be meaningless, so the router keeps none for
+such a shard (:meth:`repro.service.routing.ShardRouter.refresh`).
 """
 
 from __future__ import annotations
@@ -97,25 +97,20 @@ def bucket_of(seq: tuple, num_buckets: int) -> int:
     return h % num_buckets
 
 
-def _fold(
-    buckets: list[int],
-    pairs: Iterable[tuple[tuple, int]],
-    recode: Mapping[int, int],
-) -> int:
-    """OR ``(shard-coded seq, max per-graph count)`` pairs into
-    ``buckets``, in place — the one sketch fold; returns how many.
+def _fold(buckets: list[int], pairs: Iterable[tuple[tuple, int]]) -> int:
+    """OR ``(coded seq, max per-graph count)`` pairs into ``buckets``,
+    in place — the one sketch fold; returns how many.
 
-    ``recode`` maps the shard's label codes to the collection-wide
-    codes the router's query census uses; the count is the quantity
-    ``mask_ge`` thresholds on, so a pair sets its bucket's tiers
-    ``0..tier_index(count)``.
+    The count is the quantity ``mask_ge`` thresholds on, so a pair sets
+    its bucket's tiers ``0..tier_index(count)``.  A suffix-trie row is
+    a suffix of a canonical path and need not be canonical itself; it
+    is folded under the direction a query census would name it by.
     """
     num_buckets = len(buckets)
     folded = 0
     for seq, best in pairs:
         folded += 1
-        coded = canonical_sequence(tuple([recode[code] for code in seq]))
-        buckets[bucket_of(coded, num_buckets)] |= (
+        buckets[bucket_of(canonical_sequence(seq), num_buckets)] |= (
             1 << (tier_index(best) + 1)
         ) - 1
     return folded
@@ -141,11 +136,10 @@ class FeatureSketch:
     def from_postings(
         cls,
         items: Iterable[tuple[tuple, Mapping[int, object]]],
-        recode: Mapping[int, int],
         graph_count: int,
         num_buckets: int = DEFAULT_SKETCH_BUCKETS,
     ) -> "FeatureSketch":
-        """Fold ``(shard-coded seq, posting map)`` pairs into a sketch.
+        """Fold ``(coded seq, posting map)`` pairs into a sketch.
 
         ``items`` is what :meth:`repro.indexing.trie.PathTrie.iter_postings`
         yields; each feature contributes its **maximum per-graph
@@ -161,20 +155,18 @@ class FeatureSketch:
                 for seq, postings in items
                 if postings
             ),
-            recode,
         )
         return cls(tuple(buckets), graph_count, features)
 
     def with_graph(
         self,
         rows: Iterable[tuple[tuple, object]],
-        recode: Mapping[int, int],
         graph_count: int,
         feature_count: int,
     ) -> "FeatureSketch":
         """The sketch of this shard grown by one graph.
 
-        ``rows`` are the newcomer's ``(shard-coded seq, Posting)``
+        ``rows`` are the newcomer's ``(coded seq, Posting)``
         rows, as :meth:`repro.indexing.trie.PathTrie.insert` reported
         them.  Sketches are monotone under adds — bucket bits only ever
         gain members — so folding in the newcomer's own counts is sound
@@ -195,7 +187,7 @@ class FeatureSketch:
         both back whenever the owner chooses.
         """
         buckets = list(self.buckets)
-        _fold(buckets, ((seq, p.count) for seq, p in rows), recode)
+        _fold(buckets, ((seq, p.count) for seq, p in rows))
         return FeatureSketch(tuple(buckets), graph_count, feature_count)
 
     def score(self, counts: Mapping[tuple, int]) -> Optional[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 The serving stack has more configuration axes than the paper did —
 shards, replicas, routing, rebalancing, chaos plans, persisted stores,
-coalescing, plan seeding — and ``scenarios/*.yaml`` is where a
+coalescing — and ``scenarios/*.yaml`` is where a
 combination of them becomes a *named, committed, digest-pinned*
 experiment instead of a hand-wired flag spelling.  Three layers:
 

@@ -3,7 +3,7 @@
 :func:`random_scenario` maps an integer seed to a *small but varied*
 :class:`~repro.scenarios.config.ScenarioConfig` — the cross product
 the satellite names (shards x replicas x routing x coalesce, plus
-decision mode, plan seeding, chaos, tenant counts) at a query volume
+decision mode, chaos, tenant counts) at a query volume
 tiny enough that running ~100 of them stays inside a test budget.
 
 Determinism contract: the generator is a pure function of the seed
@@ -61,24 +61,27 @@ def random_scenario(seed: int) -> ScenarioConfig:
     decision_only = ftv and rng.random() < 0.3
     rebalance = shards >= 2 and not chaos and rng.random() < 0.25
     sizes = rng.choice(((4, 8), (4, 8, 12), (6,), (8, 4)))
+    workload = WorkloadSpec(
+        queries=rng.randint(6, 12),
+        tenants=rng.randint(1, 3),
+        sizes=sizes,
+        repeat_fraction=rng.choice((0.0, 0.2, 0.35)),
+        seed=rng.randint(0, 10_000),
+        concurrency=rng.randint(1, 2),
+        decision_only=decision_only,
+        budget=rng.choice((60_000, 200_000)),
+    )
+    # one draw a since-deleted engine knob used to take: keeping it
+    # keeps every later draw, and so the seeded configs, where they were
+    rng.random()
     return ScenarioConfig(
         name=f"fuzz-{seed}",
         dataset=dataset,
         description=f"seeded fuzz scenario {seed}",
         scale="tiny",
-        workload=WorkloadSpec(
-            queries=rng.randint(6, 12),
-            tenants=rng.randint(1, 3),
-            sizes=sizes,
-            repeat_fraction=rng.choice((0.0, 0.2, 0.35)),
-            seed=rng.randint(0, 10_000),
-            concurrency=rng.randint(1, 2),
-            decision_only=decision_only,
-            budget=rng.choice((60_000, 200_000)),
-        ),
+        workload=workload,
         engine=EngineSpec(
             workers=4,
-            plan_seeding=rng.random() < 0.3,
             coalesce=rng.random() < 0.8,
         ),
         topology=TopologySpec(

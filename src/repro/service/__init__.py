@@ -5,7 +5,7 @@ north star serves heavy traffic.  This package is the bridge: a
 dataset catalog that keeps graphs and their indexes warm, admission
 control with per-tenant fair share, a deterministic dispatcher that
 interleaves many Ψ races over bounded simulated worker pools, a
-canonical-form result/plan cache in front of it all, and a sharded
+canonical-form result cache in front of it all, and a sharded
 catalog (``Service(shards=N)``) that partitions collections and fans
 queries out with answers bit-for-bit identical to unsharded serving
 (see :mod:`repro.service.sharding`).  Shards can carry warm replicas

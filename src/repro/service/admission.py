@@ -88,8 +88,6 @@ class Ticket:
     cache_hit: bool = False
     #: attached to an identical in-flight query's race (no own race)
     coalesced: bool = False
-    #: raced a plan-cache-seeded variant subset, not the full set
-    plan_seeded: bool = False
     #: shard races this ticket fanned out into (0 until dispatched;
     #: 1 on an unsharded catalog).  With routing on this counts only
     #: the *surviving* fan-out — admission charges nothing for shards
@@ -147,7 +145,6 @@ class AdmissionController:
         self.rejected = Counter()
         self.admitted = Counter()
         self.coalesced = Counter()
-        self.plan_seeded = Counter()
         #: per-tenant count of followers currently riding a leader
         self._coalesced_backlog: dict[str, int] = {}
 
@@ -158,7 +155,6 @@ class AdmissionController:
         registry.register(f"{prefix}.admitted", self.admitted)
         registry.register(f"{prefix}.rejected", self.rejected)
         registry.register(f"{prefix}.coalesced", self.coalesced)
-        registry.register(f"{prefix}.plan_seeded", self.plan_seeded)
         registry.gauge(f"{prefix}.queued", lambda: self.queued())
         registry.gauge(f"{prefix}.in_flight", lambda: self.in_flight())
         registry.gauge(
@@ -328,7 +324,6 @@ class AdmissionController:
             "admitted": self.admitted.value,
             "rejected": self.rejected.value,
             "coalesced": self.coalesced.value,
-            "plan_seeded": self.plan_seeded.value,
             "queued": self.queued(),
             "in_flight": self.in_flight(),
             "charged_steps": {

@@ -1,11 +1,11 @@
-"""Result/plan cache keyed by canonical query forms.
+"""Result cache keyed by canonical query forms.
 
 What the paper recomputes per query, a service caches:
 
 * the **result** — the decision answer and embedding count, which are
   genuinely isomorphism-invariant, so any permuted re-issue of a motif
   is answered without running a single engine step;
-* the **plan and bill** — which variant won and what the race cost.
+* the **bill** — which variant won and what the race cost.
   These are *historical*, not invariant: the paper's whole subject is
   that isomorphic instances can have wildly different step counts and
   winners.  A cache hit reports the original instance's race verbatim
@@ -52,14 +52,9 @@ class CachedResult:
     found: bool
     num_embeddings: int
     steps: int
-    winner: Optional[object]  # the plan: winning Variant (or None)
+    winner: Optional[object]  # winning Variant (or None)
     per_variant_steps: tuple  # ((variant, steps), ...) in race order
     matching_ids: tuple = ()  # FTV decision answers (iso-invariant)
-
-    @property
-    def plan(self) -> Optional[object]:
-        """The cached plan — the historical winning variant."""
-        return self.winner
 
 
 class ResultCache:
@@ -73,13 +68,6 @@ class ResultCache:
         #: queries whose canonicalisation hit the branch budget
         self.uncacheable = 0
         self._entries: "OrderedDict[tuple, CachedResult]" = OrderedDict()
-        #: plan memory: near-miss key -> last winning Variant.  Keyed
-        #: more loosely than results (no budget / embedding caps), so a
-        #: canonical twin under a *different* execution context — a
-        #: near-miss, not a hit — can still seed a narrow race.
-        self._plans: "OrderedDict[tuple, object]" = OrderedDict()
-        self.plan_hits = 0
-        self.plan_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -99,33 +87,6 @@ class ResultCache:
         if canon is None:
             return None
         return (context, canon)
-
-    # ------------------------------------------------------------------
-    # plan memory (plan-cache-seeded racing)
-    # ------------------------------------------------------------------
-
-    def plan_for(self, plan_key: Optional[tuple]) -> Optional[object]:
-        """The remembered winning variant for a near-miss key."""
-        if plan_key is None:
-            return None
-        hit = self._plans.get(plan_key)
-        if hit is None:
-            self.plan_misses += 1
-            return None
-        self._plans.move_to_end(plan_key)
-        self.plan_hits += 1
-        return hit
-
-    def store_plan(
-        self, plan_key: Optional[tuple], winner: Optional[object]
-    ) -> None:
-        """Remember (or refresh) the winning variant for ``plan_key``."""
-        if plan_key is None or winner is None:
-            return
-        self._plans[plan_key] = winner
-        self._plans.move_to_end(plan_key)
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
 
     def lookup(self, key: Optional[tuple]) -> Optional[CachedResult]:
         """Cached result for ``key`` (counts a hit or miss)."""
@@ -150,10 +111,9 @@ class ResultCache:
             self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry and plan (entries counted as evictions)."""
+        """Drop every entry (counted as evictions)."""
         self.stats.evictions += len(self._entries)
         self._entries.clear()
-        self._plans.clear()
 
     def as_metrics(self) -> dict:
         """Counter snapshot for service stats / bench JSON."""
@@ -161,7 +121,4 @@ class ResultCache:
         out["entries"] = len(self._entries)
         out["capacity"] = self.capacity
         out["uncacheable"] = self.uncacheable
-        out["plan_hits"] = self.plan_hits
-        out["plan_misses"] = self.plan_misses
-        out["plan_entries"] = len(self._plans)
         return out

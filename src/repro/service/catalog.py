@@ -41,11 +41,25 @@ from ..harness import (
     build_ftv_graphs,
     build_nfv_graph,
 )
-from ..indexing import FTVIndex, GGSXIndex, GrapesIndex
+from ..indexing import FTV_INDEX_CLASSES, FTVIndex, LabelInterner
 from ..psi import PsiNFV
 from ..rewriting import LabelStats
 
 __all__ = ["DatasetEntry", "DatasetCatalog", "approx_deep_bytes"]
+
+
+def _build_index(
+    ftv_method: str,
+    graphs: list[LabeledGraph],
+    max_path_length: int,
+    interner: Optional[LabelInterner],
+) -> FTVIndex:
+    """A fresh filter index of ``graphs`` in ``interner`` (None = the
+    index interns for itself)."""
+    cls = FTV_INDEX_CLASSES.get(ftv_method)
+    if cls is None:
+        raise ValueError(f"unknown FTV method {ftv_method!r}")
+    return cls(graphs, max_path_length=max_path_length, interner=interner)
 
 
 def approx_deep_bytes(obj: object, max_objects: int = 500_000) -> int:
@@ -202,9 +216,9 @@ class DatasetCatalog:
         if store is not None:
             self.attach_store(store)
         #: monotone collection-state version: bumped by every applied
-        #: ``add_graph``/``remove_graph``.  Result-cache and plan-cache
-        #: keys embed it, so a mutation implicitly drops every cached
-        #: answer computed against the previous collection state.
+        #: ``add_graph``/``remove_graph``.  Result-cache keys embed it,
+        #: so a mutation implicitly drops every cached answer computed
+        #: against the previous collection state.
         self.mutation_epoch = 0
         self._entries: dict[str, DatasetEntry] = {}
 
@@ -354,19 +368,27 @@ class DatasetCatalog:
                         max_path_length],
             )
             return None
+        kind = rec.get("kind")
         try:
             graphs = reader.load_graphs(name)
+            # the code space the index blob's rows are written in
+            # (None = the record predates it); a refused table is a
+            # miss the reader already counted and logged
+            interner = (
+                reader.load_interner(name, graphs)
+                if kind == "ftv"
+                else None
+            )
         except StoreError:
             reader.rebuilds += 1
             return None
         reader.restores += 1
-        kind = rec.get("kind")
         index = None
         if kind == "ftv":
             try:
                 index = reader.load_index(
                     name, graphs, ftv_method=ftv_method,
-                    max_path_length=max_path_length,
+                    max_path_length=max_path_length, interner=interner,
                 )
                 reader.restores += 1
             except StoreError:
@@ -377,19 +399,15 @@ class DatasetCatalog:
                     # the blob (and its tombstones) is gone; rebuild
                     # here so the record's ids can be re-retired —
                     # _install would otherwise index every slot live
-                    if ftv_method == "Grapes":
-                        index = GrapesIndex(
-                            graphs, max_path_length=max_path_length
-                        )
-                    else:
-                        index = GGSXIndex(
-                            graphs, max_path_length=max_path_length
-                        )
+                    index = _build_index(
+                        ftv_method, graphs, max_path_length, interner
+                    )
                 for gid in sorted(tombs - index.tombstones):
                     index.remove_graph(gid)
         return self._install(
             name, graphs, kind, scale, tuple(algorithms), ftv_method,
             max_path_length, config, prebuilt_index=index,
+            interner=interner,
         )
 
     def _existing(self, name: str, config: tuple):
@@ -421,12 +439,15 @@ class DatasetCatalog:
         max_path_length: int,
         config: tuple,
         prebuilt_index: Optional[FTVIndex] = None,
+        interner: Optional[LabelInterner] = None,
     ) -> DatasetEntry:
         """Build, warm, freeze, and store one entry (load + register).
 
         ``prebuilt_index`` is the store-boot shortcut: an FTV index
         already reconstructed from disk skips the census build and is
         warmed (sealed) and frozen exactly like a fresh one.
+        ``interner`` is the label code space an index built here is
+        built in (see :meth:`register`).
         """
         if kind == "nfv":
             psi = PsiNFV(graphs[0])
@@ -443,16 +464,13 @@ class DatasetCatalog:
                 load_config=config,
             )
         else:
-            if prebuilt_index is not None:
-                index: FTVIndex = prebuilt_index
-            elif ftv_method == "Grapes":
-                index = GrapesIndex(
-                    graphs, max_path_length=max_path_length
+            index = (
+                prebuilt_index
+                if prebuilt_index is not None
+                else _build_index(
+                    ftv_method, graphs, max_path_length, interner
                 )
-            elif ftv_method == "GGSX":
-                index = GGSXIndex(graphs, max_path_length=max_path_length)
-            else:
-                raise ValueError(f"unknown FTV method {ftv_method!r}")
+            )
             # warm the bitset posting lists now: the first served query
             # probes pre-sealed threshold masks instead of paying the
             # lazy seal on the hot path
@@ -481,6 +499,7 @@ class DatasetCatalog:
         ftv_method: str = "Grapes",
         max_path_length: int = 3,
         prebuilt_index: Optional[FTVIndex] = None,
+        interner: Optional[LabelInterner] = None,
     ) -> DatasetEntry:
         """Install pre-built ``graphs`` as a warm entry under ``name``.
 
@@ -491,7 +510,10 @@ class DatasetCatalog:
         entry's ``load_config`` is marked ``"registered"`` and carries
         the graph shapes, so re-registering the same name with the same
         graph shapes and configuration is idempotent; a mismatch
-        raises, like a conflicting re-load.
+        raises, like a conflicting re-load.  ``interner`` is the label
+        code space of the collection ``graphs`` is a partition of: the
+        partition's filter index is built in it (``prebuilt_index``
+        already was), so every partition answers one query census.
         """
         if kind not in ("nfv", "ftv"):
             raise ValueError(f"unknown dataset kind {kind!r}")
@@ -510,7 +532,7 @@ class DatasetCatalog:
         return self._install(
             name, list(graphs), kind, scale, tuple(algorithms),
             ftv_method, max_path_length, config,
-            prebuilt_index=prebuilt_index,
+            prebuilt_index=prebuilt_index, interner=interner,
         )
 
     def adopt(self, entry: DatasetEntry) -> DatasetEntry:

@@ -3,11 +3,12 @@
 PR 4's sharded serving fans every query out to every shard holding
 graphs; each shard then pays census + filter + race work even when its
 partition provably contains no candidate.  The router makes the fan-out
-itself cheap: one collection-wide query census, probed against each
-shard's :class:`~repro.indexing.sketch.FeatureSketch`, decides per
-shard in O(query features) int operations whether the shard can answer
-at all — and, for decision-only queries, how *likely* it is to answer
-first.
+itself cheap: the ticket's one query census — taken by the service in
+the collection's label code space, the same one every shard index is
+built in — probed against each shard's
+:class:`~repro.indexing.sketch.FeatureSketch`, decides per shard in
+O(query features) int operations whether the shard can answer at all
+— and, for decision-only queries, how *likely* it is to answer first.
 
 The contract (proven in ``tests/test_routing.py``):
 
@@ -26,9 +27,10 @@ The contract (proven in ``tests/test_routing.py``):
   (shard id breaks ties), so the expected-first-true shard races first;
   in full mode every surviving shard runs and the order is ascending
   shard id, exactly the unrouted order.
-* **Everything is deterministic.**  Sketches, censuses, scores, and
-  orders are pure functions of (collection, assignment, query); the
-  ``epoch`` counter only bumps when a rebalance changes the assignment.
+* **Everything is deterministic.**  Sketches, scores, and orders are
+  pure functions of (collection, assignment, query census); the
+  ``epoch`` counter bumps when a rebalance changes the assignment or a
+  mutation changes the collection.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..graphs import LabeledGraph
-from ..indexing import FTVIndex, LabelInterner
-from ..indexing.features import PathCensus, coded_path_census
+from ..indexing import FTVIndex
 from ..indexing.sketch import DEFAULT_SKETCH_BUCKETS, FeatureSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,12 +69,13 @@ class RoutePlan:
 
 
 class ShardRouter:
-    """Per-entry routing state: global interner + per-shard sketches.
+    """Per-entry routing state: one feature sketch per shard.
 
     Built by :class:`~repro.service.sharding.ShardedCatalog` when an
     FTV entry is loaded; :meth:`refresh` re-folds one shard's sketch
     whenever that shard's partition is (re-)registered, so rebalance
-    migrations keep the sketches honest.
+    migrations keep the sketches honest.  Sketches are coded in
+    ``entry.interner``, the collection's one label code space.
     """
 
     def __init__(
@@ -84,53 +85,51 @@ class ShardRouter:
     ) -> None:
         self.entry = entry
         self.num_buckets = num_buckets
-        #: collection-wide label codes — the census space every shard's
-        #: sketch is recoded into
-        self.interner = LabelInterner(g.labels for g in entry.graphs)
-        self.max_path_length = entry.max_path_length
-        #: shard -> sketch (absent = shard holds no graphs)
+        #: shard -> sketch (absent = shard holds no graphs, or its
+        #: index speaks another code space: raced, never pruned)
         self.sketches: dict[int, FeatureSketch] = {}
-        #: routing-table version; bumped by rebalance reassignments so
-        #: operators (and tests) can see the table moved
+        #: routing-table version; bumped by rebalance reassignments and
+        #: mutations so operators (and tests) can see the table moved
         self.epoch = 0
-        #: namespace token for the per-query census memo entries
-        self._census_token = object()
+
+    @property
+    def interner(self):
+        """The collection's label code space (``entry.interner``): what
+        the sketches are coded in — the router keeps none of its own."""
+        return self.entry.interner
 
     # ------------------------------------------------------------------
     # sketch lifecycle
     # ------------------------------------------------------------------
 
     def refresh(self, shard: int, index: Optional[FTVIndex]) -> None:
-        """(Re-)fold ``shard``'s sketch from its warm filter index."""
-        if index is None:
-            self.sketches.pop(shard, None)
+        """(Re-)fold ``shard``'s sketch from its warm filter index.
+
+        The fold takes the trie's coded rows as they stand, so it is
+        only meaningful for an index that codes every label it knows
+        as the collection does — true by identity for every index the
+        catalog builds, and by value for a standalone build over a
+        partition that carries the collection's labels.  Any other
+        index leaves the shard without a sketch, which :meth:`plan`
+        races fail-closed.
+        """
+        self.sketches.pop(shard, None)
+        if index is None or not self._same_codes(index):
             return
         self.sketches[shard] = FeatureSketch.from_postings(
             index.trie.iter_postings(),
-            self._recode(index),
             graph_count=len(index.graphs),
             num_buckets=self.num_buckets,
         )
 
-    def _recode(self, index: FTVIndex) -> dict[int, int]:
-        """``index``'s shard-local label codes -> collection-wide ones.
-
-        A store-restored partition of a mutated collection may intern
-        labels no live graph carries (interners never shrink through
-        remove/re-add), and an added graph may carry labels the
-        collection has never seen; extend — never rebuild — so the map
-        stays total and existing router codes never move.  Every
-        memoized route census is dropped when that happens: a stale
-        one still holds *negative* codes for the new labels and
-        :meth:`plan` would unsoundly collapse the fan-out to a single
-        witness shard.
-        """
-        if self.interner.extend([list(index.interner.code_of)]):
-            self._census_token = object()
-        return {
-            code: self.interner.code_of[label]
-            for label, code in index.interner.code_of.items()
-        }
+    def _same_codes(self, index: FTVIndex) -> bool:
+        """Whether ``index`` codes every label it knows as the
+        collection does."""
+        ours = self.interner
+        theirs = index.interner
+        return theirs is ours or (
+            theirs.code_of.items() <= ours.code_of.items()
+        )
 
     def bump(self) -> int:
         """Advance the routing-table epoch (rebalance bookkeeping)."""
@@ -155,16 +154,14 @@ class ShardRouter:
         sketch yet; that one is :meth:`refresh`'s to fold.
         """
         sketch = self.sketches.get(shard)
-        if sketch is None or not rows:
+        if sketch is None or not rows or not self._same_codes(index):
             self.refresh(shard, index)
         else:
             self.sketches[shard] = sketch.with_graph(
                 rows,
-                self._recode(index),
                 graph_count=len(index.graphs),
                 feature_count=index.trie.feature_count,
             )
-        self._census_token = object()
         self.epoch += 1
 
     def note_remove(self) -> None:
@@ -172,50 +169,30 @@ class ShardRouter:
         bits — a sound over-approximation that can only route to a
         shard that would answer empty, never prune one that would
         answer.  A later :meth:`refresh` tightens the sketch."""
-        self._census_token = object()
         self.epoch += 1
 
     # ------------------------------------------------------------------
     # query side
     # ------------------------------------------------------------------
 
-    def query_census(self, query: LabeledGraph) -> PathCensus:
-        """The query's census in the collection-wide code space.
-
-        Memoized per query instance through the prepare cache (the same
-        convention as :meth:`repro.indexing.base.FTVIndex.coded_query_census`),
-        so re-planning a coalesced or re-staged query is free.  Unknown
-        labels get fresh negative codes — they can never collide with
-        an indexed feature, which is what :meth:`plan` keys on.
-        """
-        from ..caching import prepare_cache
-
-        return prepare_cache.get(
-            query,
-            ("route-census", self._census_token, self.max_path_length),
-            lambda: coded_path_census(
-                query,
-                self.max_path_length,
-                self.interner.encode_vertices(query.labels),
-            ),
-        )
-
     def plan(
         self,
-        query: LabeledGraph,
+        counts: dict,
         involved: tuple[int, ...],
         decision_only: bool = False,
     ) -> RoutePlan:
-        """Route one query over ``involved`` shards.
+        """Route one query, given as its census ``counts`` in the
+        collection's code space, over ``involved`` shards.
 
         Full mode races every surviving shard in ascending shard order
         (pruning only); decision mode orders survivors by descending
         sketch score and stages them as waves so the expected-first-true
-        shard races alone first.
+        shard races alone first.  Labels the collection has never seen
+        carry negative codes (see
+        :meth:`~repro.indexing.features.LabelInterner.encode_vertices`).
         """
         if len(involved) <= 1:
             return RoutePlan(order=tuple(involved))
-        counts = self.query_census(query).counts
         if any(code < 0 for seq in counts for code in seq):
             # a query label the whole collection has never seen: every
             # shard's filter is provably empty; keep the lowest shard

@@ -8,7 +8,7 @@
 * :class:`~repro.service.dispatcher.Dispatcher` — many Ψ races over a
   bounded simulated worker pool, one quantum per tick;
 * :class:`~repro.service.cache.ResultCache` — canonical-form result
-  and plan cache.
+  cache.
 
 The contract that makes the service *testable against the paper's
 machinery*: a query served alone produces bit-for-bit the same
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..graphs import LabeledGraph
+from ..indexing import LabelInterner, coded_path_census
 from ..matching import Budget, MatchOutcome, VF2Matcher
 from ..obs import MetricsRegistry, Tracer
 from ..psi.executors import RaceOutcome
@@ -285,6 +286,22 @@ class _Rewrite:
         self.plan = None
 
 
+class _Scratch:
+    """What one open FTV ticket works out once and every race of it —
+    each shard of the first wave, a deferred wave, a rerouted leg —
+    reuses: the query's path census in the collection's label code
+    space, and its rewritten forms by permutation.  Lives and dies with
+    the open ticket: hung on the query through the prepare cache, the
+    census and the plans would outlive the race inside every cached
+    query and feed the collector."""
+
+    __slots__ = ("counts", "rewrites")
+
+    def __init__(self) -> None:
+        self.counts: Optional[dict] = None
+        self.rewrites: dict[tuple, _Rewrite] = {}
+
+
 class _ShardsDark(Exception):
     """Raised while building a fan-out whose plan needs a shard that
     has no serving replica left — the service degrades the ticket."""
@@ -306,7 +323,6 @@ class Service:
         self,
         workers: int = 4,
         admission: Optional[AdmissionController] = None,
-        plan_seeding: bool = False,
         coalesce: bool = True,
         shards: int = 1,
         replicas: int = 1,
@@ -340,20 +356,17 @@ class Service:
         self.admission = admission or AdmissionController()
         self.cache = ResultCache()
         self.dispatcher = Dispatcher(workers=workers, pools=pools)
-        #: race the plan cache's winning variant plus one challenger
-        #: instead of the full variant set on near-miss canonical hits
-        self.plan_seeding = plan_seeding
         #: attach identical in-flight canonical keys to the running
         #: race's ticket instead of racing twice
         self.coalesce = coalesce
         self._verifier = VF2Matcher()
         #: ticket.id -> (ticket, entry, options, cache key, variants,
-        #: permutation -> _Rewrite of the races built so far)
+        #: what the races built so far worked out)
         self._open: dict[
             int,
             tuple[
                 Ticket, DatasetEntry, QueryOptions, Optional[tuple],
-                tuple, dict,
+                tuple, _Scratch,
             ],
         ] = {}
         #: cache key -> leader ticket.id of the in-flight race
@@ -593,11 +606,8 @@ class Service:
                 return ticket
         ticket = self.admission.enqueue(ticket)
         if ticket.state is TicketState.QUEUED:
-            race_variants = self._race_variants(
-                ticket, entry, options, key
-            )
             self._open[ticket.id] = (
-                ticket, entry, options, key, race_variants, {}
+                ticket, entry, options, key, variants, _Scratch()
             )
             if key is not None:
                 self._inflight_keys[key] = ticket.id
@@ -615,70 +625,6 @@ class Service:
         return ticket
 
     # ------------------------------------------------------------------
-    # plan-seeded racing
-    # ------------------------------------------------------------------
-
-    def _plan_key(
-        self,
-        ticket: Ticket,
-        entry: DatasetEntry,
-        options: QueryOptions,
-        key: Optional[tuple],
-    ) -> Optional[tuple]:
-        """Near-miss plan key: variant portfolio + canonical form.
-
-        Unlike the result-cache key, budgets and embedding caps are
-        *excluded* — a canonical twin under a different execution
-        context is exactly the near-miss a remembered plan should seed.
-        """
-        if key is None:
-            return None
-        canon = key[1]
-        return (
-            ticket.dataset,
-            entry.scale,
-            entry.kind,
-            options.variants(entry.kind),
-            canon,
-            # same mutation-epoch stamp as the result-cache context: a
-            # plan learned against a previous collection state may seed
-            # a variant subset the grown collection would not pick
-            self._collection_epoch(),
-        )
-
-    def _race_variants(
-        self,
-        ticket: Ticket,
-        entry: DatasetEntry,
-        options: QueryOptions,
-        key: Optional[tuple],
-    ) -> tuple:
-        """The variant set this ticket will actually race.
-
-        With ``plan_seeding`` on and a plan-cache hit, the race shrinks
-        to (cached winner, one challenger) — the winner declared first,
-        so it keeps ties, mirroring the warm thread the paper's
-        framework would reuse; the challenger, which keeps the seeded
-        race honest, is the first other variant in declaration order.
-        Without a plan the full set races.  The seeded race's winner
-        and per-variant charges are bit-for-bit what
-        :func:`interleaved_race` produces for that subset — seeding
-        changes membership, never mechanics.
-        """
-        full = options.variants(entry.kind)
-        if not self.plan_seeding or len(full) <= 2:
-            return full
-        plan = self.cache.plan_for(
-            self._plan_key(ticket, entry, options, key)
-        )
-        if plan is None or plan not in full:
-            return full
-        ticket.plan_seeded = True
-        self.admission.plan_seeded.inc()
-        challengers = [v for v in full if v != plan]
-        return (plan, *challengers[:1])
-
-    # ------------------------------------------------------------------
     # engines
     # ------------------------------------------------------------------
 
@@ -692,14 +638,12 @@ class Service:
     ) -> tuple[RaceTask, dict]:
         """Engines + RaceTask for one admitted ticket.
 
-        ``variants`` is the set chosen at submit time — the full
-        portfolio, or a plan-seeded subset.  ``id_map``
+        ``variants`` is the portfolio fixed at submit time.  ``id_map``
         translates shard-local graph ids to global ids (None =
         identity) so the FTV sweep can bill verification steps to the
         right global graph.  Every FTV race of one ticket — each shard
         of the first wave, a deferred wave, a rerouted leg — is built
-        over the open ticket's one dict of rewritten queries (see
-        :meth:`_ftv_engines`).
+        from the open ticket's one :class:`_Scratch`.
         """
         budget = Budget(max_steps=ticket.budget_steps)
         if entry.kind == "nfv":
@@ -723,9 +667,7 @@ class Service:
             }
         else:
             engines = self._ftv_engines(
-                entry, ticket.query, options, variants,
-                self._open[ticket.id][5],
-                dataset=ticket.dataset, id_map=id_map,
+                entry, ticket, options, variants, id_map
             )
         race = RaceTask(
             engines, budget=budget, quantum=self.dispatcher.quantum
@@ -767,7 +709,11 @@ class Service:
             and len(involved) > 1
         ):
             plan = entry.router.plan(
-                ticket.query, involved, options.decision_only
+                self._census(
+                    ticket, entry.interner, entry.max_path_length
+                ),
+                involved,
+                options.decision_only,
             )
             self.routed_queries.inc()
             self.shards_pruned.inc(len(plan.pruned))
@@ -819,35 +765,58 @@ class Service:
         )
         return race, id_map
 
+    def _census(
+        self, ticket: Ticket, interner: LabelInterner, max_path_length: int
+    ) -> dict:
+        """The ticket's query census (feature -> count), taken once.
+
+        ``interner`` is the collection's one label code space — the
+        sharded entry's, which every shard and replica index shares —
+        so the counts taken for the route plan are the counts every
+        shard's trie is probed with, whichever race of the ticket asks
+        first.  A mutation is the only thing that extends the interner
+        and applies only while no ticket is open, so no census is ever
+        older than the codes it is read against.
+        """
+        scratch = self._open[ticket.id][5]
+        if scratch.counts is None:
+            query = ticket.query
+            scratch.counts = coded_path_census(
+                query,
+                max_path_length,
+                interner.encode_vertices(query.labels),
+            ).counts
+        return scratch.counts
+
     def _ftv_engines(
         self,
         entry: DatasetEntry,
-        query: LabeledGraph,
+        ticket: Ticket,
         options: QueryOptions,
         variants: tuple,
-        rewrites: dict,
-        dataset: Optional[str] = None,
         id_map: Optional[tuple] = None,
     ) -> dict:
         """One composite engine per rewriting, sweeping all candidates.
 
         The paper's PsiFTV races per candidate pair; the service races
-        whole decision sweeps (filter once, verify candidates in ID
-        order) so a query is one schedulable race like any other.
+        whole decision sweeps (probe the index with the ticket's
+        census, verify candidates in ID order) so a query is one
+        schedulable race like any other.
 
-        ``rewrites`` maps a permutation to the ticket's
-        :class:`_Rewrite` under it.  A rewriting is a function of the
-        query and this partition's label statistics, so across a
-        ticket's shards (and between variants) it mostly lands on a
-        permutation already taken: that rewritten graph, its frozen
-        kernel and its VF2 plan are then shared instead of rebuilt.
-        The dict lives and dies with the open ticket — hung on the
-        query through the prepare cache, the plans would outlive the
-        race inside every cached query and feed the collector.
+        A rewriting is a function of the query and this partition's
+        label statistics, so across a ticket's shards (and between
+        variants) it mostly lands on a permutation already taken: that
+        rewritten graph, its frozen kernel and its VF2 plan are then
+        shared, through the ticket's :class:`_Scratch`, instead of
+        rebuilt.
         """
         index = entry.ftv_index
         assert index is not None
-        candidates = index.filter(query)
+        query = ticket.query
+        candidates = index.probe(
+            self._census(ticket, index.interner, index.max_path_length)
+        )
+        rewrites = self._open[ticket.id][5].rewrites
         engines = {}
         for variant in variants:
             perm = make_rewriting(variant.rewriting).permutation(
@@ -862,7 +831,7 @@ class Service:
                 )
             engines[variant] = self._ftv_sweep(
                 index, rewrite, list(candidates),
-                options.decision_only, dataset, id_map,
+                options.decision_only, ticket.dataset, id_map,
             )
         return engines
 
@@ -2077,11 +2046,11 @@ class Service:
                 # a sibling shard's first-true decision already settled
                 # this ticket earlier in the tick; drop the late outcome
                 continue
-            ticket, entry, options, key, _, _ = self._open[tid]
+            ticket, _, options, key, _, _ = self._open[tid]
             merged = self._on_shard_done(tid, shard, outcome, options)
             if merged is None:
                 continue
-            self._finalize(ticket, merged, key, entry, options)
+            self._finalize(ticket, merged, key)
             del self._open[tid]
             completed.append(ticket)
             completed.extend(self._resolve_followers(tid, ticket.result))
@@ -2093,8 +2062,6 @@ class Service:
         ticket: Ticket,
         race: RaceOutcome,
         key: Optional[tuple],
-        entry: DatasetEntry,
-        options: QueryOptions,
     ) -> None:
         outcome = race.outcome
         matching = (
@@ -2132,12 +2099,6 @@ class Service:
                 matching_ids=matching,
             )
             self.cache.store(key, cached)
-            # the plan is remembered under the *full* portfolio key,
-            # whether this race was seeded or not: the latest winner
-            # seeds the next near-miss
-            self.cache.store_plan(
-                self._plan_key(ticket, entry, options, key), race.winner
-            )
             self.tracer.event(ticket.id, "cache_store", self.clock)
         self.tracer.finish(
             ticket.id,

@@ -71,6 +71,7 @@ from ..harness import (
     build_ftv_graphs,
     build_nfv_graph,
 )
+from ..indexing import LabelInterner
 from ..matching import MatchOutcome
 from ..psi.executors import RaceOutcome
 from ..rewriting import LabelStats
@@ -179,6 +180,11 @@ class ShardedEntry:
     #: the single shard holding an NFV entry's stored graph
     home_shard: int
     _catalog: "ShardedCatalog"
+    #: the collection's one label code space (FTV entries only): every
+    #: shard and replica index, the router's sketches, the store's
+    #: index blobs and each ticket's query census are coded in this
+    #: object, which only a mutation ever extends
+    interner: Optional[LabelInterner] = None
     #: per-shard sketch router (FTV entries only; None = unroutable)
     router: Optional[ShardRouter] = None
     #: removed (tombstoned) global graph ids — slots keep their shard
@@ -461,7 +467,7 @@ class ShardedCatalog:
                     f"re-loading with {config}"
                 )
             return existing
-        record = graphs = None
+        record = graphs = interner = None
         if self.store is not None:
             record, graphs = self._store_lookup(
                 name, scale, tuple(algorithms), ftv_method,
@@ -505,25 +511,37 @@ class ShardedCatalog:
                     stored=stored,
                 )
             elif kind == "ftv":
-                if _valid_assignment(
+                if not _valid_assignment(
                     stored, self.num_shards, len(graphs)
                 ):
-                    assignment = tuple(
-                        tuple(int(g) for g in ids) for ids in stored
-                    )
-                    self._store_records[name] = record
-                else:
                     self.store.misses += 1
                     self.store._event(
                         "assignment_mismatch", dataset=name,
                         stored=stored,
                     )
+                else:
+                    from ..store import StoreError
+
+                    try:
+                        interner = self.store.load_interner(name, graphs)
+                    except StoreError:
+                        # a refused label table (counted and logged by
+                        # the reader): the blobs coded in it are not
+                        # read, the record is not honored
+                        pass
+                    else:
+                        assignment = tuple(
+                            tuple(int(g) for g in ids) for ids in stored
+                        )
+                        self._store_records[name] = record
             elif stored != [list(ids) for ids in assignment]:
                 self.store.misses += 1
                 self.store._event(
                     "assignment_mismatch", dataset=name,
                     stored=stored,
                 )
+        if kind == "ftv" and interner is None:
+            interner = LabelInterner(g.labels for g in graphs)
         entry = ShardedEntry(
             name=name,
             scale=scale,
@@ -533,6 +551,7 @@ class ShardedCatalog:
             assignment=assignment,
             home_shard=home,
             _catalog=self,
+            interner=interner,
         )
         entry._load_config = config
         entry._register_config = (
@@ -684,6 +703,7 @@ class ShardedCatalog:
                     entry.name, part, shard=shard,
                     ftv_method=ftv_method,
                     max_path_length=max_path_length,
+                    interner=entry.interner,
                 )
             except StoreError:
                 self.store.rebuilds += 1
@@ -717,6 +737,7 @@ class ShardedCatalog:
             ftv_method=ftv_method,
             max_path_length=max_path_length,
             prebuilt_index=index,
+            interner=entry.interner,
         )
         self._reapply_tombstones(entry, shard, catalog, sub)
         return sub
@@ -841,7 +862,7 @@ class ShardedCatalog:
         subs = self._distinct_shard_entries(entry, shard)
         # the newcomer's trie rows, as the first partition to index it
         # reports them: every distinct partition indexes the same
-        # graphs in the same code space, so any one has its counts
+        # graphs in the entry's one interner, so any one has its counts
         source = subs[0][1].ftv_index
         rows: list = []
         for catalog, sub in subs:

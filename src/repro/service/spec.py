@@ -268,7 +268,6 @@ class EngineSpec(Section):
     workers: int = 4
     algorithms: tuple[str, ...] = ("GQL", "SPA")
     rewritings: tuple[str, ...] = ("Orig", "DND")
-    plan_seeding: bool = False
     coalesce: bool = True
 
     _PATH = "engine"
@@ -276,7 +275,6 @@ class EngineSpec(Section):
         "workers": check_int(1),
         "algorithms": check_tuple(_algorithm, nonempty=True),
         "rewritings": check_tuple(_rewriting, nonempty=True),
-        "plan_seeding": check_bool,
         "coalesce": check_bool,
     }
 
@@ -449,7 +447,6 @@ class ServiceSpec(Section):
         service = Service(
             workers=e.workers,
             admission=AdmissionController(default_policy=self._policy()),
-            plan_seeding=e.plan_seeding,
             coalesce=e.coalesce,
             shards=t.shards,
             replicas=t.replicas,

@@ -14,20 +14,19 @@ mutation journal's records share, as canonical JSON under zlib
 A warm FTV index is its trie's postings in columns
 (:data:`INDEX_CODEC`): one line of canonical JSON (``kind``,
 ``codec``, ``method``, ``max_path_length``, the byte length of each
-column, and ``labels``/``tombstones`` when the collection was mutated)
-followed by the columns of :data:`INDEX_COLUMNS` back to back, the
-whole under zlib.  Rows are sorted by coded path and postings by graph
+column, and ``tombstones`` when graphs were removed) followed by the
+columns of :data:`INDEX_COLUMNS` back to back, the whole under zlib.  Rows are sorted by coded path and postings by graph
 id; a location set is written as the little-endian bytes of the vertex
 bitmask the posting already holds, never as a list of vertex ids.
 Restoring installs each row on its trie node directly
 (:meth:`repro.indexing.base.FTVIndex._restore`) — crucially *not*
 through ``SuffixTrie.insert``, whose suffix expansion would double
-count rows the dump already enumerates.  Label codes are not stored
-for an unmutated collection: the
-:class:`~repro.indexing.features.LabelInterner` assigns codes
-deterministically from the sorted label set of the restored graphs,
-so a coded dump made against the same graphs decodes against the
-freshly derived interner bit-for-bit.
+count rows the dump already enumerates.  The rows are written in the
+label codes of the collection the index belongs to — its one
+:class:`~repro.indexing.features.LabelInterner`, which the dataset
+record stores once (``labels``, the code order) for all of the
+collection's index blobs — and are decoded into whichever interner the
+caller hands :func:`decode_index`; the payload itself names no label.
 
 Compatibility is per payload tag.  A blob whose tag this module does
 not write fails :func:`decode_index` as :class:`CodecError`, which the
@@ -45,7 +44,7 @@ from itertools import accumulate, chain, repeat
 from operator import lt
 
 from ..graphs.io import graph_from_json, graph_to_json
-from ..indexing import GGSXIndex, GrapesIndex, LabelInterner, Posting
+from ..indexing import FTV_INDEX_CLASSES, Posting
 from .blobs import StoreError
 
 __all__ = [
@@ -63,7 +62,7 @@ __all__ = [
 CODEC = "json+zlib/1"
 
 #: warm-index payload format tag
-INDEX_CODEC = "columns+zlib/2"
+INDEX_CODEC = "columns+zlib/3"
 
 #: The index body, in order: ``(column, struct item code)``, every item
 #: little-endian and unsigned.  Per row (one trie node that carries
@@ -204,21 +203,8 @@ def encode_index(index) -> bytes:
             for (name, _), column in zip(INDEX_COLUMNS, columns)
         },
     }
-    # mutated-collection state, emitted only when it diverges from
-    # what a fresh restore would derive — an unmutated index encodes
-    # to the exact same bytes (and content address) either way
     if index.tombstones:
         header["tombstones"] = sorted(index.tombstones)
-    fresh = LabelInterner(g.labels for g in index.graphs)
-    if fresh.code_of != index.interner.code_of:
-        # incremental adds *append* codes for novel labels; a restore
-        # that re-derived codes from the sorted label set would decode
-        # the coded postings against the wrong assignment, so the
-        # dump pins the live code order explicitly
-        header["labels"] = sorted(
-            index.interner.code_of,
-            key=index.interner.code_of.get,
-        )
     return zlib.compress(
         b"".join([_canonical_json(header), b"\n", *columns]),
         _INDEX_ZLIB_LEVEL,
@@ -304,16 +290,23 @@ def _decode_rows(header: dict, body: bytes, num_graphs: int) -> list:
 
 
 def decode_index(
-    data: bytes, graphs, ftv_method: str, max_path_length: int
+    data: bytes, graphs, ftv_method: str, max_path_length: int,
+    interner=None,
 ):
     """Reconstruct a warm FTV index from a verified blob.
+
+    ``interner`` is the label code space the rows were written in — the
+    collection's, which the restored index then shares; without one the
+    index interns the sorted label set of ``graphs``, which is that
+    code space for a collection no add ever brought a label to.
 
     The payload's method and path length must match the requested
     configuration — a mismatch means the manifest lied about this blob
     (or the blob was swapped), so it surfaces as :class:`CodecError`
     and the caller quarantines + rebuilds.  So does a blob of any other
     format generation, a column that disagrees with its neighbours,
-    and a posting for a graph the partition does not hold.
+    a posting for a graph the partition does not hold and a path over a
+    label code the interner does not assign.
     """
     try:
         head, _, body = zlib.decompress(data).partition(b"\n")
@@ -332,30 +325,22 @@ def decode_index(
             f"{header.get('max_path_length')!r}"
             f" != requested {max_path_length}"
         )
-    cls = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}.get(ftv_method)
+    cls = FTV_INDEX_CLASSES.get(ftv_method)
     if cls is None:
         raise CodecError(f"unknown FTV method {ftv_method!r}")
+    rows = _decode_rows(header, body, len(graphs))
     index = cls(
         graphs,
         max_path_length=max_path_length,
-        restore=_decode_rows(header, body, len(graphs)),
+        restore=rows,
+        interner=interner,
     )
-    labels = header.get("labels")
-    if labels is not None:
-        # the dump was coded against an incrementally extended
-        # interner; install its exact code order (restore itself never
-        # consults the interner, so a post-construction swap is safe)
-        try:
-            interner = LabelInterner([])
-            interner.code_of = {
-                lab: code for code, lab in enumerate(labels)
-            }
-        except TypeError as exc:
-            raise CodecError(
-                f"index payload labels malformed: {exc}"
-            ) from exc
-        index.interner = interner
-        index._invalidate_censuses()
+    top = max(chain.from_iterable(path for path, _ in rows), default=-1)
+    if top >= len(index.interner):
+        raise CodecError(
+            f"index blob paths use label code {top}; the collection "
+            f"assigns {len(index.interner)}"
+        )
     tombstones = header.get("tombstones")
     if tombstones:
         try:

@@ -14,6 +14,9 @@ deleted blob         :class:`BlobMissing`        rebuild
 undecodable blob,    :class:`CodecError` over    quarantine + rebuild
 or one of another    checksummed bytes
 format generation
+malformed label      ``labels`` not a list of    miss; no index blob
+table in a record    distinct labels covering    read; fresh warm
+                     the restored graphs
 manifest torn        :class:`ManifestError`      quarantine; store
                                                  reads as absent
 manifest version     :class:`StoreVersionSkew`   quarantine; store
@@ -35,8 +38,10 @@ from __future__ import annotations
 
 import logging
 import os
+from itertools import chain
 from typing import Optional
 
+from ..indexing import LabelInterner
 from .blobs import (
     BlobCorrupt,
     BlobMissing,
@@ -238,6 +243,42 @@ class StoreReader:
             )
         return graphs
 
+    def load_interner(self, name: str, graphs) -> Optional[LabelInterner]:
+        """The label code space of collection ``name`` — the one its
+        index blobs' rows are written in — from the record's
+        ``labels``, the labels in code order.
+
+        ``None`` for a record written before the table was (its index
+        blobs are of an older format generation and fail their tag
+        check one by one).  A table that is anything but a list of
+        pairwise distinct labels covering every label of ``graphs`` is
+        refused whole — a miss, logged as ``labels_mismatch``, raised
+        as :class:`StoreError` — because rows decoded through a
+        half-right table would filter wrong without failing.
+        """
+        rec = self.dataset_record(name)
+        labels = None if rec is None else rec.get("labels")
+        if labels is None:
+            return None
+        try:
+            sound = (
+                isinstance(labels, list)
+                and len(set(labels)) == len(labels)
+                and set(labels).issuperset(
+                    chain.from_iterable(g.labels for g in graphs)
+                )
+            )
+        except TypeError:  # an unhashable entry
+            sound = False
+        if not sound:
+            self.misses += 1
+            self._event("labels_mismatch", dataset=name, labels=labels)
+            raise StoreError(
+                f"label table of {name!r} is not a list of distinct "
+                "labels covering the restored graphs"
+            )
+        return LabelInterner.from_code_order(labels)
+
     def load_index(
         self,
         name: str,
@@ -246,9 +287,12 @@ class StoreReader:
         shard: Optional[int] = None,
         ftv_method: str,
         max_path_length: int,
+        interner: Optional[LabelInterner] = None,
     ):
         """A warm FTV index restored from its blob (shard-scoped when
-        ``shard`` is given; the unsharded blob key is ``"*"``)."""
+        ``shard`` is given; the unsharded blob key is ``"*"``), sharing
+        ``interner`` — :meth:`load_interner`'s, the code space the
+        blob's rows are in."""
         rec = self.dataset_record(name)
         if rec is None:
             raise StoreMissing(f"dataset {name!r} not in store")
@@ -261,7 +305,9 @@ class StoreReader:
         what = "index" if shard is None else f"index:{shard}"
         data = self._load_blob(ref, what=what, dataset=name)
         return self._decode(
-            lambda d: decode_index(d, graphs, ftv_method, max_path_length),
+            lambda d: decode_index(
+                d, graphs, ftv_method, max_path_length, interner
+            ),
             data, ref, what=what, dataset=name,
         )
 

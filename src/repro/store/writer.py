@@ -156,6 +156,7 @@ class StoreWriter:
                 graphs=entry.graphs,
             )
             if entry.kind == "ftv":
+                rec["labels"] = entry.ftv_index.interner.labels()
                 rec["indexes"]["*"] = self.blobs.put(
                     encode_index(entry.ftv_index)
                 ).as_dict()
@@ -199,6 +200,7 @@ class StoreWriter:
                 # their local projections)
                 rec["tombstones"] = sorted(entry.tombstones)
             if entry.kind == "ftv":
+                rec["labels"] = entry.interner.labels()
                 for shard in entry.involved_shards():
                     sub = entry.shard_entry(shard)
                     rec["indexes"][str(shard)] = self.blobs.put(

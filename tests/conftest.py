@@ -15,6 +15,13 @@ def canonical_embeddings(embeddings):
     return sorted(tuple(sorted(e.items())) for e in embeddings)
 
 
+def relabelled(graph, label):
+    """``graph`` with vertex 0 carrying ``label`` instead of its own."""
+    return LabeledGraph.from_edges(
+        [label] + list(graph.labels[1:]), graph.edges()
+    )
+
+
 def random_query_from(graph, num_edges, seed):
     """A connected query grown from ``graph`` (always satisfiable)."""
     return extract_query(graph, num_edges, random.Random(seed))

@@ -6,10 +6,14 @@ reference to a file that does not exist or a symbol that is not
 defined in it — which is what keeps the architecture docs honest as
 the code moves.  The docs and the ``src/`` docstrings also cite CI jobs
 by name (``scenario-matrix``, the ``*-smoke`` jobs); a cited job must be
-a job of ``.github/workflows/ci.yml``, and a store payload tag quoted
-in ``docs/STORE.md`` must be one ``repro.store.codec`` writes.  The CI
-``docs`` job runs exactly this file.
+a job of ``.github/workflows/ci.yml``, a store payload tag quoted
+in ``docs/STORE.md`` must be one ``repro.store.codec`` writes, and a
+``--flag`` the prose attributes to a ``repro`` subcommand must be an
+option of that subcommand's parser.  The CI ``docs`` job runs exactly
+this file.
 """
+
+import argparse
 
 import re
 from pathlib import Path
@@ -118,3 +122,121 @@ def test_store_doc_quotes_only_payload_tags_the_codec_writes():
         f"only in docs/STORE.md {sorted(quoted - exported)}, "
         f"only in the codec {sorted(exported - quoted)}"
     )
+
+
+# ----------------------------------------------------------------------
+# CLI flags the prose attributes to a ``repro`` subcommand
+# ----------------------------------------------------------------------
+
+def subcommand_flags() -> dict:
+    """``"serve"`` / ``"scenario run"`` / ... -> the ``--options`` of
+    that subcommand's parser, read off ``repro.cli.build_parser``."""
+    from repro.cli import build_parser
+
+    out = {}
+
+    def walk(parser, path):
+        if path:
+            out[" ".join(path)] = {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+                if option.startswith("--")
+            }
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, path + [name])
+
+    walk(build_parser(), [])
+    return out
+
+
+INLINE_CODE = re.compile(r"`([^`\n]+)`")
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _command_of(words: list, commands: dict):
+    """The longest subcommand path ``words`` spell right after
+    ``repro`` — or at their very start, as in ``serve --listen``."""
+    starts = [i + 1 for i, w in enumerate(words) if w == "repro"] or [0]
+    for start in starts:
+        for length in (2, 1):
+            path = " ".join(words[start:start + length])
+            if path in commands:
+                return path
+    return None
+
+
+def dangling_flags(text: str, commands: dict) -> list:
+    """``(subcommands, --flag)`` for every flag ``text`` attributes to
+    a ``repro`` subcommand that has no such option.
+
+    A code span or a fenced line that spells a subcommand attributes
+    its flags to that subcommand.  A code span that *is* a flag
+    (``--shards N``) is attributed to the subcommands the document
+    spells anywhere; any of them may own it.  A span that starts with
+    something else — another program's command line — is not ours.
+    """
+    fenced = [
+        line
+        for block in FENCE.findall(text)
+        for line in block.replace("\\\n", " ").splitlines()
+    ]
+    spans = INLINE_CODE.findall(FENCE.sub("", text)) + fenced
+    explicit, bare = [], []
+    for span in spans:
+        words = span.replace("<", " ").replace(">", " ").split()
+        if not words:
+            continue
+        command = _command_of(words, commands)
+        if command is not None:
+            explicit.append((command, span))
+        elif words[0].startswith("--"):
+            bare.append(span)
+    named = sorted({command for command, _ in explicit})
+    out = [
+        ((command,), flag)
+        for command, span in explicit
+        for flag in FLAG.findall(span)
+        if flag not in commands[command]
+    ]
+    if named:
+        known = set().union(*(commands[c] for c in named))
+        out += [
+            (tuple(named), flag)
+            for span in bare
+            for flag in FLAG.findall(span)
+            if flag not in known
+        ]
+    return out
+
+
+def test_every_flag_the_docs_attribute_to_a_subcommand_exists():
+    """A flag deleted from the CLI must take its prose with it."""
+    commands = subcommand_flags()
+    assert "--shards" in commands["serve"], "parser walk found nothing"
+    assert "--json" in commands["scenario run"]
+    dangling = [
+        f"{doc.name}: {flag} is no option of repro {' / '.join(owners)}"
+        for doc in DOC_FILES
+        for owners, flag in dangling_flags(doc.read_text(), commands)
+    ]
+    assert dangling == []
+
+
+def test_the_flag_check_sees_a_deleted_and_a_misattributed_flag():
+    commands = subcommand_flags()
+    prose = (
+        "Serve with `repro serve --shards 2`; racing can be seeded\n"
+        "(`--no-such-seeding`), stores verified (`repro warm --listen`)"
+        ".\n```\npython -m repro serve --dataset ppi \\\n"
+        "    --gone-flag\npython3 other/tool.py --not-ours\n```\n"
+        "`other/tool.py --quick` and `--verify` are fine.\n"
+    )
+    assert sorted(dangling_flags(prose, commands)) == [
+        (("serve",), "--gone-flag"),
+        (("serve", "warm"), "--no-such-seeding"),
+        (("warm",), "--listen"),
+    ]

@@ -1,7 +1,7 @@
 """Equivalence proofs for the filter-phase fast path.
 
 The filter rework (interned feature codes, bitset posting lists,
-memoized query censuses, plan-seeded racing, request coalescing) must
+memoized query censuses, request coalescing) must
 not move a single number — mirroring ``test_executor_equivalence.py``
 for the execution fast path.  These tests check, over corpora of random
 collections and queries, that
@@ -13,9 +13,7 @@ collections and queries, that
   sets — sorted and duplicate-free regardless of posting order;
 * the census memo (per instance and per canonical form) never changes
   a filter or relevant-components answer;
-* plan-seeded races are bit-for-bit the interleaved race of the seeded
-  variant subset, and coalesced followers inherit their leader's race
-  verbatim;
+* coalesced followers inherit their leader's race verbatim;
 * a catalog holds what it loaded until it is told to unload it.
 """
 
@@ -408,94 +406,6 @@ class TestCensusMemo:
         for query in (q, twin, q):
             report = index.verify(query, 0, budget)
             assert report.matched
-
-
-class TestPlanSeededRaces:
-    @pytest.fixture(scope="class")
-    def served(self):
-        from repro.harness import build_nfv_graph
-        from repro.service import (
-            AdmissionController,
-            QueryOptions,
-            Service,
-            TenantPolicy,
-        )
-
-        store = build_nfv_graph("yeast", "tiny")
-        opts = QueryOptions(
-            algorithms=("GQL", "SPA"), rewritings=("Orig", "DND")
-        )
-        svc = Service(
-            workers=4,
-            plan_seeding=True,
-            admission=AdmissionController(
-                default_policy=TenantPolicy(step_budget=60_000)
-            ),
-        )
-        svc.load_dataset("yeast", scale="tiny")
-        return store, opts, svc
-
-    def _near_miss(self, svc, store, opts, seed, budget):
-        """Warm the plan cache, then submit a twin under a new budget."""
-        q = extract_query(store, 6, random.Random(seed))
-        twin = permuted_instance(q, random.Random(seed + 77))
-        svc.submit("yeast", q, options=opts)
-        svc.run_until_idle()
-        ticket = svc.submit(
-            "yeast", twin, options=opts, budget_steps=budget
-        )
-        svc.run_until_idle()
-        return twin, ticket
-
-    def test_seeded_race_is_winner_plus_challenger(self, served):
-        store, opts, svc = served
-        _, ticket = self._near_miss(svc, store, opts, seed=1, budget=50_000)
-        assert ticket.plan_seeded and not ticket.cache_hit
-        assert len(dict(ticket.result.per_variant_steps)) == 2
-
-    def test_seeded_race_bit_for_bit_vs_interleaved(self, served):
-        """Seeding changes race membership, never race mechanics."""
-        store, opts, svc = served
-        psi = svc.catalog.get("yeast").psi
-        for seed in range(2, 6):
-            twin, ticket = self._near_miss(
-                svc, store, opts, seed=seed, budget=50_000
-            )
-            assert ticket.plan_seeded
-            pair = tuple(v for v, _ in ticket.result.per_variant_steps)
-            ref = psi.race(
-                twin,
-                pair,
-                budget=Budget(max_steps=50_000),
-                max_embeddings=opts.max_embeddings,
-                count_only=opts.count_only,
-            )
-            assert ticket.result.winner == ref.winner
-            assert ticket.result.steps == ref.steps
-            assert dict(ticket.result.per_variant_steps) == (
-                ref.race.per_variant_steps
-            )
-
-    def test_seeded_answer_matches_full_race_answer(self, served):
-        """found/num_embeddings are decision answers: subset-invariant."""
-        store, opts, svc = served
-        psi = svc.catalog.get("yeast").psi
-        twin, ticket = self._near_miss(svc, store, opts, seed=6, budget=50_000)
-        full = psi.race(
-            twin,
-            opts.variants("nfv"),
-            budget=Budget(max_steps=50_000),
-            max_embeddings=opts.max_embeddings,
-            count_only=opts.count_only,
-        )
-        assert ticket.result.found == full.found
-
-    def test_plan_metrics_surface(self, served):
-        _, _, svc = served
-        metrics = svc.cache.as_metrics()
-        assert metrics["plan_hits"] > 0
-        assert metrics["plan_entries"] > 0
-        assert svc.admission.stats()["plan_seeded"] > 0
 
 
 class TestCoalescing:

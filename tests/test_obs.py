@@ -163,7 +163,6 @@ FLAT_COUNTERS = {
     ("admission", "admitted"): "admission.admitted",
     ("admission", "rejected"): "admission.rejected",
     ("admission", "coalesced"): "admission.coalesced",
-    ("admission", "plan_seeded"): "admission.plan_seeded",
     ("admission", "queued"): "admission.queued",
     ("admission", "in_flight"): "admission.in_flight",
 }

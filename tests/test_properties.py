@@ -19,9 +19,10 @@ grown from them, then assert the library's fundamental contracts:
   (``tests/_nfv_recursive.py``), and are killed where those are;
 * race outcomes equal the per-variant minimum;
 * a Grapes or GGSX index that lived through a random add / remove /
-  re-add sequence comes back from ``decode_index(encode_index(ix))``
-  with the same postings, tombstones and label code order, re-encodes
-  to the same bytes and filters to the same candidates; and its trie,
+  re-add sequence comes back from ``decode_index(encode_index(ix))``,
+  given its label code order, with the same postings and tombstones,
+  re-encodes to the same bytes and filters to the same candidates; and
+  its trie,
   resealed only where a mutation unsealed it, answers ``mask_ge`` as
   the posting maps say at every node and threshold;
 * along such a sequence, after every step: each threshold table a
@@ -33,15 +34,23 @@ grown from them, then assert the library's fundamental contracts:
   has bucket for bucket the bits of a fold off a walk of the trie, its
   ``features`` is the trie's, and a ``refresh`` only tightens it;
 * the mutated index filters generated queries to the candidates an
-  index rebuilt from the live graphs does.
+  index rebuilt from the live graphs does;
+* whatever the shard count, the assignment and the add / remove /
+  re-add stream — newcomers bringing labels new to a shard, to the
+  collection or to neither — the shard indexes of a sharded catalog
+  share one interner, together filter to the global ids one unsharded
+  index fed the same stream does, and a store round trip of that state
+  restores every index and agrees.
 """
 
 import random
+import tempfile
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import LabeledGraph, disjoint_union
+from repro.harness import build_ftv_graphs
 from repro.indexing import (
     GGSXIndex,
     GrapesIndex,
@@ -67,6 +76,8 @@ from repro.matching.masks import mask_ge
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.service.routing import ShardRouter
+from repro.service.sharding import ShardedCatalog
+from repro.store import StoreWriter
 from repro.store.codec import decode_index, encode_index, index_method
 from repro.workload import extract_query
 
@@ -591,17 +602,19 @@ def _mutate(draw, index, graph):
 
 
 @st.composite
-def base_indexes(draw):
+def base_indexes(draw, interner=None):
     """A fresh Grapes or GGSX index and the strategy its newcomers
     come from.  Base graphs and newcomers are small connected ``ABC``
     graphs or sparse ``ABCDE`` ones of up to 90 vertices, so newcomers
     bring labels the interner has to append and location masks span
-    several bytes."""
+    several bytes.  ``interner`` is the code space to build in, as a
+    collection hands its own to each of its indexes."""
     cls = draw(st.sampled_from([GrapesIndex, GGSXIndex]))
     graph = st.one_of(stores(), sparse_graphs())
     index = cls(
         draw(st.lists(graph, min_size=1, max_size=3)),
         max_path_length=draw(st.integers(min_value=1, max_value=3)),
+        interner=interner,
     )
     if draw(st.booleans()):
         index.warm()
@@ -632,15 +645,17 @@ def _postings(index):
 @settings(max_examples=60, deadline=None)
 def test_index_codec_round_trips_a_mutated_index(index, queries):
     blob = encode_index(index)
+    # the rows name label codes and the blob no label: the code order
+    # travels beside it, as the dataset record's ``labels`` does
+    interner = LabelInterner.from_code_order(index.interner.labels())
     restored = decode_index(
         blob, list(index.graphs), index_method(index),
-        index.max_path_length,
+        index.max_path_length, interner,
     )
     assert _postings(restored) == _postings(index)
     assert restored.tombstones == index.tombstones
-    assert list(restored.interner.code_of.items()) == list(
-        index.interner.code_of.items()
-    )
+    assert restored.interner is interner
+    assert interner.code_of == index.interner.code_of
     assert encode_index(restored) == blob
     for _, query in queries:
         assert restored.filter(query) == index.filter(query)
@@ -738,7 +753,6 @@ def _walk_fold(router, index, gid=None):
             for seq, postings in index.trie.iter_postings()
             if gid is None or gid in postings
         ),
-        router._recode(index),
         graph_count=1,
         num_buckets=router.num_buckets,
     )
@@ -753,14 +767,13 @@ def test_sketch_folded_from_rows_equals_the_trie_walk_fold(data, elsewhere):
     is the trie's posting-carrying node count after every add (an
     upper bound after a remove), and a ``refresh`` after any sequence
     only ever tightens the sketch."""
-    index, graph = data.draw(base_indexes())
-    # graphs "on other shards" give the router's code space labels in
-    # an order the shard's interner does not have
+    # graphs "on other shards" put labels into the collection's code
+    # space that this shard's graphs do not carry, in an order its own
+    # labels then have to be appended to
+    interner = LabelInterner(g.labels for g in elsewhere)
+    index, graph = data.draw(base_indexes(interner))
     router = ShardRouter(
-        SimpleNamespace(
-            graphs=elsewhere + list(index.graphs),
-            max_path_length=index.max_path_length,
-        ),
+        SimpleNamespace(interner=interner),
         num_buckets=data.draw(st.sampled_from([1, 7, 256])),
     )
     router.refresh(0, index)
@@ -800,24 +813,15 @@ def test_sketch_folded_from_rows_equals_the_trie_walk_fold(data, elsewhere):
 
 
 def _rebuilt(index):
-    """``(live ids, an index built from scratch over those graphs)``.
-    Labels a newcomer appended sit after the older ones whatever their
-    sort order, and a code order picks the canonical direction whose
-    suffixes GGSX counts, so where the two orders disagree the rebuild
-    is given the mutated index's."""
+    """``(live ids, an index built from scratch over those graphs)``,
+    in the mutated index's interner: labels a newcomer appended sit
+    after the older ones whatever their sort order, and a code order
+    picks the canonical direction whose suffixes GGSX counts."""
     live = index.live_ids()
     fresh = type(index)(
-        [index.graphs[gid] for gid in live], index.max_path_length
+        [index.graphs[gid] for gid in live], index.max_path_length,
+        interner=index.interner,
     )
-    order = [
-        lab for lab in index.interner.code_of
-        if lab in fresh.interner.code_of
-    ]
-    if order != list(fresh.interner.code_of):
-        fresh.interner.code_of = {
-            lab: code for code, lab in enumerate(order)
-        }
-        fresh._build()
     return live, fresh
 
 
@@ -842,3 +846,90 @@ def test_a_mutated_index_filters_as_a_rebuilt_one(index, queries):
             ]
         index.warm()
         index._invalidate_censuses()
+
+
+PPI = build_ftv_graphs("ppi", "tiny")
+#: what a newcomer's vertices may be labelled: labels every ``ppi``
+#: graph carries, and three nobody does — sorting before, between and
+#: after them — which are new to the collection the first time one is
+#: added and new to only a shard the next time
+PALETTE = sorted({lab for g in PPI for lab in g.labels})[:3] + [
+    "A!", "L35", "~z",
+]
+
+
+@st.composite
+def newcomers(draw):
+    """A small connected graph over :data:`PALETTE`."""
+    g = draw(stores(max_nodes=9))
+    relabel = dict(zip("ABC", draw(st.permutations(PALETTE))))
+    return LabeledGraph.from_edges(
+        [relabel[lab] for lab in g.labels], g.edges()
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_shard_indexes_of_a_mutated_catalog_filter_as_one_index(data):
+    method, cls = data.draw(
+        st.sampled_from([("Grapes", GrapesIndex), ("GGSX", GGSXIndex)])
+    )
+    shards = data.draw(st.integers(min_value=1, max_value=4))
+    strategy = data.draw(st.sampled_from(["size_balanced", "hash"]))
+    catalog = ShardedCatalog(num_shards=shards, assignment=strategy)
+    entry = catalog.load("ppi", scale="tiny", ftv_method=method)
+    single = cls(list(PPI), max_path_length=entry.max_path_length)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        live, dead = single.live_ids(), sorted(single.tombstones)
+        op = data.draw(st.sampled_from(
+            ["add"] * 2 + ["remove"] * (len(live) > 1)
+            + ["readd"] * bool(dead)
+        ))
+        if op == "remove":
+            gid = data.draw(st.sampled_from(live))
+            single.remove_graph(gid)
+            catalog.remove_graph("ppi", gid)
+            continue
+        graph = data.draw(newcomers())
+        gid = data.draw(st.sampled_from(dead)) if op == "readd" else None
+        shard = data.draw(st.integers(min_value=0, max_value=shards - 1))
+        gid = single.add_graph(graph, gid)
+        assert catalog.add_graph("ppi", graph, shard, gid) == gid
+    assert entry.interner.code_of == single.interner.code_of
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    queries = [
+        extract_query(
+            single.graphs[gid], min(k, single.graphs[gid].size), rng
+        )
+        for gid in single.live_ids()
+        for k in (1, 3)
+        if single.graphs[gid].size
+    ]
+
+    def agrees(some_catalog):
+        some = some_catalog.get("ppi")
+        for shard in some.involved_shards():
+            index = some.shard_entry(shard).ftv_index
+            assert index.interner is some.interner
+        for query in queries:
+            got = sorted(
+                some.assignment[shard][local]
+                for shard in some.involved_shards()
+                for local in some.shard_entry(shard).ftv_index.filter(query)
+            )
+            assert got == single.filter(query)
+
+    agrees(catalog)
+    with tempfile.TemporaryDirectory() as root:
+        StoreWriter(root).write_catalog(catalog)
+        booted = ShardedCatalog(
+            num_shards=shards, assignment=strategy, store=root
+        )
+        booted.load("ppi", scale="tiny", ftv_method=method)
+        blobs = 1 + len(entry.involved_shards())
+        assert booted.store.as_metrics()["restores"] == blobs
+        assert booted.store.rebuilds == booted.store.misses == 0
+        assert booted.get("ppi").interner.labels() == (
+            entry.interner.labels()
+        )
+        agrees(booted)

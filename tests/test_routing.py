@@ -6,15 +6,15 @@ bit-for-bit invariant across {1 shard, N shards unrouted, N shards
 routed, N shards post-rebalance} in full mode, and ``decisions_digest``
 is invariant in decision mode (where witness subsets legitimately
 differ).  The sketch tests are adversarial on purpose: forced bucket
-collisions, labels the collection has never seen and NFV home shards
-must all leave pruning sound.
+collisions, labels the collection has never seen, an index coded in
+another label space and NFV home shards must all leave pruning sound.
 """
 
 import pytest
 
 from repro.graphs import LabeledGraph
 from repro.harness import build_ftv_graphs
-from repro.indexing import GrapesIndex
+from repro.indexing import GrapesIndex, coded_path_census
 from repro.indexing.sketch import (
     SKETCH_TIERS,
     FeatureSketch,
@@ -34,6 +34,8 @@ from repro.service import (
     run_closed_loop,
 )
 from repro.workload import default_tenant_mixes, generate_tenant_stream
+
+from .conftest import relabelled
 
 BUDGET = 60_000
 FTV_OPTS = QueryOptions(rewritings=("Orig", "DND"))
@@ -67,6 +69,16 @@ def ftv_streams(graphs, tenants=2, per_tenant=8, seed=9, repeat=0.3):
         m.tenant: generate_tenant_stream(graphs, m, seed=seed)
         for m in mixes
     }
+
+
+def census_counts(entry, query):
+    """``query``'s census in ``entry``'s label code space — what the
+    service takes once per ticket and hands the router."""
+    return coded_path_census(
+        query,
+        entry.max_path_length,
+        entry.interner.encode_vertices(query.labels),
+    ).counts
 
 
 def run(shards, routing, graphs, options=FTV_OPTS, seed=9, **kw):
@@ -109,8 +121,7 @@ class TestSketch:
                 self.count = count
 
         sketch = FeatureSketch.from_postings(
-            [((0,), {0: P(5)})], recode={0: 0}, graph_count=1,
-            num_buckets=4,
+            [((0,), {0: P(5)})], graph_count=1, num_buckets=4,
         )
         mask = sketch.buckets[bucket_of((0,), 4)]
         # max count 5 -> tiers 1, 2, 4 set; 8 clear
@@ -129,12 +140,10 @@ class TestSketch:
                 self.count = count
 
         rich = FeatureSketch.from_postings(
-            [((0,), {0: P(16)})], recode={0: 0}, graph_count=1,
-            num_buckets=4,
+            [((0,), {0: P(16)})], graph_count=1, num_buckets=4,
         )
         poor = FeatureSketch.from_postings(
-            [((0,), {0: P(2)})], recode={0: 0}, graph_count=1,
-            num_buckets=4,
+            [((0,), {0: P(2)})], graph_count=1, num_buckets=4,
         )
         counts = {(0,): 2}
         assert rich.score(counts) > poor.score(counts)
@@ -167,13 +176,14 @@ class TestSketchSoundness:
         ]
         vetoes = 0
         for query in queries:
-            counts = router.query_census(query).counts
+            counts = census_counts(entry, query)
             for shard in entry.involved_shards():
                 sketch = router.sketches[shard]
                 if sketch.score(counts) is None:
                     vetoes += 1
                     index = entry.shard_entry(shard).ftv_index
                     assert index.filter(query) == []
+                    assert index.probe(counts) == []
         # with one bucket the sketch may veto nothing; with many it
         # may too on this tiny, feature-dense collection — either way
         # every veto that did happen was proven above
@@ -186,7 +196,9 @@ class TestSketchSoundness:
         q = LabeledGraph(3, ["ALIEN-0", "ALIEN-1", "ALIEN-2"])
         q.add_edge(0, 1)
         q.add_edge(1, 2)
-        plan = entry.router.plan(q, entry.involved_shards())
+        plan = entry.router.plan(
+            census_counts(entry, q), entry.involved_shards()
+        )
         assert plan.width == 1
         assert plan.order == (entry.involved_shards()[0],)
         assert set(plan.pruned) == set(entry.involved_shards()[1:])
@@ -205,7 +217,9 @@ class TestSketchSoundness:
         q = LabeledGraph(n, [label] * n)
         for v in range(1, n):
             q.add_edge(0, v)
-        plan = entry.router.plan(q, entry.involved_shards())
+        plan = entry.router.plan(
+            census_counts(entry, q), entry.involved_shards()
+        )
         for shard in plan.pruned:
             index = entry.shard_entry(shard).ftv_index
             assert index.filter(q) == []
@@ -336,9 +350,47 @@ class TestRoutedServing:
         entry = cat.load("ppi", scale="tiny")
         entry.router.sketches.pop(0)
         q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
-        plan = entry.router.plan(q, entry.involved_shards())
+        plan = entry.router.plan(
+            census_counts(entry, q), entry.involved_shards()
+        )
         assert 0 in plan.order
         assert 0 not in plan.pruned
+
+    def test_an_index_in_another_code_space_gets_no_sketch(
+        self, ppi_graphs
+    ):
+        """The fold reads a trie's coded rows as they stand, so an
+        index that codes some label differently than the collection
+        must not be folded at all: ``refresh`` leaves the shard
+        without a sketch and the plan races it.  A standalone build
+        that agrees label for label (every ``ppi`` partition carries
+        all the labels) folds to the very sketch the catalog's did."""
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        router = entry.router
+        part = [entry.graphs[g] for g in entry.assignment[0]]
+        own = router.sketches[0]
+        agreeing = GrapesIndex(part, max_path_length=3)
+        assert agreeing.interner is not entry.interner
+        router.refresh(0, agreeing)
+        assert router.sketches[0].buckets == own.buckets
+        # relabel one vertex: the standalone interner sorts the alien
+        # label first and shifts every code the collection assigns
+        foreign = GrapesIndex(
+            [relabelled(part[0], "!alien")] + part[1:], max_path_length=3
+        )
+        assert (
+            foreign.interner.code_of.items()
+            - entry.interner.code_of.items()
+        )
+        router.refresh(0, foreign)
+        assert 0 not in router.sketches
+        for mq in ftv_streams(ppi_graphs)["tenant0"]:
+            plan = router.plan(
+                census_counts(entry, mq.query.graph),
+                entry.involved_shards(),
+            )
+            assert 0 in plan.order and 0 not in plan.pruned
 
     def test_reassign_mid_wave_raises(self, ppi_graphs):
         """A rebalance violating the quiesce contract while waves are

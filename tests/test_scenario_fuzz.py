@@ -2,7 +2,7 @@
 
 Fifty seeded :func:`repro.scenarios.fuzz.random_scenario` configs
 sweep the axis cross product (shards x replicas x routing x coalesce,
-plus chaos, decision mode, rebalance, plan seeding, tenant counts).
+plus chaos, decision mode, rebalance, tenant counts).
 Each config runs **twice in the same process**; the two
 :class:`ScenarioResult` snapshots must be bit-identical — digests,
 counters, latency summary, and the full service-stats digest.  That

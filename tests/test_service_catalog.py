@@ -176,7 +176,7 @@ class TestWarmUpWork:
         """Every census / accounting call made anywhere in ``src``,
         recorded by what it walked."""
         from repro.indexing import base, ggsx, grapes
-        from repro.service import catalog, routing
+        from repro.service import catalog, service
 
         calls = {"census": [], "bytes": []}
         census = grapes.coded_path_census
@@ -190,7 +190,7 @@ class TestWarmUpWork:
             calls["bytes"].append(obj)
             return walk(obj, *args, **kwargs)
 
-        for module in (base, ggsx, grapes, routing):
+        for module in (base, ggsx, grapes, service):
             monkeypatch.setattr(
                 module, "coded_path_census", counted_census
             )

@@ -27,6 +27,8 @@ from repro.psi.executors import RaceOutcome
 from repro.matching import MatchOutcome
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
+from .conftest import relabelled
+
 BUDGET = 60_000
 FTV_OPTS = QueryOptions(rewritings=("Orig", "DND"))
 
@@ -571,3 +573,152 @@ class TestShardedServiceIntegration:
         )
         assert single.answers == sharded.answers
         assert answers_digest(single.completed) == single.answers
+
+
+# ----------------------------------------------------------------------
+# one label code space per collection, one census per ticket
+# ----------------------------------------------------------------------
+
+def shares_one_interner(catalog, entry):
+    """Every replica's index of every shard, and the router, speak the
+    entry's one interner object."""
+    assert entry.router.interner is entry.interner
+    for shard in entry.involved_shards():
+        for replica in catalog.replica_ids(shard):
+            index = entry.shard_entry(shard, replica).ftv_index
+            assert index.interner is entry.interner
+    return True
+
+
+class TestOneInternerPerCollection:
+    def test_identity_survives_every_way_an_index_is_made(
+        self, ppi_graphs, tmp_path
+    ):
+        from repro.store import StoreWriter
+
+        cat = ShardedCatalog(num_shards=2, replicas=2)
+        entry = cat.load("ppi", scale="tiny")
+        assert entry.interner.labels() == sorted(
+            {lab for g in ppi_graphs for lab in g.labels}
+        )
+        assert shares_one_interner(cat, entry)
+        # an add whose label the collection has never seen: one append,
+        # seen by every index, and the codes already assigned stay put
+        before = dict(entry.interner.code_of)
+        cat.add_graph(
+            "ppi", relabelled(ppi_graphs[0], "~novel"), shard=1
+        )
+        assert entry.interner.code_of == {**before, "~novel": len(before)}
+        assert shares_one_interner(cat, entry)
+        # a rebalance re-registers both partitions from scratch
+        new = [list(ids) for ids in entry.assignment]
+        new[1].append(new[0].pop())
+        assert set(cat.reassign("ppi", new)) == {0, 1}
+        assert shares_one_interner(cat, entry)
+        # a cold boot of that mutated, rebalanced state, and a replica
+        # grown from its store
+        root = str(tmp_path / "store")
+        StoreWriter(root).write_catalog(cat)
+        booted = ShardedCatalog(num_shards=2, replicas=2, store=root)
+        restored = booted.load("ppi", scale="tiny")
+        assert restored.interner.labels() == entry.interner.labels()
+        assert shares_one_interner(booted, restored)
+        booted.add_replica(0)
+        assert booted.store.rebuilds == 0
+        assert shares_one_interner(booted, restored)
+
+    def test_an_empty_shard_registered_by_an_add_codes_its_novel_label(
+        self, ppi_graphs
+    ):
+        """The partition is *built* holding the newcomer: the label it
+        brings must have its code before that build censuses it."""
+        cat = ShardedCatalog(num_shards=len(ppi_graphs) + 1)
+        entry = cat.load("ppi", scale="tiny")
+        empty = entry.assignment.index(())
+        newcomer = relabelled(ppi_graphs[0], "~novel")
+        cat.add_graph("ppi", newcomer, shard=empty)
+        assert "~novel" in entry.interner.code_of
+        assert shares_one_interner(cat, entry)
+        index = entry.shard_entry(empty).ftv_index
+        assert all(
+            code >= 0 for seq, _ in index.trie.iter_postings()
+            for code in seq
+        )
+        query = LabeledGraph(2, ["~novel", newcomer.label(1)])
+        query.add_edge(0, 1)
+        assert newcomer.has_edge(0, 1) == (index.filter(query) == [0])
+
+
+class TestOneCensusPerTicket:
+    @pytest.fixture
+    def censuses(self, monkeypatch):
+        """Every ``coded_path_census`` call any layer makes, by the
+        graph it was taken of."""
+        import repro.indexing.base
+        import repro.indexing.features
+        import repro.service.service
+
+        taken = []
+        real = repro.indexing.features.coded_path_census
+
+        def counting(graph, *args, **kw):
+            taken.append(graph)
+            return real(graph, *args, **kw)
+
+        for module in (repro.indexing.base, repro.service.service):
+            monkeypatch.setattr(module, "coded_path_census", counting)
+        return taken
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("routing", [True, False])
+    @pytest.mark.parametrize("decision_only", [False, True])
+    def test_exactly_one_per_admitted_ticket(
+        self, shards, routing, decision_only, ppi_graphs, censuses
+    ):
+        svc = ftv_service(shards, routing=routing)
+        options = QueryOptions(
+            rewritings=("Orig", "DND"), decision_only=decision_only
+        )
+        report = run_closed_loop(
+            svc, "ppi", ftv_streams(ppi_graphs, per_tenant=8),
+            options=options, concurrency=3,
+        )
+        tickets = report.completed
+        raced = [
+            t for t in tickets
+            if not t.cache_hit and not t.result.coalesced
+        ]
+        assert len(raced) < len(tickets)  # hits and followers happened
+        assert any(t.cache_hit for t in tickets)
+        if shards > 1 and routing and decision_only:
+            assert svc.waves_skipped.value > 0  # waves were staged
+        assert sorted(map(id, censuses)) == sorted(
+            id(t.query) for t in raced
+        )
+
+    def test_a_deferred_wave_and_a_rerouted_leg_reuse_it(
+        self, ppi_graphs, censuses
+    ):
+        svc = ftv_service(2, routing=True, replicas=2)
+        # a query its expected-first-true shard does not settle: the
+        # second wave is built only once the first has come back empty
+        stream = ftv_streams(ppi_graphs, per_tenant=8)["tenant0"]
+        query = stream[3].query.graph
+        staged = svc.submit(
+            "ppi", query,
+            options=QueryOptions(
+                rewritings=("Orig", "DND"), decision_only=True
+            ),
+        )
+        full = svc.submit("ppi", query, options=FTV_OPTS)
+        follower = svc.submit("ppi", query, options=FTV_OPTS)
+        svc.pump()
+        state = svc._fanout[staged.id]
+        assert set(state.outcomes) == {0} and state.pending == {1}
+        svc._fail_one_task()  # that leg restarts from scratch
+        svc.run_until_idle()
+        assert svc.retries.value == 1
+        assert staged.done and full.done and follower.result.coalesced
+        assert [id(g) for g in censuses] == [id(query), id(query)]
+        hit = svc.submit("ppi", query, options=FTV_OPTS)
+        assert hit.cache_hit and len(censuses) == 2

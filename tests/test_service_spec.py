@@ -50,8 +50,8 @@ class TestCliDenotesTheSameValue:
         ((), {}),
         (("--shards", "2", "--no-routing"),
          {"topology": TopologySpec(shards=2, routing=False)}),
-        (("--no-coalesce", "--plan-seeding"),
-         {"engine": EngineSpec(coalesce=False, plan_seeding=True)}),
+        (("--no-coalesce", "--workers", "2"),
+         {"engine": EngineSpec(coalesce=False, workers=2)}),
         (("--chaos", "--chaos-seed", "7", "--replicas", "2",
           "--shards", "2"),
          {"topology": TopologySpec(shards=2, replicas=2),
@@ -100,11 +100,11 @@ class TestTheConstructorIsTheSpec:
     can reach: adding one fails here until ``build_service`` passes it."""
 
     KEYWORDS = [
-        "workers", "admission", "plan_seeding", "coalesce", "shards",
-        "replicas", "routing", "assignment", "store", "journal",
+        "workers", "admission", "coalesce", "shards", "replicas",
+        "routing", "assignment", "store", "journal",
     ]
 
-    def test_service_takes_exactly_the_ten_keywords(self):
+    def test_service_takes_exactly_these_keywords(self):
         parameters = list(inspect.signature(Service.__init__).parameters)
         assert parameters == ["self", *self.KEYWORDS]
 

@@ -77,6 +77,8 @@ from repro.workload import (
 )
 
 from ._index_codec_v1 import encode_index_v1
+from ._index_codec_v2 import encode_index_v2
+from .conftest import relabelled
 
 BUDGET = 60_000
 FTV_OPTS = QueryOptions(rewritings=("Orig", "DND"))
@@ -528,8 +530,22 @@ class TestIndexBlobFormat:
     blob of any other shape must fail as :class:`CodecError` (which
     the reader turns into quarantine + rebuild), never decode wrong."""
 
-    #: sha256 of ``encode_index`` over ppi/tiny, ``columns+zlib/2``
+    #: sha256 of ``encode_index`` over ppi/tiny, ``columns+zlib/3``
     PINNED = {
+        GrapesIndex: (
+            "1242fe7560bde63bf085779e7ab31af1"
+            "2df02099ff28ee0a458439ded49fcc7e"
+        ),
+        GGSXIndex: (
+            "7fc62ccbfdeadc1cffb15b46d1a91abf"
+            "bb3cb9e70b82d5253cca0d1a432b7aa2"
+        ),
+    }
+
+    #: the same indexes as ``columns+zlib/2`` tagged them in PRs 18-20
+    #: (the pins that stood here then), so the upgrade drill's
+    #: parent-commit blobs are the real parent-commit bytes
+    PINNED_V2 = {
         GrapesIndex: (
             "00220cbbe10c9804dc6531079b5ee130"
             "129c2ab80dc525c2fd26ca0a48ba3d5f"
@@ -569,6 +585,7 @@ class TestIndexBlobFormat:
             built.max_path_length,
         )
         assert encode_index(restored) == blob
+        assert sha256_hex(encode_index_v2(built)) == self.PINNED_V2[cls]
         assert sha256_hex(encode_index_v1(built)) == self.PINNED_V1[cls]
 
     def test_header_is_one_json_line_and_tags_differ(self, grapes_blob):
@@ -616,8 +633,11 @@ class TestIndexBlobFormat:
         "header_not_an_object": lambda h, c: zlib.compress(b"[1]\n"),
         "graphs_kind": lambda h, c: index_blob({**h, "kind": "graphs"}, c),
         "previous_tag": lambda h, c: index_blob({**h, "codec": CODEC}, c),
+        "parent_commit_tag": lambda h, c: index_blob(
+            {**h, "codec": "columns+zlib/2"}, c
+        ),
         "unknown_tag": lambda h, c: index_blob(
-            {**h, "codec": "columns+zlib/3"}, c
+            {**h, "codec": "columns+zlib/4"}, c
         ),
         "wrong_method": lambda h, c: index_blob({**h, "method": "GGSX"}, c),
         "wrong_max_path_length": lambda h, c: index_blob(
@@ -669,8 +689,10 @@ class TestIndexBlobFormat:
         "rows_out_of_order": lambda h, c: index_blob(h, {
             **c, "path_len": c["path_len"][1::-1] + c["path_len"][2:],
         }),
-        "labels_unhashable": lambda h, c: index_blob(
-            {**h, "labels": [["a"], ["b"]]}, c
+        # the last row's last label: still in path order, but a code
+        # the collection's eight labels do not reach
+        "label_code_unassigned": lambda h, c: index_blob(
+            h, {**c, "code": c["code"][:-4] + struct.pack("<I", 10**6)}
         ),
         "tombstones_not_ints": lambda h, c: index_blob(
             {**h, "tombstones": ["x"]}, c
@@ -715,30 +737,51 @@ class TestIndexBlobFormat:
 
 
 class TestFormatUpgrade:
-    """A store whose index blobs predate ``columns+zlib/2``: the
-    manifest, graphs, assignment, tombstones and journal high-water
-    restore as before; the index blobs fail the tag check, are
-    quarantined and rebuilt once, loudly; the next checkpoint writes
-    the new format and the boot after it rebuilds nothing."""
+    """A store whose index blobs predate ``columns+zlib/3`` — and whose
+    dataset record therefore holds no label table: the manifest,
+    graphs, assignment, tombstones and journal high-water restore as
+    before; the index blobs fail the tag check, are quarantined and
+    rebuilt once, loudly; the next checkpoint writes the new format
+    (and the table) and the boot after it rebuilds nothing."""
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_v1_index_blobs_rebuild_once_then_restore(
         self, shards, tmp_path, monkeypatch
     ):
+        self.drill(
+            shards, tmp_path, monkeypatch, encode_index_v1, "json+zlib/1"
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_parent_commit_store_rebuilds_once_then_restores(
+        self, shards, tmp_path, monkeypatch
+    ):
+        self.drill(
+            shards, tmp_path, monkeypatch, encode_index_v2,
+            "columns+zlib/2",
+        )
+
+    def drill(self, shards, tmp_path, monkeypatch, old_encoder, old_tag):
         root = str(tmp_path / "store")
         live = ftv_service(shards=shards, journal=root)
         entry = live.catalog.get("ppi")
         base = len(entry.graphs)
-        live.add_graph("ppi", entry.graphs[1])
+        # a newcomer with a label the collection never saw: the old
+        # encoders then pinned the code order in the blob header
+        live.add_graph("ppi", relabelled(entry.graphs[1], "!novel"))
         live.pump()
         live.remove_graph("ppi", 0)
         live.pump()
         with monkeypatch.context() as patch:
             patch.setattr(
-                "repro.store.writer.encode_index", encode_index_v1
+                "repro.store.writer.encode_index", old_encoder
             )
             summary = live.checkpoint_store(root)
         assert summary["journal_seq"] == 1
+        # ... and no writer of those formats stored a label table
+        manifest = load_manifest(root)
+        assert manifest.datasets["ppi"].pop("labels")[-1] == "!novel"
+        write_manifest(root, manifest)
 
         booted = ftv_service(shards=shards, store=root, journal=root)
         booted.replay_journal()
@@ -747,7 +790,7 @@ class TestFormatUpgrade:
             e for e in reader.events if e["event"] == "blob_undecodable"
         ]
         assert len(undecodable) == shards
-        assert all("json+zlib/1" in e["error"] for e in undecodable)
+        assert all(old_tag in e["error"] for e in undecodable)
         assert reader.rebuilds == shards  # the indexes, and only they
         assert reader.restores == 1  # the graphs blob
         assert booted.mutations_replayed.value == 0
@@ -768,6 +811,7 @@ class TestFormatUpgrade:
         )
 
         booted.checkpoint_store(root)
+        assert "!novel" in load_manifest(root).datasets["ppi"]["labels"]
         again = ftv_service(shards=shards, store=root, journal=root)
         assert again.catalog.store.rebuilds == 0
         assert again.catalog.store.corrupt_detected == 0
@@ -775,6 +819,57 @@ class TestFormatUpgrade:
         assert collection_digest(again, "ppi", probes) == (
             collection_digest(live, "ppi", probes)
         )
+
+
+class TestLabelTable:
+    """The dataset record's ``labels`` is the code space every index
+    blob of the collection is written in.  It is either what the
+    writer stored — a list of pairwise distinct labels that covers the
+    restored graphs — or it is refused whole: a miss, one
+    ``labels_mismatch`` event, no index blob read, a fresh build that
+    answers as any other."""
+
+    REFUSED = {
+        # enumerating it would code the characters
+        "a_string": lambda labels: "".join(labels),
+        # a repeat leaves the first code unassigned
+        "a_repeated_label": lambda labels: labels[:1] + labels,
+        "a_live_label_missing": lambda labels: labels[1:],
+        "an_unhashable_entry": lambda labels: [[lab] for lab in labels],
+        "not_a_list": lambda labels: dict.fromkeys(labels, 0),
+    }
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("damage", sorted(REFUSED))
+    def test_a_malformed_table_is_refused_whole(
+        self, damage, shards, ppi_graphs, tmp_path
+    ):
+        root, _, _ = warm_store(tmp_path, shards=shards)
+        manifest = load_manifest(root)
+        record = manifest.datasets["ppi"]
+        assert record["labels"] == sorted(
+            {lab for g in ppi_graphs for lab in g.labels}
+        )
+        record["labels"] = self.REFUSED[damage](record["labels"])
+        write_manifest(root, manifest)
+        booted = ftv_service(shards=shards, store=root)
+        reader = booted.catalog.store
+        assert [
+            e["dataset"] for e in reader.events
+            if e["event"] == "labels_mismatch"
+        ] == ["ppi"]
+        assert reader.misses == 1
+        assert reader.blobs_verified == 1  # the graphs; no index blob
+        assert reader.corrupt_detected == reader.quarantined == 0
+        fresh = ftv_service(shards=shards)
+        assert (
+            run_workload(booted, ppi_graphs).digest
+            == run_workload(fresh, ppi_graphs).digest
+        )
+
+    def test_only_a_collection_has_one(self, tmp_path):
+        root, _, _ = warm_store(tmp_path, name="yeast")
+        assert "labels" not in load_manifest(root).datasets["yeast"]
 
 
 # ----------------------------------------------------------------------

@@ -372,7 +372,7 @@ class TestPlanSharing:
         by is one plan per *distinct* rewritten query."""
         svc, q = self._sharded_ticket(hits=True)
         ticket = svc.submit("ppi", q)
-        rewrites = svc._open[ticket.id][5]
+        rewrites = svc._open[ticket.id][5].rewrites
         svc.run_until_idle()
         assert ticket.done and ticket.fanout == 2
         assert 1 <= len(rewrites) <= 2
@@ -392,7 +392,7 @@ class TestPlanSharing:
     ):
         svc, q = self._sharded_ticket(hits=False)
         ticket = svc.submit("ppi", q)
-        rewrites = svc._open[ticket.id][5]
+        rewrites = svc._open[ticket.id][5].rewrites
         svc.run_until_idle()
         assert ticket.done and ticket.fanout == 2
         assert not ticket.result.found
