@@ -110,7 +110,7 @@ class FTVIndex(ABC):
 
     method_name: str = "FTV"
 
-    #: trie type :meth:`_restore` instantiates (subclasses override)
+    #: trie type :meth:`_build` and :meth:`_restore` instantiate
     trie_class: type = PathTrie
 
     def __init__(
@@ -163,9 +163,11 @@ class FTVIndex(ABC):
     # offline stage
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def _build(self) -> None:
         """Construct the feature index (un-budgeted, per the paper)."""
+        self.trie = self.trie_class()
+        for gid, graph in enumerate(self.graphs):
+            self._index_graph(gid, graph)
 
     def _restore(self, rows: list) -> None:
         """Rebuild the trie from dumped postings (store boot path).
@@ -192,14 +194,22 @@ class FTVIndex(ABC):
     ) -> None:
         """Insert one graph's features (the incremental-add unit).
 
-        Subclasses implement this as the body of their ``_build`` loop;
-        :meth:`add_graph` calls it for newcomers so a mutation costs
-        one census DFS, not a collection rewarm.  ``rows`` goes to
-        every :meth:`PathTrie.insert` as is.
+        The body of the ``_build`` loop, and what :meth:`add_graph`
+        calls for a newcomer, so a mutation costs one census DFS, not a
+        collection rewarm.  The census is counts only — a filter reads
+        nothing else, and Grapes derives a graph's locations when its
+        verifier first asks (:meth:`GrapesIndex.feature_locations
+        <repro.indexing.grapes.GrapesIndex.feature_locations>`).
+        ``rows`` goes to every :meth:`PathTrie.insert` as is.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support incremental adds"
+        census = coded_path_census(
+            graph,
+            self.max_path_length,
+            self.interner.encode_vertices(graph.labels),
         )
+        insert = self.trie.insert
+        for seq, count in census.counts.items():
+            insert(seq, graph_id, count, rows)
 
     # ------------------------------------------------------------------
     # dynamic collection (incremental index maintenance)

@@ -16,9 +16,11 @@ manner" (§3.1.1).  This module provides the shared census machinery:
   instead of arbitrary label tuples.  The walk itself never builds a
   tuple: a path in flight is two packed ints (its code sequence read
   in either direction) and a vertex bitmask, and a location set is a
-  vertex **bitmask** (bit ``v`` = vertex ``v``) from here into the
-  store's blobs — :func:`location_vertices` is the one decoder, used
-  at the one place that needs vertex ids.  This is the census every
+  vertex **bitmask** (bit ``v`` = vertex ``v``) from here to the
+  postings Grapes' verifier reads it off — :func:`location_vertices`
+  is the one decoder, used at the one place that needs vertex ids.
+  Only that verifier asks for locations; every build, add and query
+  census is counts only.  This is the census every
   index, sketch and filter runs on; the label-space census remains as
   the reference implementation the equivalence suite checks against.
 
@@ -68,8 +70,8 @@ def location_vertices(mask: int) -> list[int]:
     """Ascending vertex ids of a location bitmask.
 
     The only mask -> vertices decoder: Grapes extracts relevant
-    components through it; everywhere else — the store codec included,
-    which writes the mask's own bytes — a location set stays one int.
+    components through it; everywhere else a location set stays one
+    int.
     """
     return list(bits_ascending(mask))
 

@@ -26,7 +26,6 @@ from typing import Optional
 from ..graphs import LabeledGraph
 from ..matching import Budget, VF2Plan, drive
 from .base import FTVIndex, VerificationReport
-from .features import coded_path_census
 from .trie import SuffixTrie
 
 __all__ = ["GGSXIndex"]
@@ -44,29 +43,10 @@ class GGSXIndex(FTVIndex):
 
     method_name = "GGSX"
 
-    #: store-restore instantiates this, but puts dumped rows back
+    #: store-restore instantiates this too, but puts dumped rows back
     #: through the raw ``PathTrie.install`` — the dump already holds
     #: every expanded suffix (see :meth:`FTVIndex._restore`)
     trie_class = SuffixTrie
-
-    def _build(self) -> None:
-        self.trie = SuffixTrie()
-        for gid, graph in enumerate(self.graphs):
-            self._index_graph(gid, graph)
-
-    def _index_graph(
-        self,
-        graph_id: int,
-        graph: LabeledGraph,
-        rows: Optional[list] = None,
-    ) -> None:
-        census = coded_path_census(
-            graph,
-            self.max_path_length,
-            self.interner.encode_vertices(graph.labels),
-        )
-        for seq, count in census.counts.items():
-            self.trie.insert(seq, graph_id, count, 0, rows)
 
     def verify(
         self,

@@ -5,7 +5,10 @@ Per the paper's §3.1.1:
 * paths up to a maximum length are found by DFS and indexed in a
   **trie**;
 * unlike GGSX, Grapes additionally maintains **location information**
-  (which vertices each feature touches in each stored graph);
+  (which vertices each feature touches in each stored graph) — here
+  derived per stored graph the first time the verifier asks about it
+  (:meth:`GrapesIndex.feature_locations`), never computed by a build,
+  an add or a restore, none of which has a reader for it;
 * at query time the query's paths prune the trie, the surviving
   candidate set is further pruned by **feature frequencies**, and then
   Grapes uses the location information to extract the *relevant
@@ -96,31 +99,6 @@ class GrapesIndex(FTVIndex):
         return clone
 
     # ------------------------------------------------------------------
-    # offline stage
-    # ------------------------------------------------------------------
-
-    def _build(self) -> None:
-        self.trie = PathTrie()
-        for gid, graph in enumerate(self.graphs):
-            self._index_graph(gid, graph)
-
-    def _index_graph(
-        self,
-        graph_id: int,
-        graph: LabeledGraph,
-        rows: Optional[list] = None,
-    ) -> None:
-        census = coded_path_census(
-            graph,
-            self.max_path_length,
-            self.interner.encode_vertices(graph.labels),
-            with_locations=True,
-        )
-        locations = census.locations
-        for seq, count in census.counts.items():
-            self.trie.insert(seq, graph_id, count, locations[seq], rows)
-
-    # ------------------------------------------------------------------
     # online stage
     # ------------------------------------------------------------------
 
@@ -130,26 +108,37 @@ class GrapesIndex(FTVIndex):
         """Union of the query features' locations in one stored graph,
         as a vertex bitmask.
 
-        Computed for *every* stored graph in a single pass over the
-        query's features (one trie walk per feature, not one per
-        (feature, candidate) pair — the seed's shape) and memoized on
-        the query census, so a multi-candidate verification pays the
-        walk once and isomorphic repeats pay nothing.
+        The one reader of location information, and so the one place
+        that derives it: the first time a stored graph is asked about,
+        a single with-locations census of it writes its masks into the
+        postings it already has (:meth:`PathTrie.locate`; they leave
+        with its postings on a remove).  The union is memoized on the
+        query census, so isomorphic repeats pay nothing.
         """
+        if graph_id in self.tombstones:
+            return 0
         census = self.coded_query_census(query)
         unions = census.location_unions
         if unions is None:
-            unions = {}
-            find = self.trie._find
-            get = unions.get
+            unions = census.location_unions = {}
+        union = unions.get(graph_id)
+        if union is None:
+            trie = self.trie
+            if graph_id not in trie.located:
+                graph = self.graphs[graph_id]
+                trie.locate(graph_id, coded_path_census(
+                    graph,
+                    self.max_path_length,
+                    self.interner.encode_vertices(graph.labels),
+                    with_locations=True,
+                ).locations)
+            union = 0
             for seq in census.counts:
-                node = find(seq)
-                if node is None:
-                    continue
-                for gid, posting in node.postings.items():
-                    unions[gid] = get(gid, 0) | posting.locations
-            census.location_unions = unions
-        return unions.get(graph_id, 0)
+                node = trie._find(seq)
+                if node is not None and graph_id in node.postings:
+                    union |= node.postings[graph_id].locations
+            unions[graph_id] = union
+        return union
 
     def relevant_components(
         self, query: LabeledGraph, graph_id: int

@@ -4,7 +4,9 @@ Grapes indexes its DFS paths in a **trie**; GGSX in a **suffix tree**
 (§3.1.1).  Both are provided here:
 
 * :class:`PathTrie` — plain trie keyed by label; each terminal node
-  carries a posting map ``graph_id -> (count, location bitmask)``.
+  carries a posting map ``graph_id -> Posting`` (the occurrence count,
+  and a slot for the location bitmask that stays empty until Grapes'
+  verifier asks for that graph's locations: :meth:`PathTrie.locate`).
 * :class:`SuffixTrie` — a trie over every suffix of the inserted
   sequences, which is the uncompressed equivalent of GGSX's suffix tree
   and supports containment lookups of arbitrary sub-paths.
@@ -59,20 +61,16 @@ class Posting:
     """Occurrence record of a feature in one graph.
 
     ``locations`` is a vertex bitmask (bit ``v`` set = vertex ``v`` of
-    the stored graph lies on some occurrence); ``0`` for indexes that
-    keep no location information.
+    the stored graph lies on some occurrence).  No build, add or
+    restore fills it: it is ``0`` until :meth:`PathTrie.locate` writes
+    the graph's masks in, which only Grapes' verifier asks for.
     """
 
     __slots__ = ("count", "locations")
 
-    def __init__(self, count: int = 0, locations: int = 0):
+    def __init__(self, count: int = 0):
         self.count = count
-        self.locations = locations
-
-    def merge(self, count: int, locations: int) -> None:
-        """Accumulate another batch of occurrences."""
-        self.count += count
-        self.locations |= locations
+        self.locations = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -110,12 +108,18 @@ class PathTrie:
     recover them: the number of nodes that carry postings
     (:attr:`feature_count`), and the set of posting-carrying nodes
     whose threshold table is missing (what :meth:`seal` has to do).
+    :attr:`located` is the third: which graphs' postings carry their
+    location masks.
     """
 
     def __init__(self) -> None:
         self._root = _Node()
         self._size = 0
         self._features = 0
+        #: graph ids whose postings hold their location masks
+        #: (:meth:`locate` adds, :meth:`remove_graph` drops) — on the
+        #: trie, so every index view sharing it shares the answer
+        self.located: set[int] = set()
         #: every node with postings and no table is in here (a node
         #: sealed lazily or emptied since may linger until the next
         #: :meth:`seal`, which skips it)
@@ -126,7 +130,6 @@ class PathTrie:
         seq: LabelSeq,
         graph_id: int,
         count: int,
-        locations: int = 0,
         rows: Optional[list] = None,
     ) -> None:
         """Record ``count`` occurrences of ``seq`` in ``graph_id``.
@@ -159,12 +162,12 @@ class PathTrie:
         postings = node.postings
         posting = postings.get(graph_id)
         if posting is not None:
-            posting.merge(count, locations)
+            posting.count += count
             if node.thresholds is not None:
                 node.thresholds = None
                 self._unsealed.add(node)
             return
-        postings[graph_id] = posting = Posting(count, locations)
+        postings[graph_id] = posting = Posting(count)
         if rows is not None:
             rows.append((seq, posting))
         thresholds = node.thresholds
@@ -212,9 +215,11 @@ class PathTrie:
         cannot be patched out of the masks above its count without
         the other postings — so lazy or eager resealing rebuilds them
         without it.  Empty nodes are kept: structure is cheap, and a
-        later re-add of the same paths reuses them.  Returns the
-        number of postings deleted.
+        later re-add of the same paths reuses them.  The graph's
+        location masks go with its postings.  Returns the number of
+        postings deleted.
         """
+        self.located.discard(graph_id)
         removed = 0
         stack = [self._root]
         while stack:
@@ -229,6 +234,14 @@ class PathTrie:
                 removed += 1
             stack.extend(node.children.values())
         return removed
+
+    def locate(self, graph_id: int, locations: dict[LabelSeq, int]) -> None:
+        """Write ``graph_id``'s location masks — the ``locations`` of a
+        census of the graph whose counts are already inserted — into
+        the postings it has, until its :meth:`remove_graph`."""
+        for seq, mask in locations.items():
+            self._find(seq).postings[graph_id].locations = mask
+        self.located.add(graph_id)
 
     def _find(self, seq: LabelSeq) -> _Node | None:
         node = self._root
@@ -332,8 +345,7 @@ class SuffixTrie(PathTrie):
         seq: LabelSeq,
         graph_id: int,
         count: int,
-        locations: int = 0,
         rows: Optional[list] = None,
     ) -> None:
         for start in range(len(seq)):
-            super().insert(seq[start:], graph_id, count, locations, rows)
+            super().insert(seq[start:], graph_id, count, rows)

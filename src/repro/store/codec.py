@@ -15,9 +15,12 @@ A warm FTV index is its trie's postings in columns
 (:data:`INDEX_CODEC`): one line of canonical JSON (``kind``,
 ``codec``, ``method``, ``max_path_length``, the byte length of each
 column, and ``tombstones`` when graphs were removed) followed by the
-columns of :data:`INDEX_COLUMNS` back to back, the whole under zlib.  Rows are sorted by coded path and postings by graph
-id; a location set is written as the little-endian bytes of the vertex
-bitmask the posting already holds, never as a list of vertex ids.
+columns of :data:`INDEX_COLUMNS` back to back, the whole under zlib.
+Rows are sorted by coded path and postings by graph id.  A posting is
+its graph id and its count: location masks are no part of the warm
+state — Grapes' verifier derives a stored graph's the first time it is
+asked about that graph — so the bytes never depend on whether anybody
+verified, and a restored index starts unlocated like a built one.
 Restoring installs each row on its trie node directly
 (:meth:`repro.indexing.base.FTVIndex._restore`) — crucially *not*
 through ``SuffixTrie.insert``, whose suffix expansion would double
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import lt
 
 from ..graphs.io import graph_from_json, graph_to_json
@@ -62,31 +65,29 @@ __all__ = [
 CODEC = "json+zlib/1"
 
 #: warm-index payload format tag
-INDEX_CODEC = "columns+zlib/3"
+INDEX_CODEC = "columns+zlib/4"
 
 #: The index body, in order: ``(column, struct item code)``, every item
 #: little-endian and unsigned.  Per row (one trie node that carries
 #: postings): the path's length in labels, then its label codes, and
-#: how many postings follow; per posting: the graph id, the occurrence
-#: count and the byte length of its location mask; last, the masks
-#: themselves back to back.  A value that does not fit its item raises
-#: at encode — nothing wraps.
+#: how many postings follow; per posting: the graph id and the
+#: occurrence count.  A value that does not fit its item raises at
+#: encode — nothing wraps.
 INDEX_COLUMNS = (
     ("path_len", "B"),
     ("code", "I"),
     ("row_postings", "I"),
     ("graph_id", "I"),
     ("count", "I"),
-    ("mask_len", "I"),
-    ("mask", "s"),
 )
 
 #: zlib level of the index payload, a constant chosen from one
-#: measurement (the table in docs/STORE.md): the location masks are
-#: close to incompressible, level 4 is both faster and smaller than 3,
-#: it is the lowest level at which every default-scale index blob is
-#: smaller than the JSON codec wrote it, and 6 triples the time for
-#: 6 % of the size.
+#: measurement (the table in docs/STORE.md, taken again when the
+#: location masks left the payload): the columns are small ints and
+#: zlib is a fifth of an encode, so neighbouring levels differ by a
+#: millisecond or two per blob; 3 is slower and larger than 4, each
+#: step up to 4 buys 4-10 KB per millisecond and each step past it
+#: 1.4 KB or less.
 _INDEX_ZLIB_LEVEL = 4
 
 
@@ -172,25 +173,20 @@ def encode_index(index) -> bytes:
     row_postings: list[int] = []
     gids: list[int] = []
     counts: list[int] = []
-    masks: list[int] = []
     for path in paths:
         row = sorted(nodes[path].items())
         row_postings.append(len(row))
         gids += [gid for gid, _ in row]
         counts += [posting.count for _, posting in row]
-        masks += [posting.locations for _, posting in row]
-    mask_lens = [(mask.bit_length() + 7) >> 3 for mask in masks]
     values = (
         list(map(len, paths)),
         list(chain.from_iterable(paths)),
         row_postings,
         gids,
         counts,
-        mask_lens,
-        b"".join(map(int.to_bytes, masks, mask_lens, repeat("little"))),
     )
     columns = [
-        column if code == "s" else _pack_column(name, code, column)
+        _pack_column(name, code, column)
         for (name, code), column in zip(INDEX_COLUMNS, values)
     ]
     header = {
@@ -233,14 +229,12 @@ def _split_columns(header: dict, body: bytes) -> list:
     for name, code in INDEX_COLUMNS:
         chunk = body[start:start + lengths[name]]
         start += lengths[name]
-        if code != "s":
-            items, torn = divmod(len(chunk), struct.calcsize(f"<{code}"))
-            if torn:
-                raise CodecError(
-                    f"index column {name!r} ends {torn} bytes into an item"
-                )
-            chunk = struct.unpack(f"<{items}{code}", chunk)
-        out.append(chunk)
+        items, torn = divmod(len(chunk), struct.calcsize(f"<{code}"))
+        if torn:
+            raise CodecError(
+                f"index column {name!r} ends {torn} bytes into an item"
+            )
+        out.append(struct.unpack(f"<{items}{code}", chunk))
     return out
 
 
@@ -253,14 +247,13 @@ def _decode_rows(header: dict, body: bytes, num_graphs: int) -> list:
     """The payload's ``(coded path, {graph_id: Posting})`` rows, in
     the shape :meth:`repro.indexing.trie.PathTrie.iter_postings`
     yields them, after every cross-column check."""
-    (
-        path_lens, codes, row_postings, gids, counts, mask_lens, mask_bytes,
-    ) = _split_columns(header, body)
+    path_lens, codes, row_postings, gids, counts = _split_columns(
+        header, body
+    )
     if not (
         len(path_lens) == len(row_postings)
         and sum(path_lens) == len(codes)
-        and sum(row_postings) == len(gids) == len(counts) == len(mask_lens)
-        and sum(mask_lens) == len(mask_bytes)
+        and sum(row_postings) == len(gids) == len(counts)
     ):
         raise CodecError(
             f"index columns disagree on their item counts: "
@@ -274,15 +267,9 @@ def _decode_rows(header: dict, body: bytes, num_graphs: int) -> list:
     paths = [codes[a:b] for a, b in _slices(path_lens)]
     if not all(map(lt, paths, paths[1:])):
         raise CodecError("index rows are not in ascending path order")
-    from_bytes = int.from_bytes
-    masks = [
-        from_bytes(mask_bytes[a:b], "little") for a, b in _slices(mask_lens)
-    ]
     rows = []
     for path, (a, b) in zip(paths, _slices(row_postings)):
-        postings = dict(
-            zip(gids[a:b], map(Posting, counts[a:b], masks[a:b]))
-        )
+        postings = dict(zip(gids[a:b], map(Posting, counts[a:b])))
         if len(postings) != b - a:
             raise CodecError(f"index row {path} repeats a graph id")
         rows.append((path, postings))

@@ -6,9 +6,12 @@ scans and set intersections, no memoization — moved here verbatim
 (modulo the label->code translation the int-keyed trie requires) as
 plain functions over an index: :func:`filter_reference` was
 ``FTVIndex.filter_reference``, :func:`query_census` the label-space
-``FTVIndex.query_census`` it alone called, and
+``FTVIndex.query_census`` it alone called,
 :func:`feature_locations_reference` is the per-candidate location
-re-extraction the seed's ``relevant_components`` performed.  They are
+re-extraction the seed's ``relevant_components`` performed, and
+:func:`stored_locations` is the location side of the seed's build —
+every stored graph censused with locations up front, which the index
+now derives per graph on first verify.  They are
 slow and they are the definition of correct:
 ``tests/test_filter_equivalence.py`` requires ``FTVIndex.filter`` and
 ``GrapesIndex.feature_locations`` to return exactly what these do.
@@ -26,6 +29,7 @@ __all__ = [
     "feature_locations_reference",
     "filter_reference",
     "query_census",
+    "stored_locations",
 ]
 
 
@@ -54,17 +58,31 @@ def filter_reference(index: FTVIndex, query: LabeledGraph) -> list[int]:
     return sorted(alive) if alive else []
 
 
+def stored_locations(index: FTVIndex) -> dict[tuple, int]:
+    """``(coded path, graph id) -> vertex bitmask`` for every live
+    graph of ``index``: the label-space census with locations, taken of
+    the whole collection up front, as an eager Grapes build kept it."""
+    stored = {}
+    for gid in index.live_ids():
+        census = label_path_census(
+            index.graphs[gid], index.max_path_length, with_locations=True
+        )
+        for seq, vertices in census.locations.items():
+            coded = index.interner.encode_sequence(seq)
+            stored[coded, gid] = sum(1 << v for v in vertices)
+    return stored
+
+
 def feature_locations_reference(
-    index: FTVIndex, query: LabeledGraph, graph_id: int
+    index: FTVIndex, query: LabeledGraph, graph_id: int,
+    stored: dict[tuple, int],
 ) -> int:
     """Vertex bitmask of ``graph_id`` covered by the query's features:
-    a fresh query census and a posting-dict walk per candidate."""
+    a fresh query census and a walk of ``stored`` (the index's
+    :func:`stored_locations`) per candidate."""
     vertices = 0
     for seq in query_census(index, query).counts:
         coded = index.interner.encode_sequence(seq)
-        if coded is None:
-            continue
-        posting = index.trie.lookup(coded).get(graph_id)
-        if posting is not None:
-            vertices |= posting.locations
+        if coded is not None:
+            vertices |= stored.get((coded, graph_id), 0)
     return vertices

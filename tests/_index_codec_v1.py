@@ -2,7 +2,7 @@
 
 ``json+zlib/1``: the trie's postings as a sorted nested JSON list,
 every location set spelled out as a list of vertex ids.  The codec in
-``src/`` writes ``columns+zlib/2`` and has no reader for this layout;
+``src/`` writes a columnar payload and has no reader for this layout;
 the encoder lives on here only so the upgrade drill in
 ``tests/test_store.py`` can put a real old-format blob under a
 manifest.  There is deliberately no decoder.
@@ -16,8 +16,14 @@ import zlib
 from repro.indexing import LabelInterner, location_vertices
 from repro.store.codec import index_method
 
+from ._filter_reference import stored_locations
+
 
 def encode_index_v1(index) -> bytes:
+    # a build stored every Grapes posting's locations then
+    stored = (
+        stored_locations(index) if index_method(index) == "Grapes" else {}
+    )
     payload = {
         "kind": "index",
         "codec": "json+zlib/1",
@@ -25,7 +31,7 @@ def encode_index_v1(index) -> bytes:
         "max_path_length": index.max_path_length,
         "postings": sorted(
             [list(seq), [
-                [gid, p.count, location_vertices(p.locations)]
+                [gid, p.count, location_vertices(stored.get((seq, gid), 0))]
                 for gid, p in sorted(postings.items())
             ]]
             for seq, postings in index.trie.iter_postings()

@@ -7,7 +7,9 @@ defined in it — which is what keeps the architecture docs honest as
 the code moves.  The docs and the ``src/`` docstrings also cite CI jobs
 by name (``scenario-matrix``, the ``*-smoke`` jobs); a cited job must be
 a job of ``.github/workflows/ci.yml``, a store payload tag quoted
-in ``docs/STORE.md`` must be one ``repro.store.codec`` writes, and a
+in ``docs/STORE.md`` must be one ``repro.store.codec`` writes, the
+warm-index tag and column table it states must be the codec's
+``INDEX_CODEC`` and ``INDEX_COLUMNS``, and a
 ``--flag`` the prose attributes to a ``repro`` subcommand must be an
 option of that subcommand's parser.  The CI ``docs`` job runs exactly
 this file.
@@ -122,6 +124,53 @@ def test_store_doc_quotes_only_payload_tags_the_codec_writes():
         f"only in docs/STORE.md {sorted(quoted - exported)}, "
         f"only in the codec {sorted(exported - quoted)}"
     )
+
+
+#: ``**Warm indexes: `tag`**`` — where docs/STORE.md names the format
+INDEX_TAG = re.compile(r"\*\*Warm indexes: `([^`]+)`\*\*")
+#: a row of its column table: ``| `name` | item | ...``
+COLUMN_ROW = re.compile(r"^\| `(\w+)` \| (\w+) \|", re.MULTILINE)
+#: what the table calls a ``struct`` item code
+ITEM_NAMES = {"B": "u8", "H": "u16", "I": "u32", "Q": "u64"}
+
+
+def index_format_drift(text: str) -> list:
+    """How the warm-index format ``text`` (docs/STORE.md) documents
+    differs from the one the codec writes: its tag, and its column
+    table's names, item widths and order."""
+    from repro.store.codec import INDEX_CODEC, INDEX_COLUMNS
+
+    tags = INDEX_TAG.findall(text)
+    _, _, table = text.partition("| column | item |")
+    documented = COLUMN_ROW.findall(table.partition("\n\n")[0])
+    written = [(name, ITEM_NAMES[code]) for name, code in INDEX_COLUMNS]
+    drift = []
+    if tags != [INDEX_CODEC]:
+        drift.append(f"tag: documented {tags}, written {INDEX_CODEC!r}")
+    if documented != written:
+        drift.append(f"columns: documented {documented}, written {written}")
+    return drift
+
+
+def test_store_doc_states_the_index_format_the_codec_writes():
+    """A format change edits ``INDEX_CODEC`` / ``INDEX_COLUMNS``; the
+    document that is the format's contract must move with them."""
+    assert index_format_drift((REPO / "docs" / "STORE.md").read_text()) == []
+
+
+def test_the_format_check_sees_a_dropped_row_and_a_stale_tag():
+    from repro.store.codec import INDEX_CODEC
+
+    text = (REPO / "docs" / "STORE.md").read_text()
+    row = re.search(r"^\| `count` \|.*\n", text, re.MULTILINE).group(0)
+    (columns,) = index_format_drift(text.replace(row, ""))
+    assert columns.startswith("columns:") and "count" in columns
+    (tag,) = index_format_drift(
+        text.replace(f"`{INDEX_CODEC}`**", "`columns+zlib/0`**")
+    )
+    assert tag.startswith("tag:") and "columns+zlib/0" in tag
+    swapped = text.replace("| `path_len` | u8 |", "| `path_len` | u32 |")
+    assert len(index_format_drift(swapped)) == 1
 
 
 # ----------------------------------------------------------------------

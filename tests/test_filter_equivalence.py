@@ -41,6 +41,7 @@ from repro.workload import extract_query, permuted_instance
 from ._filter_reference import (
     feature_locations_reference,
     filter_reference,
+    stored_locations,
 )
 
 
@@ -219,16 +220,72 @@ def test_quick_filter_digest_is_the_committed_one():
     for name, cls in (("Grapes", GrapesIndex), ("GGSX", GGSXIndex)):
         index = cls(graphs, max_path_length=2)
         index.warm()
+        stored = stored_locations(index)
         for i, q in enumerate(stream):
             candidates = index.filter(q)
             assert candidates == filter_reference(index, q), (name, i)
             if name == "Grapes":
                 for gid in candidates:
                     assert index.feature_locations(q, gid) == (
-                        feature_locations_reference(index, q, gid)
+                        feature_locations_reference(index, q, gid, stored)
                     ), (i, gid)
             rows.append((name, i, candidates))
     assert candidates_digest(rows) == "168056a0420dd2b5"
+
+
+def step_bills_digest(index, stream):
+    """Order-sensitive digest over every verification report of
+    ``index.query`` along ``stream``."""
+    budget = Budget(max_steps=20_000)
+    return hashlib.sha256("\n".join(
+        f"{i}:" + ";".join(
+            f"{r.graph_id},{int(r.matched)},{r.steps},{int(r.killed)},"
+            f"{r.components_tried}"
+            for r in index.query(q, budget).reports
+        )
+        for i, q in enumerate(stream)
+    ).encode()).hexdigest()
+
+
+#: sha256 of the quick stream's step bills, taken while every build
+#: still censused every stored graph with locations (commit 874d03a)
+QUICK_STEP_BILLS = {
+    "Grapes/1": (
+        "e497ac4d317744e0a6f8e017097d884a"
+        "dff61f819cc063a76849a3369280cc4a"
+    ),
+    "Grapes/4": (
+        "598b02c51616c4ba37e2e36cfaf6f3a4"
+        "5eb0b7a6f9a8a2e12d8a7fc9f13818d2"
+    ),
+    "GGSX": (
+        "4f126a149ca3ddd8d23d4b2f2146c946"
+        "197df86f421734a3093647fe38676fcb"
+    ),
+}
+
+
+def test_quick_stream_step_bills_are_the_pinned_ones():
+    """Grapes verifies on components cut from locations it now derives
+    on first verify: matches, steps, kills and components tried are
+    what they were when the build stored them — for a built index, a
+    ``with_threads`` view sharing its trie, and one restored from its
+    own blob (which holds no location)."""
+    from repro.store.codec import decode_index, encode_index
+
+    graphs = collection(seed=42, num_graphs=8, avg_nodes=40)
+    stream = quick_filter_stream(graphs)
+    built = GrapesIndex(graphs, max_path_length=2)
+    restored = decode_index(encode_index(built), graphs, "Grapes", 2)
+    assert not restored.trie.located
+    for index in (
+        built, built.with_threads(4), restored, restored.with_threads(4),
+        GGSXIndex(graphs, max_path_length=2),
+    ):
+        assert step_bills_digest(index, stream) == (
+            QUICK_STEP_BILLS[index.method_name]
+        )
+    assert built.trie.located == restored.trie.located != set()
 
 
 class TestLabelOrderEquivalence:

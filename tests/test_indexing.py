@@ -86,11 +86,27 @@ class TestTries:
 
     def test_path_trie_merge(self):
         t = PathTrie()
-        t.insert(("A",), 0, 2, 0b010)
-        t.insert(("A",), 0, 3, 0b100)
+        t.insert(("A",), 0, 2)
+        t.insert(("A",), 0, 3)
         posting = t.lookup(("A",))[0]
         assert posting.count == 5
-        assert posting.locations == 0b110
+        assert posting.locations == 0
+
+    def test_locate_fills_the_postings_a_graph_has_until_its_remove(self):
+        t = PathTrie()
+        for gid in (0, 1):
+            t.insert(("A",), gid, 2)
+            t.insert(("A", "B"), gid, 1)
+        table = t._find(("A",)).seal()
+        t.locate(1, {("A",): 0b011, ("A", "B"): 0b110})
+        assert t.located == {1}
+        assert t._find(("A",)).thresholds is table  # counts did not move
+        assert [p.locations for p in t.lookup(("A",)).values()] == [0, 0b011]
+        assert t.lookup(("A", "B"))[1].locations == 0b110
+        t.remove_graph(1)
+        assert t.located == set()
+        t.insert(("A",), 1, 2)  # the slot revived: unlocated again
+        assert t.lookup(("A",))[1].locations == 0
 
     def test_path_trie_iter_features(self):
         t = PathTrie()
@@ -166,8 +182,8 @@ class TestTries:
         t = SuffixTrie()
         t.insert(("A", "B"), 0, 1)
         rows: list = []
-        t.insert(("A", "B"), 1, 2, 0, rows)
-        t.insert(("B",), 1, 5, 0, rows)  # merges: no second row
+        t.insert(("A", "B"), 1, 2, rows)
+        t.insert(("B",), 1, 5, rows)  # merges: no second row
         assert [(seq, p.count) for seq, p in rows] == [
             (("A", "B"), 2), (("B",), 7),
         ]

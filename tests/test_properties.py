@@ -35,6 +35,13 @@ grown from them, then assert the library's fundamental contracts:
   ``features`` is the trie's, and a ``refresh`` only tightens it;
 * the mutated index filters generated queries to the candidates an
   index rebuilt from the live graphs does;
+* along such a sequence — slots revived with other graphs, newcomers
+  with labels nobody had — a Grapes index, which derives a stored
+  graph's locations the first time its verifier asks, and the same
+  index restored from its own blob, return the ``feature_locations``
+  of the reference that censuses every graph with locations up front,
+  and verify to the reports of a twin whose postings were all located
+  up front from that reference;
 * whatever the shard count, the assignment and the add / remove /
   re-add stream — newcomers bringing labels new to a shard, to the
   collection or to neither — the shard indexes of a sharded catalog
@@ -45,6 +52,7 @@ grown from them, then assert the library's fundamental contracts:
 
 import random
 import tempfile
+from itertools import chain
 from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
@@ -81,6 +89,7 @@ from repro.store import StoreWriter
 from repro.store.codec import decode_index, encode_index, index_method
 from repro.workload import extract_query
 
+from ._filter_reference import feature_locations_reference, stored_locations
 from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
 from ._vf2_recursive import RecursiveVF2Matcher
 from .conftest import canonical_embeddings
@@ -602,14 +611,14 @@ def _mutate(draw, index, graph):
 
 
 @st.composite
-def base_indexes(draw, interner=None):
+def base_indexes(draw, interner=None, classes=(GrapesIndex, GGSXIndex)):
     """A fresh Grapes or GGSX index and the strategy its newcomers
     come from.  Base graphs and newcomers are small connected ``ABC``
     graphs or sparse ``ABCDE`` ones of up to 90 vertices, so newcomers
     bring labels the interner has to append and location masks span
     several bytes.  ``interner`` is the code space to build in, as a
     collection hands its own to each of its indexes."""
-    cls = draw(st.sampled_from([GrapesIndex, GGSXIndex]))
+    cls = draw(st.sampled_from(classes))
     graph = st.one_of(stores(), sparse_graphs())
     index = cls(
         draw(st.lists(graph, min_size=1, max_size=3)),
@@ -846,6 +855,61 @@ def test_a_mutated_index_filters_as_a_rebuilt_one(index, queries):
             ]
         index.warm()
         index._invalidate_censuses()
+
+
+def _reports(index, query):
+    return [
+        (r.graph_id, r.matched, r.steps, r.killed, r.components_tried)
+        for r in index.query(query, Budget(max_steps=5_000)).reports
+    ]
+
+
+@given(
+    data=st.data(),
+    queries=st.lists(store_and_query(), min_size=1, max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_locations_derived_on_first_verify_equal_the_eager_reference(
+    data, queries
+):
+    index, graph = data.draw(base_indexes(classes=(GrapesIndex,)))
+    # the fresh index, then after every step (the generator is lazy)
+    for _ in chain([None], _mutate(data.draw, index, graph)):
+        stored = stored_locations(index)
+        restored = decode_index(
+            encode_index(index), list(index.graphs), "Grapes",
+            index.max_path_length,
+            LabelInterner.from_code_order(index.interner.labels()),
+        )
+        assert not restored.trie.located
+        for _, query in queries:
+            for lazy in (index, restored):
+                for gid in range(len(index.graphs)):
+                    assert lazy.feature_locations(query, gid) == (
+                        feature_locations_reference(
+                            index, query, gid, stored
+                        )
+                    )
+                assert lazy.trie.located <= set(index.live_ids())
+        live = index.live_ids()
+        if not live:
+            continue
+        # a twin whose every posting holds its mask before any verify
+        eager = GrapesIndex(
+            [index.graphs[gid] for gid in live], index.max_path_length,
+            interner=index.interner,
+        )
+        for local, gid in enumerate(live):
+            eager.trie.locate(local, {
+                seq: mask for (seq, g), mask in stored.items() if g == gid
+            })
+        for _, query in queries:
+            want = [
+                (live[local], *rest)
+                for local, *rest in _reports(eager, query)
+            ]
+            assert _reports(index, query) == want
+            assert _reports(restored, query) == want
 
 
 PPI = build_ftv_graphs("ppi", "tiny")

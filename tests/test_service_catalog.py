@@ -175,7 +175,7 @@ class TestWarmUpWork:
     def calls(self, monkeypatch):
         """Every census / accounting call made anywhere in ``src``,
         recorded by what it walked."""
-        from repro.indexing import base, ggsx, grapes
+        from repro.indexing import base, grapes
         from repro.service import catalog, service
 
         calls = {"census": [], "bytes": []}
@@ -190,7 +190,7 @@ class TestWarmUpWork:
             calls["bytes"].append(obj)
             return walk(obj, *args, **kwargs)
 
-        for module in (base, ggsx, grapes, service):
+        for module in (base, grapes, service):
             monkeypatch.setattr(
                 module, "coded_path_census", counted_census
             )

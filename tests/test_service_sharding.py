@@ -649,26 +649,30 @@ class TestOneInternerPerCollection:
         assert newcomer.has_edge(0, 1) == (index.filter(query) == [0])
 
 
+@pytest.fixture
+def censuses(monkeypatch):
+    """Every ``coded_path_census`` call any layer makes, as ``(the
+    graph it was taken of, with_locations)``."""
+    import repro.indexing.base
+    import repro.indexing.features
+    import repro.indexing.grapes
+    import repro.service.service
+
+    taken = []
+    real = repro.indexing.features.coded_path_census
+
+    def counting(graph, max_length, codes, with_locations=False):
+        taken.append((graph, with_locations))
+        return real(graph, max_length, codes, with_locations)
+
+    for module in (
+        repro.indexing.base, repro.indexing.grapes, repro.service.service
+    ):
+        monkeypatch.setattr(module, "coded_path_census", counting)
+    return taken
+
+
 class TestOneCensusPerTicket:
-    @pytest.fixture
-    def censuses(self, monkeypatch):
-        """Every ``coded_path_census`` call any layer makes, by the
-        graph it was taken of."""
-        import repro.indexing.base
-        import repro.indexing.features
-        import repro.service.service
-
-        taken = []
-        real = repro.indexing.features.coded_path_census
-
-        def counting(graph, *args, **kw):
-            taken.append(graph)
-            return real(graph, *args, **kw)
-
-        for module in (repro.indexing.base, repro.service.service):
-            monkeypatch.setattr(module, "coded_path_census", counting)
-        return taken
-
     @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("routing", [True, False])
     @pytest.mark.parametrize("decision_only", [False, True])
@@ -676,6 +680,7 @@ class TestOneCensusPerTicket:
         self, shards, routing, decision_only, ppi_graphs, censuses
     ):
         svc = ftv_service(shards, routing=routing)
+        del censuses[:]  # the build's, one per stored graph
         options = QueryOptions(
             rewritings=("Orig", "DND"), decision_only=decision_only
         )
@@ -692,7 +697,7 @@ class TestOneCensusPerTicket:
         assert any(t.cache_hit for t in tickets)
         if shards > 1 and routing and decision_only:
             assert svc.waves_skipped.value > 0  # waves were staged
-        assert sorted(map(id, censuses)) == sorted(
+        assert sorted(id(g) for g, _ in censuses) == sorted(
             id(t.query) for t in raced
         )
 
@@ -700,6 +705,20 @@ class TestOneCensusPerTicket:
         self, ppi_graphs, censuses
     ):
         svc = ftv_service(2, routing=True, replicas=2)
+        del censuses[:]
+        staged, full, follower, query = self.staged_and_rerouted(
+            svc, ppi_graphs
+        )
+        assert staged.done and full.done and follower.result.coalesced
+        assert [id(g) for g, _ in censuses] == [id(query), id(query)]
+        hit = svc.submit("ppi", query, options=FTV_OPTS)
+        assert hit.cache_hit and len(censuses) == 2
+
+    @staticmethod
+    def staged_and_rerouted(svc, ppi_graphs):
+        """On a fresh 2-shard, 2-replica routed service: a decision
+        ticket whose second wave is deferred and whose first leg is
+        failed over, beside a full ticket and its follower."""
         # a query its expected-first-true shard does not settle: the
         # second wave is built only once the first has come back empty
         stream = ftv_streams(ppi_graphs, per_tenant=8)["tenant0"]
@@ -718,7 +737,74 @@ class TestOneCensusPerTicket:
         svc._fail_one_task()  # that leg restarts from scratch
         svc.run_until_idle()
         assert svc.retries.value == 1
-        assert staged.done and full.done and follower.result.coalesced
-        assert [id(g) for g in censuses] == [id(query), id(query)]
-        hit = svc.submit("ppi", query, options=FTV_OPTS)
-        assert hit.cache_hit and len(censuses) == 2
+        return staged, full, follower, query
+
+
+def distinct_indexes(svc):
+    """The FTV indexes behind ``ppi``, one per trie."""
+    entry = svc.catalog.get("ppi")
+    if not svc.sharded:
+        return [entry.ftv_index]
+    by_trie = {
+        id(index.trie): index
+        for shard in entry.involved_shards()
+        for replica in svc.catalog.replica_ids(shard)
+        for index in [entry.shard_entry(shard, replica).ftv_index]
+    }
+    return list(by_trie.values())
+
+
+class TestServingNeverLocates:
+    """Location masks have one reader, Grapes' own verifier
+    (``index.query`` / ``verify`` / ``feature_locations``), and the
+    service verifies whole stored graphs: nothing it does may pay for a
+    with-locations census, and the verifier pays one per stored graph
+    it is first asked about."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_only_the_grapes_verifier_takes_a_location_census(
+        self, shards, ppi_graphs, censuses, tmp_path
+    ):
+        root = str(tmp_path / "store")
+        layout = dict(routing=True, replicas=shards)
+        svc = ftv_service(shards, journal=root, **layout)
+        if shards > 1:  # a deferred wave, a rerouted leg
+            TestOneCensusPerTicket.staged_and_rerouted(svc, ppi_graphs)
+        streams = ftv_streams(ppi_graphs, per_tenant=8)
+        decide = QueryOptions(
+            rewritings=("Orig", "DND"), decision_only=True
+        )
+        run_closed_loop(svc, "ppi", streams, options=decide, concurrency=3)
+        slot = len(ppi_graphs)
+        for mutation in (
+            dict(op="add_graph", graph=relabelled(ppi_graphs[1], "!novel")),
+            dict(op="remove_graph", graph_id=slot),
+            dict(op="add_graph", graph=ppi_graphs[2], graph_id=slot),
+        ):
+            ticket = svc.submit_mutation("ppi", **mutation)
+            svc.pump()
+            assert ticket.applied
+        svc.checkpoint_store(root)
+        booted = ftv_service(shards, store=root, journal=root, **layout)
+        booted.replay_journal()
+        assert booted.catalog.store.rebuilds == 0
+        run_closed_loop(
+            booted, "ppi", streams, options=FTV_OPTS, concurrency=3
+        )
+        assert len(censuses) > 2 * len(ppi_graphs)
+        assert not any(located for _, located in censuses)
+
+        queries = [item.query.graph for item in streams["tenant0"]]
+        for index in distinct_indexes(svc) + distinct_indexes(booted):
+            del censuses[:]
+            asked = {
+                gid for q in queries for gid in index.query(q).candidate_ids
+            }
+            assert asked == index.trie.located != set()
+            assert sorted(
+                id(g) for g, located in censuses if located
+            ) == sorted(id(index.graphs[gid]) for gid in asked)
+            del censuses[:]
+            for q in queries:
+                index.query(q)
+            assert not any(located for _, located in censuses)

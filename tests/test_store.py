@@ -78,6 +78,7 @@ from repro.workload import (
 
 from ._index_codec_v1 import encode_index_v1
 from ._index_codec_v2 import encode_index_v2
+from ._index_codec_v3 import encode_index_v3
 from .conftest import relabelled
 
 BUDGET = 60_000
@@ -530,8 +531,23 @@ class TestIndexBlobFormat:
     blob of any other shape must fail as :class:`CodecError` (which
     the reader turns into quarantine + rebuild), never decode wrong."""
 
-    #: sha256 of ``encode_index`` over ppi/tiny, ``columns+zlib/3``
+    #: sha256 of ``encode_index`` over ppi/tiny, ``columns+zlib/4``
     PINNED = {
+        GrapesIndex: (
+            "8c9cc46c6af9b359fbc74cc02fb1e050"
+            "a4e74eb6299f4c796362e52f0819f07f"
+        ),
+        GGSXIndex: (
+            "dee00161362e4b5a1a9bee53c5ad6ff0"
+            "7a9ead650d48759fcf732d7f8840c178"
+        ),
+    }
+
+    #: the same indexes as ``columns+zlib/3`` wrote them in PR 21, with
+    #: every Grapes posting's location mask (the pins that stood here
+    #: then), so the upgrade drill's parent-commit blobs are the real
+    #: parent-commit bytes
+    PINNED_V3 = {
         GrapesIndex: (
             "1242fe7560bde63bf085779e7ab31af1"
             "2df02099ff28ee0a458439ded49fcc7e"
@@ -542,9 +558,7 @@ class TestIndexBlobFormat:
         ),
     }
 
-    #: the same indexes as ``columns+zlib/2`` tagged them in PRs 18-20
-    #: (the pins that stood here then), so the upgrade drill's
-    #: parent-commit blobs are the real parent-commit bytes
+    #: ... and as ``columns+zlib/2`` tagged them in PRs 18-20
     PINNED_V2 = {
         GrapesIndex: (
             "00220cbbe10c9804dc6531079b5ee130"
@@ -585,8 +599,26 @@ class TestIndexBlobFormat:
             built.max_path_length,
         )
         assert encode_index(restored) == blob
+        assert sha256_hex(encode_index_v3(built)) == self.PINNED_V3[cls]
         assert sha256_hex(encode_index_v2(built)) == self.PINNED_V2[cls]
         assert sha256_hex(encode_index_v1(built)) == self.PINNED_V1[cls]
+
+    @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
+    def test_bytes_do_not_depend_on_who_verified(self, cls, ppi_graphs):
+        """Grapes derives a graph's locations the first time it
+        verifies against it; the blob is the warm state and holds
+        none, so its address is the same before and after."""
+        index = cls(list(ppi_graphs))
+        assert sha256_hex(encode_index(index)) == self.PINNED[cls]
+        view = index.with_threads(4) if cls is GrapesIndex else index
+        verified = set()
+        for q in generate_workload(list(ppi_graphs), 5, 4, seed=11):
+            verified.update(view.query(q.graph).candidate_ids)
+        assert verified
+        if cls is GrapesIndex:  # ... on the trie both views share
+            assert index.trie.located == verified
+        assert sha256_hex(encode_index(index)) == self.PINNED[cls]
+        assert sha256_hex(encode_index(view)) == self.PINNED[cls]
 
     def test_header_is_one_json_line_and_tags_differ(self, grapes_blob):
         header, columns = index_payload(grapes_blob)
@@ -598,12 +630,13 @@ class TestIndexBlobFormat:
         assert list(header["columns"]) == sorted(
             name for name, _ in INDEX_COLUMNS
         )
-        # a mask is the posting's int, little-endian, minimal length
-        lens = struct.unpack(
-            f"<{len(columns['mask_len']) // 4}I", columns["mask_len"]
+        # a posting is a graph id and a count, nothing else
+        assert len(columns["graph_id"]) == len(columns["count"]) == 4 * sum(
+            struct.unpack(
+                f"<{len(columns['row_postings']) // 4}I",
+                columns["row_postings"],
+            )
         )
-        assert sum(lens) == len(columns["mask"])
-        assert columns["mask"][lens[0] - 1] != 0
 
     def test_a_restored_suffix_trie_does_not_re_expand(self, ppi_graphs):
         built = GGSXIndex(list(ppi_graphs))
@@ -634,20 +667,20 @@ class TestIndexBlobFormat:
         "graphs_kind": lambda h, c: index_blob({**h, "kind": "graphs"}, c),
         "previous_tag": lambda h, c: index_blob({**h, "codec": CODEC}, c),
         "parent_commit_tag": lambda h, c: index_blob(
-            {**h, "codec": "columns+zlib/2"}, c
+            {**h, "codec": "columns+zlib/3"}, c
         ),
         "unknown_tag": lambda h, c: index_blob(
-            {**h, "codec": "columns+zlib/4"}, c
+            {**h, "codec": "columns+zlib/5"}, c
         ),
         "wrong_method": lambda h, c: index_blob({**h, "method": "GGSX"}, c),
         "wrong_max_path_length": lambda h, c: index_blob(
             {**h, "max_path_length": 4}, c
         ),
         "truncated_body": lambda h, c: index_blob(
-            h, {**c, "mask": c["mask"][:-7]}
+            h, {**c, "count": c["count"][:-7]}
         ),
         "trailing_bytes": lambda h, c: index_blob(
-            h, {**c, "mask": c["mask"] + b"\x01"}
+            h, {**c, "count": c["count"] + b"\x01"}
         ),
         "columns_not_a_mapping": lambda h, c: index_blob(
             {**h, "columns": [1, 2, 3]}, c
@@ -657,10 +690,10 @@ class TestIndexBlobFormat:
         }}, c),
         "column_length_negative": lambda h, c: index_blob({**h, "columns": {
             **h["columns"], "path_len": -1,
-            "mask": h["columns"]["mask"] + h["columns"]["path_len"] + 1,
+            "count": h["columns"]["count"] + h["columns"]["path_len"] + 1,
         }}, c),
         "column_length_not_an_int": lambda h, c: index_blob(
-            {**h, "columns": {**h["columns"], "mask": "12"}}, c
+            {**h, "columns": {**h["columns"], "count": "12"}}, c
         ),
         "column_splits_an_item": lambda h, c: index_blob({**h, "columns": {
             **h["columns"],
@@ -675,9 +708,6 @@ class TestIndexBlobFormat:
         ),
         "path_codes_one_short": lambda h, c: recut_blob(
             h, c, code=c["code"][:-4]
-        ),
-        "mask_bytes_disagree_with_mask_lens": lambda h, c: recut_blob(
-            h, c, mask=c["mask"][:-1]
         ),
         "graph_id_outside_the_partition": lambda h, c: index_blob(
             h, {**c, "graph_id": struct.pack("<I", 10**6) + c["graph_id"][4:]}
@@ -737,19 +767,29 @@ class TestIndexBlobFormat:
 
 
 class TestFormatUpgrade:
-    """A store whose index blobs predate ``columns+zlib/3`` — and whose
-    dataset record therefore holds no label table: the manifest,
-    graphs, assignment, tombstones and journal high-water restore as
-    before; the index blobs fail the tag check, are quarantined and
-    rebuilt once, loudly; the next checkpoint writes the new format
-    (and the table) and the boot after it rebuilds nothing."""
+    """A store whose index blobs predate ``columns+zlib/4``: the
+    manifest, graphs, assignment, tombstones, label table (when its
+    writer stored one) and journal high-water restore as before; the
+    index blobs fail the tag check, are quarantined and rebuilt once,
+    loudly; the next checkpoint writes the new format (and the table)
+    and the boot after it rebuilds nothing."""
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_v1_index_blobs_rebuild_once_then_restore(
         self, shards, tmp_path, monkeypatch
     ):
         self.drill(
-            shards, tmp_path, monkeypatch, encode_index_v1, "json+zlib/1"
+            shards, tmp_path, monkeypatch, encode_index_v1, "json+zlib/1",
+            label_table=False,
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_v2_index_blobs_rebuild_once_then_restore(
+        self, shards, tmp_path, monkeypatch
+    ):
+        self.drill(
+            shards, tmp_path, monkeypatch, encode_index_v2,
+            "columns+zlib/2", label_table=False,
         )
 
     @pytest.mark.parametrize("shards", [1, 2])
@@ -757,17 +797,20 @@ class TestFormatUpgrade:
         self, shards, tmp_path, monkeypatch
     ):
         self.drill(
-            shards, tmp_path, monkeypatch, encode_index_v2,
-            "columns+zlib/2",
+            shards, tmp_path, monkeypatch, encode_index_v3,
+            "columns+zlib/3", label_table=True,
         )
 
-    def drill(self, shards, tmp_path, monkeypatch, old_encoder, old_tag):
+    def drill(
+        self, shards, tmp_path, monkeypatch, old_encoder, old_tag,
+        label_table,
+    ):
         root = str(tmp_path / "store")
         live = ftv_service(shards=shards, journal=root)
         entry = live.catalog.get("ppi")
         base = len(entry.graphs)
-        # a newcomer with a label the collection never saw: the old
-        # encoders then pinned the code order in the blob header
+        # a newcomer with a label the collection never saw: the code
+        # order is then no longer the sorted label set
         live.add_graph("ppi", relabelled(entry.graphs[1], "!novel"))
         live.pump()
         live.remove_graph("ppi", 0)
@@ -778,10 +821,13 @@ class TestFormatUpgrade:
             )
             summary = live.checkpoint_store(root)
         assert summary["journal_seq"] == 1
-        # ... and no writer of those formats stored a label table
         manifest = load_manifest(root)
-        assert manifest.datasets["ppi"].pop("labels")[-1] == "!novel"
-        write_manifest(root, manifest)
+        assert manifest.datasets["ppi"]["labels"][-1] == "!novel"
+        if not label_table:
+            # no writer of those formats stored one: each blob header
+            # spelled a non-sorted code order out itself
+            del manifest.datasets["ppi"]["labels"]
+            write_manifest(root, manifest)
 
         booted = ftv_service(shards=shards, store=root, journal=root)
         booted.replay_journal()
