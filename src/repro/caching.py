@@ -1,41 +1,25 @@
-"""Query-result caching up to isomorphism (the iGQ idea, paper ref [19]).
+"""The prepared-graph memo and the hit/miss counters every cache shares.
 
-The paper's related work notes that "iGQ is a recent approach that
-employs caching on top of any proposed FTV method to improve
-performance" — by the same research group, and orthogonal to the
-Ψ-framework.  This module provides that layer: a cache of previously
-answered decision queries, keyed *up to isomorphism*.
+``Matcher.prepare`` output, canonical query keys and query censuses are
+all functions of one graph object; :class:`PrepareCache` memoizes them
+*on that object*, so a memo lives exactly as long as its graph.
+:class:`CacheStats` is the counter block it, and the service's result
+cache (:mod:`repro.service.cache`), report through.
 
-Isomorphic repeats are common in real workloads (and are this paper's
-whole subject!): the same motif arrives with different node IDs.  The
-cache keys entries by the cheap invariant
-:func:`repro.graphs.isomorphism.isomorphism_invariant_key` and resolves
-collisions with the exact checker, so a hit is *sound* — any two
-isomorphic queries have identical answer sets.
-
-Usage::
-
-    cache = QueryCache(capacity=256)
-    cached = CachedFTVIndex(grapes_index, cache)
-    result = cached.query(query, budget)   # repeat motifs are free
+(Answers to repeated queries *up to isomorphism* — the iGQ idea, paper
+ref [19] — are cached by :class:`repro.service.cache.ResultCache` on
+:func:`repro.service.canon.canonical_query_key`.)
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .graphs import LabeledGraph
-from .graphs.isomorphism import are_isomorphic, isomorphism_invariant_key
-from .indexing import FTVIndex, FTVQueryResult
-from .matching import Budget
 
 __all__ = [
-    "QueryCache",
-    "CachedFTVIndex",
     "CacheStats",
     "PrepareCache",
     "prepare_cache",
@@ -44,7 +28,7 @@ __all__ = [
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters of a :class:`QueryCache`."""
+    """Hit/miss/eviction counters of one cache."""
 
     hits: int = 0
     misses: int = 0
@@ -69,59 +53,6 @@ class CacheStats:
             f"{prefix}lookups": self.lookups,
             f"{prefix}hit_rate": self.hit_rate,
         }
-
-
-class QueryCache:
-    """LRU cache of query answers, keyed up to isomorphism.
-
-    Values are opaque to the cache (the FTV wrapper stores the list of
-    matching graph IDs).  Each invariant-key bucket holds the distinct
-    non-isomorphic queries that share the invariant; exact isomorphism
-    is verified on lookup, so false hits are impossible.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        # invariant key -> list of (query graph, value); LRU over keys
-        self._buckets: OrderedDict[tuple, list[tuple[LabeledGraph, object]]]
-        self._buckets = OrderedDict()
-        self._entries = 0
-
-    def __len__(self) -> int:
-        return self._entries
-
-    def lookup(self, query: LabeledGraph) -> Optional[object]:
-        """The cached value for ``query`` (or an isomorphic twin)."""
-        key = isomorphism_invariant_key(query)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            for stored, value in bucket:
-                if are_isomorphic(stored, query):
-                    self._buckets.move_to_end(key)
-                    self.stats.hits += 1
-                    return value
-        self.stats.misses += 1
-        return None
-
-    def store(self, query: LabeledGraph, value: object) -> None:
-        """Insert (or refresh) the answer for ``query``."""
-        key = isomorphism_invariant_key(query)
-        bucket = self._buckets.setdefault(key, [])
-        for i, (stored, _) in enumerate(bucket):
-            if are_isomorphic(stored, query):
-                bucket[i] = (stored, value)
-                self._buckets.move_to_end(key)
-                return
-        bucket.append((query, value))
-        self._entries += 1
-        self._buckets.move_to_end(key)
-        while self._entries > self.capacity:
-            _, evicted = self._buckets.popitem(last=False)
-            self._entries -= len(evicted)
-            self.stats.evictions += len(evicted)
 
 
 class PrepareCache:
@@ -221,36 +152,3 @@ class PrepareCache:
 
 #: The process-wide instance :meth:`Matcher.prepare` routes through.
 prepare_cache = PrepareCache()
-
-
-@dataclass
-class CachedFTVIndex:
-    """An FTV index with an isomorphism-aware answer cache in front.
-
-    The decision answer of a subgraph query depends only on the query's
-    isomorphism class, so cached answers transfer exactly.  Budgets do
-    affect completeness (a killed pair may hide a match), so only
-    results from *fully completed* verifications are cached.
-    """
-
-    index: FTVIndex
-    cache: QueryCache = field(default_factory=QueryCache)
-
-    def query(
-        self,
-        query: LabeledGraph,
-        budget: Optional[Budget] = None,
-    ) -> FTVQueryResult:
-        """Answer a decision query, consulting the cache first."""
-        cached = self.cache.lookup(query)
-        if cached is not None:
-            result = FTVQueryResult(candidate_ids=list(cached[0]))
-            result.reports = list(cached[1])
-            return result
-        result = self.index.query(query, budget)
-        if not any(r.killed for r in result.reports):
-            self.cache.store(
-                query,
-                (tuple(result.candidate_ids), tuple(result.reports)),
-            )
-        return result

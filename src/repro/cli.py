@@ -443,13 +443,9 @@ def cmd_warm(args: argparse.Namespace) -> int:
 
     catalog = _service_spec(args).warm_catalog()
     summary = StoreWriter(args.store).write_catalog(catalog)
-    layout = (
-        f"{args.shards} shard(s) x {args.replicas} replica(s)"
-        if args.shards > 1 or args.replicas > 1
-        else "unsharded"
-    )
     _print(
-        f"warmed {args.dataset} ({args.scale}, {layout}); wrote epoch "
+        f"warmed {args.dataset} ({args.scale}, {args.shards} shard(s) x "
+        f"{args.replicas} replica(s)); wrote epoch "
         f"{summary['epoch']}: {summary['blobs']} blob(s), "
         f"{summary['bytes']} bytes under {summary['path']}"
     )
@@ -903,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("default", "tiny"),
                    default="default")
     p.add_argument("--shards", type=int, default=1,
-                   help="persist the sharded layout (per-shard index "
-                        "blobs) instead of the unsharded one")
+                   help="shards the collection is partitioned over "
+                        "(one index blob per shard)")
     p.add_argument("--replicas", type=int, default=1,
                    help="replica layout recorded in the manifest")
     p.add_argument("--assignment", default="size_balanced",

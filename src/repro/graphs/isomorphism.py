@@ -1,13 +1,10 @@
 """Exact graph isomorphism for labeled graphs.
 
-Two uses inside this project:
-
-* the test suite verifies that every query rewriting produces a graph
-  *exactly* isomorphic to the original (Definition 2 of the paper), not
-  merely one sharing cheap invariants;
-* :class:`repro.caching.QueryCache` detects repeated queries up to
-  isomorphism (the iGQ idea the paper cites as orthogonal related
-  work [19]).
+The test suite's reference: it verifies that every query rewriting
+produces a graph *exactly* isomorphic to the original (Definition 2 of
+the paper), not merely one sharing cheap invariants, and that
+:func:`repro.service.canon.canonical_query_key` agrees with it on which
+queries are the same.
 
 The checker is a VF2-flavoured backtracking over vertex bijections with
 label/degree partitioning and a neighbourhood-signature refinement —

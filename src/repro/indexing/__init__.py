@@ -11,7 +11,7 @@ Invariants this package maintains (the serving layer builds on both):
   the query, never on which other graphs share the index.  This is
   what makes an index over any *subset* of a collection (a catalog
   shard) return exactly the global candidate set restricted to the
-  subset, so sharded and unsharded serving agree bit-for-bit.
+  subset, so serving agrees bit-for-bit over any number of shards.
 * **Everything is deterministic** — candidate ids come out ascending
   and duplicate-free, censuses and trie probes are pure functions of
   the (graphs, query) pair, and the bitset fast path is proven

@@ -14,31 +14,22 @@ graphs + query -> same ascending candidate ids on any machine) and
 per-graph (a graph's membership never depends on the rest of the
 collection — the property sharded catalogs rely on); the bitset fast
 path must return exactly what the seed's set algebra returns (the
-oracle ``tests/test_filter_equivalence.py`` compares it with), and the
-census memo layers must never change a candidate set, only skip
-recomputing it.
+oracle ``tests/test_filter_equivalence.py`` compares it with).
 """
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..caching import prepare_cache
 from ..graphs import LabeledGraph, bits_ascending
 from ..matching import Budget, GraphIndex, VF2Matcher, VF2Plan
 from .features import LabelInterner, PathCensus, coded_path_census
 from .trie import PathTrie
 
 __all__ = ["FTVIndex", "VerificationReport", "FTVQueryResult"]
-
-#: LRU capacity of the per-index canonical-form census cache.
-DEFAULT_CENSUS_CACHE_CAP = 512
-
-#: sentinel distinguishing "shape never seen" from "stash promoted"
-_NEVER_SEEN = object()
 
 
 @dataclass
@@ -144,16 +135,6 @@ class FTVIndex(ABC):
         #: in the process-wide PrepareCache (unique per index, so two
         #: indexes over the same graphs never cross-hit)
         self._census_token = object()
-        #: canonical form -> coded census, shared by isomorphic repeats
-        self._canon_census: "OrderedDict[tuple, PathCensus]" = OrderedDict()
-        #: cheap isomorphism-invariant shapes seen so far: the gate
-        #: that keeps canonicalisation off the cold path (see
-        #: :meth:`coded_query_census`)
-        self._census_shapes: "OrderedDict[tuple, bool]" = OrderedDict()
-        # deferred import: repro.caching imports this module at load
-        from ..caching import CacheStats
-
-        self.census_stats = CacheStats()
         if restore is None:
             self._build()
         else:
@@ -237,9 +218,9 @@ class FTVIndex(ABC):
         and sealed masks stay valid.  Sealed trie nodes take the
         newcomer's postings into their tables in place (see
         :meth:`PathTrie.insert`; the few that unseal instead reseal on
-        the next :meth:`warm` or lazily on first probe); the census
-        memo layers are invalidated because stale entries hold
-        negative codes for now-known labels.
+        the next :meth:`warm` or lazily on first probe); memoized query
+        censuses are orphaned because stale ones hold negative codes
+        for now-known labels.
 
         ``rows`` is an output: a list passed here receives the
         newcomer's ``(coded path, Posting)`` rows — one per trie node
@@ -292,134 +273,40 @@ class FTVIndex(ABC):
         return removed
 
     def _invalidate_censuses(self) -> None:
-        """Drop every memoized census (collection state changed).
+        """Orphan every memoized query census (collection state changed).
 
         Stale censuses are dangerous two ways: they hold *negative*
         codes for labels the collection may now intern, and their
         ``location_unions`` memo may include removed ids.  A fresh
-        token orphans the prepare-cache namespace; the canonical-form
-        LRU and the shape gate are cleared outright.
+        token orphans this index's prepare-cache namespace.
         """
         self._census_token = object()
-        self._canon_census.clear()
-        self._census_shapes.clear()
 
     # ------------------------------------------------------------------
     # online stage
     # ------------------------------------------------------------------
 
     def coded_query_census(self, query: LabeledGraph) -> PathCensus:
-        """The query's interned-int census, memoized two ways.
-
-        * **Per instance** — through :data:`repro.caching.prepare_cache`
-          (the graph-side memo), so the census survives across
-          ``filter`` and per-candidate ``relevant_components`` calls on
-          the same query object;
-        * **per isomorphism class** — an LRU keyed by the canonical
-          form from :mod:`repro.service.canon`, so a permuted re-issue
-          of a motif skips the path enumeration entirely.  Sound
-          because the census counts are isomorphism-invariant (the
-          location side is never populated for queries), and the fresh
-          negative codes of unknown labels never reach the trie, so
-          their identity across instances is irrelevant.
-
-        Canonicalisation is *gated* behind a cheap invariant shape
-        fingerprint: the first sighting of a shape computes its census
-        directly (a unique query never pays the canonical form — on
-        small queries canonicalisation costs as much as the census it
-        would save); once a shape repeats, its class goes through the
-        canonical-form cache and every further isomorphic instance
-        reuses the stored census.
-        """
-        from ..caching import prepare_cache  # deferred: caching imports us
-
+        """The query's interned-int census, memoized on the query
+        object through :data:`repro.caching.prepare_cache` (the
+        graph-side memo): one census serves ``filter`` and every
+        per-candidate ``relevant_components`` call on the same query,
+        and Grapes hangs its ``location_unions`` on it."""
         return prepare_cache.get(
             query,
             ("ftv-census", self._census_token, self.max_path_length),
-            lambda: self._canon_shared_census(query),
+            lambda: coded_path_census(
+                query,
+                self.max_path_length,
+                self.interner.encode_vertices(query.labels),
+            ),
         )
-
-    def _census_fingerprint(self, query: LabeledGraph) -> tuple:
-        """Cheap isomorphism-invariant shape key (collisions allowed).
-
-        Twins must collide (or sharing is merely missed); unrelated
-        collisions only cost one canonicalisation — soundness always
-        comes from the exact canonical form.
-        """
-        codes = self.interner.encode_vertices(query.labels)
-        return (
-            query.order,
-            query.size,
-            tuple(sorted(codes)),
-            tuple(sorted(query.degree(v) for v in query.vertices())),
-        )
-
-    def _canon_shared_census(self, query: LabeledGraph) -> PathCensus:
-        fingerprint = self._census_fingerprint(query)
-        shapes = self._census_shapes
-        stash = shapes.get(fingerprint, _NEVER_SEEN)
-        if stash is _NEVER_SEEN:
-            # first sighting of this shape: census directly, stash it
-            # (weakly — never pin a caller-owned query graph) so the
-            # class promotes to canonical keying on a repeat
-            self.census_stats.misses += 1
-            codes = self.interner.encode_vertices(query.labels)
-            census = coded_path_census(query, self.max_path_length, codes)
-            shapes[fingerprint] = (weakref.ref(query), census)
-            if len(shapes) > 4 * DEFAULT_CENSUS_CACHE_CAP:
-                shapes.popitem(last=False)
-            return census
-        shapes.move_to_end(fingerprint)
-
-        from ..service.canon import canonical_query_key  # deferred
-
-        if stash is not None:
-            # the shape just repeated: file the stashed first-instance
-            # census under its canonical form, then drop the stash.
-            # Promotion witness: ``add_edge`` is the only graph
-            # mutator and strictly grows ``size``, so an order/size
-            # match proves the stashed census still describes the
-            # graph we are about to canonicalise; a dead weakref or a
-            # mutated graph simply forfeits the promotion (the current
-            # instance's census is stored under its own key below).
-            first_ref, first_census = stash
-            shapes[fingerprint] = None
-            first_query = first_ref()
-            if (
-                first_query is not None
-                and first_query.order == fingerprint[0]
-                and first_query.size == fingerprint[1]
-            ):
-                first_canon = canonical_query_key(first_query)
-                if first_canon is not None:
-                    self._store_canon_census(first_canon, first_census)
-        canon = canonical_query_key(query)
-        if canon is not None:
-            hit = self._canon_census.get(canon)
-            if hit is not None:
-                self._canon_census.move_to_end(canon)
-                self.census_stats.hits += 1
-                return hit
-        self.census_stats.misses += 1
-        codes = self.interner.encode_vertices(query.labels)
-        census = coded_path_census(query, self.max_path_length, codes)
-        if canon is not None:
-            self._store_canon_census(canon, census)
-        return census
-
-    def _store_canon_census(self, canon: tuple, census: PathCensus) -> None:
-        self._canon_census[canon] = census
-        self._canon_census.move_to_end(canon)
-        if len(self._canon_census) > DEFAULT_CENSUS_CACHE_CAP:
-            self._canon_census.popitem(last=False)
-            self.census_stats.evictions += 1
 
     def filter(self, query: LabeledGraph) -> list[int]:
         """Candidate graph IDs after feature + frequency pruning.
 
         Census-then-probe, for a caller that holds a query and no
-        census of it (the harness, whose repeated and isomorphic
-        queries the memo layers of :meth:`coded_query_census` serve).
+        census of it (the harness and the paper benches).
         """
         return self.probe(self.coded_query_census(query).counts)
 
@@ -466,12 +353,6 @@ class FTVIndex(ABC):
             "trie_nodes": self.trie.node_count,
             "labels": len(self.interner),
         }
-
-    def census_cache_metrics(self) -> dict:
-        """Counter snapshot of the canonical-form census cache."""
-        out = self.census_stats.as_metrics()
-        out["entries"] = len(self._canon_census)
-        return out
 
     def verify_plan(self, query: LabeledGraph) -> Optional[VF2Plan]:
         """The verifier's search plan of ``query`` (see

@@ -8,7 +8,6 @@ from .executors import (
     RaceTask,
     interleaved_race,
     race_from_costs,
-    threaded_race,
 )
 from .framework import PsiFTV, PsiFTVQueryResult, PsiNFV, PsiResult
 from .variants import Variant, variants_from_spec
@@ -23,7 +22,6 @@ __all__ = [
     "RaceTask",
     "interleaved_race",
     "race_from_costs",
-    "threaded_race",
     "PsiFTV",
     "PsiFTVQueryResult",
     "PsiNFV",

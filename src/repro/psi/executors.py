@@ -1,4 +1,4 @@
-"""Race executors: three ways to run N matching attempts "in parallel".
+"""Race executors: two ways to run N matching attempts "in parallel".
 
 The Ψ-framework's semantics (paper §8): N threads start simultaneously
 on the same query, each with its own rewriting and/or algorithm; the
@@ -8,21 +8,18 @@ thread instantiation/synchronisation overhead the paper calls
 "non-trivial".
 
 Because CPython threads cannot actually overlap CPU-bound work, the
-default executor **interleaves** the steppable engines round-robin in a
-single thread: every engine advances one step per round, so the first
-engine to complete is exactly the one with the fewest steps — the
-deterministic realisation of "first past the post".  A real
-``threading``-based executor is provided for completeness (its *answer*
-is identical; its winner choice can differ under GIL scheduling), and a
-pure cost-algebra executor (:func:`race_from_costs`) lets experiment
+executor **interleaves** the steppable engines round-robin in a single
+thread: every engine advances one step per round, so the first engine
+to complete is exactly the one with the fewest steps — the
+deterministic realisation of "first past the post".  A pure
+cost-algebra executor (:func:`race_from_costs`) lets experiment
 harnesses replay races from per-variant cost matrices without rerunning
 searches.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +31,6 @@ __all__ = [
     "RaceOutcome",
     "RaceTask",
     "interleaved_race",
-    "threaded_race",
     "race_from_costs",
     "AttemptCost",
     "DEFAULT_RACE_QUANTUM",
@@ -261,94 +257,6 @@ def interleaved_race(
     return RaceTask(
         engines, budget=budget, overhead=overhead, quantum=quantum
     ).run_to_completion()
-
-
-def threaded_race(
-    engine_factories: Mapping[object, Callable[[], SearchEngine]],
-    budget: Optional[Budget] = None,
-    overhead: OverheadModel = OverheadModel(),
-    check_every: int = 256,
-) -> RaceOutcome:
-    """Real ``threading`` race with cooperative cancellation.
-
-    Each thread drives its engine and checks a shared stop event every
-    ``check_every`` steps; the first thread to complete publishes its
-    result and stops the rest.  Functionally equivalent to
-    :func:`interleaved_race` (same answers); the winner identity and
-    step accounting can differ under OS/GIL scheduling, which is why the
-    deterministic executor is the default everywhere results are
-    reported.
-    """
-    if not engine_factories:
-        raise ValueError("race needs at least one variant")
-    stop = threading.Event()
-    lock = threading.Lock()
-    state: dict[str, object] = {"winner": None, "outcome": None}
-    steps: dict[object, int] = {k: 0 for k in engine_factories}
-    cap = budget.max_steps if budget and budget.max_steps else None
-
-    def work(key: object, factory: Callable[[], SearchEngine]) -> None:
-        gen = factory()
-        count = 0
-        next_check = check_every
-        try:
-            while True:
-                try:
-                    inc = next(gen)
-                except StopIteration as stop_iter:
-                    outcome = stop_iter.value or MatchOutcome()
-                    outcome.steps = count
-                    with lock:
-                        steps[key] = count
-                        if state["winner"] is None:
-                            state["winner"] = key
-                            state["outcome"] = outcome
-                    stop.set()
-                    return
-                count += 1 if inc is None else inc
-                if cap is not None and count >= cap:
-                    count = cap
-                    break
-                if count >= next_check:
-                    next_check = count + check_every
-                    if stop.is_set():
-                        break
-        finally:
-            gen.close()
-            with lock:
-                steps[key] = count
-
-    threads = [
-        threading.Thread(target=work, args=(k, f), daemon=True)
-        for k, f in engine_factories.items()
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    over = overhead.cost(len(threads))
-    winner = state["winner"]
-    if winner is None:
-        return RaceOutcome(
-            winner=None,
-            outcome=None,
-            steps=(cap if cap is not None else 0) + over,
-            found=False,
-            killed=cap is not None,
-            overhead_steps=over,
-            per_variant_steps=dict(steps),
-        )
-    outcome = state["outcome"]
-    assert isinstance(outcome, MatchOutcome)
-    return RaceOutcome(
-        winner=winner,
-        outcome=outcome,
-        steps=outcome.steps + over,
-        found=outcome.found,
-        killed=False,
-        overhead_steps=over,
-        per_variant_steps=dict(steps),
-    )
 
 
 @dataclass(frozen=True)

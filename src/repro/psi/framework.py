@@ -38,7 +38,6 @@ from .executors import (
     RaceOutcome,
     interleaved_race,
     race_from_costs,
-    threaded_race,
 )
 from .variants import Variant
 
@@ -171,42 +170,27 @@ class PsiNFV:
         budget: Optional[Budget] = None,
         max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
         count_only: bool = False,
-        executor: str = "interleaved",
     ) -> PsiResult:
-        """Race ``variants`` on ``query``; first finisher wins.
-
-        ``executor`` is ``"interleaved"`` (deterministic, default) or
-        ``"threaded"`` (real threads; same answers, scheduler-dependent
-        winner).
-        """
+        """Race ``variants`` on ``query``; first finisher wins."""
         if not variants:
             raise ValueError("need at least one variant")
         rewritten = {
             v: self.rewritten(query, v.rewriting) for v in variants
         }
 
-        def engine_for(v: Variant):
-            return self.matcher(v.algorithm).engine(
-                self.prepared(v.algorithm),
-                rewritten[v].graph,
-                max_embeddings=max_embeddings,
-                count_only=count_only,
-            )
-
-        if executor == "interleaved":
-            race = interleaved_race(
-                {v: engine_for(v) for v in variants},
-                budget=budget,
-                overhead=self.overhead,
-            )
-        elif executor == "threaded":
-            race = threaded_race(
-                {v: (lambda v=v: engine_for(v)) for v in variants},
-                budget=budget,
-                overhead=self.overhead,
-            )
-        else:
-            raise ValueError(f"unknown executor {executor!r}")
+        race = interleaved_race(
+            {
+                v: self.matcher(v.algorithm).engine(
+                    self.prepared(v.algorithm),
+                    rewritten[v].graph,
+                    max_embeddings=max_embeddings,
+                    count_only=count_only,
+                )
+                for v in variants
+            },
+            budget=budget,
+            overhead=self.overhead,
+        )
         embeddings: list[dict[int, int]] = []
         if race.winner is not None and race.outcome is not None:
             rq = rewritten[race.winner]  # type: ignore[index]

@@ -52,7 +52,7 @@ def random_scenario(seed: int) -> ScenarioConfig:
     """A small schema-valid scenario, a pure function of ``seed``."""
     rng = random.Random(f"scenario-fuzz:{seed}")
     # FTV collections shard; the NFV single-graph datasets exercise
-    # the unsharded algorithm x rewriting race instead
+    # the one-shard algorithm x rewriting race instead
     dataset = rng.choice(("yeast", "ppi", "synthetic"))
     ftv = dataset in ("ppi", "synthetic")
     shards = rng.choice((1, 2, 3)) if ftv else 1

@@ -6,9 +6,10 @@ dataset catalog that keeps graphs and their indexes warm, admission
 control with per-tenant fair share, a deterministic dispatcher that
 interleaves many Ψ races over bounded simulated worker pools, a
 canonical-form result cache in front of it all, and a sharded
-catalog (``Service(shards=N)``) that partitions collections and fans
-queries out with answers bit-for-bit identical to unsharded serving
-(see :mod:`repro.service.sharding`).  Shards can carry warm replicas
+catalog (``Service(shards=N)``, N >= 1 — the only catalog a service
+owns) that partitions collections and fans queries out with answers
+bit-for-bit identical for every N (see
+:mod:`repro.service.sharding`).  Shards can carry warm replicas
 (``Service(shards=N, replicas=R)``) with a deterministic fault
 injector (:mod:`repro.service.faults`) proving that replica death,
 pool wedges, and mid-flight task failures never change a

@@ -89,7 +89,7 @@ class Ticket:
     #: attached to an identical in-flight query's race (no own race)
     coalesced: bool = False
     #: shard races this ticket fanned out into (0 until dispatched;
-    #: 1 on an unsharded catalog).  With routing on this counts only
+    #: 1 for a one-shard collection).  With routing on this counts only
     #: the *surviving* fan-out — admission charges nothing for shards
     #: the router pruned or skipped.
     fanout: int = 0

@@ -1,12 +1,11 @@
 """Canonical forms for query graphs (result-cache keys).
 
-:class:`repro.caching.QueryCache` detects isomorphic repeats with an
-invariant key plus an exact isomorphism check per bucket entry — O(hit
-candidates) exact checks per lookup.  A serving layer wants O(1)
-lookups: this module computes a **canonical form**, a node ordering
-that is identical for every isomorphic instance of a query, so the
-cache can key on a plain tuple and a dict lookup replaces the exact
-checker.
+Detecting an isomorphic repeat with an invariant key plus an exact
+isomorphism check per bucket entry costs O(hit candidates) exact checks
+per lookup.  A serving layer wants O(1) lookups: this module computes a
+**canonical form**, a node ordering that is identical for every
+isomorphic instance of a query, so the cache can key on a plain tuple
+and a dict lookup replaces the exact checker.
 
 The algorithm is classic individualisation–refinement over *label
 codes* (vertex labels interned to dense ints, ordered by ``repr`` so

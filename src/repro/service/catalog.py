@@ -15,13 +15,19 @@ Entries wrap:
 * FTV datasets (ppi/synthetic): the graph collection + a Grapes (or
   GGSX) filter index and a warm VF2 verifier per stored graph.
 
-Besides the named builders, :meth:`DatasetCatalog.register` accepts a
-pre-built list of graphs under any name — that is how
-:class:`repro.service.sharding.ShardedCatalog` places one partition of
-a collection on each shard catalog.  Registered entries are warmed
-and frozen exactly like loaded ones.  A catalog holds what it was told
-to load until it is told to :meth:`~DatasetCatalog.unload` it: nothing
-is evicted behind the caller's back.
+A :class:`DatasetCatalog` is what backs **one replica pool of one
+shard**: a served collection is always N >= 1 shards
+(:class:`repro.service.sharding.ShardedCatalog` — the catalog a
+:class:`~repro.service.Service` owns, and the one that boots from and
+checkpoints to a store), and each shard's partition lives in a
+``DatasetCatalog`` through :meth:`DatasetCatalog.register` (a pre-built
+list of graphs under any name) or :meth:`~DatasetCatalog.adopt` (a
+sibling replica's frozen entry).  On its own it is also the plain way
+to hold a whole dataset warm outside any service — the oracle the tests
+and the ledger compare a service against.  Registered entries are
+warmed and frozen exactly like loaded ones.  A catalog holds what it
+was told to load until it is told to :meth:`~DatasetCatalog.unload` it:
+nothing is evicted behind the caller's back.
 
 Invariant: loading/registering is deterministic — the same name, scale,
 and configuration always produce the same frozen graphs and warm
@@ -46,20 +52,6 @@ from ..psi import PsiNFV
 from ..rewriting import LabelStats
 
 __all__ = ["DatasetEntry", "DatasetCatalog", "approx_deep_bytes"]
-
-
-def _build_index(
-    ftv_method: str,
-    graphs: list[LabeledGraph],
-    max_path_length: int,
-    interner: Optional[LabelInterner],
-) -> FTVIndex:
-    """A fresh filter index of ``graphs`` in ``interner`` (None = the
-    index interns for itself)."""
-    cls = FTV_INDEX_CLASSES.get(ftv_method)
-    if cls is None:
-        raise ValueError(f"unknown FTV method {ftv_method!r}")
-    return cls(graphs, max_path_length=max_path_length, interner=interner)
 
 
 def approx_deep_bytes(obj: object, max_objects: int = 500_000) -> int:
@@ -200,39 +192,14 @@ class DatasetEntry:
         }
         if self.ftv_index is not None:
             report["ftv_warm"] = dict(self.warm_stats)
-            report["census_cache"] = (
-                self.ftv_index.census_cache_metrics()
-            )
         return report
 
 
 class DatasetCatalog:
     """Named, load-once registry of warm datasets."""
 
-    def __init__(self, store=None) -> None:
-        #: attached StoreReader (boot-from-store path); None = always
-        #: warm fresh
-        self.store = None
-        if store is not None:
-            self.attach_store(store)
-        #: monotone collection-state version: bumped by every applied
-        #: ``add_graph``/``remove_graph``.  Result-cache keys embed it,
-        #: so a mutation implicitly drops every cached answer computed
-        #: against the previous collection state.
-        self.mutation_epoch = 0
+    def __init__(self) -> None:
         self._entries: dict[str, DatasetEntry] = {}
-
-    def attach_store(self, store):
-        """Attach a warmed-artifact store (path or ``StoreReader``).
-
-        Subsequent :meth:`load` calls restore from it when possible;
-        a missing or corrupt store degrades to fresh builds, never to
-        an error (see :mod:`repro.store`).
-        """
-        from ..store import StoreReader  # deferred: store imports us
-
-        self.store = StoreReader.open(store)
-        return self.store
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -259,13 +226,6 @@ class DatasetCatalog:
         existing = self._existing(name, config)
         if existing is not None:
             return existing
-        if self.store is not None:
-            restored = self._restore_from_store(
-                name, scale, tuple(algorithms), ftv_method,
-                max_path_length, config,
-            )
-            if restored is not None:
-                return restored
         if name in NFV_DATASETS:
             graphs = [build_nfv_graph(name, scale)]
             kind = "nfv"
@@ -280,134 +240,6 @@ class DatasetCatalog:
         return self._install(
             name, graphs, kind, scale, tuple(algorithms), ftv_method,
             max_path_length, config,
-        )
-
-    def restore(
-        self,
-        name: str,
-        scale: str = "default",
-        algorithms: tuple[str, ...] = ("GQL", "SPA"),
-        ftv_method: str = "Grapes",
-        max_path_length: int = 3,
-    ) -> DatasetEntry:
-        """Boot ``name`` from the attached store (strict entry point).
-
-        Unlike :meth:`load` — which treats the store as a transparent
-        accelerator and silently warms fresh on any miss — this raises
-        :class:`repro.store.StoreError` when no store is attached or
-        the store cannot serve the dataset's *graphs* (absent,
-        config-mismatched, or corrupt beyond its blobs).  A corrupt
-        *index* blob still degrades to an in-process rebuild over the
-        restored graphs, because the restored entry is digest-identical
-        either way.
-        """
-        from ..store import StoreError
-
-        if self.store is None:
-            raise StoreError(
-                f"cannot restore {name!r}: no store attached"
-            )
-        config = (scale, tuple(algorithms), ftv_method, max_path_length)
-        existing = self._existing(name, config)
-        if existing is not None:
-            return existing
-        entry = self._restore_from_store(
-            name, scale, tuple(algorithms), ftv_method,
-            max_path_length, config,
-        )
-        if entry is None:
-            raise StoreError(
-                f"store at {self.store.root!r} cannot serve {name!r} "
-                f"with config {config}"
-            )
-        return entry
-
-    def _restore_from_store(
-        self,
-        name: str,
-        scale: str,
-        algorithms: tuple[str, ...],
-        ftv_method: str,
-        max_path_length: int,
-        config: tuple,
-    ) -> Optional[DatasetEntry]:
-        """One restore attempt; None = miss (caller warms fresh).
-
-        Degradation ladder: a config/layout mismatch is a clean miss; a
-        corrupt graphs blob is a miss after the reader quarantined it
-        (the named builder regenerates identical graphs); a corrupt
-        index blob keeps the restored graphs and rebuilds just the
-        index in process.  Every detection is already counted and
-        logged by the :class:`~repro.store.StoreReader`.
-        """
-        from ..store import StoreError
-
-        reader = self.store
-        rec = reader.dataset_record(name)
-        if rec is None:
-            return None
-        manifest = reader.manifest
-        if manifest is None or manifest.layout.get("sharded"):
-            reader.misses += 1
-            reader._event(
-                "layout_mismatch", dataset=name,
-                wanted="unsharded", found=manifest.layout
-                if manifest else None,
-            )
-            return None
-        if (
-            rec.get("scale") != scale
-            or tuple(rec.get("algorithms", ())) != tuple(algorithms)
-            or rec.get("ftv_method") != ftv_method
-            or rec.get("max_path_length") != max_path_length
-        ):
-            reader.misses += 1
-            reader._event(
-                "config_mismatch", dataset=name,
-                wanted=[scale, list(algorithms), ftv_method,
-                        max_path_length],
-            )
-            return None
-        kind = rec.get("kind")
-        try:
-            graphs = reader.load_graphs(name)
-            # the code space the index blob's rows are written in
-            # (None = the record predates it); a refused table is a
-            # miss the reader already counted and logged
-            interner = (
-                reader.load_interner(name, graphs)
-                if kind == "ftv"
-                else None
-            )
-        except StoreError:
-            reader.rebuilds += 1
-            return None
-        reader.restores += 1
-        index = None
-        if kind == "ftv":
-            try:
-                index = reader.load_index(
-                    name, graphs, ftv_method=ftv_method,
-                    max_path_length=max_path_length, interner=interner,
-                )
-                reader.restores += 1
-            except StoreError:
-                reader.rebuilds += 1
-            tombs = {int(g) for g in rec.get("tombstones", ())}
-            if tombs:
-                if index is None:
-                    # the blob (and its tombstones) is gone; rebuild
-                    # here so the record's ids can be re-retired —
-                    # _install would otherwise index every slot live
-                    index = _build_index(
-                        ftv_method, graphs, max_path_length, interner
-                    )
-                for gid in sorted(tombs - index.tombstones):
-                    index.remove_graph(gid)
-        return self._install(
-            name, graphs, kind, scale, tuple(algorithms), ftv_method,
-            max_path_length, config, prebuilt_index=index,
-            interner=interner,
         )
 
     def _existing(self, name: str, config: tuple):
@@ -464,13 +296,18 @@ class DatasetCatalog:
                 load_config=config,
             )
         else:
-            index = (
-                prebuilt_index
-                if prebuilt_index is not None
-                else _build_index(
-                    ftv_method, graphs, max_path_length, interner
+            index = prebuilt_index
+            if index is None:
+                cls = FTV_INDEX_CLASSES.get(ftv_method)
+                if cls is None:
+                    raise ValueError(
+                        f"unknown FTV method {ftv_method!r}"
+                    )
+                index = cls(
+                    graphs,
+                    max_path_length=max_path_length,
+                    interner=interner,
                 )
-            )
             # warm the bitset posting lists now: the first served query
             # probes pre-sealed threshold masks instead of paying the
             # lazy seal on the hot path
@@ -590,8 +427,8 @@ class DatasetCatalog:
         Incremental maintenance, not a rewarm: the newcomer's census is
         inserted into the existing trie (sealed nodes take its postings
         into their tables in place), novel labels extend the interner
-        with appended codes, and the census memo layers are
-        invalidated.  ``graph_id`` may name a tombstoned slot to revive
+        with appended codes, and memoized query censuses are
+        orphaned.  ``graph_id`` may name a tombstoned slot to revive
         (journal replay and the add→remove→re-add drill); ``None``
         appends.  ``rows`` is :meth:`FTVIndex.add_graph`'s output list,
         passed through.
@@ -636,9 +473,7 @@ class DatasetCatalog:
         eagerly (``warm``) so the next probe pays no lazy seal; the
         freeze witness is re-taken (a slot's shape may have changed);
         and registered entries' shape-bearing ``load_config`` is
-        updated so idempotent re-registration keeps working.  Finally
-        the catalog's mutation epoch advances — the cache-key stamp
-        that retires every pre-mutation cached answer.
+        updated so idempotent re-registration keeps working.
         """
         index = entry.ftv_index
         live = [entry.graphs[g] for g in index.live_ids()]
@@ -649,7 +484,6 @@ class DatasetCatalog:
             shapes = tuple((g.order, g.size) for g in entry.graphs)
             entry.load_config = entry.load_config[:6] + (shapes,)
         entry.freeze()
-        self.mutation_epoch += 1
 
     def unload(self, name: str) -> None:
         """Drop a dataset (its graphs take their index memos with
@@ -666,10 +500,7 @@ class DatasetCatalog:
             name: entry.memory_report()
             for name, entry in sorted(self._entries.items())
         }
-        report = {
+        return {
             "datasets": per,
             "total_bytes": sum(r["total_bytes"] for r in per.values()),
         }
-        if self.store is not None:
-            report["store"] = self.store.as_metrics()
-        return report

@@ -73,7 +73,7 @@ class LoadReport:
     digest: str
     service_stats: dict
     #: digest over decision answers only (sharding-invariant — equal
-    #: for sharded and unsharded runs of the same workload)
+    #: for runs of the same workload over any number of shards)
     answers: str = ""
     #: digest over existence answers only (additionally invariant
     #: under shard routing for decision_only workloads, where the
@@ -384,32 +384,25 @@ def collection_digest(
     Layout-invariant by construction — FTV filtering is a per-graph
     predicate and the digest covers verified answers (not candidate
     sets, which legitimately differ between a from-scratch interner
-    and an incrementally extended one), so unsharded, sharded+routed,
-    and replicated layouts of the same collection state all hash
-    identically.
+    and an incrementally extended one), so one-shard, many-shard,
+    routed and replicated layouts of the same collection state all
+    hash identically.
     """
     entry = service.catalog.get(dataset)
-    if service.sharded:
-        answers = []
-        subs = [
-            (shard, service.catalog.shard_entry(dataset, shard))
-            for shard in entry.involved_shards()
-        ]
-        for probe in probes:
-            ids: set[int] = set()
-            for shard, sub in subs:
-                result = sub.ftv_index.query(probe)
-                ids.update(
-                    entry.assignment[shard][local]
-                    for local in result.matching_ids
-                )
-            answers.append(sorted(ids))
-    else:
-        index = entry.ftv_index
-        answers = [
-            sorted(index.query(probe).matching_ids)
-            for probe in probes
-        ]
+    answers = []
+    subs = [
+        (shard, service.catalog.shard_entry(dataset, shard))
+        for shard in entry.involved_shards()
+    ]
+    for probe in probes:
+        ids: set[int] = set()
+        for shard, sub in subs:
+            result = sub.ftv_index.query(probe)
+            ids.update(
+                entry.assignment[shard][local]
+                for local in result.matching_ids
+            )
+        answers.append(sorted(ids))
     return _state_digest(_live_rows(entry), answers)
 
 
@@ -521,7 +514,7 @@ def run_closed_loop(
     carries a ``chaos`` section (injection counters, the zero-lost-
     tickets check, and a healthy-vs-fault-touched latency split).
 
-    With ``regrow=True`` (sharded services only) the loop heals
+    With ``regrow=True`` the loop heals
     permanent losses as they happen: whenever a shard has more DEAD
     replicas than it has regrown so far, :meth:`Service.add_replica`
     scales it back out *mid-load* — with a store attached the newcomer
@@ -538,7 +531,6 @@ def run_closed_loop(
         raise ValueError("batch must be >= 1")
     if faults is not None:
         service.install_faults(faults)
-    regrow = regrow and service.sharded
     ops = deque(mutations or ())
     verify_oracle = verify_oracle and bool(ops)
     if verify_oracle and probes is None:

@@ -86,9 +86,8 @@ class Rebalancer:
     Parameters
     ----------
     service:
-        A :class:`~repro.service.Service` — ideally sharded; an
-        unsharded (or single-shard) one makes every check a counted
-        no-op.
+        A :class:`~repro.service.Service`; a single-shard one makes
+        every check a counted no-op.
     skew_threshold:
         Hottest/coldest bill ratio (since the last rebalance) above
         which a migration is attempted.  1.0 rebalances on any
@@ -109,8 +108,8 @@ class Rebalancer:
         the mean retires one (never its last), both through the
         service's quiesce-point scaling operations.
 
-    Degenerate topologies never raise: an unsharded service, a single
-    shard, an all-dark layout, or a collection too small to migrate
+    Degenerate topologies never raise: a single shard, an all-dark
+    layout, or a collection too small to migrate
     simply no-ops with the ``degenerate`` counter ticking — the
     rebalancer is an opportunistic background concern, and "nothing to
     do" is an answer, not an error.
@@ -215,18 +214,7 @@ class Rebalancer:
         served it (dead replicas' history included), so the migration
         signal keeps per-shard semantics whatever the replica layout.
         """
-        pool_window = self._pool_window()
-        catalog = self.service.catalog
-        if not isinstance(catalog, ShardedCatalog):
-            return pool_window
-        return [
-            sum(
-                pool_window[p]
-                for p in catalog.shard_pools(s)
-                if p < len(pool_window)
-            )
-            for s in range(catalog.num_shards)
-        ]
+        return shard_loads(self.service.catalog, self._pool_window())
 
     def skew(self) -> float:
         """Current hottest/coldest ratio over the window."""
@@ -248,10 +236,7 @@ class Rebalancer:
         if not service.idle:
             return []
         catalog = service.catalog
-        if (
-            not isinstance(catalog, ShardedCatalog)
-            or catalog.num_shards < 2
-        ):
+        if catalog.num_shards < 2:
             # degenerate topology: nothing to migrate between — no-op,
             # never an exception (satellite of the failure model: a
             # rebalancer must survive any layout it is pointed at)

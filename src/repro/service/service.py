@@ -2,7 +2,8 @@
 
 :class:`Service` composes the four serving pieces:
 
-* :class:`~repro.service.catalog.DatasetCatalog` — warm datasets;
+* :class:`~repro.service.sharding.ShardedCatalog` — warm datasets,
+  each a collection of N >= 1 shards;
 * :class:`~repro.service.admission.AdmissionController` — queues,
   per-tenant caps, fair share;
 * :class:`~repro.service.dispatcher.Dispatcher` — many Ψ races over a
@@ -17,16 +18,14 @@ and concurrency never changes any query's winner or step bill — only
 its latency.  Everything is virtual-time deterministic: two runs of the
 same submission history give identical results, latencies included.
 
-With ``Service(shards=N)`` (a
-:class:`~repro.service.sharding.ShardedCatalog`) the submit path fans
-each query out into one race per involved shard, runs them on
-per-shard worker pools, and merges the outcomes
-(:func:`repro.service.sharding.merge_shard_outcomes`)
-— decision answers stay bit-for-bit identical to unsharded serving,
-and the result cache keys on (query, collection) so both layouts share
-hits.  Internally the unsharded service is just the one-shard case of
-the same fan-out plumbing, with the single outcome passed through
-untouched.
+A served collection is always sharded: the submit path fans each query
+out into one race per involved shard of ``Service(shards=N)``, runs
+them on per-shard worker pools, and merges the outcomes
+(:func:`repro.service.sharding.merge_shard_outcomes`) — decision
+answers are bit-for-bit identical for every N, and the result cache
+keys on (query, collection) so all layouts share hits.  ``shards=1,
+replicas=1`` (the default) is one shard, one replica, pool 0 of the
+same plumbing, not a second code path.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from ..psi.variants import Variant, variants_from_spec
 from ..rewriting import make_rewriting
 from .admission import AdmissionController, Ticket, TicketState
 from .cache import CachedResult, ResultCache
-from .catalog import DatasetCatalog, DatasetEntry
+from .catalog import DatasetEntry
 from .dispatcher import Dispatcher, RaceTask
 from .faults import FaultEvent, FaultInjector, ReplicaState
 from .rebalance import coldest_shard, shard_loads
@@ -86,9 +85,9 @@ class QueryOptions:
 
     ``decision_only`` asks for the existence answer, not the full one:
     FTV sweeps stop at their first matching graph and NFV races stop at
-    their first embedding, and on a sharded catalog the first shard to
-    find a match cancels its siblings' remaining budget (the paper's
-    first-winner semantics applied across partitions).  Only ``found``
+    their first embedding, and the first shard to find a match cancels
+    its siblings' remaining budget (the paper's first-winner semantics
+    applied across partitions).  Only ``found``
     is answer-contractual in this mode — ``matching_ids`` may be any
     nonempty witness subset — so it gets its own cache-key signature.
     """
@@ -157,7 +156,7 @@ class MutationTicket:
     dataset: str
     graph: Optional[LabeledGraph] = None
     graph_id: Optional[int] = None
-    #: requested placement (sharded adds; None = coldest shard)
+    #: requested placement of an add (None = coldest shard)
     shard: Optional[int] = None
     submit_time: int = 0
     apply_time: Optional[int] = None
@@ -197,13 +196,13 @@ def answers_digest(tickets: list[Ticket]) -> str:
     Unlike :func:`results_digest` this covers only the
     sharding-invariant parts of each result — found / embedding count /
     matching ids / killed — and none of the historical bill (steps,
-    winner, latency).  Sharded and unsharded runs of the same workload
-    must agree on this digest whenever no query was budget-killed;
-    that equality is the acceptance check for "sharding never changes
-    a completed answer".  Killed answers are execution-dependent (each
-    shard race carries its own kill cap), so the killed flag is hashed
-    precisely so that any such divergence surfaces loudly instead of
-    passing as equal.
+    winner, latency).  Runs of the same workload over any number of
+    shards must agree on this digest whenever no query was
+    budget-killed; that equality is the acceptance check for "sharding
+    never changes a completed answer".  Killed answers are
+    execution-dependent (each shard race carries its own kill cap), so
+    the killed flag is hashed precisely so that any such divergence
+    surfaces loudly instead of passing as equal.
     """
     lines = sorted(
         f"{t.tenant}/{t.query.name}:{int(r.found)}:{r.num_embeddings}:"
@@ -222,7 +221,7 @@ def decisions_digest(tickets: list[Ticket]) -> str:
     witness subset, so :func:`answers_digest` legitimately differs
     between layouts and between routed and unrouted fan-outs), and this
     digest hashes exactly ``found`` plus the ``killed`` taint.  Routed,
-    unrouted, sharded, and single-catalog runs of the same decision
+    unrouted, one-shard and many-shard runs of the same decision
     workload must all agree on it whenever nothing was budget-killed.
     """
     lines = sorted(
@@ -335,27 +334,25 @@ class Service:
             raise ValueError("shards must be >= 1")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if shards > 1 or replicas > 1:
-            self.catalog = ShardedCatalog(
-                num_shards=shards,
-                assignment=assignment,
-                replicas=replicas,
-                store=store,
-            )
-        else:
-            self.catalog = DatasetCatalog(store=store)
-        #: fan queries out across catalog shards (each shard gets its
-        #: own worker pool of ``workers`` slots per replica)
-        self.sharded = isinstance(self.catalog, ShardedCatalog)
+        #: every collection is ``shards`` >= 1 partitions, each on
+        #: ``replicas`` >= 1 pools of ``workers`` slots
+        self.catalog = ShardedCatalog(
+            num_shards=shards,
+            assignment=assignment,
+            replicas=replicas,
+            store=store,
+        )
         #: consult per-shard feature sketches before fanning out:
         #: provably-empty shards are pruned from the fan-out and
         #: decision-only fan-outs race in expected-first-true wave
-        #: order.  Off = bit-for-bit the unrouted fan-out.
-        self.routing = routing and self.sharded
-        pools = self.catalog.pool_count if self.sharded else 1
+        #: order.  Off (or a single shard: nothing to choose between)
+        #: = bit-for-bit the unrouted fan-out.
+        self.routing = routing and shards > 1
         self.admission = admission or AdmissionController()
         self.cache = ResultCache()
-        self.dispatcher = Dispatcher(workers=workers, pools=pools)
+        self.dispatcher = Dispatcher(
+            workers=workers, pools=self.catalog.pool_count
+        )
         #: attach identical in-flight canonical keys to the running
         #: race's ticket instead of racing twice
         self.coalesce = coalesce
@@ -365,7 +362,7 @@ class Service:
         self._open: dict[
             int,
             tuple[
-                Ticket, DatasetEntry, QueryOptions, Optional[tuple],
+                Ticket, ShardedEntry, QueryOptions, Optional[tuple],
                 tuple, _Scratch,
             ],
         ] = {}
@@ -556,7 +553,7 @@ class Service:
             # before a mutation can never answer for one served after
             # it (constant 0 over a mutation-free run — pure-query
             # digests are untouched)
-            self._collection_epoch(),
+            self.catalog.mutation_epoch,
         )
         key = self.cache.key_for(query, context)
         cached = self.cache.lookup(key)
@@ -635,13 +632,15 @@ class Service:
         options: QueryOptions,
         variants: tuple,
         id_map: Optional[tuple] = None,
-    ) -> tuple[RaceTask, dict]:
-        """Engines + RaceTask for one admitted ticket.
+    ) -> RaceTask:
+        """The RaceTask (engines built) of one shard of one admitted
+        ticket.
 
-        ``variants`` is the portfolio fixed at submit time.  ``id_map``
-        translates shard-local graph ids to global ids (None =
-        identity) so the FTV sweep can bill verification steps to the
-        right global graph.  Every FTV race of one ticket — each shard
+        ``entry`` is one shard's partition; ``variants`` is the
+        portfolio fixed at submit time.  ``id_map`` translates
+        shard-local graph ids to global ids (None = identity) so the
+        FTV sweep can bill verification steps to the right global
+        graph.  Every FTV race of one ticket — each shard
         of the first wave, a deferred wave, a rerouted leg — is built
         from the open ticket's one :class:`_Scratch`.
         """
@@ -669,38 +668,34 @@ class Service:
             engines = self._ftv_engines(
                 entry, ticket, options, variants, id_map
             )
-        race = RaceTask(
+        return RaceTask(
             engines, budget=budget, quantum=self.dispatcher.quantum
         )
-        return race, engines
 
     def _build_races(
         self,
         ticket: Ticket,
-        entry,
+        entry: ShardedEntry,
         options: QueryOptions,
         variants: tuple,
     ) -> tuple[dict, dict, list]:
         """First-wave races + id maps + deferred waves for one ticket.
 
-        The unsharded service is the degenerate fan-out: one race on
-        pool 0 with an identity id map, whose outcome later passes
-        through :func:`merge_shard_outcomes` untouched — so both
-        layouts run the same pump loop.
+        One race per involved shard; a one-shard collection (or an NFV
+        entry, which lives whole on its home shard) is the fan-out of
+        width one through the same pump loop.
 
-        With routing on, a sharded FTV fan-out is first planned by the
-        entry's :class:`~repro.service.routing.ShardRouter`: shards
+        With routing on, an FTV fan-out over more than one shard is
+        first planned by the entry's
+        :class:`~repro.service.routing.ShardRouter`: shards
         whose sketch proves them empty are pruned *before* any filter
         or engine work happens (no ticket token, no RaceTask, nothing
         charged), and a decision-only fan-out is staged into waves —
         the expected-first-true shard races alone, the remaining
         shards are built and dispatched only if it misses.  Routing
-        off (or an NFV / unsharded entry) takes exactly the pre-routing
+        off (or a single involved shard) takes exactly the pre-routing
         path.
         """
-        if not isinstance(entry, ShardedEntry):
-            race, _ = self._build_race(ticket, entry, options, variants)
-            return {0: race}, {0: None}, []
         involved = entry.involved_shards()
         waves: list[tuple[int, ...]] = []
         if (
@@ -748,7 +743,7 @@ class Service:
     def _build_shard_race(
         self,
         ticket: Ticket,
-        entry: "ShardedEntry",
+        entry: ShardedEntry,
         options: QueryOptions,
         variants: tuple,
         shard: int,
@@ -760,9 +755,7 @@ class Service:
         id_map = (
             None if entry.kind == "nfv" else entry.shard_ids(shard)
         )
-        race, _ = self._build_race(
-            ticket, sub, options, variants, id_map
-        )
+        race = self._build_race(ticket, sub, options, variants, id_map)
         return race, id_map
 
     def _census(
@@ -771,7 +764,7 @@ class Service:
         """The ticket's query census (feature -> count), taken once.
 
         ``interner`` is the collection's one label code space — the
-        sharded entry's, which every shard and replica index shares —
+        entry's, which every shard and replica index shares —
         so the counts taken for the route plan are the counts every
         shard's trie is probed with, whichever race of the ticket asks
         first.  A mutation is the only thing that extends the interner
@@ -913,8 +906,6 @@ class Service:
         stalls until the wedge expires rather than degrading, because
         a straggler is a delay, not a loss.  Empty = dark shard.
         """
-        if not self.sharded:
-            return [(0, 0)]
         pool = self.catalog.pool_index
         ids = self.catalog.replica_ids(shard)
         live = [
@@ -969,8 +960,6 @@ class Service:
 
     def _dark_shards(self, races: dict, waves: list) -> list[int]:
         """Planned shards with no serving replica (degrade triggers)."""
-        if not self.sharded:
-            return []
         planned = set(races)
         for group in waves:
             planned.update(group)
@@ -1011,8 +1000,7 @@ class Service:
                 tid, "leg", self.clock,
                 shard=shard, replica=replica, pool=pool,
             )
-        entry = self._open[tid][1]
-        router = getattr(entry, "router", None)
+        router = self._open[tid][1].router
         self._fanout[tid] = _FanoutState(
             pending=set(races),
             outcomes={},
@@ -1042,7 +1030,7 @@ class Service:
     def _admit(self) -> None:
         """Move queued tickets into the dispatcher while slots allow.
 
-        A sharded ticket is gang-admitted: all its shard races attach
+        A ticket is gang-admitted: all its shard races attach
         in the same tick (each to its own pool), or the ticket waits at
         the head of the staging line — partial fan-outs would make a
         ticket's latency depend on unrelated pools' drain order.
@@ -1251,7 +1239,7 @@ class Service:
         that raced at least two shards, every step billed to matchless
         (or cancelled) shard races is work the merged outcome never
         used — the quantity routing exists to shrink.  Single-race
-        fan-outs (unsharded, NFV, or routed down to one shard) have no
+        fan-outs (one shard, NFV, or routed down to one shard) have no
         siblings to waste.
         """
         raced = len(state.outcomes) + len(state.cancelled)
@@ -1302,8 +1290,6 @@ class Service:
         highest step bill, then the highest id) — the deterministic
         resolution of a ``replica=-1`` kill, chosen so a seeded drill
         reliably hits a replica with work to lose."""
-        if not self.sharded:
-            return None
         ids = [
             r
             for r in self.catalog.replica_ids(shard)
@@ -1331,11 +1317,11 @@ class Service:
         The replica's warm state is released, every in-flight leg it
         carried is rerouted to a surviving replica of the shard (same
         ticket, fresh race, full budget — determinism makes the re-run
-        answer-identical), and new work never lands on it again.
-        Killing a dead/retired replica is a no-op.
+        answer-identical), and new work never lands on it again; a
+        shard whose only replica dies goes dark, and tickets needing it
+        degrade with a ``retry_after``.  Killing a dead/retired replica
+        is a no-op.
         """
-        if not self.sharded:
-            raise ValueError("replica faults need a sharded catalog")
         key = (shard, replica)
         if self.replica_states.get(key) in (
             ReplicaState.DEAD, ReplicaState.RETIRED,
@@ -1370,8 +1356,6 @@ class Service:
         stall in place, and it returns to LIVE when the wedge expires.
         Wedging a dead/retired/unknown replica is a no-op.
         """
-        if not self.sharded:
-            raise ValueError("replica faults need a sharded catalog")
         key = (shard, replica)
         if (
             replica not in self.catalog.replica_ids(shard)
@@ -1469,23 +1453,14 @@ class Service:
             )
             return
         old_replica = state.replica_of.get(shard)
-        if isinstance(entry, ShardedEntry):
-            placed = self._place(shard)
-            if placed is None:
-                self._degrade(
-                    tid, f"shard {shard} has no serving replica"
-                )
-                return
-            pool, replica = placed
-            race, id_map = self._build_shard_race(
-                ticket, entry, options, variants, shard
-            )
-        else:
-            pool, replica = 0, 0
-            race, _ = self._build_race(
-                ticket, entry, options, variants
-            )
-            id_map = None
+        placed = self._place(shard)
+        if placed is None:
+            self._degrade(tid, f"shard {shard} has no serving replica")
+            return
+        pool, replica = placed
+        race, id_map = self._build_shard_race(
+            ticket, entry, options, variants, shard
+        )
         self.dispatcher.admit((tid, shard), race, pool=pool)
         state.id_maps[shard] = id_map
         state.replica_of[shard] = replica
@@ -1574,8 +1549,6 @@ class Service:
 
     def live_replicas(self, shard: int) -> list[int]:
         """Serving replica ids of ``shard`` currently LIVE."""
-        if not self.sharded:
-            return [0]
         return [
             r
             for r in self.catalog.replica_ids(shard)
@@ -1592,8 +1565,6 @@ class Service:
         span whose child events replay exactly what the store reader
         saw (verifications, corruption quarantines, rebuild fallbacks).
         """
-        if not self.sharded:
-            raise ValueError("replicas need a sharded catalog")
         store = self.catalog.store
         tid = span = None
         events_before = restores_before = rebuilds_before = 0
@@ -1645,8 +1616,6 @@ class Service:
         replica.  Returns the retired replica id, or None when the
         shard cannot shrink.
         """
-        if not self.sharded:
-            raise ValueError("replicas need a sharded catalog")
         if not self.idle:
             raise RuntimeError(
                 "retire_replica is a quiesce-point operation; the "
@@ -1670,13 +1639,9 @@ class Service:
     # dynamic collections: journaled mutations at quiesce points
     # ------------------------------------------------------------------
 
-    def _collection_epoch(self) -> int:
-        """The catalog's monotone mutation-state version (0 = pristine)."""
-        return getattr(self.catalog, "mutation_epoch", 0)
-
     def _checkpoint_seq(self) -> int:
         """Journal seq the attached store checkpoint covers (-1 = none)."""
-        reader = getattr(self.catalog, "store", None)
+        reader = self.catalog.store
         if reader is None or reader.manifest is None:
             return -1
         try:
@@ -1783,10 +1748,10 @@ class Service:
 
         The placement decision is made *before* the journal append so
         the record pins it — replay reproduces the exact layout
-        whatever the load state at replay time.  Newcomers on a
-        sharded catalog land on the coldest serving shard (the
-        rebalancer's rule, same loads, same tie-break) unless the
-        submitter pinned one; revives keep their slot's shard.
+        whatever the load state at replay time.  Newcomers land on the
+        coldest serving shard (the rebalancer's rule, same loads, same
+        tie-break) unless the submitter pinned one; revives keep their
+        slot's shard.
         Raises KeyError for retryable conditions (dark shard),
         ValueError for permanent ones (bad op arguments).
         """
@@ -1809,8 +1774,6 @@ class Service:
                 )
             if gid in entry.tombstones:
                 raise ValueError(f"graph id {gid} already removed")
-            if not self.sharded:
-                return gid, -1
             shard = entry.shard_of(gid)
             if not self.catalog.replica_ids(shard):
                 raise KeyError(
@@ -1826,8 +1789,6 @@ class Service:
             raise ValueError(
                 f"graph id {gid} is live; remove it before re-adding"
             )
-        if not self.sharded:
-            return gid, -1
         if gid < len(entry.graphs):
             shard = entry.shard_of(gid)  # revive keeps its slot
         elif mutation.shard is not None:
@@ -1889,15 +1850,10 @@ class Service:
         try:
             if mutation.op == "add_graph":
                 assert mutation.graph is not None
-                if self.sharded:
-                    self.catalog.add_graph(
-                        mutation.dataset, mutation.graph,
-                        shard=shard, graph_id=gid,
-                    )
-                else:
-                    self.catalog.add_graph(
-                        mutation.dataset, mutation.graph, gid
-                    )
+                self.catalog.add_graph(
+                    mutation.dataset, mutation.graph,
+                    shard=shard, graph_id=gid,
+                )
             else:
                 self.catalog.remove_graph(mutation.dataset, gid)
         except KeyError as exc:
@@ -1906,7 +1862,7 @@ class Service:
         if mutation.seq is not None:
             self._applied_seq = max(self._applied_seq, mutation.seq)
         mutation.graph_id = gid
-        mutation.shard = shard if self.sharded else None
+        mutation.shard = shard
         mutation.state = "applied"
         mutation.apply_time = self.clock
         if replay:
@@ -1944,6 +1900,8 @@ class Service:
                     else None
                 ),
                 graph_id=record.graph_id,
+                # -1: written before every collection was sharded —
+                # no placement was pinned, so this catalog places it
                 shard=(
                     record.shard if record.shard >= 0 else None
                 ),
@@ -1985,7 +1943,7 @@ class Service:
             "replayed": self.mutations_replayed.value,
             "rejected": self.mutations_rejected.value,
             "pending": len(self._mutations),
-            "epoch": self._collection_epoch(),
+            "epoch": self.catalog.mutation_epoch,
             "journal_lag": self.journal_lag(),
         }
         if self.journal is not None:
@@ -2205,10 +2163,7 @@ class Service:
             "service.work_steps", self.dispatcher.work_steps
         )
         g("service.active", lambda: self.dispatcher.active)
-        g(
-            "service.shards",
-            lambda: self.catalog.num_shards if self.sharded else 1,
-        )
+        g("service.shards", lambda: self.catalog.num_shards)
         g("service.per_shard_work", self._per_shard_work)
         g("service.per_pool_work", lambda: list(self.dispatcher.pool_work))
         g("service.replicas", self._replica_report)
@@ -2228,8 +2183,6 @@ class Service:
         g("service.mutations", self._mutation_report)
 
     def _per_shard_work(self) -> list:
-        if not self.sharded:
-            return list(self.dispatcher.pool_work)
         # per-shard semantics survive replication: a shard's work is
         # the sum over every pool that ever served it, dead replicas'
         # history included
@@ -2243,15 +2196,6 @@ class Service:
         ]
 
     def _replica_report(self) -> dict:
-        if not self.sharded:
-            return {
-                "counts": [1],
-                "live": [1],
-                "states": {},
-                "killed": 0,
-                "wedged": 0,
-                "retired": 0,
-            }
         num_shards = self.catalog.num_shards
         return {
             "counts": [
@@ -2299,12 +2243,10 @@ class Service:
         return summarize_latencies(list(self._latencies)).as_dict()
 
     def _routing_tables(self) -> dict:
-        """Per-dataset router sketch metrics (sharded + routed only)."""
-        if not self.sharded:
-            return {}
+        """Per-dataset router sketch metrics (routable entries only)."""
         out = {}
         for name in self.catalog.datasets():
-            router = getattr(self.catalog.get(name), "router", None)
+            router = self.catalog.get(name).router
             if router is not None:
                 out[name] = router.as_metrics()
         return out

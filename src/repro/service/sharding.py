@@ -1,10 +1,13 @@
-"""Sharded catalogs and fan-out/merge answers for the serving layer.
+"""The served catalog — a collection is N >= 1 shards — and the
+fan-out/merge of its answers.
 
 The paper races query *variants* and keeps the first finisher; the
 ROADMAP's scaling item applies the same discipline one level up, across
-**partitions of the data**.  A :class:`ShardedCatalog` splits a stored
+**partitions of the data**.  A :class:`ShardedCatalog` is the one
+catalog a :class:`~repro.service.Service` owns: it splits a stored
 graph collection across N :class:`~repro.service.catalog.DatasetCatalog`
-shards (hash or size-balanced assignment); each shard warms its own
+shards (hash or size-balanced assignment; ``N = 1`` is one shard
+holding everything, one replica, pool 0); each shard warms its own
 matcher indexes and Grapes/GGSX filter over its partition only.  The
 service fans a query out into one race per involved shard, runs them on
 per-shard worker pools (``Dispatcher(pools=N)``) over the shared
@@ -21,8 +24,8 @@ Equivalence invariants (proven in ``tests/test_service_sharding.py``):
   single-catalog match set.  The merged ``found`` /
   ``num_embeddings`` / ``matching_ids`` (mapped back to global graph
   ids, ascending) of every *budget-completed* query are therefore
-  **bit-for-bit identical** to the unsharded answer, which is what
-  lets sharded and unsharded serving share one result cache.  The kill
+  **bit-for-bit identical** to the one-shard answer, which is what
+  lets every layout share one result cache.  The kill
   cap is the one budget semantic that is per race: each shard race
   gets the ticket's full step budget as its own time cap (merged race
   *time* never exceeds the budget, but total *work* may reach budget x
@@ -48,7 +51,8 @@ budget, mirroring the paper's race where the first finisher kills the
 losers.  In the default full mode every shard completes so the merged
 ``matching_ids`` stay bit-for-bit complete.
 
-Routing rides on top: each FTV entry carries a
+Routing rides on top: each FTV entry of a catalog with more than one
+shard carries a
 :class:`~repro.service.routing.ShardRouter` whose per-shard feature
 sketches let the service prune provably-empty shards from the fan-out
 and order decision fan-outs (see :mod:`repro.service.routing`), and
@@ -159,11 +163,10 @@ def _valid_assignment(stored, num_shards: int, num_graphs: int) -> bool:
 class ShardedEntry:
     """One dataset as the sharded catalog serves it.
 
-    Mirrors the fields the service reads off a
-    :class:`~repro.service.catalog.DatasetEntry` (``kind``, ``scale``,
-    ``stats``) so cache keys — and therefore cache hits — are shared
-    with unsharded serving, plus the shard map: which global graph ids
-    live on which shard.
+    The collection-level fields (``kind``, ``scale``, ``stats`` —
+    what cache keys are made of, so cache hits are shared across
+    layouts) plus the shard map: which global graph ids live on which
+    shard.
     """
 
     name: str
@@ -172,8 +175,8 @@ class ShardedEntry:
     #: the full collection in global id order (graph objects are shared
     #: with the shard entries, never copied)
     graphs: list[LabeledGraph]
-    #: collection-wide label statistics (identical to the unsharded
-    #: entry's, so rewriting decisions don't depend on shard layout)
+    #: collection-wide label statistics (whatever the shard count, so
+    #: nothing keyed on them depends on the layout)
     stats: LabelStats
     #: ascending global graph ids per shard (empty tuple = empty shard)
     assignment: tuple[tuple[int, ...], ...]
@@ -185,7 +188,8 @@ class ShardedEntry:
     #: index blobs and each ticket's query census are coded in this
     #: object, which only a mutation ever extends
     interner: Optional[LabelInterner] = None
-    #: per-shard sketch router (FTV entries only; None = unroutable)
+    #: per-shard sketch router (FTV entries over more than one shard;
+    #: None = nothing to route between)
     router: Optional[ShardRouter] = None
     #: removed (tombstoned) global graph ids — slots keep their shard
     #: assignment so local→global id maps never shift
@@ -323,9 +327,11 @@ class ShardedCatalog:
         self.rollbacks = 0
         #: partition builds saved by adopting a sibling replica's entry
         self.shared_warm = 0
-        #: monotone collection-state version (see
-        #: :attr:`DatasetCatalog.mutation_epoch`) — one counter for the
-        #: whole sharded catalog, so cache keys are layout-independent
+        #: monotone collection-state version: bumped by every applied
+        #: ``add_graph``/``remove_graph``.  Result-cache keys embed it,
+        #: so a mutation implicitly drops every cached answer computed
+        #: against the previous collection state — one counter for the
+        #: whole catalog, so cache keys are layout-independent
         self.mutation_epoch = 0
         #: replicas added / released after construction (scaling + kills)
         self.replicas_added = 0
@@ -335,9 +341,10 @@ class ShardedCatalog:
     def attach_store(self, store):
         """Attach a warmed-artifact store (path or ``StoreReader``).
 
-        Mirrors :meth:`DatasetCatalog.attach_store`: the store is a
-        transparent accelerator — any miss, mismatch, or corruption
-        degrades to a fresh warm build.
+        The store is a transparent accelerator: subsequent
+        :meth:`load` calls restore from it when possible, and any miss,
+        mismatch, or corruption degrades to a fresh warm build, never
+        to an error (see :mod:`repro.store`).
         """
         from ..store import StoreReader  # deferred: store imports us
 
@@ -570,7 +577,9 @@ class ShardedCatalog:
                 ]
                 if live:
                     entry.stats = LabelStats.of_collection(live)
-        if kind == "ftv":
+        if kind == "ftv" and self.num_shards > 1:
+            # shard count is a constructor fact: one shard has nothing
+            # to prune or order, so it folds no sketch
             entry.router = ShardRouter(entry)
         self._entries[name] = entry
         for shard in entry.involved_shards():
@@ -1109,10 +1118,8 @@ def merge_shard_outcomes(
     """Fold per-shard race outcomes into one :class:`RaceOutcome`.
 
     ``id_maps[shard]`` maps the shard's local graph ids to global ids
-    (``None`` = identity — NFV entries and the unsharded path).  With a
-    single identity-mapped shard the outcome passes through untouched,
-    which is what keeps the unsharded service bit-for-bit the
-    pre-sharding service.
+    (``None`` = identity — NFV entries).  With a single
+    identity-mapped shard the outcome passes through untouched.
 
     Merge semantics (deterministic, shard-order fold):
 
@@ -1120,7 +1127,7 @@ def merge_shard_outcomes(
       budget-killed shard leaves the merged answer incomplete, so it is
       marked killed and never cached);
     * ``matching_ids`` — per-shard local matches mapped to global ids
-      and merged ascending, identical to the unsharded sweep order;
+      and merged ascending, identical to a one-shard sweep's order;
     * ``num_embeddings`` — summed (FTV: the count of matching graphs);
     * ``steps`` — the deciding shard's race time, where the deciding
       shard is the lowest-indexed shard that found a match, or, when

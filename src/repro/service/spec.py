@@ -39,12 +39,10 @@ from ..matching.registry import MATCHER_FACTORIES
 from ..rewriting import REWRITING_FACTORIES
 from ..workload import default_tenant_mixes, generate_tenant_stream
 from .admission import AdmissionController, TenantPolicy
-from .catalog import DatasetCatalog
 from .faults import StoreFaultInjector, chaos_plan
 from .loadgen import LoadReport, run_closed_loop
 from .rebalance import Rebalancer
 from .service import QueryOptions, Service
-from .sharding import ShardedCatalog
 
 __all__ = [
     "EngineSpec",
@@ -420,20 +418,12 @@ class ServiceSpec(Section):
     # -- construction --------------------------------------------------
 
     def warm_catalog(self):
-        """The warmed catalog of the configured layout, outside any
-        service — what ``repro warm`` and a scenario's store step
-        persist for a later ``build_service(store=...)`` to boot from."""
-        t = self.topology
-        if t.shards > 1 or t.replicas > 1:
-            catalog = ShardedCatalog(
-                num_shards=t.shards,
-                assignment=t.assignment,
-                replicas=t.replicas,
-            )
-        else:
-            catalog = DatasetCatalog()
-        catalog.load(self.dataset, scale=self.scale, **self._load_options())
-        return catalog
+        """The warmed catalog of the configured layout — a freshly
+        built service's, so ``Service`` stays the one place a topology
+        becomes a catalog — which ``repro warm`` and a scenario's store
+        step persist for a later ``build_service(store=...)`` to boot
+        from."""
+        return self.build_service().catalog
 
     def build_service(self, store=None, journal=None) -> Service:
         """The warmed service with its default admission policy.

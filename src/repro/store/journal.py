@@ -97,8 +97,10 @@ class JournalRecord:
     ``graph_json`` is the full :func:`repro.graphs.io.graph_to_json`
     payload for adds (replay must reconstruct the graph without the
     workload generator) and ``None`` for removes.  ``shard`` pins the
-    placement decision for sharded layouts so replay reproduces it
-    regardless of load state at replay time (``-1`` = unsharded).
+    placement decision so replay reproduces it regardless of load
+    state at replay time (``-1`` = none pinned — a record written
+    before every collection was sharded; the replaying service
+    places it).
     """
 
     seq: int

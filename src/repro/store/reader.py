@@ -284,25 +284,23 @@ class StoreReader:
         name: str,
         graphs,
         *,
-        shard: Optional[int] = None,
+        shard: int,
         ftv_method: str,
         max_path_length: int,
         interner: Optional[LabelInterner] = None,
     ):
-        """A warm FTV index restored from its blob (shard-scoped when
-        ``shard`` is given; the unsharded blob key is ``"*"``), sharing
+        """``shard``'s warm FTV index restored from its blob, sharing
         ``interner`` — :meth:`load_interner`'s, the code space the
         blob's rows are in."""
         rec = self.dataset_record(name)
         if rec is None:
             raise StoreMissing(f"dataset {name!r} not in store")
-        key = "*" if shard is None else str(shard)
-        ref = rec.get("indexes", {}).get(key)
+        ref = rec.get("indexes", {}).get(str(shard))
         if ref is None:
             raise StoreMissing(
-                f"no index blob {key!r} for dataset {name!r}"
+                f"no index blob {shard} for dataset {name!r}"
             )
-        what = "index" if shard is None else f"index:{shard}"
+        what = f"index:{shard}"
         data = self._load_blob(ref, what=what, dataset=name)
         return self._decode(
             lambda d: decode_index(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .blobs import BlobStore
-from .codec import CODEC, encode_graphs, encode_index, index_method
+from .codec import CODEC, encode_graphs, encode_index
 from .manifest import (
     Manifest,
     StoreError,
@@ -30,7 +30,7 @@ __all__ = ["StoreWriter"]
 
 
 class StoreWriter:
-    """Serialize a warm ``DatasetCatalog``/``ShardedCatalog`` to disk.
+    """Serialize a warm catalog to disk, in the one store layout.
 
     ``fail_manifest_after`` is the torn-write fault hook: the manifest
     write "crashes" after that many bytes (blobs are already
@@ -54,8 +54,12 @@ class StoreWriter:
     ) -> dict:
         """Persist every persistable dataset of ``catalog``.
 
-        Accepts either catalog flavor; returns a JSON-ready summary
-        (datasets written, blob count/bytes, epoch, skips).
+        ``catalog`` is a service's
+        :class:`~repro.service.sharding.ShardedCatalog`, or a bare
+        :class:`~repro.service.catalog.DatasetCatalog`, which is written
+        as the one shard it amounts to (``Service(shards=1, store=...)``
+        restores from it).  Returns a JSON-ready summary (datasets
+        written, blob count/bytes, epoch, skips).
 
         When a mutation ``journal`` (or an explicit ``journal_seq``
         high-water) rides along, the manifest's layout records the
@@ -68,20 +72,7 @@ class StoreWriter:
         every journaled record and replay is a no-op; after the
         truncate there is nothing to replay.
         """
-        # deferred: repro.service imports repro.store lazily, never at
-        # module level, so this direction cannot cycle at import time
-        from ..service.catalog import DatasetCatalog
-        from ..service.sharding import ShardedCatalog
-
-        if isinstance(catalog, ShardedCatalog):
-            layout, datasets, skipped = self._sharded_records(catalog)
-        elif isinstance(catalog, DatasetCatalog):
-            layout, datasets, skipped = self._unsharded_records(catalog)
-        else:
-            raise TypeError(
-                f"cannot persist {type(catalog).__name__}; expected "
-                "DatasetCatalog or ShardedCatalog"
-            )
+        layout, datasets, skipped = self._records(catalog)
         if journal is not None or journal_seq is not None:
             layout["journal_seq"] = (
                 int(journal_seq)
@@ -132,21 +123,43 @@ class StoreWriter:
         return summary
 
     # ------------------------------------------------------------------
-    def _unsharded_records(self, catalog) -> tuple[dict, dict, list]:
-        layout = {"sharded": False}
+    def _records(self, catalog) -> tuple[dict, dict, list]:
+        """``(layout, dataset records, skipped names)`` — the one store
+        layout: a collection is N >= 1 shards, one index blob each,
+        keyed by shard number."""
+        from ..service.catalog import DatasetCatalog
+
+        plain = isinstance(catalog, DatasetCatalog)
+        layout = {
+            "sharded": True,
+            "num_shards": 1 if plain else catalog.num_shards,
+            "assignment": (
+                "size_balanced" if plain else catalog.assignment_strategy
+            ),
+            "replicas": 1 if plain else catalog.replicas,
+        }
         datasets: dict = {}
         skipped: list[str] = []
         for name in catalog.datasets():
             entry = catalog.get(name)
-            if entry.load_config and entry.load_config[0] == "registered":
-                # registered entries have no named builder to fall back
-                # to on corruption; only load()-originated datasets are
-                # restorable, so only they are persisted
-                skipped.append(name)
-                continue
-            scale, algorithms, ftv_method, max_path_length = (
-                entry.load_config
-            )
+            if plain:
+                # a bare pool catalog is one shard holding every graph
+                # it loaded: what ``Service(shards=1, store=...)`` boots
+                if entry.load_config[0] == "registered":
+                    # registered entries have no named builder to fall
+                    # back to on corruption; only load()-originated
+                    # datasets are restorable, so only they are
+                    # persisted
+                    skipped.append(name)
+                    continue
+                config = entry.load_config
+                assignment = (tuple(range(len(entry.graphs))),)
+                home_shard = 0
+            else:
+                config = entry._register_config
+                assignment = entry.assignment
+                home_shard = entry.home_shard
+            scale, algorithms, ftv_method, max_path_length = config
             rec = self._dataset_record(
                 kind=entry.kind,
                 scale=scale,
@@ -155,59 +168,29 @@ class StoreWriter:
                 max_path_length=max_path_length,
                 graphs=entry.graphs,
             )
-            if entry.kind == "ftv":
-                rec["labels"] = entry.ftv_index.interner.labels()
-                rec["indexes"]["*"] = self.blobs.put(
-                    encode_index(entry.ftv_index)
-                ).as_dict()
-                rec["ftv_method"] = index_method(entry.ftv_index)
-                if entry.tombstones:
-                    # duplicated outside the index blob so a corrupt
-                    # blob's in-process rebuild can still re-retire
-                    # the removed ids instead of resurrecting them
-                    rec["tombstones"] = sorted(entry.tombstones)
-            datasets[name] = rec
-        return layout, datasets, skipped
-
-    def _sharded_records(self, catalog) -> tuple[dict, dict, list]:
-        layout = {
-            "sharded": True,
-            "num_shards": catalog.num_shards,
-            "assignment": catalog.assignment_strategy,
-            "replicas": catalog.replicas,
-        }
-        datasets: dict = {}
-        for name in catalog.datasets():
-            entry = catalog.get(name)
-            scale, algorithms, ftv_method, max_path_length = (
-                entry._register_config
-            )
-            rec = self._dataset_record(
-                kind=entry.kind,
-                scale=scale,
-                algorithms=algorithms,
-                ftv_method=ftv_method,
-                max_path_length=max_path_length,
-                graphs=entry.graphs,
-            )
-            rec["assignment"] = [
-                list(ids) for ids in entry.assignment
-            ]
-            rec["home_shard"] = entry.home_shard
-            if getattr(entry, "tombstones", None):
+            rec["assignment"] = [list(ids) for ids in assignment]
+            rec["home_shard"] = home_shard
+            if entry.tombstones:
                 # collection state, not index state: the global ids a
                 # remove_graph retired (per-shard blobs carry only
-                # their local projections)
+                # their local projections), kept outside the blobs so
+                # a corrupt blob's in-process rebuild can re-retire
+                # them instead of resurrecting them
                 rec["tombstones"] = sorted(entry.tombstones)
             if entry.kind == "ftv":
-                rec["labels"] = entry.interner.labels()
-                for shard in entry.involved_shards():
-                    sub = entry.shard_entry(shard)
+                parts = [(0, entry)] if plain else [
+                    (shard, entry.shard_entry(shard))
+                    for shard in entry.involved_shards()
+                ]
+                # every partition's index is in the collection's one
+                # label code space
+                rec["labels"] = parts[0][1].ftv_index.interner.labels()
+                for shard, part in parts:
                     rec["indexes"][str(shard)] = self.blobs.put(
-                        encode_index(sub.ftv_index)
+                        encode_index(part.ftv_index)
                     ).as_dict()
             datasets[name] = rec
-        return layout, datasets, []
+        return layout, datasets, skipped
 
     def _dataset_record(
         self, *, kind, scale, algorithms, ftv_method,

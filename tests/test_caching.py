@@ -1,104 +1,8 @@
-"""Tests for the isomorphism-aware query cache (iGQ-style layer)."""
+"""Tests for the prepared-graph memo (``repro.caching.PrepareCache``)."""
 
-import random
-
-import pytest
-
-from repro.caching import CachedFTVIndex, PrepareCache, QueryCache
-from repro.datasets import ppi_like
+from repro.caching import PrepareCache
 from repro.graphs import LabeledGraph
-from repro.indexing import GrapesIndex
-from repro.matching import Budget, make_matcher
-from repro.workload import extract_query
-
-
-@pytest.fixture(scope="module")
-def setup():
-    graphs = ppi_like(num_graphs=3, avg_nodes=60, num_labels=8, seed=5)
-    index = GrapesIndex(graphs, max_path_length=2, threads=1)
-    return graphs, index
-
-
-class TestQueryCache:
-    def test_miss_then_hit(self, setup):
-        graphs, _ = setup
-        q = extract_query(graphs[0], 4, random.Random(1))
-        cache = QueryCache()
-        assert cache.lookup(q) is None
-        cache.store(q, "answer")
-        assert cache.lookup(q) == "answer"
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-
-    def test_isomorphic_twin_hits(self, setup):
-        graphs, _ = setup
-        q = extract_query(graphs[0], 5, random.Random(2))
-        cache = QueryCache()
-        cache.store(q, 42)
-        perm = list(q.vertices())
-        random.Random(9).shuffle(perm)
-        assert cache.lookup(q.permuted(perm)) == 42
-
-    def test_non_isomorphic_does_not_hit(self, setup):
-        graphs, _ = setup
-        q1 = extract_query(graphs[0], 4, random.Random(3))
-        q2 = extract_query(graphs[1], 5, random.Random(4))
-        cache = QueryCache()
-        cache.store(q1, "a")
-        assert cache.lookup(q2) is None
-
-    def test_store_refreshes_value(self, setup):
-        graphs, _ = setup
-        q = extract_query(graphs[0], 4, random.Random(5))
-        cache = QueryCache()
-        cache.store(q, 1)
-        cache.store(q, 2)
-        assert cache.lookup(q) == 2
-        assert len(cache) == 1
-
-    def test_lru_eviction(self, setup):
-        graphs, _ = setup
-        cache = QueryCache(capacity=2)
-        queries = [
-            extract_query(graphs[0], 3 + k, random.Random(10 + k))
-            for k in range(3)
-        ]
-        for i, q in enumerate(queries):
-            cache.store(q, i)
-        assert len(cache) <= 2
-        assert cache.stats.evictions >= 1
-        # the oldest entry is gone
-        assert cache.lookup(queries[0]) is None
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            QueryCache(capacity=0)
-
-
-class TestCachedFTVIndex:
-    def test_repeat_query_served_from_cache(self, setup):
-        graphs, index = setup
-        cached = CachedFTVIndex(index)
-        q = extract_query(graphs[1], 5, random.Random(6))
-        budget = Budget(max_steps=10**6)
-        first = cached.query(q, budget)
-        assert cached.cache.stats.misses == 1
-        # an isomorphic twin: answered without touching the index
-        perm = list(q.vertices())
-        random.Random(7).shuffle(perm)
-        second = cached.query(q.permuted(perm), budget)
-        assert cached.cache.stats.hits == 1
-        assert second.matching_ids == first.matching_ids
-        assert second.candidate_ids == first.candidate_ids
-
-    def test_killed_results_not_cached(self, setup):
-        graphs, index = setup
-        cached = CachedFTVIndex(index)
-        q = extract_query(graphs[0], 6, random.Random(8))
-        cached.query(q, Budget(max_steps=2))
-        # nothing cached: a re-query is a miss again
-        cached.query(q, Budget(max_steps=2))
-        assert cached.cache.stats.hits == 0
+from repro.matching import make_matcher
 
 
 def small_graph():

@@ -11,13 +11,16 @@ in ``docs/STORE.md`` must be one ``repro.store.codec`` writes, the
 warm-index tag and column table it states must be the codec's
 ``INDEX_CODEC`` and ``INDEX_COLUMNS``, and a
 ``--flag`` the prose attributes to a ``repro`` subcommand must be an
-option of that subcommand's parser.  The CI ``docs`` job runs exactly
-this file.
+option of that subcommand's parser, and every fenced ``python -m repro
+...`` command must be one the real parser accepts (parsed, never run).
+The CI ``docs`` job runs exactly this file.
 """
 
 import argparse
-
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -289,3 +292,77 @@ def test_the_flag_check_sees_a_deleted_and_a_misattributed_flag():
         (("serve", "warm"), "--no-such-seeding"),
         (("warm",), "--listen"),
     ]
+
+
+# ----------------------------------------------------------------------
+# fenced ``python -m repro ...`` commands, fed to the real parser
+# ----------------------------------------------------------------------
+
+REPRO_COMMAND = re.compile(r"\bpython3? -m repro\b(.*)")
+
+
+def documented_commands(text: str) -> list:
+    """The argv of every ``python -m repro ...`` command line in a
+    fenced block of ``text`` (continuations joined, ``# comments``
+    dropped)."""
+    return [
+        shlex.split(match.group(1), comments=True)
+        for block in FENCE.findall(text)
+        for line in block.replace("\\\n", " ").splitlines()
+        for match in [REPRO_COMMAND.search(line)]
+        if match
+    ]
+
+
+def parse_failure(argv: list):
+    """What ``repro``'s parser says against ``argv`` (None = accepted).
+    Only ``parse_args`` runs; no subcommand does."""
+    from repro.cli import build_parser
+
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()
+        ):
+            build_parser().parse_args(argv)
+    except SystemExit as stop:
+        if stop.code:  # --help exits 0
+            return err.getvalue().strip().splitlines()[-1]
+    return None
+
+
+def test_every_documented_command_parses():
+    """A documented command that exits 2 before doing anything — a
+    required flag the line forgot, a choice that was renamed — is the
+    first thing a reader tries."""
+    commands = [
+        (doc.name, argv)
+        for doc in DOC_FILES
+        for argv in documented_commands(doc.read_text())
+    ]
+    assert len(commands) > 15, "no fenced repro commands found"
+    refused = [
+        f"{name}: repro {' '.join(argv)}: {why}"
+        for name, argv in commands
+        for why in [parse_failure(argv)]
+        if why
+    ]
+    assert refused == []
+
+
+def test_the_command_check_sees_a_missing_required_flag():
+    prose = (
+        "```sh\n# race rewritings\n"
+        "PYTHONPATH=src python -m repro race --algorithms GQL,SPA\n"
+        "$ python -m repro serve --dataset ppi \\\n"
+        "    --shards 2   # two shards\n"
+        "python3 other/tool.py --not-ours\n```\n"
+        "`python -m repro race` inline is prose, not a command.\n"
+    )
+    race, serve = documented_commands(prose)
+    assert race == ["race", "--algorithms", "GQL,SPA"]
+    assert serve == ["serve", "--dataset", "ppi", "--shards", "2"]
+    assert "--dataset" in parse_failure(race)
+    assert parse_failure(serve) is None
+    assert parse_failure(["--help"]) is None
+    assert "invalid choice" in parse_failure(["serve", "--dataset", "x"])

@@ -10,7 +10,7 @@ Four claims under test:
   post-mutation answer, even when the same canonical query was served
   from the result cache moments before the mutation.
 * **Layout-invariant incremental maintenance** — an update stream
-  driven through unsharded, sharded+routed, and replicated layouts
+  driven through one-shard, sharded+routed, and replicated layouts
   matches the rebuild-from-scratch oracle at every quiesce point, and
   all three layouts land on the same final digest.
 * **Replay recovery** — a crash between journal append and ack loses
@@ -118,6 +118,39 @@ class TestLifecycle:
         assert mutation.rejected
         assert fragment in mutation.reason
         assert mutation.retry_after is None
+
+    def test_the_only_replica_dying_rejects_retryably_never_raises(self):
+        """A one-shard service is one shard, one replica: replica
+        operations do on it what they do on any shard.  Killing the
+        only replica leaves a dark shard — open tickets degrade,
+        mutations reject, both with ``retry_after`` — and a regrown
+        replica serves again."""
+        from repro.service import TicketState
+
+        svc = make_service()
+        svc.wedge_replica(0, 0, ticks=1)
+        assert svc.retire_replica(0) is None  # never the last live one
+        racing = svc.submit("ppi", probe_for(svc, 0), options=OPTS)
+        svc.pump()
+        assert not racing.done
+        svc.kill_replica(0, 0)
+        queued = svc.submit("ppi", probe_for(svc, 1), options=OPTS)
+        mutation = svc.remove_graph("ppi", 0)
+        svc.run_until_idle()
+        for ticket in (racing, queued):
+            assert ticket.state is TicketState.REJECTED
+            assert ticket.degraded and ticket.retry_after > svc.clock
+        assert mutation.rejected and mutation.retry_after > svc.clock
+        assert "no serving replica" in mutation.reason
+        stats = svc.stats()
+        assert stats["replicas"]["counts"] == [0]
+        assert stats["replicas"]["killed"] == 1
+        assert stats["faults"]["degraded"] == 2
+        replica = svc.add_replica(0)
+        assert svc.live_replicas(0) == [replica]
+        again = svc.submit("ppi", probe_for(svc, 0), options=OPTS)
+        svc.run_until_idle()
+        assert again.done and 0 in again.result.matching_ids
 
     def test_double_remove_is_rejected(self):
         svc = make_service()
@@ -318,6 +351,60 @@ class TestReplayRecovery:
         assert collection_digest(
             reborn, "ppi", probes
         ) == oracle_digest(reborn, "ppi", probes)
+
+    def test_a_one_shard_mutation_journals_its_shard(self, tmp_path):
+        """One shard is a shard: the record pins ``shard=0`` like any
+        other placement, and the acked ticket reports it."""
+        svc = make_service(journal=str(tmp_path))
+        base = len(svc.catalog.get("ppi").graphs)
+        added = svc.add_graph("ppi", svc.catalog.get("ppi").graphs[1])
+        apply_all(svc)
+        removed = svc.remove_graph("ppi", 0)
+        apply_all(svc)
+        assert (added.shard, removed.shard) == (0, 0)
+        records = svc.journal.recover(dry_run=True).records
+        assert [(r.op, r.graph_id, r.shard) for r in records] == [
+            ("add_graph", base, 0), ("remove_graph", 0, 0),
+        ]
+
+    def test_a_parent_commit_unsharded_record_replays_onto_shard_zero(
+        self, tmp_path
+    ):
+        """The unsharded service journaled ``shard=-1`` (no placement
+        to pin): such a record replays onto the one shard there is."""
+        from repro.graphs.io import graph_to_json
+        from repro.store.journal import JournalRecord, MutationJournal
+
+        oracle = make_service()
+        graphs = oracle.catalog.get("ppi").graphs
+        base = len(graphs)
+        journal = MutationJournal(str(tmp_path))
+        journal.append(JournalRecord(
+            seq=0, epoch=0, op="add_graph", dataset="ppi",
+            graph_id=base, shard=-1, graph_json=graph_to_json(graphs[1]),
+        ))
+        journal.append(JournalRecord(
+            seq=1, epoch=0, op="remove_graph", dataset="ppi",
+            graph_id=0, shard=-1,
+        ))
+        reborn = make_service(journal=str(tmp_path))
+        assert reborn.journal_lag() == 2
+        reborn.replay_journal()
+        assert reborn.mutations_replayed.value == 2
+        assert reborn.mutations_rejected.value == 0
+        entry = reborn.catalog.get("ppi")
+        assert entry.assignment == (tuple(range(base + 1)),)
+        assert entry.shard_of(base) == 0
+        assert sorted(entry.live_graph_ids()) == list(range(1, base + 1))
+        oracle.add_graph("ppi", graphs[1])
+        oracle.remove_graph("ppi", 0)
+        apply_all(oracle)
+        probes = [
+            q.graph for q in generate_workload(graphs[1:], 5, 3, seed=11)
+        ]
+        assert collection_digest(reborn, "ppi", probes) == (
+            collection_digest(oracle, "ppi", probes)
+        )
 
     def test_replay_requires_a_journal(self):
         svc = make_service()

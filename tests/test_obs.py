@@ -5,7 +5,7 @@ The load-bearing test here is :class:`TestStatsIdentity` — it pins the
 order, every value **equal to the registry metric** ``service.<key>``,
 and every composite view (``faults``, ``routing``, ``replicas``,
 ``admission``) equal, field for field, to the flat counters it is
-assembled from — across unsharded, sharded+routed, and chaos workloads.
+assembled from — across one-shard, sharded+routed, and chaos workloads.
 That identity is what keeps every stats-derived digest byte-stable.
 """
 
@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.caching import CacheStats, prepare_cache
 from repro.harness import build_ftv_graphs
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -168,6 +169,53 @@ FLAT_COUNTERS = {
 }
 
 
+#: what ``test_one_shard_stats_are_the_unsharded_services``' run read
+#: at commit d077afa (PR 22), whose ``Service(shards=1)`` held a plain
+#: ``DatasetCatalog``
+UNSHARDED_STATS = {
+    "clock_steps": 512,
+    "ticks": 8,
+    "work_steps": 804,
+    "completed": 17,
+    "active": 0,
+    "shards": 1,
+    "shard_cancelled": 0,
+    "per_shard_work": [804],
+    "per_pool_work": [804],
+    "replicas": {
+        "counts": [1], "live": [1], "states": {},
+        "killed": 0, "wedged": 0, "retired": 0,
+    },
+    "faults": {
+        "injected": 0, "retries": 0, "rerouted": 0, "degraded": 0,
+        "tasks_failed": 0, "noop": 0,
+    },
+    "fanout_waste": 0,
+    "routing": {
+        "enabled": False, "routed": 0, "shards_pruned": 0,
+        "waves_skipped": 0, "shard_cancelled": 0,
+    },
+    "latency_steps": {
+        "count": 17, "mean": 86.58823529411765,
+        "p50": 64, "p95": 256, "p99": 256, "max": 256,
+    },
+    "admission": {
+        "admitted": 14, "rejected": 1, "coalesced": 1,
+        "queued": 0, "in_flight": 0,
+        "charged_steps": {"tenant0": 180, "tenant1": 603, "public": 21},
+    },
+    "result_cache": {
+        "hits": 2, "misses": 15, "evictions": 0, "lookups": 17,
+        "hit_rate": 0.11764705882352941, "entries": 14,
+        "capacity": 512, "uncacheable": 0,
+    },
+    "prepare_cache": {
+        "hits": 54, "misses": 19, "evictions": 1, "lookups": 73,
+        "hit_rate": 0.7397260273972602,
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def ppi_graphs():
     return build_ftv_graphs("ppi", "tiny")
@@ -213,10 +261,9 @@ def assert_stats_identical(svc: Service) -> None:
     assert got["work_steps"] == snap["dispatcher.work_steps"]
     assert got["per_pool_work"] == snap["dispatcher.pool_work"]
     assert got["completed"] == svc.completed_count.value
-    if svc.sharded:
-        assert got["replicas"]["killed"] == svc.replicas_killed.value
-        assert got["replicas"]["wedged"] == svc.replicas_wedged.value
-        assert got["replicas"]["retired"] == svc.replicas_retired.value
+    assert got["replicas"]["killed"] == svc.replicas_killed.value
+    assert got["replicas"]["wedged"] == svc.replicas_wedged.value
+    assert got["replicas"]["retired"] == svc.replicas_retired.value
     # and the whole thing still renders to stable JSON
     assert json.dumps(got, sort_keys=True) == json.dumps(
         want, sort_keys=True
@@ -227,7 +274,7 @@ class TestStatsIdentity:
     def test_fresh_service(self, ppi_graphs):
         assert_stats_identical(ftv_service())
 
-    def test_unsharded_run(self, ppi_graphs):
+    def test_one_shard_run(self, ppi_graphs):
         svc = ftv_service()
         run_closed_loop(
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
@@ -253,6 +300,42 @@ class TestStatsIdentity:
         )
         assert svc.stats()["faults"]["injected"] > 0
         assert_stats_identical(svc)
+
+    def test_one_shard_stats_are_the_unsharded_services(self, ppi_graphs):
+        """``stats()`` (minus the approximate ``memory``) of a
+        ``Service(shards=1)`` after a short mixed run, against the dict
+        the unsharded service of PR 22 reported for the same run:
+        serving one shard through the sharded catalog moved no key and
+        no value — ``routing.enabled`` stays false, the replica view
+        is one live replica, per-shard work is pool 0's."""
+        prepare_cache.clear()  # process-global counters: start at zero
+        prepare_cache.stats = CacheStats()
+        svc = ftv_service(routing=True)
+        streams = ftv_streams(ppi_graphs)
+        run_closed_loop(
+            svc, "ppi", streams, options=FTV_OPTS, concurrency=2
+        )
+        svc.add_graph("ppi", ppi_graphs[1])
+        svc.remove_graph("ppi", 0)
+        svc.pump()
+        query = streams["tenant0"][0].query.graph
+        svc.submit(
+            "ppi", query,
+            options=QueryOptions(
+                rewritings=("Orig", "DND"), decision_only=True
+            ),
+        )
+        svc.submit(  # five variants on four workers: rejected
+            "ppi", query,
+            options=QueryOptions(
+                rewritings=("Orig", "DND", "ILF", "IND", "DNA")
+            ),
+        )
+        svc.run_until_idle()
+        stats = svc.stats()
+        del stats["memory"]
+        assert stats == UNSHARDED_STATS
+        assert list(stats) == list(UNSHARDED_STATS)
 
     def test_registry_snapshot_superset(self, ppi_graphs):
         """The registry exposes everything stats() serves, plus the

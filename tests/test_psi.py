@@ -13,7 +13,6 @@ from repro.psi import (
     Variant,
     interleaved_race,
     race_from_costs,
-    threaded_race,
     variants_from_spec,
 )
 from repro.workload import extract_query
@@ -98,25 +97,6 @@ class TestInterleavedRace:
             interleaved_race({})
 
 
-class TestThreadedRace:
-    def test_same_answer_as_interleaved(self):
-        factories = {
-            "fast": fixed_engine(10, True),
-            "slow": fixed_engine(10000, True),
-        }
-        race = threaded_race(factories, check_every=16)
-        assert race.found
-        assert race.outcome is not None
-
-    def test_budget_kills(self):
-        race = threaded_race(
-            {"x": fixed_engine(10**6, True)},
-            budget=Budget(max_steps=100),
-            check_every=16,
-        )
-        assert race.killed
-
-
 class TestRaceFromCosts:
     def test_min_completing_wins(self):
         race = race_from_costs(
@@ -180,22 +160,6 @@ class TestPsiNFV:
         }
         result = psi.race(query, variants, max_embeddings=1)
         assert result.steps == min(c.steps for c in costs.values())
-
-    def test_threaded_executor_same_decision(self, small_store):
-        psi = PsiNFV(small_store)
-        query = random_query_from(small_store, 4, 11)
-        variants = [Variant("GQL", "Orig"), Variant("VF2", "ILF")]
-        a = psi.race(query, variants, max_embeddings=1)
-        b = psi.race(
-            query, variants, max_embeddings=1, executor="threaded"
-        )
-        assert a.found == b.found
-
-    def test_unknown_executor_rejected(self, small_store):
-        psi = PsiNFV(small_store)
-        query = random_query_from(small_store, 4, 11)
-        with pytest.raises(ValueError):
-            psi.race(query, [Variant("GQL", "Orig")], executor="magic")
 
     def test_empty_variants_rejected(self, small_store):
         psi = PsiNFV(small_store)

@@ -269,7 +269,7 @@ class TestFTVServing:
         mixes = default_tenant_mixes(1, 3, sizes=(4,), repeat_fraction=0.0)
         stream = generate_tenant_streams(graphs, mixes, seed=11)
         opts = QueryOptions(rewritings=("Orig",))
-        index = svc.catalog.get("ppi").ftv_index
+        index = svc.catalog.get("ppi").shard_entry(0).ftv_index
         for mq in stream:
             t = svc.submit("ppi", mq.query.graph, options=opts)
             svc.run_until_idle()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.harness import build_ftv_graphs, build_nfv_graph
 from repro.graphs import LabeledGraph
+from repro.indexing import GrapesIndex
 from repro.service import (
     AdmissionController,
     QueryOptions,
@@ -307,9 +308,10 @@ class TestShardedEquivalence:
         assert not any(t.result.killed for t in sharded.completed)
 
     def test_sharded_answers_match_raw_index(self, ppi_graphs):
-        """Global matching ids agree with the unsharded Grapes index."""
+        """Global matching ids agree with a bare Grapes index of the
+        whole collection."""
         svc = ftv_service(2)
-        reference = ftv_service(1).catalog.get("ppi").ftv_index
+        reference = GrapesIndex(ppi_graphs)
         mixes = default_tenant_mixes(1, 4, sizes=(4,), repeat_fraction=0.0)
         stream = generate_tenant_stream(
             ppi_graphs, mixes[0], seed=11
@@ -743,8 +745,6 @@ class TestOneCensusPerTicket:
 def distinct_indexes(svc):
     """The FTV indexes behind ``ppi``, one per trie."""
     entry = svc.catalog.get("ppi")
-    if not svc.sharded:
-        return [entry.ftv_index]
     by_trie = {
         id(index.trie): index
         for shard in entry.involved_shards()

@@ -13,8 +13,10 @@ The contracts under test, in dependency order:
 * **Digest identity** — a service cold-booted from the store serves
   byte-for-bit the same results (``results_digest``,
   ``answers_digest``, and the same stats key set) as a fresh
-  in-process warm, across unsharded, sharded+routed, and replicated
-  layouts.
+  in-process warm, across one-shard, sharded+routed, and replicated
+  layouts; a bare ``DatasetCatalog`` is persisted as the one shard it
+  amounts to, and a store in the deleted ``sharded: false`` layout is a
+  clean miss that the next checkpoint replaces.
 * **Corruption matrix** — every :class:`StoreFaultInjector` class is
   detected on load and degrades to a per-graph rebuild whose digests
   equal the healthy run's.
@@ -79,6 +81,7 @@ from repro.workload import (
 from ._index_codec_v1 import encode_index_v1
 from ._index_codec_v2 import encode_index_v2
 from ._index_codec_v3 import encode_index_v3
+from ._store_layout_unsharded import write_unsharded_store
 from .conftest import relabelled
 
 BUDGET = 60_000
@@ -124,7 +127,8 @@ def run_workload(svc, graphs, **kw):
 
 
 def warm_store(tmp_path, shards=1, replicas=1, name="ppi", scale="tiny"):
-    """Warm a catalog of the given layout and persist it."""
+    """Warm a catalog of the given layout and persist it (one shard,
+    one replica: a bare ``DatasetCatalog``, as the ledger writes it)."""
     if shards > 1 or replicas > 1:
         catalog = ShardedCatalog(num_shards=shards, replicas=replicas)
     else:
@@ -278,7 +282,7 @@ class TestColdBootDigests:
             == sorted(fresh_svc.stats().keys())
         )
 
-    def test_unsharded(self, ppi_graphs, tmp_path):
+    def test_one_shard(self, ppi_graphs, tmp_path):
         root, _, summary = warm_store(tmp_path)
         assert summary["blobs"] >= 2  # graphs + index
         fresh = ftv_service()
@@ -290,6 +294,41 @@ class TestColdBootDigests:
             run_workload(booted, ppi_graphs),
             fresh, booted,
         )
+
+    @pytest.mark.parametrize("name", ["ppi", "yeast"])
+    def test_a_plain_catalog_is_written_as_the_one_shard_it_is(
+        self, name, tmp_path
+    ):
+        """``write_catalog(DatasetCatalog)`` writes the one layout with
+        one shard, and ``Service(shards=1, store=...)`` restores from
+        it: graphs and (FTV) index off their blobs, nothing rebuilt."""
+        root, catalog, _ = warm_store(tmp_path, name=name)
+        manifest = load_manifest(root)
+        assert manifest.layout == {
+            "sharded": True, "num_shards": 1,
+            "assignment": "size_balanced", "replicas": 1,
+        }
+        record = manifest.datasets[name]
+        slots = len(catalog.get(name).graphs)
+        assert record["assignment"] == [list(range(slots))]
+        assert record["home_shard"] == 0
+        assert list(record["indexes"]) == (["0"] if name == "ppi" else [])
+        booted = Service(workers=4, store=root)
+        booted.load_dataset(name, scale="tiny")
+        reader = booted.catalog.store
+        assert reader.restores == 1 + len(record["indexes"])
+        assert reader.rebuilds == reader.misses == 0
+        assert reader.bytes_read > 0
+        if name == "ppi":
+            fresh = ftv_service()
+            probes = [
+                q.graph for q in generate_workload(
+                    catalog.get("ppi").graphs, 5, 3, seed=11
+                )
+            ]
+            assert collection_digest(booted, "ppi", probes) == (
+                collection_digest(fresh, "ppi", probes)
+            )
 
     def test_sharded_routed(self, ppi_graphs, tmp_path):
         root, _, _ = warm_store(tmp_path, shards=2)
@@ -318,19 +357,19 @@ class TestColdBootDigests:
         from repro.store.codec import encode_index
 
         root, catalog, _ = warm_store(tmp_path)
-        restored = DatasetCatalog(store=root)
-        restored.load("ppi", scale="tiny")
+        restored = ftv_service(store=root)
+        assert restored.catalog.store.rebuilds == 0
         original = catalog.get("ppi").ftv_index
-        revived = restored.get("ppi").ftv_index
+        revived = restored.catalog.get("ppi").shard_entry(0).ftv_index
         assert encode_index(revived) == encode_index(original)
 
     def test_layout_mismatch_falls_back_to_build(
         self, ppi_graphs, tmp_path
     ):
-        """An unsharded store cannot boot a sharded catalog — the
+        """A one-shard store cannot boot a two-shard catalog — the
         mismatch is counted as a miss and the warm build proceeds."""
-        root, _, _ = warm_store(tmp_path)  # unsharded store
-        booted = ftv_service(shards=2, store=root)  # sharded boot
+        root, _, _ = warm_store(tmp_path)  # one shard
+        booted = ftv_service(shards=2, store=root)  # two
         assert booted.catalog.store.restores == 0
         assert booted.catalog.store.misses >= 1
         fresh = ftv_service(shards=2)
@@ -487,9 +526,8 @@ class TestElasticDrill:
 
     def test_memory_report_carries_store_section(self, tmp_path):
         root, _, _ = warm_store(tmp_path)
-        catalog = DatasetCatalog(store=root)
-        catalog.load("ppi", scale="tiny")
-        assert "store" in catalog.memory_report()
+        svc = ftv_service(store=root)
+        assert svc.stats()["memory"]["store"] == svc.store_metrics()
 
 
 # ----------------------------------------------------------------------
@@ -865,6 +903,50 @@ class TestFormatUpgrade:
         assert collection_digest(again, "ppi", probes) == (
             collection_digest(live, "ppi", probes)
         )
+
+
+class TestLayoutUpgrade:
+    """A store in the ``sharded: false`` layout the unsharded service
+    wrote through PR 22 (frozen in ``tests/_store_layout_unsharded.py``)
+    matches no catalog any more: it is one logged ``layout_mismatch``,
+    nothing read, quarantined or rebuilt, a fresh warm that serves as
+    any other — and the next checkpoint writes the one layout, which
+    the boot after it restores from."""
+
+    def test_a_parent_commit_unsharded_store_rewarms_once_then_restores(
+        self, ppi_graphs, tmp_path
+    ):
+        root = str(tmp_path / "store")
+        catalog = DatasetCatalog()
+        catalog.load("ppi", scale="tiny")
+        old = write_unsharded_store(root, catalog)
+        assert old.layout == {"sharded": False}
+        assert list(old.datasets["ppi"]["indexes"]) == ["*"]
+
+        booted = ftv_service(store=root)
+        reader = booted.catalog.store
+        assert [
+            e["dataset"] for e in reader.events
+            if e["event"] == "layout_mismatch"
+        ] == ["ppi"]
+        assert reader.misses == 1
+        assert reader.restores == reader.rebuilds == 0
+        assert reader.blobs_verified == reader.corrupt_detected == 0
+        healthy = run_workload(ftv_service(), ppi_graphs)
+        served = run_workload(booted, ppi_graphs)
+        assert served.digest == healthy.digest
+        assert served.answers == healthy.answers
+
+        summary = booted.checkpoint_store(root)
+        assert summary["epoch"] == 1
+        manifest = load_manifest(root)
+        assert manifest.layout["sharded"] is True
+        assert list(manifest.datasets["ppi"]["indexes"]) == ["0"]
+        again = ftv_service(store=root)
+        assert again.catalog.store.restores == 2  # graphs + index
+        assert again.catalog.store.rebuilds == 0
+        assert again.catalog.store.misses == 0
+        assert run_workload(again, ppi_graphs).digest == healthy.digest
 
 
 class TestLabelTable:

@@ -305,7 +305,7 @@ class TestPlanSharing:
     def _sweep_inputs(self):
         svc = Service(workers=2)
         svc.load_dataset("ppi", scale="tiny")
-        index = svc.catalog.get("ppi").ftv_index
+        index = svc.catalog.get("ppi").shard_entry(0).ftv_index
         graphs = build_ftv_graphs("ppi", "tiny")
         rng = random.Random(5)
         for _ in range(50):
