@@ -981,8 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regrow", action="store_true",
                    help="heal permanent replica losses mid-load: "
                         "each killed replica is replaced via "
-                        "Service.add_replica (booting from --store "
-                        "when one is attached)")
+                        "Service.add_replica (a shard that lost every "
+                        "replica re-warms from --store when one is "
+                        "attached)")
     p.add_argument("--verbose", action="store_true",
                    help="print one line per completed query")
     p.add_argument("--listen", metavar="HOST:PORT", default=None,

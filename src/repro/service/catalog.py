@@ -15,16 +15,17 @@ Entries wrap:
 * FTV datasets (ppi/synthetic): the graph collection + a Grapes (or
   GGSX) filter index and a warm VF2 verifier per stored graph.
 
-A :class:`DatasetCatalog` is what backs **one replica pool of one
-shard**: a served collection is always N >= 1 shards
+A :class:`DatasetCatalog` is what holds **one shard's warm
+partitions**, however many replicas serve the shard: a served
+collection is always N >= 1 shards
 (:class:`repro.service.sharding.ShardedCatalog` — the catalog a
 :class:`~repro.service.Service` owns, and the one that boots from and
-checkpoints to a store), and each shard's partition lives in a
-``DatasetCatalog`` through :meth:`DatasetCatalog.register` (a pre-built
-list of graphs under any name) or :meth:`~DatasetCatalog.adopt` (a
-sibling replica's frozen entry).  On its own it is also the plain way
-to hold a whole dataset warm outside any service — the oracle the tests
-and the ledger compare a service against.  Registered entries are
+checkpoints to a store), and each shard's partition lives in that
+shard's ``DatasetCatalog`` through :meth:`DatasetCatalog.register` (a
+pre-built list of graphs under any name); every replica of the shard
+races over that one frozen entry.  On its own it is also the plain
+way to hold a whole dataset warm outside any service — the oracle the
+tests and the ledger compare a service against.  Registered entries are
 warmed and frozen exactly like loaded ones.  A catalog holds what it
 was told to load until it is told to :meth:`~DatasetCatalog.unload` it:
 nothing is evicted behind the caller's back.
@@ -371,34 +372,6 @@ class DatasetCatalog:
             ftv_method, max_path_length, config,
             prebuilt_index=prebuilt_index, interner=interner,
         )
-
-    def adopt(self, entry: DatasetEntry) -> DatasetEntry:
-        """Install an already-built ``entry`` without rebuilding it.
-
-        The replica-sharing hook:
-        :class:`repro.service.sharding.ShardedCatalog` warms one
-        replica of a shard partition through :meth:`register` and
-        adopts the same frozen entry object on the shard's sibling
-        replicas.  Sharing is sound because entries are frozen after
-        warm-up (``verify_frozen`` checks, not trusts) and the prepare
-        cache keys matcher indexes per graph *object*, so replicas
-        share warm artifacts transparently instead of paying the build
-        N times.  Adopting a name this catalog already holds is
-        idempotent when it is the same entry object (same
-        ``load_config`` and identity); anything else raises like a
-        conflicting re-load.
-        """
-        existing = self._existing(entry.name, entry.load_config)
-        if existing is not None:
-            if existing is not entry:
-                raise ValueError(
-                    f"dataset {entry.name!r} already installed from a "
-                    "different build; unload it before adopting"
-                )
-            return existing
-        entry.verify_frozen()
-        self._entries[entry.name] = entry
-        return entry
 
     def get(self, name: str) -> DatasetEntry:
         """The loaded entry for ``name`` (KeyError when not loaded)."""

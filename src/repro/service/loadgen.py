@@ -348,18 +348,6 @@ def plan_update_stream(
     return ops
 
 
-def _ftv_config(entry) -> tuple:
-    """(scale, algorithms, ftv_method, max_path_length) of an entry."""
-    config = getattr(entry, "_register_config", None)
-    if config is None:
-        config = getattr(entry, "load_config", None)
-    if config is None or len(config) != 4:
-        raise ValueError(
-            f"entry {entry.name!r} has no FTV load configuration"
-        )
-    return config
-
-
 def _state_digest(live_rows: list, answers: list) -> str:
     doc = {"live": live_rows, "answers": answers}
     raw = json.dumps(
@@ -418,7 +406,7 @@ def oracle_digest(
     claim of the whole mutation path.
     """
     entry = service.catalog.get(dataset)
-    _scale, _algorithms, ftv_method, max_path_length = _ftv_config(entry)
+    _scale, _algorithms, ftv_method, max_path_length = entry.load_config
     live = entry.live_graph_ids()
     graphs = [entry.graphs[gid] for gid in live]
     from ..indexing import GGSXIndex, GrapesIndex
@@ -517,11 +505,12 @@ def run_closed_loop(
     With ``regrow=True`` the loop heals
     permanent losses as they happen: whenever a shard has more DEAD
     replicas than it has regrown so far, :meth:`Service.add_replica`
-    scales it back out *mid-load* — with a store attached the newcomer
-    boots from disk (the elastic O(read) path the persistence layer
-    exists for).  Each regrow is recorded in the report's ``store``
-    section with the virtual clock it happened at and whether it came
-    from the store.
+    scales it back out *mid-load*.  A newcomer beside a live sibling
+    serves the shard's warm partition as it stands; one that brings a
+    dark shard back re-warms it — from disk when a store is attached
+    (the elastic O(read) path the persistence layer exists for).  Each
+    regrow is recorded in the report's ``store`` section with the
+    virtual clock it happened at and whether it read the store.
 
     Deterministic, like everything else on the virtual clock.
     """

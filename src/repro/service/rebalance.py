@@ -100,13 +100,6 @@ class Rebalancer:
         Whole-graph moves per quiesce point, across all datasets.
         Small on purpose: each move re-registers two shards, and a
         persistent skew will trigger again at the next quiesce.
-    replica_scaling:
-        Also grow/shrink shard **replica counts** from the same window
-        loads (off by default): a shard billing more than
-        ``grow_threshold`` x the mean gains a warm replica (up to
-        ``max_replicas``), and a shard below ``shrink_threshold`` x
-        the mean retires one (never its last), both through the
-        service's quiesce-point scaling operations.
 
     Degenerate topologies never raise: a single shard, an all-dark
     layout, or a collection too small to migrate
@@ -121,29 +114,15 @@ class Rebalancer:
         skew_threshold: float = 1.25,
         min_window_steps: int = 2_048,
         max_moves: int = 2,
-        replica_scaling: bool = False,
-        max_replicas: int = 4,
-        grow_threshold: float = 1.75,
-        shrink_threshold: float = 0.25,
     ) -> None:
         if skew_threshold < 1.0:
             raise ValueError("skew_threshold must be >= 1.0")
         if max_moves < 1:
             raise ValueError("max_moves must be >= 1")
-        if max_replicas < 1:
-            raise ValueError("max_replicas must be >= 1")
-        if grow_threshold <= shrink_threshold:
-            raise ValueError(
-                "grow_threshold must exceed shrink_threshold"
-            )
         self.service = service
         self.skew_threshold = skew_threshold
         self.min_window_steps = min_window_steps
         self.max_moves = max_moves
-        self.replica_scaling = replica_scaling
-        self.max_replicas = max_replicas
-        self.grow_threshold = grow_threshold
-        self.shrink_threshold = shrink_threshold
         #: pool_work snapshot at the last rebalance (window baseline)
         self._baseline = list(service.dispatcher.pool_work)
         #: graph_bills snapshot at the last rebalance (per-graph window)
@@ -156,10 +135,6 @@ class Rebalancer:
         self.skipped = Counter()
         #: quiesce checks no-opped by a degenerate topology
         self.degenerate = Counter()
-        #: replica scale-out/-in events applied
-        self.replicas_grown = Counter()
-        self.replicas_shrunk = Counter()
-        self.replica_changes: list[dict] = []
         registry = getattr(service, "metrics", None)
         if registry is not None:
             # a service may see several Rebalancer configs over its
@@ -175,12 +150,6 @@ class Rebalancer:
         )
         registry.register(
             f"{prefix}.degenerate_checks", self.degenerate, replace=True
-        )
-        registry.register(
-            f"{prefix}.replicas_grown", self.replicas_grown, replace=True
-        )
-        registry.register(
-            f"{prefix}.replicas_shrunk", self.replicas_shrunk, replace=True
         )
         registry.gauge(
             f"{prefix}.migrations", lambda: len(self.migrations), replace=True
@@ -261,65 +230,13 @@ class Rebalancer:
             hot = max(serving, key=lambda s: (loads[s], -s))
             cold = coldest_shard(catalog, loads)
             applied = self._migrate(hot, cold, loads)
-        scaled = self._scale_replicas(loads, serving)
-        if applied or scaled:
-            if applied:
-                self.rebalances.inc()
+        if applied:
+            self.rebalances.inc()
             self._baseline = list(service.dispatcher.pool_work)
             self._graph_baseline = dict(service.graph_bills)
         else:
             self.skipped.inc()
         return applied
-
-    def _scale_replicas(
-        self, loads: list[int], serving: list[int]
-    ) -> list[dict]:
-        """Grow the hottest overloaded shard / shrink the coldest
-        over-provisioned one (at most one of each per quiesce check).
-
-        Thresholds are relative to the mean serving-shard window load,
-        so the decision is a pure function of the same step bills the
-        migration path reads; changes go through the service's
-        quiesce-point scaling operations, which keep catalog replicas
-        and dispatcher pools in lockstep.  When the service carries an
-        artifact store (``Service(store=...)``), the grow path boots
-        the new replica from disk — checksum-verified restore instead
-        of an in-process index rebuild — so elastic scale-out costs
-        O(read), not O(warm).
-        """
-        if not self.replica_scaling or not serving:
-            return []
-        service = self.service
-        mean = sum(loads[s] for s in serving) / len(serving)
-        if mean <= 0:
-            return []
-        changes: list[dict] = []
-        hot = max(serving, key=lambda s: (loads[s], -s))
-        if (
-            loads[hot] > self.grow_threshold * mean
-            and len(service.live_replicas(hot)) < self.max_replicas
-        ):
-            replica = service.add_replica(hot)
-            self.replicas_grown.inc()
-            changes.append(
-                {"action": "grow", "shard": hot, "replica": replica,
-                 "clock": service.clock}
-            )
-        cold = min(serving, key=lambda s: (loads[s], s))
-        if (
-            cold != hot
-            and loads[cold] < self.shrink_threshold * mean
-            and len(service.live_replicas(cold)) > 1
-        ):
-            replica = service.retire_replica(cold)
-            if replica is not None:
-                self.replicas_shrunk.inc()
-                changes.append(
-                    {"action": "shrink", "shard": cold,
-                     "replica": replica, "clock": service.clock}
-                )
-        self.replica_changes.extend(changes)
-        return changes
 
     def graph_window(self, dataset: str, graph_id: int) -> int:
         """One stored graph's verification steps since the last rebalance."""
@@ -388,9 +305,6 @@ class Rebalancer:
             "rebalances": self.rebalances.value,
             "skipped_checks": self.skipped.value,
             "degenerate_checks": self.degenerate.value,
-            "replicas_grown": self.replicas_grown.value,
-            "replicas_shrunk": self.replicas_shrunk.value,
-            "replica_changes": list(self.replica_changes),
             "migrations": [
                 {
                     "dataset": m.dataset,

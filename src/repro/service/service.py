@@ -764,7 +764,7 @@ class Service:
         """The ticket's query census (feature -> count), taken once.
 
         ``interner`` is the collection's one label code space — the
-        entry's, which every shard and replica index shares —
+        entry's, which every shard's index shares —
         so the counts taken for the route plan are the counts every
         shard's trie is probed with, whichever race of the ticket asks
         first.  A mutation is the only thing that extends the interner
@@ -1556,14 +1556,18 @@ class Service:
         ]
 
     def add_replica(self, shard: int) -> int:
-        """Scale one shard out by a warm replica (catalog + pool grow
-        in lockstep).  Returns the new replica id.
+        """Scale one shard out by a replica (catalog replica and
+        dispatcher pool grow in lockstep).  Returns the new replica id.
 
-        With a store attached the newcomer boots from disk (an O(read)
-        restore instead of an in-process rebuild) and the boot gets its
-        own trace under a synthetic negative ticket id: a ``store_boot``
-        span whose child events replay exactly what the store reader
-        saw (verifications, corruption quarantines, rebuild fallbacks).
+        Beside a live sibling the newcomer serves the shard's warm
+        partition as it stands.  On a dark shard it re-warms the
+        partition — with a store attached from disk (an O(read)
+        restore instead of an in-process rebuild).  With a store
+        attached every grow gets its own trace under a synthetic
+        negative ticket id: a ``store_boot`` span whose child events
+        replay exactly what the store reader saw (verifications,
+        corruption quarantines, rebuild fallbacks) and whose
+        ``restores`` is 0 when nothing was warmed.
         """
         store = self.catalog.store
         tid = span = None
@@ -1751,7 +1755,8 @@ class Service:
         whatever the load state at replay time.  Newcomers land on the
         coldest serving shard (the rebalancer's rule, same loads, same
         tie-break) unless the submitter pinned one; revives keep their
-        slot's shard.
+        slot's shard.  Everything the catalog would refuse is refused
+        here, before anything is journaled.
         Raises KeyError for retryable conditions (dark shard),
         ValueError for permanent ones (bad op arguments).
         """
@@ -1780,11 +1785,22 @@ class Service:
                     f"shard {shard} has no serving replica"
                 )
             return gid, shard
+        num_shards = self.catalog.num_shards
+        if mutation.shard is not None and not 0 <= mutation.shard < num_shards:
+            raise ValueError(
+                f"shard {mutation.shard} out of range (catalog has "
+                f"{num_shards} shards)"
+            )
         gid = (
             mutation.graph_id
             if mutation.graph_id is not None
             else len(entry.graphs)
         )
+        if gid > len(entry.graphs):
+            raise ValueError(
+                f"graph id {gid} out of range for "
+                f"{len(entry.graphs)} slots"
+            )
         if gid < len(entry.graphs) and gid not in entry.tombstones:
             raise ValueError(
                 f"graph id {gid} is live; remove it before re-adding"

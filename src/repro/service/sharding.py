@@ -5,14 +5,16 @@ The paper races query *variants* and keeps the first finisher; the
 ROADMAP's scaling item applies the same discipline one level up, across
 **partitions of the data**.  A :class:`ShardedCatalog` is the one
 catalog a :class:`~repro.service.Service` owns: it splits a stored
-graph collection across N :class:`~repro.service.catalog.DatasetCatalog`
-shards (hash or size-balanced assignment; ``N = 1`` is one shard
-holding everything, one replica, pool 0); each shard warms its own
-matcher indexes and Grapes/GGSX filter over its partition only.  The
-service fans a query out into one race per involved shard, runs them on
-per-shard worker pools (``Dispatcher(pools=N)``) over the shared
-virtual clock, and merges the per-shard :class:`RaceOutcome`\\ s with
-:func:`merge_shard_outcomes`.
+graph collection across N shards (hash or size-balanced assignment;
+``N = 1`` is one shard holding everything, one replica, pool 0), each
+holding its partition warm in one
+:class:`~repro.service.catalog.DatasetCatalog` — its own matcher
+indexes and Grapes/GGSX filter over its partition only — however many
+replicas serve it.  A replica is what the service schedules on: an id
+and a worker pool.  The service fans a query out into one race per
+involved shard, runs each on a pool of one of the shard's replicas
+over the shared virtual clock, and merges the per-shard
+:class:`RaceOutcome`\\ s with :func:`merge_shard_outcomes`.
 
 Equivalence invariants (proven in ``tests/test_service_sharding.py``):
 
@@ -182,9 +184,13 @@ class ShardedEntry:
     assignment: tuple[tuple[int, ...], ...]
     #: the single shard holding an NFV entry's stored graph
     home_shard: int
+    #: ``(scale, algorithms, ftv_method, max_path_length)`` the entry
+    #: was loaded with: the re-load compatibility witness, what every
+    #: partition is registered with, and what a checkpoint records
+    load_config: tuple
     _catalog: "ShardedCatalog"
     #: the collection's one label code space (FTV entries only): every
-    #: shard and replica index, the router's sketches, the store's
+    #: shard's index, the router's sketches, the store's
     #: index blobs and each ticket's query census are coded in this
     #: object, which only a mutation ever extends
     interner: Optional[LabelInterner] = None
@@ -203,7 +209,7 @@ class ShardedEntry:
     @property
     def max_path_length(self) -> int:
         """The entry's FTV feature path length (census configuration)."""
-        return self._register_config[3]
+        return self.load_config[3]
 
     def involved_shards(self) -> tuple[int, ...]:
         """Shards that hold at least one graph (fan-out targets)."""
@@ -234,15 +240,10 @@ class ShardedEntry:
             f"{self.name!r}"
         )
 
-    def shard_entry(
-        self, shard: int, replica: Optional[int] = None
-    ) -> DatasetEntry:
-        """The shard's warm :class:`DatasetEntry`.
-
-        Any serving replica answers equivalently; ``None`` picks the
-        shard's first serving replica.
-        """
-        return self._catalog.shard_entry(self.name, shard, replica)
+    def shard_entry(self, shard: int) -> DatasetEntry:
+        """The shard's warm :class:`DatasetEntry` (every replica of the
+        shard serves this one object)."""
+        return self._catalog.shard_entry(self.name, shard)
 
     @property
     def psi(self):
@@ -253,30 +254,28 @@ class ShardedEntry:
 
 
 class ShardedCatalog:
-    """N shard catalogs serving partitions of each dataset.
+    """N shards serving partitions of each dataset.
 
     ``load`` builds a named dataset once, partitions collections with
-    :func:`assign_shards`, and registers each partition on its own
-    :class:`DatasetCatalog` shard — so every shard warms its own
-    matcher indexes and Grapes/GGSX filters over just its graphs.  NFV
-    datasets (one stored graph) live whole on a deterministic home
-    shard.
+    :func:`assign_shards`, and registers each partition on its shard's
+    :class:`DatasetCatalog` (:attr:`partitions`) — so every shard warms
+    its own matcher indexes and Grapes/GGSX filters over just its
+    graphs.  NFV datasets (one stored graph) live whole on a
+    deterministic home shard.
 
-    **Replicas.**  With ``replicas=R`` every shard carries R replica
-    catalogs, each backing its own dispatcher worker pool, so the
+    **Replicas.**  With ``replicas=R`` every shard is served by R
+    replicas, each backing its own dispatcher worker pool, so the
     service can spread a shard's races over replicas and survive a
     replica's death (:mod:`repro.service.faults`).  Pools are numbered
-    shard-major at construction — ``(shard s, replica 0..R-1)`` maps to
-    pools ``s*R .. s*R+R-1`` — so with ``replicas=1`` pool index ==
-    shard index and the catalog is bit-for-bit the pre-replication
-    layout.  Replica 0 of each shard is the *primary*; the
-    :attr:`shards` property exposes the primaries to keep the PR-4/5
-    view working.  Sibling replicas **share warm artifacts**: the first
-    replica of a shard builds the partition entry (matcher indexes +
-    filter), siblings :meth:`~repro.service.catalog.DatasetCatalog.adopt`
-    the same frozen entry object — sound because entries are immutable
-    after freeze and the prepare cache keys per graph object
-    (``shared_warm`` counts the builds saved).
+    in the order replicas are made, shard-major at construction —
+    ``(shard s, replica 0..R-1)`` maps to pools ``s*R .. s*R+R-1`` — so
+    with ``replicas=1`` pool index == shard index.  The warm partition
+    belongs to the shard, not to a replica: every replica races over
+    the shard's one frozen entry (entries are immutable after freeze
+    and the prepare cache keys per graph object), so a mutation patches
+    one partition and a shard's memory is counted once.  Releasing a
+    shard's last replica unloads its partitions; the next
+    :meth:`add_replica` on that dark shard warms them again.
     """
 
     def __init__(
@@ -295,8 +294,8 @@ class ShardedCatalog:
         self.assignment_strategy = assignment
         #: attached StoreReader (boot-from-store path); None = always
         #: warm fresh.  Per-shard index blobs restore through
-        #: :meth:`_register_replica`, so scale-out replicas boot in
-        #: O(read) too.
+        #: :meth:`_register_shard`, so a dark shard re-warms in O(read)
+        #: too.
         self.store = None
         #: dataset name -> verified manifest record usable for
         #: per-shard index restores (layout + config + assignment all
@@ -304,8 +303,10 @@ class ShardedCatalog:
         self._store_records: dict[str, dict] = {}
         if store is not None:
             self.attach_store(store)
-        #: one DatasetCatalog per (shard, replica), in pool order
-        self.pool_catalogs: list[DatasetCatalog] = []
+        #: one DatasetCatalog per shard, holding its warm partitions
+        self.partitions: list[DatasetCatalog] = [
+            DatasetCatalog() for _ in range(num_shards)
+        ]
         #: (shard, replica) -> pool index; retained for released
         #: replicas so historical pool bills stay attributable
         self._pool_of: dict[tuple[int, int], int] = {}
@@ -325,8 +326,6 @@ class ShardedCatalog:
         self.migrated_graphs = 0
         #: failed reassigns rolled back to the prior assignment
         self.rollbacks = 0
-        #: partition builds saved by adopting a sibling replica's entry
-        self.shared_warm = 0
         #: monotone collection-state version: bumped by every applied
         #: ``add_graph``/``remove_graph``.  Result-cache keys embed it,
         #: so a mutation implicitly drops every cached answer computed
@@ -352,12 +351,10 @@ class ShardedCatalog:
         return self.store
 
     def _materialize_replica(self, shard: int) -> int:
-        """Create one replica catalog + pool slot for ``shard``."""
+        """Give ``shard`` one more replica id and pool slot."""
         replica = self._next_replica_id[shard]
         self._next_replica_id[shard] += 1
-        pool = len(self.pool_catalogs)
-        self.pool_catalogs.append(DatasetCatalog())
-        self._pool_of[(shard, replica)] = pool
+        self._pool_of[(shard, replica)] = len(self._pool_of)
         self._replicas_of[shard].append(replica)
         return replica
 
@@ -366,17 +363,9 @@ class ShardedCatalog:
     # ------------------------------------------------------------------
 
     @property
-    def shards(self) -> list[DatasetCatalog]:
-        """Primary (replica-0) catalog per shard — the PR-4/5 view."""
-        return [
-            self.pool_catalogs[self._pool_of[(s, 0)]]
-            for s in range(self.num_shards)
-        ]
-
-    @property
     def pool_count(self) -> int:
         """Total worker pools (one per replica ever materialized)."""
-        return len(self.pool_catalogs)
+        return len(self._pool_of)
 
     def replica_ids(self, shard: int) -> tuple[int, ...]:
         """Serving-capable replica ids of ``shard`` (ascending)."""
@@ -395,56 +384,59 @@ class ShardedCatalog:
             if s == shard
         ))
 
-    def catalog_of(self, shard: int, replica: int) -> DatasetCatalog:
-        """``(shard, replica)``'s backing catalog (KeyError if never
-        materialized)."""
-        return self.pool_catalogs[self._pool_of[(shard, replica)]]
-
-    def add_replica(
-        self, shard: int, prefer_store: Optional[bool] = None
-    ) -> int:
-        """Materialize one more replica of ``shard`` and warm it.
-
-        Every loaded dataset with graphs on the shard is installed on
-        the new replica — from the attached store when one is (the
-        elastic O(read) boot; ``prefer_store`` defaults to "store
-        attached"), else by adopting a sibling's frozen entry (no
-        rebuild).  Returns the new replica id.  Callers growing a live
-        service must go through ``Service.add_replica`` so the
-        dispatcher grows its pool in lockstep.
-        """
+    def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"shard {shard} out of range (catalog has "
                 f"{self.num_shards} shards)"
             )
-        if prefer_store is None:
-            prefer_store = self.store is not None
+
+    def _check_serving(self, shard: int, name: str) -> None:
+        """KeyError unless ``shard`` has a serving replica — a dark
+        shard holds no warm partition to read or mutate."""
+        if not self._replicas_of[shard]:
+            raise KeyError(
+                f"shard {shard} has no serving replica for {name!r}"
+            )
+
+    def add_replica(self, shard: int) -> int:
+        """Give ``shard`` one more serving replica; returns its id.
+
+        Beside a live sibling the newcomer serves the shard's warm
+        partitions as they stand: nothing is warmed.  On a dark shard
+        (every replica released) it warms every loaded dataset's
+        partition there again (see :meth:`_register_shard`).  Callers
+        growing a live service must go through ``Service.add_replica``
+        so the dispatcher grows its pool in lockstep.
+        """
+        self._check_shard(shard)
+        dark = not self._replicas_of[shard]
         replica = self._materialize_replica(shard)
-        for name in self.datasets():
-            entry = self._entries[name]
-            if entry.assignment[shard]:
-                self._register_replica(
-                    entry, shard, replica, prefer_store=prefer_store
-                )
+        if dark:
+            for name in self.datasets():
+                entry = self._entries[name]
+                if entry.assignment[shard]:
+                    self._register_shard(entry, shard)
         self.replicas_added += 1
         return replica
 
     def release_replica(self, shard: int, replica: int) -> None:
         """Drop a replica from serving (kill or quiesce retirement).
 
-        Its warm state is unloaded and it never serves again; its pool
-        slot and historical bills remain attributable through
-        :meth:`shard_pools`.  Releasing an unknown or already-released
-        replica is a no-op.
+        It never serves again; its pool slot and historical bills
+        remain attributable through :meth:`shard_pools`.  Releasing the
+        shard's last replica unloads the shard's partitions (the shard
+        goes dark).  Releasing an unknown or already-released replica
+        is a no-op.
         """
         ids = self._replicas_of[shard]
         if replica not in ids:
             return
         ids.remove(replica)
-        catalog = self.catalog_of(shard, replica)
-        for name in list(catalog.datasets()):
-            catalog.unload(name)
+        if not ids:
+            catalog = self.partitions[shard]
+            for name in catalog.datasets():
+                catalog.unload(name)
         self.replicas_released += 1
 
     # ------------------------------------------------------------------
@@ -467,10 +459,10 @@ class ShardedCatalog:
         config = (scale, tuple(algorithms), ftv_method, max_path_length)
         existing = self._entries.get(name)
         if existing is not None:
-            if existing._load_config != config:
+            if existing.load_config != config:
                 raise ValueError(
                     f"dataset {name!r} already loaded with config "
-                    f"{existing._load_config}; unload it before "
+                    f"{existing.load_config}; unload it before "
                     f"re-loading with {config}"
                 )
             return existing
@@ -557,12 +549,9 @@ class ShardedCatalog:
             stats=LabelStats.of_collection(graphs),
             assignment=assignment,
             home_shard=home,
+            load_config=config,
             _catalog=self,
             interner=interner,
-        )
-        entry._load_config = config
-        entry._register_config = (
-            scale, tuple(algorithms), ftv_method, max_path_length
         )
         if name in self._store_records:
             # collection state rides in the record: ids removed before
@@ -650,61 +639,26 @@ class ShardedCatalog:
     def _register_shard(
         self, entry: ShardedEntry, shard: int
     ) -> Optional[DatasetEntry]:
-        """(Re-)register one partition on every replica of its shard.
+        """(Re-)warm ``entry``'s partition on ``shard``.
 
-        The first replica builds (or keeps) the partition entry; its
-        siblings adopt the same frozen object (see
-        :meth:`_register_replica`).  Every (re-)registration also
-        re-folds the shard's routing sketch from the fresh filter
-        index, so a rebalance migration can never leave a stale sketch
-        behind.  A shard with no serving replica (all killed/retired)
-        registers nothing and returns ``None`` — the service degrades
-        queries needing it.
+        While the catalog's store record of the dataset is current
+        (booted from it, no mutation since), the shard's filter index
+        restores from its blob (checked + quarantined through the
+        reader; a bad blob degrades to an in-process rebuild); otherwise
+        it is built.  Removed graphs are re-tombstoned, and the shard's
+        routing sketch is re-folded from the fresh filter index, so a
+        rebalance migration can never leave a stale sketch behind.  A
+        dark shard (every replica killed/retired) warms nothing and
+        returns ``None`` — the service degrades queries needing it, and
+        the next :meth:`add_replica` there warms it.
         """
-        sub: Optional[DatasetEntry] = None
-        for replica in self.replica_ids(shard):
-            got = self._register_replica(entry, shard, replica)
-            if sub is None:
-                sub = got
-        if entry.router is not None and sub is not None:
-            entry.router.refresh(shard, sub.ftv_index)
-        return sub
-
-    def _register_replica(
-        self,
-        entry: ShardedEntry,
-        shard: int,
-        replica: int,
-        prefer_store: bool = False,
-    ) -> DatasetEntry:
-        """(Re-)register one partition on one replica catalog.
-
-        When a sibling replica already holds the identical partition
-        (same graph objects in the same order), its frozen entry is
-        adopted instead of rebuilt — that is the warm-artifact sharing
-        the replication layer is allowed: entries are immutable after
-        freeze, so replicas serving the same object cannot diverge.
-
-        When the sharded catalog was booted from a store, the shard's
-        warm index restores from its blob instead of rebuilding
-        (checked + quarantined through the reader; a bad blob degrades
-        to an in-process rebuild).  ``prefer_store=True`` — the
-        ``Service.add_replica`` scale-out path — restores from disk
-        *even when a donor sibling exists*: a newcomer under live
-        chaos load boots from the store by contract, not by accident.
-        """
-        catalog = self.catalog_of(shard, replica)
+        if not self._replicas_of[shard]:
+            return None
+        catalog = self.partitions[shard]
         part = [entry.graphs[g] for g in entry.assignment[shard]]
-        scale, algorithms, ftv_method, max_path_length = (
-            entry._register_config
-        )
-
-        def restore_index():
-            if entry.kind != "ftv":
-                return None
-            record = self._store_records.get(entry.name)
-            if record is None or self.store is None:
-                return None
+        scale, algorithms, ftv_method, max_path_length = entry.load_config
+        index = None
+        if entry.kind == "ftv" and entry.name in self._store_records:
             from ..store import StoreError
 
             try:
@@ -716,27 +670,8 @@ class ShardedCatalog:
                 )
             except StoreError:
                 self.store.rebuilds += 1
-                return None
-            self.store.restores += 1
-            return index
-
-        index = restore_index() if prefer_store else None
-        if index is None:
-            for sibling in self.replica_ids(shard):
-                if sibling == replica:
-                    continue
-                donor = self.catalog_of(shard, sibling)._entries.get(
-                    entry.name
-                )
-                if (
-                    donor is not None
-                    and len(donor.graphs) == len(part)
-                    and all(a is b for a, b in zip(donor.graphs, part))
-                ):
-                    self.shared_warm += 1
-                    return catalog.adopt(donor)
-            if not prefer_store:
-                index = restore_index()
+            else:
+                self.store.restores += 1
         sub = catalog.register(
             entry.name,
             part,
@@ -748,19 +683,17 @@ class ShardedCatalog:
             prebuilt_index=index,
             interner=entry.interner,
         )
-        self._reapply_tombstones(entry, shard, catalog, sub)
+        self._reapply_tombstones(entry, shard, sub)
+        if entry.router is not None:
+            entry.router.refresh(shard, sub.ftv_index)
         return sub
 
     def _reapply_tombstones(
-        self,
-        entry: ShardedEntry,
-        shard: int,
-        catalog: DatasetCatalog,
-        sub: DatasetEntry,
+        self, entry: ShardedEntry, shard: int, sub: DatasetEntry
     ) -> None:
         """Re-tombstone removed graphs on a freshly (re-)built partition.
 
-        A partition rebuilt from scratch (replica scale-out, rebalance
+        A partition rebuilt from scratch (dark-shard re-warm, rebalance
         migration) indexes every graph object in the assignment —
         including slots a ``remove_graph`` already retired.  Tombstones
         are collection state, not index state, so they are re-applied
@@ -773,7 +706,7 @@ class ShardedCatalog:
                 gid in entry.tombstones
                 and local not in sub.ftv_index.tombstones
             ):
-                catalog.remove_graph(entry.name, local)
+                self.partitions[shard].remove_graph(entry.name, local)
 
     def get(self, name: str) -> ShardedEntry:
         """The sharded entry for ``name`` (KeyError when never loaded)."""
@@ -785,32 +718,17 @@ class ShardedCatalog:
             )
         return entry
 
-    def shard_entry(
-        self, name: str, shard: int, replica: Optional[int] = None
-    ) -> DatasetEntry:
-        """One shard's warm partition entry.
-
-        ``replica`` defaults to the shard's first serving replica; any
-        serving replica returns an equivalent (usually the identical,
-        adopted) entry.  A shard with no serving replica raises
-        KeyError — that is the "dark shard" the service turns into a
-        degraded ticket.
+    def shard_entry(self, name: str, shard: int) -> DatasetEntry:
+        """One shard's warm partition entry, the one object every
+        replica of the shard serves (frozen shape checked on every
+        read).  A shard with no serving replica raises KeyError — that
+        is the "dark shard" the service turns into a degraded ticket.
         """
         entry = self.get(name)
         if not entry.assignment[shard]:
             raise KeyError(f"shard {shard} holds no graphs of {name!r}")
-        ids = self._replicas_of[shard]
-        if replica is None:
-            if not ids:
-                raise KeyError(
-                    f"shard {shard} has no serving replica for {name!r}"
-                )
-            replica = ids[0]
-        elif replica not in ids:
-            raise KeyError(
-                f"replica {shard}/{replica} is not serving {name!r}"
-            )
-        return self.catalog_of(shard, replica).get(name)
+        self._check_serving(shard, name)
+        return self.partitions[shard].get(name)
 
     # ------------------------------------------------------------------
     # dynamic collections (incremental index maintenance)
@@ -827,76 +745,65 @@ class ShardedCatalog:
 
         Callers pick the shard (the service routes newcomers through
         the rebalancer's coldest-shard rule; journal replay re-applies
-        the recorded placement).  The partition entry is mutated in
-        place, so sibling replicas that adopted the shared object see
-        the newcomer for free; a store-restored replica holding its own
-        build gets the same incremental insert applied to it.  Reviving
-        a tombstoned id ignores ``shard`` in favor of the slot's
-        existing assignment — ids never migrate implicitly.
+        the recorded placement).  The shard's one partition entry is
+        mutated in place, so every replica serving it sees the
+        newcomer.  Reviving a tombstoned id ignores ``shard`` in favor
+        of the slot's existing assignment — ids never migrate
+        implicitly.  A dark target shard raises KeyError before
+        anything changes.
         """
         entry = self.get(name)
         if entry.kind != "ftv":
             raise ValueError(
                 f"dataset {name!r} is not a mutable FTV collection"
             )
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(
-                f"shard {shard} out of range (catalog has "
-                f"{self.num_shards} shards)"
-            )
+        self._check_shard(shard)
         if graph_id is None:
             graph_id = len(entry.graphs)
-        if graph_id < len(entry.graphs):
+        if graph_id > len(entry.graphs):
+            raise ValueError(
+                f"graph id {graph_id} out of range for "
+                f"{len(entry.graphs)} slots"
+            )
+        revive = graph_id < len(entry.graphs)
+        if revive:
             if graph_id not in entry.tombstones:
                 raise ValueError(
                     f"graph id {graph_id} is live; remove it before "
                     "re-adding"
                 )
             shard = entry.shard_of(graph_id)
+        self._check_serving(shard, name)
+        # a shard that held no graph of this dataset until now has no
+        # partition to extend: it is registered holding the newcomer
+        fresh = not entry.assignment[shard]
+        if revive:
             local = entry.assignment[shard].index(graph_id)
             entry.graphs[graph_id] = graph
             entry.tombstones.discard(graph_id)
-        elif graph_id == len(entry.graphs):
+        else:
             entry.graphs.append(graph)
             entry.assignment = tuple(
                 ids + (graph_id,) if s == shard else ids
                 for s, ids in enumerate(entry.assignment)
             )
             local = len(entry.assignment[shard]) - 1
-        else:
-            raise ValueError(
-                f"graph id {graph_id} out of range for "
-                f"{len(entry.graphs)} slots"
-            )
-        subs = self._distinct_shard_entries(entry, shard)
-        # the newcomer's trie rows, as the first partition to index it
-        # reports them: every distinct partition indexes the same
-        # graphs in the entry's one interner, so any one has its counts
-        source = subs[0][1].ftv_index
+        catalog = self.partitions[shard]
+        # the newcomer's trie rows as its insert reports them (none for
+        # a freshly registered partition, whose sketch note_add folds)
         rows: list = []
-        for catalog, sub in subs:
-            if (
-                local < len(sub.graphs)
-                and sub.graphs[local] is graph
-                and local not in sub.ftv_index.tombstones
-            ):
-                # this sub was registered from the already-updated
-                # assignment (previously-empty shard): it holds the
-                # newcomer natively — inserting again would double-index
-                # it
-                continue
-            if rows:
-                catalog.add_graph(name, graph, local)
-            else:
-                source = sub.ftv_index
-                catalog.add_graph(name, graph, local, rows)
+        if fresh:
+            sub = self._register_shard(entry, shard)
+        else:
+            catalog.add_graph(name, graph, local, rows)
+            sub = catalog.get(name)
         self._after_mutation(entry)
         if entry.router is not None:
-            entry.router.note_add(shard, source, rows)
+            entry.router.note_add(shard, sub.ftv_index, rows)
         return graph_id
 
     def remove_graph(self, name: str, graph_id: int) -> None:
-        """Tombstone ``graph_id`` on its home shard's partitions."""
+        """Tombstone ``graph_id`` on its shard's partition."""
         entry = self.get(name)
         if entry.kind != "ftv":
             raise ValueError(
@@ -905,43 +812,14 @@ class ShardedCatalog:
         if graph_id in entry.tombstones:
             raise ValueError(f"graph id {graph_id} already removed")
         shard = entry.shard_of(graph_id)
-        local = entry.assignment[shard].index(graph_id)
-        for catalog, sub in self._distinct_shard_entries(entry, shard):
-            if local not in sub.ftv_index.tombstones:
-                catalog.remove_graph(name, local)
+        self._check_serving(shard, name)
+        self.partitions[shard].remove_graph(
+            name, entry.assignment[shard].index(graph_id)
+        )
         entry.tombstones.add(graph_id)
         self._after_mutation(entry)
         if entry.router is not None:
             entry.router.note_remove()
-
-    def _distinct_shard_entries(
-        self, entry: ShardedEntry, shard: int
-    ) -> list:
-        """Each distinct partition entry object serving ``shard``.
-
-        Sibling replicas normally adopt one shared object (one row);
-        a store-restored replica may hold its own build, and mutations
-        must reach every distinct object or replicas would diverge.
-        """
-        out: list = []
-        seen: set = set()
-        for replica in self.replica_ids(shard):
-            catalog = self.catalog_of(shard, replica)
-            try:
-                sub = catalog.get(entry.name)
-            except KeyError:
-                # the shard held no graph of this dataset until now, so
-                # no partition was ever registered on it
-                sub = self._register_replica(entry, shard, replica)
-            if id(sub) not in seen:
-                seen.add(id(sub))
-                out.append((catalog, sub))
-        if not out:
-            raise KeyError(
-                f"shard {shard} has no serving replica for "
-                f"{entry.name!r}"
-            )
-        return out
 
     def _after_mutation(self, entry: ShardedEntry) -> None:
         """Collection-level bookkeeping after one applied mutation."""
@@ -1010,7 +888,7 @@ class ShardedCatalog:
         try:
             for shard in changed:
                 touched.append(shard)
-                self._unload_shard(name, shard)
+                self.partitions[shard].unload(name)
                 if new[shard]:
                     self._register_shard(entry, shard)
                 elif entry.router is not None:
@@ -1022,7 +900,7 @@ class ShardedCatalog:
             # failing build's partial state is unloaded with them.
             entry.assignment = old
             for shard in touched:
-                self._unload_shard(name, shard)
+                self.partitions[shard].unload(name)
                 if old[shard]:
                     self._register_shard(entry, shard)
                 elif entry.router is not None:
@@ -1037,15 +915,10 @@ class ShardedCatalog:
         self.migrated_graphs += moved
         return changed
 
-    def _unload_shard(self, name: str, shard: int) -> None:
-        """Drop ``name`` from every serving replica of ``shard``."""
-        for replica in self.replica_ids(shard):
-            self.catalog_of(shard, replica).unload(name)
-
     def unload(self, name: str) -> None:
-        """Drop a dataset from every replica pool (explicit, final)."""
+        """Drop a dataset from every shard (explicit, final)."""
         self._entries.pop(name, None)
-        for catalog in self.pool_catalogs:
+        for catalog in self.partitions:
             catalog.unload(name)
 
     def datasets(self) -> list[str]:
@@ -1055,17 +928,12 @@ class ShardedCatalog:
     def memory_report(self) -> dict:
         """Per-shard memory accounting plus catalog-wide totals.
 
-        ``shards`` reports the primary (replica-0) catalogs — the
-        pre-replication view — while ``total_bytes`` sums over every
-        replica pool and so counts an adopted (shared) entry once per
-        replica holding it: per-pool accounting, like per-pool work,
-        even though shared objects make the true resident set smaller.
+        ``shards`` holds one report per shard — its warm partitions,
+        held once however many replicas serve them (empty while the
+        shard is dark) — and ``total_bytes`` sums them, so each
+        partition is counted once.
         """
-        per_pool = [c.memory_report() for c in self.pool_catalogs]
-        primaries = [
-            per_pool[self._pool_of[(s, 0)]]
-            for s in range(self.num_shards)
-        ]
+        per_shard = [c.memory_report() for c in self.partitions]
         store = (
             {"store": self.store.as_metrics()}
             if self.store is not None
@@ -1078,13 +946,8 @@ class ShardedCatalog:
                 len(self.replica_ids(s))
                 for s in range(self.num_shards)
             ],
-            "shards": primaries,
-            "pools": {
-                f"{s}/{r}": per_pool[pool]
-                for (s, r), pool in sorted(self._pool_of.items())
-            },
-            "total_bytes": sum(r["total_bytes"] for r in per_pool),
-            "shared_warm": self.shared_warm,
+            "shards": per_shard,
+            "total_bytes": sum(r["total_bytes"] for r in per_shard),
             "rollbacks": self.rollbacks,
             "replicas_added": self.replicas_added,
             "replicas_released": self.replicas_released,

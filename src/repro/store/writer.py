@@ -143,8 +143,8 @@ class StoreWriter:
         for name in catalog.datasets():
             entry = catalog.get(name)
             if plain:
-                # a bare pool catalog is one shard holding every graph
-                # it loaded: what ``Service(shards=1, store=...)`` boots
+                # a bare catalog is one shard holding every graph it
+                # loaded: what ``Service(shards=1, store=...)`` boots
                 if entry.load_config[0] == "registered":
                     # registered entries have no named builder to fall
                     # back to on corruption; only load()-originated
@@ -152,14 +152,14 @@ class StoreWriter:
                     # persisted
                     skipped.append(name)
                     continue
-                config = entry.load_config
                 assignment = (tuple(range(len(entry.graphs))),)
                 home_shard = 0
             else:
-                config = entry._register_config
                 assignment = entry.assignment
                 home_shard = entry.home_shard
-            scale, algorithms, ftv_method, max_path_length = config
+            scale, algorithms, ftv_method, max_path_length = (
+                entry.load_config
+            )
             rec = self._dataset_record(
                 kind=entry.kind,
                 scale=scale,

@@ -357,16 +357,20 @@ class TestServeProcess:
         layout = (*self.PPI, "--shards", "2", "--replicas", "2")
         warm = repro_process("warm", "--store", store, *layout)
         assert warm.returncode == 0, warm.stderr
-        proc = repro_process(
-            "serve", *layout, "--chaos", "--regrow", "--store", store,
-        )
-        assert proc.returncode == 0, proc.stderr
+        serve = ("serve", *layout, "--chaos", "--regrow")
+        proc = repro_process(*serve, "--store", store)
+        storeless = repro_process(*serve)
+        assert proc.returncode == storeless.returncode == 0, proc.stderr
         assert re.search(r"chaos: .* 0 lost", proc.stdout)
         line = re.search(
             r"regrew (\d+) replica\(s\), (\d+) from store", proc.stdout
         )
-        assert int(line.group(2)) >= 1
-        assert line.group(1) == line.group(2)
+        assert int(line.group(1)) >= 1
+        digest = re.compile(r"results digest (\w+)")
+        assert (
+            digest.search(proc.stdout).group(1)
+            == digest.search(storeless.stdout).group(1)
+        )
 
 
 QUICK_SCENARIO = (

@@ -11,8 +11,10 @@ in ``docs/STORE.md`` must be one ``repro.store.codec`` writes, the
 warm-index tag and column table it states must be the codec's
 ``INDEX_CODEC`` and ``INDEX_COLUMNS``, and a
 ``--flag`` the prose attributes to a ``repro`` subcommand must be an
-option of that subcommand's parser, and every fenced ``python -m repro
-...`` command must be one the real parser accepts (parsed, never run).
+option of that subcommand's parser, every fenced ``python -m repro
+...`` command must be one the real parser accepts (parsed, never run),
+and the ``service.memory`` key list in ``docs/OBSERVABILITY.md`` must
+be the keys a 2 x 2 service reports.
 The CI ``docs`` job runs exactly this file.
 """
 
@@ -366,3 +368,71 @@ def test_the_command_check_sees_a_missing_required_flag():
     assert parse_failure(serve) is None
     assert parse_failure(["--help"]) is None
     assert "invalid choice" in parse_failure(["serve", "--dataset", "x"])
+
+
+# ----------------------------------------------------------------------
+# the service.memory keys docs/OBSERVABILITY.md lists
+# ----------------------------------------------------------------------
+
+#: ``**`service.memory` keys:** `a`, `b`, ... .`` — the documented list,
+#: up to the sentence's full stop
+MEMORY_KEYS = re.compile(
+    r"\*\*`service\.memory` keys:\*\*(.*?)\.(?:\s|$)", re.DOTALL
+)
+
+
+def memory_key_drift(text: str, reported) -> list:
+    """How the ``service.memory`` keys ``text`` lists differ from the
+    keys a service ``reported``."""
+    lists = MEMORY_KEYS.findall(text)
+    if len(lists) != 1:
+        return [f"expected one key list, found {len(lists)}"]
+    documented = set(INLINE_CODE.findall(lists[0]))
+    drift = []
+    if documented - set(reported):
+        drift.append(
+            f"documented, not reported: {sorted(documented - set(reported))}"
+        )
+    if set(reported) - documented:
+        drift.append(
+            f"reported, not documented: {sorted(set(reported) - documented)}"
+        )
+    return drift
+
+
+@pytest.fixture(scope="module")
+def memory_keys(tmp_path_factory):
+    """The ``stats()["memory"]`` keys of a 2 x 2 service booted from a
+    store (so the store section is there too)."""
+    from repro.service import Service, ShardedCatalog
+    from repro.store import StoreWriter
+
+    root = str(tmp_path_factory.mktemp("store"))
+    warm = ShardedCatalog(num_shards=2, replicas=2)
+    warm.load("ppi", scale="tiny")
+    StoreWriter(root).write_catalog(warm)
+    svc = Service(shards=2, replicas=2, store=root)
+    svc.load_dataset("ppi", scale="tiny")
+    return sorted(svc.stats()["memory"])
+
+
+def test_observability_doc_lists_the_memory_keys(memory_keys):
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    assert memory_key_drift(text, memory_keys) == []
+
+
+def test_the_memory_key_check_sees_a_dropped_and_an_invented_key(
+    memory_keys,
+):
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    (dropped,) = memory_key_drift(
+        text.replace("`rollbacks`, ", ""), memory_keys
+    )
+    assert dropped.startswith("reported, not documented")
+    assert "rollbacks" in dropped
+    (invented,) = memory_key_drift(
+        text.replace("`num_shards`, ", "`num_shards`, `pools`, "),
+        memory_keys,
+    )
+    assert invented.startswith("documented, not reported")
+    assert "pools" in invented

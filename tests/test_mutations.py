@@ -410,3 +410,62 @@ class TestReplayRecovery:
         svc = make_service()
         with pytest.raises(ValueError, match="no journal"):
             svc.replay_journal()
+
+
+class TestRefusedBeforeJournaled:
+    """An add the catalog would refuse is refused by the plan, for
+    good, before the journal sees it — so no record can poison every
+    later replay."""
+
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"graph_id": 999}, "graph id 999 out of range for 3 slots"),
+        ({"shard": -1}, "shard -1 out of range"),
+        ({"shard": 5}, "shard 5 out of range"),
+    ])
+    def test_is_rejected_and_never_journaled(
+        self, kwargs, fragment, tmp_path
+    ):
+        svc = make_service(shards=2, journal=str(tmp_path))
+        entry = svc.catalog.get("ppi")
+        assert len(entry.graphs) == 3
+        mutation = svc.submit_mutation(
+            "ppi", "add_graph", graph=entry.graphs[1], **kwargs
+        )
+        svc.pump()  # returns normally
+        assert mutation.rejected and fragment in mutation.reason
+        assert mutation.retry_after is None and mutation.seq is None
+        assert svc.journal.tail_seq() == -1
+        assert len(entry.graphs) == 3
+        later = svc.add_graph("ppi", entry.graphs[2])
+        apply_all(svc)
+        assert later.applied and later.seq == 0
+        reborn = make_service(shards=2, journal=str(tmp_path))
+        reborn.replay_journal()
+        assert reborn.mutations_replayed.value == 1
+        assert reborn.catalog.get("ppi").assignment == entry.assignment
+
+    def test_a_journaled_refusable_record_is_rejected_on_replay(
+        self, tmp_path
+    ):
+        """A journal that already holds such records replays the rest:
+        each is counted rejected, never raised."""
+        from repro.graphs.io import graph_to_json
+        from repro.store.journal import JournalRecord, MutationJournal
+
+        graphs = make_service().catalog.get("ppi").graphs
+        graph_json = graph_to_json(graphs[1])
+        journal = MutationJournal(str(tmp_path))
+        for seq, (graph_id, shard) in enumerate([(999, 0), (3, 5), (3, 1)]):
+            journal.append(JournalRecord(
+                seq=seq, epoch=0, op="add_graph", dataset="ppi",
+                graph_id=graph_id, shard=shard, graph_json=graph_json,
+            ))
+        reborn = make_service(shards=2, journal=str(tmp_path))
+        reborn.replay_journal()
+        assert reborn.mutations_rejected.value == 2
+        assert reborn.mutations_replayed.value == 1
+        assert reborn.journal_lag() == 0
+        entry = reborn.catalog.get("ppi")
+        assert len(entry.graphs) == 4 and entry.shard_of(3) == 1
+        reborn.replay_journal()  # and again: nothing left to apply
+        assert reborn.mutations_replayed.value == 1

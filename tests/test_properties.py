@@ -47,7 +47,12 @@ grown from them, then assert the library's fundamental contracts:
   collection or to neither — the shard indexes of a sharded catalog
   share one interner, together filter to the global ids one unsharded
   index fed the same stream does, and a store round trip of that state
-  restores every index and agrees.
+  restores every index and agrees;
+* on a 2 x 2 service, with or without a store, whatever interleaving
+  of replica kills, regrows, adds and removes: after every quiesce the
+  served collection digests as the rebuild-from-scratch oracle, and a
+  shard that went dark re-warms from its blob only while no mutation
+  has made that blob stale.
 """
 
 import random
@@ -83,11 +88,13 @@ from repro.matching import (
 from repro.matching.masks import mask_ge
 from repro.psi import AttemptCost, OverheadModel, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
+from repro.service import Service
+from repro.service.loadgen import collection_digest, oracle_digest
 from repro.service.routing import ShardRouter
 from repro.service.sharding import ShardedCatalog
 from repro.store import StoreWriter
 from repro.store.codec import decode_index, encode_index, index_method
-from repro.workload import extract_query
+from repro.workload import extract_query, generate_workload
 
 from ._filter_reference import feature_locations_reference, stored_locations
 from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
@@ -997,3 +1004,79 @@ def test_shard_indexes_of_a_mutated_catalog_filter_as_one_index(data):
             entry.interner.labels()
         )
         agrees(booted)
+
+
+#: probes carved out of the stored ``ppi`` graphs, answered positively
+PROBES = [q.graph for q in generate_workload(PPI, 6, 3, seed=5)]
+
+
+@given(data=st.data(), with_store=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_replica_churn_beside_mutations_serves_the_oracle(data, with_store):
+    """Kills, regrows, adds and removes interleaved on a 2 x 2 service:
+    after every quiesce the served collection answers as a rebuild
+    of its live graphs, and a dark shard re-warms from the store only
+    while no mutation has made its blob stale."""
+    with tempfile.TemporaryDirectory() as root:
+        if with_store:
+            warm = ShardedCatalog(num_shards=2, replicas=2)
+            warm.load("ppi", scale="tiny")
+            StoreWriter(root).write_catalog(warm)
+        svc = Service(
+            workers=2, shards=2, replicas=2,
+            store=root if with_store else None,
+        )
+        svc.load_dataset("ppi", scale="tiny")
+        entry = svc.catalog.get("ppi")
+        reader = svc.catalog.store
+        probes = list(PROBES)
+        mutated = False
+
+        def regrow(shard):
+            dark = not svc.catalog.replica_ids(shard)
+            before = reader.restores if reader is not None else 0
+            svc.add_replica(shard)
+            if reader is not None:
+                warmed = dark and bool(entry.assignment[shard])
+                assert reader.restores == before + (warmed and not mutated)
+
+        def served_is_the_oracle():
+            if all(
+                svc.catalog.replica_ids(s) for s in entry.involved_shards()
+            ):
+                assert collection_digest(svc, "ppi", probes) == (
+                    oracle_digest(svc, "ppi", probes)
+                )
+
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            op = data.draw(st.sampled_from(
+                ["kill", "add_replica", "add_graph", "remove_graph"]
+            ))
+            shard = data.draw(st.integers(min_value=0, max_value=1))
+            if op == "kill":
+                ids = svc.catalog.replica_ids(shard)
+                if ids:
+                    svc.kill_replica(shard, data.draw(st.sampled_from(ids)))
+            elif op == "add_replica":
+                regrow(shard)
+            else:
+                if op == "add_graph":
+                    graph = data.draw(newcomers())
+                    ticket = svc.add_graph("ppi", graph)
+                else:
+                    live = entry.live_graph_ids()
+                    if len(live) < 2:
+                        continue
+                    ticket = svc.remove_graph(
+                        "ppi", data.draw(st.sampled_from(live))
+                    )
+                svc.pump()
+                assert ticket.applied or ticket.retry_after is not None
+                if ticket.applied and op == "add_graph":
+                    probes.append(graph)
+                mutated |= ticket.applied
+            served_is_the_oracle()
+        for shard in range(2):
+            if not svc.catalog.replica_ids(shard):
+                regrow(shard)
+        served_is_the_oracle()

@@ -202,7 +202,7 @@ class TestWarmUpWork:
     def _partitions(service):
         return [
             catalog.get("ppi")
-            for catalog in service.catalog.pool_catalogs
+            for catalog in service.catalog.partitions
             if "ppi" in catalog.datasets()
         ]
 

@@ -209,6 +209,67 @@ class TestShardedCatalog:
             assert len(sub.graphs) == len(before[shard])
 
 
+class TestOnePartitionPerShard:
+    """The warm partition belongs to the shard: replicas are pools
+    scheduled over it, never copies of it."""
+
+    def test_replicas_build_no_catalog(self, monkeypatch):
+        import repro.service.sharding as sharding
+
+        built = []
+
+        class Counting(sharding.DatasetCatalog):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(sharding, "DatasetCatalog", Counting)
+        svc = ftv_service(2, replicas=3)
+        assert len(built) == 2
+        assert svc.catalog.partitions == built
+        assert svc.catalog.pool_count == svc.dispatcher.pools == 6
+        entry = svc.catalog.get("ppi")
+        sub = entry.shard_entry(0)
+        assert svc.add_replica(0) == 3
+        svc.kill_replica(0, 0)
+        assert entry.shard_entry(0) is sub
+        assert len(built) == 2
+        report = svc.stats()["memory"]
+        assert len(report["shards"]) == 2
+        assert report["total_bytes"] == sum(
+            r["total_bytes"] for r in report["shards"]
+        )
+
+    def test_last_release_unloads_and_the_next_add_rewarms(
+        self, ppi_graphs
+    ):
+        cat = ShardedCatalog(num_shards=2, replicas=2)
+        entry = cat.load("ppi", scale="tiny")
+        removed = entry.shard_ids(1)[0]
+        cat.remove_graph("ppi", removed)
+        sub = entry.shard_entry(1)
+        cat.release_replica(1, 0)
+        assert entry.shard_entry(1) is sub  # a sibling still serves
+        cat.release_replica(1, 1)
+        assert cat.partitions[1].datasets() == []
+        with pytest.raises(KeyError, match="no serving replica"):
+            entry.shard_entry(1)
+        assignment = entry.assignment
+        with pytest.raises(KeyError, match="no serving replica"):
+            cat.add_graph("ppi", ppi_graphs[0], shard=1)
+        with pytest.raises(KeyError, match="no serving replica"):
+            cat.remove_graph("ppi", entry.shard_ids(1)[-1])
+        assert entry.assignment == assignment
+        assert len(entry.graphs) == len(ppi_graphs)
+        assert cat.add_replica(1) == 2
+        rewarmed = entry.shard_entry(1)
+        assert rewarmed is not sub
+        local = entry.shard_ids(1).index(removed)
+        assert rewarmed.ftv_index.tombstones == {local}
+        assert cat.add_replica(1) == 3
+        assert entry.shard_entry(1) is rewarmed  # beside a live sibling
+
+
 class TestMergeOutcomes:
     @staticmethod
     def outcome(found, ids, steps, killed=False, winner="w",
@@ -581,14 +642,12 @@ class TestShardedServiceIntegration:
 # one label code space per collection, one census per ticket
 # ----------------------------------------------------------------------
 
-def shares_one_interner(catalog, entry):
-    """Every replica's index of every shard, and the router, speak the
-    entry's one interner object."""
+def shares_one_interner(entry):
+    """Every shard's index, and the router, speak the entry's one
+    interner object."""
     assert entry.router.interner is entry.interner
     for shard in entry.involved_shards():
-        for replica in catalog.replica_ids(shard):
-            index = entry.shard_entry(shard, replica).ftv_index
-            assert index.interner is entry.interner
+        assert entry.shard_entry(shard).ftv_index.interner is entry.interner
     return True
 
 
@@ -603,7 +662,7 @@ class TestOneInternerPerCollection:
         assert entry.interner.labels() == sorted(
             {lab for g in ppi_graphs for lab in g.labels}
         )
-        assert shares_one_interner(cat, entry)
+        assert shares_one_interner(entry)
         # an add whose label the collection has never seen: one append,
         # seen by every index, and the codes already assigned stay put
         before = dict(entry.interner.code_of)
@@ -611,23 +670,27 @@ class TestOneInternerPerCollection:
             "ppi", relabelled(ppi_graphs[0], "~novel"), shard=1
         )
         assert entry.interner.code_of == {**before, "~novel": len(before)}
-        assert shares_one_interner(cat, entry)
+        assert shares_one_interner(entry)
         # a rebalance re-registers both partitions from scratch
         new = [list(ids) for ids in entry.assignment]
         new[1].append(new[0].pop())
         assert set(cat.reassign("ppi", new)) == {0, 1}
-        assert shares_one_interner(cat, entry)
-        # a cold boot of that mutated, rebalanced state, and a replica
-        # grown from its store
+        assert shares_one_interner(entry)
+        # a cold boot of that mutated, rebalanced state, and a shard
+        # that lost every replica re-warmed from its store
         root = str(tmp_path / "store")
         StoreWriter(root).write_catalog(cat)
         booted = ShardedCatalog(num_shards=2, replicas=2, store=root)
         restored = booted.load("ppi", scale="tiny")
         assert restored.interner.labels() == entry.interner.labels()
-        assert shares_one_interner(booted, restored)
-        booted.add_replica(0)
+        assert shares_one_interner(restored)
+        restores = booted.store.restores
+        for replica in booted.replica_ids(1):
+            booted.release_replica(1, replica)
+        booted.add_replica(1)
+        assert booted.store.restores == restores + 1
         assert booted.store.rebuilds == 0
-        assert shares_one_interner(booted, restored)
+        assert shares_one_interner(restored)
 
     def test_an_empty_shard_registered_by_an_add_codes_its_novel_label(
         self, ppi_graphs
@@ -640,7 +703,7 @@ class TestOneInternerPerCollection:
         newcomer = relabelled(ppi_graphs[0], "~novel")
         cat.add_graph("ppi", newcomer, shard=empty)
         assert "~novel" in entry.interner.code_of
-        assert shares_one_interner(cat, entry)
+        assert shares_one_interner(entry)
         index = entry.shard_entry(empty).ftv_index
         assert all(
             code >= 0 for seq, _ in index.trie.iter_postings()
@@ -743,15 +806,12 @@ class TestOneCensusPerTicket:
 
 
 def distinct_indexes(svc):
-    """The FTV indexes behind ``ppi``, one per trie."""
+    """The FTV indexes behind ``ppi``, one per shard."""
     entry = svc.catalog.get("ppi")
-    by_trie = {
-        id(index.trie): index
+    return [
+        entry.shard_entry(shard).ftv_index
         for shard in entry.involved_shards()
-        for replica in svc.catalog.replica_ids(shard)
-        for index in [entry.shard_entry(shard, replica).ftv_index]
-    }
-    return list(by_trie.values())
+    ]
 
 
 class TestServingNeverLocates:

@@ -20,9 +20,11 @@ The contracts under test, in dependency order:
 * **Corruption matrix** — every :class:`StoreFaultInjector` class is
   detected on load and degrades to a per-graph rebuild whose digests
   equal the healthy run's.
-* **Elastic drill** — ``Service.add_replica`` under live chaos load
-  boots newcomers from the store with zero lost tickets, digest-equal
-  to a healthy never-persisted run.
+* **Elastic drill** — a shard that loses every replica under live
+  chaos load is re-warmed from the store by the next
+  ``Service.add_replica``, with zero lost tickets and answers equal to
+  a healthy never-persisted run; a replica grown beside a live sibling
+  reads nothing.
 """
 
 import json
@@ -41,6 +43,7 @@ from repro.service import (
     QueryOptions,
     Service,
     TenantPolicy,
+    answers_digest,
     run_closed_loop,
 )
 from repro.service.catalog import DatasetCatalog
@@ -472,48 +475,68 @@ class TestCorruptionMatrix:
 # ----------------------------------------------------------------------
 
 class TestElasticDrill:
-    def test_regrow_under_chaos_digest_equals_healthy(
+    def test_a_dark_shard_regrows_from_the_store(
         self, ppi_graphs, tmp_path
     ):
+        """Every replica of shard 0 dies mid-load: the first regrow
+        re-warms the shard from its blob, the second joins it warm, and
+        the tickets the blackout refused answer as healthy once
+        retried."""
         healthy = run_workload(
             ftv_service(shards=2, replicas=2), ppi_graphs
         )
         root, _, _ = warm_store(tmp_path, shards=2, replicas=2)
         svc = ftv_service(shards=2, replicas=2, store=root)
+        restores = svc.catalog.store.restores
         faults = FaultInjector([
-            FaultEvent(at=3 + s, kind="kill", shard=s, replica=-1,
-                       unit="completions", seq=s)
-            for s in range(2)
+            FaultEvent(at=3, kind="kill", shard=0, replica=r,
+                       unit="completions", seq=r)
+            for r in range(2)
         ])
         report = run_workload(
             svc, ppi_graphs, faults=faults, regrow=True
         )
         assert report.chaos["lost"] == 0
-        assert report.answers == healthy.answers
         regrown = report.store["regrown"]
-        assert len(regrown) == 2  # one per killed replica
-        assert all(r["from_store"] for r in regrown)
-        # each boot left a synthetic negative-id trace
+        assert [(r["shard"], r["from_store"]) for r in regrown] == [
+            (0, True), (0, False),
+        ]
+        assert svc.catalog.store.restores == restores + 1
+        assert svc.catalog.store.rebuilds == 0
+        # each grow left a synthetic negative-id trace; only the one
+        # that found the shard dark read the store
+        boots = []
         for i in range(len(regrown)):
             trace = svc.trace(-(i + 1))
             assert trace is not None and trace.done
-            boot = trace.find("store_boot")
-            assert boot and boot[0].attrs["restores"] >= 1
+            boots.append(trace.find("store_boot")[0].attrs["restores"])
+        assert boots[0] >= 1 and boots[1] == 0
+        # a refused ticket's client retries after its retry_after
+        retried = [
+            svc.submit("ppi", t.query, tenant=t.tenant, options=FTV_OPTS)
+            for t in report.tickets
+            if t.degraded
+        ]
+        svc.run_until_idle()
+        answered = [t for t in report.tickets if not t.degraded]
+        assert answers_digest(answered + retried) == healthy.answers
 
-    def test_add_replica_prefers_store_over_donor(self, tmp_path):
-        """The elastic contract: even with a warm donor sibling, a
-        store-backed add_replica restores from disk."""
-        root, _, _ = warm_store(tmp_path, shards=2)
-        catalog = ShardedCatalog(num_shards=2, store=root)
-        catalog.load("ppi", scale="tiny")
-        before = catalog.store.restores
-        catalog.add_replica(0)
-        assert catalog.store.restores == before + 1
+    def test_a_regrow_beside_a_live_sibling_warms_nothing(self, tmp_path):
+        root, _, _ = warm_store(tmp_path, shards=2, replicas=2)
+        svc = ftv_service(shards=2, replicas=2, store=root)
+        sub = svc.catalog.get("ppi").shard_entry(0)
+        restores = svc.catalog.store.restores
+        svc.kill_replica(0, 0)
+        assert svc.add_replica(0) == 2
+        assert svc.catalog.store.restores == restores
+        assert svc.catalog.get("ppi").shard_entry(0) is sub
 
-    def test_add_replica_without_store_shares_donor_warm(self):
+    def test_add_replica_without_store_shares_the_warm_partition(self):
         catalog = ShardedCatalog(num_shards=2)
-        catalog.load("ppi", scale="tiny")
-        catalog.add_replica(0)  # no store: donor adoption, no error
+        entry = catalog.load("ppi", scale="tiny")
+        sub = entry.shard_entry(0)
+        catalog.add_replica(0)
+        assert entry.shard_entry(0) is sub
 
     def test_service_store_metrics_surface(self, tmp_path):
         root, _, _ = warm_store(tmp_path)
