@@ -26,7 +26,12 @@ from typing import Optional
 from ..caching import prepare_cache
 from ..graphs import LabeledGraph, bits_ascending
 from ..matching import Budget, GraphIndex, VF2Matcher, VF2Plan
-from .features import LabelInterner, PathCensus, coded_path_census
+from .features import (
+    MAX_CENSUS_LENGTH,
+    LabelInterner,
+    PathCensus,
+    coded_path_census,
+)
 from .trie import PathTrie
 
 __all__ = ["FTVIndex", "VerificationReport", "FTVQueryResult"]
@@ -81,13 +86,14 @@ class FTVIndex(ABC):
     graphs:
         The stored dataset; graph IDs are positions in this list.
     max_path_length:
-        Maximum feature path length in edges (the paper indexes paths up
-        to length 4; the scaled default here is 3 — see DESIGN.md §2).
+        Maximum feature path length in edges, 1..3 (the paper indexes
+        paths up to length 4; 3 is the default here and the most
+        :func:`~repro.indexing.features.coded_path_census` counts).
     restore:
         Dumped trie postings (``repro.store`` boot path).  When given,
         the trie is reconstructed by installing the dump's rows
         instead of running the path-census ``_build`` — O(read)
-        instead of O(DFS), and bit-identical as long as ``interner``
+        instead of O(census), and bit-identical as long as ``interner``
         is the code space the rows were dumped in.
     interner:
         The label code space to index in.  A collection served as
@@ -113,8 +119,11 @@ class FTVIndex(ABC):
     ) -> None:
         if not graphs:
             raise ValueError("empty dataset")
-        if max_path_length < 1:
-            raise ValueError("max_path_length must be >= 1")
+        if not 1 <= max_path_length <= MAX_CENSUS_LENGTH:
+            raise ValueError(
+                f"max_path_length must be in 1..{MAX_CENSUS_LENGTH}, "
+                f"got {max_path_length}"
+            )
         self.graphs = list(graphs)
         self.max_path_length = max_path_length
         #: graph ids removed from the live collection.  Stable-id
@@ -176,7 +185,7 @@ class FTVIndex(ABC):
         """Insert one graph's features (the incremental-add unit).
 
         The body of the ``_build`` loop, and what :meth:`add_graph`
-        calls for a newcomer, so a mutation costs one census DFS, not a
+        calls for a newcomer, so a mutation costs one census, not a
         collection rewarm.  The census is counts only — a filter reads
         nothing else, and Grapes derives a graph's locations when its
         verifier first asks (:meth:`GrapesIndex.feature_locations

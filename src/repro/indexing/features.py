@@ -13,25 +13,29 @@ manner" (§3.1.1).  This module provides the shared census machinery:
 * :func:`coded_path_census` is the same census in **interned-int
   space**: labels are first mapped to dense codes by a shared
   :class:`LabelInterner`, so the census keys are small-int tuples
-  instead of arbitrary label tuples.  The walk itself never builds a
-  tuple: a path in flight is two packed ints (its code sequence read
-  in either direction) and a vertex bitmask, and a location set is a
+  instead of arbitrary label tuples.  It walks no path: a filter needs
+  only counts per label sequence, so it groups each vertex's
+  neighbours by label into bitmasks and multiplies popcounts around
+  each path's middle vertex (2 edges) or middle edge (3 edges), which
+  caps it at :data:`MAX_CENSUS_LENGTH` edges.  A location set is a
   vertex **bitmask** (bit ``v`` = vertex ``v``) from here to the
   postings Grapes' verifier reads it off — :func:`location_vertices`
   is the one decoder, used at the one place that needs vertex ids.
   Only that verifier asks for locations; every build, add and query
   census is counts only.  This is the census every
   index, sketch and filter runs on; the label-space census remains as
-  the reference implementation the equivalence suite checks against.
+  the any-length reference implementation the equivalence suite
+  checks against.
 
 A label sequence and its reverse denote the same undirected feature, so
 sequences are canonicalised to the lexicographically smaller direction.
 Both censuses canonicalise in their own key space; the *classes*
 (a sequence together with its reverse) are identical either way, which
-is all the count/lookup pruning relies on.  Every undirected path is
-discovered once per direction, so occurrence counts are consistently
-doubled on both the index side and the query side, keeping the
-count-based pruning sound.
+is all the count/lookup pruning relies on.  Every undirected path of
+one edge or more counts once per direction (the reference discovers it
+from both ends, the coded census doubles its join), so occurrence
+counts are consistently doubled on both the index side and the query
+side, keeping the count-based pruning sound.
 """
 
 from __future__ import annotations
@@ -45,11 +49,15 @@ __all__ = [
     "label_path_census",
     "coded_path_census",
     "location_vertices",
+    "MAX_CENSUS_LENGTH",
     "PathCensus",
     "LabelInterner",
 ]
 
 LabelSeq = tuple
+
+#: the most edges a :func:`coded_path_census` path has
+MAX_CENSUS_LENGTH = 3
 
 
 def canonical_sequence(labels: LabelSeq) -> LabelSeq:
@@ -289,89 +297,123 @@ def coded_path_census(
     decision — match the reference bit for bit; locations come back as
     vertex bitmasks.
 
-    A DFS frame is ``(tail, depth, forward key, reverse key, visited
-    mask)``.  The keys pack the path's codes, offset to ``>= 1``, into
-    fixed-width fields — first vertex most significant in the forward
-    key, last vertex in the reverse key — so comparing the two ints
-    picks the same canonical direction comparing the code tuples
-    would, and keys of different lengths never collide.  A path is
-    counted as it is pushed (once for its two directed discoveries,
-    from the lower endpoint); paths of ``max_length`` edges are counted
-    and never pushed.  Packed keys are decoded to code tuples once per
-    distinct feature at the end.
+    No path is walked.  Every vertex gets its neighbours grouped by
+    label code into masks, and the undirected paths (each counted
+    twice, once per direction) are counted by joining those masks
+    around each path's middle:
+
+    * 0 and 1 edges: per vertex, then per edge;
+    * 2 edges ``a-b-d``, around the middle vertex ``b``: with ``nx``
+      and ``ny`` its neighbours of label ``x`` and ``y``, ``nx * ny``
+      paths when ``x != y`` and ``nx * (nx - 1) / 2`` when ``x = y``;
+    * 3 edges ``a-b-c-d``, around the middle edge ``b-c``: with ``A``
+      the label-``x`` neighbours of ``b`` but ``c`` and ``D`` the
+      label-``y`` neighbours of ``c`` but ``b``, ``|A| * |D| - |A & D|``
+      paths, the subtrahend being the triangles where ``a = d``.  When
+      that is not zero, every vertex of ``A | D`` is an end of one of
+      them: one that is ``D``'s only member, and so no ``a``, is a
+      ``d`` for the other members of ``A``.
+
+    A path of more edges has no middle to join around, so
+    ``max_length`` is at most :data:`MAX_CENSUS_LENGTH`;
+    :func:`label_path_census` takes any length.
     """
-    if max_length < 0:
-        raise ValueError("max_length must be >= 0")
-    counts: dict[int, int] = {}
-    locs: dict[int, int] = {}
-    if not codes:
-        return PathCensus(counts, locs)
-    low = min(codes) - 1
-    width = (max(codes) - low).bit_length()
-    field = [code - low for code in codes]
+    if not 0 <= max_length <= MAX_CENSUS_LENGTH:
+        raise ValueError(
+            f"max_length must be in 0..{MAX_CENSUS_LENGTH}, got {max_length}"
+        )
+    counts: dict[LabelSeq, int] = {}
+    locs: dict[LabelSeq, int] = {}
     get = counts.get
     lget = locs.get
     # the single-vertex paths, counted once each
-    for key in field:
+    for v, x in enumerate(codes):
+        key = (x,)
         counts[key] = get(key, 0) + 1
-    if with_locations:
-        for v, key in enumerate(field):
-            locs[key] = lget(key, 0) | (1 << v)
-    if max_length:
-        adjacency = graph.adjacency()
-        bit = [1 << v for v in range(len(field))]
-        stack: list[tuple[int, int, int, int, int]] = []
-        pop = stack.pop
-        push = stack.append
-        for start, key in enumerate(field):
-            push((start, 1, key, key, bit[start]))
-            while stack:
-                tail, depth, fwd, rev, visited = pop()
-                shift = width * depth
-                fwd <<= width
-                if depth < max_length:
-                    # extensions can grow further: count and push
-                    depth += 1
-                    for w in adjacency[tail]:
-                        b = bit[w]
-                        if visited & b:
-                            continue
-                        code = field[w]
-                        f = fwd | code
-                        r = rev | (code << shift)
-                        b |= visited
-                        push((w, depth, f, r, b))
-                        if w > start:
-                            if r < f:
-                                f = r
-                            counts[f] = get(f, 0) + 2
-                            if with_locations:
-                                locs[f] = lget(f, 0) | b
-                else:
-                    # extensions are full length: count, never push
-                    for w in adjacency[tail]:
-                        if w > start:
-                            b = bit[w]
-                            if not visited & b:
-                                code = field[w]
-                                f = fwd | code
-                                r = rev | (code << shift)
-                                if r < f:
-                                    f = r
-                                counts[f] = get(f, 0) + 2
-                                if with_locations:
-                                    locs[f] = lget(f, 0) | visited | b
-    top = (1 << width) - 1
-    seq_counts: dict[LabelSeq, int] = {}
-    seq_locs: dict[LabelSeq, int] = {}
-    for key, count in counts.items():
-        rev_codes = []
-        packed = key
-        while packed:
-            rev_codes.append((packed & top) + low)
-            packed >>= width
-        seq = tuple(rev_codes[::-1])
-        seq_counts[seq] = count
         if with_locations:
-            seq_locs[seq] = locs[key]
-    return PathCensus(seq_counts, seq_locs)
+            locs[key] = lget(key, 0) | 1 << v
+    if not max_length:
+        return PathCensus(counts, locs)
+    # the one-edge paths, per edge
+    adjacency = graph.adjacency()
+    edges = [(b, c) for b, ws in enumerate(adjacency) for c in ws if b < c]
+    for b, c in edges:
+        cb = codes[b]
+        cc = codes[c]
+        key = (cb, cc) if cb <= cc else (cc, cb)
+        counts[key] = get(key, 0) + 2
+        if with_locations:
+            locs[key] = lget(key, 0) | 1 << b | 1 << c
+    if max_length == 1:
+        return PathCensus(counts, locs)
+    # per vertex: (code, neighbour mask, popcount), codes ascending
+    around = []
+    for ws in adjacency:
+        masks: dict[int, int] = {}
+        for w in ws:
+            x = codes[w]
+            masks[x] = masks.get(x, 0) | 1 << w
+        around.append(
+            sorted((x, m, m.bit_count()) for x, m in masks.items())
+        )
+    # the two-edge paths, around the middle vertex
+    for b, items in enumerate(around):
+        cb = codes[b]
+        bb = 1 << b
+        for i, (x, mx, nx) in enumerate(items):
+            if nx > 1:
+                key = (x, cb, x)
+                counts[key] = get(key, 0) + nx * (nx - 1)
+                if with_locations:
+                    locs[key] = lget(key, 0) | mx | bb
+            for y, my, ny in items[i + 1:]:
+                key = (x, cb, y)
+                counts[key] = get(key, 0) + 2 * nx * ny
+                if with_locations:
+                    locs[key] = lget(key, 0) | mx | my | bb
+    if max_length == 2:
+        return PathCensus(counts, locs)
+    # the three-edge paths, around the middle edge, oriented so that
+    # ``cb <= cc``: then x-cb-cc-y reads canonically forwards exactly
+    # when ``x <= y``
+    for b, c in edges:
+        cb = codes[b]
+        cc = codes[c]
+        if cb > cc:
+            b, c, cb, cc = c, b, cc, cb
+        bc = 1 << b | 1 << c
+        ends = _without(around[c], cb, 1 << b)
+        for x, ma, na in _without(around[b], cc, 1 << c):
+            for y, md, nd in ends:
+                n = na * nd
+                if x == y:
+                    shared = ma & md
+                    if shared:
+                        n -= shared.bit_count()
+                        if not n:
+                            continue
+                    key = (x, cb, cc, x)
+                elif x < y:
+                    key = (x, cb, cc, y)
+                else:
+                    key = (y, cc, cb, x)
+                counts[key] = get(key, 0) + 2 * n
+                if with_locations:
+                    locs[key] = lget(key, 0) | ma | md | bc
+    return PathCensus(counts, locs)
+
+
+def _without(
+    items: list[tuple[int, int, int]], code: int, bit: int
+) -> list[tuple[int, int, int]]:
+    """``items`` (one vertex's neighbour masks) minus the neighbour
+    ``bit``, whose label code is ``code``."""
+    out = list(items)
+    for i, (x, m, n) in enumerate(out):
+        if x == code:
+            if n == 1:
+                del out[i]
+            else:
+                out[i] = (x, m ^ bit, n - 1)
+            break
+    return out

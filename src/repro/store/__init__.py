@@ -4,7 +4,7 @@ The catalog invariant (``repro.service.catalog``) says the same name,
 scale, and configuration always produce the same frozen graphs and
 warm indexes — so a replica could always rebuild from scratch.  What
 it cannot do from scratch is boot *fast*: warming pays the full
-path-census DFS over every stored graph.  This package trades that
+path census over every stored graph.  This package trades that
 for O(read): ``repro warm --store DIR`` persists the warm state once,
 and any later process restores it digest-identical to a fresh build.
 

@@ -1,5 +1,6 @@
 """Tests for FTV machinery: path census, tries, Grapes, GGSX."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,13 +10,15 @@ from repro.graphs import LabeledGraph, gnm_graph, uniform_labels
 from repro.indexing import (
     GGSXIndex,
     GrapesIndex,
+    LabelInterner,
     PathTrie,
     SuffixTrie,
     canonical_sequence,
+    coded_path_census,
     label_path_census,
 )
 from repro.matching import Budget, VF2Matcher
-from repro.workload import extract_query
+from repro.workload import extract_query, generate_workload
 
 
 def _collection():
@@ -62,6 +65,21 @@ class TestCensus:
         with pytest.raises(ValueError):
             label_path_census(g, -1)
 
+    def test_coded_census_and_indexes_stop_at_three_edges(self):
+        """The mask join has no middle to join a 4-edge path around;
+        only the label-space reference takes any length."""
+        g = LabeledGraph.from_edges(
+            ["A", "B", "A", "B", "A"], [(0, 1), (1, 2), (2, 3), (3, 4)]
+        )
+        assert label_path_census(g, 4).counts[("A", "B", "A", "B", "A")]
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            coded_path_census(g, 4, (0, 1, 0, 1, 0))
+        for cls in (GrapesIndex, GGSXIndex):
+            with pytest.raises(ValueError, match=r"1\.\.3"):
+                cls([g], max_path_length=4)
+            with pytest.raises(ValueError, match=r"1\.\.3"):
+                cls([g], max_path_length=0)
+
     def test_census_invariant_under_permutation(self):
         rng = random.Random(1)
         g = gnm_graph(
@@ -72,6 +90,34 @@ class TestCensus:
         c1 = label_path_census(g, 3)
         c2 = label_path_census(g.permuted(perm), 3)
         assert c1.counts == c2.counts
+
+    #: sha256 of the coded census (sorted count rows, then sorted
+    #: location rows) of every default-scale ``ppi`` graph, an
+    #: ``update-stream``-sized newcomer and 180 generated ``ppi``
+    #: queries of 4 / 8 / 12 edges, taken from the depth-first census
+    #: the mask join replaced
+    SERVED_CENSUS_SHA256 = (
+        "b780982cee36979b364ec8fa06fe6da001aaf81d9d06c4054d0726d85e1da9a7"
+    )
+
+    def test_served_inputs_census_is_pinned(self):
+        graphs = ppi_like()
+        interner = LabelInterner(g.labels for g in graphs)
+        newcomer = ppi_like(num_graphs=1, avg_nodes=160, seed=11)[0]
+        queries = [
+            q.graph
+            for size in (4, 8, 12)
+            for q in generate_workload(graphs, 60, size, seed=size)
+        ]
+        digest = hashlib.sha256()
+        for g in graphs + [newcomer] + queries:
+            census = coded_path_census(
+                g, 3, interner.encode_vertices(g.labels),
+                with_locations=True,
+            )
+            digest.update(repr(sorted(census.counts.items())).encode())
+            digest.update(repr(sorted(census.locations.items())).encode())
+        assert digest.hexdigest() == self.SERVED_CENSUS_SHA256
 
 
 class TestTries:

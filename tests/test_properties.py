@@ -7,8 +7,9 @@ grown from them, then assert the library's fundamental contracts:
 * every matcher agrees with brute force on found/count;
 * rewritings are valid permutations and preserve answers;
 * the path census is permutation-invariant and prefix-closed, and the
-  packed-key coded census equals the label-space reference on counts
-  and on decoded locations;
+  mask-join coded census equals the label-space reference on counts
+  and on decoded locations, on sparse graphs and on dense,
+  triangle-rich ones;
 * the plan-driven explicit-stack VF2, whose pools and lookahead are
   bitmask expressions, yields batch for batch what the recursive,
   list-scanning search it replaced yields
@@ -254,13 +255,32 @@ def sparse_graphs(draw):
     return g
 
 
+@st.composite
+def dense_graphs(draw):
+    """A small graph of any density, up to complete, over one to three
+    labels: triangles, shared neighbours and repeated labels around
+    one middle edge are the common case."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    alphabet = "ABC"[: draw(st.integers(min_value=1, max_value=3))]
+    labels = draw(
+        st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    )
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    return LabeledGraph.from_edges(
+        labels,
+        [(u, v) for u in range(n) for v in range(u + 1, n)
+         if rng.random() < p],
+    )
+
+
 @given(
-    g=sparse_graphs(),
+    g=st.one_of(sparse_graphs(), dense_graphs()),
     known=st.sets(st.sampled_from("ABCDE")),
-    max_length=st.integers(min_value=0, max_value=4),
+    max_length=st.integers(min_value=0, max_value=3),
     with_locations=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_coded_census_equals_label_reference(
     g, known, max_length, with_locations
 ):

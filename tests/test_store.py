@@ -162,7 +162,8 @@ class TestBlobStore:
     def test_atomic_write_leaves_no_tmp_behind(self, tmp_path):
         path = str(tmp_path / "out.bin")
         atomic_write_bytes(path, b"payload")
-        assert open(path, "rb").read() == b"payload"
+        with open(path, "rb") as f:
+            assert f.read() == b"payload"
         assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")] == []
 
     def test_torn_write_leaves_no_blob(self, tmp_path):
@@ -179,9 +180,11 @@ class TestBlobStore:
         bs = BlobStore(str(tmp_path))
         ref = bs.put(b"y" * 512)
         path = bs.path_for(ref.address)
-        raw = bytearray(open(path, "rb").read())
+        with open(path, "rb") as f:
+            raw = bytearray(f.read())
         raw[37] ^= 0x01
-        open(path, "wb").write(bytes(raw))
+        with open(path, "wb") as f:
+            f.write(bytes(raw))
         with pytest.raises(BlobCorrupt):
             bs.get(ref)
 
@@ -189,7 +192,8 @@ class TestBlobStore:
         bs = BlobStore(str(tmp_path))
         ref = bs.put(b"z" * 512)
         path = bs.path_for(ref.address)
-        open(path, "wb").write(b"z" * 100)
+        with open(path, "wb") as f:
+            f.write(b"z" * 100)
         with pytest.raises(BlobCorrupt) as exc:
             bs.get(ref)
         assert "length" in str(exc.value)
