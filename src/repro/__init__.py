@@ -6,8 +6,8 @@ The package implements, from scratch:
 
 * a labeled-graph substrate with IO and dataset generators
   (:mod:`repro.graphs`, :mod:`repro.datasets`);
-* the paper's NFV matchers — VF2, QuickSI, GraphQL, sPath (plus an
-  Ullmann baseline and a brute-force oracle) — as deterministic,
+* the paper's NFV matchers — VF2, QuickSI, GraphQL, sPath (plus
+  TurboISO and a brute-force oracle) — as deterministic,
   steppable, budget-capped search engines (:mod:`repro.matching`);
 * the paper's FTV methods — Grapes and GGSX (:mod:`repro.indexing`);
 * the five query rewritings ILF / IND / DND / ILF+IND / ILF+DND

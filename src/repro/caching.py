@@ -79,7 +79,6 @@ class PrepareCache:
         # (or clear) each other's entries
         self._ns = object()
         self.stats = CacheStats()
-        self._entries = 0
 
     def get(
         self,
@@ -97,20 +96,9 @@ class PrepareCache:
         if hit is None:
             self.stats.misses += 1
             hit = indexes[full_key] = builder()
-            self._entries += 1
         else:
             self.stats.hits += 1
         return hit
-
-    @property
-    def entries(self) -> int:
-        """Number of live memoized indexes built through this cache.
-
-        Graphs dropped by the garbage collector take their memo entries
-        with them (the whole point of graph-side storage), so this is an
-        upper bound that :meth:`clear` resets exactly.
-        """
-        return self._entries
 
     def evict_graph(self, graph: LabeledGraph) -> int:
         """Drop one graph's memoized indexes, counting the evictions.
@@ -128,7 +116,6 @@ class PrepareCache:
                 del indexes[full_key]
                 dropped += 1
         self.stats.evictions += dropped
-        self._entries = max(0, self._entries - dropped)
         self._graphs.discard(graph)
         return dropped
 
@@ -147,7 +134,6 @@ class PrepareCache:
                     del indexes[full_key]
                     self.stats.evictions += 1
         self._graphs.clear()
-        self._entries = 0
 
 
 #: The process-wide instance :meth:`Matcher.prepare` routes through.

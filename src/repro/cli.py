@@ -600,8 +600,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
     Disconnects (dead socket, timed-out read, error status) reconnect
     with bounded exponential backoff + jitter, up to
     ``--max-reconnects`` consecutive failures; a ``Retry-After``
-    header from the server overrides the computed delay.  A healthy
-    frame resets the backoff.
+    header from the server overrides the computed delay, never past
+    ``--backoff-cap``.  A healthy frame resets the backoff.
     """
     import time
 
@@ -656,7 +656,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
                 )
                 return 1
             delay = (
-                exc.retry_after
+                min(exc.retry_after, args.backoff_cap)
                 if exc.retry_after is not None
                 else next(delays)
             )

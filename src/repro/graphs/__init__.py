@@ -10,23 +10,13 @@ from .generators import (
     uniform_labels,
     zipf_labels,
 )
-from .isomorphism import are_isomorphic, isomorphism_invariant_key
-from .io import (
-    dumps_edge_list,
-    dumps_gfu,
-    graph_from_json,
-    graph_to_json,
-    loads_edge_list,
-    loads_gfu,
-    read_gfu,
-    write_gfu,
-)
+from .isomorphism import are_isomorphic
+from .io import dumps_gfu, graph_from_json, graph_to_json
 
 __all__ = [
     "GraphError",
     "LabeledGraph",
     "are_isomorphic",
-    "isomorphism_invariant_key",
     "disjoint_union",
     "mutate_graph",
     "gnm_graph",
@@ -34,12 +24,7 @@ __all__ = [
     "sparse_tree_like_graph",
     "uniform_labels",
     "zipf_labels",
-    "dumps_edge_list",
     "dumps_gfu",
     "graph_from_json",
     "graph_to_json",
-    "loads_edge_list",
-    "loads_gfu",
-    "read_gfu",
-    "write_gfu",
 ]

@@ -61,10 +61,8 @@ class _FrozenKernel:
     * ``adj_masks`` — per-vertex neighbourhood as a bitmask int, so
       "is ``c`` adjacent to every vertex in ``S``" is one ``&``/``==``
       against the precomputed mask of ``S``;
-    * ``neighbor_sets`` — cached frozensets (O(1) membership without
-      rebuilding a set per call);
     * ``label_buckets`` — label -> ascending vertex tuple (the NFV
-      "vertex label list"), making ``vertices_with_label`` O(1);
+      "vertex label list");
     * ``label_codes`` / ``code_of`` — labels interned to dense ints in
       first-bucket order, so label equality in hot loops is an int
       compare instead of arbitrary-object ``__eq__``.
@@ -74,7 +72,6 @@ class _FrozenKernel:
         "labels",
         "neighbors",
         "adj_masks",
-        "neighbor_sets",
         "label_buckets",
         "label_codes",
         "code_of",
@@ -86,7 +83,6 @@ class _FrozenKernel:
         self.adj_masks = tuple(
             sum(1 << w for w in s) for s in adj
         )
-        self.neighbor_sets = tuple(frozenset(s) for s in adj)
         buckets: dict[Label, list[int]] = {}
         for v, lab in enumerate(self.labels):
             buckets.setdefault(lab, []).append(v)
@@ -244,10 +240,6 @@ class LabeledGraph:
         """CSR-style adjacency: ``adjacency()[v]`` == ``neighbors(v)``."""
         return self.kernel().neighbors
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        """Neighbours of ``v`` as a set (O(1) membership, cached)."""
-        return self.kernel().neighbor_sets[v]
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbourhoods as bitmask ints.
 
@@ -256,10 +248,6 @@ class LabeledGraph:
         set at once — the matchers' hottest probe.
         """
         return self.kernel().adj_masks
-
-    def label_codes(self) -> tuple[int, ...]:
-        """Per-vertex labels interned to dense int codes."""
-        return self.kernel().label_codes
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
@@ -310,16 +298,6 @@ class LabeledGraph:
         if self.order == 0:
             return 0.0
         return 2.0 * self._m / self.order
-
-    def vertices_with_label(self, label: Label) -> tuple[int, ...]:
-        """Node IDs carrying ``label``, ascending.
-
-        This is the "vertex label list" every NFV method maintains in its
-        indexing phase; matchers precompute it via
-        :class:`repro.matching.engine.GraphIndex`.  O(1) after the first
-        call: the frozen kernel holds the buckets.
-        """
-        return self.kernel().label_buckets.get(label, ())
 
     # ------------------------------------------------------------------
     # structure operations
@@ -394,21 +372,6 @@ class LabeledGraph:
     def is_connected(self) -> bool:
         """Whether the graph has exactly one connected component."""
         return self.order <= 1 or len(self.connected_components()) == 1
-
-    def bfs_order(self, start: int) -> list[int]:
-        """BFS visit order from ``start`` (neighbours in ID order)."""
-        seen = [False] * self.order
-        seen[start] = True
-        order = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    order.append(v)
-                    queue.append(v)
-        return order
 
     # ------------------------------------------------------------------
     # comparisons / hashing helpers (tests rely on these)

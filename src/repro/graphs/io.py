@@ -1,14 +1,12 @@
 """Graph serialization.
 
-Three interchange formats are supported:
-
 * **GFU** — the multi-graph text format used by the original Grapes and
-  GGSX implementations (one file holds a whole FTV dataset).
-* **Edge list** — one labeled graph per file; the format used by the NFV
-  comparison framework of Lee et al. [12].
-* **JSON** — a faithful round-trip format including edge labels.
+  GGSX implementations (one file holds a whole FTV dataset); written by
+  ``repro workload --out``.
+* **JSON** — a faithful round-trip format including edge labels: how
+  the store, the journal and the front door encode a graph.
 
-All writers are deterministic (vertices ascending, edges in
+Both writers are deterministic (vertices ascending, edges in
 ``LabeledGraph.edges()`` order) so serialized datasets diff cleanly.
 """
 
@@ -16,17 +14,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from pathlib import Path
 
-from .core import GraphError, LabeledGraph
+from .core import LabeledGraph
 
 __all__ = [
     "dumps_gfu",
-    "loads_gfu",
-    "write_gfu",
-    "read_gfu",
-    "dumps_edge_list",
-    "loads_edge_list",
     "graph_to_json",
     "graph_from_json",
 ]
@@ -58,96 +50,6 @@ def dumps_gfu(graphs: Iterable[LabeledGraph]) -> str:
         lines.extend(f"{u} {v}" for u, v in g.edges())
         chunks.append("\n".join(lines))
     return "\n".join(chunks) + ("\n" if chunks else "")
-
-
-def loads_gfu(text: str) -> list[LabeledGraph]:
-    """Parse a GFU-format string into a list of graphs."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    graphs: list[LabeledGraph] = []
-    i = 0
-    while i < len(lines):
-        header = lines[i]
-        if not header.startswith("#"):
-            raise GraphError(f"expected '#<name>' header, got {header!r}")
-        name = header[1:]
-        i += 1
-        try:
-            n = int(lines[i])
-        except (IndexError, ValueError) as exc:
-            raise GraphError(f"bad vertex count after {header!r}") from exc
-        i += 1
-        labels = lines[i : i + n]
-        if len(labels) != n:
-            raise GraphError(f"graph {name!r}: expected {n} labels")
-        i += n
-        try:
-            m = int(lines[i])
-        except (IndexError, ValueError) as exc:
-            raise GraphError(f"graph {name!r}: bad edge count") from exc
-        i += 1
-        g = LabeledGraph(n, labels, name=name)
-        for _ in range(m):
-            try:
-                u_s, v_s = lines[i].split()
-            except (IndexError, ValueError) as exc:
-                raise GraphError(f"graph {name!r}: bad edge line") from exc
-            g.add_edge(int(u_s), int(v_s))
-            i += 1
-        graphs.append(g)
-    return graphs
-
-
-def write_gfu(path: str | Path, graphs: Iterable[LabeledGraph]) -> None:
-    """Write ``graphs`` to ``path`` in GFU format."""
-    Path(path).write_text(dumps_gfu(graphs))
-
-
-def read_gfu(path: str | Path) -> list[LabeledGraph]:
-    """Read a GFU dataset from ``path``."""
-    return loads_gfu(Path(path).read_text())
-
-
-# ----------------------------------------------------------------------
-# Edge list (single graph; `v <id> <label>` / `e <u> <v>` lines)
-# ----------------------------------------------------------------------
-
-def dumps_edge_list(g: LabeledGraph) -> str:
-    """Serialize one graph in `t / v / e` edge-list format."""
-    lines = [f"t {g.name or 'graph'} {g.order} {g.size}"]
-    lines.extend(f"v {v} {g.label(v)}" for v in g.vertices())
-    lines.extend(f"e {u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def loads_edge_list(text: str) -> LabeledGraph:
-    """Parse a single graph in `t / v / e` edge-list format."""
-    name = ""
-    labels: dict[int, str] = {}
-    edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        kind, *rest = line.split()
-        if kind == "t":
-            if rest:
-                name = rest[0]
-        elif kind == "v":
-            vid, label = int(rest[0]), rest[1]
-            if vid in labels:
-                raise GraphError(f"duplicate vertex {vid}")
-            labels[vid] = label
-        elif kind == "e":
-            edges.append((int(rest[0]), int(rest[1])))
-        else:
-            raise GraphError(f"unknown line kind {kind!r}")
-    n = len(labels)
-    if sorted(labels) != list(range(n)):
-        raise GraphError("vertex IDs must be dense 0..n-1")
-    g = LabeledGraph(n, [labels[v] for v in range(n)], name=name)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g
 
 
 # ----------------------------------------------------------------------

@@ -6,70 +6,17 @@ the paper), not merely one sharing cheap invariants, and that
 :func:`repro.service.canon.canonical_query_key` agrees with it on which
 queries are the same.
 
-The checker is a VF2-flavoured backtracking over vertex bijections with
-label/degree partitioning and a neighbourhood-signature refinement —
-exponential in the worst case, but queries in this project are small
-(tens of vertices) and heavily labeled, where it is effectively
-instant.
+The checker is a VF2-flavoured backtracking over vertex bijections
+with label/degree partitioning — exponential in the worst case, but
+queries in this project are small (tens of vertices) and heavily
+labeled, where it is effectively instant.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .core import LabeledGraph
 
-__all__ = ["are_isomorphic", "isomorphism_invariant_key"]
-
-
-def isomorphism_invariant_key(g: LabeledGraph) -> tuple:
-    """A hashable isomorphism invariant (equal for isomorphic graphs).
-
-    Combines order, size, the (label, degree) multiset, the edge
-    label-pair multiset, and a one-round colour refinement of
-    neighbourhood label multisets.  Collisions are possible (resolve
-    with :func:`are_isomorphic`); differences are definitive.
-    """
-    degree_labels = tuple(
-        sorted(
-            ((repr(g.label(v)), g.degree(v)) for v in g.vertices()),
-        )
-    )
-    edge_pairs = tuple(
-        sorted(
-            tuple(sorted((repr(g.label(u)), repr(g.label(v)))))
-            for u, v in g.edges()
-        )
-    )
-    refined = tuple(
-        sorted(
-            (
-                repr(g.label(v)),
-                tuple(
-                    sorted(
-                        Counter(
-                            repr(g.label(w)) for w in g.neighbors(v)
-                        ).items()
-                    )
-                ),
-            )
-            for v in g.vertices()
-        )
-    )
-    return (g.order, g.size, degree_labels, edge_pairs, refined)
-
-
-def _signature(g: LabeledGraph, v: int) -> tuple:
-    """Per-vertex matching class: label, degree, neighbour labels."""
-    return (
-        repr(g.label(v)),
-        g.degree(v),
-        tuple(
-            sorted(
-                Counter(repr(g.label(w)) for w in g.neighbors(v)).items()
-            )
-        ),
-    )
+__all__ = ["are_isomorphic"]
 
 
 def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
@@ -83,17 +30,13 @@ def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     """
     if g.order != h.order or g.size != h.size:
         return False
-    if isomorphism_invariant_key(g) != isomorphism_invariant_key(h):
-        return False
     n = g.order
-    if n == 0:
-        return True
 
-    # partition h's vertices by signature for candidate lookup
+    # partition h's vertices by (label, degree) for candidate lookup
     h_by_sig: dict[tuple, list[int]] = {}
     for v in h.vertices():
-        h_by_sig.setdefault(_signature(h, v), []).append(v)
-    g_sigs = [_signature(g, v) for v in g.vertices()]
+        h_by_sig.setdefault((repr(h.label(v)), h.degree(v)), []).append(v)
+    g_sigs = [(repr(g.label(v)), g.degree(v)) for v in g.vertices()]
     for sig in g_sigs:
         if sig not in h_by_sig:
             return False

@@ -43,8 +43,9 @@ class VerificationReport:
 
     ``steps`` is the pair's execution time in engine steps — for
     multithreaded Grapes this is the *simulated parallel* time, not the
-    total work.  Killed pairs are charged the budget, per the paper's
-    600''-convention (see :meth:`charged_steps`).
+    total work.  Killed pairs are charged the budget when aggregated,
+    per the paper's 600''-convention
+    (:meth:`repro.metrics.CostRecord.charged`).
     """
 
     graph_id: int
@@ -52,12 +53,6 @@ class VerificationReport:
     steps: int
     killed: bool
     components_tried: int = 0
-
-    def charged_steps(self, budget: Optional[Budget]) -> int:
-        """Steps to charge in metrics (budget value when killed)."""
-        if self.killed and budget is not None and budget.max_steps:
-            return budget.max_steps
-        return self.steps
 
 
 @dataclass

@@ -123,10 +123,6 @@ class PathCensus:
         self.locations = locations
         self.location_unions: dict[int, int] | None = None
 
-    def features(self) -> tuple[LabelSeq, ...]:
-        """All canonical label sequences, deterministic order."""
-        return tuple(sorted(self.counts, key=repr))
-
 
 def label_path_census(
     graph: LabeledGraph,

@@ -216,10 +216,6 @@ class FeatureSketch:
                 min_margin = margin
         return (min_margin, total)
 
-    def admits(self, counts: Mapping[tuple, int]) -> bool:
-        """Whether the shard may hold a filter survivor (sound keep)."""
-        return self.score(counts) is not None
-
     def as_metrics(self) -> dict:
         """JSON-ready size/coverage statistics (memory reports)."""
         return {

@@ -294,11 +294,6 @@ class PathTrie:
         self._unsealed.clear()
         return self._features
 
-    def contains(self, seq: LabelSeq) -> bool:
-        """Whether ``seq`` is a node in the trie."""
-        node = self._find(seq)
-        return node is not None and bool(node.postings)
-
     @property
     def node_count(self) -> int:
         """Number of non-root trie nodes (index-size statistic)."""
@@ -310,17 +305,12 @@ class PathTrie:
         :meth:`iter_postings` would yield, kept as a running count."""
         return self._features
 
-    def iter_features(self) -> Iterator[LabelSeq]:
-        """All indexed sequences that carry postings."""
-        for seq, _ in self.iter_postings():
-            yield seq
-
     def iter_postings(self) -> Iterator[tuple[LabelSeq, dict[int, "Posting"]]]:
         """All (sequence, posting map) pairs that carry postings.
 
-        One walk instead of an ``iter_features`` + ``lookup`` pair per
-        feature; this is what the per-shard routing sketch folds over
-        (see :class:`repro.indexing.sketch.FeatureSketch`).  The posting
+        One walk instead of a ``lookup`` per feature; this is what the
+        per-shard routing sketch folds over (see
+        :class:`repro.indexing.sketch.FeatureSketch`).  The posting
         maps are the live node dicts — callers must not mutate them.
         """
         stack: list[tuple[_Node, LabelSeq]] = [(self._root, ())]

@@ -18,9 +18,8 @@ from .graphql import GraphQLIndex, GraphQLMatcher
 from .quicksi import QIEntry, QuickSIMatcher, build_qi_sequence
 from .reference import ReferenceMatcher
 from .registry import MATCHER_FACTORIES, available_matchers, make_matcher
-from .spath import SPathIndex, SPathMatcher, distance_signature
+from .spath import SPathIndex, SPathMatcher
 from .turbo import TurboISOMatcher
-from .ullmann import UllmannMatcher
 from .vf2 import SELECTION_POLICIES, VF2Matcher, VF2Plan
 
 __all__ = [
@@ -41,9 +40,7 @@ __all__ = [
     "make_matcher",
     "SPathIndex",
     "SPathMatcher",
-    "distance_signature",
     "TurboISOMatcher",
-    "UllmannMatcher",
     "VF2Matcher",
     "VF2Plan",
     "SELECTION_POLICIES",

@@ -92,11 +92,6 @@ class Budget:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
 
-    @classmethod
-    def unlimited(cls) -> "Budget":
-        """No cap (small graphs / tests)."""
-        return cls()
-
 
 @dataclass
 class MatchOutcome:
@@ -131,17 +126,6 @@ class MatchOutcome:
     killed: bool = False
     exhausted: bool = False
     algorithm: str = ""
-
-    def charged_steps(self, budget: Optional[Budget]) -> int:
-        """Steps to charge in metrics: budget value when killed.
-
-        Mirrors the paper's §3.5 convention: "for queries that were killed
-        at the 10' limit we use this time (i.e., 600'') as their minimum
-        execution time".
-        """
-        if self.killed and budget is not None and budget.max_steps:
-            return budget.max_steps
-        return self.steps
 
 
 class GraphIndex:
@@ -240,9 +224,9 @@ class Matcher(ABC):
         """Memoization key: matcher configs that share an index share it.
 
         Keyed on the ``_build_index`` implementation, so every matcher
-        that builds a plain :class:`GraphIndex` (VF2, QuickSI, Ullmann,
-        TurboISO, the reference oracle) shares one index per stored
-        graph, while matchers with their own index type (GraphQL,
+        that builds a plain :class:`GraphIndex` (VF2, QuickSI, TurboISO,
+        the reference oracle) shares one index per stored graph, while
+        matchers with their own index type (GraphQL,
         sPath) stay distinct — by module as well as by name, so a
         same-named class elsewhere (a test oracle, a plug-in) is never
         handed an index of the wrong type.

@@ -10,7 +10,6 @@ from .quicksi import QuickSIMatcher
 from .reference import ReferenceMatcher
 from .spath import SPathMatcher
 from .turbo import TurboISOMatcher
-from .ullmann import UllmannMatcher
 from .vf2 import VF2Matcher
 
 __all__ = ["MATCHER_FACTORIES", "make_matcher", "available_matchers"]
@@ -20,7 +19,6 @@ MATCHER_FACTORIES: dict[str, Callable[[], Matcher]] = {
     "QSI": QuickSIMatcher,
     "GQL": GraphQLMatcher,
     "SPA": SPathMatcher,
-    "ULL": UllmannMatcher,
     "TUR": TurboISOMatcher,
     "REF": ReferenceMatcher,
 }

@@ -32,8 +32,8 @@ Every vertex set in the index and the engine is one int over vertex
 IDs (:mod:`repro.matching.masks`).
 
 * **Signatures.**  One breadth-first search whose frontier and visited
-  set are ints (:func:`_balls`) serves the index, the query side of
-  the filter and :func:`distance_signature`.  The index keeps, per
+  set are ints (:func:`_balls`) serves the index and the query side
+  of the filter.  The index keeps, per
   distance and label, *threshold masks* over how many vertices of that
   label lie within that distance; a stored vertex dominates a query
   vertex iff it passes ``mask_ge`` for every (distance, label, count)
@@ -56,9 +56,7 @@ test oracle in ``tests/_nfv_recursive.py``.
 
 from __future__ import annotations
 
-from collections import Counter
-
-from ..graphs import LabeledGraph, bits_ascending
+from ..graphs import LabeledGraph
 from .engine import (
     DEFAULT_MAX_EMBEDDINGS,
     GraphIndex,
@@ -69,7 +67,7 @@ from .engine import (
 )
 from .masks import Thresholds, mask_ge, mask_join, threshold_masks
 
-__all__ = ["SPathMatcher", "SPathIndex", "distance_signature"]
+__all__ = ["SPathMatcher", "SPathIndex"]
 
 
 def _balls(adj_masks: tuple[int, ...], v: int, radius: int) -> list[int]:
@@ -90,25 +88,6 @@ def _balls(adj_masks: tuple[int, ...], v: int, radius: int) -> list[int]:
         seen |= frontier
         balls.append(seen ^ origin)
     return balls
-
-
-def distance_signature(
-    graph: LabeledGraph, v: int, radius: int
-) -> list[Counter]:
-    """Distance-wise label counts around ``v``.
-
-    ``result[d - 1]`` counts labels of vertices at shortest-path distance
-    exactly ``d`` (``1 <= d <= radius``) from ``v``.
-    """
-    labels = graph.labels
-    sig = []
-    inner = 0
-    for ball in _balls(graph.adjacency_masks(), v, radius):
-        sig.append(
-            Counter(labels[w] for w in bits_ascending(ball ^ inner))
-        )
-        inner = ball
-    return sig
 
 
 class SPathIndex(GraphIndex):

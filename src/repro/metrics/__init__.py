@@ -1,4 +1,4 @@
-"""Performance metrics: bands, (max/min), speedup*, QLA/WLA (paper §3.5)."""
+"""Performance metrics: bands, (max/min), summaries (paper §3.5)."""
 
 from .core import (
     Band,
@@ -11,11 +11,8 @@ from .core import (
     classify,
     max_min_ratio,
     percentile,
-    qla_ratio,
-    speedup_values,
     summarize_distribution,
     summarize_latencies,
-    wla_ratio,
 )
 
 __all__ = [
@@ -29,9 +26,6 @@ __all__ = [
     "classify",
     "max_min_ratio",
     "percentile",
-    "qla_ratio",
-    "speedup_values",
     "summarize_distribution",
     "summarize_latencies",
-    "wla_ratio",
 ]

@@ -16,7 +16,8 @@ of aggregate metrics:
 * **WLA** (workload-level aggregation) — ``avg(B) / avg(A)``: the
   system view.  **QLA** (query-level average) — ``avg(B_i / A_i)``: the
   user view.  Killed queries are charged the cap before either
-  aggregation, per the paper's 600''-convention.
+  aggregation, per the paper's 600''-convention.  Both are computed
+  where the figures are built, in :mod:`repro.harness.experiments`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ __all__ = [
     "classify",
     "band_breakdown",
     "BandBreakdown",
-    "wla_ratio",
-    "qla_ratio",
     "max_min_ratio",
-    "speedup_values",
     "DistributionSummary",
     "summarize_distribution",
     "percentile",
@@ -105,18 +103,6 @@ class BandBreakdown:
     pct_hard: float
     count: int
 
-    def as_rows(self) -> list[tuple[str, str]]:
-        def fmt(x: float) -> str:
-            return "-" if x != x else f"{x:.1f}"  # NaN -> "-"
-
-        return [
-            ("AET easy (steps)", fmt(self.avg_easy)),
-            ("% of easy", f"{self.pct_easy:.1f}"),
-            ("AET 2''-600'' (steps)", fmt(self.avg_mid)),
-            ("% of 2''-600''", f"{self.pct_mid:.1f}"),
-            ("% of hard", f"{self.pct_hard:.1f}"),
-        ]
-
 
 def band_breakdown(
     records: Sequence[CostRecord], thresholds: Thresholds
@@ -149,36 +135,6 @@ def band_breakdown(
     )
 
 
-def wla_ratio(
-    baseline: Sequence[float], improved: Sequence[float]
-) -> float:
-    """Workload-level aggregation: ``avg(baseline) / avg(improved)``.
-
-    Expressed as a speedup (>1 means ``improved`` is faster), matching
-    the orientation of the paper's speedup*_WLA figures.
-    """
-    if len(baseline) != len(improved) or not baseline:
-        raise ValueError("need equal-length, non-empty sequences")
-    denom = statistics.mean(improved)
-    if denom == 0:
-        raise ValueError("improved sequence averages to zero")
-    return statistics.mean(baseline) / denom
-
-
-def qla_ratio(
-    baseline: Sequence[float], improved: Sequence[float]
-) -> float:
-    """Query-level average: ``avg_i(baseline_i / improved_i)``."""
-    if len(baseline) != len(improved) or not baseline:
-        raise ValueError("need equal-length, non-empty sequences")
-    ratios = []
-    for b, i in zip(baseline, improved):
-        if i == 0:
-            raise ValueError("zero improved time")
-        ratios.append(b / i)
-    return statistics.mean(ratios)
-
-
 def max_min_ratio(times: Sequence[float]) -> float:
     """The paper's (max/min) metric over one query's instances."""
     if not times:
@@ -187,20 +143,6 @@ def max_min_ratio(times: Sequence[float]) -> float:
     if lo == 0:
         raise ValueError("zero minimum time")
     return max(times) / lo
-
-
-def speedup_values(
-    original: Sequence[float], best_alternative: Sequence[float]
-) -> list[float]:
-    """Per-query speedup* values: ``t_orig / T``  (paper §3.5)."""
-    if len(original) != len(best_alternative) or not original:
-        raise ValueError("need equal-length, non-empty sequences")
-    out = []
-    for t, alt in zip(original, best_alternative):
-        if alt == 0:
-            raise ValueError("zero alternative time")
-        out.append(t / alt)
-    return out
 
 
 @dataclass
@@ -212,15 +154,6 @@ class DistributionSummary:
     minimum: float
     maximum: float
     median: float
-
-    def as_rows(self) -> list[tuple[str, str]]:
-        return [
-            ("avg", f"{self.mean:.2f}"),
-            ("stdDev", f"{self.stddev:.2f}"),
-            ("min", f"{self.minimum:.2f}"),
-            ("max", f"{self.maximum:.2f}"),
-            ("median", f"{self.median:.2f}"),
-        ]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -11,14 +11,16 @@ carry a read timeout, so a dead socket (server killed mid-stream, a
 half-open connection) surfaces as :class:`WatchDisconnected` instead
 of blocking forever.  :func:`reconnect_delays` provides the bounded
 exponential backoff (with full jitter) the ``repro tail`` reconnect
-loop sleeps on; an explicit ``Retry-After`` from a 429 overrides the
-computed delay.
+loop sleeps on; an explicit, finite ``Retry-After`` from a 429
+overrides the computed delay (the loop still caps it at
+``--backoff-cap``).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import random
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -76,28 +78,35 @@ def reconnect_delays(
 
     Yields ``uniform(0, min(cap, base * 2**i))`` for attempt ``i`` —
     the classic full-jitter schedule that spreads reconnect storms
-    while never sleeping longer than ``cap``.  ``attempts=0`` yields
-    forever; pass ``seed`` for a deterministic schedule (tests).
+    while never sleeping longer than ``cap``.  The bound stops doubling
+    once it reaches ``cap``, so ``attempts=0`` yields forever; pass
+    ``seed`` for a deterministic schedule (tests).
     """
     if base <= 0:
         raise ValueError("base must be > 0")
     if cap < base:
         raise ValueError("cap must be >= base")
     rng = random.Random(seed)
+    bound = base
     i = 0
     while attempts <= 0 or i < attempts:
-        yield rng.uniform(0.0, min(cap, base * (2.0 ** i)))
+        yield rng.uniform(0.0, min(cap, bound))
+        if bound < cap:
+            bound *= 2.0
         i += 1
 
 
 def _retry_after_seconds(headers: Dict[str, str]) -> Optional[float]:
+    """Seconds a ``Retry-After`` header asks for; None when it is
+    absent, unparsable or not finite (``inf``, ``nan``, ``1e400``)."""
     raw = headers.get("retry-after")
     if raw is None:
         return None
     try:
-        return max(0.0, float(raw))
+        seconds = float(raw)
     except ValueError:
         return None
+    return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
 class ObsClient:

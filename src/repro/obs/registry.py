@@ -25,7 +25,7 @@ say ``service.retries.value`` or ``registry.value("service.retries")``.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -158,15 +158,6 @@ class MetricsRegistry:
         return self.register(name, Histogram(bounds), replace=replace)
 
     # -- reads --------------------------------------------------------
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def get(self, name: str) -> Optional[Any]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
     def value(self, name: str) -> Any:
         return self._metrics[name].read()
 

@@ -36,10 +36,6 @@ class Span:
     end: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def closed(self) -> bool:
-        return self.end is not None
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "span_id": self.span_id,
@@ -49,17 +45,6 @@ class Span:
             "end": self.end,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Span":
-        return cls(
-            span_id=doc["span_id"],
-            parent_id=doc["parent_id"],
-            name=doc["name"],
-            start=doc["start"],
-            end=doc["end"],
-            attrs=dict(doc.get("attrs", {})),
-        )
 
 
 class TicketTrace:
@@ -145,22 +130,6 @@ class TicketTrace:
             "done": self.done,
             "spans": [s.as_dict() for s in self.spans],
         }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "TicketTrace":
-        """Rebuild a trace from :meth:`as_dict` output (JSONL import).
-
-        The round-trip is lossless: spans keep their ids, ordering,
-        and attrs, and still-open spans stay open (``_next_id`` resumes
-        past the highest imported id so a revived trace can grow)."""
-        trace = cls.__new__(cls)
-        trace.ticket_id = doc["ticket_id"]
-        trace.spans = [Span.from_dict(s) for s in doc["spans"]]
-        trace._open = {s.span_id for s in trace.spans if not s.closed}
-        trace._next_id = (
-            max((s.span_id for s in trace.spans), default=-1) + 1
-        )
-        return trace
 
 
 class Tracer:

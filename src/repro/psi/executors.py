@@ -59,11 +59,6 @@ class OverheadModel:
         """Total overhead charged to a race of ``num_variants``."""
         return self.base_steps + self.per_variant_steps * num_variants
 
-    @classmethod
-    def free(cls) -> "OverheadModel":
-        """Zero-overhead model (upper-bound speedups)."""
-        return cls()
-
 
 @dataclass
 class RaceOutcome:
@@ -148,11 +143,6 @@ class RaceTask:
         #: engine-steps advanced by the most recent round (schedulers
         #: charge actual work, not reconstructed per-variant bills)
         self.last_round_steps = 0
-
-    @property
-    def finished(self) -> bool:
-        """Whether the race has produced its outcome."""
-        return self.outcome is not None
 
     @property
     def width(self) -> int:

@@ -12,7 +12,6 @@ from .rewritings import (
     REWRITING_FACTORIES,
     RewrittenQuery,
     Rewriting,
-    available_rewritings,
     make_rewriting,
 )
 from .stats import LabelStats
@@ -29,7 +28,6 @@ __all__ = [
     "REWRITING_FACTORIES",
     "RewrittenQuery",
     "Rewriting",
-    "available_rewritings",
     "make_rewriting",
     "LabelStats",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "RandomRewriting",
     "REWRITING_FACTORIES",
     "make_rewriting",
-    "available_rewritings",
     "ALL_PAPER_REWRITINGS",
 ]
 
@@ -227,8 +226,3 @@ def make_rewriting(name: str) -> Rewriting:
             f"unknown rewriting {name!r}; known: {known}"
         ) from None
     return factory()
-
-
-def available_rewritings() -> tuple[str, ...]:
-    """Registered deterministic rewriting names."""
-    return tuple(REWRITING_FACTORIES)

@@ -39,7 +39,7 @@ from .runner import (
     run_with_siblings,
     verify_scenarios,
 )
-from .yamlite import YamliteError, dumps, loads
+from .yamlite import YamliteError, loads
 
 __all__ = [
     "ExpectSpec",
@@ -50,7 +50,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "YamliteError",
-    "dumps",
     "evaluate_expect",
     "load_scenario_dir",
     "load_scenario_file",

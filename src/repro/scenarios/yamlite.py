@@ -5,28 +5,23 @@ harness behind an optional dependency, this module parses exactly the
 dialect ``scenarios/*.yaml`` is written in — and nothing more:
 
 * mappings nested by consistent space indentation (tabs rejected),
-* block lists of scalars (``- item``) and inline lists (``[a, b]``),
+* inline lists (``[a, b]``),
 * scalars: ints (``_`` separators allowed), floats, ``true``/``false``,
   ``null``/``~``, single- or double-quoted strings, bare strings,
 * ``#`` comments outside quotes.
 
-Anything outside the dialect — anchors, block scalars, flow mappings,
-multi-line strings, duplicate keys — is a loud :class:`YamliteError`
-with the offending line number, never a silent guess.  The strictness
-is a feature: a scenario config that does not parse the same way
-everywhere cannot pin a digest.
-
-:func:`dumps` emits the same dialect back (``loads(dumps(x)) == x``
-for JSON-shaped data), which is what keeps
-``ScenarioConfig.to_dict``/``from_dict`` round-trips testable without
-a third-party emitter.
+Anything outside the dialect — anchors, block scalars, block lists,
+flow mappings, multi-line strings, duplicate keys — is a loud
+:class:`YamliteError` with the offending line number, never a silent
+guess.  The strictness is a feature: a scenario config that does not
+parse the same way everywhere cannot pin a digest.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["YamliteError", "loads", "dumps"]
+__all__ = ["YamliteError", "loads"]
 
 
 class YamliteError(ValueError):
@@ -131,47 +126,14 @@ def _rows(text: str) -> list[tuple[int, int, str]]:
     return rows
 
 
-def _parse_block(rows, i: int, indent: int):
-    """Parse one block (mapping or list) at exactly ``indent``."""
-    no, _, content = rows[i]
-    if content == "-" or content.startswith("- "):
-        return _parse_list(rows, i, indent)
-    return _parse_mapping(rows, i, indent)
-
-
-def _parse_list(rows, i: int, indent: int):
-    items = []
-    while i < len(rows) and rows[i][1] == indent:
-        no, _, content = rows[i]
-        if not (content == "-" or content.startswith("- ")):
-            raise YamliteError(
-                no, "mapping key inside a list block"
-            )
-        body = content[1:].strip()
-        if not body:
-            raise YamliteError(no, "nested list blocks are not supported")
-        if ":" in body and _looks_like_key(body):
-            raise YamliteError(
-                no, "mappings inside lists are not supported"
-            )
-        items.append(_scalar(body, no))
-        i += 1
-    if i < len(rows) and rows[i][1] > indent:
-        raise YamliteError(rows[i][0], "unexpected indent inside list")
-    return items, i
-
-
-def _looks_like_key(body: str) -> bool:
-    head = body.split(":", 1)[0].strip()
-    return bool(_BARE_SAFE.match(head)) and not body.startswith(("'", '"'))
-
-
 def _parse_mapping(rows, i: int, indent: int):
     mapping: dict = {}
     while i < len(rows) and rows[i][1] == indent:
         no, _, content = rows[i]
         if content == "-" or content.startswith("- "):
-            raise YamliteError(no, "list item inside a mapping block")
+            raise YamliteError(
+                no, "block lists are not supported; write [a, b]"
+            )
         key, sep, rest = content.partition(":")
         key = key.strip()
         if not sep or not key or not _BARE_SAFE.match(key):
@@ -192,7 +154,7 @@ def _parse_mapping(rows, i: int, indent: int):
                     no, f"key {key!r} has no value (empty blocks are "
                     "not supported)"
                 )
-            mapping[key], i = _parse_block(rows, i, rows[i][1])
+            mapping[key], i = _parse_mapping(rows, i, rows[i][1])
     if i < len(rows) and rows[i][1] > indent:
         raise YamliteError(rows[i][0], "inconsistent indentation")
     return mapping, i
@@ -205,61 +167,5 @@ def loads(text: str) -> dict:
         raise YamliteError(1, "empty document")
     if rows[0][1] != 0:
         raise YamliteError(rows[0][0], "top level must start at column 0")
-    value, i = _parse_block(rows, 0, 0)
-    if i != len(rows):
-        raise YamliteError(rows[i][0], "trailing content")
-    if not isinstance(value, dict):
-        raise YamliteError(rows[0][0], "top level must be a mapping")
+    value, _ = _parse_mapping(rows, 0, 0)
     return value
-
-
-def _dump_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        if _BARE_SAFE.match(value) and value.lower() not in (
-            "true", "false", "null", "~",
-        ) and not _INT.match(value) and not _FLOAT.match(value):
-            return value
-        if '"' in value:
-            raise ValueError(f"cannot dump string with quotes: {value!r}")
-        return f'"{value}"'
-    raise ValueError(f"cannot dump scalar of type {type(value).__name__}")
-
-
-def _dump_block(value, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str) or not _BARE_SAFE.match(key):
-                raise ValueError(f"cannot dump mapping key {key!r}")
-            if isinstance(item, dict):
-                if not item:
-                    raise ValueError(
-                        f"cannot dump empty mapping under {key!r}"
-                    )
-                out.append(f"{pad}{key}:")
-                _dump_block(item, indent + 1, out)
-            elif isinstance(item, (list, tuple)):
-                rendered = ", ".join(_dump_scalar(v) for v in item)
-                out.append(f"{pad}{key}: [{rendered}]")
-            else:
-                out.append(f"{pad}{key}: {_dump_scalar(item)}")
-    else:
-        raise ValueError("dumps expects a mapping at every block level")
-
-
-def dumps(data: dict) -> str:
-    """Emit ``data`` (mappings, scalar lists, scalars) as the dialect
-    :func:`loads` parses; round-trips bit-for-bit for such data."""
-    if not isinstance(data, dict) or not data:
-        raise ValueError("dumps expects a non-empty mapping")
-    out: list[str] = []
-    _dump_block(data, 0, out)
-    return "\n".join(out) + "\n"

@@ -137,10 +137,6 @@ class FairShareLedger:
             self.register(key)
         self._charged[key] += steps
 
-    def charged(self, key: object) -> int:
-        """Total steps charged to ``key`` so far."""
-        return self._charged.get(key, 0)
-
     def virtual_time(self, key: object) -> float:
         """``charged / weight`` — the WFQ service received by ``key``."""
         if key not in self._order:

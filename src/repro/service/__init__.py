@@ -45,7 +45,7 @@ from .faults import (
     ReplicaState,
     chaos_plan,
 )
-from .loadgen import LoadReport, replay, run_closed_loop
+from .loadgen import LoadReport, run_closed_loop
 from .rebalance import Migration, Rebalancer
 from .routing import RoutePlan, ShardRouter
 from .service import (
@@ -93,7 +93,6 @@ __all__ = [
     "chaos_plan",
     "decisions_digest",
     "merge_shard_outcomes",
-    "replay",
     "results_digest",
     "run_closed_loop",
 ]

@@ -219,19 +219,6 @@ class AdmissionController:
         queue.append(ticket)
         return ticket
 
-    def submit(
-        self,
-        tenant: str,
-        dataset: str,
-        query: LabeledGraph,
-        now: int,
-        budget_steps: Optional[int] = None,
-    ) -> Ticket:
-        """Create a ticket for ``query`` and queue (or reject) it."""
-        return self.enqueue(
-            self.issue(tenant, dataset, query, now, budget_steps)
-        )
-
     def attach_coalesced(self, ticket: Ticket) -> Ticket:
         """Attach ``ticket`` to an identical in-flight query's race.
 

@@ -110,11 +110,6 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def clear(self) -> None:
-        """Drop every entry (counted as evictions)."""
-        self.stats.evictions += len(self._entries)
-        self._entries.clear()
-
     def as_metrics(self) -> dict:
         """Counter snapshot for service stats / bench JSON."""
         out = self.stats.as_metrics()

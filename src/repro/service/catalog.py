@@ -112,13 +112,6 @@ class DatasetEntry:
     #: a :meth:`memory_report` asks, and again after every freeze
     _frozen_bytes: Optional[tuple[int, int]] = None
 
-    @property
-    def graph(self) -> LabeledGraph:
-        """The stored graph of an NFV entry."""
-        if self.kind != "nfv":
-            raise ValueError(f"dataset {self.name!r} is a collection")
-        return self.graphs[0]
-
     def freeze(self) -> None:
         """Record the loaded graphs' shapes as the frozen baseline.
 
@@ -150,12 +143,6 @@ class DatasetEntry:
         if self.ftv_index is None:
             return set()
         return self.ftv_index.tombstones
-
-    def live_graph_ids(self) -> list:
-        """Non-tombstoned graph ids, ascending."""
-        if self.ftv_index is None:
-            return list(range(len(self.graphs)))
-        return self.ftv_index.live_ids()
 
     def memory_report(self) -> dict:
         """Approximate bytes held by graphs and prepared indexes.

@@ -1,21 +1,16 @@
-"""Workload replay and closed-loop load generation for the service.
+"""Closed-loop load generation for the service.
 
-Two drivers:
+:func:`run_closed_loop` — each tenant keeps ``concurrency`` queries in
+flight, submitting its next query the tick its previous one completes:
+the classic closed-loop generator whose throughput is capacity, not
+arrival-rate, limited.  It is the one loop there is: the rebalance
+cadence, the chaos plan, mid-load regrow and a journaled update stream
+woven through the queries (:func:`plan_update_stream`) are all
+arguments of it.  ``repro serve`` and the scenario runner replay their
+workloads through this driver
+(:meth:`repro.service.spec.ServiceSpec.drive`).
 
-* :func:`run_closed_loop` — each tenant keeps ``concurrency`` queries
-  in flight, submitting its next query the tick its previous one
-  completes: the classic closed-loop generator whose throughput is
-  capacity, not arrival-rate, limited.  It is the one loop there is:
-  the rebalance cadence, the chaos plan, mid-load regrow and a
-  journaled update stream woven through the queries
-  (:func:`plan_update_stream`) are all arguments of it.  ``repro
-  serve`` and the scenario runner replay their workloads through this
-  driver (:meth:`repro.service.spec.ServiceSpec.drive`).
-* :func:`replay` — submit a prebuilt multi-tenant arrival stream up
-  front and drain the service; the open-loop flood that exercises
-  queueing and load shedding (library/test use).
-
-Both return a :class:`LoadReport` whose :meth:`LoadReport.as_json` is
+It returns a :class:`LoadReport` whose :meth:`LoadReport.as_json` is
 the JSON-ready summary: throughput (queries per million simulated
 steps and per wall second) plus p50/p95/p99 simulated-step latency
 and cache/admission counters.
@@ -58,7 +53,6 @@ __all__ = [
     "collection_digest",
     "oracle_digest",
     "plan_update_stream",
-    "replay",
     "run_closed_loop",
 ]
 
@@ -239,34 +233,6 @@ def _report(
         ),
         store=_store_summary(service, regrown),
     )
-
-
-def replay(
-    service: Service,
-    dataset: str,
-    stream: list[MixedQuery],
-    options: QueryOptions | None = None,
-    faults=None,
-) -> LoadReport:
-    """Open-loop flood: submit the whole stream up front, then drain.
-
-    Saturates admission queues by design (repeats miss the cache when
-    their original is still in flight) — use :func:`run_closed_loop`
-    for capacity measurement.
-    """
-    options = options or QueryOptions()
-    if faults is not None:
-        service.install_faults(faults)
-    start = time.perf_counter()
-    tickets = [
-        service.submit(
-            dataset, mq.query.graph, tenant=mq.tenant, options=options
-        )
-        for mq in stream
-    ]
-    service.run_until_idle()
-    wall = time.perf_counter() - start
-    return _report(service, tickets, wall, faults=faults)
 
 
 # ----------------------------------------------------------------------

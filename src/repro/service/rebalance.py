@@ -185,10 +185,6 @@ class Rebalancer:
         """
         return shard_loads(self.service.catalog, self._pool_window())
 
-    def skew(self) -> float:
-        """Current hottest/coldest ratio over the window."""
-        return skew_ratio(self.window_loads())
-
     # ------------------------------------------------------------------
     # action
     # ------------------------------------------------------------------

@@ -62,11 +62,6 @@ class RoutePlan:
     pruned: tuple[int, ...] = ()
     staged: bool = False
 
-    @property
-    def width(self) -> int:
-        """Shards this plan will actually race."""
-        return len(self.order)
-
 
 class ShardRouter:
     """Per-entry routing state: one feature sketch per shard.

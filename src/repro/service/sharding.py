@@ -245,13 +245,6 @@ class ShardedEntry:
         shard serves this one object)."""
         return self._catalog.shard_entry(self.name, shard)
 
-    @property
-    def psi(self):
-        """The NFV entry's warm Ψ frontend (home shard)."""
-        if self.kind != "nfv":
-            raise ValueError(f"dataset {self.name!r} is a collection")
-        return self.shard_entry(self.home_shard).psi
-
 
 class ShardedCatalog:
     """N shards serving partitions of each dataset.
@@ -914,12 +907,6 @@ class ShardedCatalog:
         self.reassignments += 1
         self.migrated_graphs += moved
         return changed
-
-    def unload(self, name: str) -> None:
-        """Drop a dataset from every shard (explicit, final)."""
-        self._entries.pop(name, None)
-        for catalog in self.partitions:
-            catalog.unload(name)
 
     def datasets(self) -> list[str]:
         """Names of the loaded datasets."""

@@ -313,10 +313,6 @@ class MutationJournal:
             out.append(record)
         return out
 
-    def pending_count(self) -> int:
-        """Records currently salvageable from disk (journal lag)."""
-        return len(self.recover(dry_run=True).records)
-
     def tail_seq(self) -> int:
         """Highest valid seq on disk, or ``-1`` for an empty journal."""
         records = self.recover(dry_run=True).records

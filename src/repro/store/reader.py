@@ -157,11 +157,6 @@ class StoreReader:
             )
             return None
 
-    def available(self) -> list[str]:
-        """Dataset names this store can try to restore."""
-        manifest = self.manifest
-        return sorted(manifest.datasets) if manifest else []
-
     def dataset_record(self, name: str) -> Optional[dict]:
         manifest = self.manifest
         if manifest is None:

@@ -7,7 +7,6 @@ from .queries import (
     default_tenant_mixes,
     extract_query,
     generate_tenant_stream,
-    generate_tenant_streams,
     generate_workload,
     permuted_instance,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "default_tenant_mixes",
     "extract_query",
     "generate_tenant_stream",
-    "generate_tenant_streams",
     "generate_workload",
     "permuted_instance",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "MixedQuery",
     "permuted_instance",
     "generate_tenant_stream",
-    "generate_tenant_streams",
     "default_tenant_mixes",
 ]
 
@@ -261,29 +260,6 @@ def generate_tenant_stream(
             )
         )
     return stream
-
-
-def generate_tenant_streams(
-    graphs: list[LabeledGraph],
-    mixes: list[TenantMix] | tuple[TenantMix, ...],
-    seed: int = 0,
-) -> list[MixedQuery]:
-    """Interleave per-tenant streams into one arrival order.
-
-    Arrivals alternate round-robin across tenants (position 0 of every
-    tenant, then position 1, ...), the deterministic stand-in for
-    concurrent independent clients.
-    """
-    if not mixes:
-        raise GraphError("need at least one tenant mix")
-    streams = [generate_tenant_stream(graphs, m, seed) for m in mixes]
-    merged: list[MixedQuery] = []
-    depth = max(len(s) for s in streams)
-    for i in range(depth):
-        for s in streams:
-            if i < len(s):
-                merged.append(s[i])
-    return merged
 
 
 def default_tenant_mixes(

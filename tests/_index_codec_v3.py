@@ -30,7 +30,7 @@ COLUMNS_V3 = (
 )
 
 
-def encode_index_v3(index, tag: str = "columns+zlib/3", **extra) -> bytes:
+def encode_index_v3(index) -> bytes:
     method = index_method(index)
     stored = stored_locations(index) if method == "Grapes" else {}
     nodes = dict(index.trie.iter_postings())
@@ -55,14 +55,13 @@ def encode_index_v3(index, tag: str = "columns+zlib/3", **extra) -> bytes:
     ]
     header = {
         "kind": "index",
-        "codec": tag,
+        "codec": "columns+zlib/3",
         "method": method,
         "max_path_length": index.max_path_length,
         "columns": {
             name: len(column)
             for (name, _), column in zip(COLUMNS_V3, columns)
         },
-        **extra,
     }
     if index.tombstones:
         header["tombstones"] = sorted(index.tombstones)

@@ -99,21 +99,18 @@ class TestPrepareCache:
         cache.get(g, ("k",), lambda: built.append(1) or "idx")
         assert len(built) == 2
 
-    def test_entries_and_eviction_counters(self):
+    def test_eviction_counters(self):
         cache = PrepareCache()
         g = small_graph()
         h = small_graph()
         cache.get(g, ("k",), lambda: "idx")
         cache.get(h, ("k",), lambda: "idx")
         cache.get(g, ("k2",), lambda: "idx2")
-        assert cache.entries == 3
         cache.clear()
-        assert cache.entries == 0
         assert cache.stats.evictions == 3
         # rebuilt after clear: a fresh miss, counters keep history
         cache.get(g, ("k",), lambda: "idx")
         assert cache.stats.misses == 4
-        assert cache.entries == 1
 
     def test_as_metrics(self):
         cache = PrepareCache()

@@ -63,11 +63,15 @@ class TestWorkload:
             "--out", str(path),
         )
         assert code == 0
-        from repro.graphs import read_gfu
+        from repro.graphs import dumps_gfu
+        from repro.harness import build_nfv_graph
+        from repro.workload import generate_workload
 
-        queries = read_gfu(path)
-        assert len(queries) == 2
-        assert all(q.size == 4 for q in queries)
+        queries = generate_workload(
+            [build_nfv_graph("yeast", "tiny")], 2, 4, seed=42
+        )
+        assert path.read_text() == dumps_gfu([q.graph for q in queries])
+        assert all(q.graph.size == 4 for q in queries)
 
     def test_ftv_dataset_source(self, capsys):
         code, out = run_cli(
@@ -75,6 +79,33 @@ class TestWorkload:
             "--scale", "tiny", "--size", "4", "--count", "2",
         )
         assert code == 0
+
+
+class TestTail:
+    def test_tail_caps_a_servers_retry_after_at_backoff_cap(
+        self, capsys, monkeypatch
+    ):
+        """A 429 asking for an hour sleeps ``--backoff-cap`` seconds."""
+        import time
+
+        from repro.obs.client import ObsClient, WatchDisconnected
+
+        def refuse(self, **kwargs):
+            raise WatchDisconnected(
+                "/watch returned 429", status=429, retry_after=3600.0
+            )
+            yield  # a generator, like the real watch
+
+        slept = []
+        monkeypatch.setattr(ObsClient, "watch", refuse)
+        monkeypatch.setattr(time, "sleep", slept.append)
+        code, out = run_cli(
+            capsys, "tail", "127.0.0.1:9", "--max-reconnects", "2",
+            "--backoff-cap", "2",
+        )
+        assert code == 1
+        assert slept == [2.0, 2.0]
+        assert "giving up" in out
 
 
 class TestMatch:
@@ -260,7 +291,7 @@ class TestServeProcess:
         assert proc.returncode != 0
         assert proc.stderr.strip().splitlines() == [
             "repro warm: engine.algorithms[1]: unknown algorithm "
-            "'NOPE'; known: GQL, QSI, REF, SPA, TUR, ULL, VF2"
+            "'NOPE'; known: GQL, QSI, REF, SPA, TUR, VF2"
         ]
         assert not (tmp_path / "store").exists()
 

@@ -23,11 +23,6 @@ class TestBudget:
         with pytest.raises(ValueError):
             Budget(timeout_s=-1)
 
-    def test_unlimited(self):
-        b = Budget.unlimited()
-        assert b.max_steps is None
-        assert b.timeout_s is None
-
 
 class TestDrive:
     @staticmethod
@@ -71,14 +66,6 @@ class TestDrive:
 
         out = drive(slow(), Budget(timeout_s=0.05, check_every=8))
         assert out.killed
-
-    def test_charged_steps_convention(self):
-        budget = Budget(max_steps=100)
-        killed = MatchOutcome(killed=True, steps=100)
-        done = MatchOutcome(found=True, steps=7)
-        assert killed.charged_steps(budget) == 100
-        assert done.charged_steps(budget) == 7
-        assert killed.charged_steps(None) == 100
 
 
 class TestGraphIndex:

@@ -88,15 +88,6 @@ class TestAccessors:
         assert LabeledGraph(0, []).density() == 0.0
         assert LabeledGraph(1, ["A"]).density() == 0.0
 
-    def test_vertices_with_label(self):
-        g = LabeledGraph(4, ["A", "B", "A", "C"])
-        assert g.vertices_with_label("A") == (0, 2)
-        assert g.vertices_with_label("Z") == ()
-
-    def test_neighbor_set(self):
-        g = triangle_with_tail()
-        assert g.neighbor_set(0) == frozenset({1, 2, 3})
-
 
 class TestPermutation:
     def test_identity_permutation(self):
@@ -166,13 +157,6 @@ class TestStructure:
         g = triangle_with_tail()
         with pytest.raises(GraphError):
             g.induced_subgraph([0, 0])
-
-    def test_bfs_order(self):
-        g = LabeledGraph(4, list("AAAA"))
-        g.add_edge(0, 2)
-        g.add_edge(0, 3)
-        g.add_edge(3, 1)
-        assert g.bfs_order(0) == [0, 2, 3, 1]
 
     def test_same_labeled_structure_detects_differences(self):
         g = triangle_with_tail()

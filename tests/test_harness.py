@@ -5,15 +5,21 @@ benchmarks run at full scale: every experiment driver must produce a
 well-formed table from real measured matrices.
 """
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness import (
     ALL_VARIANT_NAMES,
     FTVExperimentConfig,
+    NFVCostMatrix,
     NFVExperimentConfig,
+    PAPER_REWRITINGS,
     PSI_FTV_VARIANT_SETS,
     PSI_NFV_MULTIALG_SETS,
     PSI_NFV_REWRITING_SETS,
+    RANDOM_INSTANCES,
     Table,
     alt_algorithm_speedup_table,
     band_percentages_table,
@@ -33,6 +39,7 @@ from repro.harness import (
     size_breakdown_table,
     stragglers_wla_table,
 )
+from repro.metrics import CostRecord, Thresholds
 from repro.psi import OverheadModel
 
 
@@ -192,6 +199,183 @@ class TestDrivers:
                 nfv_matrix, "t", PSI_NFV_MULTIALG_SETS,
                 baseline="GQL", mode="avg",
             )
+
+
+KILLED = None
+VARIANTS = ("Orig",) + PAPER_REWRITINGS + RANDOM_INSTANCES
+
+
+def stub_matrix(sizes, steps, methods=("GQL", "SPA"), default=500):
+    """A cost matrix of ``len(sizes)`` units, ``sizes[u]`` edges each:
+    ``steps[(u, method, variant)]`` is an attempt's step count, or
+    :data:`KILLED`; every other attempt completes in ``default`` steps.
+    Thresholds: easy below 10 steps, killed at 1000."""
+    thresholds = Thresholds(easy_steps=10, budget_steps=1000)
+    records = {}
+    for u in range(len(sizes)):
+        for method in methods:
+            for variant in VARIANTS:
+                s = steps.get((u, method, variant), default)
+                records[(u, method, variant)] = CostRecord(
+                    steps=1000 if s is KILLED else s,
+                    found=s is not KILLED,
+                    killed=s is KILLED,
+                )
+    return NFVCostMatrix(
+        dataset="stub",
+        thresholds=thresholds,
+        queries=[SimpleNamespace(num_edges=n) for n in sizes],
+        methods=methods,
+        variant_names=VARIANTS,
+        records=records,
+    )
+
+
+NO_OVERHEAD = OverheadModel()
+
+
+class TestAggregationArithmetic:
+    """Every figure's arithmetic on a hand-written matrix: killed
+    attempts charged the cap, QLA the mean of ratios, WLA the ratio of
+    means (paper §3.5)."""
+
+    def test_qla_and_wla_tell_different_stories(self):
+        m = stub_matrix([4, 4], {
+            (0, "GQL", "Orig"): 100, (1, "GQL", "Orig"): 1000,
+            (0, "GQL", "ILF"): 1, (1, "GQL", "ILF"): 1000,
+        }, methods=("GQL",))
+        sets = [("s", ("Orig", "ILF"))]
+        qla = psi_speedup_table(m, "t", sets, overhead=NO_OVERHEAD)
+        wla = psi_speedup_table(
+            m, "t", sets, mode="wla", overhead=NO_OVERHEAD
+        )
+        # QLA: avg(100/1, 1000/1000); WLA: (100 + 1000) / (1 + 1000)
+        assert qla.rows == [["s", pytest.approx(50.5)]]
+        assert wla.rows == [["s", pytest.approx(1100 / 1001)]]
+
+    def test_multialg_speedup_is_over_the_baselines_original(self):
+        m = stub_matrix([4, 4], {
+            (0, "GQL", "Orig"): 100, (0, "SPA", "Orig"): 10,
+            (1, "GQL", "Orig"): 40, (1, "SPA", "Orig"): KILLED,
+        })
+        sets = [("or", ("Orig",))]
+        qla = psi_multialg_speedup_table(
+            m, "t", sets, baseline="GQL", overhead=NO_OVERHEAD
+        )
+        wla = psi_multialg_speedup_table(
+            m, "t", sets, baseline="GQL", mode="wla", overhead=NO_OVERHEAD
+        )
+        # races: 10 (SPA wins), 40 (SPA killed, GQL finishes)
+        assert qla.rows == [["or", pytest.approx((10 + 1) / 2)]]
+        assert wla.rows == [["or", pytest.approx(140 / 50)]]
+
+    def test_a_race_is_its_fastest_finisher_plus_overhead(self):
+        m = stub_matrix([4, 4], {
+            (0, "GQL", "Orig"): 70, (0, "GQL", "ILF"): 30,
+            (1, "GQL", "Orig"): KILLED, (1, "GQL", "ILF"): KILLED,
+        })
+        over = OverheadModel(base_steps=5, per_variant_steps=10)
+        members = [("GQL", "Orig"), ("GQL", "ILF")]
+        assert psi_race_time(m, 0, members, over) == (30 + 25, False)
+        # every member killed: the budget, plus the same overhead
+        assert psi_race_time(m, 1, members, over) == (1000 + 25, True)
+
+    def test_psi_is_killed_only_when_every_member_is(self):
+        m = stub_matrix([4, 4], {
+            (0, "GQL", "Orig"): KILLED, (0, "SPA", "Orig"): 10,
+            (1, "GQL", "Orig"): KILLED, (1, "SPA", "Orig"): KILLED,
+        })
+        members = [("GQL", "Orig"), ("SPA", "Orig")]
+        t = killed_pct_table([("stub", "GQL", m, members)])
+        assert t.rows == [["stub (GQL)", "GQL", 100.0, 50.0]]
+
+    def test_stragglers_average_each_band(self):
+        m = stub_matrix([4, 4, 4, 4], {
+            (0, "GQL", "Orig"): 5, (1, "GQL", "Orig"): 100,
+            (2, "GQL", "Orig"): 300, (3, "GQL", "Orig"): KILLED,
+        }, methods=("GQL",))
+        t = stragglers_wla_table(m, "t")
+        # easy 5; 2''-600'' (100 + 300) / 2; completed (5 + 100 + 300) / 3
+        assert t.rows == [["GQL", 5, 200, pytest.approx(135.0), 4]]
+        assert band_percentages_table(m, "t").rows == [
+            ["GQL", 25.0, 50.0, 25.0]
+        ]
+
+    def test_size_breakdown_reports_the_extreme_sizes(self):
+        m = stub_matrix([4, 6, 8, 8], {
+            (2, "GQL", "Orig"): 3, (3, "GQL", "Orig"): KILLED,
+        }, methods=("GQL",))
+        t = size_breakdown_table(m, "t")
+        assert [row[:2] for row in t.rows] == [["4e", "GQL"], ["8e", "GQL"]]
+        # 8 edges: one easy (3 steps), one killed, no 2''-600'' query
+        easy, pct_easy, mid, pct_mid, pct_hard = t.rows[1][2:]
+        assert (easy, pct_easy, pct_mid, pct_hard) == (3, 50.0, 0.0, 50.0)
+        assert math.isnan(mid)
+
+    def test_maxmin_charges_killed_at_the_cap_and_skips_all_killed(self):
+        steps = {(0, "GQL", "RND0"): 10, (0, "GQL", "RND1"): 40}
+        steps.update({(0, "GQL", i): 40 for i in RANDOM_INSTANCES[2:]})
+        steps.update({(1, "GQL", i): KILLED for i in RANDOM_INSTANCES})
+        steps.update({(2, "GQL", i): 100 for i in RANDOM_INSTANCES})
+        steps[(2, "GQL", "RND3")] = KILLED
+        t = maxmin_table(stub_matrix([4, 4, 4], steps, methods=("GQL",)), "t")
+        # ratios 40/10 and 1000/100; unit 1 not helped
+        assert t.rows[0][0] == "GQL"
+        assert t.rows[0][1:] == pytest.approx(
+            [7.0, 3.0, 4.0, 10.0, 7.0, 100 / 3]
+        )
+
+    def test_rewriting_aet_and_hard_pct(self):
+        m = stub_matrix([4, 4], {
+            (0, "GQL", "Orig"): KILLED, (1, "GQL", "Orig"): 10,
+        }, methods=("GQL",))
+        aet = {row[0]: row[1] for row in rewriting_aet_table(m, "t").rows}
+        hard = {
+            row[0]: row[1] for row in rewriting_hard_pct_table(m, "t").rows
+        }
+        assert aet["Orig"] == pytest.approx((1000 + 10) / 2)
+        assert hard["Orig"] == 50.0
+        for name in PAPER_REWRITINGS:
+            assert aet[name] == 500
+            assert hard[name] == 0.0
+
+    def test_rewriting_speedup_is_orig_over_the_best_rewriting(self):
+        steps = {
+            (0, "GQL", "Orig"): 100, (0, "GQL", "DND"): 4,
+            (1, "GQL", "Orig"): 8,
+        }
+        steps.update({
+            (2, "GQL", n): KILLED for n in ("Orig",) + PAPER_REWRITINGS
+        })
+        t = rewriting_speedup_table(
+            stub_matrix([4, 4, 4], steps, methods=("GQL",)), "t"
+        )
+        # speedups 100/4 and 8/8; unit 2 not helped
+        assert t.rows[0][1:] == pytest.approx(
+            [13.0, 12.0, 1.0, 25.0, 13.0, 100 / 3]
+        )
+
+    def test_alt_algorithm_speedup_is_over_the_sets_best(self):
+        m = stub_matrix([4, 4], {
+            (0, "GQL", "Orig"): 100, (0, "SPA", "Orig"): 10,
+            (1, "GQL", "Orig"): 20, (1, "SPA", "Orig"): 40,
+        })
+        t = alt_algorithm_speedup_table(m, "t", [("pair", ("GQL", "SPA"))])
+        assert [row[:2] for row in t.rows] == [
+            ["pair", "GQL"], ["pair", "SPA"],
+        ]
+        # GQL: 100/10, 20/20; SPA: 10/10, 40/20
+        assert t.rows[0][2:] == pytest.approx([5.5, 4.5, 1.0, 10.0, 5.5, 0.0])
+        assert t.rows[1][2:] == pytest.approx([1.5, 0.5, 1.0, 2.0, 1.5, 0.0])
+
+    def test_grapes_psi_by_size_races_grapes1_rewritings(self):
+        m = stub_matrix([4, 8], {
+            (0, "Grapes/4", "Orig"): 300, (1, "Grapes/4", "Orig"): 900,
+            (0, "Grapes/1", "ILF"): 100, (1, "Grapes/1", "ILF"): KILLED,
+        }, methods=("Grapes/1", "Grapes/4"))
+        t = grapes_psi_by_size_table(m, "t", overhead=NO_OVERHEAD)
+        # 8 edges: ILF killed, IND/DND/ILF+IND finish in 500
+        assert t.rows == [["4e", 300.0, 100.0], ["8e", 900.0, 500.0]]
 
 
 class TestTable:

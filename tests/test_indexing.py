@@ -154,19 +154,19 @@ class TestTries:
         t.insert(("A",), 1, 2)  # the slot revived: unlocated again
         assert t.lookup(("A",))[1].locations == 0
 
-    def test_path_trie_iter_features(self):
+    def test_path_trie_iter_postings(self):
         t = PathTrie()
         t.insert(("A", "B"), 0, 1)
         t.insert(("C",), 0, 1)
-        assert set(t.iter_features()) == {("A", "B"), ("C",)}
+        assert {seq for seq, _ in t.iter_postings()} == {("A", "B"), ("C",)}
 
     def test_suffix_trie_indexes_suffixes(self):
         t = SuffixTrie()
         t.insert(("A", "B", "C"), 0, 1)
-        assert t.contains(("A", "B", "C"))
-        assert t.contains(("B", "C"))
-        assert t.contains(("C",))
-        assert not t.contains(("A", "C"))
+        assert t.lookup(("A", "B", "C"))
+        assert t.lookup(("B", "C"))
+        assert t.lookup(("C",))
+        assert not t.lookup(("A", "C"))
 
     def test_a_new_graphs_posting_patches_the_sealed_table_in_place(self):
         """A count below, between, equal to and above the sealed ones,
@@ -369,4 +369,3 @@ class TestGGSX:
         q = extract_query(graphs[0], 6, rng)
         report = index.verify(q, 0, Budget(max_steps=3))
         assert report.killed
-        assert report.charged_steps(Budget(max_steps=3)) == 3

@@ -22,7 +22,7 @@ from repro.matching import Budget, make_matcher
 
 from .conftest import canonical_embeddings, random_query_from
 
-ALGORITHMS = ("VF2", "QSI", "GQL", "SPA", "ULL", "TUR")
+ALGORITHMS = ("VF2", "QSI", "GQL", "SPA", "TUR")
 
 
 def _stores():

@@ -128,15 +128,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             MetricsRegistry().register("bad", object())
 
-    def test_lookup_surface(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        assert "x" in reg
-        assert "y" not in reg
-        assert reg.get("x") is c
-        assert reg.get("y") is None
-        assert reg.names() == ["x"]
-
 
 # ----------------------------------------------------------------------
 # the stats identity pin

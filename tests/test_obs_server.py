@@ -245,3 +245,66 @@ def test_query_payload_round_trip(ppi_graphs):
     assert rebuilt.name == graph.name
     assert list(rebuilt.labels) == list(graph.labels)
     assert sorted(rebuilt.edges()) == sorted(graph.edges())
+
+
+# ----------------------------------------------------------------------
+# the reconnect loop's delays
+# ----------------------------------------------------------------------
+
+class TestReconnectDelays:
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+    def test_a_non_finite_retry_after_is_no_retry_after(self, raw):
+        from repro.obs.client import _retry_after_seconds
+
+        assert _retry_after_seconds({"retry-after": raw}) is None
+
+    def test_a_finite_retry_after_is_read(self):
+        from repro.obs.client import _retry_after_seconds
+
+        assert _retry_after_seconds({"retry-after": "2.5"}) == 2.5
+        assert _retry_after_seconds({"retry-after": "-3"}) == 0.0
+        assert _retry_after_seconds({"retry-after": "soon"}) is None
+        assert _retry_after_seconds({}) is None
+
+    def test_an_endless_schedule_stays_finite_and_capped(self):
+        """``attempts=0`` yields forever; the bound stops doubling at
+        ``cap`` instead of overflowing a float at attempt 1024."""
+        from itertools import islice
+
+        from repro.obs.client import reconnect_delays
+
+        delays = list(islice(reconnect_delays(cap=4.0, seed=3), 1100))
+        assert len(delays) == 1100
+        assert all(0.0 <= d <= 4.0 for d in delays)
+
+    def test_full_jitter_under_a_doubling_bound(self):
+        """Attempt ``i`` draws ``uniform(0, min(cap, base * 2**i))``
+        from the seeded generator, draw for draw."""
+        import random
+
+        from repro.obs.client import reconnect_delays
+
+        rng = random.Random(11)
+        expected = [
+            rng.uniform(0.0, min(5.0, 0.25 * 2.0 ** i)) for i in range(8)
+        ]
+        delays = list(reconnect_delays(8, base=0.25, cap=5.0, seed=11))
+        assert delays == expected
+
+    def test_a_finite_schedule_yields_its_attempts(self):
+        from repro.obs.client import reconnect_delays
+
+        assert len(list(reconnect_delays(5, seed=0))) == 5
+        assert list(reconnect_delays(4, seed=9)) == (
+            list(reconnect_delays(4, seed=9))
+        )
+
+    @pytest.mark.parametrize("base, cap, fragment", [
+        (0.0, 1.0, "base must be > 0"),
+        (2.0, 1.0, "cap must be >= base"),
+    ])
+    def test_a_bad_schedule_is_refused(self, base, cap, fragment):
+        from repro.obs.client import reconnect_delays
+
+        with pytest.raises(ValueError, match=fragment):
+            next(reconnect_delays(base=base, cap=cap))

@@ -70,10 +70,10 @@ def assert_complete(trace):
     assert trace.done
     root = trace.root
     assert root.name == "ticket"
-    assert root.closed
+    assert root.end is not None
     ids = {s.span_id for s in trace.spans}
     for span in trace.spans:
-        assert span.closed, f"open span {span.name}#{span.span_id}"
+        assert span.end is not None, f"open span {span.name}#{span.span_id}"
         assert "auto_closed" not in span.attrs, (
             f"instrumentation forgot to close {span.name}#{span.span_id}"
         )
@@ -194,18 +194,13 @@ class TestTracerRing:
 
 
 # ----------------------------------------------------------------------
-# JSONL round-trip
+# JSONL export
 # ----------------------------------------------------------------------
 
-class TestJsonlRoundTrip:
-    def test_span_tree_survives_export_import(
-        self, ppi_graphs, tmp_path
-    ):
-        """Exported JSONL rebuilds byte-identical span trees via
-        ``TicketTrace.from_dict`` — ids, parents, clocks, attrs, and
-        tree shape all survive."""
-        from repro.obs import TicketTrace
-
+class TestJsonlExport:
+    def test_export_is_each_trace_as_dict(self, ppi_graphs, tmp_path):
+        """One JSON line per held trace, each exactly the trace's
+        ``as_dict`` — ids, parents, clocks, attrs and done-ness."""
         svc = ftv_service()
         run_closed_loop(
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
@@ -218,33 +213,8 @@ class TestJsonlRoundTrip:
         originals = {t.ticket_id: t for t in svc.tracer.traces()}
         for line in lines:
             doc = json.loads(line)
-            revived = TicketTrace.from_dict(doc)
-            original = originals[revived.ticket_id]
-            assert revived.as_dict() == original.as_dict()
-            assert revived.span_tree() == original.span_tree()
-            assert revived.done == original.done
+            assert doc == originals[doc["ticket_id"]].as_dict()
 
-    def test_open_spans_survive_round_trip(self):
-        """A still-open trace round-trips too: open spans stay open
-        (``done`` False) and the revived trace can keep growing with
-        fresh, non-colliding span ids."""
-        from repro.obs import TicketTrace
-
-        tr = Tracer()
-        tr.start(5, 0, tenant="t0")
-        leg = tr.begin(5, "leg", 1, shard=1)
-        tr.event(5, "fault_kill", 2, parent=leg)
-        original = tr.get(5)
-        assert not original.done
-        revived = TicketTrace.from_dict(original.as_dict())
-        assert revived.as_dict() == original.as_dict()
-        assert not revived.done
-        # the revived trace is live: ids continue past the imported max
-        new_span = revived.begin("retry", 3)
-        assert new_span == max(s.span_id for s in original.spans) + 1
-        revived.end(leg, 4)
-        revived.finish(5)
-        assert revived.done
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,7 @@ from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
 from ._vf2_recursive import RecursiveVF2Matcher
 from .conftest import canonical_embeddings
 
-ALGORITHMS = ("VF2", "QSI", "GQL", "SPA", "ULL", "TUR")
+ALGORITHMS = ("VF2", "QSI", "GQL", "SPA", "TUR")
 
 
 @st.composite

@@ -187,7 +187,7 @@ class TestPsiFTV:
     def test_race_equals_best_rewriting(self, setup):
         graphs, index = setup
         psi = PsiFTV(
-            index, ("ILF", "IND", "DND"), overhead=OverheadModel.free()
+            index, ("ILF", "IND", "DND"), overhead=OverheadModel()
         )
         rng = random.Random(3)
         q = extract_query(graphs[0], 5, rng)

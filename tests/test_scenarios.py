@@ -24,7 +24,6 @@ from repro.scenarios import (
     ScenarioConfigError,
     ScenarioError,
     ScenarioResult,
-    dumps,
     evaluate_expect,
     load_scenario_dir,
     load_scenario_file,
@@ -66,20 +65,16 @@ class TestYamlite:
             "i": "also quoted", "j": 200_000,
         }
 
-    def test_nesting_lists_and_comments(self):
+    def test_nesting_inline_lists_and_comments(self):
         doc = loads(
             "top: 1  # trailing comment\n"
             "# full-line comment\n"
             "section:\n"
             "  inline: [4, 8, 12]\n"
-            "  block:\n"
-            "    - alpha\n"
-            "    - beta\n"
             "  deeper:\n"
             "    leaf: ok\n"
         )
         assert doc["section"]["inline"] == [4, 8, 12]
-        assert doc["section"]["block"] == ["alpha", "beta"]
         assert doc["section"]["deeper"]["leaf"] == "ok"
 
     @pytest.mark.parametrize("text, fragment", [
@@ -94,25 +89,36 @@ class TestYamlite:
         ("a: &anchor\n", "unsupported YAML construct"),
         ("a: |\n  block\n", "unsupported YAML construct"),
         ("a: 1\n  stray: 2\n", "unexpected indent under scalar"),
-        ("a:\n  - 1\n  b: 2\n", "mapping key inside a list"),
-        ("a:\n  -\n", "nested list blocks"),
-        ("a:\n  - k: v\n", "mappings inside lists"),
-        ("- just\n- a list\n", "top level must be a mapping"),
+        ("a:\n  - 1\n  - 2\n", "block lists are not supported"),
+        ("- just\n- a list\n", "block lists are not supported"),
+        ("a:\n  -\n", "block lists are not supported"),
+        ("a: 1\nb: \"open\n", "unterminated \" quote"),
+        ("a: 'it''s'\n", "embedded ' quotes"),
+        ("a: [[1, 2]\n", "malformed inline list"),
+        ("a: {b: 1}\n", "unsupported YAML construct"),
+        ("a: *alias\n", "unsupported YAML construct"),
+        ("just a sentence\n", "expected 'key: value'"),
+        ("two words: 1\n", "expected 'key: value'"),
+        ("a:\n    b: 1\n  c: 2\n", "inconsistent indentation"),
     ])
     def test_rejections_carry_line_numbers(self, text, fragment):
         with pytest.raises(YamliteError, match=fragment) as err:
             loads(text)
         assert err.value.line >= 1
 
-    def test_dumps_round_trip(self):
-        doc = {
-            "name": "x",
-            "flag": True,
-            "nothing": None,
-            "nested": {"sizes": [4, 8], "ratio": 0.5},
-            "text": "needs quoting: yes",
-        }
-        assert loads(dumps(doc)) == doc
+    @pytest.mark.parametrize("text, line", [
+        ("a: 1\nb: 2\nb: 3\n", 3),
+        ("a: 1\n\n# comment\nb: 'open\n", 4),
+        ("a:\n    b: 1\n  c: 2\n", 3),
+        ("a: 1\nb:\n  - x\n", 3),
+    ])
+    def test_the_line_number_is_the_offending_lines(self, text, line):
+        """Blank and comment lines count: the number is the line an
+        editor shows, not the index of a significant row."""
+        with pytest.raises(YamliteError) as err:
+            loads(text)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
 
 
 # ----------------------------------------------------------------------
@@ -238,8 +244,6 @@ class TestRoundTrip:
     def test_committed_configs_round_trip(self, name):
         cfg = load_scenario_dir(SCENARIO_DIR)[name]
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
-        # and through the YAML emitter too
-        assert ScenarioConfig.from_dict(loads(dumps(cfg.to_dict()))) == cfg
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fuzz_configs_round_trip(self, seed):

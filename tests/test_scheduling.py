@@ -236,7 +236,7 @@ class TestFairShareLedger:
         out = first_match_schedule([fixed(5)], workers=1)
         assert isinstance(out, ScheduleOutcome)
         ledger.charge("a", out)
-        assert ledger.charged("a") == 12
+        assert ledger.snapshot() == {"a": 12}
 
     def test_validation(self):
         ledger = FairShareLedger()

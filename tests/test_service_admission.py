@@ -33,9 +33,9 @@ class TestPolicies:
         adm = AdmissionController(
             default_policy=TenantPolicy(step_budget=123)
         )
-        t = adm.submit("a", "ds", q(), now=0)
+        t = adm.enqueue(adm.issue("a", "ds", q(), now=0))
         assert t.budget_steps == 123
-        t2 = adm.submit("a", "ds", q(), now=0, budget_steps=55)
+        t2 = adm.enqueue(adm.issue("a", "ds", q(), now=0, budget_steps=55))
         assert t2.budget_steps == 55
 
 
@@ -44,7 +44,9 @@ class TestQueueing:
         adm = AdmissionController(
             default_policy=TenantPolicy(max_queued=2)
         )
-        tickets = [adm.submit("a", "ds", q(), now=0) for _ in range(3)]
+        tickets = [
+            adm.enqueue(adm.issue("a", "ds", q(), now=0)) for _ in range(3)
+        ]
         states = [t.state for t in tickets]
         assert states.count(TicketState.REJECTED) == 1
         assert adm.rejected.value == 1
@@ -56,8 +58,8 @@ class TestQueueing:
         adm = AdmissionController(
             default_policy=TenantPolicy(max_in_flight=1)
         )
-        adm.submit("a", "ds", q(), now=0)
-        adm.submit("a", "ds", q(), now=0)
+        adm.enqueue(adm.issue("a", "ds", q(), now=0))
+        adm.enqueue(adm.issue("a", "ds", q(), now=0))
         first = adm.next_ticket()
         assert first is not None
         assert first.state is TicketState.RUNNING
@@ -68,8 +70,8 @@ class TestQueueing:
 
     def test_queued_and_in_flight_counters(self):
         adm = AdmissionController()
-        adm.submit("a", "ds", q(), now=0)
-        adm.submit("b", "ds", q(), now=0)
+        adm.enqueue(adm.issue("a", "ds", q(), now=0))
+        adm.enqueue(adm.issue("b", "ds", q(), now=0))
         assert adm.queued() == 2
         adm.next_ticket()
         assert adm.queued() == 1
@@ -79,8 +81,8 @@ class TestQueueing:
 class TestFairShare:
     def test_least_charged_tenant_first(self):
         adm = AdmissionController()
-        adm.submit("a", "ds", q(), now=0)
-        adm.submit("b", "ds", q(), now=0)
+        adm.enqueue(adm.issue("a", "ds", q(), now=0))
+        adm.enqueue(adm.issue("b", "ds", q(), now=0))
         adm.charge("a", 1000)  # a already consumed a lot
         nxt = adm.next_ticket()
         assert nxt.tenant == "b"
@@ -89,8 +91,8 @@ class TestFairShare:
         adm = AdmissionController()
         adm.set_policy("heavy", TenantPolicy(weight=10.0))
         adm.set_policy("light", TenantPolicy(weight=1.0))
-        adm.submit("heavy", "ds", q(), now=0)
-        adm.submit("light", "ds", q(), now=0)
+        adm.enqueue(adm.issue("heavy", "ds", q(), now=0))
+        adm.enqueue(adm.issue("light", "ds", q(), now=0))
         adm.charge("heavy", 500)
         adm.charge("light", 500)
         # heavy's virtual time is 50, light's 500: heavy goes first
@@ -98,14 +100,14 @@ class TestFairShare:
 
     def test_tie_breaks_by_registration_order(self):
         adm = AdmissionController()
-        adm.submit("zeta", "ds", q(), now=0)
-        adm.submit("alpha", "ds", q(), now=0)
+        adm.enqueue(adm.issue("zeta", "ds", q(), now=0))
+        adm.enqueue(adm.issue("alpha", "ds", q(), now=0))
         # equal charges: first-registered wins, not alphabetical
         assert adm.next_ticket().tenant == "zeta"
 
     def test_stats_shape(self):
         adm = AdmissionController()
-        adm.submit("a", "ds", q(), now=0)
+        adm.enqueue(adm.issue("a", "ds", q(), now=0))
         adm.next_ticket()
         adm.charge("a", 42)
         s = adm.stats()

@@ -11,7 +11,7 @@ class TestCatalog:
         cat = DatasetCatalog()
         entry = cat.load("yeast", scale="tiny", algorithms=("GQL",))
         assert entry.kind == "nfv"
-        assert entry.graph.order > 0
+        assert entry.graphs[0].order > 0
         assert entry.psi is not None
         assert cat.datasets() == ["yeast"]
 
@@ -26,7 +26,7 @@ class TestCatalog:
         entry = cat.load("yeast", scale="tiny", algorithms=("GQL", "SPA"))
         # prepared() must return the already-built index, not rebuild
         assert entry.psi.prepared("GQL") is entry.psi.prepared("GQL")
-        memo = entry.graph._index_memo
+        memo = entry.graphs[0]._index_memo
         assert memo  # warmed at load time
 
     def test_load_ftv(self):
@@ -35,8 +35,6 @@ class TestCatalog:
         assert entry.kind == "ftv"
         assert entry.ftv_index is not None
         assert len(entry.graphs) > 1
-        with pytest.raises(ValueError):
-            entry.graph  # collections have no single graph
 
     def test_unknown_dataset(self):
         with pytest.raises(ValueError, match="unknown dataset"):
@@ -55,7 +53,8 @@ class TestCatalog:
     def test_mutation_detected(self):
         cat = DatasetCatalog()
         entry = cat.load("yeast", scale="tiny")
-        entry.graph.add_edge(0, entry.graph.order - 1)
+        graph = entry.graphs[0]
+        graph.add_edge(0, graph.order - 1)
         with pytest.raises(RuntimeError, match="mutated"):
             cat.get("yeast")
 

@@ -10,15 +10,10 @@ from repro.service import (
     Service,
     TenantPolicy,
     TicketState,
-    replay,
     results_digest,
     run_closed_loop,
 )
-from repro.workload import (
-    default_tenant_mixes,
-    generate_tenant_stream,
-    generate_tenant_streams,
-)
+from repro.workload import default_tenant_mixes, generate_tenant_stream
 
 OPTS = QueryOptions(algorithms=("GQL", "SPA"), rewritings=("Orig", "DND"))
 BUDGET = 60_000
@@ -38,6 +33,16 @@ def make_service(workers=4):
     )
     svc.load_dataset("yeast", scale="tiny")
     return svc
+
+
+def flood(svc, dataset, stream):
+    """Open loop: submit the whole stream up front, then drain."""
+    tickets = [
+        svc.submit(dataset, mq.query.graph, tenant=mq.tenant, options=OPTS)
+        for mq in stream
+    ]
+    svc.run_until_idle()
+    return tickets
 
 
 def streams_for(store, queries_per_tenant=8, tenants=3, seed=42):
@@ -67,14 +72,16 @@ class TestDeterminism:
         lb = [(t.tenant, t.query.name, t.latency) for t in b.completed]
         assert la == lb
 
-    def test_replay_deterministic(self, store):
+    def test_open_loop_flood_deterministic(self, store):
         mixes = default_tenant_mixes(2, 5, sizes=(4, 6))
-        stream = generate_tenant_streams([store], mixes, seed=7)
+        a, b = (generate_tenant_stream([store], m, seed=7) for m in mixes)
+        stream = [mq for pair in zip(a, b) for mq in pair]
         digests = set()
         for _ in range(2):
-            svc = make_service()
-            rep = replay(svc, "yeast", stream, options=OPTS)
-            digests.add(rep.digest)
+            tickets = flood(make_service(), "yeast", stream)
+            digests.add(results_digest(
+                [t for t in tickets if t.state is TicketState.DONE]
+            ))
         assert len(digests) == 1
 
 
@@ -84,7 +91,8 @@ class TestEquivalenceWithPsi:
         svc = make_service()
         streams = streams_for(store, queries_per_tenant=6)
         rep = run_closed_loop(svc, "yeast", streams, options=OPTS)
-        psi = svc.catalog.get("yeast").psi
+        entry = svc.catalog.get("yeast")
+        psi = entry.shard_entry(entry.home_shard).psi
         variants = OPTS.variants("nfv")
         checked = 0
         for t in rep.completed:
@@ -166,23 +174,20 @@ class TestAdmissionIntegration:
             ),
         )
         svc.load_dataset("yeast", scale="tiny")
-        mixes = default_tenant_mixes(1, 8, sizes=(6,), repeat_fraction=0.0)
-        stream = generate_tenant_streams([store], mixes, seed=3)
-        # open-loop replay floods the 1-deep queue
-        rep = replay(svc, "yeast", stream, options=OPTS)
+        [mix] = default_tenant_mixes(1, 8, sizes=(6,), repeat_fraction=0.0)
+        stream = generate_tenant_stream([store], mix, seed=3)
+        # the open-loop flood overruns the 1-deep queue
+        tickets = flood(svc, "yeast", stream)
         rejected = [
-            t for t in rep.tickets if t.state is TicketState.REJECTED
+            t for t in tickets if t.state is TicketState.REJECTED
         ]
         assert rejected
         assert all("queue full" in t.reject_reason for t in rejected)
 
     def test_wide_variant_set_rejected(self, store):
         svc = make_service(workers=2)
-        stream = generate_tenant_streams(
-            [store],
-            default_tenant_mixes(1, 1, sizes=(4,), repeat_fraction=0.0),
-            seed=5,
-        )
+        [mix] = default_tenant_mixes(1, 1, sizes=(4,), repeat_fraction=0.0)
+        stream = generate_tenant_stream([store], mix, seed=5)
         t = svc.submit(
             "yeast", stream[0].query.graph, options=OPTS
         )  # 4 variants > 2 workers
@@ -266,8 +271,8 @@ class TestFTVServing:
         graphs = build_ftv_graphs("ppi", "tiny")
         svc = Service(workers=2)
         svc.load_dataset("ppi", scale="tiny")
-        mixes = default_tenant_mixes(1, 3, sizes=(4,), repeat_fraction=0.0)
-        stream = generate_tenant_streams(graphs, mixes, seed=11)
+        [mix] = default_tenant_mixes(1, 3, sizes=(4,), repeat_fraction=0.0)
+        stream = generate_tenant_stream(graphs, mix, seed=11)
         opts = QueryOptions(rewritings=("Orig",))
         index = svc.catalog.get("ppi").shard_entry(0).ftv_index
         for mq in stream:

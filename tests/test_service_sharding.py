@@ -124,7 +124,7 @@ class TestShardedCatalog:
         entry = cat.load("yeast", scale="tiny")
         assert entry.kind == "nfv"
         assert entry.involved_shards() == (entry.home_shard,)
-        assert entry.psi is not None
+        assert entry.shard_entry(entry.home_shard).psi is not None
         assert sum(len(ids) for ids in entry.assignment) == 1
 
     def test_unknown_dataset(self):
@@ -163,13 +163,6 @@ class TestShardedCatalog:
         assert sub.graphs == [newcomer]
         assert sub.ftv_index.live_ids() == [0]
         assert empty in entry.involved_shards()
-
-    def test_unload_is_final(self):
-        cat = ShardedCatalog(num_shards=2)
-        cat.load("ppi", scale="tiny")
-        cat.unload("ppi")
-        with pytest.raises(KeyError):
-            cat.get("ppi")
 
     def test_reassign_rolls_back_on_failed_reregister(self):
         """A re-register failure mid-reassign must not leave a

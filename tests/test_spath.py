@@ -1,11 +1,11 @@
 """sPath-specific tests: distance signatures and path covers."""
 
-import random
+from collections import Counter
 
 import pytest
 
-from repro.graphs import LabeledGraph, gnm_graph, uniform_labels
-from repro.matching import SPathIndex, SPathMatcher, distance_signature
+from repro.graphs import LabeledGraph, bits_ascending
+from repro.matching import SPathIndex, SPathMatcher
 
 from .conftest import random_query_from
 
@@ -17,38 +17,47 @@ def _path_graph():
     )
 
 
-class TestDistanceSignature:
-    def test_layers(self):
-        g = _path_graph()
-        sig = distance_signature(g, 0, radius=3)
-        assert sig[0] == {"B": 1}
-        assert sig[1] == {"C": 1}
-        assert sig[2] == {"D": 1}
+class TestBalls:
+    """``_balls(masks, v, radius)[d - 1]``: the vertices within distance
+    ``d`` of ``v``, ``v`` itself excluded."""
+
+    @staticmethod
+    def balls(g, v, radius):
+        from repro.matching.spath import _balls
+
+        return [
+            list(bits_ascending(ball))
+            for ball in _balls(g.adjacency_masks(), v, radius)
+        ]
+
+    def test_layers_accumulate(self):
+        assert self.balls(_path_graph(), 0, 3) == [[1], [1, 2], [1, 2, 3]]
 
     def test_radius_truncates(self):
-        g = _path_graph()
-        sig = distance_signature(g, 0, radius=2)
-        assert len(sig) == 2
-        assert sig[1] == {"C": 1}
+        assert self.balls(_path_graph(), 0, 2) == [[1], [1, 2]]
 
-    def test_counts_multiplicity(self):
-        g = LabeledGraph.from_edges(
-            ["A", "B", "B"], [(0, 1), (0, 2)]
-        )
-        sig = distance_signature(g, 0, radius=1)
-        assert sig[0] == {"B": 2}
+    def test_past_the_component_the_ball_stops_growing(self):
+        g = LabeledGraph.from_edges(["A", "B", "B"], [(0, 1), (0, 2)])
+        assert self.balls(g, 1, 3) == [[0], [0, 2], [0, 2]]
 
 
-def test_distance_signature_is_what_the_counter_bfs_returned(small_store):
-    """The exported signature is rebuilt over the bitmask BFS; its
-    value is the dict/deque BFS's, kept with the oracle."""
+def test_balls_are_what_the_counter_bfs_returned(small_store):
+    """The bitmask BFS behind both sides of the signature filter: the
+    vertices within distance ``d`` carry, label for label, the
+    dict/deque BFS's counts up to ``d``, kept with the oracle."""
+    from repro.matching.spath import _balls
+
     from ._nfv_recursive import distance_signature as counter_bfs
 
+    labels = small_store.labels
+    masks = small_store.adjacency_masks()
     for radius in (1, 2, 3, 5):
         for v in small_store.vertices():
-            assert distance_signature(small_store, v, radius) == (
-                counter_bfs(small_store, v, radius)
-            )
+            layers = counter_bfs(small_store, v, radius)
+            for d, ball in enumerate(_balls(masks, v, radius), 1):
+                assert Counter(
+                    labels[w] for w in bits_ascending(ball)
+                ) == sum(layers[:d], Counter())
 
 
 def test_deep_query_needs_no_recursion():

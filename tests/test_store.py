@@ -81,8 +81,6 @@ from repro.workload import (
     generate_workload,
 )
 
-from ._index_codec_v1 import encode_index_v1
-from ._index_codec_v2 import encode_index_v2
 from ._index_codec_v3 import encode_index_v3
 from ._store_layout_unsharded import write_unsharded_store
 from .conftest import relabelled
@@ -259,7 +257,6 @@ class TestManifest:
         # a reader over the half-written store degrades silently
         reader = StoreReader(root)
         assert reader.manifest is None
-        assert not reader.available()
 
     def test_torn_writer_manifest_means_no_store(self, tmp_path):
         """A crash between blobs and manifest (the writer's last step)
@@ -269,7 +266,7 @@ class TestManifest:
         root = str(tmp_path / "store")
         StoreWriter(root, fail_manifest_after=32).write_catalog(catalog)
         reader = StoreReader(root)
-        assert not reader.available()
+        assert reader.manifest is None
         # and a service pointed at it just warms fresh, digest-clean
         svc = ftv_service(store=root)
         assert svc.catalog.store.restores == 0
@@ -428,7 +425,7 @@ class TestCorruptionMatrix:
         svc = ftv_service(store=root)
         reader = svc.catalog.store
         assert reader.corrupt_detected >= 1, kind
-        assert not reader.available()  # store reads as absent
+        assert reader.manifest is None  # store reads as absent
         assert reader.restores == 0
         report = run_workload(svc, ppi_graphs)
         assert report.digest == healthy.digest, kind
@@ -623,31 +620,6 @@ class TestIndexBlobFormat:
         ),
     }
 
-    #: ... and as ``columns+zlib/2`` tagged them in PRs 18-20
-    PINNED_V2 = {
-        GrapesIndex: (
-            "00220cbbe10c9804dc6531079b5ee130"
-            "129c2ab80dc525c2fd26ca0a48ba3d5f"
-        ),
-        GGSXIndex: (
-            "aa2c28d4871864c45a9c7d78ea83767c"
-            "87fbf923fdc545bba04b4b45b9373342"
-        ),
-    }
-
-    #: the same indexes as ``json+zlib/1`` spelled them up to PR 17 —
-    #: pinned so the upgrade drill's old blobs are the real old bytes
-    PINNED_V1 = {
-        GrapesIndex: (
-            "5e6d4b1d1dd21abd7423f488c6ebde31"
-            "ebfa79f5eee55359cb47c32de596a896"
-        ),
-        GGSXIndex: (
-            "7b476ab1b60b402bba90c5560367e2ac"
-            "c3e9030a8e8b771ab53bf92aee4f55d9"
-        ),
-    }
-
     @pytest.fixture(scope="class")
     def grapes_blob(self, ppi_graphs):
         return encode_index(GrapesIndex(list(ppi_graphs)))
@@ -665,8 +637,6 @@ class TestIndexBlobFormat:
         )
         assert encode_index(restored) == blob
         assert sha256_hex(encode_index_v3(built)) == self.PINNED_V3[cls]
-        assert sha256_hex(encode_index_v2(built)) == self.PINNED_V2[cls]
-        assert sha256_hex(encode_index_v1(built)) == self.PINNED_V1[cls]
 
     @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
     def test_bytes_do_not_depend_on_who_verified(self, cls, ppi_graphs):
@@ -832,43 +802,19 @@ class TestIndexBlobFormat:
 
 
 class TestFormatUpgrade:
-    """A store whose index blobs predate ``columns+zlib/4``: the
-    manifest, graphs, assignment, tombstones, label table (when its
-    writer stored one) and journal high-water restore as before; the
-    index blobs fail the tag check, are quarantined and rebuilt once,
-    loudly; the next checkpoint writes the new format (and the table)
-    and the boot after it rebuilds nothing."""
+    """A store whose index blobs are the previous format,
+    ``columns+zlib/3`` (the one compatibility window ``docs/STORE.md``
+    promises): the manifest, graphs, assignment, tombstones, label
+    table (or, without one, the code space interned afresh) and journal
+    high-water restore as before; the index blobs fail the tag check,
+    are quarantined and rebuilt once, loudly; the next checkpoint
+    writes the new format (and the table) and the boot after it
+    rebuilds nothing."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_v1_index_blobs_rebuild_once_then_restore(
-        self, shards, tmp_path, monkeypatch
-    ):
-        self.drill(
-            shards, tmp_path, monkeypatch, encode_index_v1, "json+zlib/1",
-            label_table=False,
-        )
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_v2_index_blobs_rebuild_once_then_restore(
-        self, shards, tmp_path, monkeypatch
-    ):
-        self.drill(
-            shards, tmp_path, monkeypatch, encode_index_v2,
-            "columns+zlib/2", label_table=False,
-        )
-
+    @pytest.mark.parametrize("label_table", [True, False])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_parent_commit_store_rebuilds_once_then_restores(
-        self, shards, tmp_path, monkeypatch
-    ):
-        self.drill(
-            shards, tmp_path, monkeypatch, encode_index_v3,
-            "columns+zlib/3", label_table=True,
-        )
-
-    def drill(
-        self, shards, tmp_path, monkeypatch, old_encoder, old_tag,
-        label_table,
+        self, shards, label_table, tmp_path, monkeypatch
     ):
         root = str(tmp_path / "store")
         live = ftv_service(shards=shards, journal=root)
@@ -882,15 +828,15 @@ class TestFormatUpgrade:
         live.pump()
         with monkeypatch.context() as patch:
             patch.setattr(
-                "repro.store.writer.encode_index", old_encoder
+                "repro.store.writer.encode_index", encode_index_v3
             )
             summary = live.checkpoint_store(root)
         assert summary["journal_seq"] == 1
         manifest = load_manifest(root)
         assert manifest.datasets["ppi"]["labels"][-1] == "!novel"
         if not label_table:
-            # no writer of those formats stored one: each blob header
-            # spelled a non-sorted code order out itself
+            # the record as a writer before the label table left it:
+            # the reader interns the restored graphs' labels afresh
             del manifest.datasets["ppi"]["labels"]
             write_manifest(root, manifest)
 
@@ -901,7 +847,7 @@ class TestFormatUpgrade:
             e for e in reader.events if e["event"] == "blob_undecodable"
         ]
         assert len(undecodable) == shards
-        assert all(old_tag in e["error"] for e in undecodable)
+        assert all("columns+zlib/3" in e["error"] for e in undecodable)
         assert reader.rebuilds == shards  # the indexes, and only they
         assert reader.restores == 1  # the graphs blob
         assert booted.mutations_replayed.value == 0

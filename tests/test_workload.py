@@ -152,20 +152,6 @@ class TestTenantMixes:
             ]
             assert twins, f"repeat {rep.query.name} has no original"
 
-    def test_interleaved_streams_round_robin(self):
-        from repro.workload import (
-            TenantMix,
-            generate_tenant_streams,
-        )
-
-        graphs = self._graphs()
-        mixes = [
-            TenantMix(tenant="a", sizes=(4,), count=3),
-            TenantMix(tenant="b", sizes=(4,), count=2),
-        ]
-        merged = generate_tenant_streams(graphs, mixes, seed=1)
-        assert [mq.tenant for mq in merged] == ["a", "b", "a", "b", "a"]
-
     def test_default_mixes_heterogeneous(self):
         from repro.workload import default_tenant_mixes
 
