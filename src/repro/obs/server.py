@@ -376,7 +376,7 @@ class FrontDoor:
         svc = self.service
         completed = svc.completed_count.value
         delta = completed - prev_completed
-        recent = list(svc._latencies)[-delta:] if delta else []
+        recent = list(svc.stats_view.latencies)[-delta:] if delta else []
         latency = (
             summarize_latencies(recent).as_dict() if recent else None
         )
@@ -388,19 +388,19 @@ class FrontDoor:
             "delta_completed": delta,
             "latency_steps": latency,
             "per_shard_work": svc.metrics.value("service.per_shard_work"),
-            "fanout_waste": svc.fanout_waste.value,
+            "fanout_waste": svc.fanout.fanout_waste.value,
             "cache_hit_rate": svc.cache.as_metrics()["hit_rate"],
             "replicas_live": sum(replicas["live"]),
             "replica_states": replicas["states"],
             "queued": svc.admission.queued(),
             "active": svc.dispatcher.active,
-            "degraded": svc.degraded.value,
-            "retries": svc.retries.value,
+            "degraded": svc.fanout.degraded.value,
+            "retries": svc.fanout.retries.value,
             # dynamic collections: applied-mutation throughput and the
             # replay-recovery signal (journaled-but-unapplied records)
-            "mutations_applied": svc.mutations_applied.value,
-            "mutations_pending": len(svc._mutations),
-            "journal_lag": svc.journal_lag(),
+            "mutations_applied": svc.mutations.applied.value,
+            "mutations_pending": len(svc.mutations.pending),
+            "journal_lag": svc.mutations.lag(),
             "collection_epoch": svc.metrics.value(
                 "service.mutations"
             )["epoch"],

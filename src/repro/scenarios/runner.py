@@ -218,7 +218,7 @@ class ScenarioRunner:
             for q in generate_workload(base, 6, 3, seed=m.seed + 101)
         ]
         return {
-            "replayed": reborn.mutations_replayed.value,
+            "replayed": reborn.mutations.replayed.value,
             "journal_corrupt_detected": len(recovery.detected),
             "replay_digest_match": (
                 collection_digest(reborn, config.dataset, probes)

@@ -1,0 +1,540 @@
+"""The fan-out coordinator: one flight record per open ticket, and the
+legs it races on the replica pools.
+
+A ticket is *open* from the moment admission queues it until it
+completes or degrades.  Everything the service knows about an open
+ticket — its entry, options and cache key, the coalesced followers
+riding on it, its trace spans, the races built for it and the merge
+state of its fan-out — lives in one :class:`Flight` in
+:attr:`FanOut.flights`, so finishing or degrading a ticket is one
+:meth:`FanOut.close` and nothing about it outlives that.
+
+The coordinator gang-admits queued tickets (all first-wave legs in one
+tick, or the ticket waits at the head of the line), launches every
+leg through one function — place on a replica, build the shard race,
+admit it to the dispatcher, record it, open its ``leg`` span — whether
+the leg is a first-wave shard, a deferred routed wave or a reroute
+after a fault, and folds the per-shard outcomes into one answer with
+:func:`~repro.service.sharding.merge_shard_outcomes`.  A fan-out that
+needs a shard with no serving replica is never answered partially: the
+ticket and its followers degrade to ``REJECTED`` with a
+``retry_after`` hint.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+from ..psi.executors import RaceOutcome
+from .admission import Ticket, TicketState
+from .sharding import merge_shard_outcomes
+
+__all__ = ["DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEDGE_TICKS"]
+
+#: ticks a routed decision wave races alone before the next wave
+#: hedge-launches anyway: the fast common case (the expected-first-true
+#: shard settles within the hedge) never pays sibling work, while a
+#: slow first wave falls back to near-parallel racing instead of
+#: serialising the tail
+HEDGE_TICKS = 1
+#: retry-after hint (virtual steps) handed to degraded tickets and to
+#: retryably rejected mutations
+DEGRADED_RETRY_AFTER = 4_096
+#: safety limit, not a deployment setting: initialises
+#: :attr:`FanOut.max_retries`
+MAX_RETRIES = 3
+
+
+@dataclass(eq=False)
+class Flight:
+    """One open ticket, whole.
+
+    ``races`` holds the first wave built at admission (shard ->
+    ``(race, id map)``) until it is dispatched.  From dispatch on,
+    ``pending`` are the shards with a leg racing, ``id_maps`` translate
+    each shard's local graph ids to global ones (None = identity),
+    ``replica_of`` / ``leg_spans`` say where each leg runs and which
+    trace span is its, ``cancelled`` are shards whose remaining budget
+    a first-true decision revoked, ``waves`` are routed shard groups
+    not yet launched and ``skipped`` those an earlier wave made
+    unnecessary; ``work`` accumulates each shard's billed steps for the
+    fan-out-waste counter.
+    """
+
+    ticket: Ticket
+    entry: object  # the ShardedEntry it races over
+    options: object  # its QueryOptions
+    #: result-cache key (None = uncacheable); coalescing matches on it
+    key: Optional[tuple]
+    variants: tuple
+    #: open ``queue`` trace span, closed at dispatch
+    queue_span: Optional[int] = None
+    #: coalesced tickets that resolve with this one
+    followers: list = field(default_factory=list)
+    #: the query census every race of the ticket probes with, and its
+    #: rewritten forms by permutation (see the race planner)
+    counts: Optional[dict] = None
+    rewrites: dict = field(default_factory=dict)
+    races: dict = field(default_factory=dict)
+    pending: set = field(default_factory=set)
+    outcomes: dict = field(default_factory=dict)
+    id_maps: dict = field(default_factory=dict)
+    cancelled: list = field(default_factory=list)
+    waves: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
+    work: dict = field(default_factory=dict)
+    replica_of: dict = field(default_factory=dict)
+    leg_spans: dict = field(default_factory=dict)
+    #: virtual clock at which the next wave hedge-launches even though
+    #: the current wave is still racing (None = no waves deferred)
+    hedge_at: Optional[int] = None
+    #: router epoch at dispatch — deferred waves refuse to launch
+    #: against a layout that changed under them (None = no waves)
+    epoch: Optional[int] = None
+
+
+class FanOut:
+    """Open tickets and their legs, from admission to merge."""
+
+    def __init__(
+        self, dispatcher, admission, replicas, planner, tracer, metrics
+    ) -> None:
+        self.dispatcher = dispatcher
+        self.admission = admission
+        self.replicas = replicas
+        self.planner = planner
+        self.tracer = tracer
+        #: ticket.id -> its flight, for every open ticket
+        self.flights: dict[int, Flight] = {}
+        #: cache key -> ticket.id of the open flight identical
+        #: submissions coalesce onto
+        self.leaders: dict[tuple, int] = {}
+        #: the flight admitted but waiting for width (head of line)
+        self.staged: Optional[Flight] = None
+        #: bounded retries per ticket before it degrades: a leg lost to
+        #: a dead replica (or a failed task) re-admits at most this
+        #: many times across the ticket's whole fan-out
+        self.max_retries = MAX_RETRIES
+        #: tickets degraded since the pump last handed them back
+        self.degraded_now: list[Ticket] = []
+        c = metrics.counter
+        #: sibling shard races cancelled by a first-true decision
+        self.shard_cancelled = c("service.shard_cancelled")
+        #: shard races never built because an earlier wave settled the
+        #: decision first (routed decision-only fan-outs)
+        self.waves_skipped = c("service.waves_skipped")
+        #: virtual steps billed to shard races that contributed nothing
+        #: to their merged outcome (fan-outs of >= 2 raced shards only)
+        self.fanout_waste = c("service.fanout_waste")
+        self.retries = c("service.retries")
+        self.rerouted = c("service.rerouted")
+        self.degraded = c("service.degraded")
+        self.tasks_failed = c("service.tasks_failed")
+
+    # ------------------------------------------------------------------
+    # the flight table
+    # ------------------------------------------------------------------
+
+    def open(self, flight: Flight) -> None:
+        """Record a newly queued ticket."""
+        self.flights[flight.ticket.id] = flight
+        if flight.key is not None:
+            self.leaders[flight.key] = flight.ticket.id
+
+    def close(self, tid: int) -> Flight:
+        """Forget an open ticket (it completed or degraded)."""
+        flight = self.flights.pop(tid)
+        if flight.key is not None and self.leaders.get(flight.key) == tid:
+            del self.leaders[flight.key]
+        if self.staged is flight:
+            self.staged = None
+        return flight
+
+    def priority_order(self, ledger) -> list:
+        """Fair-share order over active race tokens ((tid, shard)).
+
+        A ticket's shard races share its rank; the shard index is only
+        the final tie-break.
+        """
+        flights = self.flights
+
+        def rank(token) -> tuple:
+            tid, shard = token
+            tenant = flights[tid].ticket.tenant
+            return (
+                ledger.virtual_time(tenant),
+                ledger.registration_index(tenant),
+                tid,
+                shard,
+            )
+
+        return sorted(self.dispatcher.tokens(), key=rank)
+
+    # ------------------------------------------------------------------
+    # admission and legs
+    # ------------------------------------------------------------------
+
+    def admit(self) -> None:
+        """Move queued tickets into the dispatcher while slots allow.
+
+        A ticket is gang-admitted: all its first-wave races attach in
+        the same tick (each to its own pool), or the ticket waits at
+        the head of the line — partial fan-outs would make a ticket's
+        latency depend on unrelated pools' drain order.
+        """
+        replicas, dispatcher = self.replicas, self.dispatcher
+        while True:
+            flight = self.staged
+            if flight is None:
+                if all(
+                    dispatcher.slots_free(p) <= 0
+                    for p in range(dispatcher.pools)
+                ):
+                    return
+                ticket = self.admission.next_ticket()
+                if ticket is None:
+                    return
+                flight = self.flights[ticket.id]
+                first, flight.waves = self.planner.plan(flight)
+            else:
+                first = flight.races
+            # a shard the plan needs may have died while the ticket
+            # queued or waited for width: refuse rather than block
+            dark = replicas.dark(
+                [*first, *(s for group in flight.waves for s in group)]
+            )
+            if dark:
+                self.degrade(flight, f"shard(s) {dark} lost every replica")
+                continue
+            if flight is not self.staged:
+                flight.races = {
+                    shard: self.planner.build(flight, shard)
+                    for shard in sorted(first)
+                }
+            widths = {s: race.width for s, (race, _) in flight.races.items()}
+            if not replicas.fits(widths):
+                self.staged = flight
+                return  # head-of-line: wait for the pools to drain
+            self.staged = None
+            self._dispatch(flight)
+
+    def _dispatch(self, flight: Flight) -> None:
+        """Attach one flight's first wave to the pools, each leg on the
+        least-loaded serving replica of its shard at this instant."""
+        placements = {}
+        for shard, (race, _) in sorted(flight.races.items()):
+            placed = self.replicas.place(shard, width=race.width)
+            if placed is None:
+                self.degrade(flight, f"shard {shard} has no serving replica")
+                return
+            placements[shard] = placed
+        tid, clock = flight.ticket.id, self.dispatcher.clock
+        self.tracer.end(tid, flight.queue_span, clock)
+        flight.queue_span = None
+        self.tracer.event(
+            tid, "dispatch", clock,
+            fanout=len(flight.races), waves=len(flight.waves),
+        )
+        for shard, built in sorted(flight.races.items()):
+            self._launch(flight, shard, built, placements[shard])
+        if flight.waves:
+            flight.hedge_at = clock + HEDGE_TICKS * self.dispatcher.quantum
+            router = flight.entry.router
+            flight.epoch = router.epoch if router is not None else None
+        flight.ticket.start_time = clock
+        flight.ticket.fanout = len(flight.races)
+
+    def _launch(self, flight: Flight, shard: int, built=None, placed=None,
+                **attrs) -> bool:
+        """Race one leg: place it (unless ``placed``), build its race
+        (unless ``built``), admit it, record it and open its ``leg``
+        span.  A shard with no serving replica degrades the ticket
+        (False)."""
+        if placed is None:
+            placed = self.replicas.place(shard)
+            if placed is None:
+                self.degrade(flight, f"shard {shard} has no serving replica")
+                return False
+        pool, replica = placed
+        race, flight.id_maps[shard] = built or self.planner.build(
+            flight, shard
+        )
+        tid = flight.ticket.id
+        self.dispatcher.admit((tid, shard), race, pool=pool)
+        flight.pending.add(shard)
+        flight.replica_of[shard] = replica
+        flight.leg_spans[shard] = self.tracer.begin(
+            tid, "leg", self.dispatcher.clock,
+            shard=shard, replica=replica, pool=pool, **attrs,
+        )
+        return True
+
+    def hedge_due(self) -> None:
+        """Launch the next wave of every fan-out whose first wave has
+        raced ``HEDGE_TICKS`` without settling: it forfeits its head
+        start and the remaining shards join in."""
+        clock = self.dispatcher.clock
+        for tid in sorted(self.flights):
+            flight = self.flights.get(tid)
+            if (
+                flight is not None  # degraded earlier in this loop
+                and flight.waves
+                and flight.hedge_at is not None
+                and clock >= flight.hedge_at
+            ):
+                self.advance_wave(flight, hedged=True)
+
+    def advance_wave(self, flight: Flight, hedged: bool = False) -> None:
+        """Build + launch the next routed wave of a staged fan-out.
+
+        Wave races are built lazily — a shard whose wave never starts
+        pays neither filter nor engine work.  The new races join their
+        pools mid-flight; a full pool simply delays them a tick.  Lazy
+        building reads the *live* assignment, so a rebalance slipping
+        in mid-flight (a caller violating the quiesce contract) would
+        race the wrong partition under the plan-time id maps — the
+        epoch check turns that into a loud error instead.
+        """
+        group = flight.waves.pop(0)
+        ticket, router = flight.ticket, flight.entry.router
+        if (
+            router is not None
+            and flight.epoch is not None
+            and router.epoch != flight.epoch
+        ):
+            raise RuntimeError(
+                f"dataset {ticket.dataset!r} was reassigned while "
+                f"ticket {ticket.id} had waves in flight; rebalancing is "
+                "only sound at quiesce points"
+            )
+        clock = self.dispatcher.clock
+        self.tracer.event(
+            ticket.id, "wave_hedge" if hedged else "wave_launch", clock,
+            shards=sorted(group),
+        )
+        for shard in sorted(group):
+            if not self._launch(flight, shard):
+                return
+        ticket.fanout += len(group)
+        flight.hedge_at = (
+            clock + HEDGE_TICKS * self.dispatcher.quantum
+            if flight.waves
+            else None
+        )
+
+    # ------------------------------------------------------------------
+    # outcomes
+    # ------------------------------------------------------------------
+
+    def shard_done(
+        self, flight: Flight, shard: int, outcome: RaceOutcome
+    ) -> Optional[RaceOutcome]:
+        """Record one shard's outcome; the merged outcome once the
+        fan-out resolves (the flight is then closed), else None.
+
+        First-true short-circuit: in decision-only mode a shard that
+        found a match settles the query, so the siblings' remaining
+        budget is cancelled (their partial work stays charged — it was
+        really done) and any not-yet-started routed waves are dropped
+        outright.  A routed wave that completes without a match hands
+        over to the next wave instead of merging.
+        """
+        tid, clock = flight.ticket.id, self.dispatcher.clock
+        flight.pending.discard(shard)
+        flight.outcomes[shard] = outcome
+        self.tracer.end(
+            tid, flight.leg_spans.pop(shard, None), clock,
+            found=outcome.found, steps=outcome.steps,
+        )
+        if flight.options.decision_only and outcome.found:
+            for sibling in sorted(flight.pending):
+                self.dispatcher.cancel((tid, sibling))
+                flight.cancelled.append(sibling)
+                self.shard_cancelled.inc()
+                self.tracer.end(
+                    tid, flight.leg_spans.pop(sibling, None), clock,
+                    cancelled=True,
+                )
+            flight.pending.clear()
+            if flight.waves:
+                skipped = [s for group in flight.waves for s in group]
+                flight.skipped.extend(skipped)
+                flight.waves.clear()
+                self.waves_skipped.inc(len(skipped))
+                flight.ticket.skipped = len(flight.skipped)
+                self.tracer.event(
+                    tid, "waves_skipped", clock, shards=skipped
+                )
+        if flight.pending:
+            return None
+        if flight.waves:
+            self.advance_wave(flight)
+            return None
+        self.close(tid)
+        self._account_waste(flight)
+        self.tracer.event(
+            tid, "merge", clock,
+            shards=sorted(flight.outcomes),
+            cancelled=sorted(flight.cancelled),
+            skipped=sorted(flight.skipped),
+        )
+        return merge_shard_outcomes(flight.outcomes, flight.id_maps)
+
+    def _account_waste(self, flight: Flight) -> None:
+        """Bill non-contributing shard races to ``fanout_waste``.
+
+        A shard race "contributed" iff it found a match; in a fan-out
+        that raced at least two shards, every step billed to matchless
+        (or cancelled) shard races is work the merged outcome never
+        used.  Single-race fan-outs have no siblings to waste.
+        """
+        if len(flight.outcomes) + len(flight.cancelled) < 2:
+            return
+        for shard, work in flight.work.items():
+            race = flight.outcomes.get(shard)
+            if race is None or not race.found:
+                self.fanout_waste.inc(work)
+
+    # ------------------------------------------------------------------
+    # faults: reroute and degrade
+    # ------------------------------------------------------------------
+
+    def legs_on(self, shard: int) -> dict:
+        """replica -> number of in-flight legs of ``shard`` on it."""
+        legs: dict = {}
+        for flight in self.flights.values():
+            if shard in flight.pending:
+                replica = flight.replica_of.get(shard)
+                legs[replica] = legs.get(replica, 0) + 1
+        return legs
+
+    def replica_lost(self, shard: int, replica: int) -> None:
+        """Reroute every in-flight leg a killed replica carried."""
+        for tid in sorted(self.flights):
+            flight = self.flights.get(tid)
+            if (
+                flight is not None  # degraded by an earlier reroute
+                and shard in flight.pending
+                and flight.replica_of.get(shard) == replica
+            ):
+                self.tracer.event(
+                    tid, "fault_kill", self.dispatcher.clock,
+                    shard=shard, replica=replica,
+                )
+                self.reroute(flight, shard, lost=True)
+
+    def fail_one_task(self, shard: int = -1) -> bool:
+        """Abort one in-flight leg (the worker-crash drill); False when
+        no leg qualifies.
+
+        The victim is the lowest active ``(tid, shard)`` token (of the
+        given shard, or any) whose fan-out is still open; it restarts
+        from scratch on the least-loaded live replica — possibly the
+        same one, a crash is not a death sentence for the pool.
+        """
+        flights = self.flights
+        tokens = sorted(
+            t
+            for t in self.dispatcher.tokens()
+            if isinstance(t, tuple)
+            and t[0] in flights
+            and t[1] in flights[t[0]].pending
+            and (shard < 0 or t[1] == shard)
+        )
+        if not tokens:
+            return False
+        tid, s = tokens[0]
+        self.tasks_failed.inc()
+        self.tracer.event(tid, "fault_task", self.dispatcher.clock, shard=s)
+        self.reroute(flights[tid], s, lost=False)
+        return True
+
+    def reroute(self, flight: Flight, shard: int, lost: bool) -> None:
+        """Re-admit one leg after its replica died or its task failed.
+
+        Cancel the old race and launch a fresh one under the same
+        ticket token on the least-loaded serving replica.  The rebuilt
+        race runs the same deterministic engines with the ticket's full
+        step budget, so a leg that completes after N retries answers
+        bit-for-bit what it would have healthy — only its bill and
+        latency carry the scar.  Retries are bounded per ticket;
+        exhaustion (or a shard with no replica left) degrades the
+        ticket instead of looping.
+        """
+        ticket, clock = flight.ticket, self.dispatcher.clock
+        self.dispatcher.cancel((ticket.id, shard))
+        ticket.retries += 1
+        self.retries.inc()
+        self.tracer.end(
+            ticket.id, flight.leg_spans.pop(shard, None), clock,
+            outcome="lost" if lost else "failed",
+        )
+        self.tracer.event(
+            ticket.id, "retry", clock,
+            shard=shard, lost=lost, attempt=ticket.retries,
+        )
+        if ticket.retries > self.max_retries:
+            self.degrade(
+                flight,
+                f"retry budget exhausted ({self.max_retries}) "
+                f"rerouting shard {shard}",
+            )
+            return
+        old_replica = flight.replica_of.get(shard)
+        if self._launch(flight, shard, retry=ticket.retries) and (
+            lost or flight.replica_of[shard] != old_replica
+        ):
+            self.rerouted.inc()
+
+    def degrade(self, flight: Flight, reason: str) -> None:
+        """Refuse a ticket the topology can no longer answer fully.
+
+        Partial answers are never returned: a fan-out missing a
+        shard's contribution would silently drop matches, so the whole
+        ticket (and its coalesced followers) resolves REJECTED with a
+        ``degraded`` mark and a ``retry_after`` hint, while the service
+        keeps serving everything that doesn't need the dark shard.
+        """
+        ticket, clock = flight.ticket, self.dispatcher.clock
+        tid = ticket.id
+        self.close(tid)
+        for shard in sorted(flight.pending):
+            self.dispatcher.cancel((tid, shard))
+            self.tracer.end(
+                tid, flight.leg_spans.pop(shard, None), clock,
+                cancelled=True,
+            )
+        flight.pending.clear()
+        flight.waves.clear()
+        self.tracer.end(tid, flight.queue_span, clock)
+        retry_after = clock + DEGRADED_RETRY_AFTER
+        self._reject(ticket, reason, retry_after)
+        self.tracer.event(tid, "degraded", clock, reason=reason)
+        self.tracer.finish(
+            tid, clock, state="rejected", degraded=True,
+            reason=reason, retry_after=retry_after,
+        )
+        self.admission.on_complete(ticket)
+        for follower in flight.followers:
+            self._reject(follower, reason, retry_after)
+            self.admission.release_coalesced(follower)
+            self.tracer.finish(
+                follower.id, clock, state="rejected", degraded=True,
+                coalesced=True, leader=tid, reason=reason,
+                retry_after=retry_after,
+            )
+
+    def _reject(self, ticket: Ticket, reason: str, retry_after: int) -> None:
+        ticket.state = TicketState.REJECTED
+        ticket.degraded = True
+        ticket.reject_reason = f"degraded: {reason}"
+        ticket.retry_after = retry_after
+        ticket.finish_time = self.dispatcher.clock
+        self.degraded.inc()
+        self.degraded_now.append(ticket)
+
+    def drain_degraded(self) -> list[Ticket]:
+        """Tickets degraded since the last call."""
+        drained, self.degraded_now = self.degraded_now, []
+        return drained

@@ -88,7 +88,8 @@ class FaultEvent:
     active fan-out legs, then highest step bill) — still a pure
     function of execution state, and what makes a seeded drill
     reliably *mid-flight*.  ``shard == -1`` on a ``fail_task`` means
-    "any shard" (the first active leg in token order aborts).
+    "any shard" (the first active leg in token order aborts); a kill or
+    a wedge must name its shard.
     """
 
     at: int
@@ -112,6 +113,8 @@ class FaultEvent:
             raise ValueError("fault threshold must be >= 0")
         if self.kind == "wedge" and self.ticks < 1:
             raise ValueError("wedge needs ticks >= 1")
+        if self.kind != "fail_task" and self.shard < 0:
+            raise ValueError(f"{self.kind} needs a shard >= 0")
 
     def as_dict(self) -> dict:
         """JSON-ready rendering for bench payloads."""

@@ -506,7 +506,7 @@ def run_closed_loop(
         for shard in range(service.catalog.num_shards):
             dead = sum(
                 1
-                for (s, _r), state in service.replica_states.items()
+                for (s, _r), state in service.replica_set.states.items()
                 if s == shard and state is ReplicaState.DEAD
             )
             while healed.get(shard, 0) < dead:
@@ -595,7 +595,7 @@ def run_closed_loop(
             "planned": len(mutations),
             "applied": sum(1 for m in mutation_tickets if m.applied),
             "rejected": sum(1 for m in mutation_tickets if m.rejected),
-            "service": service._mutation_report(),
+            "service": service.mutations.report(),
             "oracle": {
                 "verified": verify_oracle,
                 "checks": len(checks),

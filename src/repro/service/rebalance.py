@@ -34,38 +34,23 @@ from dataclasses import dataclass
 
 from ..obs import Counter
 from ..scheduling import skew_ratio
-from .sharding import ShardedCatalog
+from .replicas import ReplicaSet
+from .sharding import ShardedCatalog, coldest_shard
 
 __all__ = ["Migration", "Rebalancer", "coldest_shard", "shard_loads"]
 
 
-def shard_loads(catalog: ShardedCatalog, pool_work) -> list[int]:
+def shard_loads(replicas: ReplicaSet, pool_work) -> list[int]:
     """Per-shard step bills summed over every pool that served each
     shard (dead replicas' history included — bills are historical)."""
     return [
         sum(
             pool_work[p]
-            for p in catalog.shard_pools(s)
+            for p in replicas.shard_pools(s)
             if p < len(pool_work)
         )
-        for s in range(catalog.num_shards)
+        for s in range(replicas.num_shards)
     ]
-
-
-def coldest_shard(catalog: ShardedCatalog, loads) -> int:
-    """The least-loaded *serving* shard (ascending id tie-break).
-
-    The one placement rule in the codebase: the rebalancer drains hot
-    shards toward it, and the service places newly added graphs on it,
-    so both paths agree on what "cold" means — a pure function of
-    (per-shard loads, serving set).
-    """
-    serving = [
-        s for s in range(catalog.num_shards) if catalog.replica_ids(s)
-    ]
-    if not serving:
-        raise KeyError("no shard has a serving replica")
-    return min(serving, key=lambda s: (loads[s], s))
 
 
 @dataclass(frozen=True)
@@ -126,7 +111,7 @@ class Rebalancer:
         #: pool_work snapshot at the last rebalance (window baseline)
         self._baseline = list(service.dispatcher.pool_work)
         #: graph_bills snapshot at the last rebalance (per-graph window)
-        self._graph_baseline = dict(service.graph_bills)
+        self._graph_baseline = dict(service.planner.graph_bills)
         #: every migration applied, in order
         self.migrations: list[Migration] = []
         #: quiesce checks that actually moved at least one graph
@@ -183,7 +168,7 @@ class Rebalancer:
         served it (dead replicas' history included), so the migration
         signal keeps per-shard semantics whatever the replica layout.
         """
-        return shard_loads(self.service.catalog, self._pool_window())
+        return shard_loads(self.service.replica_set, self._pool_window())
 
     # ------------------------------------------------------------------
     # action
@@ -214,9 +199,7 @@ class Rebalancer:
         applied: list[Migration] = []
         # only shards with a serving replica can give or take graphs
         serving = [
-            s
-            for s in range(catalog.num_shards)
-            if catalog.replica_ids(s)
+            s for s in range(catalog.num_shards) if s not in catalog.dark
         ]
         if len(serving) < 2:
             self.degenerate.inc()
@@ -229,7 +212,7 @@ class Rebalancer:
         if applied:
             self.rebalances.inc()
             self._baseline = list(service.dispatcher.pool_work)
-            self._graph_baseline = dict(service.graph_bills)
+            self._graph_baseline = dict(service.planner.graph_bills)
         else:
             self.skipped.inc()
         return applied
@@ -237,7 +220,7 @@ class Rebalancer:
     def graph_window(self, dataset: str, graph_id: int) -> int:
         """One stored graph's verification steps since the last rebalance."""
         key = (dataset, graph_id)
-        return self.service.graph_bills.get(
+        return self.service.planner.graph_bills.get(
             key, 0
         ) - self._graph_baseline.get(key, 0)
 
@@ -247,7 +230,7 @@ class Rebalancer:
         """Move graphs hot -> cold while each move shrinks the gap.
 
         Victim choice runs on the service's **per-graph step bills**
-        (:attr:`repro.service.service.Service.graph_bills`, filled by
+        (:attr:`repro.service.planner.RacePlanner.graph_bills`, filled by
         the FTV sweeps), not a size proxy: when one graph of a
         size-balanced shard is hot, its observed window load is what
         must move.  A graph migrates only while its window load is

@@ -10,11 +10,12 @@ graph collection across N shards (hash or size-balanced assignment;
 holding its partition warm in one
 :class:`~repro.service.catalog.DatasetCatalog` — its own matcher
 indexes and Grapes/GGSX filter over its partition only — however many
-replicas serve it.  A replica is what the service schedules on: an id
-and a worker pool.  The service fans a query out into one race per
-involved shard, runs each on a pool of one of the shard's replicas
-over the shared virtual clock, and merges the per-shard
-:class:`RaceOutcome`\\ s with :func:`merge_shard_outcomes`.
+replicas serve it (:mod:`repro.service.replicas` owns those; the
+catalog only hears when a shard goes dark or comes back).  The service
+fans a query out into one race per involved shard, runs each on a pool
+of one of the shard's replicas over the shared virtual clock, and
+merges the per-shard :class:`RaceOutcome`\\ s with
+:func:`merge_shard_outcomes`.
 
 Equivalence invariants (proven in ``tests/test_service_sharding.py``):
 
@@ -46,21 +47,11 @@ Equivalence invariants (proven in ``tests/test_service_sharding.py``):
   every cached bill, these describe what this run paid, not what any
   isomorphic re-issue would pay.
 
-First-winner semantics one level up: in *decision-only* mode
-(``QueryOptions(decision_only=True)``) a shard whose race finds a match
-settles the query — the service cancels the sibling shards' remaining
-budget, mirroring the paper's race where the first finisher kills the
-losers.  In the default full mode every shard completes so the merged
-``matching_ids`` stay bit-for-bit complete.
-
-Routing rides on top: each FTV entry of a catalog with more than one
-shard carries a
-:class:`~repro.service.routing.ShardRouter` whose per-shard feature
-sketches let the service prune provably-empty shards from the fan-out
-and order decision fan-outs (see :mod:`repro.service.routing`), and
-:meth:`ShardedCatalog.reassign` migrates whole graphs between shards
-at quiesce points (:mod:`repro.service.rebalance`) — both preserving
-the answer invariants above.
+Each FTV entry over more than one shard carries a
+:class:`~repro.service.routing.ShardRouter` (pruning and decision
+ordering), and :meth:`ShardedCatalog.reassign` migrates whole graphs
+between shards at quiesce points (:mod:`repro.service.rebalance`) —
+both preserving the answer invariants above.
 """
 
 from __future__ import annotations
@@ -88,6 +79,7 @@ __all__ = [
     "assign_shards",
     "ShardedEntry",
     "ShardedCatalog",
+    "coldest_shard",
     "merge_shard_outcomes",
 ]
 
@@ -256,19 +248,16 @@ class ShardedCatalog:
     graphs.  NFV datasets (one stored graph) live whole on a
     deterministic home shard.
 
-    **Replicas.**  With ``replicas=R`` every shard is served by R
-    replicas, each backing its own dispatcher worker pool, so the
-    service can spread a shard's races over replicas and survive a
-    replica's death (:mod:`repro.service.faults`).  Pools are numbered
-    in the order replicas are made, shard-major at construction —
-    ``(shard s, replica 0..R-1)`` maps to pools ``s*R .. s*R+R-1`` — so
-    with ``replicas=1`` pool index == shard index.  The warm partition
-    belongs to the shard, not to a replica: every replica races over
-    the shard's one frozen entry (entries are immutable after freeze
-    and the prepare cache keys per graph object), so a mutation patches
-    one partition and a shard's memory is counted once.  Releasing a
-    shard's last replica unloads its partitions; the next
-    :meth:`add_replica` on that dark shard warms them again.
+    **Dark shards.**  The warm partition belongs to the shard, not to
+    a replica: every replica of a shard
+    (:class:`~repro.service.replicas.ReplicaSet`) races over the
+    shard's one frozen entry (entries are immutable after freeze and
+    the prepare cache keys per graph object), so a mutation patches one
+    partition and a shard's memory is counted once.  The replica set
+    tells :meth:`set_serving` when a shard loses its last serving
+    replica (its partitions unload) or gets one back (they warm again);
+    ``replicas`` is the per-shard count it starts with, and the one a
+    store checkpoint records.
     """
 
     def __init__(
@@ -300,19 +289,8 @@ class ShardedCatalog:
         self.partitions: list[DatasetCatalog] = [
             DatasetCatalog() for _ in range(num_shards)
         ]
-        #: (shard, replica) -> pool index; retained for released
-        #: replicas so historical pool bills stay attributable
-        self._pool_of: dict[tuple[int, int], int] = {}
-        #: serving-capable replica ids per shard (released ones removed)
-        self._replicas_of: list[list[int]] = [
-            [] for _ in range(num_shards)
-        ]
-        #: next replica id per shard — monotone, never reused, so a
-        #: dead replica's id can't be resurrected by a later scale-out
-        self._next_replica_id = [0] * num_shards
-        for shard in range(num_shards):
-            for _ in range(replicas):
-                self._materialize_replica(shard)
+        #: shards with no serving replica: nothing warm, nothing served
+        self.dark: set[int] = set()
         #: completed :meth:`reassign` calls (rebalance bookkeeping)
         self.reassignments = 0
         #: whole stored graphs moved between shards across all reassigns
@@ -325,9 +303,6 @@ class ShardedCatalog:
         #: against the previous collection state — one counter for the
         #: whole catalog, so cache keys are layout-independent
         self.mutation_epoch = 0
-        #: replicas added / released after construction (scaling + kills)
-        self.replicas_added = 0
-        self.replicas_released = 0
         self._entries: dict[str, ShardedEntry] = {}
 
     def attach_store(self, store):
@@ -343,41 +318,31 @@ class ShardedCatalog:
         self.store = StoreReader.open(store)
         return self.store
 
-    def _materialize_replica(self, shard: int) -> int:
-        """Give ``shard`` one more replica id and pool slot."""
-        replica = self._next_replica_id[shard]
-        self._next_replica_id[shard] += 1
-        self._pool_of[(shard, replica)] = len(self._pool_of)
-        self._replicas_of[shard].append(replica)
-        return replica
-
     # ------------------------------------------------------------------
-    # replica topology
+    # dark shards
     # ------------------------------------------------------------------
 
-    @property
-    def pool_count(self) -> int:
-        """Total worker pools (one per replica ever materialized)."""
-        return len(self._pool_of)
+    def set_serving(self, shard: int, serving: bool) -> None:
+        """Whether ``shard`` has a serving replica, as the replica set
+        says after every change: going dark unloads the shard's
+        partitions, coming back warms every loaded dataset's partition
+        there again (see :meth:`_register_shard`)."""
+        if serving == (shard not in self.dark):
+            return
+        if serving:
+            self.dark.discard(shard)
+            for name in self.datasets():
+                entry = self._entries[name]
+                if entry.assignment[shard]:
+                    self._register_shard(entry, shard)
+        else:
+            self.dark.add(shard)
+            catalog = self.partitions[shard]
+            for name in catalog.datasets():
+                catalog.unload(name)
 
-    def replica_ids(self, shard: int) -> tuple[int, ...]:
-        """Serving-capable replica ids of ``shard`` (ascending)."""
-        return tuple(self._replicas_of[shard])
-
-    def pool_index(self, shard: int, replica: int) -> int:
-        """The dispatcher pool backing ``(shard, replica)``."""
-        return self._pool_of[(shard, replica)]
-
-    def shard_pools(self, shard: int) -> tuple[int, ...]:
-        """Every pool ever backing ``shard``, released replicas included
-        (per-shard bills must keep counting a dead replica's history)."""
-        return tuple(sorted(
-            pool
-            for (s, _), pool in self._pool_of.items()
-            if s == shard
-        ))
-
-    def _check_shard(self, shard: int) -> None:
+    def check_shard(self, shard: int) -> None:
+        """ValueError unless ``shard`` is one of this catalog's."""
         if not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"shard {shard} out of range (catalog has "
@@ -385,52 +350,12 @@ class ShardedCatalog:
             )
 
     def _check_serving(self, shard: int, name: str) -> None:
-        """KeyError unless ``shard`` has a serving replica — a dark
-        shard holds no warm partition to read or mutate."""
-        if not self._replicas_of[shard]:
+        """KeyError while ``shard`` is dark — it holds no warm
+        partition to read or mutate."""
+        if shard in self.dark:
             raise KeyError(
                 f"shard {shard} has no serving replica for {name!r}"
             )
-
-    def add_replica(self, shard: int) -> int:
-        """Give ``shard`` one more serving replica; returns its id.
-
-        Beside a live sibling the newcomer serves the shard's warm
-        partitions as they stand: nothing is warmed.  On a dark shard
-        (every replica released) it warms every loaded dataset's
-        partition there again (see :meth:`_register_shard`).  Callers
-        growing a live service must go through ``Service.add_replica``
-        so the dispatcher grows its pool in lockstep.
-        """
-        self._check_shard(shard)
-        dark = not self._replicas_of[shard]
-        replica = self._materialize_replica(shard)
-        if dark:
-            for name in self.datasets():
-                entry = self._entries[name]
-                if entry.assignment[shard]:
-                    self._register_shard(entry, shard)
-        self.replicas_added += 1
-        return replica
-
-    def release_replica(self, shard: int, replica: int) -> None:
-        """Drop a replica from serving (kill or quiesce retirement).
-
-        It never serves again; its pool slot and historical bills
-        remain attributable through :meth:`shard_pools`.  Releasing the
-        shard's last replica unloads the shard's partitions (the shard
-        goes dark).  Releasing an unknown or already-released replica
-        is a no-op.
-        """
-        ids = self._replicas_of[shard]
-        if replica not in ids:
-            return
-        ids.remove(replica)
-        if not ids:
-            catalog = self.partitions[shard]
-            for name in catalog.datasets():
-                catalog.unload(name)
-        self.replicas_released += 1
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -643,9 +568,9 @@ class ShardedCatalog:
         rebalance migration can never leave a stale sketch behind.  A
         dark shard (every replica killed/retired) warms nothing and
         returns ``None`` — the service degrades queries needing it, and
-        the next :meth:`add_replica` there warms it.
+        :meth:`set_serving` warms it.
         """
-        if not self._replicas_of[shard]:
+        if shard in self.dark:
             return None
         catalog = self.partitions[shard]
         part = [entry.graphs[g] for g in entry.assignment[shard]]
@@ -727,6 +652,71 @@ class ShardedCatalog:
     # dynamic collections (incremental index maintenance)
     # ------------------------------------------------------------------
 
+    def _mutable(self, name: str) -> ShardedEntry:
+        try:
+            entry = self.get(name)
+        except KeyError as exc:
+            raise ValueError(str(exc)) from exc
+        if entry.kind != "ftv":
+            raise ValueError(
+                f"dataset {name!r} is not a mutable FTV collection"
+            )
+        return entry
+
+    def resolve_add(
+        self,
+        name: str,
+        graph_id: Optional[int] = None,
+        shard: Optional[int] = None,
+        loads: Optional[list] = None,
+    ) -> tuple[int, int]:
+        """``(graph_id, shard)`` an add to ``name`` applies at — every
+        check an add makes, made before anything changes.
+
+        ``graph_id`` None appends; a tombstoned id revives in its
+        slot's shard whatever ``shard`` says (ids never migrate
+        implicitly).  A newcomer without a ``shard`` goes to the
+        :func:`coldest_shard` under per-shard ``loads``.  Raises
+        ValueError for what can never apply, KeyError while the target
+        shard is dark (a later retry may succeed).
+        """
+        entry = self._mutable(name)
+        if shard is not None:
+            self.check_shard(shard)
+        slots = len(entry.graphs)
+        if graph_id is None:
+            graph_id = slots
+        if graph_id > slots:
+            raise ValueError(
+                f"graph id {graph_id} out of range for {slots} slots"
+            )
+        if graph_id < slots:
+            if graph_id not in entry.tombstones:
+                raise ValueError(
+                    f"graph id {graph_id} is live; remove it before "
+                    "re-adding"
+                )
+            shard = entry.shard_of(graph_id)
+        elif shard is None:
+            shard = coldest_shard(self, loads)
+        self._check_serving(shard, name)
+        return graph_id, shard
+
+    def resolve_remove(self, name: str, graph_id: int) -> int:
+        """The shard a remove of ``graph_id`` applies on, checked like
+        :meth:`resolve_add`."""
+        entry = self._mutable(name)
+        slots = len(entry.graphs)
+        if not 0 <= graph_id < slots:
+            raise ValueError(
+                f"graph id {graph_id} out of range for {slots} slots"
+            )
+        if graph_id in entry.tombstones:
+            raise ValueError(f"graph id {graph_id} already removed")
+        shard = entry.shard_of(graph_id)
+        self._check_serving(shard, name)
+        return shard
+
     def add_graph(
         self,
         name: str,
@@ -734,43 +724,18 @@ class ShardedCatalog:
         shard: int,
         graph_id: Optional[int] = None,
     ) -> int:
-        """Place ``graph`` on ``shard`` and index it incrementally.
+        """Place ``graph`` (see :meth:`resolve_add`) and index it
+        incrementally; returns its global id.
 
-        Callers pick the shard (the service routes newcomers through
-        the rebalancer's coldest-shard rule; journal replay re-applies
-        the recorded placement).  The shard's one partition entry is
-        mutated in place, so every replica serving it sees the
-        newcomer.  Reviving a tombstoned id ignores ``shard`` in favor
-        of the slot's existing assignment — ids never migrate
-        implicitly.  A dark target shard raises KeyError before
-        anything changes.
+        The shard's one partition entry is mutated in place, so every
+        replica serving it sees the newcomer.
         """
-        entry = self.get(name)
-        if entry.kind != "ftv":
-            raise ValueError(
-                f"dataset {name!r} is not a mutable FTV collection"
-            )
-        self._check_shard(shard)
-        if graph_id is None:
-            graph_id = len(entry.graphs)
-        if graph_id > len(entry.graphs):
-            raise ValueError(
-                f"graph id {graph_id} out of range for "
-                f"{len(entry.graphs)} slots"
-            )
-        revive = graph_id < len(entry.graphs)
-        if revive:
-            if graph_id not in entry.tombstones:
-                raise ValueError(
-                    f"graph id {graph_id} is live; remove it before "
-                    "re-adding"
-                )
-            shard = entry.shard_of(graph_id)
-        self._check_serving(shard, name)
+        graph_id, shard = self.resolve_add(name, graph_id, shard)
+        entry = self._entries[name]
         # a shard that held no graph of this dataset until now has no
         # partition to extend: it is registered holding the newcomer
         fresh = not entry.assignment[shard]
-        if revive:
+        if graph_id < len(entry.graphs):
             local = entry.assignment[shard].index(graph_id)
             entry.graphs[graph_id] = graph
             entry.tombstones.discard(graph_id)
@@ -797,15 +762,8 @@ class ShardedCatalog:
 
     def remove_graph(self, name: str, graph_id: int) -> None:
         """Tombstone ``graph_id`` on its shard's partition."""
-        entry = self.get(name)
-        if entry.kind != "ftv":
-            raise ValueError(
-                f"dataset {name!r} is not a mutable FTV collection"
-            )
-        if graph_id in entry.tombstones:
-            raise ValueError(f"graph id {graph_id} already removed")
-        shard = entry.shard_of(graph_id)
-        self._check_serving(shard, name)
+        shard = self.resolve_remove(name, graph_id)
+        entry = self._entries[name]
         self.partitions[shard].remove_graph(
             name, entry.assignment[shard].index(graph_id)
         )
@@ -918,7 +876,8 @@ class ShardedCatalog:
         ``shards`` holds one report per shard — its warm partitions,
         held once however many replicas serve them (empty while the
         shard is dark) — and ``total_bytes`` sums them, so each
-        partition is counted once.
+        partition is counted once.  The replica counts
+        ``service.memory`` shows beside it are the replica set's.
         """
         per_shard = [c.memory_report() for c in self.partitions]
         store = (
@@ -929,15 +888,9 @@ class ShardedCatalog:
         return {
             **store,
             "num_shards": self.num_shards,
-            "replicas": [
-                len(self.replica_ids(s))
-                for s in range(self.num_shards)
-            ],
             "shards": per_shard,
             "total_bytes": sum(r["total_bytes"] for r in per_shard),
             "rollbacks": self.rollbacks,
-            "replicas_added": self.replicas_added,
-            "replicas_released": self.replicas_released,
             "reassignments": self.reassignments,
             "migrated_graphs": self.migrated_graphs,
             "datasets": {
@@ -955,6 +908,22 @@ class ShardedCatalog:
                 for name, e in sorted(self._entries.items())
             },
         }
+
+
+def coldest_shard(catalog: ShardedCatalog, loads) -> int:
+    """The least-loaded *serving* shard (ascending id tie-break).
+
+    The one placement rule in the codebase: the rebalancer drains hot
+    shards toward it, and an add without a pinned shard lands on it,
+    so both paths agree on what "cold" means — a pure function of
+    (per-shard loads, serving set).
+    """
+    serving = [
+        s for s in range(catalog.num_shards) if s not in catalog.dark
+    ]
+    if not serving:
+        raise KeyError("no shard has a serving replica")
+    return min(serving, key=lambda s: (loads[s], s))
 
 
 # ----------------------------------------------------------------------

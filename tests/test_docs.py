@@ -13,8 +13,9 @@ warm-index tag and column table it states must be the codec's
 ``--flag`` the prose attributes to a ``repro`` subcommand must be an
 option of that subcommand's parser, every fenced ``python -m repro
 ...`` command must be one the real parser accepts (parsed, never run),
-and the ``service.memory`` key list in ``docs/OBSERVABILITY.md`` must
-be the keys a 2 x 2 service reports.
+the ``service.memory`` key list in ``docs/OBSERVABILITY.md`` must
+be the keys a 2 x 2 service reports, and ``docs/ARCHITECTURE.md`` must
+cite every ``src/repro/service`` module.
 The CI ``docs`` job runs exactly this file.
 """
 
@@ -436,3 +437,40 @@ def test_the_memory_key_check_sees_a_dropped_and_an_invented_key(
     )
     assert invented.startswith("documented, not reported")
     assert "pools" in invented
+
+
+# ----------------------------------------------------------------------
+# every service module has its line in docs/ARCHITECTURE.md
+# ----------------------------------------------------------------------
+
+SERVICE = REPO / "src" / "repro" / "service"
+
+
+def uncited_service_modules(text: str) -> list:
+    """``src/repro/service/*.py`` modules ``text`` never cites."""
+    cited = {
+        path for path, _ in (
+            (m.group(1).rstrip(".,;:)'"), m.group(2))
+            for m in REF.finditer(text)
+        )
+    }
+    return sorted(
+        f"src/repro/service/{p.name}"
+        for p in SERVICE.glob("*.py")
+        if p.name != "__init__.py"
+        and f"src/repro/service/{p.name}" not in cited
+    )
+
+
+def test_architecture_doc_cites_every_service_module():
+    """A module split out of the service arrives with the line saying
+    what it owns."""
+    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+    assert uncited_service_modules(text) == []
+
+
+def test_the_module_check_sees_an_uncited_module():
+    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+    assert uncited_service_modules(
+        text.replace("src/repro/service/replicas.py", "src/repro/x.py")
+    ) == ["src/repro/service/replicas.py"]

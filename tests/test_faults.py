@@ -194,8 +194,8 @@ class TestKillDrills:
         svc.kill_replica(1, 1)
         _, report = run(ppi_graphs, service=svc)
         assert report.answers == healthy.answers
-        assert svc.replica_state(0, 0) is ReplicaState.DEAD
-        assert svc.rerouted.value == 0  # nothing was in flight to lose
+        assert svc.replica_set.state(0, 0) is ReplicaState.DEAD
+        assert svc.fanout.rerouted.value == 0  # nothing was in flight
         assert all(t.done for t in report.tickets)
 
     def test_kill_mid_flight_reroutes_and_answers_hold(
@@ -209,9 +209,9 @@ class TestKillDrills:
         assert report.chaos["rerouted"] >= 1
         assert report.chaos["lost"] == 0
         assert report.chaos["degraded"] == 0
-        assert svc.replicas_killed.value == 2
+        assert svc.replica_set.killed.value == 2
         assert all(
-            t.retries <= svc.max_retries for t in report.tickets
+            t.retries <= svc.fanout.max_retries for t in report.tickets
         )
         assert sum(
             1 for t in report.completed if t.result.killed
@@ -221,15 +221,17 @@ class TestKillDrills:
         svc, _ = run(ppi_graphs, faults=kill_each_shard())
         dead = [
             (s, r)
-            for (s, r), st in svc.replica_states.items()
+            for (s, r), st in svc.replica_set.states.items()
             if st is ReplicaState.DEAD
         ]
         assert len(dead) == 2
         # a dead replica leaves the serving set; its pool is retained
         # for bill attribution but placements never choose it again
         for s, r in dead:
-            assert r not in svc.catalog.replica_ids(s)
-            assert svc._place(s) != (svc.catalog.pool_index(s, r), r)
+            assert r not in svc.replica_set.ids(s)
+            assert svc.replica_set.place(s) != (
+                svc.replica_set.pool_index(s, r), r
+            )
 
     def test_blackout_degrades_then_recovery_restores(
         self, ppi_graphs, healthy
@@ -241,7 +243,7 @@ class TestKillDrills:
         svc = ftv_service()
         svc.kill_replica(0, 0)
         svc.kill_replica(0, 1)
-        assert svc.live_replicas(0) == []
+        assert svc.replica_set.live(0) == []
         q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
         ticket = svc.submit("ppi", q, options=FTV_OPTS)
         svc.run_until_idle()
@@ -250,10 +252,10 @@ class TestKillDrills:
         assert "degraded" in ticket.reject_reason
         assert ticket.retry_after is not None
         assert ticket.retry_after > ticket.submit_time
-        assert svc.degraded.value == 1
+        assert svc.fanout.degraded.value == 1
         # recovery: a new warm replica brings the shard back
         replica = svc.add_replica(0)
-        assert svc.live_replicas(0) == [replica]
+        assert svc.replica_set.live(0) == [replica]
         _, report = run(ppi_graphs, service=svc)
         assert report.answers == healthy.answers
 
@@ -261,11 +263,11 @@ class TestKillDrills:
         """max_retries=0: the first reroute attempt exhausts the retry
         budget and the ticket degrades instead of looping."""
         svc = ftv_service()
-        svc.max_retries = 0
+        svc.fanout.max_retries = 0
         _, report = run(
             ppi_graphs, faults=kill_each_shard(), service=svc
         )
-        assert svc.degraded.value >= 1
+        assert svc.fanout.degraded.value >= 1
         assert report.chaos["lost"] == 0  # refused, never stranded
         degraded = [t for t in report.tickets if t.degraded]
         assert degraded
@@ -302,18 +304,18 @@ class TestWedgeDrill:
         ])
         svc, report = run(ppi_graphs, faults=inj)
         assert report.answers == healthy.answers
-        assert svc.replicas_wedged.value == 1
+        assert svc.replica_set.wedged.value == 1
         # the wedge expired: the replica is LIVE again (state entry
         # dropped — LIVE is the default)
-        assert svc.replica_state(0, 0) is ReplicaState.LIVE
-        assert not svc._suspect_until
+        assert svc.replica_set.state(0, 0) is ReplicaState.LIVE
+        assert not svc.replica_set.suspect_until
         assert report.chaos["lost"] == 0
 
     def test_wedge_unknown_replica_is_noop(self, ppi_graphs):
         svc = ftv_service()
         svc.wedge_replica(0, 99, ticks=3)
         assert svc.faults_noop.value == 1
-        assert svc.replica_state(0, 99) is ReplicaState.LIVE
+        assert svc.replica_set.state(0, 99) is ReplicaState.LIVE
 
 
 class TestFailTaskDrill:
@@ -323,16 +325,19 @@ class TestFailTaskDrill:
         ])
         svc, report = run(ppi_graphs, faults=inj)
         assert report.answers == healthy.answers
-        assert svc.tasks_failed.value == 1
-        assert svc.retries.value >= 1
+        assert svc.fanout.tasks_failed.value == 1
+        assert svc.fanout.retries.value >= 1
         assert report.chaos["lost"] == 0
         assert report.chaos["degraded"] == 0
 
     def test_fail_task_with_nothing_active_is_noop(self, ppi_graphs):
         svc = ftv_service()
-        svc._fail_one_task()
+        svc.install_faults(
+            FaultInjector([FaultEvent(at=0, kind="fail_task")])
+        )
+        svc.pump()
         assert svc.faults_noop.value == 1
-        assert svc.tasks_failed.value == 0
+        assert svc.fanout.tasks_failed.value == 0
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +376,7 @@ class TestInteractionDrills:
         )
         assert report.answers == healthy.answers
         assert report.chaos["lost"] == 0
-        assert svc.replicas_killed.value == 2
+        assert svc.replica_set.killed.value == 2
 
     def test_chaos_run_is_deterministic(self, ppi_graphs):
         """Two identical chaos runs agree on the *full* digest — bills,
@@ -426,7 +431,7 @@ class TestStatsAndScaling:
         svc.run_until_idle()
         assert svc.retire_replica(0) == 1
         assert svc.retire_replica(0) is None  # never the last live
-        assert svc.replica_state(0, 1) is ReplicaState.RETIRED
+        assert svc.replica_set.state(0, 1) is ReplicaState.RETIRED
 
     def test_rebalancer_degenerate_topologies_noop(self):
         """Satellite: unsharded and single-shard services make every
@@ -442,3 +447,82 @@ class TestStatsAndScaling:
         assert reb1.maybe_rebalance() == []
         assert reb1.degenerate.value == 1
         assert reb1.summary()["degenerate_checks"] == 1
+
+
+# ----------------------------------------------------------------------
+# fault inputs that name no real replica
+# ----------------------------------------------------------------------
+
+class TestFaultInputs:
+    """A shard outside ``[0, N)`` is refused with ValueError, never
+    read as another shard through negative indexing; a replica the
+    shard does not serve with is a counted no-op, never a phantom."""
+
+    @staticmethod
+    def untouched(svc):
+        rep = svc.stats()["replicas"]
+        assert rep["states"] == {}
+        assert rep["counts"] == [2, 2]
+        assert rep["killed"] == rep["wedged"] == rep["retired"] == 0
+
+    def test_a_negative_shard_kill_is_refused(self):
+        svc = ftv_service()
+        with pytest.raises(ValueError, match="out of range"):
+            svc.kill_replica(-1, 0)
+        self.untouched(svc)
+
+    def test_a_negative_shard_retire_is_refused(self):
+        svc = ftv_service()
+        with pytest.raises(ValueError, match="out of range"):
+            svc.retire_replica(-1)
+        self.untouched(svc)
+
+    def test_a_negative_shard_wedge_is_refused_and_the_pump_runs(
+        self, ppi_graphs
+    ):
+        svc = ftv_service()
+        with pytest.raises(ValueError, match="out of range"):
+            svc.wedge_replica(-1, 0, 3)
+        self.untouched(svc)
+        q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
+        ticket = svc.submit("ppi", q, options=FTV_OPTS)
+        svc.run_until_idle()
+        assert ticket.done and not ticket.degraded
+
+    @pytest.mark.parametrize("kind", ["kill", "wedge"])
+    def test_a_shardless_kill_or_wedge_event_is_refused(self, kind):
+        with pytest.raises(ValueError, match="needs a shard"):
+            FaultEvent(at=0, kind=kind, replica=0, ticks=2)
+
+    def test_killing_a_replica_never_made_is_a_noop(self):
+        svc = ftv_service()
+        svc.kill_replica(0, 7)
+        assert svc.faults_noop.value == 1
+        self.untouched(svc)
+
+    def test_a_due_event_naming_a_missing_replica_is_a_noop(
+        self, ppi_graphs
+    ):
+        svc = ftv_service()
+        svc.install_faults(FaultInjector([
+            FaultEvent(at=0, kind="kill", shard=0, replica=7),
+            FaultEvent(at=0, kind="wedge", shard=1, replica=7, ticks=2,
+                       seq=1),
+        ]))
+        q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
+        ticket = svc.submit("ppi", q, options=FTV_OPTS)
+        svc.run_until_idle()
+        assert ticket.done and not ticket.degraded
+        assert svc.faults_noop.value == 2
+        self.untouched(svc)
+
+    @pytest.mark.parametrize("call", [
+        lambda svc: svc.kill_replica(5, 0),
+        lambda svc: svc.wedge_replica(5, 0, 3),
+        lambda svc: svc.retire_replica(5),
+    ], ids=["kill", "wedge", "retire"])
+    def test_a_shard_past_the_last_is_refused(self, call):
+        svc = ftv_service()
+        with pytest.raises(ValueError, match="out of range"):
+            call(svc)
+        self.untouched(svc)

@@ -55,7 +55,7 @@ def probe_for(svc: Service, gid: int):
 
 def apply_all(svc: Service) -> None:
     svc.pump()
-    assert not svc._mutations
+    assert not svc.mutations.pending
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +76,7 @@ class TestLifecycle:
         apply_all(svc)
         assert removed.applied
         assert base not in entry.live_graph_ids()
-        assert svc.mutations_applied.value == 2
+        assert svc.mutations.applied.value == 2
 
     def test_mutation_is_fenced_until_quiesce(self):
         svc = make_service()
@@ -91,7 +91,7 @@ class TestLifecycle:
 
     def test_backlog_rejection_carries_retry_after(self):
         svc = make_service()
-        svc.max_pending_mutations = 1
+        svc.mutations.max_pending = 1
         g = svc.catalog.get("ppi").graphs[0]
         first = svc.add_graph("ppi", g)
         second = svc.add_graph("ppi", g)
@@ -147,7 +147,7 @@ class TestLifecycle:
         assert stats["replicas"]["killed"] == 1
         assert stats["faults"]["degraded"] == 2
         replica = svc.add_replica(0)
-        assert svc.live_replicas(0) == [replica]
+        assert svc.replica_set.live(0) == [replica]
         again = svc.submit("ppi", probe_for(svc, 0), options=OPTS)
         svc.run_until_idle()
         assert again.done and 0 in again.result.matching_ids
@@ -275,20 +275,21 @@ class TestReplayRecovery:
         g = svc.catalog.get("ppi").graphs[0]
         base = len(svc.catalog.get("ppi").graphs)
         mutation = svc.add_graph("ppi", g)
-        svc.journal_fail_after = 1_000_000  # whole frame lands, then death
+        # the whole frame lands, then the process dies
+        svc.mutations.journal_fail_after = 1_000_000
         with pytest.raises(JournalCrash):
             svc.pump()
         assert not mutation.applied  # the client was never acknowledged
         # the reborn process: cold boot + replay
         reborn = make_service(journal=root)
-        assert reborn.journal_lag() == 1
+        assert reborn.mutations.lag() == 1
         reborn.replay_journal()
-        assert reborn.mutations_replayed.value == 1
-        assert reborn.journal_lag() == 0
+        assert reborn.mutations.replayed.value == 1
+        assert reborn.mutations.lag() == 0
         assert base in reborn.catalog.get("ppi").live_graph_ids()
         # idempotent: a second replay changes nothing
         reborn.replay_journal()
-        assert reborn.mutations_replayed.value == 1
+        assert reborn.mutations.replayed.value == 1
 
     def test_torn_append_loses_only_the_unacked_mutation(self, tmp_path):
         root = str(tmp_path)
@@ -298,13 +299,13 @@ class TestReplayRecovery:
         apply_all(svc)
         assert acked.applied
         svc.remove_graph("ppi", 0)
-        svc.journal_fail_after = 10  # torn mid-frame
+        svc.mutations.journal_fail_after = 10  # torn mid-frame
         with pytest.raises(JournalCrash):
             svc.pump()
         reborn = make_service(journal=root)
         report = reborn.replay_journal()
         # the acknowledged add survives; the torn remove is quarantined
-        assert reborn.mutations_replayed.value == 1
+        assert reborn.mutations.replayed.value == 1
         assert report.quarantined is not None
         assert 0 in reborn.catalog.get("ppi").live_graph_ids()
 
@@ -333,7 +334,8 @@ class TestReplayRecovery:
         reborn = Service(workers=4, store=root, journal=root)
         reborn.load_dataset("ppi", scale="tiny")
         reborn.replay_journal()
-        assert reborn.mutations_replayed.value == 1  # only the post-checkpoint op
+        # only the post-checkpoint op
+        assert reborn.mutations.replayed.value == 1
         live, live2 = (
             sorted(entry.live_graph_ids()),
             sorted(reborn.catalog.get("ppi").live_graph_ids()),
@@ -362,7 +364,7 @@ class TestReplayRecovery:
         removed = svc.remove_graph("ppi", 0)
         apply_all(svc)
         assert (added.shard, removed.shard) == (0, 0)
-        records = svc.journal.recover(dry_run=True).records
+        records = svc.mutations.journal.recover(dry_run=True).records
         assert [(r.op, r.graph_id, r.shard) for r in records] == [
             ("add_graph", base, 0), ("remove_graph", 0, 0),
         ]
@@ -388,10 +390,10 @@ class TestReplayRecovery:
             graph_id=0, shard=-1,
         ))
         reborn = make_service(journal=str(tmp_path))
-        assert reborn.journal_lag() == 2
+        assert reborn.mutations.lag() == 2
         reborn.replay_journal()
-        assert reborn.mutations_replayed.value == 2
-        assert reborn.mutations_rejected.value == 0
+        assert reborn.mutations.replayed.value == 2
+        assert reborn.mutations.rejected.value == 0
         entry = reborn.catalog.get("ppi")
         assert entry.assignment == (tuple(range(base + 1)),)
         assert entry.shard_of(base) == 0
@@ -434,14 +436,14 @@ class TestRefusedBeforeJournaled:
         svc.pump()  # returns normally
         assert mutation.rejected and fragment in mutation.reason
         assert mutation.retry_after is None and mutation.seq is None
-        assert svc.journal.tail_seq() == -1
+        assert svc.mutations.journal.tail_seq() == -1
         assert len(entry.graphs) == 3
         later = svc.add_graph("ppi", entry.graphs[2])
         apply_all(svc)
         assert later.applied and later.seq == 0
         reborn = make_service(shards=2, journal=str(tmp_path))
         reborn.replay_journal()
-        assert reborn.mutations_replayed.value == 1
+        assert reborn.mutations.replayed.value == 1
         assert reborn.catalog.get("ppi").assignment == entry.assignment
 
     def test_a_journaled_refusable_record_is_rejected_on_replay(
@@ -462,10 +464,10 @@ class TestRefusedBeforeJournaled:
             ))
         reborn = make_service(shards=2, journal=str(tmp_path))
         reborn.replay_journal()
-        assert reborn.mutations_rejected.value == 2
-        assert reborn.mutations_replayed.value == 1
-        assert reborn.journal_lag() == 0
+        assert reborn.mutations.rejected.value == 2
+        assert reborn.mutations.replayed.value == 1
+        assert reborn.mutations.lag() == 0
         entry = reborn.catalog.get("ppi")
         assert len(entry.graphs) == 4 and entry.shard_of(3) == 1
         reborn.replay_journal()  # and again: nothing left to apply
-        assert reborn.mutations_replayed.value == 1
+        assert reborn.mutations.replayed.value == 1

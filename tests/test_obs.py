@@ -252,9 +252,9 @@ def assert_stats_identical(svc: Service) -> None:
     assert got["work_steps"] == snap["dispatcher.work_steps"]
     assert got["per_pool_work"] == snap["dispatcher.pool_work"]
     assert got["completed"] == svc.completed_count.value
-    assert got["replicas"]["killed"] == svc.replicas_killed.value
-    assert got["replicas"]["wedged"] == svc.replicas_wedged.value
-    assert got["replicas"]["retired"] == svc.replicas_retired.value
+    assert got["replicas"]["killed"] == svc.replica_set.killed.value
+    assert got["replicas"]["wedged"] == svc.replica_set.wedged.value
+    assert got["replicas"]["retired"] == svc.replica_set.retired.value
     # and the whole thing still renders to stable JSON
     assert json.dumps(got, sort_keys=True) == json.dumps(
         want, sort_keys=True

@@ -310,7 +310,7 @@ class TestTerminalStates:
 
     def test_retry_exhausted_degraded(self, ppi_graphs):
         svc = ftv_service()
-        svc.max_retries = 0
+        svc.fanout.max_retries = 0
         faults = FaultInjector([
             FaultEvent(at=3 + s, kind="kill", shard=s, replica=-1,
                        unit="completions", seq=s)
@@ -378,7 +378,7 @@ class TestChaosTraces:
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
             concurrency=2, faults=faults,
         )
-        assert svc.rerouted.value >= 1
+        assert svc.fanout.rerouted.value >= 1
         touched = [
             t for t in report.completed
             if t.retries > 0 and svc.trace(t.id) is not None

@@ -1053,7 +1053,7 @@ def test_replica_churn_beside_mutations_serves_the_oracle(data, with_store):
         mutated = False
 
         def regrow(shard):
-            dark = not svc.catalog.replica_ids(shard)
+            dark = not svc.replica_set.ids(shard)
             before = reader.restores if reader is not None else 0
             svc.add_replica(shard)
             if reader is not None:
@@ -1062,7 +1062,7 @@ def test_replica_churn_beside_mutations_serves_the_oracle(data, with_store):
 
         def served_is_the_oracle():
             if all(
-                svc.catalog.replica_ids(s) for s in entry.involved_shards()
+                svc.replica_set.ids(s) for s in entry.involved_shards()
             ):
                 assert collection_digest(svc, "ppi", probes) == (
                     oracle_digest(svc, "ppi", probes)
@@ -1074,7 +1074,7 @@ def test_replica_churn_beside_mutations_serves_the_oracle(data, with_store):
             ))
             shard = data.draw(st.integers(min_value=0, max_value=1))
             if op == "kill":
-                ids = svc.catalog.replica_ids(shard)
+                ids = svc.replica_set.ids(shard)
                 if ids:
                     svc.kill_replica(shard, data.draw(st.sampled_from(ids)))
             elif op == "add_replica":
@@ -1097,6 +1097,78 @@ def test_replica_churn_beside_mutations_serves_the_oracle(data, with_store):
                 mutated |= ticket.applied
             served_is_the_oracle()
         for shard in range(2):
-            if not svc.catalog.replica_ids(shard):
+            if not svc.replica_set.ids(shard):
                 regrow(shard)
         served_is_the_oracle()
+
+
+#: queries the drain property submits: a few distinct ones, so draws
+#: repeat them and identical in-flight submissions coalesce
+DRAIN_QUERIES = [q.graph for q in generate_workload(PPI, 4, 3, seed=17)]
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_nothing_outlives_a_drain(data):
+    """Submits, replica faults, scaling and mutations interleaved with
+    pumps on a 2 x 2 service: once it drains, no flight record, leader
+    key or staged ticket is left, no race is attached, every ticket is
+    DONE or REJECTED and every trace closed itself."""
+    from repro.service import FaultEvent, FaultInjector, QueryOptions
+    from repro.service.admission import TicketState
+
+    svc = Service(workers=4, shards=2, replicas=2)
+    svc.load_dataset("ppi", scale="tiny")
+    entry = svc.catalog.get("ppi")
+    replicas = svc.replica_set
+    tickets = []
+    ops = st.sampled_from([
+        "submit", "submit", "submit", "kill", "wedge", "fail_task",
+        "add_replica", "retire", "add_graph", "remove_graph",
+    ])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=14))):
+        op = data.draw(ops)
+        shard = data.draw(st.integers(min_value=0, max_value=1))
+        serving = replicas.ids(shard)
+        if op == "submit":
+            options = QueryOptions(
+                rewritings=("Orig", "DND"),
+                decision_only=data.draw(st.booleans()),
+            )
+            tickets.append(svc.submit(
+                "ppi", data.draw(st.sampled_from(DRAIN_QUERIES)),
+                options=options,
+            ))
+        elif op == "kill" and serving:
+            svc.kill_replica(shard, data.draw(st.sampled_from(serving)))
+        elif op == "wedge" and serving:
+            svc.wedge_replica(
+                shard, data.draw(st.sampled_from(serving)),
+                data.draw(st.integers(min_value=1, max_value=3)),
+            )
+        elif op == "fail_task":
+            svc.install_faults(FaultInjector([
+                FaultEvent(at=svc.clock, kind="fail_task"),
+            ]))
+        elif op == "add_replica":
+            svc.add_replica(shard)
+        elif op == "retire" and svc.idle:
+            svc.retire_replica(shard)
+        elif op == "add_graph":
+            svc.add_graph("ppi", data.draw(newcomers()))
+        elif op == "remove_graph" and len(entry.live_graph_ids()) > 1:
+            svc.remove_graph(
+                "ppi", data.draw(st.sampled_from(entry.live_graph_ids()))
+            )
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            svc.pump()
+    svc.run_until_idle()
+    fanout = svc.fanout
+    assert fanout.flights == {}
+    assert fanout.leaders == {} and fanout.staged is None
+    assert svc.dispatcher.active == 0
+    for ticket in tickets:
+        assert ticket.state in (TicketState.DONE, TicketState.REJECTED)
+        trace = svc.trace(ticket.id)
+        assert trace.done
+        assert not any("auto_closed" in s.attrs for s in trace.spans)

@@ -234,7 +234,7 @@ class TestSketchSoundness:
         report = run_closed_loop(
             svc, "yeast", streams, options=QueryOptions(), concurrency=1
         )
-        assert svc.routed_queries.value == 0
+        assert svc.planner.routed_queries.value == 0
         assert all(t.fanout <= 1 for t in report.completed)
 
 
@@ -313,8 +313,10 @@ class TestRoutedServing:
         assert d1.decisions == d2u.decisions == d2r.decisions
         # staged waves actually deferred sibling work, and the routed
         # run never wastes more fanned steps than the unrouted one
-        assert svc.waves_skipped.value > 0
-        assert svc.fanout_waste.value <= d2u.service_stats["fanout_waste"]
+        assert svc.fanout.waves_skipped.value > 0
+        assert svc.fanout.fanout_waste.value <= (
+            d2u.service_stats["fanout_waste"]
+        )
 
     def test_routed_run_deterministic(self, ppi_graphs):
         _, a = run(2, True, ppi_graphs, options=DEC_OPTS)
@@ -327,7 +329,7 @@ class TestRoutedServing:
         including bills and latencies, not just answers."""
         _, off = run(2, False, ppi_graphs)
         svc = ftv_service(2, False)
-        assert svc.routing is False
+        assert svc.planner.routing is False
         _, off2 = run(2, False, ppi_graphs)
         assert off.digest == off2.digest
 
@@ -340,7 +342,7 @@ class TestRoutedServing:
         assert ticket.result.found is False
         assert ticket.fanout == 1
         assert ticket.pruned == 1
-        assert svc.shards_pruned.value == 1
+        assert svc.planner.shards_pruned.value == 1
 
     def test_missing_sketch_fails_closed(self, ppi_graphs):
         """A shard without a sketch must race, never be pruned —
@@ -394,26 +396,18 @@ class TestRoutedServing:
     def test_reassign_mid_wave_raises(self, ppi_graphs):
         """A rebalance violating the quiesce contract while waves are
         in flight fails loudly instead of racing the wrong layout."""
-        from repro.service.service import _FanoutState
-
         svc = ftv_service(2, True)
         entry = svc.catalog.get("ppi")
         q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
         ticket = svc.submit("ppi", q, options=DEC_OPTS)
-        assert not ticket.done  # queued: _open holds the ticket
+        assert not ticket.done  # queued: its flight is open
         # a deferred wave planned at the current epoch...
-        state = _FanoutState(
-            pending=set(),
-            outcomes={},
-            id_maps={},
-            cancelled=[],
-            waves=[(1,)],
-            epoch=entry.router.epoch,
-        )
+        flight = svc.fanout.flights[ticket.id]
+        flight.waves, flight.epoch = [(1,)], entry.router.epoch
         # ...must refuse to launch once the layout moved under it
         entry.router.bump()
         with pytest.raises(RuntimeError, match="quiesce"):
-            svc._advance_wave(ticket.id, state)
+            svc.fanout.advance_wave(flight)
 
     def test_coalescing_still_works_routed(self, ppi_graphs):
         svc = ftv_service(2, True)

@@ -175,7 +175,7 @@ class TestWarmUpWork:
         """Every census / accounting call made anywhere in ``src``,
         recorded by what it walked."""
         from repro.indexing import base, grapes
-        from repro.service import catalog, service
+        from repro.service import catalog, planner
 
         calls = {"census": [], "bytes": []}
         census = grapes.coded_path_census
@@ -189,7 +189,7 @@ class TestWarmUpWork:
             calls["bytes"].append(obj)
             return walk(obj, *args, **kwargs)
 
-        for module in (base, grapes, service):
+        for module in (base, grapes, planner):
             monkeypatch.setattr(
                 module, "coded_path_census", counted_census
             )

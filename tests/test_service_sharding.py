@@ -14,6 +14,7 @@ from repro.graphs import LabeledGraph
 from repro.indexing import GrapesIndex
 from repro.service import (
     AdmissionController,
+    Dispatcher,
     QueryOptions,
     Service,
     ShardedCatalog,
@@ -24,6 +25,7 @@ from repro.service import (
     merge_shard_outcomes,
     run_closed_loop,
 )
+from repro.service.replicas import ReplicaSet
 from repro.psi.executors import RaceOutcome
 from repro.matching import MatchOutcome
 from repro.workload import default_tenant_mixes, generate_tenant_stream
@@ -220,7 +222,7 @@ class TestOnePartitionPerShard:
         svc = ftv_service(2, replicas=3)
         assert len(built) == 2
         assert svc.catalog.partitions == built
-        assert svc.catalog.pool_count == svc.dispatcher.pools == 6
+        assert svc.dispatcher.pools == 6
         entry = svc.catalog.get("ppi")
         sub = entry.shard_entry(0)
         assert svc.add_replica(0) == 3
@@ -237,13 +239,14 @@ class TestOnePartitionPerShard:
         self, ppi_graphs
     ):
         cat = ShardedCatalog(num_shards=2, replicas=2)
+        replicas = ReplicaSet(cat, Dispatcher(pools=4))
         entry = cat.load("ppi", scale="tiny")
         removed = entry.shard_ids(1)[0]
         cat.remove_graph("ppi", removed)
         sub = entry.shard_entry(1)
-        cat.release_replica(1, 0)
+        replicas.kill(1, 0)
         assert entry.shard_entry(1) is sub  # a sibling still serves
-        cat.release_replica(1, 1)
+        replicas.kill(1, 1)
         assert cat.partitions[1].datasets() == []
         with pytest.raises(KeyError, match="no serving replica"):
             entry.shard_entry(1)
@@ -254,12 +257,12 @@ class TestOnePartitionPerShard:
             cat.remove_graph("ppi", entry.shard_ids(1)[-1])
         assert entry.assignment == assignment
         assert len(entry.graphs) == len(ppi_graphs)
-        assert cat.add_replica(1) == 2
+        assert replicas.add(1) == 2
         rewarmed = entry.shard_entry(1)
         assert rewarmed is not sub
         local = entry.shard_ids(1).index(removed)
         assert rewarmed.ftv_index.tombstones == {local}
-        assert cat.add_replica(1) == 3
+        assert replicas.add(1) == 3
         assert entry.shard_entry(1) is rewarmed  # beside a live sibling
 
 
@@ -525,8 +528,9 @@ class TestDecisionShortCircuit:
         )
         # workload queries are grown from stored graphs, so matches
         # exist and at least one fan-out was settled by its first shard
-        assert svc.shard_cancelled.value > 0
-        assert svc.stats()["shard_cancelled"] == svc.shard_cancelled.value
+        cancelled = svc.fanout.shard_cancelled.value
+        assert cancelled > 0
+        assert svc.stats()["shard_cancelled"] == cancelled
 
     def test_decision_mode_has_distinct_cache_keys(self, ppi_graphs):
         """A decision-only witness answer must never serve a full query."""
@@ -674,13 +678,14 @@ class TestOneInternerPerCollection:
         root = str(tmp_path / "store")
         StoreWriter(root).write_catalog(cat)
         booted = ShardedCatalog(num_shards=2, replicas=2, store=root)
+        replicas = ReplicaSet(booted, Dispatcher(pools=4))
         restored = booted.load("ppi", scale="tiny")
         assert restored.interner.labels() == entry.interner.labels()
         assert shares_one_interner(restored)
         restores = booted.store.restores
-        for replica in booted.replica_ids(1):
-            booted.release_replica(1, replica)
-        booted.add_replica(1)
+        for replica in replicas.ids(1):
+            replicas.kill(1, replica)
+        replicas.add(1)
         assert booted.store.restores == restores + 1
         assert booted.store.rebuilds == 0
         assert shares_one_interner(restored)
@@ -714,7 +719,7 @@ def censuses(monkeypatch):
     import repro.indexing.base
     import repro.indexing.features
     import repro.indexing.grapes
-    import repro.service.service
+    import repro.service.planner
 
     taken = []
     real = repro.indexing.features.coded_path_census
@@ -724,7 +729,7 @@ def censuses(monkeypatch):
         return real(graph, max_length, codes, with_locations)
 
     for module in (
-        repro.indexing.base, repro.indexing.grapes, repro.service.service
+        repro.indexing.base, repro.indexing.grapes, repro.service.planner
     ):
         monkeypatch.setattr(module, "coded_path_census", counting)
     return taken
@@ -754,7 +759,7 @@ class TestOneCensusPerTicket:
         assert len(raced) < len(tickets)  # hits and followers happened
         assert any(t.cache_hit for t in tickets)
         if shards > 1 and routing and decision_only:
-            assert svc.waves_skipped.value > 0  # waves were staged
+            assert svc.fanout.waves_skipped.value > 0  # waves were staged
         assert sorted(id(g) for g, _ in censuses) == sorted(
             id(t.query) for t in raced
         )
@@ -790,11 +795,11 @@ class TestOneCensusPerTicket:
         full = svc.submit("ppi", query, options=FTV_OPTS)
         follower = svc.submit("ppi", query, options=FTV_OPTS)
         svc.pump()
-        state = svc._fanout[staged.id]
-        assert set(state.outcomes) == {0} and state.pending == {1}
-        svc._fail_one_task()  # that leg restarts from scratch
+        flight = svc.fanout.flights[staged.id]
+        assert set(flight.outcomes) == {0} and flight.pending == {1}
+        svc.fanout.fail_one_task()  # that leg restarts from scratch
         svc.run_until_idle()
-        assert svc.retries.value == 1
+        assert svc.fanout.retries.value == 1
         return staged, full, follower, query
 
 

@@ -47,7 +47,9 @@ from repro.service import (
     run_closed_loop,
 )
 from repro.service.catalog import DatasetCatalog
+from repro.service.dispatcher import Dispatcher
 from repro.service.faults import StoreFaultInjector
+from repro.service.replicas import ReplicaSet
 from repro.service.sharding import ShardedCatalog
 from repro.store import (
     BlobCorrupt,
@@ -536,7 +538,7 @@ class TestElasticDrill:
         catalog = ShardedCatalog(num_shards=2)
         entry = catalog.load("ppi", scale="tiny")
         sub = entry.shard_entry(0)
-        catalog.add_replica(0)
+        ReplicaSet(catalog, Dispatcher(pools=2)).add(0)
         assert entry.shard_entry(0) is sub
 
     def test_service_store_metrics_surface(self, tmp_path):
@@ -850,7 +852,7 @@ class TestFormatUpgrade:
         assert all("columns+zlib/3" in e["error"] for e in undecodable)
         assert reader.rebuilds == shards  # the indexes, and only they
         assert reader.restores == 1  # the graphs blob
-        assert booted.mutations_replayed.value == 0
+        assert booted.mutations.replayed.value == 0
         restored = booted.catalog.get("ppi")
         assert len(restored.graphs) == base + 1  # the add came off disk
         assert 0 not in restored.live_graph_ids()

@@ -18,7 +18,7 @@ from repro.matching import (
     make_matcher,
 )
 from repro.service import Service
-from repro.service.service import _Rewrite
+from repro.service.planner import Rewrite
 from repro.workload import extract_query
 
 from .conftest import canonical_embeddings, random_query_from
@@ -318,7 +318,9 @@ class TestPlanSharing:
     def test_one_sweep_builds_one_plan(self, plans_built):
         svc, index, q, candidates = self._sweep_inputs()
         out = drive(
-            svc._ftv_sweep(index, _Rewrite(q), candidates, False, "ppi")
+            svc.planner.ftv_sweep(
+                index, Rewrite(q), candidates, False, "ppi"
+            )
         )
         assert len(plans_built) == 1
         # and the shared plan bills each graph what a solo run costs
@@ -332,13 +334,15 @@ class TestPlanSharing:
         assert out.matching_ids == tuple(
             gid for gid in candidates if solo[gid].found
         )
-        assert svc.graph_bills == {
+        assert svc.planner.graph_bills == {
             ("ppi", gid): o.steps for gid, o in solo.items() if o.steps
         }
 
     def test_an_empty_sweep_builds_none(self, plans_built):
         svc, index, q, _ = self._sweep_inputs()
-        out = drive(svc._ftv_sweep(index, _Rewrite(q), [], False, "ppi"))
+        out = drive(
+            svc.planner.ftv_sweep(index, Rewrite(q), [], False, "ppi")
+        )
         assert not out.found and out.steps == 0
         assert plans_built == []
 
@@ -372,7 +376,7 @@ class TestPlanSharing:
         by is one plan per *distinct* rewritten query."""
         svc, q = self._sharded_ticket(hits=True)
         ticket = svc.submit("ppi", q)
-        rewrites = svc._open[ticket.id][5].rewrites
+        rewrites = svc.fanout.flights[ticket.id].rewrites
         svc.run_until_idle()
         assert ticket.done and ticket.fanout == 2
         assert 1 <= len(rewrites) <= 2
@@ -392,7 +396,7 @@ class TestPlanSharing:
     ):
         svc, q = self._sharded_ticket(hits=False)
         ticket = svc.submit("ppi", q)
-        rewrites = svc._open[ticket.id][5].rewrites
+        rewrites = svc.fanout.flights[ticket.id].rewrites
         svc.run_until_idle()
         assert ticket.done and ticket.fanout == 2
         assert not ticket.result.found
