@@ -449,11 +449,6 @@ def cmd_warm(args: argparse.Namespace) -> int:
         f"{summary['epoch']}: {summary['blobs']} blob(s), "
         f"{summary['bytes']} bytes under {summary['path']}"
     )
-    if summary["skipped_registered"]:
-        _print(
-            "skipped (registered, not rebuildable from a recipe): "
-            + ", ".join(summary["skipped_registered"])
-        )
     if args.verify:
         report = StoreReader(args.store).verify_all()
         _print(

@@ -7,8 +7,8 @@ ROADMAP's scaling item applies the same discipline one level up, across
 catalog a :class:`~repro.service.Service` owns: it splits a stored
 graph collection across N shards (hash or size-balanced assignment;
 ``N = 1`` is one shard holding everything, one replica, pool 0), each
-holding its partition warm in one
-:class:`~repro.service.catalog.DatasetCatalog` — its own matcher
+holding its partition warm as one
+:class:`~repro.service.catalog.DatasetEntry` — its own matcher
 indexes and Grapes/GGSX filter over its partition only — however many
 replicas serve it (:mod:`repro.service.replicas` owns those; the
 catalog only hears when a shard goes dark or comes back).  The service
@@ -72,7 +72,7 @@ from ..indexing import LabelInterner
 from ..matching import MatchOutcome
 from ..psi.executors import RaceOutcome
 from ..rewriting import LabelStats
-from .catalog import DatasetCatalog, DatasetEntry
+from .catalog import DatasetEntry, warm_entry
 from .routing import ShardRouter
 
 __all__ = [
@@ -131,28 +131,6 @@ def assign_shards(
     )
 
 
-def _valid_assignment(stored, num_shards: int, num_graphs: int) -> bool:
-    """True when ``stored`` is an exact partition of the graph ids.
-
-    The boot-time gate for honoring a manifest's assignment verbatim:
-    every id ``0..num_graphs-1`` appears exactly once across exactly
-    ``num_shards`` rows.  Anything else (wrong shard count, missing or
-    duplicated ids, junk types) is a clean store miss, never an honored
-    layout.
-    """
-    if not isinstance(stored, list) or len(stored) != num_shards:
-        return False
-    seen: list[int] = []
-    for ids in stored:
-        if not isinstance(ids, list):
-            return False
-        for gid in ids:
-            if not isinstance(gid, int) or isinstance(gid, bool):
-                return False
-            seen.append(gid)
-    return sorted(seen) == list(range(num_graphs))
-
-
 @dataclass
 class ShardedEntry:
     """One dataset as the sharded catalog serves it.
@@ -178,7 +156,7 @@ class ShardedEntry:
     home_shard: int
     #: ``(scale, algorithms, ftv_method, max_path_length)`` the entry
     #: was loaded with: the re-load compatibility witness, what every
-    #: partition is registered with, and what a checkpoint records
+    #: partition is warmed with, and what a checkpoint records
     load_config: tuple
     _catalog: "ShardedCatalog"
     #: the collection's one label code space (FTV entries only): every
@@ -242,11 +220,11 @@ class ShardedCatalog:
     """N shards serving partitions of each dataset.
 
     ``load`` builds a named dataset once, partitions collections with
-    :func:`assign_shards`, and registers each partition on its shard's
-    :class:`DatasetCatalog` (:attr:`partitions`) — so every shard warms
-    its own matcher indexes and Grapes/GGSX filters over just its
-    graphs.  NFV datasets (one stored graph) live whole on a
-    deterministic home shard.
+    :func:`assign_shards`, and warms each partition as one
+    :class:`DatasetEntry` in its shard's dict (:attr:`partitions`) — so
+    every shard warms its own matcher indexes and Grapes/GGSX filters
+    over just its graphs.  NFV datasets (one stored graph) live whole
+    on a deterministic home shard.
 
     **Dark shards.**  The warm partition belongs to the shard, not to
     a replica: every replica of a shard
@@ -279,15 +257,15 @@ class ShardedCatalog:
         #: :meth:`_register_shard`, so a dark shard re-warms in O(read)
         #: too.
         self.store = None
-        #: dataset name -> verified manifest record usable for
-        #: per-shard index restores (layout + config + assignment all
-        #: matched this catalog at load time)
-        self._store_records: dict[str, dict] = {}
+        #: datasets whose store record this catalog honoured at load
+        #: and has not mutated since: their per-shard index blobs are
+        #: still valid to restore
+        self._restorable: set[str] = set()
         if store is not None:
             self.attach_store(store)
-        #: one DatasetCatalog per shard, holding its warm partitions
-        self.partitions: list[DatasetCatalog] = [
-            DatasetCatalog() for _ in range(num_shards)
+        #: per shard, dataset name -> the shard's warm partition entry
+        self.partitions: list[dict[str, DatasetEntry]] = [
+            {} for _ in range(num_shards)
         ]
         #: shards with no serving replica: nothing warm, nothing served
         self.dark: set[int] = set()
@@ -337,9 +315,7 @@ class ShardedCatalog:
                     self._register_shard(entry, shard)
         else:
             self.dark.add(shard)
-            catalog = self.partitions[shard]
-            for name in catalog.datasets():
-                catalog.unload(name)
+            self.partitions[shard].clear()
 
     def check_shard(self, shard: int) -> None:
         """ValueError unless ``shard`` is one of this catalog's."""
@@ -371,8 +347,13 @@ class ShardedCatalog:
     ) -> ShardedEntry:
         """Load ``name``, partition it, and warm every shard.
 
-        Idempotent per name with the same configuration; a conflicting
-        re-load raises, mirroring :meth:`DatasetCatalog.load`.
+        Re-loading a loaded dataset with the *same configuration*
+        returns the existing entry — the whole point of the catalog is
+        to never build twice.  A re-load with a different scale,
+        algorithm roster, or FTV method raises: silently answering from
+        the old configuration would corrupt results.  With a store
+        attached, whatever :meth:`StoreReader.restore` allows is
+        restored instead of built.
         """
         config = (scale, tuple(algorithms), ftv_method, max_path_length)
         existing = self._entries.get(name)
@@ -384,79 +365,45 @@ class ShardedCatalog:
                     f"re-loading with {config}"
                 )
             return existing
-        record = graphs = interner = None
-        if self.store is not None:
-            record, graphs = self._store_lookup(
-                name, scale, tuple(algorithms), ftv_method,
-                max_path_length,
-            )
         if name in NFV_DATASETS:
-            if graphs is None:
-                graphs = [build_nfv_graph(name, scale)]
             kind = "nfv"
             home = zlib.crc32(name.encode()) % self.num_shards
-            assignment = tuple(
-                (0,) if s == home else ()
-                for s in range(self.num_shards)
-            )
+
+            def build() -> list[LabeledGraph]:
+                return [build_nfv_graph(name, scale)]
         elif name in FTV_DATASETS:
-            if graphs is None:
-                graphs = build_ftv_graphs(name, scale)
-            kind = "ftv"
-            home = 0
-            assignment = assign_shards(
-                graphs, self.num_shards, self.assignment_strategy
-            )
+            kind, home = "ftv", 0
+
+            def build() -> list[LabeledGraph]:
+                return build_ftv_graphs(name, scale)
         else:
             raise ValueError(
                 f"unknown dataset {name!r}; known: "
                 f"{NFV_DATASETS + FTV_DATASETS}"
             )
-        if record is not None:
-            # index blobs were dumped against the manifest's partition;
-            # they are only valid against that same partition.  For an
-            # FTV record whose stored assignment is a valid partition
-            # of the restored graphs, the *stored* layout wins: a
-            # mutated collection placed its newcomers by load (the
-            # coldest-shard rule), not by the static strategy, and for
-            # a never-mutated collection the two are identical anyway.
-            stored = record.get("assignment")
-            if record.get("kind") != kind:
-                self.store.misses += 1
-                self.store._event(
-                    "assignment_mismatch", dataset=name,
-                    stored=stored,
-                )
-            elif kind == "ftv":
-                if not _valid_assignment(
-                    stored, self.num_shards, len(graphs)
-                ):
-                    self.store.misses += 1
-                    self.store._event(
-                        "assignment_mismatch", dataset=name,
-                        stored=stored,
-                    )
-                else:
-                    from ..store import StoreError
-
-                    try:
-                        interner = self.store.load_interner(name, graphs)
-                    except StoreError:
-                        # a refused label table (counted and logged by
-                        # the reader): the blobs coded in it are not
-                        # read, the record is not honored
-                        pass
-                    else:
-                        assignment = tuple(
-                            tuple(int(g) for g in ids) for ids in stored
-                        )
-                        self._store_records[name] = record
-            elif stored != [list(ids) for ids in assignment]:
-                self.store.misses += 1
-                self.store._event(
-                    "assignment_mismatch", dataset=name,
-                    stored=stored,
-                )
+        restored = None
+        if self.store is not None:
+            restored = self.store.restore(
+                name, kind=kind, config=config,
+                num_shards=self.num_shards,
+                strategy=self.assignment_strategy,
+                home_shard=home, build=build,
+            )
+        graphs = build() if restored is None else restored.graphs
+        interner = tombstones = None
+        if restored is not None and restored.assignment is not None:
+            assignment = restored.assignment
+            interner, tombstones = restored.interner, restored.tombstones
+            self._restorable.add(name)
+        elif kind == "nfv":
+            assignment = tuple(
+                (0,) if s == home else ()
+                for s in range(self.num_shards)
+            )
+        else:
+            assignment = assign_shards(
+                graphs, self.num_shards, self.assignment_strategy
+            )
         if kind == "ftv" and interner is None:
             interner = LabelInterner(g.labels for g in graphs)
         entry = ShardedEntry(
@@ -471,19 +418,14 @@ class ShardedCatalog:
             _catalog=self,
             interner=interner,
         )
-        if name in self._store_records:
+        if tombstones:
             # collection state rides in the record: ids removed before
             # the checkpoint stay removed across the cold boot (the
             # per-shard blobs carry the matching local tombstones)
-            entry.tombstones.update(
-                int(g) for g in record.get("tombstones", ())
-            )
-            if entry.tombstones:
-                live = [
-                    entry.graphs[g] for g in entry.live_graph_ids()
-                ]
-                if live:
-                    entry.stats = LabelStats.of_collection(live)
+            entry.tombstones.update(tombstones)
+            live = [entry.graphs[g] for g in entry.live_graph_ids()]
+            if live:
+                entry.stats = LabelStats.of_collection(live)
         if kind == "ftv" and self.num_shards > 1:
             # shard count is a constructor fact: one shard has nothing
             # to prune or order, so it folds no sketch
@@ -493,73 +435,12 @@ class ShardedCatalog:
             self._register_shard(entry, shard)
         return entry
 
-    def _store_lookup(
-        self,
-        name: str,
-        scale: str,
-        algorithms: tuple[str, ...],
-        ftv_method: str,
-        max_path_length: int,
-    ) -> tuple[Optional[dict], Optional[list]]:
-        """(manifest record, restored graphs) for one dataset, either
-        of which may be ``None``.
-
-        A layout or config mismatch is a clean miss (the store was
-        warmed for a different catalog shape — not corruption).  A
-        corrupt graphs blob keeps the *record*: the builders are
-        deterministic, so freshly built graphs carry the same label
-        codes and the per-shard index blobs stay valid against them.
-        """
-        from ..store import StoreError
-
-        reader = self.store
-        rec = reader.dataset_record(name)
-        if rec is None:
-            return None, None
-        layout = reader.manifest.layout if reader.manifest else {}
-        if (
-            not layout.get("sharded")
-            or layout.get("num_shards") != self.num_shards
-            or layout.get("assignment") != self.assignment_strategy
-        ):
-            reader.misses += 1
-            reader._event(
-                "layout_mismatch", dataset=name,
-                wanted={
-                    "sharded": True,
-                    "num_shards": self.num_shards,
-                    "assignment": self.assignment_strategy,
-                },
-                found=layout,
-            )
-            return None, None
-        if (
-            rec.get("scale") != scale
-            or tuple(rec.get("algorithms", ())) != tuple(algorithms)
-            or rec.get("ftv_method") != ftv_method
-            or rec.get("max_path_length") != max_path_length
-        ):
-            reader.misses += 1
-            reader._event(
-                "config_mismatch", dataset=name,
-                wanted=[scale, list(algorithms), ftv_method,
-                        max_path_length],
-            )
-            return None, None
-        try:
-            graphs = reader.load_graphs(name)
-        except StoreError:
-            reader.rebuilds += 1
-            return rec, None
-        reader.restores += 1
-        return rec, graphs
-
     def _register_shard(
         self, entry: ShardedEntry, shard: int
     ) -> Optional[DatasetEntry]:
         """(Re-)warm ``entry``'s partition on ``shard``.
 
-        While the catalog's store record of the dataset is current
+        While the catalog's store record of the dataset is honoured
         (booted from it, no mutation since), the shard's filter index
         restores from its blob (checked + quarantined through the
         reader; a bad blob degrades to an in-process rebuild); otherwise
@@ -572,35 +453,22 @@ class ShardedCatalog:
         """
         if shard in self.dark:
             return None
-        catalog = self.partitions[shard]
         part = [entry.graphs[g] for g in entry.assignment[shard]]
         scale, algorithms, ftv_method, max_path_length = entry.load_config
         index = None
-        if entry.kind == "ftv" and entry.name in self._store_records:
-            from ..store import StoreError
-
-            try:
-                index = self.store.load_index(
-                    entry.name, part, shard=shard,
-                    ftv_method=ftv_method,
-                    max_path_length=max_path_length,
-                    interner=entry.interner,
-                )
-            except StoreError:
-                self.store.rebuilds += 1
-            else:
-                self.store.restores += 1
-        sub = catalog.register(
-            entry.name,
-            part,
-            kind=entry.kind,
-            scale=scale,
-            algorithms=algorithms,
-            ftv_method=ftv_method,
-            max_path_length=max_path_length,
-            prebuilt_index=index,
-            interner=entry.interner,
+        if entry.kind == "ftv" and entry.name in self._restorable:
+            index = self.store.restore_index(
+                entry.name, part, shard=shard,
+                ftv_method=ftv_method,
+                max_path_length=max_path_length,
+                interner=entry.interner,
+            )
+        sub = warm_entry(
+            entry.name, part, entry.kind, scale, algorithms,
+            ftv_method, max_path_length,
+            prebuilt_index=index, interner=entry.interner,
         )
+        self.partitions[shard][entry.name] = sub
         self._reapply_tombstones(entry, shard, sub)
         if entry.router is not None:
             entry.router.refresh(shard, sub.ftv_index)
@@ -624,7 +492,7 @@ class ShardedCatalog:
                 gid in entry.tombstones
                 and local not in sub.ftv_index.tombstones
             ):
-                self.partitions[shard].remove_graph(entry.name, local)
+                sub.remove_graph(local)
 
     def get(self, name: str) -> ShardedEntry:
         """The sharded entry for ``name`` (KeyError when never loaded)."""
@@ -646,7 +514,9 @@ class ShardedCatalog:
         if not entry.assignment[shard]:
             raise KeyError(f"shard {shard} holds no graphs of {name!r}")
         self._check_serving(shard, name)
-        return self.partitions[shard].get(name)
+        sub = self.partitions[shard][name]
+        sub.verify_frozen()
+        return sub
 
     # ------------------------------------------------------------------
     # dynamic collections (incremental index maintenance)
@@ -676,7 +546,8 @@ class ShardedCatalog:
         ``graph_id`` None appends; a tombstoned id revives in its
         slot's shard whatever ``shard`` says (ids never migrate
         implicitly).  A newcomer without a ``shard`` goes to the
-        :func:`coldest_shard` under per-shard ``loads``.  Raises
+        :func:`coldest_shard` under per-shard ``loads``, which it then
+        needs.  Raises
         ValueError for what can never apply, KeyError while the target
         shard is dark (a later retry may succeed).
         """
@@ -698,6 +569,11 @@ class ShardedCatalog:
                 )
             shard = entry.shard_of(graph_id)
         elif shard is None:
+            if loads is None:
+                raise ValueError(
+                    "an add with no shard needs per-shard loads to "
+                    "find the coldest shard"
+                )
             shard = coldest_shard(self, loads)
         self._check_serving(shard, name)
         return graph_id, shard
@@ -733,7 +609,7 @@ class ShardedCatalog:
         graph_id, shard = self.resolve_add(name, graph_id, shard)
         entry = self._entries[name]
         # a shard that held no graph of this dataset until now has no
-        # partition to extend: it is registered holding the newcomer
+        # partition to extend: it is warmed holding the newcomer
         fresh = not entry.assignment[shard]
         if graph_id < len(entry.graphs):
             local = entry.assignment[shard].index(graph_id)
@@ -746,15 +622,14 @@ class ShardedCatalog:
                 for s, ids in enumerate(entry.assignment)
             )
             local = len(entry.assignment[shard]) - 1
-        catalog = self.partitions[shard]
         # the newcomer's trie rows as its insert reports them (none for
-        # a freshly registered partition, whose sketch note_add folds)
+        # a freshly warmed partition, whose sketch note_add folds)
         rows: list = []
         if fresh:
             sub = self._register_shard(entry, shard)
         else:
-            catalog.add_graph(name, graph, local, rows)
-            sub = catalog.get(name)
+            sub = self.shard_entry(name, shard)
+            sub.add_graph(graph, local, rows)
         self._after_mutation(entry)
         if entry.router is not None:
             entry.router.note_add(shard, sub.ftv_index, rows)
@@ -764,8 +639,8 @@ class ShardedCatalog:
         """Tombstone ``graph_id`` on its shard's partition."""
         shard = self.resolve_remove(name, graph_id)
         entry = self._entries[name]
-        self.partitions[shard].remove_graph(
-            name, entry.assignment[shard].index(graph_id)
+        self.shard_entry(name, shard).remove_graph(
+            entry.assignment[shard].index(graph_id)
         )
         entry.tombstones.add(graph_id)
         self._after_mutation(entry)
@@ -779,9 +654,9 @@ class ShardedCatalog:
             entry.stats = LabelStats.of_collection(live)
         # per-shard index blobs in the store were dumped against the
         # pre-mutation partition; restoring one now would resurrect a
-        # removed graph or miss an added one, so the records are
-        # dropped until the next checkpoint re-captures the state
-        self._store_records.pop(entry.name, None)
+        # removed graph or miss an added one, so the record is not
+        # honoured again until the next checkpoint re-captures the state
+        self._restorable.discard(entry.name)
         self.mutation_epoch += 1
 
     def reassign(
@@ -839,7 +714,7 @@ class ShardedCatalog:
         try:
             for shard in changed:
                 touched.append(shard)
-                self.partitions[shard].unload(name)
+                self.partitions[shard].pop(name, None)
                 if new[shard]:
                     self._register_shard(entry, shard)
                 elif entry.router is not None:
@@ -851,7 +726,7 @@ class ShardedCatalog:
             # failing build's partial state is unloaded with them.
             entry.assignment = old
             for shard in touched:
-                self.partitions[shard].unload(name)
+                self.partitions[shard].pop(name, None)
                 if old[shard]:
                     self._register_shard(entry, shard)
                 elif entry.router is not None:
@@ -879,7 +754,16 @@ class ShardedCatalog:
         partition is counted once.  The replica counts
         ``service.memory`` shows beside it are the replica set's.
         """
-        per_shard = [c.memory_report() for c in self.partitions]
+        per_shard = []
+        for partition in self.partitions:
+            per = {
+                name: sub.memory_report()
+                for name, sub in sorted(partition.items())
+            }
+            per_shard.append({
+                "datasets": per,
+                "total_bytes": sum(r["total_bytes"] for r in per.values()),
+            })
         store = (
             {"store": self.store.as_metrics()}
             if self.store is not None

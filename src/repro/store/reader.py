@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import logging
 import os
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
+from typing import Callable, Optional
 
 from ..indexing import LabelInterner
 from .blobs import (
@@ -60,11 +61,53 @@ from .manifest import (
     manifest_path,
 )
 
-__all__ = ["StoreReader"]
+__all__ = ["Restored", "StoreReader"]
 
 _log = logging.getLogger("repro.store")
 
 _UNSET = object()
+
+
+@dataclass
+class Restored:
+    """What a catalog may restore of one dataset
+    (:meth:`StoreReader.restore`).
+
+    ``graphs`` is the collection, off its blob or, when that blob was
+    unreadable, from the caller's builder.  ``assignment`` is None
+    unless the record is *honoured* — an FTV record whose stored
+    partition and label table both checked out — and only then are
+    ``interner`` (None for a record written before label tables) and
+    ``tombstones`` set, and may the shards' index blobs be read
+    (:meth:`StoreReader.restore_index`).
+    """
+
+    graphs: list
+    assignment: Optional[tuple[tuple[int, ...], ...]] = None
+    interner: Optional[LabelInterner] = None
+    tombstones: frozenset = field(default_factory=frozenset)
+
+
+def _valid_assignment(stored, num_shards: int, num_graphs: int) -> bool:
+    """True when ``stored`` is an exact partition of the graph ids.
+
+    The boot-time gate for honoring a manifest's assignment verbatim:
+    every id ``0..num_graphs-1`` appears exactly once across exactly
+    ``num_shards`` rows.  Anything else (wrong shard count, missing or
+    duplicated ids, junk types) is a clean store miss, never an honored
+    layout.
+    """
+    if not isinstance(stored, list) or len(stored) != num_shards:
+        return False
+    seen: list[int] = []
+    for ids in stored:
+        if not isinstance(ids, list):
+            return False
+        for gid in ids:
+            if not isinstance(gid, int) or isinstance(gid, bool):
+                return False
+            seen.append(gid)
+    return sorted(seen) == list(range(num_graphs))
 
 
 class StoreReader:
@@ -166,6 +209,106 @@ class StoreReader:
             self.misses += 1
         return rec
 
+    def restore(
+        self,
+        name: str,
+        *,
+        kind: str,
+        config: tuple,
+        num_shards: int,
+        strategy: str,
+        home_shard: int,
+        build: Callable[[], list],
+    ) -> Optional[Restored]:
+        """What a catalog of ``num_shards`` shards (``strategy``
+        assignment) loading ``name`` with ``config`` — ``(scale,
+        algorithms, ftv_method, max_path_length)`` — may restore.
+
+        ``None`` when the store has no usable record: absent, or
+        written for a different catalog shape or configuration (a
+        counted, logged miss — not corruption).  A corrupt graphs blob
+        keeps the record: the builders are deterministic, so ``build()``
+        makes graphs with the same label codes and the index blobs stay
+        valid against them.  The record is honoured only when its
+        ``kind`` is ``kind`` and, for a collection, its stored
+        assignment is a partition of the graphs and its label table is
+        sound: the stored layout then wins over the static strategy,
+        because a mutated collection placed its newcomers by load (the
+        coldest-shard rule).  An NFV record's assignment must be the
+        ``home_shard`` one.
+        """
+        rec = self.dataset_record(name)
+        if rec is None:
+            return None
+        layout = self.manifest.layout
+        if (
+            not layout.get("sharded")
+            or layout.get("num_shards") != num_shards
+            or layout.get("assignment") != strategy
+        ):
+            self.misses += 1
+            self._event(
+                "layout_mismatch", dataset=name,
+                wanted={
+                    "sharded": True,
+                    "num_shards": num_shards,
+                    "assignment": strategy,
+                },
+                found=layout,
+            )
+            return None
+        scale, algorithms, ftv_method, max_path_length = config
+        if (
+            rec.get("scale") != scale
+            or tuple(rec.get("algorithms", ())) != tuple(algorithms)
+            or rec.get("ftv_method") != ftv_method
+            or rec.get("max_path_length") != max_path_length
+        ):
+            self.misses += 1
+            self._event(
+                "config_mismatch", dataset=name,
+                wanted=[scale, list(algorithms), ftv_method,
+                        max_path_length],
+            )
+            return None
+        try:
+            graphs = self.load_graphs(name, rec)
+        except StoreError:
+            self.rebuilds += 1
+            graphs = build()
+        else:
+            self.restores += 1
+        restored = Restored(graphs)
+        stored = rec.get("assignment")
+        if kind == "ftv":
+            sound = _valid_assignment(stored, num_shards, len(graphs))
+        else:
+            sound = stored == [
+                [0] if s == home_shard else [] for s in range(num_shards)
+            ]
+        if rec.get("kind") != kind or not sound:
+            self.misses += 1
+            self._event(
+                "assignment_mismatch", dataset=name, stored=stored
+            )
+            return restored
+        if kind == "nfv":
+            return restored
+        try:
+            interner = self.load_interner(name, rec, graphs)
+        except StoreError:
+            # a refused label table (counted and logged): the blobs
+            # coded in it are not read
+            return restored
+        restored.assignment = tuple(
+            tuple(int(g) for g in ids) for ids in stored
+        )
+        restored.interner = interner
+        restored.tombstones = frozenset(
+            int(g) for g in rec.get("tombstones", ())
+        )
+        return restored
+
     # ------------------------------------------------------------------
     # verified blob loads
     # ------------------------------------------------------------------
@@ -216,16 +359,14 @@ class StoreReader:
             )
             raise exc
 
-    def load_graphs(self, name: str) -> list:
-        """The dataset's frozen graphs, verified + decoded.
+    def load_graphs(self, name: str, rec: dict) -> list:
+        """Dataset ``name``'s frozen graphs off its record ``rec``,
+        verified + decoded.
 
         Raises :class:`StoreError` (after counting, quarantining, and
         logging) when the blob is missing/corrupt — callers fall back
         to the named builder.
         """
-        rec = self.dataset_record(name)
-        if rec is None:
-            raise StoreMissing(f"dataset {name!r} not in store")
         ref = rec["graphs"]
         data = self._load_blob(ref, what="graphs", dataset=name)
         graphs = self._decode(
@@ -238,9 +379,11 @@ class StoreReader:
             )
         return graphs
 
-    def load_interner(self, name: str, graphs) -> Optional[LabelInterner]:
+    def load_interner(
+        self, name: str, rec: dict, graphs
+    ) -> Optional[LabelInterner]:
         """The label code space of collection ``name`` — the one its
-        index blobs' rows are written in — from the record's
+        index blobs' rows are written in — from its record ``rec``'s
         ``labels``, the labels in code order.
 
         ``None`` for a record written before the table was (its index
@@ -251,8 +394,7 @@ class StoreReader:
         as :class:`StoreError` — because rows decoded through a
         half-right table would filter wrong without failing.
         """
-        rec = self.dataset_record(name)
-        labels = None if rec is None else rec.get("labels")
+        labels = rec.get("labels")
         if labels is None:
             return None
         try:
@@ -274,7 +416,7 @@ class StoreReader:
             )
         return LabelInterner.from_code_order(labels)
 
-    def load_index(
+    def restore_index(
         self,
         name: str,
         graphs,
@@ -284,25 +426,29 @@ class StoreReader:
         max_path_length: int,
         interner: Optional[LabelInterner] = None,
     ):
-        """``shard``'s warm FTV index restored from its blob, sharing
-        ``interner`` — :meth:`load_interner`'s, the code space the
-        blob's rows are in."""
+        """``shard``'s warm FTV index restored from its blob of an
+        honoured record, sharing ``interner`` — the code space the
+        blob's rows are in — or ``None`` (counted as a rebuild) when
+        the blob is absent or bad and the caller must build it."""
         rec = self.dataset_record(name)
-        if rec is None:
-            raise StoreMissing(f"dataset {name!r} not in store")
         ref = rec.get("indexes", {}).get(str(shard))
         if ref is None:
-            raise StoreMissing(
-                f"no index blob {shard} for dataset {name!r}"
-            )
+            self.rebuilds += 1
+            return None
         what = f"index:{shard}"
-        data = self._load_blob(ref, what=what, dataset=name)
-        return self._decode(
-            lambda d: decode_index(
-                d, graphs, ftv_method, max_path_length, interner
-            ),
-            data, ref, what=what, dataset=name,
-        )
+        try:
+            data = self._load_blob(ref, what=what, dataset=name)
+            index = self._decode(
+                lambda d: decode_index(
+                    d, graphs, ftv_method, max_path_length, interner
+                ),
+                data, ref, what=what, dataset=name,
+            )
+        except StoreError:
+            self.rebuilds += 1
+            return None
+        self.restores += 1
+        return index
 
     # ------------------------------------------------------------------
     # offline verification (repro warm --verify)

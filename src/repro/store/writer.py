@@ -52,14 +52,14 @@ class StoreWriter:
     def write_catalog(
         self, catalog, *, journal=None, journal_seq=None
     ) -> dict:
-        """Persist every persistable dataset of ``catalog``.
+        """Persist every dataset of ``catalog``.
 
         ``catalog`` is a service's
-        :class:`~repro.service.sharding.ShardedCatalog`, or a bare
-        :class:`~repro.service.catalog.DatasetCatalog`, which is written
-        as the one shard it amounts to (``Service(shards=1, store=...)``
-        restores from it).  Returns a JSON-ready summary (datasets
-        written, blob count/bytes, epoch, skips).
+        :class:`~repro.service.sharding.ShardedCatalog`, or a
+        :class:`~repro.service.catalog.DatasetCatalog` view, which
+        writes the one-shard catalog it wraps (``Service(shards=1,
+        store=...)`` restores from it).  Returns a JSON-ready summary
+        (datasets written, blob count/bytes, epoch).
 
         When a mutation ``journal`` (or an explicit ``journal_seq``
         high-water) rides along, the manifest's layout records the
@@ -72,7 +72,11 @@ class StoreWriter:
         every journaled record and replay is a no-op; after the
         truncate there is nothing to replay.
         """
-        layout, datasets, skipped = self._records(catalog)
+        from ..service.catalog import DatasetCatalog
+
+        if isinstance(catalog, DatasetCatalog):
+            catalog = catalog.sharded
+        layout, datasets = self._records(catalog)
         if journal is not None or journal_seq is not None:
             layout["journal_seq"] = (
                 int(journal_seq)
@@ -105,7 +109,6 @@ class StoreWriter:
             "path": path,
             "epoch": epoch,
             "datasets": sorted(datasets),
-            "skipped_registered": skipped,
             "blobs": len(written),
             "unreferenced_blobs": sorted(
                 set(written) - referenced
@@ -123,40 +126,19 @@ class StoreWriter:
         return summary
 
     # ------------------------------------------------------------------
-    def _records(self, catalog) -> tuple[dict, dict, list]:
-        """``(layout, dataset records, skipped names)`` — the one store
-        layout: a collection is N >= 1 shards, one index blob each,
-        keyed by shard number."""
-        from ..service.catalog import DatasetCatalog
-
-        plain = isinstance(catalog, DatasetCatalog)
+    def _records(self, catalog) -> tuple[dict, dict]:
+        """``(layout, dataset records)`` of a ``ShardedCatalog`` — the
+        one store layout: a collection is N >= 1 shards, one index blob
+        each, keyed by shard number."""
         layout = {
             "sharded": True,
-            "num_shards": 1 if plain else catalog.num_shards,
-            "assignment": (
-                "size_balanced" if plain else catalog.assignment_strategy
-            ),
-            "replicas": 1 if plain else catalog.replicas,
+            "num_shards": catalog.num_shards,
+            "assignment": catalog.assignment_strategy,
+            "replicas": catalog.replicas,
         }
         datasets: dict = {}
-        skipped: list[str] = []
         for name in catalog.datasets():
             entry = catalog.get(name)
-            if plain:
-                # a bare catalog is one shard holding every graph it
-                # loaded: what ``Service(shards=1, store=...)`` boots
-                if entry.load_config[0] == "registered":
-                    # registered entries have no named builder to fall
-                    # back to on corruption; only load()-originated
-                    # datasets are restorable, so only they are
-                    # persisted
-                    skipped.append(name)
-                    continue
-                assignment = (tuple(range(len(entry.graphs))),)
-                home_shard = 0
-            else:
-                assignment = entry.assignment
-                home_shard = entry.home_shard
             scale, algorithms, ftv_method, max_path_length = (
                 entry.load_config
             )
@@ -168,8 +150,8 @@ class StoreWriter:
                 max_path_length=max_path_length,
                 graphs=entry.graphs,
             )
-            rec["assignment"] = [list(ids) for ids in assignment]
-            rec["home_shard"] = home_shard
+            rec["assignment"] = [list(ids) for ids in entry.assignment]
+            rec["home_shard"] = entry.home_shard
             if entry.tombstones:
                 # collection state, not index state: the global ids a
                 # remove_graph retired (per-shard blobs carry only
@@ -178,7 +160,7 @@ class StoreWriter:
                 # them instead of resurrecting them
                 rec["tombstones"] = sorted(entry.tombstones)
             if entry.kind == "ftv":
-                parts = [(0, entry)] if plain else [
+                parts = [
                     (shard, entry.shard_entry(shard))
                     for shard in entry.involved_shards()
                 ]
@@ -190,7 +172,7 @@ class StoreWriter:
                         encode_index(part.ftv_index)
                     ).as_dict()
             datasets[name] = rec
-        return layout, datasets, skipped
+        return layout, datasets
 
     def _dataset_record(
         self, *, kind, scale, algorithms, ftv_method,

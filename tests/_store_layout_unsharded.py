@@ -24,7 +24,7 @@ from repro.store.codec import (
 
 def write_unsharded_store(root: str, catalog, journal_seq=None) -> Manifest:
     """``StoreWriter(root).write_catalog(catalog)`` as of PR 22, for a
-    plain ``DatasetCatalog`` of ``load()``-ed datasets."""
+    one-shard ``ShardedCatalog`` of ``load()``-ed datasets."""
     blobs = BlobStore(root)
     layout = {"sharded": False}
     if journal_seq is not None:
@@ -47,11 +47,10 @@ def write_unsharded_store(root: str, catalog, journal_seq=None) -> Manifest:
             "indexes": {},
         }
         if entry.kind == "ftv":
-            rec["labels"] = entry.ftv_index.interner.labels()
-            rec["indexes"]["*"] = blobs.put(
-                encode_index(entry.ftv_index)
-            ).as_dict()
-            rec["ftv_method"] = index_method(entry.ftv_index)
+            index = entry.shard_entry(0).ftv_index
+            rec["labels"] = index.interner.labels()
+            rec["indexes"]["*"] = blobs.put(encode_index(index)).as_dict()
+            rec["ftv_method"] = index_method(index)
             if entry.tombstones:
                 rec["tombstones"] = sorted(entry.tombstones)
         datasets[name] = rec

@@ -563,28 +563,21 @@ class TestCoalescing:
 
 
 class TestCatalogEviction:
-    def test_explicit_unload_stays_final(self):
-        from repro.service import DatasetCatalog
-
-        cat = DatasetCatalog()
-        cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        cat.unload("yeast")
-        with pytest.raises(KeyError):
-            cat.get("yeast")
-
     def test_no_watermark_no_eviction(self):
-        from repro.service import DatasetCatalog
+        from repro.service import ShardedCatalog
 
-        cat = DatasetCatalog()
+        cat = ShardedCatalog(num_shards=1)
         cat.load("yeast", scale="tiny", algorithms=("GQL",))
         cat.load("ppi", scale="tiny")
         assert cat.datasets() == ["ppi", "yeast"]
+        assert sorted(cat.partitions[0]) == ["ppi", "yeast"]
 
     def test_ftv_warmup_reported(self):
-        from repro.service import DatasetCatalog
+        from repro.service import ShardedCatalog
 
-        cat = DatasetCatalog()
-        entry = cat.load("ppi", scale="tiny")
+        cat = ShardedCatalog(num_shards=1)
+        cat.load("ppi", scale="tiny")
+        entry = cat.shard_entry("ppi", 0)
         assert entry.warm_stats["sealed_nodes"] > 0
         report = entry.memory_report()
         assert report["ftv_warm"]["sealed_nodes"] > 0

@@ -2,68 +2,80 @@
 
 import pytest
 
-from repro.service import DatasetCatalog, ResultCache
+from repro.service import DatasetCatalog, ResultCache, ShardedCatalog
 from repro.service.cache import CachedResult
+
+
+def one_shard():
+    return ShardedCatalog(num_shards=1)
 
 
 class TestCatalog:
     def test_load_nfv(self):
-        cat = DatasetCatalog()
-        entry = cat.load("yeast", scale="tiny", algorithms=("GQL",))
+        cat = one_shard()
+        cat.load("yeast", scale="tiny", algorithms=("GQL",))
+        entry = cat.shard_entry("yeast", 0)
         assert entry.kind == "nfv"
         assert entry.graphs[0].order > 0
         assert entry.psi is not None
         assert cat.datasets() == ["yeast"]
+        assert list(cat.partitions[0]) == ["yeast"]
 
     def test_load_is_idempotent(self):
-        cat = DatasetCatalog()
+        cat = one_shard()
         a = cat.load("yeast", scale="tiny")
+        sub = cat.shard_entry("yeast", 0)
         b = cat.load("yeast", scale="tiny")
         assert a is b
+        assert cat.shard_entry("yeast", 0) is sub
 
     def test_prepared_indexes_warm(self):
-        cat = DatasetCatalog()
-        entry = cat.load("yeast", scale="tiny", algorithms=("GQL", "SPA"))
+        cat = one_shard()
+        cat.load("yeast", scale="tiny", algorithms=("GQL", "SPA"))
+        entry = cat.shard_entry("yeast", 0)
         # prepared() must return the already-built index, not rebuild
         assert entry.psi.prepared("GQL") is entry.psi.prepared("GQL")
         memo = entry.graphs[0]._index_memo
         assert memo  # warmed at load time
 
     def test_load_ftv(self):
-        cat = DatasetCatalog()
-        entry = cat.load("ppi", scale="tiny")
+        cat = one_shard()
+        cat.load("ppi", scale="tiny")
+        entry = cat.shard_entry("ppi", 0)
         assert entry.kind == "ftv"
         assert entry.ftv_index is not None
         assert len(entry.graphs) > 1
 
+    def test_view_loads_the_one_shard_entry(self):
+        view = DatasetCatalog()
+        entry = view.load("ppi", scale="tiny")
+        assert entry is view.sharded.shard_entry("ppi", 0)
+        assert view.load("ppi", scale="tiny") is entry
+
     def test_unknown_dataset(self):
+        with pytest.raises(ValueError, match="unknown dataset"):
+            one_shard().load("nope")
         with pytest.raises(ValueError, match="unknown dataset"):
             DatasetCatalog().load("nope")
 
     def test_get_unloaded(self):
         with pytest.raises(KeyError, match="not loaded"):
-            DatasetCatalog().get("yeast")
-
-    def test_unload(self):
-        cat = DatasetCatalog()
-        cat.load("yeast", scale="tiny")
-        cat.unload("yeast")
-        assert cat.datasets() == []
+            one_shard().get("yeast")
 
     def test_mutation_detected(self):
-        cat = DatasetCatalog()
-        entry = cat.load("yeast", scale="tiny")
-        graph = entry.graphs[0]
+        cat = one_shard()
+        cat.load("yeast", scale="tiny")
+        graph = cat.shard_entry("yeast", 0).graphs[0]
         graph.add_edge(0, graph.order - 1)
         with pytest.raises(RuntimeError, match="mutated"):
-            cat.get("yeast")
+            cat.shard_entry("yeast", 0)
 
     def test_memory_report(self):
-        cat = DatasetCatalog()
+        cat = one_shard()
         cat.load("yeast", scale="tiny", algorithms=("GQL",))
         report = cat.memory_report()
         assert report["total_bytes"] > 0
-        row = report["datasets"]["yeast"]
+        row = report["shards"][0]["datasets"]["yeast"]
         assert row["vertices"] > 0
         assert row["graph_bytes"] > 0
         assert row["prepared_indexes"] > 0
@@ -153,15 +165,16 @@ class TestResultCache:
 
 class TestCatalogReload:
     def test_conflicting_reload_raises(self):
-        cat = DatasetCatalog()
+        cat = one_shard()
         cat.load("yeast", scale="tiny")
         with pytest.raises(ValueError, match="already loaded"):
             cat.load("yeast", scale="default")
         with pytest.raises(ValueError, match="already loaded"):
             cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        # unload clears the way for a different configuration
-        cat.unload("yeast")
-        entry = cat.load("yeast", scale="tiny", algorithms=("GQL",))
+        # a fresh catalog takes the other configuration
+        cat = one_shard()
+        cat.load("yeast", scale="tiny", algorithms=("GQL",))
+        entry = cat.shard_entry("yeast", 0)
         assert entry.prepared_algorithms == ("GQL",)
 
 
@@ -200,9 +213,9 @@ class TestWarmUpWork:
     @staticmethod
     def _partitions(service):
         return [
-            catalog.get("ppi")
-            for catalog in service.catalog.partitions
-            if "ppi" in catalog.datasets()
+            partition["ppi"]
+            for partition in service.catalog.partitions
+            if "ppi" in partition
         ]
 
     def _first_report_is_the_eager_walk(self, service, calls):

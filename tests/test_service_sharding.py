@@ -136,6 +136,17 @@ class TestShardedCatalog:
         with pytest.raises(KeyError):
             cat.get("ppi")
 
+    def test_an_unplaced_add_without_loads_is_refused(self, ppi_graphs):
+        """A newcomer with no shard goes to the coldest shard, which
+        takes per-shard loads to find: without them the add is refused
+        before anything changes."""
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        with pytest.raises(ValueError, match="loads"):
+            cat.resolve_add("ppi")
+        assert cat.resolve_add("ppi", loads=[5, 3]) == (len(ppi_graphs), 1)
+        assert len(entry.graphs) == len(ppi_graphs)
+
     def test_memory_report_aggregates(self):
         cat = ShardedCatalog(num_shards=2)
         cat.load("ppi", scale="tiny")
@@ -212,16 +223,20 @@ class TestOnePartitionPerShard:
         import repro.service.sharding as sharding
 
         built = []
+        warm = sharding.warm_entry
 
-        class Counting(sharding.DatasetCatalog):
-            def __init__(self):
-                super().__init__()
-                built.append(self)
+        def counting(*args, **kwargs):
+            built.append(warm(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(sharding, "DatasetCatalog", Counting)
+        monkeypatch.setattr(sharding, "warm_entry", counting)
         svc = ftv_service(2, replicas=3)
         assert len(built) == 2
-        assert svc.catalog.partitions == built
+        assert [p["ppi"] for p in svc.catalog.partitions] == built
+        assert all(
+            p["ppi"] is sub
+            for p, sub in zip(svc.catalog.partitions, built)
+        )
         assert svc.dispatcher.pools == 6
         entry = svc.catalog.get("ppi")
         sub = entry.shard_entry(0)
@@ -247,7 +262,7 @@ class TestOnePartitionPerShard:
         replicas.kill(1, 0)
         assert entry.shard_entry(1) is sub  # a sibling still serves
         replicas.kill(1, 1)
-        assert cat.partitions[1].datasets() == []
+        assert cat.partitions[1] == {}
         with pytest.raises(KeyError, match="no serving replica"):
             entry.shard_entry(1)
         assignment = entry.assignment

@@ -14,8 +14,8 @@ The contracts under test, in dependency order:
   byte-for-bit the same results (``results_digest``,
   ``answers_digest``, and the same stats key set) as a fresh
   in-process warm, across one-shard, sharded+routed, and replicated
-  layouts; a bare ``DatasetCatalog`` is persisted as the one shard it
-  amounts to, and a store in the deleted ``sharded: false`` layout is a
+  layouts; a ``DatasetCatalog`` view writes the one-shard catalog it
+  wraps, byte for byte as that catalog does, and a store in the deleted ``sharded: false`` layout is a
   clean miss that the next checkpoint replaces.
 * **Corruption matrix** — every :class:`StoreFaultInjector` class is
   detected on load and degrades to a per-graph rebuild whose digests
@@ -27,6 +27,7 @@ The contracts under test, in dependency order:
   reads nothing.
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -130,12 +131,8 @@ def run_workload(svc, graphs, **kw):
 
 
 def warm_store(tmp_path, shards=1, replicas=1, name="ppi", scale="tiny"):
-    """Warm a catalog of the given layout and persist it (one shard,
-    one replica: a bare ``DatasetCatalog``, as the ledger writes it)."""
-    if shards > 1 or replicas > 1:
-        catalog = ShardedCatalog(num_shards=shards, replicas=replicas)
-    else:
-        catalog = DatasetCatalog()
+    """Warm a catalog of the given layout and persist it."""
+    catalog = ShardedCatalog(num_shards=shards, replicas=replicas)
     catalog.load(name, scale=scale)
     root = str(tmp_path / "store")
     summary = StoreWriter(root).write_catalog(catalog)
@@ -308,14 +305,17 @@ class TestColdBootDigests:
         """``write_catalog(DatasetCatalog)`` writes the one layout with
         one shard, and ``Service(shards=1, store=...)`` restores from
         it: graphs and (FTV) index off their blobs, nothing rebuilt."""
-        root, catalog, _ = warm_store(tmp_path, name=name)
+        catalog = DatasetCatalog()
+        entry = catalog.load(name, scale="tiny")
+        root = str(tmp_path / "store")
+        StoreWriter(root).write_catalog(catalog)
         manifest = load_manifest(root)
         assert manifest.layout == {
             "sharded": True, "num_shards": 1,
             "assignment": "size_balanced", "replicas": 1,
         }
         record = manifest.datasets[name]
-        slots = len(catalog.get(name).graphs)
+        slots = len(entry.graphs)
         assert record["assignment"] == [list(range(slots))]
         assert record["home_shard"] == 0
         assert list(record["indexes"]) == (["0"] if name == "ppi" else [])
@@ -329,7 +329,7 @@ class TestColdBootDigests:
             fresh = ftv_service()
             probes = [
                 q.graph for q in generate_workload(
-                    catalog.get("ppi").graphs, 5, 3, seed=11
+                    entry.graphs, 5, 3, seed=11
                 )
             ]
             assert collection_digest(booted, "ppi", probes) == (
@@ -365,7 +365,7 @@ class TestColdBootDigests:
         root, catalog, _ = warm_store(tmp_path)
         restored = ftv_service(store=root)
         assert restored.catalog.store.rebuilds == 0
-        original = catalog.get("ppi").ftv_index
+        original = catalog.get("ppi").shard_entry(0).ftv_index
         revived = restored.catalog.get("ppi").shard_entry(0).ftv_index
         assert encode_index(revived) == encode_index(original)
 
@@ -892,7 +892,7 @@ class TestLayoutUpgrade:
         self, ppi_graphs, tmp_path
     ):
         root = str(tmp_path / "store")
-        catalog = DatasetCatalog()
+        catalog = ShardedCatalog(num_shards=1)
         catalog.load("ppi", scale="tiny")
         old = write_unsharded_store(root, catalog)
         assert old.layout == {"sharded": False}
@@ -987,17 +987,42 @@ class TestWriter:
         assert second["epoch"] == 1
         assert StoreReader(root).manifest.epoch == 1
 
-    def test_registered_datasets_are_skipped(self, tmp_path, ppi_graphs):
-        catalog = DatasetCatalog()
-        catalog.load("ppi", scale="tiny")
-        catalog.register(
-            "adhoc", list(ppi_graphs), kind="ftv", ftv_method="Grapes"
-        )
-        summary = StoreWriter(str(tmp_path / "s")).write_catalog(
-            catalog
-        )
-        assert summary["skipped_registered"] == ["adhoc"]
-        assert summary["datasets"] == ["ppi"]
+    #: sha256 over the sorted relative paths and the bytes of the
+    #: one-shard store below, as the writer wrote it while a shard's
+    #: partition was a catalog of its own
+    ONE_SHARD_STORE = (
+        "753d04229f93e220423e939044244cb24e8aac37e9dedbc1352d127d81082c8b"
+    )
+
+    @staticmethod
+    def _tree_sha256(root) -> str:
+        digest = hashlib.sha256()
+        for path in sorted(
+            p.relative_to(root).as_posix()
+            for p in root.rglob("*") if p.is_file()
+        ):
+            digest.update(path.encode())
+            digest.update((root / path).read_bytes())
+        return digest.hexdigest()
+
+    def test_one_shard_store_bytes_are_pinned(self, tmp_path):
+        """A ``DatasetCatalog`` view and a ``ShardedCatalog`` of one
+        shard holding the same mutated datasets write the same store,
+        byte for byte, and it is the pinned one."""
+        digests = []
+        for catalog, shard in (
+            (DatasetCatalog(), {}),
+            (ShardedCatalog(num_shards=1), {"shard": 0}),
+        ):
+            catalog.load("yeast", scale="tiny", algorithms=("GQL", "SPA"))
+            catalog.load("ppi", scale="tiny")
+            newcomer = build_ftv_graphs("synthetic", "tiny")[0]
+            catalog.add_graph("ppi", newcomer, **shard)
+            catalog.remove_graph("ppi", 1)
+            root = tmp_path / type(catalog).__name__
+            StoreWriter(str(root)).write_catalog(catalog)
+            digests.append(self._tree_sha256(root))
+        assert digests == [self.ONE_SHARD_STORE] * 2
 
     def test_verify_all_reports_clean_store(self, tmp_path):
         root, _, _ = warm_store(tmp_path)
