@@ -31,7 +31,7 @@ from .features import (
 from .ggsx import GGSXIndex
 from .grapes import GrapesIndex
 from .sketch import SKETCH_TIERS, FeatureSketch, bucket_of, tier_index
-from .trie import PathTrie, Posting, SuffixTrie
+from .trie import PathTrie, SuffixTrie
 
 #: catalog / store method token -> index class
 FTV_INDEX_CLASSES = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}
@@ -54,6 +54,5 @@ __all__ = [
     "GGSXIndex",
     "GrapesIndex",
     "PathTrie",
-    "Posting",
     "SuffixTrie",
 ]

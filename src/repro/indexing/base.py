@@ -157,19 +157,17 @@ class FTVIndex(ABC):
     def _restore(self, rows: list) -> None:
         """Rebuild the trie from dumped postings (store boot path).
 
-        Each row is ``(coded path, {graph_id: Posting})`` — what
-        :meth:`PathTrie.iter_postings` yields and
-        :func:`repro.store.codec.decode_index` read back — installed
-        with one :meth:`PathTrie.install` walk.  That is the **raw**
+        Each row is ``(coded path, {graph_id: count})`` — an item of
+        :attr:`PathTrie.postings` as
+        :func:`repro.store.codec.decode_index` read it back — and
+        :meth:`PathTrie.install` puts them all in.  That is the **raw**
         entry on every trie class: a
         :class:`~repro.indexing.trie.SuffixTrie`'s ``insert`` expands
         suffixes, and the dump already contains every expansion —
         routing rows through it would double count.
         """
         self.trie = self.trie_class()
-        install = self.trie.install
-        for seq, postings in rows:
-            install(seq, postings)
+        self.trie.install(rows)
 
     def _index_graph(
         self,
@@ -185,7 +183,8 @@ class FTVIndex(ABC):
         nothing else, and Grapes derives a graph's locations when its
         verifier first asks (:meth:`GrapesIndex.feature_locations
         <repro.indexing.grapes.GrapesIndex.feature_locations>`).
-        ``rows`` goes to every :meth:`PathTrie.insert` as is.
+        ``rows`` (see :meth:`add_graph`) is filled once every insert is
+        done, so a count merged by a later suffix insert is final.
         """
         census = coded_path_census(
             graph,
@@ -193,8 +192,12 @@ class FTVIndex(ABC):
             self.interner.encode_vertices(graph.labels),
         )
         insert = self.trie.insert
+        created = None if rows is None else []
         for seq, count in census.counts.items():
-            insert(seq, graph_id, count, rows)
+            insert(seq, graph_id, count, created)
+        if rows is not None:
+            postings = self.trie.postings
+            rows += [(seq, postings[seq][graph_id]) for seq in created]
 
     # ------------------------------------------------------------------
     # dynamic collection (incremental index maintenance)
@@ -218,20 +221,20 @@ class FTVIndex(ABC):
         A fresh add appends (``id == len(graphs)``); passing the id of
         a tombstoned slot *revives* it (the add→remove→re-add drill).
         Novel labels extend the interner with appended codes — probe
-        keys are canonicalized in code space, so existing trie nodes
-        and sealed masks stay valid.  Sealed trie nodes take the
-        newcomer's postings into their tables in place (see
+        keys are canonicalized in code space, so existing posting keys
+        and sealed tables stay valid.  Sealed paths take the
+        newcomer's postings into their tables (see
         :meth:`PathTrie.insert`; the few that unseal instead reseal on
         the next :meth:`warm` or lazily on first probe); memoized query
         censuses are orphaned because stale ones hold negative codes
         for now-known labels.
 
         ``rows`` is an output: a list passed here receives the
-        newcomer's ``(coded path, Posting)`` rows — one per trie node
-        it now has a posting on, the final merged postings — which is
-        what the census that just ran has to say to anyone downstream
-        (the shard router folds them into its sketch).  The index keeps
-        no copy.
+        newcomer's ``(coded path, count)`` rows — one per path it now
+        has a posting on, with the final merged count — which is what
+        the census that just ran has to say to anyone downstream (the
+        shard router folds them into its sketch).  The index keeps no
+        copy.
         """
         if graph_id is None:
             graph_id = len(self.graphs)
@@ -261,7 +264,7 @@ class FTVIndex(ABC):
 
         The slot (and the graph object in it) stays, so positional ids
         never shift; only the index forgets it — every posting is
-        deleted and touched nodes unseal, so no filter can ever emit
+        deleted and touched paths unseal, so no filter can ever emit
         the id again.
         """
         if not 0 <= graph_id < len(self.graphs):
@@ -346,7 +349,7 @@ class FTVIndex(ABC):
         return list(bits_ascending(alive))
 
     def warm(self) -> dict:
-        """Eagerly build the trie's threshold masks (catalog warmup).
+        """Eagerly build the trie's threshold tables (catalog warmup).
 
         Returns size statistics so operators can see what keeping the
         posting bitsets warm costs.  Idempotent; purely a warm-start —

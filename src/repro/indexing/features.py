@@ -225,9 +225,9 @@ class LabelInterner:
         The dynamic-collection hook: an ``add_graph`` may introduce
         labels, and those get the *next* dense codes (sorted among
         themselves for determinism) rather than re-sorting the whole
-        space — existing codes never move, so every already-built trie
-        node, sealed mask, and sketch bucket stays valid.  Probe keys
-        are canonicalized in code space on both census paths, so an
+        space — existing codes never move, so every already-built
+        posting key, sealed mask, and sketch bucket stays valid.  Probe
+        keys are canonicalized in code space on both census paths, so an
         appended (non-sort-order) code is internally consistent; it
         merely picks a different — equally valid — canonical direction
         than a from-scratch interner would.  Returns the number of new

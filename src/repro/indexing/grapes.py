@@ -110,10 +110,10 @@ class GrapesIndex(FTVIndex):
 
         The one reader of location information, and so the one place
         that derives it: the first time a stored graph is asked about,
-        a single with-locations census of it writes its masks into the
-        postings it already has (:meth:`PathTrie.locate`; they leave
-        with its postings on a remove).  The union is memoized on the
-        query census, so isomorphic repeats pay nothing.
+        a single with-locations census of it hands its masks to the
+        trie (:meth:`PathTrie.locate`; they leave with its postings on
+        a remove).  The union is memoized on the query census, so
+        isomorphic repeats pay nothing.
         """
         if graph_id in self.tombstones:
             return 0
@@ -123,10 +123,10 @@ class GrapesIndex(FTVIndex):
             unions = census.location_unions = {}
         union = unions.get(graph_id)
         if union is None:
-            trie = self.trie
-            if graph_id not in trie.located:
+            masks = self.trie.locations.get(graph_id)
+            if masks is None:
                 graph = self.graphs[graph_id]
-                trie.locate(graph_id, coded_path_census(
+                masks = self.trie.locate(graph_id, coded_path_census(
                     graph,
                     self.max_path_length,
                     self.interner.encode_vertices(graph.labels),
@@ -134,9 +134,7 @@ class GrapesIndex(FTVIndex):
                 ).locations)
             union = 0
             for seq in census.counts:
-                node = trie._find(seq)
-                if node is not None and graph_id in node.postings:
-                    union |= node.postings[graph_id].locations
+                union |= masks.get(seq, 0)
             unions[graph_id] = union
         return union
 

@@ -6,7 +6,7 @@ such shard still pays census + filter + race-build work.  The routing
 layer avoids that by keeping, per shard, a **count-threshold bitmask
 sketch** of the shard's FTV posting lists: a constant-size summary that
 can *prove* "no graph on this shard survives this query's filter"
-without touching the shard's trie.
+without touching the shard's postings.
 
 Sketch format
 -------------
@@ -39,9 +39,9 @@ Code spaces
 -----------
 There is one: the collection's
 :class:`~repro.indexing.features.LabelInterner`, which every shard
-index is built in and the query's census is taken in.  A shard trie's
-coded features therefore hash to the buckets the query's do, as they
-stand — the sketch folds trie rows and scores query censuses without
+index is built in and the query's census is taken in.  A shard index's
+coded paths therefore hash to the buckets the query's do, as they
+stand — the sketch folds posting rows and scores query censuses without
 translating either.  A sketch folded from an index that codes some
 label differently would be meaningless, so the router keeps none for
 such a shard (:meth:`repro.service.routing.ShardRouter.refresh`).
@@ -135,48 +135,43 @@ class FeatureSketch:
     @classmethod
     def from_postings(
         cls,
-        items: Iterable[tuple[tuple, Mapping[int, object]]],
+        items: Iterable[tuple[tuple, Mapping[int, int]]],
         graph_count: int,
         num_buckets: int = DEFAULT_SKETCH_BUCKETS,
     ) -> "FeatureSketch":
-        """Fold ``(coded seq, posting map)`` pairs into a sketch.
+        """Fold ``(coded seq, {graph_id: count})`` pairs into a sketch.
 
-        ``items`` is what :meth:`repro.indexing.trie.PathTrie.iter_postings`
-        yields; each feature contributes its **maximum per-graph
-        count** to the fold.
+        ``items`` is the items of
+        :attr:`repro.indexing.trie.PathTrie.postings`; each feature
+        contributes its **maximum per-graph count** to the fold.
         """
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
         buckets = [0] * num_buckets
         features = _fold(
             buckets,
-            (
-                (seq, max(p.count for p in postings.values()))
-                for seq, postings in items
-                if postings
-            ),
+            ((seq, max(postings.values())) for seq, postings in items),
         )
         return cls(tuple(buckets), graph_count, features)
 
     def with_graph(
         self,
-        rows: Iterable[tuple[tuple, object]],
+        rows: Iterable[tuple[tuple, int]],
         graph_count: int,
         feature_count: int,
     ) -> "FeatureSketch":
         """The sketch of this shard grown by one graph.
 
-        ``rows`` are the newcomer's ``(coded seq, Posting)``
-        rows, as :meth:`repro.indexing.trie.PathTrie.insert` reported
-        them.  Sketches are monotone under adds — bucket bits only ever
+        ``rows`` are the newcomer's ``(coded seq, count)`` rows, as
+        :meth:`repro.indexing.FTVIndex.add_graph` reported them.
+        Sketches are monotone under adds — bucket bits only ever
         gain members — so folding in the newcomer's own counts is sound
         without revisiting the shard's posting lists: every bit
         :meth:`from_postings` would set over the grown shard is set
         here too (the newcomer's features set theirs, all others were
         set before).  The two counts are the grown shard's, read off
-        its index by the caller — the trie counts the rows that gave a
-        node its first posting — so after any run of adds the
-        ``features`` stat is the number of posting-carrying nodes, not
+        its index by the caller, so after any run of adds the
+        ``features`` stat is the number of paths with postings, not
         the sum of every newcomer's.
 
         Removes are *not* patched: stale bits are a sound
@@ -187,7 +182,7 @@ class FeatureSketch:
         both back whenever the owner chooses.
         """
         buckets = list(self.buckets)
-        _fold(buckets, ((seq, p.count) for seq, p in rows))
+        _fold(buckets, rows)
         return FeatureSketch(tuple(buckets), graph_count, feature_count)
 
     def score(self, counts: Mapping[tuple, int]) -> Optional[tuple[int, int]]:

@@ -1,329 +1,263 @@
-"""Trie structures over label sequences.
+"""Path postings of an FTV index, in flat maps keyed by coded path.
 
 Grapes indexes its DFS paths in a **trie**; GGSX in a **suffix tree**
-(§3.1.1).  Both are provided here:
+(§3.1.1).  Every question the filter, the codec and the router ask of
+either is about one *whole* coded path — its postings, or the graphs
+holding it often enough — so both keep one dict keyed by the path, not
+a tree of nodes:
 
-* :class:`PathTrie` — plain trie keyed by label; each terminal node
-  carries a posting map ``graph_id -> Posting`` (the occurrence count,
-  and a slot for the location bitmask that stays empty until Grapes'
-  verifier asks for that graph's locations: :meth:`PathTrie.locate`).
-* :class:`SuffixTrie` — a trie over every suffix of the inserted
-  sequences, which is the uncompressed equivalent of GGSX's suffix tree
-  and supports containment lookups of arbitrary sub-paths.
+* :class:`PathTrie` — ``postings``: coded path → ``{graph_id: count}``.
+* :class:`SuffixTrie` — the same map with every suffix of an inserted
+  path posted as a key of its own: the uncompressed equivalent of
+  GGSX's suffix tree, so any *sub*-path of an indexed path can be
+  looked up.
 
-Postings are stored at every node along the inserted sequence, so a
-lookup of a *prefix* of an indexed path also succeeds — matching the
-"maximal paths of the query are matched with the dataset index, pruning
-away unmatched branches" behaviour of both systems.
+The tree survives as a statistic only: :attr:`PathTrie.node_count` is
+the number of distinct prefixes of the live paths, counted when asked.
 
-Filter fast path: alongside the posting maps, every node can serve its
-postings as **bitmask posting lists** over stored-graph ids.
-:meth:`PathTrie.mask_ge` answers "which graphs contain this feature at
-least ``needed`` times" as a single int — the per-node *threshold
-masks* are the distinct posting counts in ascending order with
-suffix-OR'd graph masks, so one bisect plus one list index replaces a
-per-graph dict scan (the tables and the probe are
-:func:`repro.matching.masks.threshold_masks` and
+Filter fast path: :meth:`PathTrie.mask_ge` answers "which graphs
+contain this path at least ``needed`` times" as one int — one dict
+lookup and one bisect into the path's **threshold table** in
+``tables``: the distinct posting counts ascending with suffix-OR'd
+graph masks, a pair of tuples (built by
+:func:`repro.matching.masks.threshold_masks` and probed by
 :func:`repro.matching.masks.mask_ge`, shared with the GraphQL and
-sPath signature filters).  Threshold masks are built lazily on first
-probe (or eagerly via :meth:`PathTrie.seal`, which warm catalogs call).
-A sealed node that takes a *new graph's* posting keeps its table:
-:meth:`PathTrie.insert` patches the count and the graph's bit in where
-the table stands, so an incremental add costs the newcomer's own rows.
-Only what changes a count the table already holds — a merge into an
-existing posting (GGSX's suffix expansion), a :meth:`remove_graph
-<PathTrie.remove_graph>`, an :meth:`install <PathTrie.install>` —
-unseals the node, and the trie remembers which nodes those are, so
-resealing never walks it.
+sPath signature filters).  Tables are built lazily on first probe, or
+eagerly by :meth:`PathTrie.seal`, which warm catalogs call.  A sealed
+path that takes a *new graph's* posting gets its table rebuilt from
+the table alone by :meth:`PathTrie.insert`, so an incremental add
+costs the newcomer's own paths.  Only what changes a count a table
+already holds — a merge into an existing posting (GGSX's suffix
+expansion), a :meth:`remove_graph <PathTrie.remove_graph>`, an
+:meth:`install <PathTrie.install>` — drops the path's table, and the
+index remembers which paths those are, so resealing never walks the
+map.
+
+Grapes' location masks sit beside the postings, per located graph:
+``locations[graph_id]`` maps each of that graph's paths — the very key
+objects of ``postings``, never copies — to the bitmask of the stored
+graph's vertices on the path (:meth:`PathTrie.locate`).
+
+Nothing here holds a collector-tracked object per path: keys are
+tuples of ints, rows are ``dict[int, int]`` and tables are tuples of
+ints, all of which CPython untracks, so a warm index adds a handful of
+containers to a full collection, not several per prefix.
 
 Invariant: ``mask_ge(seq, needed)`` must equal the brute force "OR of
-``1 << gid`` over postings with count >= needed" for every node and
-threshold — lazily sealed, eagerly sealed, patched and re-sealed tries
-all answer identically, and a patched table equals a fresh
-``_Node.seal()`` of the grown posting map value for value (the
-generated sequences in ``tests/test_properties.py`` probe every state).
+``1 << gid`` over postings with count >= needed" for every path and
+threshold — lazily sealed, eagerly sealed, patched and re-sealed maps
+all answer identically, and a patched table equals a fresh seal of the
+grown posting row value for value (the generated sequences in
+``tests/test_properties.py`` probe every state).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
 from typing import Optional
 
 from ..matching.masks import Thresholds, mask_ge, threshold_masks
 
-__all__ = ["PathTrie", "SuffixTrie", "Posting"]
+__all__ = ["PathTrie", "SuffixTrie"]
 
 LabelSeq = tuple
 
 
-class Posting:
-    """Occurrence record of a feature in one graph.
-
-    ``locations`` is a vertex bitmask (bit ``v`` set = vertex ``v`` of
-    the stored graph lies on some occurrence).  No build, add or
-    restore fills it: it is ``0`` until :meth:`PathTrie.locate` writes
-    the graph's masks in, which only Grapes' verifier asks for.
-    """
-
-    __slots__ = ("count", "locations")
-
-    def __init__(self, count: int = 0):
-        self.count = count
-        self.locations = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Posting(count={self.count}, "
-            f"|loc|={self.locations.bit_count()})"
-        )
-
-
-class _Node:
-    __slots__ = ("children", "postings", "thresholds")
-
-    def __init__(self) -> None:
-        self.children: dict[object, _Node] = {}
-        self.postings: dict[int, Posting] = {}
-        #: (ascending distinct counts, suffix-OR graph masks); None
-        #: until sealed, patched in place by a new graph's posting
-        self.thresholds: Thresholds | None = None
-
-    def seal(self) -> Thresholds:
-        """Build the threshold masks from the posting map."""
-        by_count: dict[int, int] = {}
-        for gid, posting in self.postings.items():
-            count = posting.count
-            by_count[count] = by_count.get(count, 0) | 1 << gid
-        self.thresholds = threshold_masks(by_count)
-        return self.thresholds
+def _seal_row(row: dict[int, int]) -> Thresholds:
+    """The threshold table of one path's ``{graph_id: count}`` row."""
+    by_count: dict[int, int] = {}
+    for gid, count in row.items():
+        by_count[count] = by_count.get(count, 0) | 1 << gid
+    return threshold_masks(by_count)
 
 
 class PathTrie:
-    """Trie over label sequences with per-graph postings.
+    """Per-path postings, threshold tables and location masks.
 
-    Besides the nodes the trie keeps two pieces of running state, both
-    maintained by the three mutators (:meth:`insert`, :meth:`install`,
-    :meth:`remove_graph`) so that nothing ever walks the trie to
-    recover them: the number of nodes that carry postings
-    (:attr:`feature_count`), and the set of posting-carrying nodes
-    whose threshold table is missing (what :meth:`seal` has to do).
-    :attr:`located` is the third: which graphs' postings carry their
-    location masks.
+    ``postings`` holds a row for every coded path some graph has (never
+    an empty one), ``tables`` the threshold table of every sealed path
+    and ``locations`` the masks of every located graph.  The three
+    mutators (:meth:`insert`, :meth:`install`, :meth:`remove_graph`)
+    keep one more record, so that nothing walks the map to recover it:
+    the paths whose table is missing (what :meth:`seal` has to do).
     """
 
     def __init__(self) -> None:
-        self._root = _Node()
-        self._size = 0
-        self._features = 0
-        #: graph ids whose postings hold their location masks
-        #: (:meth:`locate` adds, :meth:`remove_graph` drops) — on the
-        #: trie, so every index view sharing it shares the answer
-        self.located: set[int] = set()
-        #: every node with postings and no table is in here (a node
+        #: coded path -> {graph_id: occurrence count}
+        self.postings: dict[LabelSeq, dict[int, int]] = {}
+        #: coded path -> threshold table, for the sealed paths
+        self.tables: dict[LabelSeq, Thresholds] = {}
+        #: graph_id -> {coded path: vertex bitmask}, for the graphs
+        #: :meth:`locate` was handed (:meth:`remove_graph` drops) — on
+        #: the trie, so every index view sharing it shares the answer
+        self.locations: dict[int, dict[LabelSeq, int]] = {}
+        #: every path with postings and no table is in here (a path
         #: sealed lazily or emptied since may linger until the next
         #: :meth:`seal`, which skips it)
-        self._unsealed: set[_Node] = set()
+        self._unsealed: set[LabelSeq] = set()
 
     def insert(
         self,
         seq: LabelSeq,
         graph_id: int,
         count: int,
-        rows: Optional[list] = None,
+        created: Optional[list] = None,
     ) -> None:
         """Record ``count`` occurrences of ``seq`` in ``graph_id``.
 
-        Postings accumulate on the terminal node of ``seq`` only; prefix
-        nodes exist structurally (their own occurrences are inserted
-        separately by the census, which emits every prefix as a path in
-        its own right).
+        A posting of a graph the path has not seen is **patched into a
+        sealed table**: the count is bisected in (inheriting the
+        next-higher count's mask when it is new) and the graph's bit is
+        OR'd into every mask at or below it — value for value what
+        :func:`_seal_row` builds from the grown row, without reading the
+        other graphs' postings.  Occurrences that merge into a posting
+        the graph already has change a count the table holds, so the
+        path unseals instead.
 
-        A posting of a graph the node has not seen is **patched into a
-        sealed table where it stands**: the count is bisected in
-        (inheriting the next-higher count's mask when it is new) and
-        the graph's bit is OR'd into every mask at or below it — value
-        for value what ``_Node.seal()`` builds from the grown posting
-        map, without reading the other graphs' postings.  Occurrences
-        that merge into a posting the graph already has change a count
-        the table holds, so the node unseals instead.
-
-        ``rows`` is an output: when a list is passed, each posting
-        *created* here is appended to it as ``(seq, Posting)`` — the
-        live object, so merges that follow show in it.
+        ``created`` is an output: when a list is passed, each path that
+        gains ``graph_id``'s posting here is appended to it.
         """
-        node = self._root
-        for lab in seq:
-            nxt = node.children.get(lab)
-            if nxt is None:
-                nxt = node.children[lab] = _Node()
-                self._size += 1
-            node = nxt
-        postings = node.postings
-        posting = postings.get(graph_id)
-        if posting is not None:
-            posting.count += count
-            if node.thresholds is not None:
-                node.thresholds = None
-                self._unsealed.add(node)
+        row = self.postings.get(seq)
+        if row is None:
+            self.postings[seq] = {graph_id: count}
+            self._unsealed.add(seq)
+        elif graph_id in row:
+            row[graph_id] += count
+            if self.tables.pop(seq, None) is not None:
+                self._unsealed.add(seq)
             return
-        postings[graph_id] = posting = Posting(count)
-        if rows is not None:
-            rows.append((seq, posting))
-        thresholds = node.thresholds
-        if thresholds is None:
-            if len(postings) == 1:
-                self._features += 1
-                self._unsealed.add(node)
-            return
-        counts, masks = thresholds
-        at = bisect_left(counts, count)
-        if at == len(counts) or counts[at] != count:
-            counts.insert(at, count)
-            masks.insert(at, masks[at] if at < len(masks) else 0)
-        bit = 1 << graph_id
-        for i in range(at + 1):
-            masks[i] |= bit
+        else:
+            row[graph_id] = count
+            table = self.tables.get(seq)
+            if table is not None:
+                counts, masks = table
+                at = bisect_left(counts, count)
+                if at == len(counts) or counts[at] != count:
+                    counts = counts[:at] + (count,) + counts[at:]
+                    inherited = masks[at] if at < len(masks) else 0
+                    masks = masks[:at] + (inherited,) + masks[at:]
+                bit = 1 << graph_id
+                self.tables[seq] = (
+                    counts,
+                    tuple([mask | bit for mask in masks[:at + 1]])
+                    + masks[at + 1:],
+                )
+        if created is not None:
+            created.append(seq)
 
-    def install(self, seq: LabelSeq, postings: dict[int, Posting]) -> None:
-        """Make ``postings`` the posting map of ``seq``'s node.
+    def install(self, rows) -> None:
+        """Make each ``(seq, row)`` of ``rows`` that path's postings (an
+        empty row deletes the path).
 
-        The store-restore unit, the inverse of one
-        :meth:`iter_postings` row: one walk per node instead of one
-        :meth:`insert` per posting, and deliberately *not* overridden
-        by :class:`SuffixTrie` — a dump already lists every expanded
-        suffix as a row of its own.
+        The store-restore unit, the inverse of reading ``postings``,
+        and deliberately *not* overridden by :class:`SuffixTrie` — a
+        dump already lists every expanded suffix as a row of its own.
         """
-        node = self._root
-        for lab in seq:
-            nxt = node.children.get(lab)
-            if nxt is None:
-                nxt = node.children[lab] = _Node()
-                self._size += 1
-            node = nxt
-        self._features += bool(postings) - bool(node.postings)
-        node.postings = postings
-        node.thresholds = None
-        if postings:
-            self._unsealed.add(node)
+        postings, tables = self.postings, self.tables
+        for seq, row in rows:
+            tables.pop(seq, None)
+            if row:
+                postings[seq] = row
+                self._unsealed.add(seq)
+            else:
+                postings.pop(seq, None)
 
     def remove_graph(self, graph_id: int) -> int:
         """Delete every posting of ``graph_id`` (dynamic-collection
-        removes).
+        removes); returns how many.
 
-        Touched nodes drop their threshold masks — a departed bit
-        cannot be patched out of the masks above its count without
-        the other postings — so lazy or eager resealing rebuilds them
-        without it.  Empty nodes are kept: structure is cheap, and a
-        later re-add of the same paths reuses them.  The graph's
-        location masks go with its postings.  Returns the number of
-        postings deleted.
+        One pass over the map: touched paths drop their threshold
+        tables — a departed bit cannot be patched out of the masks
+        above its count without the other postings — so lazy or eager
+        resealing rebuilds them without it, and paths left with no
+        posting leave the map.  The graph's location masks go too.
         """
-        self.located.discard(graph_id)
+        self.locations.pop(graph_id, None)
+        tables, unsealed = self.tables, self._unsealed
+        emptied = []
         removed = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if graph_id in node.postings:
-                del node.postings[graph_id]
-                node.thresholds = None
-                if node.postings:
-                    self._unsealed.add(node)
-                else:
-                    self._features -= 1
+        for seq, row in self.postings.items():
+            if graph_id in row:
+                del row[graph_id]
                 removed += 1
-            stack.extend(node.children.values())
+                tables.pop(seq, None)
+                if row:
+                    unsealed.add(seq)
+                else:
+                    emptied.append(seq)
+        for seq in emptied:
+            del self.postings[seq]
         return removed
 
-    def locate(self, graph_id: int, locations: dict[LabelSeq, int]) -> None:
-        """Write ``graph_id``'s location masks — the ``locations`` of a
-        census of the graph whose counts are already inserted — into
-        the postings it has, until its :meth:`remove_graph`."""
-        for seq, mask in locations.items():
-            self._find(seq).postings[graph_id].locations = mask
-        self.located.add(graph_id)
+    def locate(
+        self, graph_id: int, locations: dict[LabelSeq, int]
+    ) -> dict[LabelSeq, int]:
+        """Keep ``graph_id``'s location masks — the ``locations`` of a
+        census of the graph whose counts are posted — until its
+        :meth:`remove_graph`; returns the map kept.
 
-    def _find(self, seq: LabelSeq) -> _Node | None:
-        node = self._root
-        for lab in seq:
-            node = node.children.get(lab)
-            if node is None:
-                return None
-        return node
-
-    def lookup(self, seq: LabelSeq) -> dict[int, Posting]:
-        """Postings of ``seq`` (empty when the feature is absent)."""
-        node = self._find(seq)
-        return dict(node.postings) if node else {}
+        Keyed by the ``postings`` keys themselves, so locating a graph
+        adds its masks, not a second copy of each of its paths.
+        """
+        kept = self.locations[graph_id] = {
+            seq: locations[seq]
+            for seq, row in self.postings.items()
+            if graph_id in row
+        }
+        return kept
 
     def mask_ge(self, seq: LabelSeq, needed: int) -> int:
         """Bitmask of graphs containing ``seq`` >= ``needed`` times.
 
         Bit ``g`` is set iff graph ``g``'s posting count for ``seq`` is
         at least ``needed`` — exactly the set the frequency-pruning
-        filter intersects, as one int.  The walk and the threshold
-        probe are inlined: this runs once per query feature on the
-        filter hot path.
+        filter intersects, as one int.  This runs once per query
+        feature on the filter hot path: one lookup, one bisect.
         """
-        node = self._root
-        for lab in seq:
-            node = node.children.get(lab)
-            if node is None:
+        table = self.tables.get(seq)
+        if table is None:
+            row = self.postings.get(seq)
+            if row is None:
                 return 0
-        thresholds = node.thresholds
-        if thresholds is None:
-            if not node.postings:
-                return 0
-            thresholds = node.seal()
-        return mask_ge(thresholds, needed)
+            table = self.tables[seq] = _seal_row(row)
+        return mask_ge(table, needed)
 
     def seal(self) -> int:
         """Eagerly build every missing threshold table (catalog
         warmup, and the reseal after a mutation).
 
-        The mutators record exactly the nodes they leave without a
-        table, so this drains that record instead of walking the trie:
+        The mutators record exactly the paths they leave without a
+        table, so this drains that record instead of walking the map:
         resealing after an add that only patched costs nothing, after
-        a remove it costs the nodes the graph was on.  Returns
-        :attr:`feature_count`.  Purely a warm-start: lazy per-probe
-        sealing produces identical masks.
+        a remove it costs the paths the graph was on.  Returns the
+        number of paths with postings.  Purely a warm-start: lazy
+        per-probe sealing produces identical tables.
         """
-        for node in self._unsealed:
-            if node.thresholds is None and node.postings:
-                node.seal()
+        postings, tables = self.postings, self.tables
+        for seq in self._unsealed:
+            if seq not in tables:
+                row = postings.get(seq)
+                if row:
+                    tables[seq] = _seal_row(row)
         self._unsealed.clear()
-        return self._features
+        return len(postings)
 
     @property
     def node_count(self) -> int:
-        """Number of non-root trie nodes (index-size statistic)."""
-        return self._size
-
-    @property
-    def feature_count(self) -> int:
-        """Number of nodes that carry postings — the rows
-        :meth:`iter_postings` would yield, kept as a running count."""
-        return self._features
-
-    def iter_postings(self) -> Iterator[tuple[LabelSeq, dict[int, "Posting"]]]:
-        """All (sequence, posting map) pairs that carry postings.
-
-        One walk instead of a ``lookup`` per feature; this is what the
-        per-shard routing sketch folds over (see
-        :class:`repro.indexing.sketch.FeatureSketch`).  The posting
-        maps are the live node dicts — callers must not mutate them.
-        """
-        stack: list[tuple[_Node, LabelSeq]] = [(self._root, ())]
-        while stack:
-            node, seq = stack.pop()
-            if node.postings:
-                yield seq, node.postings
-            for lab, child in node.children.items():
-                stack.append((child, seq + (lab,)))
+        """Nodes a trie over the live paths would have: the distinct
+        non-empty prefixes of the ``postings`` keys, counted on demand
+        (an index-size statistic nothing else keeps)."""
+        prefixes = set(self.postings)
+        prefixes.update(
+            seq[:end]
+            for seq in self.postings
+            for end in range(1, len(seq))
+        )
+        return len(prefixes)
 
 
 class SuffixTrie(PathTrie):
-    """Trie over all suffixes of inserted sequences (GGSX-style).
+    """Postings of all suffixes of inserted sequences (GGSX-style).
 
     Inserting ``(a, b, c)`` records postings for ``(a, b, c)``,
     ``(b, c)`` and ``(c,)``, so any *sub*-path of an indexed path can be
@@ -335,7 +269,7 @@ class SuffixTrie(PathTrie):
         seq: LabelSeq,
         graph_id: int,
         count: int,
-        rows: Optional[list] = None,
+        created: Optional[list] = None,
     ) -> None:
         for start in range(len(seq)):
-            super().insert(seq[start:], graph_id, count, rows)
+            super().insert(seq[start:], graph_id, count, created)

@@ -11,8 +11,8 @@ Two pieces are common to them:
   of something" (neighbours with a label, vertices with a label within
   a distance) into one bisect and one lookup, so a signature filter is
   an AND of a few masks instead of a walk over the label's vertices
-  (:class:`repro.indexing.PathTrie` seals its postings through the
-  same two functions, over graph IDs instead of vertices);
+  (:class:`repro.indexing.PathTrie` seals its posting rows through
+  the same two functions, over graph IDs instead of vertices);
 * **the join** backtracks over per-level tables that are functions of
   the matcher's plan alone, in one explicit-stack loop: the candidates
   consistent with the partial map are a mask expression, and the step
@@ -37,20 +37,21 @@ __all__ = [
 
 #: ascending distinct counts, and per count the bitmask of the vertices
 #: whose count is at least that much
-Thresholds = tuple[list[int], list[int]]
+Thresholds = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def threshold_masks(masks_by_count: Mapping[int, int]) -> Thresholds:
     """Seal ``count -> bitmask of the vertices with exactly that count``
     into threshold masks: the counts ascending, each mask OR'd with
-    every mask above it."""
+    every mask above it.  Both are tuples: nothing patches a table
+    where it stands."""
     counts = sorted(masks_by_count)
     masks = [0] * len(counts)
     mask = 0
     for i in range(len(counts) - 1, -1, -1):
         mask |= masks_by_count[counts[i]]
         masks[i] = mask
-    return counts, masks
+    return tuple(counts), tuple(masks)
 
 
 def mask_ge(thresholds: Optional[Thresholds], needed: int) -> int:

@@ -98,7 +98,7 @@ class DatasetEntry:
     ftv_index: Optional[FTVIndex] = None
     stats: Optional[LabelStats] = None
     prepared_algorithms: tuple[str, ...] = ()
-    #: FTVIndex.warm() statistics (sealed posting-mask nodes etc.)
+    #: FTVIndex.warm() statistics (sealed paths, trie size, labels)
     warm_stats: dict = field(default_factory=dict)
     #: (order, size) checksums taken at load time (freeze witness)
     _shape: tuple[tuple[int, int], ...] = field(default_factory=tuple)
@@ -141,8 +141,8 @@ class DatasetEntry:
         """Add ``graph`` to this FTV collection at slot ``graph_id``.
 
         Incremental maintenance, not a rewarm: the newcomer's census is
-        inserted into the existing trie (sealed nodes take its postings
-        into their tables in place), novel labels extend the interner
+        inserted into the existing posting map (sealed paths take its
+        postings into their tables), novel labels extend the interner
         with appended codes, and memoized query censuses are
         orphaned.  ``graph_id`` is the append slot or a tombstoned slot
         to revive (journal replay and the add→remove→re-add drill).

@@ -68,8 +68,9 @@ class ShardRouter:
 
     Built by :class:`~repro.service.sharding.ShardedCatalog` when an
     FTV entry is loaded; :meth:`refresh` re-folds one shard's sketch
-    whenever that shard's partition is (re-)registered, so rebalance
-    migrations keep the sketches honest.  Sketches are coded in
+    whenever that shard's partition is warmed — at load, by a
+    rebalance migration, by a dark shard's re-warm — so migrations
+    keep the sketches honest.  Sketches are coded in
     ``entry.interner``, the collection's one label code space.
     """
 
@@ -100,7 +101,7 @@ class ShardRouter:
     def refresh(self, shard: int, index: Optional[FTVIndex]) -> None:
         """(Re-)fold ``shard``'s sketch from its warm filter index.
 
-        The fold takes the trie's coded rows as they stand, so it is
+        The fold takes the index's coded rows as they stand, so it is
         only meaningful for an index that codes every label it knows
         as the collection does — true by identity for every index the
         catalog builds, and by value for a standalone build over a
@@ -112,7 +113,7 @@ class ShardRouter:
         if index is None or not self._same_codes(index):
             return
         self.sketches[shard] = FeatureSketch.from_postings(
-            index.trie.iter_postings(),
+            index.trie.postings.items(),
             graph_count=len(index.graphs),
             num_buckets=self.num_buckets,
         )
@@ -133,7 +134,7 @@ class ShardRouter:
 
     def note_add(self, shard: int, index: FTVIndex, rows: list) -> None:
         """Patch routing state for the graph ``shard``'s filter
-        ``index`` just took in, from the ``(coded path, Posting)``
+        ``index`` just took in, from the ``(coded path, count)``
         ``rows`` its :meth:`~repro.indexing.FTVIndex.add_graph`
         reported.
 
@@ -143,9 +144,9 @@ class ShardRouter:
         own rows — the postings the index censused a moment ago,
         through the fold :meth:`refresh` puts a whole shard through —
         is sound without re-folding the other graphs', and costs the
-        newcomer, not the shard: nothing here walks the trie.  A
-        partition that was *registered* holding the newcomer (the
-        first graph on an empty shard) reports no rows and has no
+        newcomer, not the shard: nothing here reads the shard's
+        postings.  A partition that was *warmed* holding the newcomer
+        (the first graph on an empty shard) reports no rows and has no
         sketch yet; that one is :meth:`refresh`'s to fold.
         """
         sketch = self.sketches.get(shard)
@@ -155,7 +156,7 @@ class ShardRouter:
             self.sketches[shard] = sketch.with_graph(
                 rows,
                 graph_count=len(index.graphs),
-                feature_count=index.trie.feature_count,
+                feature_count=len(index.trie.postings),
             )
         self.epoch += 1
 

@@ -11,7 +11,7 @@ faithful shape (edge labels and int/str label types preserved) the
 mutation journal's records share, as canonical JSON under zlib
 (:data:`CODEC`).
 
-A warm FTV index is its trie's postings in columns
+A warm FTV index is its posting map in columns
 (:data:`INDEX_CODEC`): one line of canonical JSON (``kind``,
 ``codec``, ``method``, ``max_path_length``, the byte length of each
 column, and ``tombstones`` when graphs were removed) followed by the
@@ -21,7 +21,7 @@ its graph id and its count: location masks are no part of the warm
 state — Grapes' verifier derives a stored graph's the first time it is
 asked about that graph — so the bytes never depend on whether anybody
 verified, and a restored index starts unlocated like a built one.
-Restoring installs each row on its trie node directly
+Restoring installs the rows into the posting map directly
 (:meth:`repro.indexing.base.FTVIndex._restore`) — crucially *not*
 through ``SuffixTrie.insert``, whose suffix expansion would double
 count rows the dump already enumerates.  The rows are written in the
@@ -47,7 +47,7 @@ from itertools import accumulate, chain
 from operator import lt
 
 from ..graphs.io import graph_from_json, graph_to_json
-from ..indexing import FTV_INDEX_CLASSES, Posting
+from ..indexing import FTV_INDEX_CLASSES
 from .blobs import StoreError
 
 __all__ = [
@@ -68,7 +68,7 @@ CODEC = "json+zlib/1"
 INDEX_CODEC = "columns+zlib/4"
 
 #: The index body, in order: ``(column, struct item code)``, every item
-#: little-endian and unsigned.  Per row (one trie node that carries
+#: little-endian and unsigned.  Per row (one coded path with
 #: postings): the path's length in labels, then its label codes, and
 #: how many postings follow; per posting: the graph id and the
 #: occurrence count.  A value that does not fit its item raises at
@@ -168,16 +168,17 @@ def encode_index(index) -> bytes:
     # flat int lists and per-row temporaries only: a checkpoint runs
     # inside a serving process, and thousands of containers kept alive
     # to the end of the call would push its heap into a full collection
-    nodes = dict(index.trie.iter_postings())
-    paths = sorted(nodes)
+    postings = index.trie.postings
+    paths = sorted(postings)
     row_postings: list[int] = []
     gids: list[int] = []
     counts: list[int] = []
     for path in paths:
-        row = sorted(nodes[path].items())
-        row_postings.append(len(row))
-        gids += [gid for gid, _ in row]
-        counts += [posting.count for _, posting in row]
+        row = postings[path]
+        ids = sorted(row)
+        row_postings.append(len(ids))
+        gids += ids
+        counts += [row[gid] for gid in ids]
     values = (
         list(map(len, paths)),
         list(chain.from_iterable(paths)),
@@ -244,9 +245,9 @@ def _slices(lengths) -> zip:
 
 
 def _decode_rows(header: dict, body: bytes, num_graphs: int) -> list:
-    """The payload's ``(coded path, {graph_id: Posting})`` rows, in
-    the shape :meth:`repro.indexing.trie.PathTrie.iter_postings`
-    yields them, after every cross-column check."""
+    """The payload's ``(coded path, {graph_id: count})`` rows — items
+    of :attr:`repro.indexing.trie.PathTrie.postings` — after every
+    cross-column check."""
     path_lens, codes, row_postings, gids, counts = _split_columns(
         header, body
     )
@@ -269,7 +270,7 @@ def _decode_rows(header: dict, body: bytes, num_graphs: int) -> list:
         raise CodecError("index rows are not in ascending path order")
     rows = []
     for path, (a, b) in zip(paths, _slices(row_postings)):
-        postings = dict(zip(gids[a:b], map(Posting, counts[a:b])))
+        postings = dict(zip(gids[a:b], counts[a:b]))
         if len(postings) != b - a:
             raise CodecError(f"index row {path} repeats a graph id")
         rows.append((path, postings))

@@ -46,11 +46,9 @@ def filter_reference(index: FTVIndex, query: LabeledGraph) -> list[int]:
     alive: Optional[set[int]] = None
     for seq, needed in census.counts.items():
         coded = index.interner.encode_sequence(seq)
-        postings = (
-            index.trie.lookup(coded) if coded is not None else {}
-        )
+        postings = index.trie.postings.get(coded, {})
         ok = {
-            gid for gid, p in postings.items() if p.count >= needed
+            gid for gid, count in postings.items() if count >= needed
         }
         alive = ok if alive is None else (alive & ok)
         if not alive:

@@ -33,14 +33,14 @@ COLUMNS_V3 = (
 def encode_index_v3(index) -> bytes:
     method = index_method(index)
     stored = stored_locations(index) if method == "Grapes" else {}
-    nodes = dict(index.trie.iter_postings())
-    paths = sorted(nodes)
+    postings = index.trie.postings
+    paths = sorted(postings)
     row_postings, gids, counts, masks = [], [], [], []
     for path in paths:
-        row = sorted(nodes[path].items())
+        row = sorted(postings[path].items())
         row_postings.append(len(row))
         gids += [gid for gid, _ in row]
-        counts += [posting.count for _, posting in row]
+        counts += [count for _, count in row]
         masks += [stored.get((path, gid), 0) for gid, _ in row]
     mask_lens = [(mask.bit_length() + 7) >> 3 for mask in masks]
     values = (

@@ -166,8 +166,8 @@ def seed_ftv_filter(trie_cls, graphs, query, max_length):
     for seq, needed in census.counts.items():
         ok = {
             gid
-            for gid, p in trie.lookup(seq).items()
-            if p.count >= needed
+            for gid, count in trie.postings.get(seq, {}).items()
+            if count >= needed
         }
         alive = ok if alive is None else (alive & ok)
         if not alive:
@@ -276,7 +276,7 @@ def test_quick_stream_step_bills_are_the_pinned_ones():
     stream = quick_filter_stream(graphs)
     built = GrapesIndex(graphs, max_path_length=2)
     restored = decode_index(encode_index(built), graphs, "Grapes", 2)
-    assert not restored.trie.located
+    assert not restored.trie.locations
     for index in (
         built, built.with_threads(4), restored, restored.with_threads(4),
         GGSXIndex(graphs, max_path_length=2),
@@ -284,7 +284,8 @@ def test_quick_stream_step_bills_are_the_pinned_ones():
         assert step_bills_digest(index, stream) == (
             QUICK_STEP_BILLS[index.method_name]
         )
-    assert built.trie.located == restored.trie.located != set()
+    located = built.trie.locations.keys()
+    assert located == restored.trie.locations.keys() != set()
 
 
 class TestLabelOrderEquivalence:

@@ -1,5 +1,6 @@
 """Tests for FTV machinery: path census, tries, Grapes, GGSX."""
 
+import gc
 import hashlib
 import random
 
@@ -120,90 +121,105 @@ class TestCensus:
         assert digest.hexdigest() == self.SERVED_CENSUS_SHA256
 
 
+def _tracked_reachable(root) -> int:
+    """How many objects reachable from ``root`` (classes aside) the
+    collector tracks."""
+    seen = {id(root)}
+    stack = [root]
+    tracked = 0
+    while stack:
+        obj = stack.pop()
+        tracked += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen.add(id(ref))
+                stack.append(ref)
+    return tracked
+
+
 class TestTries:
-    def test_path_trie_lookup(self):
+    def test_path_trie_postings(self):
         t = PathTrie()
         t.insert(("A", "B"), 0, 3)
         t.insert(("A", "B"), 1, 1)
-        postings = t.lookup(("A", "B"))
-        assert postings[0].count == 3
-        assert postings[1].count == 1
-        assert t.lookup(("B",)) == {}
+        assert t.postings == {("A", "B"): {0: 3, 1: 1}}
 
     def test_path_trie_merge(self):
         t = PathTrie()
         t.insert(("A",), 0, 2)
         t.insert(("A",), 0, 3)
-        posting = t.lookup(("A",))[0]
-        assert posting.count == 5
-        assert posting.locations == 0
+        assert t.postings[("A",)] == {0: 5}
+        assert t.locations == {}
 
-    def test_locate_fills_the_postings_a_graph_has_until_its_remove(self):
+    def test_locate_keeps_the_masks_a_graph_has_until_its_remove(self):
         t = PathTrie()
         for gid in (0, 1):
             t.insert(("A",), gid, 2)
             t.insert(("A", "B"), gid, 1)
-        table = t._find(("A",)).seal()
-        t.locate(1, {("A",): 0b011, ("A", "B"): 0b110})
-        assert t.located == {1}
-        assert t._find(("A",)).thresholds is table  # counts did not move
-        assert [p.locations for p in t.lookup(("A",)).values()] == [0, 0b011]
-        assert t.lookup(("A", "B"))[1].locations == 0b110
+        assert t.seal() == 2
+        table = t.tables[("A",)]
+        kept = t.locate(1, {("A",): 0b011, ("A", "B"): 0b110})
+        assert t.locations == {1: kept}
+        assert kept == {("A",): 0b011, ("A", "B"): 0b110}
+        # keyed by the posting map's own path objects, not copies
+        keys = {id(seq) for seq in t.postings}
+        assert {id(seq) for seq in kept} == keys
+        assert t.tables[("A",)] is table  # counts did not move
         t.remove_graph(1)
-        assert t.located == set()
+        assert t.locations == {}
         t.insert(("A",), 1, 2)  # the slot revived: unlocated again
-        assert t.lookup(("A",))[1].locations == 0
+        assert 1 not in t.locations
 
-    def test_path_trie_iter_postings(self):
+    def test_path_trie_keys_are_the_inserted_paths(self):
         t = PathTrie()
         t.insert(("A", "B"), 0, 1)
         t.insert(("C",), 0, 1)
-        assert {seq for seq, _ in t.iter_postings()} == {("A", "B"), ("C",)}
+        assert set(t.postings) == {("A", "B"), ("C",)}
 
     def test_suffix_trie_indexes_suffixes(self):
         t = SuffixTrie()
         t.insert(("A", "B", "C"), 0, 1)
-        assert t.lookup(("A", "B", "C"))
-        assert t.lookup(("B", "C"))
-        assert t.lookup(("C",))
-        assert not t.lookup(("A", "C"))
+        assert set(t.postings) == {("A", "B", "C"), ("B", "C"), ("C",)}
 
-    def test_a_new_graphs_posting_patches_the_sealed_table_in_place(self):
+    def test_a_new_graphs_posting_patches_the_sealed_table(self):
         """A count below, between, equal to and above the sealed ones,
-        then an id revived after a remove: the table object survives
-        each add and reads as a fresh seal of the grown map would."""
+        then an id revived after a remove: each add leaves the path
+        sealed, with the table a fresh seal of the grown row builds."""
         t = PathTrie()
         t.insert(("A",), 0, 4)
         t.insert(("A",), 1, 8)
         assert t.seal() == 1
-        node = t._find(("A",))
-        table = node.thresholds
-        assert table == ([4, 8], [0b11, 0b10])
+        assert t.tables[("A",)] == ((4, 8), (0b11, 0b10))
         for gid, count, want in [
-            (2, 2, ([2, 4, 8], [0b111, 0b011, 0b010])),       # below
-            (3, 6, ([2, 4, 6, 8], [0b1111, 0b1011, 0b1010, 0b0010])),
-            (4, 6, ([2, 4, 6, 8], [0b11111, 0b11011, 0b11010, 0b00010])),
+            (2, 2, ((2, 4, 8), (0b111, 0b011, 0b010))),       # below
+            (3, 6, ((2, 4, 6, 8), (0b1111, 0b1011, 0b1010, 0b0010))),
+            (4, 6, ((2, 4, 6, 8), (0b11111, 0b11011, 0b11010, 0b00010))),
             (5, 9, (
-                [2, 4, 6, 8, 9],
-                [0b111111, 0b111011, 0b111010, 0b100010, 0b100000],
+                (2, 4, 6, 8, 9),
+                (0b111111, 0b111011, 0b111010, 0b100010, 0b100000),
             )),                                               # above
         ]:
             t.insert(("A",), gid, count)
-            assert node.thresholds is table and table == want
+            assert t.tables[("A",)] == want and not t._unsealed
+            fresh = PathTrie()
+            fresh.install(
+                (seq, dict(row)) for seq, row in t.postings.items()
+            )
+            fresh.seal()
+            assert fresh.tables == t.tables
             assert t.mask_ge(("A",), count) == want[1][
                 want[0].index(count)
             ]
-        assert t.seal() == 1 and node.thresholds is table
-        t.remove_graph(3)
-        assert node.thresholds is None
         assert t.seal() == 1
-        resealed = node.thresholds
-        assert resealed == (
-            [2, 4, 6, 8, 9],
-            [0b110111, 0b110011, 0b110010, 0b100010, 0b100000],
+        t.remove_graph(3)
+        assert ("A",) not in t.tables
+        assert t.seal() == 1
+        assert t.tables[("A",)] == (
+            (2, 4, 6, 8, 9),
+            (0b110111, 0b110011, 0b110010, 0b100010, 0b100000),
         )
         t.insert(("A",), 3, 4)  # the revived id, at an existing count
-        assert node.thresholds is resealed
+        assert ("A",) in t.tables and not t._unsealed
         assert t.mask_ge(("A",), 4) == 0b111011
         assert t.mask_ge(("A",), 5) == 0b110010
 
@@ -211,47 +227,86 @@ class TestTries:
         t = SuffixTrie()
         t.insert(("A", "B"), 0, 2)
         t.insert(("B",), 1, 1)
-        assert t.seal() == t.feature_count == 2 and not t._unsealed
+        assert t.seal() == len(t.postings) == 2 and not t._unsealed
         # graph 2's ("A", "B") lands on ("B",) as a suffix, then its
         # own ("B",) merges into that posting: a count the table holds
-        # changed, so that node — and only that node — unseals
+        # changed, so that path — and only that path — unseals
         t.insert(("A", "B"), 2, 3)
-        assert t._find(("A", "B")).thresholds == ([2, 3], [0b101, 0b100])
-        assert t._find(("B",)).thresholds == ([1, 2, 3], [0b111, 0b101, 0b100])
+        assert t.tables[("A", "B")] == ((2, 3), (0b101, 0b100))
+        assert t.tables[("B",)] == ((1, 2, 3), (0b111, 0b101, 0b100))
         t.insert(("B",), 2, 4)
-        assert t._unsealed == {t._find(("B",))}
+        assert t._unsealed == {("B",)} and ("B",) not in t.tables
         assert t.mask_ge(("B",), 7) == 0b100  # lazily, as before
         assert t.seal() == 2 and not t._unsealed
-        assert t._find(("B",)).thresholds == ([1, 2, 7], [0b111, 0b101, 0b100])
+        assert t.tables[("B",)] == ((1, 2, 7), (0b111, 0b101, 0b100))
 
-    def test_insert_reports_each_created_posting_as_a_row(self):
+    def test_insert_reports_each_created_posting_once(self):
         t = SuffixTrie()
         t.insert(("A", "B"), 0, 1)
-        rows: list = []
-        t.insert(("A", "B"), 1, 2, rows)
-        t.insert(("B",), 1, 5, rows)  # merges: no second row
-        assert [(seq, p.count) for seq, p in rows] == [
-            (("A", "B"), 2), (("B",), 7),
-        ]
-        assert all(p is t.lookup(seq)[1] for seq, p in rows)
+        created: list = []
+        t.insert(("A", "B"), 1, 2, created)
+        t.insert(("B",), 1, 5, created)  # merges: no second entry
+        assert created == [("A", "B"), ("B",)]
 
-    def test_feature_count_follows_install_and_remove(self):
+    def test_add_graph_rows_carry_the_final_merged_counts(self):
+        """A GGSX newcomer's ``(B, C)`` is posted as a path and again as
+        the suffix of ``(A, B, C)``: its row is read once every insert
+        is done, so it reports the merged count the index holds."""
+        index = GGSXIndex([LabeledGraph.from_edges(["A"], [])])
+        rows: list = []
+        gid = index.add_graph(
+            LabeledGraph.from_edges(["A", "B", "C"], [(0, 1), (1, 2)]),
+            None, rows,
+        )
+        postings = index.trie.postings
+        assert rows and len(rows) == len({seq for seq, _ in rows})
+        assert rows == [(seq, postings[seq][gid]) for seq, _ in rows]
+        assert {seq for seq, _ in rows} == {
+            seq for seq, row in postings.items() if gid in row
+        }
+        assert any(count > 1 for _, count in rows)
+
+    def test_a_remove_drops_the_paths_it_empties(self):
         t = PathTrie()
         t.insert(("A", "B"), 0, 1)
         t.insert(("A",), 0, 1)
         t.insert(("A",), 1, 1)
-        assert t.feature_count == 2
         assert t.remove_graph(0) == 2
-        assert t.feature_count == 1 == sum(1 for _ in t.iter_postings())
-        t.install(("C",), {4: t.lookup(("A",))[1]})
-        t.install(("A",), {})
-        assert t.feature_count == 1 == sum(1 for _ in t.iter_postings())
+        assert t.postings == {("A",): {1: 1}}
+        t.install([(("C",), {4: 1}), (("A",), {})])
+        assert t.postings == {("C",): {4: 1}}
         assert t.seal() == 1 and not t._unsealed
+        assert set(t.tables) == {("C",)}
 
-    def test_node_count_grows(self):
+    @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
+    def test_the_index_stays_gc_quiet(self, cls):
+        """Keys are tuples of ints, rows ``dict[int, int]``, tables and
+        location maps hold ints: CPython untracks all of them, so the
+        collector walks a few containers per index however many paths
+        it holds — warm, mutated and located alike.  (A collection
+        untracks a tuple whose items it untracked first; a table pair
+        met before its items waits for the next one, hence two.)"""
+        for num_graphs in (1, 6):
+            index = cls(ppi_like(num_graphs=num_graphs, seed=1))
+            index.warm()
+            index.add_graph(index.graphs[0])
+            index.remove_graph(0)
+            index.warm()
+            for q in generate_workload(index.graphs, 3, 4, seed=1):
+                index.query(q.graph, Budget(max_steps=10_000))
+            gc.collect()
+            gc.collect()
+            assert len(index.trie.postings) > 2_500
+            assert _tracked_reachable(index.trie) <= 8
+
+    def test_node_count_is_the_prefixes_of_the_live_paths(self):
         t = PathTrie()
         assert t.node_count == 0
         t.insert(("A", "B"), 0, 1)
+        assert t.node_count == 2
+        t.insert(("A", "C", "D"), 1, 1)
+        assert t.node_count == 4  # A, AB, AC, ACD
+        t.remove_graph(1)
         assert t.node_count == 2
 
 

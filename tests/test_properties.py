@@ -75,7 +75,7 @@ from repro.indexing import (
     location_vertices,
 )
 from repro.indexing.sketch import FeatureSketch
-from repro.indexing.trie import _Node
+from repro.indexing.trie import PathTrie
 from repro.matching import (
     SELECTION_POLICIES,
     Budget,
@@ -633,7 +633,7 @@ def _mutate(draw, index, graph):
         if after == "warm":
             index.warm()
         elif after == "probe":
-            for seq, _ in list(index.trie.iter_postings()):
+            for seq in list(index.trie.postings):
                 index.trie.mask_ge(seq, 1)
 
 
@@ -668,10 +668,7 @@ def mutated_indexes(draw):
 
 
 def _postings(index):
-    return {
-        seq: {gid: (p.count, p.locations) for gid, p in postings.items()}
-        for seq, postings in index.trie.iter_postings()
-    }
+    return index.trie.postings, index.trie.locations
 
 
 @given(
@@ -700,59 +697,61 @@ def test_index_codec_round_trips_a_mutated_index(index, queries):
 @given(index=mutated_indexes())
 @settings(max_examples=60, deadline=None)
 def test_reseal_after_mutation_equals_a_fresh_seal(index):
-    """``seal`` skips nodes that still hold a threshold table, so a
-    stale table would survive it: every node must answer as the brute
-    force over its posting map does, at, between and past each count."""
-    rows = list(index.trie.iter_postings())
+    """``seal`` skips paths that still hold a threshold table, so a
+    stale table would survive it: every path must answer as the brute
+    force over its posting row does, at, between and past each count."""
+    rows = index.trie.postings
     assert index.warm()["sealed_nodes"] == len(rows)
-    fresh = type(index.trie)()
-    for seq, postings in rows:
-        fresh.install(seq, dict(postings))
-    fresh.seal()
-    for seq, postings in rows:
-        assert index.trie._find(seq).thresholds == (
-            fresh._find(seq).thresholds
-        )
-        counts = {p.count for p in postings.values()}
+    assert index.trie.tables == _fresh_tables(rows)
+    for seq, postings in rows.items():
+        counts = set(postings.values())
         for needed in {1} | counts | {c + 1 for c in counts}:
             want = 0
-            for gid, posting in postings.items():
-                if posting.count >= needed:
+            for gid, count in postings.items():
+                if count >= needed:
                     want |= 1 << gid
             assert index.trie.mask_ge(seq, needed) == want
 
 
+def _fresh_tables(rows):
+    """The tables a fresh trie seals copies of ``rows`` into."""
+    fresh = PathTrie()
+    fresh.install((seq, dict(row)) for seq, row in rows.items())
+    fresh.seal()
+    return fresh.tables
+
+
 def _brute_mask_ge(postings, needed):
     want = 0
-    for gid, posting in postings.items():
-        if posting.count >= needed:
+    for gid, count in postings.items():
+        if count >= needed:
             want |= 1 << gid
     return want
 
 
 def _check_tables(trie):
     """Every table the trie holds right now — built by a drain, a lazy
-    probe or an in-place patch — is the fresh seal of its posting map
-    and answers every threshold as the brute force does.  Reads the
-    tables where they stand: nothing here seals a node."""
-    carrying = 0
-    for seq, postings in trie.iter_postings():
-        carrying += 1
-        node = trie._find(seq)
-        if node.thresholds is None:
-            assert node in trie._unsealed
+    probe or a patch — is the fresh seal of its posting row and
+    answers every threshold as the brute force does; every path with
+    postings and no table is recorded as unsealed, and no table or
+    row outlives its path's postings.  Reads the tables where they
+    stand: nothing here seals a path."""
+    fresh = _fresh_tables(trie.postings)
+    assert not any(row == {} for row in trie.postings.values())
+    assert set(trie.tables) <= set(trie.postings)
+    for seq, postings in trie.postings.items():
+        table = trie.tables.get(seq)
+        if table is None:
+            assert seq in trie._unsealed
             continue
-        fresh = _Node()
-        fresh.postings = postings
-        assert node.thresholds == fresh.seal()
-        counts = {p.count for p in postings.values()}
+        assert table == fresh[seq]
+        counts = set(postings.values())
         for needed in {1} | counts | {c + 1 for c in counts} | {
             c - 1 for c in counts if c > 1
         }:
-            assert mask_ge(node.thresholds, needed) == _brute_mask_ge(
+            assert mask_ge(table, needed) == _brute_mask_ge(
                 postings, needed
             )
-    assert trie.feature_count == carrying
 
 
 @given(data=st.data())
@@ -768,25 +767,25 @@ def test_tables_patched_in_place_equal_a_fresh_seal_at_every_step(data):
     _check_tables(trie)
     for _ in _mutate(data.draw, index, graph):
         _check_tables(trie)
-    rows = list(trie.iter_postings())
-    for seq, postings in rows:
-        for needed in {1} | {p.count for p in postings.values()}:
+    rows = trie.postings
+    for seq, postings in rows.items():
+        for needed in {1} | set(postings.values()):
             assert trie.mask_ge(seq, needed) == _brute_mask_ge(
                 postings, needed
             )
     assert trie.seal() == len(rows) == index.warm()["sealed_nodes"]
     assert not trie._unsealed
-    assert all(trie._find(seq).thresholds for seq, _ in rows)
+    assert set(trie.tables) == set(rows)
     _check_tables(trie)
 
 
 def _walk_fold(router, index, gid=None):
     """The sketch of one graph's postings — or of all of them — folded
-    off a walk of the shard trie."""
+    off the whole shard posting map."""
     return FeatureSketch.from_postings(
         (
             (seq, postings if gid is None else {gid: postings[gid]})
-            for seq, postings in index.trie.iter_postings()
+            for seq, postings in index.trie.postings.items()
             if gid is None or gid in postings
         ),
         graph_count=1,
@@ -797,12 +796,12 @@ def _walk_fold(router, index, gid=None):
 @given(data=st.data(), elsewhere=st.lists(sparse_graphs(), max_size=2))
 @settings(max_examples=60, deadline=None)
 def test_sketch_folded_from_rows_equals_the_trie_walk_fold(data, elsewhere):
-    """``note_add`` folds the rows the insert reported; what it used to
-    do — walk the shard trie, pick the newcomer's postings back out,
-    fold those — sets the same bits bucket for bucket.  ``features``
-    is the trie's posting-carrying node count after every add (an
-    upper bound after a remove), and a ``refresh`` after any sequence
-    only ever tightens the sketch."""
+    """``note_add`` folds the rows the add reported; what it used to
+    do — read the whole shard posting map, pick the newcomer's
+    postings back out, fold those — sets the same bits bucket for
+    bucket.  ``features`` is the number of paths with postings after
+    every add (an upper bound after a remove), and a ``refresh`` after
+    any sequence only ever tightens the sketch."""
     # graphs "on other shards" put labels into the collection's code
     # space that this shard's graphs do not carry, in an order its own
     # labels then have to be appended to
@@ -818,22 +817,20 @@ def test_sketch_folded_from_rows_equals_the_trie_walk_fold(data, elsewhere):
         if op == "remove":
             router.note_remove()
             assert router.sketches[0] is before
-            assert before.feature_count >= index.trie.feature_count
+            assert before.feature_count >= len(index.trie.postings)
             continue
         router.note_add(0, index, rows)
         after = router.sketches[0]
-        assert after.feature_count == sum(
-            1 for _ in index.trie.iter_postings()
-        )
+        assert after.feature_count == len(index.trie.postings)
         assert after.graph_count == len(index.graphs)
         if not rows:
             # a featureless newcomer: nothing to fold, so the router
             # takes the fold it uses for a partition it has no sketch of
             assert after.buckets == _walk_fold(router, index).buckets
             continue
-        assert sorted(seq for seq, _ in rows) == sorted(
-            seq
-            for seq, postings in index.trie.iter_postings()
+        assert sorted(rows) == sorted(
+            (seq, postings[gid])
+            for seq, postings in index.trie.postings.items()
             if gid in postings
         )
         walked = _walk_fold(router, index, gid)
@@ -908,7 +905,7 @@ def test_locations_derived_on_first_verify_equal_the_eager_reference(
             index.max_path_length,
             LabelInterner.from_code_order(index.interner.labels()),
         )
-        assert not restored.trie.located
+        assert not restored.trie.locations
         for _, query in queries:
             for lazy in (index, restored):
                 for gid in range(len(index.graphs)):
@@ -917,7 +914,7 @@ def test_locations_derived_on_first_verify_equal_the_eager_reference(
                             index, query, gid, stored
                         )
                     )
-                assert lazy.trie.located <= set(index.live_ids())
+                assert lazy.trie.locations.keys() <= set(index.live_ids())
         live = index.live_ids()
         if not live:
             continue

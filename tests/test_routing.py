@@ -116,12 +116,8 @@ class TestSketch:
         assert bucket_of((0,), 1) == 0
 
     def test_from_postings_sets_downward_closed_masks(self):
-        class P:
-            def __init__(self, count):
-                self.count = count
-
         sketch = FeatureSketch.from_postings(
-            [((0,), {0: P(5)})], graph_count=1, num_buckets=4,
+            [((0,), {0: 5})], graph_count=1, num_buckets=4,
         )
         mask = sketch.buckets[bucket_of((0,), 4)]
         # max count 5 -> tiers 1, 2, 4 set; 8 clear
@@ -134,15 +130,11 @@ class TestSketch:
         assert sketch.score({(0,): 8}) is None
 
     def test_score_margins_order_richer_shards_first(self):
-        class P:
-            def __init__(self, count):
-                self.count = count
-
         rich = FeatureSketch.from_postings(
-            [((0,), {0: P(16)})], graph_count=1, num_buckets=4,
+            [((0,), {0: 16})], graph_count=1, num_buckets=4,
         )
         poor = FeatureSketch.from_postings(
-            [((0,), {0: P(2)})], graph_count=1, num_buckets=4,
+            [((0,), {0: 2})], graph_count=1, num_buckets=4,
         )
         counts = {(0,): 2}
         assert rich.score(counts) > poor.score(counts)
@@ -246,12 +238,11 @@ class TestSketchUnderAdds:
     def _grown(self, ppi_graphs, monkeypatch=None):
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
-        trie = entry.shard_entry(0).ftv_index.trie
         if monkeypatch is not None:
-            # from here on nothing may walk the shard trie
+            # from here on nothing may fold the shard's whole posting map
             monkeypatch.setattr(
-                type(trie), "iter_postings",
-                lambda self: pytest.fail("note_add walked the trie"),
+                FeatureSketch, "from_postings",
+                lambda *a, **k: pytest.fail("note_add re-folded the shard"),
             )
         for seed in range(3):
             g = ppi_graphs[seed % len(ppi_graphs)]
@@ -260,23 +251,21 @@ class TestSketchUnderAdds:
             cat.add_graph("ppi", g.permuted(order), shard=0)
         return cat, entry
 
-    def test_features_stat_counts_posting_carrying_nodes(self, ppi_graphs):
+    def test_features_stat_counts_paths_with_postings(self, ppi_graphs):
         """Three adds of graphs the shard mostly shares its features
-        with: ``features`` is the trie's node count, not the sum of
+        with: ``features`` is the shard's path count, not the sum of
         every newcomer's feature count on top of the first fold."""
         cat, entry = self._grown(ppi_graphs)
         index = entry.shard_entry(0).ftv_index
         stats = entry.router.as_metrics()["sketches"]["0"]
-        assert stats["features"] == sum(
-            1 for _ in index.trie.iter_postings()
-        )
+        assert stats["features"] == len(index.trie.postings)
         assert stats["graphs"] == len(index.graphs)
         # a remove tightens nothing: the stat stays, now an upper bound
         cat.remove_graph("ppi", entry.assignment[0][-1])
         assert entry.router.as_metrics()["sketches"]["0"] == stats
-        assert stats["features"] >= index.trie.feature_count
+        assert stats["features"] >= len(index.trie.postings)
 
-    def test_note_add_never_walks_the_trie(self, ppi_graphs, monkeypatch):
+    def test_note_add_never_refolds_the_shard(self, ppi_graphs, monkeypatch):
         _, entry = self._grown(ppi_graphs, monkeypatch)
         monkeypatch.undo()
         # and what it folded from the rows admits whatever a fold of

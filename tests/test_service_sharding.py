@@ -719,7 +719,7 @@ class TestOneInternerPerCollection:
         assert shares_one_interner(entry)
         index = entry.shard_entry(empty).ftv_index
         assert all(
-            code >= 0 for seq, _ in index.trie.iter_postings()
+            code >= 0 for seq in index.trie.postings
             for code in seq
         )
         query = LabeledGraph(2, ["~novel", newcomer.label(1)])
@@ -873,7 +873,7 @@ class TestServingNeverLocates:
             asked = {
                 gid for q in queries for gid in index.query(q).candidate_ids
             }
-            assert asked == index.trie.located != set()
+            assert asked == index.trie.locations.keys() != set()
             assert sorted(
                 id(g) for g, located in censuses if located
             ) == sorted(id(index.graphs[gid]) for gid in asked)
