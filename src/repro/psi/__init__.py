@@ -1,6 +1,5 @@
 """The Ψ-framework (Parallel Subgraph Isomorphism framework, paper §8)."""
 
-from .advisor import RaceObservation, VariantAdvisor, query_features
 from .executors import (
     AttemptCost,
     OverheadModel,
@@ -13,9 +12,6 @@ from .framework import PsiFTV, PsiFTVQueryResult, PsiNFV, PsiResult
 from .variants import Variant, variants_from_spec
 
 __all__ = [
-    "RaceObservation",
-    "VariantAdvisor",
-    "query_features",
     "AttemptCost",
     "OverheadModel",
     "RaceOutcome",

@@ -111,6 +111,20 @@ class RaceTask:
     The outcome — winner, step counts, ``per_variant_steps`` — is
     therefore *identical* for every ``quantum`` value.
 
+    ``starts`` staggers the field: a variant with start offset *s*
+    joins at race step *s* and is advanced to ``target - s`` steps
+    (never past its own budget, which runs from its own start), so
+    it completes at race step ``s + steps`` — the time the winner is
+    chosen by and the race's ``steps`` report — and a loser is billed
+    what it did from its start until the winner finished.  All
+    offsets 0 (the default) is the race above, bit for bit.  Every
+    variant still runs to its own completion or budget unless
+    another finishes first, so ``found`` and the winner's outcome
+    never depend on the offsets; only who wins, the bills and the
+    latency do.  :attr:`width` counts the variants the next round
+    advances: a staged race occupies its head's slot alone until the
+    field joins.
+
     One call to :meth:`round` executes exactly one turn, so a caller
     may interleave many races over a shared pool (the serving layer's
     dispatcher does) without changing any race's outcome — engines are
@@ -124,6 +138,7 @@ class RaceTask:
         budget: Optional[Budget] = None,
         overhead: OverheadModel = OverheadModel(),
         quantum: int = DEFAULT_RACE_QUANTUM,
+        starts: Optional[Mapping[object, int]] = None,
     ) -> None:
         if not engines:
             raise ValueError("race needs at least one variant")
@@ -133,8 +148,15 @@ class RaceTask:
         self.position = {k: i for i, k in enumerate(self.keys)}
         self.alive: dict[object, SearchEngine] = dict(engines)
         self.consumed = {k: 0 for k in self.keys}
+        #: race step at which each variant joins (0 = from the start)
+        self.starts = {k: (starts or {}).get(k, 0) for k in self.keys}
         self.cap = (
             budget.max_steps if budget and budget.max_steps else None
+        )
+        #: race step by which every variant has completed or been killed
+        self.horizon = (
+            None if self.cap is None
+            else self.cap + max(self.starts.values())
         )
         self.overhead = overhead
         self.quantum = quantum
@@ -143,53 +165,70 @@ class RaceTask:
         #: engine-steps advanced by the most recent round (schedulers
         #: charge actual work, not reconstructed per-variant bills)
         self.last_round_steps = 0
-
-    @property
-    def width(self) -> int:
-        """Simulated threads one round occupies (alive variants)."""
-        return len(self.alive)
+        #: simulated threads the next round occupies: the alive
+        #: variants it advances (kept by :meth:`round`, read per tick)
+        self.width = sum(1 for s in self.starts.values() if s < quantum)
 
     def round(self) -> Optional[RaceOutcome]:
         """Advance every alive engine one quantum; finish if possible."""
         if self.outcome is not None:
             return self.outcome
-        cap = self.cap
-        self.target += self.quantum
-        if cap is not None and self.target > cap:
-            self.target = cap
-        # (completion steps, declaration position, key, outcome)
+        cap, starts = self.cap, self.starts
+        target = self.target + self.quantum
+        if self.horizon is not None and target > self.horizon:
+            target = self.horizon
+        self.target = target
+        joined = target + self.quantum  # the next round's target
+        # (completion race step, declaration position, key, outcome)
         finished: list[tuple[int, int, object, MatchOutcome]] = []
-        advanced = 0
+        advanced = width = 0
         for key in self.keys:
             gen = self.alive.get(key)
             if gen is None:
                 continue
+            start = starts[key]
+            local = target - start
+            if cap is not None and local > cap:
+                local = cap
             n = self.consumed[key]
             begin = n
-            while n < self.target:
+            while n < local:
                 try:
                     inc = next(gen)
                 except StopIteration as stop:
                     outcome = stop.value or MatchOutcome()
-                    finished.append((n, self.position[key], key, outcome))
+                    finished.append(
+                        (start + n, self.position[key], key, outcome)
+                    )
                     del self.alive[key]
                     break
                 n += 1 if inc is None else inc
             self.consumed[key] = n
             advanced += n - begin
-            if key in self.alive and cap is not None and n >= cap:
-                gen.close()
-                del self.alive[key]
+            if key in self.alive:
+                if cap is not None and n >= cap:
+                    gen.close()
+                    del self.alive[key]
+                elif start < joined:
+                    width += 1
         self.last_round_steps = advanced
+        self.width = width
         over = self.overhead.cost(len(self.keys))
         if finished:
             finished.sort(key=lambda f: (f[0], f[1]))
             won, won_pos, key, outcome = finished[0]
-            outcome.steps = won
+            outcome.steps = won - starts[key]
             per_variant = {}
             for k in self.keys:
-                charged = won + (1 if self.position[k] < won_pos else 0)
-                if cap is not None and charged > cap:
+                # what k did from its start until the winner finished,
+                # plus its turn in the final round if it precedes the
+                # winner's
+                charged = won - starts[k] + (
+                    1 if self.position[k] < won_pos else 0
+                )
+                if charged < 0:
+                    charged = 0
+                elif cap is not None and charged > cap:
                     charged = cap
                 per_variant[k] = charged
             self.close()
@@ -203,12 +242,13 @@ class RaceTask:
                 per_variant_steps=per_variant,
             )
         elif not self.alive:
-            # every variant hit the cap: the race is killed at the budget
-            assert cap is not None
+            # every variant hit its cap: the race is killed when the
+            # last-joined variant exhausts its budget
+            assert self.horizon is not None
             self.outcome = RaceOutcome(
                 winner=None,
                 outcome=None,
-                steps=cap + over,
+                steps=self.horizon + over,
                 found=False,
                 killed=True,
                 overhead_steps=over,
@@ -231,6 +271,7 @@ class RaceTask:
         for gen in self.alive.values():
             gen.close()
         self.alive.clear()
+        self.width = 0
 
 
 def interleaved_race(
@@ -238,14 +279,16 @@ def interleaved_race(
     budget: Optional[Budget] = None,
     overhead: OverheadModel = OverheadModel(),
     quantum: int = DEFAULT_RACE_QUANTUM,
+    starts: Optional[Mapping[object, int]] = None,
 ) -> RaceOutcome:
     """Deterministic race: round-robin ``quantum`` steps per engine turn.
 
     The run-to-completion form of :class:`RaceTask` — see its docstring
-    for the winner/charge reconstruction argument.
+    for the winner/charge reconstruction argument and ``starts``.
     """
     return RaceTask(
-        engines, budget=budget, overhead=overhead, quantum=quantum
+        engines, budget=budget, overhead=overhead, quantum=quantum,
+        starts=starts,
     ).run_to_completion()
 
 
@@ -262,48 +305,55 @@ def race_from_costs(
     costs: Mapping[object, AttemptCost],
     budget_steps: Optional[int] = None,
     overhead: OverheadModel = OverheadModel(),
+    starts: Optional[Mapping[object, int]] = None,
 ) -> RaceOutcome:
     """Replay a race from per-variant costs (the "simulated" executor).
 
-    The winner is the variant with the fewest steps among those that
-    *completed* (killed attempts never finish); ties break by mapping
-    order.  Experiment harnesses use this to evaluate every Ψ variant
-    set from a single per-variant cost matrix, exactly as the paper's
-    speedup* metric is defined (§3.5).
+    The winner is the variant that *completes* first (killed attempts
+    never finish); ties break by mapping order.  Experiment harnesses
+    use this to evaluate every Ψ variant set from a single per-variant
+    cost matrix, exactly as the paper's speedup* metric is defined
+    (§3.5).  ``starts`` are :class:`RaceTask`'s offsets: a variant
+    joining at race step *s* completes at ``s + steps`` and is billed
+    what it did from *s* until the winner completed.  The bills are
+    :class:`RaceTask`'s except for its +1 charged to a variant declared
+    before the winner, for its turn in the final round.
     """
     if not costs:
         raise ValueError("race needs at least one variant")
+    starts = starts or {}
     over = overhead.cost(len(costs))
     winner: Optional[object] = None
-    best: Optional[AttemptCost] = None
+    won: Optional[int] = None
     for key, cost in costs.items():
         if cost.killed:
             continue
-        if best is None or cost.steps < best.steps:
-            winner, best = key, cost
-    per_variant = {
-        k: min(c.steps, best.steps) if best is not None else c.steps
-        for k, c in costs.items()
-    }
-    if best is None:
-        cap = budget_steps if budget_steps is not None else max(
-            c.steps for c in costs.values()
-        )
+        done = starts.get(key, 0) + cost.steps
+        if won is None or done < won:
+            winner, won = key, done
+    if won is None:
+        if budget_steps is not None:
+            last = budget_steps + max(starts.get(k, 0) for k in costs)
+        else:
+            last = max(starts.get(k, 0) + c.steps for k, c in costs.items())
         return RaceOutcome(
             winner=None,
             outcome=None,
-            steps=cap + over,
+            steps=last + over,
             found=False,
             killed=True,
             overhead_steps=over,
-            per_variant_steps=per_variant,
+            per_variant_steps={k: c.steps for k, c in costs.items()},
         )
     return RaceOutcome(
         winner=winner,
         outcome=None,
-        steps=best.steps + over,
-        found=best.found,
+        steps=won + over,
+        found=costs[winner].found,
         killed=False,
         overhead_steps=over,
-        per_variant_steps=per_variant,
+        per_variant_steps={
+            k: max(0, min(c.steps, won - starts.get(k, 0)))
+            for k, c in costs.items()
+        },
     )

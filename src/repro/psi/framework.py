@@ -170,8 +170,14 @@ class PsiNFV:
         budget: Optional[Budget] = None,
         max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
         count_only: bool = False,
+        starts: Optional[dict] = None,
     ) -> PsiResult:
-        """Race ``variants`` on ``query``; first finisher wins."""
+        """Race ``variants`` on ``query``; first finisher wins.
+
+        ``starts`` staggers the field (see
+        :class:`~repro.psi.executors.RaceTask`); the default races
+        every variant from step 0, as the paper does.
+        """
         if not variants:
             raise ValueError("need at least one variant")
         rewritten = {
@@ -190,6 +196,7 @@ class PsiNFV:
             },
             budget=budget,
             overhead=self.overhead,
+            starts=starts,
         )
         embeddings: list[dict[int, int]] = []
         if race.winner is not None and race.outcome is not None:

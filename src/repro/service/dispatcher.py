@@ -14,9 +14,11 @@ workers each (``pools=1`` is the classic single-pool service;
 tick it walks the active races in the caller-provided priority order
 (the service passes fair-share order) and runs one round per race while
 its pool has slots; a race's variants are co-scheduled (the paper's
-thread-group model), so a race needs ``len(alive_variants)`` slots in
-its own pool.  All pools share one virtual clock, which advances one
-quantum per tick — the parallel time of the workers' step slices.
+thread-group model), so a race needs one slot in its own pool per
+variant its next round advances (:attr:`RaceTask.width`: a staged
+race's head runs in one slot until the field joins).  All pools share
+one virtual clock, which advances one quantum per tick — the parallel
+time of the workers' step slices.
 
 Determinism: engines are deterministic generators, the tick order is a
 pure function of submission history, and the clock is virtual — two
@@ -92,16 +94,18 @@ class Dispatcher:
         """Attach a race to ``pool`` under an opaque ``token``.
 
         A race wider than its pool can never be co-scheduled — reject
-        it loudly rather than deadlocking the tick loop.
+        it loudly rather than deadlocking the tick loop.  The declared
+        width counts, not the started one: a staged race admitted on
+        its head's one slot would deadlock when its field joins.
         """
         if not 0 <= pool < self.pools:
             raise ValueError(
                 f"pool {pool} out of range (dispatcher has "
                 f"{self.pools} pools)"
             )
-        if race.width > self.workers:
+        if len(race.keys) > self.workers:
             raise ValueError(
-                f"race has {race.width} variants but each pool has "
+                f"race has {len(race.keys)} variants but each pool has "
                 f"{self.workers} workers; shrink the variant set or "
                 "grow the pool"
             )

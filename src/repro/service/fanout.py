@@ -30,7 +30,10 @@ from ..psi.executors import RaceOutcome
 from .admission import Ticket, TicketState
 from .sharding import merge_shard_outcomes
 
-__all__ = ["DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEDGE_TICKS"]
+__all__ = [
+    "DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEAD_START_STEPS",
+    "HEDGE_TICKS",
+]
 
 #: ticks a routed decision wave races alone before the next wave
 #: hedge-launches anyway: the fast common case (the expected-first-true
@@ -38,6 +41,11 @@ __all__ = ["DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEDGE_TICKS"]
 #: slow first wave falls back to near-parallel racing instead of
 #: serialising the tail
 HEDGE_TICKS = 1
+#: race steps an NFV race's first-declared variant runs alone before
+#: the rest of its variants join (the same idea one level down): most
+#: queries settle on the head, and a loser's step is throughput another
+#: query did not get on a bounded pool (see the race planner)
+HEAD_START_STEPS = 4_096
 #: retry-after hint (virtual steps) handed to degraded tickets and to
 #: retryably rejected mutations
 DEGRADED_RETRY_AFTER = 4_096
@@ -341,6 +349,7 @@ class FanOut:
         over to the next wave instead of merging.
         """
         tid, clock = flight.ticket.id, self.dispatcher.clock
+        self.planner.settled(flight, outcome)
         flight.pending.discard(shard)
         flight.outcomes[shard] = outcome
         self.tracer.end(

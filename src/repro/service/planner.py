@@ -7,6 +7,10 @@ builds each shard's :class:`~repro.psi.executors.RaceTask`: the Ψ
 engines of every variant for an NFV entry, and for an FTV entry one
 decision sweep per rewriting — probe the shard's index with the
 ticket's one query census, verify the candidates with VF2 in id order.
+An NFV race is staged (:func:`race_starts`): its first-declared
+variant races alone for ``HEAD_START_STEPS`` before the field joins.
+An FTV race runs full width from step 0, where the full race beats
+any solo variant.
 What a ticket works out once (the census, the rewritten queries and
 their VF2 plans) lives on the ticket's flight record, so every race of
 the ticket — each shard of the first wave, a deferred wave, a
@@ -27,8 +31,9 @@ from ..matching import Budget, MatchOutcome, VF2Matcher
 from ..psi.variants import Variant, variants_from_spec
 from ..rewriting import make_rewriting
 from .dispatcher import RaceTask
+from .fanout import HEAD_START_STEPS
 
-__all__ = ["QueryOptions", "RacePlanner", "Rewrite"]
+__all__ = ["QueryOptions", "RacePlanner", "Rewrite", "race_starts"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,21 @@ class QueryOptions:
         )
 
 
+def race_starts(kind: str, variants) -> Optional[dict]:
+    """The race step each variant of a ``kind`` entry's race joins at.
+
+    NFV: the first-declared variant — already the tie-break winner —
+    starts at 0 and every other one at ``HEAD_START_STEPS``, so a
+    query its head settles alone never pays the field's width.  Each
+    variant keeps its whole budget from its own start, so the answer
+    is the full race's.  FTV (or a race of one): None, every variant
+    from step 0.
+    """
+    if kind != "nfv" or len(variants) < 2:
+        return None
+    return {v: HEAD_START_STEPS if i else 0 for i, v in enumerate(variants)}
+
+
 class Rewrite:
     """One rewritten form of a ticket's query, and the VF2 plan its
     sweeps search by (built by the first sweep that has a candidate)."""
@@ -98,6 +118,8 @@ class RacePlanner:
         self.routed_queries = metrics.counter("service.routed_queries")
         #: shard races never built because a sketch proved them empty
         self.shards_pruned = metrics.counter("service.shards_pruned")
+        #: staged NFV races settled before their field started
+        self.races_head_only = metrics.counter("service.races_head_only")
         #: (dataset, global graph id) -> verification steps billed to
         #: that stored graph across every FTV sweep — the per-graph
         #: load attribution the rebalancer migrates on (a size proxy
@@ -178,9 +200,20 @@ class RacePlanner:
         else:
             engines = self._ftv_engines(flight, sub, id_map)
         race = RaceTask(
-            engines, budget=budget, quantum=self.dispatcher.quantum
+            engines, budget=budget, quantum=self.dispatcher.quantum,
+            starts=race_starts(entry.kind, flight.variants),
         )
         return race, id_map
+
+    def settled(self, flight, outcome) -> None:
+        """Count a race its head settled before the field started:
+        every variant with a start offset was billed nothing."""
+        starts = race_starts(flight.entry.kind, flight.variants)
+        if starts is None or outcome.killed:
+            return
+        bills = outcome.per_variant_steps
+        if not any(bills[v] for v, start in starts.items() if start):
+            self.races_head_only.inc()
 
     def census(
         self, flight, interner: LabelInterner, max_path_length: int

@@ -19,6 +19,13 @@ grown from them, then assert the library's fundamental contracts:
   the ``Counter``-signature recursive engines they replaced yield
   (``tests/_nfv_recursive.py``), and are killed where those are;
 * race outcomes equal the per-variant minimum;
+* for any start offsets and quantum, a :class:`RaceTask` over engines
+  with given costs and :func:`race_from_costs` over those costs agree
+  on the winner, ``steps`` and ``found``, and bill each variant alike
+  up to the live race's +1 for a variant declared before the winner;
+  a race staged as the planner stages NFV races answers as the full
+  race does, and does at most the full race's work plus the head
+  start — no more than the full race's when the head wins that race;
 * a Grapes or GGSX index that lived through a random add / remove /
   re-add sequence comes back from ``decode_index(encode_index(ix))``,
   given its label code order, with the same postings and tombstones,
@@ -81,16 +88,19 @@ from repro.matching import (
     Budget,
     GraphIndex,
     GraphQLMatcher,
+    MatchOutcome,
     SPathMatcher,
     VF2Matcher,
     drive,
     make_matcher,
 )
 from repro.matching.masks import mask_ge
-from repro.psi import AttemptCost, OverheadModel, race_from_costs
+from repro.psi import AttemptCost, OverheadModel, RaceTask, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.service import Service
+from repro.service.fanout import HEAD_START_STEPS
 from repro.service.loadgen import collection_digest, oracle_digest
+from repro.service.planner import race_starts
 from repro.service.routing import ShardRouter
 from repro.service.sharding import ShardedCatalog
 from repro.store import StoreWriter
@@ -603,6 +613,110 @@ def test_race_from_costs_is_min_of_completions(costs, overhead):
     else:
         assert race.killed
         assert race.steps == 10**6 + overhead * len(table)
+
+
+def _costed(steps: int, batch: int, found: bool):
+    """An engine that completes after exactly ``steps``, yielding
+    batches of up to ``batch`` steps."""
+    left = steps
+    while left:
+        inc = min(batch, left)
+        left -= inc
+        yield inc
+    return MatchOutcome(found=found)
+
+
+#: (steps, batch, found) per variant
+_COSTED = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=9),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _live_race(variants, cap, quantum, starts):
+    return RaceTask(
+        {i: _costed(n, b, f) for i, (n, b, f) in enumerate(variants)},
+        budget=Budget(max_steps=cap),
+        quantum=quantum,
+        starts=starts,
+    ).run_to_completion()
+
+
+def _cost_table(variants, cap):
+    killed = {i: cap is not None and n >= cap for i, (n, _, _) in
+              enumerate(variants)}
+    return {
+        i: AttemptCost(
+            steps=min(n, cap) if killed[i] else n,
+            found=f and not killed[i],
+            killed=killed[i],
+        )
+        for i, (n, _, f) in enumerate(variants)
+    }
+
+
+@given(
+    variants=_COSTED,
+    offsets=st.lists(
+        st.integers(min_value=0, max_value=300), min_size=5, max_size=5
+    ),
+    cap=st.one_of(st.none(), st.integers(min_value=1, max_value=320)),
+    quantum=st.sampled_from([1, 2, 7, 64, 4096]),
+)
+@settings(max_examples=150, deadline=None)
+def test_race_task_with_offsets_is_its_cost_replay(
+    variants, offsets, cap, quantum
+):
+    starts = dict(enumerate(offsets[: len(variants)]))
+    live = _live_race(variants, cap, quantum, starts)
+    twin = race_from_costs(
+        _cost_table(variants, cap), budget_steps=cap, starts=starts
+    )
+    assert live.winner == twin.winner
+    assert live.steps == twin.steps
+    assert live.found == twin.found
+    assert live.killed == twin.killed
+    for i, billed in live.per_variant_steps.items():
+        tie = 1 if live.winner is not None and i < live.winner else 0
+        assert 0 <= billed - twin.per_variant_steps[i] <= tie, i
+
+
+@given(
+    costs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3 * HEAD_START_STEPS),
+            st.integers(min_value=16, max_value=512),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    found=st.booleans(),
+    cap=st.one_of(
+        st.none(), st.integers(min_value=1, max_value=3 * HEAD_START_STEPS)
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_staged_race_answers_as_full_width_within_its_head_start(
+    costs, found, cap
+):
+    # every variant answers alike (the paper's invariant); only costs vary
+    variants = [(n, b, found) for n, b in costs]
+    staged = _live_race(
+        variants, cap, 64, race_starts("nfv", list(range(len(variants))))
+    )
+    full = _live_race(variants, cap, 64, None)
+    assert staged.found == full.found
+    assert staged.killed == full.killed
+    staged_work, full_work = staged.work_steps, full.work_steps
+    assert staged_work <= full_work + HEAD_START_STEPS
+    if full.winner == 0:
+        assert staged.winner == 0
+        assert staged_work <= full_work
 
 
 def _mutate(draw, index, graph):

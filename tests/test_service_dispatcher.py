@@ -10,9 +10,11 @@ import random
 import pytest
 
 from repro.harness import build_nfv_graph
-from repro.matching import Budget
+from repro.matching import Budget, MatchOutcome
 from repro.psi import PsiNFV, Variant, interleaved_race
 from repro.service import Dispatcher, RaceTask
+from repro.service.fanout import HEAD_START_STEPS
+from repro.service.planner import race_starts
 from repro.workload import extract_query
 
 VARIANTS = (
@@ -162,3 +164,91 @@ class TestDispatcher:
         ))
         disp.cancel(0)
         assert disp.active == 0
+
+
+def counted(steps, found=True):
+    """A synthetic engine that completes after exactly ``steps``."""
+    for _ in range(steps):
+        yield 1
+    return MatchOutcome(found=found)
+
+
+def staged(engines):
+    """A race under the planner's NFV schedule."""
+    return RaceTask(
+        engines,
+        budget=Budget(max_steps=50_000),
+        starts=race_starts("nfv", list(engines)),
+    )
+
+
+def slow_head_query(psi, store):
+    """A query whose head (the first variant) outlasts its head start."""
+    head = VARIANTS[0]
+    for seed in range(200):
+        query = extract_query(store, 12, random.Random(seed))
+        cost = psi.run_variant(query, head, count_only=True)
+        if cost.steps > HEAD_START_STEPS and not cost.killed:
+            return query
+    raise AssertionError("no slow-head query in the sample")
+
+
+class TestStagedRace:
+    def test_head_phase_claims_one_slot(self):
+        disp = Dispatcher(workers=4)
+        race = staged({i: counted(10_000) for i in range(4)})
+        disp.admit("a", race)
+        assert race.width == 1
+        assert disp.slots_free(0) == 3
+
+    def test_four_staged_heads_co_run(self):
+        disp = Dispatcher(workers=4)
+        for token in "abcd":
+            disp.admit(token, staged({i: counted(10_000) for i in range(4)}))
+        assert disp.slots_free(0) == 0
+        events = disp.tick(list("abcd"))
+        assert [token for token, _, _ in events] == list("abcd")
+        # only the heads advanced: one quantum each
+        assert [work for _, work, _ in events] == [disp.quantum] * 4
+
+    def test_field_join_claims_full_width(self):
+        disp = Dispatcher(workers=4, quantum=64)
+        race = staged({i: counted(10_000) for i in range(4)})
+        disp.admit("a", race)
+        head_ticks = 0
+        while race.width == 1:
+            disp.tick(["a"])
+            head_ticks += 1
+        assert head_ticks == HEAD_START_STEPS // 64
+        assert race.width == 4
+        assert disp.slots_free(0) == 0
+        disp.admit("b", staged({i: counted(10_000) for i in range(4)}))
+        events = disp.tick(["a", "b"])
+        assert [token for token, _, _ in events] == ["a"]
+        assert events[0][1] == 4 * 64  # head and field each a quantum
+
+    def test_five_wide_staged_race_refused(self):
+        disp = Dispatcher(workers=4)
+        race = staged({i: counted(10) for i in range(5)})
+        assert race.width == 1  # started width would fit ...
+        with pytest.raises(ValueError, match="5 variants"):
+            disp.admit("a", race)  # ... the declared width does not
+
+    def test_outcome_independent_of_quantum(self, psi, store):
+        query = slow_head_query(psi, store)
+        variants = VARIANTS + (Variant("SPA", "DND"),)
+        outs = []
+        for quantum in (1, 7, 64, 4096):
+            race = RaceTask(
+                engines_for(psi, query, variants),
+                budget=Budget(max_steps=50_000),
+                quantum=quantum,
+                starts=race_starts("nfv", variants),
+            )
+            outs.append(race.run_to_completion())
+        assert any(
+            steps for v, steps in outs[0].per_variant_steps.items()
+            if v != variants[0]
+        )  # the field joined: the offsets are in play
+        for out in outs[1:]:
+            assert_same_outcome(out, outs[0])

@@ -1,9 +1,13 @@
 """End-to-end service tests: determinism, caching, fairness, FTV."""
 
+import json
+import random
+
 import pytest
 
 from repro.harness import build_ftv_graphs, build_nfv_graph
 from repro.matching import Budget
+from repro.psi import PsiNFV
 from repro.service import (
     AdmissionController,
     QueryOptions,
@@ -13,7 +17,13 @@ from repro.service import (
     results_digest,
     run_closed_loop,
 )
-from repro.workload import default_tenant_mixes, generate_tenant_stream
+from repro.service.fanout import HEAD_START_STEPS
+from repro.service.planner import race_starts
+from repro.workload import (
+    default_tenant_mixes,
+    extract_query,
+    generate_tenant_stream,
+)
 
 OPTS = QueryOptions(algorithms=("GQL", "SPA"), rewritings=("Orig", "DND"))
 BUDGET = 60_000
@@ -87,13 +97,15 @@ class TestDeterminism:
 
 class TestEquivalenceWithPsi:
     def test_service_result_matches_solo_race(self, store):
-        """A served query's bill equals PsiNFV.race, concurrency or not."""
+        """A served query's bill equals PsiNFV.race under the planner's
+        schedule, concurrency or not."""
         svc = make_service()
         streams = streams_for(store, queries_per_tenant=6)
         rep = run_closed_loop(svc, "yeast", streams, options=OPTS)
         entry = svc.catalog.get("yeast")
         psi = entry.shard_entry(entry.home_shard).psi
         variants = OPTS.variants("nfv")
+        starts = race_starts("nfv", variants)
         checked = 0
         for t in rep.completed:
             if t.cache_hit or t.coalesced:
@@ -105,6 +117,7 @@ class TestEquivalenceWithPsi:
                 variants,
                 budget=Budget(max_steps=BUDGET),
                 count_only=True,
+                starts=starts,
             )
             assert t.result.winner == ref.winner
             assert t.result.steps == ref.steps
@@ -113,6 +126,79 @@ class TestEquivalenceWithPsi:
             )
             checked += 1
         assert checked >= 8
+
+    def test_staged_answers_are_the_full_races(self, store):
+        """The staged schedule moves winners, bills and latency, never
+        what is answered: each served answer is the full-width race's."""
+        svc = make_service()
+        streams = streams_for(store, queries_per_tenant=6)
+        rep = run_closed_loop(svc, "yeast", streams, options=OPTS)
+        entry = svc.catalog.get("yeast")
+        psi = entry.shard_entry(entry.home_shard).psi
+        for t in rep.completed:
+            full = psi.race(
+                t.query,
+                OPTS.variants("nfv"),
+                budget=Budget(max_steps=BUDGET),
+                count_only=True,
+            )
+            assert t.result.found == full.found
+            assert t.result.killed == full.race.killed
+            assert t.result.num_embeddings == (
+                full.race.outcome.num_embeddings if full.race.outcome else 0
+            )
+
+
+class TestStagedRace:
+    """``service.races_head_only`` counts the NFV races whose head
+    settled them before the field started, and nothing else."""
+
+    @staticmethod
+    def serve_one(store, query):
+        svc = make_service()
+        ticket = svc.submit("yeast", query, options=OPTS)
+        svc.run_until_idle()
+        return svc, ticket
+
+    def head_steps(self, store, query):
+        psi = PsiNFV(store)
+        head = OPTS.variants("nfv")[0]
+        return psi.run_variant(query, head, count_only=True).steps
+
+    def test_head_settled_race_counts(self, store):
+        query = extract_query(store, 4, random.Random(1))
+        assert self.head_steps(store, query) < HEAD_START_STEPS
+        svc, ticket = self.serve_one(store, query)
+        result = ticket.result
+        assert result.winner == OPTS.variants("nfv")[0]
+        assert all(
+            steps == 0
+            for v, steps in result.per_variant_steps
+            if v != result.winner
+        )
+        assert svc.metrics.value("service.races_head_only") == 1
+
+    def test_field_joined_race_does_not_count(self, store):
+        query = next(
+            q for q in (
+                extract_query(store, 12, random.Random(seed))
+                for seed in range(200)
+            )
+            if self.head_steps(store, q) > HEAD_START_STEPS
+        )
+        svc, ticket = self.serve_one(store, query)
+        assert any(
+            steps for v, steps in ticket.result.per_variant_steps
+            if v != OPTS.variants("nfv")[0]
+        )
+        assert svc.metrics.value("service.races_head_only") == 0
+
+    def test_counter_stays_out_of_stats(self, store):
+        svc, _ = self.serve_one(
+            store, extract_query(store, 4, random.Random(1))
+        )
+        assert svc.metrics.value("service.races_head_only") == 1
+        assert "races_head_only" not in json.dumps(svc.stats())
 
 
 class TestResultCaching:
