@@ -41,10 +41,11 @@ __all__ = [
 #: slow first wave falls back to near-parallel racing instead of
 #: serialising the tail
 HEDGE_TICKS = 1
-#: race steps an NFV race's first-declared variant runs alone before
-#: the rest of its variants join (the same idea one level down): most
-#: queries settle on the head, and a loser's step is throughput another
-#: query did not get on a bounded pool (see the race planner)
+#: race steps a race's first-declared variant runs alone before the
+#: rest of its variants join (the same idea one level down): the full
+#: race from step 0 has the lower latency, but most queries settle on
+#: the head, and a loser's step is throughput another query did not
+#: get on a bounded pool (see the race planner)
 HEAD_START_STEPS = 4_096
 #: retry-after hint (virtual steps) handed to degraded tickets and to
 #: retryably rejected mutations

@@ -7,14 +7,17 @@ builds each shard's :class:`~repro.psi.executors.RaceTask`: the Ψ
 engines of every variant for an NFV entry, and for an FTV entry one
 decision sweep per rewriting — probe the shard's index with the
 ticket's one query census, verify the candidates with VF2 in id order.
-An NFV race is staged (:func:`race_starts`): its first-declared
-variant races alone for ``HEAD_START_STEPS`` before the field joins.
-An FTV race runs full width from step 0, where the full race beats
-any solo variant.
+A race is staged (:func:`race_starts`): its first-declared variant
+races alone for ``HEAD_START_STEPS`` before the field joins.  The
+full race from step 0 has the lower latency, but on a bounded pool a
+loser's step is work another query did not get, and most queries
+settle on the head alone.
 What a ticket works out once (the census, the rewritten queries and
 their VF2 plans) lives on the ticket's flight record, so every race of
 the ticket — each shard of the first wave, a deferred wave, a
-rerouted leg — reuses it and it dies with the ticket.
+rerouted leg — reuses it and it dies with the ticket.  An FTV sweep
+makes its rewriting on its first resume, so a variant that never
+starts builds nothing.
 
 The planner also owns the per-graph verification bills
 (:attr:`RacePlanner.graph_bills`) the rebalancer migrates on.
@@ -23,6 +26,7 @@ The planner also owns the per-graph verification bills
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from ..graphs import LabeledGraph
@@ -75,17 +79,23 @@ class QueryOptions:
         )
 
 
-def race_starts(kind: str, variants) -> Optional[dict]:
-    """The race step each variant of a ``kind`` entry's race joins at.
+def race_starts(
+    variants, budget_steps: Optional[int] = None
+) -> Optional[dict]:
+    """The race step each variant of a race joins at.
 
-    NFV: the first-declared variant — already the tie-break winner —
-    starts at 0 and every other one at ``HEAD_START_STEPS``, so a
-    query its head settles alone never pays the field's width.  Each
-    variant keeps its whole budget from its own start, so the answer
-    is the full race's.  FTV (or a race of one): None, every variant
-    from step 0.
+    The first-declared variant — already the tie-break winner — starts
+    at 0 and every other one at ``HEAD_START_STEPS``, so a query its
+    head settles alone never pays the field's width.  Each variant
+    keeps its whole budget from its own start, so the answer is the
+    full race's.  None, every variant from step 0, for a race of one
+    and for a ``budget_steps`` of at most ``HEAD_START_STEPS``: the
+    head would be killed before the field joins and the race would
+    hold a slot doing nothing until it did.
     """
-    if kind != "nfv" or len(variants) < 2:
+    if len(variants) < 2 or (
+        budget_steps and budget_steps <= HEAD_START_STEPS
+    ):
         return None
     return {v: HEAD_START_STEPS if i else 0 for i, v in enumerate(variants)}
 
@@ -99,6 +109,20 @@ class Rewrite:
     def __init__(self, graph: LabeledGraph) -> None:
         self.graph = graph
         self.plan = None
+
+
+def _rewrite(flight, rewriting: str, stats) -> Rewrite:
+    """The ticket's query under ``rewriting`` on a partition with label
+    ``stats``: the flight's :class:`Rewrite` of that permutation, made
+    by the first sweep that lands on it."""
+    query = flight.ticket.query
+    perm = make_rewriting(rewriting).permutation(query, stats)
+    rewrite = flight.rewrites.get(perm)
+    if rewrite is None:
+        rewrite = flight.rewrites[perm] = Rewrite(
+            query.permuted(perm, name=f"{query.name}:{rewriting}")
+        )
+    return rewrite
 
 
 class RacePlanner:
@@ -118,7 +142,7 @@ class RacePlanner:
         self.routed_queries = metrics.counter("service.routed_queries")
         #: shard races never built because a sketch proved them empty
         self.shards_pruned = metrics.counter("service.shards_pruned")
-        #: staged NFV races settled before their field started
+        #: staged races settled before their field started
         self.races_head_only = metrics.counter("service.races_head_only")
         #: (dataset, global graph id) -> verification steps billed to
         #: that stored graph across every FTV sweep — the per-graph
@@ -201,14 +225,14 @@ class RacePlanner:
             engines = self._ftv_engines(flight, sub, id_map)
         race = RaceTask(
             engines, budget=budget, quantum=self.dispatcher.quantum,
-            starts=race_starts(entry.kind, flight.variants),
+            starts=race_starts(flight.variants, ticket.budget_steps),
         )
         return race, id_map
 
     def settled(self, flight, outcome) -> None:
         """Count a race its head settled before the field started:
         every variant with a start offset was billed nothing."""
-        starts = race_starts(flight.entry.kind, flight.variants)
+        starts = race_starts(flight.variants, flight.ticket.budget_steps)
         if starts is None or outcome.killed:
             return
         bills = outcome.per_variant_steps
@@ -250,28 +274,18 @@ class RacePlanner:
         """
         index = sub.ftv_index
         assert index is not None
-        query = flight.ticket.query
         candidates = index.probe(
             self.census(flight, index.interner, index.max_path_length)
         )
-        rewrites = flight.rewrites
-        engines = {}
-        for variant in flight.variants:
-            perm = make_rewriting(variant.rewriting).permutation(
-                query, sub.stats
-            )
-            rewrite = rewrites.get(perm)
-            if rewrite is None:
-                rewrite = rewrites[perm] = Rewrite(
-                    query.permuted(
-                        perm, name=f"{query.name}:{variant.rewriting}"
-                    )
-                )
-            engines[variant] = self.ftv_sweep(
-                index, rewrite, list(candidates),
+        return {
+            variant: self.ftv_sweep(
+                index,
+                partial(_rewrite, flight, variant.rewriting, sub.stats),
+                list(candidates),
                 flight.options.decision_only, flight.ticket.dataset, id_map,
             )
-        return engines
+            for variant in flight.variants
+        }
 
     def ftv_sweep(
         self, index, rewrite, candidates, decision_only,
@@ -286,11 +300,15 @@ class RacePlanner:
         per-graph load signal); the forwarding loop yields exactly what
         ``yield from`` would, so step semantics are untouched.
 
-        The VF2 search plan is a function of the rewritten query alone,
-        so the first sweep of ``rewrite`` that has a candidate builds
-        it and every engine of every sweep of it searches by that one;
-        it lives as long as the ticket is open and no longer.
+        ``rewrite`` is the :class:`Rewrite` to search by, or a callable
+        that makes it on the sweep's first resume.  The VF2 search plan
+        is a function of the rewritten query alone, so the first sweep
+        of ``rewrite`` that has a candidate builds it and every engine
+        of every sweep of it searches by that one; it lives as long as
+        the ticket is open and no longer.
         """
+        if callable(rewrite):
+            rewrite = rewrite()
         matched: list[int] = []
         bills = self.graph_bills
         verifier = self._verifier

@@ -357,7 +357,6 @@ class Service:
         tickets degraded by a fault count as completed-with-refusal so
         closed loops see their slots free up)."""
         fanout = self.fanout
-        self.replica_set.unwedge_expired(self.clock)
         # mutations apply only at quiesce points: no ticket queued,
         # staged, or racing may observe the collection mid-change
         # (coalesced followers only exist while their leader is open)
@@ -375,6 +374,10 @@ class Service:
             fanout.priority_order(self.admission.ledger),
             frozen=self.replica_set.frozen_pools(),
         )
+        # only a tick moves the clock, so wedges expire right after it:
+        # one due now expires even if this tick leaves the service idle
+        # and it is never pumped again
+        self.replica_set.unwedge_expired(self.clock)
         flights = fanout.flights
         # pass 1: bill every shard's work this tick while all tickets
         # are still open — a shard whose sibling settles the query this

@@ -26,6 +26,7 @@ from repro.service import (
     chaos_plan,
     run_closed_loop,
 )
+from repro.graphs import LabeledGraph
 from repro.harness import build_ftv_graphs
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
@@ -310,6 +311,20 @@ class TestWedgeDrill:
         assert svc.replica_set.state(0, 0) is ReplicaState.LIVE
         assert not svc.replica_set.suspect_until
         assert report.chaos["lost"] == 0
+
+    def test_a_wedge_due_as_the_service_goes_idle_expires(self, ppi_graphs):
+        """A wedge that falls due on the tick that leaves the service
+        idle expires on that tick: no later pump comes to expire it."""
+        svc = ftv_service(shards=1)
+        svc.wedge_replica(0, 1, ticks=1)  # due one tick from now
+        # no stored graph has this label: the race settles in one tick
+        query = LabeledGraph.from_edges(["no-such-label"] * 2, [(0, 1)])
+        ticket = svc.submit("ppi", query, options=FTV_OPTS)
+        svc.run_until_idle()
+        assert ticket.done and svc.idle
+        assert svc.clock == svc.dispatcher.quantum
+        assert not svc.replica_set.suspect_until
+        assert svc.replica_set.state(0, 1) is ReplicaState.LIVE
 
     def test_wedge_unknown_replica_is_noop(self, ppi_graphs):
         svc = ftv_service()

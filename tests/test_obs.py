@@ -161,18 +161,21 @@ FLAT_COUNTERS = {
 
 
 #: what ``test_one_shard_stats_are_the_unsharded_services``' run read
-#: at commit d077afa (PR 22), whose ``Service(shards=1)`` held a plain
-#: ``DatasetCatalog``
+#: at commit d077afa, whose ``Service(shards=1)`` held a plain
+#: ``DatasetCatalog``; the clock, ticks, work, latencies, tenant charges
+#: and prepare-cache lookups are re-read since FTV races are staged
+#: (a race the head settles never runs or rewrites for its second
+#: sweep), every other key and value is still d077afa's
 UNSHARDED_STATS = {
-    "clock_steps": 512,
-    "ticks": 8,
-    "work_steps": 804,
+    "clock_steps": 384,
+    "ticks": 6,
+    "work_steps": 368,
     "completed": 17,
     "active": 0,
     "shards": 1,
     "shard_cancelled": 0,
-    "per_shard_work": [804],
-    "per_pool_work": [804],
+    "per_shard_work": [368],
+    "per_pool_work": [368],
     "replicas": {
         "counts": [1], "live": [1], "states": {},
         "killed": 0, "wedged": 0, "retired": 0,
@@ -187,13 +190,13 @@ UNSHARDED_STATS = {
         "waves_skipped": 0, "shard_cancelled": 0,
     },
     "latency_steps": {
-        "count": 17, "mean": 86.58823529411765,
-        "p50": 64, "p95": 256, "p99": 256, "max": 256,
+        "count": 17, "mean": 60.23529411764706,
+        "p50": 64, "p95": 128, "p99": 128, "max": 128,
     },
     "admission": {
         "admitted": 14, "rejected": 1, "coalesced": 1,
         "queued": 0, "in_flight": 0,
-        "charged_steps": {"tenant0": 180, "tenant1": 603, "public": 21},
+        "charged_steps": {"tenant0": 80, "tenant1": 277, "public": 11},
     },
     "result_cache": {
         "hits": 2, "misses": 15, "evictions": 0, "lookups": 17,
@@ -201,8 +204,8 @@ UNSHARDED_STATS = {
         "capacity": 512, "uncacheable": 0,
     },
     "prepare_cache": {
-        "hits": 54, "misses": 19, "evictions": 1, "lookups": 73,
-        "hit_rate": 0.7397260273972602,
+        "hits": 26, "misses": 19, "evictions": 1, "lookups": 45,
+        "hit_rate": 0.5777777777777777,
     },
 }
 
@@ -295,7 +298,7 @@ class TestStatsIdentity:
     def test_one_shard_stats_are_the_unsharded_services(self, ppi_graphs):
         """``stats()`` (minus the approximate ``memory``) of a
         ``Service(shards=1)`` after a short mixed run, against the dict
-        the unsharded service of PR 22 reported for the same run:
+        the unsharded service reported for the same run:
         serving one shard through the sharded catalog moved no key and
         no value — ``routing.enabled`` stays false, the replica view
         is one live replica, per-shard work is pool 0's."""

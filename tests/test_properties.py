@@ -60,16 +60,23 @@ grown from them, then assert the library's fundamental contracts:
   of replica kills, regrows, adds and removes: after every quiesce the
   served collection digests as the rebuild-from-scratch oracle, and a
   shard that went dark re-warms from its blob only while no mutation
-  has made that blob stale.
+  has made that blob stale;
+* on a generated ppi-like collection served over one or two shards,
+  with or without ``decision_only``: every answer is the reference
+  matcher's, and each staged FTV shard race bills what
+  :func:`race_from_costs` replays from its sweeps' solo costs under
+  :func:`race_starts`, within the full race's work plus the head start.
 """
 
 import random
 import tempfile
 from itertools import chain
 from types import SimpleNamespace
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import ppi_like
 from repro.graphs import LabeledGraph, disjoint_union
 from repro.harness import build_ftv_graphs
 from repro.indexing import (
@@ -89,6 +96,7 @@ from repro.matching import (
     GraphIndex,
     GraphQLMatcher,
     MatchOutcome,
+    ReferenceMatcher,
     SPathMatcher,
     VF2Matcher,
     drive,
@@ -97,10 +105,10 @@ from repro.matching import (
 from repro.matching.masks import mask_ge
 from repro.psi import AttemptCost, OverheadModel, RaceTask, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
-from repro.service import Service
+from repro.service import QueryOptions, Service
 from repro.service.fanout import HEAD_START_STEPS
 from repro.service.loadgen import collection_digest, oracle_digest
-from repro.service.planner import race_starts
+from repro.service.planner import Rewrite, race_starts
 from repro.service.routing import ShardRouter
 from repro.service.sharding import ShardedCatalog
 from repro.store import StoreWriter
@@ -707,7 +715,7 @@ def test_staged_race_answers_as_full_width_within_its_head_start(
     # every variant answers alike (the paper's invariant); only costs vary
     variants = [(n, b, found) for n, b in costs]
     staged = _live_race(
-        variants, cap, 64, race_starts("nfv", list(range(len(variants))))
+        variants, cap, 64, race_starts(list(range(len(variants))))
     )
     full = _live_race(variants, cap, 64, None)
     assert staged.found == full.found
@@ -1283,3 +1291,111 @@ def test_nothing_outlives_a_drain(data):
         trace = svc.trace(ticket.id)
         assert trace.done
         assert not any("auto_closed" in s.attrs for s in trace.spans)
+
+
+def _solo_sweep(svc, flight, shard, variant, query):
+    """One shard sweep of ``variant`` run alone: its cost and outcome."""
+    sub = flight.entry.shard_entry(shard)
+    perm = make_rewriting(variant.rewriting).permutation(query, sub.stats)
+    return svc.planner.ftv_sweep(
+        sub.ftv_index, Rewrite(query.permuted(perm)),
+        sub.ftv_index.filter(query), flight.options.decision_only,
+    )
+
+
+@given(
+    data=st.data(),
+    head_start=st.sampled_from([8, 64, HEAD_START_STEPS]),
+)
+@settings(max_examples=10, deadline=None)
+def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
+    """On a generated ppi-like collection, over one and two shards,
+    with and without ``decision_only``: every served answer is the
+    reference matcher's, each shard race bills what
+    ``race_from_costs`` replays from its sweeps' solo costs under the
+    planner's schedule (up to the live race's +1 tie charge), and does
+    at most the full-width race's work plus the head start.  The head
+    start is drawn small as well, so the field joins on tiny graphs."""
+    newcomers = ppi_like(
+        num_graphs=data.draw(st.integers(min_value=0, max_value=2)),
+        avg_nodes=data.draw(st.integers(min_value=20, max_value=60)),
+        num_labels=8,
+        seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    removed = data.draw(st.sampled_from([None, 0, 1, 2]))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    graphs = list(PPI) + newcomers
+    live = [g for gid, g in enumerate(graphs) if gid != removed]
+    queries = [
+        extract_query(g, rng.randint(1, min(6, g.size)), rng)
+        for g in (rng.choice(live) for _ in range(3))
+    ] + [data.draw(stores(max_nodes=5))]
+    reference = ReferenceMatcher()
+    truth = [
+        tuple(
+            gid for gid, g in enumerate(graphs)
+            if gid != removed and reference.run(g, q, max_embeddings=1).found
+        )
+        for q in queries
+    ]
+    with patch("repro.service.planner.HEAD_START_STEPS", head_start):
+        for shards in (1, 2):
+            for decision in (False, True):
+                svc = Service(workers=4, shards=shards)
+                svc.load_dataset("ppi", scale="tiny")
+                for graph in newcomers:
+                    svc.add_graph("ppi", graph)
+                if removed is not None:
+                    svc.remove_graph("ppi", removed)
+                svc.run_until_idle()
+                legs = []
+                done = svc.fanout.shard_done
+
+                def record(flight, shard, outcome):
+                    legs.append((flight, shard, outcome))
+                    return done(flight, shard, outcome)
+
+                svc.fanout.shard_done = record
+                options = QueryOptions(
+                    rewritings=("Orig", "DND"), decision_only=decision
+                )
+                tickets = [
+                    svc.submit("ppi", q, options=options) for q in queries
+                ]
+                svc.run_until_idle()
+                for ticket, expected in zip(tickets, truth):
+                    assert not ticket.result.killed
+                    assert ticket.result.found == bool(expected)
+                    got = tuple(sorted(ticket.result.matching_ids))
+                    if decision:
+                        assert set(got) <= set(expected)
+                    else:
+                        assert got == expected
+                assert legs
+                for flight, shard, live_race in legs:
+                    query, variants = flight.ticket.query, flight.variants
+                    budget = flight.ticket.budget_steps
+                    costs = {}
+                    for v in variants:
+                        out = drive(_solo_sweep(svc, flight, shard, v, query))
+                        costs[v] = AttemptCost(out.steps, out.found, False)
+                    starts = race_starts(variants, budget)
+                    twin = race_from_costs(costs, budget, starts=starts)
+                    assert live_race.winner == twin.winner
+                    assert live_race.steps == twin.steps
+                    assert live_race.found == twin.found
+                    won = variants.index(twin.winner)
+                    for i, v in enumerate(variants):
+                        billed = live_race.per_variant_steps[v]
+                        tie = 1 if i < won else 0
+                        assert 0 <= billed - twin.per_variant_steps[v] <= tie
+                    full = RaceTask(
+                        {
+                            v: _solo_sweep(svc, flight, shard, v, query)
+                            for v in variants
+                        },
+                        budget=Budget(max_steps=budget),
+                    ).run_to_completion()
+                    assert live_race.work_steps <= (
+                        full.work_steps + head_start
+                    )

@@ -174,11 +174,11 @@ def counted(steps, found=True):
 
 
 def staged(engines):
-    """A race under the planner's NFV schedule."""
+    """A race under the planner's schedule."""
     return RaceTask(
         engines,
         budget=Budget(max_steps=50_000),
-        starts=race_starts("nfv", list(engines)),
+        starts=race_starts(list(engines)),
     )
 
 
@@ -243,7 +243,7 @@ class TestStagedRace:
                 engines_for(psi, query, variants),
                 budget=Budget(max_steps=50_000),
                 quantum=quantum,
-                starts=race_starts("nfv", variants),
+                starts=race_starts(variants),
             )
             outs.append(race.run_to_completion())
         assert any(

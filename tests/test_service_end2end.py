@@ -105,7 +105,7 @@ class TestEquivalenceWithPsi:
         entry = svc.catalog.get("yeast")
         psi = entry.shard_entry(entry.home_shard).psi
         variants = OPTS.variants("nfv")
-        starts = race_starts("nfv", variants)
+        starts = race_starts(variants, BUDGET)
         checked = 0
         for t in rep.completed:
             if t.cache_hit or t.coalesced:
@@ -151,7 +151,8 @@ class TestEquivalenceWithPsi:
 
 class TestStagedRace:
     """``service.races_head_only`` counts the NFV races whose head
-    settled them before the field started, and nothing else."""
+    settled them before the field started, and nothing else; a budget
+    the head start would swallow is raced full width."""
 
     @staticmethod
     def serve_one(store, query):
@@ -192,6 +193,24 @@ class TestStagedRace:
             if v != OPTS.variants("nfv")[0]
         )
         assert svc.metrics.value("service.races_head_only") == 0
+
+    def test_a_budget_inside_the_head_start_races_full_width(self, store):
+        """A budget the head would exhaust before the field joins is
+        raced full width from step 0: killed when the full race is,
+        not after idling in a slot until the field's start."""
+        query = extract_query(store, 4, random.Random(1))
+        variants = OPTS.variants("nfv")
+        assert race_starts(variants, 100) is None
+        full = PsiNFV(store).race(
+            query, variants, budget=Budget(max_steps=100), count_only=True
+        )
+        assert full.race.killed
+        svc = make_service()
+        ticket = svc.submit("yeast", query, options=OPTS, budget_steps=100)
+        svc.run_until_idle()
+        assert ticket.result.killed
+        assert ticket.result.steps == full.steps
+        assert svc.dispatcher.ticks.value <= -(-100 // svc.dispatcher.quantum)
 
     def test_counter_stays_out_of_stats(self, store):
         svc, _ = self.serve_one(

@@ -17,7 +17,9 @@ from repro.matching import (
     drive,
     make_matcher,
 )
-from repro.service import Service
+from repro.psi import Variant
+from repro.rewriting import make_rewriting
+from repro.service import QueryOptions, Service
 from repro.service.planner import Rewrite
 from repro.workload import extract_query
 
@@ -401,6 +403,31 @@ class TestPlanSharing:
         assert ticket.done and ticket.fanout == 2
         assert not ticket.result.found
         assert rewrites and plans_built == []
+
+    def test_a_head_settled_ticket_builds_one_rewrite_and_one_plan(
+        self, plans_built, monkeypatch
+    ):
+        """The ``DND`` sweep of a race its ``Orig`` head settles never
+        starts, so it makes no rewriting, no rewrite and no plan."""
+        svc, _, q, _ = self._sweep_inputs()
+        asked = []
+
+        def recording(name):
+            asked.append(name)
+            return make_rewriting(name)
+
+        monkeypatch.setattr(
+            "repro.service.planner.make_rewriting", recording
+        )
+        ticket = svc.submit(
+            "ppi", q, options=QueryOptions(rewritings=("Orig", "DND"))
+        )
+        rewrites = svc.fanout.flights[ticket.id].rewrites
+        svc.run_until_idle()
+        assert ticket.result.winner == Variant("VF2", "Orig")
+        assert svc.metrics.value("service.races_head_only") == 1
+        assert asked == ["Orig"]
+        assert len(rewrites) == len(plans_built) == 1
 
     def test_index_query_builds_one_plan(self, plans_built):
         _, index, q, candidates = self._sweep_inputs()
