@@ -1,22 +1,29 @@
-"""FTV pipeline on a PPI-like dataset: Grapes, GGSX and Ψ-FTV.
+"""FTV serving on a PPI-like dataset: Grapes, GGSX and the served Ψ race.
 
 The decision problem: which protein networks contain a given motif?
-Builds the PPI-like family dataset, indexes it with Grapes and GGSX,
-runs motif queries through filtering + verification, and shows the
-Ψ-framework racing rewritings inside the verification stage.
+Loads the PPI-like family dataset into a :class:`repro.service.Service`,
+indexes the same graphs with Grapes and GGSX, runs motif queries
+through filtering + verification, and serves each motif with the
+Ψ-framework racing rewritings inside the verification stage — the
+staged race the service runs.  The served answers must be Grapes'.
 
-Run:  python examples/protein_motifs.py
+Run:  PYTHONPATH=src python examples/protein_motifs.py
 """
 
-from repro.datasets import ppi_like, summarize_collection
+from repro.datasets import summarize_collection
 from repro.indexing import GGSXIndex, GrapesIndex
 from repro.matching import Budget
-from repro.psi import OverheadModel, PsiFTV
+from repro.service import QueryOptions, Service
 from repro.workload import generate_workload
+
+BUDGET_STEPS = 200_000
+REWRITINGS = ("ILF", "IND", "DND", "ILF+IND")
 
 
 def main() -> None:
-    graphs = ppi_like(num_graphs=5, avg_nodes=120, num_labels=10)
+    svc = Service(workers=len(REWRITINGS))
+    svc.load_dataset("ppi", scale="tiny")
+    graphs = svc.catalog.get("ppi").graphs
     summary = summarize_collection(graphs)
     print("PPI-like dataset:")
     for name, value in summary.as_rows():
@@ -29,7 +36,8 @@ def main() -> None:
     print(f"  Grapes trie nodes: {grapes.trie.node_count}")
     print(f"  GGSX   trie nodes: {ggsx.trie.node_count}")
 
-    budget = Budget(max_steps=200_000)
+    budget = Budget(max_steps=BUDGET_STEPS)
+    options = QueryOptions(rewritings=REWRITINGS)
     queries = generate_workload(graphs, 4, 10, seed=21)
 
     for query in queries:
@@ -37,30 +45,29 @@ def main() -> None:
             f"\nmotif {query.name} "
             f"(grown from graph {query.source_graph_id}):"
         )
+        answers = {}
         for index in (grapes, grapes4, ggsx):
             result = index.query(query.graph, budget)
+            answers[index] = result.matching_ids
             print(
                 f"  {index.method_name:9} candidates="
                 f"{result.candidate_ids} matches={result.matching_ids} "
                 f"verification steps={result.total_steps}"
             )
 
-        # Psi-FTV: race rewritings inside each pair's verification
-        psi = PsiFTV(
-            grapes,
-            ("ILF", "IND", "DND", "ILF+IND"),
-            overhead=OverheadModel(per_variant_steps=32),
+        # the served Ψ race: one VF2 decision sweep per rewriting
+        ticket = svc.submit(
+            "ppi", query.graph, options=options, budget_steps=BUDGET_STEPS
         )
-        result = psi.query(query.graph, budget)
-        total = sum(r.steps for r in result.reports)
-        winners = [
-            race.winner for race in result.races if race.winner
-        ]
+        svc.run_until_idle()
+        served = ticket.result
+        matches = list(served.matching_ids)
         print(
-            f"  Psi(Grapes/1 x4 rewritings) matches="
-            f"{result.matching_ids} steps={total} "
-            f"winners={winners}"
+            f"  served Psi(VF2 x{len(REWRITINGS)} rewritings) "
+            f"matches={matches} steps={served.steps} "
+            f"winner={served.winner_label}"
         )
+        assert matches == answers[grapes], "served answer diverged!"
 
 
 if __name__ == "__main__":

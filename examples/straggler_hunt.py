@@ -13,6 +13,7 @@ from repro.datasets import yeast_like
 from repro.matching import Budget, make_matcher
 from repro.psi import PsiNFV, Variant
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
+from repro.service.planner import race_starts
 from repro.workload import generate_workload
 
 BUDGET_STEPS = 150_000
@@ -92,7 +93,8 @@ def main() -> None:
         Variant("GQL", "DND"), Variant("SPA", "DND"),
     ]
     result = psi.race(
-        straggler.graph, variants, budget=budget, count_only=True
+        straggler.graph, variants, budget=budget, count_only=True,
+        starts=race_starts(variants, BUDGET_STEPS),
     )
     print(
         f"\nPsi([GQL/SPA]-[Or/DND]) on the straggler: "

@@ -61,7 +61,7 @@ from .harness import (
     stragglers_wla_table,
 )
 from .matching import Budget, available_matchers, make_matcher
-from .psi import PsiNFV, Variant
+from .psi import PsiNFV, race_from_costs, variants_from_spec
 from .workload import generate_workload
 
 __all__ = ["main", "build_parser"]
@@ -170,37 +170,64 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_race(args: argparse.Namespace) -> int:
-    """Race (algorithm x rewriting) variants on one generated query."""
+    """Race (algorithm x rewriting) variants on one generated query,
+    staged as the service races it, beside the paper's full-width race
+    replayed from the same solo costs."""
+    from .service.planner import race_starts
+    from .service.spec import SpecError, _algorithm, _rewriting, check_tuple
+
     if args.dataset not in NFV_DATASETS:
         raise SystemExit("race runs on NFV datasets (single graph)")
+    try:
+        algorithms = check_tuple(_algorithm, nonempty=True)(
+            [a.strip() for a in args.algorithms.split(",")], "algorithms"
+        )
+        rewritings = check_tuple(_rewriting, nonempty=True)(
+            [r.strip() for r in args.rewritings.split(",")], "rewritings"
+        )
+    except SpecError as exc:
+        raise SystemExit(f"repro race: {exc}") from None
+    variants = variants_from_spec(algorithms, rewritings)
     graph = build_nfv_graph(args.dataset, args.scale)
     [query] = generate_workload([graph], 1, args.size, seed=args.seed)
-    algorithms = args.algorithms.split(",")
-    rewritings = args.rewritings.split(",")
-    variants = [
-        Variant(a.strip(), r.strip())
-        for a in algorithms
-        for r in rewritings
-    ]
     psi = PsiNFV(graph)
-    budget = Budget(max_steps=args.budget) if args.budget else None
-    result = psi.race(
+    budget_steps = args.budget or None
+    budget = Budget(max_steps=budget_steps) if budget_steps else None
+    alone = {
+        v: psi.run_variant(
+            query.graph, v, budget=budget,
+            max_embeddings=args.max_embeddings, count_only=True,
+        )
+        for v in variants
+    }
+    staged = psi.race(
         query.graph, variants, budget=budget,
         max_embeddings=args.max_embeddings, count_only=True,
-    )
+        starts=race_starts(variants, budget_steps),
+    ).race
+    full = race_from_costs(alone, budget_steps)
     table = Table(
         f"Psi race on {args.dataset} ({args.size}-edge query)",
-        ["variant", "steps at kill/finish"],
+        ["variant", "alone", "staged bill", "full-width bill"],
     )
-    for v, steps in result.race.per_variant_steps.items():
-        marker = " <- winner" if v == result.winner else ""
-        table.add_row(f"{v}{marker}", steps)
+    for v, cost in alone.items():
+        marker = " <- winner" if v == staged.winner else ""
+        table.add_row(
+            f"{v}{marker}",
+            f"{cost.steps} [killed]" if cost.killed else cost.steps,
+            staged.per_variant_steps[v],
+            full.per_variant_steps[v],
+        )
     _print(table.render())
-    _print(
-        f"race time {result.steps} steps "
-        f"(overhead {result.race.overhead_steps}); "
-        f"found={result.found}"
-    )
+    for name, race in (("staged", staged), ("full width", full)):
+        verdict = (
+            "killed" if race.killed
+            else f"{race.winner} wins, found={race.found}"
+        )
+        _print(
+            f"{name:10} race time {race.steps} steps, "
+            f"work {race.work_steps}: {verdict}"
+        )
     return 0
 
 

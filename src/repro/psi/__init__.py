@@ -8,7 +8,7 @@ from .executors import (
     interleaved_race,
     race_from_costs,
 )
-from .framework import PsiFTV, PsiFTVQueryResult, PsiNFV, PsiResult
+from .framework import PsiNFV, PsiResult
 from .variants import Variant, variants_from_spec
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "RaceTask",
     "interleaved_race",
     "race_from_costs",
-    "PsiFTV",
-    "PsiFTVQueryResult",
     "PsiNFV",
     "PsiResult",
     "Variant",

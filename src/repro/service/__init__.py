@@ -38,7 +38,7 @@ from .admission import (
 from .cache import CachedResult, ResultCache
 from .canon import canonical_query_key
 from .catalog import DatasetCatalog, DatasetEntry
-from .dispatcher import Dispatcher, RaceTask
+from .dispatcher import Dispatcher
 from .faults import (
     FaultEvent,
     FaultInjector,
@@ -74,7 +74,6 @@ __all__ = [
     "LoadReport",
     "Migration",
     "QueryOptions",
-    "RaceTask",
     "Rebalancer",
     "ReplicaState",
     "ResultCache",

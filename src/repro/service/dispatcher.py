@@ -3,7 +3,7 @@
 The paper runs one race at a time; a service interleaves many.  The
 single-query semantics stay **bit-for-bit identical** to
 :func:`repro.psi.executors.interleaved_race` because both run the same
-loop: :class:`repro.psi.executors.RaceTask` (re-exported here), whose
+loop: :class:`repro.psi.executors.RaceTask`, whose
 :meth:`~repro.psi.executors.RaceTask.round` executes exactly one
 quantum turn and can therefore be interleaved with other races —
 engines are generators and don't notice what runs between their turns.
@@ -39,7 +39,7 @@ from ..psi.executors import (
     RaceTask,
 )
 
-__all__ = ["RaceTask", "Dispatcher"]
+__all__ = ["Dispatcher"]
 
 
 class Dispatcher:

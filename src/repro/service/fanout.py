@@ -31,8 +31,7 @@ from .admission import Ticket, TicketState
 from .sharding import merge_shard_outcomes
 
 __all__ = [
-    "DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEAD_START_STEPS",
-    "HEDGE_TICKS",
+    "DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEDGE_TICKS",
 ]
 
 #: ticks a routed decision wave races alone before the next wave
@@ -41,12 +40,6 @@ __all__ = [
 #: slow first wave falls back to near-parallel racing instead of
 #: serialising the tail
 HEDGE_TICKS = 1
-#: race steps a race's first-declared variant runs alone before the
-#: rest of its variants join (the same idea one level down): the full
-#: race from step 0 has the lower latency, but most queries settle on
-#: the head, and a loser's step is throughput another query did not
-#: get on a bounded pool (see the race planner)
-HEAD_START_STEPS = 4_096
 #: retry-after hint (virtual steps) handed to degraded tickets and to
 #: retryably rejected mutations
 DEGRADED_RETRY_AFTER = 4_096

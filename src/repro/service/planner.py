@@ -4,7 +4,8 @@ For each ticket the planner decides which shards race and in which
 waves (through the entry's
 :class:`~repro.service.routing.ShardRouter` when routing is on), and
 builds each shard's :class:`~repro.psi.executors.RaceTask`: the Ψ
-engines of every variant for an NFV entry, and for an FTV entry one
+engines :meth:`~repro.psi.framework.PsiNFV.engines` builds for an NFV
+entry, and for an FTV entry one
 decision sweep per rewriting — probe the shard's index with the
 ticket's one query census, verify the candidates with VF2 in id order.
 A race is staged (:func:`race_starts`): its first-declared variant
@@ -32,12 +33,20 @@ from typing import Optional
 from ..graphs import LabeledGraph
 from ..indexing import LabelInterner, coded_path_census
 from ..matching import Budget, MatchOutcome, VF2Matcher
+from ..psi.executors import RaceTask
 from ..psi.variants import Variant, variants_from_spec
 from ..rewriting import make_rewriting
-from .dispatcher import RaceTask
-from .fanout import HEAD_START_STEPS
 
-__all__ = ["QueryOptions", "RacePlanner", "Rewrite", "race_starts"]
+__all__ = [
+    "HEAD_START_STEPS", "QueryOptions", "RacePlanner", "Rewrite",
+    "race_starts",
+]
+
+#: race steps a race's first-declared variant runs alone before the
+#: rest of its variants join: the full race from step 0 has the lower
+#: latency, but most queries settle on the head, and a loser's step is
+#: throughput another query did not get on a bounded pool
+HEAD_START_STEPS = 4_096
 
 
 @dataclass(frozen=True)
@@ -203,24 +212,13 @@ class RacePlanner:
         id_map = None if entry.kind == "nfv" else entry.shard_ids(shard)
         budget = Budget(max_steps=ticket.budget_steps)
         if sub.kind == "nfv":
-            psi = sub.psi
-            assert psi is not None
-            rewritten = {
-                v: psi.rewritten(ticket.query, v.rewriting)
-                for v in flight.variants
-            }
-            max_embeddings = (
-                1 if options.decision_only else options.max_embeddings
+            assert sub.psi is not None
+            engines = sub.psi.engines(
+                ticket.query,
+                flight.variants,
+                1 if options.decision_only else options.max_embeddings,
+                options.count_only,
             )
-            engines = {
-                v: psi.matcher(v.algorithm).engine(
-                    psi.prepared(v.algorithm),
-                    rewritten[v].graph,
-                    max_embeddings=max_embeddings,
-                    count_only=options.count_only,
-                )
-                for v in flight.variants
-            }
         else:
             engines = self._ftv_engines(flight, sub, id_map)
         race = RaceTask(
@@ -264,7 +262,8 @@ class RacePlanner:
     def _ftv_engines(self, flight, sub, id_map: Optional[tuple]) -> dict:
         """One composite engine per rewriting, sweeping all candidates.
 
-        The paper's PsiFTV races per candidate pair; the service races
+        The paper races per candidate pair (replayed from solo costs by
+        :class:`repro.harness.runner.FTVCostMatrix`); the service races
         whole decision sweeps so a query is one schedulable race like
         any other.  A rewriting is a function of the query and this
         partition's label statistics, so across a ticket's shards (and

@@ -120,6 +120,19 @@ class TestMatch:
 
 
 class TestRace:
+    SUMMARY = re.compile(
+        r"^(staged|full width) +race time (\d+) steps, work (\d+): (.*)$",
+        re.M,
+    )
+
+    def summaries(self, out):
+        """``{schedule: (race time, work, verdict)}`` of the two
+        summary lines."""
+        return {
+            name: (int(steps), int(work), verdict)
+            for name, steps, work, verdict in self.SUMMARY.findall(out)
+        }
+
     def test_race_prints_winner(self, capsys):
         code, out = run_cli(
             capsys, "race", "--dataset", "yeast", "--scale", "tiny",
@@ -128,7 +141,56 @@ class TestRace:
         )
         assert code == 0
         assert "<- winner" in out
-        assert "race time" in out
+        assert set(self.summaries(out)) == {"staged", "full width"}
+
+    def test_both_schedules_are_the_librarys_races(self, capsys):
+        """The staged line is ``PsiNFV.race`` under the planner's
+        schedule and the full-width line its full-width race."""
+        from repro.harness import build_nfv_graph
+        from repro.matching import Budget
+        from repro.psi import PsiNFV, variants_from_spec
+        from repro.service.planner import race_starts
+        from repro.workload import generate_workload
+
+        code, out = run_cli(
+            capsys, "race", "--dataset", "yeast", "--scale", "tiny",
+            "--size", "6", "--seed", "3", "--algorithms", "GQL,SPA,VF2",
+            "--rewritings", "Orig,ILF",
+        )
+        assert code == 0
+        graph = build_nfv_graph("yeast", "tiny")
+        [query] = generate_workload([graph], 1, 6, seed=3)
+        variants = variants_from_spec(("GQL", "SPA", "VF2"), ("Orig", "ILF"))
+        psi = PsiNFV(graph)
+        budget = Budget(max_steps=200_000)
+        lines = self.summaries(out)
+        for name, starts in (
+            ("staged", race_starts(variants, 200_000)),
+            ("full width", None),
+        ):
+            race = psi.race(
+                query.graph, variants, budget=budget, count_only=True,
+                max_embeddings=1000, starts=starts,
+            ).race
+            steps, work, verdict = lines[name]
+            assert steps == race.steps
+            assert verdict == f"{race.winner} wins, found={race.found}"
+            if starts is not None:
+                # the full-width line is replayed from solo costs, so
+                # only the live staged race's work is this race's
+                assert work == race.work_steps
+
+    def test_a_killed_race_reads_killed(self, capsys):
+        code, out = run_cli(
+            capsys, "race", "--dataset", "yeast", "--scale", "tiny",
+            "--budget", "100",
+        )
+        assert code == 0
+        assert self.summaries(out) == {
+            "staged": (100, 400, "killed"),
+            "full width": (100, 400, "killed"),
+        }
+        assert "found" not in out
 
     def test_race_rejects_ftv_dataset(self):
         with pytest.raises(SystemExit):
@@ -257,30 +319,36 @@ class TestServe:
 
 
 class TestServeProcess:
-    """``repro serve`` / ``repro warm`` as processes: diagnostics,
-    the socket front door, and the store round trip."""
+    """``repro serve`` / ``repro warm`` as processes: diagnostics
+    (``repro race``'s too), the socket front door, and the store round
+    trip."""
 
     PPI = ("--dataset", "ppi", "--scale", "tiny")
 
-    @pytest.mark.parametrize("flags, field", [
-        (("--budget", "0"), "workload.budget"),
-        (("--max-in-flight", "0"), "workload.max_in_flight"),
-        (("--repeat-fraction", "2"), "workload.repeat_fraction"),
-        (("--sizes", "4,x"), "workload.sizes"),
-        (("--algorithms", "GQL,NOPE"), "engine.algorithms[1]"),
-        (("--rewritings", "Orig,NOPE"), "engine.rewritings[1]"),
-        (("--regrow", "--shards", "1"), "persistence.regrow"),
+    @pytest.mark.parametrize("command, flags, field", [
+        ("serve", ("--budget", "0"), "workload.budget"),
+        ("serve", ("--max-in-flight", "0"), "workload.max_in_flight"),
+        ("serve", ("--repeat-fraction", "2"), "workload.repeat_fraction"),
+        ("serve", ("--sizes", "4,x"), "workload.sizes"),
+        ("serve", ("--algorithms", "GQL,NOPE"), "engine.algorithms[1]"),
+        ("serve", ("--rewritings", "Orig,NOPE"), "engine.rewritings[1]"),
+        ("serve", ("--regrow", "--shards", "1"), "persistence.regrow"),
+        ("race", ("--algorithms", "GQL,NOPE"), "algorithms[1]"),
+        ("race", ("--rewritings", "XYZ"), "rewritings[0]"),
     ])
-    def test_bad_flag_is_one_line_naming_the_field(self, flags, field):
+    def test_bad_flag_is_one_line_naming_the_field(
+        self, command, flags, field
+    ):
+        queries = ("--queries", "4") if command == "serve" else ()
         proc = repro_process(
-            "serve", "--dataset", "yeast", "--scale", "tiny",
-            "--queries", "4", *flags,
+            command, "--dataset", "yeast", "--scale", "tiny",
+            *queries, *flags,
         )
         assert proc.returncode != 0
         assert "Traceback" not in proc.stderr
         diagnostic = proc.stderr.strip().splitlines()
         assert len(diagnostic) == 1
-        assert diagnostic[0].startswith(f"repro serve: {field}: ")
+        assert diagnostic[0].startswith(f"repro {command}: {field}: ")
 
     def test_warm_checks_algorithm_names(self, tmp_path):
         proc = repro_process(

@@ -106,9 +106,8 @@ from repro.matching.masks import mask_ge
 from repro.psi import AttemptCost, OverheadModel, RaceTask, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.service import QueryOptions, Service
-from repro.service.fanout import HEAD_START_STEPS
 from repro.service.loadgen import collection_digest, oracle_digest
-from repro.service.planner import Rewrite, race_starts
+from repro.service.planner import HEAD_START_STEPS, Rewrite, race_starts
 from repro.service.routing import ShardRouter
 from repro.service.sharding import ShardedCatalog
 from repro.store import StoreWriter
@@ -1310,7 +1309,8 @@ def _solo_sweep(svc, flight, shard, variant, query):
 @settings(max_examples=10, deadline=None)
 def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
     """On a generated ppi-like collection, over one and two shards,
-    with and without ``decision_only``: every served answer is the
+    with and without ``decision_only``, racing two rewritings or three
+    (``Orig`` absent, so the head is ``ILF``): every served answer is the
     reference matcher's, each shard race bills what
     ``race_from_costs`` replays from its sweeps' solo costs under the
     planner's schedule (up to the live race's +1 tie charge), and does
@@ -1323,6 +1323,9 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
         seed=data.draw(st.integers(min_value=0, max_value=10**6)),
     )
     removed = data.draw(st.sampled_from([None, 0, 1, 2]))
+    rewritings = data.draw(
+        st.sampled_from([("Orig", "DND"), ("ILF", "IND", "DND")])
+    )
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
     graphs = list(PPI) + newcomers
     live = [g for gid, g in enumerate(graphs) if gid != removed]
@@ -1357,7 +1360,7 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
 
                 svc.fanout.shard_done = record
                 options = QueryOptions(
-                    rewritings=("Orig", "DND"), decision_only=decision
+                    rewritings=rewritings, decision_only=decision
                 )
                 tickets = [
                     svc.submit("ppi", q, options=options) for q in queries

@@ -1,24 +1,20 @@
-"""Tests for the Ψ-framework: executors, NFV and FTV frontends."""
+"""Tests for the Ψ-framework: executors and the NFV frontend (the
+served FTV race is tested through the service)."""
 
 import pytest
 
-from repro.datasets import ppi_like
-from repro.indexing import GrapesIndex
 from repro.matching import Budget, MatchOutcome
 from repro.psi import (
     AttemptCost,
     OverheadModel,
-    PsiFTV,
     PsiNFV,
     Variant,
     interleaved_race,
     race_from_costs,
     variants_from_spec,
 )
-from repro.workload import extract_query
 
 from .conftest import canonical_embeddings, random_query_from
-import random
 
 
 def fixed_engine(n, found):
@@ -176,49 +172,3 @@ class TestPsiNFV:
         assert r1.graph.order == q1.order
         assert r2.graph.order == q2.order
 
-
-class TestPsiFTV:
-    @pytest.fixture(scope="class")
-    def setup(self):
-        graphs = ppi_like(num_graphs=3, avg_nodes=60, num_labels=8, seed=5)
-        index = GrapesIndex(graphs, max_path_length=2, threads=1)
-        return graphs, index
-
-    def test_race_equals_best_rewriting(self, setup):
-        graphs, index = setup
-        psi = PsiFTV(
-            index, ("ILF", "IND", "DND"), overhead=OverheadModel()
-        )
-        rng = random.Random(3)
-        q = extract_query(graphs[0], 5, rng)
-        budget = Budget(max_steps=10**6)
-        report, race = psi.verify(q, 0, budget)
-        # compare to standalone verifications of each rewriting
-        best = min(
-            index.verify(rq.graph, 0, budget).steps
-            for rq in psi.rewritten_queries(q, 0).values()
-        )
-        assert report.steps == best
-        assert report.matched
-
-    def test_query_finds_source(self, setup):
-        graphs, index = setup
-        psi = PsiFTV(index, ("ILF", "DND"))
-        rng = random.Random(5)
-        q = extract_query(graphs[1], 4, rng)
-        result = psi.query(q, Budget(max_steps=10**6))
-        assert 1 in result.matching_ids
-        assert len(result.races) == len(result.candidate_ids)
-
-    def test_needs_rewritings(self, setup):
-        _, index = setup
-        with pytest.raises(ValueError):
-            PsiFTV(index, ())
-
-    def test_collection_stats_mode(self, setup):
-        graphs, index = setup
-        psi = PsiFTV(index, ("ILF",), per_graph_stats=False)
-        rng = random.Random(7)
-        q = extract_query(graphs[0], 4, rng)
-        rqs = psi.rewritten_queries(q, 0)
-        assert "ILF" in rqs

@@ -11,10 +11,9 @@ import pytest
 
 from repro.harness import build_nfv_graph
 from repro.matching import Budget, MatchOutcome
-from repro.psi import PsiNFV, Variant, interleaved_race
-from repro.service import Dispatcher, RaceTask
-from repro.service.fanout import HEAD_START_STEPS
-from repro.service.planner import race_starts
+from repro.psi import PsiNFV, RaceTask, Variant, interleaved_race
+from repro.service import Dispatcher
+from repro.service.planner import HEAD_START_STEPS, race_starts
 from repro.workload import extract_query
 
 VARIANTS = (
@@ -35,15 +34,7 @@ def psi(store):
 
 
 def engines_for(psi, query, variants=VARIANTS):
-    return {
-        v: psi.matcher(v.algorithm).engine(
-            psi.prepared(v.algorithm),
-            psi.rewritten(query, v.rewriting).graph,
-            max_embeddings=1000,
-            count_only=True,
-        )
-        for v in variants
-    }
+    return psi.engines(query, variants, 1000, True)
 
 
 def assert_same_outcome(a, b):

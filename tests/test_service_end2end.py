@@ -17,8 +17,7 @@ from repro.service import (
     results_digest,
     run_closed_loop,
 )
-from repro.service.fanout import HEAD_START_STEPS
-from repro.service.planner import race_starts
+from repro.service.planner import HEAD_START_STEPS, race_starts
 from repro.workload import (
     default_tenant_mixes,
     extract_query,
@@ -371,20 +370,23 @@ class TestFTVServing:
         rep2 = run_closed_loop(svc2, "ppi", streams, options=opts)
         assert rep.digest == rep2.digest
 
-    def test_ftv_answer_matches_index(self):
-        """The service's decision answer agrees with the raw index."""
+    @pytest.mark.parametrize("rewritings", [("Orig",), ("ILF", "DND")])
+    def test_ftv_answer_matches_index(self, rewritings):
+        """The service's decision answer agrees with the raw index, and
+        a motif extracted from stored graph *g* matches *g*."""
         graphs = build_ftv_graphs("ppi", "tiny")
         svc = Service(workers=2)
         svc.load_dataset("ppi", scale="tiny")
         [mix] = default_tenant_mixes(1, 3, sizes=(4,), repeat_fraction=0.0)
         stream = generate_tenant_stream(graphs, mix, seed=11)
-        opts = QueryOptions(rewritings=("Orig",))
+        opts = QueryOptions(rewritings=rewritings)
         index = svc.catalog.get("ppi").shard_entry(0).ftv_index
         for mq in stream:
             t = svc.submit("ppi", mq.query.graph, options=opts)
             svc.run_until_idle()
             ref = index.query(mq.query.graph)
             assert list(t.result.matching_ids) == ref.matching_ids
+            assert mq.query.source_graph_id in t.result.matching_ids
 
 
 class TestShardedServing:

@@ -85,6 +85,7 @@ class TestValidatesAtConstruction:
             (lambda: WorkloadSpec(queries=0), "workload.queries"),
             (lambda: EngineSpec(rewritings=("Orig", "NOPE")),
              "engine.rewritings[1]"),
+            (lambda: EngineSpec(rewritings=()), "engine.rewritings"),
             (lambda: ServiceSpec(dataset="nope"), "dataset"),
             (lambda: ServiceSpec(
                 dataset="ppi", faults=FaultSpec(chaos=True)
