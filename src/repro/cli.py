@@ -964,10 +964,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "completions instead)")
     p.add_argument("--routing", default=True,
                    action=argparse.BooleanOptionalAction,
-                   help="sketch-routed fan-outs: prune provably-"
-                        "empty shards and stage decision queries "
-                        "in expected-first-true wave order "
-                        "(--no-routing = the PR 4 full fan-out)")
+                   help="routed fan-outs: probe each shard's "
+                        "filter index, prune shards with no "
+                        "candidate and stage decision queries in "
+                        "expected-first-true wave order "
+                        "(--no-routing = the full fan-out)")
     p.add_argument("--assignment", default="size_balanced",
                    choices=("size_balanced", "hash"),
                    help="initial shard assignment strategy")

@@ -30,7 +30,6 @@ from .features import (
 )
 from .ggsx import GGSXIndex
 from .grapes import GrapesIndex
-from .sketch import SKETCH_TIERS, FeatureSketch, bucket_of, tier_index
 from .trie import PathTrie, SuffixTrie
 
 #: catalog / store method token -> index class
@@ -38,10 +37,6 @@ FTV_INDEX_CLASSES = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}
 
 __all__ = [
     "FTV_INDEX_CLASSES",
-    "FeatureSketch",
-    "SKETCH_TIERS",
-    "bucket_of",
-    "tier_index",
     "FTVIndex",
     "FTVQueryResult",
     "VerificationReport",

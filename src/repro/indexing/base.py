@@ -169,12 +169,7 @@ class FTVIndex(ABC):
         self.trie = self.trie_class()
         self.trie.install(rows)
 
-    def _index_graph(
-        self,
-        graph_id: int,
-        graph: LabeledGraph,
-        rows: Optional[list] = None,
-    ) -> None:
+    def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
         """Insert one graph's features (the incremental-add unit).
 
         The body of the ``_build`` loop, and what :meth:`add_graph`
@@ -183,8 +178,6 @@ class FTVIndex(ABC):
         nothing else, and Grapes derives a graph's locations when its
         verifier first asks (:meth:`GrapesIndex.feature_locations
         <repro.indexing.grapes.GrapesIndex.feature_locations>`).
-        ``rows`` (see :meth:`add_graph`) is filled once every insert is
-        done, so a count merged by a later suffix insert is final.
         """
         census = coded_path_census(
             graph,
@@ -192,12 +185,8 @@ class FTVIndex(ABC):
             self.interner.encode_vertices(graph.labels),
         )
         insert = self.trie.insert
-        created = None if rows is None else []
         for seq, count in census.counts.items():
-            insert(seq, graph_id, count, created)
-        if rows is not None:
-            postings = self.trie.postings
-            rows += [(seq, postings[seq][graph_id]) for seq in created]
+            insert(seq, graph_id, count)
 
     # ------------------------------------------------------------------
     # dynamic collection (incremental index maintenance)
@@ -214,7 +203,6 @@ class FTVIndex(ABC):
         self,
         graph: LabeledGraph,
         graph_id: Optional[int] = None,
-        rows: Optional[list] = None,
     ) -> int:
         """Index ``graph`` incrementally; returns its stable id.
 
@@ -228,13 +216,6 @@ class FTVIndex(ABC):
         the next :meth:`warm` or lazily on first probe); memoized query
         censuses are orphaned because stale ones hold negative codes
         for now-known labels.
-
-        ``rows`` is an output: a list passed here receives the
-        newcomer's ``(coded path, count)`` rows — one per path it now
-        has a posting on, with the final merged count — which is what
-        the census that just ran has to say to anyone downstream (the
-        shard router folds them into its sketch).  The index keeps no
-        copy.
         """
         if graph_id is None:
             graph_id = len(self.graphs)
@@ -255,7 +236,7 @@ class FTVIndex(ABC):
                 f"{len(self.graphs)} slots"
             )
         self.interner.extend([graph.labels])
-        self._index_graph(graph_id, graph, rows)
+        self._index_graph(graph_id, graph)
         self._invalidate_censuses()
         return graph_id
 

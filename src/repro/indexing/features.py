@@ -23,7 +23,7 @@ manner" (§3.1.1).  This module provides the shared census machinery:
   is the one decoder, used at the one place that needs vertex ids.
   Only that verifier asks for locations; every build, add and query
   census is counts only.  This is the census every
-  index, sketch and filter runs on; the label-space census remains as
+  index and filter runs on; the label-space census remains as
   the any-length reference implementation the equivalence suite
   checks against.
 
@@ -106,10 +106,9 @@ class PathCensus:
         like the census, so they transfer to every instance sharing it.
 
     ``counts`` is all a filter needs, and it is not tied to any one
-    index: every index (and routing sketch) of a collection speaks the
-    collection's one label code space, so one query census probes them
-    all (:meth:`repro.indexing.base.FTVIndex.probe`,
-    :meth:`repro.indexing.sketch.FeatureSketch.score`).
+    index: every index of a collection speaks the collection's one
+    label code space, so one query census probes them all
+    (:meth:`repro.indexing.base.FTVIndex.probe`).
     """
 
     __slots__ = ("counts", "locations", "location_unions")
@@ -226,7 +225,7 @@ class LabelInterner:
         labels, and those get the *next* dense codes (sorted among
         themselves for determinism) rather than re-sorting the whole
         space — existing codes never move, so every already-built
-        posting key, sealed mask, and sketch bucket stays valid.  Probe
+        posting key and sealed mask stays valid.  Probe
         keys are canonicalized in code space on both census paths, so an
         appended (non-sort-order) code is internally consistent; it
         merely picks a different — equally valid — canonical direction

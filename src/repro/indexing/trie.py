@@ -54,7 +54,6 @@ grown posting row value for value (the generated sequences in
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional
 
 from ..matching.masks import Thresholds, mask_ge, threshold_masks
 
@@ -96,13 +95,7 @@ class PathTrie:
         #: :meth:`seal`, which skips it)
         self._unsealed: set[LabelSeq] = set()
 
-    def insert(
-        self,
-        seq: LabelSeq,
-        graph_id: int,
-        count: int,
-        created: Optional[list] = None,
-    ) -> None:
+    def insert(self, seq: LabelSeq, graph_id: int, count: int) -> None:
         """Record ``count`` occurrences of ``seq`` in ``graph_id``.
 
         A posting of a graph the path has not seen is **patched into a
@@ -113,9 +106,6 @@ class PathTrie:
         other graphs' postings.  Occurrences that merge into a posting
         the graph already has change a count the table holds, so the
         path unseals instead.
-
-        ``created`` is an output: when a list is passed, each path that
-        gains ``graph_id``'s posting here is appended to it.
         """
         row = self.postings.get(seq)
         if row is None:
@@ -142,8 +132,6 @@ class PathTrie:
                     tuple([mask | bit for mask in masks[:at + 1]])
                     + masks[at + 1:],
                 )
-        if created is not None:
-            created.append(seq)
 
     def install(self, rows) -> None:
         """Make each ``(seq, row)`` of ``rows`` that path's postings (an
@@ -264,12 +252,6 @@ class SuffixTrie(PathTrie):
     looked up — the structural property GGSX's suffix tree provides.
     """
 
-    def insert(
-        self,
-        seq: LabelSeq,
-        graph_id: int,
-        count: int,
-        created: Optional[list] = None,
-    ) -> None:
+    def insert(self, seq: LabelSeq, graph_id: int, count: int) -> None:
         for start in range(len(seq)):
-            super().insert(seq[start:], graph_id, count, created)
+            super().insert(seq[start:], graph_id, count)

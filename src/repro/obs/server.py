@@ -49,6 +49,14 @@ from urllib.parse import parse_qsl
 from ..graphs.io import graph_from_json
 from ..metrics import summarize_latencies
 from ..service import QueryOptions, Service, TicketState
+from ..service.spec import (
+    SpecError,
+    _algorithm,
+    _rewriting,
+    check_bool,
+    check_int,
+    check_tuple,
+)
 
 __all__ = ["FrontDoor", "BackgroundFrontDoor", "run_front_door"]
 
@@ -300,7 +308,11 @@ class FrontDoor:
             )
             return
         tenant = payload.get("tenant", "public")
-        options = _options_from(payload.get("options"))
+        try:
+            options = _options_from(payload.get("options"))
+        except SpecError as exc:
+            await self._respond(writer, 400, {"error": str(exc)})
+            return
         budget = payload.get("budget_steps")
         try:
             ticket = self.service.submit(
@@ -458,21 +470,29 @@ class FrontDoor:
             self._watchers.discard(token)
 
 
-def _options_from(opts: Optional[dict]) -> Optional[QueryOptions]:
+#: ``options`` key of a ``POST /query`` body -> its checker
+_OPTION_CHECKS = {
+    "algorithms": check_tuple(_algorithm, nonempty=True),
+    "rewritings": check_tuple(_rewriting, nonempty=True),
+    "max_embeddings": check_int(1),
+    "count_only": check_bool,
+    "decision_only": check_bool,
+}
+
+
+def _options_from(opts: Any) -> Optional[QueryOptions]:
+    """A request's ``options`` mapping as :class:`QueryOptions` (None =
+    the defaults); a malformed field raises :class:`SpecError` naming
+    its dotted path (``options.algorithms[0]``)."""
     if not opts:
         return None
-    defaults = QueryOptions()
-    return QueryOptions(
-        algorithms=tuple(opts.get("algorithms", defaults.algorithms)),
-        rewritings=tuple(opts.get("rewritings", defaults.rewritings)),
-        max_embeddings=int(
-            opts.get("max_embeddings", defaults.max_embeddings)
-        ),
-        count_only=bool(opts.get("count_only", defaults.count_only)),
-        decision_only=bool(
-            opts.get("decision_only", defaults.decision_only)
-        ),
-    )
+    if not isinstance(opts, dict):
+        raise SpecError("options", f"expected a mapping, got {opts!r}")
+    return QueryOptions(**{
+        key: check(opts[key], f"options.{key}")
+        for key, check in _OPTION_CHECKS.items()
+        if key in opts
+    })
 
 
 def run_front_door(

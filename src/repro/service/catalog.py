@@ -135,9 +135,7 @@ class DatasetEntry:
     # dynamic collections (incremental index maintenance)
     # ------------------------------------------------------------------
 
-    def add_graph(
-        self, graph: LabeledGraph, graph_id: int, rows: list
-    ) -> None:
+    def add_graph(self, graph: LabeledGraph, graph_id: int) -> None:
         """Add ``graph`` to this FTV collection at slot ``graph_id``.
 
         Incremental maintenance, not a rewarm: the newcomer's census is
@@ -146,10 +144,8 @@ class DatasetEntry:
         with appended codes, and memoized query censuses are
         orphaned.  ``graph_id`` is the append slot or a tombstoned slot
         to revive (journal replay and the add→remove→re-add drill).
-        ``rows`` is :meth:`FTVIndex.add_graph`'s output list, passed
-        through.
         """
-        gid = self.ftv_index.add_graph(graph, graph_id, rows)
+        gid = self.ftv_index.add_graph(graph, graph_id)
         if gid == len(self.graphs):
             self.graphs.append(graph)
         else:

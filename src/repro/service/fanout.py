@@ -74,9 +74,11 @@ class Flight:
     queue_span: Optional[int] = None
     #: coalesced tickets that resolve with this one
     followers: list = field(default_factory=list)
-    #: the query census every race of the ticket probes with, and its
-    #: rewritten forms by permutation (see the race planner)
+    #: the query census every race of the ticket probes with, each
+    #: probed shard's local candidate ids, and the query's rewritten
+    #: forms by permutation (see the race planner)
     counts: Optional[dict] = None
+    candidates: dict = field(default_factory=dict)
     rewrites: dict = field(default_factory=dict)
     races: dict = field(default_factory=dict)
     pending: set = field(default_factory=set)

@@ -6,17 +6,18 @@ waves (through the entry's
 builds each shard's :class:`~repro.psi.executors.RaceTask`: the Ψ
 engines :meth:`~repro.psi.framework.PsiNFV.engines` builds for an NFV
 entry, and for an FTV entry one
-decision sweep per rewriting — probe the shard's index with the
-ticket's one query census, verify the candidates with VF2 in id order.
+decision sweep per rewriting — the shard's index probed once with the
+ticket's one query census, the candidates verified with VF2 in id order.
 A race is staged (:func:`race_starts`): its first-declared variant
 races alone for ``HEAD_START_STEPS`` before the field joins.  The
 full race from step 0 has the lower latency, but on a bounded pool a
 loser's step is work another query did not get, and most queries
 settle on the head alone.
-What a ticket works out once (the census, the rewritten queries and
-their VF2 plans) lives on the ticket's flight record, so every race of
-the ticket — each shard of the first wave, a deferred wave, a
-rerouted leg — reuses it and it dies with the ticket.  An FTV sweep
+What a ticket works out once (the census, each shard's candidates,
+the rewritten queries and their VF2 plans) lives on the ticket's
+flight record, so every race of the ticket — each shard of the first
+wave, a deferred wave, a rerouted leg — reuses it and it dies with
+the ticket.  An FTV sweep
 makes its rewriting on its first resume, so a variant that never
 starts builds nothing.
 
@@ -137,9 +138,9 @@ def _rewrite(flight, rewriting: str, stats) -> Rewrite:
 class RacePlanner:
     """Plans and builds the shard races of admitted tickets.
 
-    ``routing`` consults per-shard feature sketches before fanning
-    out: provably-empty shards are pruned from the fan-out and
-    decision-only fan-outs race in expected-first-true wave order.
+    ``routing`` probes every involved shard's filter index before
+    fanning out: shards with no candidate are pruned from the fan-out
+    and decision-only fan-outs race in expected-first-true wave order.
     Off = bit-for-bit the unrouted fan-out.
     """
 
@@ -149,7 +150,7 @@ class RacePlanner:
         self.routing = routing
         #: queries whose fan-out went through the shard router
         self.routed_queries = metrics.counter("service.routed_queries")
-        #: shard races never built because a sketch proved them empty
+        #: shard races never built because their probe was empty
         self.shards_pruned = metrics.counter("service.shards_pruned")
         #: staged races settled before their field started
         self.races_head_only = metrics.counter("service.races_head_only")
@@ -168,10 +169,11 @@ class RacePlanner:
         entry, which lives whole on its home shard) is the fan-out of
         width one.  With routing on, an FTV fan-out over more than one
         shard is first planned by the entry's router: shards whose
-        sketch proves them empty are pruned *before* any filter or
-        engine work happens, and a decision-only fan-out is staged
-        into waves — the expected-first-true shard races alone, the
-        remaining shards are built and dispatched only if it misses.
+        probe is empty are pruned *before* any race is built, and a
+        decision-only fan-out is staged into waves — the
+        expected-first-true shard races alone, the remaining shards
+        are built and dispatched only if it misses.  The probes'
+        candidate lists stay on the flight for the races to sweep.
         """
         ticket, entry = flight.ticket, flight.entry
         involved = entry.involved_shards()
@@ -184,6 +186,7 @@ class RacePlanner:
             involved,
             flight.options.decision_only,
         )
+        flight.candidates = plan.candidates
         self.routed_queries.inc()
         self.shards_pruned.inc(len(plan.pruned))
         ticket.pruned = len(plan.pruned)
@@ -220,7 +223,7 @@ class RacePlanner:
                 options.count_only,
             )
         else:
-            engines = self._ftv_engines(flight, sub, id_map)
+            engines = self._ftv_engines(flight, shard, sub, id_map)
         race = RaceTask(
             engines, budget=budget, quantum=self.dispatcher.quantum,
             starts=race_starts(flight.variants, ticket.budget_steps),
@@ -259,7 +262,9 @@ class RacePlanner:
             ).counts
         return flight.counts
 
-    def _ftv_engines(self, flight, sub, id_map: Optional[tuple]) -> dict:
+    def _ftv_engines(
+        self, flight, shard: int, sub, id_map: Optional[tuple]
+    ) -> dict:
         """One composite engine per rewriting, sweeping all candidates.
 
         The paper races per candidate pair (replayed from solo costs by
@@ -270,17 +275,22 @@ class RacePlanner:
         between variants) it mostly lands on a permutation already
         taken: that rewritten graph, its frozen kernel and its VF2 plan
         are then shared through the flight record instead of rebuilt.
+        The shard's candidates are the route plan's when it probed the
+        shard, else probed here once and kept for the ticket's later
+        legs.
         """
         index = sub.ftv_index
         assert index is not None
-        candidates = index.probe(
-            self.census(flight, index.interner, index.max_path_length)
-        )
+        candidates = flight.candidates.get(shard)
+        if candidates is None:
+            candidates = flight.candidates[shard] = index.probe(
+                self.census(flight, index.interner, index.max_path_length)
+            )
         return {
             variant: self.ftv_sweep(
                 index,
                 partial(_rewrite, flight, variant.rewriting, sub.stats),
-                list(candidates),
+                candidates,
                 flight.options.decision_only, flight.ticket.dataset, id_map,
             )
             for variant in flight.variants

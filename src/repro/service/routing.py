@@ -1,45 +1,45 @@
 """Shard-aware query routing: prune and order a sharded fan-out.
 
-PR 4's sharded serving fans every query out to every shard holding
-graphs; each shard then pays census + filter + race work even when its
-partition provably contains no candidate.  The router makes the fan-out
-itself cheap: the ticket's one query census — taken by the service in
-the collection's label code space, the same one every shard index is
-built in — probed against each shard's
-:class:`~repro.indexing.sketch.FeatureSketch`, decides per shard in
-O(query features) int operations whether the shard can answer at all
-— and, for decision-only queries, how *likely* it is to answer first.
+An unrouted fan-out sends every query to every shard holding graphs;
+each shard then pays a race slot, admission and engine build even when
+its partition holds no candidate.  The router makes the fan-out itself
+cheap: the ticket's one query census — taken by the service in the
+collection's label code space, the same one every shard index is built
+in — probes each shard's own filter index
+(:meth:`~repro.indexing.FTVIndex.probe`), the very filter the shard's
+race would run, so the plan knows each shard's candidates before any
+race is built.
 
-The contract (proven in ``tests/test_routing.py``):
+The contract (proven in ``tests/test_routing.py`` and
+``tests/test_properties.py``):
 
-* **Pruning is sound.**  A shard is pruned only when its sketch proves
-  the query's filter would return zero candidates there (see the
-  soundness argument in :mod:`repro.indexing.sketch`); since FTV
-  filtering is a per-graph predicate, a pruned shard contributes
-  ``found=False`` / zero embeddings / no ids to the merge — exactly
-  nothing — so ``found`` / ``num_embeddings`` / ``matching_ids`` are
-  bit-for-bit what the unrouted fan-out produces.  When *every* shard
-  is prunable (e.g. a query label unknown to the whole collection) the
-  plan keeps the lowest involved shard as a witness so the service
-  still races and answers through the normal pipeline.
+* **Pruning is exact.**  A shard is pruned exactly when its probe is
+  empty; since FTV filtering is a per-graph predicate, such a shard's
+  sweep has no candidate to verify and contributes ``found=False`` /
+  zero embeddings / no ids to the merge — exactly nothing — so
+  ``found`` / ``num_embeddings`` / ``matching_ids`` are bit-for-bit
+  what the unrouted fan-out produces.  When *every* shard is empty
+  (e.g. a query label unknown to the whole collection) the plan keeps
+  the lowest involved shard as a witness so the service still races
+  and answers through the normal pipeline.  A shard the router holds
+  no index for is raced, never pruned.
 * **Ordering is a heuristic, never a semantic.**  For decision-only
-  queries surviving shards are ordered by descending sketch score
-  (shard id breaks ties), so the expected-first-true shard races first;
-  in full mode every surviving shard runs and the order is ascending
-  shard id, exactly the unrouted order.
-* **Everything is deterministic.**  Sketches, scores, and orders are
-  pure functions of (collection, assignment, query census); the
-  ``epoch`` counter bumps when a rebalance changes the assignment or a
-  mutation changes the collection.
+  queries surviving shards are ordered by descending candidate count
+  (shard id breaks ties), so the expected-first-true shard races
+  first; in full mode every surviving shard runs and the order is
+  ascending shard id, exactly the unrouted order.
+* **Everything is deterministic.**  Probes and orders are pure
+  functions of (collection, assignment, query census); the ``epoch``
+  counter bumps when a rebalance changes the assignment or a mutation
+  changes the collection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..indexing import FTVIndex
-from ..indexing.sketch import DEFAULT_SKETCH_BUCKETS, FeatureSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .sharding import ShardedEntry
@@ -52,38 +52,37 @@ class RoutePlan:
     """One query's routed fan-out over a sharded entry.
 
     ``order`` are the shards to race, in race order; ``pruned`` are the
-    shards whose sketches proved them empty for this query (skipped
-    entirely — no ticket token, no RaceTask, no admission charge);
-    ``staged`` asks the service to race ``order`` as waves (first shard
-    alone, then the rest) instead of gang-dispatching everything.
+    shards whose probe came back empty (skipped entirely — no ticket
+    token, no RaceTask, no admission charge); ``staged`` asks the
+    service to race ``order`` as waves (first shard alone, then the
+    rest) instead of gang-dispatching everything; ``candidates`` are
+    the local candidate ids of every shard the plan probed, which the
+    shard's race sweeps instead of probing again.
     """
 
     order: tuple[int, ...]
     pruned: tuple[int, ...] = ()
     staged: bool = False
+    candidates: dict = field(default_factory=dict)
 
 
 class ShardRouter:
-    """Per-entry routing state: one feature sketch per shard.
+    """Per-entry routing table: one filter-index handle per shard.
 
     Built by :class:`~repro.service.sharding.ShardedCatalog` when an
-    FTV entry is loaded; :meth:`refresh` re-folds one shard's sketch
-    whenever that shard's partition is warmed — at load, by a
-    rebalance migration, by a dark shard's re-warm — so migrations
-    keep the sketches honest.  Sketches are coded in
-    ``entry.interner``, the collection's one label code space.
+    FTV entry is loaded; :meth:`refresh` hands it a shard's filter
+    index whenever that shard's partition is warmed — at load, by a
+    rebalance migration, by a dark shard's re-warm — and takes it
+    back when the shard goes dark.  A mutation patches the index the
+    router already holds, so routing never goes stale.
     """
 
-    def __init__(
-        self,
-        entry: "ShardedEntry",
-        num_buckets: int = DEFAULT_SKETCH_BUCKETS,
-    ) -> None:
+    def __init__(self, entry: "ShardedEntry") -> None:
         self.entry = entry
-        self.num_buckets = num_buckets
-        #: shard -> sketch (absent = shard holds no graphs, or its
-        #: index speaks another code space: raced, never pruned)
-        self.sketches: dict[int, FeatureSketch] = {}
+        #: shard -> its warm filter index (absent = shard holds no
+        #: graphs, is dark, or its index speaks another code space:
+        #: raced, never pruned)
+        self.indexes: dict[int, FTVIndex] = {}
         #: routing-table version; bumped by rebalance reassignments and
         #: mutations so operators (and tests) can see the table moved
         self.epoch = 0
@@ -91,32 +90,24 @@ class ShardRouter:
     @property
     def interner(self):
         """The collection's label code space (``entry.interner``): what
-        the sketches are coded in — the router keeps none of its own."""
+        a query census is taken in — the router keeps none of its
+        own."""
         return self.entry.interner
 
-    # ------------------------------------------------------------------
-    # sketch lifecycle
-    # ------------------------------------------------------------------
-
     def refresh(self, shard: int, index: Optional[FTVIndex]) -> None:
-        """(Re-)fold ``shard``'s sketch from its warm filter index.
+        """Route ``shard`` by its warm filter ``index`` (None = by
+        nothing).
 
-        The fold takes the index's coded rows as they stand, so it is
-        only meaningful for an index that codes every label it knows
-        as the collection does — true by identity for every index the
-        catalog builds, and by value for a standalone build over a
-        partition that carries the collection's labels.  Any other
-        index leaves the shard without a sketch, which :meth:`plan`
-        races fail-closed.
+        A probe reads the census's codes as they stand, so only an
+        index that codes every label it knows as the collection does
+        is kept — true by identity for every index the catalog builds,
+        and by value for a standalone build over a partition that
+        carries the collection's labels.  Any other index leaves the
+        shard without one, which :meth:`plan` races fail-closed.
         """
-        self.sketches.pop(shard, None)
-        if index is None or not self._same_codes(index):
-            return
-        self.sketches[shard] = FeatureSketch.from_postings(
-            index.trie.postings.items(),
-            graph_count=len(index.graphs),
-            num_buckets=self.num_buckets,
-        )
+        self.indexes.pop(shard, None)
+        if index is not None and self._same_codes(index):
+            self.indexes[shard] = index
 
     def _same_codes(self, index: FTVIndex) -> bool:
         """Whether ``index`` codes every label it knows as the
@@ -128,48 +119,10 @@ class ShardRouter:
         )
 
     def bump(self) -> int:
-        """Advance the routing-table epoch (rebalance bookkeeping)."""
+        """Advance the routing-table epoch (rebalance and mutation
+        bookkeeping)."""
         self.epoch += 1
         return self.epoch
-
-    def note_add(self, shard: int, index: FTVIndex, rows: list) -> None:
-        """Patch routing state for the graph ``shard``'s filter
-        ``index`` just took in, from the ``(coded path, count)``
-        ``rows`` its :meth:`~repro.indexing.FTVIndex.add_graph`
-        reported.
-
-        The shard's sketch must admit the newcomer's features, or a
-        stale veto would prune the only shard that can answer.
-        Sketches are monotone under adds, so folding in the newcomer's
-        own rows — the postings the index censused a moment ago,
-        through the fold :meth:`refresh` puts a whole shard through —
-        is sound without re-folding the other graphs', and costs the
-        newcomer, not the shard: nothing here reads the shard's
-        postings.  A partition that was *warmed* holding the newcomer
-        (the first graph on an empty shard) reports no rows and has no
-        sketch yet; that one is :meth:`refresh`'s to fold.
-        """
-        sketch = self.sketches.get(shard)
-        if sketch is None or not rows or not self._same_codes(index):
-            self.refresh(shard, index)
-        else:
-            self.sketches[shard] = sketch.with_graph(
-                rows,
-                graph_count=len(index.graphs),
-                feature_count=len(index.trie.postings),
-            )
-        self.epoch += 1
-
-    def note_remove(self) -> None:
-        """Account a remove: sketches keep their (now possibly stale)
-        bits — a sound over-approximation that can only route to a
-        shard that would answer empty, never prune one that would
-        answer.  A later :meth:`refresh` tightens the sketch."""
-        self.epoch += 1
-
-    # ------------------------------------------------------------------
-    # query side
-    # ------------------------------------------------------------------
 
     def plan(
         self,
@@ -182,52 +135,36 @@ class ShardRouter:
 
         Full mode races every surviving shard in ascending shard order
         (pruning only); decision mode orders survivors by descending
-        sketch score and stages them as waves so the expected-first-true
-        shard races alone first.  Labels the collection has never seen
-        carry negative codes (see
-        :meth:`~repro.indexing.features.LabelInterner.encode_vertices`).
+        candidate count and stages them as waves so the
+        expected-first-true shard races alone first.
         """
         if len(involved) <= 1:
             return RoutePlan(order=tuple(involved))
-        if any(code < 0 for seq in counts for code in seq):
-            # a query label the whole collection has never seen: every
-            # shard's filter is provably empty; keep the lowest shard
-            # as the witness race so the answer flows through the
-            # normal merge/caching pipeline
-            return RoutePlan(
-                order=involved[:1], pruned=tuple(involved[1:])
-            )
-        survivors: list[tuple[int, tuple[int, int]]] = []
+        candidates: dict[int, list] = {}
+        survivors: list[int] = []
         pruned: list[int] = []
         for shard in involved:
-            sketch = self.sketches.get(shard)
-            if sketch is None:
-                # no sketch = no proof: fail closed and race the
-                # shard (pruning is only ever justified by a veto)
-                survivors.append((shard, (0, 0)))
+            index = self.indexes.get(shard)
+            if index is None:
+                # no index = no proof: fail closed and race the shard
+                survivors.append(shard)
                 continue
-            score = sketch.score(counts)
-            if score is None:
-                pruned.append(shard)
-            else:
-                survivors.append((shard, score))
+            found = candidates[shard] = index.probe(counts)
+            (survivors if found else pruned).append(shard)
         if not survivors:
             return RoutePlan(
-                order=(pruned[0],), pruned=tuple(pruned[1:])
+                order=(pruned[0],), pruned=tuple(pruned[1:]),
+                candidates=candidates,
             )
         if decision_only:
             survivors.sort(
-                key=lambda item: (-item[1][0], -item[1][1], item[0])
-            )
-            order = tuple(s for s, _ in survivors)
-            return RoutePlan(
-                order=order,
-                pruned=tuple(pruned),
-                staged=len(order) > 1,
+                key=lambda s: (-len(candidates.get(s, ())), s)
             )
         return RoutePlan(
-            order=tuple(s for s, _ in survivors),
+            order=tuple(survivors),
             pruned=tuple(pruned),
+            staged=decision_only and len(survivors) > 1,
+            candidates=candidates,
         )
 
     def as_metrics(self) -> dict:
@@ -235,8 +172,5 @@ class ShardRouter:
         return {
             "epoch": self.epoch,
             "labels": len(self.interner),
-            "sketches": {
-                str(shard): sketch.as_metrics()
-                for shard, sketch in sorted(self.sketches.items())
-            },
+            "indexed": sorted(self.indexes),
         }

@@ -135,6 +135,29 @@ def decisions_digest(tickets: list[Ticket]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def _unraceable(
+    options: QueryOptions, width: int, workers: int
+) -> Optional[str]:
+    """Why a ticket under ``options`` racing ``width`` variants can
+    never race on a ``workers``-wide pool, or None: a variant name no
+    registry resolves, or a race wider than the pool."""
+    # deferred: the spec module builds services, so it imports this one
+    from .spec import SpecError, _algorithm, _rewriting, check_tuple
+
+    try:
+        check_tuple(_algorithm, nonempty=True)(
+            options.algorithms, "options.algorithms"
+        )
+        check_tuple(_rewriting, nonempty=True)(
+            options.rewritings, "options.rewritings"
+        )
+    except SpecError as exc:
+        return str(exc)
+    if width > workers:
+        return f"{width} variants exceed the {workers}-worker pool"
+    return None
+
+
 class Service:
     """A concurrent graph-query serving layer over the Ψ machinery.
 
@@ -258,12 +281,10 @@ class Service:
             budget=ticket.budget_steps,
         )
         variants = options.variants(entry.kind)
-        if len(variants) > self.dispatcher.workers:
+        reason = _unraceable(options, len(variants), self.dispatcher.workers)
+        if reason is not None:
             ticket.state = TicketState.REJECTED
-            ticket.reject_reason = (
-                f"{len(variants)} variants exceed the "
-                f"{self.dispatcher.workers}-worker pool"
-            )
+            ticket.reject_reason = reason
             ticket.finish_time = ticket.submit_time
             self.admission.rejected.inc()
             self.tracer.finish(

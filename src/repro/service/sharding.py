@@ -160,12 +160,12 @@ class ShardedEntry:
     load_config: tuple
     _catalog: "ShardedCatalog"
     #: the collection's one label code space (FTV entries only): every
-    #: shard's index, the router's sketches, the store's
-    #: index blobs and each ticket's query census are coded in this
-    #: object, which only a mutation ever extends
+    #: shard's index, the store's index blobs and each ticket's query
+    #: census are coded in this object, which only a mutation ever
+    #: extends
     interner: Optional[LabelInterner] = None
-    #: per-shard sketch router (FTV entries over more than one shard;
-    #: None = nothing to route between)
+    #: per-shard router over the shards' filter indexes (FTV entries
+    #: over more than one shard; None = nothing to route between)
     router: Optional[ShardRouter] = None
     #: removed (tombstoned) global graph ids — slots keep their shard
     #: assignment so local→global id maps never shift
@@ -303,7 +303,8 @@ class ShardedCatalog:
     def set_serving(self, shard: int, serving: bool) -> None:
         """Whether ``shard`` has a serving replica, as the replica set
         says after every change: going dark unloads the shard's
-        partitions, coming back warms every loaded dataset's partition
+        partitions and drops the routers' handles on their filter
+        indexes, coming back warms every loaded dataset's partition
         there again (see :meth:`_register_shard`)."""
         if serving == (shard not in self.dark):
             return
@@ -316,6 +317,9 @@ class ShardedCatalog:
         else:
             self.dark.add(shard)
             self.partitions[shard].clear()
+            for entry in self._entries.values():
+                if entry.router is not None:
+                    entry.router.refresh(shard, None)
 
     def check_shard(self, shard: int) -> None:
         """ValueError unless ``shard`` is one of this catalog's."""
@@ -428,31 +432,29 @@ class ShardedCatalog:
                 entry.stats = LabelStats.of_collection(live)
         if kind == "ftv" and self.num_shards > 1:
             # shard count is a constructor fact: one shard has nothing
-            # to prune or order, so it folds no sketch
+            # to prune or order, so it gets no router
             entry.router = ShardRouter(entry)
         self._entries[name] = entry
         for shard in entry.involved_shards():
             self._register_shard(entry, shard)
         return entry
 
-    def _register_shard(
-        self, entry: ShardedEntry, shard: int
-    ) -> Optional[DatasetEntry]:
+    def _register_shard(self, entry: ShardedEntry, shard: int) -> None:
         """(Re-)warm ``entry``'s partition on ``shard``.
 
         While the catalog's store record of the dataset is honoured
         (booted from it, no mutation since), the shard's filter index
         restores from its blob (checked + quarantined through the
         reader; a bad blob degrades to an in-process rebuild); otherwise
-        it is built.  Removed graphs are re-tombstoned, and the shard's
-        routing sketch is re-folded from the fresh filter index, so a
-        rebalance migration can never leave a stale sketch behind.  A
-        dark shard (every replica killed/retired) warms nothing and
-        returns ``None`` — the service degrades queries needing it, and
-        :meth:`set_serving` warms it.
+        it is built.  Removed graphs are re-tombstoned, and the router
+        is handed the fresh filter index, so a rebalance migration
+        can never leave it probing a partition that is gone.  A
+        dark shard (every replica killed/retired) warms nothing — the
+        service degrades queries needing it, and :meth:`set_serving`
+        warms it.
         """
         if shard in self.dark:
-            return None
+            return
         part = [entry.graphs[g] for g in entry.assignment[shard]]
         scale, algorithms, ftv_method, max_path_length = entry.load_config
         index = None
@@ -472,7 +474,6 @@ class ShardedCatalog:
         self._reapply_tombstones(entry, shard, sub)
         if entry.router is not None:
             entry.router.refresh(shard, sub.ftv_index)
-        return sub
 
     def _reapply_tombstones(
         self, entry: ShardedEntry, shard: int, sub: DatasetEntry
@@ -622,17 +623,11 @@ class ShardedCatalog:
                 for s, ids in enumerate(entry.assignment)
             )
             local = len(entry.assignment[shard]) - 1
-        # the newcomer's trie rows as its insert reports them (none for
-        # a freshly warmed partition, whose sketch note_add folds)
-        rows: list = []
         if fresh:
-            sub = self._register_shard(entry, shard)
+            self._register_shard(entry, shard)
         else:
-            sub = self.shard_entry(name, shard)
-            sub.add_graph(graph, local, rows)
+            self.shard_entry(name, shard).add_graph(graph, local)
         self._after_mutation(entry)
-        if entry.router is not None:
-            entry.router.note_add(shard, sub.ftv_index, rows)
         return graph_id
 
     def remove_graph(self, name: str, graph_id: int) -> None:
@@ -644,8 +639,6 @@ class ShardedCatalog:
         )
         entry.tombstones.add(graph_id)
         self._after_mutation(entry)
-        if entry.router is not None:
-            entry.router.note_remove()
 
     def _after_mutation(self, entry: ShardedEntry) -> None:
         """Collection-level bookkeeping after one applied mutation."""
@@ -658,6 +651,8 @@ class ShardedCatalog:
         # honoured again until the next checkpoint re-captures the state
         self._restorable.discard(entry.name)
         self.mutation_epoch += 1
+        if entry.router is not None:
+            entry.router.bump()
 
     def reassign(
         self,
@@ -671,8 +666,9 @@ class ShardedCatalog:
         guarantee no query is mid-flight against this entry (the
         service's ``idle`` property).  Whole stored graphs move between
         shards — only the shards whose partitions actually changed are
-        unloaded and re-registered (fresh matcher indexes, filter
-        indexes, and routing sketches), the rest keep their warm state.
+        unloaded and re-registered (fresh matcher indexes and filter
+        indexes, which the router is handed), the rest keep their warm
+        state.
         The new assignment must be a permutation-free re-partition of
         exactly the same global graph ids; anything else raises before
         any shard is touched.

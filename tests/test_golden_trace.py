@@ -62,7 +62,7 @@ def drill() -> dict:
     svc.run_until_idle()
     # 2: scheduled faults fire after admission and before the tick,
     # so a kill due now lands on a leg that is placed but has not run
-    rerouted = svc.submit("ppi", queries[3], options=FULL)
+    rerouted = svc.submit("ppi", queries[4], options=FULL)
     svc.install_faults(FaultInjector([
         FaultEvent(at=svc.clock, kind="kill", shard=0, replica=-1),
     ]))

@@ -240,32 +240,6 @@ class TestTries:
         assert t.seal() == 2 and not t._unsealed
         assert t.tables[("B",)] == ((1, 2, 7), (0b111, 0b101, 0b100))
 
-    def test_insert_reports_each_created_posting_once(self):
-        t = SuffixTrie()
-        t.insert(("A", "B"), 0, 1)
-        created: list = []
-        t.insert(("A", "B"), 1, 2, created)
-        t.insert(("B",), 1, 5, created)  # merges: no second entry
-        assert created == [("A", "B"), ("B",)]
-
-    def test_add_graph_rows_carry_the_final_merged_counts(self):
-        """A GGSX newcomer's ``(B, C)`` is posted as a path and again as
-        the suffix of ``(A, B, C)``: its row is read once every insert
-        is done, so it reports the merged count the index holds."""
-        index = GGSXIndex([LabeledGraph.from_edges(["A"], [])])
-        rows: list = []
-        gid = index.add_graph(
-            LabeledGraph.from_edges(["A", "B", "C"], [(0, 1), (1, 2)]),
-            None, rows,
-        )
-        postings = index.trie.postings
-        assert rows and len(rows) == len({seq for seq, _ in rows})
-        assert rows == [(seq, postings[seq][gid]) for seq, _ in rows]
-        assert {seq for seq, _ in rows} == {
-            seq for seq, row in postings.items() if gid in row
-        }
-        assert any(count > 1 for _, count in rows)
-
     def test_a_remove_drops_the_paths_it_empties(self):
         t = PathTrie()
         t.insert(("A", "B"), 0, 1)

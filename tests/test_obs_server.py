@@ -13,13 +13,14 @@ import pytest
 
 from repro.harness import build_ftv_graphs
 from repro.obs.client import ObsClient, query_payload
-from repro.obs.server import BackgroundFrontDoor
+from repro.obs.server import BackgroundFrontDoor, _options_from
 from repro.service import (
     AdmissionController,
     QueryOptions,
     Service,
     TenantPolicy,
 )
+from repro.service.spec import SpecError
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
 BUDGET = 60_000
@@ -197,6 +198,47 @@ class TestSocketEqualsInProcess:
         assert second[1]["result"]["from_cache"] is True
 
 
+#: request ``options`` the front door refuses, with the dotted path its
+#: 400 names
+MALFORMED_OPTIONS = [
+    ({"algorithms": ["NOPE"]}, "options.algorithms[0]"),
+    ({"rewritings": ["Orig", "XYZ"]}, "options.rewritings[1]"),
+    ({"algorithms": "GQL"}, "options.algorithms"),
+    ({"decision_only": "false"}, "options.decision_only"),
+    ({"max_embeddings": "x"}, "options.max_embeddings"),
+    ({"max_embeddings": 0}, "options.max_embeddings"),
+    (["Orig"], "options"),
+]
+
+
+class TestOptionsFromRequest:
+    @pytest.mark.parametrize("options, path", MALFORMED_OPTIONS)
+    def test_a_malformed_field_raises_naming_its_path(self, options, path):
+        with pytest.raises(SpecError) as err:
+            _options_from(options)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("options, expected", [
+        ({}, None),
+        (None, None),
+        (
+            {"algorithms": ["GQL"], "rewritings": ["Orig", "DND"]},
+            QueryOptions(algorithms=("GQL",), rewritings=("Orig", "DND")),
+        ),
+        (
+            {"max_embeddings": 5, "count_only": False,
+             "decision_only": True},
+            QueryOptions(
+                max_embeddings=5, count_only=False, decision_only=True
+            ),
+        ),
+    ])
+    def test_well_typed_fields_become_query_options(self, options, expected):
+        """Lists become tuples of whole names and booleans stay
+        booleans; an absent or empty mapping means the defaults."""
+        assert _options_from(options) == expected
+
+
 class TestRejectionMapping:
     def test_degraded_maps_to_429_with_retry_after(self, ppi_graphs):
         svc = ftv_service()
@@ -233,6 +275,23 @@ class TestRejectionMapping:
         assert payload["state"] == "rejected"
         assert payload["retry_after_steps"] is None
         assert "retry-after" not in headers
+
+    def test_malformed_options_are_a_400_naming_the_field(self, ppi_graphs):
+        """Each bad ``options`` field is refused at the door, its dotted
+        path named, and the pump keeps serving: the next query, with
+        default options, is answered."""
+        _, graph = workload(ppi_graphs)[0]
+        with BackgroundFrontDoor(ftv_service()) as door:
+            client = ObsClient(*door.address)
+            for options, path in MALFORMED_OPTIONS:
+                status, payload, _ = client.submit(
+                    "ppi", graph, options=options
+                )
+                assert status == 400, options
+                assert payload["error"].startswith(f"{path}: ")
+            status, payload, _ = client.submit("ppi", graph, options={})
+        assert status == 200
+        assert payload["state"] == "done"
 
 
 def test_query_payload_round_trip(ppi_graphs):

@@ -38,9 +38,6 @@ grown from them, then assert the library's fundamental contracts:
   probe, or built when ``seal`` drained the unsealed nodes — is the
   fresh seal of its posting map, and ``seal`` returns the number of
   posting-carrying nodes and leaves nothing unsealed;
-* the routing sketch ``note_add`` folds from the rows an add reported
-  has bucket for bucket the bits of a fold off a walk of the trie, its
-  ``features`` is the trie's, and a ``refresh`` only tightens it;
 * the mutated index filters generated queries to the candidates an
   index rebuilt from the live graphs does;
 * along such a sequence — slots revived with other graphs, newcomers
@@ -71,7 +68,6 @@ grown from them, then assert the library's fundamental contracts:
 import random
 import tempfile
 from itertools import chain
-from types import SimpleNamespace
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
@@ -88,7 +84,6 @@ from repro.indexing import (
     label_path_census,
     location_vertices,
 )
-from repro.indexing.sketch import FeatureSketch
 from repro.indexing.trie import PathTrie
 from repro.matching import (
     SELECTION_POLICIES,
@@ -108,7 +103,6 @@ from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.service import QueryOptions, Service
 from repro.service.loadgen import collection_digest, oracle_digest
 from repro.service.planner import HEAD_START_STEPS, Rewrite, race_starts
-from repro.service.routing import ShardRouter
 from repro.service.sharding import ShardedCatalog
 from repro.store import StoreWriter
 from repro.store.codec import decode_index, encode_index, index_method
@@ -730,26 +724,19 @@ def _mutate(draw, index, graph):
     """Put ``index`` through a random add / remove / re-add sequence,
     warming (draining the reseal) or probing (sealing lazily) at
     random points on the way, so newcomers meet sealed, patched and
-    unsealed nodes alike.  Yields ``(op, graph id, rows)`` after every
-    step; ``rows`` is what an add reported, None for a remove."""
+    unsealed nodes alike.  Yields after every step."""
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         live, dead = index.live_ids(), sorted(index.tombstones)
         op = draw(st.sampled_from(
             ["add"] + ["remove"] * bool(live) + ["readd"] * bool(dead)
         ))
-        rows = None
         if op == "add":
-            rows = []
-            gid = index.add_graph(draw(graph), None, rows)
+            index.add_graph(draw(graph))
         elif op == "remove":
-            gid = draw(st.sampled_from(live))
-            index.remove_graph(gid)
+            index.remove_graph(draw(st.sampled_from(live)))
         else:
-            rows = []
-            gid = index.add_graph(
-                draw(graph), draw(st.sampled_from(dead)), rows
-            )
-        yield op, gid, rows
+            index.add_graph(draw(graph), draw(st.sampled_from(dead)))
+        yield
         after = draw(st.sampled_from(["warm", "probe", "leave"]))
         if after == "warm":
             index.warm()
@@ -898,72 +885,6 @@ def test_tables_patched_in_place_equal_a_fresh_seal_at_every_step(data):
     assert not trie._unsealed
     assert set(trie.tables) == set(rows)
     _check_tables(trie)
-
-
-def _walk_fold(router, index, gid=None):
-    """The sketch of one graph's postings — or of all of them — folded
-    off the whole shard posting map."""
-    return FeatureSketch.from_postings(
-        (
-            (seq, postings if gid is None else {gid: postings[gid]})
-            for seq, postings in index.trie.postings.items()
-            if gid is None or gid in postings
-        ),
-        graph_count=1,
-        num_buckets=router.num_buckets,
-    )
-
-
-@given(data=st.data(), elsewhere=st.lists(sparse_graphs(), max_size=2))
-@settings(max_examples=60, deadline=None)
-def test_sketch_folded_from_rows_equals_the_trie_walk_fold(data, elsewhere):
-    """``note_add`` folds the rows the add reported; what it used to
-    do — read the whole shard posting map, pick the newcomer's
-    postings back out, fold those — sets the same bits bucket for
-    bucket.  ``features`` is the number of paths with postings after
-    every add (an upper bound after a remove), and a ``refresh`` after
-    any sequence only ever tightens the sketch."""
-    # graphs "on other shards" put labels into the collection's code
-    # space that this shard's graphs do not carry, in an order its own
-    # labels then have to be appended to
-    interner = LabelInterner(g.labels for g in elsewhere)
-    index, graph = data.draw(base_indexes(interner))
-    router = ShardRouter(
-        SimpleNamespace(interner=interner),
-        num_buckets=data.draw(st.sampled_from([1, 7, 256])),
-    )
-    router.refresh(0, index)
-    for op, gid, rows in _mutate(data.draw, index, graph):
-        before = router.sketches[0]
-        if op == "remove":
-            router.note_remove()
-            assert router.sketches[0] is before
-            assert before.feature_count >= len(index.trie.postings)
-            continue
-        router.note_add(0, index, rows)
-        after = router.sketches[0]
-        assert after.feature_count == len(index.trie.postings)
-        assert after.graph_count == len(index.graphs)
-        if not rows:
-            # a featureless newcomer: nothing to fold, so the router
-            # takes the fold it uses for a partition it has no sketch of
-            assert after.buckets == _walk_fold(router, index).buckets
-            continue
-        assert sorted(rows) == sorted(
-            (seq, postings[gid])
-            for seq, postings in index.trie.postings.items()
-            if gid in postings
-        )
-        walked = _walk_fold(router, index, gid)
-        assert after.buckets == tuple(
-            a | b for a, b in zip(before.buckets, walked.buckets)
-        )
-    grown = router.sketches[0]
-    router.refresh(0, index)
-    assert all(
-        fresh & ~kept == 0
-        for fresh, kept in zip(router.sketches[0].buckets, grown.buckets)
-    )
 
 
 def _rebuilt(index):
@@ -1142,6 +1063,138 @@ def test_shard_indexes_of_a_mutated_catalog_filter_as_one_index(data):
             entry.interner.labels()
         )
         agrees(booted)
+
+
+def _routed_queries(entry, rng, alien):
+    """Three queries carved out of random live graphs of ``entry`` and
+    one with a label nobody has, each a fresh object so the result
+    cache never answers for the router."""
+    live = entry.live_graph_ids()
+    return [
+        extract_query(g, rng.randint(1, min(5, g.size)), rng)
+        for g in (entry.graphs[rng.choice(live)] for _ in range(3))
+        if g.size
+    ] + [alien.permuted(list(range(alien.order)))]
+
+
+@given(
+    data=st.data(),
+    shards=st.integers(min_value=2, max_value=3),
+    strategy=st.sampled_from(["size_balanced", "hash"]),
+    method=st.sampled_from(["Grapes", "GGSX"]),
+)
+@settings(max_examples=10, deadline=None)
+def test_routed_plans_prune_exactly_the_partitions_that_probe_empty(
+    data, shards, strategy, method
+):
+    """Along a random add / remove / re-add / reassign / dark-and-back
+    sequence on a generated collection: after every step the route
+    plan prunes exactly the shards whose live partition a freshly
+    built index filters to nothing — keeping the lowest involved
+    shard when that is all of them, racing a dark shard unpruned —
+    hands each probed shard exactly that partition's candidates, and
+    a routed service answers every query as an unrouted one does."""
+    oracle_class = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}[method]
+    services = [
+        Service(workers=4, shards=shards, assignment=strategy, routing=r)
+        for r in (True, False)
+    ]
+    for svc in services:
+        svc.load_dataset("ppi", scale="tiny", ftv_method=method)
+    catalogs = [svc.catalog for svc in services]
+    entry = catalogs[0].get("ppi")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
+    alien = LabeledGraph.from_edges(["~alien", "~alien"], [(0, 1)])
+    decide = data.draw(st.booleans())
+    options = QueryOptions(rewritings=("Orig", "DND"), decision_only=decide)
+
+    def plans_are_exact(dark=None):
+        live = entry.live_graph_ids()
+        oracle = oracle_class(
+            [entry.graphs[gid] for gid in live], entry.max_path_length
+        )
+        involved = entry.involved_shards()
+        for query in _routed_queries(entry, rng, alien):
+            hits = {live[local] for local in oracle.filter(query)}
+            want = {
+                shard: sorted(hits & set(entry.assignment[shard]))
+                for shard in involved
+                if shard != dark
+            }
+            empty = tuple(shard for shard in want if not want[shard])
+            survivors = tuple(s for s in involved if s not in empty)
+            if not survivors:
+                survivors, empty = involved[:1], involved[1:]
+            counts = coded_path_census(
+                query, entry.max_path_length,
+                entry.interner.encode_vertices(query.labels),
+            ).counts
+            plan = entry.router.plan(counts, involved, decide)
+            assert sorted(plan.order) == list(survivors)
+            assert plan.pruned == empty
+            if len(involved) < 2:
+                # a fan-out of one is not routed: its race probes
+                assert plan.candidates == {}
+                continue
+            assert {
+                shard: [entry.assignment[shard][local] for local in found]
+                for shard, found in plan.candidates.items()
+            } == want
+            if decide:
+                assert plan.order == tuple(sorted(
+                    survivors, key=lambda s: (-len(want.get(s, ())), s)
+                ))
+
+    def routed_answers_as_unrouted():
+        queries = _routed_queries(entry, rng, alien)
+        tickets = [
+            [svc.submit("ppi", q, options=options) for q in queries]
+            for svc in services
+        ]
+        for svc in services:
+            svc.run_until_idle()
+        for routed, unrouted in zip(*tickets):
+            assert routed.result.found == unrouted.result.found
+            if not decide:
+                assert routed.result.matching_ids == (
+                    unrouted.result.matching_ids
+                )
+
+    plans_are_exact()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        live, dead = entry.live_graph_ids(), sorted(entry.tombstones)
+        op = data.draw(st.sampled_from(
+            ["add", "reassign", "dark"] + ["remove"] * (len(live) > 1)
+            + ["readd"] * bool(dead)
+        ))
+        if op == "remove":
+            gid = data.draw(st.sampled_from(live))
+            for catalog in catalogs:
+                catalog.remove_graph("ppi", gid)
+        elif op in ("add", "readd"):
+            graph = data.draw(newcomers())
+            gid = data.draw(st.sampled_from(dead)) if op == "readd" else None
+            shard = data.draw(st.integers(min_value=0, max_value=shards - 1))
+            for catalog in catalogs:
+                catalog.add_graph("ppi", graph, shard, gid)
+        elif op == "reassign":
+            assignment = [list(ids) for ids in entry.assignment]
+            gid = data.draw(st.sampled_from(range(len(entry.graphs))))
+            for ids in assignment:
+                if gid in ids:
+                    ids.remove(gid)
+            assignment[
+                data.draw(st.integers(min_value=0, max_value=shards - 1))
+            ].append(gid)
+            for catalog in catalogs:
+                catalog.reassign("ppi", assignment)
+        else:
+            shard = data.draw(st.sampled_from(entry.involved_shards()))
+            catalogs[0].set_serving(shard, False)
+            plans_are_exact(dark=shard)
+            catalogs[0].set_serving(shard, True)
+        plans_are_exact()
+        routed_answers_as_unrouted()
 
 
 #: probes carved out of the stored ``ppi`` graphs, answered positively

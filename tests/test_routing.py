@@ -1,26 +1,21 @@
-"""Shard-routing soundness: sketches, pruned/ordered fan-out, rebalance.
+"""Shard routing: pruned/ordered fan-out, rebalance.
 
-The load-bearing claim (ISSUE 5 acceptance): sketch routing changes
-*where work happens*, never *what is answered* — ``answers_digest`` is
-bit-for-bit invariant across {1 shard, N shards unrouted, N shards
-routed, N shards post-rebalance} in full mode, and ``decisions_digest``
-is invariant in decision mode (where witness subsets legitimately
-differ).  The sketch tests are adversarial on purpose: forced bucket
-collisions, labels the collection has never seen, an index coded in
-another label space and NFV home shards must all leave pruning sound.
+The load-bearing claim: routing changes *where work happens*, never
+*what is answered* — ``answers_digest`` is bit-for-bit invariant
+across {1 shard, N shards unrouted, N shards routed, N shards
+post-rebalance} in full mode, and ``decisions_digest`` is invariant in
+decision mode (where witness subsets legitimately differ).  The
+pruning tests are adversarial on purpose: labels the collection has
+never seen, impossible multiplicities, an index coded in another label
+space and NFV home shards must all leave pruning exact (the generated
+version is in ``tests/test_properties.py``).
 """
 
 import pytest
 
 from repro.graphs import LabeledGraph
 from repro.harness import build_ftv_graphs
-from repro.indexing import GrapesIndex, coded_path_census
-from repro.indexing.sketch import (
-    SKETCH_TIERS,
-    FeatureSketch,
-    bucket_of,
-    tier_index,
-)
+from repro.indexing import FTVIndex, GrapesIndex, coded_path_census
 from repro.scheduling import skew_ratio
 from repro.service import (
     AdmissionController,
@@ -33,6 +28,7 @@ from repro.service import (
     decisions_digest,
     run_closed_loop,
 )
+from repro.service.routing import RoutePlan
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
 from .conftest import relabelled
@@ -81,6 +77,14 @@ def census_counts(entry, query):
     ).counts
 
 
+def stream_queries(graphs, per_tenant=10):
+    return [
+        mq.query.graph
+        for stream in ftv_streams(graphs, per_tenant=per_tenant).values()
+        for mq in stream
+    ]
+
+
 def run(shards, routing, graphs, options=FTV_OPTS, seed=9, **kw):
     svc = ftv_service(shards, routing, **kw)
     report = run_closed_loop(
@@ -91,94 +95,77 @@ def run(shards, routing, graphs, options=FTV_OPTS, seed=9, **kw):
 
 
 # ----------------------------------------------------------------------
-# sketch unit behaviour
+# exact pruning against the real filters
 # ----------------------------------------------------------------------
 
-class TestSketch:
-    def test_tier_index_tiers(self):
-        assert tier_index(1) == 0
-        assert tier_index(2) == 1
-        assert tier_index(3) == 1
-        assert tier_index(4) == 2
-        # beyond the top tier: saturates instead of overflowing
-        assert tier_index(10**9) == len(SKETCH_TIERS) - 1
-        with pytest.raises(ValueError):
-            tier_index(0)
+class TestExactPruning:
+    @pytest.mark.parametrize("strategy", ["size_balanced", "hash"])
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_prune_iff_empty_filter(self, ppi_graphs, shards, strategy):
+        """A shard is pruned exactly when its own filter is empty (the
+        lowest involved shard kept when all are), and the plan hands
+        every probed shard the candidates that filter returns."""
+        cat = ShardedCatalog(num_shards=shards, assignment=strategy)
+        entry = cat.load("ppi", scale="tiny")
+        involved = entry.involved_shards()
+        pruned = 0
+        for query in stream_queries(ppi_graphs):
+            plan = entry.router.plan(census_counts(entry, query), involved)
+            found = {
+                shard: entry.shard_entry(shard).ftv_index.filter(query)
+                for shard in involved
+            }
+            survivors = tuple(s for s in involved if found[s])
+            if survivors:
+                assert plan.order == survivors
+                assert plan.pruned == tuple(
+                    s for s in involved if not found[s]
+                )
+            else:
+                assert plan.order == involved[:1]
+                assert plan.pruned == involved[1:]
+            assert plan.candidates == found
+            pruned += len(plan.pruned)
+        # the traffic is not vacuous: some (query, shard) pair is pruned
+        assert pruned > 0
 
-    def test_bucket_of_deterministic_and_bounded(self):
-        seqs = [(0,), (1, 2, 3), (-1,), (5, 5), (2, 1)]
-        for seq in seqs:
-            b = bucket_of(seq, 64)
-            assert 0 <= b < 64
-            assert b == bucket_of(seq, 64)
-        # direction matters pre-canonicalisation: the census always
-        # hands the sketch canonical sequences, so this is fine
-        assert bucket_of((0,), 1) == 0
-
-    def test_from_postings_sets_downward_closed_masks(self):
-        sketch = FeatureSketch.from_postings(
-            [((0,), {0: 5})], graph_count=1, num_buckets=4,
-        )
-        mask = sketch.buckets[bucket_of((0,), 4)]
-        # max count 5 -> tiers 1, 2, 4 set; 8 clear
-        assert mask == 0b111
-        assert sketch.score({(0,): 1}) is not None
-        assert sketch.score({(0,): 4}) is not None
-        # needing 5 probes tier 4 (largest tier <= 5): may-admit
-        assert sketch.score({(0,): 5}) is not None
-        # needing 8 probes tier 8: provably absent
-        assert sketch.score({(0,): 8}) is None
-
-    def test_score_margins_order_richer_shards_first(self):
-        rich = FeatureSketch.from_postings(
-            [((0,), {0: 16})], graph_count=1, num_buckets=4,
-        )
-        poor = FeatureSketch.from_postings(
-            [((0,), {0: 2})], graph_count=1, num_buckets=4,
-        )
-        counts = {(0,): 2}
-        assert rich.score(counts) > poor.score(counts)
-
-
-# ----------------------------------------------------------------------
-# soundness against the real filters
-# ----------------------------------------------------------------------
-
-class TestSketchSoundness:
-    @pytest.mark.parametrize("num_buckets", [1, 2, 256])
-    def test_prune_implies_empty_filter(self, ppi_graphs, num_buckets):
-        """A sketch veto must always mean an empty candidate set.
-
-        ``num_buckets=1`` forces *every* feature code to collide —
-        the adversarial case: collisions may only weaken pruning
-        (set spurious bits), never produce a wrong veto.
-        """
+    def test_decision_mode_races_the_richest_shard_first(self, ppi_graphs):
+        """Decision mode orders the survivors by descending candidate
+        count, shard id breaking ties, and stages them; full mode prunes
+        the same shards but keeps ascending order and gang-dispatches."""
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
-        router = entry.router
-        router.num_buckets = num_buckets
-        for shard in entry.involved_shards():
-            router.refresh(
-                shard, entry.shard_entry(shard).ftv_index
-            )
-        streams = ftv_streams(ppi_graphs, per_tenant=10)
-        queries = [
-            mq.query.graph for s in streams.values() for mq in s
-        ]
-        vetoes = 0
-        for query in queries:
+        involved = entry.involved_shards()
+        reordered = 0
+        for query in stream_queries(ppi_graphs):
             counts = census_counts(entry, query)
-            for shard in entry.involved_shards():
-                sketch = router.sketches[shard]
-                if sketch.score(counts) is None:
-                    vetoes += 1
-                    index = entry.shard_entry(shard).ftv_index
-                    assert index.filter(query) == []
-                    assert index.probe(counts) == []
-        # with one bucket the sketch may veto nothing; with many it
-        # may too on this tiny, feature-dense collection — either way
-        # every veto that did happen was proven above
-        assert vetoes >= 0
+            full = entry.router.plan(counts, involved)
+            decide = entry.router.plan(counts, involved, decision_only=True)
+            assert full.order == tuple(sorted(full.order))
+            assert not full.staged
+            assert decide.pruned == full.pruned
+            assert decide.candidates == full.candidates
+            assert decide.order == tuple(sorted(
+                full.order, key=lambda s: (-len(full.candidates[s]), s)
+            ))
+            assert decide.staged == (len(decide.order) > 1)
+            reordered += decide.order != full.order
+        assert reordered > 0
+
+    def test_a_fan_out_of_one_is_not_probed(self, ppi_graphs, monkeypatch):
+        """One involved shard has nothing to prune or order: the plan
+        probes nothing and that shard's race filters for itself."""
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        monkeypatch.setattr(
+            FTVIndex, "probe",
+            lambda *a, **k: pytest.fail("a fan-out of one was probed"),
+        )
+        counts = census_counts(entry, ppi_graphs[0])
+        for decision_only in (False, True):
+            assert entry.router.plan(
+                counts, (1,), decision_only
+            ) == RoutePlan(order=(1,))
 
     def test_unknown_label_routes_to_single_witness_shard(self, ppi_graphs):
         """Query labels the collection never saw prune every shard."""
@@ -231,55 +218,92 @@ class TestSketchSoundness:
 
 
 # ----------------------------------------------------------------------
-# sketch maintenance under adds (the rows hand-off)
+# the router's handles across mutations and layout changes
 # ----------------------------------------------------------------------
 
-class TestSketchUnderAdds:
-    def _grown(self, ppi_graphs, monkeypatch=None):
+class TestRouterUnderMutations:
+    def _newcomer(self, ppi_graphs):
+        """A collection graph with one label nothing in ``ppi`` carries,
+        so only the shard it is added to can hold a candidate for it."""
+        return relabelled(ppi_graphs[0], "!newcomer")
+
+    def _plan(self, entry, query):
+        return entry.router.plan(
+            census_counts(entry, query), entry.involved_shards()
+        )
+
+    def test_an_add_patches_the_index_the_router_holds(self, ppi_graphs):
+        """An add needs no refresh: the router's handle is the shard's
+        own index, which the add patched, so the newcomer is a
+        candidate at once and the epoch moved by one."""
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
-        if monkeypatch is not None:
-            # from here on nothing may fold the shard's whole posting map
-            monkeypatch.setattr(
-                FeatureSketch, "from_postings",
-                lambda *a, **k: pytest.fail("note_add re-folded the shard"),
+        newcomer = self._newcomer(ppi_graphs)
+        before = self._plan(entry, newcomer)
+        assert (before.order, before.pruned) == ((0,), (1,))
+        held, epoch = entry.router.indexes[1], entry.router.epoch
+        gid = cat.add_graph("ppi", newcomer, shard=1)
+        assert entry.router.indexes[1] is held
+        assert entry.router.epoch == epoch + 1
+        after = self._plan(entry, newcomer)
+        assert (after.order, after.pruned) == ((1,), (0,))
+        assert after.candidates[1] == [entry.assignment[1].index(gid)]
+
+    def test_a_remove_prunes_a_shard_left_without_candidates(
+        self, ppi_graphs
+    ):
+        """A remove tightens routing at once: the tombstoned graph stops
+        being a candidate, and the shard whose only candidate it was is
+        pruned again."""
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        newcomer = self._newcomer(ppi_graphs)
+        gid = cat.add_graph("ppi", newcomer, shard=1)
+        epoch = entry.router.epoch
+        cat.remove_graph("ppi", gid)
+        assert entry.router.epoch == epoch + 1
+        plan = self._plan(entry, newcomer)
+        assert (plan.order, plan.pruned) == ((0,), (1,))
+        assert plan.candidates == {0: [], 1: []}
+
+    def test_a_reassign_hands_the_router_every_new_partition(
+        self, ppi_graphs
+    ):
+        """A rebalance rebuilds the moved partitions; the router then
+        holds exactly those indexes, and routes by them."""
+        cat = ShardedCatalog(num_shards=2, assignment="hash")
+        entry = cat.load("ppi", scale="tiny")
+        new = [list(ids) for ids in entry.assignment]
+        new[1].append(new[0].pop())
+        assert set(cat.reassign("ppi", new)) == {0, 1}
+        for shard in entry.involved_shards():
+            assert entry.router.indexes[shard] is (
+                entry.shard_entry(shard).ftv_index
             )
-        for seed in range(3):
-            g = ppi_graphs[seed % len(ppi_graphs)]
-            order = list(range(g.order))
-            order = order[seed + 1:] + order[:seed + 1]
-            cat.add_graph("ppi", g.permuted(order), shard=0)
-        return cat, entry
+        for query in stream_queries(ppi_graphs, per_tenant=4):
+            plan = self._plan(entry, query)
+            assert plan.candidates == {
+                shard: entry.shard_entry(shard).ftv_index.filter(query)
+                for shard in entry.involved_shards()
+            }
 
-    def test_features_stat_counts_paths_with_postings(self, ppi_graphs):
-        """Three adds of graphs the shard mostly shares its features
-        with: ``features`` is the shard's path count, not the sum of
-        every newcomer's feature count on top of the first fold."""
-        cat, entry = self._grown(ppi_graphs)
-        index = entry.shard_entry(0).ftv_index
-        stats = entry.router.as_metrics()["sketches"]["0"]
-        assert stats["features"] == len(index.trie.postings)
-        assert stats["graphs"] == len(index.graphs)
-        # a remove tightens nothing: the stat stays, now an upper bound
-        cat.remove_graph("ppi", entry.assignment[0][-1])
-        assert entry.router.as_metrics()["sketches"]["0"] == stats
-        assert stats["features"] >= len(index.trie.postings)
-
-    def test_note_add_never_refolds_the_shard(self, ppi_graphs, monkeypatch):
-        _, entry = self._grown(ppi_graphs, monkeypatch)
-        monkeypatch.undo()
-        # and what it folded from the rows admits whatever a fold of
-        # the grown shard admits
-        index = entry.shard_entry(0).ftv_index
-        grown = entry.router.sketches[0]
-        entry.router.refresh(0, index)
-        fresh = entry.router.sketches[0]
-        assert all(
-            f & ~g == 0 for f, g in zip(fresh.buckets, grown.buckets)
-        )
-        assert fresh.as_metrics()["features"] == (
-            grown.as_metrics()["features"]
-        )
+    def test_as_metrics_reports_the_handles_held(self, ppi_graphs):
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        router = entry.router
+        epoch = router.epoch
+        assert router.as_metrics() == {
+            "epoch": epoch,
+            "labels": len(entry.interner),
+            "indexed": [0, 1],
+        }
+        router.refresh(1, None)
+        assert router.bump() == epoch + 1
+        assert router.as_metrics() == {
+            "epoch": epoch + 1,
+            "labels": len(entry.interner),
+            "indexed": [0],
+        }
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +338,7 @@ class TestRoutedServing:
         assert a.answers == b.answers
 
     def test_routing_off_is_bit_for_bit_unrouted(self, ppi_graphs):
-        """`routing=False` must reproduce the PR 4 fan-out exactly —
+        """`routing=False` must reproduce the unrouted fan-out exactly —
         including bills and latencies, not just answers."""
         _, off = run(2, False, ppi_graphs)
         svc = ftv_service(2, False)
@@ -333,37 +357,57 @@ class TestRoutedServing:
         assert ticket.pruned == 1
         assert svc.planner.shards_pruned.value == 1
 
-    def test_missing_sketch_fails_closed(self, ppi_graphs):
-        """A shard without a sketch must race, never be pruned —
-        pruning is only ever justified by an explicit veto."""
+    def test_missing_index_fails_closed(self, ppi_graphs):
+        """A shard the router holds no index for must race, never be
+        pruned — pruning is only ever justified by an empty probe."""
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
-        entry.router.sketches.pop(0)
-        q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
-        plan = entry.router.plan(
-            census_counts(entry, q), entry.involved_shards()
-        )
-        assert 0 in plan.order
-        assert 0 not in plan.pruned
+        # a query shard 0 has no candidate for
+        q = ftv_streams(ppi_graphs)["tenant0"][3].query.graph
+        counts, involved = census_counts(entry, q), entry.involved_shards()
+        assert entry.router.plan(counts, involved).pruned == (0,)
+        entry.router.indexes.pop(0)
+        plan = entry.router.plan(counts, involved)
+        assert plan.order == (0, 1) and plan.pruned == ()
+        assert 0 not in plan.candidates
 
-    def test_an_index_in_another_code_space_gets_no_sketch(
-        self, ppi_graphs
-    ):
-        """The fold reads a trie's coded rows as they stand, so an
-        index that codes some label differently than the collection
-        must not be folded at all: ``refresh`` leaves the shard
-        without a sketch and the plan races it.  A standalone build
-        that agrees label for label (every ``ppi`` partition carries
-        all the labels) folds to the very sketch the catalog's did."""
+    def test_a_dark_shard_keeps_no_index(self, ppi_graphs):
+        """Going dark drops the shard's handle together with its
+        partition; coming back hands the router the re-warmed index."""
+        cat = ShardedCatalog(num_shards=2)
+        entry = cat.load("ppi", scale="tiny")
+        cat.set_serving(0, False)
+        assert sorted(entry.router.indexes) == [1]
+        cat.set_serving(0, True)
+        assert entry.router.indexes[0] is entry.shard_entry(0).ftv_index
+
+    def test_an_index_in_another_code_space_is_not_kept(self, ppi_graphs):
+        """A probe reads the census's codes as they stand, so an index
+        that codes some label differently than the collection must not
+        be probed at all: ``refresh`` leaves the shard without an index
+        and the plan races it.  A standalone build that agrees label
+        for label (every ``ppi`` partition carries all the labels) is
+        kept and prunes as the catalog's own index does."""
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
         router = entry.router
         part = [entry.graphs[g] for g in entry.assignment[0]]
-        own = router.sketches[0]
+        queries = [
+            mq.query.graph for mq in ftv_streams(ppi_graphs)["tenant0"]
+        ]
+        own = [
+            router.plan(census_counts(entry, q), entry.involved_shards())
+            for q in queries
+        ]
+        assert any(plan.pruned == (0,) for plan in own)
         agreeing = GrapesIndex(part, max_path_length=3)
         assert agreeing.interner is not entry.interner
         router.refresh(0, agreeing)
-        assert router.sketches[0].buckets == own.buckets
+        assert router.indexes[0] is agreeing
+        assert own == [
+            router.plan(census_counts(entry, q), entry.involved_shards())
+            for q in queries
+        ]
         # relabel one vertex: the standalone interner sorts the alien
         # label first and shifts every code the collection assigns
         foreign = GrapesIndex(
@@ -374,11 +418,10 @@ class TestRoutedServing:
             - entry.interner.code_of.items()
         )
         router.refresh(0, foreign)
-        assert 0 not in router.sketches
-        for mq in ftv_streams(ppi_graphs)["tenant0"]:
+        assert 0 not in router.indexes
+        for q in queries:
             plan = router.plan(
-                census_counts(entry, mq.query.graph),
-                entry.involved_shards(),
+                census_counts(entry, q), entry.involved_shards()
             )
             assert 0 in plan.order and 0 not in plan.pruned
 

@@ -298,6 +298,28 @@ class TestAdmissionIntegration:
         assert t.state is TicketState.REJECTED
         assert "worker pool" in t.reject_reason
 
+    @pytest.mark.parametrize("options, path", [
+        (QueryOptions(algorithms=("NOPE",)), "options.algorithms[0]"),
+        (QueryOptions(rewritings=("Orig", "XYZ")), "options.rewritings[1]"),
+        (QueryOptions(rewritings=()), "options.rewritings"),
+    ])
+    def test_an_unraceable_variant_set_is_rejected(self, store, options, path):
+        """A variant name no registry resolves (or no variant at all)
+        is refused at submit, naming the field, like an over-wide race:
+        the ticket is not lost in the planner, the service is idle and
+        the next query is answered."""
+        svc = make_service(workers=4)
+        [mix] = default_tenant_mixes(1, 2, sizes=(4,), repeat_fraction=0.0)
+        stream = generate_tenant_stream([store], mix, seed=5)
+        t = svc.submit("yeast", stream[0].query.graph, options=options)
+        assert t.state is TicketState.REJECTED
+        assert t.reject_reason.startswith(f"{path}: ")
+        assert svc.idle
+        svc.run_until_idle()
+        answered = svc.submit("yeast", stream[1].query.graph)
+        svc.run_until_idle()
+        assert answered.state is TicketState.DONE
+
     def test_fair_share_interleaves_tenants(self, store):
         """A backlogged heavy tenant cannot starve a light one."""
         svc = make_service(workers=4)

@@ -7,6 +7,8 @@ single-catalog path — `found`, `num_embeddings`, and global
 winners, latencies) are historical and may differ.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.harness import build_ftv_graphs, build_nfv_graph
@@ -750,15 +752,32 @@ def censuses(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def probes(monkeypatch):
+    """Every ``FTVIndex.probe`` call, as the index it probed."""
+    from repro.indexing import FTVIndex
+
+    probed = []
+    real = FTVIndex.probe
+
+    def counting(index, counts):
+        probed.append(index)
+        return real(index, counts)
+
+    monkeypatch.setattr(FTVIndex, "probe", counting)
+    return probed
+
+
 class TestOneCensusPerTicket:
     @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("routing", [True, False])
     @pytest.mark.parametrize("decision_only", [False, True])
     def test_exactly_one_per_admitted_ticket(
-        self, shards, routing, decision_only, ppi_graphs, censuses
+        self, shards, routing, decision_only, ppi_graphs, censuses, probes
     ):
         svc = ftv_service(shards, routing=routing)
         del censuses[:]  # the build's, one per stored graph
+        assert probes == []
         options = QueryOptions(
             rewritings=("Orig", "DND"), decision_only=decision_only
         )
@@ -778,9 +797,13 @@ class TestOneCensusPerTicket:
         assert sorted(id(g) for g, _ in censuses) == sorted(
             id(t.query) for t in raced
         )
+        # and one probe per (raced ticket, shard): every shard holds a
+        # graph, so the route plan probes them all, and a pruned shard
+        # or a skipped wave probes nothing more
+        assert len(probes) == shards * len(raced)
 
     def test_a_deferred_wave_and_a_rerouted_leg_reuse_it(
-        self, ppi_graphs, censuses
+        self, ppi_graphs, censuses, probes
     ):
         svc = ftv_service(2, routing=True, replicas=2)
         del censuses[:]
@@ -789,18 +812,25 @@ class TestOneCensusPerTicket:
         )
         assert staged.done and full.done and follower.result.coalesced
         assert [id(g) for g, _ in censuses] == [id(query), id(query)]
+        # the route plans of the staged and the full ticket probed each
+        # shard once; the deferred wave and the rerouted leg swept the
+        # candidates riding on their flight
+        assert Counter(map(id, probes)) == {
+            id(index): 2 for index in distinct_indexes(svc)
+        }
         hit = svc.submit("ppi", query, options=FTV_OPTS)
-        assert hit.cache_hit and len(censuses) == 2
+        assert hit.cache_hit and len(censuses) == 2 and len(probes) == 4
 
     @staticmethod
     def staged_and_rerouted(svc, ppi_graphs):
         """On a fresh 2-shard, 2-replica routed service: a decision
         ticket whose second wave is deferred and whose first leg is
         failed over, beside a full ticket and its follower."""
-        # a query its expected-first-true shard does not settle: the
-        # second wave is built only once the first has come back empty
-        stream = ftv_streams(ppi_graphs, per_tenant=8)["tenant0"]
-        query = stream[3].query.graph
+        # a query its expected-first-true shard does not settle (it
+        # has a candidate there, and no match): the second wave is
+        # built only once the first has come back empty
+        stream = ftv_streams(ppi_graphs, per_tenant=8, seed=7)["tenant0"]
+        query = stream[1].query.graph
         staged = svc.submit(
             "ppi", query,
             options=QueryOptions(
