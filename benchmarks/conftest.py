@@ -2,8 +2,12 @@
 
 Every bench in this directory derives its figure/table from the same
 per-dataset cost matrices, mirroring how the paper derives all of its
-evaluation from one measurement campaign.  Matrices are measured once
-per pytest session (a few minutes of pure Python in total) and reused.
+evaluation from one measurement campaign.  The paper benches take
+their tables from :data:`repro.harness.figures.FIGURES`, which measures
+each matrix once per session through
+:func:`repro.harness.figures.matrix` (a few minutes of pure Python in
+total); the ``matrix`` fixture hands the same matrices to the
+assertions and publishes how long each measurement took.
 
 Rendered tables are accumulated and printed in the terminal summary, so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
@@ -16,12 +20,7 @@ import time
 
 import pytest
 
-from repro.harness import (
-    FTVExperimentConfig,
-    NFVExperimentConfig,
-    measure_ftv_matrix,
-    measure_nfv_matrix,
-)
+from repro.harness import figures
 
 _REPORTS: list[str] = []
 
@@ -48,54 +47,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def _timed(label: str, fn):
-    start = time.time()
-    out = fn()
-    publish(f"[measurement] {label}: {time.time() - start:.1f}s")
-    return out
+@pytest.fixture(scope="session")
+def matrix():
+    """``dataset`` -> its default-scale cost matrix."""
+    timed: set[str] = set()
+
+    def get(dataset: str):
+        if dataset not in timed:
+            timed.add(dataset)
+            start = time.time()
+            figures.matrix(dataset)
+            publish(
+                f"[measurement] {dataset} matrix: "
+                f"{time.time() - start:.1f}s"
+            )
+        return figures.matrix(dataset)
+
+    return get
 
 
 @pytest.fixture(scope="session")
-def yeast_matrix():
-    cfg = NFVExperimentConfig.default("yeast")
-    return _timed("yeast matrix", lambda: measure_nfv_matrix(cfg))
+def tables(matrix):
+    """``(name, *datasets)`` -> ``FIGURES[name]``'s default-scale
+    tables (default: the paper's datasets), each matrix measured
+    through :func:`matrix` first."""
 
+    def get(name: str, *datasets: str):
+        figure = figures.FIGURES[name]
+        for dataset in datasets or figure.datasets:
+            matrix(dataset)
+        return figure.tables(*datasets)
 
-@pytest.fixture(scope="session")
-def human_matrix():
-    cfg = NFVExperimentConfig.default("human")
-    return _timed("human matrix", lambda: measure_nfv_matrix(cfg))
-
-
-@pytest.fixture(scope="session")
-def wordnet_matrix():
-    cfg = NFVExperimentConfig.default("wordnet")
-    return _timed("wordnet matrix", lambda: measure_nfv_matrix(cfg))
-
-
-@pytest.fixture(scope="session")
-def ppi_matrix():
-    cfg = FTVExperimentConfig.default("ppi")
-    return _timed("ppi matrix", lambda: measure_ftv_matrix(cfg))
-
-
-@pytest.fixture(scope="session")
-def synthetic_matrix():
-    cfg = FTVExperimentConfig.default("synthetic")
-    return _timed(
-        "synthetic matrix", lambda: measure_ftv_matrix(cfg)
-    )
-
-
-@pytest.fixture(scope="session")
-def nfv_matrices(yeast_matrix, human_matrix, wordnet_matrix):
-    return {
-        "yeast": yeast_matrix,
-        "human": human_matrix,
-        "wordnet": wordnet_matrix,
-    }
-
-
-@pytest.fixture(scope="session")
-def ftv_matrices(ppi_matrix, synthetic_matrix):
-    return {"ppi": ppi_matrix, "synthetic": synthetic_matrix}
+    return get

@@ -1,7 +1,8 @@
 """Ablation — the interleaved race and the cost replay agree.
 
 The interleaved executor is the reproduction's deterministic stand-in
-for real parallel racing (DESIGN.md §2).  This ablation verifies, on
+for real parallel racing (see "The step-count execution-time model"
+in README.md).  This ablation verifies, on
 live races over a yeast-like store, that the interleaved winner's
 step count equals the minimum of the standalone per-variant costs —
 i.e. simulated races replayed from cost matrices are exact.

@@ -1,10 +1,11 @@
 """Ablation — FTV feature path length vs filtering power.
 
 Grapes and GGSX index paths up to a maximum length (4 in the paper;
-3 by default here, see DESIGN.md §2).  Longer features prune candidate
-sets harder but cost more to index.  This ablation quantifies the
-trade-off on the PPI-like dataset: candidate-set sizes shrink
-monotonically with the path length while the trie grows.
+3 by default here, ``FTVExperimentConfig.max_path_length``).  Longer
+features prune candidate sets harder but cost more to index.  This
+ablation quantifies the trade-off on the PPI-like dataset:
+candidate-set sizes shrink monotonically with the path length while
+the trie grows.
 """
 
 import statistics

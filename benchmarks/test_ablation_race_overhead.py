@@ -16,8 +16,8 @@ from repro.psi import OverheadModel
 SWEEP = (0, 32, 256, 2048, 16384)
 
 
-def test_overhead_sweep(yeast_matrix, benchmark):
-    m = yeast_matrix
+def test_overhead_sweep(matrix, benchmark):
+    m = matrix("yeast")
     sets = [
         ("Psi(Or/ILF)", ("Orig", "ILF")),
         (

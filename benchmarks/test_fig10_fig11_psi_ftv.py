@@ -9,22 +9,14 @@ the 3-thread set is within 3-8% of the 4-thread set for Grapes).
 
 from conftest import publish
 
-from repro.harness import PSI_FTV_VARIANT_SETS, psi_speedup_table
+from repro.harness import FTV_DATASETS
 
 
-def test_fig10_qla(ftv_matrices, benchmark):
-    benchmark(
-        lambda: psi_speedup_table(
-            ftv_matrices["ppi"], "bench", PSI_FTV_VARIANT_SETS[:1]
-        )
-    )
-    for name, m in ftv_matrices.items():
-        table = psi_speedup_table(
-            m,
-            f"Fig 10: {name}, Psi speedup*QLA (FTV variant sets)",
-            PSI_FTV_VARIANT_SETS,
-            mode="qla",
-        )
+def test_fig10_qla(matrix, tables, benchmark):
+    benchmark(lambda: tables("fig10", "ppi"))
+    for name in FTV_DATASETS:
+        m = matrix(name)
+        (table,) = tables("fig10", name)
         publish(table)
         for method in m.methods:
             col = table.column(method)
@@ -32,20 +24,10 @@ def test_fig10_qla(ftv_matrices, benchmark):
             assert max(col) >= 1.0
 
 
-def test_fig11_wla(ftv_matrices, benchmark):
-    benchmark(
-        lambda: psi_speedup_table(
-            ftv_matrices["ppi"], "bench", PSI_FTV_VARIANT_SETS[:1],
-            mode="wla",
-        )
-    )
-    for name, m in ftv_matrices.items():
-        table = psi_speedup_table(
-            m,
-            f"Fig 11: {name}, Psi speedup*WLA (FTV variant sets)",
-            PSI_FTV_VARIANT_SETS,
-            mode="wla",
-        )
+def test_fig11_wla(tables, benchmark):
+    benchmark(lambda: tables("fig11", "ppi"))
+    for name in FTV_DATASETS:
+        (table,) = tables("fig11", name)
         publish(table)
         # the Or/all set hedges with the original: WLA speedup >= ~1
         last_row = table.rows[-1]

@@ -7,17 +7,10 @@ and wins, increasingly so at larger query sizes.
 
 from conftest import publish
 
-from repro.harness import grapes_psi_by_size_table
 
-
-def test_fig12(ppi_matrix, benchmark):
-    m = ppi_matrix
-    benchmark(lambda: grapes_psi_by_size_table(m, "bench"))
-    table = grapes_psi_by_size_table(
-        m,
-        "Fig 12: PPI, Grapes/4 vs Psi(Grapes/1 x ILF/IND/DND/ILF+IND), "
-        "WLA-avg steps by query size",
-    )
+def test_fig12(tables, benchmark):
+    benchmark(lambda: tables("fig12", "ppi"))
+    (table,) = tables("fig12", "ppi")
     publish(table)
     grapes4 = table.column("Grapes/4")
     psi = table.column("Psi(Grapes/1 x4 rewritings)")

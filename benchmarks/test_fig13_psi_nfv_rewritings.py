@@ -9,22 +9,14 @@ appear on the denser/better-labeled datasets.
 
 from conftest import publish
 
-from repro.harness import PSI_NFV_REWRITING_SETS, psi_speedup_table
+from repro.harness import NFV_DATASETS
 
 
-def test_fig13(nfv_matrices, benchmark):
-    benchmark(
-        lambda: psi_speedup_table(
-            nfv_matrices["yeast"], "bench", PSI_NFV_REWRITING_SETS[:1]
-        )
-    )
-    for name, m in nfv_matrices.items():
-        table = psi_speedup_table(
-            m,
-            f"Fig 13: {name}, Psi speedup*QLA (Orig + rewritings)",
-            PSI_NFV_REWRITING_SETS,
-            mode="qla",
-        )
+def test_fig13(matrix, tables, benchmark):
+    benchmark(lambda: tables("fig13", "yeast"))
+    for name in NFV_DATASETS:
+        m = matrix(name)
+        (table,) = tables("fig13", name)
         publish(table)
         for method in m.methods:
             col = table.column(method)

@@ -9,30 +9,14 @@ finds a given dataset hard; the [Or/DND] 4-thread set hedges best.
 
 from conftest import publish
 
-from repro.harness import (
-    PSI_NFV_MULTIALG_SETS,
-    psi_multialg_speedup_table,
-)
+from repro.harness import NFV_DATASETS
 
 
-def test_fig14_qla(nfv_matrices, benchmark):
-    benchmark(
-        lambda: psi_multialg_speedup_table(
-            nfv_matrices["yeast"], "bench",
-            PSI_NFV_MULTIALG_SETS[:1], baseline="GQL",
-        )
-    )
-    for name, m in nfv_matrices.items():
+def test_fig14_qla(tables, benchmark):
+    benchmark(lambda: tables("fig14", "yeast"))
+    for name in NFV_DATASETS:
         best_over_baselines = 0.0
-        for baseline in ("GQL", "SPA"):
-            table = psi_multialg_speedup_table(
-                m,
-                f"Fig 14: {name}, Psi([GQL/SPA]) speedup*QLA vs "
-                f"vanilla {baseline}",
-                PSI_NFV_MULTIALG_SETS,
-                baseline=baseline,
-                mode="qla",
-            )
+        for baseline, table in zip(("GQL", "SPA"), tables("fig14", name)):
             publish(table)
             values = table.column(f"vs {baseline}")
             # racing never loses more than the overhead on easy queries
@@ -45,24 +29,11 @@ def test_fig14_qla(nfv_matrices, benchmark):
         assert best_over_baselines >= 0.95
 
 
-def test_fig15_wla(nfv_matrices, benchmark):
-    benchmark(
-        lambda: psi_multialg_speedup_table(
-            nfv_matrices["yeast"], "bench",
-            PSI_NFV_MULTIALG_SETS[:1], baseline="SPA", mode="wla",
-        )
-    )
+def test_fig15_wla(tables, benchmark):
+    benchmark(lambda: tables("fig15", "yeast"))
     weak_helped = False
-    for name, m in nfv_matrices.items():
-        for baseline in ("GQL", "SPA"):
-            table = psi_multialg_speedup_table(
-                m,
-                f"Fig 15: {name}, Psi([GQL/SPA]) speedup*WLA vs "
-                f"vanilla {baseline}",
-                PSI_NFV_MULTIALG_SETS,
-                baseline=baseline,
-                mode="wla",
-            )
+    for name in NFV_DATASETS:
+        for baseline, table in zip(("GQL", "SPA"), tables("fig15", name)):
             publish(table)
             if max(table.column(f"vs {baseline}")) > 2.0:
                 weak_helped = True

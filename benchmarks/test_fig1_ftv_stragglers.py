@@ -9,15 +9,10 @@ dominate), and Grapes/4 has a smaller hard share than Grapes/1.
 
 from conftest import publish
 
-from repro.harness import band_percentages_table, stragglers_wla_table
 
-
-def test_fig1a_synthetic_wla(synthetic_matrix, benchmark):
-    m = synthetic_matrix
-    benchmark(lambda: stragglers_wla_table(m, "bench"))
-    table = stragglers_wla_table(
-        m, "Fig 1(a): synthetic, WLA-avg exec steps per band"
-    )
+def test_fig1a_synthetic_wla(tables, benchmark):
+    benchmark(lambda: tables("fig1", "synthetic"))
+    table, _bands = tables("fig1", "synthetic")
     publish(table)
     easy = table.column("easy")
     completed = table.column("completed")
@@ -25,28 +20,19 @@ def test_fig1a_synthetic_wla(synthetic_matrix, benchmark):
         assert c >= e  # stragglers pull the completed average up
 
 
-def test_fig1b_ppi_wla(ppi_matrix, benchmark):
-    m = ppi_matrix
-    benchmark(lambda: stragglers_wla_table(m, "bench"))
-    table = stragglers_wla_table(
-        m, "Fig 1(b): PPI, WLA-avg exec steps per band"
-    )
+def test_fig1b_ppi_wla(tables, benchmark):
+    benchmark(lambda: tables("fig1", "ppi"))
+    table, _bands = tables("fig1", "ppi")
     publish(table)
     assert set(table.column("method")) == {
         "Grapes/1", "Grapes/4", "GGSX"
     }
 
 
-def test_fig1c_band_percentages(synthetic_matrix, ppi_matrix, benchmark):
-    benchmark(
-        lambda: band_percentages_table(ppi_matrix, "bench")
-    )
-    for name, m in (
-        ("synthetic", synthetic_matrix), ("PPI", ppi_matrix)
-    ):
-        table = band_percentages_table(
-            m, f"Fig 1(c): {name}, % of easy / 2''-600'' / hard"
-        )
+def test_fig1c_band_percentages(tables, benchmark):
+    benchmark(lambda: tables("fig1", "ppi"))
+    for name in ("synthetic", "ppi"):
+        _wla, table = tables("fig1", name)
         publish(table)
         pct = {
             row[0]: row[1] + row[2] + row[3] for row in table.rows

@@ -9,18 +9,13 @@ shares on different datasets.
 
 from conftest import publish
 
-from repro.harness import band_percentages_table, stragglers_wla_table
+from repro.harness import NFV_DATASETS
 
 
-def test_fig2abc_wla(nfv_matrices, benchmark):
-    benchmark(
-        lambda: stragglers_wla_table(nfv_matrices["yeast"], "bench")
-    )
-    panel = {"yeast": "2(a)", "human": "2(b)", "wordnet": "2(c)"}
-    for name, m in nfv_matrices.items():
-        table = stragglers_wla_table(
-            m, f"Fig {panel[name]}: {name}, WLA-avg exec steps per band"
-        )
+def test_fig2abc_wla(tables, benchmark):
+    benchmark(lambda: tables("fig2", "yeast"))
+    for name in NFV_DATASETS:
+        table, _bands = tables("fig2", name)
         publish(table)
         easy = table.column("easy")
         completed = table.column("completed")
@@ -29,15 +24,11 @@ def test_fig2abc_wla(nfv_matrices, benchmark):
                 assert c >= e
 
 
-def test_fig2d_band_percentages(nfv_matrices, benchmark):
-    benchmark(
-        lambda: band_percentages_table(nfv_matrices["yeast"], "bench")
-    )
+def test_fig2d_band_percentages(tables, benchmark):
+    benchmark(lambda: tables("fig2", "yeast"))
     hard_share = {}
-    for name, m in nfv_matrices.items():
-        table = band_percentages_table(
-            m, f"Fig 2(d): {name}, % of easy / 2''-600'' / hard"
-        )
+    for name in NFV_DATASETS:
+        _wla, table = tables("fig2", name)
         publish(table)
         for row in table.rows:
             hard_share[(name, row[0])] = row[3]

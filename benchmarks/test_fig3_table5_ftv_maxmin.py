@@ -6,22 +6,18 @@ method.  Expected shape: large average ratios with stdDev >> mean and
 median much closer to the min — i.e. wild but skewed variance
 (the paper reports FTV averages in the thousands-to-millions range;
 at this reproduction's compressed budget scale the ratios compress
-proportionally, see EXPERIMENTS.md).
+proportionally).
 """
 
 from conftest import publish
 
-from repro.harness import maxmin_table
+from repro.harness import FTV_DATASETS
 
 
-def test_fig3_table5(ftv_matrices, benchmark):
-    benchmark(lambda: maxmin_table(ftv_matrices["ppi"], "bench"))
-    for name, m in ftv_matrices.items():
-        table = maxmin_table(
-            m,
-            f"Fig 3 / Table 5: {name}, (max/min)QLA over 6 isomorphic "
-            "instances",
-        )
+def test_fig3_table5(tables, benchmark):
+    benchmark(lambda: tables("fig3", "ppi"))
+    for name in FTV_DATASETS:
+        (table,) = tables("fig3", name)
         publish(table)
         for row in table.rows:
             method, avg, _stddev, mn, mx, median = row[:6]

@@ -10,24 +10,20 @@ import statistics
 
 from conftest import publish
 
-from repro.harness import maxmin_table
+from repro.harness import NFV_DATASETS
 
 
-def test_fig4_table6(nfv_matrices, ftv_matrices, benchmark):
-    benchmark(lambda: maxmin_table(nfv_matrices["yeast"], "bench"))
+def test_fig4_table6(tables, benchmark):
+    benchmark(lambda: tables("fig4", "yeast"))
     nfv_avgs = []
-    for name, m in nfv_matrices.items():
-        table = maxmin_table(
-            m,
-            f"Fig 4 / Table 6: {name}, (max/min)QLA over 6 isomorphic "
-            "instances",
-        )
+    for name in NFV_DATASETS:
+        (table,) = tables("fig4", name)
         publish(table)
         for row in table.rows:
             if isinstance(row[1], float):
                 nfv_avgs.append(row[1])
             assert row[3] >= 1.0  # min of the ratio is 1 by definition
-    ftv_table = maxmin_table(ftv_matrices["ppi"], "unpublished")
+    (ftv_table,) = tables("fig3", "ppi")
     ftv_avg = statistics.mean(
         row[1] for row in ftv_table.rows if isinstance(row[1], float)
     )

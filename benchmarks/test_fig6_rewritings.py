@@ -9,21 +9,11 @@ some rewritings are *worse* than the original for GraphQL.
 
 from conftest import publish
 
-from repro.harness import (
-    rewriting_aet_table,
-    rewriting_hard_pct_table,
-)
 
-
-def test_fig6ab_ppi(ppi_matrix, benchmark):
-    m = ppi_matrix
-    benchmark(lambda: rewriting_aet_table(m, "bench"))
-    aet = rewriting_aet_table(
-        m, "Fig 6(a): PPI, WLA-avg exec steps per rewriting"
-    )
-    hard = rewriting_hard_pct_table(
-        m, "Fig 6(b): PPI, % hard queries per rewriting"
-    )
+def test_fig6ab_ppi(matrix, tables, benchmark):
+    m = matrix("ppi")
+    benchmark(lambda: tables("fig6ftv", "ppi"))
+    aet, hard = tables("fig6ftv", "ppi")
     publish(aet)
     publish(hard)
     # each method's per-rewriting averages must differ: the rewriting
@@ -33,15 +23,9 @@ def test_fig6ab_ppi(ppi_matrix, benchmark):
         assert len({round(v, 6) for v in col}) > 1
 
 
-def test_fig6cd_yeast(yeast_matrix, benchmark):
-    m = yeast_matrix
-    benchmark(lambda: rewriting_hard_pct_table(m, "bench"))
-    aet = rewriting_aet_table(
-        m, "Fig 6(c): yeast, WLA-avg exec steps per rewriting"
-    )
-    hard = rewriting_hard_pct_table(
-        m, "Fig 6(d): yeast, % hard queries per rewriting"
-    )
+def test_fig6cd_yeast(tables, benchmark):
+    benchmark(lambda: tables("fig6nfv", "yeast"))
+    aet, hard = tables("fig6nfv", "yeast")
     publish(aet)
     publish(hard)
     names = aet.column("rewriting")

@@ -10,18 +10,13 @@ queries".
 
 from conftest import publish
 
-from repro.harness import rewriting_speedup_table
+from repro.harness import FTV_DATASETS
 
 
-def test_fig7_table7(ftv_matrices, benchmark):
-    benchmark(
-        lambda: rewriting_speedup_table(ftv_matrices["ppi"], "bench")
-    )
-    for name, m in ftv_matrices.items():
-        table = rewriting_speedup_table(
-            m,
-            f"Fig 7 / Table 7: {name}, speedup*QLA across rewritings",
-        )
+def test_fig7_table7(tables, benchmark):
+    benchmark(lambda: tables("fig7", "ppi"))
+    for name in FTV_DATASETS:
+        (table,) = tables("fig7", name)
         publish(table)
         for row in table.rows:
             method, avg, _sd, mn, mx, median = row[:6]

@@ -9,18 +9,14 @@ with — paper §6.2).
 
 from conftest import publish
 
-from repro.harness import rewriting_speedup_table
+from repro.harness import NFV_DATASETS
 
 
-def test_fig8_table8(nfv_matrices, benchmark):
-    benchmark(
-        lambda: rewriting_speedup_table(nfv_matrices["yeast"], "bench")
-    )
+def test_fig8_table8(tables, benchmark):
+    benchmark(lambda: tables("fig8", "yeast"))
     avgs = {}
-    for name, m in nfv_matrices.items():
-        table = rewriting_speedup_table(
-            m, f"Fig 8 / Table 8: {name}, speedup*QLA across rewritings"
-        )
+    for name in NFV_DATASETS:
+        (table,) = tables("fig8", name)
         publish(table)
         for row in table.rows:
             if isinstance(row[1], float):

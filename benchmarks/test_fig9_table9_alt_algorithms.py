@@ -10,27 +10,10 @@ rewritings" — and adding QuickSI to the yeast set helps further.
 
 from conftest import publish
 
-from repro.harness import (
-    alt_algorithm_speedup_table,
-    rewriting_speedup_table,
-)
 
-
-def test_fig9_table9(nfv_matrices, benchmark):
-    yeast = nfv_matrices["yeast"]
-    benchmark(
-        lambda: alt_algorithm_speedup_table(
-            yeast, "bench", [("pair", ("GQL", "SPA"))]
-        )
-    )
-    yeast_sets = [
-        ("yeast2alg", ("GQL", "SPA")),
-        ("yeast3alg", ("GQL", "SPA", "QSI")),
-    ]
-    table = alt_algorithm_speedup_table(
-        yeast, "Fig 9 / Table 9: yeast, speedup*QLA from alternative "
-        "algorithms", yeast_sets,
-    )
+def test_fig9_table9(tables, benchmark):
+    benchmark(lambda: tables("fig9", "yeast"))
+    (table,) = tables("fig9", "yeast")
     publish(table)
     by_key = {(row[0], row[1]): row[2] for row in table.rows}
     # somebody must be helped substantially by algorithm switching
@@ -40,17 +23,11 @@ def test_fig9_table9(nfv_matrices, benchmark):
     assert by_key[("yeast3alg", "SPA")] >= by_key[("yeast2alg", "SPA")]
 
     for name in ("human", "wordnet"):
-        m = nfv_matrices[name]
-        t = alt_algorithm_speedup_table(
-            m,
-            f"Fig 9 / Table 9: {name}, speedup*QLA from alternative "
-            "algorithms",
-            [("2alg", ("GQL", "SPA"))],
-        )
+        (t,) = tables("fig9", name)
         publish(t)
 
     # cross-observation: algorithm switching beats rewritings for the
     # weaker algorithm (paper §7 conclusion), checked on yeast/SPA
-    rew = rewriting_speedup_table(yeast, "unpublished")
+    (rew,) = tables("fig8", "yeast")
     rew_avg = {row[0]: row[1] for row in rew.rows}
     assert by_key[("yeast3alg", "SPA")] >= rew_avg["SPA"] * 0.5

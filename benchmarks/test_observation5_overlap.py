@@ -11,19 +11,14 @@ winning non-trivial shares of races.
 
 from conftest import publish
 
-from repro.harness import (
-    hard_overlap_table,
-    hard_set,
-    winner_attribution_table,
-)
+from repro.harness import NFV_DATASETS, hard_set
 
 
-def test_hard_set_overlap(nfv_matrices, benchmark):
-    benchmark(lambda: hard_overlap_table(nfv_matrices["yeast"]))
-    for name, m in nfv_matrices.items():
-        table = hard_overlap_table(
-            m, f"Observation 5: {name}, hard-set overlap (Jaccard)"
-        )
+def test_hard_set_overlap(matrix, tables, benchmark):
+    benchmark(lambda: tables("obs5", "yeast"))
+    for name in NFV_DATASETS:
+        m = matrix(name)
+        table = tables("obs5", name)[0]
         publish(table)
         gql_hard = hard_set(m, "GQL")
         spa_hard = hard_set(m, "SPA")
@@ -35,16 +30,11 @@ def test_hard_set_overlap(nfv_matrices, benchmark):
             assert overlap < 1.0
 
 
-def test_winner_attribution(nfv_matrices, benchmark):
-    m = nfv_matrices["yeast"]
-    members = [("GQL", "Orig"), ("SPA", "Orig")]
-    benchmark(lambda: winner_attribution_table(m, members))
-    for name, matrix in nfv_matrices.items():
-        table = winner_attribution_table(
-            matrix,
-            members,
-            f"Observation 5: {name}, [GQL/SPA] race winner shares",
-        )
+def test_winner_attribution(tables, benchmark):
+    benchmark(lambda: tables("obs5", "yeast"))
+    # each dataset's [GQL/SPA] race, the table after the overlap
+    races = [tables("obs5", name)[1] for name in NFV_DATASETS]
+    for table in races:
         publish(table)
         wins = {row[0]: row[1] for row in table.rows}
         total = sum(wins.values())
@@ -52,8 +42,7 @@ def test_winner_attribution(nfv_matrices, benchmark):
     # across the three datasets both algorithms must win somewhere:
     # no single algorithm dominates every dataset (paper §4 conclusion)
     shares = {"GQL-Orig": 0, "SPA-Orig": 0}
-    for matrix in nfv_matrices.values():
-        t = winner_attribution_table(matrix, members, "x")
+    for t in races:
         for row in t.rows:
             shares[row[0]] += row[1]
     assert shares["GQL-Orig"] > 0

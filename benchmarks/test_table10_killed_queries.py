@@ -8,25 +8,10 @@ to zero — "hard queries became extinct".
 
 from conftest import publish
 
-from repro.harness import killed_pct_table
 
-
-def test_table10(nfv_matrices, ppi_matrix, benchmark):
-    ftv_members = [
-        ("Grapes/1", rw) for rw in ("ILF", "IND", "DND", "ILF+IND")
-    ]
-    nfv_members = [
-        (alg, rw) for alg in ("GQL", "SPA") for rw in ("Orig", "DND")
-    ]
-    entries = [("PPI", "Grapes/4", ppi_matrix, ftv_members)]
-    for name, m in nfv_matrices.items():
-        entries.append((name, "GQL", m, nfv_members))
-        entries.append((name, "SPA", m, nfv_members))
-    benchmark(lambda: killed_pct_table(entries))
-    table = killed_pct_table(
-        entries,
-        title="Table 10: % of killed queries, baseline vs Psi",
-    )
+def test_table10(tables, benchmark):
+    benchmark(lambda: tables("table10"))
+    (table,) = tables("table10")
     publish(table)
     for row in table.rows:
         label, _baseline, base_killed, psi_killed = row

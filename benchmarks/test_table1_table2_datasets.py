@@ -3,15 +3,16 @@
 Paper: the statistics of the FTV datasets (Table 1: PPI and the
 GraphGen synthetic) and NFV datasets (Table 2: yeast, human, wordnet).
 This bench prints the same rows for the generated stand-ins so the
-scale mapping is auditable (see DESIGN.md §2 for the substitution
-rationale — node counts and label alphabets scale together to preserve
-per-label multiplicity).
+scale mapping is auditable (the ``repro.datasets`` docstring gives the
+substitution rationale — node counts and label alphabets scale
+together to preserve per-label multiplicity).
 """
 
 from conftest import publish
 
 from repro.datasets import summarize_collection, summarize_graph
-from repro.harness import Table, build_ftv_graphs, build_nfv_graph
+from repro.harness import build_ftv_graphs, build_nfv_graph
+from repro.harness.figures import FIGURES
 
 
 def test_table1_ftv_datasets(benchmark):
@@ -19,18 +20,7 @@ def test_table1_ftv_datasets(benchmark):
         name: build_ftv_graphs(name) for name in ("ppi", "synthetic")
     }
     benchmark(lambda: summarize_collection(datasets["ppi"]))
-    table = Table(
-        "Table 1: FTV dataset characteristics (generated stand-ins)",
-        ["statistic", "ppi", "synthetic"],
-    )
-    summaries = {
-        name: dict(summarize_collection(graphs).as_rows())
-        for name, graphs in datasets.items()
-    }
-    for stat in summaries["ppi"]:
-        table.add_row(
-            stat, summaries["ppi"][stat], summaries["synthetic"][stat]
-        )
+    (table,) = FIGURES["table1"].tables()
     publish(table)
     # paper regime: every PPI graph is disconnected, synthetic connected
     assert all(
@@ -51,19 +41,7 @@ def test_table2_nfv_datasets(benchmark):
         for name in ("yeast", "human", "wordnet")
     }
     benchmark(lambda: summarize_graph(graphs["yeast"]))
-    table = Table(
-        "Table 2: NFV dataset characteristics (generated stand-ins)",
-        ["statistic", "yeast", "human", "wordnet"],
-    )
-    summaries = {
-        name: dict(summarize_graph(g).as_rows())
-        for name, g in graphs.items()
-    }
-    for stat in summaries["yeast"]:
-        table.add_row(
-            stat, summaries["yeast"][stat], summaries["human"][stat],
-            summaries["wordnet"][stat],
-        )
+    (table,) = FIGURES["table2"].tables()
     publish(table)
     # paper regime ordering: human densest, wordnet sparsest + fewest
     # labels with the heaviest skew

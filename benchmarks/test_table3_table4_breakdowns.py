@@ -9,8 +9,6 @@ brings double-digit hard percentages for the weaker algorithms
 
 from conftest import publish
 
-from repro.harness import size_breakdown_table
-
 
 def _hard_pct_by_size(table):
     out = {}
@@ -19,12 +17,10 @@ def _hard_pct_by_size(table):
     return out
 
 
-def test_table3_yeast(yeast_matrix, benchmark):
-    m = yeast_matrix
-    benchmark(lambda: size_breakdown_table(m, "bench"))
-    table = size_breakdown_table(
-        m, "Table 3: yeast, per-size band breakdown (smallest/largest)"
-    )
+def test_table3_yeast(matrix, tables, benchmark):
+    m = matrix("yeast")
+    benchmark(lambda: tables("table3", "yeast"))
+    (table,) = tables("table3", "yeast")
     publish(table)
     hard = _hard_pct_by_size(table)
     sizes = sorted({m.unit_size(u) for u in m.units})
@@ -37,12 +33,10 @@ def test_table3_yeast(yeast_matrix, benchmark):
         assert hard[(large, alg)] >= hard[(small, alg)]
 
 
-def test_table4_human(human_matrix, benchmark):
-    m = human_matrix
-    benchmark(lambda: size_breakdown_table(m, "bench"))
-    table = size_breakdown_table(
-        m, "Table 4: human, per-size band breakdown (smallest/largest)"
-    )
+def test_table4_human(matrix, tables, benchmark):
+    m = matrix("human")
+    benchmark(lambda: tables("table3", "human"))
+    (table,) = tables("table3", "human")
     publish(table)
     hard = _hard_pct_by_size(table)
     sizes = sorted({m.unit_size(u) for u in m.units})

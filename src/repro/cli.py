@@ -12,9 +12,11 @@ Everyday entry points::
     python -m repro warm       --dataset ppi --scale tiny --store DIR
     python -m repro scenario   verify scenarios
 
-``experiment`` regenerates a paper figure/table by name (the same
-drivers the benchmark suite uses); at ``--scale tiny`` it answers in
-seconds, at the default scale it reproduces the benchmark numbers.
+``experiment`` regenerates a paper figure/table by name, and
+``datasets`` / ``analyze`` print Tables 1-2 and Observation 5: each is
+declared once in :mod:`repro.harness.figures`, which the benchmark
+suite renders too; at ``--scale tiny`` they answer in seconds, at the
+default scale ``experiment`` reproduces the benchmark numbers.
 ``serve`` boots the serving layer and replays a multi-tenant workload
 through the closed-loop load generator (or, with ``--listen``, serves
 queries over a socket); ``warm`` persists a warmed catalog for
@@ -30,35 +32,15 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .datasets import summarize_collection, summarize_graph
 from .graphs import dumps_gfu
 from .harness import (
     FTV_DATASETS,
-    FTVExperimentConfig,
     NFV_DATASETS,
-    NFVExperimentConfig,
-    diagnose_straggler,
-    hard_overlap_table,
-    winner_attribution_table,
-    PSI_FTV_VARIANT_SETS,
-    PSI_NFV_MULTIALG_SETS,
-    PSI_NFV_REWRITING_SETS,
     Table,
-    alt_algorithm_speedup_table,
-    band_percentages_table,
     build_ftv_graphs,
     build_nfv_graph,
-    grapes_psi_by_size_table,
-    maxmin_table,
-    measure_ftv_matrix,
-    measure_nfv_matrix,
-    psi_multialg_speedup_table,
-    psi_speedup_table,
-    rewriting_aet_table,
-    rewriting_hard_pct_table,
-    rewriting_speedup_table,
-    size_breakdown_table,
-    stragglers_wla_table,
+    diagnose_straggler,
+    figures,
 )
 from .matching import Budget, available_matchers, make_matcher
 from .psi import PsiNFV, race_from_costs, variants_from_spec
@@ -76,41 +58,12 @@ def _print(text: str) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_datasets(args: argparse.Namespace) -> int:
-    """Print Table 1/2-style summaries of every dataset stand-in."""
-    table = Table(
-        f"NFV datasets ({args.scale} scale)",
-        ["statistic"] + list(NFV_DATASETS),
-    )
-    summaries = {
-        name: dict(
-            summarize_graph(build_nfv_graph(name, args.scale)).as_rows()
-        )
-        for name in NFV_DATASETS
-    }
-    for stat in next(iter(summaries.values())):
-        table.add_row(
-            stat, *(summaries[n][stat] for n in NFV_DATASETS)
-        )
-    _print(table.render())
-
-    ftable = Table(
-        f"FTV datasets ({args.scale} scale)",
-        ["statistic"] + list(FTV_DATASETS),
-    )
-    fsummaries = {
-        name: dict(
-            summarize_collection(
-                build_ftv_graphs(name, args.scale)
-            ).as_rows()
-        )
-        for name in FTV_DATASETS
-    }
-    for stat in next(iter(fsummaries.values())):
-        ftable.add_row(
-            stat, *(fsummaries[n][stat] for n in FTV_DATASETS)
-        )
-    _print("")
-    _print(ftable.render())
+    """Print Tables 2 and 1: the dataset stand-ins' characteristics."""
+    _print("\n\n".join(
+        table.render()
+        for name in ("table2", "table1")  # NFV first, as always printed
+        for table in figures.FIGURES[name].tables(scale=args.scale)
+    ))
     return 0
 
 
@@ -231,125 +184,16 @@ def cmd_race(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nfv_experiment(name: str, dataset: str, scale: str) -> list[Table]:
-    cfg = (
-        NFVExperimentConfig.tiny(dataset)
-        if scale == "tiny"
-        else NFVExperimentConfig.default(dataset)
-    )
-    m = measure_nfv_matrix(cfg, scale=scale)
-    yeast_sets = [
-        ("yeast2alg", ("GQL", "SPA")),
-        ("yeast3alg", ("GQL", "SPA", "QSI")),
-    ]
-    two_alg = [("2alg", ("GQL", "SPA"))]
-    drivers = {
-        "fig2": lambda: [
-            stragglers_wla_table(m, f"Fig 2: {dataset}"),
-            band_percentages_table(m, f"Fig 2(d): {dataset}"),
-        ],
-        "table3": lambda: [
-            size_breakdown_table(m, f"Table 3/4: {dataset}")
-        ],
-        "fig4": lambda: [maxmin_table(m, f"Fig 4 / Table 6: {dataset}")],
-        "fig6nfv": lambda: [
-            rewriting_aet_table(m, f"Fig 6(c): {dataset}"),
-            rewriting_hard_pct_table(m, f"Fig 6(d): {dataset}"),
-        ],
-        "fig8": lambda: [
-            rewriting_speedup_table(m, f"Fig 8 / Table 8: {dataset}")
-        ],
-        "fig9": lambda: [
-            alt_algorithm_speedup_table(
-                m, f"Fig 9 / Table 9: {dataset}",
-                yeast_sets if dataset == "yeast" else two_alg,
-            )
-        ],
-        "fig13": lambda: [
-            psi_speedup_table(
-                m, f"Fig 13: {dataset}", PSI_NFV_REWRITING_SETS
-            )
-        ],
-        "fig14": lambda: [
-            psi_multialg_speedup_table(
-                m, f"Fig 14: {dataset} vs {base}",
-                PSI_NFV_MULTIALG_SETS, baseline=base,
-            )
-            for base in ("GQL", "SPA")
-        ],
-        "fig15": lambda: [
-            psi_multialg_speedup_table(
-                m, f"Fig 15: {dataset} vs {base}",
-                PSI_NFV_MULTIALG_SETS, baseline=base, mode="wla",
-            )
-            for base in ("GQL", "SPA")
-        ],
-    }
-    return drivers[name]()
-
-
-def _ftv_experiment(name: str, dataset: str, scale: str) -> list[Table]:
-    cfg = (
-        FTVExperimentConfig.tiny(dataset)
-        if scale == "tiny"
-        else FTVExperimentConfig.default(dataset)
-    )
-    m = measure_ftv_matrix(cfg, scale=scale)
-    drivers = {
-        "fig1": lambda: [
-            stragglers_wla_table(m, f"Fig 1: {dataset}"),
-            band_percentages_table(m, f"Fig 1(c): {dataset}"),
-        ],
-        "fig3": lambda: [maxmin_table(m, f"Fig 3 / Table 5: {dataset}")],
-        "fig6ftv": lambda: [
-            rewriting_aet_table(m, f"Fig 6(a): {dataset}"),
-            rewriting_hard_pct_table(m, f"Fig 6(b): {dataset}"),
-        ],
-        "fig7": lambda: [
-            rewriting_speedup_table(m, f"Fig 7 / Table 7: {dataset}")
-        ],
-        "fig10": lambda: [
-            psi_speedup_table(
-                m, f"Fig 10: {dataset}", PSI_FTV_VARIANT_SETS
-            )
-        ],
-        "fig11": lambda: [
-            psi_speedup_table(
-                m, f"Fig 11: {dataset}", PSI_FTV_VARIANT_SETS,
-                mode="wla",
-            )
-        ],
-        "fig12": lambda: [
-            grapes_psi_by_size_table(m, f"Fig 12: {dataset}")
-        ],
-    }
-    return drivers[name]()
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Measure a matrix and print the Observation-5 analysis."""
-    if args.dataset not in NFV_DATASETS:
-        raise SystemExit("analyze runs on NFV datasets")
-    cfg = (
-        NFVExperimentConfig.tiny(args.dataset)
-        if args.scale == "tiny"
-        else NFVExperimentConfig.default(args.dataset)
-    )
-    m = measure_nfv_matrix(cfg, scale=args.scale)
-    _print(
-        hard_overlap_table(
-            m,
-            f"{args.dataset}: hard-set overlap between algorithms",
-        ).render()
-    )
-    members = [(alg, "Orig") for alg in m.methods]
-    _print("")
-    _print(
-        winner_attribution_table(
-            m, members, f"{args.dataset}: race winner attribution"
-        ).render()
-    )
-    # diagnose the worst straggler of each algorithm
+    """Print Observation 5 and diagnose each algorithm's worst
+    straggler."""
+    _print("\n\n".join(
+        table.render()
+        for table in figures.FIGURES["obs5"].tables(
+            args.dataset, scale=args.scale
+        )
+    ))
+    m = figures.matrix(args.dataset, args.scale)
     for alg in m.methods:
         worst = max(
             m.units, key=lambda u: m.charged(u, alg, "Orig")
@@ -693,31 +537,14 @@ def cmd_tail(args: argparse.Namespace) -> int:
         return 0
 
 
-NFV_EXPERIMENTS = (
-    "fig2", "table3", "fig4", "fig6nfv", "fig8", "fig9", "fig13",
-    "fig14", "fig15",
-)
-FTV_EXPERIMENTS = (
-    "fig1", "fig3", "fig6ftv", "fig7", "fig10", "fig11", "fig12",
-)
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Regenerate a paper figure/table by name."""
-    name = args.name
-    if name in NFV_EXPERIMENTS:
-        dataset = args.dataset or "yeast"
-        if dataset not in NFV_DATASETS:
-            raise SystemExit(f"{name} needs an NFV dataset")
-        tables = _nfv_experiment(name, dataset, args.scale)
-    elif name in FTV_EXPERIMENTS:
-        dataset = args.dataset or "ppi"
-        if dataset not in FTV_DATASETS:
-            raise SystemExit(f"{name} needs an FTV dataset")
-        tables = _ftv_experiment(name, dataset, args.scale)
-    else:
-        known = ", ".join(NFV_EXPERIMENTS + FTV_EXPERIMENTS)
-        raise SystemExit(f"unknown experiment {name!r}; known: {known}")
+    figure = figures.FIGURES[args.name]
+    datasets = (args.dataset,) if args.dataset else figure.default
+    try:
+        tables = figure.tables(*datasets, scale=args.scale)
+    except ValueError as exc:
+        raise SystemExit(f"repro experiment: {args.name} {exc}") from None
     for t in tables:
         _print(t.render())
         _print("")
@@ -902,8 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "experiment", help="regenerate a paper figure/table"
     )
-    p.add_argument("--name", required=True,
-                   choices=NFV_EXPERIMENTS + FTV_EXPERIMENTS)
+    p.add_argument("--name", required=True, choices=tuple(figures.FIGURES))
     p.add_argument("--dataset", help="dataset override")
     p.add_argument("--scale", choices=("default", "tiny"),
                    default="tiny")

@@ -22,9 +22,9 @@ dead), so each builder *generates* a graph (or graph collection) matching
 the published statistics — structure family, density, label count and
 label-frequency skew — at a configurable ``scale`` (default ¼-ish of the
 paper's sizes so full experiment suites run in minutes in pure Python).
-DESIGN.md §2 records this substitution; the paper's findings are driven
-exactly by those statistics (see its §6.2 discussion of why rewritings
-behave differently on wordnet), so preserving them preserves behaviour.
+The paper's findings are driven exactly by those statistics (see its
+§6.2 discussion of why rewritings behave differently on wordnet), so
+preserving them preserves behaviour.
 """
 
 from .builders import (

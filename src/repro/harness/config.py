@@ -1,8 +1,9 @@
 """Experiment configuration: datasets, workloads, thresholds, variants.
 
 Scales are chosen so the full benchmark suite completes in minutes of
-pure Python while preserving the paper's regimes (DESIGN.md §2).  The
-``tiny()`` constructors give second-scale configs for the test suite.
+pure Python while preserving the paper's regimes.  The ``tiny()``
+constructors give second-scale configs for the test suite;
+:func:`repro.harness.figures.matrix` is what picks one or the other.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Each driver aggregates a measured cost matrix (:mod:`.runner`) into a
 :class:`~repro.harness.tables.Table` with the same rows/series the paper
-reports.  DESIGN.md §4 maps figure/table numbers to drivers and bench
-targets; EXPERIMENTS.md records paper-vs-measured shapes.
+reports.  :mod:`.figures` declares which drivers draw each paper
+figure/table, and docs/BENCHMARKS.md lists each with its bench file.
 
 Conventions shared with the paper (§3.5, §5, §6):
 
@@ -30,7 +30,7 @@ from ..metrics import (
     max_min_ratio,
     summarize_distribution,
 )
-from ..psi import AttemptCost, OverheadModel, race_from_costs
+from ..psi import OverheadModel, race_from_costs
 from .config import PAPER_REWRITINGS, RANDOM_INSTANCES
 from .tables import Table
 
@@ -340,12 +340,10 @@ def psi_race_time(
     ``members`` are (method, variant) pairs — one per simulated thread.
     Returns (race steps, killed).
     """
-    costs = {}
-    for method, variant in members:
-        rec = matrix.record(unit, method, variant)
-        costs[(method, variant)] = AttemptCost(
-            steps=rec.steps, found=rec.found, killed=rec.killed
-        )
+    costs = {
+        (method, variant): matrix.record(unit, method, variant)
+        for method, variant in members
+    }
     race = race_from_costs(
         costs,
         budget_steps=matrix.thresholds.budget_steps,

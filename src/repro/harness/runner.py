@@ -29,7 +29,7 @@ from ..matching import Budget
 from ..metrics import CostRecord, Thresholds
 from ..psi import PsiNFV, Variant
 from ..rewriting import LabelStats, make_rewriting
-from ..scheduling import TaskResult, first_match_schedule
+from ..scheduling import first_match_schedule
 from ..workload import Query, generate_workload
 from .config import (
     FTVExperimentConfig,
@@ -187,15 +187,12 @@ def measure_nfv_matrix(
     for qi, query in enumerate(queries):
         for alg in config.algorithms:
             for name in variant_names:
-                cost = psi.run_variant(
+                matrix.records[(qi, alg, name)] = psi.run_variant(
                     query.graph,
                     Variant(alg, name),
                     budget=budget,
                     max_embeddings=config.max_embeddings,
                     count_only=True,
-                )
-                matrix.records[(qi, alg, name)] = CostRecord(
-                    steps=cost.steps, found=cost.found, killed=cost.killed
                 )
         if progress:  # pragma: no cover - console convenience
             print(f"  [{config.dataset}] query {qi + 1}/{len(queries)}")
@@ -244,7 +241,7 @@ class FTVCostMatrix:
         ))
 
 
-def _truncated(result: TaskResult, allowance: int) -> TaskResult:
+def _truncated(result: CostRecord, allowance: int) -> CostRecord:
     """View of a cached component cost under a smaller allowance.
 
     A decision run reports its match on its final step, so a run
@@ -252,7 +249,7 @@ def _truncated(result: TaskResult, allowance: int) -> TaskResult:
     """
     if result.steps <= allowance:
         return result
-    return TaskResult(steps=allowance, found=False, killed=True)
+    return CostRecord(steps=allowance, found=False, killed=True)
 
 
 def _caching_task(task):
@@ -262,9 +259,9 @@ def _caching_task(task):
     smaller allowances are served by truncation (sound because a
     decision run's match lands on its final step).
     """
-    memo: dict[str, TaskResult] = {}
+    memo: dict[str, CostRecord] = {}
 
-    def run(allowance: int) -> TaskResult:
+    def run(allowance: int) -> CostRecord:
         cached = memo.get("result")
         if cached is None or (cached.killed and cached.steps < allowance):
             cached = task(allowance)

@@ -22,7 +22,7 @@ The verification step follows the paper's modification: VF2 returns
 after the *first* match (decision semantics).  Multithreading is
 simulated deterministically over step costs (components are
 list-scheduled onto ``threads`` workers with first-match early
-termination) — see :mod:`repro.scheduling` and DESIGN.md §2.
+termination) — see :mod:`repro.scheduling`.
 
 Determinism/equivalence: filtering is a per-graph predicate (candidate
 membership never depends on the rest of the collection, which is what
@@ -39,7 +39,8 @@ from typing import Optional
 
 from ..graphs import LabeledGraph
 from ..matching import Budget, GraphIndex, VF2Plan, drive
-from ..scheduling import TaskResult, first_match_schedule
+from ..metrics import CostRecord
+from ..scheduling import first_match_schedule
 from .base import FTVIndex, VerificationReport
 from .features import LabelInterner, coded_path_census, location_vertices
 from .trie import PathTrie
@@ -215,7 +216,7 @@ class GrapesIndex(FTVIndex):
     ):
         """Work chunks for one (query, graph) verification.
 
-        Returns a list of callables ``task(allowance) -> TaskResult``,
+        Returns a list of callables ``task(allowance) -> CostRecord``,
         one per (relevant component, root slice); scheduling them over
         ``threads`` workers with first-match early termination is the
         Grapes/T verification.  Exposed so harnesses can share chunk
@@ -244,13 +245,13 @@ class GrapesIndex(FTVIndex):
     ):
         verifier = self._verifier
 
-        def run(allowance: int) -> TaskResult:
+        def run(allowance: int) -> CostRecord:
             gen = verifier.engine(
                 comp_index, query, max_embeddings=1,
                 root_candidates=roots, plan=plan,
             )
             outcome = drive(gen, Budget(max_steps=max(1, allowance)))
-            return TaskResult(
+            return CostRecord(
                 steps=outcome.steps,
                 found=outcome.found,
                 killed=outcome.killed,

@@ -27,7 +27,7 @@ This is a faithful-in-spirit implementation of TurboISO's core ideas:
 The NEC (neighbourhood equivalence class) compression of the original
 is omitted — it optimises permutations of interchangeable query
 vertices, which at this reproduction's query sizes is a constant-factor
-concern (recorded in DESIGN.md §2).
+concern.
 
 One engine step is charged per region-exploration probe and per join
 candidate probe.

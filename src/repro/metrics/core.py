@@ -58,7 +58,7 @@ class Thresholds:
 
     ``easy_steps`` plays the role of 2 seconds; ``budget_steps`` the
     10-minute kill cap.  The default 1:100 ratio mirrors the paper's
-    2'':600'' at the reproduction's reduced scale (DESIGN.md §2).
+    2'':600'' at the reproduction's reduced scale.
     """
 
     easy_steps: int = 2_000
@@ -71,11 +71,13 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class CostRecord:
-    """Charged cost of one attempt (killed attempts carry the cap)."""
+    """Cost of one attempt, task or race variant: the steps it took,
+    whether it found a match, and whether it hit its cap first (its
+    ``steps`` are then the cap)."""
 
     steps: int
     found: bool
-    killed: bool
+    killed: bool = False
 
     def charged(self, thresholds: Thresholds) -> int:
         """Step count entering the metrics (cap when killed)."""

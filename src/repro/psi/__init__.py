@@ -1,7 +1,6 @@
 """The Ψ-framework (Parallel Subgraph Isomorphism framework, paper §8)."""
 
 from .executors import (
-    AttemptCost,
     OverheadModel,
     RaceOutcome,
     RaceTask,
@@ -12,7 +11,6 @@ from .framework import PsiNFV, PsiResult
 from .variants import Variant, variants_from_spec
 
 __all__ = [
-    "AttemptCost",
     "OverheadModel",
     "RaceOutcome",
     "RaceTask",

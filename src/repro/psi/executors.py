@@ -14,7 +14,8 @@ to complete is exactly the one with the fewest steps — the
 deterministic realisation of "first past the post".  A pure
 cost-algebra executor (:func:`race_from_costs`) lets experiment
 harnesses replay races from per-variant cost matrices without rerunning
-searches.
+searches; the thread overhead is an assumption of such a replay
+(:class:`OverheadModel`), so only :func:`race_from_costs` charges one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional
 
 from ..matching import Budget, MatchOutcome
 from ..matching.engine import SearchEngine
+from ..metrics import CostRecord
 
 __all__ = [
     "OverheadModel",
@@ -32,7 +34,6 @@ __all__ = [
     "RaceTask",
     "interleaved_race",
     "race_from_costs",
-    "AttemptCost",
     "DEFAULT_RACE_QUANTUM",
 ]
 
@@ -65,7 +66,9 @@ class RaceOutcome:
     """Result of one Ψ race.
 
     ``steps`` is the race's execution time: the winner's step count plus
-    overhead (or budget + overhead when every variant was killed).
+    overhead (or budget + overhead when every variant was killed); only
+    a replayed race (:func:`race_from_costs`) charges overhead, so a
+    live race's ``overhead_steps`` is 0.
     ``work_steps`` is the *total* work all variants performed — the
     price of parallelism, reported for the efficiency ablations.
     """
@@ -136,7 +139,6 @@ class RaceTask:
         self,
         engines: Mapping[object, SearchEngine],
         budget: Optional[Budget] = None,
-        overhead: OverheadModel = OverheadModel(),
         quantum: int = DEFAULT_RACE_QUANTUM,
         starts: Optional[Mapping[object, int]] = None,
     ) -> None:
@@ -158,7 +160,6 @@ class RaceTask:
             None if self.cap is None
             else self.cap + max(self.starts.values())
         )
-        self.overhead = overhead
         self.quantum = quantum
         self.target = 0
         self.outcome: Optional[RaceOutcome] = None
@@ -213,7 +214,6 @@ class RaceTask:
                     width += 1
         self.last_round_steps = advanced
         self.width = width
-        over = self.overhead.cost(len(self.keys))
         if finished:
             finished.sort(key=lambda f: (f[0], f[1]))
             won, won_pos, key, outcome = finished[0]
@@ -235,10 +235,10 @@ class RaceTask:
             self.outcome = RaceOutcome(
                 winner=key,
                 outcome=outcome,
-                steps=won + over,
+                steps=won,
                 found=outcome.found,
                 killed=False,
-                overhead_steps=over,
+                overhead_steps=0,
                 per_variant_steps=per_variant,
             )
         elif not self.alive:
@@ -248,10 +248,10 @@ class RaceTask:
             self.outcome = RaceOutcome(
                 winner=None,
                 outcome=None,
-                steps=self.horizon + over,
+                steps=self.horizon,
                 found=False,
                 killed=True,
-                overhead_steps=over,
+                overhead_steps=0,
                 per_variant_steps={k: cap for k in self.keys},
             )
         return self.outcome
@@ -277,7 +277,6 @@ class RaceTask:
 def interleaved_race(
     engines: Mapping[object, SearchEngine],
     budget: Optional[Budget] = None,
-    overhead: OverheadModel = OverheadModel(),
     quantum: int = DEFAULT_RACE_QUANTUM,
     starts: Optional[Mapping[object, int]] = None,
 ) -> RaceOutcome:
@@ -287,22 +286,12 @@ def interleaved_race(
     for the winner/charge reconstruction argument and ``starts``.
     """
     return RaceTask(
-        engines, budget=budget, overhead=overhead, quantum=quantum,
-        starts=starts,
+        engines, budget=budget, quantum=quantum, starts=starts
     ).run_to_completion()
 
 
-@dataclass(frozen=True)
-class AttemptCost:
-    """Measured cost of one variant's standalone attempt."""
-
-    steps: int
-    found: bool
-    killed: bool
-
-
 def race_from_costs(
-    costs: Mapping[object, AttemptCost],
+    costs: Mapping[object, CostRecord],
     budget_steps: Optional[int] = None,
     overhead: OverheadModel = OverheadModel(),
     starts: Optional[Mapping[object, int]] = None,

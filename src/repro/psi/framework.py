@@ -28,12 +28,9 @@ from ..matching import (
     Matcher,
     make_matcher,
 )
+from ..metrics import CostRecord
 from ..rewriting import LabelStats, RewrittenQuery, make_rewriting
-from .executors import (
-    AttemptCost,
-    RaceOutcome,
-    interleaved_race,
-)
+from .executors import RaceOutcome, interleaved_race
 from .variants import Variant
 
 __all__ = ["PsiNFV", "PsiResult"]
@@ -128,7 +125,7 @@ class PsiNFV:
         budget: Optional[Budget] = None,
         max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
         count_only: bool = False,
-    ) -> AttemptCost:
+    ) -> CostRecord:
         """Standalone (non-racing) attempt; used to build cost matrices."""
         rq = self.rewritten(query, variant.rewriting)
         outcome = self.matcher(variant.algorithm).run(
@@ -138,7 +135,7 @@ class PsiNFV:
             max_embeddings=max_embeddings,
             count_only=count_only,
         )
-        return AttemptCost(
+        return CostRecord(
             steps=outcome.steps, found=outcome.found, killed=outcome.killed
         )
 

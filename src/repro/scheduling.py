@@ -2,7 +2,8 @@
 
 CPython threads cannot speed up CPU-bound search (the GIL), so this
 reproduction *simulates* parallel execution over deterministic step
-costs instead of measuring wall-clock noise (see DESIGN.md §2).  Two
+costs instead of measuring wall-clock noise (see "The step-count
+execution-time model" in README.md).  Two
 primitives cover everything the paper's systems need:
 
 * :func:`first_match_schedule` — Grapes' multithreaded verification:
@@ -24,8 +25,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .metrics import CostRecord
+
 __all__ = [
-    "TaskResult",
     "ScheduleOutcome",
     "first_match_schedule",
     "FairShareLedger",
@@ -54,19 +56,6 @@ def skew_ratio(loads: Sequence[int]) -> float:
     return hi / lo
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    """Cost of one task: steps consumed and whether it found a match.
-
-    ``killed`` marks a task that hit its own cap before finishing; its
-    ``steps`` then reflect the cap.
-    """
-
-    steps: int
-    found: bool
-    killed: bool = False
-
-
 @dataclass
 class ScheduleOutcome:
     """Result of a simulated parallel run.
@@ -90,7 +79,7 @@ class ScheduleOutcome:
     found: bool
     killed: bool
     executed: int
-    task_results: list[TaskResult] = field(default_factory=list)
+    task_results: list[CostRecord] = field(default_factory=list)
 
 
 class FairShareLedger:
@@ -104,7 +93,8 @@ class FairShareLedger:
     the least virtual time (classic weighted fair queueing, made
     deterministic by breaking ties on registration order).
 
-    Charges accept plain step counts or a :class:`TaskResult` /
+    Charges accept plain step counts or a
+    :class:`~repro.metrics.CostRecord` /
     :class:`ScheduleOutcome`, so admission control can charge exactly
     what :func:`first_match_schedule`-style simulations report.
     """
@@ -123,9 +113,9 @@ class FairShareLedger:
             self._charged[key] = 0
         self._weights[key] = weight
 
-    def charge(self, key: object, cost: "int | TaskResult | ScheduleOutcome") -> None:
+    def charge(self, key: object, cost: "int | CostRecord | ScheduleOutcome") -> None:
         """Charge ``key`` the steps of ``cost``."""
-        if isinstance(cost, TaskResult):
+        if isinstance(cost, CostRecord):
             steps = cost.steps
         elif isinstance(cost, ScheduleOutcome):
             steps = cost.time
@@ -169,7 +159,7 @@ class FairShareLedger:
 
 
 def first_match_schedule(
-    tasks: Sequence[Callable[[int], TaskResult]],
+    tasks: Sequence[Callable[[int], CostRecord]],
     workers: int,
     budget_steps: Optional[int] = None,
 ) -> ScheduleOutcome:
@@ -177,7 +167,8 @@ def first_match_schedule(
 
     Each task is a callable receiving its *remaining step allowance*
     (``budget_steps - start_time``; or a sentinel large value when
-    unbudgeted) and returning a :class:`TaskResult`.  Tasks are assigned
+    unbudgeted) and returning a :class:`~repro.metrics.CostRecord`.
+    Tasks are assigned
     in order to the earliest-free worker (ties: lowest worker id), which
     is the classic deterministic list schedule.
 
@@ -192,7 +183,7 @@ def first_match_schedule(
     best_finish: Optional[int] = None  # earliest match finish
     makespan = 0
     executed = 0
-    results: list[TaskResult] = []
+    results: list[CostRecord] = []
     for task in tasks:
         worker = min(range(workers), key=lambda w: (free_at[w], w))
         start = free_at[worker]

@@ -14,8 +14,11 @@ warm-index tag and column table it states must be the codec's
 option of that subcommand's parser, every fenced ``python -m repro
 ...`` command must be one the real parser accepts (parsed, never run),
 the ``service.memory`` key list in ``docs/OBSERVABILITY.md`` must
-be the keys a 2 x 2 service reports, and ``docs/ARCHITECTURE.md`` must
-cite every ``src/repro/service`` module.
+be the keys a 2 x 2 service reports, ``docs/ARCHITECTURE.md`` must
+cite every ``src/repro/service`` module, a ``*.md`` file a source under
+``src/``, ``benchmarks/`` or ``tests/`` names must be in the repo, and
+``docs/BENCHMARKS.md`` must list every name of
+``repro.harness.figures.FIGURES``.
 The CI ``docs`` job runs exactly this file.
 """
 
@@ -474,3 +477,75 @@ def test_the_module_check_sees_an_uncited_module():
     assert uncited_service_modules(
         text.replace("src/repro/service/replicas.py", "src/repro/x.py")
     ) == ["src/repro/service/replicas.py"]
+
+
+# ----------------------------------------------------------------------
+# Markdown files the sources cite
+# ----------------------------------------------------------------------
+
+#: a Markdown file named in a source: ``docs/STORE.md``, ``README.md``
+MD_CITE = re.compile(r"[\w./-]*\w\.md\b")
+#: names the reach checker's own tests write into a synthetic tree
+PLACEHOLDER_DOCS = {"API.md", "docs/API.md", "docs/NAME.md"}
+
+
+def dangling_md_cites(text: str) -> list:
+    """The ``*.md`` files ``text`` names that the repo does not have:
+    a name with a directory is a path from the repo root, a bare name
+    may be any Markdown file's."""
+    present = {
+        p.relative_to(REPO).as_posix()
+        for p in REPO.rglob("*.md")
+        if ".git" not in p.parts
+    }
+    names = {Path(p).name for p in present}
+    return sorted({
+        cite
+        for cite in MD_CITE.findall(text)
+        if cite not in PLACEHOLDER_DOCS
+        and cite not in (present if "/" in cite else names)
+    })
+
+
+def test_sources_cite_only_markdown_files_the_repo_has():
+    """A cite of a document that is gone, or never was, sends the
+    reader nowhere."""
+    dangling = [
+        f"{path.relative_to(REPO)}: {cite}"
+        for root in ("src", "benchmarks", "tests")
+        for path in sorted((REPO / root).rglob("*.py"))
+        for cite in dangling_md_cites(path.read_text())
+    ]
+    assert dangling == []
+
+
+def test_the_markdown_check_sees_a_dangling_cite():
+    md = ".md"  # spelled apart, or the check above would flag this file
+    text = (
+        f"see docs/STORE{md}, README{md} and STORE{md}, not "
+        f"docs/GONE{md} or GONE{md} §2 or docs/README{md}"
+    )
+    assert dangling_md_cites(text) == [
+        f"GONE{md}", f"docs/GONE{md}", f"docs/README{md}"
+    ]
+
+
+# ----------------------------------------------------------------------
+# the paper figures docs/BENCHMARKS.md lists
+# ----------------------------------------------------------------------
+
+def listed_figures(text: str) -> list:
+    """The names the "Paper figures and tables" table lists, in order."""
+    section = text.partition("## Paper figures and tables")[2]
+    return re.findall(
+        r"^\| `(\w+)` \|", section.partition("\n## ")[0], re.MULTILINE
+    )
+
+
+def test_benchmarks_doc_lists_every_figure_name():
+    """A figure added to (or dropped from) the registry arrives with
+    (or takes away) its row."""
+    from repro.harness.figures import FIGURES
+
+    text = (REPO / "docs" / "BENCHMARKS.md").read_text()
+    assert listed_figures(text) == list(FIGURES)

@@ -21,7 +21,7 @@ import pytest
 from repro.graphs import gnm_graph, uniform_labels
 from repro.matching import Budget, make_matcher
 from repro.matching.engine import MatchOutcome, drive
-from repro.psi import OverheadModel, RaceTask, interleaved_race
+from repro.psi import RaceTask, interleaved_race
 from repro.rewriting import LabelStats, make_rewriting
 from repro.workload import extract_query
 
@@ -87,9 +87,6 @@ class TestQuantumEquivalence:
                 race = interleaved_race(
                     engines,
                     budget=budget,
-                    overhead=OverheadModel(
-                        base_steps=3, per_variant_steps=2
-                    ),
                     quantum=quantum,
                 )
                 outcomes.append(race_signature(race))

@@ -98,7 +98,8 @@ from repro.matching import (
     make_matcher,
 )
 from repro.matching.masks import mask_ge
-from repro.psi import AttemptCost, OverheadModel, RaceTask, race_from_costs
+from repro.metrics import CostRecord
+from repro.psi import OverheadModel, RaceTask, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.service import QueryOptions, Service
 from repro.service.loadgen import collection_digest, oracle_digest
@@ -597,7 +598,7 @@ def test_gql_and_spa_are_killed_where_the_recursive_engines_are(case):
 @settings(max_examples=60, deadline=None)
 def test_race_from_costs_is_min_of_completions(costs, overhead):
     table = {
-        i: AttemptCost(steps=s, found=f and not k, killed=k)
+        i: CostRecord(steps=s, found=f and not k, killed=k)
         for i, (s, f, k) in enumerate(costs)
     }
     race = race_from_costs(
@@ -652,7 +653,7 @@ def _cost_table(variants, cap):
     killed = {i: cap is not None and n >= cap for i, (n, _, _) in
               enumerate(variants)}
     return {
-        i: AttemptCost(
+        i: CostRecord(
             steps=min(n, cap) if killed[i] else n,
             found=f and not killed[i],
             killed=killed[i],
@@ -1434,7 +1435,7 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
                     costs = {}
                     for v in variants:
                         out = drive(_solo_sweep(svc, flight, shard, v, query))
-                        costs[v] = AttemptCost(out.steps, out.found, False)
+                        costs[v] = CostRecord(out.steps, out.found, False)
                     starts = race_starts(variants, budget)
                     twin = race_from_costs(costs, budget, starts=starts)
                     assert live_race.winner == twin.winner

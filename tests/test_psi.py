@@ -4,8 +4,8 @@ served FTV race is tested through the service)."""
 import pytest
 
 from repro.matching import Budget, MatchOutcome
+from repro.metrics import CostRecord
 from repro.psi import (
-    AttemptCost,
     OverheadModel,
     PsiNFV,
     Variant,
@@ -63,14 +63,6 @@ class TestInterleavedRace:
         assert race.winner is None
         assert race.steps == 20
 
-    def test_overhead_charged(self):
-        race = interleaved_race(
-            {"a": fixed_engine(10, True)()},
-            overhead=OverheadModel(base_steps=5, per_variant_steps=3),
-        )
-        assert race.overhead_steps == 8
-        assert race.steps == 18
-
     def test_losers_charged_at_most_winner_steps(self):
         race = interleaved_race(
             {"fast": fixed_engine(10, True)(),
@@ -97,9 +89,9 @@ class TestRaceFromCosts:
     def test_min_completing_wins(self):
         race = race_from_costs(
             {
-                "a": AttemptCost(steps=50, found=True, killed=False),
-                "b": AttemptCost(steps=10, found=True, killed=False),
-                "c": AttemptCost(steps=5, found=False, killed=True),
+                "a": CostRecord(steps=50, found=True, killed=False),
+                "b": CostRecord(steps=10, found=True, killed=False),
+                "c": CostRecord(steps=5, found=False, killed=True),
             },
             budget_steps=100,
         )
@@ -109,7 +101,7 @@ class TestRaceFromCosts:
     def test_all_killed(self):
         race = race_from_costs(
             {
-                "a": AttemptCost(steps=100, found=False, killed=True),
+                "a": CostRecord(steps=100, found=False, killed=True),
             },
             budget_steps=100,
         )
@@ -118,7 +110,7 @@ class TestRaceFromCosts:
 
     def test_overhead(self):
         race = race_from_costs(
-            {"a": AttemptCost(steps=10, found=True, killed=False)},
+            {"a": CostRecord(steps=10, found=True, killed=False)},
             overhead=OverheadModel(per_variant_steps=7),
         )
         assert race.steps == 17

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.metrics import CostRecord
 from repro.scheduling import (
     FairShareLedger,
     ScheduleOutcome,
-    TaskResult,
     first_match_schedule,
 )
 
@@ -15,8 +15,8 @@ def fixed(steps, found=False, killed=False):
 
     def run(allowance):
         if steps > allowance:
-            return TaskResult(steps=allowance, found=False, killed=True)
-        return TaskResult(steps=steps, found=found, killed=killed)
+            return CostRecord(steps=allowance, found=False, killed=True)
+        return CostRecord(steps=steps, found=found, killed=killed)
 
     return run
 
@@ -86,7 +86,7 @@ class TestParallel:
 
         def probe(allowance):
             calls.append(allowance)
-            return TaskResult(steps=min(allowance, 1000), found=False,
+            return CostRecord(steps=min(allowance, 1000), found=False,
                               killed=allowance < 1000)
 
         tasks = [fixed(10, found=True), probe]
@@ -151,7 +151,7 @@ class TestBudgetEdges:
 
         def probe(allowance):
             calls.append(allowance)
-            return TaskResult(steps=1, found=False)
+            return CostRecord(steps=1, found=False)
 
         out = first_match_schedule(
             [fixed(100), probe], workers=1, budget_steps=100
@@ -232,7 +232,7 @@ class TestFairShareLedger:
 
     def test_charge_accepts_cost_algebra_types(self):
         ledger = FairShareLedger()
-        ledger.charge("a", TaskResult(steps=7, found=False))
+        ledger.charge("a", CostRecord(steps=7, found=False))
         out = first_match_schedule([fixed(5)], workers=1)
         assert isinstance(out, ScheduleOutcome)
         ledger.charge("a", out)
