@@ -210,12 +210,10 @@ class FTVIndex(ABC):
         a tombstoned slot *revives* it (the add→remove→re-add drill).
         Novel labels extend the interner with appended codes — probe
         keys are canonicalized in code space, so existing posting keys
-        and sealed tables stay valid.  Sealed paths take the
-        newcomer's postings into their tables (see
-        :meth:`PathTrie.insert`; the few that unseal instead reseal on
-        the next :meth:`warm` or lazily on first probe); memoized query
-        censuses are orphaned because stale ones hold negative codes
-        for now-known labels.
+        and threshold tables stay valid.  Each path the newcomer posts
+        to drops its table, and the next probe of it rebuilds it (see
+        :meth:`PathTrie.insert`); memoized query censuses are orphaned
+        because stale ones hold negative codes for now-known labels.
         """
         if graph_id is None:
             graph_id = len(self.graphs)
@@ -245,8 +243,8 @@ class FTVIndex(ABC):
 
         The slot (and the graph object in it) stays, so positional ids
         never shift; only the index forgets it — every posting is
-        deleted and touched paths unseal, so no filter can ever emit
-        the id again.
+        deleted and touched paths drop their tables, so no filter can
+        ever emit the id again.
         """
         if not 0 <= graph_id < len(self.graphs):
             raise ValueError(
@@ -330,11 +328,12 @@ class FTVIndex(ABC):
         return list(bits_ascending(alive))
 
     def warm(self) -> dict:
-        """Eagerly build the trie's threshold tables (catalog warmup).
+        """Build every threshold table now (:meth:`PathTrie.seal`) and
+        return the index's size statistics.
 
-        Returns size statistics so operators can see what keeping the
-        posting bitsets warm costs.  Idempotent; purely a warm-start —
-        lazy sealing on first probe yields identical masks.
+        No served path calls this — probes build the tables they need,
+        and yield identical masks — so it is for callers that time or
+        inspect a fully sealed index.  Idempotent.
         """
         return {
             "sealed_nodes": self.trie.seal(),

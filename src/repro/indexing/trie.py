@@ -22,16 +22,16 @@ lookup and one bisect into the path's **threshold table** in
 graph masks, a pair of tuples (built by
 :func:`repro.matching.masks.threshold_masks` and probed by
 :func:`repro.matching.masks.mask_ge`, shared with the GraphQL and
-sPath signature filters).  Tables are built lazily on first probe, or
-eagerly by :meth:`PathTrie.seal`, which warm catalogs call.  A sealed
-path that takes a *new graph's* posting gets its table rebuilt from
-the table alone by :meth:`PathTrie.insert`, so an incremental add
-costs the newcomer's own paths.  Only what changes a count a table
-already holds — a merge into an existing posting (GGSX's suffix
-expansion), a :meth:`remove_graph <PathTrie.remove_graph>`, an
-:meth:`install <PathTrie.install>` — drops the path's table, and the
-index remembers which paths those are, so resealing never walks the
-map.
+sPath signature filters).  ``tables`` is a **probe-time memo**: a
+path's table is built the first time a probe asks for it, so a fresh
+build, a store restore and a mutation build none, and a served
+collection holds tables only for the paths its traffic has probed.
+Every mutator — :meth:`insert <PathTrie.insert>`, :meth:`install
+<PathTrie.install>`, :meth:`remove_graph <PathTrie.remove_graph>` —
+drops the table of each path whose row it touches, and the next probe
+of that path rebuilds it from the row.  :meth:`PathTrie.seal` builds
+every table in one walk over the postings, for callers that want the
+whole memo up front.
 
 Grapes' location masks sit beside the postings, per located graph:
 ``locations[graph_id]`` maps each of that graph's paths — the very key
@@ -45,15 +45,13 @@ containers to a full collection, not several per prefix.
 
 Invariant: ``mask_ge(seq, needed)`` must equal the brute force "OR of
 ``1 << gid`` over postings with count >= needed" for every path and
-threshold — lazily sealed, eagerly sealed, patched and re-sealed maps
-all answer identically, and a patched table equals a fresh seal of the
-grown posting row value for value (the generated sequences in
-``tests/test_properties.py`` probe every state).
+threshold, and every table in ``tables`` is the seal of its path's
+current row — whichever probes, seals and mutations came before (the
+generated sequences in ``tests/test_properties.py`` probe every
+state).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from ..matching.masks import Thresholds, mask_ge, threshold_masks
 
@@ -74,64 +72,31 @@ class PathTrie:
     """Per-path postings, threshold tables and location masks.
 
     ``postings`` holds a row for every coded path some graph has (never
-    an empty one), ``tables`` the threshold table of every sealed path
-    and ``locations`` the masks of every located graph.  The three
-    mutators (:meth:`insert`, :meth:`install`, :meth:`remove_graph`)
-    keep one more record, so that nothing walks the map to recover it:
-    the paths whose table is missing (what :meth:`seal` has to do).
+    an empty one), ``tables`` the threshold table of every path probed
+    (or sealed) since its row last changed, and ``locations`` the masks
+    of every located graph.
     """
 
     def __init__(self) -> None:
         #: coded path -> {graph_id: occurrence count}
         self.postings: dict[LabelSeq, dict[int, int]] = {}
-        #: coded path -> threshold table, for the sealed paths
+        #: coded path -> threshold table, for the paths probed since
+        #: their row last changed (the probe-time memo)
         self.tables: dict[LabelSeq, Thresholds] = {}
         #: graph_id -> {coded path: vertex bitmask}, for the graphs
         #: :meth:`locate` was handed (:meth:`remove_graph` drops) — on
         #: the trie, so every index view sharing it shares the answer
         self.locations: dict[int, dict[LabelSeq, int]] = {}
-        #: every path with postings and no table is in here (a path
-        #: sealed lazily or emptied since may linger until the next
-        #: :meth:`seal`, which skips it)
-        self._unsealed: set[LabelSeq] = set()
 
     def insert(self, seq: LabelSeq, graph_id: int, count: int) -> None:
-        """Record ``count`` occurrences of ``seq`` in ``graph_id``.
-
-        A posting of a graph the path has not seen is **patched into a
-        sealed table**: the count is bisected in (inheriting the
-        next-higher count's mask when it is new) and the graph's bit is
-        OR'd into every mask at or below it — value for value what
-        :func:`_seal_row` builds from the grown row, without reading the
-        other graphs' postings.  Occurrences that merge into a posting
-        the graph already has change a count the table holds, so the
-        path unseals instead.
-        """
+        """Record ``count`` occurrences of ``seq`` in ``graph_id``; the
+        path's table, if a probe built one, is dropped."""
         row = self.postings.get(seq)
         if row is None:
             self.postings[seq] = {graph_id: count}
-            self._unsealed.add(seq)
-        elif graph_id in row:
-            row[graph_id] += count
-            if self.tables.pop(seq, None) is not None:
-                self._unsealed.add(seq)
-            return
         else:
-            row[graph_id] = count
-            table = self.tables.get(seq)
-            if table is not None:
-                counts, masks = table
-                at = bisect_left(counts, count)
-                if at == len(counts) or counts[at] != count:
-                    counts = counts[:at] + (count,) + counts[at:]
-                    inherited = masks[at] if at < len(masks) else 0
-                    masks = masks[:at] + (inherited,) + masks[at:]
-                bit = 1 << graph_id
-                self.tables[seq] = (
-                    counts,
-                    tuple([mask | bit for mask in masks[:at + 1]])
-                    + masks[at + 1:],
-                )
+            row[graph_id] = row.get(graph_id, 0) + count
+            self.tables.pop(seq, None)
 
     def install(self, rows) -> None:
         """Make each ``(seq, row)`` of ``rows`` that path's postings (an
@@ -146,7 +111,6 @@ class PathTrie:
             tables.pop(seq, None)
             if row:
                 postings[seq] = row
-                self._unsealed.add(seq)
             else:
                 postings.pop(seq, None)
 
@@ -155,13 +119,12 @@ class PathTrie:
         removes); returns how many.
 
         One pass over the map: touched paths drop their threshold
-        tables — a departed bit cannot be patched out of the masks
-        above its count without the other postings — so lazy or eager
-        resealing rebuilds them without it, and paths left with no
-        posting leave the map.  The graph's location masks go too.
+        tables, so the next probe rebuilds them without the graph, and
+        paths left with no posting leave the map.  The graph's location
+        masks go too.
         """
         self.locations.pop(graph_id, None)
-        tables, unsealed = self.tables, self._unsealed
+        tables = self.tables
         emptied = []
         removed = 0
         for seq, row in self.postings.items():
@@ -169,9 +132,7 @@ class PathTrie:
                 del row[graph_id]
                 removed += 1
                 tables.pop(seq, None)
-                if row:
-                    unsealed.add(seq)
-                else:
+                if not row:
                     emptied.append(seq)
         for seq in emptied:
             del self.postings[seq]
@@ -200,7 +161,8 @@ class PathTrie:
         Bit ``g`` is set iff graph ``g``'s posting count for ``seq`` is
         at least ``needed`` — exactly the set the frequency-pruning
         filter intersects, as one int.  This runs once per query
-        feature on the filter hot path: one lookup, one bisect.
+        feature on the filter hot path: one lookup, one bisect, and on
+        the path's first probe since its row changed, one seal.
         """
         table = self.tables.get(seq)
         if table is None:
@@ -211,24 +173,17 @@ class PathTrie:
         return mask_ge(table, needed)
 
     def seal(self) -> int:
-        """Eagerly build every missing threshold table (catalog
-        warmup, and the reseal after a mutation).
+        """Build every missing threshold table in one walk over the
+        postings; returns the number of paths with postings.
 
-        The mutators record exactly the paths they leave without a
-        table, so this drains that record instead of walking the map:
-        resealing after an add that only patched costs nothing, after
-        a remove it costs the paths the graph was on.  Returns the
-        number of paths with postings.  Purely a warm-start: lazy
-        per-probe sealing produces identical tables.
+        Nothing served calls this: probes build the tables they need.
+        It yields exactly the tables those probes would.
         """
-        postings, tables = self.postings, self.tables
-        for seq in self._unsealed:
+        tables = self.tables
+        for seq, row in self.postings.items():
             if seq not in tables:
-                row = postings.get(seq)
-                if row:
-                    tables[seq] = _seal_row(row)
-        self._unsealed.clear()
-        return len(postings)
+                tables[seq] = _seal_row(row)
+        return len(self.postings)
 
     @property
     def node_count(self) -> int:

@@ -92,11 +92,6 @@ class FairShareLedger:
     is ``charged / weight``, and :meth:`pick` selects the candidate with
     the least virtual time (classic weighted fair queueing, made
     deterministic by breaking ties on registration order).
-
-    Charges accept plain step counts or a
-    :class:`~repro.metrics.CostRecord` /
-    :class:`ScheduleOutcome`, so admission control can charge exactly
-    what :func:`first_match_schedule`-style simulations report.
     """
 
     def __init__(self) -> None:
@@ -113,14 +108,8 @@ class FairShareLedger:
             self._charged[key] = 0
         self._weights[key] = weight
 
-    def charge(self, key: object, cost: "int | CostRecord | ScheduleOutcome") -> None:
-        """Charge ``key`` the steps of ``cost``."""
-        if isinstance(cost, CostRecord):
-            steps = cost.steps
-        elif isinstance(cost, ScheduleOutcome):
-            steps = cost.time
-        else:
-            steps = int(cost)
+    def charge(self, key: object, steps: int) -> None:
+        """Charge ``key`` ``steps`` steps."""
         if steps < 0:
             raise ValueError("cannot charge negative steps")
         if key not in self._order:

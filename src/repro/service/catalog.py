@@ -98,24 +98,24 @@ class DatasetEntry:
     ftv_index: Optional[FTVIndex] = None
     stats: Optional[LabelStats] = None
     prepared_algorithms: tuple[str, ...] = ()
-    #: FTVIndex.warm() statistics (sealed paths, trie size, labels)
-    warm_stats: dict = field(default_factory=dict)
     #: (order, size) checksums taken at load time (freeze witness)
     _shape: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    #: (graph bytes, FTV index bytes) of the frozen state; None until
-    #: a :meth:`memory_report` asks, and again after every freeze
-    _frozen_bytes: Optional[tuple[int, int]] = None
+    #: (graph bytes, FTV index bytes, trie nodes) of the frozen state;
+    #: None until a :meth:`memory_report` asks, and again after every
+    #: freeze
+    _frozen_sizes: Optional[tuple[int, int, int]] = None
 
     def freeze(self) -> None:
         """Record the loaded graphs' shapes as the frozen baseline.
 
-        Shapes only: the graph/FTV-index byte estimates of the state
-        frozen here are *invalidated*, not taken — loads, store boots
-        and mutation acks never pay the accounting walk; the next
+        Shapes only: the graph/FTV-index byte estimates and the trie
+        node count of the state frozen here are *invalidated*, not
+        taken — loads, store boots and mutation acks never pay the
+        accounting walk or the prefix count; the next
         :meth:`memory_report` does.
         """
         self._shape = tuple((g.order, g.size) for g in self.graphs)
-        self._frozen_bytes = None
+        self._frozen_sizes = None
 
     def verify_frozen(self) -> None:
         """Raise if any graph mutated since :meth:`freeze`.
@@ -139,11 +139,12 @@ class DatasetEntry:
         """Add ``graph`` to this FTV collection at slot ``graph_id``.
 
         Incremental maintenance, not a rewarm: the newcomer's census is
-        inserted into the existing posting map (sealed paths take its
-        postings into their tables), novel labels extend the interner
-        with appended codes, and memoized query censuses are
-        orphaned.  ``graph_id`` is the append slot or a tombstoned slot
-        to revive (journal replay and the add→remove→re-add drill).
+        inserted into the existing posting map (each path it posts to
+        drops its threshold table until the next probe rebuilds it),
+        novel labels extend the interner with appended codes, and
+        memoized query censuses are orphaned.  ``graph_id`` is the
+        append slot or a tombstoned slot to revive (journal replay and
+        the add→remove→re-add drill).
         """
         gid = self.ftv_index.add_graph(graph, graph_id)
         if gid == len(self.graphs):
@@ -169,34 +170,37 @@ class DatasetEntry:
     def _refresh_after_mutation(self) -> None:
         """Re-derive the entry's collection-level state after a mutation.
 
-        Label stats cover the live graphs only; the index reseals
-        eagerly (``warm``) so the next probe pays no lazy seal; and the
-        freeze witness is re-taken (a slot's shape may have changed).
+        Label stats cover the live graphs only, and the freeze witness
+        is re-taken (a slot's shape may have changed).  Nothing is
+        sealed: the tables the mutation dropped are rebuilt by the
+        probes that want them.
         """
-        index = self.ftv_index
-        live = [self.graphs[g] for g in index.live_ids()]
+        live = [self.graphs[g] for g in self.ftv_index.live_ids()]
         if live:
             self.stats = LabelStats.of_collection(live)
-        self.warm_stats = index.warm()
         self.freeze()
 
     def memory_report(self) -> dict:
         """Approximate bytes held by graphs and prepared indexes.
 
-        The frozen parts (graphs, FTV index) are walked by the first
-        report after a :meth:`freeze` and memoised until the next one —
-        frozen data never changes, so a stats poll must not re-walk
-        it; only the per-graph index memos, which can still grow as
-        new matchers prepare, are re-walked every time.
+        The frozen parts (graphs, FTV index, its trie node count) are
+        walked by the first report after a :meth:`freeze` and memoised
+        until the next one — frozen data never changes, so a stats
+        poll must not re-walk it (the FTV index's bytes count the
+        threshold tables probes had built by then); only the per-graph
+        index memos, which can still grow as new matchers prepare, are
+        re-walked every time.  ``ftv_warm`` says how much of the filter index traffic
+        has touched: ``sealed_paths`` of its ``paths`` hold a threshold
+        table, read as the report is taken.
         """
-        if self._frozen_bytes is None:
-            self._frozen_bytes = (
+        index = self.ftv_index
+        if self._frozen_sizes is None:
+            self._frozen_sizes = (
                 sum(approx_deep_bytes(g.kernel()) for g in self.graphs),
-                approx_deep_bytes(self.ftv_index)
-                if self.ftv_index is not None
-                else 0,
+                approx_deep_bytes(index) if index is not None else 0,
+                index.trie.node_count if index is not None else 0,
             )
-        graph_bytes, ftv_bytes = self._frozen_bytes
+        graph_bytes, ftv_bytes, trie_nodes = self._frozen_sizes
         index_bytes = 0
         index_entries = 0
         for g in self.graphs:
@@ -214,8 +218,13 @@ class DatasetEntry:
             "ftv_index_bytes": ftv_bytes,
             "total_bytes": graph_bytes + index_bytes + ftv_bytes,
         }
-        if self.ftv_index is not None:
-            report["ftv_warm"] = dict(self.warm_stats)
+        if index is not None:
+            report["ftv_warm"] = {
+                "paths": len(index.trie.postings),
+                "sealed_paths": len(index.trie.tables),
+                "trie_nodes": trie_nodes,
+                "labels": len(index.interner),
+            }
         return report
 
 
@@ -236,7 +245,7 @@ def warm_entry(
 
     ``prebuilt_index`` is the store-boot shortcut: an FTV index
     already reconstructed from disk skips the census build and is
-    warmed (sealed) and frozen exactly like a fresh one.
+    frozen exactly like a fresh one.
     ``interner`` is the label code space of the collection ``graphs``
     is a partition of: an index built here is built in it
     (``prebuilt_index`` already was), so every partition answers one
@@ -266,10 +275,7 @@ def warm_entry(
                 max_path_length=max_path_length,
                 interner=interner,
             )
-        # warm the bitset posting lists now: the first served query
-        # probes pre-sealed threshold masks instead of paying the lazy
-        # seal on the hot path
-        warm_stats = index.warm()
+        # nothing is sealed: each probe seals the paths it asks about
         entry = DatasetEntry(
             name=name,
             scale=scale,
@@ -277,7 +283,6 @@ def warm_entry(
             graphs=graphs,
             ftv_index=index,
             stats=LabelStats.of_collection(graphs),
-            warm_stats=warm_stats,
         )
     entry.freeze()
     return entry

@@ -81,6 +81,25 @@ class TestWorkload:
         )
         assert code == 0
 
+    def test_a_reader_closing_early_ends_it_without_a_traceback(self):
+        """``repro workload ... | head -1``: the table is larger than a
+        pipe holds, so the write still pending when the reader closes
+        meets a broken pipe, and the command exits 1 quietly."""
+        env = repro_env()
+        del env["PYTHONUNBUFFERED"]  # block-buffered, as in a shell pipe
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "workload", "--dataset", "ppi",
+             "--scale", "tiny", "--size", "3", "--count", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            cwd=REPO, bufsize=0,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=300) == 1
+        assert first.startswith(b"workload: 3000 x 3-edge queries")
+        assert "Traceback" not in err and "BrokenPipe" not in err
+
 
 class TestTail:
     def test_tail_caps_a_servers_retry_after_at_backoff_cap(

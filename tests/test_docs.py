@@ -375,20 +375,20 @@ def test_the_command_check_sees_a_missing_required_flag():
 
 
 # ----------------------------------------------------------------------
-# the service.memory keys docs/OBSERVABILITY.md lists
+# the service.memory and ftv_warm keys docs/OBSERVABILITY.md lists
 # ----------------------------------------------------------------------
 
-#: ``**`service.memory` keys:** `a`, `b`, ... .`` — the documented list,
-#: up to the sentence's full stop
-MEMORY_KEYS = re.compile(
-    r"\*\*`service\.memory` keys:\*\*(.*?)\.(?:\s|$)", re.DOTALL
-)
 
-
-def memory_key_drift(text: str, reported) -> list:
-    """How the ``service.memory`` keys ``text`` lists differ from the
-    keys a service ``reported``."""
-    lists = MEMORY_KEYS.findall(text)
+def memory_key_drift(
+    text: str, reported, section: str = "service.memory"
+) -> list:
+    """How the ``section`` keys ``text`` lists — as ``**`section`
+    keys:** `a`, `b`, ... .``, up to the sentence's full stop — differ
+    from the keys a service ``reported``."""
+    lists = re.findall(
+        rf"\*\*`{re.escape(section)}` keys:\*\*(.*?)\.(?:\s|$)",
+        text, re.DOTALL,
+    )
     if len(lists) != 1:
         return [f"expected one key list, found {len(lists)}"]
     documented = set(INLINE_CODE.findall(lists[0]))
@@ -440,6 +440,43 @@ def test_the_memory_key_check_sees_a_dropped_and_an_invented_key(
     )
     assert invented.startswith("documented, not reported")
     assert "pools" in invented
+
+
+@pytest.fixture(scope="module")
+def ftv_warm_keys():
+    """The ``ftv_warm`` keys of a served ``ppi`` partition's report."""
+    from repro.service import Service
+    from repro.workload import generate_workload
+
+    svc = Service(shards=2)
+    svc.load_dataset("ppi", scale="tiny")
+    graphs = svc.catalog.get("ppi").graphs
+    svc.submit("ppi", generate_workload(graphs, 1, 4, seed=1)[0].graph)
+    svc.run_until_idle()
+    shard = svc.stats()["memory"]["shards"][0]
+    return sorted(shard["datasets"]["ppi"]["ftv_warm"])
+
+
+def test_observability_doc_lists_the_ftv_warm_keys(ftv_warm_keys):
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    assert memory_key_drift(text, ftv_warm_keys, "ftv_warm") == []
+
+
+def test_the_ftv_warm_key_check_sees_a_dropped_and_an_invented_key(
+    ftv_warm_keys,
+):
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    (dropped,) = memory_key_drift(
+        text.replace("`labels`", "labels"), ftv_warm_keys, "ftv_warm"
+    )
+    assert dropped.startswith("reported, not documented")
+    assert "labels" in dropped
+    (invented,) = memory_key_drift(
+        text.replace("`paths`", "`paths`, `tables`"),
+        ftv_warm_keys, "ftv_warm",
+    )
+    assert invented.startswith("documented, not reported")
+    assert "tables" in invented
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,11 @@ from repro.indexing import (
     location_vertices,
 )
 from repro.matching import Budget
-from repro.workload import extract_query, permuted_instance
+from repro.workload import (
+    extract_query,
+    generate_workload,
+    permuted_instance,
+)
 
 from ._filter_reference import (
     feature_locations_reference,
@@ -579,6 +583,20 @@ class TestCatalogEviction:
         cat = ShardedCatalog(num_shards=1)
         cat.load("ppi", scale="tiny")
         entry = cat.shard_entry("ppi", 0)
-        assert entry.warm_stats["sealed_nodes"] > 0
-        report = entry.memory_report()
-        assert report["ftv_warm"]["sealed_nodes"] > 0
+        trie = entry.ftv_index.trie
+        warm = entry.memory_report()["ftv_warm"]
+        # a load seals nothing: the report counts the index, not tables
+        assert warm == {
+            "paths": len(trie.postings),
+            "sealed_paths": 0,
+            "trie_nodes": trie.node_count,
+            "labels": len(entry.ftv_index.interner),
+        }
+        assert warm["paths"] > 0 and warm["trie_nodes"] >= warm["paths"]
+        # a probe seals the paths it asks about, and the next report
+        # reads them
+        query = generate_workload(entry.graphs, 1, 4, seed=3)[0].graph
+        census = entry.ftv_index.coded_query_census(query).counts
+        assert entry.ftv_index.probe(census)
+        sealed = entry.memory_report()["ftv_warm"]["sealed_paths"]
+        assert sealed == len(trie.tables) == len(census)

@@ -181,13 +181,15 @@ class TestTries:
         t.insert(("A", "B", "C"), 0, 1)
         assert set(t.postings) == {("A", "B", "C"), ("B", "C"), ("C",)}
 
-    def test_a_new_graphs_posting_patches_the_sealed_table(self):
+    def test_a_new_graphs_posting_drops_the_table_a_probe_rebuilds(self):
         """A count below, between, equal to and above the sealed ones,
-        then an id revived after a remove: each add leaves the path
-        sealed, with the table a fresh seal of the grown row builds."""
+        then an id revived after a remove: each add drops the path's
+        table, and the next probe rebuilds the one a fresh seal of the
+        grown row builds."""
         t = PathTrie()
         t.insert(("A",), 0, 4)
         t.insert(("A",), 1, 8)
+        assert t.tables == {}
         assert t.seal() == 1
         assert t.tables[("A",)] == ((4, 8), (0b11, 0b10))
         for gid, count, want in [
@@ -200,56 +202,56 @@ class TestTries:
             )),                                               # above
         ]:
             t.insert(("A",), gid, count)
-            assert t.tables[("A",)] == want and not t._unsealed
-            fresh = PathTrie()
-            fresh.install(
-                (seq, dict(row)) for seq, row in t.postings.items()
-            )
-            fresh.seal()
-            assert fresh.tables == t.tables
+            assert t.tables == {}
             assert t.mask_ge(("A",), count) == want[1][
                 want[0].index(count)
             ]
-        assert t.seal() == 1
+            assert t.tables[("A",)] == want
         t.remove_graph(3)
-        assert ("A",) not in t.tables
-        assert t.seal() == 1
+        assert t.tables == {}
+        assert t.mask_ge(("A",), 1) == 0b110111
         assert t.tables[("A",)] == (
             (2, 4, 6, 8, 9),
             (0b110111, 0b110011, 0b110010, 0b100010, 0b100000),
         )
         t.insert(("A",), 3, 4)  # the revived id, at an existing count
-        assert ("A",) in t.tables and not t._unsealed
+        assert t.tables == {}
         assert t.mask_ge(("A",), 4) == 0b111011
         assert t.mask_ge(("A",), 5) == 0b110010
 
-    def test_a_merge_unseals_and_seal_drains_without_a_walk(self):
+    def test_a_touch_drops_only_the_tables_of_the_rows_it_changes(self):
         t = SuffixTrie()
         t.insert(("A", "B"), 0, 2)
         t.insert(("B",), 1, 1)
-        assert t.seal() == len(t.postings) == 2 and not t._unsealed
+        assert t.seal() == len(t.postings) == len(t.tables) == 2
         # graph 2's ("A", "B") lands on ("B",) as a suffix, then its
-        # own ("B",) merges into that posting: a count the table holds
-        # changed, so that path — and only that path — unseals
+        # own ("B",) merges into that posting: both rows changed
         t.insert(("A", "B"), 2, 3)
-        assert t.tables[("A", "B")] == ((2, 3), (0b101, 0b100))
-        assert t.tables[("B",)] == ((1, 2, 3), (0b111, 0b101, 0b100))
+        assert t.tables == {}
+        assert t.mask_ge(("A", "B"), 3) == 0b100
         t.insert(("B",), 2, 4)
-        assert t._unsealed == {("B",)} and ("B",) not in t.tables
-        assert t.mask_ge(("B",), 7) == 0b100  # lazily, as before
-        assert t.seal() == 2 and not t._unsealed
+        assert set(t.tables) == {("A", "B")}
+        assert t.mask_ge(("B",), 7) == 0b100
         assert t.tables[("B",)] == ((1, 2, 7), (0b111, 0b101, 0b100))
+        # a seal walks the postings and keeps the tables it finds
+        table = t.tables[("B",)]
+        t.insert(("C",), 0, 1)
+        assert t.seal() == 3 and t.tables[("B",)] is table
+        assert set(t.tables) == set(t.postings)
 
     def test_a_remove_drops_the_paths_it_empties(self):
         t = PathTrie()
         t.insert(("A", "B"), 0, 1)
         t.insert(("A",), 0, 1)
         t.insert(("A",), 1, 1)
+        t.seal()
         assert t.remove_graph(0) == 2
         assert t.postings == {("A",): {1: 1}}
+        assert t.tables == {}
         t.install([(("C",), {4: 1}), (("A",), {})])
         assert t.postings == {("C",): {4: 1}}
-        assert t.seal() == 1 and not t._unsealed
+        assert t.tables == {}
+        assert t.seal() == 1
         assert set(t.tables) == {("C",)}
 
     @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])

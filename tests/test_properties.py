@@ -84,7 +84,7 @@ from repro.indexing import (
     label_path_census,
     location_vertices,
 )
-from repro.indexing.trie import PathTrie
+from repro.indexing.trie import _seal_row
 from repro.matching import (
     SELECTION_POLICIES,
     Budget,
@@ -723,9 +723,10 @@ def test_staged_race_answers_as_full_width_within_its_head_start(
 
 def _mutate(draw, index, graph):
     """Put ``index`` through a random add / remove / re-add sequence,
-    warming (draining the reseal) or probing (sealing lazily) at
-    random points on the way, so newcomers meet sealed, patched and
-    unsealed nodes alike.  Yields after every step."""
+    warming (sealing every path) or probing a random stride of the
+    paths (sealing those) at random points on the way, so mutations
+    meet paths with and without a table alike.  Yields after every
+    step."""
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         live, dead = index.live_ids(), sorted(index.tombstones)
         op = draw(st.sampled_from(
@@ -742,8 +743,10 @@ def _mutate(draw, index, graph):
         if after == "warm":
             index.warm()
         elif after == "probe":
-            for seq in list(index.trie.postings):
-                index.trie.mask_ge(seq, 1)
+            step = draw(st.integers(min_value=1, max_value=4))
+            paths = list(index.trie.postings)
+            for seq in paths[draw(st.integers(0, step - 1))::step]:
+                index.trie.mask_ge(seq, draw(st.integers(1, 3)))
 
 
 @st.composite
@@ -803,33 +806,6 @@ def test_index_codec_round_trips_a_mutated_index(index, queries):
         assert restored.filter(query) == index.filter(query)
 
 
-@given(index=mutated_indexes())
-@settings(max_examples=60, deadline=None)
-def test_reseal_after_mutation_equals_a_fresh_seal(index):
-    """``seal`` skips paths that still hold a threshold table, so a
-    stale table would survive it: every path must answer as the brute
-    force over its posting row does, at, between and past each count."""
-    rows = index.trie.postings
-    assert index.warm()["sealed_nodes"] == len(rows)
-    assert index.trie.tables == _fresh_tables(rows)
-    for seq, postings in rows.items():
-        counts = set(postings.values())
-        for needed in {1} | counts | {c + 1 for c in counts}:
-            want = 0
-            for gid, count in postings.items():
-                if count >= needed:
-                    want |= 1 << gid
-            assert index.trie.mask_ge(seq, needed) == want
-
-
-def _fresh_tables(rows):
-    """The tables a fresh trie seals copies of ``rows`` into."""
-    fresh = PathTrie()
-    fresh.install((seq, dict(row)) for seq, row in rows.items())
-    fresh.seal()
-    return fresh.tables
-
-
 def _brute_mask_ge(postings, needed):
     want = 0
     for gid, count in postings.items():
@@ -839,21 +815,16 @@ def _brute_mask_ge(postings, needed):
 
 
 def _check_tables(trie):
-    """Every table the trie holds right now — built by a drain, a lazy
-    probe or a patch — is the fresh seal of its posting row and
-    answers every threshold as the brute force does; every path with
-    postings and no table is recorded as unsealed, and no table or
-    row outlives its path's postings.  Reads the tables where they
-    stand: nothing here seals a path."""
-    fresh = _fresh_tables(trie.postings)
+    """Every table the trie holds right now — built by a probe or a
+    seal before or after any mutation — is the seal of its path's
+    current row and answers every threshold as the brute force does,
+    and no table or row outlives its path's postings.  Reads the
+    tables where they stand: nothing here seals a path."""
     assert not any(row == {} for row in trie.postings.values())
     assert set(trie.tables) <= set(trie.postings)
-    for seq, postings in trie.postings.items():
-        table = trie.tables.get(seq)
-        if table is None:
-            assert seq in trie._unsealed
-            continue
-        assert table == fresh[seq]
+    for seq, table in trie.tables.items():
+        postings = trie.postings[seq]
+        assert table == _seal_row(postings)
         counts = set(postings.values())
         for needed in {1} | counts | {c + 1 for c in counts} | {
             c - 1 for c in counts if c > 1
@@ -865,12 +836,12 @@ def _check_tables(trie):
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_tables_patched_in_place_equal_a_fresh_seal_at_every_step(data):
-    """An add patches the tables of the sealed nodes it lands on, a
-    GGSX merge, a remove and a revive unseal theirs: after every step
-    whatever table a node holds is the one a fresh seal would build,
-    ``seal`` returns the number of posting-carrying nodes and leaves
-    nothing unsealed, and the lazily sealed rest agrees too."""
+def test_every_table_present_is_the_seal_of_its_row(data):
+    """A mutation drops the table of every path whose row it touches,
+    so a table that survives one — or a probe or a seal made since —
+    is the seal of the row as it stands, after every step; and every
+    path answers every threshold as the brute force over its row does,
+    whether or not a table was there before the probe."""
     index, graph = data.draw(base_indexes())
     trie = index.trie
     _check_tables(trie)
@@ -878,14 +849,14 @@ def test_tables_patched_in_place_equal_a_fresh_seal_at_every_step(data):
         _check_tables(trie)
     rows = trie.postings
     for seq, postings in rows.items():
-        for needed in {1} | set(postings.values()):
+        counts = set(postings.values())
+        for needed in {1} | counts | {c + 1 for c in counts}:
             assert trie.mask_ge(seq, needed) == _brute_mask_ge(
                 postings, needed
             )
-    assert trie.seal() == len(rows) == index.warm()["sealed_nodes"]
-    assert not trie._unsealed
     assert set(trie.tables) == set(rows)
     _check_tables(trie)
+    assert index.warm()["sealed_nodes"] == len(rows) == len(trie.tables)
 
 
 def _rebuilt(index):

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.metrics import CostRecord
-from repro.scheduling import (
-    FairShareLedger,
-    ScheduleOutcome,
-    first_match_schedule,
-)
+from repro.scheduling import FairShareLedger, first_match_schedule
 
 
 def fixed(steps, found=False, killed=False):
@@ -229,14 +225,6 @@ class TestFairShareLedger:
         ledger.register("z")
         ledger.register("a")
         assert ledger.pick(["a", "z"]) == "z"
-
-    def test_charge_accepts_cost_algebra_types(self):
-        ledger = FairShareLedger()
-        ledger.charge("a", CostRecord(steps=7, found=False))
-        out = first_match_schedule([fixed(5)], workers=1)
-        assert isinstance(out, ScheduleOutcome)
-        ledger.charge("a", out)
-        assert ledger.snapshot() == {"a": 12}
 
     def test_validation(self):
         ledger = FairShareLedger()

@@ -275,3 +275,92 @@ class TestWarmUpWork:
         assert censused() == []
         assert calls["bytes"] == []
         self._first_report_is_the_eager_walk(booted, calls)
+
+
+class TestProbeTimeTables:
+    """Threshold tables are a probe-time memo: what builds, restores
+    or mutates a partition seals no path and counts no trie node; a
+    query seals the paths its probe asked about."""
+
+    @pytest.fixture
+    def node_counts(self, monkeypatch):
+        """Every ``PathTrie.node_count`` read, by the trie read."""
+        from repro.indexing.trie import PathTrie
+
+        counted = []
+        count = PathTrie.node_count.fget
+
+        def counting(trie):
+            counted.append(trie)
+            return count(trie)
+
+        monkeypatch.setattr(PathTrie, "node_count", property(counting))
+        return counted
+
+    @staticmethod
+    def _tables(catalog):
+        return [
+            len(partition["ppi"].ftv_index.trie.tables)
+            for partition in catalog.partitions
+        ]
+
+    def test_load_boot_and_acks_seal_nothing(self, node_counts, tmp_path):
+        from repro.store import StoreWriter
+
+        cat = ShardedCatalog(num_shards=2)
+        cat.load("ppi", scale="tiny")
+        assert self._tables(cat) == [0, 0]
+        StoreWriter(str(tmp_path)).write_catalog(cat)
+        booted = ShardedCatalog(num_shards=2, store=str(tmp_path))
+        booted.load("ppi", scale="tiny")
+        assert booted.store.as_metrics()["restores"] > 0
+        assert booted.store.as_metrics()["rebuilds"] == 0
+        assert self._tables(booted) == [0, 0]
+        graphs = cat.get("ppi").graphs
+        cat.add_graph("ppi", graphs[0].permuted(
+            list(reversed(range(graphs[0].order)))
+        ), shard=1)
+        cat.remove_graph("ppi", 1)
+        assert self._tables(cat) == [0, 0]
+        assert node_counts == []
+        # the first report counts each partition's nodes, once
+        report = cat.memory_report()
+        cat.memory_report()
+        assert len(node_counts) == 2
+        for shard, partition in enumerate(cat.partitions):
+            warm = report["shards"][shard]["datasets"]["ppi"]["ftv_warm"]
+            trie = partition["ppi"].ftv_index.trie
+            assert warm["sealed_paths"] == 0
+            assert warm["paths"] == len(trie.postings) > 0
+
+    def test_a_served_query_seals_the_paths_its_probes_asked(self):
+        """On each shard, the census paths the probe reached before its
+        fold emptied — all of them where the query has candidates —
+        and nothing else."""
+        from repro.service import Service
+        from repro.workload import generate_workload
+
+        svc = Service(shards=2, routing=True)
+        svc.load_dataset("ppi", scale="tiny")
+        entries = [partition["ppi"] for partition in svc.catalog.partitions]
+        assert [len(e.ftv_index.trie.tables) for e in entries] == [0, 0]
+        graphs = svc.catalog.get("ppi").graphs
+        query = generate_workload(graphs, 1, 4, seed=5)[0].graph
+        ticket = svc.submit("ppi", query)
+        svc.run_until_idle()
+        assert ticket.done
+        full = 0
+        for entry in entries:
+            index = entry.ftv_index
+            postings = index.trie.postings
+            asked = set()
+            for seq, needed in index.coded_query_census(query).counts.items():
+                if seq not in postings:
+                    break
+                asked.add(seq)
+                if max(postings[seq].values()) < needed:
+                    break
+            else:
+                full += 1
+            assert set(index.trie.tables) == asked
+        assert full >= 1  # the query's source shard probed every path
