@@ -45,6 +45,7 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Generator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..graphs import LabeledGraph
@@ -160,14 +161,21 @@ class GraphIndex:
         self.labels = kern.labels
         self.label_codes = kern.label_codes
         self.code_of = kern.code_of
-        # frequency of unordered label pairs over edges — QuickSI's edge
-        # frequency statistic
-        labels = kern.labels
+
+    @cached_property
+    def edge_label_frequencies(self) -> dict[tuple, int]:
+        """Frequency of unordered label pairs over edges — QuickSI's
+        edge frequency statistic, built on the first
+        :meth:`edge_frequency`: QuickSI is its only reader, so no other
+        matcher's index pays its two ``repr`` calls per edge."""
+        labels = self.labels
         edge_freq: dict[tuple, int] = {}
-        for u, v in graph.edges():
-            key = _label_pair(labels[u], labels[v])
-            edge_freq[key] = edge_freq.get(key, 0) + 1
-        self.edge_label_frequencies = edge_freq
+        for u, nbrs in enumerate(self.adjacency):
+            for v in nbrs:
+                if u < v:
+                    key = _label_pair(labels[u], labels[v])
+                    edge_freq[key] = edge_freq.get(key, 0) + 1
+        return edge_freq
 
     def candidates_by_label(self, label: object) -> tuple[int, ...]:
         """Stored-graph vertices with ``label`` in ascending ID order."""

@@ -66,7 +66,12 @@ from .engine import (
     MatchOutcome,
     SearchEngine,
 )
-from .masks import Thresholds, mask_ge, mask_join, threshold_masks
+from .masks import (
+    Thresholds,
+    label_count_thresholds,
+    mask_ge,
+    mask_join,
+)
 
 __all__ = ["GraphQLMatcher", "GraphQLIndex"]
 
@@ -75,21 +80,18 @@ class GraphQLIndex(GraphIndex):
     """GraphIndex plus neighbour-label signatures as threshold masks.
 
     ``mask_ge(neighbour_thresholds.get(lab), k)`` is the set of stored
-    vertices with at least ``k`` neighbours labelled ``lab``.
+    vertices with at least ``k`` neighbours labelled ``lab``: level 1
+    of the counting pass sPath's index runs out to its radius
+    (:func:`repro.matching.masks.label_count_thresholds`).
     """
 
     def __init__(self, graph: LabeledGraph) -> None:
         super().__init__(graph)
-        labels = self.labels
-        by_count: dict[object, dict[int, int]] = {}
-        for v, nbrs in enumerate(self.adjacency):
-            bit = 1 << v
-            for lab, k in Counter([labels[w] for w in nbrs]).items():
-                row = by_count.setdefault(lab, {})
-                row[k] = row.get(k, 0) | bit
-        self.neighbour_thresholds: dict[object, Thresholds] = {
-            lab: threshold_masks(row) for lab, row in by_count.items()
-        }
+        self.neighbour_thresholds: dict[object, Thresholds] = (
+            label_count_thresholds(
+                self.adj_masks, self.adjacency, self.label_index, 1
+            )[0]
+        )
 
 
 def _distinct_representatives(avail: list[int]) -> bool:

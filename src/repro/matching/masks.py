@@ -13,6 +13,10 @@ Two pieces are common to them:
   an AND of a few masks instead of a walk over the label's vertices
   (:class:`repro.indexing.PathTrie` seals its posting rows through
   the same two functions, over graph IDs instead of vertices);
+* **the counting pass** builds both indexes' tables for every vertex
+  at once: balls grow level by level (:func:`ball_levels`), and each
+  label's counts are the sum of its vertices' balls, kept as bit-sliced
+  counters (:func:`label_count_thresholds`);
 * **the join** backtracks over per-level tables that are functions of
   the matcher's plan alone, in one explicit-stack loop: the candidates
   consistent with the partial map are a mask expression, and the step
@@ -22,13 +26,17 @@ Two pieces are common to them:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Generator, Mapping, Sequence
+from collections.abc import Generator, Iterator, Mapping, Sequence
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .engine import MatchOutcome
 
 __all__ = [
     "Thresholds",
+    "ball_levels",
+    "label_count_thresholds",
     "mask_ge",
     "mask_join",
     "threshold_masks",
@@ -62,6 +70,94 @@ def mask_ge(thresholds: Optional[Thresholds], needed: int) -> int:
     counts, masks = thresholds
     i = bisect_left(counts, needed)
     return masks[i] if i < len(masks) else 0
+
+
+def ball_levels(
+    adj_masks: Sequence[int],
+    neighbors: Sequence[Sequence[int]],
+    radius: int,
+) -> Iterator[list[int]]:
+    """Every vertex's closed ball, one level at a time.
+
+    Yields, for ``d`` = 1 .. ``radius``, ``balls`` with ``balls[v]`` the
+    bitmask of the vertices within distance ``d`` of ``v``, ``v``
+    itself included (XOR ``1 << v`` out for the open ball).  Level 1
+    is ``adj_masks`` plus each vertex's own bit; a vertex within
+    distance ``d`` of ``v`` is within ``d - 1`` of ``v`` or of one of
+    its neighbours, so level ``d`` ORs level ``d - 1`` over each closed
+    neighbourhood: 2|E| ORs a level, and no search from any vertex.
+    """
+    balls = [mask | (1 << v) for v, mask in enumerate(adj_masks)]
+    yield balls
+    for _ in range(radius - 1):
+        prev = balls
+        balls = []
+        for v, nbrs in enumerate(neighbors):
+            ball = prev[v]
+            for u in nbrs:
+                ball |= prev[u]
+            balls.append(ball)
+        yield balls
+
+
+def label_count_thresholds(
+    adj_masks: Sequence[int],
+    neighbors: Sequence[Sequence[int]],
+    label_index: Mapping[object, Sequence[int]],
+    radius: int,
+) -> list[dict[object, Thresholds]]:
+    """Per distance ``d`` = 1 .. ``radius``, ``label -> threshold
+    masks`` over how many vertices carrying that label lie within
+    distance ``d`` of a vertex, the vertex itself not counted.
+
+    ``label_index`` maps each label to its vertices; the tables keep
+    its label order and leave out a label no vertex counts.  Distance
+    is symmetric, so ``v`` counts ``u`` exactly when ``u``'s open ball
+    holds ``v``: a label's counts are the sum of its vertices' open
+    balls, added into a bit-sliced counter whose plane ``i`` is the
+    bitmask of the vertices with bit ``i`` of their count set (one
+    ripple-carry of ANDs and XORs per ball).  The planes then split
+    the counted vertices digit by digit into the exact-count masks
+    :func:`threshold_masks` seals.
+    """
+    levels = []
+    for balls in ball_levels(adj_masks, neighbors, radius):
+        level: dict[object, Thresholds] = {}
+        for lab, members in label_index.items():
+            planes: list[int] = []
+            for u in members:
+                carry = balls[u] ^ (1 << u)
+                i = 0
+                while carry:
+                    if i == len(planes):
+                        planes.append(carry)
+                        break
+                    plane = planes[i]
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    i += 1
+            if planes:
+                level[lab] = threshold_masks(_exact_counts(planes))
+        levels.append(level)
+    return levels
+
+
+def _exact_counts(planes: Sequence[int]) -> dict[int, int]:
+    """``count -> bitmask of the vertices with exactly that count`` for
+    a bit-sliced counter, counts of zero left out: the counted vertices
+    split on each plane, most significant first."""
+    groups = [(0, reduce(or_, planes))]
+    for plane in reversed(planes):
+        split = []
+        for count, mask in groups:
+            count <<= 1
+            high = mask & plane
+            if high:
+                split.append((count | 1, high))
+            if high != mask:
+                split.append((count, mask ^ high))
+        groups = split
+    return dict(groups)
 
 
 def mask_join(

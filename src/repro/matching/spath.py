@@ -31,15 +31,17 @@ Vertex sets are bitmasks
 Every vertex set in the index and the engine is one int over vertex
 IDs (:mod:`repro.matching.masks`).
 
-* **Signatures.**  One breadth-first search whose frontier and visited
-  set are ints (:func:`_balls`) serves the index and the query side
-  of the filter.  The index keeps, per
-  distance and label, *threshold masks* over how many vertices of that
-  label lie within that distance; a stored vertex dominates a query
-  vertex iff it passes ``mask_ge`` for every (distance, label, count)
-  the query vertex shows, so the survivors are the label's vertices
-  ANDed with those masks — billed, as ever, one step per vertex of the
-  label.
+* **Signatures.**  Balls grow for every vertex at once, level by
+  level (:func:`repro.matching.masks.ball_levels`), on the index and
+  the query side of the filter alike.  The index keeps, per distance
+  and label, *threshold masks* over how many vertices of that label lie
+  within that distance, counted for all vertices in one pass of
+  bit-sliced label counters
+  (:func:`repro.matching.masks.label_count_thresholds`); a stored
+  vertex dominates a query vertex iff it passes ``mask_ge`` for every
+  (distance, label, count) the query vertex shows, so the survivors
+  are the label's vertices ANDed with those masks — billed, as ever,
+  one step per vertex of the label.
 * **Joins.**  The path cover fixes the slots, and with them, per
   level of the search: the vertex bound there, the level whose image's
   neighbourhood it scans (its path predecessor), its already-bound
@@ -65,29 +67,15 @@ from .engine import (
     SearchEngine,
     label_masks,
 )
-from .masks import Thresholds, mask_ge, mask_join, threshold_masks
+from .masks import (
+    Thresholds,
+    ball_levels,
+    label_count_thresholds,
+    mask_ge,
+    mask_join,
+)
 
 __all__ = ["SPathMatcher", "SPathIndex"]
-
-
-def _balls(adj_masks: tuple[int, ...], v: int, radius: int) -> list[int]:
-    """``result[d - 1]``: bitmask of the vertices at shortest-path
-    distance ``1 .. d`` from ``v`` — a breadth-first search whose
-    frontier, like its visited set, is one int."""
-    origin = 1 << v
-    seen = origin
-    frontier = origin
-    balls = []
-    for _ in range(radius):
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= adj_masks[low.bit_length() - 1]
-        frontier = reach & ~seen
-        seen |= frontier
-        balls.append(seen ^ origin)
-    return balls
 
 
 class SPathIndex(GraphIndex):
@@ -109,23 +97,11 @@ class SPathIndex(GraphIndex):
     def __init__(self, graph: LabeledGraph, radius: int = 3) -> None:
         super().__init__(graph)
         self.radius = radius
-        by_label = list(self.label_masks.items())
-        adj_masks = self.adj_masks
-        by_count: list[dict[object, dict[int, int]]] = [
-            {lab: {} for lab, _ in by_label} for _ in range(radius)
-        ]
-        for v in range(graph.order):
-            bit = 1 << v
-            for rows, ball in zip(by_count, _balls(adj_masks, v, radius)):
-                for lab, lab_mask in by_label:
-                    k = (ball & lab_mask).bit_count()
-                    if k:
-                        row = rows[lab]
-                        row[k] = row.get(k, 0) | bit
-        self.ball_thresholds: list[dict[object, Thresholds]] = [
-            {lab: threshold_masks(row) for lab, row in rows.items() if row}
-            for rows in by_count
-        ]
+        self.ball_thresholds: list[dict[object, Thresholds]] = (
+            label_count_thresholds(
+                self.adj_masks, self.adjacency, self.label_index, radius
+            )
+        )
 
 
 class SPathMatcher(Matcher):
@@ -265,15 +241,20 @@ class SPathMatcher(Matcher):
         q_label_masks = list(
             label_masks(query.kernel().label_buckets).items()
         )
-        ball_thresholds = index.ball_thresholds
+        levels = list(
+            zip(
+                index.ball_thresholds,
+                ball_levels(q_adj_masks, q_adj, index.radius),
+            )
+        )
         label_frequencies = index.label_frequencies
         cand: list[int] = []  # per query vertex, its candidates' bitmask
         for u in range(nq):
             lab = q_labels[u]
             mask = index.label_masks.get(lab, 0)
-            for thresholds, ball in zip(
-                ball_thresholds, _balls(q_adj_masks, u, index.radius)
-            ):
+            bit = 1 << u
+            for thresholds, balls in levels:
+                ball = balls[u] ^ bit
                 for ball_lab, lab_mask in q_label_masks:
                     k = (ball & lab_mask).bit_count()
                     if k:

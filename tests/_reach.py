@@ -19,7 +19,8 @@ counts them) and name, so no ``co_qualname`` is needed — and every
 ``def`` under ``src/repro`` that was never entered must be listed in
 ``tests/reach_allowlist.txt``, one ``module:qualname  category`` a
 line, under one of :data:`CATEGORIES`.  An ``api`` line also cites the
-``docs/*.md:LINE`` that documents it.  The check fails (exit 1) on an
+section of ``docs/*.md`` that documents it, by its heading's anchor
+(``docs/NAME.md#heading``).  The check fails (exit 1) on an
 unreached definition that is not listed, on a listed one that is now
 reached or no longer exists (so the list cannot rot), and on any
 traffic part that exits non-zero.  Before deleting anything, run it:
@@ -33,6 +34,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -152,11 +154,14 @@ def reached(codes: Iterable, defs: dict) -> set:
 def read_allowlist(text: str, docs_root: Path = REPO) -> dict:
     """``{"module:qualname": category}`` from the allowlist ``text``
     (``#`` comments and blank lines skipped).  An ``api`` line's third
-    field is a ``docs/NAME.md:LINE`` that must exist and name the
-    definition; any other category takes exactly two fields."""
+    field is a ``docs/NAME.md#heading`` whose section must exist and
+    name the definition; any other category takes exactly two
+    fields."""
     out = {}
     for number, raw in enumerate(text.splitlines(), 1):
-        fields = raw.split("#", 1)[0].split()
+        # a comment's ``#`` opens the line or follows a blank; a cite's
+        # ``#`` follows the file name
+        fields = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].split()
         if not fields:
             continue
         where = f"reach_allowlist.txt:{number}"
@@ -171,7 +176,7 @@ def read_allowlist(text: str, docs_root: Path = REPO) -> dict:
         if (category == "api") != (len(cite) == 1) or len(cite) > 1:
             raise AllowlistError(
                 f"{where}: an api line, and only an api line, cites one "
-                "docs/NAME.md:LINE"
+                "docs/NAME.md#heading"
             )
         if cite:
             _check_cite(where, name, cite[0], docs_root)
@@ -182,13 +187,14 @@ def read_allowlist(text: str, docs_root: Path = REPO) -> dict:
 
 
 def _check_cite(where: str, name: str, cite: str, docs_root: Path) -> None:
-    doc, _, line = cite.rpartition(":")
+    doc, _, anchor = cite.partition("#")
     path = docs_root / doc
     if not (doc.startswith("docs/") and doc.endswith(".md")
-            and path.is_file() and line.isdigit()):
-        raise AllowlistError(f"{where}: {cite} is no docs/NAME.md:LINE")
-    lines = path.read_text().splitlines()
-    text = lines[int(line) - 1] if 0 < int(line) <= len(lines) else ""
+            and path.is_file() and anchor):
+        raise AllowlistError(f"{where}: {cite} is no docs/NAME.md#heading")
+    text = doc_section(path.read_text(), anchor)
+    if text is None:
+        raise AllowlistError(f"{where}: {doc} has no heading #{anchor}")
     # a method or nested function by its own name (or an enclosing
     # function's); a front-door handler ``_serve_<route>`` by its route
     parts = name.partition(":")[2].split(".")
@@ -200,6 +206,37 @@ def _check_cite(where: str, name: str, cite: str, docs_root: Path) -> None:
         raise AllowlistError(
             f"{where}: {cite} does not mention {names[0]!r}"
         )
+
+
+def heading_anchor(title: str) -> str:
+    """The anchor GitHub gives a Markdown heading: lower case, every
+    character but letters, digits, ``_``, ``-`` and spaces dropped,
+    spaces made hyphens."""
+    kept = "".join(c for c in title.lower() if c.isalnum() or c in "_- ")
+    return kept.replace(" ", "-")
+
+
+def doc_section(markdown: str, anchor: str) -> str | None:
+    """The section of ``markdown`` under the heading whose anchor is
+    ``anchor`` — its heading line down to the next heading of the same
+    or a higher level — or None if no heading has it.  A line in a
+    fenced code block (a shell comment, say) is no heading."""
+    lines = markdown.splitlines()
+    start = level = None
+    fenced = False
+    for number, line in enumerate(lines):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        hashes = len(line) - len(line.lstrip("#"))
+        if fenced or not 0 < hashes <= 6 or line[hashes:hashes + 1] != " ":
+            continue
+        if start is None:
+            if heading_anchor(line[hashes:].strip()) == anchor:
+                start, level = number, hashes
+        elif hashes <= level:
+            return "\n".join(lines[start:number])
+    return None if start is None else "\n".join(lines[start:])
 
 
 def audit(defs: dict, entered: set, allowlist: dict) -> list:

@@ -18,6 +18,8 @@ from ._reach import (
     _run_part,
     check,
     definitions,
+    doc_section,
+    heading_anchor,
     reached,
     read_allowlist,
 )
@@ -77,6 +79,11 @@ def documented():
 
 _names = itertools.count()
 
+API_DOC = (
+    "# API\n\n`documented()` returns seven.\n\n"
+    "## Other\n\nNothing to see here.\n"
+)
+
 
 @pytest.fixture
 def probe(tmp_path, monkeypatch):
@@ -88,9 +95,7 @@ def probe(tmp_path, monkeypatch):
     (root / "__init__.py").write_text("")
     (root / "mod.py").write_text(PROBE)
     (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "API.md").write_text(
-        "# API\n\n`documented()` returns seven.\n"
-    )
+    (tmp_path / "docs" / "API.md").write_text(API_DOC)
     monkeypatch.syspath_prepend(str(tmp_path))
     module = f"{package}.mod"
 
@@ -123,7 +128,7 @@ def test_reached_decorated_nested_and_worker_thread_code(probe):
     report, problems = run(probe, (
         f"{mod}:Shape.never  abstract/dunder\n"
         f"{mod}:forgotten  safety\n"
-        f"{mod}:documented  api  docs/API.md:3\n"
+        f"{mod}:documented  api  docs/API.md#api\n"
     ))
     assert problems == []
     # plain, logged, logged.wrapper, decorated, outer, outer.inner,
@@ -173,10 +178,12 @@ def test_a_traffic_part_that_exits_non_zero_fails(probe):
     ("{mod}:forgotten  unused", "unknown category 'unused'"),
     ("{mod}:forgotten", "want 'module:qualname  category'"),
     ("{mod}:documented  api", "only an api line, cites"),
-    ("{mod}:forgotten  cli  docs/API.md:3", "only an api line, cites"),
-    ("{mod}:documented  api  docs/API.md:1", "does not mention 'documented'"),
-    ("{mod}:documented  api  docs/API.md:99", "does not mention"),
-    ("{mod}:documented  api  README.md:1", "is no docs/NAME.md:LINE"),
+    ("{mod}:forgotten  cli  docs/API.md#api", "only an api line, cites"),
+    ("{mod}:documented  api  docs/API.md#other",
+     "does not mention 'documented'"),
+    ("{mod}:documented  api  docs/API.md#usage", "has no heading #usage"),
+    ("{mod}:documented  api  docs/API.md:3", "is no docs/NAME.md#heading"),
+    ("{mod}:documented  api  README.md#api", "is no docs/NAME.md#heading"),
     ("{mod}:forgotten  cli\n{mod}:forgotten  safety", "listed twice"),
 ])
 def test_a_malformed_line_is_refused(probe, line, fragment):
@@ -194,11 +201,41 @@ def test_comments_and_blank_lines_are_skipped():
 def test_a_front_door_handler_is_cited_by_its_route(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "API.md").write_text(
-        "`GET /health` answers while the service is up.\n"
+        "## Routes\n\n`GET /health` answers while the service is up.\n"
     )
     assert read_allowlist(
-        "pkg.mod:FrontDoor._serve_health  api  docs/API.md:1\n", tmp_path
+        "pkg.mod:FrontDoor._serve_health  api  docs/API.md#routes\n",
+        tmp_path,
     ) == {"pkg.mod:FrontDoor._serve_health": "api"}
+
+
+def test_an_edit_above_a_cite_keeps_it(tmp_path):
+    """A cite names a section, not a line: text added above the heading
+    or inside the section before the mention leaves it good."""
+    (tmp_path / "docs").mkdir()
+    doc = tmp_path / "docs" / "API.md"
+    line = "pkg.mod:Service.add_graph  api  docs/API.md#mutations--fencing"
+    listed = {"pkg.mod:Service.add_graph": "api"}
+    doc.write_text("## Mutations & fencing\n\n`Service.add_graph` adds.\n")
+    assert read_allowlist(line, tmp_path) == listed
+    doc.write_text(
+        "# Guide\n\nA new paragraph.\n\n"
+        "```sh\n# not a heading\n```\n\n"
+        "## Mutations & fencing\n\nA new first line.\n\n"
+        "### Details\n\n`Service.add_graph` adds.\n\n## Later\n"
+    )
+    assert read_allowlist(line, tmp_path) == listed
+
+
+def test_a_section_ends_at_the_next_heading_of_its_level():
+    doc = "# A\none\n## B\ntwo\n### C\nthree\n## D\nfour\n"
+    assert doc_section(doc, "b") == "## B\ntwo\n### C\nthree"
+    assert doc_section(doc, "d") == "## D\nfour"
+    assert doc_section(doc, "a") == doc.rstrip("\n")
+    assert doc_section(doc, "e") is None
+    assert heading_anchor("Dynamic collections & mutation `fencing`") == (
+        "dynamic-collections--mutation-fencing"
+    )
 
 
 SHAPES = '''

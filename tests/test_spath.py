@@ -6,6 +6,7 @@ import pytest
 
 from repro.graphs import LabeledGraph, bits_ascending
 from repro.matching import SPathIndex, SPathMatcher
+from repro.matching.masks import ball_levels
 
 from .conftest import random_query_from
 
@@ -17,17 +18,23 @@ def _path_graph():
     )
 
 
+def _open_balls(g, v, radius):
+    """``result[d - 1]``: the vertices within distance ``d`` of ``v``,
+    ``v`` itself excluded, read off ``ball_levels``' closed balls."""
+    return [
+        balls[v] ^ (1 << v)
+        for balls in ball_levels(g.adjacency_masks(), g.adjacency(), radius)
+    ]
+
+
 class TestBalls:
-    """``_balls(masks, v, radius)[d - 1]``: the vertices within distance
-    ``d`` of ``v``, ``v`` itself excluded."""
+    """``ball_levels`` read at ``v``: per distance ``d``, the vertices
+    within distance ``d`` of ``v``, ``v`` itself excluded."""
 
     @staticmethod
     def balls(g, v, radius):
-        from repro.matching.spath import _balls
-
         return [
-            list(bits_ascending(ball))
-            for ball in _balls(g.adjacency_masks(), v, radius)
+            list(bits_ascending(ball)) for ball in _open_balls(g, v, radius)
         ]
 
     def test_layers_accumulate(self):
@@ -42,19 +49,16 @@ class TestBalls:
 
 
 def test_balls_are_what_the_counter_bfs_returned(small_store):
-    """The bitmask BFS behind both sides of the signature filter: the
-    vertices within distance ``d`` carry, label for label, the
-    dict/deque BFS's counts up to ``d``, kept with the oracle."""
-    from repro.matching.spath import _balls
-
+    """The level-by-level balls behind both sides of the signature
+    filter: the vertices within distance ``d`` carry, label for label,
+    the dict/deque BFS's counts up to ``d``, kept with the oracle."""
     from ._nfv_recursive import distance_signature as counter_bfs
 
     labels = small_store.labels
-    masks = small_store.adjacency_masks()
     for radius in (1, 2, 3, 5):
         for v in small_store.vertices():
             layers = counter_bfs(small_store, v, radius)
-            for d, ball in enumerate(_balls(masks, v, radius), 1):
+            for d, ball in enumerate(_open_balls(small_store, v, radius), 1):
                 assert Counter(
                     labels[w] for w in bits_ascending(ball)
                 ) == sum(layers[:d], Counter())
