@@ -45,7 +45,7 @@ def main() -> None:
         m.tenant: generate_tenant_stream(entry.graphs, m, seed=17)
         for m in mixes
     }
-    options = QueryOptions(rewritings=("Orig", "DND"))
+    options = QueryOptions()
     single_report = run_closed_loop(
         build_service(shards=1), "synthetic", streams, options=options
     )

@@ -19,6 +19,10 @@ The package implements, from scratch:
   table of the paper's evaluation (:mod:`repro.workload`,
   :mod:`repro.metrics`, :mod:`repro.harness`).
 
+``import repro`` loads none of these: each loads on its own first
+import, so the serving stack (:mod:`repro.service`) never pays for the
+experiment harness.
+
 Quickstart::
 
     from repro.datasets import yeast_like
@@ -38,33 +42,4 @@ Quickstart::
     print(result.winner, result.steps, len(result.embeddings))
 """
 
-from . import (
-    caching,
-    datasets,
-    graphs,
-    harness,
-    indexing,
-    matching,
-    metrics,
-    psi,
-    rewriting,
-    scheduling,
-    workload,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "caching",
-    "datasets",
-    "graphs",
-    "harness",
-    "indexing",
-    "matching",
-    "metrics",
-    "psi",
-    "rewriting",
-    "scheduling",
-    "workload",
-    "__version__",
-]

@@ -33,18 +33,16 @@ import os
 import sys
 from collections.abc import Sequence
 
+from .datasets import DATASETS, NFV_DATASETS, SCALES, build_graphs
 from .graphs import dumps_gfu
-from .harness import (
-    FTV_DATASETS,
-    NFV_DATASETS,
-    Table,
-    build_ftv_graphs,
-    build_nfv_graph,
-    diagnose_straggler,
-    figures,
-)
+from .harness import Table, diagnose_straggler, figures
 from .matching import Budget, available_matchers, make_matcher
 from .psi import PsiNFV, race_from_costs, variants_from_spec
+from .service.planner import (
+    SERVED_ALGORITHMS,
+    SERVED_REWRITINGS,
+    race_starts,
+)
 from .workload import generate_workload
 
 __all__ = ["main", "build_parser"]
@@ -68,17 +66,9 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_graphs(dataset: str, scale: str):
-    if dataset in NFV_DATASETS:
-        return [build_nfv_graph(dataset, scale)]
-    if dataset in FTV_DATASETS:
-        return build_ftv_graphs(dataset, scale)
-    raise SystemExit(f"unknown dataset {dataset!r}")
-
-
 def cmd_workload(args: argparse.Namespace) -> int:
     """Generate a query workload; print it or save it as GFU."""
-    graphs = _load_graphs(args.dataset, args.scale)
+    graphs = build_graphs(args.dataset, args.scale)
     queries = generate_workload(
         graphs, args.count, args.size, seed=args.seed
     )
@@ -103,7 +93,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     """Run one matcher on one generated query and report its cost."""
-    graphs = _load_graphs(args.dataset, args.scale)
+    graphs = build_graphs(args.dataset, args.scale)
     [query] = generate_workload(graphs, 1, args.size, seed=args.seed)
     matcher = make_matcher(args.algorithm)
     budget = Budget(max_steps=args.budget) if args.budget else None
@@ -127,11 +117,8 @@ def cmd_race(args: argparse.Namespace) -> int:
     """Race (algorithm x rewriting) variants on one generated query,
     staged as the service races it, beside the paper's full-width race
     replayed from the same solo costs."""
-    from .service.planner import race_starts
     from .service.spec import SpecError, _algorithm, _rewriting, check_tuple
 
-    if args.dataset not in NFV_DATASETS:
-        raise SystemExit("race runs on NFV datasets (single graph)")
     try:
         algorithms = check_tuple(_algorithm, nonempty=True)(
             [a.strip() for a in args.algorithms.split(",")], "algorithms"
@@ -142,7 +129,7 @@ def cmd_race(args: argparse.Namespace) -> int:
     except SpecError as exc:
         raise SystemExit(f"repro race: {exc}") from None
     variants = variants_from_spec(algorithms, rewritings)
-    graph = build_nfv_graph(args.dataset, args.scale)
+    [graph] = build_graphs(args.dataset, args.scale)
     [query] = generate_workload([graph], 1, args.size, seed=args.seed)
     psi = PsiNFV(graph)
     budget_steps = args.budget or None
@@ -674,25 +661,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datasets", help="summarize the dataset stand-ins")
-    p.add_argument("--scale", choices=("default", "tiny"),
+    p.add_argument("--scale", choices=SCALES,
                    default="default")
     p.set_defaults(fn=cmd_datasets)
 
     p = sub.add_parser("workload", help="generate a query workload")
     p.add_argument("--dataset", required=True,
-                   choices=NFV_DATASETS + FTV_DATASETS)
+                   choices=tuple(DATASETS))
     p.add_argument("--size", type=int, default=8,
                    help="query size in edges")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--scale", choices=("default", "tiny"),
+    p.add_argument("--scale", choices=SCALES,
                    default="default")
     p.add_argument("--out", help="write queries to a GFU file")
     p.set_defaults(fn=cmd_workload)
 
     p = sub.add_parser("match", help="run one matcher on one query")
     p.add_argument("--dataset", required=True,
-                   choices=NFV_DATASETS + FTV_DATASETS)
+                   choices=tuple(DATASETS))
     p.add_argument("--algorithm", default="GQL",
                    choices=available_matchers())
     p.add_argument("--size", type=int, default=8)
@@ -700,21 +687,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200_000,
                    help="step cap (0 = unlimited)")
     p.add_argument("--max-embeddings", type=int, default=1000)
-    p.add_argument("--scale", choices=("default", "tiny"),
+    p.add_argument("--scale", choices=SCALES,
                    default="default")
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser("race", help="run a Psi race on one query")
     p.add_argument("--dataset", required=True, choices=NFV_DATASETS)
-    p.add_argument("--algorithms", default="GQL,SPA",
+    p.add_argument("--algorithms", default=",".join(SERVED_ALGORITHMS),
                    help="comma-separated matcher names")
-    p.add_argument("--rewritings", default="Orig,DND",
+    p.add_argument("--rewritings", default=",".join(SERVED_REWRITINGS),
                    help="comma-separated rewriting names")
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--max-embeddings", type=int, default=1000)
-    p.add_argument("--scale", choices=("default", "tiny"),
+    p.add_argument("--scale", choices=SCALES,
                    default="default")
     p.set_defaults(fn=cmd_race)
 
@@ -723,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="straggler overlap / winner attribution / diagnoses",
     )
     p.add_argument("--dataset", default="yeast", choices=NFV_DATASETS)
-    p.add_argument("--scale", choices=("default", "tiny"),
+    p.add_argument("--scale", choices=SCALES,
                    default="tiny")
     p.set_defaults(fn=cmd_analyze)
 
@@ -732,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--name", required=True, choices=tuple(figures.FIGURES))
     p.add_argument("--dataset", help="dataset override")
-    p.add_argument("--scale", choices=("default", "tiny"),
+    p.add_argument("--scale", choices=SCALES,
                    default="tiny")
     p.set_defaults(fn=cmd_experiment)
 
@@ -744,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="store directory (created if absent); the "
                         "manifest lands last via an atomic rename")
     p.add_argument("--dataset", default="yeast",
-                   choices=NFV_DATASETS + FTV_DATASETS)
-    p.add_argument("--scale", choices=("default", "tiny"),
+                   choices=tuple(DATASETS))
+    p.add_argument("--scale", choices=SCALES,
                    default="default")
     p.add_argument("--shards", type=int, default=1,
                    help="shards the collection is partitioned over "
@@ -754,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replica layout recorded in the manifest")
     p.add_argument("--assignment", default="size_balanced",
                    choices=("size_balanced", "hash"))
-    p.add_argument("--algorithms", default="GQL,SPA")
+    p.add_argument("--algorithms", default=",".join(SERVED_ALGORITHMS))
     p.add_argument("--verify", action="store_true",
                    help="re-checksum every written blob before exiting")
     p.set_defaults(fn=cmd_warm)
@@ -764,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot the serving layer and replay a multi-tenant workload",
     )
     p.add_argument("--dataset", default="yeast",
-                   choices=NFV_DATASETS + FTV_DATASETS)
-    p.add_argument("--scale", choices=("default", "tiny"),
+                   choices=tuple(DATASETS))
+    p.add_argument("--scale", choices=SCALES,
                    default="default")
     p.add_argument("--queries", type=int, default=50,
                    help="total queries across all tenants")
@@ -813,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed-loop in-flight queries per tenant")
     p.add_argument("--max-in-flight", type=int, default=4,
                    help="admission cap per tenant")
-    p.add_argument("--algorithms", default="GQL,SPA")
-    p.add_argument("--rewritings", default="Orig,DND")
+    p.add_argument("--algorithms", default=",".join(SERVED_ALGORITHMS))
+    p.add_argument("--rewritings", default=",".join(SERVED_REWRITINGS))
     p.add_argument("--sizes", default="4,8,12",
                    help="query-size strata (edges)")
     p.add_argument("--repeat-fraction", type=float, default=0.35,

@@ -1,6 +1,16 @@
 """Experiment harness: cost-matrix measurement and per-figure drivers;
-:mod:`.figures` declares each paper figure/table once."""
+:mod:`.figures` declares each paper figure/table once.
 
+The dataset roster and builders live in :mod:`repro.datasets`; they are
+re-exported here for the callers that import them from the harness.
+"""
+
+from ..datasets import (
+    FTV_DATASETS,
+    NFV_DATASETS,
+    build_ftv_graphs,
+    build_nfv_graph,
+)
 from .config import (
     FTV_METHODS,
     FTVExperimentConfig,
@@ -38,12 +48,8 @@ from .analysis import (
 )
 from .runner import (
     ALL_VARIANT_NAMES,
-    FTV_DATASETS,
     FTVCostMatrix,
-    NFV_DATASETS,
     NFVCostMatrix,
-    build_ftv_graphs,
-    build_nfv_graph,
     measure_ftv_matrix,
     measure_nfv_matrix,
 )

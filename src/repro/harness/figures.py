@@ -18,7 +18,16 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
-from ..datasets import summarize_collection, summarize_graph
+from ..datasets import (
+    DATASETS,
+    FTV_DATASETS,
+    NFV_DATASETS,
+    build_ftv_graphs,
+    build_nfv_graph,
+    dataset_kind,
+    summarize_collection,
+    summarize_graph,
+)
 from .analysis import hard_overlap_table, winner_attribution_table
 from .config import (
     FTVExperimentConfig,
@@ -42,14 +51,7 @@ from .experiments import (
     size_breakdown_table,
     stragglers_wla_table,
 )
-from .runner import (
-    FTV_DATASETS,
-    NFV_DATASETS,
-    build_ftv_graphs,
-    build_nfv_graph,
-    measure_ftv_matrix,
-    measure_nfv_matrix,
-)
+from .runner import measure_ftv_matrix, measure_nfv_matrix
 from .tables import Table
 
 __all__ = ["FIGURES", "Figure", "matrix"]
@@ -62,14 +64,16 @@ def matrix(dataset: str, scale: str = "default") -> CostMatrix:
     return _measured(dataset, scale)
 
 
+#: dataset kind -> its experiment config and matrix measurement
+_MEASURES = {
+    "nfv": (NFVExperimentConfig, measure_nfv_matrix),
+    "ftv": (FTVExperimentConfig, measure_ftv_matrix),
+}
+
+
 @cache
 def _measured(dataset: str, scale: str) -> CostMatrix:
-    if dataset in NFV_DATASETS:
-        config, measure = NFVExperimentConfig, measure_nfv_matrix
-    elif dataset in FTV_DATASETS:
-        config, measure = FTVExperimentConfig, measure_ftv_matrix
-    else:
-        raise ValueError(f"unknown dataset {dataset!r}")
+    config, measure = _MEASURES[dataset_kind(dataset)]
     cfg = config.tiny(dataset) if scale == "tiny" else config.default(dataset)
     return measure(cfg, scale=scale)
 
@@ -97,12 +101,8 @@ class Figure:
     def family(self) -> tuple[str, ...]:
         """Every dataset it can be drawn for: the NFV ones, the FTV
         ones, or both, as its ``datasets`` are."""
-        return tuple(
-            d
-            for family in (NFV_DATASETS, FTV_DATASETS)
-            if set(family) & set(self.datasets)
-            for d in family
-        )
+        kinds = {dataset_kind(d) for d in self.datasets}
+        return tuple(d for d, row in DATASETS.items() if row.kind in kinds)
 
     @property
     def default(self) -> tuple[str, ...]:
@@ -224,7 +224,7 @@ def _table10(datasets: tuple[str, ...], scale: str) -> list[Table]:
     entries = []
     for d in datasets:
         m = matrix(d, scale)
-        if d in FTV_DATASETS:
+        if dataset_kind(d) == "ftv":
             # the paper spells the protein dataset in capitals
             label = "PPI" if d == "ppi" else d
             entries.append((label, "Grapes/4", m, _TABLE10_FTV))

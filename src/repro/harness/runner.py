@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..datasets import (
-    graphgen_like,
-    human_like,
-    ppi_like,
-    wordnet_like,
-    yeast_like,
-)
+from ..datasets import build_ftv_graphs, build_nfv_graph
 from ..graphs import LabeledGraph
 from ..indexing import GGSXIndex, GrapesIndex
 from ..matching import Budget
@@ -40,12 +34,8 @@ from .config import (
 
 __all__ = [
     "ALL_VARIANT_NAMES",
-    "NFV_DATASETS",
-    "FTV_DATASETS",
     "NFVCostMatrix",
     "FTVCostMatrix",
-    "build_nfv_graph",
-    "build_ftv_graphs",
     "measure_nfv_matrix",
     "measure_ftv_matrix",
 ]
@@ -55,59 +45,6 @@ __all__ = [
 ALL_VARIANT_NAMES: tuple[str, ...] = (
     ("Orig",) + PAPER_REWRITINGS + RANDOM_INSTANCES
 )
-
-#: The canonical dataset rosters (CLI and serving catalog import
-#: these; the builder dicts below are keyed by exactly these names).
-NFV_DATASETS: tuple[str, ...] = ("yeast", "human", "wordnet")
-FTV_DATASETS: tuple[str, ...] = ("ppi", "synthetic")
-
-
-def build_nfv_graph(dataset: str, scale: str = "default") -> LabeledGraph:
-    """The stored graph for an NFV dataset name."""
-    if scale == "default":
-        builders = {
-            "yeast": lambda: yeast_like(),
-            "human": lambda: human_like(),
-            "wordnet": lambda: wordnet_like(),
-        }
-    elif scale == "tiny":
-        builders = {
-            "yeast": lambda: yeast_like(n=200, num_labels=24),
-            "human": lambda: human_like(n=150, num_labels=12),
-            "wordnet": lambda: wordnet_like(n=400),
-        }
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
-    try:
-        return builders[dataset]()
-    except KeyError:
-        raise ValueError(f"unknown NFV dataset {dataset!r}") from None
-
-
-def build_ftv_graphs(
-    dataset: str, scale: str = "default"
-) -> list[LabeledGraph]:
-    """The stored graph collection for an FTV dataset name."""
-    if scale == "default":
-        builders = {
-            "ppi": lambda: ppi_like(),
-            "synthetic": lambda: graphgen_like(),
-        }
-    elif scale == "tiny":
-        builders = {
-            "ppi": lambda: ppi_like(
-                num_graphs=3, avg_nodes=60, num_labels=8
-            ),
-            "synthetic": lambda: graphgen_like(
-                num_graphs=5, avg_nodes=40, density=0.12, num_labels=5
-            ),
-        }
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
-    try:
-        return builders[dataset]()
-    except KeyError:
-        raise ValueError(f"unknown FTV dataset {dataset!r}") from None
 
 
 def _workload(

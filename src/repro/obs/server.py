@@ -17,7 +17,10 @@ Endpoints
     ["tenant"], ["options": {algorithms, rewritings, max_embeddings,
     count_only, decision_only}], ["budget_steps"]}`` — the ``query``
     object is the :func:`repro.graphs.io.graph_to_json` wire format.
-    Blocks until the ticket resolves; admission rejections map to
+    A malformed field (a non-string ``dataset`` or ``tenant``, a
+    ``budget_steps`` that is not a positive integer, a bad option, a
+    non-integer ``Content-Length``) is a ``400`` naming its dotted
+    path.  Blocks until the ticket resolves; admission rejections map to
     ``429`` with a wall-clock ``Retry-After`` header derived from the
     ticket's virtual ``retry_after`` via ``steps_per_second``.
 ``GET /stats``
@@ -55,6 +58,8 @@ from ..service.spec import (
     _rewriting,
     check_bool,
     check_int,
+    check_optional,
+    check_str,
     check_tuple,
 )
 
@@ -208,8 +213,14 @@ class FrontDoor:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # noqa: BLE001 - server must not die
+            # malformed client input is a 400 naming its field; any
+            # other failure is the server's
+            bad = isinstance(exc, SpecError)
             try:
-                await self._respond(writer, 500, {"error": repr(exc)})
+                await self._respond(
+                    writer, 400 if bad else 500,
+                    {"error": str(exc) if bad else repr(exc)},
+                )
             except (ConnectionError, RuntimeError):
                 pass
         finally:
@@ -235,7 +246,13 @@ class FrontDoor:
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise SpecError(
+                "Content-Length",
+                f"expected a non-negative integer, got {raw_length!r}",
+            )
+        length = int(raw_length)
         body = await reader.readexactly(length) if length else b""
         path, _, query_string = target.partition("?")
         params = dict(parse_qsl(query_string))
@@ -307,13 +324,13 @@ class FrontDoor:
                 writer, 400, {"error": f"bad query payload: {exc!r}"}
             )
             return
-        tenant = payload.get("tenant", "public")
-        try:
-            options = _options_from(payload.get("options"))
-        except SpecError as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        budget = payload.get("budget_steps")
+        # a malformed field raises SpecError: a 400 naming it (_handle)
+        dataset = check_str()(dataset, "dataset")
+        tenant = check_str()(payload.get("tenant", "public"), "tenant")
+        options = _options_from(payload.get("options"))
+        budget = check_optional(check_int(1))(
+            payload.get("budget_steps"), "budget_steps"
+        )
         try:
             ticket = self.service.submit(
                 dataset, query, tenant, options, budget

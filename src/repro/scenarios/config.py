@@ -31,7 +31,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..harness import FTV_DATASETS
 from ..service.faults import StoreFaultInjector
 from ..service.spec import (
     Section,
@@ -223,7 +222,7 @@ class ScenarioConfig(ServiceSpec):
                 "faults.store_corruption",
                 "needs persistence.store: true (nothing to corrupt)",
             )
-        if mu.count and self.dataset not in FTV_DATASETS:
+        if mu.count and self.kind != "ftv":
             raise ScenarioConfigError(
                 "mutations.count",
                 "dynamic collections are FTV-only; pick a graph "

@@ -116,17 +116,6 @@ class FaultEvent:
         if self.kind != "fail_task" and self.shard < 0:
             raise ValueError(f"{self.kind} needs a shard >= 0")
 
-    def as_dict(self) -> dict:
-        """JSON-ready rendering for bench payloads."""
-        return {
-            "at": self.at,
-            "unit": self.unit,
-            "kind": self.kind,
-            "shard": self.shard,
-            "replica": self.replica,
-            "ticks": self.ticks,
-        }
-
 
 class FaultInjector:
     """A fixed schedule of :class:`FaultEvent`\\ s, popped as they come due.
@@ -163,14 +152,6 @@ class FaultInjector:
         fired.sort(key=lambda e: e.seq)
         self.applied.extend(fired)
         return fired
-
-    def summary(self) -> dict:
-        """JSON-ready counters for stats and bench payloads."""
-        return {
-            "planned": len(self.applied) + len(self._pending),
-            "applied": [e.as_dict() for e in self.applied],
-            "pending": len(self._pending),
-        }
 
     def register_metrics(self, registry, prefix: str = "faults") -> None:
         """Publish schedule progress gauges into a metrics registry.

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..graphs import LabeledGraph
-from ..metrics import summarize_latencies
 from ..workload import MixedQuery
 from .admission import Ticket, TicketState
 from .faults import ReplicaState
@@ -159,20 +158,11 @@ class LoadReport:
         }
 
 
-def _chaos_summary(
-    service: Service, tickets: list[Ticket], faults
-) -> dict:
-    """The ``chaos`` section of the report payload.
-
-    ``lost`` counts tickets that never reached a terminal state —
-    the zero-lost-tickets invariant of the failure model — and the
-    latency split separates queries the chaos touched (``retries > 0``)
-    from those it did not, so the report shows what a fault costs the
-    clients it hits without polluting the healthy percentiles.
-    """
-    done = [t for t in tickets if t.state is TicketState.DONE]
-    healthy = [t.latency or 0 for t in done if t.retries == 0]
-    touched = [t.latency or 0 for t in done if t.retries > 0]
+def _chaos_summary(service: Service, tickets: list[Ticket]) -> dict:
+    """The ``chaos`` section of the report payload: the service's
+    fault counters, and ``lost``, the tickets that never reached a
+    terminal state — the zero-lost-tickets invariant of the failure
+    model."""
     stats = service.stats().get("faults", {})
     return {
         "enabled": True,
@@ -181,15 +171,7 @@ def _chaos_summary(
         "rerouted": stats.get("rerouted", 0),
         "degraded": stats.get("degraded", 0),
         "tasks_failed": stats.get("tasks_failed", 0),
-        "degraded_tickets": sum(1 for t in tickets if t.degraded),
         "lost": sum(1 for t in tickets if not t.done),
-        "plan": faults.summary(),
-        "latency_healthy": (
-            summarize_latencies(healthy).as_dict() if healthy else None
-        ),
-        "latency_chaos": (
-            summarize_latencies(touched).as_dict() if touched else None
-        ),
     }
 
 
@@ -227,7 +209,7 @@ def _report(
             rebalancer.summary() if rebalancer is not None else {}
         ),
         chaos=(
-            _chaos_summary(service, tickets, faults)
+            _chaos_summary(service, tickets)
             if faults is not None
             else {}
         ),
@@ -465,8 +447,8 @@ def run_closed_loop(
     With a :class:`~repro.service.faults.FaultInjector`, its events are
     installed on the service before the first submission and fire on
     the virtual clock as the loop pumps — chaos mode.  The report then
-    carries a ``chaos`` section (injection counters, the zero-lost-
-    tickets check, and a healthy-vs-fault-touched latency split).
+    carries a ``chaos`` section (injection counters and the zero-lost-
+    tickets check).
 
     With ``regrow=True`` the loop heals
     permanent losses as they happen: whenever a shard has more DEAD

@@ -40,7 +40,7 @@ from ..rewriting import make_rewriting
 
 __all__ = [
     "HEAD_START_STEPS", "QueryOptions", "RacePlanner", "Rewrite",
-    "race_starts",
+    "SERVED_ALGORITHMS", "SERVED_REWRITINGS", "race_starts",
 ]
 
 #: race steps a race's first-declared variant runs alone before the
@@ -48,6 +48,12 @@ __all__ = [
 #: latency, but most queries settle on the head, and a loser's step is
 #: throughput another query did not get on a bounded pool
 HEAD_START_STEPS = 4_096
+
+#: the variant field the service races unless a query, a spec or a flag
+#: names another: an NFV race runs the algorithm x rewriting product,
+#: an FTV race VF2 under each rewriting
+SERVED_ALGORITHMS: tuple[str, ...] = ("GQL", "SPA")
+SERVED_REWRITINGS: tuple[str, ...] = ("Orig", "DND")
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,8 @@ class QueryOptions:
     nonempty witness subset — so it gets its own cache-key signature.
     """
 
-    algorithms: tuple[str, ...] = ("GQL", "SPA")
-    rewritings: tuple[str, ...] = ("Orig", "DND")
+    algorithms: tuple[str, ...] = SERVED_ALGORITHMS
+    rewritings: tuple[str, ...] = SERVED_REWRITINGS
     max_embeddings: int = 1000
     count_only: bool = True
     decision_only: bool = False

@@ -78,19 +78,27 @@ class ServiceResult:
         return self.winner.label
 
 
+def _digest(tickets: list[Ticket], line) -> str:
+    """Order-independent digest of the ``line`` each resolved ticket
+    contributes (``line(ticket, result)``): sorted, joined, sha256[:16]."""
+    lines = sorted(
+        line(t, r)
+        for t in tickets
+        if isinstance((r := t.result), ServiceResult)
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def results_digest(tickets: list[Ticket]) -> str:
     """Order-independent digest of a workload's results.
 
     Two deterministic runs of the same workload must agree on this —
     the acceptance check for "same winners / step totals across runs".
     """
-    lines = sorted(
+    return _digest(tickets, lambda t, r: (
         f"{t.tenant}/{t.query.name}:{r.winner_label}:{r.steps}:"
         f"{int(r.found)}:{t.latency}"
-        for t in tickets
-        if isinstance((r := t.result), ServiceResult)
-    )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    ))
 
 
 def answers_digest(tickets: list[Ticket]) -> str:
@@ -107,13 +115,10 @@ def answers_digest(tickets: list[Ticket]) -> str:
     the killed flag is hashed precisely so that any such divergence
     surfaces loudly instead of passing as equal.
     """
-    lines = sorted(
+    return _digest(tickets, lambda t, r: (
         f"{t.tenant}/{t.query.name}:{int(r.found)}:{r.num_embeddings}:"
         f"{','.join(str(i) for i in r.matching_ids)}:{int(r.killed)}"
-        for t in tickets
-        if isinstance((r := t.result), ServiceResult)
-    )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    ))
 
 
 def decisions_digest(tickets: list[Ticket]) -> str:
@@ -127,23 +132,23 @@ def decisions_digest(tickets: list[Ticket]) -> str:
     unrouted, one-shard and many-shard runs of the same decision
     workload must all agree on it whenever nothing was budget-killed.
     """
-    lines = sorted(
+    return _digest(tickets, lambda t, r: (
         f"{t.tenant}/{t.query.name}:{int(r.found)}:{int(r.killed)}"
-        for t in tickets
-        if isinstance((r := t.result), ServiceResult)
-    )
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    ))
 
 
 def _unraceable(
-    options: QueryOptions, width: int, workers: int
+    query: LabeledGraph, options: QueryOptions, width: int, workers: int
 ) -> Optional[str]:
-    """Why a ticket under ``options`` racing ``width`` variants can
-    never race on a ``workers``-wide pool, or None: a variant name no
-    registry resolves, or a race wider than the pool."""
+    """Why a ticket for ``query`` under ``options`` racing ``width``
+    variants can never race on a ``workers``-wide pool, or None: an
+    empty query (no matcher has a vertex to start from), a variant name
+    no registry resolves, or a race wider than the pool."""
     # deferred: the spec module builds services, so it imports this one
     from .spec import SpecError, _algorithm, _rewriting, check_tuple
 
+    if not query.order:
+        return "query: has no vertex"
     try:
         check_tuple(_algorithm, nonempty=True)(
             options.algorithms, "options.algorithms"
@@ -281,7 +286,9 @@ class Service:
             budget=ticket.budget_steps,
         )
         variants = options.variants(entry.kind)
-        reason = _unraceable(options, len(variants), self.dispatcher.workers)
+        reason = _unraceable(
+            query, options, len(variants), self.dispatcher.workers
+        )
         if reason is not None:
             ticket.state = TicketState.REJECTED
             ticket.reject_reason = reason

@@ -61,18 +61,14 @@ from typing import Optional, Sequence
 
 import zlib
 
+from ..datasets import build_graphs, dataset_kind
 from ..graphs import LabeledGraph
-from ..harness import (
-    FTV_DATASETS,
-    NFV_DATASETS,
-    build_ftv_graphs,
-    build_nfv_graph,
-)
 from ..indexing import LabelInterner
 from ..matching import MatchOutcome
 from ..psi.executors import RaceOutcome
 from ..rewriting import LabelStats
 from .catalog import DatasetEntry, warm_entry
+from .planner import SERVED_ALGORITHMS
 from .routing import ShardRouter
 
 __all__ = [
@@ -345,7 +341,7 @@ class ShardedCatalog:
         self,
         name: str,
         scale: str = "default",
-        algorithms: tuple[str, ...] = ("GQL", "SPA"),
+        algorithms: tuple[str, ...] = SERVED_ALGORITHMS,
         ftv_method: str = "Grapes",
         max_path_length: int = 3,
     ) -> ShardedEntry:
@@ -369,22 +365,14 @@ class ShardedCatalog:
                     f"re-loading with {config}"
                 )
             return existing
-        if name in NFV_DATASETS:
-            kind = "nfv"
-            home = zlib.crc32(name.encode()) % self.num_shards
+        kind = dataset_kind(name)
+        home = (
+            zlib.crc32(name.encode()) % self.num_shards
+            if kind == "nfv" else 0
+        )
 
-            def build() -> list[LabeledGraph]:
-                return [build_nfv_graph(name, scale)]
-        elif name in FTV_DATASETS:
-            kind, home = "ftv", 0
-
-            def build() -> list[LabeledGraph]:
-                return build_ftv_graphs(name, scale)
-        else:
-            raise ValueError(
-                f"unknown dataset {name!r}; known: "
-                f"{NFV_DATASETS + FTV_DATASETS}"
-            )
+        def build() -> list[LabeledGraph]:
+            return build_graphs(name, scale)
         restored = None
         if self.store is not None:
             restored = self.store.restore(

@@ -34,13 +34,14 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, dataclass, field, fields
 
-from ..harness import FTV_DATASETS, NFV_DATASETS
+from ..datasets import DATASETS, SCALES, dataset_kind
 from ..matching.registry import MATCHER_FACTORIES
 from ..rewriting import REWRITING_FACTORIES
 from ..workload import default_tenant_mixes, generate_tenant_stream
 from .admission import AdmissionController, TenantPolicy
 from .faults import StoreFaultInjector, chaos_plan
 from .loadgen import LoadReport, run_closed_loop
+from .planner import SERVED_ALGORITHMS, SERVED_REWRITINGS
 from .rebalance import Rebalancer
 from .service import QueryOptions, Service
 
@@ -264,8 +265,8 @@ class EngineSpec(Section):
     """The racing engine: pool width, variant set, cache behaviour."""
 
     workers: int = 4
-    algorithms: tuple[str, ...] = ("GQL", "SPA")
-    rewritings: tuple[str, ...] = ("Orig", "DND")
+    algorithms: tuple[str, ...] = SERVED_ALGORITHMS
+    rewritings: tuple[str, ...] = SERVED_REWRITINGS
     coalesce: bool = True
 
     _PATH = "engine"
@@ -348,8 +349,8 @@ class ServiceSpec(Section):
     persistence: PersistenceSpec = field(default_factory=PersistenceSpec)
 
     _CHECKS = {
-        "dataset": check_str(choices=NFV_DATASETS + FTV_DATASETS),
-        "scale": check_str(choices=("tiny", "default")),
+        "dataset": check_str(choices=tuple(DATASETS)),
+        "scale": check_str(choices=SCALES),
         "workload": check_section(WorkloadSpec),
         "engine": check_section(EngineSpec),
         "topology": check_section(TopologySpec),
@@ -383,10 +384,8 @@ class ServiceSpec(Section):
             raise SpecError(
                 "persistence.regrow", "needs topology.shards >= 2"
             )
-        # FTV collections race rewritings of the one verifier; NFV
-        # graphs race the algorithm x rewriting product
-        width = len(e.rewritings) * (
-            1 if self.dataset in FTV_DATASETS else len(e.algorithms)
+        width = len(
+            QueryOptions(e.algorithms, e.rewritings).variants(self.kind)
         )
         if width > e.workers:
             raise SpecError(
@@ -403,8 +402,13 @@ class ServiceSpec(Section):
         the surplus would have nothing to submit."""
         return min(self.workload.tenants, self.workload.queries)
 
+    @property
+    def kind(self) -> str:
+        """The dataset's kind, ``"nfv"`` or ``"ftv"``."""
+        return dataset_kind(self.dataset)
+
     def _load_options(self) -> dict:
-        if self.dataset in NFV_DATASETS:
+        if self.kind == "nfv":
             return {"algorithms": self.engine.algorithms}
         return {}
 

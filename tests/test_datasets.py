@@ -3,6 +3,14 @@
 import pytest
 
 from repro.datasets import (
+    DATASETS,
+    FTV_DATASETS,
+    NFV_DATASETS,
+    SCALES,
+    build_ftv_graphs,
+    build_graphs,
+    build_nfv_graph,
+    dataset_kind,
     graphgen_like,
     human_like,
     ppi_like,
@@ -101,3 +109,104 @@ class TestSummaries:
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
             summarize_collection([])
+
+
+class TestRegistry:
+    """:data:`repro.datasets.DATASETS` declares each dataset once; every
+    roster and builder the tree uses derives from it."""
+
+    def test_rosters_derive_from_the_table(self):
+        assert NFV_DATASETS == ("yeast", "human", "wordnet")
+        assert FTV_DATASETS == ("ppi", "synthetic")
+        assert tuple(DATASETS) == NFV_DATASETS + FTV_DATASETS
+        assert SCALES == ("default", "tiny")
+        for name in NFV_DATASETS:
+            assert dataset_kind(name) == "nfv"
+        for name in FTV_DATASETS:
+            assert dataset_kind(name) == "ftv"
+
+    @pytest.mark.parametrize("name, expected", [
+        ("yeast", lambda: [yeast_like(n=200, num_labels=24)]),
+        ("human", lambda: [human_like(n=150, num_labels=12)]),
+        ("wordnet", lambda: [wordnet_like(n=400)]),
+        ("ppi", lambda: ppi_like(num_graphs=3, avg_nodes=60, num_labels=8)),
+        ("synthetic", lambda: graphgen_like(
+            num_graphs=5, avg_nodes=40, density=0.12, num_labels=5
+        )),
+    ])
+    def test_tiny_rows_build_what_they_name(self, name, expected):
+        built = build_graphs(name, "tiny")
+        want = expected()
+        assert len(built) == len(want)
+        for g, w in zip(built, want):
+            assert list(g.labels) == list(w.labels)
+            assert sorted(g.edges()) == sorted(w.edges())
+
+    def test_default_scale_is_the_builders_defaults(self):
+        [g] = build_graphs("yeast")
+        w = yeast_like()
+        assert (g.order, g.size) == (w.order, w.size)
+
+    def test_kind_builders_return_one_graph_or_a_collection(self):
+        graph = build_nfv_graph("wordnet", "tiny")
+        assert graph.order == 400
+        assert len(build_ftv_graphs("ppi", "tiny")) == 3
+        with pytest.raises(ValueError, match="not an NFV dataset"):
+            build_nfv_graph("ppi", "tiny")
+        with pytest.raises(ValueError, match="not an FTV dataset"):
+            build_ftv_graphs("yeast", "tiny")
+
+    def test_one_unknown_dataset_and_one_unknown_scale_error(self):
+        for call in (
+            lambda: dataset_kind("mars"),
+            lambda: build_graphs("mars"),
+            lambda: build_nfv_graph("mars"),
+            lambda: build_ftv_graphs("mars"),
+        ):
+            with pytest.raises(
+                ValueError,
+                match=r"unknown dataset 'mars'; known: yeast, human, "
+                r"wordnet, ppi, synthetic",
+            ):
+                call()
+        with pytest.raises(
+            ValueError, match="unknown scale 'giant'; known: default, tiny"
+        ):
+            build_graphs("yeast", "giant")
+
+    def test_the_harness_re_exports_the_registry_objects(self):
+        """``benchmarks/e2e/`` imports the roster from the harness:
+        those names are the registry's objects, so they cannot
+        drift."""
+        import repro.datasets as datasets
+        import repro.harness as harness
+
+        for name in (
+            "NFV_DATASETS", "FTV_DATASETS", "build_nfv_graph",
+            "build_ftv_graphs",
+        ):
+            assert getattr(harness, name) is getattr(datasets, name)
+
+
+def test_the_serving_package_does_not_import_the_harness():
+    """A fresh interpreter's ``import repro.service`` loads no
+    ``repro.harness*`` module: the serving stack reads the dataset
+    roster from :mod:`repro.datasets`, not from the paper harness."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import repro.service, sys; print(sorted(m for m in "
+            "sys.modules if m.startswith('repro.harness')))",
+        ],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

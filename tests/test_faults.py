@@ -118,14 +118,6 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="ticks"):
             FaultEvent(at=1, kind="wedge", shard=0, replica=0)
 
-    def test_as_dict_round_trips_fields(self):
-        e = FaultEvent(at=7, kind="wedge", shard=1, replica=0,
-                       ticks=3, unit="completions", seq=2)
-        assert e.as_dict() == {
-            "at": 7, "unit": "completions", "kind": "wedge",
-            "shard": 1, "replica": 0, "ticks": 3,
-        }
-
 
 class TestFaultInjector:
     def test_due_fires_once_in_seq_order(self):
@@ -146,17 +138,6 @@ class TestFaultInjector:
         inj = FaultInjector([e])
         assert inj.due(clock=10_000, completions=2) == []
         assert inj.due(clock=0, completions=3) == [e]
-
-    def test_summary_counts(self):
-        inj = FaultInjector([
-            FaultEvent(at=1, kind="kill", shard=0),
-            FaultEvent(at=99, kind="fail_task", seq=1),
-        ])
-        inj.due(clock=1, completions=0)
-        s = inj.summary()
-        assert s["planned"] == 2
-        assert s["pending"] == 1
-        assert [e["kind"] for e in s["applied"]] == ["kill"]
 
 
 class TestChaosPlan:

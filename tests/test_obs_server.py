@@ -211,6 +211,41 @@ MALFORMED_OPTIONS = [
 ]
 
 
+#: ``POST /query`` body fields the front door refuses, set over a
+#: well-formed request, with the dotted path its 400 names
+MALFORMED_FIELDS = [
+    ({"dataset": ["ppi"]}, "dataset"),
+    ({"dataset": 7}, "dataset"),
+    ({"tenant": ["x"]}, "tenant"),
+    ({"budget_steps": "abc"}, "budget_steps"),
+    ({"budget_steps": 0}, "budget_steps"),
+    ({"budget_steps": 2.5}, "budget_steps"),
+    ({"budget_steps": True}, "budget_steps"),
+]
+
+#: ``Content-Length`` values refused the same way (path
+#: ``Content-Length``): only a plain non-negative integer is one
+MALFORMED_LENGTHS = ["abc", "-5", "+3", "1_0", "2.0"]
+
+
+def raw_post(address, content_length):
+    """One ``POST /query`` with a hand-written ``Content-Length`` and
+    no body; returns (status, parsed JSON)."""
+    import json
+    import socket
+
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(
+            f"POST /query HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestOptionsFromRequest:
     @pytest.mark.parametrize("options, path", MALFORMED_OPTIONS)
     def test_a_malformed_field_raises_naming_its_path(self, options, path):
@@ -276,6 +311,27 @@ class TestRejectionMapping:
         assert payload["retry_after_steps"] is None
         assert "retry-after" not in headers
 
+    def test_an_empty_nfv_query_is_a_400_and_the_pump_keeps_serving(self):
+        """An empty query once raised inside the pump loop on an NFV
+        dataset, so that request and every later one hung."""
+        svc = Service(workers=4)
+        svc.load_dataset("yeast", scale="tiny")
+        empty = {"labels": [], "edges": []}
+        one_vertex = {"labels": ["L0"], "edges": []}
+        with BackgroundFrontDoor(svc) as door:
+            client = ObsClient(*door.address)
+            status, payload, _ = client.request(
+                "POST", "/query", body={"dataset": "yeast", "query": empty}
+            )
+            assert status == 400
+            assert payload["reason"] == "query: has no vertex"
+            status, payload, _ = client.request(
+                "POST", "/query",
+                body={"dataset": "yeast", "query": one_vertex},
+            )
+        assert status == 200
+        assert payload["state"] == "done"
+
     def test_malformed_options_are_a_400_naming_the_field(self, ppi_graphs):
         """Each bad ``options`` field is refused at the door, its dotted
         path named, and the pump keeps serving: the next query, with
@@ -290,6 +346,30 @@ class TestRejectionMapping:
                 assert status == 400, options
                 assert payload["error"].startswith(f"{path}: ")
             status, payload, _ = client.submit("ppi", graph, options={})
+        assert status == 200
+        assert payload["state"] == "done"
+
+    def test_malformed_fields_are_a_400_naming_the_field(self, ppi_graphs):
+        """A non-string ``dataset`` or ``tenant`` and a ``budget_steps``
+        that is not a positive integer are refused at the door, never
+        a 500 and never raced; the next query is answered."""
+        _, graph = workload(ppi_graphs)[0]
+        body = {"dataset": "ppi", "query": query_payload(graph)}
+        with BackgroundFrontDoor(ftv_service()) as door:
+            client = ObsClient(*door.address)
+            for fields, path in MALFORMED_FIELDS:
+                status, payload, _ = client.request(
+                    "POST", "/query", body={**body, **fields}
+                )
+                assert status == 400, fields
+                assert payload["error"].startswith(f"{path}: ")
+            for length in MALFORMED_LENGTHS:
+                status, payload = raw_post(door.address, length)
+                assert status == 400, length
+                assert payload["error"].startswith("Content-Length: ")
+            status, payload, _ = client.request(
+                "POST", "/query", body={**body, "budget_steps": 5_000}
+            )
         assert status == 200
         assert payload["state"] == "done"
 

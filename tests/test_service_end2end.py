@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.graphs import LabeledGraph
 from repro.harness import build_ftv_graphs, build_nfv_graph
 from repro.matching import Budget
 from repro.psi import PsiNFV
@@ -317,6 +318,22 @@ class TestAdmissionIntegration:
         assert svc.idle
         svc.run_until_idle()
         answered = svc.submit("yeast", stream[1].query.graph)
+        svc.run_until_idle()
+        assert answered.state is TicketState.DONE
+
+    @pytest.mark.parametrize("dataset", ["yeast", "ppi"])
+    def test_an_empty_query_is_rejected_at_submit(self, dataset):
+        """No matcher has a vertex to start an empty query from: it is
+        refused at submit on either kind, instead of raising inside the
+        pump (NFV) or being answered not-found (FTV), and the next
+        query is answered."""
+        svc = Service(workers=4)
+        svc.load_dataset(dataset, scale="tiny")
+        t = svc.submit(dataset, LabeledGraph(0, []))
+        assert t.state is TicketState.REJECTED
+        assert t.reject_reason == "query: has no vertex"
+        assert svc.idle
+        answered = svc.submit(dataset, LabeledGraph(1, ["L0"]))
         svc.run_until_idle()
         assert answered.state is TicketState.DONE
 

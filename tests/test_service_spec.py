@@ -22,7 +22,9 @@ from repro.scenarios import (
     load_scenario_dir,
     random_scenario,
 )
-from repro.service import Service, spec as spec_module
+from repro.service import QueryOptions, Service, spec as spec_module
+from repro.service.planner import SERVED_ALGORITHMS, SERVED_REWRITINGS
+from repro.service.sharding import ShardedCatalog
 from repro.service.spec import (
     EngineSpec,
     FaultSpec,
@@ -94,6 +96,43 @@ class TestValidatesAtConstruction:
             with pytest.raises(SpecError) as err:
                 build()
             assert err.value.path == path
+
+
+class TestOneServedField:
+    """The variant field the service races by default is declared once,
+    beside ``QueryOptions``; every default in the tree reads it."""
+
+    def test_every_default_is_the_declared_field(self):
+        assert SERVED_ALGORITHMS == ("GQL", "SPA")
+        assert SERVED_REWRITINGS == ("Orig", "DND")
+        for algorithms, rewritings in (
+            (QueryOptions().algorithms, QueryOptions().rewritings),
+            (EngineSpec().algorithms, EngineSpec().rewritings),
+        ):
+            assert algorithms == SERVED_ALGORITHMS
+            assert rewritings == SERVED_REWRITINGS
+        load = inspect.signature(ShardedCatalog.load).parameters
+        assert load["algorithms"].default is SERVED_ALGORITHMS
+        parser = build_parser()
+        for argv in (
+            ["race", "--dataset", "yeast"],
+            ["warm", "--store", "somewhere"],
+            ["serve"],
+        ):
+            args = parser.parse_args(argv)
+            assert args.algorithms == ",".join(SERVED_ALGORITHMS)
+            assert getattr(args, "rewritings", "Orig,DND") == ",".join(
+                SERVED_REWRITINGS
+            )
+
+    def test_the_width_rule_reads_the_dataset_kind(self):
+        """An NFV race is the algorithm x rewriting product, an FTV race
+        one VF2 sweep per rewriting."""
+        engine = EngineSpec(workers=4, algorithms=("GQL", "SPA", "VF2"))
+        assert ServiceSpec(dataset="ppi", engine=engine).kind == "ftv"
+        with pytest.raises(SpecError, match="6 variants wide") as err:
+            ServiceSpec(dataset="yeast", engine=engine)
+        assert err.value.path == "engine.workers"
 
 
 class TestTheConstructorIsTheSpec:
