@@ -53,7 +53,7 @@ from .runner import (
     measure_ftv_matrix,
     measure_nfv_matrix,
 )
-from .tables import Table
+from ..tables import Table
 
 __all__ = [
     "FTV_METHODS",

@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..psi import OverheadModel
 from .experiments import CostMatrix, DEFAULT_OVERHEAD, psi_race_time
-from .tables import Table
+from ..tables import Table
 
 __all__ = [
     "hard_set",

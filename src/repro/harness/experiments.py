@@ -1,7 +1,7 @@
 """Experiment drivers: one function per paper figure/table.
 
 Each driver aggregates a measured cost matrix (:mod:`.runner`) into a
-:class:`~repro.harness.tables.Table` with the same rows/series the paper
+:class:`~repro.tables.Table` with the same rows/series the paper
 reports.  :mod:`.figures` declares which drivers draw each paper
 figure/table, and docs/BENCHMARKS.md lists each with its bench file.
 
@@ -32,7 +32,7 @@ from ..metrics import (
 )
 from ..psi import OverheadModel, race_from_costs
 from .config import PAPER_REWRITINGS, RANDOM_INSTANCES
-from .tables import Table
+from ..tables import Table
 
 __all__ = [
     "CostMatrix",

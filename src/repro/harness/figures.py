@@ -52,7 +52,7 @@ from .experiments import (
     stragglers_wla_table,
 )
 from .runner import measure_ftv_matrix, measure_nfv_matrix
-from .tables import Table
+from ..tables import Table
 
 __all__ = ["FIGURES", "Figure", "matrix"]
 

@@ -17,9 +17,11 @@ Two rules keep the registry digest-stable:
 * histograms use *fixed* bucket bounds chosen at construction time
   (power-of-two step bounds by default), never adaptive resizing.
 
-There is one object per counter: a component's attribute *is* the
-registered :class:`Counter` (``service.retries.inc()``), and readers
-say ``service.retries.value`` or ``registry.value("service.retries")``.
+There is one object per counter, kept by its owner
+(``fanout.retries.inc()``; readers say ``fanout.retries.value``), and
+each fact is registered once: a counter that a composite section
+reports is read by that section's gauge, never registered under a
+second name beside it.
 """
 
 from __future__ import annotations

@@ -17,14 +17,20 @@ Endpoints
     ["tenant"], ["options": {algorithms, rewritings, max_embeddings,
     count_only, decision_only}], ["budget_steps"]}`` — the ``query``
     object is the :func:`repro.graphs.io.graph_to_json` wire format.
-    A malformed field (a non-string ``dataset`` or ``tenant``, a
-    ``budget_steps`` that is not a positive integer, a bad option, a
-    non-integer ``Content-Length``) is a ``400`` naming its dotted
-    path.  Blocks until the ticket resolves; admission rejections map to
-    ``429`` with a wall-clock ``Retry-After`` header derived from the
-    ticket's virtual ``retry_after`` via ``steps_per_second``.
+    A malformed field (a non-string ``dataset`` or ``tenant``, a list
+    or object vertex label, a ``budget_steps`` that is not a positive
+    integer, a bad option, a non-integer ``Content-Length``) is a
+    ``400`` naming its dotted path.  Blocks until the ticket resolves;
+    admission rejections map to ``429`` with a wall-clock
+    ``Retry-After`` header derived from the ticket's virtual
+    ``retry_after`` via ``steps_per_second``.
 ``GET /stats``
-    ``{"stats": Service.stats(), "registry": metrics.snapshot()}``.
+    ``{"stats": Service.stats(), "registry": …}``: the registry part
+    holds only the metrics ``stats()`` does not (the ``service.<key>``
+    of each stats key is left out), so each value is sent once.
+``GET /memory``
+    ``Service.memory()``: the catalog's byte accounting, a heap walk
+    after each load or mutation, so it is served only when asked for.
 ``GET /trace/<ticket_id>``
     The recorded span tree for one ticket (404 once ring-evicted).
 ``GET /watch?frames=N&interval=S``
@@ -198,6 +204,8 @@ class FrontDoor:
             method, path, params, _headers, body = request
             if method == "GET" and path == "/stats":
                 await self._respond(writer, 200, self._stats_payload())
+            elif method == "GET" and path == "/memory":
+                await self._respond(writer, 200, self.service.memory())
             elif method == "GET" and path.startswith("/trace/"):
                 await self._serve_trace(writer, path)
             elif method == "GET" and path == "/watch":
@@ -284,10 +292,15 @@ class FrontDoor:
     # ------------------------------------------------------------------
 
     def _stats_payload(self) -> dict:
+        stats = self.service.stats()
+        sent = {f"service.{key}" for key in stats}
         return {
-            "clock": self.service.clock,
-            "stats": self.service.stats(),
-            "registry": self.service.metrics.snapshot(),
+            "stats": stats,
+            "registry": {
+                name: value
+                for name, value in self.service.metrics.snapshot().items()
+                if name not in sent
+            },
         }
 
     async def _serve_trace(
@@ -325,6 +338,12 @@ class FrontDoor:
             )
             return
         # a malformed field raises SpecError: a 400 naming it (_handle)
+        for i, label in enumerate(query.labels):
+            if isinstance(label, (list, dict)):  # unhashable: no code
+                raise SpecError(
+                    f"query.labels[{i}]",
+                    f"expected a string or number, got {label!r}",
+                )
         dataset = check_str()(dataset, "dataset")
         tenant = check_str()(payload.get("tenant", "public"), "tenant")
         options = _options_from(payload.get("options"))
@@ -430,9 +449,7 @@ class FrontDoor:
             "mutations_applied": svc.mutations.applied.value,
             "mutations_pending": len(svc.mutations.pending),
             "journal_lag": svc.mutations.lag(),
-            "collection_epoch": svc.metrics.value(
-                "service.mutations"
-            )["epoch"],
+            "collection_epoch": svc.catalog.mutation_epoch,
         }
 
     async def _serve_watch(

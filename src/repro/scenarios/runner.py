@@ -119,15 +119,9 @@ class ScenarioResult:
 
 
 def _stats_digest(stats: dict) -> str:
-    """Digest over the stats snapshot minus its approximate parts.
-
-    ``memory`` is sized via ``sys.getsizeof`` and documented as
-    approximate — container resize history makes it vary a few bytes
-    between otherwise identical runs — so it is the one stats section
-    excluded from the determinism claim.
-    """
-    trimmed = {k: v for k, v in stats.items() if k != "memory"}
-    payload = json.dumps(trimmed, sort_keys=True, default=str)
+    """Digest over the whole stats snapshot: every section is a count
+    of the deterministic run."""
+    payload = json.dumps(stats, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

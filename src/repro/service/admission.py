@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from ..graphs import LabeledGraph
-from ..obs import Counter, MetricsRegistry
+from ..obs import Counter
 from ..scheduling import FairShareLedger
 
 __all__ = ["TicketState", "TenantPolicy", "Ticket", "AdmissionController"]
@@ -147,20 +147,6 @@ class AdmissionController:
         self.coalesced = Counter()
         #: per-tenant count of followers currently riding a leader
         self._coalesced_backlog: dict[str, int] = {}
-
-    def register_metrics(
-        self, registry: MetricsRegistry, prefix: str = "admission"
-    ) -> None:
-        """Publish this controller's counters + gauges into ``registry``."""
-        registry.register(f"{prefix}.admitted", self.admitted)
-        registry.register(f"{prefix}.rejected", self.rejected)
-        registry.register(f"{prefix}.coalesced", self.coalesced)
-        registry.gauge(f"{prefix}.queued", lambda: self.queued())
-        registry.gauge(f"{prefix}.in_flight", lambda: self.in_flight())
-        registry.gauge(
-            f"{prefix}.charged_steps",
-            lambda: {str(k): v for k, v in self.ledger.snapshot().items()},
-        )
 
     def policy(self, tenant: str) -> TenantPolicy:
         """The effective policy for ``tenant``."""

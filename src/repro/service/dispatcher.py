@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs import Counter, MetricsRegistry
+from ..obs import Counter
 from ..psi.executors import (
     DEFAULT_RACE_QUANTUM,
     RaceOutcome,
@@ -68,17 +68,6 @@ class Dispatcher:
         self._active: dict[object, RaceTask] = {}
         #: token -> pool index the race is pinned to
         self._pool_of: dict[object, int] = {}
-
-    def register_metrics(
-        self, registry: MetricsRegistry, prefix: str = "dispatcher"
-    ) -> None:
-        """Publish this dispatcher's counters + gauges into ``registry``."""
-        registry.register(f"{prefix}.ticks", self.ticks)
-        registry.register(f"{prefix}.work_steps", self.work_steps)
-        registry.gauge(f"{prefix}.clock", lambda: self.clock)
-        registry.gauge(f"{prefix}.active", lambda: self.active)
-        registry.gauge(f"{prefix}.pools", lambda: self.pools)
-        registry.gauge(f"{prefix}.pool_work", lambda: list(self.pool_work))
 
     def add_pool(self) -> int:
         """Grow the dispatcher by one worker pool (replica scale-out).

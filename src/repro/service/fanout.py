@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..obs import Counter
 from ..psi.executors import RaceOutcome
 from .admission import Ticket, TicketState
 from .sharding import merge_shard_outcomes
@@ -102,7 +103,7 @@ class FanOut:
     """Open tickets and their legs, from admission to merge."""
 
     def __init__(
-        self, dispatcher, admission, replicas, planner, tracer, metrics
+        self, dispatcher, admission, replicas, planner, tracer
     ) -> None:
         self.dispatcher = dispatcher
         self.admission = admission
@@ -122,19 +123,19 @@ class FanOut:
         self.max_retries = MAX_RETRIES
         #: tickets degraded since the pump last handed them back
         self.degraded_now: list[Ticket] = []
-        c = metrics.counter
         #: sibling shard races cancelled by a first-true decision
-        self.shard_cancelled = c("service.shard_cancelled")
+        self.shard_cancelled = Counter()
         #: shard races never built because an earlier wave settled the
         #: decision first (routed decision-only fan-outs)
-        self.waves_skipped = c("service.waves_skipped")
+        self.waves_skipped = Counter()
         #: virtual steps billed to shard races that contributed nothing
         #: to their merged outcome (fan-outs of >= 2 raced shards only)
-        self.fanout_waste = c("service.fanout_waste")
-        self.retries = c("service.retries")
-        self.rerouted = c("service.rerouted")
-        self.degraded = c("service.degraded")
-        self.tasks_failed = c("service.tasks_failed")
+        self.fanout_waste = Counter()
+        #: the fault counters ``service.faults`` reports
+        self.retries = Counter()
+        self.rerouted = Counter()
+        self.degraded = Counter()
+        self.tasks_failed = Counter()
 
     # ------------------------------------------------------------------
     # the flight table

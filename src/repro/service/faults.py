@@ -154,7 +154,8 @@ class FaultInjector:
         return fired
 
     def register_metrics(self, registry, prefix: str = "faults") -> None:
-        """Publish schedule progress gauges into a metrics registry.
+        """Publish schedule progress gauges into a metrics registry (the
+        events applied so far are ``service.faults``' ``injected``).
 
         ``replace=True`` throughout: chaos drills install fresh
         injectors against a long-lived service.
@@ -163,9 +164,6 @@ class FaultInjector:
             f"{prefix}.planned",
             lambda: len(self.applied) + len(self._pending),
             replace=True,
-        )
-        registry.gauge(
-            f"{prefix}.applied", lambda: len(self.applied), replace=True
         )
         registry.gauge(
             f"{prefix}.pending", lambda: len(self._pending), replace=True

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..graphs import LabeledGraph
+from ..obs import Counter
 from .fanout import DEGRADED_RETRY_AFTER
 from .rebalance import shard_loads
 
@@ -71,7 +72,7 @@ class MutationApplier:
     unpinned add is placed by come from the replica set's dispatcher.
     """
 
-    def __init__(self, catalog, replicas, journal=None, metrics=None):
+    def __init__(self, catalog, replicas, journal=None):
         self.catalog = catalog
         self.replicas = replicas
         self.dispatcher = replicas.dispatcher
@@ -100,13 +101,10 @@ class MutationApplier:
             self.journal.tail_seq() + 1 if self.journal else 0,
             self.applied_seq + 1,
         )
-        c = metrics.counter
-        self.applied = c("mutations.applied")
-        self.replayed = c("mutations.replayed")
-        self.rejected = c("mutations.rejected")
-        metrics.gauge("mutations.pending", lambda: len(self.pending))
-        metrics.gauge("journal.lag", self.lag)
-        metrics.gauge("service.mutations", self.report)
+        #: the counters :meth:`report` reads
+        self.applied = Counter()
+        self.replayed = Counter()
+        self.rejected = Counter()
 
     def _checkpoint_seq(self) -> int:
         """Journal seq the attached store checkpoint covers (-1 = none)."""

@@ -34,6 +34,7 @@ from typing import Optional
 from ..graphs import LabeledGraph
 from ..indexing import LabelInterner, coded_path_census
 from ..matching import Budget, MatchOutcome, VF2Matcher
+from ..obs import Counter
 from ..psi.executors import RaceTask
 from ..psi.variants import Variant, variants_from_spec
 from ..rewriting import make_rewriting
@@ -150,23 +151,22 @@ class RacePlanner:
     Off = bit-for-bit the unrouted fan-out.
     """
 
-    def __init__(self, dispatcher, tracer, routing: bool, metrics) -> None:
+    def __init__(self, dispatcher, tracer, routing: bool) -> None:
         self.dispatcher = dispatcher
         self.tracer = tracer
         self.routing = routing
         #: queries whose fan-out went through the shard router
-        self.routed_queries = metrics.counter("service.routed_queries")
+        self.routed_queries = Counter()
         #: shard races never built because their probe was empty
-        self.shards_pruned = metrics.counter("service.shards_pruned")
+        self.shards_pruned = Counter()
         #: staged races settled before their field started
-        self.races_head_only = metrics.counter("service.races_head_only")
+        self.races_head_only = Counter()
         #: (dataset, global graph id) -> verification steps billed to
         #: that stored graph across every FTV sweep — the per-graph
         #: load attribution the rebalancer migrates on (a size proxy
         #: cannot see that one graph of a balanced shard is hot)
         self.graph_bills: dict[tuple, int] = {}
         self._verifier = VF2Matcher()
-        metrics.gauge("service.graph_bills", lambda: len(self.graph_bills))
 
     def plan(self, flight) -> tuple[tuple, list]:
         """``(first-wave shards, deferred waves)`` for one ticket.

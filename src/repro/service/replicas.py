@@ -35,20 +35,15 @@ class ReplicaSet:
     Every shard starts with the catalog's ``replicas`` replicas, and
     ``dispatcher`` must start with one pool for each; :meth:`add` grows
     it in lockstep.
-    Counters register in ``metrics`` when one is given, as the
-    ``service.replicas_*`` names :meth:`report` summarises.
     """
 
-    def __init__(self, catalog, dispatcher, metrics=None):
+    def __init__(self, catalog, dispatcher):
         self.catalog = catalog
         self.dispatcher = dispatcher
         self.num_shards = catalog.num_shards
-        counter = metrics.counter if metrics is not None else (
-            lambda _name: Counter()
-        )
-        self.killed = counter("service.replicas_killed")
-        self.wedged = counter("service.replicas_wedged")
-        self.retired = counter("service.replicas_retired")
+        self.killed = Counter()
+        self.wedged = Counter()
+        self.retired = Counter()
         #: replicas added / released after construction (scaling + kills)
         self.added = 0
         self.released = 0
@@ -69,8 +64,6 @@ class ReplicaSet:
                 f"dispatcher has {dispatcher.pools} pools for "
                 f"{len(self._pool_of)} replicas"
             )
-        if metrics is not None:
-            metrics.gauge("service.replicas", self.report)
 
     def _materialize(self, shard: int, pool: int) -> int:
         replica = self._next_id[shard]
@@ -283,13 +276,4 @@ class ReplicaSet:
             "killed": self.killed.value,
             "wedged": self.wedged.value,
             "retired": self.retired.value,
-        }
-
-    def memory_fields(self) -> dict:
-        """The replica facts ``service.memory`` carries beside the
-        catalog's partition report."""
-        return {
-            "replicas": [len(self.ids(s)) for s in range(self.num_shards)],
-            "replicas_added": self.added,
-            "replicas_released": self.released,
         }

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..graphs import LabeledGraph
-from ..obs import MetricsRegistry, Tracer
+from ..obs import Counter, MetricsRegistry, Tracer
 from ..psi.executors import RaceOutcome
 from ..psi.variants import Variant
 from .admission import AdmissionController, Ticket, TicketState
@@ -201,40 +201,39 @@ class Service:
         #: attach identical in-flight canonical keys to the running
         #: race's ticket instead of racing twice
         self.coalesce = coalesce
-        #: the unified metrics registry every serving component
-        #: publishes into; :meth:`stats` is a read of it
+        #: the metrics registry (names in ``service/stats.py``);
+        #: :meth:`stats` is a read of it
         self.metrics = metrics = MetricsRegistry()
         #: per-ticket trace spans, bounded ring buffer
         self.tracer = Tracer()
-        self.replica_set = ReplicaSet(self.catalog, self.dispatcher, metrics)
+        self.replica_set = ReplicaSet(self.catalog, self.dispatcher)
         # one shard has nothing to prune or order between
         self.planner = RacePlanner(
-            self.dispatcher, self.tracer, routing and shards > 1, metrics
+            self.dispatcher, self.tracer, routing and shards > 1
         )
         self.fanout = FanOut(
             self.dispatcher, self.admission, self.replica_set,
-            self.planner, self.tracer, metrics,
+            self.planner, self.tracer,
         )
         self.mutations = MutationApplier(
-            self.catalog, self.replica_set, journal, metrics
+            self.catalog, self.replica_set, journal
         )
         self.stats_view = StatsView(
             metrics, self.dispatcher, self.catalog, self.replica_set,
-            self.admission, self.cache, self.tracer, self.planner.routing,
+            self.admission, self.cache, self.tracer, self.planner,
+            self.fanout, self.mutations,
         )
         self.completed_count = metrics.counter("service.completed")
         #: scheduled fault injections (None = healthy run; armed
         #: through :meth:`install_faults`)
         self.faults: Optional[FaultInjector] = None
         #: injected events that found nothing to act on
-        self.faults_noop = metrics.counter("service.faults_noop")
+        self.faults_noop = Counter()
         metrics.gauge("service.faults", self._fault_report)
         #: next synthetic ticket id for non-query trace records (store
         #: boots, replica grows); counts down so it can never collide
         #: with real ticket ids, which are positive
         self._synthetic_trace_id = -1
-        self.admission.register_metrics(metrics)
-        self.dispatcher.register_metrics(metrics)
         if self.catalog.store is not None:
             self.catalog.store.register_metrics(metrics)
 
@@ -596,15 +595,15 @@ class Service:
             self.faults_noop.inc()
 
     def _fault_report(self) -> dict:
-        value = self.metrics.value
+        fanout = self.fanout
         return {
             "injected": (
                 len(self.faults.applied) if self.faults is not None else 0
             ),
-            "retries": value("service.retries"),
-            "rerouted": value("service.rerouted"),
-            "degraded": value("service.degraded"),
-            "tasks_failed": value("service.tasks_failed"),
+            "retries": fanout.retries.value,
+            "rerouted": fanout.rerouted.value,
+            "degraded": fanout.degraded.value,
+            "tasks_failed": fanout.tasks_failed.value,
             "noop": self.faults_noop.value,
         }
 
@@ -734,11 +733,22 @@ class Service:
 
         Assembled entirely from the metrics registry — each key is the
         metric registered as ``service.<key>``; use
-        ``self.metrics.snapshot()`` for the full flat namespace
-        (components, histogram, trace-buffer occupancy) beyond this
-        stable contract.
+        ``self.metrics.snapshot()`` for the full namespace (histogram,
+        trace-buffer occupancy, store and rebalance counters) beyond
+        this stable contract.  It only reads counters: the catalog's
+        byte accounting is :meth:`memory`.
         """
         return self.stats_view.stats()
+
+    def memory(self) -> dict:
+        """Approximate bytes per shard and dataset, walked by the first
+        call after each load or mutation (``docs/OBSERVABILITY.md``)."""
+        replicas = self.replica_set
+        return {
+            **self.catalog.memory_report(),
+            "replicas_added": replicas.added,
+            "replicas_released": replicas.released,
+        }
 
     def store_metrics(self) -> dict:
         """Counters of the attached artifact store reader ({} when the

@@ -735,8 +735,10 @@ class ShardedCatalog:
         ``shards`` holds one report per shard — its warm partitions,
         held once however many replicas serve them (empty while the
         shard is dark) — and ``total_bytes`` sums them, so each
-        partition is counted once.  The replica counts
-        ``service.memory`` shows beside it are the replica set's.
+        partition is counted once.  The store's counters, the serving
+        replica counts and the routing tables are not repeated here:
+        they are ``Service.store_metrics()``, ``service.replicas`` and
+        ``routing.tables``.
         """
         per_shard = []
         for partition in self.partitions:
@@ -748,13 +750,7 @@ class ShardedCatalog:
                 "datasets": per,
                 "total_bytes": sum(r["total_bytes"] for r in per.values()),
             })
-        store = (
-            {"store": self.store.as_metrics()}
-            if self.store is not None
-            else {}
-        )
         return {
-            **store,
             "num_shards": self.num_shards,
             "shards": per_shard,
             "total_bytes": sum(r["total_bytes"] for r in per_shard),
@@ -767,11 +763,6 @@ class ShardedCatalog:
                     "graphs_per_shard": [
                         len(ids) for ids in e.assignment
                     ],
-                    **(
-                        {"routing": e.router.as_metrics()}
-                        if e.router is not None
-                        else {}
-                    ),
                 }
                 for name, e in sorted(self._entries.items())
             },

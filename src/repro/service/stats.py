@@ -1,14 +1,14 @@
 """The stats view: ``Service.stats()`` as a read of the metrics registry.
 
-Every serving fact is published by its owner — the replica set
-registers ``service.replicas``, the fan-out coordinator its counters,
-the race planner the routing counters, the mutation applier
-``service.mutations`` — and :class:`StatsView` adds the gauges over
-the shared pieces (dispatcher, catalog, admission, caches, tracer) plus
-the one state it owns, the window of recent completion latencies.
-``stats()`` is then a pure registry read, so no value is ever computed
-twice and the keys, order and flat counters behind each composite view
-are what ``tests/test_obs.py`` pins.
+:class:`StatsView` is the one place the ``service.*`` names are
+registered (``Service`` adds ``completed`` and ``faults``): the
+serving pieces keep plain counters (:class:`~repro.obs.Counter`) and
+their own bookkeeping, and never see the registry.  Each fact is registered
+once — a counter a section reports has no second name beside it, so
+no value sits in the registry twice (``tests/test_obs.py`` checks it)
+— and the one state the view owns is the window of recent completion
+latencies.  ``stats()`` only reads counters: the catalog's heap walk
+is ``Service.memory()``, asked for on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class StatsView:
         "completed",
         "active",
         "shards",
-        "shard_cancelled",
         "per_shard_work",
         "per_pool_work",
         "replicas",
@@ -52,15 +51,15 @@ class StatsView:
         "admission",
         "result_cache",
         "prepare_cache",
-        "memory",
     )
 
     def __init__(
         self, metrics, dispatcher, catalog, replicas, admission, cache,
-        tracer, routing: bool,
+        tracer, planner, fanout, mutations,
     ) -> None:
         self.metrics = metrics
-        self.routing = routing
+        self.planner = planner
+        self.fanout = fanout
         # sliding window: stats() reports the most recent completions,
         # so a long-lived service doesn't grow (or re-sort) its whole
         # history per stats call
@@ -81,16 +80,17 @@ class StatsView:
             lambda: shard_loads(replicas, dispatcher.pool_work),
         )
         g("service.per_pool_work", lambda: list(dispatcher.pool_work))
+        g("service.replicas", replicas.report)
+        metrics.register("service.fanout_waste", fanout.fanout_waste)
         g("service.routing", self._routing_report)
         g("service.latency_steps", self._latency_report)
-        g("service.admission", lambda: admission.stats())
-        g("service.result_cache", lambda: cache.as_metrics())
+        g("service.admission", admission.stats)
+        g("service.result_cache", cache.as_metrics)
         g("service.prepare_cache", _prepare_cache_metrics)
-        g(
-            "service.memory",
-            lambda: {**catalog.memory_report(), **replicas.memory_fields()},
-        )
         # registry-only views (not part of the stats() contract)
+        metrics.register("service.races_head_only", planner.races_head_only)
+        g("service.graph_bills", lambda: len(planner.graph_bills))
+        g("service.mutations", mutations.report)
         g("routing.tables", lambda: {
             name: catalog.get(name).router.as_metrics()
             for name in catalog.datasets()
@@ -103,13 +103,13 @@ class StatsView:
         self._latency_hist.observe(steps)
 
     def _routing_report(self) -> dict:
-        value = self.metrics.value
+        planner, fanout = self.planner, self.fanout
         return {
-            "enabled": self.routing,
-            "routed": value("service.routed_queries"),
-            "shards_pruned": value("service.shards_pruned"),
-            "waves_skipped": value("service.waves_skipped"),
-            "shard_cancelled": value("service.shard_cancelled"),
+            "enabled": planner.routing,
+            "routed": planner.routed_queries.value,
+            "shards_pruned": planner.shards_pruned.value,
+            "waves_skipped": fanout.waves_skipped.value,
+            "shard_cancelled": fanout.shard_cancelled.value,
         }
 
     def _latency_report(self) -> Optional[dict]:

@@ -1,8 +1,10 @@
-"""ASCII table rendering for experiment reports.
+"""ASCII table rendering for experiment and CLI reports.
 
 Every experiment driver returns a :class:`Table`; benches print them so
 `pytest benchmarks/ --benchmark-only` regenerates the paper's tables and
-figure series as text.
+figure series as text.  The CLI's ``race``, ``serve`` and ``scenario``
+reports render through it too, so it lives outside :mod:`repro.harness`
+(which re-exports it) and those commands never load the harness.
 """
 
 from __future__ import annotations

@@ -249,6 +249,28 @@ class TestParser:
                 ["experiment", "--name", "fig99"]
             )
 
+    @pytest.mark.parametrize("argv, loads", [
+        (("serve", "--help"), False),
+        (("warm", "--help"), False),
+        (("scenario", "list", "scenarios"), False),
+        (("experiment", "--help"), True),  # lists the figure names
+    ])
+    def test_only_paper_commands_load_the_harness(self, argv, loads):
+        """``-X importtime`` names every module a command imports: the
+        serving commands build their parser and run without one
+        ``repro.harness*`` module."""
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+            capture_output=True, text=True, env=repro_env(), cwd=REPO,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        harness = [
+            line for line in out.stderr.splitlines()
+            if "repro.harness" in line
+        ]
+        assert bool(harness) is loads, harness
+
 
 class TestAnalyze:
     def test_analyze_prints_overlap_and_diagnoses(self, capsys):

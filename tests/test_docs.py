@@ -13,7 +13,7 @@ warm-index tag and column table it states must be the codec's
 ``--flag`` the prose attributes to a ``repro`` subcommand must be an
 option of that subcommand's parser, every fenced ``python -m repro
 ...`` command must be one the real parser accepts (parsed, never run),
-the ``service.memory`` key list in ``docs/OBSERVABILITY.md`` must
+the ``Service.memory()`` key list in ``docs/OBSERVABILITY.md`` must
 be the keys a 2 x 2 service reports, ``docs/ARCHITECTURE.md`` must
 cite every ``src/repro/service`` module, a ``*.md`` file a source under
 ``src/``, ``benchmarks/`` or ``tests/`` names must be in the repo, and
@@ -375,12 +375,12 @@ def test_the_command_check_sees_a_missing_required_flag():
 
 
 # ----------------------------------------------------------------------
-# the service.memory and ftv_warm keys docs/OBSERVABILITY.md lists
+# the Service.memory() and ftv_warm keys docs/OBSERVABILITY.md lists
 # ----------------------------------------------------------------------
 
 
 def memory_key_drift(
-    text: str, reported, section: str = "service.memory"
+    text: str, reported, section: str = "Service.memory()"
 ) -> list:
     """How the ``section`` keys ``text`` lists — as ``**`section`
     keys:** `a`, `b`, ... .``, up to the sentence's full stop — differ
@@ -406,8 +406,8 @@ def memory_key_drift(
 
 @pytest.fixture(scope="module")
 def memory_keys(tmp_path_factory):
-    """The ``stats()["memory"]`` keys of a 2 x 2 service booted from a
-    store (so the store section is there too)."""
+    """The ``Service.memory()`` keys of a 2 x 2 service booted from a
+    store (whose counters stay in ``store_metrics()``, not here)."""
     from repro.service import Service, ShardedCatalog
     from repro.store import StoreWriter
 
@@ -417,7 +417,7 @@ def memory_keys(tmp_path_factory):
     StoreWriter(root).write_catalog(warm)
     svc = Service(shards=2, replicas=2, store=root)
     svc.load_dataset("ppi", scale="tiny")
-    return sorted(svc.stats()["memory"])
+    return sorted(svc.memory())
 
 
 def test_observability_doc_lists_the_memory_keys(memory_keys):
@@ -453,7 +453,7 @@ def ftv_warm_keys():
     graphs = svc.catalog.get("ppi").graphs
     svc.submit("ppi", generate_workload(graphs, 1, 4, seed=1)[0].graph)
     svc.run_until_idle()
-    shard = svc.stats()["memory"]["shards"][0]
+    shard = svc.memory()["shards"][0]
     return sorted(shard["datasets"]["ppi"]["ftv_warm"])
 
 

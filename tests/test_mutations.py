@@ -166,11 +166,11 @@ class TestLifecycle:
         svc = make_service()
         svc.remove_graph("ppi", 0)
         apply_all(svc)
-        registry = svc.metrics.snapshot()
-        assert registry["mutations.applied"] == 1
-        assert registry["mutations.pending"] == 0
-        assert registry["journal.lag"] == 0
-        assert registry["service.mutations"]["epoch"] >= 1
+        report = svc.metrics.snapshot()["service.mutations"]
+        assert report["applied"] == 1
+        assert report["pending"] == 0
+        assert report["journal_lag"] == 0
+        assert report["epoch"] >= 1
         assert "mutations" not in svc.stats()
 
 

@@ -3,9 +3,9 @@
 The load-bearing test here is :class:`TestStatsIdentity` — it pins the
 ``Service.stats()`` contract on the registry snapshot: the key set and
 order, every value **equal to the registry metric** ``service.<key>``,
-and every composite view (``faults``, ``routing``, ``replicas``,
-``admission``) equal, field for field, to the flat counters it is
-assembled from — across one-shard, sharded+routed, and chaos workloads.
+and every serving fact published once — each counter a component keeps
+reads in exactly one registry leaf — across one-shard,
+sharded+routed+rebalanced, chaos, store-booted and mutation workloads.
 That identity is what keeps every stats-derived digest byte-stable.
 """
 
@@ -31,6 +31,7 @@ from repro.service import (
     chaos_plan,
     run_closed_loop,
 )
+from repro.store import StoreWriter
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
 BUDGET = 60_000
@@ -136,28 +137,10 @@ class TestRegistry:
 #: the stats() contract: these keys, in this order
 STATS_KEYS = [
     "clock_steps", "ticks", "work_steps", "completed", "active",
-    "shards", "shard_cancelled", "per_shard_work", "per_pool_work",
+    "shards", "per_shard_work", "per_pool_work",
     "replicas", "faults", "fanout_waste", "routing", "latency_steps",
-    "admission", "result_cache", "prepare_cache", "memory",
+    "admission", "result_cache", "prepare_cache",
 ]
-
-#: (stats section, field) -> the flat registry counter behind it
-FLAT_COUNTERS = {
-    ("faults", "retries"): "service.retries",
-    ("faults", "rerouted"): "service.rerouted",
-    ("faults", "degraded"): "service.degraded",
-    ("faults", "tasks_failed"): "service.tasks_failed",
-    ("faults", "noop"): "service.faults_noop",
-    ("routing", "routed"): "service.routed_queries",
-    ("routing", "shards_pruned"): "service.shards_pruned",
-    ("routing", "waves_skipped"): "service.waves_skipped",
-    ("routing", "shard_cancelled"): "service.shard_cancelled",
-    ("admission", "admitted"): "admission.admitted",
-    ("admission", "rejected"): "admission.rejected",
-    ("admission", "coalesced"): "admission.coalesced",
-    ("admission", "queued"): "admission.queued",
-    ("admission", "in_flight"): "admission.in_flight",
-}
 
 
 #: what ``test_one_shard_stats_are_the_unsharded_services``' run read
@@ -173,7 +156,6 @@ UNSHARDED_STATS = {
     "completed": 17,
     "active": 0,
     "shards": 1,
-    "shard_cancelled": 0,
     "per_shard_work": [368],
     "per_pool_work": [368],
     "replicas": {
@@ -240,21 +222,105 @@ def ftv_streams(graphs, tenants=2, per_tenant=8, seed=9):
     }
 
 
-def assert_stats_identical(svc: Service) -> None:
+#: no test run reaches this: each fact below is set to its own multiple
+#: of it, so a registry leaf reading that multiple can only be that fact
+MARK = 10 ** 12
+
+
+class _Sized:
+    """Stands in for a container whose length a gauge reports."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def _leaves(value, path=()):
+    """(path, scalar) for every scalar inside a snapshot value."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _leaves(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from _leaves(sub, path + (i,))
+    else:
+        yield path, value
+
+
+def assert_each_fact_published_once(svc, monkeypatch, *owners) -> None:
+    """Every counter a serving component keeps (``owners`` adds more
+    components, e.g. a rebalancer) — and the dispatcher's clock and race
+    count, the admission queue depths, the mutation backlog, the journal
+    lag and the store reader's counters — is set to its own multiple of
+    :data:`MARK`; each must then read in exactly one registry leaf.  A
+    stats section or a value registered under a second name reads twice;
+    a counter nothing publishes reads nowhere."""
+    marks: dict = {}
+
+    def mark(label: str) -> int:
+        marks[label] = MARK * (len(marks) + 1)
+        return marks[label]
+
+    seen: set = set()
+    for owner in (
+        svc, svc.dispatcher, svc.admission, svc.fanout, svc.planner,
+        svc.replica_set, svc.mutations, *owners,
+    ):
+        for attr, counter in vars(owner).items():
+            if isinstance(counter, Counter) and id(counter) not in seen:
+                seen.add(id(counter))
+                label = f"{type(owner).__name__}.{attr}"
+                monkeypatch.setattr(counter, "value", mark(label))
+    dispatcher, admission = svc.dispatcher, svc.admission
+    monkeypatch.setattr(dispatcher, "clock", mark("Dispatcher.clock"))
+    monkeypatch.setattr(
+        dispatcher, "_active", _Sized(mark("Dispatcher.active"))
+    )
+    monkeypatch.setattr(
+        admission, "_queues",
+        {"": _Sized(mark("AdmissionController.queued"))},
+    )
+    monkeypatch.setattr(
+        admission, "_in_flight", {"": mark("AdmissionController.in_flight")}
+    )
+    mutations = svc.mutations
+    monkeypatch.setattr(
+        mutations, "pending", _Sized(mark("MutationApplier.pending"))
+    )
+    if mutations.journal is not None:
+        lag = mark("MutationApplier.lag")
+        monkeypatch.setattr(
+            mutations, "applied_seq", mutations.journal.tail_seq() - lag
+        )
+    store = svc.catalog.store
+    if store is not None:
+        for attr in (
+            "corrupt_detected", "quarantined", "blobs_verified",
+            "bytes_read", "restores", "rebuilds", "misses",
+        ):
+            monkeypatch.setattr(store, attr, mark(f"StoreReader.{attr}"))
+    leaves = list(_leaves(svc.metrics.snapshot()))
+    for label, value in marks.items():
+        where = [path for path, leaf in leaves if leaf == value]
+        assert len(where) == 1, (label, where)
+
+
+def assert_stats_identical(svc: Service, monkeypatch, *owners) -> None:
     snap = svc.metrics.snapshot()
     got = svc.stats()
     assert list(got) == STATS_KEYS  # key set AND order
     want = {key: snap[f"service.{key}"] for key in STATS_KEYS}
     assert got == want
-    # one object per counter: a composite view and the flat metric it
-    # is assembled from can never disagree
-    for (section, field), name in FLAT_COUNTERS.items():
-        assert got[section][field] == snap[name], (section, field)
-    assert got["ticks"] == snap["dispatcher.ticks"]
+    # a section reads its owner's counters, never a copy of them
     assert got["ticks"] == svc.dispatcher.ticks.value
-    assert got["work_steps"] == snap["dispatcher.work_steps"]
-    assert got["per_pool_work"] == snap["dispatcher.pool_work"]
     assert got["completed"] == svc.completed_count.value
+    assert got["faults"]["retries"] == svc.fanout.retries.value
+    assert got["routing"]["shards_pruned"] == (
+        svc.planner.shards_pruned.value
+    )
+    assert got["admission"]["admitted"] == svc.admission.admitted.value
     assert got["replicas"]["killed"] == svc.replica_set.killed.value
     assert got["replicas"]["wedged"] == svc.replica_set.wedged.value
     assert got["replicas"]["retired"] == svc.replica_set.retired.value
@@ -262,30 +328,32 @@ def assert_stats_identical(svc: Service) -> None:
     assert json.dumps(got, sort_keys=True) == json.dumps(
         want, sort_keys=True
     )
+    assert_each_fact_published_once(svc, monkeypatch, *owners)
 
 
 class TestStatsIdentity:
-    def test_fresh_service(self, ppi_graphs):
-        assert_stats_identical(ftv_service())
+    def test_fresh_service(self, ppi_graphs, monkeypatch):
+        assert_stats_identical(ftv_service(), monkeypatch)
 
-    def test_one_shard_run(self, ppi_graphs):
+    def test_one_shard_run(self, ppi_graphs, monkeypatch):
         svc = ftv_service()
         run_closed_loop(
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
             concurrency=2,
         )
-        assert_stats_identical(svc)
+        assert_stats_identical(svc, monkeypatch)
 
-    def test_sharded_routed_rebalanced_run(self, ppi_graphs):
+    def test_sharded_routed_rebalanced_run(self, ppi_graphs, monkeypatch):
         svc = ftv_service(shards=2, replicas=2, routing=True)
+        rebalancer = Rebalancer(svc, min_window_steps=64)
         run_closed_loop(
             svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
-            concurrency=2, rebalancer=Rebalancer(svc, min_window_steps=64),
-            rebalance_every=4,
+            concurrency=2, rebalancer=rebalancer, rebalance_every=4,
         )
-        assert_stats_identical(svc)
+        assert svc.stats()["routing"]["routed"] > 0
+        assert_stats_identical(svc, monkeypatch, rebalancer)
 
-    def test_chaos_run(self, ppi_graphs):
+    def test_chaos_run(self, ppi_graphs, monkeypatch):
         svc = ftv_service(shards=2, replicas=2)
         faults = chaos_plan(1337, num_shards=2, replicas=2, queries=16)
         run_closed_loop(
@@ -293,10 +361,33 @@ class TestStatsIdentity:
             concurrency=2, faults=faults,
         )
         assert svc.stats()["faults"]["injected"] > 0
-        assert_stats_identical(svc)
+        assert_stats_identical(svc, monkeypatch)
+
+    def test_store_booted_run(self, ppi_graphs, tmp_path, monkeypatch):
+        root = str(tmp_path / "store")
+        StoreWriter(root).write_catalog(ftv_service(shards=2).catalog)
+        svc = ftv_service(shards=2, store=root)
+        run_closed_loop(
+            svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
+            concurrency=2,
+        )
+        assert svc.store_metrics()["restores"] > 0
+        assert_stats_identical(svc, monkeypatch)
+
+    def test_mutation_run(self, ppi_graphs, tmp_path, monkeypatch):
+        svc = ftv_service(shards=2, journal=str(tmp_path / "journal"))
+        run_closed_loop(
+            svc, "ppi", ftv_streams(ppi_graphs), options=FTV_OPTS,
+            concurrency=2,
+        )
+        svc.add_graph("ppi", ppi_graphs[1])
+        svc.remove_graph("ppi", 0)
+        svc.run_until_idle()
+        assert svc.mutations.applied.value == 2
+        assert_stats_identical(svc, monkeypatch)
 
     def test_one_shard_stats_are_the_unsharded_services(self, ppi_graphs):
-        """``stats()`` (minus the approximate ``memory``) of a
+        """``stats()`` of a
         ``Service(shards=1)`` after a short mixed run, against the dict
         the unsharded service reported for the same run:
         serving one shard through the sharded catalog moved no key and
@@ -327,7 +418,6 @@ class TestStatsIdentity:
         )
         svc.run_until_idle()
         stats = svc.stats()
-        del stats["memory"]
         assert stats == UNSHARDED_STATS
         assert list(stats) == list(UNSHARDED_STATS)
 
@@ -350,8 +440,6 @@ class TestStatsIdentity:
         assert hist["count"] == stats["latency_steps"]["count"]
         assert snap["trace.buffer"]["capacity"] == 512
         assert "routing.tables" in snap
-        assert "admission.admitted" in snap
-        assert "dispatcher.ticks" in snap
 
 
 class TestLoadReportSnapshot:

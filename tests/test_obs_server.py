@@ -30,7 +30,7 @@ FTV_OPTS = {"rewritings": ["Orig", "DND"]}
 #: socket run and the in-process run must agree on every one)
 DETERMINISTIC_KEYS = (
     "clock_steps", "ticks", "work_steps", "completed", "active",
-    "shards", "shard_cancelled", "per_shard_work", "per_pool_work",
+    "shards", "per_shard_work", "per_pool_work",
     "replicas", "faults", "fanout_waste", "routing", "latency_steps",
     "admission",
 )
@@ -85,18 +85,31 @@ class TestEndpoints:
         status, payload, _ = client.request("GET", "/nope")
         assert status == 404
 
-    def test_stats_schema(self, client):
+    def test_stats_schema(self, client, door):
         payload = client.stats()
-        assert set(payload) == {"clock", "stats", "registry"}
+        assert set(payload) == {"stats", "registry"}
         stats = payload["stats"]
         assert list(stats)[:4] == [
             "clock_steps", "ticks", "work_steps", "completed",
         ]
+        # each value once: the registry part is what stats() is not
         registry = payload["registry"]
         assert list(registry) == sorted(registry)
-        assert registry["service.completed"] == stats["completed"]
+        assert not {f"service.{key}" for key in stats} & set(registry)
+        assert set(registry) | {f"service.{key}" for key in stats} == set(
+            door.service.metrics.snapshot()
+        )
         assert "service.latency_hist" in registry
         assert "trace.buffer" in registry
+
+    def test_memory_endpoint(self, client, door):
+        status, payload, _ = client.request("GET", "/memory")
+        assert status == 200
+        assert payload == door.service.memory()
+        assert payload["total_bytes"] == sum(
+            shard["total_bytes"] for shard in payload["shards"]
+        ) > 0
+        assert "memory" not in client.stats()["stats"]
 
     def test_trace_endpoint(self, client, ppi_graphs):
         tenant, graph = workload(ppi_graphs)[0]
@@ -221,6 +234,9 @@ MALFORMED_FIELDS = [
     ({"budget_steps": 0}, "budget_steps"),
     ({"budget_steps": 2.5}, "budget_steps"),
     ({"budget_steps": True}, "budget_steps"),
+    ({"query": {"labels": [["a"]], "edges": []}}, "query.labels[0]"),
+    ({"query": {"labels": ["x", {"a": 1}], "edges": [[0, 1, None]]}},
+     "query.labels[1]"),
 ]
 
 #: ``Content-Length`` values refused the same way (path
@@ -350,9 +366,10 @@ class TestRejectionMapping:
         assert payload["state"] == "done"
 
     def test_malformed_fields_are_a_400_naming_the_field(self, ppi_graphs):
-        """A non-string ``dataset`` or ``tenant`` and a ``budget_steps``
-        that is not a positive integer are refused at the door, never
-        a 500 and never raced; the next query is answered."""
+        """A non-string ``dataset`` or ``tenant``, a list or object
+        vertex label and a ``budget_steps`` that is not a positive
+        integer are refused at the door, never a 500 and never raced;
+        the next query is answered."""
         _, graph = workload(ppi_graphs)[0]
         body = {"dataset": "ppi", "query": query_payload(graph)}
         with BackgroundFrontDoor(ftv_service()) as door:

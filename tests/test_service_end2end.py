@@ -365,7 +365,7 @@ class TestServiceStats:
         assert s["latency_steps"]["p50"] >= 0
         assert s["result_cache"]["lookups"] > 0
         assert s["prepare_cache"]["hits"] >= 0
-        assert s["memory"]["total_bytes"] > 0
+        assert svc.memory()["total_bytes"] > 0
 
     def test_unknown_dataset_submit(self, store):
         svc = make_service()

@@ -246,7 +246,7 @@ class TestOnePartitionPerShard:
         svc.kill_replica(0, 0)
         assert entry.shard_entry(0) is sub
         assert len(built) == 2
-        report = svc.stats()["memory"]
+        report = svc.memory()
         assert len(report["shards"]) == 2
         assert report["total_bytes"] == sum(
             r["total_bytes"] for r in report["shards"]
@@ -547,7 +547,7 @@ class TestDecisionShortCircuit:
         # exist and at least one fan-out was settled by its first shard
         cancelled = svc.fanout.shard_cancelled.value
         assert cancelled > 0
-        assert svc.stats()["shard_cancelled"] == cancelled
+        assert svc.stats()["routing"]["shard_cancelled"] == cancelled
 
     def test_decision_mode_has_distinct_cache_keys(self, ppi_graphs):
         """A decision-only witness answer must never serve a full query."""
@@ -632,8 +632,10 @@ class TestShardedServiceIntegration:
         s = svc.stats()
         assert s["shards"] == 2
         assert s["completed"] > 0
-        assert s["memory"]["total_bytes"] > 0
-        assert s["memory"]["num_shards"] == 2
+        assert "memory" not in s
+        memory = svc.memory()
+        assert memory["total_bytes"] > 0
+        assert memory["num_shards"] == 2
 
     def test_shard_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="shards"):

@@ -551,10 +551,13 @@ class TestElasticDrill:
         assert snapshot["store.restores"] == metrics["restores"]
         assert ftv_service().store_metrics() == {}
 
-    def test_memory_report_carries_store_section(self, tmp_path):
+    def test_memory_report_leaves_the_store_to_store_metrics(
+        self, tmp_path
+    ):
         root, _, _ = warm_store(tmp_path)
         svc = ftv_service(store=root)
-        assert svc.stats()["memory"]["store"] == svc.store_metrics()
+        assert "store" not in svc.memory()
+        assert svc.memory()["total_bytes"] > 0
 
 
 # ----------------------------------------------------------------------
