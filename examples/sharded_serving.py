@@ -79,7 +79,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     report = sharded.catalog.memory_report()
     print(f"\nmemory: {report['total_bytes'] / 1e6:.1f} MB total across "
-          f"{report['num_shards']} shards")
+          f"{len(report['shards'])} shards")
     for shard, row in enumerate(report["shards"]):
         print(f"  shard {shard}: {row['total_bytes'] / 1e6:.1f} MB")
 

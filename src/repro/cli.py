@@ -36,12 +36,14 @@ from collections.abc import Sequence
 from .datasets import DATASETS, NFV_DATASETS, SCALES, build_graphs
 from .graphs import dumps_gfu
 from .matching import Budget, available_matchers, make_matcher
-from .psi import PsiNFV, race_from_costs, variants_from_spec
+from .psi import PsiNFV, race_from_costs
 from .service.planner import (
     SERVED_ALGORITHMS,
     SERVED_REWRITINGS,
+    QueryOptions,
     race_starts,
 )
+from .service.schema import SpecError
 from .tables import Table
 from .workload import generate_workload
 
@@ -135,18 +137,15 @@ def cmd_race(args: argparse.Namespace) -> int:
     """Race (algorithm x rewriting) variants on one generated query,
     staged as the service races it, beside the paper's full-width race
     replayed from the same solo costs."""
-    from .service.spec import SpecError, _algorithm, _rewriting, check_tuple
-
     try:
-        algorithms = check_tuple(_algorithm, nonempty=True)(
-            [a.strip() for a in args.algorithms.split(",")], "algorithms"
-        )
-        rewritings = check_tuple(_rewriting, nonempty=True)(
-            [r.strip() for r in args.rewritings.split(",")], "rewritings"
+        options = QueryOptions(
+            algorithms=[a.strip() for a in args.algorithms.split(",")],
+            rewritings=[r.strip() for r in args.rewritings.split(",")],
+            max_embeddings=args.max_embeddings,
         )
     except SpecError as exc:
         raise SystemExit(f"repro race: {exc}") from None
-    variants = variants_from_spec(algorithms, rewritings)
+    variants = options.variants("nfv")
     [graph] = build_graphs(args.dataset, args.scale)
     [query] = generate_workload([graph], 1, args.size, seed=args.seed)
     psi = PsiNFV(graph)
@@ -155,13 +154,13 @@ def cmd_race(args: argparse.Namespace) -> int:
     alone = {
         v: psi.run_variant(
             query.graph, v, budget=budget,
-            max_embeddings=args.max_embeddings, count_only=True,
+            max_embeddings=options.max_embeddings, count_only=True,
         )
         for v in variants
     }
     staged = psi.race(
         query.graph, variants, budget=budget,
-        max_embeddings=args.max_embeddings, count_only=True,
+        max_embeddings=options.max_embeddings, count_only=True,
         starts=race_starts(variants, budget_steps),
     ).race
     full = race_from_costs(alone, budget_steps)
@@ -242,7 +241,6 @@ def _service_spec(args: argparse.Namespace):
         FaultSpec,
         PersistenceSpec,
         ServiceSpec,
-        SpecError,
         TopologySpec,
         WorkloadSpec,
     )
@@ -358,31 +356,36 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = spec.build_service(store=args.store)
     if listen:
         # no synthetic workload: queries arrive over the socket
-        from .obs.server import DEFAULT_STEPS_PER_SECOND, run_front_door
+        import signal
 
-        host, port = listen
+        from .obs.server import DEFAULT_STEPS_PER_SECOND, BackgroundFrontDoor
+
         steps_per_second = (
             args.steps_per_second
             if args.steps_per_second is not None
             else DEFAULT_STEPS_PER_SECOND
         )
-
-        def ready(bound_host: str, bound_port: int) -> None:
-            _print(f"listening on {bound_host}:{bound_port}")
-            _print(
-                f"dataset {args.dataset} ({args.scale}), "
-                f"{args.shards} shard(s) x {args.replicas} replica(s), "
-                f"{args.workers} workers per pool"
-            )
-            sys.stdout.flush()
-
-        run_front_door(
-            service,
-            host,
-            port,
-            steps_per_second=steps_per_second,
-            ready=ready,
-        )
+        # SIGINT and SIGTERM both end the wait below; leaving the
+        # ``with`` stops the door, which drains what is in flight
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, signal.default_int_handler)
+        try:
+            with BackgroundFrontDoor(
+                service, *listen, steps_per_second=steps_per_second
+            ) as door:
+                host, port = door.address
+                _print(f"listening on {host}:{port}")
+                _print(
+                    f"dataset {args.dataset} ({args.scale}), "
+                    f"{args.shards} shard(s) x {args.replicas} replica(s), "
+                    f"{args.workers} workers per pool"
+                )
+                sys.stdout.flush()
+                signal.pause()
+        except KeyboardInterrupt:
+            pass
+        except RuntimeError as exc:  # start() could not bind the address
+            raise SystemExit(f"repro serve: --listen: {exc}") from None
         return 0
 
     streams = spec.tenant_streams(service)

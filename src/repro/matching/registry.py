@@ -12,7 +12,9 @@ from .spath import SPathMatcher
 from .turbo import TurboISOMatcher
 from .vf2 import VF2Matcher
 
-__all__ = ["MATCHER_FACTORIES", "make_matcher", "available_matchers"]
+__all__ = [
+    "MATCHER_FACTORIES", "available_matchers", "make_matcher", "matcher_name",
+]
 
 MATCHER_FACTORIES: dict[str, Callable[[], Matcher]] = {
     "VF2": VF2Matcher,
@@ -24,14 +26,19 @@ MATCHER_FACTORIES: dict[str, Callable[[], Matcher]] = {
 }
 
 
+def matcher_name(name: str) -> str:
+    """The registry key ``name`` resolves to: names are
+    case-insensitive, so ``"gql"`` is ``"GQL"``."""
+    key = name.upper()
+    if key not in MATCHER_FACTORIES:
+        known = ", ".join(sorted(MATCHER_FACTORIES))
+        raise KeyError(f"unknown algorithm {name!r}; known: {known}")
+    return key
+
+
 def make_matcher(name: str) -> Matcher:
     """Instantiate a matcher by short name (``"GQL"``, ``"SPA"``, ...)."""
-    try:
-        factory = MATCHER_FACTORIES[name.upper()]
-    except KeyError:
-        known = ", ".join(sorted(MATCHER_FACTORIES))
-        raise KeyError(f"unknown matcher {name!r}; known: {known}") from None
-    return factory()
+    return MATCHER_FACTORIES[matcher_name(name)]()
 
 
 def available_matchers() -> tuple[str, ...]:

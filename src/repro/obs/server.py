@@ -19,8 +19,11 @@ Endpoints
     object is the :func:`repro.graphs.io.graph_to_json` wire format.
     A malformed field (a non-string ``dataset`` or ``tenant``, a list
     or object vertex label, a ``budget_steps`` that is not a positive
-    integer, a bad option, a non-integer ``Content-Length``) is a
-    ``400`` naming its dotted path.  Blocks until the ticket resolves;
+    integer, a non-integer ``Content-Length``) is a ``400`` naming its
+    dotted path; ``options`` is read by
+    :meth:`QueryOptions.from_dict <repro.service.planner.QueryOptions>`,
+    so a bad value or an unknown key (``options.decison_only``) is one
+    too.  Blocks until the ticket resolves;
     admission rejections map to ``429`` with a wall-clock
     ``Retry-After`` header derived from the ticket's virtual
     ``retry_after`` via ``steps_per_second``.
@@ -58,18 +61,9 @@ from urllib.parse import parse_qsl
 from ..graphs.io import graph_from_json
 from ..metrics import summarize_latencies
 from ..service import QueryOptions, Service, TicketState
-from ..service.spec import (
-    SpecError,
-    _algorithm,
-    _rewriting,
-    check_bool,
-    check_int,
-    check_optional,
-    check_str,
-    check_tuple,
-)
+from ..service.schema import SpecError, check_int, check_optional, check_str
 
-__all__ = ["FrontDoor", "BackgroundFrontDoor", "run_front_door"]
+__all__ = ["FrontDoor", "BackgroundFrontDoor"]
 
 #: default virtual-step -> wall-clock conversion for Retry-After
 DEFAULT_STEPS_PER_SECOND = 1_000_000
@@ -159,10 +153,6 @@ class FrontDoor:
                 )
             except asyncio.TimeoutError:  # pragma: no cover - wedged peer
                 pass
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
 
     # ------------------------------------------------------------------
     # the pump loop: the only place the virtual clock advances
@@ -346,7 +336,7 @@ class FrontDoor:
                 )
         dataset = check_str()(dataset, "dataset")
         tenant = check_str()(payload.get("tenant", "public"), "tenant")
-        options = _options_from(payload.get("options"))
+        options = QueryOptions.from_dict(payload.get("options"))
         budget = check_optional(check_int(1))(
             payload.get("budget_steps"), "budget_steps"
         )
@@ -504,88 +494,11 @@ class FrontDoor:
             self._watchers.discard(token)
 
 
-#: ``options`` key of a ``POST /query`` body -> its checker
-_OPTION_CHECKS = {
-    "algorithms": check_tuple(_algorithm, nonempty=True),
-    "rewritings": check_tuple(_rewriting, nonempty=True),
-    "max_embeddings": check_int(1),
-    "count_only": check_bool,
-    "decision_only": check_bool,
-}
-
-
-def _options_from(opts: Any) -> Optional[QueryOptions]:
-    """A request's ``options`` mapping as :class:`QueryOptions` (None =
-    the defaults); a malformed field raises :class:`SpecError` naming
-    its dotted path (``options.algorithms[0]``)."""
-    if not opts:
-        return None
-    if not isinstance(opts, dict):
-        raise SpecError("options", f"expected a mapping, got {opts!r}")
-    return QueryOptions(**{
-        key: check(opts[key], f"options.{key}")
-        for key, check in _OPTION_CHECKS.items()
-        if key in opts
-    })
-
-
-def run_front_door(
-    service: Service,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    steps_per_second: int = DEFAULT_STEPS_PER_SECOND,
-    ready=None,
-) -> None:
-    """Blocking entry point for ``repro serve --listen`` — runs the
-    event loop until interrupted.  ``ready(host, port)`` is called once
-    the socket is bound (the CLI prints the resolved address).
-
-    Shutdown is graceful: SIGINT/SIGTERM set a stop event (installed
-    via ``loop.add_signal_handler`` where the platform supports it),
-    and :meth:`FrontDoor.close` then drains in-flight queries and lets
-    watch streams take a final frame before the loop exits.  Platforms
-    without signal-handler support fall back to ``serve_forever`` and
-    a plain ``KeyboardInterrupt``.
-    """
-    import signal
-
-    async def _main() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        door = FrontDoor(
-            service, host, port, steps_per_second=steps_per_second
-        )
-        bound_host, bound_port = await door.start()
-        if ready is not None:
-            ready(bound_host, bound_port)
-        installed = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError, ValueError):
-                continue
-            installed.append(sig)
-        try:
-            if installed:
-                await stop.wait()
-            else:  # pragma: no cover - non-unix event loops
-                try:
-                    await door.serve_forever()
-                except asyncio.CancelledError:
-                    pass
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            await door.close()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-
-
 class BackgroundFrontDoor:
-    """Run a :class:`FrontDoor` on a daemon thread (tests, notebooks).
+    """Run a :class:`FrontDoor` on a daemon thread: ``repro serve
+    --listen`` (whose main thread waits for SIGINT/SIGTERM, then calls
+    :meth:`stop`), the e2e benches, tests and notebooks.  :meth:`stop`
+    drains in-flight queries and watch streams (:meth:`FrontDoor.close`).
 
     The service is only ever touched from the server's event loop while
     running — callers drive it through sockets, then ``stop()`` before
@@ -632,10 +545,10 @@ class BackgroundFrontDoor:
             )
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
-            try:
-                self.address = await door.start()
-            finally:
-                self._ready.set()
+            # a failed start reaches start() through _error, which is
+            # set before _ready
+            self.address = await door.start()
+            self._ready.set()
             try:
                 await self._stop.wait()
             finally:

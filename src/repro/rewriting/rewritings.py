@@ -26,6 +26,7 @@ distinct isomorphic instances of the same rewriting are produced.
 from __future__ import annotations
 
 import random
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -213,16 +214,18 @@ REWRITING_FACTORIES = {
 ALL_PAPER_REWRITINGS = ("ILF", "IND", "DND", "ILF+IND", "ILF+DND")
 
 
+#: the seeded-random family's names: ``RND`` (seed 0) and ``RND<k>``
+_RANDOM_NAME = re.compile(r"RND(\d*)")
+
+
 def make_rewriting(name: str) -> Rewriting:
-    """Instantiate a rewriting by paper name (``"ILF+DND"``, ``"RND3"``...)."""
-    if name.startswith("RND"):
-        suffix = name[3:] or "0"
-        return RandomRewriting(seed=int(suffix))
-    try:
-        factory = REWRITING_FACTORIES[name]
-    except KeyError:
+    """Instantiate a rewriting by paper name (``"ILF+DND"``, ``"RND3"``...);
+    any other name is a ``KeyError`` listing the known ones."""
+    factory = REWRITING_FACTORIES.get(name)
+    if factory is not None:
+        return factory()
+    random_name = _RANDOM_NAME.fullmatch(name)
+    if random_name is None:
         known = ", ".join(sorted(REWRITING_FACTORIES)) + ", RND<k>"
-        raise KeyError(
-            f"unknown rewriting {name!r}; known: {known}"
-        ) from None
-    return factory()
+        raise KeyError(f"unknown rewriting {name!r}; known: {known}")
+    return RandomRewriting(seed=int(random_name[1] or 0))

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..service.faults import StoreFaultInjector
-from ..service.spec import (
+from ..service.schema import (
     Section,
-    ServiceSpec,
     SpecError,
     check_bool,
     check_fraction,
@@ -44,6 +43,7 @@ from ..service.spec import (
     check_str,
     check_tuple,
 )
+from ..service.spec import ServiceSpec
 from .yamlite import YamliteError, loads
 
 __all__ = [

@@ -38,6 +38,14 @@ from ..obs import Counter
 from ..psi.executors import RaceTask
 from ..psi.variants import Variant, variants_from_spec
 from ..rewriting import make_rewriting
+from .schema import (
+    Section,
+    check_algorithm,
+    check_bool,
+    check_int,
+    check_rewriting,
+    check_tuple,
+)
 
 __all__ = [
     "HEAD_START_STEPS", "QueryOptions", "RacePlanner", "Rewrite",
@@ -58,8 +66,13 @@ SERVED_REWRITINGS: tuple[str, ...] = ("Orig", "DND")
 
 
 @dataclass(frozen=True)
-class QueryOptions:
-    """Per-query execution configuration.
+class QueryOptions(Section):
+    """Per-query execution configuration, validated at construction
+    like every :class:`~repro.service.schema.Section`: a bad field
+    raises :class:`~repro.service.schema.SpecError` naming its dotted
+    path (``options.rewritings[1]``), and algorithm names are stored as
+    the registry's keys (``"gql"`` -> ``"GQL"``), so one variant set
+    has one cache signature.
 
     For NFV datasets the race runs ``algorithms x rewritings``; for FTV
     datasets verification is VF2 (the paper's FTV mode) and only
@@ -79,6 +92,15 @@ class QueryOptions:
     max_embeddings: int = 1000
     count_only: bool = True
     decision_only: bool = False
+
+    _PATH = "options"
+    _CHECKS = {
+        "algorithms": check_tuple(check_algorithm, nonempty=True),
+        "rewritings": check_tuple(check_rewriting, nonempty=True),
+        "max_embeddings": check_int(1),
+        "count_only": check_bool,
+        "decision_only": check_bool,
+    }
 
     def variants(self, kind: str) -> tuple[Variant, ...]:
         """The race's variant set for a dataset kind."""

@@ -138,26 +138,15 @@ def decisions_digest(tickets: list[Ticket]) -> str:
 
 
 def _unraceable(
-    query: LabeledGraph, options: QueryOptions, width: int, workers: int
+    query: LabeledGraph, width: int, workers: int
 ) -> Optional[str]:
-    """Why a ticket for ``query`` under ``options`` racing ``width``
-    variants can never race on a ``workers``-wide pool, or None: an
-    empty query (no matcher has a vertex to start from), a variant name
-    no registry resolves, or a race wider than the pool."""
-    # deferred: the spec module builds services, so it imports this one
-    from .spec import SpecError, _algorithm, _rewriting, check_tuple
-
+    """Why a ticket for ``query`` racing ``width`` variants can never
+    race on a ``workers``-wide pool, or None: an empty query (no
+    matcher has a vertex to start from) or a race wider than the pool.
+    Variant names were resolved when the :class:`QueryOptions` was
+    built."""
     if not query.order:
         return "query: has no vertex"
-    try:
-        check_tuple(_algorithm, nonempty=True)(
-            options.algorithms, "options.algorithms"
-        )
-        check_tuple(_rewriting, nonempty=True)(
-            options.rewritings, "options.rewritings"
-        )
-    except SpecError as exc:
-        return str(exc)
     if width > workers:
         return f"{width} variants exceed the {workers}-worker pool"
     return None
@@ -285,9 +274,7 @@ class Service:
             budget=ticket.budget_steps,
         )
         variants = options.variants(entry.kind)
-        reason = _unraceable(
-            query, options, len(variants), self.dispatcher.workers
-        )
+        reason = _unraceable(query, len(variants), self.dispatcher.workers)
         if reason is not None:
             ticket.state = TicketState.REJECTED
             ticket.reject_reason = reason

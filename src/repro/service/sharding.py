@@ -738,7 +738,7 @@ class ShardedCatalog:
         partition is counted once.  The store's counters, the serving
         replica counts and the routing tables are not repeated here:
         they are ``Service.store_metrics()``, ``service.replicas`` and
-        ``routing.tables``.
+        ``routing.tables``; nor is the shard count, ``len(shards)``.
         """
         per_shard = []
         for partition in self.partitions:
@@ -751,7 +751,6 @@ class ShardedCatalog:
                 "total_bytes": sum(r["total_bytes"] for r in per.values()),
             })
         return {
-            "num_shards": self.num_shards,
             "shards": per_shard,
             "total_bytes": sum(r["total_bytes"] for r in per_shard),
             "rollbacks": self.rollbacks,

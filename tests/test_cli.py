@@ -4,6 +4,7 @@ import os
 import re
 import select
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -369,8 +370,8 @@ class TestServeProcess:
         ("serve", ("--algorithms", "GQL,NOPE"), "engine.algorithms[1]"),
         ("serve", ("--rewritings", "Orig,NOPE"), "engine.rewritings[1]"),
         ("serve", ("--regrow", "--shards", "1"), "persistence.regrow"),
-        ("race", ("--algorithms", "GQL,NOPE"), "algorithms[1]"),
-        ("race", ("--rewritings", "XYZ"), "rewritings[0]"),
+        ("race", ("--algorithms", "GQL,NOPE"), "options.algorithms[1]"),
+        ("race", ("--rewritings", "XYZ"), "options.rewritings[0]"),
     ])
     def test_bad_flag_is_one_line_naming_the_field(
         self, command, flags, field
@@ -399,10 +400,11 @@ class TestServeProcess:
         ]
         assert not (tmp_path / "store").exists()
 
-    def test_listen_serves_what_the_spec_builds(self):
+    @pytest.mark.parametrize("stop", ["SIGINT", "SIGTERM"])
+    def test_listen_serves_what_the_spec_builds(self, stop):
         """The socket front door of ``serve --listen`` answers exactly
         as an in-process service built from the same flags, and drains
-        cleanly on SIGINT."""
+        cleanly on SIGINT or SIGTERM."""
         from repro.cli import _service_spec
         from repro.obs.client import ObsClient
         from repro.workload import generate_workload
@@ -455,7 +457,7 @@ class TestServeProcess:
                 ))
             assert served == expected
         finally:
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(getattr(signal, stop))
             try:
                 code = proc.wait(timeout=15)
             finally:
@@ -463,6 +465,22 @@ class TestServeProcess:
                 proc.stdout.close()
                 proc.stderr.close()
         assert code == 0
+
+    def test_listen_on_a_busy_port_is_one_line(self):
+        """An address the front door cannot bind ends the process with
+        one line, not a traceback."""
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            proc = repro_process(
+                "serve", *self.PPI, "--listen", f"127.0.0.1:{port}"
+            )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.strip().splitlines()
+        assert line.startswith("repro serve: --listen: ")
+        assert str(port) in line
 
     def test_warm_then_serve_from_store(self, tmp_path):
         store = str(tmp_path / "store")

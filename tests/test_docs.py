@@ -435,7 +435,7 @@ def test_the_memory_key_check_sees_a_dropped_and_an_invented_key(
     assert dropped.startswith("reported, not documented")
     assert "rollbacks" in dropped
     (invented,) = memory_key_drift(
-        text.replace("`num_shards`, ", "`num_shards`, `pools`, "),
+        text.replace("keys:** `shards`, ", "keys:** `shards`, `pools`, "),
         memory_keys,
     )
     assert invented.startswith("documented, not reported")

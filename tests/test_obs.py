@@ -413,7 +413,7 @@ class TestStatsIdentity:
         svc.submit(  # five variants on four workers: rejected
             "ppi", query,
             options=QueryOptions(
-                rewritings=("Orig", "DND", "ILF", "IND", "DNA")
+                rewritings=("Orig", "DND", "ILF", "IND", "ILF+DND")
             ),
         )
         svc.run_until_idle()

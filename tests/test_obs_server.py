@@ -13,14 +13,14 @@ import pytest
 
 from repro.harness import build_ftv_graphs
 from repro.obs.client import ObsClient, query_payload
-from repro.obs.server import BackgroundFrontDoor, _options_from
+from repro.obs.server import BackgroundFrontDoor
 from repro.service import (
     AdmissionController,
     QueryOptions,
     Service,
     TenantPolicy,
 )
-from repro.service.spec import SpecError
+from repro.service.schema import SpecError
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
 BUDGET = 60_000
@@ -221,6 +221,8 @@ MALFORMED_OPTIONS = [
     ({"max_embeddings": "x"}, "options.max_embeddings"),
     ({"max_embeddings": 0}, "options.max_embeddings"),
     (["Orig"], "options"),
+    ({"rewriting": ["ILF"]}, "options.rewriting"),
+    ({"decison_only": True}, "options.decison_only"),
 ]
 
 
@@ -263,15 +265,17 @@ def raw_post(address, content_length):
 
 
 class TestOptionsFromRequest:
+    """A request's ``options`` is read by ``QueryOptions.from_dict``."""
+
     @pytest.mark.parametrize("options, path", MALFORMED_OPTIONS)
     def test_a_malformed_field_raises_naming_its_path(self, options, path):
         with pytest.raises(SpecError) as err:
-            _options_from(options)
+            QueryOptions.from_dict(options)
         assert err.value.path == path
 
     @pytest.mark.parametrize("options, expected", [
-        ({}, None),
-        (None, None),
+        ({}, QueryOptions()),
+        (None, QueryOptions()),
         (
             {"algorithms": ["GQL"], "rewritings": ["Orig", "DND"]},
             QueryOptions(algorithms=("GQL",), rewritings=("Orig", "DND")),
@@ -287,7 +291,7 @@ class TestOptionsFromRequest:
     def test_well_typed_fields_become_query_options(self, options, expected):
         """Lists become tuples of whole names and booleans stay
         booleans; an absent or empty mapping means the defaults."""
-        assert _options_from(options) == expected
+        assert QueryOptions.from_dict(options) == expected
 
 
 class TestRejectionMapping:

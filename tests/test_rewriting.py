@@ -136,10 +136,22 @@ class TestRandomRewriting:
         }
         assert len(perms) > 1
 
-    def test_make_rewriting_rnd_names(self):
-        r = make_rewriting("RND4")
+    @pytest.mark.parametrize("name, seed", [("RND4", 4), ("RND", 0)])
+    def test_make_rewriting_rnd_names(self, name, seed):
+        r = make_rewriting(name)
         assert isinstance(r, RandomRewriting)
-        assert r.seed == 4
+        assert r.seed == seed
+
+    @pytest.mark.parametrize("name", ["RND-1", "RNDx", "NOPE"])
+    def test_make_rewriting_refuses_other_names(self, name):
+        """Only ``RND`` and ``RND<k>`` are the seeded family; any other
+        name is the registry's one error, never an ``int()`` failure."""
+        with pytest.raises(KeyError) as err:
+            make_rewriting(name)
+        assert err.value.args[0] == (
+            f"unknown rewriting {name!r}; known: DND, ILF, ILF+DND, "
+            "ILF+IND, IND, Orig, RND<k>"
+        )
 
 
 class TestEmbeddingTranslation:

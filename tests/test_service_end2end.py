@@ -19,6 +19,7 @@ from repro.service import (
     run_closed_loop,
 )
 from repro.service.planner import HEAD_START_STEPS, race_starts
+from repro.service.schema import SpecError
 from repro.workload import (
     default_tenant_mixes,
     extract_query,
@@ -253,6 +254,23 @@ class TestResultCaching:
                 assert t.result.steps == ref.steps
                 assert t.result.winner == ref.winner
 
+    def test_algorithm_names_are_canonical(self, store):
+        """``gql`` and ``GQL`` name one matcher, so one variant set: a
+        ``gql`` resubmission of a ``GQL`` query hits the cache, and the
+        winner carries the registry's name."""
+        svc = make_service()
+        [mix] = default_tenant_mixes(1, 1, sizes=(4,), repeat_fraction=0.0)
+        [mq] = generate_tenant_stream([store], mix, seed=5)
+        results = []
+        for name in ("GQL", "gql"):
+            options = QueryOptions(algorithms=(name,), rewritings=("Orig",))
+            ticket = svc.submit("yeast", mq.query.graph, options=options)
+            svc.run_until_idle()
+            results.append(ticket.result)
+        first, again = results
+        assert not first.from_cache and again.from_cache
+        assert again.winner_label == first.winner_label == "GQL-Orig"
+
     def test_killed_results_not_cached(self, store):
         svc = Service(
             workers=4,
@@ -300,26 +318,18 @@ class TestAdmissionIntegration:
         assert "worker pool" in t.reject_reason
 
     @pytest.mark.parametrize("options, path", [
-        (QueryOptions(algorithms=("NOPE",)), "options.algorithms[0]"),
-        (QueryOptions(rewritings=("Orig", "XYZ")), "options.rewritings[1]"),
-        (QueryOptions(rewritings=()), "options.rewritings"),
+        ({"algorithms": ("NOPE",)}, "options.algorithms[0]"),
+        ({"rewritings": ("Orig", "XYZ")}, "options.rewritings[1]"),
+        ({"rewritings": ()}, "options.rewritings"),
     ])
-    def test_an_unraceable_variant_set_is_rejected(self, store, options, path):
+    def test_an_unraceable_variant_set_is_rejected(self, options, path):
         """A variant name no registry resolves (or no variant at all)
-        is refused at submit, naming the field, like an over-wide race:
-        the ticket is not lost in the planner, the service is idle and
-        the next query is answered."""
-        svc = make_service(workers=4)
-        [mix] = default_tenant_mixes(1, 2, sizes=(4,), repeat_fraction=0.0)
-        stream = generate_tenant_stream([store], mix, seed=5)
-        t = svc.submit("yeast", stream[0].query.graph, options=options)
-        assert t.state is TicketState.REJECTED
-        assert t.reject_reason.startswith(f"{path}: ")
-        assert svc.idle
-        svc.run_until_idle()
-        answered = svc.submit("yeast", stream[1].query.graph)
-        svc.run_until_idle()
-        assert answered.state is TicketState.DONE
+        is refused where the options are built, naming the field, so no
+        ticket ever carries one; the empty query and the over-wide race
+        are what submit still refuses."""
+        with pytest.raises(SpecError) as err:
+            QueryOptions(**options)
+        assert err.value.path == path
 
     @pytest.mark.parametrize("dataset", ["yeast", "ppi"])
     def test_an_empty_query_is_rejected_at_submit(self, dataset):
