@@ -15,7 +15,7 @@ Endpoints
 ``POST /query``
     JSON body ``{"dataset", "query": {labels, edges[, name]},
     ["tenant"], ["options": {algorithms, rewritings, max_embeddings,
-    count_only, decision_only}], ["budget_steps"]}`` — the ``query``
+    decision_only}], ["budget_steps"]}`` — the ``query``
     object is the :func:`repro.graphs.io.graph_to_json` wire format.
     A malformed field (a non-string ``dataset`` or ``tenant``, a list
     or object vertex label, a ``budget_steps`` that is not a positive
@@ -68,6 +68,10 @@ __all__ = ["FrontDoor", "BackgroundFrontDoor"]
 #: default virtual-step -> wall-clock conversion for Retry-After
 DEFAULT_STEPS_PER_SECOND = 1_000_000
 
+#: wall seconds :meth:`FrontDoor.close` waits for in-flight queries and
+#: watchers' final frames before tearing the loop down anyway
+DRAIN_TIMEOUT_S = 5.0
+
 
 class FrontDoor:
     """The asyncio protocol server; one instance per :class:`Service`."""
@@ -78,7 +82,6 @@ class FrontDoor:
         host: str = "127.0.0.1",
         port: int = 0,
         steps_per_second: int = DEFAULT_STEPS_PER_SECOND,
-        drain_timeout: float = 5.0,
     ) -> None:
         if steps_per_second < 1:
             raise ValueError("steps_per_second must be >= 1")
@@ -86,10 +89,6 @@ class FrontDoor:
         self.host = host
         self.port = port
         self.steps_per_second = steps_per_second
-        #: graceful-shutdown budget: how long :meth:`close` waits for
-        #: in-flight queries to resolve and watchers to take their
-        #: final frame before tearing the loop down anyway
-        self.drain_timeout = drain_timeout
         #: (host, port) actually bound (port 0 resolves at start)
         self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -126,11 +125,11 @@ class FrontDoor:
         let every ``/watch`` stream emit one last frame (marked
         ``"final": true``) and end, (4) only then cancel the pump task
         and close the listening sockets.  Everything after step 1 is
-        bounded by ``drain_timeout`` so a wedged client cannot hold
-        shutdown hostage.
+        bounded by :data:`DRAIN_TIMEOUT_S` so a wedged client cannot
+        hold shutdown hostage.
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout
+        deadline = loop.time() + DRAIN_TIMEOUT_S
         self._draining.set()
         self._work.set()  # wake the pump so queued work finishes
         if self._server is not None:

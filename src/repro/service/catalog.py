@@ -3,8 +3,9 @@
 The experiment harness rebuilds graphs and matcher indexes per run;
 a serving layer cannot.  :func:`warm_entry` builds **one** warm
 :class:`DatasetEntry` over a list of graphs: it prepares the
-per-algorithm matcher indexes up front, builds the FTV filter
-(Grapes/GGSX) for collection datasets, and freezes the graphs
+per-algorithm matcher indexes up front, builds the served FTV filter
+(:data:`~repro.service.planner.SERVED_FTV_METHOD`) for collection
+datasets, and freezes the graphs
 (mutation after load invalidates every prepared index, so it is
 checked, not trusted).  :meth:`DatasetEntry.memory_report` says what
 keeping it warm costs.
@@ -13,8 +14,8 @@ Entries wrap:
 
 * NFV datasets (yeast/human/wordnet): one stored graph + a
   :class:`repro.psi.PsiNFV` whose matcher indexes are pre-built;
-* FTV datasets (ppi/synthetic): the graph collection + a Grapes (or
-  GGSX) filter index and a warm VF2 verifier per stored graph.
+* FTV datasets (ppi/synthetic): the graph collection + its filter
+  index and a warm VF2 verifier per stored graph.
 
 The one catalog is :class:`repro.service.sharding.ShardedCatalog`: a
 served collection is N >= 1 shards, and each shard's partition is one
@@ -41,6 +42,9 @@ from ..graphs import LabeledGraph
 from ..indexing import FTV_INDEX_CLASSES, FTVIndex, LabelInterner
 from ..psi import PsiNFV
 from ..rewriting import LabelStats
+from .planner import (
+    SERVED_ALGORITHMS, SERVED_FTV_METHOD, SERVED_PATH_LENGTH,
+)
 
 __all__ = [
     "DatasetEntry",
@@ -97,7 +101,6 @@ class DatasetEntry:
     psi: Optional[PsiNFV] = None
     ftv_index: Optional[FTVIndex] = None
     stats: Optional[LabelStats] = None
-    prepared_algorithms: tuple[str, ...] = ()
     #: (order, size) checksums taken at load time (freeze witness)
     _shape: tuple[tuple[int, int], ...] = field(default_factory=tuple)
     #: (graph bytes, FTV index bytes, trie nodes) of the frozen state;
@@ -236,12 +239,13 @@ def warm_entry(
     kind: str,
     scale: str,
     algorithms: tuple[str, ...],
-    ftv_method: str,
-    max_path_length: int,
     prebuilt_index: Optional[FTVIndex] = None,
     interner: Optional[LabelInterner] = None,
 ) -> DatasetEntry:
-    """Build, warm and freeze one entry over ``graphs``.
+    """Build, warm and freeze one entry over ``graphs``: an NFV entry
+    prepares each of ``algorithms``' matcher indexes, an FTV entry
+    builds the served filter over paths of up to
+    :data:`~repro.service.planner.SERVED_PATH_LENGTH` edges.
 
     ``prebuilt_index`` is the store-boot shortcut: an FTV index
     already reconstructed from disk skips the census build and is
@@ -262,17 +266,13 @@ def warm_entry(
             graphs=graphs,
             psi=psi,
             stats=psi.stats,
-            prepared_algorithms=tuple(algorithms),
         )
     else:
         index = prebuilt_index
         if index is None:
-            cls = FTV_INDEX_CLASSES.get(ftv_method)
-            if cls is None:
-                raise ValueError(f"unknown FTV method {ftv_method!r}")
-            index = cls(
+            index = FTV_INDEX_CLASSES[SERVED_FTV_METHOD](
                 graphs,
-                max_path_length=max_path_length,
+                max_path_length=SERVED_PATH_LENGTH,
                 interner=interner,
             )
         # nothing is sealed: each probe seals the paths it asks about
@@ -299,9 +299,14 @@ class DatasetCatalog:
 
         self.sharded = ShardedCatalog(num_shards=1)
 
-    def load(self, name: str, **config) -> DatasetEntry:
+    def load(
+        self,
+        name: str,
+        scale: str = "default",
+        algorithms: tuple[str, ...] = SERVED_ALGORITHMS,
+    ) -> DatasetEntry:
         """:meth:`ShardedCatalog.load`; returns the one shard's entry."""
-        self.sharded.load(name, **config)
+        self.sharded.load(name, scale=scale, algorithms=algorithms)
         return self.sharded.shard_entry(name, 0)
 
     def add_graph(self, name: str, graph: LabeledGraph) -> int:

@@ -38,6 +38,7 @@ from ..graphs import LabeledGraph
 from ..workload import MixedQuery
 from .admission import Ticket, TicketState
 from .faults import ReplicaState
+from .planner import SERVED_FTV_METHOD, SERVED_PATH_LENGTH
 from .service import (
     QueryOptions,
     Service,
@@ -235,7 +236,6 @@ def plan_update_stream(
     count: int,
     seed: int = 0,
     add_fraction: float = 0.6,
-    novel_label_every: int = 4,
 ) -> list[MutationOp]:
     """Expand ``seed`` into a deterministic add/remove plan.
 
@@ -243,8 +243,8 @@ def plan_update_stream(
     remove targets a live id, roughly ``add_fraction`` of ops are adds,
     a fraction of adds *revive* a previously removed slot (the
     add→remove→re-add chain the replay drills care about), and every
-    ``novel_label_every``-th add carries a label the collection has
-    never seen (the interner-extension hazard).
+    fourth add carries a label the collection has never seen (the
+    interner-extension hazard).
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -285,7 +285,7 @@ def plan_update_stream(
         n = rng.randint(5, 9)
         labels = [rng.choice(pool) for _ in range(n)]
         adds += 1
-        if novel_label_every and adds % novel_label_every == 0:
+        if adds % 4 == 0:
             labels[rng.randrange(n)] = novel(adds)
         from ..graphs.generators import gnm_graph
 
@@ -347,20 +347,20 @@ def oracle_digest(
 ) -> str:
     """Digest of the rebuild-from-scratch oracle for the same state.
 
-    A fresh index is built over exactly the live graphs (ascending
-    global id) and every probe is answered against it — no journal, no
-    incremental maintenance, no sharding.  Equality with
+    A fresh served index is built over exactly the live graphs
+    (ascending global id) and every probe is answered against it — no
+    journal, no incremental maintenance, no sharding.  Equality with
     :func:`collection_digest` at a quiesce point is the correctness
     claim of the whole mutation path.
     """
-    entry = service.catalog.get(dataset)
-    _scale, _algorithms, ftv_method, max_path_length = entry.load_config
-    live = entry.live_graph_ids()
-    graphs = [entry.graphs[gid] for gid in live]
-    from ..indexing import GGSXIndex, GrapesIndex
+    from ..indexing import FTV_INDEX_CLASSES
 
-    cls = GrapesIndex if ftv_method == "Grapes" else GGSXIndex
-    index = cls(graphs, max_path_length=max_path_length)
+    entry = service.catalog.get(dataset)
+    live = entry.live_graph_ids()
+    index = FTV_INDEX_CLASSES[SERVED_FTV_METHOD](
+        [entry.graphs[gid] for gid in live],
+        max_path_length=SERVED_PATH_LENGTH,
+    )
     answers = [
         sorted(live[local] for local in index.query(p).matching_ids)
         for p in probes
@@ -412,7 +412,6 @@ def run_closed_loop(
     mutations: Optional[list[MutationOp]] = None,
     mutate_every: int = 8,
     batch: int = 2,
-    probes: Optional[list[LabeledGraph]] = None,
     probe_seed: int = 0,
     verify_oracle: bool = True,
 ) -> LoadReport:
@@ -439,10 +438,10 @@ def run_closed_loop(
       first).  With ``verify_oracle`` the served collection is then
       digest-compared against the rebuild-from-scratch oracle, and
       once more after the loop, so *every* quiesce point that changed
-      the collection is verified.  ``probes`` defaults to a seeded
-      workload drawn from the initial live graphs plus the planned
-      newcomers, so both pre-existing and added graphs are probed
-      positively.  The report then carries a ``mutations`` section.
+      the collection is verified.  The probes are a seeded
+      (``probe_seed``) workload drawn from the initial live graphs plus
+      the planned newcomers, so both pre-existing and added graphs are
+      probed positively.  The report then carries a ``mutations`` section.
 
     With a :class:`~repro.service.faults.FaultInjector`, its events are
     installed on the service before the first submission and fire on
@@ -470,7 +469,7 @@ def run_closed_loop(
         service.install_faults(faults)
     ops = deque(mutations or ())
     verify_oracle = verify_oracle and bool(ops)
-    if verify_oracle and probes is None:
+    if verify_oracle:
         probes = _default_probes(service, dataset, ops, probe_seed)
     pending = {t: list(s) for t, s in streams.items()}
     outstanding = {t: 0 for t in streams}

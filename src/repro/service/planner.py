@@ -49,7 +49,8 @@ from .schema import (
 
 __all__ = [
     "HEAD_START_STEPS", "QueryOptions", "RacePlanner", "Rewrite",
-    "SERVED_ALGORITHMS", "SERVED_REWRITINGS", "race_starts",
+    "SERVED_ALGORITHMS", "SERVED_FTV_METHOD", "SERVED_PATH_LENGTH",
+    "SERVED_REWRITINGS", "race_starts",
 ]
 
 #: race steps a race's first-declared variant runs alone before the
@@ -63,6 +64,12 @@ HEAD_START_STEPS = 4_096
 #: an FTV race VF2 under each rewriting
 SERVED_ALGORITHMS: tuple[str, ...] = ("GQL", "SPA")
 SERVED_REWRITINGS: tuple[str, ...] = ("Orig", "DND")
+
+#: the filter every served FTV collection is indexed with and the
+#: longest path (in edges) its census counts — the shards' indexes, the
+#: query census, the store's records and the mutation oracle read them
+SERVED_FTV_METHOD = "Grapes"
+SERVED_PATH_LENGTH = 3
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,6 @@ class QueryOptions(Section):
     algorithms: tuple[str, ...] = SERVED_ALGORITHMS
     rewritings: tuple[str, ...] = SERVED_REWRITINGS
     max_embeddings: int = 1000
-    count_only: bool = True
     decision_only: bool = False
 
     _PATH = "options"
@@ -98,7 +104,6 @@ class QueryOptions(Section):
         "algorithms": check_tuple(check_algorithm, nonempty=True),
         "rewritings": check_tuple(check_rewriting, nonempty=True),
         "max_embeddings": check_int(1),
-        "count_only": check_bool,
         "decision_only": check_bool,
     }
 
@@ -113,7 +118,6 @@ class QueryOptions(Section):
         return (
             self.variants(kind),
             self.max_embeddings,
-            self.count_only,
             self.decision_only,
         )
 
@@ -210,7 +214,7 @@ class RacePlanner:
         ):
             return involved, []
         plan = entry.router.plan(
-            self.census(flight, entry.interner, entry.max_path_length),
+            self.census(flight, entry.interner),
             involved,
             flight.options.decision_only,
         )
@@ -248,7 +252,7 @@ class RacePlanner:
                 ticket.query,
                 flight.variants,
                 1 if options.decision_only else options.max_embeddings,
-                options.count_only,
+                count_only=True,
             )
         else:
             engines = self._ftv_engines(flight, shard, sub, id_map)
@@ -268,10 +272,9 @@ class RacePlanner:
         if not any(bills[v] for v, start in starts.items() if start):
             self.races_head_only.inc()
 
-    def census(
-        self, flight, interner: LabelInterner, max_path_length: int
-    ) -> dict:
-        """The ticket's query census (feature -> count), taken once.
+    def census(self, flight, interner: LabelInterner) -> dict:
+        """The ticket's query census (feature -> count) over paths of
+        up to :data:`SERVED_PATH_LENGTH` edges, taken once.
 
         ``interner`` is the collection's one label code space — the
         entry's, which every shard's index shares — so the counts taken
@@ -285,7 +288,7 @@ class RacePlanner:
             query = flight.ticket.query
             flight.counts = coded_path_census(
                 query,
-                max_path_length,
+                SERVED_PATH_LENGTH,
                 interner.encode_vertices(query.labels),
             ).counts
         return flight.counts
@@ -312,7 +315,7 @@ class RacePlanner:
         candidates = flight.candidates.get(shard)
         if candidates is None:
             candidates = flight.candidates[shard] = index.probe(
-                self.census(flight, index.interner, index.max_path_length)
+                self.census(flight, index.interner)
             )
         return {
             variant: self.ftv_sweep(

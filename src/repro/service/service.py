@@ -39,7 +39,7 @@ from .dispatcher import Dispatcher
 from .fanout import FanOut, Flight
 from .faults import FaultEvent, FaultInjector, ReplicaState
 from .mutations import MutationApplier, MutationTicket
-from .planner import QueryOptions, RacePlanner
+from .planner import SERVED_ALGORITHMS, QueryOptions, RacePlanner
 from .replicas import ReplicaSet
 from .sharding import ShardedCatalog
 from .stats import StatsView
@@ -76,6 +76,11 @@ class ServiceResult:
         if self.winner is None:
             return "killed"
         return self.winner.label
+
+
+#: the options of a submit that names none: validated once, shared by
+#: every such ticket (a ``QueryOptions`` is frozen)
+_DEFAULT_OPTIONS = QueryOptions()
 
 
 def _digest(tickets: list[Ticket], line) -> str:
@@ -230,9 +235,14 @@ class Service:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def load_dataset(self, name: str, scale: str = "default", **kw) -> None:
+    def load_dataset(
+        self,
+        name: str,
+        scale: str = "default",
+        algorithms: tuple[str, ...] = SERVED_ALGORITHMS,
+    ) -> None:
         """Load + warm a dataset through the catalog."""
-        self.catalog.load(name, scale=scale, **kw)
+        self.catalog.load(name, scale=scale, algorithms=algorithms)
 
     @property
     def clock(self) -> int:
@@ -261,7 +271,7 @@ class Service:
         if budget_steps is not None and budget_steps < 1:
             raise ValueError("budget_steps must be >= 1")
         entry = self.catalog.get(dataset)
-        options = options or QueryOptions()
+        options = options or _DEFAULT_OPTIONS
         ticket = self.admission.issue(
             tenant, dataset, query, self.clock, budget_steps
         )

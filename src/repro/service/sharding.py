@@ -9,7 +9,7 @@ graph collection across N shards (hash or size-balanced assignment;
 ``N = 1`` is one shard holding everything, one replica, pool 0), each
 holding its partition warm as one
 :class:`~repro.service.catalog.DatasetEntry` — its own matcher
-indexes and Grapes/GGSX filter over its partition only — however many
+indexes and filter index over its partition only — however many
 replicas serve it (:mod:`repro.service.replicas` owns those; the
 catalog only hears when a shard goes dark or comes back).  The service
 fans a query out into one race per involved shard, runs each on a pool
@@ -66,7 +66,6 @@ from ..graphs import LabeledGraph
 from ..indexing import LabelInterner
 from ..matching import MatchOutcome
 from ..psi.executors import RaceOutcome
-from ..rewriting import LabelStats
 from .catalog import DatasetEntry, warm_entry
 from .planner import SERVED_ALGORITHMS
 from .routing import ShardRouter
@@ -131,10 +130,11 @@ def assign_shards(
 class ShardedEntry:
     """One dataset as the sharded catalog serves it.
 
-    The collection-level fields (``kind``, ``scale``, ``stats`` —
-    what cache keys are made of, so cache hits are shared across
-    layouts) plus the shard map: which global graph ids live on which
-    shard.
+    The collection-level fields (``kind`` and ``scale``, which cache
+    keys are made of, so cache hits are shared across layouts) plus
+    the shard map: which global graph ids live on which shard.  Label
+    statistics are per partition (``DatasetEntry.stats``), where the
+    rewritings read them.
     """
 
     name: str
@@ -143,16 +143,13 @@ class ShardedEntry:
     #: the full collection in global id order (graph objects are shared
     #: with the shard entries, never copied)
     graphs: list[LabeledGraph]
-    #: collection-wide label statistics (whatever the shard count, so
-    #: nothing keyed on them depends on the layout)
-    stats: LabelStats
     #: ascending global graph ids per shard (empty tuple = empty shard)
     assignment: tuple[tuple[int, ...], ...]
     #: the single shard holding an NFV entry's stored graph
     home_shard: int
-    #: ``(scale, algorithms, ftv_method, max_path_length)`` the entry
-    #: was loaded with: the re-load compatibility witness, what every
-    #: partition is warmed with, and what a checkpoint records
+    #: ``(scale, algorithms)`` the entry was loaded with: the re-load
+    #: compatibility witness, what every partition is warmed with, and
+    #: what a checkpoint records (beside the served filter)
     load_config: tuple
     _catalog: "ShardedCatalog"
     #: the collection's one label code space (FTV entries only): every
@@ -171,11 +168,6 @@ class ShardedEntry:
     def num_shards(self) -> int:
         """Shard count of the owning catalog."""
         return len(self.assignment)
-
-    @property
-    def max_path_length(self) -> int:
-        """The entry's FTV feature path length (census configuration)."""
-        return self.load_config[3]
 
     def involved_shards(self) -> tuple[int, ...]:
         """Shards that hold at least one graph (fan-out targets)."""
@@ -218,8 +210,8 @@ class ShardedCatalog:
     ``load`` builds a named dataset once, partitions collections with
     :func:`assign_shards`, and warms each partition as one
     :class:`DatasetEntry` in its shard's dict (:attr:`partitions`) — so
-    every shard warms its own matcher indexes and Grapes/GGSX filters
-    over just its graphs.  NFV datasets (one stored graph) live whole
+    every shard warms its own matcher indexes and filter index over
+    just its graphs.  NFV datasets (one stored graph) live whole
     on a deterministic home shard.
 
     **Dark shards.**  The warm partition belongs to the shard, not to
@@ -342,20 +334,20 @@ class ShardedCatalog:
         name: str,
         scale: str = "default",
         algorithms: tuple[str, ...] = SERVED_ALGORITHMS,
-        ftv_method: str = "Grapes",
-        max_path_length: int = 3,
     ) -> ShardedEntry:
         """Load ``name``, partition it, and warm every shard.
 
         Re-loading a loaded dataset with the *same configuration*
         returns the existing entry — the whole point of the catalog is
-        to never build twice.  A re-load with a different scale,
-        algorithm roster, or FTV method raises: silently answering from
-        the old configuration would corrupt results.  With a store
+        to never build twice.  A re-load with a different scale or
+        algorithm roster raises: silently answering from the old
+        configuration would corrupt results.  Every FTV collection is
+        filtered by the served index
+        (:data:`~repro.service.planner.SERVED_FTV_METHOD`).  With a store
         attached, whatever :meth:`StoreReader.restore` allows is
         restored instead of built.
         """
-        config = (scale, tuple(algorithms), ftv_method, max_path_length)
+        config = (scale, tuple(algorithms))
         existing = self._entries.get(name)
         if existing is not None:
             if existing.load_config != config:
@@ -403,7 +395,6 @@ class ShardedCatalog:
             scale=scale,
             kind=kind,
             graphs=graphs,
-            stats=LabelStats.of_collection(graphs),
             assignment=assignment,
             home_shard=home,
             load_config=config,
@@ -415,9 +406,6 @@ class ShardedCatalog:
             # the checkpoint stay removed across the cold boot (the
             # per-shard blobs carry the matching local tombstones)
             entry.tombstones.update(tombstones)
-            live = [entry.graphs[g] for g in entry.live_graph_ids()]
-            if live:
-                entry.stats = LabelStats.of_collection(live)
         if kind == "ftv" and self.num_shards > 1:
             # shard count is a constructor fact: one shard has nothing
             # to prune or order, so it gets no router
@@ -444,18 +432,14 @@ class ShardedCatalog:
         if shard in self.dark:
             return
         part = [entry.graphs[g] for g in entry.assignment[shard]]
-        scale, algorithms, ftv_method, max_path_length = entry.load_config
+        scale, algorithms = entry.load_config
         index = None
         if entry.kind == "ftv" and entry.name in self._restorable:
             index = self.store.restore_index(
-                entry.name, part, shard=shard,
-                ftv_method=ftv_method,
-                max_path_length=max_path_length,
-                interner=entry.interner,
+                entry.name, part, shard=shard, interner=entry.interner
             )
         sub = warm_entry(
             entry.name, part, entry.kind, scale, algorithms,
-            ftv_method, max_path_length,
             prebuilt_index=index, interner=entry.interner,
         )
         self.partitions[shard][entry.name] = sub
@@ -630,9 +614,6 @@ class ShardedCatalog:
 
     def _after_mutation(self, entry: ShardedEntry) -> None:
         """Collection-level bookkeeping after one applied mutation."""
-        live = [entry.graphs[g] for g in entry.live_graph_ids()]
-        if live:
-            entry.stats = LabelStats.of_collection(live)
         # per-shard index blobs in the store were dumped against the
         # pre-mutation partition; restoring one now would resurrect a
         # removed graph or miss an added one, so the record is not

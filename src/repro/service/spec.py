@@ -244,10 +244,12 @@ class ServiceSpec(Section):
         """The dataset's kind, ``"nfv"`` or ``"ftv"``."""
         return dataset_kind(self.dataset)
 
-    def _load_options(self) -> dict:
+    def _load_algorithms(self) -> tuple[str, ...]:
+        """The engine's matchers for an NFV graph; a collection prepares
+        none (VF2 verifies), so it loads the served default."""
         if self.kind == "nfv":
-            return {"algorithms": self.engine.algorithms}
-        return {}
+            return self.engine.algorithms
+        return SERVED_ALGORITHMS
 
     def _policy(self, weight: float = 1.0) -> TenantPolicy:
         return TenantPolicy(
@@ -287,7 +289,7 @@ class ServiceSpec(Section):
             journal=journal,
         )
         service.load_dataset(
-            self.dataset, scale=self.scale, **self._load_options()
+            self.dataset, scale=self.scale, algorithms=self._load_algorithms()
         )
         return service
 

@@ -222,11 +222,14 @@ class StoreReader:
     ) -> Optional[Restored]:
         """What a catalog of ``num_shards`` shards (``strategy``
         assignment) loading ``name`` with ``config`` — ``(scale,
-        algorithms, ftv_method, max_path_length)`` — may restore.
+        algorithms)`` — may restore.
 
         ``None`` when the store has no usable record: absent, or
-        written for a different catalog shape or configuration (a
-        counted, logged miss — not corruption).  A corrupt graphs blob
+        written for a different catalog shape, configuration or filter
+        (a record whose ``ftv_method`` / ``max_path_length`` are not
+        the served :data:`~repro.service.planner.SERVED_FTV_METHOD` /
+        :data:`~repro.service.planner.SERVED_PATH_LENGTH`) — a counted,
+        logged miss, not corruption.  A corrupt graphs blob
         keeps the record: the builders are deterministic, so ``build()``
         makes graphs with the same label codes and the index blobs stay
         valid against them.  The record is honoured only when its
@@ -237,6 +240,10 @@ class StoreReader:
         coldest-shard rule).  An NFV record's assignment must be the
         ``home_shard`` one.
         """
+        # deferred: the store sits below the service, and the catalog
+        # calling in has loaded the planner already
+        from ..service.planner import SERVED_FTV_METHOD, SERVED_PATH_LENGTH
+
         rec = self.dataset_record(name)
         if rec is None:
             return None
@@ -257,18 +264,18 @@ class StoreReader:
                 found=layout,
             )
             return None
-        scale, algorithms, ftv_method, max_path_length = config
+        scale, algorithms = config
         if (
             rec.get("scale") != scale
             or tuple(rec.get("algorithms", ())) != tuple(algorithms)
-            or rec.get("ftv_method") != ftv_method
-            or rec.get("max_path_length") != max_path_length
+            or rec.get("ftv_method") != SERVED_FTV_METHOD
+            or rec.get("max_path_length") != SERVED_PATH_LENGTH
         ):
             self.misses += 1
             self._event(
                 "config_mismatch", dataset=name,
-                wanted=[scale, list(algorithms), ftv_method,
-                        max_path_length],
+                wanted=[scale, list(algorithms), SERVED_FTV_METHOD,
+                        SERVED_PATH_LENGTH],
             )
             return None
         try:
@@ -422,14 +429,14 @@ class StoreReader:
         graphs,
         *,
         shard: int,
-        ftv_method: str,
-        max_path_length: int,
         interner: Optional[LabelInterner] = None,
     ):
         """``shard``'s warm FTV index restored from its blob of an
         honoured record, sharing ``interner`` — the code space the
         blob's rows are in — or ``None`` (counted as a rebuild) when
         the blob is absent or bad and the caller must build it."""
+        from ..service.planner import SERVED_FTV_METHOD, SERVED_PATH_LENGTH
+
         rec = self.dataset_record(name)
         ref = rec.get("indexes", {}).get(str(shard))
         if ref is None:
@@ -440,7 +447,8 @@ class StoreReader:
             data = self._load_blob(ref, what=what, dataset=name)
             index = self._decode(
                 lambda d: decode_index(
-                    d, graphs, ftv_method, max_path_length, interner
+                    d, graphs, SERVED_FTV_METHOD, SERVED_PATH_LENGTH,
+                    interner,
                 ),
                 data, ref, what=what, dataset=name,
             )

@@ -130,6 +130,8 @@ class StoreWriter:
         """``(layout, dataset records)`` of a ``ShardedCatalog`` — the
         one store layout: a collection is N >= 1 shards, one index blob
         each, keyed by shard number."""
+        from ..service.planner import SERVED_FTV_METHOD, SERVED_PATH_LENGTH
+
         layout = {
             "sharded": True,
             "num_shards": catalog.num_shards,
@@ -139,19 +141,21 @@ class StoreWriter:
         datasets: dict = {}
         for name in catalog.datasets():
             entry = catalog.get(name)
-            scale, algorithms, ftv_method, max_path_length = (
-                entry.load_config
-            )
-            rec = self._dataset_record(
-                kind=entry.kind,
-                scale=scale,
-                algorithms=algorithms,
-                ftv_method=ftv_method,
-                max_path_length=max_path_length,
-                graphs=entry.graphs,
-            )
-            rec["assignment"] = [list(ids) for ids in entry.assignment]
-            rec["home_shard"] = entry.home_shard
+            scale, algorithms = entry.load_config
+            graphs = self.blobs.put(encode_graphs(entry.graphs))
+            # every collection is indexed with the served filter
+            rec = {
+                "kind": entry.kind,
+                "scale": scale,
+                "algorithms": list(algorithms),
+                "ftv_method": SERVED_FTV_METHOD,
+                "max_path_length": SERVED_PATH_LENGTH,
+                "codec": CODEC,
+                "graphs": {**graphs.as_dict(), "count": len(entry.graphs)},
+                "indexes": {},
+                "assignment": [list(ids) for ids in entry.assignment],
+                "home_shard": entry.home_shard,
+            }
             if entry.tombstones:
                 # collection state, not index state: the global ids a
                 # remove_graph retired (per-shard blobs carry only
@@ -173,21 +177,3 @@ class StoreWriter:
                     ).as_dict()
             datasets[name] = rec
         return layout, datasets
-
-    def _dataset_record(
-        self, *, kind, scale, algorithms, ftv_method,
-        max_path_length, graphs,
-    ) -> dict:
-        graphs_ref = self.blobs.put(encode_graphs(graphs))
-        return {
-            "kind": kind,
-            "scale": scale,
-            "algorithms": list(algorithms),
-            "ftv_method": ftv_method,
-            "max_path_length": max_path_length,
-            "codec": CODEC,
-            "graphs": {
-                **graphs_ref.as_dict(), "count": len(graphs),
-            },
-            "indexes": {},
-        }

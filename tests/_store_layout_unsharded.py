@@ -13,6 +13,7 @@ deliberately no reader.
 
 from __future__ import annotations
 
+from repro.service.planner import SERVED_FTV_METHOD, SERVED_PATH_LENGTH
 from repro.store import BlobStore, Manifest, write_manifest
 from repro.store.codec import (
     CODEC,
@@ -32,13 +33,13 @@ def write_unsharded_store(root: str, catalog, journal_seq=None) -> Manifest:
     datasets = {}
     for name in catalog.datasets():
         entry = catalog.get(name)
-        scale, algorithms, ftv_method, max_path_length = entry.load_config
+        scale, algorithms = entry.load_config
         rec = {
             "kind": entry.kind,
             "scale": scale,
             "algorithms": list(algorithms),
-            "ftv_method": ftv_method,
-            "max_path_length": max_path_length,
+            "ftv_method": SERVED_FTV_METHOD,
+            "max_path_length": SERVED_PATH_LENGTH,
             "codec": CODEC,
             "graphs": {
                 **blobs.put(encode_graphs(entry.graphs)).as_dict(),

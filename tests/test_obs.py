@@ -226,6 +226,12 @@ def ftv_streams(graphs, tenants=2, per_tenant=8, seed=9):
 #: of it, so a registry leaf reading that multiple can only be that fact
 MARK = 10 ** 12
 
+#: pool ``p``'s work bill is marked ``POOL_MARK << p``: a shard's bill,
+#: the sum over its pools, then has two or more bits set, so it equals
+#: no pool's marker and — above every ``MARK`` multiple handed out —
+#: no counter's
+POOL_MARK = MARK << 10
+
 
 class _Sized:
     """Stands in for a container whose length a gauge reports."""
@@ -256,7 +262,13 @@ def assert_each_fact_published_once(svc, monkeypatch, *owners) -> None:
     lag and the store reader's counters — is set to its own multiple of
     :data:`MARK`; each must then read in exactly one registry leaf.  A
     stats section or a value registered under a second name reads twice;
-    a counter nothing publishes reads nowhere."""
+    a counter nothing publishes reads nowhere.
+
+    Where every shard has two or more pools, each pool's work bill is
+    marked too (:data:`POOL_MARK`), and so is each shard's, the sum over
+    its pools: ``per_pool_work`` and ``per_shard_work`` are then two
+    facts, each read once.  With one pool per shard the two lists are
+    the same numbers, and the pool bills are left unmarked."""
     marks: dict = {}
 
     def mark(label: str) -> int:
@@ -301,6 +313,15 @@ def assert_each_fact_published_once(svc, monkeypatch, *owners) -> None:
             "bytes_read", "restores", "rebuilds", "misses",
         ):
             monkeypatch.setattr(store, attr, mark(f"StoreReader.{attr}"))
+    replicas = svc.replica_set
+    pools = [replicas.shard_pools(s) for s in range(replicas.num_shards)]
+    if all(len(p) > 1 for p in pools):
+        work = [POOL_MARK << p for p in range(len(dispatcher.pool_work))]
+        monkeypatch.setattr(dispatcher, "pool_work", work)
+        for p, bill in enumerate(work):
+            marks[f"Dispatcher.pool_work[{p}]"] = bill
+        for s, shard_pools in enumerate(pools):
+            marks[f"shard {s} work"] = sum(work[p] for p in shard_pools)
     leaves = list(_leaves(svc.metrics.snapshot()))
     for label, value in marks.items():
         where = [path for path, leaf in leaves if leaf == value]

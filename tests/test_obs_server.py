@@ -223,6 +223,9 @@ MALFORMED_OPTIONS = [
     (["Orig"], "options"),
     ({"rewriting": ["ILF"]}, "options.rewriting"),
     ({"decison_only": True}, "options.decison_only"),
+    # the served result carries no embeddings, so there is nothing to
+    # count or store and no option says which
+    ({"max_embeddings": 5, "count_only": False}, "options.count_only"),
 ]
 
 
@@ -281,11 +284,8 @@ class TestOptionsFromRequest:
             QueryOptions(algorithms=("GQL",), rewritings=("Orig", "DND")),
         ),
         (
-            {"max_embeddings": 5, "count_only": False,
-             "decision_only": True},
-            QueryOptions(
-                max_embeddings=5, count_only=False, decision_only=True
-            ),
+            {"max_embeddings": 5, "decision_only": True},
+            QueryOptions(max_embeddings=5, decision_only=True),
         ),
     ])
     def test_well_typed_fields_become_query_options(self, options, expected):

@@ -103,7 +103,12 @@ from repro.psi import OverheadModel, RaceTask, race_from_costs
 from repro.rewriting import ALL_PAPER_REWRITINGS, LabelStats, make_rewriting
 from repro.service import QueryOptions, Service
 from repro.service.loadgen import collection_digest, oracle_digest
-from repro.service.planner import HEAD_START_STEPS, Rewrite, race_starts
+from repro.service.planner import (
+    HEAD_START_STEPS,
+    SERVED_PATH_LENGTH,
+    Rewrite,
+    race_starts,
+)
 from repro.service.sharding import ShardedCatalog
 from repro.store import StoreWriter
 from repro.store.codec import decode_index, encode_index, index_method
@@ -973,14 +978,11 @@ def newcomers(draw):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_shard_indexes_of_a_mutated_catalog_filter_as_one_index(data):
-    method, cls = data.draw(
-        st.sampled_from([("Grapes", GrapesIndex), ("GGSX", GGSXIndex)])
-    )
     shards = data.draw(st.integers(min_value=1, max_value=4))
     strategy = data.draw(st.sampled_from(["size_balanced", "hash"]))
     catalog = ShardedCatalog(num_shards=shards, assignment=strategy)
-    entry = catalog.load("ppi", scale="tiny", ftv_method=method)
-    single = cls(list(PPI), max_path_length=entry.max_path_length)
+    entry = catalog.load("ppi", scale="tiny")
+    single = GrapesIndex(list(PPI), max_path_length=SERVED_PATH_LENGTH)
     for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
         live, dead = single.live_ids(), sorted(single.tombstones)
         op = data.draw(st.sampled_from(
@@ -1027,7 +1029,7 @@ def test_shard_indexes_of_a_mutated_catalog_filter_as_one_index(data):
         booted = ShardedCatalog(
             num_shards=shards, assignment=strategy, store=root
         )
-        booted.load("ppi", scale="tiny", ftv_method=method)
+        booted.load("ppi", scale="tiny")
         blobs = 1 + len(entry.involved_shards())
         assert booted.store.as_metrics()["restores"] == blobs
         assert booted.store.rebuilds == booted.store.misses == 0
@@ -1053,11 +1055,10 @@ def _routed_queries(entry, rng, alien):
     data=st.data(),
     shards=st.integers(min_value=2, max_value=3),
     strategy=st.sampled_from(["size_balanced", "hash"]),
-    method=st.sampled_from(["Grapes", "GGSX"]),
 )
 @settings(max_examples=10, deadline=None)
 def test_routed_plans_prune_exactly_the_partitions_that_probe_empty(
-    data, shards, strategy, method
+    data, shards, strategy
 ):
     """Along a random add / remove / re-add / reassign / dark-and-back
     sequence on a generated collection: after every step the route
@@ -1066,13 +1067,12 @@ def test_routed_plans_prune_exactly_the_partitions_that_probe_empty(
     shard when that is all of them, racing a dark shard unpruned —
     hands each probed shard exactly that partition's candidates, and
     a routed service answers every query as an unrouted one does."""
-    oracle_class = {"Grapes": GrapesIndex, "GGSX": GGSXIndex}[method]
     services = [
         Service(workers=4, shards=shards, assignment=strategy, routing=r)
         for r in (True, False)
     ]
     for svc in services:
-        svc.load_dataset("ppi", scale="tiny", ftv_method=method)
+        svc.load_dataset("ppi", scale="tiny")
     catalogs = [svc.catalog for svc in services]
     entry = catalogs[0].get("ppi")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
@@ -1082,8 +1082,8 @@ def test_routed_plans_prune_exactly_the_partitions_that_probe_empty(
 
     def plans_are_exact(dark=None):
         live = entry.live_graph_ids()
-        oracle = oracle_class(
-            [entry.graphs[gid] for gid in live], entry.max_path_length
+        oracle = GrapesIndex(
+            [entry.graphs[gid] for gid in live], SERVED_PATH_LENGTH
         )
         involved = entry.involved_shards()
         for query in _routed_queries(entry, rng, alien):
@@ -1098,7 +1098,7 @@ def test_routed_plans_prune_exactly_the_partitions_that_probe_empty(
             if not survivors:
                 survivors, empty = involved[:1], involved[1:]
             counts = coded_path_census(
-                query, entry.max_path_length,
+                query, SERVED_PATH_LENGTH,
                 entry.interner.encode_vertices(query.labels),
             ).counts
             plan = entry.router.plan(counts, involved, decide)

@@ -28,6 +28,7 @@ from repro.service import (
     decisions_digest,
     run_closed_loop,
 )
+from repro.service.planner import SERVED_PATH_LENGTH
 from repro.service.routing import RoutePlan
 from repro.workload import default_tenant_mixes, generate_tenant_stream
 
@@ -72,7 +73,7 @@ def census_counts(entry, query):
     service takes once per ticket and hands the router."""
     return coded_path_census(
         query,
-        entry.max_path_length,
+        SERVED_PATH_LENGTH,
         entry.interner.encode_vertices(query.labels),
     ).counts
 

@@ -174,8 +174,7 @@ class TestCatalogReload:
         # a fresh catalog takes the other configuration
         cat = one_shard()
         cat.load("yeast", scale="tiny", algorithms=("GQL",))
-        entry = cat.shard_entry("yeast", 0)
-        assert entry.prepared_algorithms == ("GQL",)
+        assert cat.get("yeast").load_config == ("tiny", ("GQL",))
 
 
 class TestWarmUpWork:

@@ -271,6 +271,29 @@ class TestResultCaching:
         assert not first.from_cache and again.from_cache
         assert again.winner_label == first.winner_label == "GQL-Orig"
 
+    def test_a_submit_without_options_shares_one_default(
+        self, store, monkeypatch
+    ):
+        """Submits that name no options validate no ``QueryOptions``:
+        they share one default, whose cache signature is
+        ``QueryOptions()``'s — each hits the entry a ``QueryOptions()``
+        submit of the same query left."""
+        svc = make_service()
+        [mix] = default_tenant_mixes(1, 1, sizes=(4,), repeat_fraction=0.0)
+        [mq] = generate_tenant_stream([store], mix, seed=5)
+        first = svc.submit("yeast", mq.query.graph, options=QueryOptions())
+        svc.run_until_idle()
+        validated = []
+        monkeypatch.setattr(
+            QueryOptions, "__post_init__", lambda self: validated.append(self)
+        )
+        tickets = [svc.submit("yeast", mq.query.graph) for _ in range(100)]
+        svc.run_until_idle()
+        assert validated == []
+        assert not first.result.from_cache
+        assert all(t.result.from_cache for t in tickets)
+        assert {t.result.winner for t in tickets} == {first.result.winner}
+
     def test_killed_results_not_cached(self, store):
         svc = Service(
             workers=4,

@@ -149,18 +149,27 @@ class TestTheConstructorIsTheSpec:
         assert parameters == ["self", *self.KEYWORDS]
 
     def test_build_service_passes_every_keyword(self, monkeypatch):
-        passed = {}
+        """The load path is pinned the same way, for a collection and
+        for an NFV graph: a ``load_dataset`` keyword the spec does not
+        pass is a load option no deployment can set."""
+        load = list(inspect.signature(Service.load_dataset).parameters)
+        assert load[:2] == ["self", "name"]
+        passed, loaded = {}, {}
 
         class Recorder:
             def __init__(self, **keywords):
                 passed.update(keywords)
 
-            def load_dataset(self, *args, **keywords):
-                pass
+            def load_dataset(self, name, **keywords):
+                loaded.update(keywords)
 
         monkeypatch.setattr(spec_module, "Service", Recorder)
-        ServiceSpec(dataset="ppi").build_service()
-        assert sorted(passed) == sorted(self.KEYWORDS)
+        for dataset in ("ppi", "yeast"):
+            passed.clear()
+            loaded.clear()
+            ServiceSpec(dataset=dataset).build_service()
+            assert sorted(passed) == sorted(self.KEYWORDS)
+            assert sorted(loaded) == sorted(load[2:]), dataset
 
 
 class TestScenarioIsASpec:

@@ -51,6 +51,7 @@ from repro.service import (
 from repro.service.catalog import DatasetCatalog
 from repro.service.dispatcher import Dispatcher
 from repro.service.faults import StoreFaultInjector
+from repro.service.planner import SERVED_FTV_METHOD, SERVED_PATH_LENGTH
 from repro.service.replicas import ReplicaSet
 from repro.service.sharding import ShardedCatalog
 from repro.store import (
@@ -991,6 +992,41 @@ class TestLabelTable:
     def test_only_a_collection_has_one(self, tmp_path):
         root, _, _ = warm_store(tmp_path, name="yeast")
         assert "labels" not in load_manifest(root).datasets["yeast"]
+
+
+class TestServedFilter:
+    """A dataset record names the filter its index blobs were built
+    with, and every collection is served through one filter
+    (``SERVED_FTV_METHOD`` over paths of up to ``SERVED_PATH_LENGTH``
+    edges).  A record naming another is one logged
+    ``config_mismatch`` miss — not corruption: nothing read or
+    quarantined — and a fresh build that answers as any other."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_path_length", 2),
+        ("ftv_method", "GGSX"),
+    ])
+    def test_a_record_naming_another_filter_is_a_miss(
+        self, field, value, ppi_graphs, tmp_path
+    ):
+        root, _, _ = warm_store(tmp_path)
+        manifest = load_manifest(root)
+        record = manifest.datasets["ppi"]
+        assert (record["ftv_method"], record["max_path_length"]) == (
+            SERVED_FTV_METHOD, SERVED_PATH_LENGTH
+        )
+        record[field] = value
+        write_manifest(root, manifest)
+        booted = ftv_service(store=root)
+        reader = booted.catalog.store
+        assert [e["event"] for e in reader.events] == ["config_mismatch"]
+        assert reader.misses == 1
+        assert reader.restores == reader.blobs_verified == 0
+        assert reader.corrupt_detected == reader.quarantined == 0
+        healthy = run_workload(ftv_service(), ppi_graphs)
+        served = run_workload(booted, ppi_graphs)
+        assert served.answers == healthy.answers
+        assert served.digest == healthy.digest
 
 
 # ----------------------------------------------------------------------
