@@ -221,6 +221,18 @@ class LabeledGraph:
         """Label of edge ``{u, v}`` (``None`` if unlabeled)."""
         return self._edge_labels.get(_normalize_edge(u, v))
 
+    @property
+    def has_edge_labels(self) -> bool:
+        """Whether any edge carries a label (else every
+        :meth:`edge_label` is ``None``)."""
+        return bool(self._edge_labels)
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Every vertex's neighbours, in no particular order, read
+        without freezing the kernel: for a one-pass reader such as the
+        canonical query key, which would not use the kernel again."""
+        return [list(s) for s in self._adj]
+
     def degree(self, v: int) -> int:
         """Number of edges incident to ``v``."""
         return len(self._adj[v])

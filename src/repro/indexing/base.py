@@ -238,23 +238,26 @@ class FTVIndex(ABC):
         self._invalidate_censuses()
         return graph_id
 
-    def remove_graph(self, graph_id: int) -> int:
-        """Tombstone ``graph_id``; returns the postings deleted.
+    def remove_graphs(self, graph_ids) -> int:
+        """Tombstone every id of ``graph_ids``, in one pass over the
+        postings; returns the postings deleted.
 
-        The slot (and the graph object in it) stays, so positional ids
+        Each slot (and the graph object in it) stays, so positional ids
         never shift; only the index forgets it — every posting is
         deleted and touched paths drop their tables, so no filter can
         ever emit the id again.
         """
-        if not 0 <= graph_id < len(self.graphs):
-            raise ValueError(
-                f"graph id {graph_id} out of range for "
-                f"{len(self.graphs)} slots"
-            )
-        if graph_id in self.tombstones:
-            raise ValueError(f"graph id {graph_id} already removed")
-        self.tombstones.add(graph_id)
-        removed = self.trie.remove_graph(graph_id)
+        graph_ids = list(graph_ids)
+        for graph_id in graph_ids:
+            if not 0 <= graph_id < len(self.graphs):
+                raise ValueError(
+                    f"graph id {graph_id} out of range for "
+                    f"{len(self.graphs)} slots"
+                )
+            if graph_id in self.tombstones:
+                raise ValueError(f"graph id {graph_id} already removed")
+        self.tombstones.update(graph_ids)
+        removed = self.trie.remove_graphs(graph_ids)
         self._invalidate_censuses()
         return removed
 

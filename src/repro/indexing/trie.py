@@ -27,7 +27,7 @@ path's table is built the first time a probe asks for it, so a fresh
 build, a store restore and a mutation build none, and a served
 collection holds tables only for the paths its traffic has probed.
 Every mutator — :meth:`insert <PathTrie.insert>`, :meth:`install
-<PathTrie.install>`, :meth:`remove_graph <PathTrie.remove_graph>` —
+<PathTrie.install>`, :meth:`remove_graphs <PathTrie.remove_graphs>` —
 drops the table of each path whose row it touches, and the next probe
 of that path rebuilds it from the row.  :meth:`PathTrie.seal` builds
 every table in one walk over the postings, for callers that want the
@@ -84,7 +84,7 @@ class PathTrie:
         #: their row last changed (the probe-time memo)
         self.tables: dict[LabelSeq, Thresholds] = {}
         #: graph_id -> {coded path: vertex bitmask}, for the graphs
-        #: :meth:`locate` was handed (:meth:`remove_graph` drops) — on
+        #: :meth:`locate` was handed (:meth:`remove_graphs` drops) — on
         #: the trie, so every index view sharing it shares the answer
         self.locations: dict[int, dict[LabelSeq, int]] = {}
 
@@ -114,23 +114,27 @@ class PathTrie:
             else:
                 postings.pop(seq, None)
 
-    def remove_graph(self, graph_id: int) -> int:
-        """Delete every posting of ``graph_id`` (dynamic-collection
-        removes); returns how many.
+    def remove_graphs(self, graph_ids) -> int:
+        """Delete every posting of each of ``graph_ids``
+        (dynamic-collection removes); returns how many.
 
-        One pass over the map: touched paths drop their threshold
-        tables, so the next probe rebuilds them without the graph, and
-        paths left with no posting leave the map.  The graph's location
-        masks go too.
+        One pass over the map, however many graphs go: touched paths
+        drop their threshold tables, so the next probe rebuilds them
+        without the graphs, and paths left with no posting leave the
+        map.  The graphs' location masks go too.
         """
-        self.locations.pop(graph_id, None)
+        gone = set(graph_ids)
+        for graph_id in gone:
+            self.locations.pop(graph_id, None)
         tables = self.tables
         emptied = []
         removed = 0
         for seq, row in self.postings.items():
-            if graph_id in row:
-                del row[graph_id]
-                removed += 1
+            hit = row.keys() & gone  # walks the smaller side
+            if hit:
+                for graph_id in hit:
+                    del row[graph_id]
+                removed += len(hit)
                 tables.pop(seq, None)
                 if not row:
                     emptied.append(seq)
@@ -143,7 +147,7 @@ class PathTrie:
     ) -> dict[LabelSeq, int]:
         """Keep ``graph_id``'s location masks — the ``locations`` of a
         census of the graph whose counts are posted — until its
-        :meth:`remove_graph`; returns the map kept.
+        :meth:`remove_graphs`; returns the map kept.
 
         Keyed by the ``postings`` keys themselves, so locating a graph
         adds its masks, not a second copy of each of its paths.

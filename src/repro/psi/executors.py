@@ -20,7 +20,7 @@ searches; the thread overhead is an assumption of such a replay
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -128,6 +128,14 @@ class RaceTask:
     advances: a staged race occupies its head's slot alone until the
     field joins.
 
+    An ``engines`` value may be the engine itself or a zero-argument
+    callable that builds it; a builder is called on the round its
+    variant joins, so a variant whose start is never reached costs
+    nothing.  Per-variant state lives in lists indexed by declaration
+    position, and a turn walks only the variants that have joined and
+    are still alive: a staged race whose field has not joined touches
+    its head alone.
+
     One call to :meth:`round` executes exactly one turn, so a caller
     may interleave many races over a shared pool (the serving layer's
     dispatcher does) without changing any race's outcome — engines are
@@ -137,7 +145,7 @@ class RaceTask:
 
     def __init__(
         self,
-        engines: Mapping[object, SearchEngine],
+        engines: Mapping[object, SearchEngine | Callable[[], SearchEngine]],
         budget: Optional[Budget] = None,
         quantum: int = DEFAULT_RACE_QUANTUM,
         starts: Optional[Mapping[object, int]] = None,
@@ -147,18 +155,26 @@ class RaceTask:
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
         self.keys = list(engines)
-        self.position = {k: i for i, k in enumerate(self.keys)}
-        self.alive: dict[object, SearchEngine] = dict(engines)
-        self.consumed = {k: 0 for k in self.keys}
-        #: race step at which each variant joins (0 = from the start)
-        self.starts = {k: (starts or {}).get(k, 0) for k in self.keys}
+        #: per position: the engine, its builder until it joins, or
+        #: None once it completed or was killed
+        self._engines: list = list(engines.values())
+        #: per position: steps the engine has advanced
+        self.consumed = [0] * len(self.keys)
+        #: per position: race step at which it joins (0 = from the start)
+        offsets = starts or {}
+        self.starts = [offsets.get(k, 0) for k in self.keys]
         self.cap = (
             budget.max_steps if budget and budget.max_steps else None
         )
         #: race step by which every variant has completed or been killed
         self.horizon = (
-            None if self.cap is None
-            else self.cap + max(self.starts.values())
+            None if self.cap is None else self.cap + max(self.starts)
+        )
+        #: alive positions that have joined, in declaration order
+        self._running: list[int] = []
+        #: positions not joined yet, by start then declaration order
+        self._waiting = sorted(
+            range(len(self.keys)), key=lambda p: (self.starts[p], p)
         )
         self.quantum = quantum
         self.target = 0
@@ -168,80 +184,104 @@ class RaceTask:
         self.last_round_steps = 0
         #: simulated threads the next round occupies: the alive
         #: variants it advances (kept by :meth:`round`, read per tick)
-        self.width = sum(1 for s in self.starts.values() if s < quantum)
+        self.width = sum(1 for s in self.starts if s < quantum)
+
+    def _join(self, target: int) -> None:
+        """Move every waiting variant whose start is below ``target``
+        into the running field, building its engine."""
+        waiting, starts, engines = self._waiting, self.starts, self._engines
+        joined = 0
+        while joined < len(waiting) and starts[waiting[joined]] < target:
+            pos = waiting[joined]
+            if callable(engines[pos]):
+                engines[pos] = engines[pos]()
+            joined += 1
+        self._running = sorted(self._running + waiting[:joined])
+        del waiting[:joined]
 
     def round(self) -> Optional[RaceOutcome]:
         """Advance every alive engine one quantum; finish if possible."""
         if self.outcome is not None:
             return self.outcome
-        cap, starts = self.cap, self.starts
-        target = self.target + self.quantum
+        cap, starts, quantum = self.cap, self.starts, self.quantum
+        target = self.target + quantum
         if self.horizon is not None and target > self.horizon:
             target = self.horizon
         self.target = target
-        joined = target + self.quantum  # the next round's target
-        # (completion race step, declaration position, key, outcome)
-        finished: list[tuple[int, int, object, MatchOutcome]] = []
-        advanced = width = 0
-        for key in self.keys:
-            gen = self.alive.get(key)
-            if gen is None:
-                continue
-            start = starts[key]
+        waiting = self._waiting
+        if waiting and starts[waiting[0]] < target:
+            self._join(target)
+        engines, consumed = self._engines, self.consumed
+        # (completion race step, declaration position, outcome)
+        finished: list[tuple[int, int, MatchOutcome]] = []
+        advanced = 0
+        survivors: Optional[list[int]] = None
+        running = self._running
+        for i, pos in enumerate(running):
+            gen = engines[pos]
+            start = starts[pos]
             local = target - start
             if cap is not None and local > cap:
                 local = cap
-            n = self.consumed[key]
-            begin = n
+            n = begin = consumed[pos]
             while n < local:
                 try:
                     inc = next(gen)
                 except StopIteration as stop:
-                    outcome = stop.value or MatchOutcome()
                     finished.append(
-                        (start + n, self.position[key], key, outcome)
+                        (start + n, pos, stop.value or MatchOutcome())
                     )
-                    del self.alive[key]
+                    gen = None
                     break
                 n += 1 if inc is None else inc
-            self.consumed[key] = n
+            consumed[pos] = n
             advanced += n - begin
-            if key in self.alive:
-                if cap is not None and n >= cap:
-                    gen.close()
-                    del self.alive[key]
-                elif start < joined:
-                    width += 1
+            if gen is not None and cap is not None and n >= cap:
+                gen.close()
+                gen = None
+            if gen is None:
+                engines[pos] = None
+                if survivors is None:
+                    survivors = running[:i]
+            elif survivors is not None:
+                survivors.append(pos)
+        if survivors is not None:
+            self._running = running = survivors
         self.last_round_steps = advanced
+        # the next round's target, short of the horizon: every waiting
+        # variant starting below it joins then
+        joined = target + quantum
+        width = len(running)
+        for pos in waiting:
+            if starts[pos] >= joined:
+                break
+            width += 1
         self.width = width
         if finished:
-            finished.sort(key=lambda f: (f[0], f[1]))
-            won, won_pos, key, outcome = finished[0]
-            outcome.steps = won - starts[key]
-            per_variant = {}
-            for k in self.keys:
-                # what k did from its start until the winner finished,
-                # plus its turn in the final round if it precedes the
-                # winner's
-                charged = won - starts[k] + (
-                    1 if self.position[k] < won_pos else 0
-                )
+            won, won_pos, outcome = min(finished)
+            outcome.steps = won - starts[won_pos]
+            charges = []
+            for pos, start in enumerate(starts):
+                # what the variant did from its start until the winner
+                # finished, plus its turn in the final round if it
+                # precedes the winner's
+                charged = won - start + (1 if pos < won_pos else 0)
                 if charged < 0:
                     charged = 0
                 elif cap is not None and charged > cap:
                     charged = cap
-                per_variant[k] = charged
+                charges.append(charged)
             self.close()
             self.outcome = RaceOutcome(
-                winner=key,
+                winner=self.keys[won_pos],
                 outcome=outcome,
                 steps=won,
                 found=outcome.found,
                 killed=False,
                 overhead_steps=0,
-                per_variant_steps=per_variant,
+                per_variant_steps=dict(zip(self.keys, charges)),
             )
-        elif not self.alive:
+        elif not running and not waiting:
             # every variant hit its cap: the race is killed when the
             # last-joined variant exhausts its budget
             assert self.horizon is not None
@@ -252,7 +292,7 @@ class RaceTask:
                 found=False,
                 killed=True,
                 overhead_steps=0,
-                per_variant_steps={k: cap for k in self.keys},
+                per_variant_steps=dict.fromkeys(self.keys, cap),
             )
         return self.outcome
 
@@ -267,10 +307,15 @@ class RaceTask:
         return self.outcome
 
     def close(self) -> None:
-        """Close any still-alive engines (kill the losers)."""
-        for gen in self.alive.values():
-            gen.close()
-        self.alive.clear()
+        """Close any still-alive engines (kill the losers); a builder
+        whose variant never joined is dropped unbuilt."""
+        engines = self._engines
+        for pos in self._running + self._waiting:
+            if not callable(engines[pos]):
+                engines[pos].close()
+            engines[pos] = None
+        self._running = []
+        self._waiting = []
         self.width = 0
 
 

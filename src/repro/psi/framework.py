@@ -4,9 +4,9 @@
 one large stored graph, with variants that combine NFV algorithms
 (GraphQL, sPath, QuickSI, ...) with query rewritings.  Its
 :meth:`PsiNFV.engines` builds the steppable engines every NFV race
-runs — :meth:`PsiNFV.race` through the deterministic interleaved
-executor, and the service's race planner
-(:mod:`repro.service.planner`) through its dispatcher.
+runs — each on the round its variant joins — :meth:`PsiNFV.race`
+through the deterministic interleaved executor, and the service's
+race planner (:mod:`repro.service.planner`) through its dispatcher.
 
 The FTV mode races the rewritings inside the verification stage of an
 FTV index (Grapes/GGSX): the paper's figures replay it per candidate
@@ -18,6 +18,7 @@ and the service races one decision sweep per rewriting
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..graphs import LabeledGraph
@@ -146,17 +147,29 @@ class PsiNFV:
         max_embeddings: int,
         count_only: bool,
     ) -> dict:
-        """One fresh engine per variant: its matcher's search of the
-        rewritten ``query`` over the stored graph's prepared index."""
+        """One engine builder per variant: a zero-argument callable
+        making its matcher's search of the rewritten ``query`` over the
+        stored graph's prepared index.  :class:`RaceTask` calls it on
+        the round the variant joins, so a variant a staged race never
+        starts neither rewrites the query nor builds an engine."""
         return {
-            v: self.matcher(v.algorithm).engine(
-                self.prepared(v.algorithm),
-                self.rewritten(query, v.rewriting).graph,
-                max_embeddings=max_embeddings,
-                count_only=count_only,
-            )
+            v: partial(self._engine, query, v, max_embeddings, count_only)
             for v in variants
         }
+
+    def _engine(
+        self,
+        query: LabeledGraph,
+        variant: Variant,
+        max_embeddings: int,
+        count_only: bool,
+    ):
+        return self.matcher(variant.algorithm).engine(
+            self.prepared(variant.algorithm),
+            self.rewritten(query, variant.rewriting).graph,
+            max_embeddings=max_embeddings,
+            count_only=count_only,
+        )
 
     def race(
         self,

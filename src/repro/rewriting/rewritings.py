@@ -129,6 +129,15 @@ class OriginalRewriting(Rewriting):
         # identity regardless of rng: "Orig" is always the original IDs
         return tuple(query.vertices())
 
+    def apply(self, query, stats, rng=None):
+        """The query itself: the identity needs no permuted copy (nor
+        a second kernel frozen for one)."""
+        return RewrittenQuery(
+            graph=query,
+            perm=self.permutation(query, stats, rng),
+            rewriting=self.name,
+        )
+
 
 class ILFRewriting(Rewriting):
     """Increasing Label Frequency."""

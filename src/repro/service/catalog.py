@@ -164,10 +164,18 @@ class DatasetEntry:
         graph's prepared-index memos are dropped through the prepare
         cache so the removal shows up in eviction counters.
         """
-        self.ftv_index.remove_graph(graph_id)
+        self.remove_graphs((graph_id,))
+
+    def remove_graphs(self, graph_ids) -> None:
+        """Tombstone every id of ``graph_ids`` as :meth:`remove_graph`
+        does, with one pass over the postings and one refresh of the
+        label stats and the freeze for all of them."""
         from ..caching import prepare_cache
 
-        prepare_cache.evict_graph(self.graphs[graph_id])
+        graph_ids = list(graph_ids)
+        self.ftv_index.remove_graphs(graph_ids)
+        for graph_id in graph_ids:
+            prepare_cache.evict_graph(self.graphs[graph_id])
         self._refresh_after_mutation()
 
     def _refresh_after_mutation(self) -> None:

@@ -68,6 +68,12 @@ class Dispatcher:
         self._active: dict[object, RaceTask] = {}
         #: token -> pool index the race is pinned to
         self._pool_of: dict[object, int] = {}
+        #: per pool, the width its active races claim — kept on admit,
+        #: round, finish and cancel, so a free-slot read is O(1)
+        self._claimed = [0] * pools
+        #: bumped whenever slots free up or a pool is added: a caller
+        #: that found no room may skip re-checking until it moves
+        self.freed = 0
 
     def add_pool(self) -> int:
         """Grow the dispatcher by one worker pool (replica scale-out).
@@ -77,6 +83,8 @@ class Dispatcher:
         """
         self.pools += 1
         self.pool_work.append(0)
+        self._claimed.append(0)
+        self.freed += 1
         return self.pools - 1
 
     def admit(self, token: object, race: RaceTask, pool: int = 0) -> None:
@@ -100,6 +108,7 @@ class Dispatcher:
             )
         self._active[token] = race
         self._pool_of[token] = pool
+        self._claimed[pool] += race.width
 
     @property
     def active(self) -> int:
@@ -112,11 +121,7 @@ class Dispatcher:
 
     def slots_free(self, pool: int = 0) -> int:
         """Worker slots of ``pool`` not claimed by active races."""
-        return self.workers - sum(
-            r.width
-            for t, r in self._active.items()
-            if self._pool_of[t] == pool
-        )
+        return self.workers - self._claimed[pool]
 
     def tick(
         self, order: list, frozen: frozenset = frozenset()
@@ -135,26 +140,38 @@ class Dispatcher:
         race that ran this tick (outcome set when it finished); the
         shared clock advances by one quantum.
         """
-        sequence = [t for t in order if t in self._active]
-        sequence += [t for t in self._active if t not in sequence]
+        active, pool_of, claimed = self._active, self._pool_of, self._claimed
+        sequence = [t for t in order if t in active]
+        if len(sequence) < len(active):
+            listed = set(sequence)
+            sequence += [t for t in active if t not in listed]
         slots = [self.workers] * self.pools
+        pool_work = self.pool_work
+        total = 0
         events: list[tuple[object, int, Optional[RaceOutcome]]] = []
         for token in sequence:
-            race = self._active[token]
-            pool = self._pool_of[token]
+            race = active[token]
+            pool = pool_of[token]
             if pool in frozen:
                 continue
-            need = max(1, race.width)
+            width = race.width
+            need = width if width > 1 else 1
             if slots[pool] < need:
                 continue
             slots[pool] -= need
             outcome = race.round()
-            self.work_steps.inc(race.last_round_steps)
-            self.pool_work[pool] += race.last_round_steps
+            work = race.last_round_steps
+            total += work
+            pool_work[pool] += work
+            if race.width != width:
+                claimed[pool] += race.width - width
+                if race.width < width:
+                    self.freed += 1
             if outcome is not None:
-                del self._active[token]
-                del self._pool_of[token]
-            events.append((token, race.last_round_steps, outcome))
+                del active[token]
+                del pool_of[token]
+            events.append((token, work, outcome))
+        self.work_steps.inc(total)
         self.clock += self.quantum
         self.ticks.inc()
         return events
@@ -162,6 +179,9 @@ class Dispatcher:
     def cancel(self, token: object) -> None:
         """Detach and kill a race."""
         race = self._active.pop(token, None)
-        self._pool_of.pop(token, None)
+        pool = self._pool_of.pop(token, None)
         if race is not None:
+            if race.width:
+                self._claimed[pool] -= race.width
+                self.freed += 1
             race.close()

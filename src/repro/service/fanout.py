@@ -117,6 +117,12 @@ class FanOut:
         self.leaders: dict[tuple, int] = {}
         #: the flight admitted but waiting for width (head of line)
         self.staged: Optional[Flight] = None
+        #: what the pools and replicas looked like when ``staged`` last
+        #: failed to fit: it is not re-checked until one of them moves
+        self._staged_at: Optional[tuple] = None
+        #: ids of open flights dispatched with routed waves deferred —
+        #: the only ones :meth:`hedge_due` has to look at
+        self.waved: set[int] = set()
         #: bounded retries per ticket before it degrades: a leg lost to
         #: a dead replica (or a failed task) re-admits at most this
         #: many times across the ticket's whole fan-out
@@ -152,6 +158,7 @@ class FanOut:
         flight = self.flights.pop(tid)
         if flight.key is not None and self.leaders.get(flight.key) == tid:
             del self.leaders[flight.key]
+        self.waved.discard(tid)
         if self.staged is flight:
             self.staged = None
         return flight
@@ -160,21 +167,23 @@ class FanOut:
         """Fair-share order over active race tokens ((tid, shard)).
 
         A ticket's shard races share its rank; the shard index is only
-        the final tie-break.
+        the final tie-break.  The ledger is asked once per tenant.
         """
         flights = self.flights
-
-        def rank(token) -> tuple:
+        tenants: dict = {}
+        ranked = []
+        for token in self.dispatcher.tokens():
             tid, shard = token
             tenant = flights[tid].ticket.tenant
-            return (
-                ledger.virtual_time(tenant),
-                ledger.registration_index(tenant),
-                tid,
-                shard,
-            )
-
-        return sorted(self.dispatcher.tokens(), key=rank)
+            share = tenants.get(tenant)
+            if share is None:
+                share = tenants[tenant] = (
+                    ledger.virtual_time(tenant),
+                    ledger.registration_index(tenant),
+                )
+            ranked.append((share, tid, shard))
+        ranked.sort()
+        return [(tid, shard) for _, tid, shard in ranked]
 
     # ------------------------------------------------------------------
     # admission and legs
@@ -189,6 +198,11 @@ class FanOut:
         latency depend on unrelated pools' drain order.
         """
         replicas, dispatcher = self.replicas, self.dispatcher
+        if (
+            self.staged is not None
+            and self._staged_at == (dispatcher.freed, replicas.changes)
+        ):
+            return  # nothing freed or moved since it last failed to fit
         while True:
             flight = self.staged
             if flight is None:
@@ -220,6 +234,7 @@ class FanOut:
             widths = {s: race.width for s, (race, _) in flight.races.items()}
             if not replicas.fits(widths):
                 self.staged = flight
+                self._staged_at = (dispatcher.freed, replicas.changes)
                 return  # head-of-line: wait for the pools to drain
             self.staged = None
             self._dispatch(flight)
@@ -244,6 +259,7 @@ class FanOut:
         for shard, built in sorted(flight.races.items()):
             self._launch(flight, shard, built, placements[shard])
         if flight.waves:
+            self.waved.add(tid)
             flight.hedge_at = clock + HEDGE_TICKS * self.dispatcher.quantum
             router = flight.entry.router
             flight.epoch = router.epoch if router is not None else None
@@ -279,8 +295,10 @@ class FanOut:
         """Launch the next wave of every fan-out whose first wave has
         raced ``HEDGE_TICKS`` without settling: it forfeits its head
         start and the remaining shards join in."""
+        if not self.waved:
+            return
         clock = self.dispatcher.clock
-        for tid in sorted(self.flights):
+        for tid in sorted(self.waved):
             flight = self.flights.get(tid)
             if (
                 flight is not None  # degraded earlier in this loop

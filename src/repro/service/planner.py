@@ -17,9 +17,9 @@ What a ticket works out once (the census, each shard's candidates,
 the rewritten queries and their VF2 plans) lives on the ticket's
 flight record, so every race of the ticket — each shard of the first
 wave, a deferred wave, a rerouted leg — reuses it and it dies with
-the ticket.  An FTV sweep
-makes its rewriting on its first resume, so a variant that never
-starts builds nothing.
+the ticket.  A variant that never starts builds nothing: an NFV
+variant's engine is built on the round it joins its race, and an FTV
+sweep makes its rewriting on its first resume.
 
 The planner also owns the per-graph verification bills
 (:attr:`RacePlanner.graph_bills`) the rebalancer migrates on.
@@ -235,8 +235,9 @@ class RacePlanner:
         return plan.order, []
 
     def build(self, flight, shard: int) -> tuple[RaceTask, Optional[tuple]]:
-        """One shard's race (engines built) and its local -> global
-        graph id map (None = identity, NFV).
+        """One shard's race (each engine built on the round its variant
+        joins) and its local -> global graph id map (None = identity,
+        NFV).
 
         Every leg of a ticket is built here, so race construction can
         never diverge between a first wave, a deferred one and a

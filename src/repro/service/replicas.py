@@ -56,6 +56,10 @@ class ReplicaSet:
         self.states: dict[tuple[int, int], ReplicaState] = {}
         #: (shard, replica) -> virtual clock at which a wedge expires
         self.suspect_until: dict[tuple[int, int], int] = {}
+        #: bumped by every change to which replicas serve or to their
+        #: health (add, kill, wedge, unwedge, retire): placement read
+        #: before and after the same value sees the same candidates
+        self.changes = 0
         for shard in range(self.num_shards):
             for _ in range(catalog.replicas):
                 self._materialize(shard, len(self._pool_of))
@@ -181,6 +185,8 @@ class ReplicaSet:
 
     def frozen_pools(self) -> frozenset:
         """Pools that run nothing this tick (wedged replicas)."""
+        if not self.suspect_until:
+            return frozenset()
         return frozenset(
             self._pool_of[key]
             for key in self.suspect_until
@@ -189,9 +195,12 @@ class ReplicaSet:
 
     def unwedge_expired(self, clock: int) -> None:
         """Return SUSPECT replicas whose wedge ran out to LIVE."""
+        if not self.suspect_until:
+            return
         for key, until in sorted(self.suspect_until.items()):
             if clock >= until:
                 del self.suspect_until[key]
+                self.changes += 1
                 if self.states.get(key) is ReplicaState.SUSPECT:
                     del self.states[key]
 
@@ -209,6 +218,7 @@ class ReplicaSet:
         replica = self._materialize(shard, self.dispatcher.add_pool())
         self.catalog.set_serving(shard, True)
         self.added += 1
+        self.changes += 1
         return replica
 
     def kill(self, shard: int, replica: int) -> bool:
@@ -230,6 +240,7 @@ class ReplicaSet:
         self.states[(shard, replica)] = ReplicaState.SUSPECT
         self.suspect_until[(shard, replica)] = until
         self.wedged.inc()
+        self.changes += 1
         return True
 
     def retire(
@@ -257,6 +268,7 @@ class ReplicaSet:
         self._serving[shard].remove(replica)
         self.catalog.set_serving(shard, bool(self._serving[shard]))
         self.released += 1
+        self.changes += 1
 
     # ------------------------------------------------------------------
     # reports

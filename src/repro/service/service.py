@@ -405,15 +405,24 @@ class Service:
         flights = fanout.flights
         # pass 1: bill every shard's work this tick while all tickets
         # are still open — a shard whose sibling settles the query this
-        # same tick still really did its final round
-        for (tid, shard), work, _outcome in events:
+        # same tick still really did its final round; each tenant is
+        # charged its tick's sum, in the order its races ran
+        charges: dict[str, int] = {}
+        settled = []
+        for event in events:
+            (tid, shard), work, outcome = event
             flight = flights[tid]
-            self.admission.charge(flight.ticket.tenant, work)
+            tenant = flight.ticket.tenant
+            charges[tenant] = charges.get(tenant, 0) + work
             flight.work[shard] = flight.work.get(shard, 0) + work
+            if outcome is not None:
+                settled.append(event)
+        for tenant, work in charges.items():
+            self.admission.charge(tenant, work)
         completed: list[Ticket] = []
-        for (tid, shard), _work, outcome in events:
+        for (tid, shard), _work, outcome in settled:
             flight = flights.get(tid)
-            if outcome is None or flight is None:
+            if flight is None:
                 # None: a sibling shard's first-true decision already
                 # settled this ticket earlier in the tick
                 continue

@@ -456,16 +456,19 @@ class ShardedCatalog:
         migration) indexes every graph object in the assignment —
         including slots a ``remove_graph`` already retired.  Tombstones
         are collection state, not index state, so they are re-applied
-        here before the entry can serve.
+        here before the entry can serve: all of them in one pass over
+        the postings and one refresh of the label stats.
         """
         if entry.kind != "ftv" or not entry.tombstones:
             return
-        for local, gid in enumerate(entry.assignment[shard]):
-            if (
-                gid in entry.tombstones
-                and local not in sub.ftv_index.tombstones
-            ):
-                sub.remove_graph(local)
+        stale = [
+            local
+            for local, gid in enumerate(entry.assignment[shard])
+            if gid in entry.tombstones
+            and local not in sub.ftv_index.tombstones
+        ]
+        if stale:
+            sub.remove_graphs(stale)
 
     def get(self, name: str) -> ShardedEntry:
         """The sharded entry for ``name`` (KeyError when never loaded)."""

@@ -165,7 +165,7 @@ class TestTries:
         keys = {id(seq) for seq in t.postings}
         assert {id(seq) for seq in kept} == keys
         assert t.tables[("A",)] is table  # counts did not move
-        t.remove_graph(1)
+        t.remove_graphs([1])
         assert t.locations == {}
         t.insert(("A",), 1, 2)  # the slot revived: unlocated again
         assert 1 not in t.locations
@@ -207,7 +207,7 @@ class TestTries:
                 want[0].index(count)
             ]
             assert t.tables[("A",)] == want
-        t.remove_graph(3)
+        t.remove_graphs([3])
         assert t.tables == {}
         assert t.mask_ge(("A",), 1) == 0b110111
         assert t.tables[("A",)] == (
@@ -245,7 +245,7 @@ class TestTries:
         t.insert(("A",), 0, 1)
         t.insert(("A",), 1, 1)
         t.seal()
-        assert t.remove_graph(0) == 2
+        assert t.remove_graphs([0]) == 2
         assert t.postings == {("A",): {1: 1}}
         assert t.tables == {}
         t.install([(("C",), {4: 1}), (("A",), {})])
@@ -253,6 +253,25 @@ class TestTries:
         assert t.tables == {}
         assert t.seal() == 1
         assert set(t.tables) == {("C",)}
+
+    @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
+    def test_removing_graphs_at_once_is_removing_them_one_by_one(self, cls):
+        graphs = ppi_like(num_graphs=6, avg_nodes=40, num_labels=6, seed=3)
+        one_by_one, at_once = cls(graphs), cls(graphs)
+        for index in (one_by_one, at_once):
+            index.warm()
+            if cls is GrapesIndex:  # locate a graph that goes
+                index.feature_locations(graphs[1], 2)
+                assert 2 in index.trie.locations
+        removed = sum(one_by_one.remove_graphs([g]) for g in (4, 2, 0))
+        assert at_once.remove_graphs((4, 2, 0)) == removed
+        assert at_once.tombstones == one_by_one.tombstones == {0, 2, 4}
+        assert at_once.trie.postings == one_by_one.trie.postings
+        assert set(at_once.trie.tables) == set(one_by_one.trie.tables)
+        assert at_once.trie.locations == one_by_one.trie.locations == {}
+        with pytest.raises(ValueError, match="already removed"):
+            at_once.remove_graphs((1, 2))
+        assert at_once.tombstones == {0, 2, 4}
 
     @pytest.mark.parametrize("cls", [GrapesIndex, GGSXIndex])
     def test_the_index_stays_gc_quiet(self, cls):
@@ -266,7 +285,7 @@ class TestTries:
             index = cls(ppi_like(num_graphs=num_graphs, seed=1))
             index.warm()
             index.add_graph(index.graphs[0])
-            index.remove_graph(0)
+            index.remove_graphs([0])
             index.warm()
             for q in generate_workload(index.graphs, 3, 4, seed=1):
                 index.query(q.graph, Budget(max_steps=10_000))
@@ -282,7 +301,7 @@ class TestTries:
         assert t.node_count == 2
         t.insert(("A", "C", "D"), 1, 1)
         assert t.node_count == 4  # A, AB, AC, ACD
-        t.remove_graph(1)
+        t.remove_graphs([1])
         assert t.node_count == 2
 
 

@@ -26,6 +26,10 @@ grown from them, then assert the library's fundamental contracts:
   a race staged as the planner stages NFV races answers as the full
   race does, and does at most the full race's work plus the head
   start — no more than the full race's when the head wins that race;
+  and round for round it reports the steps advanced and the width of
+  the dict-keyed race turn it replaced (``tests/_race_oracle.py``),
+  whether its engines come built or as builders and when it is closed
+  mid-race, and settles on the same winner and bills;
 * a Grapes or GGSX index that lived through a random add / remove /
   re-add sequence comes back from ``decode_index(encode_index(ix))``,
   given its label code order, with the same postings and tombstones,
@@ -67,6 +71,7 @@ grown from them, then assert the library's fundamental contracts:
 
 import random
 import tempfile
+from functools import partial
 from itertools import chain
 from unittest.mock import patch
 
@@ -116,6 +121,7 @@ from repro.workload import extract_query, generate_workload
 
 from ._filter_reference import feature_locations_reference, stored_locations
 from ._nfv_recursive import RecursiveGraphQLMatcher, RecursiveSPathMatcher
+from ._race_oracle import DictRaceTask
 from ._vf2_recursive import RecursiveVF2Matcher
 from .conftest import canonical_embeddings
 
@@ -726,6 +732,67 @@ def test_staged_race_answers_as_full_width_within_its_head_start(
         assert staged_work <= full_work
 
 
+@given(
+    variants=_COSTED,
+    offsets=st.lists(
+        st.integers(min_value=0, max_value=300), min_size=5, max_size=5
+    ),
+    cap=st.one_of(st.none(), st.integers(min_value=1, max_value=320)),
+    quantum=st.sampled_from([1, 2, 7, 64, 4096]),
+    close_after=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    builders=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_race_task_turns_as_the_dict_keyed_oracle(
+    variants, offsets, cap, quantum, close_after, builders
+):
+    """Round for round, the positional :class:`RaceTask` (its engines
+    given as generators or as builders) reports what the dict-keyed
+    class it replaced reports, also when closed mid-race; a closed or
+    settled race leaves no engine it built running."""
+    starts = dict(enumerate(offsets[: len(variants)]))
+    budget = Budget(max_steps=cap)
+    built = []
+
+    def build(n, b, f):
+        built.append(_costed(n, b, f))
+        return built[-1]
+
+    live = RaceTask(
+        {
+            i: partial(build, *v) if builders else build(*v)
+            for i, v in enumerate(variants)
+        },
+        budget=budget, quantum=quantum, starts=starts,
+    )
+    oracle = DictRaceTask(
+        {i: _costed(*v) for i, v in enumerate(variants)},
+        budget=budget, quantum=quantum, starts=starts,
+    )
+    assert live.width == oracle.width
+    turns = 0
+    while oracle.outcome is None:
+        if turns == close_after:
+            live.close()
+            oracle.close()
+            assert live.width == oracle.width == 0
+            assert all(gen.gi_frame is None for gen in built)
+            return
+        live.round()
+        oracle.round()
+        turns += 1
+        assert live.last_round_steps == oracle.last_round_steps, turns
+        assert live.width == oracle.width, turns
+    got, want = live.outcome, oracle.outcome
+    assert got is not None
+    assert (got.winner, got.steps, got.found, got.killed) == (
+        want.winner, want.steps, want.found, want.killed
+    )
+    assert got.per_variant_steps == want.per_variant_steps
+    assert list(got.per_variant_steps) == list(want.per_variant_steps)
+    assert all(gen.gi_frame is None for gen in built)
+
+
 def _mutate(draw, index, graph):
     """Put ``index`` through a random add / remove / re-add sequence,
     warming (sealing every path) or probing a random stride of the
@@ -740,7 +807,7 @@ def _mutate(draw, index, graph):
         if op == "add":
             index.add_graph(draw(graph))
         elif op == "remove":
-            index.remove_graph(draw(st.sampled_from(live)))
+            index.remove_graphs([draw(st.sampled_from(live))])
         else:
             index.add_graph(draw(graph), draw(st.sampled_from(dead)))
         yield
@@ -991,7 +1058,7 @@ def test_shard_indexes_of_a_mutated_catalog_filter_as_one_index(data):
         ))
         if op == "remove":
             gid = data.draw(st.sampled_from(live))
-            single.remove_graph(gid)
+            single.remove_graphs([gid])
             catalog.remove_graph("ppi", gid)
             continue
         graph = data.draw(newcomers())

@@ -243,3 +243,106 @@ class TestStagedRace:
         )  # the field joined: the offsets are in play
         for out in outs[1:]:
             assert_same_outcome(out, outs[0])
+
+
+class _Walked(dict):
+    """A dict that counts every walk over it (iteration, keys, values,
+    items); lookups, ``len`` and membership are free."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        type(self).walks += 1
+        return super().keys()
+
+    def values(self):
+        type(self).walks += 1
+        return super().values()
+
+    def items(self):
+        type(self).walks += 1
+        return super().items()
+
+
+class TestHotPathGuards:
+    """What a turn and a tick cost, pinned as call counts: these hold
+    on any host, where a timing would not."""
+
+    def test_a_turn_hashes_no_variant(self, psi, store, monkeypatch):
+        query = slow_head_query(psi, store)
+        variants = VARIANTS + (Variant("SPA", "DND"),)
+        race = RaceTask(
+            engines_for(psi, query, variants),
+            budget=Budget(max_steps=50_000),
+            starts=race_starts(variants),
+        )
+        hashed = []
+        real = Variant.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Variant, "__hash__", counting)
+        per_turn = []
+        while race.outcome is None:
+            before = len(hashed)
+            race.round()
+            per_turn.append(len(hashed) - before)
+        # the field joined, and no turn before the settling one hashed
+        assert len(per_turn) > HEAD_START_STEPS // race.quantum
+        assert per_turn[:-1] == [0] * (len(per_turn) - 1)
+        # the settling turn hashes each key once: the outcome's bills
+        assert per_turn[-1] == len(variants)
+
+    def test_a_head_settled_race_rewrites_once(self, store, monkeypatch):
+        import repro.psi.framework as framework
+        from repro.service import AdmissionController, Service, TenantPolicy
+
+        svc = Service(
+            admission=AdmissionController(
+                default_policy=TenantPolicy(step_budget=60_000)
+            ),
+        )
+        svc.load_dataset("yeast", scale="tiny")
+        applied = []
+        real = framework.make_rewriting
+
+        def counting(name):
+            applied.append(name)
+            return real(name)
+
+        monkeypatch.setattr(framework, "make_rewriting", counting)
+        query = extract_query(store, 4, random.Random(1))
+        ticket = svc.submit("yeast", query)
+        svc.run_until_idle()
+        assert svc.metrics.value("service.races_head_only") == 1
+        assert ticket.result.winner == VARIANTS[0]
+        assert applied == ["Orig"]  # the head's; DND was never made
+
+    def test_an_idle_pump_walks_no_flight(self, store, monkeypatch):
+        from repro.service import AdmissionController, Service, TenantPolicy
+
+        svc = Service(
+            admission=AdmissionController(
+                default_policy=TenantPolicy(step_budget=60_000)
+            ),
+        )
+        svc.load_dataset("yeast", scale="tiny")
+        for seed in range(3):
+            svc.submit(
+                "yeast", extract_query(store, 12, random.Random(seed)),
+                tenant=f"t{seed}",
+            )
+        svc.pump()  # admits every ticket
+        assert svc.dispatcher.active == 3
+        monkeypatch.setattr(_Walked, "walks", 0)
+        svc.fanout.flights = _Walked(svc.fanout.flights)
+        svc.replica_set.suspect_until = _Walked()
+        for _ in range(20):
+            assert not svc.pump()  # nothing settles this early
+        assert _Walked.walks == 0

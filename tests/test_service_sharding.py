@@ -281,6 +281,52 @@ class TestOnePartitionPerShard:
         assert replicas.add(1) == 3
         assert entry.shard_entry(1) is rewarmed  # beside a live sibling
 
+    def test_a_rewarm_retombstones_in_one_pass(
+        self, ppi_graphs, monkeypatch
+    ):
+        """A dark shard re-warmed with three tombstones pays one more
+        label-stats pass and one postings pass than its warm does,
+        not one of each per tombstone."""
+        from repro.indexing.trie import PathTrie
+        from repro.rewriting import LabelStats
+
+        def rewarm(tombstones):
+            cat = ShardedCatalog(num_shards=2, replicas=1)
+            replicas = ReplicaSet(cat, Dispatcher(pools=2))
+            entry = cat.load("ppi", scale="tiny")
+            for graph in ppi_graphs:  # room for three tombstones
+                cat.add_graph("ppi", graph.permuted(range(graph.order)),
+                              shard=1)
+            for gid in entry.shard_ids(1)[:tombstones]:
+                cat.remove_graph("ppi", gid)
+            replicas.kill(1, 0)
+            passes = {"stats": 0, "postings": 0}
+            of_collection = LabelStats.of_collection.__func__
+            remove_graphs = PathTrie.remove_graphs
+
+            def stats_pass(cls, graphs):
+                passes["stats"] += 1
+                return of_collection(cls, graphs)
+
+            def postings_pass(trie, graph_ids):
+                passes["postings"] += 1
+                return remove_graphs(trie, graph_ids)
+
+            with monkeypatch.context() as m:
+                m.setattr(LabelStats, "of_collection",
+                          classmethod(stats_pass))
+                m.setattr(PathTrie, "remove_graphs", postings_pass)
+                replicas.add(1)
+            sub = entry.shard_entry(1)
+            assert len(sub.ftv_index.tombstones) == tombstones
+            return passes
+
+        warm = rewarm(0)
+        assert warm["postings"] == 0
+        assert rewarm(3) == {
+            "stats": warm["stats"] + 1, "postings": 1,
+        }
+
 
 class TestMergeOutcomes:
     @staticmethod

@@ -699,7 +699,7 @@ class TestIndexBlobFormat:
         graphs = ppi_like(num_graphs=4, avg_nodes=80, num_labels=8, seed=3)
         live = cls(list(graphs))
         fresh = live.warm()
-        live.remove_graph(2)
+        live.remove_graphs([2])
         restored = decode_index(
             encode_index(live), list(graphs), index_method(live), 3
         )
