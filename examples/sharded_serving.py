@@ -60,7 +60,7 @@ def main() -> None:
     print(f"\nanswers digest (both layouts): {single_report.answers}")
     for name, report in (("single", single_report),
                          ("sharded", sharded_report)):
-        lat = report.as_json()["latency_steps"]
+        lat = report.metrics["service.latency_steps"]
         print(f"  {name:8} p50={lat['p50']:5d}  p95={lat['p95']:5d}  "
               f"max={lat['max']:5d} steps")
 

@@ -1,14 +1,16 @@
 """The prepared-graph memo and the hit/miss counters every cache shares.
 
-``Matcher.prepare`` output, canonical query keys and query censuses are
-all functions of one graph object; :class:`PrepareCache` memoizes them
-*on that object*, so a memo lives exactly as long as its graph.
-:class:`CacheStats` is the counter block it, and the service's result
-cache (:mod:`repro.service.cache`), report through.
+``Matcher.prepare`` output and query censuses are functions of one
+graph object; :class:`PrepareCache` memoizes them *on that object*, so
+a memo lives exactly as long as its graph, and :data:`prepare_cache`'s
+counts (``stats()["prepare_cache"]``) are matcher-index and census
+reuse.  :class:`CacheStats` is the counter block it, and the service's
+result cache (:mod:`repro.service.cache`), report through.
 
 (Answers to repeated queries *up to isomorphism* — the iGQ idea, paper
 ref [19] — are cached by :class:`repro.service.cache.ResultCache` on
-:func:`repro.service.canon.canonical_query_key`.)
+:func:`repro.service.canon.canonical_query_key`, which is computed
+once per submit and not memoized.)
 """
 
 from __future__ import annotations

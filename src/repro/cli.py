@@ -37,6 +37,7 @@ from .datasets import DATASETS, NFV_DATASETS, SCALES, build_graphs
 from .graphs import dumps_gfu
 from .matching import Budget, available_matchers, make_matcher
 from .psi import PsiNFV, race_from_costs
+from .service.admission import TicketState
 from .service.planner import (
     SERVED_ALGORITHMS,
     SERVED_REWRITINGS,
@@ -390,7 +391,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     streams = spec.tenant_streams(service)
     report = spec.drive(service, streams)
-    payload = report.as_json()
+    metrics = report.metrics
     shard_note = (
         f", {args.shards} shards"
         + (f" x {args.replicas} replicas" if args.replicas > 1 else "")
@@ -404,62 +405,61 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"{args.workers} workers{shard_note}",
         ["tenant", "submitted", "completed", "cache hits", "rejected"],
     )
-    for tenant, row in sorted(payload["tenants"].items()):
+    for tenant in sorted({t.tenant for t in report.tickets}):
+        mine = [t for t in report.tickets if t.tenant == tenant]
+        done = [t for t in mine if t.state is TicketState.DONE]
         table.add_row(
-            tenant, row["submitted"], row["completed"],
-            row["cache_hits"], row["rejected"],
+            tenant, len(mine), len(done),
+            sum(1 for t in done if t.cache_hit),
+            sum(1 for t in mine if t.state is TicketState.REJECTED),
         )
     _print(table.render())
-    lat = payload["latency_steps"]
+    lat = metrics["service.latency_steps"]
     if lat:
         _print(
             f"latency (steps): p50={lat['p50']} p95={lat['p95']} "
             f"p99={lat['p99']} max={lat['max']}"
         )
-    cache = payload["result_cache"]
+    cache = metrics["service.result_cache"]
     _print(
         f"result cache: {cache['hits']} hits / {cache['lookups']} "
         f"lookups ({100 * cache['hit_rate']:.1f}%), "
         f"{cache['entries']} entries"
     )
     _print(
-        f"virtual time {payload['throughput']['virtual_steps']} steps; "
-        f"total work {report.service_stats['work_steps']} steps"
+        f"virtual time {report.virtual_steps} steps; "
+        f"total work {metrics['service.work_steps']} steps"
     )
     if args.shards > 1:
-        routing = payload["routing"]
+        routing = metrics["service.routing"]
         _print(
-            f"per-shard work {payload['per_shard_work']}; fan-out "
-            f"waste {payload['fanout_waste']} steps; routed "
+            f"per-shard work {metrics['service.per_shard_work']}; fan-out "
+            f"waste {metrics['service.fanout_waste']} steps; routed "
             f"{routing['routed']} (pruned {routing['shards_pruned']}, "
             f"waves skipped {routing['waves_skipped']})"
         )
-    if payload["rebalance"]:
-        reb = payload["rebalance"]
+    if args.rebalance:
         _print(
-            f"rebalance: {reb['rebalances']} rebalances, "
-            f"{len(reb['migrations'])} graphs migrated"
+            f"rebalance: {metrics['rebalance.rebalances']} rebalances, "
+            f"{metrics['rebalance.migrations']} graphs migrated"
         )
-    if payload["chaos"]:
-        ch = payload["chaos"]
+    if args.chaos:
+        ch = metrics["service.faults"]
         _print(
             f"chaos: {ch['injected']} faults injected, "
             f"{ch['rerouted']} legs rerouted, "
-            f"{ch['degraded']} degraded, {ch['lost']} lost"
+            f"{ch['degraded']} degraded, {report.lost} lost"
         )
-    if payload["store"]:
-        st = payload["store"]
-        m = st["metrics"]
-        regrew = st["regrown"]
-        from_store = sum(1 for r in regrew if r["from_store"])
+    if args.store is not None or report.regrown:
+        from_store = sum(1 for r in report.regrown if r["from_store"])
         _print(
-            f"store: {m.get('restores', 0)} restores, "
-            f"{m.get('rebuilds', 0)} rebuilds, "
-            f"{m.get('corrupt_detected', 0)} corrupt "
-            f"({m.get('quarantined', 0)} quarantined); regrew "
-            f"{len(regrew)} replica(s), {from_store} from store"
+            f"store: {metrics.get('store.restores', 0)} restores, "
+            f"{metrics.get('store.rebuilds', 0)} rebuilds, "
+            f"{metrics.get('store.corrupt_detected', 0)} corrupt "
+            f"({metrics.get('store.quarantined', 0)} quarantined); regrew "
+            f"{len(report.regrown)} replica(s), {from_store} from store"
         )
-    _print(f"results digest {payload['digest']}")
+    _print(f"results digest {report.digest}")
     if args.verbose:
         for t in report.completed:
             r = t.result

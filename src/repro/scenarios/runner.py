@@ -38,6 +38,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Optional
 
+from ..service.stats import StatsView
 from .config import ScenarioConfig
 
 __all__ = [
@@ -87,8 +88,9 @@ class ScenarioResult:
     virtual_steps: int
     per_shard_work: list = field(default_factory=list)
     latency: Optional[dict] = None
-    #: sha256[:16] over the full ``Service.stats()`` snapshot — the
-    #: whole registry view participates in the determinism claim
+    #: sha256[:16] over the ``Service.stats()`` sections of the
+    #: registry snapshot — the whole stats view participates in the
+    #: determinism claim
     stats_digest: str = ""
     # -- mutation streams (all zero/None on static scenarios) ----------
     mutations_applied: int = 0
@@ -247,44 +249,41 @@ class ScenarioRunner:
     def _distil(
         self, config, service, report, drill=None
     ) -> ScenarioResult:
-        stats = service.stats()
-        store_metrics = service.store_metrics()
-        fault_stats = stats.get("faults") or {}
-        migrations = report.rebalance.get("migrations") or []
-        regrown = (report.store or {}).get("regrown") or []
-        mutations = report.mutations or {}
-        oracle = mutations.get("oracle") or {}
+        # read after the crash drill, which probes the live service
+        metrics = service.metrics.snapshot()
+        stats = StatsView.sections(metrics.__getitem__)
+        faults = stats["faults"]
+        mutations = metrics["service.mutations"]
         drill = drill or {}
-        done = report.completed
         return ScenarioResult(
             name=config.name,
             answers_digest=report.answers,
             decisions_digest=report.decisions,
             results_digest=report.digest,
-            completed=len(done),
-            killed=sum(1 for t in done if t.result.killed),
-            lost=sum(1 for t in report.tickets if not t.done),
-            degraded=fault_stats.get("degraded", 0),
-            injected=fault_stats.get("injected", 0),
-            retries=fault_stats.get("retries", 0),
-            rerouted=fault_stats.get("rerouted", 0),
-            migrations=len(migrations),
-            rebalances=report.rebalance.get("rebalances", 0),
-            regrown=len(regrown),
+            completed=len(report.completed),
+            killed=report.killed,
+            lost=report.lost,
+            degraded=faults["degraded"],
+            injected=faults["injected"],
+            retries=faults["retries"],
+            rerouted=faults["rerouted"],
+            migrations=metrics.get("rebalance.migrations", 0),
+            rebalances=metrics.get("rebalance.rebalances", 0),
+            regrown=len(report.regrown),
             fanout_waste=stats["fanout_waste"],
             cache_hits=stats["result_cache"]["hits"],
-            restores=store_metrics.get("restores", 0),
-            rebuilds=store_metrics.get("rebuilds", 0),
-            corrupt_detected=store_metrics.get("corrupt_detected", 0),
-            quarantined=store_metrics.get("quarantined", 0),
+            restores=metrics.get("store.restores", 0),
+            rebuilds=metrics.get("store.rebuilds", 0),
+            corrupt_detected=metrics.get("store.corrupt_detected", 0),
+            quarantined=metrics.get("store.quarantined", 0),
             virtual_steps=report.virtual_steps,
             per_shard_work=list(stats["per_shard_work"]),
             latency=stats["latency_steps"],
             stats_digest=_stats_digest(stats),
-            mutations_applied=mutations.get("applied", 0),
-            mutations_rejected=mutations.get("rejected", 0),
-            oracle_checks=oracle.get("checks", 0),
-            oracle_mismatches=oracle.get("mismatches", 0),
+            mutations_applied=mutations["applied"],
+            mutations_rejected=mutations["rejected"],
+            oracle_checks=len(report.checks),
+            oracle_mismatches=sum(1 for c in report.checks if not c["ok"]),
             replayed=drill.get("replayed", 0),
             journal_corrupt_detected=drill.get(
                 "journal_corrupt_detected", 0

@@ -111,32 +111,6 @@ def _but(neighbors: dict, vertex: int) -> dict:
     return rest
 
 
-def canonical_query_key(
-    graph: LabeledGraph,
-    max_branches: int = DEFAULT_CANON_BRANCHES,
-) -> Optional[tuple]:
-    """A hashable key equal for exactly the isomorphic copies of ``graph``.
-
-    Returns ``None`` when the branch budget is exceeded (the caller
-    should skip caching).  Vertex *and* edge labels participate: two
-    graphs with the same shape but different labelling get different
-    keys.
-
-    Memoized per graph instance (the graph-side memo resets on
-    mutation): the serving path needs the key at submit time for the
-    result cache *and* in the census memo, and must canonicalise once,
-    not twice.
-    """
-    from ..caching import prepare_cache  # deferred: no import cycle at use
-
-    # wrapped in a 1-tuple so a legitimate None result is memoized too
-    return prepare_cache.get(
-        graph,
-        ("canon", max_branches),
-        lambda: (_canonical_query_key(graph, max_branches),),
-    )[0]
-
-
 def _leaf(
     colors: tuple[int, ...],
     labels: list[int],
@@ -168,10 +142,22 @@ def _leaf(
     return (tuple(at), tuple(pairs))
 
 
-def _canonical_query_key(
+def canonical_query_key(
     graph: LabeledGraph,
-    max_branches: int,
+    max_branches: int = DEFAULT_CANON_BRANCHES,
 ) -> Optional[tuple]:
+    """A hashable key equal for exactly the isomorphic copies of ``graph``.
+
+    Returns ``None`` when the branch budget is exceeded (the caller
+    should skip caching).  Vertex *and* edge labels participate: two
+    graphs with the same shape but different labelling get different
+    keys.
+
+    Not memoized: the serving path asks once per submit
+    (``ResultCache.key_for``), and each submit carries a graph object
+    of its own — a repeat is a fresh instance, a socket request a
+    freshly decoded graph — so a per-graph memo would never hit.
+    """
     n = graph.order
     if n == 0:
         return ("canon", 0, (), (), ())

@@ -10,10 +10,9 @@ arguments of it.  ``repro serve`` and the scenario runner replay their
 workloads through this driver
 (:meth:`repro.service.spec.ServiceSpec.drive`).
 
-It returns a :class:`LoadReport` whose :meth:`LoadReport.as_json` is
-the JSON-ready summary: throughput (queries per million simulated
-steps and per wall second) plus p50/p95/p99 simulated-step latency
-and cache/admission counters.
+It returns a :class:`LoadReport`: the tickets, regrow rows and oracle
+verdicts only the loop sees, plus one snapshot of the service's metrics
+registry, where every counter of the run is read.
 
 Determinism contract: everything except ``wall_seconds`` is a pure
 function of (service configuration, streams) — the report carries two
@@ -59,32 +58,25 @@ __all__ = [
 
 @dataclass
 class LoadReport:
-    """Everything one load run measured."""
+    """What one load run saw that no registry metric holds, plus one
+    snapshot of the registry taken when the loop ended.
+
+    Every serving fact — latency, caches, admission, per-shard work,
+    routing, ``service.faults``, ``rebalance.*``, ``store.*``,
+    ``service.mutations`` — is read from :attr:`metrics` under its
+    registry name; the fields here are the driver's own observations.
+    """
 
     tickets: list[Ticket]
-    virtual_steps: int
     wall_seconds: float
-    digest: str
-    service_stats: dict
-    #: digest over decision answers only (sharding-invariant — equal
-    #: for runs of the same workload over any number of shards)
-    answers: str = ""
-    #: digest over existence answers only (additionally invariant
-    #: under shard routing for decision_only workloads, where the
-    #: witness sets behind ``answers`` legitimately differ)
-    decisions: str = ""
-    #: rebalancer summary when a Rebalancer rode along (else empty)
-    rebalance: dict = field(default_factory=dict)
-    #: chaos summary when a FaultInjector rode along (else empty)
-    chaos: dict = field(default_factory=dict)
-    #: artifact-store summary when the service served from a
-    #: persisted store and/or the regrow drill ran (else empty):
-    #: reader counters plus one row per replica regrown mid-load
-    store: dict = field(default_factory=dict)
-    #: dynamic-collection summary when an update stream rode along
-    #: (else empty): mutation counters, journal state, and the
-    #: per-quiesce-point oracle verdicts
-    mutations: dict = field(default_factory=dict)
+    #: ``service.metrics.snapshot()`` at the end of the loop
+    metrics: dict
+    #: one row per replica regrown mid-load (``regrow=True``)
+    regrown: list[dict] = field(default_factory=list)
+    #: served-vs-oracle digest verdicts, one per verified quiesce point
+    checks: list[dict] = field(default_factory=list)
+    #: the update stream's mutation tickets, in submission order
+    mutation_tickets: list = field(default_factory=list)
 
     @property
     def completed(self) -> list[Ticket]:
@@ -93,129 +85,42 @@ class LoadReport:
             t for t in self.tickets if t.state is TicketState.DONE
         ]
 
-    def as_json(self) -> dict:
-        """The JSON-ready summary of the run.
+    @property
+    def digest(self) -> str:
+        """:func:`results_digest` over the completed tickets."""
+        return results_digest(self.completed)
 
-        Measured sections come straight from the service's metrics
-        registry snapshot (``service_stats``) — including
-        ``latency_steps``, which this method used to re-derive by hand
-        from the ticket list.  The registry observes exactly one
-        latency per DONE ticket (cache hits at 0), so the two
-        derivations are value-identical; the snapshot is authoritative
-        because it is what ``GET /stats`` and ``/watch`` serve.
-        """
-        done = self.completed
-        per_tenant: dict[str, dict] = {}
-        for t in self.tickets:
-            row = per_tenant.setdefault(
-                t.tenant,
-                {"submitted": 0, "completed": 0, "cache_hits": 0,
-                 "rejected": 0},
-            )
-            row["submitted"] += 1
-            if t.state is TicketState.DONE:
-                row["completed"] += 1
-                row["cache_hits"] += int(t.cache_hit)
-            elif t.state is TicketState.REJECTED:
-                row["rejected"] += 1
-        msteps = self.virtual_steps / 1e6 if self.virtual_steps else 0.0
-        killed = sum(1 for t in done if t.result.killed)
-        return {
-            "digest": self.digest,
-            "answers_digest": self.answers,
-            "decisions_digest": self.decisions,
-            #: budget-killed queries; their answers are execution-
-            #: dependent, so answers_digest is only layout-invariant
-            #: when this is 0 in both runs being compared
-            "killed": killed,
-            "throughput": {
-                "queries": len(done),
-                "virtual_steps": self.virtual_steps,
-                "queries_per_mstep": (
-                    len(done) / msteps if msteps else float(len(done))
-                ),
-                "wall_seconds": self.wall_seconds,
-                "queries_per_second": (
-                    len(done) / self.wall_seconds
-                    if self.wall_seconds > 0
-                    else 0.0
-                ),
-            },
-            "latency_steps": self.service_stats["latency_steps"],
-            "tenants": per_tenant,
-            "result_cache": self.service_stats["result_cache"],
-            "prepare_cache": self.service_stats["prepare_cache"],
-            "admission": self.service_stats["admission"],
-            #: per-shard (pool) step bills — the skew signal
-            "per_shard_work": self.service_stats["per_shard_work"],
-            #: steps billed to shard races that contributed nothing to
-            #: their merged outcome (what routing exists to shrink)
-            "fanout_waste": self.service_stats["fanout_waste"],
-            "routing": self.service_stats["routing"],
-            "rebalance": self.rebalance,
-            "chaos": self.chaos,
-            "store": self.store,
-            "mutations": self.mutations,
-        }
+    @property
+    def answers(self) -> str:
+        """Digest over decision answers only (sharding-invariant —
+        equal for runs of the same workload over any number of
+        shards)."""
+        return answers_digest(self.completed)
 
+    @property
+    def decisions(self) -> str:
+        """Digest over existence answers only (additionally invariant
+        under shard routing for decision_only workloads, where the
+        witness sets behind :attr:`answers` legitimately differ)."""
+        return decisions_digest(self.completed)
 
-def _chaos_summary(service: Service, tickets: list[Ticket]) -> dict:
-    """The ``chaos`` section of the report payload: the service's
-    fault counters, and ``lost``, the tickets that never reached a
-    terminal state — the zero-lost-tickets invariant of the failure
-    model."""
-    stats = service.stats().get("faults", {})
-    return {
-        "enabled": True,
-        "injected": stats.get("injected", 0),
-        "retries": stats.get("retries", 0),
-        "rerouted": stats.get("rerouted", 0),
-        "degraded": stats.get("degraded", 0),
-        "tasks_failed": stats.get("tasks_failed", 0),
-        "lost": sum(1 for t in tickets if not t.done),
-    }
+    @property
+    def killed(self) -> int:
+        """Budget-killed queries; their answers are execution-
+        dependent, so :attr:`answers` is only layout-invariant when
+        this is 0 in both runs being compared."""
+        return sum(1 for t in self.completed if t.result.killed)
 
+    @property
+    def lost(self) -> int:
+        """Tickets that never reached a terminal state — the
+        zero-lost-tickets invariant of the failure model."""
+        return sum(1 for t in self.tickets if not t.done)
 
-def _store_summary(service: Service, regrown) -> dict:
-    """The ``store`` section of the report payload (empty without a
-    persisted store and without regrow activity)."""
-    metrics = service.store_metrics()
-    if not metrics and not regrown:
-        return {}
-    return {
-        "enabled": bool(metrics),
-        "metrics": metrics,
-        "regrown": list(regrown or []),
-    }
-
-
-def _report(
-    service: Service,
-    tickets: list[Ticket],
-    wall_seconds: float,
-    rebalancer=None,
-    faults=None,
-    regrown=None,
-) -> LoadReport:
-    done = [t for t in tickets if t.state is TicketState.DONE]
-    return LoadReport(
-        tickets=tickets,
-        virtual_steps=service.clock,
-        wall_seconds=wall_seconds,
-        digest=results_digest(done),
-        service_stats=service.stats(),
-        answers=answers_digest(done),
-        decisions=decisions_digest(done),
-        rebalance=(
-            rebalancer.summary() if rebalancer is not None else {}
-        ),
-        chaos=(
-            _chaos_summary(service, tickets)
-            if faults is not None
-            else {}
-        ),
-        store=_store_summary(service, regrown),
-    )
+    @property
+    def virtual_steps(self) -> int:
+        """The virtual clock when the loop ended."""
+        return self.metrics["service.clock_steps"]
 
 
 # ----------------------------------------------------------------------
@@ -441,13 +346,13 @@ def run_closed_loop(
       the collection is verified.  The probes are a seeded
       (``probe_seed``) workload drawn from the initial live graphs plus
       the planned newcomers, so both pre-existing and added graphs are
-      probed positively.  The report then carries a ``mutations`` section.
+      probed positively.  The report's ``checks`` hold the verdicts.
 
     With a :class:`~repro.service.faults.FaultInjector`, its events are
     installed on the service before the first submission and fire on
-    the virtual clock as the loop pumps — chaos mode.  The report then
-    carries a ``chaos`` section (injection counters and the zero-lost-
-    tickets check).
+    the virtual clock as the loop pumps — chaos mode (its counters are
+    the snapshot's ``service.faults``; :attr:`LoadReport.lost` is the
+    zero-lost-tickets check).
 
     With ``regrow=True`` the loop heals
     permanent losses as they happen: whenever a shard has more DEAD
@@ -456,8 +361,8 @@ def run_closed_loop(
     serves the shard's warm partition as it stands; one that brings a
     dark shard back re-warms it — from disk when a store is attached
     (the elastic O(read) path the persistence layer exists for).  Each
-    regrow is recorded in the report's ``store`` section with the
-    virtual clock it happened at and whether it read the store.
+    regrow is a row of the report's ``regrown`` with the virtual clock
+    it happened at and whether it read the store.
 
     Deterministic, like everything else on the virtual clock.
     """
@@ -565,23 +470,11 @@ def run_closed_loop(
             break
     if verify_oracle:
         checks.append(_oracle_check(service, dataset, probes))
-    wall = time.perf_counter() - start
-    report = _report(
-        service, tickets, wall, rebalancer, faults,
-        regrown=regrown if regrow else None,
+    return LoadReport(
+        tickets=tickets,
+        wall_seconds=time.perf_counter() - start,
+        metrics=service.metrics.snapshot(),
+        regrown=regrown,
+        checks=checks,
+        mutation_tickets=mutation_tickets,
     )
-    if mutations:
-        report.mutations = {
-            "enabled": True,
-            "planned": len(mutations),
-            "applied": sum(1 for m in mutation_tickets if m.applied),
-            "rejected": sum(1 for m in mutation_tickets if m.rejected),
-            "service": service.mutations.report(),
-            "oracle": {
-                "verified": verify_oracle,
-                "checks": len(checks),
-                "mismatches": sum(1 for c in checks if not c["ok"]),
-                "points": checks,
-            },
-        }
-    return report

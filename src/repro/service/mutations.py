@@ -57,10 +57,6 @@ class MutationTicket:
     def applied(self) -> bool:
         return self.state == "applied"
 
-    @property
-    def rejected(self) -> bool:
-        return self.state == "rejected"
-
 
 class MutationApplier:
     """Pending mutations, the journal they ack through, and replay.

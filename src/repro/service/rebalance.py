@@ -276,22 +276,3 @@ class Rebalancer:
             )
         self.migrations.extend(applied)
         return applied
-
-    def summary(self) -> dict:
-        """JSON-ready counters for bench payloads and stats."""
-        return {
-            "rebalances": self.rebalances.value,
-            "skipped_checks": self.skipped.value,
-            "degenerate_checks": self.degenerate.value,
-            "migrations": [
-                {
-                    "dataset": m.dataset,
-                    "graph_id": m.graph_id,
-                    "src": m.src,
-                    "dst": m.dst,
-                    "clock": m.clock,
-                }
-                for m in self.migrations
-            ],
-            "window_loads": self.window_loads(),
-        }

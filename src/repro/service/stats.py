@@ -119,8 +119,14 @@ class StatsView:
             return None
         return summarize_latencies(list(self.latencies)).as_dict()
 
+    @classmethod
+    def sections(cls, read) -> dict:
+        """The stats() dict, each key the metric ``service.<key>`` as
+        ``read`` returns it: the live registry's ``value``, or a taken
+        snapshot's ``__getitem__``."""
+        return {key: read(f"service.{key}") for key in cls.KEYS}
+
     def stats(self) -> dict:
         """One JSON-ready snapshot: each key is the registry metric
         ``service.<key>``."""
-        value = self.metrics.value
-        return {key: value(f"service.{key}") for key in self.KEYS}
+        return self.sections(self.metrics.value)

@@ -497,15 +497,15 @@ class StoreReader:
     # metrics
     # ------------------------------------------------------------------
 
+    #: the reader's counters, each published as ``store.<name>``
+    COUNTERS = (
+        "corrupt_detected", "quarantined", "blobs_verified",
+        "bytes_read", "restores", "rebuilds", "misses",
+    )
+
     def as_metrics(self) -> dict:
         return {
-            "corrupt_detected": self.corrupt_detected,
-            "quarantined": self.quarantined,
-            "blobs_verified": self.blobs_verified,
-            "bytes_read": self.bytes_read,
-            "restores": self.restores,
-            "rebuilds": self.rebuilds,
-            "misses": self.misses,
+            **{key: getattr(self, key) for key in self.COUNTERS},
             "events": len(self.events),
         }
 
@@ -515,10 +515,7 @@ class StoreReader:
         ``replace=True`` throughout: a service can attach a fresh
         reader (new store dir) to a long-lived registry.
         """
-        for key in (
-            "corrupt_detected", "quarantined", "blobs_verified",
-            "bytes_read", "restores", "rebuilds", "misses",
-        ):
+        for key in self.COUNTERS:
             registry.gauge(
                 f"{prefix}.{key}",
                 (lambda k=key: getattr(self, k)),

@@ -524,6 +524,58 @@ class TestServeProcess:
             digest.search(proc.stdout).group(1)
             == digest.search(storeless.stdout).group(1)
         )
+        assert proc.stdout == CHAOS_REGROW_STORE_OUTPUT
+
+    def test_rebalance_output_is_pinned(self):
+        """Every line ``serve --rebalance`` prints, byte for byte."""
+        proc = repro_process(
+            "serve", *self.PPI, "--shards", "2", "--rebalance"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == REBALANCE_OUTPUT
+
+
+#: ``serve --dataset ppi --scale tiny --shards 2 --replicas 2 --chaos
+#: --regrow --store DIR`` after ``warm`` of the same layout
+CHAOS_REGROW_STORE_OUTPUT = "\n".join((
+    "serve: 50 queries on ppi (tiny), 3 tenants, 4 workers, "
+    "2 shards x 2 replicas",
+    "=" * 76,
+    "tenant  | submitted | completed | cache hits | rejected",
+    "--------+-----------+-----------+------------+---------",
+    "tenant0 | 17        | 17        | 5          | 0       ",
+    "tenant1 | 17        | 17        | 3          | 0       ",
+    "tenant2 | 16        | 16        | 6          | 0       ",
+    "latency (steps): p50=64 p95=448 p99=768 max=768",
+    "result cache: 14 hits / 50 lookups (28.0%), 36 entries",
+    "virtual time 2432 steps; total work 4342 steps",
+    "per-shard work [1470, 2872]; fan-out waste 1273 steps; "
+    "routed 36 (pruned 17, waves skipped 0)",
+    "chaos: 4 faults injected, 3 legs rerouted, 0 degraded, 0 lost",
+    "store: 3 restores, 0 rebuilds, 0 corrupt (0 quarantined); "
+    "regrew 2 replica(s), 0 from store",
+    "results digest f18f0b044b563cf7",
+    "",
+))
+
+#: ``serve --dataset ppi --scale tiny --shards 2 --rebalance``
+REBALANCE_OUTPUT = "\n".join((
+    "serve: 50 queries on ppi (tiny), 3 tenants, 4 workers, 2 shards",
+    "=" * 63,
+    "tenant  | submitted | completed | cache hits | rejected",
+    "--------+-----------+-----------+------------+---------",
+    "tenant0 | 17        | 17        | 5          | 0       ",
+    "tenant1 | 17        | 17        | 3          | 0       ",
+    "tenant2 | 16        | 16        | 6          | 0       ",
+    "latency (steps): p50=64 p95=320 p99=768 max=768",
+    "result cache: 14 hits / 50 lookups (28.0%), 36 entries",
+    "virtual time 2688 steps; total work 4150 steps",
+    "per-shard work [1619, 2531]; fan-out waste 1854 steps; "
+    "routed 36 (pruned 17, waves skipped 0)",
+    "rebalance: 1 rebalances, 1 graphs migrated",
+    "results digest 067851acc20354c7",
+    "",
+))
 
 
 QUICK_SCENARIO = (

@@ -188,9 +188,9 @@ class TestKillDrills:
         answers bit-for-bit healthy, zero lost tickets."""
         svc, report = run(ppi_graphs, faults=kill_each_shard())
         assert report.answers == healthy.answers
-        assert report.chaos["rerouted"] >= 1
-        assert report.chaos["lost"] == 0
-        assert report.chaos["degraded"] == 0
+        assert report.metrics["service.faults"]["rerouted"] >= 1
+        assert report.lost == 0
+        assert report.metrics["service.faults"]["degraded"] == 0
         assert svc.replica_set.killed.value == 2
         assert all(
             t.retries <= svc.fanout.max_retries for t in report.tickets
@@ -250,7 +250,7 @@ class TestKillDrills:
             ppi_graphs, faults=kill_each_shard(), service=svc
         )
         assert svc.fanout.degraded.value >= 1
-        assert report.chaos["lost"] == 0  # refused, never stranded
+        assert report.lost == 0  # refused, never stranded
         degraded = [t for t in report.tickets if t.degraded]
         assert degraded
         assert all(
@@ -291,7 +291,7 @@ class TestWedgeDrill:
         # dropped — LIVE is the default)
         assert svc.replica_set.state(0, 0) is ReplicaState.LIVE
         assert not svc.replica_set.suspect_until
-        assert report.chaos["lost"] == 0
+        assert report.lost == 0
 
     def test_a_wedge_due_as_the_service_goes_idle_expires(self, ppi_graphs):
         """A wedge that falls due on the tick that leaves the service
@@ -323,8 +323,8 @@ class TestFailTaskDrill:
         assert report.answers == healthy.answers
         assert svc.fanout.tasks_failed.value == 1
         assert svc.fanout.retries.value >= 1
-        assert report.chaos["lost"] == 0
-        assert report.chaos["degraded"] == 0
+        assert report.lost == 0
+        assert report.metrics["service.faults"]["degraded"] == 0
 
     def test_fail_task_with_nothing_active_is_noop(self, ppi_graphs):
         svc = ftv_service()
@@ -355,8 +355,8 @@ class TestInteractionDrills:
             concurrency=2, faults=kill_each_shard(at=2),
         )
         assert report.decisions == base.decisions
-        assert report.chaos["lost"] == 0
-        assert report.chaos["degraded"] == 0
+        assert report.lost == 0
+        assert report.metrics["service.faults"]["degraded"] == 0
 
     def test_kill_around_quiesce_rebalance(self, ppi_graphs, healthy):
         """Chaos and online rebalancing compose: migrations at quiesce
@@ -371,7 +371,7 @@ class TestInteractionDrills:
             faults=kill_each_shard(at=4),
         )
         assert report.answers == healthy.answers
-        assert report.chaos["lost"] == 0
+        assert report.lost == 0
         assert svc.replica_set.killed.value == 2
 
     def test_chaos_run_is_deterministic(self, ppi_graphs):
@@ -382,8 +382,7 @@ class TestInteractionDrills:
 
         a, b = chaos_run(), chaos_run()
         assert a.digest == b.digest
-        assert a.chaos["rerouted"] == b.chaos["rerouted"]
-        assert a.chaos["retries"] == b.chaos["retries"]
+        assert a.metrics["service.faults"] == b.metrics["service.faults"]
 
     def test_chaos_plan_end_to_end(self, ppi_graphs, healthy):
         """The CLI-shaped drill: a seeded chaos_plan (kills + wedge +
@@ -391,8 +390,8 @@ class TestInteractionDrills:
         inj = chaos_plan(1337, num_shards=2, replicas=2, queries=16)
         svc, report = run(ppi_graphs, faults=inj)
         assert report.answers == healthy.answers
-        assert report.chaos["injected"] == 4
-        assert report.chaos["lost"] == 0
+        assert report.metrics["service.faults"]["injected"] == 4
+        assert report.lost == 0
         assert not inj.pending
 
 
@@ -416,7 +415,7 @@ class TestStatsAndScaling:
         )
         faults = stats["faults"]
         assert faults["injected"] == 2
-        assert faults["rerouted"] == report.chaos["rerouted"]
+        assert faults == report.metrics["service.faults"]
 
     def test_retire_requires_quiesce_and_spares_last(self, ppi_graphs):
         svc = ftv_service()
@@ -442,7 +441,7 @@ class TestStatsAndScaling:
         reb1 = Rebalancer(one, min_window_steps=1)
         assert reb1.maybe_rebalance() == []
         assert reb1.degenerate.value == 1
-        assert reb1.summary()["degenerate_checks"] == 1
+        assert one.metrics.value("rebalance.degenerate_checks") == 1
 
 
 # ----------------------------------------------------------------------

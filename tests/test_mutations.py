@@ -95,7 +95,7 @@ class TestLifecycle:
         g = svc.catalog.get("ppi").graphs[0]
         first = svc.add_graph("ppi", g)
         second = svc.add_graph("ppi", g)
-        assert second.rejected
+        assert second.state == "rejected"
         assert "backlog" in second.reason
         assert second.retry_after is not None
         assert second.retry_after > svc.clock
@@ -115,7 +115,7 @@ class TestLifecycle:
             kwargs = dict(kwargs, graph=g)
         mutation = svc.submit_mutation("ppi", op, **kwargs)
         svc.pump()
-        assert mutation.rejected
+        assert mutation.state == "rejected"
         assert fragment in mutation.reason
         assert mutation.retry_after is None
 
@@ -140,7 +140,8 @@ class TestLifecycle:
         for ticket in (racing, queued):
             assert ticket.state is TicketState.REJECTED
             assert ticket.degraded and ticket.retry_after > svc.clock
-        assert mutation.rejected and mutation.retry_after > svc.clock
+        assert mutation.state == "rejected"
+        assert mutation.retry_after > svc.clock
         assert "no serving replica" in mutation.reason
         stats = svc.stats()
         assert stats["replicas"]["counts"] == [0]
@@ -158,7 +159,7 @@ class TestLifecycle:
         apply_all(svc)
         again = svc.remove_graph("ppi", 0)
         svc.pump()
-        assert again.rejected and "already removed" in again.reason
+        assert again.state == "rejected" and "already removed" in again.reason
 
     def test_mutation_metrics_are_registry_only(self):
         # the legacy stats dict is pinned (tests/test_obs.py); the
@@ -243,18 +244,17 @@ class TestOracleAcrossLayouts:
     def test_every_quiesce_point_matches_the_oracle(
         self, layout_reports, name
     ):
-        summary = layout_reports[name].mutations
-        assert summary["applied"] == 8
-        assert summary["rejected"] == 0
-        oracle = summary["oracle"]
-        assert oracle["checks"] >= 2
-        assert oracle["mismatches"] == 0
-        for point in oracle["points"]:
-            assert point["digest"] == point["oracle"]
+        report = layout_reports[name]
+        assert [m.state for m in report.mutation_tickets] == ["applied"] * 8
+        counted = report.metrics["service.mutations"]
+        assert (counted["applied"], counted["rejected"]) == (8, 0)
+        assert len(report.checks) >= 2
+        for point in report.checks:
+            assert point["ok"] and point["digest"] == point["oracle"]
 
     def test_all_layouts_land_on_one_final_digest(self, layout_reports):
         finals = {
-            name: report.mutations["oracle"]["points"][-1]["digest"]
+            name: report.checks[-1]["digest"]
             for name, report in layout_reports.items()
         }
         assert len(set(finals.values())) == 1, finals
@@ -434,7 +434,7 @@ class TestRefusedBeforeJournaled:
             "ppi", "add_graph", graph=entry.graphs[1], **kwargs
         )
         svc.pump()  # returns normally
-        assert mutation.rejected and fragment in mutation.reason
+        assert mutation.state == "rejected" and fragment in mutation.reason
         assert mutation.retry_after is None and mutation.seq is None
         assert svc.mutations.journal.tail_seq() == -1
         assert len(entry.graphs) == 3

@@ -329,7 +329,7 @@ class TestRoutedServing:
         # run never wastes more fanned steps than the unrouted one
         assert svc.fanout.waves_skipped.value > 0
         assert svc.fanout.fanout_waste.value <= (
-            d2u.service_stats["fanout_waste"]
+            d2u.metrics["service.fanout_waste"]
         )
 
     def test_routed_run_deterministic(self, ppi_graphs):

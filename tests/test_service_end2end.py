@@ -227,7 +227,7 @@ class TestResultCaching:
         rep = run_closed_loop(
             svc, "yeast", streams_for(store), options=OPTS
         )
-        cache = rep.as_json()["result_cache"]
+        cache = rep.metrics["service.result_cache"]
         assert cache["hits"] > 0
         hits = [t for t in rep.completed if t.cache_hit]
         assert hits
@@ -306,7 +306,7 @@ class TestResultCaching:
         rep = run_closed_loop(svc, "yeast", streams, options=OPTS)
         killed = [t for t in rep.completed if t.result.killed]
         assert killed  # an 8-step budget kills everything fresh
-        assert rep.as_json()["result_cache"]["hits"] == 0
+        assert rep.metrics["service.result_cache"]["hits"] == 0
 
 
 class TestAdmissionIntegration:

@@ -501,9 +501,8 @@ class TestElasticDrill:
         report = run_workload(
             svc, ppi_graphs, faults=faults, regrow=True
         )
-        assert report.chaos["lost"] == 0
-        regrown = report.store["regrown"]
-        assert [(r["shard"], r["from_store"]) for r in regrown] == [
+        assert report.lost == 0
+        assert [(r["shard"], r["from_store"]) for r in report.regrown] == [
             (0, True), (0, False),
         ]
         assert svc.catalog.store.restores == restores + 1
@@ -511,7 +510,7 @@ class TestElasticDrill:
         # each grow left a synthetic negative-id trace; only the one
         # that found the shard dark read the store
         boots = []
-        for i in range(len(regrown)):
+        for i in range(len(report.regrown)):
             trace = svc.trace(-(i + 1))
             assert trace is not None and trace.done
             boots.append(trace.find("store_boot")[0].attrs["restores"])
