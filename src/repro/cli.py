@@ -806,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
                    action=argparse.BooleanOptionalAction,
                    help="routed fan-outs: probe each shard's "
                         "filter index, prune shards with no "
-                        "candidate and stage decision queries in "
-                        "expected-first-true wave order "
+                        "candidate and give a decision query's "
+                        "expected-first-true shard a head start "
                         "(--no-routing = the full fan-out)")
     p.add_argument("--assignment", default="size_balanced",
                    choices=("size_balanced", "hash"),

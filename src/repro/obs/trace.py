@@ -3,8 +3,7 @@
 Every ticket the service admits gets a :class:`TicketTrace`: a root
 span (``"ticket"``) plus child spans and point events recording the
 request's life — queueing, the route plan, each fan-out leg with its
-replica placement, wave launches and hedges, fault hits, retries,
-merge, and the cache path.  Timestamps are *virtual-clock steps*, so
+replica placement, fault hits, retries, merge, and the cache path.  Timestamps are *virtual-clock steps*, so
 a trace is as deterministic as the run that produced it: two runs of
 the same submission history yield identical traces.
 

@@ -91,13 +91,8 @@ class Ticket:
     #: shard races this ticket fanned out into (0 until dispatched;
     #: 1 for a one-shard collection).  With routing on this counts only
     #: the *surviving* fan-out — admission charges nothing for shards
-    #: the router pruned or skipped.
+    #: the router pruned.
     fanout: int = 0
-    #: shards the router proved empty and excluded from the fan-out
-    pruned: int = 0
-    #: shards never raced because an earlier routed wave settled the
-    #: decision first
-    skipped: int = 0
     #: fan-out legs re-admitted after a replica death or task failure
     #: (bounded by the service's ``max_retries``)
     retries: int = 0

@@ -16,7 +16,8 @@ tick it walks the active races in the caller-provided priority order
 its pool has slots; a race's variants are co-scheduled (the paper's
 thread-group model), so a race needs one slot in its own pool per
 variant its next round advances (:attr:`RaceTask.width`: a staged
-race's head runs in one slot until the field joins).  All pools share
+race's head runs in one slot until the field joins, and a race whose
+start lies a quantum or more ahead runs in none).  All pools share
 one virtual clock, which advances one quantum per tick — the parallel
 time of the workers' step slices.
 
@@ -155,10 +156,9 @@ class Dispatcher:
             if pool in frozen:
                 continue
             width = race.width
-            need = width if width > 1 else 1
-            if slots[pool] < need:
+            if slots[pool] < width:
                 continue
-            slots[pool] -= need
+            slots[pool] -= width
             outcome = race.round()
             work = race.last_round_steps
             total += work
@@ -176,8 +176,9 @@ class Dispatcher:
         self.ticks.inc()
         return events
 
-    def cancel(self, token: object) -> None:
-        """Detach and kill a race."""
+    def cancel(self, token: object) -> Optional[RaceTask]:
+        """Detach and kill a race; the race, or None if ``token`` was
+        not attached."""
         race = self._active.pop(token, None)
         pool = self._pool_of.pop(token, None)
         if race is not None:
@@ -185,3 +186,4 @@ class Dispatcher:
                 self._claimed[pool] -= race.width
                 self.freed += 1
             race.close()
+        return race

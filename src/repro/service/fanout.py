@@ -9,12 +9,12 @@ state of its fan-out — lives in one :class:`Flight` in
 :attr:`FanOut.flights`, so finishing or degrading a ticket is one
 :meth:`FanOut.close` and nothing about it outlives that.
 
-The coordinator gang-admits queued tickets (all first-wave legs in one
-tick, or the ticket waits at the head of the line), launches every
-leg through one function — place on a replica, build the shard race,
-admit it to the dispatcher, record it, open its ``leg`` span — whether
-the leg is a first-wave shard, a deferred routed wave or a reroute
-after a fault, and folds the per-shard outcomes into one answer with
+The coordinator gang-admits queued tickets (all legs in one tick, or
+the ticket waits at the head of the line), launches every leg through
+one function — place on a replica, build the shard race, admit it to
+the dispatcher, record it, open its ``leg`` span — whether the leg is
+dispatched with its ticket or rerouted after a fault, and folds the
+per-shard outcomes into one answer with
 :func:`~repro.service.sharding.merge_shard_outcomes`.  A fan-out that
 needs a shard with no serving replica is never answered partially: the
 ticket and its followers degrade to ``REJECTED`` with a
@@ -31,16 +31,8 @@ from ..psi.executors import RaceOutcome
 from .admission import Ticket, TicketState
 from .sharding import merge_shard_outcomes
 
-__all__ = [
-    "DEGRADED_RETRY_AFTER", "FanOut", "Flight", "HEDGE_TICKS",
-]
+__all__ = ["DEGRADED_RETRY_AFTER", "FanOut", "Flight"]
 
-#: ticks a routed decision wave races alone before the next wave
-#: hedge-launches anyway: the fast common case (the expected-first-true
-#: shard settles within the hedge) never pays sibling work, while a
-#: slow first wave falls back to near-parallel racing instead of
-#: serialising the tail
-HEDGE_TICKS = 1
 #: retry-after hint (virtual steps) handed to degraded tickets and to
 #: retryably rejected mutations
 DEGRADED_RETRY_AFTER = 4_096
@@ -53,16 +45,15 @@ MAX_RETRIES = 3
 class Flight:
     """One open ticket, whole.
 
-    ``races`` holds the first wave built at admission (shard ->
-    ``(race, id map)``) until it is dispatched.  From dispatch on,
+    ``races`` holds the legs built at admission (shard ->
+    ``(race, id map)``) until they are dispatched.  From dispatch on,
     ``pending`` are the shards with a leg racing, ``id_maps`` translate
     each shard's local graph ids to global ones (None = identity),
     ``replica_of`` / ``leg_spans`` say where each leg runs and which
     trace span is its, ``cancelled`` are shards whose remaining budget
-    a first-true decision revoked, ``waves`` are routed shard groups
-    not yet launched and ``skipped`` those an earlier wave made
-    unnecessary; ``work`` accumulates each shard's billed steps for the
-    fan-out-waste counter.
+    a first-true decision revoked after they started; ``work``
+    accumulates each shard's billed steps for the fan-out-waste
+    counter.
     """
 
     ticket: Ticket
@@ -86,17 +77,9 @@ class Flight:
     outcomes: dict = field(default_factory=dict)
     id_maps: dict = field(default_factory=dict)
     cancelled: list = field(default_factory=list)
-    waves: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
     work: dict = field(default_factory=dict)
     replica_of: dict = field(default_factory=dict)
     leg_spans: dict = field(default_factory=dict)
-    #: virtual clock at which the next wave hedge-launches even though
-    #: the current wave is still racing (None = no waves deferred)
-    hedge_at: Optional[int] = None
-    #: router epoch at dispatch — deferred waves refuse to launch
-    #: against a layout that changed under them (None = no waves)
-    epoch: Optional[int] = None
 
 
 class FanOut:
@@ -120,9 +103,6 @@ class FanOut:
         #: what the pools and replicas looked like when ``staged`` last
         #: failed to fit: it is not re-checked until one of them moves
         self._staged_at: Optional[tuple] = None
-        #: ids of open flights dispatched with routed waves deferred —
-        #: the only ones :meth:`hedge_due` has to look at
-        self.waved: set[int] = set()
         #: bounded retries per ticket before it degrades: a leg lost to
         #: a dead replica (or a failed task) re-admits at most this
         #: many times across the ticket's whole fan-out
@@ -131,8 +111,8 @@ class FanOut:
         self.degraded_now: list[Ticket] = []
         #: sibling shard races cancelled by a first-true decision
         self.shard_cancelled = Counter()
-        #: shard races never built because an earlier wave settled the
-        #: decision first (routed decision-only fan-outs)
+        #: sibling shard races a first-true decision cancelled before
+        #: their start was reached (routed decision-only fan-outs)
         self.waves_skipped = Counter()
         #: virtual steps billed to shard races that contributed nothing
         #: to their merged outcome (fan-outs of >= 2 raced shards only)
@@ -158,7 +138,6 @@ class FanOut:
         flight = self.flights.pop(tid)
         if flight.key is not None and self.leaders.get(flight.key) == tid:
             del self.leaders[flight.key]
-        self.waved.discard(tid)
         if self.staged is flight:
             self.staged = None
         return flight
@@ -192,10 +171,12 @@ class FanOut:
     def admit(self) -> None:
         """Move queued tickets into the dispatcher while slots allow.
 
-        A ticket is gang-admitted: all its first-wave races attach in
-        the same tick (each to its own pool), or the ticket waits at
-        the head of the line — partial fan-outs would make a ticket's
-        latency depend on unrelated pools' drain order.
+        A ticket is gang-admitted: all its races attach in the same
+        tick (each to its own pool), or the ticket waits at the head of
+        the line — partial fan-outs would make a ticket's latency
+        depend on unrelated pools' drain order.  A race whose start
+        lies a quantum or more ahead has width 0: it claims no slot
+        until it joins, so the fit check leaves it out.
         """
         replicas, dispatcher = self.replicas, self.dispatcher
         if (
@@ -215,23 +196,25 @@ class FanOut:
                 if ticket is None:
                     return
                 flight = self.flights[ticket.id]
-                first, flight.waves = self.planner.plan(flight)
+                shards = self.planner.plan(flight)  # shard -> offset
             else:
-                first = flight.races
+                shards = flight.races
             # a shard the plan needs may have died while the ticket
             # queued or waited for width: refuse rather than block
-            dark = replicas.dark(
-                [*first, *(s for group in flight.waves for s in group)]
-            )
+            dark = replicas.dark(shards)
             if dark:
                 self.degrade(flight, f"shard(s) {dark} lost every replica")
                 continue
             if flight is not self.staged:
                 flight.races = {
-                    shard: self.planner.build(flight, shard)
-                    for shard in sorted(first)
+                    shard: self.planner.build(flight, shard, offset)
+                    for shard, offset in sorted(shards.items())
                 }
-            widths = {s: race.width for s, (race, _) in flight.races.items()}
+            widths = {
+                s: race.width
+                for s, (race, _) in flight.races.items()
+                if race.width
+            }
             if not replicas.fits(widths):
                 self.staged = flight
                 self._staged_at = (dispatcher.freed, replicas.changes)
@@ -240,7 +223,7 @@ class FanOut:
             self._dispatch(flight)
 
     def _dispatch(self, flight: Flight) -> None:
-        """Attach one flight's first wave to the pools, each leg on the
+        """Attach one flight's legs to the pools, each on the
         least-loaded serving replica of its shard at this instant."""
         placements = {}
         for shard, (race, _) in sorted(flight.races.items()):
@@ -252,17 +235,9 @@ class FanOut:
         tid, clock = flight.ticket.id, self.dispatcher.clock
         self.tracer.end(tid, flight.queue_span, clock)
         flight.queue_span = None
-        self.tracer.event(
-            tid, "dispatch", clock,
-            fanout=len(flight.races), waves=len(flight.waves),
-        )
+        self.tracer.event(tid, "dispatch", clock, fanout=len(flight.races))
         for shard, built in sorted(flight.races.items()):
             self._launch(flight, shard, built, placements[shard])
-        if flight.waves:
-            self.waved.add(tid)
-            flight.hedge_at = clock + HEDGE_TICKS * self.dispatcher.quantum
-            router = flight.entry.router
-            flight.epoch = router.epoch if router is not None else None
         flight.ticket.start_time = clock
         flight.ticket.fanout = len(flight.races)
 
@@ -291,61 +266,6 @@ class FanOut:
         )
         return True
 
-    def hedge_due(self) -> None:
-        """Launch the next wave of every fan-out whose first wave has
-        raced ``HEDGE_TICKS`` without settling: it forfeits its head
-        start and the remaining shards join in."""
-        if not self.waved:
-            return
-        clock = self.dispatcher.clock
-        for tid in sorted(self.waved):
-            flight = self.flights.get(tid)
-            if (
-                flight is not None  # degraded earlier in this loop
-                and flight.waves
-                and flight.hedge_at is not None
-                and clock >= flight.hedge_at
-            ):
-                self.advance_wave(flight, hedged=True)
-
-    def advance_wave(self, flight: Flight, hedged: bool = False) -> None:
-        """Build + launch the next routed wave of a staged fan-out.
-
-        Wave races are built lazily — a shard whose wave never starts
-        pays neither filter nor engine work.  The new races join their
-        pools mid-flight; a full pool simply delays them a tick.  Lazy
-        building reads the *live* assignment, so a rebalance slipping
-        in mid-flight (a caller violating the quiesce contract) would
-        race the wrong partition under the plan-time id maps — the
-        epoch check turns that into a loud error instead.
-        """
-        group = flight.waves.pop(0)
-        ticket, router = flight.ticket, flight.entry.router
-        if (
-            router is not None
-            and flight.epoch is not None
-            and router.epoch != flight.epoch
-        ):
-            raise RuntimeError(
-                f"dataset {ticket.dataset!r} was reassigned while "
-                f"ticket {ticket.id} had waves in flight; rebalancing is "
-                "only sound at quiesce points"
-            )
-        clock = self.dispatcher.clock
-        self.tracer.event(
-            ticket.id, "wave_hedge" if hedged else "wave_launch", clock,
-            shards=sorted(group),
-        )
-        for shard in sorted(group):
-            if not self._launch(flight, shard):
-                return
-        ticket.fanout += len(group)
-        flight.hedge_at = (
-            clock + HEDGE_TICKS * self.dispatcher.quantum
-            if flight.waves
-            else None
-        )
-
     # ------------------------------------------------------------------
     # outcomes
     # ------------------------------------------------------------------
@@ -359,9 +279,8 @@ class FanOut:
         First-true short-circuit: in decision-only mode a shard that
         found a match settles the query, so the siblings' remaining
         budget is cancelled (their partial work stays charged — it was
-        really done) and any not-yet-started routed waves are dropped
-        outright.  A routed wave that completes without a match hands
-        over to the next wave instead of merging.
+        really done).  A sibling whose start was never reached did no
+        work and counts as skipped, not cancelled.
         """
         tid, clock = flight.ticket.id, self.dispatcher.clock
         self.planner.settled(flight, outcome)
@@ -371,29 +290,23 @@ class FanOut:
             tid, flight.leg_spans.pop(shard, None), clock,
             found=outcome.found, steps=outcome.steps,
         )
+        skipped = []
         if flight.options.decision_only and outcome.found:
             for sibling in sorted(flight.pending):
-                self.dispatcher.cancel((tid, sibling))
-                flight.cancelled.append(sibling)
-                self.shard_cancelled.inc()
+                # None: the sibling finished earlier in this same tick
+                race = self.dispatcher.cancel((tid, sibling))
+                if race is not None and race.target <= min(race.starts):
+                    skipped.append(sibling)
+                    self.waves_skipped.inc()
+                else:
+                    flight.cancelled.append(sibling)
+                    self.shard_cancelled.inc()
                 self.tracer.end(
                     tid, flight.leg_spans.pop(sibling, None), clock,
                     cancelled=True,
                 )
             flight.pending.clear()
-            if flight.waves:
-                skipped = [s for group in flight.waves for s in group]
-                flight.skipped.extend(skipped)
-                flight.waves.clear()
-                self.waves_skipped.inc(len(skipped))
-                flight.ticket.skipped = len(flight.skipped)
-                self.tracer.event(
-                    tid, "waves_skipped", clock, shards=skipped
-                )
         if flight.pending:
-            return None
-        if flight.waves:
-            self.advance_wave(flight)
             return None
         self.close(tid)
         self._account_waste(flight)
@@ -401,7 +314,7 @@ class FanOut:
             tid, "merge", clock,
             shards=sorted(flight.outcomes),
             cancelled=sorted(flight.cancelled),
-            skipped=sorted(flight.skipped),
+            skipped=skipped,
         )
         return merge_shard_outcomes(flight.outcomes, flight.id_maps)
 
@@ -530,7 +443,6 @@ class FanOut:
                 cancelled=True,
             )
         flight.pending.clear()
-        flight.waves.clear()
         self.tracer.end(tid, flight.queue_span, clock)
         retry_after = clock + DEGRADED_RETRY_AFTER
         self._reject(ticket, reason, retry_after)

@@ -1,7 +1,7 @@
 """The race planner: what one admitted ticket races, shard by shard.
 
-For each ticket the planner decides which shards race and in which
-waves (through the entry's
+For each ticket the planner decides which shards race and at which
+race step each starts (through the entry's
 :class:`~repro.service.routing.ShardRouter` when routing is on), and
 builds each shard's :class:`~repro.psi.executors.RaceTask`: the Ψ
 engines :meth:`~repro.psi.framework.PsiNFV.engines` builds for an NFV
@@ -12,14 +12,16 @@ A race is staged (:func:`race_starts`): its first-declared variant
 races alone for ``HEAD_START_STEPS`` before the field joins.  The
 full race from step 0 has the lower latency, but on a bounded pool a
 loser's step is work another query did not get, and most queries
-settle on the head alone.
+settle on the head alone.  A routed decision fan-out is staged the
+same way one level up: its expected-first-true shard starts at 0 and
+every other shard's race ``HEDGE_STEPS`` later.
 What a ticket works out once (the census, each shard's candidates,
 the rewritten queries and their VF2 plans) lives on the ticket's
-flight record, so every race of the ticket — each shard of the first
-wave, a deferred wave, a rerouted leg — reuses it and it dies with
-the ticket.  A variant that never starts builds nothing: an NFV
-variant's engine is built on the round it joins its race, and an FTV
-sweep makes its rewriting on its first resume.
+flight record, so every race of the ticket — each shard's leg and a
+rerouted one — reuses it and it dies with the ticket.  A variant that
+never starts builds nothing: an NFV variant's engine is built on the
+round it joins its race, and an FTV sweep makes its rewriting on its
+first resume.
 
 The planner also owns the per-graph verification bills
 (:attr:`RacePlanner.graph_bills`) the rebalancer migrates on.
@@ -48,9 +50,9 @@ from .schema import (
 )
 
 __all__ = [
-    "HEAD_START_STEPS", "QueryOptions", "RacePlanner", "Rewrite",
-    "SERVED_ALGORITHMS", "SERVED_FTV_METHOD", "SERVED_PATH_LENGTH",
-    "SERVED_REWRITINGS", "race_starts",
+    "HEAD_START_STEPS", "HEDGE_STEPS", "QueryOptions", "RacePlanner",
+    "Rewrite", "SERVED_ALGORITHMS", "SERVED_FTV_METHOD",
+    "SERVED_PATH_LENGTH", "SERVED_REWRITINGS", "race_starts",
 ]
 
 #: race steps a race's first-declared variant runs alone before the
@@ -58,6 +60,12 @@ __all__ = [
 #: latency, but most queries settle on the head, and a loser's step is
 #: throughput another query did not get on a bounded pool
 HEAD_START_STEPS = 4_096
+#: race steps a routed decision fan-out's expected-first-true shard
+#: races alone before the other shards' races start: the common case
+#: (that shard settles within it) never pays sibling work, while a slow
+#: one falls back to near-parallel racing instead of serialising the
+#: tail
+HEDGE_STEPS = 64
 
 #: the variant field the service races unless a query, a spec or a flag
 #: names another: an NFV race runs the algorithm x rewriting product,
@@ -123,7 +131,7 @@ class QueryOptions(Section):
 
 
 def race_starts(
-    variants, budget_steps: Optional[int] = None
+    variants, budget_steps: Optional[int] = None, offset: int = 0
 ) -> Optional[dict]:
     """The race step each variant of a race joins at.
 
@@ -131,16 +139,20 @@ def race_starts(
     at 0 and every other one at ``HEAD_START_STEPS``, so a query its
     head settles alone never pays the field's width.  Each variant
     keeps its whole budget from its own start, so the answer is the
-    full race's.  None, every variant from step 0, for a race of one
-    and for a ``budget_steps`` of at most ``HEAD_START_STEPS``: the
-    head would be killed before the field joins and the race would
-    hold a slot doing nothing until it did.
+    full race's.  A race of one, or one whose ``budget_steps`` is at
+    most ``HEAD_START_STEPS``, starts every variant together: the head
+    would be killed before the field joins and the race would hold a
+    slot doing nothing until it did.  ``offset`` moves every start
+    that many steps later (a routed decision fan-out's hedged shard).
+    None when every variant starts at step 0.
     """
-    if len(variants) < 2 or (
+    staged = len(variants) > 1 and not (
         budget_steps and budget_steps <= HEAD_START_STEPS
-    ):
+    )
+    if not (staged or offset):
         return None
-    return {v: HEAD_START_STEPS if i else 0 for i, v in enumerate(variants)}
+    late = offset + (HEAD_START_STEPS if staged else 0)
+    return {v: late if i else offset for i, v in enumerate(variants)}
 
 
 class Rewrite:
@@ -173,7 +185,8 @@ class RacePlanner:
 
     ``routing`` probes every involved shard's filter index before
     fanning out: shards with no candidate are pruned from the fan-out
-    and decision-only fan-outs race in expected-first-true wave order.
+    and a decision-only fan-out gives every shard but the
+    expected-first-true one a ``HEDGE_STEPS`` start.
     Off = bit-for-bit the unrouted fan-out.
     """
 
@@ -194,25 +207,26 @@ class RacePlanner:
         self.graph_bills: dict[tuple, int] = {}
         self._verifier = VF2Matcher()
 
-    def plan(self, flight) -> tuple[tuple, list]:
-        """``(first-wave shards, deferred waves)`` for one ticket.
+    def plan(self, flight) -> dict[int, int]:
+        """Shard -> the race step its leg starts at, for one ticket.
 
-        One race per involved shard; a one-shard collection (or an NFV
-        entry, which lives whole on its home shard) is the fan-out of
-        width one.  With routing on, an FTV fan-out over more than one
-        shard is first planned by the entry's router: shards whose
-        probe is empty are pruned *before* any race is built, and a
-        decision-only fan-out is staged into waves — the
-        expected-first-true shard races alone, the remaining shards
-        are built and dispatched only if it misses.  The probes'
-        candidate lists stay on the flight for the races to sweep.
+        One race per involved shard, all from step 0; a one-shard
+        collection (or an NFV entry, which lives whole on its home
+        shard) is the fan-out of width one.  With routing on, an FTV
+        fan-out over more than one shard is first planned by the
+        entry's router: shards whose probe is empty are pruned *before*
+        any race is built, and a decision-only fan-out is staged — the
+        expected-first-true shard starts at 0 and every other shard at
+        ``HEDGE_STEPS``, so a first-true answer from the head shard
+        cancels siblings that have not started.  The probes' candidate
+        lists stay on the flight for the races to sweep.
         """
         ticket, entry = flight.ticket, flight.entry
         involved = entry.involved_shards()
         if not (
             self.routing and entry.router is not None and len(involved) > 1
         ):
-            return involved, []
+            return dict.fromkeys(involved, 0)
         plan = entry.router.plan(
             self.census(flight, entry.interner),
             involved,
@@ -221,7 +235,6 @@ class RacePlanner:
         flight.candidates = plan.candidates
         self.routed_queries.inc()
         self.shards_pruned.inc(len(plan.pruned))
-        ticket.pruned = len(plan.pruned)
         self.tracer.event(
             ticket.id,
             "route_plan",
@@ -230,18 +243,22 @@ class RacePlanner:
             pruned=list(plan.pruned),
             staged=plan.staged,
         )
-        if plan.staged:
-            return plan.order[:1], [plan.order[1:]]
-        return plan.order, []
+        later = HEDGE_STEPS if plan.staged else 0
+        return {
+            shard: later if i else 0 for i, shard in enumerate(plan.order)
+        }
 
-    def build(self, flight, shard: int) -> tuple[RaceTask, Optional[tuple]]:
-        """One shard's race (each engine built on the round its variant
-        joins) and its local -> global graph id map (None = identity,
+    def build(
+        self, flight, shard: int, offset: int = 0
+    ) -> tuple[RaceTask, Optional[tuple]]:
+        """One shard's race, every variant's start moved ``offset``
+        race steps later (each engine built on the round its variant
+        joins), and its local -> global graph id map (None = identity,
         NFV).
 
         Every leg of a ticket is built here, so race construction can
-        never diverge between a first wave, a deferred one and a
-        rerouted leg.
+        never diverge between a leg built at dispatch and a rerouted
+        one (which starts over at offset 0).
         """
         entry, ticket, options = flight.entry, flight.ticket, flight.options
         sub = entry.shard_entry(shard)
@@ -259,7 +276,9 @@ class RacePlanner:
             engines = self._ftv_engines(flight, shard, sub, id_map)
         race = RaceTask(
             engines, budget=budget, quantum=self.dispatcher.quantum,
-            starts=race_starts(flight.variants, ticket.budget_steps),
+            starts=race_starts(
+                flight.variants, ticket.budget_steps, offset
+            ),
         )
         return race, id_map
 

@@ -10,7 +10,7 @@ only (the service fully idle, so no fan-out holds references into the
 old layout), it moves whole stored graphs from the hottest shard to the
 coldest through :meth:`repro.service.sharding.ShardedCatalog.reassign`,
 which re-registers just the changed shards (fresh matcher + filter
-indexes, handed to the router) and bumps the routing-table epoch.
+indexes, handed to the router) and counts the reassignment.
 
 Answer invariance: a migration changes *where* graphs live, never
 *which* graphs exist — filtering is a per-graph predicate and the merge

@@ -29,9 +29,7 @@ The contract (proven in ``tests/test_routing.py`` and
   first; in full mode every surviving shard runs and the order is
   ascending shard id, exactly the unrouted order.
 * **Everything is deterministic.**  Probes and orders are pure
-  functions of (collection, assignment, query census); the ``epoch``
-  counter bumps when a rebalance changes the assignment or a mutation
-  changes the collection.
+  functions of (collection, assignment, query census).
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ class RoutePlan:
     ``order`` are the shards to race, in race order; ``pruned`` are the
     shards whose probe came back empty (skipped entirely — no ticket
     token, no RaceTask, no admission charge); ``staged`` asks the
-    service to race ``order`` as waves (first shard alone, then the
-    rest) instead of gang-dispatching everything; ``candidates`` are
+    service to give the first shard a head start over the rest
+    instead of racing all of them from step 0; ``candidates`` are
     the local candidate ids of every shard the plan probed, which the
     shard's race sweeps instead of probing again.
     """
@@ -83,9 +81,6 @@ class ShardRouter:
         #: graphs, is dark, or its index speaks another code space:
         #: raced, never pruned)
         self.indexes: dict[int, FTVIndex] = {}
-        #: routing-table version; bumped by rebalance reassignments and
-        #: mutations so operators (and tests) can see the table moved
-        self.epoch = 0
 
     @property
     def interner(self):
@@ -118,12 +113,6 @@ class ShardRouter:
             theirs.code_of.items() <= ours.code_of.items()
         )
 
-    def bump(self) -> int:
-        """Advance the routing-table epoch (rebalance and mutation
-        bookkeeping)."""
-        self.epoch += 1
-        return self.epoch
-
     def plan(
         self,
         counts: dict,
@@ -135,8 +124,8 @@ class ShardRouter:
 
         Full mode races every surviving shard in ascending shard order
         (pruning only); decision mode orders survivors by descending
-        candidate count and stages them as waves so the
-        expected-first-true shard races alone first.
+        candidate count and stages them, so the expected-first-true
+        shard races alone first.
         """
         if len(involved) <= 1:
             return RoutePlan(order=tuple(involved))
@@ -170,7 +159,6 @@ class ShardRouter:
     def as_metrics(self) -> dict:
         """Routing-table snapshot for memory/stats reports."""
         return {
-            "epoch": self.epoch,
             "labels": len(self.interner),
             "indexed": sorted(self.indexes),
         }

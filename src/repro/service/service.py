@@ -386,7 +386,6 @@ class Service:
         # (coalesced followers only exist while their leader is open)
         if self.mutations.pending and not fanout.flights:
             self.mutations.apply_pending()
-        fanout.hedge_due()
         fanout.admit()
         # scheduled faults fire after admission, before the tick: this
         # tick's legs are already placed, so a due kill genuinely hits

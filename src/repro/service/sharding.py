@@ -533,7 +533,7 @@ class ShardedCatalog:
         slots = len(entry.graphs)
         if graph_id is None:
             graph_id = slots
-        if graph_id > slots:
+        if not 0 <= graph_id <= slots:
             raise ValueError(
                 f"graph id {graph_id} out of range for {slots} slots"
             )
@@ -623,8 +623,6 @@ class ShardedCatalog:
         # honoured again until the next checkpoint re-captures the state
         self._restorable.discard(entry.name)
         self.mutation_epoch += 1
-        if entry.router is not None:
-            entry.router.bump()
 
     def reassign(
         self,
@@ -699,12 +697,8 @@ class ShardedCatalog:
                     self._register_shard(entry, shard)
                 elif entry.router is not None:
                     entry.router.refresh(shard, None)
-            if entry.router is not None:
-                entry.router.bump()
             self.rollbacks += 1
             raise
-        if entry.router is not None:
-            entry.router.bump()
         self.reassignments += 1
         self.migrated_graphs += moved
         return changed

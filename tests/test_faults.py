@@ -5,7 +5,7 @@ and when* work happens, never *what is answered* — a replica kill,
 pool wedge, or mid-flight task failure reroutes legs onto surviving
 replicas, and ``answers_digest`` over budget-completed queries is
 bit-for-bit the healthy run's.  Drills cover kill-before-admission,
-kill-mid-flight, kill during a hedged decision wave, kill around a
+kill-mid-flight, kill during a hedged decision fan-out, kill around a
 quiesce-point rebalance, retry exhaustion, full-shard blackouts (the
 degrade-to-refusal path), and digest-verified recovery via
 ``add_replica``.
@@ -337,13 +337,14 @@ class TestFailTaskDrill:
 
 
 # ----------------------------------------------------------------------
-# interaction drills: hedged waves, quiesce rebalance, determinism
+# interaction drills: hedged fan-outs, quiesce rebalance, determinism
 # ----------------------------------------------------------------------
 
 class TestInteractionDrills:
     def test_kill_during_hedged_decision_wave(self, ppi_graphs):
-        """Routed decision queries stage shards in waves; a kill while
-        waves are in flight must not change any existence answer."""
+        """Routed decision queries give every shard but the
+        expected-first-true one a hedge start; a kill while such legs
+        are in flight must not change any existence answer."""
         base_svc = ftv_service(replicas=1, routing=True)
         base = run_closed_loop(
             base_svc, "ppi", ftv_streams(ppi_graphs),

@@ -6,8 +6,9 @@ pins that order — every span's name, parent, clocks and attributes —
 for three tickets of one seeded drill on a 2-shard x 2-replica routed
 ``ppi`` service:
 
-* a decision-only fan-out whose first routed wave stalls on wedged
-  replicas, so the second wave hedge-launches;
+* a decision-only fan-out whose expected-first-true shard stalls on
+  wedged replicas, so its sibling, started a hedge later, joins and
+  settles the decision;
 * a full query whose in-flight leg loses its replica to a kill and is
   rerouted to the sibling;
 * a query whose shard loses every replica mid-flight, so it degrades
@@ -53,12 +54,12 @@ def drill() -> dict:
     queries = _queries()
     svc = Service(workers=4, shards=2, replicas=2)
     svc.load_dataset("ppi", scale="tiny")
-    # 1: every pool frozen for three ticks — the first wave stalls,
-    # so the deferred wave launches on the hedge timer
+    # 1: the route plan orders shard 1 first; its pools are frozen
+    # for two ticks, so shard 0's leg reaches its hedge start and
+    # settles the decision before shard 1 runs a round
     hedged = svc.submit("ppi", queries[0], options=DECIDE)
-    for shard in (0, 1):
-        for replica in (0, 1):
-            svc.wedge_replica(shard, replica, 3)
+    for replica in (0, 1):
+        svc.wedge_replica(1, replica, 2)
     svc.run_until_idle()
     # 2: scheduled faults fire after admission and before the tick,
     # so a kill due now lands on a leg that is placed but has not run
@@ -95,13 +96,20 @@ def test_the_drill_traces_what_was_recorded():
 
 def test_the_drill_reaches_each_path():
     """The recording is only worth pinning if it covers the paths it
-    names: a hedged wave, a rerouted leg, a degrade with a follower."""
+    names: a hedged sibling that joins, a rerouted leg, a degrade with
+    a follower."""
     recorded = json.loads(GOLDEN.read_text())
 
     def names(role):
         return [s["name"] for s in recorded[role]]
 
-    assert "wave_hedge" in names("hedged")
+    hedged = recorded["hedged"]
+    [plan] = [s for s in hedged if s["name"] == "route_plan"]
+    assert plan["attrs"]["staged"]
+    first, *later = plan["attrs"]["order"]
+    legs = {s["attrs"]["shard"]: s for s in hedged if s["name"] == "leg"}
+    assert legs[first]["attrs"].get("cancelled") is True
+    assert all(legs[s]["attrs"].get("found") for s in later)
     assert {"fault_kill", "retry"} <= set(names("rerouted"))
     assert any(
         s["name"] == "leg" and "retry" in s["attrs"]

@@ -423,6 +423,7 @@ class TestRefusedBeforeJournaled:
         ({"graph_id": 999}, "graph id 999 out of range for 3 slots"),
         ({"shard": -1}, "shard -1 out of range"),
         ({"shard": 5}, "shard 5 out of range"),
+        ({"graph_id": -1}, "graph id -1 out of range for 3 slots"),
     ])
     def test_is_rejected_and_never_journaled(
         self, kwargs, fragment, tmp_path

@@ -66,7 +66,8 @@ grown from them, then assert the library's fundamental contracts:
   with or without ``decision_only``: every answer is the reference
   matcher's, and each staged FTV shard race bills what
   :func:`race_from_costs` replays from its sweeps' solo costs under
-  :func:`race_starts`, within the full race's work plus the head start.
+  :func:`race_starts` (a routed decision fan-out's later shard moved by
+  its hedge offset), within the full race's work plus the head start.
 """
 
 import random
@@ -110,6 +111,7 @@ from repro.service import QueryOptions, Service
 from repro.service.loadgen import collection_digest, oracle_digest
 from repro.service.planner import (
     HEAD_START_STEPS,
+    HEDGE_STEPS,
     SERVED_PATH_LENGTH,
     Rewrite,
     race_starts,
@@ -1394,6 +1396,16 @@ def _solo_sweep(svc, flight, shard, variant, query):
     )
 
 
+def _hedge_offset(svc, ticket, shard):
+    """The start offset the ticket's route plan gave ``shard``'s leg:
+    ``HEDGE_STEPS`` for every shard a staged plan does not order first,
+    else 0."""
+    for span in svc.trace(ticket.id).spans:
+        if span.name == "route_plan" and span.attrs["staged"]:
+            return 0 if span.attrs["order"][0] == shard else HEDGE_STEPS
+    return 0
+
+
 @given(
     data=st.data(),
     head_start=st.sampled_from([8, 64, HEAD_START_STEPS]),
@@ -1405,9 +1417,11 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
     (``Orig`` absent, so the head is ``ILF``): every served answer is the
     reference matcher's, each shard race bills what
     ``race_from_costs`` replays from its sweeps' solo costs under the
-    planner's schedule (up to the live race's +1 tie charge), and does
-    at most the full-width race's work plus the head start.  The head
-    start is drawn small as well, so the field joins on tiny graphs."""
+    planner's schedule — a routed decision fan-out's later shard with
+    every start moved by ``HEDGE_STEPS`` — (up to the live race's +1
+    tie charge), and does at most the full-width race's work plus the
+    head start.  The head start is drawn small as well, so the field
+    joins on tiny graphs."""
     newcomers = ppi_like(
         num_graphs=data.draw(st.integers(min_value=0, max_value=2)),
         avg_nodes=data.draw(st.integers(min_value=20, max_value=60)),
@@ -1474,7 +1488,10 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
                     for v in variants:
                         out = drive(_solo_sweep(svc, flight, shard, v, query))
                         costs[v] = CostRecord(out.steps, out.found, False)
-                    starts = race_starts(variants, budget)
+                    starts = race_starts(
+                        variants, budget,
+                        _hedge_offset(svc, flight.ticket, shard),
+                    )
                     twin = race_from_costs(costs, budget, starts=starts)
                     assert live_race.winner == twin.winner
                     assert live_race.steps == twin.steps

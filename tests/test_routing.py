@@ -11,11 +11,17 @@ space and NFV home shards must all leave pruning exact (the generated
 version is in ``tests/test_properties.py``).
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.caching import CacheStats, prepare_cache
 from repro.graphs import LabeledGraph
 from repro.harness import build_ftv_graphs
 from repro.indexing import FTVIndex, GrapesIndex, coded_path_census
+from repro.scenarios import load_scenario_file
 from repro.scheduling import skew_ratio
 from repro.service import (
     AdmissionController,
@@ -236,16 +242,17 @@ class TestRouterUnderMutations:
     def test_an_add_patches_the_index_the_router_holds(self, ppi_graphs):
         """An add needs no refresh: the router's handle is the shard's
         own index, which the add patched, so the newcomer is a
-        candidate at once and the epoch moved by one."""
+        candidate at once and the collection's mutation epoch moved by
+        one."""
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
         newcomer = self._newcomer(ppi_graphs)
         before = self._plan(entry, newcomer)
         assert (before.order, before.pruned) == ((0,), (1,))
-        held, epoch = entry.router.indexes[1], entry.router.epoch
+        held, epoch = entry.router.indexes[1], cat.mutation_epoch
         gid = cat.add_graph("ppi", newcomer, shard=1)
         assert entry.router.indexes[1] is held
-        assert entry.router.epoch == epoch + 1
+        assert cat.mutation_epoch == epoch + 1
         after = self._plan(entry, newcomer)
         assert (after.order, after.pruned) == ((1,), (0,))
         assert after.candidates[1] == [entry.assignment[1].index(gid)]
@@ -260,9 +267,9 @@ class TestRouterUnderMutations:
         entry = cat.load("ppi", scale="tiny")
         newcomer = self._newcomer(ppi_graphs)
         gid = cat.add_graph("ppi", newcomer, shard=1)
-        epoch = entry.router.epoch
+        epoch = cat.mutation_epoch
         cat.remove_graph("ppi", gid)
-        assert entry.router.epoch == epoch + 1
+        assert cat.mutation_epoch == epoch + 1
         plan = self._plan(entry, newcomer)
         assert (plan.order, plan.pruned) == ((0,), (1,))
         assert plan.candidates == {0: [], 1: []}
@@ -292,16 +299,12 @@ class TestRouterUnderMutations:
         cat = ShardedCatalog(num_shards=2)
         entry = cat.load("ppi", scale="tiny")
         router = entry.router
-        epoch = router.epoch
         assert router.as_metrics() == {
-            "epoch": epoch,
             "labels": len(entry.interner),
             "indexed": [0, 1],
         }
         router.refresh(1, None)
-        assert router.bump() == epoch + 1
         assert router.as_metrics() == {
-            "epoch": epoch + 1,
             "labels": len(entry.interner),
             "indexed": [0],
         }
@@ -325,12 +328,51 @@ class TestRoutedServing:
         _, d2u = run(2, False, ppi_graphs, options=DEC_OPTS)
         svc, d2r = run(2, True, ppi_graphs, options=DEC_OPTS)
         assert d1.decisions == d2u.decisions == d2r.decisions
-        # staged waves actually deferred sibling work, and the routed
+        # a head start actually spared sibling work, and the routed
         # run never wastes more fanned steps than the unrouted one
         assert svc.fanout.waves_skipped.value > 0
         assert svc.fanout.fanout_waste.value <= (
             d2u.metrics["service.fanout_waste"]
         )
+
+    def test_the_decision_routed_scenario_is_pinned_ticket_by_ticket(
+        self,
+    ):
+        """The committed ``decision-routed`` run, built and driven as
+        the scenario runner does: every ticket's outcome and latency
+        and the whole ``stats()`` are pinned, so a change to how a
+        routed decision fan-out is staged may move only its merged
+        ``steps``."""
+        config = load_scenario_file(
+            Path(__file__).resolve().parent.parent
+            / "scenarios" / "decision-routed.yaml"
+        )
+        prepare_cache.clear()
+        prepare_cache.stats = CacheStats()
+        svc = config.build_service()
+        report = config.drive(svc, config.tenant_streams(svc))
+        rows = [
+            (
+                t.tenant, t.query.name, t.state.value, t.latency,
+                t.result.found, t.result.killed, t.result.winner_label,
+                t.result.from_cache,
+            )
+            for t in report.tickets
+        ]
+        stats = svc.stats()
+
+        def digest(value):
+            payload = json.dumps(value, sort_keys=True, default=str)
+            return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+        assert len(rows) == 60
+        assert stats["routing"] == {
+            "enabled": True, "routed": 42, "shards_pruned": 21,
+            "waves_skipped": 15, "shard_cancelled": 4,
+        }
+        assert stats["fanout_waste"] == 834
+        assert digest(rows) == "c81fcb0524203df6"
+        assert digest(stats) == "9d37a76a7b145339"
 
     def test_routed_run_deterministic(self, ppi_graphs):
         _, a = run(2, True, ppi_graphs, options=DEC_OPTS)
@@ -355,7 +397,10 @@ class TestRoutedServing:
         svc.run_until_idle()
         assert ticket.result.found is False
         assert ticket.fanout == 1
-        assert ticket.pruned == 1
+        [plan] = [
+            s for s in svc.trace(ticket.id).spans if s.name == "route_plan"
+        ]
+        assert len(plan.attrs["pruned"]) == 1
         assert svc.planner.shards_pruned.value == 1
 
     def test_missing_index_fails_closed(self, ppi_graphs):
@@ -426,22 +471,6 @@ class TestRoutedServing:
             )
             assert 0 in plan.order and 0 not in plan.pruned
 
-    def test_reassign_mid_wave_raises(self, ppi_graphs):
-        """A rebalance violating the quiesce contract while waves are
-        in flight fails loudly instead of racing the wrong layout."""
-        svc = ftv_service(2, True)
-        entry = svc.catalog.get("ppi")
-        q = ftv_streams(ppi_graphs)["tenant0"][0].query.graph
-        ticket = svc.submit("ppi", q, options=DEC_OPTS)
-        assert not ticket.done  # queued: its flight is open
-        # a deferred wave planned at the current epoch...
-        flight = svc.fanout.flights[ticket.id]
-        flight.waves, flight.epoch = [(1,)], entry.router.epoch
-        # ...must refuse to launch once the layout moved under it
-        entry.router.bump()
-        with pytest.raises(RuntimeError, match="quiesce"):
-            svc.fanout.advance_wave(flight)
-
     def test_coalescing_still_works_routed(self, ppi_graphs):
         svc = ftv_service(2, True)
         [mq] = ftv_streams(ppi_graphs, tenants=1, per_tenant=1)[
@@ -472,7 +501,6 @@ class TestRebalance:
         cat = ShardedCatalog(num_shards=2, assignment="hash")
         entry = cat.load("ppi", scale="tiny")
         before = entry.assignment
-        epoch = entry.router.epoch
         new = [list(ids) for ids in before]
         gid = new[0][-1]
         new[0].remove(gid)
@@ -480,7 +508,6 @@ class TestRebalance:
         changed = cat.reassign("ppi", new)
         assert set(changed) == {0, 1}
         assert entry.assignment != before
-        assert entry.router.epoch == epoch + 1
         assert cat.reassignments == 1
         assert cat.migrated_graphs == 1
         # both shards re-registered with matching graph counts

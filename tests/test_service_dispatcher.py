@@ -225,6 +225,37 @@ class TestStagedRace:
         with pytest.raises(ValueError, match="5 variants"):
             disp.admit("a", race)  # ... the declared width does not
 
+    def test_a_race_starting_past_a_quantum_waits_slotless(self):
+        """A race whose every start lies a quantum or more ahead (a
+        routed decision fan-out's later shard) claims no slot and
+        advances no engine until its start; then it joins, takes its
+        slot and finishes at its start plus its own steps."""
+        disp = Dispatcher(workers=1, quantum=64)
+        late = RaceTask(
+            {0: counted(10)}, budget=Budget(max_steps=50_000),
+            quantum=64, starts={0: 128},
+        )
+        busy = RaceTask(
+            {0: counted(10_000)}, budget=Budget(max_steps=50_000),
+            quantum=64,
+        )
+        disp.admit("late", late)
+        disp.admit("busy", busy)
+        assert late.width == 0 and disp.slots_free(0) == 0
+        order = ["late", "busy"]
+        # two ticks short of its start: the busy race keeps the slot
+        for _ in range(2):
+            events = disp.tick(order)
+            assert [(t, w) for t, w, _ in events] == [
+                ("late", 0), ("busy", 64),
+            ]
+        assert late.width == 1
+        # its start reached: it joins first in order and wins the slot
+        [(token, work, outcome)] = disp.tick(order)
+        assert (token, work) == ("late", 10)
+        assert outcome.found and outcome.steps == 128 + 10
+        assert outcome.per_variant_steps == {0: 10}
+
     def test_outcome_independent_of_quantum(self, psi, store):
         query = slow_head_query(psi, store)
         variants = VARIANTS + (Variant("SPA", "DND"),)
