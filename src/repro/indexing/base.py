@@ -170,23 +170,22 @@ class FTVIndex(ABC):
         self.trie.install(rows)
 
     def _index_graph(self, graph_id: int, graph: LabeledGraph) -> None:
-        """Insert one graph's features (the incremental-add unit).
+        """Post one graph's features (the incremental-add unit).
 
         The body of the ``_build`` loop, and what :meth:`add_graph`
-        calls for a newcomer, so a mutation costs one census, not a
-        collection rewarm.  The census is counts only — a filter reads
-        nothing else, and Grapes derives a graph's locations when its
-        verifier first asks (:meth:`GrapesIndex.feature_locations
+        calls for a newcomer, so a mutation costs one census and one
+        :meth:`PathTrie.post <repro.indexing.trie.PathTrie.post>`
+        loop, not a collection rewarm.  The census is counts only — a
+        filter reads nothing else, and Grapes derives a graph's
+        locations when its verifier first asks
+        (:meth:`GrapesIndex.feature_locations
         <repro.indexing.grapes.GrapesIndex.feature_locations>`).
         """
-        census = coded_path_census(
+        self.trie.post(graph_id, coded_path_census(
             graph,
             self.max_path_length,
             self.interner.encode_vertices(graph.labels),
-        )
-        insert = self.trie.insert
-        for seq, count in census.counts.items():
-            insert(seq, graph_id, count)
+        ).counts)
 
     # ------------------------------------------------------------------
     # dynamic collection (incremental index maintenance)
@@ -212,7 +211,7 @@ class FTVIndex(ABC):
         keys are canonicalized in code space, so existing posting keys
         and threshold tables stay valid.  Each path the newcomer posts
         to drops its table, and the next probe of it rebuilds it (see
-        :meth:`PathTrie.insert`); memoized query censuses are orphaned
+        :meth:`PathTrie.post`); memoized query censuses are orphaned
         because stale ones hold negative codes for now-known labels.
         """
         if graph_id is None:

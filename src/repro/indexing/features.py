@@ -13,19 +13,21 @@ manner" (§3.1.1).  This module provides the shared census machinery:
 * :func:`coded_path_census` is the same census in **interned-int
   space**: labels are first mapped to dense codes by a shared
   :class:`LabelInterner`, so the census keys are small-int tuples
-  instead of arbitrary label tuples.  It walks no path: a filter needs
-  only counts per label sequence, so it groups each vertex's
-  neighbours by label into bitmasks and multiplies popcounts around
-  each path's middle vertex (2 edges) or middle edge (3 edges), which
-  caps it at :data:`MAX_CENSUS_LENGTH` edges.  A location set is a
-  vertex **bitmask** (bit ``v`` = vertex ``v``) from here to the
-  postings Grapes' verifier reads it off — :func:`location_vertices`
-  is the one decoder, used at the one place that needs vertex ids.
-  Only that verifier asks for locations; every build, add and query
-  census is counts only.  This is the census every
-  index and filter runs on; the label-space census remains as
-  the any-length reference implementation the equivalence suite
-  checks against.
+  instead of arbitrary label tuples.  It walks no path and no label
+  pair: a filter needs only counts per label sequence, so every vertex
+  gets one int packing its neighbours' label counts, one fixed-width
+  field per label, and the counts are sums of those words around each
+  path's middle vertex (2 edges) or middle edge (3 edges) — a
+  *packed join*, unpacked once per sum — which caps it at
+  :data:`MAX_CENSUS_LENGTH` edges.  A location set is a vertex
+  **bitmask** (bit ``v`` = vertex ``v``) from here to the postings
+  Grapes' verifier reads it off — :func:`location_vertices` is the one
+  decoder, used at the one place that needs vertex ids.  Only that
+  verifier asks for locations, which a mask join beside the counts
+  finds; every build, add and query census is counts only.  This is
+  the census every index and filter runs on; the label-space census
+  remains as the any-length reference implementation the equivalence
+  suite checks against.
 
 A label sequence and its reverse denote the same undirected feature, so
 sequences are canonicalised to the lexicographically smaller direction.
@@ -40,7 +42,9 @@ side, keeping the count-based pruning sound.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
+from itertools import compress, repeat
 
 from ..graphs import LabeledGraph, bits_ascending
 
@@ -292,22 +296,37 @@ def coded_path_census(
     decision — match the reference bit for bit; locations come back as
     vertex bitmasks.
 
-    No path is walked.  Every vertex gets its neighbours grouped by
-    label code into masks, and the undirected paths (each counted
-    twice, once per direction) are counted by joining those masks
-    around each path's middle:
+    No path is walked: the counts are a **packed join**.  The graph's
+    labels get local indices ``0..K-1`` in code order, and every vertex
+    ``v`` one int, its *word* ``w(v)``: its neighbours' label counts
+    ``n_x(v)``, one fixed-width field per local label.  Adding words
+    adds all ``K`` fields at once, so each path length is a few sums of
+    words — *rows* — keyed by the labels the sum has not spread over
+    fields, and every row is unpacked once, field ``y`` to one
+    canonical key:
 
-    * 0 and 1 edges: per vertex, then per edge;
-    * 2 edges ``a-b-d``, around the middle vertex ``b``: with ``nx``
-      and ``ny`` its neighbours of label ``x`` and ``y``, ``nx * ny``
-      paths when ``x != y`` and ``nx * (nx - 1) / 2`` when ``x = y``;
-    * 3 edges ``a-b-c-d``, around the middle edge ``b-c``: with ``A``
-      the label-``x`` neighbours of ``b`` but ``c`` and ``D`` the
-      label-``y`` neighbours of ``c`` but ``b``, ``|A| * |D| - |A & D|``
-      paths, the subtrahend being the triangles where ``a = d``.  When
-      that is not zero, every vertex of ``A | D`` is an end of one of
-      them: one that is ``D``'s only member, and so no ``a``, is a
-      ``d`` for the other members of ``A``.
+    * 1 edge ``x-y``: row ``x`` sums the words of the label-``x``
+      vertices, fields from ``x`` on (the forward reading);
+    * 2 edges ``a-b-d``, row ``(lab b, x)``: per neighbour ``a`` of
+      ``b`` with label ``x``, ``w(b) - e_x`` (``b``'s other
+      neighbours), fields from ``x`` on, which puts
+      ``Σ n_x(b) n_y(b)`` in field ``y`` and ``Σ n_x(b) (n_x(b) - 1)``
+      in field ``x``;
+    * 3 edges ``a-b-c-d``, per middle edge ``b-c`` oriented so that
+      ``lab b <= lab c``, row ``(x, lab b, lab c)``: per neighbour
+      ``a`` of ``b`` with label ``x``, ``w(c) - e_lab b`` (``c``'s
+      neighbours but ``b``) — so ``n_x(b)`` times that word; row
+      ``x = lab c`` gives it back once, as ``c`` is not its own
+      ``a``, and each common neighbour of ``b`` and ``c`` takes one
+      off its own label's field: the triangles, where ``a = d``.
+      Fields ``y < x`` are the keys read backwards.
+
+    An edge costs one add per neighbour, never one per label pair.
+    ``Σ deg³`` bounds every field of every row (the 3-edge ones by
+    ``Σ deg(b) deg(c) <= Σ deg³ / 2``), so the field width is the
+    first of 8, 16, 32, 64, ... bits it fits in: read off the graph,
+    never fixed.  Locations, when asked for, are joined apart by
+    :func:`_path_locations`.
 
     A path of more edges has no middle to join around, so
     ``max_length`` is at most :data:`MAX_CENSUS_LENGTH`;
@@ -317,18 +336,178 @@ def coded_path_census(
         raise ValueError(
             f"max_length must be in 0..{MAX_CENSUS_LENGTH}, got {max_length}"
         )
-    counts: dict[LabelSeq, int] = {}
-    locs: dict[LabelSeq, int] = {}
-    get = counts.get
-    lget = locs.get
+    counts = _packed_counts(graph, max_length, codes)
+    locs = _path_locations(graph, max_length, codes) if with_locations else {}
+    return PathCensus(counts, locs)
+
+
+#: memoryview formats of the fields 8, 16, 32 and 64 bits wide
+_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _unpack(rows: list[int], k: int, width: int) -> Sequence[int]:
+    """The fields of packed ``rows``, row after row: ``k`` fields of
+    ``width`` bits each, field 0 in a row's lowest bits.  Fields of up
+    to 64 bits are read in one cast over all rows."""
+    fmt = _FIELD_FORMATS.get(width)
+    if fmt is None:  # a field over 64 bits: Σ deg³ >= 2**64
+        full = (1 << width) - 1
+        shifts = range(0, k * width, width)
+        return [row >> shift & full for row in rows for shift in shifts]
+    data = b"".join(
+        map(int.to_bytes, rows, repeat(k * width // 8), repeat(sys.byteorder))
+    )
+    return memoryview(data).cast(fmt)
+
+
+def _packed_counts(
+    graph: LabeledGraph, max_length: int, codes: Sequence[int]
+) -> dict[LabelSeq, int]:
+    """The counts of :func:`coded_path_census`, joined packed."""
     # the single-vertex paths, counted once each
+    tally: dict[int, int] = {}
+    get = tally.get
+    for code in codes:
+        tally[code] = get(code, 0) + 1
+    counts = {(code,): n for code, n in tally.items()}
+    if not max_length:
+        return counts
+    present = sorted(tally)
+    k = len(present)
+    for i, code in enumerate(present):
+        tally[code] = i  # from here on: code -> local label index
+    lab = list(map(tally.__getitem__, codes))
+    adjacency = graph.adjacency()
+    bound = sum([d * d * d for d in map(len, adjacency)])
+    width = 8
+    while bound >> width:
+        width *= 2
+    unit = [1 << width * i for i in lab]
+    full = (1 << width * k) - 1
+    upper = [full >> s << s for s in range(0, width * k, width)]
+    # the rows to unpack: the k one-edge rows, then the nonzero two-
+    # and three-edge rows, in the order of ``pair_rows`` and ``heads``
+    rows = [0] * k
+    words = []
+    for i, ws in zip(lab, adjacency):
+        word = 0
+        for a in ws:
+            word += unit[a]
+        words.append(word)
+        rows[i] += word & upper[i]
+    if max_length > 1:
+        # row lab b * k + x; a vertex of one neighbour adds nothing
+        pairs = [0] * (k * k)
+        for b, ws in enumerate(adjacency):
+            if len(ws) > 1:
+                word = words[b]
+                base = lab[b] * k
+                for a in ws:
+                    x = lab[a]
+                    pairs[base + x] += word - unit[a] & upper[x]
+        pair_rows = list(compress(range(k * k), pairs))
+        rows += map(pairs.__getitem__, pair_rows)
+    if max_length > 2:
+        # middle label pair lab b * k + lab c -> its k rows, one per x
+        triples: dict[int, list[int]] = {}
+        masks = graph.adjacency_masks()
+        for b, ws in enumerate(adjacency):
+            if len(ws) < 2:
+                continue
+            lb = lab[b]
+            own = unit[b]
+            mb = masks[b]
+            for c in ws:
+                lc = lab[c]
+                if lc < lb or lc == lb and c < b:
+                    continue
+                far = words[c] - own
+                if not far:
+                    continue
+                pair = lb * k + lc
+                row = triples.get(pair)
+                if row is None:
+                    row = triples[pair] = [0] * k
+                for a in ws:
+                    row[lab[a]] += far
+                row[lc] -= far
+                common = mb & masks[c]
+                if common:
+                    for a in bits_ascending(common):
+                        row[lab[a]] -= unit[a]
+        # per nonzero row: x and the codes of x, lab b and lab c
+        heads = []
+        for pair, row in triples.items():
+            b, c = divmod(pair, k)
+            cb = present[b]
+            cc = present[c]
+            for x in compress(range(k), row):
+                heads.append((x, present[x], cb, cc))
+                rows.append(row[x])
+    fields = _unpack(rows, k, width)
+    # every undirected path counts once per direction: field x of a
+    # one- or two-edge row already counts both, every other field is
+    # doubled
+    at = k * k
+    for i in compress(range(at), fields):
+        x = i // k
+        y = i - x * k
+        n = fields[i]
+        counts[present[x], present[y]] = n if x == y else 2 * n
+    if max_length == 1:
+        return counts
+    end = at + len(pair_rows) * k
+    for i in compress(range(at, end), fields[at:end]):
+        r, y = divmod(i - at, k)
+        b, x = divmod(pair_rows[r], k)
+        n = fields[i]
+        counts[present[x], present[b], present[y]] = n if x == y else 2 * n
+    if max_length == 2:
+        return counts
+    # oriented ``lab b <= lab c``, x-b-c-y reads canonically forwards
+    # exactly when ``x <= y``; only a middle of two equal labels is
+    # read from both rows x and y
+    get = counts.get
+    fields = fields[end:]
+    for i in compress(range(len(fields)), fields):
+        r = i // k
+        y = i - r * k
+        x, cx, cb, cc = heads[r]
+        if x <= y:
+            key = (cx, cb, cc, present[y])
+        else:
+            key = (present[y], cc, cb, cx)
+        if cb == cc:
+            counts[key] = get(key, 0) + 2 * fields[i]
+        else:
+            counts[key] = 2 * fields[i]
+    return counts
+
+
+def _path_locations(
+    graph: LabeledGraph, max_length: int, codes: Sequence[int]
+) -> dict[LabelSeq, int]:
+    """The location masks of :func:`coded_path_census`: per canonical
+    path, the bitmask of the vertices on any of its occurrences.
+
+    A mask join around each path's middle, as the counts are: every
+    vertex gets its neighbours grouped by label code into masks; a
+    2-edge path ``x-b-y`` covers ``b`` and its label-``x`` and
+    label-``y`` neighbours, and a 3-edge path ``x-b-c-y`` the middle
+    edge, the label-``x`` neighbours ``A`` of ``b`` but ``c`` and the
+    label-``y`` neighbours ``D`` of ``c`` but ``b`` — unless every
+    ``(a, d)`` pair is a triangle ``a = d``, which happens only when
+    ``A = D`` is one vertex.  When any pair is a path, every vertex of
+    ``A | D`` is an end of one: one that is ``D``'s only member, and so
+    no ``a``, is a ``d`` for the other members of ``A``.
+    """
+    locs: dict[LabelSeq, int] = {}
+    get = locs.get
     for v, x in enumerate(codes):
         key = (x,)
-        counts[key] = get(key, 0) + 1
-        if with_locations:
-            locs[key] = lget(key, 0) | 1 << v
+        locs[key] = get(key, 0) | 1 << v
     if not max_length:
-        return PathCensus(counts, locs)
+        return locs
     # the one-edge paths, per edge
     adjacency = graph.adjacency()
     edges = [(b, c) for b, ws in enumerate(adjacency) for c in ws if b < c]
@@ -336,11 +515,9 @@ def coded_path_census(
         cb = codes[b]
         cc = codes[c]
         key = (cb, cc) if cb <= cc else (cc, cb)
-        counts[key] = get(key, 0) + 2
-        if with_locations:
-            locs[key] = lget(key, 0) | 1 << b | 1 << c
+        locs[key] = get(key, 0) | 1 << b | 1 << c
     if max_length == 1:
-        return PathCensus(counts, locs)
+        return locs
     # per vertex: (code, neighbour mask, popcount), codes ascending
     around = []
     for ws in adjacency:
@@ -358,16 +535,12 @@ def coded_path_census(
         for i, (x, mx, nx) in enumerate(items):
             if nx > 1:
                 key = (x, cb, x)
-                counts[key] = get(key, 0) + nx * (nx - 1)
-                if with_locations:
-                    locs[key] = lget(key, 0) | mx | bb
-            for y, my, ny in items[i + 1:]:
+                locs[key] = get(key, 0) | mx | bb
+            for y, my, _ in items[i + 1:]:
                 key = (x, cb, y)
-                counts[key] = get(key, 0) + 2 * nx * ny
-                if with_locations:
-                    locs[key] = lget(key, 0) | mx | my | bb
+                locs[key] = get(key, 0) | mx | my | bb
     if max_length == 2:
-        return PathCensus(counts, locs)
+        return locs
     # the three-edge paths, around the middle edge, oriented so that
     # ``cb <= cc``: then x-cb-cc-y reads canonically forwards exactly
     # when ``x <= y``
@@ -380,22 +553,16 @@ def coded_path_census(
         ends = _without(around[c], cb, 1 << b)
         for x, ma, na in _without(around[b], cc, 1 << c):
             for y, md, nd in ends:
-                n = na * nd
                 if x == y:
-                    shared = ma & md
-                    if shared:
-                        n -= shared.bit_count()
-                        if not n:
-                            continue
+                    if na * nd == 1 and ma == md:
+                        continue
                     key = (x, cb, cc, x)
                 elif x < y:
                     key = (x, cb, cc, y)
                 else:
                     key = (y, cc, cb, x)
-                counts[key] = get(key, 0) + 2 * n
-                if with_locations:
-                    locs[key] = lget(key, 0) | ma | md | bc
-    return PathCensus(counts, locs)
+                locs[key] = get(key, 0) | ma | md | bc
+    return locs
 
 
 def _without(

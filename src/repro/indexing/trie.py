@@ -26,10 +26,11 @@ sPath signature filters).  ``tables`` is a **probe-time memo**: a
 path's table is built the first time a probe asks for it, so a fresh
 build, a store restore and a mutation build none, and a served
 collection holds tables only for the paths its traffic has probed.
-Every mutator — :meth:`insert <PathTrie.insert>`, :meth:`install
-<PathTrie.install>`, :meth:`remove_graphs <PathTrie.remove_graphs>` —
-drops the table of each path whose row it touches, and the next probe
-of that path rebuilds it from the row.  :meth:`PathTrie.seal` builds
+Every mutator — :meth:`post <PathTrie.post>`, :meth:`insert
+<PathTrie.insert>`, :meth:`install <PathTrie.install>`,
+:meth:`remove_graphs <PathTrie.remove_graphs>` — drops the table of
+each path whose row it changes, and the next probe of that path
+rebuilds it from the row.  :meth:`PathTrie.seal` builds
 every table in one walk over the postings, for callers that want the
 whole memo up front.
 
@@ -88,9 +89,29 @@ class PathTrie:
         #: the trie, so every index view sharing it shares the answer
         self.locations: dict[int, dict[LabelSeq, int]] = {}
 
+    def post(self, graph_id: int, counts: dict[LabelSeq, int]) -> None:
+        """Post one graph's census: ``counts`` maps each of its paths
+        to its occurrences in ``graph_id``.
+
+        The build and incremental-add unit, one loop over the census.
+        ``graph_id`` has no posting yet — ids are fresh, or were
+        tombstoned and their postings deleted — so each count is the
+        graph's whole entry in its row, and a table is dropped only
+        where the path already had a row (a new path has no table).
+        """
+        postings = self.postings
+        drop = self.tables.pop
+        for seq, count in counts.items():
+            row = postings.get(seq)
+            if row is None:
+                postings[seq] = {graph_id: count}
+            else:
+                row[graph_id] = count
+                drop(seq, None)
+
     def insert(self, seq: LabelSeq, graph_id: int, count: int) -> None:
-        """Record ``count`` occurrences of ``seq`` in ``graph_id``; the
-        path's table, if a probe built one, is dropped."""
+        """Record ``count`` more occurrences of ``seq`` in ``graph_id``;
+        the path's table, if a probe built one, is dropped."""
         row = self.postings.get(seq)
         if row is None:
             self.postings[seq] = {graph_id: count}
@@ -210,6 +231,13 @@ class SuffixTrie(PathTrie):
     ``(b, c)`` and ``(c,)``, so any *sub*-path of an indexed path can be
     looked up — the structural property GGSX's suffix tree provides.
     """
+
+    def post(self, graph_id: int, counts: dict[LabelSeq, int]) -> None:
+        """Post each path with its suffixes.  Paths of one graph share
+        suffixes, so every posting goes through :meth:`insert`, which
+        adds to what the graph already has."""
+        for seq, count in counts.items():
+            self.insert(seq, graph_id, count)
 
     def insert(self, seq: LabelSeq, graph_id: int, count: int) -> None:
         for start in range(len(seq)):

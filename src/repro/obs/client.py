@@ -18,7 +18,6 @@ overrides the computed delay (the loop still caps it at
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import random
@@ -135,6 +134,17 @@ class ObsClient:
     # plumbing
     # ------------------------------------------------------------------
 
+    def _connection(self):
+        """A new connection to the door.  ``http.client`` (and ``ssl``
+        and ``email`` with it) loads on the first send, not with this
+        module, which the benchmark harness imports whether or not it
+        sends."""
+        import http.client
+
+        return http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout
+        )
+
     def request(
         self,
         method: str,
@@ -142,9 +152,7 @@ class ObsClient:
         body: Optional[dict] = None,
     ) -> Tuple[int, Any, Dict[str, str]]:
         """One request; returns (status, parsed JSON, lowercase headers)."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        conn = self._connection()
         try:
             payload = None
             headers = {}
@@ -218,9 +226,7 @@ class ObsClient:
             read_timeout if read_timeout is not None
             else max(self.read_timeout, interval * 10)
         )
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        conn = self._connection()
         try:
             try:
                 conn.request(

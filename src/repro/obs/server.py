@@ -47,21 +47,27 @@ Endpoints
 
 Single-threaded by design: all service mutation happens on the event
 loop, so no locking is ever needed around the deterministic core.
+
+``asyncio`` (and ``ssl`` with it) is imported by the methods that run
+a door, not by this module: the benchmark harness imports it for
+:class:`BackgroundFrontDoor` whether or not it opens a socket.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl
 
 from ..graphs.io import graph_from_json
 from ..metrics import summarize_latencies
 from ..service import QueryOptions, Service, TicketState
 from ..service.schema import SpecError, check_int, check_optional, check_str
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = ["FrontDoor", "BackgroundFrontDoor"]
 
@@ -83,6 +89,8 @@ class FrontDoor:
         port: int = 0,
         steps_per_second: int = DEFAULT_STEPS_PER_SECOND,
     ) -> None:
+        import asyncio
+
         if steps_per_second < 1:
             raise ValueError("steps_per_second must be >= 1")
         self.service = service
@@ -107,6 +115,8 @@ class FrontDoor:
     # ------------------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
+        import asyncio
+
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )
@@ -128,6 +138,8 @@ class FrontDoor:
         bounded by :data:`DRAIN_TIMEOUT_S` so a wedged client cannot
         hold shutdown hostage.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
         deadline = loop.time() + DRAIN_TIMEOUT_S
         self._draining.set()
@@ -158,6 +170,8 @@ class FrontDoor:
     # ------------------------------------------------------------------
 
     async def _pump_loop(self) -> None:
+        import asyncio
+
         while True:
             await self._work.wait()
             self._work.clear()
@@ -172,6 +186,8 @@ class FrontDoor:
 
     async def _resolve(self, ticket):
         """Wait (on the event loop) for the core to finish a ticket."""
+        import asyncio
+
         if ticket.done:
             return ticket
         fut = asyncio.get_running_loop().create_future()
@@ -186,6 +202,8 @@ class FrontDoor:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        import asyncio
+
         try:
             request = await self._read_request(reader)
             if request is None:
@@ -444,6 +462,8 @@ class FrontDoor:
     async def _serve_watch(
         self, writer: asyncio.StreamWriter, params: Dict[str, str]
     ) -> None:
+        import asyncio
+
         try:
             frames = int(params.get("frames", "0"))
             interval = max(0.02, float(params.get("interval", "1.0")))
@@ -535,6 +555,8 @@ class BackgroundFrontDoor:
         return self.address
 
     def _run(self) -> None:
+        import asyncio
+
         async def _main() -> None:
             door = FrontDoor(
                 self.service,

@@ -45,6 +45,8 @@ MAX_RETRIES = 3
 class Flight:
     """One open ticket, whole.
 
+    ``offsets`` is the plan of the fan-out (shard -> the race step its
+    leg starts at), which every build of a leg reads, a reroute's too.
     ``races`` holds the legs built at admission (shard ->
     ``(race, id map)``) until they are dispatched.  From dispatch on,
     ``pending`` are the shards with a leg racing, ``id_maps`` translate
@@ -72,6 +74,7 @@ class Flight:
     counts: Optional[dict] = None
     candidates: dict = field(default_factory=dict)
     rewrites: dict = field(default_factory=dict)
+    offsets: dict = field(default_factory=dict)
     races: dict = field(default_factory=dict)
     pending: set = field(default_factory=set)
     outcomes: dict = field(default_factory=dict)
@@ -196,19 +199,17 @@ class FanOut:
                 if ticket is None:
                     return
                 flight = self.flights[ticket.id]
-                shards = self.planner.plan(flight)  # shard -> offset
-            else:
-                shards = flight.races
+                flight.offsets = self.planner.plan(flight)
             # a shard the plan needs may have died while the ticket
             # queued or waited for width: refuse rather than block
-            dark = replicas.dark(shards)
+            dark = replicas.dark(flight.offsets)
             if dark:
                 self.degrade(flight, f"shard(s) {dark} lost every replica")
                 continue
             if flight is not self.staged:
                 flight.races = {
                     shard: self.planner.build(flight, shard, offset)
-                    for shard, offset in sorted(shards.items())
+                    for shard, offset in sorted(flight.offsets.items())
                 }
             widths = {
                 s: race.width
@@ -244,9 +245,9 @@ class FanOut:
     def _launch(self, flight: Flight, shard: int, built=None, placed=None,
                 **attrs) -> bool:
         """Race one leg: place it (unless ``placed``), build its race
-        (unless ``built``), admit it, record it and open its ``leg``
-        span.  A shard with no serving replica degrades the ticket
-        (False)."""
+        at its planned offset (unless ``built``), admit it, record it
+        and open its ``leg`` span.  A shard with no serving replica
+        degrades the ticket (False)."""
         if placed is None:
             placed = self.replicas.place(shard)
             if placed is None:
@@ -254,7 +255,7 @@ class FanOut:
                 return False
         pool, replica = placed
         race, flight.id_maps[shard] = built or self.planner.build(
-            flight, shard
+            flight, shard, flight.offsets[shard]
         )
         tid = flight.ticket.id
         self.dispatcher.admit((tid, shard), race, pool=pool)
@@ -393,9 +394,10 @@ class FanOut:
         Cancel the old race and launch a fresh one under the same
         ticket token on the least-loaded serving replica.  The rebuilt
         race runs the same deterministic engines with the ticket's full
-        step budget, so a leg that completes after N retries answers
-        bit-for-bit what it would have healthy — only its bill and
-        latency carry the scar.  Retries are bounded per ticket;
+        step budget from the leg's planned offset (a hedged leg keeps
+        its head start), so a leg that completes after N retries
+        answers bit-for-bit what it would have healthy — only its bill
+        and latency carry the scar.  Retries are bounded per ticket;
         exhaustion (or a shard with no replica left) degrades the
         ticket instead of looping.
         """

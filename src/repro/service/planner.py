@@ -249,7 +249,7 @@ class RacePlanner:
         }
 
     def build(
-        self, flight, shard: int, offset: int = 0
+        self, flight, shard: int, offset: int
     ) -> tuple[RaceTask, Optional[tuple]]:
         """One shard's race, every variant's start moved ``offset``
         race steps later (each engine built on the round its variant
@@ -258,7 +258,7 @@ class RacePlanner:
 
         Every leg of a ticket is built here, so race construction can
         never diverge between a leg built at dispatch and a rerouted
-        one (which starts over at offset 0).
+        one (which starts over at its planned offset).
         """
         entry, ticket, options = flight.entry, flight.ticket, flight.options
         sub = entry.shard_entry(shard)

@@ -121,6 +121,56 @@ class TestCensus:
         assert digest.hexdigest() == self.SERVED_CENSUS_SHA256
 
 
+class TestPackedCensusEdges:
+    """Where the packed join's field width and key space are pushed:
+    a count past 32 bits, fields past 64, and codes no label sorts
+    like."""
+
+    def test_a_star_counts_past_32_bits(self):
+        """A star of 66 000 same-label leaves: Σ deg³ needs 64-bit
+        fields, and its 2-edge count, 66 000 · 65 999, outgrows 2³²."""
+        leaves = 66_000
+        g = LabeledGraph.from_edges(
+            ["A"] + ["B"] * leaves, [(0, v) for v in range(1, leaves + 1)]
+        )
+        census = coded_path_census(g, 3, (0,) + (1,) * leaves)
+        assert census.counts[1, 0, 1] > 2 ** 32
+        assert census.counts == {
+            (0,): 1,
+            (1,): leaves,
+            (0, 1): 2 * leaves,
+            (1, 0, 1): leaves * (leaves - 1),
+        }
+
+    def test_fields_past_64_bits_unpack_by_shifts(self):
+        from repro.indexing.features import _unpack
+
+        assert list(_unpack([5 << 64 | 7], 2, 64)) == [7, 5]
+        assert _unpack([5 << 128 | 7, 1 << 200], 2, 128) == [
+            7, 5, 0, 1 << 72,
+        ]
+
+    def test_novel_labels_and_isolated_vertices_match_the_reference(self):
+        """A query whose labels the collection has not seen takes
+        fresh negative codes in order of appearance (Z, Y, Q = -1, -2,
+        -3), which sort unlike the labels; vertices 6 and 7 touch
+        nothing."""
+        labels = ["A", "Z", "B", "Y", "A", "Q", "Z", "B"]
+        g = LabeledGraph.from_edges(
+            labels,
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 1)],
+        )
+        codes = LabelInterner([["A", "B"]]).encode_vertices(labels)
+        assert codes == (0, -1, 1, -2, 0, -3, -1, 1)
+        code_of = dict(zip(labels, codes))
+        for length in range(4):
+            expected = {
+                canonical_sequence(tuple(code_of[lab] for lab in seq)): n
+                for seq, n in label_path_census(g, length).counts.items()
+            }
+            assert coded_path_census(g, length, codes).counts == expected
+
+
 def _tracked_reachable(root) -> int:
     """How many objects reachable from ``root`` (classes aside) the
     collector tracks."""

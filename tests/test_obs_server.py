@@ -468,3 +468,26 @@ class TestReconnectDelays:
 
         with pytest.raises(ValueError, match=fragment):
             next(reconnect_delays(base=base, cap=cap))
+
+
+def test_importing_the_door_and_client_loads_no_network_stack():
+    """The benchmark harness imports both modules whether or not it
+    opens a socket: ``asyncio``, ``ssl`` and ``http.client`` load when
+    a door starts or a client sends, not before."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, repro.obs.server, repro.obs.client; "
+        "print(sorted(m for m in ('asyncio', 'ssl', 'http.client') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1396,6 +1396,32 @@ def _solo_sweep(svc, flight, shard, variant, query):
     )
 
 
+def _stall_a_head(svc, queries):
+    """Wedge the head shard of the first query whose decision route
+    plan stages, until that query's hedged leg has raced to its end
+    (its head would otherwise find first and cancel it before its
+    start, as on most generated queries); that query's position and
+    hedged shard, or None when no plan stages."""
+    entry = svc.catalog.get("ppi")
+    for pos, query in enumerate(queries):
+        counts = coded_path_census(
+            query, SERVED_PATH_LENGTH,
+            entry.interner.encode_vertices(query.labels),
+        ).counts
+        plan = entry.router.plan(counts, entry.involved_shards(), True)
+        if plan.staged:
+            head, hedged = plan.order
+            # the hedged leg starts HEDGE_STEPS late and runs at most
+            # the ticket's budget past its field's head start
+            budget = svc.admission.default_policy.step_budget
+            ticks = (
+                HEDGE_STEPS + HEAD_START_STEPS + budget
+            ) // svc.dispatcher.quantum + 2
+            svc.wedge_replica(head, svc.replica_set.ids(head)[0], ticks)
+            return pos, hedged
+    return None
+
+
 def _hedge_offset(svc, ticket, shard):
     """The start offset the ticket's route plan gave ``shard``'s leg:
     ``HEDGE_STEPS`` for every shard a staged plan does not order first,
@@ -1421,7 +1447,11 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
     every start moved by ``HEDGE_STEPS`` — (up to the live race's +1
     tie charge), and does at most the full-width race's work plus the
     head start.  The head start is drawn small as well, so the field
-    joins on tiny graphs."""
+    joins on tiny graphs.  A generated query's head shard nearly always
+    finds first and cancels its hedged sibling unstarted, so the
+    two-shard decision runs wedge the head of the first query whose
+    plan stages until its hedged leg has raced, and check that leg
+    was replayed at its offset."""
     newcomers = ppi_like(
         num_graphs=data.draw(st.integers(min_value=0, max_value=2)),
         avg_nodes=data.draw(st.integers(min_value=20, max_value=60)),
@@ -1468,10 +1498,30 @@ def test_a_served_ftv_race_is_its_sweeps_staged_replay(data, head_start):
                 options = QueryOptions(
                     rewritings=rewritings, decision_only=decision
                 )
-                tickets = [
-                    svc.submit("ppi", q, options=options) for q in queries
-                ]
+                stalled = (
+                    _stall_a_head(svc, queries)
+                    if shards > 1 and decision else None
+                )
+                # the stalled query first, so it is admitted on the
+                # first tick, before its head's pool fills
+                order = list(range(len(queries)))
+                if stalled is not None:
+                    order.insert(0, order.pop(stalled[0]))
+                tickets = [None] * len(queries)
+                for pos in order:
+                    tickets[pos] = svc.submit(
+                        "ppi", queries[pos], options=options
+                    )
                 svc.run_until_idle()
+                if stalled is not None:
+                    # its hedged leg raced: its replay below starts
+                    # every variant HEDGE_STEPS late
+                    pos, hedged = stalled
+                    assert [
+                        _hedge_offset(svc, flight.ticket, shard)
+                        for flight, shard, _ in legs
+                        if flight.ticket is tickets[pos] and shard == hedged
+                    ] == [HEDGE_STEPS]
                 for ticket, expected in zip(tickets, truth):
                     assert not ticket.result.killed
                     assert ticket.result.found == bool(expected)

@@ -888,7 +888,15 @@ class TestOneCensusPerTicket:
         svc.pump()
         flight = svc.fanout.flights[staged.id]
         assert set(flight.outcomes) == {0} and flight.pending == {1}
-        svc.fanout.fail_one_task()  # that leg restarts from scratch
+        admitted = []
+        admit = svc.dispatcher.admit
+        svc.dispatcher.admit = lambda token, race, pool=0: (
+            admitted.append((token, race.starts)), admit(token, race, pool)
+        )
+        svc.fanout.fail_one_task()  # that leg restarts from scratch ...
+        # ... a hedge later, as planned: its head start is not lost
+        assert admitted == [((staged.id, 1), [64, 4160])]
+        del svc.dispatcher.admit
         svc.run_until_idle()
         assert svc.fanout.retries.value == 1
         return staged, full, follower, query
